@@ -1,6 +1,6 @@
-// Command oiraidctl manages a file-backed OI-RAID array: one device image
-// per disk plus a manifest, supporting the full lifecycle — create,
-// write/read, fail disks, rebuild, scrub.
+// Command oiraidctl manages a file-backed OI-RAID array — per disk one
+// device image and one superblock, plus the metadata journal — through
+// the full lifecycle: create, write/read, fail disks, rebuild, scrub.
 //
 // Usage:
 //
@@ -22,7 +22,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -30,7 +29,6 @@ import (
 	"net/url"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"syscall"
@@ -39,17 +37,6 @@ import (
 	"github.com/oiraid/oiraid/internal/server"
 	"github.com/oiraid/oiraid/internal/store"
 )
-
-type manifest struct {
-	Disks      int   `json:"disks"`
-	Cycles     int64 `json:"cycles"`
-	StripBytes int   `json:"strip_bytes"`
-	Failed     []int `json:"failed,omitempty"`
-
-	// durable reports that the array was assembled from its on-media
-	// superblocks (the manifest file, if any, is a legacy artifact).
-	durable bool `json:"-"`
-}
 
 func main() {
 	if len(os.Args) < 2 {
@@ -71,18 +58,18 @@ func main() {
 	}
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 	var (
-		dir    = fs.String("dir", "", "array directory")
-		disks  = fs.Int("disks", 9, "number of disks")
-		cycles = fs.Int64("cycles", 4, "layout cycles per disk")
-		strip  = fs.Int("strip", 4096, "strip size in bytes")
-		off    = fs.Int64("off", 0, "byte offset in the data space")
-		length = fs.Int64("len", 0, "bytes to read")
-		diskID = fs.Int("disk", -1, "disk id")
-		failIn = fs.String("fail", "", "comma-separated disk ids")
+		dir      = fs.String("dir", "", "array directory")
+		disks    = fs.Int("disks", 9, "number of disks")
+		cycles   = fs.Int64("cycles", 4, "layout cycles per disk")
+		strip    = fs.Int("strip", 4096, "strip size in bytes")
+		off      = fs.Int64("off", 0, "byte offset in the data space")
+		length   = fs.Int64("len", 0, "bytes to read")
+		diskID   = fs.Int("disk", -1, "disk id")
+		failIn   = fs.String("fail", "", "comma-separated disk ids")
 		remote   = fs.String("remote", "", "oiraidd base URL; run the command against a server instead of -dir")
 		fallback = fs.String("fallback", "", "standby coordinator URL; retried once when -remote is unreachable")
-		count  = fs.Int("count", 1, "spares to register (spare command)")
-		repair = fs.Bool("repair", false, "fsck: reconstruct damaged strips from redundancy")
+		count    = fs.Int("count", 1, "spares to register (spare command)")
+		repair   = fs.Bool("repair", false, "fsck: reconstruct damaged strips from redundancy")
 
 		// node-plane flags (node add/drain/rejoin).
 		nodeID  = fs.String("id", "", "node commands: node ID")
@@ -287,205 +274,42 @@ a standby (oiraidd -standby), -fallback URL retries the command once
 against the standby if -remote is unreachable.`)
 }
 
-func manifestPath(dir string) string { return filepath.Join(dir, "oiraid.json") }
-
-func loadManifest(dir string) (*manifest, error) {
+// withArray mounts the array in dir (superblock consensus + journal
+// replay; geometry comes from media), runs fn, and seals the array again
+// on every return path — so a verb that fails, or finds nothing to do,
+// still leaves the clean flag set for the next mount. fn's error wins
+// over the seal's.
+func withArray(dir string, fn func(mnt *oiraid.Mount, g *oiraid.Geometry) error) error {
 	if dir == "" {
-		return nil, fmt.Errorf("need -dir")
+		return fmt.Errorf("need -dir")
 	}
-	raw, err := os.ReadFile(manifestPath(dir))
+	mnt, g, err := oiraid.MountDir(dir)
 	if err != nil {
-		return nil, err
+		return fmt.Errorf("mount %s: %w", dir, err)
 	}
-	var m manifest
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return nil, fmt.Errorf("parse manifest: %w", err)
-	}
-	return &m, nil
-}
-
-func saveManifest(dir string, m *manifest) error {
-	raw, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return err
-	}
-	// Write-temp + fsync + rename: a crash mid-save must never leave a
-	// truncated manifest where a good one stood.
-	return store.AtomicWriteFile(manifestPath(dir), append(raw, '\n'), 0o644)
-}
-
-// openArray assembles the array from dir. Directories carrying on-media
-// superblocks mount through the durable metadata plane (superblock
-// consensus + journal replay); legacy directories fall back to the JSON
-// manifest. Failed disks keep placeholder devices (never accessed) so
-// geometry stays intact.
-func openArray(dir string) (*oiraid.Array, *oiraid.Geometry, *manifest, error) {
-	if dir != "" {
-		if _, err := os.Stat(sbPath(dir, 0)); err == nil {
-			return openDurable(dir)
-		}
-	}
-	m, err := loadManifest(dir)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	g, err := oiraid.NewGeometry(m.Disks)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	strips := m.Cycles * int64(g.Analyzer().SlotsPerDisk())
-	devs := make([]oiraid.Device, m.Disks)
-	for i := range devs {
-		dev, err := store.OpenFileDevice(imgPath(dir, i), strips, m.StripBytes)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("disk %d: %w", i, err)
-		}
-		devs[i] = dev
-	}
-	arr, err := store.NewArray(g.Analyzer(), devs)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	for _, d := range m.Failed {
-		if err := arr.FailDisk(d); err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	// Attach the write-intent log and, while healthy, re-synchronise any
-	// cycles a previous crash left dirty (write-hole recovery).
-	intent, err := store.OpenFileIntentLog(filepath.Join(dir, "intent.log"))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	arr.SetIntentLog(intent)
-	if len(m.Failed) == 0 {
-		if n, err := arr.RecoverIntent(); err != nil {
-			return nil, nil, nil, err
-		} else if n > 0 {
-			fmt.Fprintf(os.Stderr, "recovered %d dirty cycle(s) from the intent log\n", n)
-		}
-	}
-	return arr, g, m, nil
-}
-
-func imgPath(dir string, i int) string { return filepath.Join(dir, fmt.Sprintf("disk%02d.img", i)) }
-func sbPath(dir string, i int) string  { return filepath.Join(dir, fmt.Sprintf("disk%02d.sb", i)) }
-
-// mountDurable assembles the array from its on-media metadata: geometry
-// comes from the first loadable superblock, foreign/stale/missing disks
-// are failed at mount, and the metadata journal is replayed.
-func mountDurable(dir string) (*store.Mount, *oiraid.Geometry, error) {
-	matches, err := filepath.Glob(filepath.Join(dir, "disk*.sb"))
-	if err != nil {
-		return nil, nil, err
-	}
-	var seed *store.Superblock
-	for _, p := range matches {
-		b, err := store.OpenFileBlob(p)
-		if err != nil {
-			continue
-		}
-		sb, lerr := store.LoadSuperblock(b)
-		b.Close()
-		if lerr == nil {
-			seed = sb
-			break
-		}
-	}
-	if seed == nil {
-		return nil, nil, fmt.Errorf("no loadable superblock in %s", dir)
-	}
-	g, err := oiraid.NewGeometry(seed.Disks)
-	if err != nil {
-		return nil, nil, err
-	}
-	strips := seed.Cycles * int64(g.Analyzer().SlotsPerDisk())
-	devs := make([]oiraid.Device, seed.Disks)
-	for i := range devs {
-		dev, err := store.OpenFileDevice(imgPath(dir, i), strips, seed.StripBytes)
-		if err != nil {
-			// A missing or truncated image becomes a blank disk; the mount
-			// fails it and a rebuild can resilver it.
-			fmt.Fprintf(os.Stderr, "disk %d image unusable (%v); attaching blank device\n", i, err)
-			if dev, err = store.NewFileDevice(imgPath(dir, i), strips, seed.StripBytes); err != nil {
-				return nil, nil, fmt.Errorf("disk %d: %w", i, err)
-			}
-		}
-		devs[i] = dev
-	}
-	sbs := make([]oiraid.Blob, seed.Disks)
-	for i := range sbs {
-		if sbs[i], err = store.CreateFileBlob(sbPath(dir, i)); err != nil {
-			return nil, nil, err
-		}
-	}
-	j0, err := store.CreateFileBlob(filepath.Join(dir, "meta0.journal"))
-	if err != nil {
-		return nil, nil, err
-	}
-	j1, err := store.CreateFileBlob(filepath.Join(dir, "meta1.journal"))
-	if err != nil {
-		return nil, nil, err
-	}
-	mnt, err := oiraid.MountArray(g, devs, sbs, j0, j1)
-	if err != nil {
-		return nil, nil, fmt.Errorf("mount %s: %w", dir, err)
+	if len(mnt.Blank) > 0 {
+		fmt.Fprintf(os.Stderr, "images of disks %v unusable; attached blank devices\n", mnt.Blank)
 	}
 	if !mnt.WasClean || len(mnt.Detected) > 0 || mnt.Replayed > 0 {
 		fmt.Fprintf(os.Stderr, "mounted array %s epoch %d (clean=%v, newly detected=%v, closures replayed=%d)\n",
 			mnt.Meta.UUIDString(), mnt.Meta.Epoch(), mnt.WasClean, mnt.Detected, mnt.Replayed)
 	}
-	return mnt, g, nil
-}
-
-func openDurable(dir string) (*oiraid.Array, *oiraid.Geometry, *manifest, error) {
-	mnt, g, err := mountDurable(dir)
-	if err != nil {
-		return nil, nil, nil, err
+	err = fn(mnt, g)
+	if serr := mnt.Array.SealMeta(); err == nil {
+		err = serr
 	}
-	m := &manifest{
-		Disks:      g.Disks(),
-		Cycles:     mnt.Array.Cycles(),
-		StripBytes: mnt.Array.StripBytes(),
-		Failed:     mnt.Failed,
-		durable:    true,
-	}
-	return mnt.Array, g, m, nil
+	return err
 }
 
 func create(dir string, disks int, cycles int64, strip int) error {
 	if dir == "" {
 		return fmt.Errorf("need -dir")
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
 	g, err := oiraid.NewGeometry(disks)
 	if err != nil {
 		return err
 	}
-	strips := cycles * int64(g.Analyzer().SlotsPerDisk())
-	devs := make([]oiraid.Device, disks)
-	for i := range devs {
-		if devs[i], err = store.NewFileDevice(imgPath(dir, i), strips, strip); err != nil {
-			return fmt.Errorf("disk %d: %w", i, err)
-		}
-	}
-	sbs := make([]oiraid.Blob, disks)
-	for i := range sbs {
-		if sbs[i], err = store.CreateFileBlob(sbPath(dir, i)); err != nil {
-			return err
-		}
-	}
-	j0, err := store.CreateFileBlob(filepath.Join(dir, "meta0.journal"))
-	if err != nil {
-		return err
-	}
-	j1, err := store.CreateFileBlob(filepath.Join(dir, "meta1.journal"))
-	if err != nil {
-		return err
-	}
-	mnt, err := oiraid.FormatArray(g, devs, sbs, j0, j1)
+	mnt, err := oiraid.FormatDir(g, dir, cycles, strip)
 	if err != nil {
 		return err
 	}
@@ -507,196 +331,123 @@ func create(dir string, disks int, cycles int64, strip int) error {
 	if err := arr.SealMeta(); err != nil {
 		return err
 	}
-	if err := saveManifest(dir, &manifest{Disks: disks, Cycles: cycles, StripBytes: strip}); err != nil {
-		return err
-	}
 	fmt.Printf("created %s (array %s)\ncapacity: %d bytes usable\n", g, mnt.Meta.UUIDString(), arr.Capacity())
 	return nil
 }
 
-// sealArray marks a clean shutdown on durably-mounted arrays (no-op for
-// legacy manifest arrays).
-func sealArray(arr *oiraid.Array, m *manifest) error {
-	if !m.durable {
-		return nil
-	}
-	return arr.SealMeta()
-}
-
 func status(dir string) error {
-	arr, g, m, err := openArray(dir)
-	if err != nil {
-		return err
-	}
-	defer sealArray(arr, m)
-	fmt.Println(g)
-	if meta := arr.Meta(); meta != nil {
-		fmt.Printf("array: %s, meta epoch %d\n", meta.UUIDString(), meta.Epoch())
-	}
-	fmt.Printf("cycles: %d, strip: %d B, usable capacity: %d B\n", m.Cycles, m.StripBytes, arr.Capacity())
-	if len(m.Failed) == 0 {
-		fmt.Println("state: healthy")
+	return withArray(dir, func(mnt *oiraid.Mount, g *oiraid.Geometry) error {
+		arr, failed := mnt.Array, mnt.Failed
+		fmt.Println(g)
+		fmt.Printf("array: %s, meta epoch %d\n", mnt.Meta.UUIDString(), mnt.Meta.Epoch())
+		fmt.Printf("cycles: %d, strip: %d B, usable capacity: %d B\n", arr.Cycles(), arr.StripBytes(), arr.Capacity())
+		if len(failed) == 0 {
+			fmt.Println("state: healthy")
+			return nil
+		}
+		exp := g.Exposure(failed, 3)
+		switch {
+		case !exp.Recoverable:
+			fmt.Printf("state: FAILED — pattern %v exceeds fault tolerance (data loss)\n", failed)
+			fmt.Printf("availability: %s\n", g.Analyzer().Availability(failed).Describe())
+			fmt.Println("hint: a read-only or partial degraded policy (oiraidd -degraded-policy) can still serve the decodable strips")
+		case len(exp.CriticalDisks) > 0:
+			fmt.Printf("state: degraded, failed disks %v — CRITICAL: losing any of disks %v would lose data\n",
+				failed, exp.CriticalDisks)
+		default:
+			fmt.Printf("state: degraded, failed disks %v — %d further arbitrary failure(s) still survivable\n",
+				failed, exp.Slack)
+		}
 		return nil
-	}
-	exp := g.Exposure(m.Failed, 3)
-	switch {
-	case !exp.Recoverable:
-		fmt.Printf("state: FAILED — pattern %v exceeds fault tolerance (data loss)\n", m.Failed)
-		fmt.Printf("availability: %s\n", g.Analyzer().Availability(m.Failed).Describe())
-		fmt.Println("hint: a read-only or partial degraded policy (oiraidd -degraded-policy) can still serve the decodable strips")
-	case len(exp.CriticalDisks) > 0:
-		fmt.Printf("state: degraded, failed disks %v — CRITICAL: losing any of disks %v would lose data\n",
-			m.Failed, exp.CriticalDisks)
-	default:
-		fmt.Printf("state: degraded, failed disks %v — %d further arbitrary failure(s) still survivable\n",
-			m.Failed, exp.Slack)
-	}
-	return nil
+	})
 }
 
 func writeCmd(dir string, off int64, in io.Reader) error {
-	arr, _, m, err := openArray(dir)
-	if err != nil {
-		return err
-	}
 	data, err := io.ReadAll(in)
 	if err != nil {
 		return err
 	}
-	n, err := arr.WriteAt(data, off)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %d bytes at offset %d\n", n, off)
-	return sealArray(arr, m)
-}
-
-func readCmd(dir string, off, length int64, out io.Writer) error {
-	arr, _, m, err := openArray(dir)
-	if err != nil {
-		return err
-	}
-	if length <= 0 {
-		return fmt.Errorf("need -len > 0")
-	}
-	defer sealArray(arr, m)
-	buf := make([]byte, length)
-	n, err := arr.ReadAt(buf, off)
-	if err != nil && !errors.Is(err, io.EOF) {
-		return err
-	}
-	_, werr := out.Write(buf[:n])
-	return werr
-}
-
-func failCmd(dir string, d int) error {
-	if dir != "" {
-		if _, err := os.Stat(sbPath(dir, 0)); err == nil {
-			return failDurable(dir, d)
-		}
-	}
-	m, err := loadManifest(dir)
-	if err != nil {
-		return err
-	}
-	if d < 0 || d >= m.Disks {
-		return fmt.Errorf("no disk %d", d)
-	}
-	for _, f := range m.Failed {
-		if f == d {
-			return fmt.Errorf("disk %d already failed", d)
-		}
-	}
-	m.Failed = append(m.Failed, d)
-	if err := saveManifest(dir, m); err != nil {
-		return err
-	}
-	g, err := oiraid.NewGeometry(m.Disks)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("disk %d marked failed; pattern %v recoverable: %v\n",
-		d, m.Failed, g.Recoverable(m.Failed))
-	return nil
-}
-
-// failDurable evicts a disk on a durably-mounted array: the transition is
-// committed to the journal and superblocks before it is acknowledged, so
-// a restart cannot resurrect the disk.
-func failDurable(dir string, d int) error {
-	arr, g, m, err := openArray(dir)
-	if err != nil {
-		return err
-	}
-	for _, f := range arr.FailedDisks() {
-		if f == d {
-			return fmt.Errorf("disk %d already failed", d)
-		}
-	}
-	if err := arr.FailDisk(d); err != nil {
-		return err
-	}
-	failed := arr.FailedDisks()
-	if err := sealArray(arr, m); err != nil {
-		return err
-	}
-	fmt.Printf("disk %d marked failed; pattern %v recoverable: %v\n",
-		d, failed, g.Recoverable(failed))
-	return nil
-}
-
-func rebuildCmd(dir string) error {
-	arr, g, m, err := openArray(dir)
-	if err != nil {
-		return err
-	}
-	if len(m.Failed) == 0 {
-		fmt.Println("nothing to rebuild")
-		return nil
-	}
-	strips := m.Cycles * int64(g.Analyzer().SlotsPerDisk())
-	for _, d := range m.Failed {
-		dev, err := store.NewFileDevice(imgPath(dir, d), strips, m.StripBytes)
+	return withArray(dir, func(mnt *oiraid.Mount, _ *oiraid.Geometry) error {
+		n, err := mnt.Array.WriteAt(data, off)
 		if err != nil {
 			return err
 		}
-		if err := arr.ReplaceDisk(d, dev); err != nil {
+		fmt.Fprintf(os.Stderr, "wrote %d bytes at offset %d\n", n, off)
+		return nil
+	})
+}
+
+func readCmd(dir string, off, length int64, out io.Writer) error {
+	if length <= 0 {
+		return fmt.Errorf("need -len > 0")
+	}
+	return withArray(dir, func(mnt *oiraid.Mount, _ *oiraid.Geometry) error {
+		buf := make([]byte, length)
+		n, err := mnt.Array.ReadAt(buf, off)
+		if err != nil && !errors.Is(err, io.EOF) {
 			return err
 		}
-	}
-	if err := arr.Rebuild(); err != nil {
-		return err
-	}
-	rebuilt := m.Failed
-	m.Failed = nil
-	if m.durable {
-		// The adoptions and rebuild completion are already committed; just
-		// seal the clean shutdown.
-		if err := sealArray(arr, m); err != nil {
+		_, werr := out.Write(buf[:n])
+		return werr
+	})
+}
+
+// failCmd evicts a disk: the transition is committed to the journal and
+// superblocks before it is acknowledged, so a restart cannot resurrect
+// the disk.
+func failCmd(dir string, d int) error {
+	return withArray(dir, func(mnt *oiraid.Mount, g *oiraid.Geometry) error {
+		arr := mnt.Array
+		for _, f := range arr.FailedDisks() {
+			if f == d {
+				return fmt.Errorf("disk %d already failed", d)
+			}
+		}
+		if err := arr.FailDisk(d); err != nil {
 			return err
 		}
-	} else if err := saveManifest(dir, m); err != nil {
-		return err
-	}
-	fmt.Printf("rebuilt disks %v\n", rebuilt)
-	return nil
+		failed := arr.FailedDisks()
+		fmt.Printf("disk %d marked failed; pattern %v recoverable: %v\n",
+			d, failed, g.Recoverable(failed))
+		return nil
+	})
+}
+
+func rebuildCmd(dir string) error {
+	return withArray(dir, func(mnt *oiraid.Mount, _ *oiraid.Geometry) error {
+		if len(mnt.Failed) == 0 {
+			fmt.Println("nothing to rebuild")
+			return nil
+		}
+		for _, d := range mnt.Failed {
+			dev, err := mnt.Replace(d)
+			if err != nil {
+				return err
+			}
+			if err := mnt.Array.ReplaceDisk(d, dev); err != nil {
+				return err
+			}
+		}
+		if err := mnt.Array.Rebuild(); err != nil {
+			return err
+		}
+		fmt.Printf("rebuilt disks %v\n", mnt.Failed)
+		return nil
+	})
 }
 
 func scrubCmd(dir string) error {
-	arr, _, m, err := openArray(dir)
-	if err != nil {
-		return err
-	}
-	defer sealArray(arr, m)
-	bad, err := arr.Scrub()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("scrub: %d inconsistent stripes\n", bad)
-	if bad > 0 {
-		return fmt.Errorf("%d inconsistent stripe(s)", bad)
-	}
-	return nil
+	return withArray(dir, func(mnt *oiraid.Mount, _ *oiraid.Geometry) error {
+		bad, err := mnt.Array.Scrub()
+		if err != nil {
+			return err
+		}
+		fmt.Printf("scrub: %d inconsistent stripes\n", bad)
+		if bad > 0 {
+			return fmt.Errorf("%d inconsistent stripe(s)", bad)
+		}
+		return nil
+	})
 }
 
 // fsckCmd runs the two-layer verification pass — durable per-strip
@@ -705,21 +456,13 @@ func scrubCmd(dir string) error {
 // from redundancy. A dirty array (damage found and not repaired) exits
 // non-zero.
 func fsckCmd(dir string, repair bool, out io.Writer) error {
-	arr, _, m, err := openArray(dir)
-	if err != nil {
-		return err
-	}
-	if !m.durable {
-		return fmt.Errorf("%s has no durable metadata plane (create the array with this version, or run it under oiraidd once)", dir)
-	}
-	rep, err := arr.Fsck(repair)
-	if err != nil {
-		return err
-	}
-	if err := sealArray(arr, m); err != nil {
-		return err
-	}
-	return printFsckReport(rep, out)
+	return withArray(dir, func(mnt *oiraid.Mount, _ *oiraid.Geometry) error {
+		rep, err := mnt.Array.Fsck(repair)
+		if err != nil {
+			return err
+		}
+		return printFsckReport(rep, out)
+	})
 }
 
 func printFsckReport(rep *store.FsckReport, out io.Writer) error {

@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"github.com/oiraid/oiraid"
 	"github.com/oiraid/oiraid/internal/server"
@@ -70,12 +71,8 @@ func TestLifecycle(t *testing.T) {
 	if err := scrubCmd(dir); err != nil {
 		t.Fatal(err)
 	}
-	m, err := loadManifest(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Failed) != 0 {
-		t.Fatalf("manifest still lists failed disks: %v", m.Failed)
+	if mnt := remount(t, dir); len(mnt.Failed) != 0 || !mnt.WasClean {
+		t.Fatalf("after rebuild+scrub: failed %v, clean %v", mnt.Failed, mnt.WasClean)
 	}
 	// Content survives a full reopen after rebuild.
 	out.Reset()
@@ -84,6 +81,49 @@ func TestLifecycle(t *testing.T) {
 	}
 	if !bytes.Equal(out.Bytes(), payload) {
 		t.Fatal("content differs after rebuild")
+	}
+}
+
+// remount mounts dir the way every local verb does, seals it again (a
+// mount clears the clean flag) and returns what the mount found.
+func remount(t *testing.T, dir string) *oiraid.Mount {
+	t.Helper()
+	mnt, _, err := oiraid.MountDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mnt.Array.SealMeta(); err != nil {
+		t.Fatal(err)
+	}
+	return mnt
+}
+
+func imgPath(dir string, i int) string { return filepath.Join(dir, fmt.Sprintf("disk%02d.img", i)) }
+
+// TestEarlyReturnsSeal: a verb that has nothing to do, is called wrong,
+// or fails partway still seals the array, so the next mount is clean.
+func TestEarlyReturnsSeal(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "arr")
+	if err := create(dir, 9, 1, 512); err != nil {
+		t.Fatal(err)
+	}
+	for name, verb := range map[string]func() error{
+		"rebuild with nothing failed": func() error { return rebuildCmd(dir) },
+		"read without -len":           func() error { return readCmd(dir, 0, 0, io.Discard) },
+		"write with failing stdin":    func() error { return writeCmd(dir, 0, iotest.ErrReader(io.ErrUnexpectedEOF)) },
+		"write past the end":          func() error { return writeCmd(dir, 1<<40, strings.NewReader("x")) },
+		"fail of an unknown disk":     func() error { return failCmd(dir, 99) },
+		"stat of a missing object": func() error {
+			return localObjectCmd(context.Background(), dir, "stat", "nope", "nope", "", 0, nil, io.Discard)
+		},
+	} {
+		err := verb()
+		if (err == nil) != (name == "rebuild with nothing failed") {
+			t.Fatalf("%s: err %v", name, err)
+		}
+		if mnt := remount(t, dir); !mnt.WasClean {
+			t.Fatalf("%s left the array unsealed", name)
+		}
 	}
 }
 
@@ -270,22 +310,6 @@ func TestLocalFsck(t *testing.T) {
 	if !bytes.Equal(out.Bytes(), payload) {
 		t.Fatal("content differs after repair")
 	}
-
-	// Legacy arrays (no superblocks) are refused with a pointer to the
-	// upgrade path.
-	legacy := filepath.Join(t.TempDir(), "legacy")
-	if err := os.MkdirAll(legacy, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := saveManifest(legacy, &manifest{Disks: 9, Cycles: 1, StripBytes: strip}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := oiraid.NewFileArray(g, legacy, 1, strip); err != nil {
-		t.Fatal(err)
-	}
-	if err := fsckCmd(legacy, false, io.Discard); err == nil {
-		t.Fatal("fsck on a legacy array must be refused")
-	}
 }
 
 func TestCreateValidation(t *testing.T) {
@@ -298,21 +322,11 @@ func TestCreateValidation(t *testing.T) {
 }
 
 func TestOpenMissing(t *testing.T) {
-	if _, _, _, err := openArray(filepath.Join(t.TempDir(), "nope")); err == nil {
-		t.Fatal("missing manifest must fail")
+	if err := status(filepath.Join(t.TempDir(), "nope")); !errors.Is(err, store.ErrNoSuperblock) {
+		t.Fatalf("missing array: err %v, want ErrNoSuperblock", err)
 	}
-	if _, err := loadManifest(""); err == nil {
+	if err := status(""); err == nil {
 		t.Fatal("empty dir must fail")
-	}
-}
-
-func TestCorruptManifest(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(manifestPath(dir), []byte("{broken"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := loadManifest(dir); err == nil {
-		t.Fatal("corrupt manifest must fail")
 	}
 }
 

@@ -1,6 +1,6 @@
 // Object-plane subcommands: mb/put/get/rm/ls/stat manage buckets and
 // objects, remotely against an oiraidd server (-remote) or locally over
-// a durably-formatted array directory (-dir).
+// an array directory (-dir).
 package main
 
 import (
@@ -11,6 +11,7 @@ import (
 	"io"
 	"os"
 
+	"github.com/oiraid/oiraid"
 	"github.com/oiraid/oiraid/internal/engine"
 	"github.com/oiraid/oiraid/internal/object"
 	"github.com/oiraid/oiraid/internal/server"
@@ -118,32 +119,27 @@ func printInfo(info object.Info, out io.Writer) error {
 	return enc.Encode(info)
 }
 
-// localObjectCmd runs an object subcommand against a durably-formatted
-// local array directory: the array is mounted, the engine and object
-// store brought up (replaying the object plane from the metadata
-// journal), the command executed, and the array sealed again.
+// localObjectCmd runs an object subcommand against a local array
+// directory: the array is mounted, the engine and object store brought up
+// (replaying the object plane from the metadata journal), the command
+// executed, and the array sealed again.
 func localObjectCmd(ctx context.Context, dir, cmd, bucket, key, prefix string, maxKeys int, in io.Reader, out io.Writer) error {
-	arr, _, m, err := openArray(dir)
-	if err != nil {
-		return err
-	}
-	if !m.durable {
-		return fmt.Errorf("%s has no durable metadata plane; object metadata needs it (create the array with this version)", dir)
-	}
-	eng, err := engine.New(arr, engine.Options{})
-	if err != nil {
-		return err
-	}
-	s, err := object.New(eng, object.Options{})
-	if err != nil {
-		eng.Close()
-		return err
-	}
-	cmdErr := runLocalObject(ctx, s, cmd, bucket, key, prefix, maxKeys, in, out)
-	if cerr := eng.Close(); cmdErr == nil {
-		cmdErr = cerr
-	}
-	return cmdErr
+	return withArray(dir, func(mnt *oiraid.Mount, _ *oiraid.Geometry) error {
+		eng, err := engine.New(mnt.Array, engine.Options{})
+		if err != nil {
+			return err
+		}
+		s, err := object.New(eng, object.Options{})
+		if err != nil {
+			eng.Close()
+			return err
+		}
+		cmdErr := runLocalObject(ctx, s, cmd, bucket, key, prefix, maxKeys, in, out)
+		if cerr := eng.Close(); cmdErr == nil {
+			cmdErr = cerr
+		}
+		return cmdErr
+	})
 }
 
 func runLocalObject(ctx context.Context, s *object.Store, cmd, bucket, key, prefix string, maxKeys int, in io.Reader, out io.Writer) error {

@@ -15,13 +15,12 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"net"
-	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
@@ -87,18 +86,13 @@ func buildServer(cfg config) (*server.Server, error) {
 		opts.Retry = &store.RetryPolicy{MaxAttempts: cfg.retries}
 	}
 	if cfg.dir != "" {
-		arr, g, cfg, err = openDurableArray(g, cfg)
+		mnt, err := openDurableArray(g, cfg)
 		if err != nil {
 			return nil, err
 		}
 		// Replacement disks for rebuilds are fresh image files, not the
 		// engine's default in-memory devices.
-		strips := cfg.cycles * int64(g.Analyzer().SlotsPerDisk())
-		dir := cfg.dir
-		stripBytes := cfg.strip
-		opts.Replace = func(d int) (store.Device, error) {
-			return store.NewFileDevice(imgPath(dir, d), strips, stripBytes)
-		}
+		arr, opts.Replace = mnt.Array, mnt.Replace
 	} else {
 		arr, err = oiraid.NewMemArray(g, cfg.cycles, cfg.strip)
 		if err != nil {
@@ -130,141 +124,51 @@ func buildServer(cfg config) (*server.Server, error) {
 	}), nil
 }
 
-func imgPath(dir string, i int) string { return filepath.Join(dir, fmt.Sprintf("disk%02d.img", i)) }
-func sbPath(dir string, i int) string  { return filepath.Join(dir, fmt.Sprintf("disk%02d.sb", i)) }
-
-// openMetaBlobs opens (creating when absent) the per-disk superblock
-// files and the journal's two regions.
-func openMetaBlobs(dir string, disks int) (sbs []oiraid.Blob, j0, j1 oiraid.Blob, err error) {
-	for i := 0; i < disks; i++ {
-		b, err := oiraid.CreateFileBlob(sbPath(dir, i))
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("superblock %d: %w", i, err)
-		}
-		sbs = append(sbs, b)
-	}
-	if j0, err = oiraid.CreateFileBlob(filepath.Join(dir, "meta0.journal")); err != nil {
-		return nil, nil, nil, err
-	}
-	if j1, err = oiraid.CreateFileBlob(filepath.Join(dir, "meta1.journal")); err != nil {
-		return nil, nil, nil, err
-	}
-	return sbs, j0, j1, nil
-}
-
 // openDurableArray boots the array from the image directory with the
 // durable metadata plane.
 //
-// Three cases. Superblocks present: the on-media geometry is
-// authoritative (flags merely warn when they differ) and the array is
-// mounted — foreign, stale, or missing disks are failed, the metadata
-// journal is replayed, and an unmountable array refuses to serve rather
-// than serving silently-corrupt state. Images present but no
-// superblocks: a pre-durability directory is upgraded in place (device
-// content untouched). Neither: a fresh array is created and formatted.
-func openDurableArray(g *oiraid.Geometry, cfg config) (*oiraid.Array, *oiraid.Geometry, config, error) {
-	if err := os.MkdirAll(cfg.dir, 0o755); err != nil {
-		return nil, g, cfg, err
-	}
-	var seed *oiraid.Superblock
-	for i := 0; i < cfg.disks; i++ {
-		if b, err := store.OpenFileBlob(sbPath(cfg.dir, i)); err == nil {
-			sb, lerr := oiraid.LoadSuperblock(b)
-			b.Close()
-			if lerr == nil {
-				seed = sb
-				break
-			}
-		}
-	}
-
-	if seed != nil {
-		// Mount from media; the superblock's geometry wins.
-		if seed.Disks != cfg.disks || seed.Cycles != cfg.cycles || seed.StripBytes != cfg.strip {
-			log.Printf("oiraidd: flags say %d disks × %d cycles × %dB strips, superblock says %d × %d × %dB; using the superblock",
-				cfg.disks, cfg.cycles, cfg.strip, seed.Disks, seed.Cycles, seed.StripBytes)
-			cfg.disks, cfg.cycles, cfg.strip = seed.Disks, seed.Cycles, seed.StripBytes
-			ng, err := oiraid.NewGeometry(cfg.disks)
-			if err != nil {
-				return nil, g, cfg, fmt.Errorf("superblock geometry: %w", err)
-			}
-			g = ng
-		}
-		strips := cfg.cycles * int64(g.Analyzer().SlotsPerDisk())
-		devs := make([]oiraid.Device, cfg.disks)
-		for i := range devs {
-			dev, err := store.OpenFileDevice(imgPath(cfg.dir, i), strips, cfg.strip)
-			if err != nil {
-				// A missing or truncated image boots as a blank disk; the
-				// mount fails it and a rebuild can resilver it.
-				log.Printf("oiraidd: disk %d image unusable (%v); attaching blank device", i, err)
-				if dev, err = store.NewFileDevice(imgPath(cfg.dir, i), strips, cfg.strip); err != nil {
-					return nil, g, cfg, fmt.Errorf("disk %d: %w", i, err)
-				}
-			}
-			devs[i] = dev
-		}
-		sbs, j0, j1, err := openMetaBlobs(cfg.dir, cfg.disks)
-		if err != nil {
-			return nil, g, cfg, err
-		}
-		var mos []oiraid.MountOption
-		if cfg.degraded != "" {
-			pol, perr := oiraid.ParseDegradedPolicy(cfg.degraded)
-			if perr != nil {
-				return nil, g, cfg, perr
-			}
-			mos = append(mos, oiraid.WithMountDegradedPolicy(pol))
-		}
-		mnt, err := oiraid.MountArray(g, devs, sbs, j0, j1, mos...)
-		if err != nil {
-			return nil, g, cfg, fmt.Errorf("mount %s: %w", cfg.dir, err)
-		}
-		log.Printf("oiraidd: mounted array %s epoch %d (clean=%v, failed=%v, newly detected=%v, closures replayed=%d)",
-			mnt.Meta.UUIDString(), mnt.Meta.Epoch(), mnt.WasClean, mnt.Failed, mnt.Detected, mnt.Replayed)
-		if mnt.ReadOnly {
-			log.Printf("oiraidd: array is beyond tolerance (%s); serving degraded under policy %q",
-				mnt.Availability.Describe(), cfg.degraded)
-		}
-		return mnt.Array, g, cfg, nil
-	}
-
-	// No superblocks: open or create the images, then format the
-	// metadata plane around them (device content is left untouched, so
-	// a pre-durability directory upgrades in place).
-	strips := cfg.cycles * int64(g.Analyzer().SlotsPerDisk())
-	fresh := false
-	if _, serr := os.Stat(imgPath(cfg.dir, 0)); os.IsNotExist(serr) {
-		fresh = true
-	} else {
-		log.Printf("oiraidd: upgrading %s to the durable metadata plane in place", cfg.dir)
-	}
-	devs := make([]oiraid.Device, cfg.disks)
-	for i := range devs {
-		var err error
-		if fresh {
-			devs[i], err = store.NewFileDevice(imgPath(cfg.dir, i), strips, cfg.strip)
-		} else {
-			devs[i], err = store.OpenFileDevice(imgPath(cfg.dir, i), strips, cfg.strip)
-		}
-		if err != nil {
-			return nil, g, cfg, fmt.Errorf("disk %d: %w", i, err)
-		}
-	}
-	sbs, j0, j1, err := openMetaBlobs(cfg.dir, cfg.disks)
-	if err != nil {
-		return nil, g, cfg, err
-	}
+// Superblocks present: the on-media geometry is authoritative (flags
+// merely warn when they differ) and the array is mounted — foreign,
+// stale, or missing disks are failed, the metadata journal is replayed,
+// and an unmountable array refuses to serve rather than serving
+// silently-corrupt state. Nothing there: a fresh array is created and
+// formatted. Images without a loadable superblock are refused and left
+// untouched.
+func openDurableArray(g *oiraid.Geometry, cfg config) (*oiraid.Mount, error) {
 	pol, err := oiraid.ParseDegradedPolicy(cfg.degraded)
 	if err != nil {
-		return nil, g, cfg, err
+		return nil, err
 	}
-	mnt, err := oiraid.FormatArray(g, devs, sbs, j0, j1, oiraid.WithDegradedPolicy(pol))
+	var mos []oiraid.MountOption
+	if cfg.degraded != "" {
+		mos = append(mos, oiraid.WithMountDegradedPolicy(pol))
+	}
+	mnt, _, err := oiraid.MountDir(cfg.dir, mos...)
+	if errors.Is(err, store.ErrNoSuperblock) {
+		mnt, err = oiraid.FormatDir(g, cfg.dir, cfg.cycles, cfg.strip, oiraid.WithDegradedPolicy(pol))
+		if err != nil {
+			return nil, fmt.Errorf("no loadable superblock in %s; format: %w", cfg.dir, err)
+		}
+		log.Printf("oiraidd: formatted array %s (degraded policy %q)", mnt.Meta.UUIDString(), pol)
+		return mnt, nil
+	}
 	if err != nil {
-		return nil, g, cfg, err
+		return nil, fmt.Errorf("mount %s: %w", cfg.dir, err)
 	}
-	log.Printf("oiraidd: formatted array %s (degraded policy %q)", mnt.Meta.UUIDString(), pol)
-	return mnt.Array, g, cfg, nil
+	if sb := mnt.Super; sb.Disks != cfg.disks || sb.Cycles != cfg.cycles || sb.StripBytes != cfg.strip {
+		log.Printf("oiraidd: flags say %d disks × %d cycles × %dB strips, superblock says %d × %d × %dB; using the superblock",
+			cfg.disks, cfg.cycles, cfg.strip, sb.Disks, sb.Cycles, sb.StripBytes)
+	}
+	if len(mnt.Blank) > 0 {
+		log.Printf("oiraidd: images of disks %v unusable; attached blank devices", mnt.Blank)
+	}
+	log.Printf("oiraidd: mounted array %s epoch %d (clean=%v, failed=%v, newly detected=%v, closures replayed=%d)",
+		mnt.Meta.UUIDString(), mnt.Meta.Epoch(), mnt.WasClean, mnt.Failed, mnt.Detected, mnt.Replayed)
+	if mnt.ReadOnly {
+		log.Printf("oiraidd: array is beyond tolerance (%s); serving degraded under policy %q",
+			mnt.Availability.Describe(), cfg.degraded)
+	}
+	return mnt, nil
 }
 
 func main() {

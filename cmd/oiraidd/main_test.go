@@ -3,10 +3,13 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"math/rand"
 	"net"
 	"net/http"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -14,6 +17,7 @@ import (
 
 	"github.com/oiraid/oiraid"
 	"github.com/oiraid/oiraid/internal/server"
+	"github.com/oiraid/oiraid/internal/store"
 )
 
 // boot starts the daemon's full stack on a loopback port and returns a
@@ -43,6 +47,8 @@ func boot(t *testing.T, cfg config) (*server.Client, func() error) {
 	}
 	return server.NewClient("http://" + l.Addr().String()), shutdown
 }
+
+func imgPath(dir string, i int) string { return filepath.Join(dir, fmt.Sprintf("disk%02d.img", i)) }
 
 // counter extracts one metric value from the text dump.
 func counter(t *testing.T, metrics, name string) int64 {
@@ -273,6 +279,32 @@ func TestDurableRestartDetectsOfflineCorruption(t *testing.T) {
 	}
 	if !bytes.Equal(got, p) {
 		t.Fatal("strip content wrong after repair")
+	}
+}
+
+// TestMountRefusesImagesWithoutSuperblock: a -dir holding device images
+// but no loadable superblock is refused by name — never formatted over —
+// and nothing in it changes.
+func TestMountRefusesImagesWithoutSuperblock(t *testing.T) {
+	dir := t.TempDir()
+	img := bytes.Repeat([]byte{0xd1}, 4096)
+	if err := os.WriteFile(imgPath(dir, 0), img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := buildServer(config{disks: 9, cycles: 2, strip: 512, dir: dir, batch: 1})
+	if !errors.Is(err, store.ErrDirNotEmpty) {
+		t.Fatalf("err %v, want ErrDirNotEmpty", err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(imgPath(dir, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || !bytes.Equal(got, img) {
+		t.Fatalf("directory changed: %d entries, image intact=%v", len(entries), bytes.Equal(got, img))
 	}
 }
 

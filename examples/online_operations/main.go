@@ -1,7 +1,7 @@
 // Online operations: the data-plane features a production deployment
 // leans on, demonstrated end to end — checksummed read repair, online
-// incremental rebuild with foreground I/O, write-hole recovery via the
-// intent log, and exposure reporting while degraded.
+// incremental rebuild with foreground I/O, write-hole recovery by journal
+// replay, and exposure reporting while degraded.
 package main
 
 import (
@@ -23,23 +23,29 @@ func main() {
 	const cycles = 8
 	strips := cycles * int64(g.Analyzer().SlotsPerDisk())
 
-	// Checksummed devices: silent corruption becomes a detectable erasure.
+	// A formatted array over memory media: FormatArray wraps every device
+	// with journal-backed checksums (silent corruption becomes a detectable
+	// erasure) and attaches the metadata journal that redo-logs every
+	// parity commit. The fault injectors tear a write in step 4.
 	devs := make([]oiraid.Device, g.Disks())
 	inner := make([]oiraid.Device, g.Disks())
+	faults := make([]*oiraid.FaultInjector, g.Disks())
+	sbs := make([]oiraid.Blob, g.Disks())
 	for i := range devs {
 		mem, err := oiraid.NewMemDevice(strips, stripBytes)
 		if err != nil {
 			log.Fatal(err)
 		}
 		inner[i] = mem
-		devs[i] = oiraid.NewChecksummedDevice(mem)
+		faults[i] = oiraid.NewFaultDevice(mem, oiraid.FaultConfig{})
+		devs[i] = faults[i]
+		sbs[i] = oiraid.NewMemBlob()
 	}
-	arr, err := store.NewArray(g.Analyzer(), devs)
+	mnt, err := oiraid.FormatArray(g, devs, sbs, oiraid.NewMemBlob(), oiraid.NewMemBlob())
 	if err != nil {
 		log.Fatal(err)
 	}
-	intent := store.NewMemIntentLog()
-	arr.SetIntentLog(intent)
+	arr := mnt.Array
 
 	content := make([]byte, arr.Capacity())
 	rand.New(rand.NewSource(1)).Read(content)
@@ -77,7 +83,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := arr.ReplaceDisk(4, spare); err != nil {
+	faults[4] = oiraid.NewFaultDevice(spare, oiraid.FaultConfig{})
+	if err := arr.ReplaceDisk(4, faults[4]); err != nil {
 		log.Fatal(err)
 	}
 	steps := 0
@@ -108,20 +115,27 @@ func main() {
 	}
 	fmt.Printf("online rebuild complete: content intact: %v\n", bytes.Equal(buf, content))
 
-	// 4. Write-hole recovery: simulate a crash between data and parity.
-	if err := intent.Record(0); err != nil {
-		log.Fatal(err)
-	}
-	torn := bytes.Repeat([]byte{0xAB}, stripBytes)
-	if err := devs[0].WriteStrip(0, torn); err != nil { // parity never updated
-		log.Fatal(err)
-	}
-	bad, _ := arr.Scrub()
+	// 4. Write-hole recovery: a device error tears a commit partway through
+	// its parity closure, leaving the stripes inconsistent. The journal
+	// made the closure's full new content durable before the first device
+	// write, so replaying that redo record completes the write — no parity
+	// recompute, and equally sound with a disk failed.
+	st, cycle := arr.LocateDataStrip(0)
+	faults[st.Disk].Inject(cycle*int64(g.Analyzer().SlotsPerDisk())+int64(st.Slot), store.FaultTorn)
+	fresh := bytes.Repeat([]byte{0xAB}, stripBytes)
+	_, werr := arr.WriteAt(fresh, 0)
 	n, err := arr.RecoverIntent()
 	if err != nil {
 		log.Fatal(err)
 	}
-	after, _ := arr.Scrub()
-	fmt.Printf("write hole: %d inconsistent stripe(s) after crash, %d cycle(s) re-synced, %d after recovery\n",
-		bad, n, after)
+	bad, err := arr.Scrub()
+	if err != nil {
+		log.Fatal(err)
+	}
+	got := make([]byte, stripBytes)
+	if _, err := arr.ReadAt(got, 0); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("write hole: commit torn (%v); replay re-synced %d cycle(s), %d inconsistent stripe(s) after, write completed: %v\n",
+		werr, n, bad, bytes.Equal(got, fresh))
 }

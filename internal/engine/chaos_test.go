@@ -16,7 +16,7 @@ import (
 )
 
 // newChaosEngine builds an engine whose disks are checksummed fault
-// devices, returning the per-disk injectors. The intent log is attached so
+// devices, returning the per-disk injectors. A journal is attached so
 // writes aborted by injected faults stay recoverable.
 func newChaosEngine(t testing.TB, v int, cycles int64, opts Options) (*Engine, []*store.FaultDevice) {
 	t.Helper()
@@ -47,7 +47,11 @@ func newChaosEngine(t testing.TB, v int, cycles int64, opts Options) (*Engine, [
 	if err != nil {
 		t.Fatal(err)
 	}
-	arr.SetIntentLog(store.NewMemIntentLog())
+	journal, err := store.OpenMetaJournal(store.NewMemBlob(), store.NewMemBlob(), an.Disks())
+	if err != nil {
+		t.Fatal(err)
+	}
+	arr.SetJournal(journal)
 	e, err := New(arr, opts)
 	if err != nil {
 		t.Fatal(err)

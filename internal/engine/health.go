@@ -540,13 +540,11 @@ func (e *Engine) heal(d int) {
 		e.RebuildWait()
 		if len(e.arr.FailedDisks()) == 0 {
 			// Healed: the evicted disks run on fresh devices (adopt cleared
-			// their error state at attach time). Re-synchronise any cycles
-			// that in-flight writes aborted by device errors left dirty.
-			if _, err := e.arr.RecoverIntent(); err != nil && !errors.Is(err, store.ErrDiskFaulty) {
-				// Leave the intent pending; the next heal or restart
-				// retries it.
-				_ = err
-			}
+			// their error state at attach time). Replay the redo records of
+			// in-flight writes that device errors aborted; a record whose
+			// replay fails stays pending for the next heal, rebuild step
+			// or restart.
+			_, _ = e.arr.RecoverIntent()
 			return
 		}
 	}

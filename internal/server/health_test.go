@@ -49,7 +49,11 @@ func newFaultyServer(t testing.TB) (*Client, []*store.FaultDevice) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arr.SetIntentLog(store.NewMemIntentLog())
+	journal, err := store.OpenMetaJournal(store.NewMemBlob(), store.NewMemBlob(), an.Disks())
+	if err != nil {
+		t.Fatal(err)
+	}
+	arr.SetJournal(journal)
 	eng, err := engine.New(arr, engine.Options{
 		Workers: 4,
 		Retry:   &store.RetryPolicy{MaxAttempts: 3, BaseDelay: 20 * time.Microsecond},

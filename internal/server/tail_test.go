@@ -51,7 +51,11 @@ func newTailServer(t testing.TB, pol *engine.HealthPolicy) (*Server, *Client, []
 	if err != nil {
 		t.Fatal(err)
 	}
-	arr.SetIntentLog(store.NewMemIntentLog())
+	journal, err := store.OpenMetaJournal(store.NewMemBlob(), store.NewMemBlob(), an.Disks())
+	if err != nil {
+		t.Fatal(err)
+	}
+	arr.SetJournal(journal)
 	eng, err := engine.New(arr, engine.Options{Workers: 2, Health: pol})
 	if err != nil {
 		t.Fatal(err)

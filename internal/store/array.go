@@ -65,7 +65,7 @@ func (c *ioCounters) reset() {
 // Mutability invariants (what the concurrency engine in internal/engine
 // relies on):
 //
-//   - devs, replaced, failed, rebuildPlan, rebuiltCycles, and intent are
+//   - devs, replaced, failed, rebuildPlan, rebuiltCycles, and journal are
 //     only written under mu; every I/O path reads them under at least the
 //     read lock.
 //   - stats is atomic, so read-lock holders may bump counters.
@@ -98,11 +98,11 @@ type Array struct {
 	rebuildPlan   *core.Plan
 	rebuiltCycles int64
 
-	// intent, when set, records in-flight read-modify-writes per cycle so
-	// RecoverIntent can close the write hole after a crash. A ClosureLogger
-	// upgrades this to redo logging: the full new closure content is made
-	// durable before any device write.
-	intent IntentLog
+	// journal, when set, closes the write hole by redo logging: the full
+	// new content of a read-modify-write's parity closure is made durable
+	// before any device write, and RecoverIntent replays what a crash or a
+	// failed commit left pending.
+	journal *MetaJournal
 
 	// meta, when set, is the durable metadata plane: state transitions
 	// (fail/adopt/rebuild-complete) commit a new superblock epoch across
@@ -765,36 +765,6 @@ func (a *Array) readStripForUpdate(d int, devStrip int64, p []byte) error {
 	return dev.WriteStrip(devStrip, p)
 }
 
-// closureMembers walks the parity closure of a target data strip purely
-// structurally — the same breadth-first traversal the delta phase of a
-// read-modify-write performs, without touching any device. The result is
-// deterministic per target, which is what lets a retry recognise the redo
-// record its failed predecessor left behind: same target, same strip set.
-func (a *Array) closureMembers(target layout.Strip) (map[layout.Strip]bool, error) {
-	members := map[layout.Strip]bool{target: true}
-	frontier := []layout.Strip{target}
-	for depth := 0; len(frontier) > 0; depth++ {
-		if depth > 8 {
-			return nil, fmt.Errorf("store: parity closure deeper than 8 levels; cyclic scheme?")
-		}
-		var next []layout.Strip
-		for _, st := range frontier {
-			for _, si := range a.an.DataMemberStripes(st) {
-				stripe := a.sch.Stripes()[si]
-				for j := stripe.Data; j < len(stripe.Strips); j++ {
-					pst := stripe.Strips[j]
-					if !members[pst] {
-						members[pst] = true
-						next = append(next, pst)
-					}
-				}
-			}
-		}
-		frontier = next
-	}
-	return members, nil
-}
-
 // resolvePendingClosures is the consistency barrier ahead of a
 // read-modify-write's snapshot. A commit that failed partway can leave
 // the closure half-applied on media — over a network transport a "failed"
@@ -807,7 +777,9 @@ func (a *Array) closureMembers(target layout.Strip) (map[layout.Strip]bool, erro
 // record that could repair it.
 //
 // So before reading anything, the write resolves the cycle's pending redo
-// records against its own (structurally derived) closure membership:
+// records against its own closure membership (the analyzer's UpdateStrips,
+// deterministic per target — which is what lets a retry recognise the redo
+// record its failed predecessor left behind: same target, same strip set):
 //
 //   - A record whose strips all lie inside the closure is a failed earlier
 //     attempt of this same write (the closure of a target is deterministic
@@ -824,10 +796,14 @@ func (a *Array) closureMembers(target layout.Strip) (map[layout.Strip]bool, erro
 //     ErrIntentConflict and the caller retries; the conflict clears once
 //     the record's own writer replays it.
 //   - Disjoint records are left alone.
-func (a *Array) resolvePendingClosures(closure ClosureLogger, cycle, slots int64, members map[layout.Strip]bool) error {
-	pending, err := closure.PendingClosures()
-	if err != nil {
+func (a *Array) resolvePendingClosures(cycle int64, target layout.Strip) error {
+	pending, err := a.journal.PendingClosures()
+	if err != nil || len(pending) == 0 {
 		return err
+	}
+	members := make(map[layout.Strip]bool)
+	for _, st := range a.an.UpdateStrips(target) {
+		members[st] = true
 	}
 	for _, pc := range pending {
 		if pc.Cycle != cycle || len(pc.Strips) == 0 {
@@ -847,27 +823,14 @@ func (a *Array) resolvePendingClosures(closure ClosureLogger, cycle, slots int64
 		if !covered {
 			return fmt.Errorf("%w: cycle %d", ErrIntentConflict, cycle)
 		}
-		for _, su := range pc.Strips {
-			if su.Disk < 0 || su.Disk >= len(a.devs) || su.Slot < 0 ||
-				int64(su.Slot) >= slots || len(su.Data) != a.stripBytes {
-				continue // stale record from a different geometry
-			}
-			ds := cycle*slots + int64(su.Slot)
-			dev := a.liveDevice(su.Disk, ds)
-			if dev == nil {
-				continue // failed disk: live stripes carry its content
-			}
-			a.stats.writeOps.Add(1)
-			if err := dev.WriteStrip(ds, su.Data); err != nil {
-				// Consistency not restored; keep the record and fail the op
-				// (the caller retries, as it would for the original failure).
-				// The cause stays in the chain: a replay refused by a fencing
-				// epoch (ErrStaleEpoch) must not masquerade as a disk fault.
-				return fmt.Errorf("%w: strip (%d,%d) of cycle %d: %w",
-					ErrIntentReplay, su.Disk, su.Slot, cycle, err)
-			}
+		if err := a.replayClosure(pc); err != nil {
+			// Consistency not restored; keep the record and fail the op
+			// (the caller retries, as it would for the original failure).
+			// The cause stays in the chain: a replay refused by a fencing
+			// epoch (ErrStaleEpoch) must not masquerade as a disk fault.
+			return fmt.Errorf("%w: %w", ErrIntentReplay, err)
 		}
-		if err := closure.ClearClosure(pc.Cycle, pc.Strips); err != nil {
+		if err := a.journal.ClearClosure(pc.Cycle, pc.Strips); err != nil {
 			return err
 		}
 	}
@@ -886,13 +849,8 @@ func (a *Array) writeStripRange(dataIdx int64, within int, data []byte) error {
 	cycle, slot := devStrip/slots, int(devStrip%slots)
 	target := layout.Strip{Disk: d, Slot: slot}
 
-	closure, redo := a.intent.(ClosureLogger)
-	if redo {
-		members, err := a.closureMembers(target)
-		if err != nil {
-			return err
-		}
-		if err := a.resolvePendingClosures(closure, cycle, slots, members); err != nil {
+	if a.journal != nil {
+		if err := a.resolvePendingClosures(cycle, target); err != nil {
 			return err
 		}
 	}
@@ -975,22 +933,17 @@ func (a *Array) writeStripRange(dataIdx int64, within int, data []byte) error {
 	// Commit: write every updated strip that has a live location — a
 	// failed disk's strip is written to its replacement once its cycle has
 	// been rebuilt, keeping incremental rebuild and online writes
-	// coherent. The intent log brackets the commit so a crash between
-	// strip writes is repairable; a ClosureLogger upgrades the bracket to
-	// a redo record carrying the full new closure content, which recovery
-	// replays verbatim — sound even when a disk has also failed, where
-	// recomputing parity from a half-written stripe would not be.
+	// coherent. The journal brackets the commit with a redo record
+	// carrying the full new closure content, which recovery replays
+	// verbatim — sound even when a disk has also failed, where recomputing
+	// parity from a half-written stripe would not be.
 	var ups []StripUpdate
-	if redo {
+	if a.journal != nil {
 		ups = make([]StripUpdate, 0, len(updates))
 		for st, up := range updates {
 			ups = append(ups, StripUpdate{Disk: st.Disk, Slot: st.Slot, Data: up.new})
 		}
-		if err := closure.RecordClosure(cycle, ups); err != nil {
-			return err
-		}
-	} else if a.intent != nil {
-		if err := a.intent.Record(cycle); err != nil {
+		if err := a.journal.RecordClosure(cycle, ups); err != nil {
 			return err
 		}
 	}
@@ -1002,7 +955,7 @@ func (a *Array) writeStripRange(dataIdx int64, within int, data []byte) error {
 	// parity delta and freeze parity stale forever. Writing the rest of
 	// the closure keeps the live strips mutually consistent with the new
 	// content; the op still fails, the caller re-sends, and the retry is
-	// an idempotent rewrite of the same closure. The intent record is
+	// an idempotent rewrite of the same closure. The redo record is
 	// deliberately left in place on error so recovery can replay it.
 	var commitErr error
 	skipped := 0
@@ -1026,17 +979,11 @@ func (a *Array) writeStripRange(dataIdx int64, within int, data []byte) error {
 	if commitErr != nil {
 		return commitErr
 	}
-	if redo {
+	if a.journal != nil {
 		// Scoped to this write's strip set: records of other in-flight
 		// writes on the cycle keep their repair content (resolve above
 		// guarantees none of them overlapped this closure).
-		if err := closure.ClearClosure(cycle, ups); err != nil {
-			return err
-		}
-	} else if a.intent != nil {
-		if err := a.intent.Clear(cycle); err != nil {
-			return err
-		}
+		return a.journal.ClearClosure(cycle, ups)
 	}
 	return nil
 }

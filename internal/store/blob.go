@@ -9,11 +9,11 @@ import (
 )
 
 // Blob is the flat byte store the durable metadata plane (superblocks,
-// metadata journal, intent log) is written to. Unlike Device it is
-// byte-granular and exposes Sync, the barrier that separates "written"
-// from "durable": nothing a Blob implementation accepts through WriteAt
-// is guaranteed to survive a power failure until Sync returns. CrashBlob
-// models exactly that contract for the power-fail test harness.
+// metadata journal) is written to. Unlike Device it is byte-granular and
+// exposes Sync, the barrier that separates "written" from "durable":
+// nothing a Blob implementation accepts through WriteAt is guaranteed to
+// survive a power failure until Sync returns. CrashBlob models exactly
+// that contract for the power-fail test harness.
 type Blob interface {
 	io.ReaderAt
 	io.WriterAt

@@ -120,7 +120,7 @@ func (d *CrashDevice) StripBytes() int { return d.stripBytes }
 
 func (d *CrashDevice) check(idx int64, p []byte) error {
 	if idx < 0 || idx >= d.Strips() {
-		return fmt.Errorf("%w: %d of %d", ErrOutOfRange, idx, d.Strips())
+		return fmt.Errorf("%w: %d of %d", ErrStripOutOfRange, idx, d.Strips())
 	}
 	if len(p) != d.stripBytes {
 		return fmt.Errorf("%w: buffer %d bytes, strip is %d", ErrShortBuffer, len(p), d.stripBytes)

@@ -282,38 +282,3 @@ func TestCrashSweep(t *testing.T) {
 		t.Errorf("crash points hit %d phases (%v), want >= 4", len(phases), phases)
 	}
 }
-
-// TestCrashIntentLogDurability pins the FileIntentLog contract over the
-// power-fail blob: Record and Clear are durable before they return.
-func TestCrashIntentLogDurability(t *testing.T) {
-	ctl := NewCrashController(3)
-	b := NewCrashBlob(ctl)
-	il, err := NewBlobIntentLog(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := il.Record(7); err != nil {
-		t.Fatal(err)
-	}
-	// Power off with no further operations: the record must be on media.
-	ctl.Arm(0)
-	il2, err := NewBlobIntentLog(b.Survivor())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p, _ := il2.Pending(); len(p) != 1 || p[0] != 7 {
-		t.Fatalf("pending %v after crash, want [7]", p)
-	}
-	ctl.Arm(-1)
-	if err := il.Clear(7); err != nil {
-		t.Fatal(err)
-	}
-	ctl.Arm(0)
-	il3, err := NewBlobIntentLog(b.Survivor())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p, _ := il3.Pending(); len(p) != 0 {
-		t.Fatalf("pending %v after cleared crash, want none", p)
-	}
-}

@@ -86,7 +86,7 @@ func (m *MemDevice) WriteStrip(idx int64, p []byte) error {
 
 func (m *MemDevice) check(idx int64, p []byte) error {
 	if idx < 0 || idx >= m.Strips() {
-		return fmt.Errorf("%w: %d of %d", ErrOutOfRange, idx, m.Strips())
+		return fmt.Errorf("%w: %d of %d", ErrStripOutOfRange, idx, m.Strips())
 	}
 	if len(p) != m.stripBytes {
 		return fmt.Errorf("%w: buffer %d bytes, strip is %d", ErrShortBuffer, len(p), m.stripBytes)
@@ -187,7 +187,7 @@ func (d *FileDevice) WriteStrip(idx int64, p []byte) error {
 
 func (d *FileDevice) check(idx int64, p []byte) error {
 	if idx < 0 || idx >= d.strips {
-		return fmt.Errorf("%w: %d of %d", ErrOutOfRange, idx, d.strips)
+		return fmt.Errorf("%w: %d of %d", ErrStripOutOfRange, idx, d.strips)
 	}
 	if len(p) != d.stripBytes {
 		return fmt.Errorf("%w: buffer %d bytes, strip is %d", ErrShortBuffer, len(p), d.stripBytes)

@@ -85,8 +85,8 @@ var ErrStaleEpoch = errors.New("store: write fenced off by a newer coordinator e
 // and the peeling decoder cannot produce this particular strip from
 // survivors. Other strips of the same array may still be readable — this
 // is the per-strip refinement of ErrTooManyFailures, which it wraps so
-// existing errors.Is(ErrDataLoss) call sites keep matching. The HTTP
-// layer maps it onto 410 Gone.
+// errors.Is(err, ErrTooManyFailures) matches both. The HTTP layer maps it
+// onto 410 Gone.
 var ErrStripUnavailable = fmt.Errorf("store: strip unavailable under current failure pattern: %w", ErrTooManyFailures)
 
 // ErrReadOnly reports a write refused because the array is serving in a
@@ -109,14 +109,3 @@ var ErrIntentReplay = errors.New("store: pending closure replay failed")
 // the branch the retry policy and the health monitor take between backoff
 // (transient) and eviction (permanent).
 func IsTransient(err error) bool { return errors.Is(err, ErrTransient) }
-
-// Historical names, kept so existing errors.Is call sites keep working.
-// They are the same values as the canonical sentinels above.
-var (
-	// ErrDataLoss is the original name of ErrTooManyFailures.
-	ErrDataLoss = ErrTooManyFailures
-	// ErrDiskFailed is the original name of ErrDiskFaulty.
-	ErrDiskFailed = ErrDiskFaulty
-	// ErrOutOfRange is the original name of ErrStripOutOfRange.
-	ErrOutOfRange = ErrStripOutOfRange
-)

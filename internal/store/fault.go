@@ -16,8 +16,8 @@ const (
 	FaultTransient FaultKind = iota
 	// FaultTorn applies only a prefix of a write before failing with
 	// ErrTransient — the on-media state is a mix of new and old bytes, the
-	// write hole the intent log exists to close. On reads it degrades to
-	// FaultTransient.
+	// write hole the journal's redo records exist to close. On reads it
+	// degrades to FaultTransient.
 	FaultTorn
 	// FaultCorrupt flips one bit of the payload silently: the operation
 	// reports success but the stored (or returned) bytes are wrong. A

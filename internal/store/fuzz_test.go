@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 )
 
@@ -107,6 +108,14 @@ func FuzzJournalReplay(f *testing.F) {
 	f.Add(b0.Bytes(), b1.Bytes(), uint8(4))
 	f.Add([]byte{}, []byte{}, uint8(1))
 	f.Add([]byte("OIRDJNL1 short"), []byte{}, uint8(9))
+	// The bare 9-byte clear frame (cycle, no strip-id list) of early
+	// journals is not a format any more: hard corruption, not a wildcard.
+	bare := append(journalHeader(1), appendJournalFrame(nil, []byte{recSnapEnd})...)
+	bare = appendJournalFrame(bare, append([]byte{recClear}, make([]byte, 8)...))
+	if _, err := OpenMetaJournal(NewMemBlobBytes(bare), NewMemBlob(), 4); !errors.Is(err, ErrJournalCorrupt) {
+		f.Fatalf("bare clear frame: err %v, want ErrJournalCorrupt", err)
+	}
+	f.Add(bare, []byte{}, uint8(4))
 	f.Fuzz(func(t *testing.T, d0, d1 []byte, disks uint8) {
 		n := int(disks%16) + 1
 		j, err := OpenMetaJournal(NewMemBlobBytes(d0), NewMemBlobBytes(d1), n)

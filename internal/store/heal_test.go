@@ -140,10 +140,10 @@ func TestReconstructHealsCorruptSource(t *testing.T) {
 }
 
 // TestTornWriteCrashRecovery is the crash/restart leg of the chaos suite:
-// a torn write (power cut mid-commit) leaves a cycle dirty in the file
-// intent log; reopening the array and replaying the log restores parity
-// consistency, and every strip the interrupted write did not target still
-// matches the oracle.
+// a torn write (power cut mid-commit) leaves its redo record in the
+// file-backed journal; reopening the images and the journal and replaying
+// it restores parity consistency, completes the interrupted write, and
+// leaves every other strip matching the oracle.
 func TestTornWriteCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
 	an := oiAnalyzer(t, 9)
@@ -151,6 +151,7 @@ func TestTornWriteCrashRecovery(t *testing.T) {
 
 	img := func(i int) string { return filepath.Join(dir, fmt.Sprintf("disk%02d.img", i)) }
 	faults := make([]*FaultDevice, an.Disks())
+	var regions [2]*FileBlob
 	open := func(create bool) *Array {
 		t.Helper()
 		devs := make([]Device, an.Disks())
@@ -172,11 +173,14 @@ func TestTornWriteCrashRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		intent, err := OpenFileIntentLog(filepath.Join(dir, "intent.log"))
-		if err != nil {
-			t.Fatal(err)
+		for r := range regions {
+			b, err := CreateFileBlob(filepath.Join(dir, fmt.Sprintf("meta%d.journal", r)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			regions[r] = b
 		}
-		arr.SetIntentLog(intent)
+		arr.SetJournal(openTestJournal(t, regions[0], regions[1], an.Disks()))
 		return arr
 	}
 
@@ -188,22 +192,22 @@ func TestTornWriteCrashRecovery(t *testing.T) {
 	}
 
 	// Tear the next write that lands on the target data strip's disk, then
-	// "crash" without clearing the intent log.
+	// "crash" with the redo record still pending.
 	const victim = int64(5) // logical data strip the interrupted write targets
 	d, devStrip := arr.locate(victim)
 	faults[d].Inject(devStrip, FaultTorn)
 	fresh := bytes.Repeat([]byte{0xE7}, arr.StripBytes())
 	if _, err := arr.WriteAt(fresh, victim*int64(arr.StripBytes())); err == nil {
-		// The torn write may have hit a parity strip of the closure first
-		// and aborted there, or the data strip itself; either way an error
-		// must surface — unless the commit order wrote other strips first
-		// and the data strip later. A nil error would mean the injection
-		// never fired.
+		// A nil error would mean the injection never fired.
 		t.Fatal("interrupted write reported success")
 	}
-	// Crash: abandon the array without recovery; reopen from the images.
+	copy(oracle[victim*int64(arr.StripBytes()):], fresh) // redo completes the write
+	// Crash: abandon the array without recovery; reopen from the files.
 	for i := range faults {
 		faults[i].Close()
+	}
+	for _, b := range regions {
+		b.Close()
 	}
 
 	arr = open(false)
@@ -212,25 +216,18 @@ func TestTornWriteCrashRecovery(t *testing.T) {
 		t.Fatalf("RecoverIntent: %v", err)
 	}
 	if n == 0 {
-		t.Fatal("intent log had no pending cycle to replay")
+		t.Fatal("journal had no pending closure to replay")
 	}
 	// Parity is consistent again, whichever half of the interrupted update
 	// reached the media.
 	if bad, err := arr.Scrub(); err != nil || bad != 0 {
 		t.Fatalf("scrub after recovery: %d bad, %v", bad, err)
 	}
-	// Every strip outside the interrupted write matches the oracle.
 	got := make([]byte, arr.Capacity())
 	if _, err := arr.ReadAt(got, 0); err != nil {
 		t.Fatal(err)
 	}
-	sb := int64(arr.StripBytes())
-	for s := int64(0); s*sb < arr.Capacity(); s++ {
-		if s == victim {
-			continue
-		}
-		if !bytes.Equal(got[s*sb:(s+1)*sb], oracle[s*sb:(s+1)*sb]) {
-			t.Fatalf("strip %d damaged by crash recovery", s)
-		}
+	if !bytes.Equal(got, oracle) {
+		t.Fatal("content differs from the oracle after crash recovery")
 	}
 }

@@ -1,332 +1,85 @@
 package store
 
-import (
-	"bytes"
-	"fmt"
-	"sort"
-	"strconv"
-	"sync"
+import "fmt"
 
-	"github.com/oiraid/oiraid/internal/layout"
-)
-
-// IntentLog records which layout cycles have in-flight read-modify-writes,
-// closing the RAID write hole: a crash between a data-strip write and its
-// parity updates leaves the stripe inconsistent, and the log tells
-// recovery exactly which cycles to re-synchronise. Implementations must
-// persist Record before returning (to the extent their medium allows).
-type IntentLog interface {
-	// Record marks the cycle dirty.
-	Record(cycle int64) error
-	// Clear unmarks the cycle.
-	Clear(cycle int64) error
-	// Pending lists cycles recorded but never cleared (after a crash).
-	Pending() ([]int64, error)
-	// Close releases resources.
-	Close() error
-}
-
-// MemIntentLog is an in-memory IntentLog for tests and volatile arrays.
-// Like FileIntentLog it reference-counts records, so a cycle left dirty by
-// an aborted write stays pending even when later writes to the same cycle
-// complete cleanly.
-type MemIntentLog struct {
-	mu    sync.Mutex
-	dirty map[int64]int
-}
-
-var _ IntentLog = (*MemIntentLog)(nil)
-
-// NewMemIntentLog returns an empty in-memory log.
-func NewMemIntentLog() *MemIntentLog { return &MemIntentLog{dirty: make(map[int64]int)} }
-
-// Record implements IntentLog.
-func (m *MemIntentLog) Record(cycle int64) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.dirty[cycle]++
-	return nil
-}
-
-// Clear implements IntentLog.
-func (m *MemIntentLog) Clear(cycle int64) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.dirty[cycle] > 0 {
-		m.dirty[cycle]--
-	}
-	if m.dirty[cycle] <= 0 {
-		delete(m.dirty, cycle)
-	}
-	return nil
-}
-
-// Pending implements IntentLog.
-func (m *MemIntentLog) Pending() ([]int64, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]int64, 0, len(m.dirty))
-	for c := range m.dirty {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, nil
-}
-
-// Close implements IntentLog.
-func (m *MemIntentLog) Close() error { return nil }
-
-// FileIntentLog persists dirty cycles as an append-only text log
-// ("+<cycle>" on Record, "-<cycle>" on Clear); Pending replays it. Every
-// Record and Clear is fsynced before returning, honouring the IntentLog
-// durability contract; opening via OpenFileIntentLog also fsyncs the
-// containing directory when the log file is newly created, so the entry
-// itself survives a crash. The log is compacted whenever no cycles are
-// outstanding.
-type FileIntentLog struct {
-	mu       sync.Mutex
-	b        Blob
-	size     int64         // append offset
-	dirty    map[int64]int // reference counts (nested writes to one cycle)
-	appended int
-}
-
-var _ IntentLog = (*FileIntentLog)(nil)
-
-// OpenFileIntentLog opens (or creates, syncing the directory entry) the
-// log at path, preserving any pending entries from a previous run.
-func OpenFileIntentLog(path string) (*FileIntentLog, error) {
-	b, err := CreateFileBlob(path)
-	if err != nil {
-		return nil, fmt.Errorf("store: intent log: %w", err)
-	}
-	l, err := NewBlobIntentLog(b)
-	if err != nil {
-		b.Close()
-		return nil, err
-	}
-	return l, nil
-}
-
-// NewBlobIntentLog opens an intent log over an arbitrary Blob (the crash
-// harness passes a CrashBlob to test the durability contract).
-func NewBlobIntentLog(b Blob) (*FileIntentLog, error) {
-	data, err := readBlobAll(b)
-	if err != nil {
-		return nil, fmt.Errorf("store: intent log: %w", err)
-	}
-	l := &FileIntentLog{b: b, size: int64(len(data)), dirty: make(map[int64]int)}
-	for _, line := range bytes.Split(data, []byte("\n")) {
-		if len(line) < 2 {
-			continue
-		}
-		cycle, err := strconv.ParseInt(string(line[1:]), 10, 64)
-		if err != nil {
-			continue // torn final line after a crash
-		}
-		switch line[0] {
-		case '+':
-			l.dirty[cycle]++
-			l.appended++
-		case '-':
-			if l.dirty[cycle] > 0 {
-				l.dirty[cycle]--
-				if l.dirty[cycle] == 0 {
-					delete(l.dirty, cycle)
-				}
-			}
-		}
-	}
-	return l, nil
-}
-
-// append writes one entry at the tail and fsyncs it.
-func (l *FileIntentLog) append(entry string) error {
-	if _, err := l.b.WriteAt([]byte(entry), l.size); err != nil {
-		return err
-	}
-	l.size += int64(len(entry))
-	return l.b.Sync()
-}
-
-// Record implements IntentLog; the entry is durable when it returns.
-func (l *FileIntentLog) Record(cycle int64) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.append(fmt.Sprintf("+%d\n", cycle)); err != nil {
-		return err
-	}
-	l.dirty[cycle]++
-	l.appended++
-	return nil
-}
-
-// Clear implements IntentLog; the entry is durable when it returns.
-func (l *FileIntentLog) Clear(cycle int64) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.append(fmt.Sprintf("-%d\n", cycle)); err != nil {
-		return err
-	}
-	if l.dirty[cycle] > 0 {
-		l.dirty[cycle]--
-		if l.dirty[cycle] == 0 {
-			delete(l.dirty, cycle)
-		}
-	}
-	// Compact opportunistically once the log has grown and nothing is
-	// outstanding.
-	if len(l.dirty) == 0 && l.appended > 1024 {
-		if err := l.b.Truncate(0); err == nil {
-			if err := l.b.Sync(); err != nil {
-				return err
-			}
-			l.size = 0
-			l.appended = 0
-		}
-	}
-	return nil
-}
-
-// Pending implements IntentLog.
-func (l *FileIntentLog) Pending() ([]int64, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]int64, 0, len(l.dirty))
-	for c := range l.dirty {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, nil
-}
-
-// Close implements IntentLog.
-func (l *FileIntentLog) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.b == nil {
-		return nil
-	}
-	err := l.b.Close()
-	l.b = nil
-	return err
-}
-
-// SetIntentLog attaches a write-intent log to the array. Every
-// read-modify-write records its cycle before touching devices and clears
-// it after the commit; RecoverIntent re-synchronises the cycles a crash
-// left dirty. Attaching a ClosureLogger (the metadata journal) upgrades
-// the bracket to redo logging.
-func (a *Array) SetIntentLog(log IntentLog) {
+// SetJournal attaches the metadata journal as the array's write-hole
+// mechanism: every read-modify-write makes a redo record of its full new
+// parity closure durable before touching devices and clears it after the
+// commit; RecoverIntent replays the records a crash or a failed commit
+// left pending. FormatArray and MountArray attach the array's durable
+// journal; a volatile array may attach one over MemBlobs, or none.
+func (a *Array) SetJournal(j *MetaJournal) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.intent = log
+	a.journal = j
 }
 
 // RecoverIntent closes the write hole after a crash and returns the
-// number of cycles re-synchronised.
+// number of cycles re-synchronised; without a journal it is a no-op.
 //
-// With a ClosureLogger attached, recovery replays the pending redo
-// records: each carries the full consistent content of its parity
-// closure, computed before the interrupted commit started, so rewriting
-// the live strips restores consistency regardless of which subset of the
-// original writes reached the media — and it is sound even while disks
-// are failed (strips on dead disks are simply skipped; the rebuild
-// reconstructs them from the now-consistent stripes). Replay can never
-// rewind an acknowledged write: a read-modify-write refuses to commit
-// while a record from a different write overlaps its closure
-// (ErrIntentConflict), so any record still pending has had no overlapping
-// commit acknowledged after it was recorded.
-//
-// With a plain IntentLog, recovery recomputes parity from data for every
-// pending cycle (outer layer first). That requires a healthy array: with
-// a disk failed there is no authoritative copy to recompute from.
+// Recovery replays the pending redo records: each carries the full
+// consistent content of its parity closure, computed before the
+// interrupted commit started, so rewriting the live strips restores
+// consistency regardless of which subset of the original writes reached
+// the media — and it is sound even while disks are failed (strips on dead
+// disks are simply skipped; the rebuild reconstructs them from the
+// now-consistent stripes). Replay can never rewind an acknowledged write:
+// a read-modify-write refuses to commit while a record from a different
+// write overlaps its closure (ErrIntentConflict), so any record still
+// pending has had no overlapping commit acknowledged after it was
+// recorded.
 func (a *Array) RecoverIntent() (cycles int, err error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.intent == nil {
-		return 0, nil
-	}
-	if closure, ok := a.intent.(ClosureLogger); ok {
-		return a.replayClosures(closure)
-	}
-	for _, f := range a.failed {
-		if f {
-			return 0, ErrDiskFailed
-		}
-	}
-	pending, err := a.intent.Pending()
-	if err != nil {
-		return 0, err
-	}
-	slots := int64(a.an.SlotsPerDisk())
-	for _, cycle := range pending {
-		if cycle < 0 || cycle >= a.cycles {
-			continue
-		}
-		for _, pass := range []layout.Layer{layout.LayerOuter, layout.LayerInner} {
-			if err := a.repairCycleLayer(cycle, slots, pass); err != nil {
-				return cycles, err
-			}
-		}
-		// Aborted writes can leave more than one outstanding record on a
-		// cycle; the repair covered them all, so drain the refcount.
-		for {
-			if err := a.intent.Clear(cycle); err != nil {
-				return cycles, err
-			}
-			still, err := a.intent.Pending()
-			if err != nil {
-				return cycles, err
-			}
-			outstanding := false
-			for _, c := range still {
-				if c == cycle {
-					outstanding = true
-					break
-				}
-			}
-			if !outstanding {
-				break
-			}
-		}
-		cycles++
-	}
-	return cycles, nil
+	return a.replayClosures()
 }
 
 // replayClosures redoes every pending closure onto the live devices.
 // Caller holds mu.
-func (a *Array) replayClosures(closure ClosureLogger) (int, error) {
-	pending, err := closure.PendingClosures()
+func (a *Array) replayClosures() (int, error) {
+	if a.journal == nil {
+		return 0, nil
+	}
+	pending, err := a.journal.PendingClosures()
 	if err != nil {
 		return 0, err
 	}
-	slots := int64(a.an.SlotsPerDisk())
 	replayed := make(map[int64]bool)
 	for _, pc := range pending {
-		for _, su := range pc.Strips {
-			if su.Disk < 0 || su.Disk >= len(a.devs) ||
-				su.Slot < 0 || int64(su.Slot) >= slots ||
-				pc.Cycle < 0 || pc.Cycle >= a.cycles ||
-				len(su.Data) != a.stripBytes {
-				continue // stale record from a different geometry
-			}
-			devStrip := pc.Cycle*slots + int64(su.Slot)
-			dev := a.liveDevice(su.Disk, devStrip)
-			if dev == nil {
-				continue // failed disk: the rebuild reconstructs it
-			}
-			a.stats.writeOps.Add(1)
-			if err := dev.WriteStrip(devStrip, su.Data); err != nil {
-				return len(replayed), fmt.Errorf("%w: strip (%d,%d) of cycle %d: %v",
-					ErrIntentReplay, su.Disk, su.Slot, pc.Cycle, err)
-			}
+		if err := a.replayClosure(pc); err != nil {
+			return len(replayed), fmt.Errorf("%w: %v", ErrIntentReplay, err)
 		}
-		if err := closure.ClearClosure(pc.Cycle, pc.Strips); err != nil {
+		if err := a.journal.ClearClosure(pc.Cycle, pc.Strips); err != nil {
 			return len(replayed), err
 		}
 		replayed[pc.Cycle] = true
 	}
 	return len(replayed), nil
+}
+
+// replayClosure rewrites one record's strips onto their live devices. A
+// strip on a failed disk is skipped — the live stripes carry its content
+// and the rebuild reconstructs it — and so is a stale record from a
+// different geometry. A write error names the strip. Caller holds mu (or
+// the striped locks covering the closure).
+func (a *Array) replayClosure(pc PendingClosure) error {
+	slots := int64(a.an.SlotsPerDisk())
+	for _, su := range pc.Strips {
+		if su.Disk < 0 || su.Disk >= len(a.devs) ||
+			su.Slot < 0 || int64(su.Slot) >= slots ||
+			pc.Cycle < 0 || pc.Cycle >= a.cycles ||
+			len(su.Data) != a.stripBytes {
+			continue
+		}
+		devStrip := pc.Cycle*slots + int64(su.Slot)
+		dev := a.liveDevice(su.Disk, devStrip)
+		if dev == nil {
+			continue
+		}
+		a.stats.writeOps.Add(1)
+		if err := dev.WriteStrip(devStrip, su.Data); err != nil {
+			return fmt.Errorf("strip (%d,%d) of cycle %d: %w", su.Disk, su.Slot, pc.Cycle, err)
+		}
+	}
+	return nil
 }

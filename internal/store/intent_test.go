@@ -2,109 +2,98 @@ package store
 
 import (
 	"bytes"
-	"math/rand"
-	"path/filepath"
 	"testing"
+
+	"github.com/oiraid/oiraid/internal/layout"
 )
 
-func TestMemIntentLog(t *testing.T) {
-	l := NewMemIntentLog()
-	if err := l.Record(3); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Record(1); err != nil {
-		t.Fatal(err)
-	}
-	p, err := l.Pending()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p) != 2 || p[0] != 1 || p[1] != 3 {
-		t.Fatalf("pending = %v", p)
-	}
-	if err := l.Clear(3); err != nil {
-		t.Fatal(err)
-	}
-	p, _ = l.Pending()
-	if len(p) != 1 || p[0] != 1 {
-		t.Fatalf("pending after clear = %v", p)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFileIntentLogSurvivesReopen(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "intent.log")
-	l, err := OpenFileIntentLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []int64{7, 2, 7} { // nested record on 7
-		if err := l.Record(c); err != nil {
+// newJournalArray builds a volatile array over fault-injectable memory
+// devices with a MemBlob journal attached: the shipping write path
+// without superblocks.
+func newJournalArray(t *testing.T, v int, cycles int64) (*Array, []*FaultDevice, *MetaJournal) {
+	t.Helper()
+	an := oiAnalyzer(t, v)
+	faults := make([]*FaultDevice, an.Disks())
+	devs := make([]Device, an.Disks())
+	for i := range devs {
+		mem, err := NewMemDevice(cycles*int64(an.SlotsPerDisk()), testStrip)
+		if err != nil {
 			t.Fatal(err)
 		}
+		faults[i] = NewFaultDevice(mem, FaultConfig{})
+		devs[i] = faults[i]
 	}
-	if err := l.Clear(7); err != nil { // one of two clears
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Reopen: cycle 7 still has one outstanding record, cycle 2 pending.
-	l2, err := OpenFileIntentLog(path)
+	arr, err := NewArray(an, devs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l2.Close()
-	p, err := l2.Pending()
+	j := openTestJournal(t, NewMemBlob(), NewMemBlob(), an.Disks())
+	arr.SetJournal(j)
+	return arr, faults, j
+}
+
+// closureOf returns the parity closure of logical data strip dataIdx as
+// (target, other members, cycle).
+func closureOf(arr *Array, dataIdx int64) (layout.Strip, []layout.Strip, int64) {
+	target, cycle := arr.LocateDataStrip(dataIdx)
+	var parity []layout.Strip
+	for _, st := range arr.Analyzer().UpdateStrips(target) {
+		if st != target {
+			parity = append(parity, st)
+		}
+	}
+	return target, parity, cycle
+}
+
+func pendingCount(t *testing.T, j *MetaJournal) int {
+	t.Helper()
+	pcs, err := j.PendingClosures()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p) != 2 || p[0] != 2 || p[1] != 7 {
-		t.Fatalf("pending after reopen = %v", p)
-	}
+	return len(pcs)
 }
 
 // TestWriteHoleRecovery simulates the classic crash: a data strip reaches
-// the media but its parity updates do not. The intent log remembers the
-// dirty cycle, and RecoverIntent re-synchronises it; the stripe is
-// consistent again (scrub-clean) and further failures are survivable.
+// the media but its parity updates do not. The journal holds the redo
+// record of the whole closure, and RecoverIntent replays it; the stripes
+// are consistent again (scrub-clean), the interrupted write is complete,
+// and further failures are survivable.
 func TestWriteHoleRecovery(t *testing.T) {
-	an := oiAnalyzer(t, 9)
-	arr, err := NewMemArray(an, 2, testStrip)
-	if err != nil {
-		t.Fatal(err)
+	// A volatile array has no write-hole mechanism: recovery is a no-op.
+	if n, err := newOIArray(t, 9).RecoverIntent(); err != nil || n != 0 {
+		t.Fatalf("volatile recovery = (%d, %v)", n, err)
 	}
-	log := NewMemIntentLog()
-	arr.SetIntentLog(log)
+
+	arr, faults, j := newJournalArray(t, 9, 2)
 	fillArray(t, arr, 21)
-
-	// Normal operation leaves nothing pending.
-	if p, _ := log.Pending(); len(p) != 0 {
-		t.Fatalf("pending after clean writes = %v", p)
+	if n := pendingCount(t, j); n != 0 {
+		t.Fatalf("%d closures pending after clean writes", n)
 	}
 
-	// "Crash": write a data strip directly to its device, skipping parity,
-	// and record the intent as an interrupted WriteAt would have.
-	d, devStrip := arr.locate(5)
-	cycle := devStrip / int64(an.SlotsPerDisk())
-	if err := log.Record(cycle); err != nil {
-		t.Fatal(err)
+	// "Crash": every parity write of the closure tears, the data strip
+	// lands whole.
+	const victim = int64(5)
+	target, parity, cycle := closureOf(arr, victim)
+	slots := int64(arr.Analyzer().SlotsPerDisk())
+	for _, st := range parity {
+		faults[st.Disk].Inject(cycle*slots+int64(st.Slot), FaultTorn)
 	}
-	torn := bytes.Repeat([]byte{0xDD}, testStrip)
-	if err := arr.devs[d].WriteStrip(devStrip, torn); err != nil {
-		t.Fatal(err)
+	fresh := bytes.Repeat([]byte{0xDD}, testStrip)
+	if _, err := arr.WriteAt(fresh, victim*testStrip); err == nil {
+		t.Fatal("interrupted write reported success")
+	}
+	if n := pendingCount(t, j); n != 1 {
+		t.Fatalf("%d closures pending after the torn commit, want 1", n)
 	}
 	bad, err := arr.Scrub()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if bad == 0 {
-		t.Fatal("torn write left no inconsistency; test broken")
+		t.Fatal("torn commit left no inconsistency; test broken")
 	}
 
-	// Recovery: the dirty cycle is re-synchronised.
 	n, err := arr.RecoverIntent()
 	if err != nil {
 		t.Fatal(err)
@@ -115,84 +104,77 @@ func TestWriteHoleRecovery(t *testing.T) {
 	if bad, err := arr.Scrub(); err != nil || bad != 0 {
 		t.Fatalf("scrub after recovery: bad=%d err=%v", bad, err)
 	}
-	if p, _ := log.Pending(); len(p) != 0 {
-		t.Fatalf("pending after recovery = %v", p)
+	if n := pendingCount(t, j); n != 0 {
+		t.Fatalf("%d closures pending after recovery", n)
 	}
-	// Parity now protects the torn data: fail the disk and read it back.
-	if err := arr.FailDisk(d); err != nil {
+	// Parity now protects the committed data: fail the disk and read it back.
+	if err := arr.FailDisk(target.Disk); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, testStrip)
-	if _, err := arr.ReadAt(got, 5*testStrip); err != nil {
+	if _, err := arr.ReadAt(got, victim*testStrip); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, torn) {
+	if !bytes.Equal(got, fresh) {
 		t.Fatal("recovered parity does not protect the committed data")
 	}
 }
 
-// TestFileIntentLogEndToEnd: the file-backed log drives the same recovery
-// across a process "restart" (reopening the log).
-func TestFileIntentLogEndToEnd(t *testing.T) {
-	an := oiAnalyzer(t, 9)
-	arr, err := NewMemArray(an, 1, testStrip)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "intent.log")
-	log, err := OpenFileIntentLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	arr.SetIntentLog(log)
-	fillArray(t, arr, 5)
-
-	// Crash mid-write.
-	if err := log.Record(0); err != nil {
-		t.Fatal(err)
-	}
-	raw := make([]byte, testStrip)
-	rand.New(rand.NewSource(9)).Read(raw)
-	d, devStrip := arr.locate(0)
-	if err := arr.devs[d].WriteStrip(devStrip, raw); err != nil {
-		t.Fatal(err)
-	}
-	if err := log.Close(); err != nil {
+// TestWriteHoleRecoveryDegraded is the case parity recomputation could
+// never serve: a commit tears and then a disk of its closure fails, so no
+// authoritative copy is left to recompute from. Replaying the redo record
+// needs none: the array reads back bit-identical to the oracle while
+// degraded, and again — scrub-clean — after the rebuild.
+func TestWriteHoleRecoveryDegraded(t *testing.T) {
+	arr, faults, _ := newJournalArray(t, 9, 2)
+	fillArray(t, arr, 22)
+	oracle := make([]byte, arr.Capacity())
+	if _, err := arr.ReadAt(oracle, 0); err != nil {
 		t.Fatal(err)
 	}
 
-	// Restart: reopen the log, attach, recover.
-	log2, err := OpenFileIntentLog(path)
+	const victim = int64(7)
+	target, parity, cycle := closureOf(arr, victim)
+	slots := int64(arr.Analyzer().SlotsPerDisk())
+	faults[target.Disk].Inject(cycle*slots+int64(target.Slot), FaultTorn)
+	fresh := bytes.Repeat([]byte{0x5C}, testStrip)
+	if _, err := arr.WriteAt(fresh, victim*testStrip); err == nil {
+		t.Fatal("interrupted write reported success")
+	}
+	copy(oracle[victim*testStrip:], fresh) // redo completes the write
+
+	lost := parity[0].Disk
+	if err := arr.FailDisk(lost); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := arr.RecoverIntent(); err != nil || n != 1 {
+		t.Fatalf("degraded recovery = (%d, %v), want (1, nil)", n, err)
+	}
+	got := make([]byte, arr.Capacity())
+	if _, err := arr.ReadAt(got, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, oracle) {
+		t.Fatal("degraded read differs from the oracle after replay")
+	}
+
+	spare, err := NewMemDevice(2*slots, testStrip)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer log2.Close()
-	arr.SetIntentLog(log2)
-	n, err := arr.RecoverIntent()
-	if err != nil {
+	if err := arr.ReplaceDisk(lost, spare); err != nil {
 		t.Fatal(err)
 	}
-	if n != 1 {
-		t.Fatalf("recovered %d cycles, want 1", n)
+	if err := arr.Rebuild(); err != nil {
+		t.Fatal(err)
 	}
 	if bad, err := arr.Scrub(); err != nil || bad != 0 {
-		t.Fatalf("scrub: bad=%d err=%v", bad, err)
+		t.Fatalf("scrub after rebuild: bad=%d err=%v", bad, err)
 	}
-}
-
-func TestRecoverIntentRequiresHealthyArray(t *testing.T) {
-	an := oiAnalyzer(t, 9)
-	arr, err := NewMemArray(an, 1, testStrip)
-	if err != nil {
+	if _, err := arr.ReadAt(got, 0); err != nil {
 		t.Fatal(err)
 	}
-	// No log attached: no-op.
-	if n, err := arr.RecoverIntent(); err != nil || n != 0 {
-		t.Fatalf("no-log recovery = (%d, %v)", n, err)
-	}
-	arr.SetIntentLog(NewMemIntentLog())
-	arr.FailDisk(0)
-	if _, err := arr.RecoverIntent(); err == nil {
-		t.Fatal("recovery on degraded array must fail")
+	if !bytes.Equal(got, oracle) {
+		t.Fatal("rebuilt array differs from the oracle")
 	}
 }

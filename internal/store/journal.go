@@ -107,30 +107,6 @@ type ChecksumSink interface {
 	RecordSum(disk int, strip int64, sum uint32) error
 }
 
-// ClosureLogger is the redo-logging upgrade of IntentLog: instead of
-// recording only which cycle is dirty (forcing recovery to recompute
-// parity, which is unsound if a disk also failed), RecordClosure makes
-// the full new content of the parity closure durable before any device
-// write, so recovery replays exactly the consistent closure — healthy or
-// degraded.
-type ClosureLogger interface {
-	IntentLog
-	// RecordClosure appends a redo record and makes it durable before
-	// returning.
-	RecordClosure(cycle int64, strips []StripUpdate) error
-	// ClearClosure marks a closure committed (lazily durable: replaying a
-	// committed closure is idempotent). A non-empty strip set drops only
-	// the pending records for that cycle whose strip set matches exactly —
-	// the record of the acked write and of earlier failed attempts of the
-	// same write, which share its deterministic closure — leaving records
-	// of other in-flight writes on the cycle intact, since those still
-	// carry the repair content their own retries replay. A nil set keeps
-	// the legacy cycle-wide semantics.
-	ClearClosure(cycle int64, strips []StripUpdate) error
-	// PendingClosures lists redo records recorded but never cleared.
-	PendingClosures() ([]PendingClosure, error)
-}
-
 // MetaJournal is the array's durable metadata journal: an append-only
 // frame log over two blobs (double-buffered for crash-safe compaction)
 // holding per-strip checksums, redo records of in-flight parity closures,
@@ -167,11 +143,7 @@ type MetaJournal struct {
 	closed    bool
 }
 
-var (
-	_ IntentLog     = (*MetaJournal)(nil)
-	_ ClosureLogger = (*MetaJournal)(nil)
-	_ ChecksumSink  = (*MetaJournal)(nil)
-)
+var _ ChecksumSink = (*MetaJournal)(nil)
 
 // OpenMetaJournal opens (replaying) or initialises the journal over its
 // two regions. Two empty blobs initialise a fresh journal; a non-empty
@@ -405,7 +377,7 @@ func decodeClosure(payload []byte, disks int) (*PendingClosure, error) {
 }
 
 // encodeClear builds one clear-record payload: cycle plus the strip ids of
-// the closure being cleared (empty ids = cycle-wide legacy clear).
+// the closure being cleared.
 func encodeClear(cycle int64, ids [][2]int) []byte {
 	payload := make([]byte, 1+8+2+8*len(ids))
 	payload[0] = recClear
@@ -421,13 +393,9 @@ func encodeClear(cycle int64, ids [][2]int) []byte {
 	return payload
 }
 
-// decodeClear parses one clear-record payload. The bare 9-byte form (no
-// strip-id list) is the legacy cycle-wide clear.
+// decodeClear parses one clear-record payload.
 func decodeClear(payload []byte) (cycle int64, ids [][2]int, err error) {
 	le := binary.LittleEndian
-	if len(payload) == 1+8 {
-		return int64(le.Uint64(payload[1:])), nil, nil
-	}
 	if len(payload) < 1+8+2 {
 		return 0, nil, fmt.Errorf("%w: clear record length %d", ErrJournalCorrupt, len(payload))
 	}
@@ -549,19 +517,18 @@ func (j *MetaJournal) KVRange(prefix string) (keys []string, values [][]byte) {
 	return keys, values
 }
 
-// dropPending removes pending closures for the cycle. With a strip-id
-// set, only records whose strip set matches exactly are dropped: the
-// acked write's own record and those of earlier failed attempts of the
-// same write (same target, hence the same deterministic closure). The
-// committed state supersedes those snapshots — keeping them would let a
-// later replay revert strips the commit already advanced — while records
-// of *other* writes on the cycle survive, still carrying the content
-// their own retries need to repair a half-applied commit. A nil set drops
-// everything on the cycle (legacy clears).
+// dropPending removes the cycle's pending closures whose strip set
+// matches ids exactly: the acked write's own record and those of earlier
+// failed attempts of the same write (same target, hence the same
+// deterministic closure). The committed state supersedes those snapshots
+// — keeping them would let a later replay revert strips the commit
+// already advanced — while records of *other* writes on the cycle
+// survive, still carrying the content their own retries need to repair a
+// half-applied commit.
 func (j *MetaJournal) dropPending(cycle int64, ids [][2]int) {
 	kept := j.pending[:0]
 	for _, pc := range j.pending {
-		if pc.Cycle != cycle || (ids != nil && !sameStripSet(pc.Strips, ids)) {
+		if pc.Cycle != cycle || !sameStripSet(pc.Strips, ids) {
 			kept = append(kept, pc)
 		}
 	}
@@ -697,8 +664,10 @@ func (j *MetaJournal) Sums(disk int) map[int64]uint32 {
 	return out
 }
 
-// RecordClosure implements ClosureLogger: the redo record is fsynced
-// before returning, the write-ahead barrier of every parity commit.
+// RecordClosure appends a redo record carrying the full new content of a
+// parity closure and fsyncs it before returning — the write-ahead barrier
+// of every parity commit, which lets recovery replay exactly the
+// consistent closure, healthy or degraded.
 func (j *MetaJournal) RecordClosure(cycle int64, strips []StripUpdate) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -741,8 +710,10 @@ func (j *MetaJournal) RecordClosure(cycle int64, strips []StripUpdate) error {
 	return nil
 }
 
-// ClearClosure implements ClosureLogger (lazily durable; replay of a
-// committed closure is idempotent).
+// ClearClosure marks a closure committed (lazily durable: replaying a
+// committed closure is idempotent). It drops only the pending records for
+// that cycle whose strip set matches exactly, leaving records of other
+// in-flight writes on the cycle intact.
 func (j *MetaJournal) ClearClosure(cycle int64, strips []StripUpdate) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -760,7 +731,7 @@ func (j *MetaJournal) ClearClosure(cycle int64, strips []StripUpdate) error {
 	return j.maybeCompact()
 }
 
-// PendingClosures implements ClosureLogger.
+// PendingClosures lists redo records recorded but never cleared.
 func (j *MetaJournal) PendingClosures() ([]PendingClosure, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -959,30 +930,6 @@ walk:
 	return merged, true
 }
 
-// Record implements IntentLog as a redo record with no strips, so the
-// MetaJournal is a drop-in IntentLog for legacy callers.
-func (j *MetaJournal) Record(cycle int64) error { return j.RecordClosure(cycle, nil) }
-
-// Clear implements IntentLog (cycle-wide, the legacy semantics).
-func (j *MetaJournal) Clear(cycle int64) error { return j.ClearClosure(cycle, nil) }
-
-// Pending implements IntentLog: the distinct cycles with pending redo
-// records.
-func (j *MetaJournal) Pending() ([]int64, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	seen := make(map[int64]bool)
-	var out []int64
-	for _, pc := range j.pending {
-		if !seen[pc.Cycle] {
-			seen[pc.Cycle] = true
-			out = append(out, pc.Cycle)
-		}
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out, nil
-}
-
 // Sync forces everything appended so far durable.
 func (j *MetaJournal) Sync() error {
 	j.mu.Lock()
@@ -993,8 +940,8 @@ func (j *MetaJournal) Sync() error {
 	return j.blobs[j.active].Sync()
 }
 
-// Close implements IntentLog, closing both regions (without an implicit
-// sync of lazily durable records).
+// Close closes both regions (without an implicit sync of lazily durable
+// records).
 func (j *MetaJournal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -51,16 +51,16 @@ func TestJournalReplaysState(t *testing.T) {
 		t.Fatalf("transitions %+v", trs)
 	}
 
-	// Clearing the closure empties Pending after another reopen.
-	if err := j2.ClearClosure(1, nil); err != nil {
+	// Clearing the closure leaves nothing pending after another reopen.
+	if err := j2.ClearClosure(1, pcs[0].Strips); err != nil {
 		t.Fatal(err)
 	}
 	if err := j2.Sync(); err != nil { // clears are lazily durable
 		t.Fatal(err)
 	}
 	j3 := openTestJournal(t, b0, b1, 4)
-	if p, _ := j3.Pending(); len(p) != 0 {
-		t.Fatalf("pending after clear: %v", p)
+	if p, _ := j3.PendingClosures(); len(p) != 0 {
+		t.Fatalf("pending after clear: %+v", p)
 	}
 }
 
@@ -110,12 +110,18 @@ func TestJournalScopedClear(t *testing.T) {
 	if len(pcs) != 1 || !bytes.Equal(pcs[0].Strips[0].Data, []byte("b1")) {
 		t.Fatalf("after reopen: %+v", pcs)
 	}
-	// A nil set keeps the legacy cycle-wide semantics.
+	// An empty set is no wildcard: it matches no record with strips.
 	if err := j2.ClearClosure(7, nil); err != nil {
 		t.Fatal(err)
 	}
-	if p, _ := j2.Pending(); len(p) != 0 {
-		t.Fatalf("pending after cycle-wide clear: %v", p)
+	if p, _ := j2.PendingClosures(); len(p) != 1 {
+		t.Fatalf("empty-set clear dropped a record: %+v", p)
+	}
+	if err := j2.ClearClosure(7, foreign); err != nil {
+		t.Fatal(err)
+	}
+	if p, _ := j2.PendingClosures(); len(p) != 0 {
+		t.Fatalf("pending after clearing the last record: %+v", p)
 	}
 }
 
@@ -126,15 +132,16 @@ func TestJournalUnsyncedClearReplays(t *testing.T) {
 	ctl := NewCrashController(1)
 	cb0, cb1 := NewCrashBlob(ctl), NewCrashBlob(ctl)
 	j := openTestJournal(t, cb0, cb1, 2)
-	if err := j.RecordClosure(0, []StripUpdate{{Disk: 0, Slot: 0, Data: []byte("x")}}); err != nil {
+	strips := []StripUpdate{{Disk: 0, Slot: 0, Data: []byte("x")}}
+	if err := j.RecordClosure(0, strips); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.ClearClosure(0, nil); err != nil { // appended, not synced
+	if err := j.ClearClosure(0, strips); err != nil { // appended, not synced
 		t.Fatal(err)
 	}
 	j2 := openTestJournal(t, cb0.Survivor(), cb1.Survivor(), 2)
-	if p, _ := j2.Pending(); len(p) != 1 || p[0] != 0 {
-		t.Fatalf("pending %v, want the uncleared closure", p)
+	if p, _ := j2.PendingClosures(); len(p) != 1 || p[0].Cycle != 0 {
+		t.Fatalf("pending %+v, want the uncleared closure", p)
 	}
 }
 
@@ -201,8 +208,8 @@ func TestJournalCompaction(t *testing.T) {
 			t.Fatalf("sum %d lost across compaction: %d", i, got)
 		}
 	}
-	if p, _ := j2.Pending(); len(p) != 0 {
-		t.Fatalf("pending after compaction: %v", p)
+	if p, _ := j2.PendingClosures(); len(p) != 0 {
+		t.Fatalf("pending after compaction: %+v", p)
 	}
 }
 

@@ -208,6 +208,13 @@ type Mount struct {
 	// ReadOnly reports that the pattern is beyond tolerance and the
 	// array was mounted write-fenced under a non-refuse DegradedPolicy.
 	ReadOnly bool
+	// Blank lists disks whose image MountDir found missing or mis-sized
+	// and replaced by a blank device.
+	Blank []int
+	// Replace creates the replacement device for a failed disk on the
+	// mount's own media; FormatDir and MountDir set it, FormatArray and
+	// MountArray (whose caller owns the media) leave it nil.
+	Replace func(disk int) (Device, error)
 }
 
 // FormatOption customises FormatArray.
@@ -236,10 +243,9 @@ func WithMountDegradedPolicy(p DegradedPolicy) MountOption {
 
 // FormatArray initialises the durable metadata plane for a new array:
 // fresh journal, fresh identities, superblocks on every disk. Device
-// content is left untouched (an existing volatile array can be upgraded
-// in place; its strips simply carry no checksums until rewritten), but
-// any previous metadata in the blobs is destroyed. The returned mount is
-// ready to serve.
+// content is left untouched (strips carry no checksums until written),
+// but any previous metadata in the blobs is destroyed. The returned mount
+// is ready to serve.
 func FormatArray(an *core.Analyzer, devs []Device, sbs []Blob, j0, j1 Blob, opts ...FormatOption) (*Mount, error) {
 	if len(devs) != an.Disks() || len(sbs) != an.Disks() {
 		return nil, fmt.Errorf("%w: %d devices, %d superblocks for %d disks",
@@ -290,7 +296,7 @@ func FormatArray(an *core.Analyzer, devs []Device, sbs []Blob, j0, j1 Blob, opts
 	if err := meta.commit(nil, -1, nil); err != nil {
 		return nil, err
 	}
-	arr.SetIntentLog(journal)
+	arr.SetJournal(journal)
 	arr.setMeta(meta)
 	return &Mount{Array: arr, Meta: meta, Super: meta.Superblock()}, nil
 }
@@ -457,7 +463,7 @@ func MountArray(an *core.Analyzer, devs []Device, sbs []Blob, j0, j1 Blob, opts 
 			return nil, err
 		}
 	}
-	arr.SetIntentLog(journal)
+	arr.SetJournal(journal)
 	replayed, err := arr.RecoverIntent()
 	if err != nil {
 		return nil, fmt.Errorf("store: mount replay: %w", err)

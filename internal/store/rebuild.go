@@ -117,15 +117,13 @@ func (a *Array) RebuildStep(batch int64) (done bool, err error) {
 	// write that itself fails (its node still unreachable) aborts the
 	// batch with ErrIntentReplay and the rebuild loop retries; once the
 	// node is evicted its strips are skipped and the batch proceeds.
-	if closure, ok := a.intent.(ClosureLogger); ok {
-		if _, err := a.replayClosures(closure); err != nil {
-			return false, err
-		}
+	if _, err := a.replayClosures(); err != nil {
+		return false, err
 	}
 	if a.rebuildPlan == nil {
 		plan := a.an.Plan(failed, core.PlanOptions{})
 		if !plan.Complete {
-			return false, fmt.Errorf("%w: rebuild impossible: %s", ErrDataLoss, a.an.Availability(failed).Describe())
+			return false, fmt.Errorf("%w: rebuild impossible: %s", ErrTooManyFailures, a.an.Availability(failed).Describe())
 		}
 		a.rebuildPlan = plan
 		a.rebuiltCycles = 0
@@ -238,7 +236,7 @@ func (a *Array) Scrub() (bad int, err error) {
 	defer a.mu.Unlock()
 	for _, f := range a.failed {
 		if f {
-			return 0, ErrDiskFailed
+			return 0, ErrDiskFaulty
 		}
 	}
 	a.scrubCursor = 0
@@ -336,7 +334,7 @@ func (a *Array) Repair() (repaired int, err error) {
 	defer a.mu.Unlock()
 	for _, f := range a.failed {
 		if f {
-			return 0, ErrDiskFailed
+			return 0, ErrDiskFaulty
 		}
 	}
 	slots := int64(a.an.SlotsPerDisk())
@@ -352,13 +350,8 @@ func (a *Array) Repair() (repaired int, err error) {
 	return repaired, nil
 }
 
-// repairCycleLayer re-synchronises one cycle's stripes of the given layer
-// (LayerInner matches every non-outer stripe).
-func (a *Array) repairCycleLayer(cycle, slots int64, pass layout.Layer) error {
-	_, err := a.repairCycleLayerCount(cycle, slots, pass)
-	return err
-}
-
+// repairCycleLayerCount re-synchronises one cycle's stripes of the given
+// layer (LayerInner matches every non-outer stripe).
 func (a *Array) repairCycleLayerCount(cycle, slots int64, pass layout.Layer) (repaired int, err error) {
 	for si, stripe := range a.sch.Stripes() {
 		if (pass == layout.LayerOuter) != (stripe.Layer == layout.LayerOuter) {

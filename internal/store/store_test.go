@@ -95,8 +95,8 @@ func TestMemDeviceRoundTrip(t *testing.T) {
 	if !bytes.Equal(p, q) {
 		t.Fatal("content mismatch")
 	}
-	if err := dev.ReadStrip(10, q); !errors.Is(err, ErrOutOfRange) {
-		t.Fatalf("expected ErrOutOfRange, got %v", err)
+	if err := dev.ReadStrip(10, q); !errors.Is(err, ErrStripOutOfRange) {
+		t.Fatalf("expected ErrStripOutOfRange, got %v", err)
 	}
 	if err := dev.WriteStrip(0, q[:10]); err == nil {
 		t.Fatal("short buffer must fail")
@@ -130,8 +130,8 @@ func TestFileDeviceRoundTrip(t *testing.T) {
 	if !bytes.Equal(p, q) {
 		t.Fatal("content mismatch")
 	}
-	if err := dev.ReadStrip(8, q); !errors.Is(err, ErrOutOfRange) {
-		t.Fatalf("expected ErrOutOfRange, got %v", err)
+	if err := dev.ReadStrip(8, q); !errors.Is(err, ErrStripOutOfRange) {
+		t.Fatalf("expected ErrStripOutOfRange, got %v", err)
 	}
 	if err := dev.Close(); err != nil {
 		t.Fatal(err)
@@ -385,8 +385,8 @@ func TestDataLossReported(t *testing.T) {
 		dev, _ := NewMemDevice(int64(an.SlotsPerDisk()), testStrip)
 		arr.ReplaceDisk(d, dev)
 	}
-	if err := arr.Rebuild(); !errors.Is(err, ErrDataLoss) {
-		t.Fatalf("expected ErrDataLoss, got %v", err)
+	if err := arr.Rebuild(); !errors.Is(err, ErrTooManyFailures) {
+		t.Fatalf("expected ErrTooManyFailures, got %v", err)
 	}
 }
 
@@ -526,7 +526,7 @@ func TestRepairFixesSilentParityCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	arr.FailDisk(0)
-	if _, err := arr.Repair(); !errors.Is(err, ErrDiskFailed) {
+	if _, err := arr.Repair(); !errors.Is(err, ErrDiskFaulty) {
 		t.Fatalf("repair on degraded array: %v", err)
 	}
 }

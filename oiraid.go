@@ -34,7 +34,6 @@ package oiraid
 import (
 	"fmt"
 	"io"
-	"path/filepath"
 
 	"github.com/oiraid/oiraid/internal/bibd"
 	"github.com/oiraid/oiraid/internal/core"
@@ -283,20 +282,14 @@ func NewMemArray(g *Geometry, cycles int64, stripBytes int) (*Array, error) {
 	return store.NewMemArray(g.an, cycles, stripBytes)
 }
 
-// NewFileArray builds a file-backed array with one device image per disk
-// (disk00.img, disk01.img, …) under dir.
+// NewFileArray formats a fresh file-backed array under dir (see FormatDir)
+// and returns its data plane.
 func NewFileArray(g *Geometry, dir string, cycles int64, stripBytes int) (*Array, error) {
-	devs := make([]Device, g.Disks())
-	for i := range devs {
-		dev, err := store.NewFileDevice(
-			filepath.Join(dir, fmt.Sprintf("disk%02d.img", i)),
-			cycles*int64(g.an.SlotsPerDisk()), stripBytes)
-		if err != nil {
-			return nil, err
-		}
-		devs[i] = dev
+	mnt, err := FormatDir(g, dir, cycles, stripBytes)
+	if err != nil {
+		return nil, err
 	}
-	return store.NewArray(g.an, devs)
+	return mnt.Array, nil
 }
 
 // DegradedPolicy selects what MountArray does when the committed
@@ -334,7 +327,7 @@ func ParseDegradedPolicy(s string) (DegradedPolicy, error) { return store.ParseD
 // FormatArray initialises the durable metadata plane for an array:
 // fresh identities and superblocks on every disk plus the metadata
 // journal (j0/j1 are its double-buffered regions). Device content is
-// left untouched, so an existing array upgrades in place.
+// left untouched.
 func FormatArray(g *Geometry, devs []Device, sbs []Blob, j0, j1 Blob, opts ...FormatOption) (*Mount, error) {
 	return store.FormatArray(g.an, devs, sbs, j0, j1, opts...)
 }
@@ -350,17 +343,37 @@ func MountArray(g *Geometry, devs []Device, sbs []Blob, j0, j1 Blob, opts ...Mou
 	return store.MountArray(g.an, devs, sbs, j0, j1, opts...)
 }
 
+// FormatDir formats a fresh array in the local directory format — per
+// disk one image and one superblock file, plus the metadata journal's two
+// regions — creating dir if needed. It refuses, touching nothing, a
+// directory that already holds images or superblocks
+// (store.ErrDirNotEmpty).
+func FormatDir(g *Geometry, dir string, cycles int64, stripBytes int, opts ...FormatOption) (*Mount, error) {
+	return store.FormatDir(g.an, dir, cycles, stripBytes, opts...)
+}
+
+// MountDir mounts the array FormatDir left in dir. Geometry comes from
+// the on-media superblocks and is returned beside the mount; a directory
+// without a loadable superblock is refused (store.ErrNoSuperblock) and
+// left untouched.
+func MountDir(dir string, opts ...MountOption) (*Mount, *Geometry, error) {
+	var g *Geometry
+	mnt, err := store.MountDir(dir, func(disks int) (*core.Analyzer, error) {
+		var err error
+		if g, err = NewGeometry(disks); err != nil {
+			return nil, err
+		}
+		return g.an, nil
+	}, opts...)
+	if err != nil {
+		return nil, nil, err
+	}
+	return mnt, g, nil
+}
+
 // NewMemBlob exposes memory-backed metadata media (tests, ephemeral
 // arrays).
 func NewMemBlob() Blob { return store.NewMemBlob() }
-
-// CreateFileBlob opens (creating if needed, with a directory sync so
-// the name itself is durable) a file-backed metadata blob.
-func CreateFileBlob(path string) (Blob, error) { return store.CreateFileBlob(path) }
-
-// LoadSuperblock reads the best valid superblock copy from b, or
-// store.ErrNoSuperblock when neither slot decodes.
-func LoadSuperblock(b Blob) (*Superblock, error) { return store.LoadSuperblock(b) }
 
 // NewMemDevice exposes memory-backed devices for custom array assembly
 // (e.g. replacement disks for Array.ReplaceDisk).

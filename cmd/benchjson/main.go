@@ -4,7 +4,11 @@
 // b.ReportMetric units — MB/s, p50-ms, p99-ms, allocs/op — survive
 // untouched:
 //
-//	go test -bench . -benchmem -run '^$' ./internal/object/ | benchjson -out BENCH_object.json
+//	go test -bench Failover -benchmem -run '^$' ./internal/cluster/ | benchjson -out BENCH_failover.json
+//
+// `make bench` uses it for the two measurements bench/ has no workload
+// for (fail-over, migration); everything else is `bash bench/run.sh
+// --workload …`.
 //
 // The input is echoed to stdout so the human-readable stream stays
 // visible when benchjson sits at the end of a pipe.

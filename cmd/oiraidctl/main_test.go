@@ -495,9 +495,11 @@ func TestFallbackRetry(t *testing.T) {
 
 // TestUnreachableSurvivesHTTP proves the coordinator's "storage node
 // unreachable" condition round-trips the CLI's HTTP hop as a sentinel
-// the exit-code mapping can errors.Is — not just matching strings.
+// the exit-code mapping can errors.Is — carried by the X-Oiraid-Err code,
+// not by matching strings in the body.
 func TestUnreachableSurvivesHTTP(t *testing.T) {
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("X-Oiraid-Err", "unreachable")
 		http.Error(w, store.ErrUnreachable.Error()+" (netdev: circuit open for http://node)", http.StatusServiceUnavailable)
 	}))
 	defer hs.Close()

@@ -8,22 +8,19 @@ import (
 	"time"
 
 	"github.com/oiraid/oiraid/internal/engine"
-	"github.com/oiraid/oiraid/internal/store"
 	"github.com/oiraid/oiraid/internal/store/netdev"
 )
 
 // benchCluster boots three mem-backed storage nodes over loopback HTTP
 // and mounts the coordinator across them — the full wire path, no fault
 // transports in the way.
-func benchCluster(b *testing.B) (*Cluster, []*httptest.Server) {
+func benchCluster(b *testing.B) *Cluster {
 	b.Helper()
 	var specs []NodeSpec
-	var srvs []*httptest.Server
 	for _, id := range []string{"alpha", "beta", "gamma"} {
 		n := netdev.NewMemNode(id)
 		srv := httptest.NewServer(n.Handler())
 		b.Cleanup(srv.Close)
-		srvs = append(srvs, srv)
 		specs = append(specs, NodeSpec{ID: id, URL: srv.URL})
 	}
 	c, err := Open(Options{
@@ -41,7 +38,7 @@ func benchCluster(b *testing.B) (*Cluster, []*httptest.Server) {
 		b.Fatalf("open cluster: %v", err)
 	}
 	b.Cleanup(func() { c.Close() })
-	return c, srvs
+	return c
 }
 
 func reportLatency(b *testing.B, lats []time.Duration) {
@@ -57,53 +54,6 @@ func reportLatency(b *testing.B, lats []time.Duration) {
 	b.ReportMetric(p(0.99), "p99-ms")
 }
 
-// BenchmarkClusterWriteStrip measures a full coordinator strip write —
-// parity-closure RMW fanned out over HTTP to three nodes.
-func BenchmarkClusterWriteStrip(b *testing.B) {
-	c, _ := benchCluster(b)
-	p := make([]byte, 4096)
-	rand.New(rand.NewSource(1)).Read(p)
-	strips := c.Eng.Strips()
-	lats := make([]time.Duration, 0, b.N)
-	b.SetBytes(4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t0 := time.Now()
-		if err := c.Eng.WriteStrip(int64(i)%strips, p); err != nil {
-			b.Fatalf("write: %v", err)
-		}
-		lats = append(lats, time.Since(t0))
-	}
-	b.StopTimer()
-	reportLatency(b, lats)
-}
-
-// BenchmarkClusterReadStrip measures a healthy coordinator read: one
-// wire round-trip to the node holding the data strip.
-func BenchmarkClusterReadStrip(b *testing.B) {
-	c, _ := benchCluster(b)
-	p := make([]byte, 4096)
-	rand.New(rand.NewSource(2)).Read(p)
-	strips := c.Eng.Strips()
-	for s := int64(0); s < strips; s++ {
-		if err := c.Eng.WriteStrip(s, p); err != nil {
-			b.Fatalf("seed write: %v", err)
-		}
-	}
-	lats := make([]time.Duration, 0, b.N)
-	b.SetBytes(4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t0 := time.Now()
-		if _, err := c.Eng.ReadStrip(int64(i) % strips); err != nil {
-			b.Fatalf("read: %v", err)
-		}
-		lats = append(lats, time.Since(t0))
-	}
-	b.StopTimer()
-	reportLatency(b, lats)
-}
-
 // BenchmarkMigrateDisk measures membership-plane strip migration: one
 // disk ping-pongs between two nodes through the full fenced pipeline —
 // record commit, mirrored bulk copy, cursor commits, manifest flip,
@@ -111,7 +61,7 @@ func BenchmarkClusterReadStrip(b *testing.B) {
 // migration load. bytes/op is the disk's full payload; p50/p99 are the
 // foreground read latencies during the moves.
 func BenchmarkMigrateDisk(b *testing.B) {
-	c, _ := benchCluster(b)
+	c := benchCluster(b)
 	p := make([]byte, 4096)
 	rand.New(rand.NewSource(4)).Read(p)
 	strips := c.Eng.Strips()
@@ -158,49 +108,4 @@ func BenchmarkMigrateDisk(b *testing.B) {
 	b.StopTimer()
 	close(stop)
 	reportLatency(b, <-done)
-}
-
-// BenchmarkClusterDegradedRead measures a reconstruct-read with one
-// node dark: the read fans out to the surviving nodes and decodes the
-// strip from parity — the cost a partition adds to the read path once
-// the dark node's breaker is open.
-func BenchmarkClusterDegradedRead(b *testing.B) {
-	c, srvs := benchCluster(b)
-	p := make([]byte, 4096)
-	rand.New(rand.NewSource(3)).Read(p)
-	strips := c.Eng.Strips()
-	for s := int64(0); s < strips; s++ {
-		if err := c.Eng.WriteStrip(s, p); err != nil {
-			b.Fatalf("seed write: %v", err)
-		}
-	}
-	srvs[2].CloseClientConnections()
-	srvs[2].Close() // gamma goes dark
-	// Mark gamma's disks failed — the post-grace "node lost" state — so
-	// every read takes the reconstruct path instead of retrying the wire.
-	// The first evictions commit superblocks while gamma's other disks
-	// are still live-but-dark, so they surface transient errors; the
-	// in-memory failed state still advances and the last commit lands.
-	for _, d := range c.DisksOn("gamma") {
-		if err := c.Eng.FailDisk(d); err != nil && !store.IsTransient(err) {
-			b.Fatalf("fail disk %d: %v", d, err)
-		}
-	}
-	for s := int64(0); s < strips; s++ {
-		if _, err := c.Eng.ReadStrip(s); err != nil {
-			b.Fatalf("warm degraded read %d: %v", s, err)
-		}
-	}
-	lats := make([]time.Duration, 0, b.N)
-	b.SetBytes(4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t0 := time.Now()
-		if _, err := c.Eng.ReadStrip(int64(i) % strips); err != nil {
-			b.Fatalf("degraded read: %v", err)
-		}
-		lats = append(lats, time.Since(t0))
-	}
-	b.StopTimer()
-	reportLatency(b, lats)
 }

@@ -32,10 +32,10 @@ func FuzzManifestDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(raw)
-	f.Add(raw[:len(raw)/2])                  // torn mid-save
-	f.Add(append(raw, make([]byte, 64)...))  // acked image + stale tail
-	f.Add(make([]byte, 256))                 // gen-wiped replica (all zeros)
-	f.Add([]byte(`{"nodes":[],"disks":[]}`))      // structurally empty
+	f.Add(raw[:len(raw)/2])                                                // torn mid-save
+	f.Add(append(raw, make([]byte, 64)...))                                // acked image + stale tail
+	f.Add(make([]byte, 256))                                               // gen-wiped replica (all zeros)
+	f.Add([]byte(`{"nodes":[],"disks":[]}`))                               // structurally empty
 	f.Add([]byte(`{"nodes":[{"id":"a","url":"u"},{"id":"a","url":"u"}]}`)) // dup node
 	f.Add([]byte(`{"cycles":-1}`))
 	f.Add([]byte(``))

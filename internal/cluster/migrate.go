@@ -90,11 +90,22 @@ type NodeInfo struct {
 // abandoned: its record stays committed and the next open resumes it.
 var errMigrationParked = errors.New("cluster: migration parked, will resume at next open")
 
+// ErrBadMember reports a membership request the caller got wrong: a
+// missing id or url, a duplicate or unknown node, draining the last one.
+// The HTTP layer maps it onto 400.
+var ErrBadMember = errors.New("cluster: invalid membership request")
+
+// badMember is an ErrBadMember that keeps its own wording.
+type badMember string
+
+func (e badMember) Error() string        { return string(e) }
+func (e badMember) Is(target error) bool { return target == ErrBadMember }
+
 // AddNode joins a new storage node to the cluster and rebalances:
 // disks migrate from the most-loaded nodes until the spread is ≤ 1.
 func (c *Cluster) AddNode(spec NodeSpec) (MoveReport, error) {
 	if spec.ID == "" || spec.URL == "" {
-		return MoveReport{}, errors.New("cluster: add node needs an id and a url")
+		return MoveReport{}, badMember("cluster: add node needs an id and a url")
 	}
 	c.memberMu.Lock()
 	defer c.memberMu.Unlock()
@@ -102,7 +113,7 @@ func (c *Cluster) AddNode(spec NodeSpec) (MoveReport, error) {
 	c.mu.Lock()
 	if _, ok := c.clients[spec.ID]; ok {
 		c.mu.Unlock()
-		return MoveReport{}, fmt.Errorf("cluster: node %q is already a member", spec.ID)
+		return MoveReport{}, badMember(fmt.Sprintf("cluster: node %q is already a member", spec.ID))
 	}
 	cl := c.newClientLocked(spec)
 	c.mu.Unlock()
@@ -143,11 +154,11 @@ func (c *Cluster) DrainNode(id string) (MoveReport, error) {
 	cl, ok := c.clients[id]
 	if !ok {
 		c.mu.Unlock()
-		return MoveReport{}, fmt.Errorf("cluster: unknown node %q", id)
+		return MoveReport{}, badMember(fmt.Sprintf("cluster: unknown node %q", id))
 	}
 	if len(c.order) < 2 {
 		c.mu.Unlock()
-		return MoveReport{}, errors.New("cluster: cannot drain the last node")
+		return MoveReport{}, badMember("cluster: cannot drain the last node")
 	}
 	c.draining[id] = true
 	c.mu.Unlock()
@@ -212,7 +223,7 @@ func (c *Cluster) RejoinNode(spec NodeSpec) (MoveReport, error) {
 	old, ok := c.clients[spec.ID]
 	if !ok {
 		c.mu.Unlock()
-		return MoveReport{}, fmt.Errorf("cluster: unknown node %q (AddNode joins new nodes)", spec.ID)
+		return MoveReport{}, badMember(fmt.Sprintf("cluster: unknown node %q (AddNode joins new nodes)", spec.ID))
 	}
 	if spec.URL == "" {
 		for _, n := range c.manifest.Nodes {

@@ -90,17 +90,18 @@ type Engine struct {
 	locks     []sync.RWMutex
 
 	// mode is held shared by striped operations and exclusive by
-	// structural transitions; failedDisks gates the deep-degraded
-	// fallback (see the package comment).
-	mode        sync.RWMutex
-	failedDisks atomic.Int64
+	// structural transitions.
+	mode sync.RWMutex
 
-	// Degradation plane: servingMode is the current Mode (atomic so the
-	// advisory pre-admission fence reads it lock-free; transitions happen
-	// under e.mode exclusive). downDisks marks paths the cluster reports
-	// unreachable — distinct from failed — and is guarded by e.mode.
-	// forcedFloor is the cluster-forced lower bound (quorum loss).
-	servingMode atomic.Int32
+	// Degradation plane: failState is the one published evaluation of the
+	// failure set — the serving Mode plus the failed-disk bits stripOp and
+	// the hedged read branch on (atomic so the advisory pre-admission
+	// fence reads it lock-free; recomputeModeLocked republishes it under
+	// e.mode exclusive on every structural transition). downDisks marks
+	// paths the cluster reports unreachable — distinct from failed — and
+	// is guarded by e.mode. forcedFloor is the cluster-forced lower bound
+	// (quorum loss).
+	failState   atomic.Uint32
 	downDisks   []bool
 	forcedFloor atomic.Int32
 
@@ -184,7 +185,6 @@ func New(arr *store.Array, opts Options) (*Engine, error) {
 		}
 	}
 	e.buildLockSets()
-	e.failedDisks.Store(int64(len(arr.FailedDisks())))
 	e.downDisks = make([]bool, an.Disks())
 	// Derive the initial serving mode from the mounted failure pattern:
 	// an array mounted beyond tolerance under a read-only/partial policy
@@ -400,13 +400,13 @@ func (e *Engine) stripOp(addr int64, write bool, fn func() error) error {
 	t := nowNano()
 	defer func() { e.qos.observe(time.Duration(nowNano() - t)) }()
 	e.mode.RLock()
-	if write && e.failedDisks.Load() >= 2 {
+	if write && e.state().deep() {
 		e.mode.RUnlock()
 		t := nowNano()
 		e.mode.Lock()
 		e.stats.lockWaitNs.Add(nowNano() - t)
 		defer e.mode.Unlock()
-		if m := Mode(e.servingMode.Load()); !m.Writable() {
+		if m := e.Mode(); !m.Writable() {
 			e.stats.writesFenced.Add(1)
 			return fmt.Errorf("%w: serving mode %q", store.ErrReadOnly, m)
 		}
@@ -417,7 +417,7 @@ func (e *Engine) stripOp(addr int64, write bool, fn func() error) error {
 	// hold lasts, so a write admitted here runs wholly within a writable
 	// mode.
 	if write {
-		if m := Mode(e.servingMode.Load()); !m.Writable() {
+		if m := e.Mode(); !m.Writable() {
 			e.stats.writesFenced.Add(1)
 			return fmt.Errorf("%w: serving mode %q", store.ErrReadOnly, m)
 		}
@@ -630,7 +630,6 @@ func (e *Engine) FailDisk(d int) error {
 	if err := e.arr.FailDisk(d); err != nil {
 		return err
 	}
-	e.failedDisks.Store(int64(len(e.arr.FailedDisks())))
 	e.recomputeModeLocked()
 	return nil
 }
@@ -736,11 +735,10 @@ func (e *Engine) rebuildLoop(batch int64, done chan struct{}) {
 			break
 		}
 	}
-	// Re-derive the failure count under the mode lock: the rebuild either
+	// Re-evaluate the failure set under the mode lock: the rebuild either
 	// cleared every failure or aborted, and FailDisk may have raced in a
 	// new one.
 	e.mode.Lock()
-	e.failedDisks.Store(int64(len(e.arr.FailedDisks())))
 	e.recomputeModeLocked()
 	e.mode.Unlock()
 	e.rebuildMu.Lock()
@@ -775,22 +773,22 @@ func (e *Engine) Rebuilding() bool {
 
 // Status is the operational snapshot served by GET /v1/status.
 type Status struct {
-	Disks      int           `json:"disks"`
-	StripBytes int           `json:"strip_bytes"`
-	Strips     int64         `json:"strips"`
-	Capacity   int64         `json:"capacity"`
-	Failed     []int         `json:"failed,omitempty"`
+	Disks      int   `json:"disks"`
+	StripBytes int   `json:"strip_bytes"`
+	Strips     int64 `json:"strips"`
+	Capacity   int64 `json:"capacity"`
+	Failed     []int `json:"failed,omitempty"`
 	// Mode is the serving mode ("normal", "degraded-rw", "read-only",
 	// "partial-read"); Down lists disks whose paths are marked down
 	// (unreachable but not failed); WritesFenced counts writes refused
 	// with store.ErrReadOnly while the mode was not writable.
-	Mode         string `json:"mode"`
-	Down         []int  `json:"down,omitempty"`
-	WritesFenced int64  `json:"writes_fenced,omitempty"`
-	Rebuilding   bool   `json:"rebuilding"`
-	Rebuilt    int64         `json:"rebuilt_cycles"`
-	Cycles     int64         `json:"total_cycles"`
-	Exposure   core.Exposure `json:"exposure"`
+	Mode         string        `json:"mode"`
+	Down         []int         `json:"down,omitempty"`
+	WritesFenced int64         `json:"writes_fenced,omitempty"`
+	Rebuilding   bool          `json:"rebuilding"`
+	Rebuilt      int64         `json:"rebuilt_cycles"`
+	Cycles       int64         `json:"total_cycles"`
+	Exposure     core.Exposure `json:"exposure"`
 	// Spares is the number of hot spares available in the pool.
 	Spares int `json:"spares"`
 	// Evictions counts disks auto-evicted by the health policy.

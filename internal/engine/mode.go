@@ -57,8 +57,24 @@ func (m Mode) String() string {
 // Writable reports whether the mode admits writes.
 func (m Mode) Writable() bool { return m < ModeReadOnly }
 
+// failState is one evaluation of the failure set: the serving Mode in the
+// low byte, and above it how deep the failed set is. A later plan cache
+// can key on the same value.
+type failState uint32
+
+const (
+	stateFailed failState = 1 << (8 + iota) // ≥ 1 disk failed: reads may reconstruct, hedging adds nothing
+	stateDeep                               // ≥ 2 disks failed: writes take the mode lock exclusively
+)
+
+func (s failState) mode() Mode      { return Mode(s & 0xff) }
+func (s failState) anyFailed() bool { return s&stateFailed != 0 }
+func (s failState) deep() bool      { return s&stateDeep != 0 }
+
+func (e *Engine) state() failState { return failState(e.failState.Load()) }
+
 // Mode returns the current serving mode.
-func (e *Engine) Mode() Mode { return Mode(e.servingMode.Load()) }
+func (e *Engine) Mode() Mode { return e.state().mode() }
 
 // SetDiskDown marks disk d's path down (true) or restored (false) — the
 // cluster's node-unreachability signal, distinct from both failure (the
@@ -82,7 +98,7 @@ func (e *Engine) SetDiskDown(d int, down bool) error {
 	}
 	e.downDisks[d] = down
 	e.recomputeModeLocked()
-	promoted := !down && Mode(e.servingMode.Load()) == ModeDegraded
+	promoted := !down && e.Mode() == ModeDegraded
 	e.mode.Unlock()
 	if promoted {
 		e.maybeAutoRebuild()
@@ -118,10 +134,10 @@ func (e *Engine) ForceMode(floor Mode) {
 	e.mode.Unlock()
 }
 
-// recomputeModeLocked re-derives the serving mode from the availability
-// of failed ∪ down. Caller holds e.mode exclusively, so in-flight
-// striped operations have drained and no write admitted under the old
-// mode is still running.
+// recomputeModeLocked re-evaluates the failure set: the serving mode from
+// the availability of failed ∪ down, and the failed-disk bits from failed
+// alone. Caller holds e.mode exclusively, so in-flight striped operations
+// have drained and no write admitted under the old mode is still running.
 func (e *Engine) recomputeModeLocked() {
 	failed := e.arr.FailedDisks()
 	u := append([]int(nil), failed...)
@@ -145,15 +161,18 @@ func (e *Engine) recomputeModeLocked() {
 	if floor := Mode(e.forcedFloor.Load()); mode < floor {
 		mode = floor
 	}
-	e.applyModeLocked(mode)
-}
-
-// applyModeLocked installs the mode, keeps the array's write fence in
-// sync, and quiesces the metadata journal on entry to a fenced mode so
-// every acked write's redo record and checksum is durable before the
-// array stops accepting new ones.
-func (e *Engine) applyModeLocked(mode Mode) {
-	old := Mode(e.servingMode.Swap(int32(mode)))
+	next := failState(mode)
+	if len(failed) >= 1 {
+		next |= stateFailed
+	}
+	if len(failed) >= 2 {
+		next |= stateDeep
+	}
+	// Publish, then keep the array's write fence in sync, and quiesce the
+	// metadata journal on entry to a fenced mode so every acked write's
+	// redo record and checksum is durable before the array stops accepting
+	// new ones.
+	old := failState(e.failState.Swap(uint32(next))).mode()
 	if old == mode {
 		return
 	}

@@ -80,7 +80,7 @@ func (e *Engine) readStripHedged(addr int64) ([]byte, error) {
 	// deep-degraded path can cross stripes); with the primary quarantined
 	// the array reconstructs around it anyway. Hedging would only add a
 	// second reconstruction of the same strip — skip it.
-	if e.failedDisks.Load() != 0 || e.mon.disks[d].quarantined.Load() {
+	if e.state().anyFailed() || e.mon.disks[d].quarantined.Load() {
 		return plain()
 	}
 

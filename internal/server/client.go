@@ -7,15 +7,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"github.com/oiraid/oiraid/internal/engine"
-	"github.com/oiraid/oiraid/internal/object"
+	"github.com/oiraid/oiraid/internal/retry"
 	"github.com/oiraid/oiraid/internal/store"
 )
 
@@ -55,9 +53,6 @@ func (o ClientOptions) withDefaults() ClientOptions {
 	if o.Timeout <= 0 {
 		o.Timeout = 60 * time.Second
 	}
-	if o.MaxRetries < 0 {
-		o.MaxRetries = 0
-	}
 	if o.BaseDelay <= 0 {
 		o.BaseDelay = 100 * time.Millisecond
 	}
@@ -74,63 +69,8 @@ func (o ClientOptions) withDefaults() ClientOptions {
 }
 
 // ErrCircuitOpen reports a call refused locally because the endpoint's
-// circuit breaker is open: recent calls failed consecutively and the
-// cooldown has not elapsed, so the client fails fast instead of adding
-// load to a struggling server.
-var ErrCircuitOpen = errors.New("server: circuit open")
-
-// Circuit breaker states.
-const (
-	brClosed = iota
-	brOpen
-	brHalfOpen
-)
-
-// breaker is one endpoint's circuit: closed counts consecutive failures,
-// open fails fast until the cooldown elapses, half-open admits exactly
-// one probe whose outcome decides between closed and open again.
-type breaker struct {
-	mu       sync.Mutex
-	state    int
-	failures int
-	openedAt time.Time
-}
-
-// allow reports whether a call may proceed, transitioning open→half-open
-// once the cooldown has elapsed (the caller becomes the probe).
-func (b *breaker) allow(cooldown time.Duration) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch b.state {
-	case brOpen:
-		if time.Since(b.openedAt) < cooldown {
-			return false
-		}
-		b.state = brHalfOpen
-		return true
-	case brHalfOpen:
-		return false // a probe is already in flight
-	default:
-		return true
-	}
-}
-
-// record folds one call outcome into the breaker.
-func (b *breaker) record(ok bool, threshold int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if ok {
-		b.state = brClosed
-		b.failures = 0
-		return
-	}
-	b.failures++
-	if b.state == brHalfOpen || b.failures >= threshold {
-		b.state = brOpen
-		b.openedAt = time.Now()
-		b.failures = 0
-	}
-}
+// circuit breaker is open: the one sentinel every breaker in the tree returns.
+var ErrCircuitOpen = retry.ErrCircuitOpen
 
 // endpointKey normalises method+path into a breaker key: the query is
 // dropped and purely numeric path segments (strip addresses, disk ids)
@@ -159,11 +99,11 @@ type Client struct {
 	hc   *http.Client
 	opts ClientOptions
 
-	rngMu sync.Mutex
-	rng   *rand.Rand
+	pol   retry.Policy
+	retry *retry.Retrier
 
 	brMu     sync.Mutex
-	breakers map[string]*breaker
+	breakers map[string]*retry.Breaker
 
 	stripBytes int
 	strips     int64
@@ -187,195 +127,133 @@ func NewClientWithOptions(base string, opts ClientOptions) *Client {
 		base:     strings.TrimRight(base, "/"),
 		hc:       hc,
 		opts:     opts,
-		rng:      rand.New(rand.NewSource(opts.Seed)),
-		breakers: make(map[string]*breaker),
+		pol:      retry.Policy{Attempts: opts.MaxRetries + 1, BaseDelay: opts.BaseDelay, MaxDelay: opts.MaxDelay, Budget: opts.MaxRetryTime},
+		retry:    retry.New(opts.Seed),
+		breakers: make(map[string]*retry.Breaker),
 	}
 }
 
-// breakerFor returns the endpoint's breaker, creating it on first use.
-func (c *Client) breakerFor(key string) *breaker {
+// breakerFor returns the endpoint's breaker, creating it on first use;
+// nil when the breaker is disabled.
+func (c *Client) breakerFor(method, path string) *retry.Breaker {
+	if c.opts.BreakerThreshold <= 0 {
+		return nil
+	}
+	key := endpointKey(method, path)
 	c.brMu.Lock()
 	defer c.brMu.Unlock()
 	b := c.breakers[key]
 	if b == nil {
-		b = &breaker{}
+		b = c.retry.NewBreaker(c.opts.BreakerThreshold, c.opts.BreakerCooldown)
 		c.breakers[key] = b
 	}
 	return b
 }
 
-// remoteError reconstitutes a sentinel error from an HTTP status so
-// callers can errors.Is the same taxonomy locally and remotely.
-func remoteError(status int, body string) error {
-	body = strings.TrimSpace(body)
-	var sentinel error
-	switch status {
-	case http.StatusNotFound:
-		sentinel = store.ErrStripOutOfRange
-	case http.StatusConflict:
-		sentinel = engine.ErrRebuildRunning
-	case http.StatusGone:
-		sentinel = store.ErrStripUnavailable
-	case http.StatusServiceUnavailable:
-		sentinel = store.ErrDiskFaulty
-	case http.StatusTooManyRequests:
-		sentinel = store.ErrOverloaded
-	case http.StatusGatewayTimeout:
-		sentinel = context.DeadlineExceeded
-	}
-	// Prefer matching the server's rendered message, which embeds the
-	// exact sentinel text.
-	for _, s := range []error{
-		store.ErrStripOutOfRange, store.ErrNoSuchDisk, store.ErrShortBuffer,
-		store.ErrNegativeOffset, store.ErrBadGeometry, store.ErrNotFailed,
-		// ErrStripUnavailable wraps ErrTooManyFailures, so its (longer)
-		// message is matched first; ErrReadOnly rides a retryable 503 so
-		// fenced writers keep retrying until the mode promotes.
-		store.ErrStripUnavailable, store.ErrReadOnly,
-		store.ErrNoReplacement, store.ErrTooManyFailures, store.ErrDiskFaulty,
-		store.ErrUnreachable, store.ErrTransient, store.ErrPermanent, store.ErrOverloaded,
-		engine.ErrRebuildRunning, engine.ErrClosed,
-		object.ErrNoSuchBucket, object.ErrBucketExists, object.ErrBucketNotEmpty,
-		object.ErrNoSuchObject, object.ErrNoSuchUpload, object.ErrBadName,
-		object.ErrBadUpload, object.ErrNoSpace, object.ErrCorruptObject,
-		context.DeadlineExceeded,
-	} {
-		if strings.Contains(body, s.Error()) {
-			sentinel = s
-			break
-		}
-	}
-	if sentinel != nil {
-		return fmt.Errorf("%w (http %d: %s)", sentinel, status, body)
-	}
-	return fmt.Errorf("server: http %d: %s", status, body)
+// call is one API request: what to send and how to consume the answer.
+type call struct {
+	method, path string
+	hdr          map[string]string
+	// body is a replayable request body; stream, with size, a one-shot
+	// one that limits the call to a single attempt.
+	body   []byte
+	stream io.Reader
+	size   int64
+	// sink consumes a response below 400 and reports whether a failure
+	// while doing so may be retried. Nil discards the body.
+	sink func(*http.Response) (retryable bool, err error)
 }
 
-// retryableStatus reports whether a response status is worth re-attempting:
-// the gateway statuses plus 503 (transient conditions) and 429 (shed by
-// admission control) — both carry Retry-After, which the backoff honours.
-func retryableStatus(code int) bool {
-	switch code {
-	case http.StatusBadGateway, http.StatusServiceUnavailable,
-		http.StatusGatewayTimeout, http.StatusTooManyRequests:
-		return true
+// roundTrip performs one attempt of rq and classifies the outcome for
+// the retry loop: a transport failure is retryable unless ctx is done, an
+// error response is whatever the catalogue says its code is.
+func (c *Client) roundTrip(ctx context.Context, rq *call) (retryAfter time.Duration, retryable bool, err error) {
+	body, size := rq.stream, rq.size
+	if rq.body != nil {
+		body, size = bytes.NewReader(rq.body), int64(len(rq.body))
 	}
-	return false
-}
-
-// backoff computes the delay before retry number n (0-based) with full
-// jitter: uniform in [0, BaseDelay·2ⁿ] capped at MaxDelay, so a burst of
-// clients shedded together (429/503) decorrelates instead of retrying in
-// lockstep. A Retry-After header, when present, wins (capped the same).
-func (c *Client) backoff(n int, retryAfter time.Duration) time.Duration {
-	if retryAfter > 0 {
-		if retryAfter > c.opts.MaxDelay {
-			return c.opts.MaxDelay
-		}
-		return retryAfter
-	}
-	d := c.opts.BaseDelay << uint(n)
-	if d > c.opts.MaxDelay || d <= 0 {
-		d = c.opts.MaxDelay
-	}
-	c.rngMu.Lock()
-	jitter := c.rng.Float64()
-	c.rngMu.Unlock()
-	return time.Duration(float64(d) * jitter)
-}
-
-// doCtx performs one API call with retries. Only transport failures and
-// retryable statuses re-attempt; application errors (4xx, 500) surface
-// immediately. The body is replayed from the byte slice on each attempt.
-// Retries stop once MaxRetryTime would be exceeded, and with a breaker
-// configured each attempt is gated by the endpoint's circuit.
-func (c *Client) doCtx(ctx context.Context, method, path string, body []byte) ([]byte, error) {
-	return c.doCtxHdr(ctx, method, path, body, nil)
-}
-
-// doCtxHdr is doCtx with extra request headers (object-plane metadata,
-// conditional-GET validators).
-func (c *Client) doCtxHdr(ctx context.Context, method, path string, body []byte, hdr map[string]string) ([]byte, error) {
-	var br *breaker
-	if c.opts.BreakerThreshold > 0 {
-		br = c.breakerFor(endpointKey(method, path))
-	}
-	start := time.Now()
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		if br != nil && !br.allow(c.opts.BreakerCooldown) {
-			return nil, fmt.Errorf("%w: %s %s", ErrCircuitOpen, method, path)
-		}
-		out, status, retryAfter, err, retryable := c.attempt(ctx, method, path, body, hdr)
-		if br != nil {
-			// The breaker trips on server-health signals — transport
-			// failures, overload sheds, 5xx — not on application errors
-			// (a 404 means the server is fine).
-			failure := err != nil && (status == 0 || status >= 500 || status == http.StatusTooManyRequests)
-			br.record(!failure, c.opts.BreakerThreshold)
-		}
-		if err == nil {
-			return out, nil
-		}
-		lastErr = err
-		if !retryable || attempt >= c.opts.MaxRetries {
-			return nil, lastErr
-		}
-		delay := c.backoff(attempt, retryAfter)
-		if time.Since(start)+delay > c.opts.MaxRetryTime {
-			return nil, lastErr
-		}
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-time.After(delay):
-		}
-	}
-}
-
-// attempt performs one HTTP round trip. status is 0 for transport-level
-// failures (no response reached the client).
-func (c *Client) attempt(ctx context.Context, method, path string, body []byte, hdr map[string]string) (out []byte, status int, retryAfter time.Duration, err error, retryable bool) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
+	req, err := http.NewRequestWithContext(ctx, rq.method, c.base+rq.path, body)
 	if err != nil {
-		return nil, 0, 0, err, false
+		return 0, false, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/octet-stream")
-		req.ContentLength = int64(len(body))
+		req.ContentLength = size
 	}
-	for k, v := range hdr {
+	for k, v := range rq.hdr {
 		req.Header.Set(k, v)
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		// Transport-level failure (refused, reset, timeout): retryable
-		// unless the context itself is done.
 		if ctx.Err() != nil {
-			return nil, 0, 0, ctx.Err(), false
+			return 0, false, ctx.Err()
 		}
-		return nil, 0, 0, err, true
+		return 0, true, err
 	}
 	defer resp.Body.Close()
-	out, err = io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, 0, 0, err, true
-	}
 	if resp.StatusCode >= 400 {
-		if secs, perr := strconv.Atoi(resp.Header.Get("Retry-After")); perr == nil && secs > 0 {
-			retryAfter = time.Duration(secs) * time.Second
-		}
-		return nil, resp.StatusCode, retryAfter, remoteError(resp.StatusCode, string(out)), retryableStatus(resp.StatusCode)
+		return catalogue.Decode(resp)
 	}
-	return out, resp.StatusCode, 0, nil, false
+	if rq.sink != nil {
+		retryable, err = rq.sink(resp)
+	}
+	return 0, retryable, err
 }
 
-func (c *Client) do(method, path string, body []byte) ([]byte, error) {
-	return c.doCtx(context.Background(), method, path, body)
+// run sends rq through the shared retry loop, gated by the endpoint's
+// breaker. A replayable call retries transport failures and retryable
+// responses under the client's policy (attempts, backoff honouring
+// Retry-After, MaxRetryTime); a streamed body gets one attempt, and a
+// failure the loop would have retried comes back wrapped in
+// ErrNonRetryable — only the caller can rewind the stream.
+func (c *Client) run(ctx context.Context, rq *call) error {
+	pol := c.pol
+	if rq.stream != nil {
+		pol.Attempts = 1
+	}
+	var again bool
+	_, err := c.retry.Do(ctx, pol, c.breakerFor(rq.method, rq.path), func(ctx context.Context) (retryAfter time.Duration, _ bool, err error) {
+		retryAfter, again, err = c.roundTrip(ctx, rq)
+		return retryAfter, again, err
+	})
+	switch {
+	case errors.Is(err, ErrCircuitOpen):
+		return fmt.Errorf("%w: %s %s", err, rq.method, rq.path)
+	case err != nil && again && rq.stream != nil:
+		return fmt.Errorf("%w: %w", ErrNonRetryable, err)
+	}
+	return err
+}
+
+// buffer returns a sink reading the whole response body into out; a torn
+// read is retryable.
+func buffer(out *[]byte) func(*http.Response) (bool, error) {
+	return func(resp *http.Response) (bool, error) {
+		b, err := io.ReadAll(resp.Body)
+		*out = b
+		return true, err
+	}
+}
+
+// doCtx performs one buffered API call: the body is replayed from the
+// byte slice on each attempt and the response body returned whole.
+func (c *Client) doCtx(ctx context.Context, method, path string, body []byte) ([]byte, error) {
+	var out []byte
+	err := c.run(ctx, &call{method: method, path: path, body: body, sink: buffer(&out)})
+	return out, err
+}
+
+// callJSON is doCtx with extra request headers, decoding the JSON response
+// into v; what names the payload in a decode error.
+func (c *Client) callJSON(ctx context.Context, method, path string, body []byte, hdr map[string]string, v any, what string) error {
+	var out []byte
+	if err := c.run(ctx, &call{method: method, path: path, hdr: hdr, body: body, sink: buffer(&out)}); err != nil {
+		return err
+	}
+	if err := json.Unmarshal(out, v); err != nil {
+		return fmt.Errorf("server: decode %s: %w", what, err)
+	}
+	return nil
 }
 
 // Status fetches the operational snapshot.
@@ -386,14 +264,8 @@ func (c *Client) Status() (engine.Status, error) {
 // StatusCtx is Status bounded by ctx.
 func (c *Client) StatusCtx(ctx context.Context) (engine.Status, error) {
 	var st engine.Status
-	out, err := c.doCtx(ctx, http.MethodGet, "/v1/status", nil)
-	if err != nil {
-		return st, err
-	}
-	if err := json.Unmarshal(out, &st); err != nil {
-		return st, fmt.Errorf("server: decode status: %w", err)
-	}
-	return st, nil
+	err := c.callJSON(ctx, http.MethodGet, "/v1/status", nil, nil, &st, "status")
+	return st, err
 }
 
 // Health fetches the per-disk health report.
@@ -404,14 +276,8 @@ func (c *Client) Health() (engine.HealthReport, error) {
 // HealthCtx is Health bounded by ctx.
 func (c *Client) HealthCtx(ctx context.Context) (engine.HealthReport, error) {
 	var h engine.HealthReport
-	out, err := c.doCtx(ctx, http.MethodGet, "/v1/health", nil)
-	if err != nil {
-		return h, err
-	}
-	if err := json.Unmarshal(out, &h); err != nil {
-		return h, fmt.Errorf("server: decode health: %w", err)
-	}
-	return h, nil
+	err := c.callJSON(ctx, http.MethodGet, "/v1/health", nil, nil, &h, "health")
+	return h, err
 }
 
 // AddSpares registers count hot spares with the server's pool, returning
@@ -422,15 +288,9 @@ func (c *Client) AddSpares(count int) (int, error) {
 
 // AddSparesCtx is AddSpares bounded by ctx.
 func (c *Client) AddSparesCtx(ctx context.Context, count int) (int, error) {
-	out, err := c.doCtx(ctx, http.MethodPost, fmt.Sprintf("/v1/spares?count=%d", count), nil)
-	if err != nil {
-		return 0, err
-	}
 	var resp map[string]int
-	if err := json.Unmarshal(out, &resp); err != nil {
-		return 0, fmt.Errorf("server: decode spares: %w", err)
-	}
-	return resp["spares"], nil
+	err := c.callJSON(ctx, http.MethodPost, fmt.Sprintf("/v1/spares?count=%d", count), nil, nil, &resp, "spares")
+	return resp["spares"], err
 }
 
 // Metrics fetches the text-format counter dump.
@@ -525,15 +385,9 @@ func (c *Client) Scrub() (int, error) {
 
 // ScrubCtx is Scrub bounded by ctx.
 func (c *Client) ScrubCtx(ctx context.Context) (int, error) {
-	out, err := c.doCtx(ctx, http.MethodPost, "/v1/scrub", nil)
-	if err != nil {
-		return 0, err
-	}
 	var resp map[string]int
-	if err := json.Unmarshal(out, &resp); err != nil {
-		return 0, fmt.Errorf("server: decode scrub: %w", err)
-	}
-	return resp["bad_stripes"], nil
+	err := c.callJSON(ctx, http.MethodPost, "/v1/scrub", nil, nil, &resp, "scrub")
+	return resp["bad_stripes"], err
 }
 
 // Fsck runs a full two-layer verification pass on the server, repairing
@@ -548,13 +402,9 @@ func (c *Client) FsckCtx(ctx context.Context, repair bool) (*store.FsckReport, e
 	if repair {
 		path += "?repair=1"
 	}
-	out, err := c.doCtx(ctx, http.MethodPost, path, nil)
-	if err != nil {
-		return nil, err
-	}
 	rep := new(store.FsckReport)
-	if err := json.Unmarshal(out, rep); err != nil {
-		return nil, fmt.Errorf("server: decode fsck: %w", err)
+	if err := c.callJSON(ctx, http.MethodPost, path, nil, nil, rep, "fsck"); err != nil {
+		return nil, err
 	}
 	return rep, nil
 }
@@ -567,14 +417,8 @@ func (c *Client) QoS() (engine.QoSState, error) {
 // QoSCtx is QoS bounded by ctx.
 func (c *Client) QoSCtx(ctx context.Context) (engine.QoSState, error) {
 	var st engine.QoSState
-	out, err := c.doCtx(ctx, http.MethodGet, "/v1/qos", nil)
-	if err != nil {
-		return st, err
-	}
-	if err := json.Unmarshal(out, &st); err != nil {
-		return st, fmt.Errorf("server: decode qos: %w", err)
-	}
-	return st, nil
+	err := c.callJSON(ctx, http.MethodGet, "/v1/qos", nil, nil, &st, "qos")
+	return st, err
 }
 
 // SetQoS applies a partial update of the server's QoS knobs and returns
@@ -590,14 +434,8 @@ func (c *Client) SetQoSCtx(ctx context.Context, u engine.QoSUpdate) (engine.QoSS
 	if err != nil {
 		return st, err
 	}
-	out, err := c.doCtx(ctx, http.MethodPost, "/v1/qos", body)
-	if err != nil {
-		return st, err
-	}
-	if err := json.Unmarshal(out, &st); err != nil {
-		return st, fmt.Errorf("server: decode qos: %w", err)
-	}
-	return st, nil
+	err = c.callJSON(ctx, http.MethodPost, "/v1/qos", body, nil, &st, "qos")
+	return st, err
 }
 
 // geometry caches strip size and count from /v1/status.

@@ -10,7 +10,6 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
-	"time"
 
 	"github.com/oiraid/oiraid/internal/object"
 )
@@ -94,15 +93,9 @@ func (c *Client) ListBuckets() ([]object.BucketInfo, error) {
 
 // ListBucketsCtx is ListBuckets bounded by ctx.
 func (c *Client) ListBucketsCtx(ctx context.Context) ([]object.BucketInfo, error) {
-	out, err := c.doCtx(ctx, http.MethodGet, "/v1/buckets", nil)
-	if err != nil {
-		return nil, err
-	}
 	var bs []object.BucketInfo
-	if err := json.Unmarshal(out, &bs); err != nil {
-		return nil, fmt.Errorf("server: decode buckets: %w", err)
-	}
-	return bs, nil
+	err := c.callJSON(ctx, http.MethodGet, "/v1/buckets", nil, nil, &bs, "buckets")
+	return bs, err
 }
 
 // PutObject stores size bytes from r as bucket/key. Bodies up to
@@ -129,63 +122,23 @@ func (c *Client) putBody(ctx context.Context, path string, r io.Reader, size int
 	if size < 0 {
 		return info, fmt.Errorf("%w: negative size %d", object.ErrBadName, size)
 	}
+	var out []byte
+	rq := &call{method: http.MethodPut, path: path, hdr: hdr, sink: buffer(&out)}
 	if size <= maxBufferedPut {
-		body := make([]byte, size)
-		if _, err := io.ReadFull(r, body); err != nil {
+		rq.body = make([]byte, size)
+		if _, err := io.ReadFull(r, rq.body); err != nil {
 			return info, fmt.Errorf("server: reading put body: %w", err)
 		}
-		out, err := c.doCtxHdr(ctx, http.MethodPut, path, body, hdr)
-		if err != nil {
-			return info, err
-		}
-		if err := json.Unmarshal(out, &info); err != nil {
-			return info, fmt.Errorf("server: decode put response: %w", err)
-		}
-		return info, nil
+	} else {
+		rq.stream, rq.size = r, size
 	}
-	out, err := c.streamPut(ctx, path, r, size, hdr)
-	if err != nil {
+	if err := c.run(ctx, rq); err != nil {
 		return info, err
 	}
 	if err := json.Unmarshal(out, &info); err != nil {
 		return info, fmt.Errorf("server: decode put response: %w", err)
 	}
 	return info, nil
-}
-
-// streamPut sends one non-replayable PUT attempt. A failure the retry
-// loop would normally re-attempt is wrapped in ErrNonRetryable: the body
-// stream is (partially) consumed and only the caller can rewind it.
-func (c *Client) streamPut(ctx context.Context, path string, r io.Reader, size int64, hdr map[string]string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, c.base+path, r)
-	if err != nil {
-		return nil, err
-	}
-	req.ContentLength = size
-	req.Header.Set("Content-Type", "application/octet-stream")
-	for k, v := range hdr {
-		req.Header.Set(k, v)
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		return nil, fmt.Errorf("%w: %w", ErrNonRetryable, err)
-	}
-	defer resp.Body.Close()
-	out, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrNonRetryable, err)
-	}
-	if resp.StatusCode >= 400 {
-		rerr := remoteError(resp.StatusCode, string(out))
-		if retryableStatus(resp.StatusCode) {
-			rerr = fmt.Errorf("%w: %w", ErrNonRetryable, rerr)
-		}
-		return nil, rerr
-	}
-	return out, nil
 }
 
 // GetObject streams bucket/key into w and returns its Info (assembled
@@ -211,87 +164,28 @@ func (c *Client) GetObjectCond(ctx context.Context, bucket, key, etag string, w 
 	if err := checkKey(key); err != nil {
 		return object.Info{}, false, err
 	}
-	path := objectsPath(bucket, key)
-	var hdr map[string]string
+	rq := &call{method: http.MethodGet, path: objectsPath(bucket, key)}
 	if etag != "" {
-		hdr = map[string]string{"If-None-Match": `"` + etag + `"`}
+		rq.hdr = map[string]string{"If-None-Match": `"` + etag + `"`}
 	}
-	for attempt := 0; ; attempt++ {
-		info, notModified, err = c.getObjectOnce(ctx, path, hdr, w)
-		if err == nil {
-			return info, notModified, nil
+	rq.sink = func(resp *http.Response) (bool, error) {
+		info = infoFromHeaders(resp)
+		if notModified = resp.StatusCode == http.StatusNotModified; notModified {
+			return false, nil
 		}
-		// Partial-body failures and application errors do not retry; the
-		// wrapper marks failures that happened before any body byte
-		// reached w, where a re-issue is safe.
-		var rge *retryableGetError
-		if !errors.As(err, &rge) || attempt >= c.opts.MaxRetries {
-			return info, false, unwrapRetryableGet(err)
+		n, err := io.Copy(w, resp.Body)
+		if err != nil {
+			// Re-issuing is safe only while no body byte has reached w.
+			return n == 0, fmt.Errorf("server: object body after %d bytes: %w", n, err)
 		}
-		select {
-		case <-ctx.Done():
-			return info, false, ctx.Err()
-		case <-time.After(c.backoff(attempt, 0)):
+		if resp.ContentLength >= 0 && n != resp.ContentLength {
+			return false, fmt.Errorf("server: object body truncated: %d of %d bytes", n, resp.ContentLength)
 		}
+		info.Size = n
+		return false, nil
 	}
-}
-
-// retryableGetError marks a GET failure that occurred before any body
-// byte reached the caller's writer, so re-issuing the request is safe.
-type retryableGetError struct{ err error }
-
-func (e *retryableGetError) Error() string { return e.err.Error() }
-func (e *retryableGetError) Unwrap() error { return e.err }
-
-func unwrapRetryableGet(err error) error {
-	var rge *retryableGetError
-	if errors.As(err, &rge) {
-		return rge.err
-	}
-	return err
-}
-
-func (c *Client) getObjectOnce(ctx context.Context, path string, hdr map[string]string, w io.Writer) (object.Info, bool, error) {
-	var info object.Info
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
-	if err != nil {
-		return info, false, err
-	}
-	for k, v := range hdr {
-		req.Header.Set(k, v)
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		if ctx.Err() != nil {
-			return info, false, ctx.Err()
-		}
-		return info, false, &retryableGetError{err}
-	}
-	defer resp.Body.Close()
-	info = infoFromHeaders(resp)
-	if resp.StatusCode == http.StatusNotModified {
-		return info, true, nil
-	}
-	if resp.StatusCode >= 400 {
-		body, _ := io.ReadAll(resp.Body)
-		rerr := remoteError(resp.StatusCode, string(body))
-		if retryableStatus(resp.StatusCode) {
-			rerr = &retryableGetError{rerr}
-		}
-		return info, false, rerr
-	}
-	n, err := io.Copy(w, resp.Body)
-	if err != nil {
-		if n == 0 {
-			return info, false, &retryableGetError{err}
-		}
-		return info, false, fmt.Errorf("server: object body after %d bytes: %w", n, err)
-	}
-	if resp.ContentLength >= 0 && n != resp.ContentLength {
-		return info, false, fmt.Errorf("server: object body truncated: %d of %d bytes", n, resp.ContentLength)
-	}
-	info.Size = n
-	return info, false, nil
+	err = c.run(ctx, rq)
+	return info, notModified && err == nil, err
 }
 
 // infoFromHeaders reconstructs the Info fields the object endpoints
@@ -324,52 +218,12 @@ func (c *Client) StatObjectCtx(ctx context.Context, bucket, key string) (object.
 	if err := checkKey(key); err != nil {
 		return info, err
 	}
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		req, err := http.NewRequestWithContext(ctx, http.MethodHead, c.base+objectsPath(bucket, key), nil)
-		if err != nil {
-			return info, err
-		}
-		resp, err := c.hc.Do(req)
-		if err != nil {
-			if ctx.Err() != nil {
-				return info, ctx.Err()
-			}
-			lastErr = err
-		} else {
-			resp.Body.Close()
-			if resp.StatusCode < 400 {
-				info = infoFromHeaders(resp)
-				info.Bucket, info.Key = bucket, key
-				return info, nil
-			}
-			// HEAD bodies are empty by protocol; reconstitute from status
-			// alone (the sentinel taxonomy maps 404 unambiguously here).
-			lastErr = statError(resp.StatusCode, bucket, key)
-			if !retryableStatus(resp.StatusCode) {
-				return info, lastErr
-			}
-		}
-		if attempt >= c.opts.MaxRetries {
-			return info, lastErr
-		}
-		select {
-		case <-ctx.Done():
-			return info, ctx.Err()
-		case <-time.After(c.backoff(attempt, 0)):
-		}
-	}
-}
-
-// statError maps a body-less HEAD status onto the object sentinels.
-func statError(status int, bucket, key string) error {
-	switch status {
-	case http.StatusNotFound:
-		return fmt.Errorf("%w: %s/%s", object.ErrNoSuchObject, bucket, key)
-	case http.StatusGatewayTimeout:
-		return fmt.Errorf("%w (http 504)", context.DeadlineExceeded)
-	}
-	return fmt.Errorf("server: http %d", status)
+	err := c.run(ctx, &call{method: http.MethodHead, path: objectsPath(bucket, key), sink: func(resp *http.Response) (bool, error) {
+		info = infoFromHeaders(resp)
+		info.Bucket, info.Key = bucket, key
+		return false, nil
+	}})
+	return info, err
 }
 
 // RemoveObject deletes an object.
@@ -410,14 +264,8 @@ func (c *Client) ListObjectsCtx(ctx context.Context, bucket, prefix, after strin
 	if enc := q.Encode(); enc != "" {
 		path += "?" + enc
 	}
-	out, err := c.doCtx(ctx, http.MethodGet, path, nil)
-	if err != nil {
-		return page, err
-	}
-	if err := json.Unmarshal(out, &page); err != nil {
-		return page, fmt.Errorf("server: decode list: %w", err)
-	}
-	return page, nil
+	err := c.callJSON(ctx, http.MethodGet, path, nil, nil, &page, "list")
+	return page, err
 }
 
 // CreateUpload starts a multipart upload of bucket/key and returns its id.
@@ -430,15 +278,9 @@ func (c *Client) CreateUploadCtx(ctx context.Context, bucket, key string, meta m
 	if err := checkKey(key); err != nil {
 		return "", err
 	}
-	out, err := c.doCtxHdr(ctx, http.MethodPost, objectsPath(bucket, key)+"?uploads", nil, userMetaHeaders(meta))
-	if err != nil {
-		return "", err
-	}
 	var resp map[string]string
-	if err := json.Unmarshal(out, &resp); err != nil {
-		return "", fmt.Errorf("server: decode upload id: %w", err)
-	}
-	return resp["upload_id"], nil
+	err := c.callJSON(ctx, http.MethodPost, objectsPath(bucket, key)+"?uploads", nil, userMetaHeaders(meta), &resp, "upload id")
+	return resp["upload_id"], err
 }
 
 // UploadPart streams one part (1-based part numbers) under the same
@@ -471,14 +313,8 @@ func (c *Client) CompleteUploadCtx(ctx context.Context, bucket, key, uploadID st
 	if err := checkKey(key); err != nil {
 		return info, err
 	}
-	out, err := c.doCtx(ctx, http.MethodPost, objectsPath(bucket, key)+"?uploadId="+url.QueryEscape(uploadID), nil)
-	if err != nil {
-		return info, err
-	}
-	if err := json.Unmarshal(out, &info); err != nil {
-		return info, fmt.Errorf("server: decode complete response: %w", err)
-	}
-	return info, nil
+	err := c.callJSON(ctx, http.MethodPost, objectsPath(bucket, key)+"?uploadId="+url.QueryEscape(uploadID), nil, nil, &info, "complete response")
+	return info, err
 }
 
 // AbortUpload discards a multipart upload and frees its parts.

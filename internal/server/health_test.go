@@ -143,7 +143,7 @@ func TestHealthAndSparesHTTP(t *testing.T) {
 
 // TestTransientMapsTo503: a transient device error surfacing through the
 // engine answers 503 with a Retry-After header, and the client
-// reconstitutes ErrTransient from the body.
+// reconstitutes ErrTransient from the X-Oiraid-Err code.
 func TestTransientMapsTo503(t *testing.T) {
 	rec := httptest.NewRecorder()
 	new(Server).fail(rec, fmt.Errorf("wrapped: %w", store.ErrTransient))
@@ -153,8 +153,8 @@ func TestTransientMapsTo503(t *testing.T) {
 	if rec.Header().Get("Retry-After") == "" {
 		t.Fatal("503 without Retry-After")
 	}
-	err := remoteError(rec.Code, rec.Body.String())
-	if !store.IsTransient(err) {
+	_, retryable, err := catalogue.Decode(rec.Result())
+	if !store.IsTransient(err) || !retryable {
 		t.Fatalf("client did not reconstitute ErrTransient: %v", err)
 	}
 }
@@ -166,8 +166,7 @@ func TestClientRetries503(t *testing.T) {
 	var hits atomic.Int64
 	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if hits.Add(1) <= 2 {
-			w.Header().Set("Retry-After", "1")
-			http.Error(w, store.ErrTransient.Error(), http.StatusServiceUnavailable)
+			new(Server).fail(w, store.ErrTransient)
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)
@@ -189,7 +188,7 @@ func TestClientRetries503(t *testing.T) {
 	hits.Store(0)
 	fatal := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		hits.Add(1)
-		http.Error(w, store.ErrTooManyFailures.Error(), http.StatusInternalServerError)
+		new(Server).fail(w, store.ErrTooManyFailures)
 	}))
 	defer fatal.Close()
 	c2 := NewClientWithOptions(fatal.URL, ClientOptions{MaxRetries: 3, BaseDelay: time.Millisecond})

@@ -9,19 +9,14 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
-	"fmt"
 	"io"
 	"net/http"
-	"strings"
 
 	"github.com/oiraid/oiraid/internal/cluster"
-	"github.com/oiraid/oiraid/internal/store"
 )
 
 func (s *Server) nodes(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(s.opts.Membership.NodeStatus())
+	writeJSON(w, s.opts.Membership.NodeStatus())
 }
 
 func (s *Server) migrations(w http.ResponseWriter, r *http.Request) {
@@ -29,8 +24,7 @@ func (s *Server) migrations(w http.ResponseWriter, r *http.Request) {
 	if migs == nil {
 		migs = []cluster.MigrationStatus{}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(migs)
+	writeJSON(w, migs)
 }
 
 // nodeSpec reads the node reference for a membership op: the ID from
@@ -53,91 +47,57 @@ func (s *Server) nodeSpec(r *http.Request) (cluster.NodeSpec, error) {
 	return spec, nil
 }
 
-// failMembership maps membership errors: a bad or duplicate node spec
-// is the caller's fault (400/409), everything else goes through the
-// standard taxonomy.
-func (s *Server) failMembership(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, store.ErrStaleEpoch):
-		// This coordinator was deposed mid-operation; the successor
-		// resumes the parked migration. The client must re-target.
-		http.Error(w, err.Error(), http.StatusConflict)
-	case strings.Contains(err.Error(), "already a member"),
-		strings.Contains(err.Error(), "unknown node"),
-		strings.Contains(err.Error(), "last node"),
-		strings.Contains(err.Error(), "needs an id"):
-		http.Error(w, err.Error(), http.StatusBadRequest)
-	default:
-		s.fail(w, err)
-	}
-}
-
 func (s *Server) nodeAdd(w http.ResponseWriter, r *http.Request) {
 	spec, err := s.nodeSpec(r)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		catalogue.Encode(cluster.ErrBadMember).Write(w, err)
 		return
 	}
 	rep, err := s.opts.Membership.AddNode(spec)
 	if err != nil {
-		s.failMembership(w, err)
+		s.fail(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(rep)
+	writeJSON(w, rep)
 }
 
 func (s *Server) nodeDrain(w http.ResponseWriter, r *http.Request) {
 	rep, err := s.opts.Membership.DrainNode(r.PathValue("id"))
 	if err != nil {
-		s.failMembership(w, err)
+		s.fail(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(rep)
+	writeJSON(w, rep)
 }
 
 func (s *Server) nodeRejoin(w http.ResponseWriter, r *http.Request) {
 	spec, err := s.nodeSpec(r)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		catalogue.Encode(cluster.ErrBadMember).Write(w, err)
 		return
 	}
 	rep, err := s.opts.Membership.RejoinNode(spec)
 	if err != nil {
-		s.failMembership(w, err)
+		s.fail(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(rep)
+	writeJSON(w, rep)
 }
 
 // --- client side ---
 
 // NodesCtx lists the cluster's member nodes with state and placements.
 func (c *Client) NodesCtx(ctx context.Context) ([]cluster.NodeInfo, error) {
-	out, err := c.doCtx(ctx, http.MethodGet, "/v1/nodes", nil)
-	if err != nil {
-		return nil, err
-	}
 	var nodes []cluster.NodeInfo
-	if err := json.Unmarshal(out, &nodes); err != nil {
-		return nil, fmt.Errorf("server: decode nodes: %w", err)
-	}
-	return nodes, nil
+	err := c.callJSON(ctx, http.MethodGet, "/v1/nodes", nil, nil, &nodes, "nodes")
+	return nodes, err
 }
 
 // MigrationsCtx lists in-flight strip migrations.
 func (c *Client) MigrationsCtx(ctx context.Context) ([]cluster.MigrationStatus, error) {
-	out, err := c.doCtx(ctx, http.MethodGet, "/v1/migrations", nil)
-	if err != nil {
-		return nil, err
-	}
 	var migs []cluster.MigrationStatus
-	if err := json.Unmarshal(out, &migs); err != nil {
-		return nil, fmt.Errorf("server: decode migrations: %w", err)
-	}
-	return migs, nil
+	err := c.callJSON(ctx, http.MethodGet, "/v1/migrations", nil, nil, &migs, "migrations")
+	return migs, err
 }
 
 func (c *Client) nodeOp(ctx context.Context, op, id, url string) (cluster.MoveReport, error) {
@@ -145,15 +105,9 @@ func (c *Client) nodeOp(ctx context.Context, op, id, url string) (cluster.MoveRe
 	if url != "" {
 		body, _ = json.Marshal(map[string]string{"url": url})
 	}
-	out, err := c.doCtx(ctx, http.MethodPost, "/v1/nodes/"+id+"/"+op, body)
-	if err != nil {
-		return cluster.MoveReport{}, err
-	}
 	var rep cluster.MoveReport
-	if err := json.Unmarshal(out, &rep); err != nil {
-		return cluster.MoveReport{}, fmt.Errorf("server: decode %s report: %w", op, err)
-	}
-	return rep, nil
+	err := c.callJSON(ctx, http.MethodPost, "/v1/nodes/"+id+"/"+op, body, nil, &rep, op+" report")
+	return rep, err
 }
 
 // NodeAddCtx joins a new node and rebalances onto it.

@@ -208,6 +208,20 @@ func TestObjectLifecycleHTTP(t *testing.T) {
 	if _, err := c.StatObject("photos", "big/blob.bin"); !errors.Is(err, object.ErrNoSuchObject) {
 		t.Fatalf("stat after delete: want ErrNoSuchObject, got %v", err)
 	}
+	// A missing key whose text spells another sentinel's message still
+	// comes back as ErrNoSuchObject: the client decodes the error code,
+	// never the body.
+	for _, k := range []string{store.ErrStripOutOfRange.Error(), store.ErrDiskFaulty.Error()} {
+		if _, err := c.GetObject("photos", k, io.Discard); !errors.Is(err, object.ErrNoSuchObject) || errors.Is(err, store.ErrStripOutOfRange) || errors.Is(err, store.ErrDiskFaulty) {
+			t.Fatalf("GET missing %q: want ErrNoSuchObject alone, got %v", k, err)
+		}
+		if err := c.RemoveObject("photos", k); !errors.Is(err, object.ErrNoSuchObject) || errors.Is(err, store.ErrStripOutOfRange) || errors.Is(err, store.ErrDiskFaulty) {
+			t.Fatalf("DELETE missing %q: want ErrNoSuchObject alone, got %v", k, err)
+		}
+		if _, err := c.StatObject("photos", k); !errors.Is(err, object.ErrNoSuchObject) {
+			t.Fatalf("HEAD missing %q: want ErrNoSuchObject, got %v", k, err)
+		}
+	}
 	if err := c.RemoveBucket("photos"); err != nil {
 		t.Fatal(err)
 	}

@@ -18,12 +18,13 @@
 // With an object store configured (Options.Objects) the bucket/object
 // plane is served too — see registerObjectRoutes in object.go.
 //
-// Sentinel errors from internal/store map onto HTTP statuses, so remote
-// callers can branch the same way local ones do with errors.Is. Transient
-// conditions answer 503 with a Retry-After header; requests shed by
-// admission control answer 429 with Retry-After; an expired op deadline
-// answers 504. The bundled client retries 429/503/504 (and transport
-// errors) with exponential backoff.
+// Sentinel errors cross the wire through one table (catalogue): each
+// answers its row's status plus an X-Oiraid-Err code the bundled client
+// decodes back into the sentinel, so remote callers branch with errors.Is
+// the same way local ones do. Transient conditions answer 503 with a
+// Retry-After header; requests shed by admission control answer 429 with
+// Retry-After; an expired op deadline answers 504. The client retries the
+// rows marked retryable (and transport errors) through internal/retry.
 package server
 
 import (
@@ -41,6 +42,7 @@ import (
 	"github.com/oiraid/oiraid/internal/cluster"
 	"github.com/oiraid/oiraid/internal/engine"
 	"github.com/oiraid/oiraid/internal/object"
+	"github.com/oiraid/oiraid/internal/retry"
 	"github.com/oiraid/oiraid/internal/store"
 )
 
@@ -97,9 +99,9 @@ func New(eng *engine.Engine, opts Options) *Server {
 	s := &Server{eng: eng, opts: opts, mux: http.NewServeMux()}
 	s.mux.HandleFunc("PUT /v1/strips/{addr}", s.putStrip)
 	s.mux.HandleFunc("GET /v1/strips/{addr}", s.getStrip)
-	s.mux.HandleFunc("POST /v1/disks/{id}/fail", s.failDisk)
-	s.mux.HandleFunc("POST /v1/disks/{id}/quarantine", s.quarantineDisk)
-	s.mux.HandleFunc("POST /v1/disks/{id}/release", s.releaseDisk)
+	s.mux.HandleFunc("POST /v1/disks/{id}/fail", s.diskOp(eng.FailDisk))
+	s.mux.HandleFunc("POST /v1/disks/{id}/quarantine", s.diskOp(eng.QuarantineDisk))
+	s.mux.HandleFunc("POST /v1/disks/{id}/release", s.diskOp(eng.ReleaseDisk))
 	s.mux.HandleFunc("POST /v1/rebuild", s.rebuild)
 	s.mux.HandleFunc("POST /v1/scrub", s.scrub)
 	s.mux.HandleFunc("POST /v1/fsck", s.fsck)
@@ -177,61 +179,75 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// httpStatus maps the store/engine sentinel taxonomy onto HTTP statuses.
-func httpStatus(err error) int {
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout
-	case errors.Is(err, store.ErrOverloaded):
-		return http.StatusTooManyRequests
-	case errors.Is(err, context.Canceled):
-		// The caller went away mid-op; nothing was torn, a retry is safe.
-		return http.StatusServiceUnavailable
-	case errors.Is(err, store.ErrStripOutOfRange), errors.Is(err, store.ErrNoSuchDisk),
-		errors.Is(err, object.ErrNoSuchBucket), errors.Is(err, object.ErrNoSuchObject),
-		errors.Is(err, object.ErrNoSuchUpload):
-		return http.StatusNotFound
-	case errors.Is(err, store.ErrShortBuffer), errors.Is(err, store.ErrNegativeOffset),
-		errors.Is(err, store.ErrBadGeometry), errors.Is(err, object.ErrBadName),
-		errors.Is(err, object.ErrBadUpload):
-		return http.StatusBadRequest
-	case errors.Is(err, store.ErrNotFailed), errors.Is(err, store.ErrNoReplacement),
-		errors.Is(err, engine.ErrRebuildRunning), errors.Is(err, object.ErrBucketExists),
-		errors.Is(err, object.ErrBucketNotEmpty):
-		return http.StatusConflict
-	case errors.Is(err, object.ErrNoSpace):
-		return http.StatusInsufficientStorage
-	case errors.Is(err, store.ErrStripUnavailable):
-		// Checked before ErrTooManyFailures, which it wraps: the strip is
-		// undecodable under the current failure pattern — gone until a
-		// heal restores disks, not worth retrying against this epoch.
-		return http.StatusGone
-	case errors.Is(err, store.ErrReadOnly):
-		// The array is fenced (read-only or partial-read mode); a retry
-		// succeeds once the mode promotes, so 503 + Retry-After. fail()
-		// adds X-Oiraid-Mode so callers can tell the fence from a fault.
-		return http.StatusServiceUnavailable
-	case errors.Is(err, store.ErrTooManyFailures):
-		return http.StatusInternalServerError // data loss: nothing a retry can do
-	case errors.Is(err, store.ErrDiskFaulty), errors.Is(err, engine.ErrClosed),
-		store.IsTransient(err), errors.Is(err, store.ErrPermanent):
-		// Permanent device errors are still 503: the self-healing loop is
-		// evicting the disk, and the op will succeed once it has.
-		return http.StatusServiceUnavailable
-	default:
-		return http.StatusInternalServerError
-	}
+// catalogue is the coordinator API's error table (see retry.Catalogue):
+// fail encodes every error through it and Client decodes the X-Oiraid-Err
+// code back into the same sentinel, so remote callers branch with
+// errors.Is exactly as local ones do. A sentinel that wraps another
+// precedes it; an error no row matches answers a bare 500.
+var catalogue = retry.Catalogue{
+	{Err: context.DeadlineExceeded, Code: "deadline", Status: http.StatusGatewayTimeout, Retryable: true},
+	{Err: store.ErrOverloaded, Code: "overloaded", Status: http.StatusTooManyRequests, Retryable: true},
+	// The caller went away mid-op; nothing was torn, a retry is safe.
+	{Err: context.Canceled, Code: "canceled", Status: http.StatusServiceUnavailable, Retryable: true},
+	// This coordinator was deposed mid-operation; the successor resumes
+	// what it parked. The client must re-target, not retry.
+	{Err: store.ErrStaleEpoch, Code: "stale-epoch", Status: http.StatusConflict},
+	{Err: cluster.ErrBadMember, Code: "bad-member", Status: http.StatusBadRequest},
+
+	{Err: store.ErrStripOutOfRange, Code: "out-of-range", Status: http.StatusNotFound},
+	{Err: store.ErrNoSuchDisk, Code: "no-such-disk", Status: http.StatusNotFound},
+	{Err: object.ErrNoSuchBucket, Code: "no-such-bucket", Status: http.StatusNotFound},
+	{Err: object.ErrNoSuchObject, Code: "no-such-object", Status: http.StatusNotFound},
+	{Err: object.ErrNoSuchUpload, Code: "no-such-upload", Status: http.StatusNotFound},
+
+	{Err: store.ErrShortBuffer, Code: "short-buffer", Status: http.StatusBadRequest},
+	{Err: store.ErrNegativeOffset, Code: "negative-offset", Status: http.StatusBadRequest},
+	{Err: store.ErrBadGeometry, Code: "bad-geometry", Status: http.StatusBadRequest},
+	{Err: object.ErrBadName, Code: "bad-name", Status: http.StatusBadRequest},
+	{Err: object.ErrBadUpload, Code: "bad-upload", Status: http.StatusBadRequest},
+
+	{Err: store.ErrNotFailed, Code: "not-failed", Status: http.StatusConflict},
+	{Err: store.ErrNoReplacement, Code: "no-replacement", Status: http.StatusConflict},
+	{Err: engine.ErrRebuildRunning, Code: "rebuild-running", Status: http.StatusConflict},
+	{Err: object.ErrBucketExists, Code: "bucket-exists", Status: http.StatusConflict},
+	{Err: object.ErrBucketNotEmpty, Code: "bucket-not-empty", Status: http.StatusConflict},
+
+	{Err: object.ErrNoSpace, Code: "no-space", Status: http.StatusInsufficientStorage},
+	// Before ErrTooManyFailures, which it wraps: the strip is undecodable
+	// under the current failure pattern — gone until a heal restores
+	// disks, not worth retrying against this epoch.
+	{Err: store.ErrStripUnavailable, Code: "strip-unavailable", Status: http.StatusGone},
+	// The array is fenced (read-only or partial-read mode); a retry
+	// succeeds once the mode promotes. fail adds X-Oiraid-Mode so callers
+	// can tell the fence from a fault.
+	{Err: store.ErrReadOnly, Code: "read-only", Status: http.StatusServiceUnavailable, Retryable: true},
+	// Data loss: nothing a retry can do.
+	{Err: store.ErrTooManyFailures, Code: "too-many-failures", Status: http.StatusInternalServerError},
+	{Err: object.ErrCorruptObject, Code: "corrupt-object", Status: http.StatusInternalServerError},
+	{Err: object.ErrMetaCorrupt, Code: "corrupt-meta", Status: http.StatusInternalServerError},
+
+	{Err: store.ErrDiskFaulty, Code: "disk-faulty", Status: http.StatusServiceUnavailable, Retryable: true},
+	{Err: engine.ErrClosed, Code: "closed", Status: http.StatusServiceUnavailable, Retryable: true},
+	// Both wrap ErrTransient and so precede it.
+	{Err: store.ErrUnreachable, Code: "unreachable", Status: http.StatusServiceUnavailable, Retryable: true},
+	{Err: store.ErrIntentConflict, Code: "intent-conflict", Status: http.StatusServiceUnavailable, Retryable: true},
+	{Err: store.ErrTransient, Code: "transient", Status: http.StatusServiceUnavailable, Retryable: true},
+	// Permanent device errors are still retryable here: the self-healing
+	// loop is evicting the disk, and the op will succeed once it has.
+	{Err: store.ErrPermanent, Code: "permanent", Status: http.StatusServiceUnavailable, Retryable: true},
 }
 
+// fail answers err as its catalogue row prescribes, plus the serving mode
+// on a fenced write and Retry-After on the back-off statuses.
 func (s *Server) fail(w http.ResponseWriter, err error) {
-	status := httpStatus(err)
+	row := catalogue.Encode(err)
 	if errors.Is(err, store.ErrReadOnly) {
 		w.Header().Set("X-Oiraid-Mode", s.eng.Mode().String())
 	}
-	if status == http.StatusServiceUnavailable || status == http.StatusTooManyRequests {
+	if row.Status == http.StatusServiceUnavailable || row.Status == http.StatusTooManyRequests {
 		w.Header().Set("Retry-After", "1")
 	}
-	http.Error(w, err.Error(), status)
+	row.Write(w, err)
 }
 
 // opCtx derives the context strip operations run under: the request
@@ -289,51 +305,22 @@ func (s *Server) getStrip(w http.ResponseWriter, r *http.Request) {
 	w.Write(p)
 }
 
-func (s *Server) failDisk(w http.ResponseWriter, r *http.Request) {
-	id, err := strconv.Atoi(r.PathValue("id"))
-	if err != nil {
-		s.fail(w, fmt.Errorf("%w: bad disk id %q", store.ErrNoSuchDisk, r.PathValue("id")))
-		return
+// diskOp serves a POST /v1/disks/{id}/... verb: parse the id, run op,
+// answer 204.
+func (s *Server) diskOp(op func(id int) error) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		id, err := strconv.Atoi(r.PathValue("id"))
+		if err != nil {
+			err = fmt.Errorf("%w: bad disk id %q", store.ErrNoSuchDisk, r.PathValue("id"))
+		} else {
+			err = op(id)
+		}
+		if err != nil {
+			s.fail(w, err)
+			return
+		}
+		w.WriteHeader(http.StatusNoContent)
 	}
-	if err := s.eng.FailDisk(id); err != nil {
-		s.fail(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-func (s *Server) diskID(r *http.Request) (int, error) {
-	id, err := strconv.Atoi(r.PathValue("id"))
-	if err != nil {
-		return 0, fmt.Errorf("%w: bad disk id %q", store.ErrNoSuchDisk, r.PathValue("id"))
-	}
-	return id, nil
-}
-
-func (s *Server) quarantineDisk(w http.ResponseWriter, r *http.Request) {
-	id, err := s.diskID(r)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	if err := s.eng.QuarantineDisk(id); err != nil {
-		s.fail(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-func (s *Server) releaseDisk(w http.ResponseWriter, r *http.Request) {
-	id, err := s.diskID(r)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	if err := s.eng.ReleaseDisk(id); err != nil {
-		s.fail(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
 }
 
 func (s *Server) rebuild(w http.ResponseWriter, r *http.Request) {
@@ -358,8 +345,7 @@ func (s *Server) scrub(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]int{"bad_stripes": bad})
+	writeJSON(w, map[string]int{"bad_stripes": bad})
 }
 
 func (s *Server) fsck(w http.ResponseWriter, r *http.Request) {
@@ -369,13 +355,11 @@ func (s *Server) fsck(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(rep)
+	writeJSON(w, rep)
 }
 
 func (s *Server) qosGet(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(s.eng.QoS())
+	writeJSON(w, s.eng.QoS())
 }
 
 func (s *Server) qosSet(w http.ResponseWriter, r *http.Request) {
@@ -389,8 +373,7 @@ func (s *Server) qosSet(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(st)
+	writeJSON(w, st)
 }
 
 func (s *Server) addSpares(w http.ResponseWriter, r *http.Request) {
@@ -404,18 +387,15 @@ func (s *Server) addSpares(w http.ResponseWriter, r *http.Request) {
 		count = n
 	}
 	s.eng.AddSpares(count)
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]int{"spares": s.eng.SpareCount()})
+	writeJSON(w, map[string]int{"spares": s.eng.SpareCount()})
 }
 
 func (s *Server) health(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(s.eng.Health())
+	writeJSON(w, s.eng.Health())
 }
 
 func (s *Server) status(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(s.eng.Status())
+	writeJSON(w, s.eng.Status())
 }
 
 func (s *Server) metrics(w http.ResponseWriter, r *http.Request) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -429,6 +430,33 @@ func TestClientCircuitBreaker(t *testing.T) {
 	if _, err := c.Status(); err != nil {
 		t.Fatalf("circuit should be closed: %v", err)
 	}
+
+	// The object call shapes ride the same breaker: a GET-to-writer, a
+	// HEAD and a streamed PUT each count toward their endpoint's circuit
+	// when they fail and are refused locally while it is open.
+	healthy.Store(0)
+	big := make([]byte, maxBufferedPut+1)
+	for name, call := range map[string]func() error{
+		"GetObject":  func() error { _, err := c.GetObject("b", "k", io.Discard); return err },
+		"StatObject": func() error { _, err := c.StatObject("b", "k"); return err },
+		"streamed PutObject": func() error {
+			_, err := c.PutObject("b", "k", bytes.NewReader(big), int64(len(big)), nil)
+			return err
+		},
+	} {
+		before := hits.Load()
+		for i := 0; i < 2; i++ {
+			if err := call(); err == nil || errors.Is(err, ErrCircuitOpen) {
+				t.Fatalf("%s call %d should fail against the server, got %v", name, i, err)
+			}
+		}
+		if err := call(); !errors.Is(err, ErrCircuitOpen) {
+			t.Fatalf("%s: want ErrCircuitOpen, got %v", name, err)
+		}
+		if got := hits.Load() - before; got != 2 {
+			t.Fatalf("%s: server saw %d calls, want 2", name, got)
+		}
+	}
 }
 
 // TestClientBreakerReopensOnFailedProbe: a failing half-open probe slams
@@ -473,38 +501,6 @@ func TestEndpointKey(t *testing.T) {
 	}
 }
 
-// TestClientBackoffFullJitter: delays are uniform in [0, BaseDelay·2ⁿ]
-// capped at MaxDelay, and Retry-After wins.
-func TestClientBackoffFullJitter(t *testing.T) {
-	c := NewClientWithOptions("http://127.0.0.1:1", ClientOptions{
-		BaseDelay: 10 * time.Millisecond,
-		MaxDelay:  80 * time.Millisecond,
-		Seed:      3,
-	})
-	distinct := map[time.Duration]bool{}
-	for i := 0; i < 64; i++ {
-		d := c.backoff(0, 0)
-		if d < 0 || d > 10*time.Millisecond {
-			t.Fatalf("backoff(0) = %v outside [0, 10ms]", d)
-		}
-		distinct[d] = true
-	}
-	if len(distinct) < 2 {
-		t.Fatal("backoff is not jittered")
-	}
-	for i := 0; i < 64; i++ {
-		if d := c.backoff(10, 0); d > 80*time.Millisecond {
-			t.Fatalf("backoff(10) = %v exceeds MaxDelay", d)
-		}
-	}
-	if d := c.backoff(0, 5*time.Second); d != 80*time.Millisecond {
-		t.Fatalf("Retry-After beyond cap = %v, want MaxDelay", d)
-	}
-	if d := c.backoff(0, 30*time.Millisecond); d != 30*time.Millisecond {
-		t.Fatalf("Retry-After = %v, want 30ms", d)
-	}
-}
-
 // TestClientMaxRetryTime: the total-retry budget stops a hopeless call
 // long before MaxRetries would.
 func TestClientMaxRetryTime(t *testing.T) {
@@ -532,5 +528,23 @@ func TestClientMaxRetryTime(t *testing.T) {
 	}
 	if got := hits.Load(); got >= 1000 {
 		t.Fatalf("budget did not bound attempts: %d", got)
+	}
+
+	// GET-to-writer and HEAD honour the same budget.
+	for name, call := range map[string]func() error{
+		"GetObject":  func() error { _, err := c.GetObject("b", "k", io.Discard); return err },
+		"StatObject": func() error { _, err := c.StatObject("b", "k"); return err },
+	} {
+		hits.Store(0)
+		start = time.Now()
+		if err := call(); err == nil {
+			t.Fatalf("%s: want surfaced server error", name)
+		}
+		if elapsed := time.Since(start); elapsed > 2*time.Second {
+			t.Fatalf("%s: retry budget not honoured: ran %v", name, elapsed)
+		}
+		if got := hits.Load(); got < 2 || got >= 1000 {
+			t.Fatalf("%s: %d attempts, want a few retries bounded by the budget", name, got)
+		}
 	}
 }

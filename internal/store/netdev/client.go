@@ -4,15 +4,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"github.com/oiraid/oiraid/internal/retry"
 	"github.com/oiraid/oiraid/internal/store"
 )
 
@@ -94,9 +95,9 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// NodeClient is the coordinator's handle on one storage node: it owns
-// the retry/backoff/breaker machinery every NetDevice and NetBlob on
-// that node shares, plus the node's reachability state machine:
+// NodeClient is the coordinator's handle on one storage node: every
+// NetDevice and NetBlob on that node shares its retry policy and breaker
+// (internal/retry), plus the node's reachability state machine:
 //
 //	reachable --attempts exhausted--> down --grace elapses--> lost
 //	     ^---------probe succeeds--------'        (terminal)
@@ -112,11 +113,11 @@ type NodeClient struct {
 	hc   *http.Client
 	opts Options
 
+	pol     retry.Policy
+	retry   *retry.Retrier
+	breaker *retry.Breaker
+
 	mu        sync.Mutex
-	rng       *rand.Rand
-	consec    int       // consecutive attempt failures (breaker input)
-	openUntil time.Time // breaker: fail fast until; zero = closed
-	halfOpen  bool      // one trial in flight after cooldown
 	down      bool
 	downSince time.Time
 	probing   bool
@@ -145,12 +146,14 @@ type NodeClient struct {
 // "http://127.0.0.1:7980").
 func NewNodeClient(base string, opts Options) *NodeClient {
 	opts = opts.withDefaults()
-	hc := &http.Client{Transport: opts.Transport}
+	r := retry.New(opts.Seed)
 	return &NodeClient{
 		base:      strings.TrimRight(base, "/"),
-		hc:        hc,
+		hc:        &http.Client{Transport: opts.Transport},
 		opts:      opts,
-		rng:       rand.New(rand.NewSource(opts.Seed)),
+		pol:       retry.Policy{Attempts: opts.MaxAttempts, BaseDelay: opts.BaseDelay, MaxDelay: opts.MaxDelay},
+		retry:     r,
+		breaker:   r.NewBreaker(opts.BreakerThreshold, opts.BreakerCooldown),
 		probeStop: make(chan struct{}),
 	}
 }
@@ -188,136 +191,107 @@ func (c *NodeClient) Close() error {
 	return nil
 }
 
-// attemptErr classifies one attempt's failure.
-type attemptErr struct {
-	err       error
-	retryable bool // wire-level: worth another attempt / counts toward breaker
+// call is one node request: what to send and how to read the answer.
+type call struct {
+	method string
+	url    string // absolute
+	body   []byte // nil: no body
+	ctype  string // Content-Type of body
+	crc    string // X-Oiraid-Crc of body ("" = none)
 }
 
-// remoteErr reconstitutes the store sentinel from a coded node response.
-// The second result reports whether the failure is wire-retryable.
-func remoteErr(status int, code, body string) (error, bool) {
-	msg := strings.TrimSpace(body)
-	switch code {
-	case codeOutOfRange:
-		return fmt.Errorf("%w: %s", store.ErrStripOutOfRange, msg), false
-	case codeShortBuffer:
-		return fmt.Errorf("%w: %s", store.ErrShortBuffer, msg), false
-	case codeBadGeometry:
-		return fmt.Errorf("%w: %s", store.ErrBadGeometry, msg), false
-	case codeNotFound:
-		return fmt.Errorf("%w: %s", ErrNodeNotFound, msg), false
-	case codeClosed:
-		// The node-side device is closed (node shutting down): transient
-		// from the coordinator's perspective — a restart reopens it.
-		return fmt.Errorf("%w: %s", store.ErrTransient, msg), true
-	case codeBadFrame:
-		// The frame was damaged in flight; re-send.
-		return fmt.Errorf("%w: %s", ErrBadFrame, msg), true
-	case codePermanent:
-		// The node's local media is dying. This must NOT look like a
-		// network fault: it propagates as a permanent device error so
-		// the monitor evicts exactly that disk.
-		return fmt.Errorf("%w: %s", store.ErrPermanent, msg), false
-	case codeTransient:
-		return fmt.Errorf("%w: %s", store.ErrTransient, msg), true
-	case codeStaleEpoch:
-		// The node has promised a newer coordinator epoch: this client
-		// has been deposed. Never retried — fencing is final.
-		return fmt.Errorf("%w: %s", store.ErrStaleEpoch, msg), false
-	case codeStaleGen:
-		// Same verdict at blob granularity: a newer coordinator has
-		// already truncated this metadata blob into a new stream.
-		return fmt.Errorf("%w: %s", ErrStaleGen, msg), false
-	default:
-		if status >= 500 {
-			return fmt.Errorf("%w: node status %d: %s", store.ErrTransient, status, msg), true
-		}
-		return fmt.Errorf("netdev: node status %d: %s", status, msg), false
+// decoder reads a 2xx response to its end (an unread remainder costs the
+// connection its reuse). Any error it returns means the bytes were torn
+// or corrupted in flight, and the attempt is retried as a wire fault. It
+// travels beside the call, not inside it, so that the closures the hot
+// strip path passes stay on the stack.
+type decoder func(*http.Response) error
+
+// discard is the decoder of calls that expect no payload. A declared-empty
+// body (every 204) has nothing to consume.
+func discard(resp *http.Response) error {
+	if resp.ContentLength != 0 {
+		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
 	}
+	return nil
 }
 
-// do runs op with retries, backoff, and the breaker. op performs one
-// HTTP attempt under ctx and returns nil, a terminal error (wrapped in
-// attemptErr with retryable=false), or a retryable one.
-func (c *NodeClient) do(op func(ctx context.Context) *attemptErr) error {
+// roundTrip performs one attempt of rq under the per-attempt deadline and
+// classifies the outcome for the retry loop: a transport failure or a
+// damaged response is a retryable wire fault, an error response is
+// whatever the catalogue says its code is. A nil decode means discard.
+func (c *NodeClient) roundTrip(ctx context.Context, rq *call, decode decoder) (retryAfter time.Duration, retryable bool, err error) {
+	ctx, cancel := context.WithTimeout(ctx, c.opts.Timeout)
+	defer cancel()
+	var body io.Reader
+	if rq.body != nil {
+		body = bytes.NewReader(rq.body)
+	}
+	req, err := http.NewRequestWithContext(ctx, rq.method, rq.url, body)
+	if err != nil {
+		return 0, false, err
+	}
+	if rq.body != nil {
+		req.Header.Set("Content-Type", rq.ctype)
+	}
+	if rq.crc != "" {
+		req.Header.Set(crcHeader, rq.crc)
+	}
+	resp, err := c.hc.Do(req)
+	if err != nil {
+		return 0, true, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode >= 300 {
+		return Catalogue.Decode(resp)
+	}
+	if decode == nil {
+		decode = discard
+	}
+	if err := decode(resp); err != nil {
+		return 0, true, err
+	}
+	return 0, false, nil
+}
+
+// do runs rq through the shared retry loop and breaker, then folds the
+// outcome into the reachability state: an answer from the node — even a
+// rejection — proves the wire fine and passes through unchanged (a
+// permanent media error, a fenced write, a caller bug); a wire fault that
+// outlived the policy, or a breaker refusal, means the node is down.
+func (c *NodeClient) do(rq call, decode decoder) error {
 	if c.closed.Load() {
 		return store.ErrClosed
 	}
 	if c.lost.Load() {
 		return ErrNodeLost
 	}
-	var last error
-	for attempt := 0; attempt < c.opts.MaxAttempts; attempt++ {
+	var wireFault bool
+	attempts, err := c.retry.Do(context.Background(), c.pol, c.breaker, func(ctx context.Context) (retryAfter time.Duration, _ bool, err error) {
 		if c.closed.Load() {
-			return store.ErrClosed
+			return 0, false, store.ErrClosed
 		}
-		if !c.allow() {
-			// Breaker open: fail fast. The episode classification below
-			// still applies — the node is down, maybe lost.
-			c.stats.breakerFastFails.Add(1)
-			last = fmt.Errorf("netdev: circuit open for %s", c.base)
-			break
-		}
-		if attempt > 0 {
-			c.stats.retries.Add(1)
-			time.Sleep(c.backoff(attempt))
-		}
-		c.stats.attempts.Add(1)
-		ctx, cancel := context.WithTimeout(context.Background(), c.opts.Timeout)
-		aerr := op(ctx)
-		cancel()
-		if aerr == nil {
-			c.recordSuccess()
-			return nil
-		}
-		if !aerr.retryable {
-			// The node answered and rejected the operation: the wire is
-			// fine. A permanent media error or a caller bug passes
-			// through unchanged.
-			c.recordSuccess()
-			return aerr.err
-		}
-		c.recordFailure()
-		last = aerr.err
+		retryAfter, wireFault, err = c.roundTrip(ctx, &rq, decode)
+		return retryAfter, wireFault, err
+	})
+	c.stats.attempts.Add(int64(attempts))
+	c.stats.retries.Add(int64(max(attempts-1, 0)))
+	switch {
+	case err != nil && c.closed.Load():
+		return store.ErrClosed
+	case errors.Is(err, retry.ErrCircuitOpen):
+		c.stats.breakerFastFails.Add(1)
+		return c.classifyDown(err)
+	case wireFault:
+		return c.classifyDown(err)
 	}
-	return c.classifyDown(last)
+	c.markUp()
+	return err
 }
 
-// allow asks the breaker whether an attempt may go out.
-func (c *NodeClient) allow() bool {
+// markUp ends a down episode: the node answered.
+func (c *NodeClient) markUp() {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.openUntil.IsZero() {
-		return true
-	}
-	if time.Now().Before(c.openUntil) {
-		return false
-	}
-	if c.halfOpen {
-		return false // one trial at a time
-	}
-	c.halfOpen = true
-	return true
-}
-
-func (c *NodeClient) backoff(retry int) time.Duration {
-	d := c.opts.BaseDelay << uint(retry-1)
-	if d > c.opts.MaxDelay || d <= 0 {
-		d = c.opts.MaxDelay
-	}
-	c.mu.Lock()
-	j := time.Duration(c.rng.Int63n(int64(d) + 1))
-	c.mu.Unlock()
-	return j
-}
-
-// recordSuccess closes the breaker and ends a down episode.
-func (c *NodeClient) recordSuccess() {
-	c.mu.Lock()
-	c.consec = 0
-	c.openUntil = time.Time{}
-	c.halfOpen = false
 	wasDown := c.down
 	c.down = false
 	c.mu.Unlock()
@@ -325,17 +299,6 @@ func (c *NodeClient) recordSuccess() {
 		c.stats.ups.Add(1)
 		c.fire(c.opts.OnUp)
 	}
-}
-
-// recordFailure counts one wire-level failure toward the breaker.
-func (c *NodeClient) recordFailure() {
-	c.mu.Lock()
-	c.consec++
-	if c.consec >= c.opts.BreakerThreshold {
-		c.openUntil = time.Now().Add(c.opts.BreakerCooldown)
-		c.halfOpen = false
-	}
-	c.mu.Unlock()
 }
 
 // classifyDown ends a failed operation: the node is (still) down. The
@@ -383,12 +346,11 @@ func (c *NodeClient) fire(fn func()) {
 	}()
 }
 
-// probeLoop pings the node while it is down. A successful ping ends the
-// episode (recordSuccess fires OnUp); a grace expiry declares the node
-// lost and stops probing — there is nothing left to recover to, the
-// disks are being rebuilt elsewhere. Each wait is jittered (see
-// probeDelay) so a fleet of clients watching the same node does not
-// probe in lockstep and stampede it the moment a partition heals.
+// probeLoop pings the node while it is down. A successful ping closes the
+// breaker and ends the episode (markUp fires OnUp); a grace expiry
+// declares the node lost and stops probing — there is nothing left to
+// recover to, the disks are being rebuilt elsewhere. Each wait is
+// jittered (see probeDelay).
 func (c *NodeClient) probeLoop() {
 	defer c.probeWg.Done()
 	timer := time.NewTimer(c.probeDelay())
@@ -418,7 +380,8 @@ func (c *NodeClient) probeLoop() {
 			return
 		}
 		if err := c.pingOnce(); err == nil {
-			c.recordSuccess()
+			c.breaker.Record(true)
+			c.markUp()
 			c.mu.Lock()
 			c.probing = false
 			c.mu.Unlock()
@@ -427,76 +390,57 @@ func (c *NodeClient) probeLoop() {
 	}
 }
 
-// probeDelay draws the next probe wait, uniform in [½, 1½)× the
-// configured interval. Deterministic per client via the seeded rng, but
-// de-correlated across clients (each gets its own seed offset), which is
-// what breaks the thundering herd on a node that just came back.
+// probeDelay draws the next probe wait, uniform in [½, 1½]× the
+// configured interval from the client's seeded jitter stream, so a fleet
+// of clients watching the same node does not stampede it the moment it
+// comes back.
 func (c *NodeClient) probeDelay() time.Duration {
-	base := c.opts.ProbeInterval
-	c.mu.Lock()
-	j := time.Duration(c.rng.Int63n(int64(base)))
-	c.mu.Unlock()
-	return base/2 + j
+	iv := c.opts.ProbeInterval
+	return iv/2 + c.retry.Backoff(retry.Policy{BaseDelay: iv, MaxDelay: iv}, 0, 0)
+}
+
+// ping builds the identity ping; the decoder stores the node's answer in
+// who.
+func (c *NodeClient) ping(who *string) (call, decoder) {
+	return call{method: http.MethodGet, url: c.base + "/node/v1/ping"}, func(resp *http.Response) error {
+		var body struct {
+			Node string `json:"node"`
+		}
+		err := decodeJSON(&body)(resp)
+		*who = body.Node
+		return err
+	}
+}
+
+// checkIdentity declares the node lost when it is not the one the
+// manifest expects at this address.
+func (c *NodeClient) checkIdentity(who string) error {
+	if c.opts.ExpectID != "" && who != c.opts.ExpectID {
+		c.markLost()
+		return fmt.Errorf("%w: want %q, got %q", ErrWrongNode, c.opts.ExpectID, who)
+	}
+	return nil
 }
 
 // pingOnce performs a single identity-checked ping without retry
 // machinery (the prober is its own retry loop).
 func (c *NodeClient) pingOnce() error {
-	ctx, cancel := context.WithTimeout(context.Background(), c.opts.Timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/node/v1/ping", nil)
-	if err != nil {
+	var who string
+	rq, decode := c.ping(&who)
+	if _, _, err := c.roundTrip(context.Background(), &rq, decode); err != nil {
 		return err
 	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer drain(resp)
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("netdev: ping status %d", resp.StatusCode)
-	}
-	var body struct {
-		Node string `json:"node"`
-	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&body); err != nil {
-		return err
-	}
-	if c.opts.ExpectID != "" && body.Node != c.opts.ExpectID {
-		c.markLost()
-		return fmt.Errorf("%w: want %q, got %q", ErrWrongNode, c.opts.ExpectID, body.Node)
-	}
-	return nil
+	return c.checkIdentity(who)
 }
 
 // Ping verifies the node answers (and, with ExpectID set, that it is
 // the right node), through the full retry/breaker machinery.
 func (c *NodeClient) Ping() error {
-	return c.do(func(ctx context.Context) *attemptErr {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/node/v1/ping", nil)
-		if err != nil {
-			return &attemptErr{err: err, retryable: false}
-		}
-		resp, err := c.hc.Do(req)
-		if err != nil {
-			return &attemptErr{err: err, retryable: true}
-		}
-		defer drain(resp)
-		if resp.StatusCode != http.StatusOK {
-			return c.responseErr(resp)
-		}
-		var body struct {
-			Node string `json:"node"`
-		}
-		if err := json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&body); err != nil {
-			return &attemptErr{err: err, retryable: true}
-		}
-		if c.opts.ExpectID != "" && body.Node != c.opts.ExpectID {
-			c.markLost()
-			return &attemptErr{err: fmt.Errorf("%w: want %q, got %q", ErrWrongNode, c.opts.ExpectID, body.Node)}
-		}
-		return nil
-	})
+	var who string
+	if err := c.do(c.ping(&who)); err != nil {
+		return err
+	}
+	return c.checkIdentity(who)
 }
 
 // Stat fetches the node's inventory.
@@ -506,76 +450,79 @@ func (c *NodeClient) Stat() (NodeStat, error) {
 	return st, err
 }
 
-// responseErr turns a non-2xx node response into a classified attempt
-// error.
-func (c *NodeClient) responseErr(resp *http.Response) *attemptErr {
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-	err, retryable := remoteErr(resp.StatusCode, resp.Header.Get(errHeader), string(body))
-	return &attemptErr{err: err, retryable: retryable}
+const octetStream = "application/octet-stream"
+
+// putBytes builds the PUT of a checksummed byte body (blob, metadata and
+// strip-range writes).
+func putBytes(url string, p []byte) call {
+	return call{method: http.MethodPut, url: url, body: p, ctype: octetStream, crc: blobCRC(p)}
+}
+
+// readBody reads a response body of at most max bytes and verifies it
+// against the node's X-Oiraid-Crc header when one is present.
+func readBody(resp *http.Response, max int) ([]byte, error) {
+	body, err := io.ReadAll(io.LimitReader(resp.Body, int64(max)+1))
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadFrame, err)
+	}
+	if want := resp.Header.Get(crcHeader); want != "" && want != blobCRC(body) {
+		return nil, fmt.Errorf("%w: body crc %s, header says %s", ErrBadFrame, blobCRC(body), want)
+	}
+	return body, nil
+}
+
+// decodeWritten returns a call decoder checking the node acknowledged
+// all want bytes of a write.
+func decodeWritten(want int) decoder {
+	return func(resp *http.Response) error {
+		var out struct {
+			Written int `json:"written"`
+		}
+		if err := decodeJSON(&out)(resp); err != nil {
+			return err
+		}
+		if out.Written != want {
+			return fmt.Errorf("netdev: short write %d of %d", out.Written, want)
+		}
+		return nil
+	}
+}
+
+// decodeJSON returns a call decoder filling v from a JSON response.
+func decodeJSON(v any) decoder {
+	return func(resp *http.Response) error {
+		body := io.LimitReader(resp.Body, 1<<20)
+		err := json.NewDecoder(body).Decode(v)
+		io.Copy(io.Discard, body)
+		return err
+	}
 }
 
 // getJSON GETs path and decodes the JSON response.
 func (c *NodeClient) getJSON(path string, v any) error {
-	return c.do(func(ctx context.Context) *attemptErr {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
-		if err != nil {
-			return &attemptErr{err: err}
-		}
-		resp, err := c.hc.Do(req)
-		if err != nil {
-			return &attemptErr{err: err, retryable: true}
-		}
-		defer drain(resp)
-		if resp.StatusCode != http.StatusOK {
-			return c.responseErr(resp)
-		}
-		if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(v); err != nil {
-			return &attemptErr{err: err, retryable: true}
-		}
-		return nil
-	})
+	return c.do(call{method: http.MethodGet, url: c.base + path}, decodeJSON(v))
 }
 
 // postJSON POSTs a JSON body to path; out, when non-nil, receives the
-// decoded response.
+// decoded response (a 204 leaves it untouched).
 func (c *NodeClient) postJSON(path string, in, out any) error {
-	var body []byte
+	rq := call{method: http.MethodPost, url: c.base + path, ctype: "application/json"}
 	if in != nil {
 		var err error
-		if body, err = json.Marshal(in); err != nil {
+		if rq.body, err = json.Marshal(in); err != nil {
 			return err
 		}
 	}
-	return c.do(func(ctx context.Context) *attemptErr {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(body))
-		if err != nil {
-			return &attemptErr{err: err}
-		}
-		if in != nil {
-			req.Header.Set("Content-Type", "application/json")
-		}
-		resp, err := c.hc.Do(req)
-		if err != nil {
-			return &attemptErr{err: err, retryable: true}
-		}
-		defer drain(resp)
-		if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNoContent {
-			return c.responseErr(resp)
-		}
-		if out != nil && resp.StatusCode == http.StatusOK {
-			if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(out); err != nil {
-				return &attemptErr{err: err, retryable: true}
+	var decode decoder
+	if out != nil {
+		decode = func(resp *http.Response) error {
+			if resp.StatusCode != http.StatusOK {
+				return discard(resp)
 			}
+			return decodeJSON(out)(resp)
 		}
-		return nil
-	})
-}
-
-// drain consumes and closes a response body so the connection can be
-// reused.
-func drain(resp *http.Response) {
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-	resp.Body.Close()
+	}
+	return c.do(rq, decode)
 }
 
 // ClientStats is a snapshot of the client's wire counters.

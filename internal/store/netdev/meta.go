@@ -2,7 +2,6 @@ package netdev
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -133,32 +132,18 @@ func (n *Node) fenceOK(w http.ResponseWriter, r *http.Request) bool {
 	}
 	epoch, err := strconv.ParseUint(s, 10, 64)
 	if err != nil {
-		fail(w, http.StatusBadRequest, codeBadGeometry, fmt.Errorf("netdev: bad epoch %q", s))
+		failAs(w, store.ErrBadGeometry, fmt.Errorf("netdev: bad epoch %q", s))
 		return false
 	}
 	n.metaMu.Lock()
 	err = n.checkEpoch(epoch)
 	n.metaMu.Unlock()
 	if err != nil {
-		failMeta(w, err)
+		fail(w, err)
 		return false
 	}
 	return true
 }
-
-// failMeta maps metadata-plane errors onto coded responses.
-func failMeta(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, store.ErrStaleEpoch):
-		fail(w, http.StatusConflict, codeStaleEpoch, err)
-	case errors.Is(err, errStaleGen):
-		fail(w, http.StatusConflict, codeStaleGen, err)
-	default:
-		failErr(w, err)
-	}
-}
-
-var errStaleGen = fmt.Errorf("netdev: stale metadata blob generation")
 
 func (n *Node) handleMetaState(w http.ResponseWriter, r *http.Request) {
 	n.metaMu.Lock()
@@ -190,7 +175,7 @@ type leaseReq struct {
 func (n *Node) handleMetaLease(w http.ResponseWriter, r *http.Request) {
 	var req leaseReq
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil {
-		fail(w, http.StatusBadRequest, codeBadGeometry, err)
+		failAs(w, store.ErrBadGeometry, err)
 		return
 	}
 	n.metaMu.Lock()
@@ -198,7 +183,7 @@ func (n *Node) handleMetaLease(w http.ResponseWriter, r *http.Request) {
 	if req.Renew {
 		// Renewal never moves the fence; it only proves the holder alive.
 		if req.Epoch != n.epoch || req.Holder != n.holder {
-			failMeta(w, fmt.Errorf("%w: renew epoch %d holder %q, node promised %d to %q",
+			fail(w, fmt.Errorf("%w: renew epoch %d holder %q, node promised %d to %q",
 				store.ErrStaleEpoch, req.Epoch, req.Holder, n.epoch, n.holder))
 			return
 		}
@@ -211,13 +196,13 @@ func (n *Node) handleMetaLease(w http.ResponseWriter, r *http.Request) {
 		n.epoch, n.holder = req.Epoch, req.Holder
 		n.renewSeq++
 		if err := n.saveMetaState(); err != nil {
-			failErr(w, err)
+			fail(w, err)
 			return
 		}
 	case req.Epoch == n.epoch && req.Holder == n.holder && n.holder != "":
 		// Idempotent re-acquire: the grant response was lost.
 	default:
-		failMeta(w, fmt.Errorf("%w: acquire epoch %d, node promised %d to %q",
+		fail(w, fmt.Errorf("%w: acquire epoch %d, node promised %d to %q",
 			store.ErrStaleEpoch, req.Epoch, n.epoch, n.holder))
 		return
 	}
@@ -233,7 +218,7 @@ func (n *Node) metaBlobForWrite(name string, epoch, gen uint64) (store.Blob, err
 	}
 	cur, known := n.metaGens[name]
 	if known && gen < cur {
-		return nil, fmt.Errorf("%w: blob %s gen %d, node at %d", errStaleGen, name, gen, cur)
+		return nil, fmt.Errorf("%w: blob %s gen %d, node at %d", ErrStaleGen, name, gen, cur)
 	}
 	b, ok := n.metaBlobs[name]
 	if !ok {
@@ -276,72 +261,48 @@ func (n *Node) handleMetaRead(w http.ResponseWriter, r *http.Request) {
 	gen := n.metaGens[name]
 	n.metaMu.Unlock()
 	if !ok {
-		fail(w, http.StatusNotFound, codeNotFound, fmt.Errorf("%w: meta blob %s", ErrNodeNotFound, name))
+		fail(w, fmt.Errorf("%w: meta blob %s", ErrNodeNotFound, name))
 		return
 	}
-	off, err := strconv.ParseInt(r.URL.Query().Get("off"), 10, 64)
-	if err != nil {
-		fail(w, http.StatusBadRequest, codeBadGeometry, err)
-		return
-	}
-	length, err := strconv.Atoi(r.URL.Query().Get("len"))
-	if err != nil || length < 0 || length > 64<<20 {
-		fail(w, http.StatusBadRequest, codeBadGeometry, fmt.Errorf("netdev: bad meta read length"))
-		return
-	}
-	buf := make([]byte, length)
-	nr, rerr := b.ReadAt(buf, off)
-	if rerr != nil && rerr != io.EOF {
-		failErr(w, rerr)
-		return
-	}
-	buf = buf[:nr]
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set(crcHeader, blobCRC(buf))
 	w.Header().Set(genHeader, strconv.FormatUint(gen, 10))
-	if rerr == io.EOF {
-		w.Header().Set(eofHeader, "1")
-	}
-	w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
-	w.Write(buf)
+	serveBlobRead(w, r, b, "meta")
 }
 
 func (n *Node) handleMetaWrite(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if !validName(name) {
-		fail(w, http.StatusBadRequest, codeBadGeometry, fmt.Errorf("netdev: bad meta blob name %q", name))
+		failAs(w, store.ErrBadGeometry, fmt.Errorf("netdev: bad meta blob name %q", name))
 		return
 	}
 	epoch, gen, err := metaWriteParams(r)
 	if err != nil {
-		fail(w, http.StatusBadRequest, codeBadGeometry, err)
+		failAs(w, store.ErrBadGeometry, err)
 		return
 	}
 	off, err := strconv.ParseInt(r.URL.Query().Get("off"), 10, 64)
 	if err != nil {
-		fail(w, http.StatusBadRequest, codeBadGeometry, err)
+		failAs(w, store.ErrBadGeometry, err)
 		return
 	}
 	body, err := io.ReadAll(io.LimitReader(r.Body, 64<<20+1))
 	if err != nil {
-		fail(w, http.StatusBadRequest, codeBadFrame, fmt.Errorf("%w: %v", ErrBadFrame, err))
+		fail(w, fmt.Errorf("%w: %v", ErrBadFrame, err))
 		return
 	}
 	if want := r.Header.Get(crcHeader); want != "" && want != blobCRC(body) {
-		fail(w, http.StatusBadRequest, codeBadFrame,
-			fmt.Errorf("%w: meta body crc %s, header says %s", ErrBadFrame, blobCRC(body), want))
+		fail(w, fmt.Errorf("%w: meta body crc %s, header says %s", ErrBadFrame, blobCRC(body), want))
 		return
 	}
 	n.metaMu.Lock()
 	defer n.metaMu.Unlock()
 	b, err := n.metaBlobForWrite(name, epoch, gen)
 	if err != nil {
-		failMeta(w, err)
+		fail(w, err)
 		return
 	}
 	nw, werr := b.WriteAt(body, off)
 	if werr != nil {
-		failErr(w, werr)
+		fail(w, werr)
 		return
 	}
 	writeJSON(w, map[string]int{"written": nw})
@@ -350,18 +311,18 @@ func (n *Node) handleMetaWrite(w http.ResponseWriter, r *http.Request) {
 func (n *Node) handleMetaSync(w http.ResponseWriter, r *http.Request) {
 	epoch, gen, err := metaWriteParams(r)
 	if err != nil {
-		fail(w, http.StatusBadRequest, codeBadGeometry, err)
+		failAs(w, store.ErrBadGeometry, err)
 		return
 	}
 	n.metaMu.Lock()
 	defer n.metaMu.Unlock()
 	b, err := n.metaBlobForWrite(r.PathValue("name"), epoch, gen)
 	if err != nil {
-		failMeta(w, err)
+		fail(w, err)
 		return
 	}
 	if err := b.Sync(); err != nil {
-		failErr(w, err)
+		fail(w, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -370,17 +331,17 @@ func (n *Node) handleMetaSync(w http.ResponseWriter, r *http.Request) {
 func (n *Node) handleMetaTruncate(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if !validName(name) {
-		fail(w, http.StatusBadRequest, codeBadGeometry, fmt.Errorf("netdev: bad meta blob name %q", name))
+		failAs(w, store.ErrBadGeometry, fmt.Errorf("netdev: bad meta blob name %q", name))
 		return
 	}
 	epoch, gen, err := metaWriteParams(r)
 	if err != nil {
-		fail(w, http.StatusBadRequest, codeBadGeometry, err)
+		failAs(w, store.ErrBadGeometry, err)
 		return
 	}
 	size, err := strconv.ParseInt(r.URL.Query().Get("size"), 10, 64)
 	if err != nil {
-		fail(w, http.StatusBadRequest, codeBadGeometry, err)
+		failAs(w, store.ErrBadGeometry, err)
 		return
 	}
 	n.metaMu.Lock()
@@ -390,15 +351,15 @@ func (n *Node) handleMetaTruncate(w http.ResponseWriter, r *http.Request) {
 	// Truncate below settles the requested size either way.
 	b, err := n.metaBlobForWrite(name, epoch, gen)
 	if err != nil {
-		failMeta(w, err)
+		fail(w, err)
 		return
 	}
 	if err := b.Truncate(size); err != nil {
-		failErr(w, err)
+		fail(w, err)
 		return
 	}
 	if err := b.Sync(); err != nil {
-		failErr(w, err)
+		fail(w, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)

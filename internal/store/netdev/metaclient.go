@@ -1,14 +1,11 @@
 package netdev
 
 import (
-	"bytes"
-	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"strconv"
+	"strings"
 	"sync/atomic"
 
 	"github.com/oiraid/oiraid/internal/store"
@@ -65,7 +62,7 @@ func (c *NodeClient) withFence(u string) string {
 		return u
 	}
 	sep := "?"
-	if bytes.ContainsRune([]byte(u), '?') {
+	if strings.Contains(u, "?") {
 		sep = "&"
 	}
 	return u + sep + q
@@ -103,35 +100,8 @@ func metaBlobURL(base, name, suffix string) string {
 // truncation that opened gen, and rejects the write entirely if it has
 // promised a newer epoch or seen a newer generation.
 func (c *NodeClient) MetaWriteAt(name string, p []byte, off int64, epoch, gen uint64) error {
-	crc := blobCRC(p)
 	q := fmt.Sprintf("?epoch=%d&gen=%d&off=%d", epoch, gen, off)
-	return c.do(func(ctx context.Context) *attemptErr {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPut, metaBlobURL(c.base, name, "")+q, bytes.NewReader(p))
-		if err != nil {
-			return &attemptErr{err: err}
-		}
-		req.Header.Set("Content-Type", "application/octet-stream")
-		req.Header.Set(crcHeader, crc)
-		req.ContentLength = int64(len(p))
-		resp, err := c.hc.Do(req)
-		if err != nil {
-			return &attemptErr{err: err, retryable: true}
-		}
-		defer drain(resp)
-		if resp.StatusCode != http.StatusOK {
-			return c.responseErr(resp)
-		}
-		var out struct {
-			Written int `json:"written"`
-		}
-		if err := json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&out); err != nil {
-			return &attemptErr{err: err, retryable: true}
-		}
-		if out.Written != len(p) {
-			return &attemptErr{err: fmt.Errorf("netdev: short meta write %d of %d", out.Written, len(p)), retryable: true}
-		}
-		return nil
-	})
+	return c.do(putBytes(metaBlobURL(c.base, name, "")+q, p), decodeWritten(len(p)))
 }
 
 // MetaSync fsyncs the node's metadata blob (same fencing as writes).
@@ -178,38 +148,19 @@ func (c *NodeClient) ReadMetaBlob(name string) ([]byte, uint64, error) {
 }
 
 func (c *NodeClient) readMetaChunk(name string, off int64) (chunk []byte, gen uint64, eof bool, err error) {
-	err = c.do(func(ctx context.Context) *attemptErr {
-		chunk, gen, eof = nil, 0, false
-		q := fmt.Sprintf("?off=%d&len=%d", off, metaReadChunk)
-		req, rerr := http.NewRequestWithContext(ctx, http.MethodGet, metaBlobURL(c.base, name, "")+q, nil)
-		if rerr != nil {
-			return &attemptErr{err: rerr}
+	q := fmt.Sprintf("?off=%d&len=%d", off, metaReadChunk)
+	err = c.do(call{method: http.MethodGet, url: metaBlobURL(c.base, name, "") + q}, func(resp *http.Response) error {
+		body, err := readBody(resp, metaReadChunk)
+		if err != nil {
+			return err
 		}
-		resp, rerr := c.hc.Do(req)
-		if rerr != nil {
-			return &attemptErr{err: rerr, retryable: true}
-		}
-		defer drain(resp)
-		if resp.StatusCode != http.StatusOK {
-			return c.responseErr(resp)
-		}
-		body, rerr := io.ReadAll(io.LimitReader(resp.Body, metaReadChunk+1))
-		if rerr != nil {
-			return &attemptErr{err: fmt.Errorf("%w: %v", ErrBadFrame, rerr), retryable: true}
-		}
-		if want := resp.Header.Get(crcHeader); want != "" && want != blobCRC(body) {
-			return &attemptErr{
-				err:       fmt.Errorf("%w: meta body crc %s, header says %s", ErrBadFrame, blobCRC(body), want),
-				retryable: true,
-			}
-		}
-		g, rerr := strconv.ParseUint(resp.Header.Get(genHeader), 10, 64)
-		if rerr != nil {
-			return &attemptErr{err: fmt.Errorf("%w: bad gen header: %v", ErrBadFrame, rerr), retryable: true}
+		g, err := strconv.ParseUint(resp.Header.Get(genHeader), 10, 64)
+		if err != nil {
+			return fmt.Errorf("%w: bad gen header: %v", ErrBadFrame, err)
 		}
 		isEOF := resp.Header.Get(eofHeader) == "1"
 		if len(body) < metaReadChunk && !isEOF {
-			return &attemptErr{err: fmt.Errorf("%w: short meta read without EOF", ErrBadFrame), retryable: true}
+			return fmt.Errorf("%w: short meta read without EOF", ErrBadFrame)
 		}
 		chunk, gen, eof = body, g, isEOF
 		return nil

@@ -7,10 +7,12 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/oiraid/oiraid/internal/retry"
 	"github.com/oiraid/oiraid/internal/store"
 )
 
@@ -211,12 +213,20 @@ func TestPartitionUnreachableThenRecovery(t *testing.T) {
 		t.Fatalf("client not marked down")
 	}
 
-	// The breaker opens under sustained failure: later ops fail fast.
+	// The breaker opens under sustained failure: later ops fail fast,
+	// still classified unreachable, quoting the one circuit-open sentinel.
+	var refused int
 	for i := 0; i < 6; i++ {
-		dev.ReadStrip(1, buf)
+		err := dev.ReadStrip(1, buf)
+		if !errors.Is(err, store.ErrUnreachable) {
+			t.Fatalf("read under open breaker: %v, want ErrUnreachable", err)
+		}
+		if strings.Contains(err.Error(), retry.ErrCircuitOpen.Error()) {
+			refused++
+		}
 	}
-	if c.Stats().BreakerFastFails == 0 {
-		t.Fatalf("breaker never fast-failed under partition")
+	if c.Stats().BreakerFastFails == 0 || refused == 0 {
+		t.Fatalf("breaker never fast-failed under partition (%d refusals seen)", refused)
 	}
 
 	// Lift the partition: the background prober notices and OnUp fires
@@ -256,7 +266,7 @@ func TestAsymmetricPartitionWritesLandUnacked(t *testing.T) {
 		t.Fatalf("asym write: %v, want ErrUnreachable", err)
 	}
 	// The write executed server-side even though the client saw failure.
-	inner, _ := n.device("d0")
+	inner := n.devs["d0"]
 	got := make([]byte, 128)
 	if err := inner.ReadStrip(2, got); err != nil {
 		t.Fatalf("server-side read: %v", err)

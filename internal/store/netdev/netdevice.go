@@ -1,9 +1,6 @@
 package netdev
 
 import (
-	"bytes"
-	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -75,6 +72,17 @@ func (d *NetDevice) Close() error { return nil }
 // Node returns the client this device rides on.
 func (d *NetDevice) Node() *NodeClient { return d.c }
 
+// check validates a strip index and buffer against the bound geometry.
+func (d *NetDevice) check(idx int64, p []byte) error {
+	if idx < 0 || idx >= d.strips {
+		return fmt.Errorf("%w: strip %d of %d", store.ErrStripOutOfRange, idx, d.strips)
+	}
+	if len(p) != d.stripBytes {
+		return fmt.Errorf("%w: %d bytes, strip is %d", store.ErrShortBuffer, len(p), d.stripBytes)
+	}
+	return nil
+}
+
 func (d *NetDevice) stripURL(idx int64) string {
 	return d.c.base + "/node/v1/devices/" + url.PathEscape(d.name) + "/strips/" + strconv.FormatInt(idx, 10)
 }
@@ -83,38 +91,20 @@ func (d *NetDevice) stripURL(idx int64) string {
 // the frame, copy the payload out. A torn or corrupted response fails
 // frame validation and is retried as a wire fault.
 func (d *NetDevice) ReadStrip(idx int64, p []byte) error {
-	if idx < 0 || idx >= d.strips {
-		return fmt.Errorf("%w: strip %d of %d", store.ErrStripOutOfRange, idx, d.strips)
+	if err := d.check(idx, p); err != nil {
+		return err
 	}
-	if len(p) != d.stripBytes {
-		return fmt.Errorf("%w: %d bytes, strip is %d", store.ErrShortBuffer, len(p), d.stripBytes)
-	}
-	return d.c.do(func(ctx context.Context) *attemptErr {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, d.stripURL(idx), nil)
+	return d.c.do(call{method: http.MethodGet, url: d.stripURL(idx)}, func(resp *http.Response) error {
+		body, err := readBody(resp, FrameHeaderLen+d.stripBytes)
 		if err != nil {
-			return &attemptErr{err: err}
-		}
-		resp, err := d.c.hc.Do(req)
-		if err != nil {
-			return &attemptErr{err: err, retryable: true}
-		}
-		defer drain(resp)
-		if resp.StatusCode != http.StatusOK {
-			return d.c.responseErr(resp)
-		}
-		body, err := io.ReadAll(io.LimitReader(resp.Body, int64(FrameHeaderLen+d.stripBytes)+1))
-		if err != nil {
-			return &attemptErr{err: fmt.Errorf("%w: %v", ErrBadFrame, err), retryable: true}
+			return err
 		}
 		fr, err := DecodeFrame(body, d.stripBytes)
 		if err != nil {
-			return &attemptErr{err: err, retryable: true}
+			return err
 		}
 		if fr.Op != OpRead || fr.Strip != idx || len(fr.Payload) != d.stripBytes {
-			return &attemptErr{
-				err:       fmt.Errorf("%w: response frame op=%d strip=%d len=%d, want op=%d strip=%d len=%d", ErrBadFrame, fr.Op, fr.Strip, len(fr.Payload), OpRead, idx, d.stripBytes),
-				retryable: true,
-			}
+			return fmt.Errorf("%w: response frame op=%d strip=%d len=%d, want op=%d strip=%d len=%d", ErrBadFrame, fr.Op, fr.Strip, len(fr.Payload), OpRead, idx, d.stripBytes)
 		}
 		copy(p, fr.Payload)
 		return nil
@@ -126,30 +116,10 @@ func (d *NetDevice) ReadStrip(idx int64, p []byte) error {
 // asymmetric partition: the node executed it, the response never came
 // back) is safely re-sent until acknowledged.
 func (d *NetDevice) WriteStrip(idx int64, p []byte) error {
-	if idx < 0 || idx >= d.strips {
-		return fmt.Errorf("%w: strip %d of %d", store.ErrStripOutOfRange, idx, d.strips)
+	if err := d.check(idx, p); err != nil {
+		return err
 	}
-	if len(p) != d.stripBytes {
-		return fmt.Errorf("%w: %d bytes, strip is %d", store.ErrShortBuffer, len(p), d.stripBytes)
-	}
-	frame := EncodeFrame(OpWrite, idx, p)
-	return d.c.do(func(ctx context.Context) *attemptErr {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPut, d.c.withFence(d.stripURL(idx)), bytes.NewReader(frame))
-		if err != nil {
-			return &attemptErr{err: err}
-		}
-		req.Header.Set("Content-Type", "application/octet-stream")
-		req.ContentLength = int64(len(frame))
-		resp, err := d.c.hc.Do(req)
-		if err != nil {
-			return &attemptErr{err: err, retryable: true}
-		}
-		defer drain(resp)
-		if resp.StatusCode != http.StatusNoContent {
-			return d.c.responseErr(resp)
-		}
-		return nil
-	})
+	return d.c.do(call{method: http.MethodPut, url: d.c.withFence(d.stripURL(idx)), body: EncodeFrame(OpWrite, idx, p), ctype: octetStream}, nil)
 }
 
 func (d *NetDevice) rangeURL(query string) string {
@@ -165,32 +135,14 @@ func (d *NetDevice) ReadStripRange(start int64, count int) ([]byte, error) {
 	}
 	want := count * d.stripBytes
 	var out []byte
-	err := d.c.do(func(ctx context.Context) *attemptErr {
-		q := "start=" + strconv.FormatInt(start, 10) + "&count=" + strconv.Itoa(count)
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, d.rangeURL(q), nil)
-		if err != nil {
-			return &attemptErr{err: err}
-		}
-		resp, err := d.c.hc.Do(req)
-		if err != nil {
-			return &attemptErr{err: err, retryable: true}
-		}
-		defer drain(resp)
-		if resp.StatusCode != http.StatusOK {
-			return d.c.responseErr(resp)
-		}
-		body, err := io.ReadAll(io.LimitReader(resp.Body, int64(want)+1))
-		if err != nil {
-			return &attemptErr{err: fmt.Errorf("%w: %v", ErrBadFrame, err), retryable: true}
-		}
-		if len(body) != want {
-			return &attemptErr{err: fmt.Errorf("%w: %d range bytes, want %d", ErrBadFrame, len(body), want), retryable: true}
-		}
-		if crc := resp.Header.Get(crcHeader); crc != "" && crc != blobCRC(body) {
-			return &attemptErr{err: fmt.Errorf("%w: range body crc %s, header says %s", ErrBadFrame, blobCRC(body), crc), retryable: true}
+	q := "start=" + strconv.FormatInt(start, 10) + "&count=" + strconv.Itoa(count)
+	err := d.c.do(call{method: http.MethodGet, url: d.rangeURL(q)}, func(resp *http.Response) error {
+		body, err := readBody(resp, want)
+		if err == nil && len(body) != want {
+			err = fmt.Errorf("%w: %d range bytes, want %d", ErrBadFrame, len(body), want)
 		}
 		out = body
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -211,26 +163,7 @@ func (d *NetDevice) WriteStripRange(start int64, p []byte) error {
 	if start < 0 || start+count > d.strips {
 		return fmt.Errorf("%w: range [%d,%d) of %d strips", store.ErrStripOutOfRange, start, start+count, d.strips)
 	}
-	crc := blobCRC(p)
-	return d.c.do(func(ctx context.Context) *attemptErr {
-		u := d.c.withFence(d.rangeURL("start=" + strconv.FormatInt(start, 10)))
-		req, err := http.NewRequestWithContext(ctx, http.MethodPut, u, bytes.NewReader(p))
-		if err != nil {
-			return &attemptErr{err: err}
-		}
-		req.Header.Set("Content-Type", "application/octet-stream")
-		req.Header.Set(crcHeader, crc)
-		req.ContentLength = int64(len(p))
-		resp, err := d.c.hc.Do(req)
-		if err != nil {
-			return &attemptErr{err: err, retryable: true}
-		}
-		defer drain(resp)
-		if resp.StatusCode != http.StatusNoContent {
-			return d.c.responseErr(resp)
-		}
-		return nil
-	})
+	return d.c.do(putBytes(d.c.withFence(d.rangeURL("start="+strconv.FormatInt(start, 10))), p), nil)
 }
 
 // StripSums fetches per-strip CRC-32C checksums for a range — how a
@@ -269,21 +202,7 @@ func (c *NodeClient) DeleteBlob(name string) error {
 }
 
 func (c *NodeClient) deleteReq(path string) error {
-	return c.do(func(ctx context.Context) *attemptErr {
-		req, err := http.NewRequestWithContext(ctx, http.MethodDelete, c.base+path, nil)
-		if err != nil {
-			return &attemptErr{err: err}
-		}
-		resp, err := c.hc.Do(req)
-		if err != nil {
-			return &attemptErr{err: err, retryable: true}
-		}
-		defer drain(resp)
-		if resp.StatusCode != http.StatusNoContent {
-			return c.responseErr(resp)
-		}
-		return nil
-	})
+	return c.do(call{method: http.MethodDelete, url: c.base + path}, nil)
 }
 
 // NetBlob is a store.Blob on a remote storage node: the substrate the
@@ -339,33 +258,14 @@ func (b *NetBlob) ReadAt(p []byte, off int64) (int, error) {
 	}
 	var n int
 	var eof bool
-	err := b.c.do(func(ctx context.Context) *attemptErr {
-		n, eof = 0, false
-		q := "off=" + strconv.FormatInt(off, 10) + "&len=" + strconv.Itoa(len(p))
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.url("", q), nil)
+	q := "off=" + strconv.FormatInt(off, 10) + "&len=" + strconv.Itoa(len(p))
+	err := b.c.do(call{method: http.MethodGet, url: b.url("", q)}, func(resp *http.Response) error {
+		body, err := readBody(resp, len(p))
 		if err != nil {
-			return &attemptErr{err: err}
-		}
-		resp, err := b.c.hc.Do(req)
-		if err != nil {
-			return &attemptErr{err: err, retryable: true}
-		}
-		defer drain(resp)
-		if resp.StatusCode != http.StatusOK {
-			return b.c.responseErr(resp)
-		}
-		body, err := io.ReadAll(io.LimitReader(resp.Body, int64(len(p))+1))
-		if err != nil {
-			return &attemptErr{err: fmt.Errorf("%w: %v", ErrBadFrame, err), retryable: true}
-		}
-		if want := resp.Header.Get(crcHeader); want != "" && want != blobCRC(body) {
-			return &attemptErr{
-				err:       fmt.Errorf("%w: blob body crc %s, header says %s", ErrBadFrame, blobCRC(body), want),
-				retryable: true,
-			}
+			return err
 		}
 		if len(body) > len(p) {
-			return &attemptErr{err: fmt.Errorf("%w: %d bytes for a %d-byte read", ErrBadFrame, len(body), len(p)), retryable: true}
+			return fmt.Errorf("%w: %d bytes for a %d-byte read", ErrBadFrame, len(body), len(p))
 		}
 		n = copy(p, body)
 		eof = resp.Header.Get(eofHeader) == "1"
@@ -373,7 +273,7 @@ func (b *NetBlob) ReadAt(p []byte, off int64) (int, error) {
 		// node always returns either the full requested range or a
 		// prefix explicitly marked EOF.
 		if n < len(p) && !eof {
-			return &attemptErr{err: fmt.Errorf("%w: short blob read %d of %d without EOF", ErrBadFrame, n, len(p)), retryable: true}
+			return fmt.Errorf("%w: short blob read %d of %d without EOF", ErrBadFrame, n, len(p))
 		}
 		return nil
 	})
@@ -391,40 +291,11 @@ func (b *NetBlob) WriteAt(p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, fmt.Errorf("%w: %d", store.ErrNegativeOffset, off)
 	}
-	crc := blobCRC(p)
-	var written int
-	err := b.c.do(func(ctx context.Context) *attemptErr {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPut, b.c.withFence(b.url("", "off="+strconv.FormatInt(off, 10))), bytes.NewReader(p))
-		if err != nil {
-			return &attemptErr{err: err}
-		}
-		req.Header.Set("Content-Type", "application/octet-stream")
-		req.Header.Set(crcHeader, crc)
-		req.ContentLength = int64(len(p))
-		resp, err := b.c.hc.Do(req)
-		if err != nil {
-			return &attemptErr{err: err, retryable: true}
-		}
-		defer drain(resp)
-		if resp.StatusCode != http.StatusOK {
-			return b.c.responseErr(resp)
-		}
-		var out struct {
-			Written int `json:"written"`
-		}
-		if err := json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&out); err != nil {
-			return &attemptErr{err: err, retryable: true}
-		}
-		written = out.Written
-		return nil
-	})
-	if err != nil {
+	u := b.c.withFence(b.url("", "off="+strconv.FormatInt(off, 10)))
+	if err := b.c.do(putBytes(u, p), decodeWritten(len(p))); err != nil {
 		return 0, err
 	}
-	if written != len(p) {
-		return written, fmt.Errorf("netdev: short blob write %d of %d", written, len(p))
-	}
-	return written, nil
+	return len(p), nil
 }
 
 // Sync implements store.Blob: the node fsyncs the backing file before

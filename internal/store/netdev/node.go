@@ -12,34 +12,38 @@ import (
 	"strings"
 	"sync"
 
+	"github.com/oiraid/oiraid/internal/retry"
 	"github.com/oiraid/oiraid/internal/store"
 )
 
-// Error codes carried in the X-Oiraid-Err response header. The client
-// switches on the code — not on status text — to reconstitute the store
-// sentinel on its side of the wire, so the error taxonomy survives the
-// network hop.
-const (
-	errHeader = "X-Oiraid-Err"
-
-	codeOutOfRange  = "out-of-range"
-	codeShortBuffer = "short-buffer"
-	codeClosed      = "closed"
-	codeBadGeometry = "bad-geometry"
-	codeBadFrame    = "bad-frame"
-	codeNotFound    = "not-found"
-	codeTransient   = "transient"
-	codePermanent   = "permanent"
-	codeIO          = "io"
-	// codeStaleEpoch rejects a write stamped with a fencing epoch older
-	// than the one this node has promised to honour: the writer has been
-	// deposed by a newer coordinator. Non-retryable by design.
-	codeStaleEpoch = "stale-epoch"
-	// codeStaleGen rejects a metadata-blob write stamped with a blob
-	// generation older than the node's: the writer missed a truncation
-	// and its bytes belong to a destroyed stream.
-	codeStaleGen = "stale-gen"
-)
+// Catalogue is the node plane's error table (see retry.Catalogue): the
+// handlers encode every failure through it and NodeClient decodes the
+// X-Oiraid-Err code back into the same sentinel, so the error taxonomy
+// survives the network hop. A sentinel that wraps another precedes it.
+var Catalogue = retry.Catalogue{
+	// Fencing verdicts on the writer, never retried: the node has promised
+	// a newer coordinator epoch, or a newer coordinator has truncated the
+	// metadata blob into a new stream (ErrStaleGen wraps ErrStaleEpoch).
+	{Err: ErrStaleGen, Code: "stale-gen", Status: http.StatusConflict},
+	{Err: store.ErrStaleEpoch, Code: "stale-epoch", Status: http.StatusConflict},
+	{Err: store.ErrStripOutOfRange, Code: "out-of-range", Status: http.StatusRequestedRangeNotSatisfiable},
+	{Err: store.ErrShortBuffer, Code: "short-buffer", Status: http.StatusBadRequest},
+	// The node-side device is closed (node shutting down): transient from
+	// the coordinator's perspective — a restart reopens it.
+	{Err: store.ErrClosed, Code: "closed", Status: http.StatusServiceUnavailable, Retryable: true},
+	{Err: store.ErrBadGeometry, Code: "bad-geometry", Status: http.StatusBadRequest},
+	{Err: store.ErrNegativeOffset, Code: "negative-offset", Status: http.StatusBadRequest},
+	{Err: ErrNodeNotFound, Code: "not-found", Status: http.StatusNotFound},
+	// The frame did not survive the wire. The node refuses it — damaged
+	// bytes must not reach media — and the client re-sends.
+	{Err: ErrBadFrame, Code: "bad-frame", Status: http.StatusBadRequest, Retryable: true},
+	// The node's local media is dying. This must NOT look like a network
+	// fault: it passes through as a permanent device error so the
+	// coordinator's monitor evicts exactly that disk.
+	{Err: store.ErrPermanent, Code: "permanent", Status: http.StatusInternalServerError},
+	{Err: store.ErrTransient, Code: "transient", Status: http.StatusServiceUnavailable, Retryable: true},
+	{Code: "io", Status: http.StatusInternalServerError, Retryable: true},
+}
 
 // crcHeader carries the CRC-32C of a blob read/write body; eofHeader
 // marks a blob read that ran off the end of the blob (os.File ReadAt
@@ -254,17 +258,26 @@ func (n *Node) AddBlob(name string, b store.Blob) {
 	n.blobs[name] = b
 }
 
-func (n *Node) device(name string) (store.Device, bool) {
+// device resolves the request's {dev} segment, answering 404 itself when
+// the node does not serve it.
+func (n *Node) device(w http.ResponseWriter, r *http.Request) (store.Device, bool) {
 	n.mu.RLock()
-	defer n.mu.RUnlock()
-	d, ok := n.devs[name]
+	d, ok := n.devs[r.PathValue("dev")]
+	n.mu.RUnlock()
+	if !ok {
+		fail(w, fmt.Errorf("%w: device %s", ErrNodeNotFound, r.PathValue("dev")))
+	}
 	return d, ok
 }
 
-func (n *Node) blob(name string) (store.Blob, bool) {
+// blob is device for the {name} segment of the blob routes.
+func (n *Node) blob(w http.ResponseWriter, r *http.Request) (store.Blob, bool) {
 	n.mu.RLock()
-	defer n.mu.RUnlock()
-	b, ok := n.blobs[name]
+	b, ok := n.blobs[r.PathValue("name")]
+	n.mu.RUnlock()
+	if !ok {
+		fail(w, fmt.Errorf("%w: blob %s", ErrNodeNotFound, r.PathValue("name")))
+	}
 	return b, ok
 }
 
@@ -296,35 +309,15 @@ func (n *Node) Handler() http.Handler {
 	return mux
 }
 
-// fail writes a coded error response: the X-Oiraid-Err header carries
-// the taxonomy code the client reconstitutes a sentinel from, the body
-// a human-readable message.
-func fail(w http.ResponseWriter, status int, code string, err error) {
-	w.Header().Set(errHeader, code)
-	http.Error(w, err.Error(), status)
+// fail writes err as the coded response its catalogue row prescribes.
+func fail(w http.ResponseWriter, err error) {
+	Catalogue.Encode(err).Write(w, err)
 }
 
-// failErr maps a store error onto a coded response.
-func failErr(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, store.ErrStripOutOfRange):
-		fail(w, http.StatusRequestedRangeNotSatisfiable, codeOutOfRange, err)
-	case errors.Is(err, store.ErrShortBuffer):
-		fail(w, http.StatusBadRequest, codeShortBuffer, err)
-	case errors.Is(err, store.ErrClosed):
-		fail(w, http.StatusServiceUnavailable, codeClosed, err)
-	case errors.Is(err, store.ErrBadGeometry), errors.Is(err, store.ErrNegativeOffset):
-		fail(w, http.StatusBadRequest, codeBadGeometry, err)
-	case errors.Is(err, store.ErrPermanent):
-		// The node's local media is failing: say so distinctly, because
-		// the coordinator must count this against the disk (eviction),
-		// unlike a network fault which it must not.
-		fail(w, http.StatusInternalServerError, codePermanent, err)
-	case store.IsTransient(err):
-		fail(w, http.StatusServiceUnavailable, codeTransient, err)
-	default:
-		fail(w, http.StatusInternalServerError, codeIO, err)
-	}
+// failAs answers with class's catalogue row but err's own text (an
+// unparsable request is an ErrBadGeometry without being worded as one).
+func failAs(w http.ResponseWriter, class, err error) {
+	Catalogue.Encode(class).Write(w, err)
 }
 
 func (n *Node) handlePing(w http.ResponseWriter, r *http.Request) {
@@ -364,12 +357,12 @@ func (n *Node) handleCreateDevice(w http.ResponseWriter, r *http.Request) {
 	}
 	name := r.PathValue("dev")
 	if !validName(name) {
-		fail(w, http.StatusBadRequest, codeBadGeometry, fmt.Errorf("netdev: bad device name %q", name))
+		failAs(w, store.ErrBadGeometry, fmt.Errorf("netdev: bad device name %q", name))
 		return
 	}
 	var req createDeviceReq
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil {
-		fail(w, http.StatusBadRequest, codeBadGeometry, err)
+		failAs(w, store.ErrBadGeometry, err)
 		return
 	}
 	n.mu.Lock()
@@ -381,39 +374,39 @@ func (n *Node) handleCreateDevice(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, g)
 			return
 		}
-		fail(w, http.StatusConflict, codeBadGeometry,
-			fmt.Errorf("netdev: device %s exists with %dx%d, requested %dx%d",
-				name, g.Strips, g.StripBytes, req.Strips, req.StripBytes))
+		row := Catalogue.Encode(store.ErrBadGeometry)
+		row.Status = http.StatusConflict
+		row.Write(w, fmt.Errorf("netdev: device %s exists with %dx%d, requested %dx%d",
+			name, g.Strips, g.StripBytes, req.Strips, req.StripBytes))
 		return
 	}
 	dev, err := n.newDev(name, req.Strips, req.StripBytes)
 	if err != nil {
-		failErr(w, err)
+		fail(w, err)
 		return
 	}
 	n.devs[name] = dev
 	n.geo[name] = DeviceStat{Strips: req.Strips, StripBytes: req.StripBytes}
 	if err := n.saveManifest(); err != nil {
-		failErr(w, err)
+		fail(w, err)
 		return
 	}
 	writeJSON(w, n.geo[name])
 }
 
 func (n *Node) handleReadStrip(w http.ResponseWriter, r *http.Request) {
-	dev, ok := n.device(r.PathValue("dev"))
+	dev, ok := n.device(w, r)
 	if !ok {
-		fail(w, http.StatusNotFound, codeNotFound, fmt.Errorf("%w: device %s", ErrNodeNotFound, r.PathValue("dev")))
 		return
 	}
 	idx, err := strconv.ParseInt(r.PathValue("idx"), 10, 64)
 	if err != nil {
-		fail(w, http.StatusBadRequest, codeOutOfRange, err)
+		failAs(w, store.ErrBadGeometry, err)
 		return
 	}
 	buf := make([]byte, dev.StripBytes())
 	if err := dev.ReadStrip(idx, buf); err != nil {
-		failErr(w, err)
+		fail(w, err)
 		return
 	}
 	frame := EncodeFrame(OpRead, idx, buf)
@@ -426,19 +419,18 @@ func (n *Node) handleWriteStrip(w http.ResponseWriter, r *http.Request) {
 	if !n.fenceOK(w, r) {
 		return
 	}
-	dev, ok := n.device(r.PathValue("dev"))
+	dev, ok := n.device(w, r)
 	if !ok {
-		fail(w, http.StatusNotFound, codeNotFound, fmt.Errorf("%w: device %s", ErrNodeNotFound, r.PathValue("dev")))
 		return
 	}
 	idx, err := strconv.ParseInt(r.PathValue("idx"), 10, 64)
 	if err != nil {
-		fail(w, http.StatusBadRequest, codeOutOfRange, err)
+		failAs(w, store.ErrBadGeometry, err)
 		return
 	}
 	body, err := io.ReadAll(io.LimitReader(r.Body, int64(FrameHeaderLen+dev.StripBytes())+1))
 	if err != nil {
-		fail(w, http.StatusBadRequest, codeBadFrame, fmt.Errorf("%w: %v", ErrBadFrame, err))
+		fail(w, fmt.Errorf("%w: %v", ErrBadFrame, err))
 		return
 	}
 	fr, err := DecodeFrame(body, dev.StripBytes())
@@ -447,27 +439,26 @@ func (n *Node) handleWriteStrip(w http.ResponseWriter, r *http.Request) {
 		// in a way the checksum catches). Refuse: damaged bytes must not
 		// reach media. The client treats bad-frame as transient and
 		// re-sends.
-		fail(w, http.StatusBadRequest, codeBadFrame, err)
+		fail(w, err)
 		return
 	}
 	if fr.Op != OpWrite {
-		fail(w, http.StatusBadRequest, codeBadFrame, fmt.Errorf("%w: op %d on write", ErrBadFrame, fr.Op))
+		fail(w, fmt.Errorf("%w: op %d on write", ErrBadFrame, fr.Op))
 		return
 	}
 	if fr.Strip != idx {
 		// URL and frame disagree about the target strip: a routing bug
 		// or a mixed-up retry. Refusing keeps a misdirected write from
 		// silently landing on the wrong strip.
-		fail(w, http.StatusBadRequest, codeBadFrame, fmt.Errorf("%w: frame strip %d, url strip %d", ErrBadFrame, fr.Strip, idx))
+		fail(w, fmt.Errorf("%w: frame strip %d, url strip %d", ErrBadFrame, fr.Strip, idx))
 		return
 	}
 	if len(fr.Payload) != dev.StripBytes() {
-		fail(w, http.StatusBadRequest, codeShortBuffer,
-			fmt.Errorf("%w: %d payload bytes, strip is %d", store.ErrShortBuffer, len(fr.Payload), dev.StripBytes()))
+		fail(w, fmt.Errorf("%w: %d payload bytes, strip is %d", store.ErrShortBuffer, len(fr.Payload), dev.StripBytes()))
 		return
 	}
 	if err := dev.WriteStrip(idx, fr.Payload); err != nil {
-		failErr(w, err)
+		fail(w, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -495,26 +486,25 @@ func rangeBounds(dev store.Device, start int64, count int) error {
 // contiguous body, checksummed as a whole (crcHeader) — the bulk read
 // half of strip migration.
 func (n *Node) handleReadRange(w http.ResponseWriter, r *http.Request) {
-	dev, ok := n.device(r.PathValue("dev"))
+	dev, ok := n.device(w, r)
 	if !ok {
-		fail(w, http.StatusNotFound, codeNotFound, fmt.Errorf("%w: device %s", ErrNodeNotFound, r.PathValue("dev")))
 		return
 	}
 	start, err1 := strconv.ParseInt(r.URL.Query().Get("start"), 10, 64)
 	count, err2 := strconv.Atoi(r.URL.Query().Get("count"))
 	if err1 != nil || err2 != nil {
-		fail(w, http.StatusBadRequest, codeBadGeometry, fmt.Errorf("netdev: bad range query"))
+		failAs(w, store.ErrBadGeometry, fmt.Errorf("netdev: bad range query"))
 		return
 	}
 	if err := rangeBounds(dev, start, count); err != nil {
-		failErr(w, err)
+		fail(w, err)
 		return
 	}
 	sb := dev.StripBytes()
 	buf := make([]byte, count*sb)
 	for i := 0; i < count; i++ {
 		if err := dev.ReadStrip(start+int64(i), buf[i*sb:(i+1)*sb]); err != nil {
-			failErr(w, err)
+			fail(w, err)
 			return
 		}
 	}
@@ -532,40 +522,37 @@ func (n *Node) handleWriteRange(w http.ResponseWriter, r *http.Request) {
 	if !n.fenceOK(w, r) {
 		return
 	}
-	dev, ok := n.device(r.PathValue("dev"))
+	dev, ok := n.device(w, r)
 	if !ok {
-		fail(w, http.StatusNotFound, codeNotFound, fmt.Errorf("%w: device %s", ErrNodeNotFound, r.PathValue("dev")))
 		return
 	}
 	start, err := strconv.ParseInt(r.URL.Query().Get("start"), 10, 64)
 	if err != nil {
-		fail(w, http.StatusBadRequest, codeBadGeometry, err)
+		failAs(w, store.ErrBadGeometry, err)
 		return
 	}
 	body, err := io.ReadAll(io.LimitReader(r.Body, rangeMaxBytes+1))
 	if err != nil {
-		fail(w, http.StatusBadRequest, codeBadFrame, fmt.Errorf("%w: %v", ErrBadFrame, err))
+		fail(w, fmt.Errorf("%w: %v", ErrBadFrame, err))
 		return
 	}
 	sb := dev.StripBytes()
 	if len(body) == 0 || len(body)%sb != 0 {
-		fail(w, http.StatusBadRequest, codeShortBuffer,
-			fmt.Errorf("%w: %d body bytes, strip is %d", store.ErrShortBuffer, len(body), sb))
+		fail(w, fmt.Errorf("%w: %d body bytes, strip is %d", store.ErrShortBuffer, len(body), sb))
 		return
 	}
 	count := len(body) / sb
 	if err := rangeBounds(dev, start, count); err != nil {
-		failErr(w, err)
+		fail(w, err)
 		return
 	}
 	if want := r.Header.Get(crcHeader); want != "" && want != blobCRC(body) {
-		fail(w, http.StatusBadRequest, codeBadFrame,
-			fmt.Errorf("%w: range body crc %s, header says %s", ErrBadFrame, blobCRC(body), want))
+		fail(w, fmt.Errorf("%w: range body crc %s, header says %s", ErrBadFrame, blobCRC(body), want))
 		return
 	}
 	for i := 0; i < count; i++ {
 		if err := dev.WriteStrip(start+int64(i), body[i*sb:(i+1)*sb]); err != nil {
-			failErr(w, err)
+			fail(w, err)
 			return
 		}
 	}
@@ -576,26 +563,25 @@ func (n *Node) handleWriteRange(w http.ResponseWriter, r *http.Request) {
 // cheap side channel a resuming migration uses to verify its committed
 // prefix without re-reading the data over the wire.
 func (n *Node) handleStripSums(w http.ResponseWriter, r *http.Request) {
-	dev, ok := n.device(r.PathValue("dev"))
+	dev, ok := n.device(w, r)
 	if !ok {
-		fail(w, http.StatusNotFound, codeNotFound, fmt.Errorf("%w: device %s", ErrNodeNotFound, r.PathValue("dev")))
 		return
 	}
 	start, err1 := strconv.ParseInt(r.URL.Query().Get("start"), 10, 64)
 	count, err2 := strconv.Atoi(r.URL.Query().Get("count"))
 	if err1 != nil || err2 != nil {
-		fail(w, http.StatusBadRequest, codeBadGeometry, fmt.Errorf("netdev: bad sums query"))
+		failAs(w, store.ErrBadGeometry, fmt.Errorf("netdev: bad sums query"))
 		return
 	}
 	if err := rangeBounds(dev, start, count); err != nil {
-		failErr(w, err)
+		fail(w, err)
 		return
 	}
 	buf := make([]byte, dev.StripBytes())
 	sums := make([]string, count)
 	for i := 0; i < count; i++ {
 		if err := dev.ReadStrip(start+int64(i), buf); err != nil {
-			failErr(w, err)
+			fail(w, err)
 			return
 		}
 		sums[i] = blobCRC(buf)
@@ -620,7 +606,7 @@ func (n *Node) handleDeleteDevice(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := dev.Close(); err != nil {
-		failErr(w, err)
+		fail(w, err)
 		return
 	}
 	delete(n.devs, name)
@@ -629,7 +615,7 @@ func (n *Node) handleDeleteDevice(w http.ResponseWriter, r *http.Request) {
 		os.Remove(filepath.Join(n.dir, name+".img"))
 	}
 	if err := n.saveManifest(); err != nil {
-		failErr(w, err)
+		fail(w, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -650,7 +636,7 @@ func (n *Node) handleDeleteBlob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := b.Close(); err != nil {
-		failErr(w, err)
+		fail(w, err)
 		return
 	}
 	delete(n.blobs, name)
@@ -658,7 +644,7 @@ func (n *Node) handleDeleteBlob(w http.ResponseWriter, r *http.Request) {
 		os.Remove(filepath.Join(n.dir, name+".blob"))
 	}
 	if err := n.saveManifest(); err != nil {
-		failErr(w, err)
+		fail(w, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -670,7 +656,7 @@ func (n *Node) handleCreateBlob(w http.ResponseWriter, r *http.Request) {
 	}
 	name := r.PathValue("name")
 	if !validName(name) {
-		fail(w, http.StatusBadRequest, codeBadGeometry, fmt.Errorf("netdev: bad blob name %q", name))
+		failAs(w, store.ErrBadGeometry, fmt.Errorf("netdev: bad blob name %q", name))
 		return
 	}
 	n.mu.Lock()
@@ -681,37 +667,43 @@ func (n *Node) handleCreateBlob(w http.ResponseWriter, r *http.Request) {
 	}
 	b, err := n.newBlob(name)
 	if err != nil {
-		failErr(w, err)
+		fail(w, err)
 		return
 	}
 	n.blobs[name] = b
 	if err := n.saveManifest(); err != nil {
-		failErr(w, err)
+		fail(w, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
 }
 
 func (n *Node) handleReadBlob(w http.ResponseWriter, r *http.Request) {
-	b, ok := n.blob(r.PathValue("name"))
+	b, ok := n.blob(w, r)
 	if !ok {
-		fail(w, http.StatusNotFound, codeNotFound, fmt.Errorf("%w: blob %s", ErrNodeNotFound, r.PathValue("name")))
 		return
 	}
+	serveBlobRead(w, r, b, "blob")
+}
+
+// serveBlobRead answers a ?off=&len= read of b (a plain or a metadata
+// blob) with os.File ReadAt semantics: the available prefix, checksummed,
+// plus the EOF marker when the read ran off the end.
+func serveBlobRead(w http.ResponseWriter, r *http.Request, b store.Blob, what string) {
 	off, err := strconv.ParseInt(r.URL.Query().Get("off"), 10, 64)
 	if err != nil {
-		fail(w, http.StatusBadRequest, codeBadGeometry, err)
+		failAs(w, store.ErrBadGeometry, err)
 		return
 	}
 	length, err := strconv.Atoi(r.URL.Query().Get("len"))
 	if err != nil || length < 0 || length > 64<<20 {
-		fail(w, http.StatusBadRequest, codeBadGeometry, fmt.Errorf("netdev: bad blob read length"))
+		failAs(w, store.ErrBadGeometry, fmt.Errorf("netdev: bad %s read length", what))
 		return
 	}
 	buf := make([]byte, length)
 	nr, rerr := b.ReadAt(buf, off)
 	if rerr != nil && rerr != io.EOF {
-		failErr(w, rerr)
+		fail(w, rerr)
 		return
 	}
 	buf = buf[:nr]
@@ -728,45 +720,42 @@ func (n *Node) handleWriteBlob(w http.ResponseWriter, r *http.Request) {
 	if !n.fenceOK(w, r) {
 		return
 	}
-	b, ok := n.blob(r.PathValue("name"))
+	b, ok := n.blob(w, r)
 	if !ok {
-		fail(w, http.StatusNotFound, codeNotFound, fmt.Errorf("%w: blob %s", ErrNodeNotFound, r.PathValue("name")))
 		return
 	}
 	off, err := strconv.ParseInt(r.URL.Query().Get("off"), 10, 64)
 	if err != nil {
-		fail(w, http.StatusBadRequest, codeBadGeometry, err)
+		failAs(w, store.ErrBadGeometry, err)
 		return
 	}
 	body, err := io.ReadAll(io.LimitReader(r.Body, 64<<20+1))
 	if err != nil {
-		fail(w, http.StatusBadRequest, codeBadFrame, fmt.Errorf("%w: %v", ErrBadFrame, err))
+		fail(w, fmt.Errorf("%w: %v", ErrBadFrame, err))
 		return
 	}
 	// Metadata bytes get the same no-damaged-bytes-on-media guarantee as
 	// strip frames: the declared checksum must match what arrived.
 	if want := r.Header.Get(crcHeader); want != "" && want != blobCRC(body) {
-		fail(w, http.StatusBadRequest, codeBadFrame,
-			fmt.Errorf("%w: blob body crc %s, header says %s", ErrBadFrame, blobCRC(body), want))
+		fail(w, fmt.Errorf("%w: blob body crc %s, header says %s", ErrBadFrame, blobCRC(body), want))
 		return
 	}
 	nw, werr := b.WriteAt(body, off)
 	if werr != nil {
-		failErr(w, werr)
+		fail(w, werr)
 		return
 	}
 	writeJSON(w, map[string]int{"written": nw})
 }
 
 func (n *Node) handleStatBlob(w http.ResponseWriter, r *http.Request) {
-	b, ok := n.blob(r.PathValue("name"))
+	b, ok := n.blob(w, r)
 	if !ok {
-		fail(w, http.StatusNotFound, codeNotFound, fmt.Errorf("%w: blob %s", ErrNodeNotFound, r.PathValue("name")))
 		return
 	}
 	size, err := b.Size()
 	if err != nil {
-		failErr(w, err)
+		fail(w, err)
 		return
 	}
 	writeJSON(w, map[string]int64{"size": size})
@@ -776,13 +765,12 @@ func (n *Node) handleSyncBlob(w http.ResponseWriter, r *http.Request) {
 	if !n.fenceOK(w, r) {
 		return
 	}
-	b, ok := n.blob(r.PathValue("name"))
+	b, ok := n.blob(w, r)
 	if !ok {
-		fail(w, http.StatusNotFound, codeNotFound, fmt.Errorf("%w: blob %s", ErrNodeNotFound, r.PathValue("name")))
 		return
 	}
 	if err := b.Sync(); err != nil {
-		failErr(w, err)
+		fail(w, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -792,18 +780,17 @@ func (n *Node) handleTruncateBlob(w http.ResponseWriter, r *http.Request) {
 	if !n.fenceOK(w, r) {
 		return
 	}
-	b, ok := n.blob(r.PathValue("name"))
+	b, ok := n.blob(w, r)
 	if !ok {
-		fail(w, http.StatusNotFound, codeNotFound, fmt.Errorf("%w: blob %s", ErrNodeNotFound, r.PathValue("name")))
 		return
 	}
 	size, err := strconv.ParseInt(r.URL.Query().Get("size"), 10, 64)
 	if err != nil {
-		fail(w, http.StatusBadRequest, codeBadGeometry, err)
+		failAs(w, store.ErrBadGeometry, err)
 		return
 	}
 	if err := b.Truncate(size); err != nil {
-		failErr(w, err)
+		fail(w, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)

@@ -7,10 +7,10 @@
 //     (EncodeFrame/DecodeFrame), so a torn or bit-flipped response is
 //     detected at the codec and retried instead of being written into the
 //     array as data.
-//   - NodeClient bounds every operation with a per-attempt deadline and a
-//     per-op retry budget (full-jitter backoff), gates attempts through a
-//     per-node circuit breaker, and probes an unreachable node in the
-//     background until it answers again.
+//   - NodeClient bounds every operation with a per-attempt deadline and
+//     runs it through the tree's one retry loop and circuit breaker
+//     (internal/retry), and probes an unreachable node in the background
+//     until it answers again.
 //   - Unreachability is classified by a grace window: within it the
 //     client returns store.ErrUnreachable (transient — the engine
 //     reconstructs reads around the node and retries writes); once the

@@ -1,16 +1,17 @@
 package store
 
 import (
+	"context"
 	"fmt"
-	"math/rand"
-	"sync"
+	"sync/atomic"
 	"time"
+
+	"github.com/oiraid/oiraid/internal/retry"
 )
 
-// RetryPolicy bounds how a RetryDevice (or any caller using Backoff)
-// retries transient errors: a capped number of attempts, exponential
-// backoff with jitter between them, and an overall per-operation deadline.
-// Permanent errors are never retried.
+// RetryPolicy bounds how a RetryDevice retries transient errors: a capped
+// number of attempts, exponential backoff with jitter between them, and an
+// overall per-operation deadline. Permanent errors are never retried.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of tries per operation, including
 	// the first (default 4).
@@ -28,32 +29,20 @@ type RetryPolicy struct {
 	Seed int64
 }
 
-// withDefaults fills zero fields with the documented defaults.
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = 4
+// policy fills zero fields with the documented defaults and renders the
+// result as the shared retry policy.
+func (p RetryPolicy) policy() retry.Policy {
+	pol := retry.Policy{Attempts: p.MaxAttempts, BaseDelay: p.BaseDelay, MaxDelay: p.MaxDelay, Budget: p.OpDeadline}
+	if pol.Attempts <= 0 {
+		pol.Attempts = 4
 	}
-	if p.BaseDelay <= 0 {
-		p.BaseDelay = 500 * time.Microsecond
+	if pol.BaseDelay <= 0 {
+		pol.BaseDelay = 500 * time.Microsecond
 	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = 50 * time.Millisecond
+	if pol.MaxDelay <= 0 {
+		pol.MaxDelay = 50 * time.Millisecond
 	}
-	return p
-}
-
-// Backoff returns the delay before retry number retry (0-based): an
-// exponential of BaseDelay capped at MaxDelay, scaled by a jitter factor
-// in [0.5, 1.5) drawn from rng (nil rng: no jitter).
-func (p RetryPolicy) Backoff(retry int, rng *rand.Rand) time.Duration {
-	d := p.BaseDelay << uint(retry)
-	if d > p.MaxDelay || d <= 0 {
-		d = p.MaxDelay
-	}
-	if rng != nil {
-		d = time.Duration(float64(d) * (0.5 + rng.Float64()))
-	}
-	return d
+	return pol
 }
 
 // RetryStats counts a RetryDevice's outcomes.
@@ -71,25 +60,22 @@ type RetryStats struct {
 }
 
 // RetryDevice wraps a Device with the retry policy: transient errors
-// (store.IsTransient) are retried with exponential backoff and jitter up
+// (store.IsTransient) are retried with full-jitter exponential backoff up
 // to the policy's attempt and deadline bounds; permanent and semantic
 // errors surface immediately.
 type RetryDevice struct {
 	inner Device
-	pol   RetryPolicy
+	pol   retry.Policy
+	retry *retry.Retrier
 
-	mu  sync.Mutex
-	rng *rand.Rand
-
-	ops, retries, absorbed, exhausted int64 // guarded by mu
+	ops, retries, absorbed, exhausted atomic.Int64
 }
 
 var _ Device = (*RetryDevice)(nil)
 
 // NewRetryDevice wraps dev with pol (zero fields take defaults).
 func NewRetryDevice(dev Device, pol RetryPolicy) *RetryDevice {
-	pol = pol.withDefaults()
-	return &RetryDevice{inner: dev, pol: pol, rng: rand.New(rand.NewSource(pol.Seed))}
+	return &RetryDevice{inner: dev, pol: pol.policy(), retry: retry.New(pol.Seed)}
 }
 
 // Strips implements Device.
@@ -103,47 +89,25 @@ func (r *RetryDevice) Inner() Device { return r.inner }
 
 // Stats returns a snapshot of the retry counters.
 func (r *RetryDevice) Stats() RetryStats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return RetryStats{Ops: r.ops, Retries: r.retries, Absorbed: r.absorbed, Exhausted: r.exhausted}
+	return RetryStats{Ops: r.ops.Load(), Retries: r.retries.Load(), Absorbed: r.absorbed.Load(), Exhausted: r.exhausted.Load()}
 }
 
 // do runs op under the retry policy.
 func (r *RetryDevice) do(op func() error) error {
-	r.mu.Lock()
-	r.ops++
-	r.mu.Unlock()
-	start := time.Now()
-	var err error
-	for attempt := 0; ; attempt++ {
-		err = op()
-		if err == nil {
-			if attempt > 0 {
-				r.mu.Lock()
-				r.absorbed++
-				r.mu.Unlock()
-			}
-			return nil
-		}
-		if !IsTransient(err) {
-			return err
-		}
-		if attempt >= r.pol.MaxAttempts-1 {
-			break
-		}
-		r.mu.Lock()
-		delay := r.pol.Backoff(attempt, r.rng)
-		r.retries++
-		r.mu.Unlock()
-		if r.pol.OpDeadline > 0 && time.Since(start)+delay > r.pol.OpDeadline {
-			break
-		}
-		time.Sleep(delay)
+	r.ops.Add(1)
+	attempts, err := r.retry.Do(context.Background(), r.pol, nil, func(context.Context) (time.Duration, bool, error) {
+		err := op()
+		return 0, IsTransient(err), err
+	})
+	r.retries.Add(int64(attempts - 1))
+	switch {
+	case err == nil && attempts > 1:
+		r.absorbed.Add(1)
+	case IsTransient(err):
+		r.exhausted.Add(1)
+		return fmt.Errorf("store: %d attempt(s) exhausted: %w", attempts, err)
 	}
-	r.mu.Lock()
-	r.exhausted++
-	r.mu.Unlock()
-	return fmt.Errorf("store: %d attempt(s) exhausted: %w", r.pol.MaxAttempts, err)
+	return err
 }
 
 // ReadStrip implements Device.

@@ -129,7 +129,7 @@ func main() {
 		run := func(base string) error {
 			in := io.Reader(bytes.NewReader(body))
 			if isObjectCmd(cmd) {
-				return remoteObjectCmd(ctx, server.NewClient(base), cmd, *bucket, *key, *prefix, *maxKeys, in, os.Stdout)
+				return objectCmd(ctx, remotePlane{server.NewClient(base)}, cmd, *bucket, *key, *prefix, *maxKeys, in, os.Stdout)
 			}
 			if cmd == "node" {
 				return remoteNodeCmd(ctx, server.NewClient(base), nodeSub, *nodeID, *nodeURL, os.Stdout)

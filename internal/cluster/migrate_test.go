@@ -288,7 +288,7 @@ func TestClusterRejoinAfterRebuildDeltaOnly(t *testing.T) {
 	opts := tc.options(37)
 	opts.Client.Timeout = 250 * time.Millisecond
 	opts.Client.Grace = 300 * time.Millisecond
-	opts.Engine.QoS = &engine.QoSConfig{RebuildRate: 100}
+	opts.Engine.QoS = &engine.QoSConfig{RebuildRate: 5}
 	c, err := Open(opts)
 	if err != nil {
 		t.Fatalf("open: %v", err)

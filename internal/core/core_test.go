@@ -254,7 +254,9 @@ func TestOIRAIDTripleFailurePlans(t *testing.T) {
 
 // validatePlan checks plan internal consistency: every task reads sources
 // that are alive or recovered in an earlier phase, targets every lost
-// strip exactly once, and reads exactly Data sources per task.
+// strip exactly once, reads exactly Data sources per task, and marks each
+// source's and names each target's member position within the repairing
+// stripe.
 func validatePlan(t *testing.T, a *Analyzer, plan *Plan) {
 	t.Helper()
 	failedSet := make(map[int]bool)
@@ -268,6 +270,26 @@ func validatePlan(t *testing.T, a *Analyzer, plan *Plan) {
 		if len(task.Reads) != stripe.Data {
 			t.Fatalf("task via %d reads %d sources, want %d", task.Via, len(task.Reads), stripe.Data)
 		}
+		if len(task.Present) != len(stripe.Strips) || len(task.TargetPos) != len(task.Targets) {
+			t.Fatalf("task via %d: mask of %d for %d members, %d positions for %d targets",
+				task.Via, len(task.Present), len(stripe.Strips), len(task.TargetPos), len(task.Targets))
+		}
+		marked := 0
+		for pos, st := range stripe.Strips {
+			if task.Present[pos] {
+				marked++
+				found := false
+				for _, src := range task.Reads {
+					found = found || src == st
+				}
+				if !found {
+					t.Fatalf("task via %d: mask marks %v, which is not a source", task.Via, st)
+				}
+			}
+		}
+		if marked != len(task.Reads) {
+			t.Fatalf("task via %d: mask marks %d members for %d sources", task.Via, marked, len(task.Reads))
+		}
 		for _, src := range task.Reads {
 			if failedSet[src.Disk] {
 				ph, ok := recoveredAt[src]
@@ -276,7 +298,10 @@ func validatePlan(t *testing.T, a *Analyzer, plan *Plan) {
 				}
 			}
 		}
-		for _, tgt := range task.Targets {
+		for i, tgt := range task.Targets {
+			if stripe.Strips[task.TargetPos[i]] != tgt {
+				t.Fatalf("task via %d: target %v is not member %d", task.Via, tgt, task.TargetPos[i])
+			}
 			if targeted[tgt] {
 				t.Fatalf("strip %v targeted twice", tgt)
 			}
@@ -339,6 +364,60 @@ func TestUpdateStripsStructure(t *testing.T) {
 		if !found {
 			t.Fatalf("update of %v does not write the strip itself", st)
 		}
+	}
+}
+
+// TestDecodePath: the chosen stripe contains the target at Target, prefers
+// the inner layer, falls back to the outer layer when the target's group
+// lost a second disk, and Present marks exactly the other members on live
+// disks.
+func TestDecodePath(t *testing.T) {
+	a := oiAnalyzer(t, 9)
+	check := func(target layout.Strip, failed []int, layer layout.Layer) {
+		t.Helper()
+		alive := func(d int) bool {
+			for _, f := range failed {
+				if d == f {
+					return false
+				}
+			}
+			return true
+		}
+		info, ok := a.DecodePath(target, alive)
+		if !ok {
+			t.Fatalf("failed %v: no decode path for %v", failed, target)
+		}
+		stripe := a.Scheme().Stripes()[info.Stripe]
+		if stripe.Layer != layer || info.Members[info.Target] != target {
+			t.Fatalf("failed %v: %v decoded via %s stripe %d at member %d", failed, target, stripe.Layer, info.Stripe, info.Target)
+		}
+		live := 0
+		for mi, st := range info.Members {
+			want := mi != info.Target && alive(st.Disk)
+			if info.Present[mi] != want {
+				t.Fatalf("failed %v: mask %v wrong at member %d of %v", failed, info.Present, mi, info.Members)
+			}
+			if want {
+				live++
+			}
+		}
+		if live < stripe.Data {
+			t.Fatalf("failed %v: %d live sources, need %d", failed, live, stripe.Data)
+		}
+	}
+	for slot := 0; slot < a.SlotsPerDisk(); slot++ {
+		check(layout.Strip{Disk: 0, Slot: slot}, []int{0}, layout.LayerInner)
+	}
+	// A data member of an inner stripe also sits in an outer stripe; fail a
+	// second disk of its group and only that one decodes it.
+	for _, stripe := range a.Scheme().Stripes() {
+		if stripe.Layer == layout.LayerInner {
+			check(stripe.Strips[0], []int{stripe.Strips[0].Disk, stripe.Strips[1].Disk}, layout.LayerOuter)
+			break
+		}
+	}
+	if _, ok := a.DecodePath(layout.Strip{}, func(int) bool { return false }); ok {
+		t.Fatal("decode path through no live disk")
 	}
 }
 

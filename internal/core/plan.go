@@ -18,6 +18,12 @@ type RepairTask struct {
 	// Reads are the source strips, all alive or recovered in an earlier
 	// phase. MDS coding needs exactly Data many sources per stripe.
 	Reads []layout.Strip
+	// TargetPos gives each target's member position within stripe Via
+	// (parallel to Targets), and Present marks the positions of Reads —
+	// the mask erasure.Code.Reconstruct takes — so an executor places
+	// shards without searching the stripe.
+	TargetPos []int
+	Present   []bool
 	// Phase is the dependency level: phase p reads only disks that
 	// survived or strips recovered in phases < p.
 	Phase int
@@ -117,7 +123,7 @@ func (a *Analyzer) Plan(failed []int, opts PlanOptions) *Plan {
 		failedSet[d] = true
 	}
 
-	lost, lostCount := a.initLoss(failed)
+	lost, _ := a.initLoss(failed)
 	plan.WriteStrips = len(lost)
 	if len(lost) == 0 {
 		return plan
@@ -132,6 +138,7 @@ func (a *Analyzer) Plan(failed []int, opts PlanOptions) *Plan {
 		// Strips repairable this phase: member of a stripe whose losses
 		// (counting only strips not yet recovered before this phase) fit
 		// within parity and whose sources are alive or recovered earlier.
+		// targets and sources hold member positions within stripe si.
 		type cand struct {
 			si      int32
 			targets []int32
@@ -147,11 +154,11 @@ func (a *Analyzer) Plan(failed []int, opts PlanOptions) *Plan {
 				seenStripe[si] = true
 				stripe := a.stripes[si]
 				var targets, sources []int32
-				for _, mid := range a.members[si] {
+				for mi, mid := range a.members[si] {
 					if lost[mid] {
-						targets = append(targets, mid)
+						targets = append(targets, int32(mi))
 					} else {
-						sources = append(sources, mid)
+						sources = append(sources, int32(mi))
 					}
 				}
 				if len(targets) == 0 || len(targets) > stripe.Parity() {
@@ -178,7 +185,8 @@ func (a *Analyzer) Plan(failed []int, opts PlanOptions) *Plan {
 
 		candsOf := make(map[int32][]int, len(lost))
 		for ci, c := range phaseCands {
-			for _, tid := range c.targets {
+			for _, tp := range c.targets {
+				tid := a.members[c.si][tp]
 				candsOf[tid] = append(candsOf[tid], ci)
 			}
 		}
@@ -191,8 +199,8 @@ func (a *Analyzer) Plan(failed []int, opts PlanOptions) *Plan {
 				// Skip stripes that overlap an already-planned target (a
 				// strip is rebuilt by exactly one task per plan) or that
 				// lack the Data sources MDS decoding needs.
-				for _, tid := range c.targets {
-					if tid != id && assigned[tid] {
+				for _, tp := range c.targets {
+					if tid := a.members[c.si][tp]; tid != id && assigned[tid] {
 						return false
 					}
 				}
@@ -211,6 +219,7 @@ func (a *Analyzer) Plan(failed []int, opts PlanOptions) *Plan {
 			}
 			best := -1
 			bestMax, bestSum := 0, 0
+			var bestSrcs []int32
 			for _, ci := range candsOf[id] {
 				c := &phaseCands[ci]
 				if !usable(c) {
@@ -219,10 +228,11 @@ func (a *Analyzer) Plan(failed []int, opts PlanOptions) *Plan {
 				if preferredOnly && a.stripes[c.si].Layer != opts.PreferLayer {
 					continue
 				}
-				need := a.stripes[c.si].Data
-				srcs := a.chooseSources(c.sources, need, load, recoveredBefore)
+				mem := a.members[c.si]
+				srcs := a.chooseSources(mem, c.sources, a.stripes[c.si].Data, load, recoveredBefore)
 				maxL, sumL := 0, 0
-				for _, sid := range srcs {
+				for _, sp := range srcs {
+					sid := mem[sp]
 					if recoveredBefore[sid] {
 						continue
 					}
@@ -246,26 +256,33 @@ func (a *Analyzer) Plan(failed []int, opts PlanOptions) *Plan {
 						a.stripes[phaseCands[best].si].Layer != opts.PreferLayer
 				}
 				if better {
-					best, bestMax, bestSum = ci, maxL, sumL
+					best, bestMax, bestSum, bestSrcs = ci, maxL, sumL, srcs
 				}
 			}
 			if best < 0 {
 				continue // not repairable this phase
 			}
 			c := &phaseCands[best]
-			need := a.stripes[c.si].Data
-			srcs := a.chooseSources(c.sources, need, load, recoveredBefore)
+			mem := a.members[c.si]
+			nt := len(c.targets)
+			strips := make([]layout.Strip, nt+len(bestSrcs)) // one backing array for Targets and Reads
 			task := RepairTask{
-				Via:   int(c.si),
-				Layer: a.stripes[c.si].Layer,
-				Phase: phase,
+				Via:       int(c.si),
+				Layer:     a.stripes[c.si].Layer,
+				Phase:     phase,
+				Targets:   strips[:nt:nt],
+				Reads:     strips[nt:],
+				TargetPos: make([]int, nt),
+				Present:   make([]bool, len(mem)),
 			}
-			for _, tid := range c.targets {
+			for i, tp := range c.targets {
+				tid := mem[tp]
 				assigned[tid] = true
-				task.Targets = append(task.Targets, a.strip(tid))
+				task.Targets[i], task.TargetPos[i] = a.strip(tid), int(tp)
 			}
-			for _, sid := range srcs {
-				task.Reads = append(task.Reads, a.strip(sid))
+			for i, sp := range bestSrcs {
+				sid := mem[sp]
+				task.Reads[i], task.Present[sp] = a.strip(sid), true
 				if recoveredBefore[sid] {
 					plan.RecoveredReads++
 					continue
@@ -285,9 +302,6 @@ func (a *Analyzer) Plan(failed []int, opts PlanOptions) *Plan {
 				id := a.stripID(st)
 				delete(lost, id)
 				recoveredBefore[id] = true
-				for _, sj := range a.stripesOf[id] {
-					lostCount[sj]--
-				}
 			}
 		}
 		plan.Tasks = append(plan.Tasks, phaseTasks...)
@@ -312,25 +326,25 @@ func (a *Analyzer) Plan(failed []int, opts PlanOptions) *Plan {
 	return plan
 }
 
-// chooseSources picks need sources from the available survivors,
-// preferring already-recovered strips (free reads) and then the least
-// loaded disks. Deterministic for equal loads.
-func (a *Analyzer) chooseSources(avail []int32, need int, load []int, recovered map[int32]bool) []int32 {
+// chooseSources picks need sources from the available survivors (member
+// positions within mem), preferring already-recovered strips (free reads)
+// and then the least loaded disks. Deterministic for equal loads.
+func (a *Analyzer) chooseSources(mem, avail []int32, need int, load []int, recovered map[int32]bool) []int32 {
 	if len(avail) == need {
 		return avail
 	}
 	srcs := append([]int32(nil), avail...)
 	sort.SliceStable(srcs, func(i, j int) bool {
-		ri, rj := recovered[srcs[i]], recovered[srcs[j]]
-		if ri != rj {
+		si, sj := mem[srcs[i]], mem[srcs[j]]
+		if ri, rj := recovered[si], recovered[sj]; ri != rj {
 			return ri
 		}
-		li := load[int(srcs[i])/a.slots]
-		lj := load[int(srcs[j])/a.slots]
+		li := load[int(si)/a.slots]
+		lj := load[int(sj)/a.slots]
 		if li != lj {
 			return li < lj
 		}
-		return srcs[i] < srcs[j]
+		return si < sj
 	})
 	return srcs[:need]
 }

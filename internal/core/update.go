@@ -47,43 +47,6 @@ func (a *Analyzer) UpdateStrips(target layout.Strip) []layout.Strip {
 	return out
 }
 
-// ReconstructSources returns Data-many source strips from a stripe that
-// can rebuild the given strip using only disks accepted by alive,
-// preferring the inner layer (its sources sit in one group). ok is false
-// when no stripe of the strip has enough live members — the strip is
-// currently unreadable.
-func (a *Analyzer) ReconstructSources(target layout.Strip, alive func(disk int) bool) (sources []layout.Strip, ok bool) {
-	id := a.stripID(target)
-	best := -1
-	for _, si := range a.stripesOf[id] {
-		live := 0
-		for _, mid := range a.members[si] {
-			if mid != id && alive(int(mid)/a.slots) {
-				live++
-			}
-		}
-		if live < a.stripes[si].Data {
-			continue
-		}
-		if best < 0 || (a.stripes[si].Layer == layout.LayerInner && a.stripes[best].Layer != layout.LayerInner) {
-			best = int(si)
-		}
-	}
-	if best < 0 {
-		return nil, false
-	}
-	need := a.stripes[best].Data
-	for _, mid := range a.members[int32(best)] {
-		if len(sources) == need {
-			break
-		}
-		if mid != id && alive(int(mid)/a.slots) {
-			sources = append(sources, a.strip(mid))
-		}
-	}
-	return sources, true
-}
-
 // DecodeInfo tells a data plane how to reconstruct one strip: which
 // stripe to decode and where the target sits among its members.
 type DecodeInfo struct {
@@ -93,6 +56,10 @@ type DecodeInfo struct {
 	Members []layout.Strip
 	// Target is the index of the strip being reconstructed within Members.
 	Target int
+	// Present marks every other member on a disk accepted by alive (the
+	// mask erasure.Code.Reconstruct takes); any Data-many of them decode
+	// Target.
+	Present []bool
 }
 
 // DecodePath selects a stripe that can reconstruct the target strip using
@@ -118,11 +85,13 @@ func (a *Analyzer) DecodePath(target layout.Strip, alive func(disk int) bool) (D
 	if best < 0 {
 		return DecodeInfo{}, false
 	}
-	info := DecodeInfo{Stripe: best, Members: a.stripes[best].Strips}
-	for mi, st := range info.Members {
-		if st == target {
+	mem := a.members[best]
+	info := DecodeInfo{Stripe: best, Members: a.stripes[best].Strips, Present: make([]bool, len(mem))}
+	for mi, mid := range mem {
+		if mid == id {
 			info.Target = mi
-			break
+		} else {
+			info.Present[mi] = alive(int(mid) / a.slots)
 		}
 	}
 	return info, true

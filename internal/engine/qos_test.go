@@ -278,6 +278,33 @@ func TestQoSBackgroundScrub(t *testing.T) {
 	if e2.Stats().ScrubPasses == 0 {
 		t.Fatal("scrubber did not start after SetQoS")
 	}
+
+	// A latent sector error is what the scrubber exists to find: it heals
+	// the strip and completes the pass instead of wedging on it.
+	e3, faults := newChaosEngine(t, 9, 2, Options{})
+	for addr := int64(0); addr < e3.Strips(); addr++ {
+		if err := e3.WriteStrip(addr, chaosPattern(testStrip, addr, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw := make([]byte, testStrip)
+	if err := faults[4].Inner().ReadStrip(1, raw); err != nil {
+		t.Fatal(err)
+	}
+	raw[0] ^= 0xFF
+	if err := faults[4].Inner().WriteStrip(1, raw); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e3.SetQoS(QoSUpdate{ScrubInterval: &iv, ScrubBatch: &batch}); err != nil {
+		t.Fatal(err)
+	}
+	deadline = time.Now().Add(10 * time.Second)
+	for time.Now().Before(deadline) && e3.Stats().ScrubPasses == 0 {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if st := e3.Array().Stats(); e3.Stats().ScrubPasses == 0 || st.ReadRepairs != 1 {
+		t.Fatalf("scrubber over a corrupt strip: %d passes, %+v", e3.Stats().ScrubPasses, st)
+	}
 }
 
 // TestQoSScrubPass: the synchronous pass completes cleanly, honours its

@@ -64,13 +64,19 @@ func (s *session) serveRead(cycle int, strip layout.Strip) {
 		return
 	}
 	alive := func(d int) bool { return !s.failed[d] }
-	sources, ok := s.a.ReconstructSources(strip, alive)
+	info, ok := s.a.DecodePath(strip, alive)
 	if !ok {
 		s.fg.Dropped++
 		return
 	}
-	remaining := len(sources)
-	for _, src := range sources {
+	// MDS decoding needs Data-many of the live members: take the first.
+	remaining := s.a.Scheme().Stripes()[info.Stripe].Data
+	need := remaining
+	for pos, src := range info.Members {
+		if !info.Present[pos] || need == 0 {
+			continue
+		}
+		need--
 		s.disks[src.Disk].submit(ioReq{
 			offset: s.byteOffset(cycle, src.Slot),
 			size:   s.cfg.Foreground.IOBytes,
@@ -109,27 +115,19 @@ func (s *session) serveWrite(cycle int, strip layout.Strip) {
 			}
 		}
 	}
-	var reqs []struct {
+	type req struct {
 		disk   int
 		offset int64
 		write  bool
 	}
+	var reqs []req
 	for _, tgt := range targets {
 		if s.failed[tgt.Disk] {
 			degraded = true
 			continue
 		}
 		off := s.byteOffset(cycle, tgt.Slot)
-		reqs = append(reqs, struct {
-			disk   int
-			offset int64
-			write  bool
-		}{tgt.Disk, off, false})
-		reqs = append(reqs, struct {
-			disk   int
-			offset int64
-			write  bool
-		}{tgt.Disk, off, true})
+		reqs = append(reqs, req{tgt.Disk, off, false}, req{tgt.Disk, off, true})
 	}
 	if len(reqs) == 0 {
 		s.fg.Dropped++

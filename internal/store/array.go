@@ -60,7 +60,7 @@ func (c *ioCounters) reset() {
 // Array is a byte-accurate RAID array over strip devices, laid out by any
 // layout.Scheme. It is safe for concurrent use: reads (including degraded
 // reads) run concurrently under a read lock; writes, failure injection,
-// rebuild, scrub, and repair serialise under the write lock.
+// rebuild, scrub, and fsck serialise under the write lock.
 //
 // Mutability invariants (what the concurrency engine in internal/engine
 // relies on):
@@ -201,13 +201,7 @@ func (a *Array) ResetStats() { a.stats.reset() }
 func (a *Array) FailedDisks() []int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	var out []int
-	for d, f := range a.failed {
-		if f {
-			out = append(out, d)
-		}
-	}
-	return out
+	return a.failedListLocked()
 }
 
 // FailDisk marks disk d failed. Its device is no longer read or written;
@@ -270,9 +264,7 @@ func (a *Array) InstrumentDevices(wrap func(disk int, dev Device) Device) {
 
 // locate maps a logical data-strip index to (disk, absolute device strip).
 func (a *Array) locate(dataIdx int64) (disk int, devStrip int64) {
-	perCycle := int64(len(a.sch.DataStrips()))
-	cycle := dataIdx / perCycle
-	st := a.sch.DataStrips()[dataIdx%perCycle]
+	st, cycle := a.LocateDataStrip(dataIdx)
 	return st.Disk, cycle*int64(a.an.SlotsPerDisk()) + int64(st.Slot)
 }
 
@@ -388,7 +380,7 @@ func (a *Array) ReadAvoided() []int {
 func (a *Array) readStrip(d int, devStrip int64, p []byte) error {
 	dev := a.liveDevice(d, devStrip)
 	if dev == nil {
-		return a.reconstructStrip(d, devStrip, p)
+		return a.reconstructStripDepth(d, devStrip, p, 0)
 	}
 	if a.avoided(d) && !a.failed[d] {
 		if err := a.readStripAvoiding(d, devStrip, p); err == nil {
@@ -399,37 +391,51 @@ func (a *Array) readStrip(d int, devStrip int64, p []byte) error {
 		// or also avoided in every shared stripe); fall through to the
 		// direct read.
 	}
-	a.stats.readOps.Add(1)
-	err := dev.ReadStrip(devStrip, p)
-	if err == nil {
+	err := a.readMember(dev, d, devStrip, p, 0)
+	if err == nil || errors.Is(err, ErrCorrupt) {
+		return err
+	}
+	// The disk is dark (unreachable path, injected fault) rather than
+	// corrupt. The failed access has already been observed by the health
+	// instrumentation, so availability is the only question left: serve
+	// the strip from survivors when the layout still decodes it —
+	// single-stripe decode first, full multi-phase peeling (avoiding
+	// quarantined peers, usually dark for the same reason) after.
+	if rerr := a.reconstructStripDepth(d, devStrip, p, 0); rerr == nil {
 		return nil
 	}
-	if !errors.Is(err, ErrCorrupt) {
-		// The disk is dark (unreachable path, injected fault) rather than
-		// corrupt. The failed read has already been observed by the health
-		// instrumentation, so availability is the only question left:
-		// serve the strip from survivors when the layout still decodes it
-		// — single-stripe decode first, full multi-phase peeling (avoiding
-		// quarantined peers, usually dark for the same reason) after.
-		if rerr := a.reconstructStrip(d, devStrip, p); rerr == nil {
-			return nil
-		}
+	return err
+}
+
+// readMember is the one device read of the data plane (DESIGN.md §8): it
+// reads strip (d, devStrip) from dev, its live device, and heals a checksum
+// failure (a latent sector error caught by a ChecksummedDevice) in place —
+// reconstruct through whichever of the strip's stripes still decodes,
+// write back, carry on with the healed content. depth bounds the recursion.
+func (a *Array) readMember(dev Device, d int, devStrip int64, p []byte, depth int) error {
+	a.stats.readOps.Add(1)
+	err := dev.ReadStrip(devStrip, p)
+	if !errors.Is(err, ErrCorrupt) || depth >= maxHealDepth {
 		return err
 	}
 	a.stats.corruptStrips.Add(1)
-	if err := a.reconstructStrip(d, devStrip, p); err != nil {
-		return fmt.Errorf("store: read repair of strip (%d,%d): %w", d, devStrip, err)
+	return a.healStrip(dev, d, devStrip, p, depth, err)
+}
+
+// healStrip reconstructs strip (d, devStrip), whose read failed with the
+// checksum error cause, into p and rewrites it on dev. A strip no stripe
+// can decode fails with both cause and the reconstruction error in the
+// chain; a failed write-back carries neither.
+func (a *Array) healStrip(dev Device, d int, devStrip int64, p []byte, depth int, cause error) error {
+	if herr := a.reconstructStripDepth(d, devStrip, p, depth+1); herr != nil {
+		return fmt.Errorf("store: corrupt source (%d,%d) unhealable (%w): %w", d, devStrip, herr, cause)
 	}
 	a.stats.writeOps.Add(1)
 	a.stats.readRepairs.Add(1)
-	return dev.WriteStrip(devStrip, p)
-}
-
-// reconstructStrip rebuilds strip (d, devStrip) into p: single-stripe
-// decoding when one live stripe suffices, full multi-phase peeling for
-// deep multi-failure patterns.
-func (a *Array) reconstructStrip(d int, devStrip int64, p []byte) error {
-	return a.reconstructStripDepth(d, devStrip, p, 0)
+	if werr := dev.WriteStrip(devStrip, p); werr != nil {
+		return fmt.Errorf("store: read repair of strip (%d,%d): %w", d, devStrip, werr)
+	}
+	return nil
 }
 
 // maxHealDepth bounds recursive healing of corrupt source strips, which
@@ -440,6 +446,10 @@ const maxHealDepth = 3
 // live stripe can reconstruct the target under the given predicate.
 var errNoDecodePath = errors.New("store: no single-stripe decode path")
 
+// reconstructStripDepth rebuilds strip (d, devStrip) into p: single-stripe
+// decoding when one live stripe suffices, full multi-phase peeling for
+// deep multi-failure patterns. depth is the heal recursion depth (0 for a
+// read that is not itself healing a source).
 func (a *Array) reconstructStripDepth(d int, devStrip int64, p []byte, depth int) error {
 	a.stats.degradedReads.Add(1)
 	slots := int64(a.an.SlotsPerDisk())
@@ -455,13 +465,13 @@ func (a *Array) reconstructStripDepth(d int, devStrip int64, p []byte, depth int
 		if err := a.decodeVia(target, cycle, strict, p, depth); err == nil {
 			return nil
 		}
-		if err := a.reconstructDeepFrom(cycle, target, p, true); err == nil {
+		if err := a.reconstructDeep(cycle, target, p, true, depth); err == nil {
 			return nil
 		}
 	}
 	err := a.decodeVia(target, cycle, alive, p, depth)
 	if errors.Is(err, errNoDecodePath) {
-		return a.reconstructDeep(cycle, target, p)
+		return a.reconstructDeep(cycle, target, p, false, depth)
 	}
 	return err
 }
@@ -483,50 +493,72 @@ func (a *Array) readStripAvoiding(d int, devStrip int64, p []byte) error {
 }
 
 // decodeVia reconstructs target into p through one stripe whose members
-// satisfy alive, healing corrupt sources in place along the way. It
-// returns errNoDecodePath when no single stripe qualifies.
+// satisfy alive: the one-task plan core.DecodePath describes. It returns
+// errNoDecodePath when no single stripe qualifies.
 func (a *Array) decodeVia(target layout.Strip, cycle int64, alive func(disk int) bool, p []byte, depth int) error {
-	slots := int64(a.an.SlotsPerDisk())
-	d := target.Disk
 	info, ok := a.an.DecodePath(target, alive)
 	if !ok {
 		return errNoDecodePath
 	}
-	stripe := a.sch.Stripes()[info.Stripe]
-	shards := erasure.AllocShards(stripe.Data, stripe.Parity(), a.stripBytes)
-	present := make([]bool, len(info.Members))
-	for mi, st := range info.Members {
-		if st.Disk == d || !alive(st.Disk) {
+	run := planRun{cycle: cycle, depth: depth}
+	return a.execTask(&run, info.Stripe, info.Present, []int{info.Target}, nil,
+		func(_ layout.Strip, content []byte) error {
+			copy(p, content)
+			return nil
+		})
+}
+
+// planRun is the state of one execution of recovery tasks over one cycle.
+type planRun struct {
+	cycle int64
+	depth int // heal recursion depth of the read being served
+	// shards is the scratch shard set, of the given stripe shape, that
+	// consecutive tasks of one shape share.
+	shape  [2]int
+	shards [][]byte
+}
+
+// execTask is the one gather-decode-scatter loop. It reads the members of
+// stripe via that reads marks into their shards — each through readMember,
+// so a checksum-failed survivor is healed through its other stripe —
+// decodes, and hands the strip at each targets position to sink (content
+// is only valid during the call). A source that an earlier task of the
+// same run reconstructed is served by earlier, which reports false for a
+// strip the plan never lost; nil when no source can be one.
+func (a *Array) execTask(run *planRun, via int, reads []bool, targets []int,
+	earlier func(st layout.Strip, p []byte) (bool, error),
+	sink func(st layout.Strip, content []byte) error) error {
+	stripe := a.sch.Stripes()[via]
+	if shape := [2]int{stripe.Data, stripe.Parity()}; run.shards == nil || shape != run.shape {
+		run.shape, run.shards = shape, erasure.AllocShards(shape[0], shape[1], a.stripBytes)
+	}
+	shards := run.shards
+	slots := int64(a.an.SlotsPerDisk())
+	for pos, read := range reads {
+		if !read {
 			continue
 		}
-		idx := cycle*slots + int64(st.Slot)
-		dev := a.liveDevice(st.Disk, idx)
-		a.stats.readOps.Add(1)
-		if err := dev.ReadStrip(idx, shards[mi]); err != nil {
-			// A corrupt source is itself a latent sector error. Every strip
-			// belongs to more than one stripe in the two-layer layout, so
-			// heal it through its own decode path, write it back (read
-			// repair), and carry on with the healed content.
-			if !errors.Is(err, ErrCorrupt) || depth >= maxHealDepth {
+		st := stripe.Strips[pos]
+		if earlier != nil {
+			if ok, err := earlier(st, shards[pos]); err != nil {
 				return err
-			}
-			a.stats.corruptStrips.Add(1)
-			if herr := a.reconstructStripDepth(st.Disk, idx, shards[mi], depth+1); herr != nil {
-				return fmt.Errorf("store: corrupt source %v unhealable (%v): %w", st, herr, err)
-			}
-			a.stats.writeOps.Add(1)
-			a.stats.readRepairs.Add(1)
-			if werr := dev.WriteStrip(idx, shards[mi]); werr != nil {
-				return fmt.Errorf("store: read repair of strip %v: %w", st, werr)
+			} else if ok {
+				continue
 			}
 		}
-		present[mi] = true
+		idx := run.cycle*slots + int64(st.Slot)
+		if err := a.readMember(a.liveDevice(st.Disk, idx), st.Disk, idx, shards[pos], run.depth); err != nil {
+			return err
+		}
 	}
-	code := a.codes[[2]int{stripe.Data, stripe.Parity()}]
-	if err := code.Reconstruct(shards, present); err != nil {
-		return fmt.Errorf("store: reconstruct (%d,%d): %w", d, target.Slot, err)
+	if err := a.codes[run.shape].Reconstruct(shards, reads); err != nil {
+		return fmt.Errorf("store: reconstruct stripe %d of cycle %d: %w", via, run.cycle, err)
 	}
-	copy(p, shards[info.Target])
+	for _, pos := range targets {
+		if err := sink(stripe.Strips[pos], shards[pos]); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
@@ -576,18 +608,13 @@ func (a *Array) ProbeDiskStrip(d int, devStrip int64, p []byte) error {
 // recovery plan for this cycle in memory (no device writes). It is the
 // slow path for failure patterns where no single live stripe covers the
 // strip — e.g. reading a group that lost two disks before any rebuild.
-func (a *Array) reconstructDeep(cycle int64, target layout.Strip, p []byte) error {
-	return a.reconstructDeepFrom(cycle, target, p, false)
-}
-
-// reconstructDeepFrom is reconstructDeep with an optional stricter
-// source predicate: with avoidQuarantined set, read-avoided disks are
-// planned around as if failed, so a partition-downed node never stalls
-// the read of a strip that is decodable without it. An incomplete plan
-// no longer aborts the read — the peeling decoder still produces every
-// recoverable strip, and only a target it cannot produce fails, with
-// ErrStripUnavailable (the per-strip refinement of ErrTooManyFailures).
-func (a *Array) reconstructDeepFrom(cycle int64, target layout.Strip, p []byte, avoidQuarantined bool) error {
+// With avoidQuarantined set, read-avoided disks are planned around as if
+// failed, so a partition-downed node never stalls the read of a strip that
+// is decodable without it. An incomplete plan does not abort the read —
+// the peeling decoder still produces every recoverable strip, and only a
+// target it cannot produce fails, with ErrStripUnavailable (the per-strip
+// refinement of ErrTooManyFailures).
+func (a *Array) reconstructDeep(cycle int64, target layout.Strip, p []byte, avoidQuarantined bool, depth int) error {
 	var failed []int
 	for d := range a.devs {
 		if a.failed[d] || (avoidQuarantined && a.avoided(d)) {
@@ -600,47 +627,20 @@ func (a *Array) reconstructDeepFrom(cycle int64, target layout.Strip, p []byte, 
 			return fmt.Errorf("%w: strip %v under failed disks %v", ErrStripUnavailable, target, failed)
 		}
 	}
-	slots := int64(a.an.SlotsPerDisk())
 	recovered := make(map[layout.Strip][]byte)
-	read := func(st layout.Strip, buf []byte) error {
-		if content, ok := recovered[st]; ok {
-			copy(buf, content)
-			return nil
-		}
-		a.stats.readOps.Add(1)
-		return a.device(st.Disk).ReadStrip(cycle*slots+int64(st.Slot), buf)
+	earlier := func(st layout.Strip, buf []byte) (bool, error) {
+		content, ok := recovered[st]
+		copy(buf, content)
+		return ok, nil
 	}
+	sink := func(st layout.Strip, content []byte) error {
+		recovered[st] = append([]byte(nil), content...)
+		return nil
+	}
+	run := planRun{cycle: cycle, depth: depth}
 	for _, task := range plan.Tasks {
-		stripe := a.sch.Stripes()[task.Via]
-		shards := erasure.AllocShards(stripe.Data, stripe.Parity(), a.stripBytes)
-		present := make([]bool, len(stripe.Strips))
-		for mi, st := range stripe.Strips {
-			isSource := false
-			for _, src := range task.Reads {
-				if src == st {
-					isSource = true
-					break
-				}
-			}
-			if !isSource {
-				continue
-			}
-			if err := read(st, shards[mi]); err != nil {
-				return err
-			}
-			present[mi] = true
-		}
-		code := a.codes[[2]int{stripe.Data, stripe.Parity()}]
-		if err := code.Reconstruct(shards, present); err != nil {
-			return fmt.Errorf("store: deep reconstruct stripe %d: %w", task.Via, err)
-		}
-		for _, tgt := range task.Targets {
-			for mi, st := range stripe.Strips {
-				if st == tgt {
-					recovered[tgt] = append([]byte(nil), shards[mi]...)
-					break
-				}
-			}
+		if err := a.execTask(&run, task.Via, task.Present, task.TargetPos, earlier, sink); err != nil {
+			return err
 		}
 		if content, ok := recovered[target]; ok {
 			copy(p, content)
@@ -698,7 +698,7 @@ func (a *Array) WriteAt(p []byte, off int64) (int, error) {
 // closures, and that no concurrent read decodes through a stripe an
 // in-flight write is updating — the striped-lock engine in internal/engine
 // provides exactly this exclusion, keyed by stripe id. Structural
-// operations (FailDisk, ReplaceDisk, RebuildStep, Scrub, Repair) take the
+// operations (FailDisk, ReplaceDisk, RebuildStep, Scrub, Fsck) take the
 // write lock and therefore remain safe to interleave.
 func (a *Array) ConcurrentWriteAt(p []byte, off int64) (int, error) {
 	a.mu.RLock()
@@ -746,23 +746,9 @@ func (a *Array) writeAtLocked(p []byte, off int64) (int, error) {
 func (a *Array) readStripForUpdate(d int, devStrip int64, p []byte) error {
 	dev := a.liveDevice(d, devStrip)
 	if dev == nil {
-		return a.reconstructStrip(d, devStrip, p)
+		return a.reconstructStripDepth(d, devStrip, p, 0)
 	}
-	a.stats.readOps.Add(1)
-	err := dev.ReadStrip(devStrip, p)
-	if err == nil {
-		return nil
-	}
-	if !errors.Is(err, ErrCorrupt) {
-		return err
-	}
-	a.stats.corruptStrips.Add(1)
-	if err := a.reconstructStrip(d, devStrip, p); err != nil {
-		return fmt.Errorf("store: read repair of strip (%d,%d): %w", d, devStrip, err)
-	}
-	a.stats.writeOps.Add(1)
-	a.stats.readRepairs.Add(1)
-	return dev.WriteStrip(devStrip, p)
+	return a.readMember(dev, d, devStrip, p, 0)
 }
 
 // resolvePendingClosures is the consistency barrier ahead of a

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"github.com/oiraid/oiraid/internal/erasure"
 	"github.com/oiraid/oiraid/internal/layout"
 )
 
@@ -84,17 +83,15 @@ func checksummedOf(dev Device) *ChecksummedDevice {
 // stripes get their parity recomputed from data (outer layer first, since
 // outer parity strips are data members of inner stripes).
 //
-// The checksum pass trusts parity (it reconstructs from it) and the
-// parity pass trusts data — the same assumptions as read repair and
-// Repair respectively. The array must be healthy; it is locked for the
-// duration, so route calls through Engine.Fsck on a serving array.
+// The checksum pass trusts parity (it reconstructs from it, as read repair
+// does) and the parity pass trusts data. The array must be healthy; it is
+// locked for the duration, so route calls through Engine.Fsck on a serving
+// array.
 func (a *Array) Fsck(repair bool) (*FsckReport, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	for _, f := range a.failed {
-		if f {
-			return nil, ErrDiskFaulty
-		}
+	if len(a.failedListLocked()) > 0 {
+		return nil, ErrDiskFaulty
 	}
 	rep := &FsckReport{Cycles: a.cycles}
 	slots := int64(a.an.SlotsPerDisk())
@@ -104,6 +101,16 @@ func (a *Array) Fsck(repair bool) (*FsckReport, error) {
 			return
 		}
 		rep.Issues = append(rep.Issues, is)
+	}
+
+	// The parity pass reads under the checksums, so a (reported) checksum
+	// issue neither masks the parity verdict nor gets healed unasked.
+	raw := func(dev Device, _ int, devStrip int64, p []byte) error {
+		a.stats.readOps.Add(1)
+		if cd := checksummedOf(dev); cd != nil {
+			return cd.ReadStripRaw(devStrip, p)
+		}
+		return dev.ReadStrip(devStrip, p)
 	}
 
 	buf := make([]byte, a.stripBytes)
@@ -126,77 +133,43 @@ func (a *Array) Fsck(repair bool) (*FsckReport, error) {
 				rep.ChecksumErrors++
 				is := FsckIssue{Kind: "checksum", Cycle: cycle, Disk: d, Slot: int(slot)}
 				if repair {
-					if err := a.reconstructStrip(d, devStrip, buf); err != nil {
-						addIssue(is)
-						continue
+					if herr := a.healStrip(dev, d, devStrip, buf, 0, err); herr == nil {
+						is.Repaired = true
+						rep.Repaired++
+					} else if !errors.Is(herr, ErrCorrupt) {
+						return rep, herr // the write-back failed
 					}
-					a.stats.writeOps.Add(1)
-					a.stats.readRepairs.Add(1)
-					if err := dev.WriteStrip(devStrip, buf); err != nil {
-						return rep, err
-					}
-					is.Repaired = true
-					rep.Repaired++
 				}
 				addIssue(is)
 			}
 		}
 
-		// Pass B: parity consistency, outer layer first. Reads bypass
-		// checksum verification so a (reported) checksum issue does not
-		// mask the parity result.
-		for _, pass := range []layout.Layer{layout.LayerOuter, layout.LayerInner} {
-			for si, stripe := range a.sch.Stripes() {
-				if (pass == layout.LayerOuter) != (stripe.Layer == layout.LayerOuter) {
-					continue
+		// Pass B: parity consistency; with repair, parity is recomputed
+		// from data, which the walk's outer-first order makes cascade.
+		err := a.walkStripes(cycle, raw, func(si int, stripe layout.Stripe, shards [][]byte) error {
+			rep.ParityErrors++
+			is := FsckIssue{Kind: "parity", Cycle: cycle, Stripe: si, Layer: stripe.Layer.String()}
+			if repair {
+				if err := a.codes[[2]int{stripe.Data, stripe.Parity()}].Encode(shards); err != nil {
+					return err
 				}
-				code := a.codes[[2]int{stripe.Data, stripe.Parity()}]
-				shards := erasure.AllocShards(stripe.Data, stripe.Parity(), a.stripBytes)
-				for mi, st := range stripe.Strips {
-					devStrip := cycle*slots + int64(st.Slot)
-					dev := a.device(st.Disk)
-					a.stats.readOps.Add(1)
-					var err error
-					if cd := checksummedOf(dev); cd != nil {
-						err = cd.ReadStripRaw(devStrip, shards[mi])
-					} else {
-						err = dev.ReadStrip(devStrip, shards[mi])
-					}
-					if err != nil {
-						return rep, err
+				for mi := stripe.Data; mi < len(stripe.Strips); mi++ {
+					st := stripe.Strips[mi]
+					a.stats.writeOps.Add(1)
+					if err := a.device(st.Disk).WriteStrip(cycle*slots+int64(st.Slot), shards[mi]); err != nil {
+						return err
 					}
 				}
-				rep.StripesChecked++
-				ok, err := code.Verify(shards)
-				if err != nil {
-					return rep, fmt.Errorf("store: fsck stripe %d: %w", si, err)
-				}
-				if ok {
-					continue
-				}
-				rep.ParityErrors++
-				layerName := "inner"
-				if stripe.Layer == layout.LayerOuter {
-					layerName = "outer"
-				}
-				is := FsckIssue{Kind: "parity", Cycle: cycle, Stripe: si, Layer: layerName}
-				if repair {
-					if err := code.Encode(shards); err != nil {
-						return rep, err
-					}
-					for mi := stripe.Data; mi < len(stripe.Strips); mi++ {
-						st := stripe.Strips[mi]
-						a.stats.writeOps.Add(1)
-						if err := a.device(st.Disk).WriteStrip(cycle*slots+int64(st.Slot), shards[mi]); err != nil {
-							return rep, err
-						}
-					}
-					is.Repaired = true
-					rep.Repaired++
-				}
-				addIssue(is)
+				is.Repaired = true
+				rep.Repaired++
 			}
+			addIssue(is)
+			return nil
+		})
+		if err != nil {
+			return rep, err
 		}
+		rep.StripesChecked += int64(len(a.sch.Stripes()))
 	}
 	rep.Clean = rep.ChecksumErrors+rep.ParityErrors == rep.Repaired
 	return rep, nil

@@ -2,10 +2,12 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"testing"
 
+	"github.com/oiraid/oiraid/internal/core"
 	"github.com/oiraid/oiraid/internal/layout"
 )
 
@@ -30,6 +32,22 @@ func newChecksummedArray(t *testing.T, v int) (*Array, []*MemDevice) {
 		t.Fatal(err)
 	}
 	return arr, inner
+}
+
+// flipByte corrupts one byte of a strip behind the checksum wrapper — a
+// latent sector error — and returns the strip's original content.
+func flipByte(t *testing.T, dev *MemDevice, idx int64) []byte {
+	t.Helper()
+	buf := make([]byte, testStrip)
+	if err := dev.ReadStrip(idx, buf); err != nil {
+		t.Fatal(err)
+	}
+	orig := append([]byte(nil), buf...)
+	buf[3] ^= 0x80
+	if err := dev.WriteStrip(idx, buf); err != nil {
+		t.Fatal(err)
+	}
+	return orig
 }
 
 // TestReadRepairWritesBack: the first read of a corrupted strip pays a
@@ -87,6 +105,11 @@ func TestReadRepairWritesBack(t *testing.T) {
 // is corrupt treats it as one more erasure, decodes around it, and heals
 // the source in place.
 func TestReconstructHealsCorruptSource(t *testing.T) {
+	t.Run("one-hop", testOneHopHealsCorruptSource)
+	t.Run("deep", testDeepReadHealsCorruptSource)
+}
+
+func testOneHopHealsCorruptSource(t *testing.T) {
 	arr, inner := newChecksummedArray(t, 9)
 	fillArray(t, arr, 22)
 
@@ -136,6 +159,120 @@ func TestReconstructHealsCorruptSource(t *testing.T) {
 	}
 	if !bytes.Equal(buf, orig) {
 		t.Fatal("source strip not restored to original content")
+	}
+}
+
+// deepTarget returns the first logical data strip that no single stripe
+// decodes under the array's failed set, so its read runs the multi-phase
+// plan.
+func deepTarget(t *testing.T, arr *Array) int64 {
+	t.Helper()
+	alive := func(disk int) bool { return !arr.failed[disk] }
+	for i := int64(0); i < arr.Capacity()/testStrip; i++ {
+		st, cycle := arr.LocateDataStrip(i)
+		if cycle != 0 || alive(st.Disk) {
+			continue
+		}
+		if _, ok := arr.an.DecodePath(st, alive); !ok {
+			return i
+		}
+	}
+	t.Fatal("failed set leaves every strip one-hop decodable")
+	return 0
+}
+
+// testDeepReadHealsCorruptSource is TestReconstructHealsCorruptSource for
+// the multi-phase path: two disks of one group plus a third are failed, a
+// source of the plan's first task is corrupt, and its other stripe is
+// intact — the deep read heals it and serves the right bytes. With that
+// other stripe lost as well the read fails, naming the checksum error.
+func testDeepReadHealsCorruptSource(t *testing.T) {
+	failed := []int{0, 1, 3}
+	arr, inner := newChecksummedArray(t, 9)
+	fillArray(t, arr, 24)
+	oracle := make([]byte, arr.Capacity())
+	if _, err := arr.ReadAt(oracle, 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range failed {
+		if err := arr.FailDisk(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	victim := deepTarget(t, arr)
+	alive := func(disk int) bool { return !arr.failed[disk] }
+	// The first task always runs; pick one of its sources that decodes
+	// through its other stripe, and one of that stripe's members.
+	var src, peer layout.Strip
+	found := false
+	for _, st := range arr.an.Plan(failed, core.PlanOptions{}).Tasks[0].Reads {
+		other := func(disk int) bool { return disk != st.Disk && alive(disk) }
+		if info, ok := arr.an.DecodePath(st, other); ok {
+			src, peer, found = st, info.Members[(info.Target+1)%len(info.Members)], true
+			break
+		}
+	}
+	if !found {
+		t.Fatal("no source of the first task has an intact other stripe")
+	}
+	orig := flipByte(t, inner[src.Disk], int64(src.Slot))
+
+	arr.ResetStats()
+	p := make([]byte, testStrip)
+	if _, err := arr.ReadAt(p, victim*testStrip); err != nil {
+		t.Fatalf("deep read with corrupt source: %v", err)
+	}
+	if !bytes.Equal(p, oracle[victim*testStrip:(victim+1)*testStrip]) {
+		t.Fatal("deep read returned wrong content")
+	}
+	if st := arr.Stats(); st.ReadRepairs != 1 {
+		t.Fatalf("corrupt source not healed: %+v", st)
+	}
+	got := make([]byte, testStrip)
+	if err := inner[src.Disk].ReadStrip(int64(src.Slot), got); err != nil || !bytes.Equal(got, orig) {
+		t.Fatalf("source strip not restored on media (%v)", err)
+	}
+
+	// Unhealable: the source and a member of its other stripe both corrupt.
+	flipByte(t, inner[src.Disk], int64(src.Slot))
+	flipByte(t, inner[peer.Disk], int64(peer.Slot))
+	_, err := arr.ReadAt(p, victim*testStrip)
+	if !errors.Is(err, ErrCorrupt) || !bytes.Contains([]byte(err.Error()), []byte("unhealable")) {
+		t.Fatalf("read through an unhealable source: %v", err)
+	}
+}
+
+// TestRebuildHealsCorruptSource: one bad sector on a survivor must not pin
+// the array degraded — the rebuild heals the source through its outer
+// stripe and completes.
+func TestRebuildHealsCorruptSource(t *testing.T) {
+	arr, inner := newChecksummedArray(t, 9)
+	want := fillArray(t, arr, 25)
+	if err := arr.FailDisk(0); err != nil {
+		t.Fatal(err)
+	}
+	src := arr.an.Plan([]int{0}, core.PlanOptions{}).Tasks[0].Reads[0]
+	flipByte(t, inner[src.Disk], int64(src.Slot))
+
+	mem, err := NewMemDevice(inner[0].Strips(), testStrip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := arr.ReplaceDisk(0, NewChecksummedDevice(mem)); err != nil {
+		t.Fatal(err)
+	}
+	arr.ResetStats()
+	if err := arr.Rebuild(); err != nil {
+		t.Fatalf("rebuild over a corrupt source: %v", err)
+	}
+	if st := arr.Stats(); st.ReadRepairs < 1 {
+		t.Fatalf("corrupt source not healed: %+v", st)
+	}
+	if got := hashArray(t, arr); got != want {
+		t.Fatal("content differs from the pre-failure oracle")
+	}
+	if bad, err := arr.Scrub(); err != nil || bad != 0 {
+		t.Fatalf("scrub after rebuild: %d bad, %v", bad, err)
 	}
 }
 

@@ -1,0 +1,103 @@
+package store
+
+import (
+	"fmt"
+	"testing"
+)
+
+// TestDeviceOpCounts pins, on one in-memory cycle of each bench geometry,
+// the exact device-operation counts the benchmark's store.dev_*_per_*
+// metrics report: small write, one-hop degraded read, deep read under the
+// bench's pinned three-disk set, and single-failure rebuild.
+func TestDeviceOpCounts(t *testing.T) {
+	for _, tc := range []struct {
+		v, k      int
+		deep      []int
+		deepReads int64 // device reads to read every data strip of deep once
+	}{
+		{v: 9, k: 3, deep: []int{0, 1, 3}, deepReads: 1094},
+		{v: 25, k: 5, deep: []int{0, 1, 5}, deepReads: 20916},
+	} {
+		t.Run(fmt.Sprintf("v=%d", tc.v), func(t *testing.T) {
+			an := oiAnalyzer(t, tc.v)
+			arr, err := NewMemArray(an, 1, testStrip)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := fillArray(t, arr, int64(tc.v))
+			buf := make([]byte, testStrip)
+			strips := arr.Capacity() / testStrip
+
+			for i := int64(0); i < strips; i++ {
+				arr.ResetStats()
+				if _, err := arr.WriteAt(buf, i*testStrip); err != nil {
+					t.Fatal(err)
+				}
+				if st := arr.Stats(); st.ReadOps != 4 || st.WriteOps != 4 {
+					t.Fatalf("write of strip %d: %d reads / %d writes, want 4/4", i, st.ReadOps, st.WriteOps)
+				}
+			}
+			want = hashArray(t, arr)
+
+			// readOn reads every data strip stored on one of disks, once.
+			readOn := func(disks []int) (n int64) {
+				for i := int64(0); i < strips; i++ {
+					for _, d := range disks {
+						if arr.DataStripDisk(i) == d {
+							if _, err := arr.ReadAt(buf, i*testStrip); err != nil {
+								t.Fatal(err)
+							}
+							n++
+						}
+					}
+				}
+				return n
+			}
+
+			// One hop: every strip of a lone failed disk decodes through its
+			// inner stripe, k-1 survivors each.
+			if err := arr.FailDisk(0); err != nil {
+				t.Fatal(err)
+			}
+			arr.ResetStats()
+			n := readOn([]int{0})
+			if st := arr.Stats(); st.ReadOps != n*int64(tc.k-1) {
+				t.Fatalf("%d one-hop degraded reads cost %d device reads, want %d each", n, st.ReadOps, tc.k-1)
+			}
+
+			// Rebuild reads k-1 sources per rebuilt strip (parity included).
+			dev, err := NewMemDevice(int64(an.SlotsPerDisk()), testStrip)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := arr.ReplaceDisk(0, dev); err != nil {
+				t.Fatal(err)
+			}
+			arr.ResetStats()
+			if err := arr.Rebuild(); err != nil {
+				t.Fatal(err)
+			}
+			rebuilt := int64(an.SlotsPerDisk())
+			if st := arr.Stats(); st.WriteOps != rebuilt || st.ReadOps != rebuilt*int64(tc.k-1) {
+				t.Fatalf("rebuild: %d reads / %d writes for %d strips, want %d reads per strip",
+					st.ReadOps, st.WriteOps, rebuilt, tc.k-1)
+			}
+
+			// Deep: two disks of one group plus one outside force multi-phase
+			// reconstruction for part of the set.
+			for _, d := range tc.deep {
+				if err := arr.FailDisk(d); err != nil {
+					t.Fatal(err)
+				}
+			}
+			arr.ResetStats()
+			n = readOn(tc.deep)
+			if st := arr.Stats(); st.ReadOps != tc.deepReads {
+				t.Fatalf("%d deep reads under %v cost %d device reads, want %d", n, tc.deep, st.ReadOps, tc.deepReads)
+			}
+			if got := hashArray(t, arr); got != want {
+				t.Fatal("content changed")
+			}
+		})
+	}
+}

@@ -62,15 +62,11 @@ func (a *Array) NeedsReplacement() []int {
 // first, outer-layer repairs where groups lost several disks). On success
 // the replacements become live and the failure flags clear.
 //
-// Rebuild is RebuildStep run to completion; use RebuildStep directly for
-// online rebuilds that interleave with foreground I/O.
+// Rebuild is RebuildStep over every remaining cycle; use RebuildStep
+// directly for online rebuilds that interleave with foreground I/O.
 func (a *Array) Rebuild() error {
-	for {
-		done, err := a.RebuildStep(1 << 20)
-		if err != nil || done {
-			return err
-		}
-	}
+	_, err := a.RebuildStep(a.cycles)
+	return err
 }
 
 // RebuildProgress reports incremental-rebuild progress in layout cycles.
@@ -93,12 +89,7 @@ func (a *Array) RebuildStep(batch int64) (done bool, err error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 
-	var failed []int
-	for d, f := range a.failed {
-		if f {
-			failed = append(failed, d)
-		}
-	}
+	failed := a.failedListLocked()
 	if len(failed) == 0 {
 		return true, nil
 	}
@@ -129,13 +120,12 @@ func (a *Array) RebuildStep(batch int64) (done bool, err error) {
 		a.rebuiltCycles = 0
 	}
 
-	slots := int64(a.an.SlotsPerDisk())
 	end := a.rebuiltCycles + batch
 	if end > a.cycles {
 		end = a.cycles
 	}
 	for cycle := a.rebuiltCycles; cycle < end; cycle++ {
-		if err := a.rebuildCycle(cycle, slots); err != nil {
+		if err := a.rebuildCycle(cycle); err != nil {
 			return false, err
 		}
 		a.rebuiltCycles = cycle + 1
@@ -164,63 +154,34 @@ func (a *Array) RebuildStep(batch int64) (done bool, err error) {
 	return true, nil
 }
 
-// rebuildCycle executes the active plan's tasks for one cycle.
-func (a *Array) rebuildCycle(cycle, slots int64) error {
-	rebuilt := make(map[[2]int64]bool) // (disk, devStrip) written this cycle
-	readSrc := func(disk int, devStrip int64, p []byte) error {
+// rebuildCycle executes the active plan's tasks for one cycle, writing
+// each reconstructed strip to its disk's replacement; a later phase reads
+// an earlier phase's output back from there.
+func (a *Array) rebuildCycle(cycle int64) error {
+	base := cycle * int64(a.an.SlotsPerDisk())
+	rebuilt := make(map[layout.Strip]bool) // written this cycle
+	earlier := func(st layout.Strip, p []byte) (bool, error) {
+		if !a.failed[st.Disk] {
+			return false, nil
+		}
+		if !rebuilt[st] {
+			return true, fmt.Errorf("store: internal: phase read of unrebuilt strip %v in cycle %d", st, cycle)
+		}
 		a.stats.readOps.Add(1)
-		if a.failed[disk] {
-			if !rebuilt[[2]int64{int64(disk), devStrip}] {
-				return fmt.Errorf("store: internal: phase read of unrebuilt strip (%d,%d)", disk, devStrip)
-			}
-			return a.replaced[disk].ReadStrip(devStrip, p)
-		}
-		return a.device(disk).ReadStrip(devStrip, p)
+		return true, a.replaced[st.Disk].ReadStrip(base+int64(st.Slot), p)
 	}
-
+	sink := func(st layout.Strip, content []byte) error {
+		a.stats.writeOps.Add(1)
+		if err := a.replaced[st.Disk].WriteStrip(base+int64(st.Slot), content); err != nil {
+			return err
+		}
+		rebuilt[st] = true
+		return nil
+	}
+	run := planRun{cycle: cycle}
 	for _, task := range a.rebuildPlan.Tasks {
-		stripe := a.sch.Stripes()[task.Via]
-		code := a.codes[[2]int{stripe.Data, stripe.Parity()}]
-		shards := erasure.AllocShards(stripe.Data, stripe.Parity(), a.stripBytes)
-		present := make([]bool, len(stripe.Strips))
-
-		// Map each planned source onto its member position.
-		for _, src := range task.Reads {
-			pos := -1
-			for mi, st := range stripe.Strips {
-				if st == src {
-					pos = mi
-					break
-				}
-			}
-			if pos < 0 {
-				return fmt.Errorf("store: internal: source %v not in stripe %d", src, task.Via)
-			}
-			if err := readSrc(src.Disk, cycle*slots+int64(src.Slot), shards[pos]); err != nil {
-				return err
-			}
-			present[pos] = true
-		}
-		if err := code.Reconstruct(shards, present); err != nil {
-			return fmt.Errorf("store: rebuild stripe %d: %w", task.Via, err)
-		}
-		for _, tgt := range task.Targets {
-			pos := -1
-			for mi, st := range stripe.Strips {
-				if st == tgt {
-					pos = mi
-					break
-				}
-			}
-			if pos < 0 {
-				return fmt.Errorf("store: internal: target %v not in stripe %d", tgt, task.Via)
-			}
-			devStrip := cycle*slots + int64(tgt.Slot)
-			a.stats.writeOps.Add(1)
-			if err := a.replaced[tgt.Disk].WriteStrip(devStrip, shards[pos]); err != nil {
-				return err
-			}
-			rebuilt[[2]int64{int64(tgt.Disk), devStrip}] = true
+		if err := a.execTask(&run, task.Via, task.Present, task.TargetPos, earlier, sink); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -228,57 +189,47 @@ func (a *Array) rebuildCycle(cycle, slots int64) error {
 
 // Scrub verifies every stripe of every cycle against its parity and
 // returns the number of inconsistent stripes. The array must be healthy
-// (no failed disks). The whole pass runs under one lock acquisition; use
-// ScrubStep for incremental scrubbing that interleaves with foreground
-// I/O.
+// (no failed disks). Scrub is ScrubStep over a whole fresh pass; use
+// ScrubStep directly for scrubbing that interleaves with foreground I/O.
 func (a *Array) Scrub() (bad int, err error) {
 	a.mu.Lock()
-	defer a.mu.Unlock()
-	for _, f := range a.failed {
-		if f {
-			return 0, ErrDiskFaulty
-		}
-	}
 	a.scrubCursor = 0
-	slots := int64(a.an.SlotsPerDisk())
-	for cycle := int64(0); cycle < a.cycles; cycle++ {
-		n, err := a.scrubCycle(cycle, slots)
-		bad += n
-		if err != nil {
-			return bad, err
-		}
-	}
-	return bad, nil
+	a.mu.Unlock()
+	_, bad, err = a.ScrubStep(a.cycles)
+	return bad, err
 }
 
 // ScrubStep advances an incremental scrub by up to batch layout cycles
 // from the scrub cursor, then releases the array for foreground I/O. bad
-// counts the inconsistent stripes found in this slice. When the cursor
-// reaches the last cycle the pass is complete: done is true and the
-// cursor wraps to 0 for the next pass. Like Scrub, it requires a healthy
-// array; a slice attempted while a disk is failed returns ErrDiskFaulty
-// and leaves the cursor where it was, so scrubbing resumes after the
-// rebuild.
+// counts the inconsistent stripes found in this slice. A strip that fails
+// its checksum on the way (a latent sector error) is healed in place
+// through readMember and the pass carries on. When the cursor reaches the
+// last cycle the pass is complete: done is true and the cursor wraps to 0
+// for the next pass. It requires a healthy array; a slice attempted while
+// a disk is failed returns ErrDiskFaulty and leaves the cursor where it
+// was, so scrubbing resumes after the rebuild.
 func (a *Array) ScrubStep(batch int64) (done bool, bad int, err error) {
 	if batch < 1 {
 		return false, 0, fmt.Errorf("store: scrub batch %d < 1", batch)
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	for _, f := range a.failed {
-		if f {
-			return false, 0, ErrDiskFaulty
-		}
+	if len(a.failedListLocked()) > 0 {
+		return false, 0, ErrDiskFaulty
 	}
-	slots := int64(a.an.SlotsPerDisk())
 	end := a.scrubCursor + batch
 	if end > a.cycles {
 		end = a.cycles
 	}
+	healing := func(dev Device, d int, devStrip int64, p []byte) error {
+		return a.readMember(dev, d, devStrip, p, 0)
+	}
+	count := func(int, layout.Stripe, [][]byte) error {
+		bad++
+		return nil
+	}
 	for cycle := a.scrubCursor; cycle < end; cycle++ {
-		n, err := a.scrubCycle(cycle, slots)
-		bad += n
-		if err != nil {
+		if err := a.walkStripes(cycle, healing, count); err != nil {
 			return false, bad, err
 		}
 		a.scrubCursor = cycle + 1
@@ -298,93 +249,43 @@ func (a *Array) ScrubProgress() (scanned, total int64) {
 	return a.scrubCursor, a.cycles
 }
 
-// scrubCycle verifies one cycle's stripes, returning the inconsistent
-// count. Caller holds mu.
-func (a *Array) scrubCycle(cycle, slots int64) (bad int, err error) {
-	for si, stripe := range a.sch.Stripes() {
-		code := a.codes[[2]int{stripe.Data, stripe.Parity()}]
-		shards := erasure.AllocShards(stripe.Data, stripe.Parity(), a.stripBytes)
-		for mi, st := range stripe.Strips {
-			a.stats.readOps.Add(1)
-			if err := a.device(st.Disk).ReadStrip(cycle*slots+int64(st.Slot), shards[mi]); err != nil {
-				return bad, err
+// walkStripes is the one read-all-members-then-check loop: for every
+// stripe of the cycle it reads each member through read, verifies the
+// stripe against its parity, and hands an inconsistent one, with its
+// shards (valid only during the call), to visit. Outer-layer stripes come
+// first: outer parity strips are data members of inner stripes, so a
+// visitor that rewrites outer parity may dirty inner parity, which the
+// inner stripes' turn then sees. Caller holds mu.
+func (a *Array) walkStripes(cycle int64, read func(dev Device, d int, devStrip int64, p []byte) error,
+	visit func(si int, stripe layout.Stripe, shards [][]byte) error) error {
+	base := cycle * int64(a.an.SlotsPerDisk())
+	var shape [2]int
+	var shards [][]byte // shared by consecutive stripes of one shape
+	for _, outer := range []bool{true, false} {
+		for si, stripe := range a.sch.Stripes() {
+			if outer != (stripe.Layer == layout.LayerOuter) {
+				continue
 			}
-		}
-		ok, err := code.Verify(shards)
-		if err != nil {
-			return bad, fmt.Errorf("store: scrub stripe %d: %w", si, err)
-		}
-		if !ok {
-			bad++
-		}
-	}
-	return bad, nil
-}
-
-// Repair scrubs every stripe and recomputes the parity strips of
-// inconsistent ones from their data members (silent-corruption recovery,
-// assuming data strips are authoritative). It returns the number of
-// stripes repaired. The array must be healthy.
-//
-// Stripes are processed outer-layer first: outer parity strips are data
-// members of inner stripes, so fixing them may dirty inner parity, which
-// the inner pass then recomputes.
-func (a *Array) Repair() (repaired int, err error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for _, f := range a.failed {
-		if f {
-			return 0, ErrDiskFaulty
-		}
-	}
-	slots := int64(a.an.SlotsPerDisk())
-	for cycle := int64(0); cycle < a.cycles; cycle++ {
-		for _, pass := range []layout.Layer{layout.LayerOuter, layout.LayerInner} {
-			n, err := a.repairCycleLayerCount(cycle, slots, pass)
-			repaired += n
+			if sh := [2]int{stripe.Data, stripe.Parity()}; shards == nil || sh != shape {
+				shape, shards = sh, erasure.AllocShards(sh[0], sh[1], a.stripBytes)
+			}
+			for mi, st := range stripe.Strips {
+				if err := read(a.device(st.Disk), st.Disk, base+int64(st.Slot), shards[mi]); err != nil {
+					return err
+				}
+			}
+			ok, err := a.codes[shape].Verify(shards)
 			if err != nil {
-				return repaired, err
+				return fmt.Errorf("store: verify stripe %d of cycle %d: %w", si, cycle, err)
+			}
+			if !ok {
+				if err := visit(si, stripe, shards); err != nil {
+					return err
+				}
 			}
 		}
 	}
-	return repaired, nil
-}
-
-// repairCycleLayerCount re-synchronises one cycle's stripes of the given
-// layer (LayerInner matches every non-outer stripe).
-func (a *Array) repairCycleLayerCount(cycle, slots int64, pass layout.Layer) (repaired int, err error) {
-	for si, stripe := range a.sch.Stripes() {
-		if (pass == layout.LayerOuter) != (stripe.Layer == layout.LayerOuter) {
-			continue
-		}
-		code := a.codes[[2]int{stripe.Data, stripe.Parity()}]
-		shards := erasure.AllocShards(stripe.Data, stripe.Parity(), a.stripBytes)
-		for mi, st := range stripe.Strips {
-			a.stats.readOps.Add(1)
-			if err := a.device(st.Disk).ReadStrip(cycle*slots+int64(st.Slot), shards[mi]); err != nil {
-				return repaired, err
-			}
-		}
-		ok, err := code.Verify(shards)
-		if err != nil {
-			return repaired, fmt.Errorf("store: repair stripe %d: %w", si, err)
-		}
-		if ok {
-			continue
-		}
-		if err := code.Encode(shards); err != nil {
-			return repaired, err
-		}
-		for mi := stripe.Data; mi < len(stripe.Strips); mi++ {
-			st := stripe.Strips[mi]
-			a.stats.writeOps.Add(1)
-			if err := a.device(st.Disk).WriteStrip(cycle*slots+int64(st.Slot), shards[mi]); err != nil {
-				return repaired, err
-			}
-		}
-		repaired++
-	}
-	return repaired, nil
+	return nil
 }
 
 // NewMemArray is a convenience constructor: an array of in-memory devices

@@ -104,4 +104,56 @@ func TestScrubStepValidation(t *testing.T) {
 	if done, bad, err := arr.ScrubStep(1 << 20); err != nil || !done || bad != 0 {
 		t.Fatalf("resumed pass = done %v, %d bad, %v", done, bad, err)
 	}
+
+	// A dark disk is not a sector error: nothing to heal, the slice aborts
+	// and the cursor stays put.
+	dark := NewFaultDevice(arr.devs[5], FaultConfig{})
+	arr.devs[5] = dark
+	dark.FailNow()
+	if _, _, err := arr.ScrubStep(1); !errors.Is(err, ErrPermanent) {
+		t.Fatalf("scrub slice over a dark disk: want ErrPermanent, got %v", err)
+	}
+	if scanned, _ := arr.ScrubProgress(); scanned != 0 {
+		t.Fatalf("cursor moved on aborted slice: %d", scanned)
+	}
+}
+
+// TestScrubHealsLatentSectorError: the scrubber's job is finding latent
+// sector errors, so a strip failing its checksum is healed in place and
+// the pass carries on instead of wedging on it.
+func TestScrubHealsLatentSectorError(t *testing.T) {
+	arr, inner := newChecksummedArray(t, 9)
+	want := fillArray(t, arr, 26)
+	d, devStrip := arr.locate(0)
+	flipByte(t, inner[d], devStrip)
+
+	arr.ResetStats()
+	for step := 1; ; step++ {
+		done, bad, err := arr.ScrubStep(1)
+		if err != nil || bad != 0 {
+			t.Fatalf("slice %d: %d bad, %v", step, bad, err)
+		}
+		if done {
+			break
+		}
+		if scanned, _ := arr.ScrubProgress(); scanned != int64(step) {
+			t.Fatalf("cursor after slice %d = %d", step, scanned)
+		}
+	}
+	if scanned, _ := arr.ScrubProgress(); scanned != 0 {
+		t.Fatalf("cursor after completed pass = %d, want 0", scanned)
+	}
+	if st := arr.Stats(); st.ReadRepairs != 1 || st.CorruptStrips != 1 {
+		t.Fatalf("first pass: %+v, want one repair", st)
+	}
+	arr.ResetStats()
+	if bad, err := arr.Scrub(); err != nil || bad != 0 {
+		t.Fatalf("second pass: %d bad, %v", bad, err)
+	}
+	if st := arr.Stats(); st.CorruptStrips != 0 || st.ReadRepairs != 0 {
+		t.Fatalf("second pass still saw corruption: %+v", st)
+	}
+	if got := hashArray(t, arr); got != want {
+		t.Fatal("content changed by scrub heal")
+	}
 }

@@ -472,8 +472,9 @@ func BenchmarkArrayDegradedRead(b *testing.B) {
 }
 
 // TestRepairFixesSilentParityCorruption: corrupt a parity strip directly
-// on a device; Scrub detects it and Repair recomputes it, including the
-// cascading inner-parity fix when the corrupted strip is an outer parity.
+// on a device; Scrub detects it and Fsck(true) recomputes it, including
+// the cascading inner-parity fix when the corrupted strip is an outer
+// parity.
 func TestRepairFixesSilentParityCorruption(t *testing.T) {
 	an := oiAnalyzer(t, 9)
 	arr, err := NewMemArray(an, 1, testStrip)
@@ -509,12 +510,19 @@ func TestRepairFixesSilentParityCorruption(t *testing.T) {
 	if bad == 0 {
 		t.Fatal("scrub missed the corruption")
 	}
-	repaired, err := arr.Repair()
+	rep, err := arr.Fsck(true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if repaired == 0 {
-		t.Fatal("repair fixed nothing")
+	if rep.Repaired == 0 || !rep.Clean {
+		t.Fatalf("repair fixed nothing: %+v", rep)
+	}
+	outer := false
+	for _, is := range rep.Issues {
+		outer = outer || (is.Kind == "parity" && is.Layer == "outer" && is.Repaired)
+	}
+	if !outer {
+		t.Fatalf("no outer-layer stripe repaired: %+v", rep.Issues)
 	}
 	if bad, err := arr.Scrub(); err != nil || bad != 0 {
 		t.Fatalf("scrub after repair: bad=%d err=%v", bad, err)
@@ -522,11 +530,11 @@ func TestRepairFixesSilentParityCorruption(t *testing.T) {
 	if got := hashArray(t, arr); got != want {
 		t.Fatal("repair altered user data")
 	}
-	if _, err := arr.Repair(); err != nil {
-		t.Fatal(err)
+	if rep, err := arr.Fsck(true); err != nil || rep.ParityErrors != 0 {
+		t.Fatalf("second repair pass: %+v, %v", rep, err)
 	}
 	arr.FailDisk(0)
-	if _, err := arr.Repair(); !errors.Is(err, ErrDiskFaulty) {
+	if _, err := arr.Fsck(true); !errors.Is(err, ErrDiskFaulty) {
 		t.Fatalf("repair on degraded array: %v", err)
 	}
 }

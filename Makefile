@@ -15,15 +15,18 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Short coverage-guided smoke over the decoders that face media or the
-# wire: array I/O, superblock slots, journal replay, the cluster manifest,
-# the strip-transport frame.
+# Short coverage-guided smoke over every fuzz target of the module: the
+# decoders that face media, the wire or an operator's file (array I/O,
+# superblock slots, journal replay, cluster manifest, strip-transport frame,
+# object metadata, trace files, layout JSON). Targets are discovered per
+# package, so a new Fuzz function is fuzzed without an edit here.
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzSuperblockDecode -fuzztime 10s ./internal/store/
-	$(GO) test -run '^$$' -fuzz FuzzJournalReplay -fuzztime 10s ./internal/store/
-	$(GO) test -run '^$$' -fuzz FuzzArrayIO -fuzztime 10s ./internal/store/
-	$(GO) test -run '^$$' -fuzz FuzzManifestDecode -fuzztime 10s ./internal/cluster/
-	$(GO) test -run '^$$' -fuzz FuzzFrameDecode -fuzztime 10s ./internal/store/netdev/
+	@for pkg in $$($(GO) list ./...); do \
+		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
+			echo "fuzz $$pkg $$target"; \
+			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 10s $$pkg || exit 1; \
+		done; \
+	done
 
 # The two measurements bench/ has no workload for yet: coordinator
 # fail-over (quorum append, take-over latency) and strip migration

@@ -362,34 +362,100 @@ func status(dir string) error {
 	})
 }
 
-func writeCmd(dir string, off int64, in io.Reader) error {
-	data, err := io.ReadAll(in)
-	if err != nil {
-		return err
-	}
-	return withArray(dir, func(mnt *oiraid.Mount, _ *oiraid.Geometry) error {
-		n, err := mnt.Array.WriteAt(data, off)
+// stripPlane is what the write, read, scrub and fsck verbs need from the
+// array they drive: one mounted from -dir, or an oiraidd server behind
+// -remote (a *server.Client as it is).
+type stripPlane interface {
+	WriteAtCtx(ctx context.Context, p []byte, off int64) (int, error)
+	ReadAtCtx(ctx context.Context, p []byte, off int64) (int, error)
+	ScrubCtx(ctx context.Context) (int, error)
+	FsckCtx(ctx context.Context, repair bool) (*store.FsckReport, error)
+}
+
+// localStrips is a mounted array; its operations run to completion, so the
+// context goes unused.
+type localStrips struct{ arr *oiraid.Array }
+
+func (l localStrips) WriteAtCtx(_ context.Context, p []byte, off int64) (int, error) {
+	return l.arr.WriteAt(p, off)
+}
+func (l localStrips) ReadAtCtx(_ context.Context, p []byte, off int64) (int, error) {
+	return l.arr.ReadAt(p, off)
+}
+func (l localStrips) ScrubCtx(context.Context) (int, error) { return l.arr.Scrub() }
+func (l localStrips) FsckCtx(_ context.Context, repair bool) (*store.FsckReport, error) {
+	return l.arr.Fsck(repair)
+}
+
+// stripCmd runs one strip verb — write, read, scrub or fsck — against
+// either plane. fsck is the two-layer verification pass — durable per-strip
+// checksums, then parity of every stripe in both layers; with repair,
+// damaged strips are reconstructed from redundancy. A dirty array (damage
+// found and not repaired) is an error.
+func stripCmd(ctx context.Context, s stripPlane, cmd string, off, length int64, repair bool, in io.Reader, out io.Writer) error {
+	switch cmd {
+	case "write":
+		data, err := io.ReadAll(in)
+		if err != nil {
+			return err
+		}
+		n, err := s.WriteAtCtx(ctx, data, off)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "wrote %d bytes at offset %d\n", n, off)
 		return nil
-	})
-}
-
-func readCmd(dir string, off, length int64, out io.Writer) error {
-	if length <= 0 {
-		return fmt.Errorf("need -len > 0")
-	}
-	return withArray(dir, func(mnt *oiraid.Mount, _ *oiraid.Geometry) error {
+	case "read":
+		if length <= 0 {
+			return fmt.Errorf("need -len > 0")
+		}
 		buf := make([]byte, length)
-		n, err := mnt.Array.ReadAt(buf, off)
+		n, err := s.ReadAtCtx(ctx, buf, off)
 		if err != nil && !errors.Is(err, io.EOF) {
 			return err
 		}
 		_, werr := out.Write(buf[:n])
 		return werr
+	case "scrub":
+		bad, err := s.ScrubCtx(ctx)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "scrub: %d inconsistent stripes\n", bad)
+		if bad > 0 {
+			return fmt.Errorf("%d inconsistent stripe(s)", bad)
+		}
+		return nil
+	default: // "fsck"
+		rep, err := s.FsckCtx(ctx, repair)
+		if err != nil {
+			return err
+		}
+		return printFsckReport(rep, out)
+	}
+}
+
+// localStripCmd runs a strip verb against the array mounted from dir.
+func localStripCmd(dir, cmd string, off, length int64, repair bool, in io.Reader, out io.Writer) error {
+	return withArray(dir, func(mnt *oiraid.Mount, _ *oiraid.Geometry) error {
+		return stripCmd(context.Background(), localStrips{mnt.Array}, cmd, off, length, repair, in, out)
 	})
+}
+
+func writeCmd(dir string, off int64, in io.Reader) error {
+	return localStripCmd(dir, "write", off, 0, false, in, nil)
+}
+
+func readCmd(dir string, off, length int64, out io.Writer) error {
+	return localStripCmd(dir, "read", off, length, false, nil, out)
+}
+
+func scrubCmd(dir string) error {
+	return localStripCmd(dir, "scrub", 0, 0, false, nil, os.Stdout)
+}
+
+func fsckCmd(dir string, repair bool, out io.Writer) error {
+	return localStripCmd(dir, "fsck", 0, 0, repair, nil, out)
 }
 
 // failCmd evicts a disk: the transition is committed to the journal and
@@ -436,35 +502,6 @@ func rebuildCmd(dir string) error {
 	})
 }
 
-func scrubCmd(dir string) error {
-	return withArray(dir, func(mnt *oiraid.Mount, _ *oiraid.Geometry) error {
-		bad, err := mnt.Array.Scrub()
-		if err != nil {
-			return err
-		}
-		fmt.Printf("scrub: %d inconsistent stripes\n", bad)
-		if bad > 0 {
-			return fmt.Errorf("%d inconsistent stripe(s)", bad)
-		}
-		return nil
-	})
-}
-
-// fsckCmd runs the two-layer verification pass — durable per-strip
-// checksums, then parity of every stripe in both layers — against a
-// locally mounted array. With repair, damaged strips are reconstructed
-// from redundancy. A dirty array (damage found and not repaired) exits
-// non-zero.
-func fsckCmd(dir string, repair bool, out io.Writer) error {
-	return withArray(dir, func(mnt *oiraid.Mount, _ *oiraid.Geometry) error {
-		rep, err := mnt.Array.Fsck(repair)
-		if err != nil {
-			return err
-		}
-		return printFsckReport(rep, out)
-	})
-}
-
 func printFsckReport(rep *store.FsckReport, out io.Writer) error {
 	fmt.Fprintf(out, "fsck: %d strips, %d stripes over %d cycle(s): %d checksum error(s), %d parity error(s), %d repaired\n",
 		rep.StripsChecked, rep.StripesChecked, rep.Cycles, rep.ChecksumErrors, rep.ParityErrors, rep.Repaired)
@@ -487,30 +524,10 @@ func printFsckReport(rep *store.FsckReport, out io.Writer) error {
 // bounds every request (and its client-side retry loop).
 func remoteCmd(ctx context.Context, c *server.Client, cmd string, off, length int64, diskID, count int, repair bool, qu oiraid.QoSUpdate, in io.Reader, out io.Writer) error {
 	switch cmd {
+	case "write", "read", "scrub", "fsck":
+		return stripCmd(ctx, c, cmd, off, length, repair, in, out)
 	case "status":
 		return remoteStatus(ctx, c, out)
-	case "write":
-		data, err := io.ReadAll(in)
-		if err != nil {
-			return err
-		}
-		n, err := c.WriteAtCtx(ctx, data, off)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "wrote %d bytes at offset %d\n", n, off)
-		return nil
-	case "read":
-		if length <= 0 {
-			return fmt.Errorf("need -len > 0")
-		}
-		buf := make([]byte, length)
-		n, err := c.ReadAtCtx(ctx, buf, off)
-		if err != nil && !errors.Is(err, io.EOF) {
-			return err
-		}
-		_, werr := out.Write(buf[:n])
-		return werr
 	case "fail":
 		if err := c.FailDiskCtx(ctx, diskID); err != nil {
 			return err
@@ -551,22 +568,6 @@ func remoteCmd(ctx context.Context, c *server.Client, cmd string, off, length in
 		}
 		fmt.Fprintf(out, "spare pool: %d device(s)\n", n)
 		return nil
-	case "scrub":
-		bad, err := c.ScrubCtx(ctx)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "scrub: %d inconsistent stripes\n", bad)
-		if bad > 0 {
-			return fmt.Errorf("%d inconsistent stripe(s)", bad)
-		}
-		return nil
-	case "fsck":
-		rep, err := c.FsckCtx(ctx, repair)
-		if err != nil {
-			return err
-		}
-		return printFsckReport(rep, out)
 	case "qos":
 		return remoteQoS(ctx, c, qu, out)
 	default:

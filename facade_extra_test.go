@@ -81,6 +81,13 @@ func TestLayoutJSONRoundTripFacade(t *testing.T) {
 	if _, err := AnalyzerFromLayoutJSON(strings.NewReader(`{"disks":2,"slots_per_disk":1,"stripes":[],"data_strips":[]}`)); err == nil {
 		t.Fatal("invalid layout must fail validation")
 	}
+	// Structurally valid, but its two parities feed each other: refused
+	// when loaded, not by the first write to an array built on it.
+	cyclic := `{"disks":3,"slots_per_disk":1,"data_strips":[[0,0]],"stripes":[` +
+		`{"data":2,"strips":[[0,0],[1,0],[2,0]]},{"data":1,"strips":[[2,0],[1,0]]}]}`
+	if _, err := AnalyzerFromLayoutJSON(strings.NewReader(cyclic)); err == nil || !strings.Contains(err.Error(), "cyclic") {
+		t.Fatalf("cyclic parity graph: %v, want a refusal", err)
+	}
 }
 
 func TestSimulateBaselineFacade(t *testing.T) {

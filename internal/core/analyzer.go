@@ -9,7 +9,8 @@
 //     layers to a fixed point);
 //   - Plan: multi-phase, load-balanced recovery planning with
 //     per-disk read accounting and run-length (sequentiality) metadata;
-//   - UpdateStrips: the write-amplification closure of a small write.
+//   - WritePlan: the parity closure of a small write — strips, update
+//     steps and stripes — computed once per data strip.
 //
 // The same Analyzer backs the event-driven simulator (package sim), the
 // byte-accurate array (package store), and the reliability models
@@ -35,13 +36,17 @@ type Analyzer struct {
 	// stripesOf[strip id] lists the stripes containing the strip.
 	stripesOf [][]int32
 	// dataMemberOf[strip id] lists the stripes where the strip is a data
-	// member (used by the update-cost closure).
+	// member: the edges of the parity graph the write plans walk.
 	dataMemberOf [][]int32
 	// parityOf[strip id] is the stripe the strip is parity of, or -1.
 	parityOf []int32
+	// writePlans[strip id] is the small-write plan of a user-data strip
+	// (zero for parity strips).
+	writePlans []WritePlan
 }
 
-// NewAnalyzer validates the scheme and builds the index.
+// NewAnalyzer validates the scheme and builds the index, refusing a scheme
+// whose parity graph no small write can follow (see maxClosureDepth).
 func NewAnalyzer(s layout.Scheme) (*Analyzer, error) {
 	if err := layout.Validate(s); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -73,6 +78,9 @@ func NewAnalyzer(s layout.Scheme) (*Analyzer, error) {
 			}
 		}
 		a.members[si] = mem
+	}
+	if err := a.buildWritePlans(); err != nil {
+		return nil, err
 	}
 	return a, nil
 }

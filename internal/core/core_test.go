@@ -3,6 +3,8 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/oiraid/oiraid/internal/bibd"
@@ -522,5 +524,104 @@ func BenchmarkPlanOIRAID25Single(b *testing.B) {
 		if !plan.Complete {
 			b.Fatal("plan incomplete")
 		}
+	}
+}
+
+// customScheme builds a layout.Custom of disks × 1 slot from stripes given
+// as (data count, member disks...); every strip that is parity of no stripe
+// is a data strip. It fails the test unless layout.Validate accepts it.
+func customScheme(t *testing.T, disks int, stripes ...[]int) layout.Scheme {
+	t.Helper()
+	d := layout.Dump{Name: t.Name(), Disks: disks, SlotsPerDisk: 1}
+	parity := make([]bool, disks)
+	for _, s := range stripes {
+		ds := layout.DumpStripe{Data: s[0]}
+		for i, disk := range s[1:] {
+			ds.Strips = append(ds.Strips, [2]int{disk, 0})
+			parity[disk] = parity[disk] || i >= s[0]
+		}
+		d.Stripes = append(d.Stripes, ds)
+	}
+	for disk, p := range parity {
+		if !p {
+			d.DataStrips = append(d.DataStrips, [2]int{disk, 0})
+		}
+	}
+	s, err := d.Scheme()
+	if err != nil {
+		t.Fatalf("layout.Validate refused the hand-built scheme: %v", err)
+	}
+	return s
+}
+
+// TestMalformedParityGraphRefused: a parity graph no small write can follow
+// is refused where it enters, by NewAnalyzer, not by the first write. Both
+// schemes pass layout.Validate.
+func TestMalformedParityGraphRefused(t *testing.T) {
+	// Two parities feeding each other: disk 2 is parity of {0,1} and data
+	// of the stripe whose parity is disk 1.
+	cyclic := customScheme(t, 3, []int{2, 0, 1, 2}, []int{1, 2, 1})
+	if _, err := NewAnalyzer(cyclic); err == nil || !strings.Contains(err.Error(), "cyclic") {
+		t.Fatalf("cyclic parity graph: NewAnalyzer = %v, want a refusal", err)
+	}
+	// A chain disk 0 → 1 → … → n, each strip the lone data member of the
+	// stripe whose parity is the next: n parity levels.
+	chain := func(n int) layout.Scheme {
+		var stripes [][]int
+		for d := 0; d < n; d++ {
+			stripes = append(stripes, []int{1, d, d + 1})
+		}
+		return customScheme(t, n+1, stripes...)
+	}
+	if _, err := NewAnalyzer(chain(maxClosureDepth + 1)); err == nil {
+		t.Fatalf("closure %d levels deep accepted", maxClosureDepth+1)
+	}
+	a, err := NewAnalyzer(chain(maxClosureDepth))
+	if err != nil {
+		t.Fatalf("closure %d levels deep refused: %v", maxClosureDepth, err)
+	}
+	plan := a.WritePlan(layout.Strip{})
+	if len(plan.Strips) != maxClosureDepth+1 || len(plan.Steps) != maxClosureDepth {
+		t.Fatalf("chain plan: %d strips / %d steps", len(plan.Strips), len(plan.Steps))
+	}
+	for i, st := range plan.Strips {
+		if st.Disk != i {
+			t.Fatalf("chain plan strips %v not in feed order", plan.Strips)
+		}
+	}
+}
+
+// TestWritePlanSharedParityOrder: when two closure strips are data members
+// of one stripe, that stripe's parity absorbs both changes before its own
+// step runs, and the stripe appears once in the lock set.
+func TestWritePlanSharedParityOrder(t *testing.T) {
+	// Disk 0 is data of stripes A={0,1|2} and B={0|1}: disk 1 is B's parity
+	// and A's second data member, so A's parity (disk 2) is fed by both,
+	// and itself feeds C={2|3}.
+	s := customScheme(t, 4, []int{2, 0, 1, 2}, []int{1, 0, 1}, []int{1, 2, 3})
+	a, err := NewAnalyzer(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := a.WritePlan(layout.Strip{})
+	want := []layout.Strip{{Disk: 0}, {Disk: 1}, {Disk: 2}, {Disk: 3}}
+	if !reflect.DeepEqual(plan.Strips, want) {
+		t.Fatalf("strips %v, want %v", plan.Strips, want)
+	}
+	if !reflect.DeepEqual(plan.Stripes, []int{0, 1, 2}) {
+		t.Fatalf("stripes %v, want each once", plan.Stripes)
+	}
+	fed := make([]int, len(plan.Strips)) // updates absorbed so far
+	need := []int{0, 1, 2, 1}            // updates each strip must absorb in all
+	for _, step := range plan.Steps {
+		if fed[step.Source] != need[step.Source] {
+			t.Fatalf("step %+v runs before its source absorbed %d update(s)", step, need[step.Source])
+		}
+		for _, p := range step.Parity {
+			fed[p]++
+		}
+	}
+	if !reflect.DeepEqual(fed, need) {
+		t.Fatalf("updates absorbed %v, want %v", fed, need)
 	}
 }

@@ -1,50 +1,130 @@
 package core
 
 import (
-	"sort"
+	"fmt"
+	"slices"
 
 	"github.com/oiraid/oiraid/internal/layout"
 )
 
-// UpdateStrips returns every strip written when the given data strip is
-// updated: the strip itself plus the transitive closure of parity strips —
-// each stripe in which a written strip is a data member must have its
-// parity strips updated too.
-//
-// For OI-RAID the closure of a user-data strip has exactly four elements:
-// the data strip, its inner parity, its outer parity, and the outer
-// parity's inner parity. For RAID5 it has two, for RAID6 three.
-//
-// The returned strips are sorted by (disk, slot).
-func (a *Analyzer) UpdateStrips(target layout.Strip) []layout.Strip {
-	start := a.stripID(target)
-	visited := map[int32]bool{start: true}
-	frontier := []int32{start}
-	for len(frontier) > 0 {
-		id := frontier[len(frontier)-1]
-		frontier = frontier[:len(frontier)-1]
-		for _, si := range a.dataMemberOf[id] {
-			stripe := a.stripes[si]
-			for mi := stripe.Data; mi < len(stripe.Strips); mi++ {
-				pid := a.stripID(stripe.Strips[mi])
-				if !visited[pid] {
-					visited[pid] = true
-					frontier = append(frontier, pid)
+// WriteStep is one parity update of a small write: stripe Stripe folds the
+// change of its data member at DataPos into its parity strips.
+type WriteStep struct {
+	// Stripe indexes into Scheme().Stripes().
+	Stripe int
+	// DataPos is the changed strip's position among the stripe's members.
+	DataPos int
+	// Source indexes WritePlan.Strips: the strip whose change is folded in.
+	// Its new content is final when the step runs.
+	Source int
+	// Parity indexes WritePlan.Strips: the stripe's parity strips in member
+	// order (the order erasure.Code.UpdateParity takes).
+	Parity []int
+}
+
+// WritePlan is everything a small write of one data strip touches — the
+// "update complexity" of the scheme as one fixed fact per strip. For
+// OI-RAID it has four strips (data, inner parity, outer parity, the outer
+// parity's inner parity), three steps and three stripes; for RAID5 two
+// strips, for RAID6 three.
+type WritePlan struct {
+	// Strips is the parity closure: the written strip first, then every
+	// parity strip its change reaches, each after the strips that feed it.
+	// Reads, redo records and device writes all follow this order.
+	Strips []layout.Strip
+	// Steps are the parity updates in an order in which every step's Source
+	// has already absorbed all of its own updates.
+	Steps []WriteStep
+	// Stripes are the ascending ids of the stripes of Steps: the stripes
+	// whose consistency the write changes, hence its lock set.
+	Stripes []int
+}
+
+// maxClosureDepth bounds how many parity levels a small write may cascade
+// through (OI-RAID needs 2). A parity graph that exceeds it — a cyclic one
+// always does — is refused at NewAnalyzer.
+const maxClosureDepth = 8
+
+// buildWritePlans fills writePlans for every user-data strip: the one
+// transitive walk of the parity graph. Each stripe in which a changed strip
+// is a data member has its parities changed too, and those propagate (outer
+// parity is a data member of its inner stripe).
+func (a *Analyzer) buildWritePlans() error {
+	a.writePlans = make([]WritePlan, a.disks*a.slots)
+	// Per-target scratch, -1 outside the closure: depth[id] is the longest
+	// update chain from the target to the strip, index[id] its place in
+	// the plan.
+	depth := make([]int, a.disks*a.slots)
+	index := make([]int, a.disks*a.slots)
+	for i := range depth {
+		depth[i], index[i] = -1, -1
+	}
+	for _, target := range a.scheme.DataStrips() {
+		start := a.stripID(target)
+		depth[start] = 0
+		ids := []int32{start}
+		for work := []int32{start}; len(work) > 0; work = work[1:] {
+			id := work[0]
+			for _, si := range a.dataMemberOf[id] {
+				for _, pid := range a.members[si][a.stripes[si].Data:] {
+					if depth[pid] > depth[id] {
+						continue
+					}
+					if depth[id] == maxClosureDepth {
+						return fmt.Errorf("core: layout %s: parity closure of strip %+v is cyclic or deeper than %d levels",
+							a.scheme.Name(), target, maxClosureDepth)
+					}
+					if depth[pid] < 0 {
+						ids = append(ids, pid)
+					}
+					depth[pid] = depth[id] + 1
+					work = append(work, pid)
 				}
 			}
 		}
-	}
-	out := make([]layout.Strip, 0, len(visited))
-	for id := range visited {
-		out = append(out, a.strip(id))
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Disk != out[j].Disk {
-			return out[i].Disk < out[j].Disk
+		// Shallower strips first: every strip that feeds a parity precedes
+		// it, so the steps out of a strip see its final content.
+		slices.SortStableFunc(ids, func(x, y int32) int { return depth[x] - depth[y] })
+		plan := &a.writePlans[start]
+		for i, id := range ids {
+			plan.Strips = append(plan.Strips, a.strip(id))
+			index[id] = i
 		}
-		return out[i].Slot < out[j].Slot
-	})
-	return out
+		for src, id := range ids {
+			for _, si := range a.dataMemberOf[id] {
+				mem, data := a.members[si], a.stripes[si].Data
+				step := WriteStep{Stripe: int(si), Source: src}
+				for mem[step.DataPos] != id {
+					step.DataPos++
+				}
+				for _, pid := range mem[data:] {
+					step.Parity = append(step.Parity, index[pid])
+				}
+				plan.Steps = append(plan.Steps, step)
+				plan.Stripes = append(plan.Stripes, int(si))
+			}
+		}
+		slices.Sort(plan.Stripes)
+		plan.Stripes = slices.Compact(plan.Stripes)
+		for _, id := range ids {
+			depth[id], index[id] = -1, -1
+		}
+	}
+	return nil
+}
+
+// WritePlan returns the precomputed small-write plan of a user-data strip
+// (one of Scheme().DataStrips()). The plan is shared; callers must not
+// mutate it.
+func (a *Analyzer) WritePlan(target layout.Strip) *WritePlan {
+	return &a.writePlans[a.stripID(target)]
+}
+
+// UpdateStrips returns every strip written when the given data strip is
+// updated: WritePlan(target).Strips, the target first. The slice is shared;
+// callers must not mutate it.
+func (a *Analyzer) UpdateStrips(target layout.Strip) []layout.Strip {
+	return a.WritePlan(target).Strips
 }
 
 // DecodeInfo tells a data plane how to reconstruct one strip: which

@@ -231,38 +231,19 @@ func New(arr *store.Array, opts Options) (*Engine, error) {
 }
 
 // buildLockSets precomputes, per data-strip position within a cycle, the
-// stripe ids to lock. The write set is every stripe in which a strip of
-// the update closure is a data member — which also covers every stripe
-// containing an updated strip as parity, since such a stripe is the one
-// that put the parity strip into the closure. The read set is the stripes
-// containing the strip, any one of which the single-stripe decode path may
-// pick.
+// stripe ids to lock. The write set is the strip's write plan's stripes:
+// every stripe in which a strip of the update closure is a data member —
+// which also covers every stripe containing an updated strip as parity,
+// since such a stripe is the one that put the parity strip into the
+// closure. The read set is the stripes containing the strip, any one of
+// which the single-stripe decode path may pick.
 func (e *Engine) buildLockSets() {
 	e.writeSets = make([][]int, e.perCycle)
 	e.readSets = make([][]int, e.perCycle)
 	for i, st := range e.sch.DataStrips() {
-		wset := make(map[int]bool)
-		for _, u := range e.an.UpdateStrips(st) {
-			for _, si := range e.an.DataMemberStripes(u) {
-				wset[si] = true
-			}
-		}
-		e.writeSets[i] = sortedKeys(wset)
-		e.readSets[i] = append([]int(nil), e.an.DataMemberStripes(st)...)
+		e.writeSets[i] = e.an.WritePlan(st).Stripes
+		e.readSets[i] = e.an.DataMemberStripes(st)
 	}
-}
-
-func sortedKeys(m map[int]bool) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	for i := 1; i < len(out); i++ { // insertion sort; sets are tiny
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }
 
 // StripBytes returns the strip size.
@@ -296,37 +277,19 @@ func (e *Engine) ReadStrip(addr int64) ([]byte, error) {
 // are honored at admission, and admission control (when configured) may
 // shed the operation with store.ErrOverloaded.
 func (e *Engine) ReadStripCtx(ctx context.Context, addr int64) ([]byte, error) {
-	if e.closed.Load() {
-		return nil, ErrClosed
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	if err := e.checkStrip(addr); err != nil {
 		return nil, err
 	}
-	release, err := e.qos.admit(ctx)
+	release, err := e.admit(ctx, false)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
 	if e.hedging() {
-		p, err := e.readStripHedged(addr)
-		if err != nil {
-			return nil, err
-		}
-		e.stats.reads.Add(1)
-		return p, nil
+		return e.readStripHedged(addr)
 	}
 	p := make([]byte, e.stripBytes)
-	if err := e.stripOp(addr, false, func() error {
-		_, err := e.arr.ReadAt(p, addr*int64(e.stripBytes))
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	e.stats.reads.Add(1)
-	return p, nil
+	return p, e.readChunk(addr, 0, p)
 }
 
 // WriteStrip replaces logical data strip addr. len(p) must be StripBytes.
@@ -337,58 +300,85 @@ func (e *Engine) WriteStrip(addr int64, p []byte) error {
 // WriteStripCtx is WriteStrip bounded by ctx; see ReadStripCtx for the
 // deadline and admission semantics.
 func (e *Engine) WriteStripCtx(ctx context.Context, addr int64, p []byte) error {
-	if e.closed.Load() {
-		return ErrClosed
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
 	if err := e.checkStrip(addr); err != nil {
 		return err
 	}
 	if len(p) != e.stripBytes {
 		return fmt.Errorf("%w: got %d, strip is %d", store.ErrShortBuffer, len(p), e.stripBytes)
 	}
-	// Advisory fence before admission: a fenced write must not consume an
-	// admission slot that a read could use. The authoritative check runs
-	// again under the mode lock inside stripOp.
-	if m := e.Mode(); !m.Writable() {
-		e.stats.writesFenced.Add(1)
-		return fmt.Errorf("%w: serving mode %q", store.ErrReadOnly, m)
-	}
-	release, err := e.qos.admit(ctx)
+	release, err := e.admit(ctx, true)
 	if err != nil {
 		return err
 	}
 	defer release()
-	fn := func() error {
-		_, err := e.arr.ConcurrentWriteAt(p, addr*int64(e.stripBytes))
-		return err
+	return e.writeChunk(addr, 0, p)
+}
+
+// writeFence refuses a write while the serving mode is not writable.
+func (e *Engine) writeFence() error {
+	if m := e.Mode(); !m.Writable() {
+		e.stats.writesFenced.Add(1)
+		return fmt.Errorf("%w: serving mode %q", store.ErrReadOnly, m)
 	}
-	if err := e.stripOp(addr, true, fn); err != nil {
-		err = e.resolveIntentConflict(err, func() error { return e.stripOp(addr, true, fn) })
-		if err != nil {
-			return err
-		}
-	}
-	e.stats.writes.Add(1)
 	return nil
 }
 
-// resolveIntentConflict handles a write refused because a pending redo
-// record from another (possibly abandoned) write overlaps its parity
-// closure: it replays all pending records under the array's exclusive
-// lock — safe, since a pending record by construction has no overlapping
-// commit acknowledged after it — and retries the write once. Must be
-// called with no engine locks held (retry re-acquires them itself).
-func (e *Engine) resolveIntentConflict(err error, retry func() error) error {
-	if !errors.Is(err, store.ErrIntentConflict) {
+// admit is the gate a validated foreground operation passes before it
+// touches the array: the engine is open, the caller has not given up, and
+// an admission slot is free. A write meets the advisory fence before it
+// queues: a fenced write must not consume an admission slot that a read
+// could use (the authoritative check runs again under the mode lock inside
+// stripOp).
+func (e *Engine) admit(ctx context.Context, write bool) (release func(), err error) {
+	if e.closed.Load() {
+		return nil, ErrClosed
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if write {
+		if err := e.writeFence(); err != nil {
+			return nil, err
+		}
+	}
+	return e.qos.admit(ctx)
+}
+
+// readChunk is the one strip read of an admitted operation: bytes
+// [within, within+len(chunk)) of data strip addr under the read protocol.
+func (e *Engine) readChunk(addr int64, within int, chunk []byte) error {
+	err := e.stripOp(addr, false, func() error {
+		_, err := e.arr.ReadAt(chunk, addr*int64(e.stripBytes)+int64(within))
+		return err
+	})
+	if err == nil {
+		e.stats.reads.Add(1)
+	}
+	return err
+}
+
+// writeChunk is the one strip write of an admitted operation: chunk lands
+// at byte within of data strip addr, atomically with the strip's parity
+// closure. A write refused because a pending redo record from another
+// (possibly abandoned) write overlaps its closure replays all pending
+// records under the array's exclusive lock — safe, since a pending record
+// by construction has no overlapping commit acknowledged after it — and
+// retries once. No engine lock is held between the attempts.
+func (e *Engine) writeChunk(addr int64, within int, chunk []byte) error {
+	fn := func() error {
+		_, err := e.arr.ConcurrentWriteAt(chunk, addr*int64(e.stripBytes)+int64(within))
 		return err
 	}
-	if _, rerr := e.arr.RecoverIntent(); rerr != nil {
-		return err
+	err := e.stripOp(addr, true, fn)
+	if errors.Is(err, store.ErrIntentConflict) {
+		if _, rerr := e.arr.RecoverIntent(); rerr == nil {
+			err = e.stripOp(addr, true, fn)
+		}
 	}
-	return retry()
+	if err == nil {
+		e.stats.writes.Add(1)
+	}
+	return err
 }
 
 // stripOp runs fn for one data strip under the engine's exclusion
@@ -406,9 +396,8 @@ func (e *Engine) stripOp(addr int64, write bool, fn func() error) error {
 		e.mode.Lock()
 		e.stats.lockWaitNs.Add(nowNano() - t)
 		defer e.mode.Unlock()
-		if m := e.Mode(); !m.Writable() {
-			e.stats.writesFenced.Add(1)
-			return fmt.Errorf("%w: serving mode %q", store.ErrReadOnly, m)
+		if err := e.writeFence(); err != nil {
+			return err
 		}
 		return fn()
 	}
@@ -417,9 +406,8 @@ func (e *Engine) stripOp(addr int64, write bool, fn func() error) error {
 	// hold lasts, so a write admitted here runs wholly within a writable
 	// mode.
 	if write {
-		if m := e.Mode(); !m.Writable() {
-			e.stats.writesFenced.Add(1)
-			return fmt.Errorf("%w: serving mode %q", store.ErrReadOnly, m)
+		if err := e.writeFence(); err != nil {
+			return err
 		}
 	}
 	cycle := addr / int64(e.perCycle)
@@ -506,12 +494,6 @@ func (e *Engine) WriteAtCtx(ctx context.Context, p []byte, off int64) (int, erro
 }
 
 func (e *Engine) rangeOp(ctx context.Context, p []byte, off int64, write bool) (int, error) {
-	if e.closed.Load() {
-		return 0, ErrClosed
-	}
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
 	if off < 0 {
 		return 0, fmt.Errorf("%w: %d", store.ErrNegativeOffset, off)
 	}
@@ -520,17 +502,9 @@ func (e *Engine) rangeOp(ctx context.Context, p []byte, off int64, write bool) (
 		return 0, fmt.Errorf("%w: range [%d, %d) beyond capacity %d",
 			store.ErrStripOutOfRange, off, off+int64(len(p)), capacity)
 	}
-	// Advisory fence before admission (see WriteStripCtx); re-checked
-	// authoritatively per strip under the mode lock.
-	if write {
-		if m := e.Mode(); !m.Writable() {
-			e.stats.writesFenced.Add(1)
-			return 0, fmt.Errorf("%w: serving mode %q", store.ErrReadOnly, m)
-		}
-	}
 	// The whole range is one admitted unit: a range op that passed
 	// admission must not be shed halfway through its strips.
-	release, err := e.qos.admit(ctx)
+	release, err := e.admit(ctx, write)
 	if err != nil {
 		return 0, err
 	}
@@ -572,20 +546,9 @@ func (e *Engine) rangeOp(ctx context.Context, p []byte, off int64, write bool) (
 			}
 			var err error
 			if write {
-				fn := func() error {
-					_, werr := e.arr.ConcurrentWriteAt(chunk, addr*int64(e.stripBytes)+int64(within))
-					return werr
-				}
-				if err = e.stripOp(addr, true, fn); err != nil {
-					err = e.resolveIntentConflict(err, func() error { return e.stripOp(addr, true, fn) })
-				}
-				e.stats.writes.Add(1)
+				err = e.writeChunk(addr, within, chunk)
 			} else {
-				err = e.stripOp(addr, false, func() error {
-					_, rerr := e.arr.ReadAt(chunk, addr*int64(e.stripBytes)+int64(within))
-					return rerr
-				})
-				e.stats.reads.Add(1)
+				err = e.readChunk(addr, within, chunk)
 			}
 			if err != nil {
 				fail(err)

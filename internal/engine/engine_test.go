@@ -205,12 +205,18 @@ func TestWriteClosureCoversUpdateStrips(t *testing.T) {
 			}
 			return false
 		}
-		for _, u := range e.an.UpdateStrips(st) {
+		plan := e.an.WritePlan(st)
+		for _, u := range plan.Strips {
 			for _, si := range e.an.DataMemberStripes(u) {
 				if !inSet(si) {
 					t.Fatalf("strip %v: stripe %d of closure member %v missing from write set %v",
 						st, si, u, e.writeSets[i])
 				}
+			}
+		}
+		for _, step := range plan.Steps {
+			if !inSet(step.Stripe) {
+				t.Fatalf("strip %v: plan step %+v updates a stripe outside write set %v", st, step, e.writeSets[i])
 			}
 		}
 		// The read set (stripes containing the strip) must be a subset of

@@ -32,7 +32,7 @@ type counters struct {
 // Stats is a snapshot of the engine's counters, merged with the wrapped
 // array's device-level counters. Served by GET /v1/metrics.
 type Stats struct {
-	// Reads/Writes count engine-level strip operations admitted.
+	// Reads/Writes count engine-level strip operations completed.
 	Reads, Writes int64
 	// DegradedReads counts array reads served by reconstruction.
 	DegradedReads int64

@@ -67,21 +67,14 @@ type hedgeResult struct {
 // for the losing branch, because both branches touch the array. Close
 // waits for all such cleanups via hedgeWg.
 func (e *Engine) readStripHedged(addr int64) ([]byte, error) {
-	plain := func() ([]byte, error) {
-		p := make([]byte, e.stripBytes)
-		err := e.stripOp(addr, false, func() error {
-			_, err := e.arr.ReadAt(p, addr*int64(e.stripBytes))
-			return err
-		})
-		return p, err
-	}
 	d := e.arr.DataStripDisk(addr)
 	// With a disk failed the read may already be a reconstruction (and the
 	// deep-degraded path can cross stripes); with the primary quarantined
 	// the array reconstructs around it anyway. Hedging would only add a
 	// second reconstruction of the same strip — skip it.
 	if e.state().anyFailed() || e.mon.disks[d].quarantined.Load() {
-		return plain()
+		p := make([]byte, e.stripBytes)
+		return p, e.readChunk(addr, 0, p)
 	}
 
 	t := nowNano()
@@ -141,6 +134,9 @@ func (e *Engine) readStripHedged(addr int64) ([]byte, error) {
 		} else {
 			e.stats.hedgeWasted.Add(1)
 		}
+	}
+	if res.err == nil {
+		e.stats.reads.Add(1)
 	}
 
 	// Hand lock release to the reaper: the losing branch still holds

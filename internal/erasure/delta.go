@@ -6,23 +6,7 @@ import (
 	"github.com/oiraid/oiraid/internal/gf"
 )
 
-// DeltaUpdater is implemented by codes that can apply a small write to
-// their parity shards without reading the rest of the stripe — the
-// read-modify-write path whose cost the paper calls "optimal data update
-// complexity". Both layers of OI-RAID use it.
-type DeltaUpdater interface {
-	// UpdateParity folds the change of data shard idx from oldData to
-	// newData into the parity shards, which must hold the current parity
-	// and are updated in place. All slices must share one length.
-	UpdateParity(idx int, oldData, newData []byte, parity [][]byte) error
-}
-
-var (
-	_ DeltaUpdater = (*XOR)(nil)
-	_ DeltaUpdater = (*ReedSolomon)(nil)
-)
-
-// UpdateParity implements DeltaUpdater: parity ^= old ^ new.
+// UpdateParity implements Code: parity ^= old ^ new.
 func (x *XOR) UpdateParity(idx int, oldData, newData []byte, parity [][]byte) error {
 	if idx < 0 || idx >= x.k {
 		return fmt.Errorf("erasure: xor delta index %d out of range", idx)
@@ -37,7 +21,7 @@ func (x *XOR) UpdateParity(idx int, oldData, newData []byte, parity [][]byte) er
 	return nil
 }
 
-// UpdateParity implements DeltaUpdater:
+// UpdateParity implements Code:
 // parity_j ^= G[j][idx]·(old ^ new).
 func (r *ReedSolomon) UpdateParity(idx int, oldData, newData []byte, parity [][]byte) error {
 	if idx < 0 || idx >= r.k {

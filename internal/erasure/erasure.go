@@ -45,6 +45,12 @@ type Code interface {
 	// Verify reports whether the parity shards are consistent with the data
 	// shards.
 	Verify(shards [][]byte) (bool, error)
+	// UpdateParity folds the change of data shard idx from oldData to
+	// newData into the parity shards, which must hold the current parity
+	// and are updated in place, without reading the rest of the stripe —
+	// the small write whose cost the paper calls "optimal data update
+	// complexity". All slices must share one length.
+	UpdateParity(idx int, oldData, newData []byte, parity [][]byte) error
 }
 
 // checkShards validates shard count and sizes for a k+m code.

@@ -104,6 +104,7 @@ func (d *Dump) Scheme() (*Custom, error) {
 	if c.slots <= 0 || c.bandWidth <= 0 || c.slots%c.bandWidth != 0 {
 		return nil, fmt.Errorf("layout: dump band width %d does not divide slots %d", d.BandWidth, d.SlotsPerDisk)
 	}
+	members := 0
 	for si, ds := range d.Stripes {
 		stripe := Stripe{Data: ds.Data, Layer: Layer(ds.Layer)}
 		for _, pair := range ds.Strips {
@@ -113,6 +114,14 @@ func (d *Dump) Scheme() (*Custom, error) {
 			return nil, fmt.Errorf("layout: dump stripe %d has data count %d of %d members", si, ds.Data, len(stripe.Strips))
 		}
 		c.stripes = append(c.stripes, stripe)
+		members += len(stripe.Strips)
+	}
+	// Every strip of a cycle is a member of some stripe, so a geometry with
+	// more strips than the stripes have members cannot validate. Refusing
+	// it here keeps a dump from sizing Validate's per-strip tables by two
+	// numbers it made up.
+	if d.Disks > members/c.slots {
+		return nil, fmt.Errorf("layout: dump geometry %dx%d has more strips than its stripes have members (%d)", d.Disks, c.slots, members)
 	}
 	for _, pair := range d.DataStrips {
 		c.dataStrips = append(c.dataStrips, Strip{Disk: pair[0], Slot: pair[1]})

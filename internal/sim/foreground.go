@@ -96,12 +96,6 @@ func (s *session) serveRead(cycle int, strip layout.Strip) {
 // are skipped — their content is reconstructed by the rebuild.
 func (s *session) serveWrite(cycle int, strip layout.Strip) {
 	start := s.eng.now
-	id := int32(strip.Disk*s.a.SlotsPerDisk() + strip.Slot)
-	targets, cached := s.updateCache[id]
-	if !cached {
-		targets = s.a.UpdateStrips(strip)
-		s.updateCache[id] = targets
-	}
 	remaining := 0
 	degraded := false
 	complete := func(now float64) {
@@ -121,7 +115,7 @@ func (s *session) serveWrite(cycle int, strip layout.Strip) {
 		write  bool
 	}
 	var reqs []req
-	for _, tgt := range targets {
+	for _, tgt := range s.a.UpdateStrips(strip) {
 		if s.failed[tgt.Disk] {
 			degraded = true
 			continue

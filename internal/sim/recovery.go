@@ -266,9 +266,8 @@ type session struct {
 	failuresApplied int
 	arrivalDeadline float64 // baseline mode: stop arrivals after this time
 
-	fg          *ForegroundResult
-	arrivals    *workload.Poisson
-	updateCache map[int32][]layout.Strip
+	fg       *ForegroundResult
+	arrivals *workload.Poisson
 }
 
 func newSession(a *core.Analyzer, cfg Config) *session {
@@ -279,7 +278,6 @@ func newSession(a *core.Analyzer, cfg Config) *session {
 		slots:        a.SlotsPerDisk(),
 		spareIdx:     -1,
 		recoveredLoc: make(map[int32][2]int64),
-		updateCache:  make(map[int32][]layout.Strip),
 	}
 	s.cycleBytes = int64(s.slots) * cfg.StripBytes
 	s.cycles = int(cfg.Disk.CapacityBytes / s.cycleBytes)

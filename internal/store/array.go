@@ -763,8 +763,8 @@ func (a *Array) readStripForUpdate(d int, devStrip int64, p []byte) error {
 // record that could repair it.
 //
 // So before reading anything, the write resolves the cycle's pending redo
-// records against its own closure membership (the analyzer's UpdateStrips,
-// deterministic per target — which is what lets a retry recognise the redo
+// records against its own closure, the strips of the target's write plan
+// (one fixed list per target — which is what lets a retry recognise the redo
 // record its failed predecessor left behind: same target, same strip set):
 //
 //   - A record whose strips all lie inside the closure is a failed earlier
@@ -782,31 +782,28 @@ func (a *Array) readStripForUpdate(d int, devStrip int64, p []byte) error {
 //     ErrIntentConflict and the caller retries; the conflict clears once
 //     the record's own writer replays it.
 //   - Disjoint records are left alone.
-func (a *Array) resolvePendingClosures(cycle int64, target layout.Strip) error {
+func (a *Array) resolvePendingClosures(cycle int64, closure []layout.Strip) error {
 	pending, err := a.journal.PendingClosures()
-	if err != nil || len(pending) == 0 {
+	if err != nil {
 		return err
-	}
-	members := make(map[layout.Strip]bool)
-	for _, st := range a.an.UpdateStrips(target) {
-		members[st] = true
 	}
 	for _, pc := range pending {
 		if pc.Cycle != cycle || len(pc.Strips) == 0 {
 			continue
 		}
-		overlap, covered := false, true
+		inside := 0
 		for _, su := range pc.Strips {
-			if members[layout.Strip{Disk: su.Disk, Slot: su.Slot}] {
-				overlap = true
-			} else {
-				covered = false
+			for _, st := range closure {
+				if st.Disk == su.Disk && st.Slot == su.Slot {
+					inside++
+					break
+				}
 			}
 		}
-		if !overlap {
+		if inside == 0 {
 			continue
 		}
-		if !covered {
+		if inside < len(pc.Strips) {
 			return fmt.Errorf("%w: cycle %d", ErrIntentConflict, cycle)
 		}
 		if err := a.replayClosure(pc); err != nil {
@@ -824,99 +821,47 @@ func (a *Array) resolvePendingClosures(cycle int64, target layout.Strip) error {
 }
 
 // writeStripRange applies a sub-strip write to logical data strip dataIdx
-// as a snapshot-then-commit read-modify-write: first the old values of the
-// data strip and its whole parity closure are collected (reconstructing
-// strips on failed disks, so both redundancy layers stay mutually
-// consistent in degraded mode), then the new values are computed in
-// memory, then every strip on a live disk is written.
+// as a snapshot-then-commit read-modify-write over the strip's write plan
+// (core.WritePlan): first the old values of the data strip and its whole
+// parity closure are collected (reconstructing strips on failed disks, so
+// both redundancy layers stay mutually consistent in degraded mode), then
+// the plan's steps compute the new values in memory, then every strip on a
+// live disk is written — all three in plan order, so the device-write
+// sequence of a write is a function of its target alone.
 func (a *Array) writeStripRange(dataIdx int64, within int, data []byte) error {
-	d, devStrip := a.locate(dataIdx)
-	slots := int64(a.an.SlotsPerDisk())
-	cycle, slot := devStrip/slots, int(devStrip%slots)
-	target := layout.Strip{Disk: d, Slot: slot}
+	target, cycle := a.LocateDataStrip(dataIdx)
+	plan := a.an.WritePlan(target)
+	base := cycle * int64(a.an.SlotsPerDisk())
 
 	if a.journal != nil {
-		if err := a.resolvePendingClosures(cycle, target); err != nil {
+		if err := a.resolvePendingClosures(cycle, plan.Strips); err != nil {
 			return err
 		}
 	}
 
-	oldData := make([]byte, a.stripBytes)
-	if err := a.readStripForUpdate(d, devStrip, oldData); err != nil {
-		return err
+	old, cur := make([][]byte, len(plan.Strips)), make([][]byte, len(plan.Strips))
+	for i, st := range plan.Strips {
+		old[i] = make([]byte, a.stripBytes)
+		if err := a.readStripForUpdate(st.Disk, base+int64(st.Slot), old[i]); err != nil {
+			return err
+		}
+		cur[i] = append([]byte(nil), old[i]...)
 	}
-	newData := append([]byte(nil), oldData...)
-	copy(newData[within:], data)
-
-	type pair struct{ old, new []byte }
-	updates := map[layout.Strip]*pair{target: {old: oldData, new: newData}}
-
-	// Compute the closure breadth-first: each stripe in which an updated
-	// strip is a data member gets its parities updated by delta; parity
-	// strips then propagate further (outer parity is a data member of its
-	// inner stripe). The parity graphs of the shipped schemes are acyclic;
-	// the depth guard catches malformed custom schemes.
-	frontier := []layout.Strip{target}
-	for depth := 0; len(frontier) > 0; depth++ {
-		if depth > 8 {
-			return fmt.Errorf("store: parity closure deeper than 8 levels; cyclic scheme?")
+	copy(cur[0][within:], data)
+	parity := make([][]byte, 0, len(plan.Strips))
+	for _, step := range plan.Steps {
+		parity = parity[:0]
+		for _, pi := range step.Parity {
+			parity = append(parity, cur[pi])
 		}
-		var next []layout.Strip
-		for _, st := range frontier {
-			up := updates[st]
-			for _, si := range a.an.DataMemberStripes(st) {
-				stripe := a.sch.Stripes()[si]
-				code := a.codes[[2]int{stripe.Data, stripe.Parity()}]
-				du, ok := code.(erasure.DeltaUpdater)
-				if !ok {
-					return fmt.Errorf("store: code %T lacks delta updates", code)
-				}
-				dataPos := -1
-				for mi := 0; mi < stripe.Data; mi++ {
-					if stripe.Strips[mi] == st {
-						dataPos = mi
-						break
-					}
-				}
-				if dataPos < 0 {
-					return fmt.Errorf("store: strip %v not a data member of stripe %d", st, si)
-				}
-				// Snapshot old parity values (reconstructing failed ones)
-				// and apply the delta jointly across the stripe's parities.
-				nPar := stripe.Parity()
-				oldParity := make([][]byte, nPar)
-				newParity := make([][]byte, nPar)
-				pairs := make([]*pair, nPar)
-				for j := 0; j < nPar; j++ {
-					pst := stripe.Strips[stripe.Data+j]
-					if pu, seen := updates[pst]; seen {
-						pairs[j] = pu
-						oldParity[j] = pu.old
-						newParity[j] = pu.new
-						continue
-					}
-					oldParity[j] = make([]byte, a.stripBytes)
-					if err := a.readStripForUpdate(pst.Disk, cycle*slots+int64(pst.Slot), oldParity[j]); err != nil {
-						return err
-					}
-					newParity[j] = append([]byte(nil), oldParity[j]...)
-					pairs[j] = &pair{old: oldParity[j], new: newParity[j]}
-					updates[pst] = pairs[j]
-					next = append(next, pst)
-				}
-				if err := du.UpdateParity(dataPos, up.old, up.new, newParity); err != nil {
-					return err
-				}
-				for j := 0; j < nPar; j++ {
-					pairs[j].new = newParity[j]
-					updates[stripe.Strips[stripe.Data+j]].new = newParity[j]
-				}
-			}
+		stripe := a.sch.Stripes()[step.Stripe]
+		code := a.codes[[2]int{stripe.Data, stripe.Parity()}]
+		if err := code.UpdateParity(step.DataPos, old[step.Source], cur[step.Source], parity); err != nil {
+			return err
 		}
-		frontier = next
 	}
 
-	// Commit: write every updated strip that has a live location — a
+	// Commit: write every closure strip that has a live location — a
 	// failed disk's strip is written to its replacement once its cycle has
 	// been rebuilt, keeping incremental rebuild and online writes
 	// coherent. The journal brackets the commit with a redo record
@@ -925,9 +870,9 @@ func (a *Array) writeStripRange(dataIdx int64, within int, data []byte) error {
 	// parity from a half-written stripe would not be.
 	var ups []StripUpdate
 	if a.journal != nil {
-		ups = make([]StripUpdate, 0, len(updates))
-		for st, up := range updates {
-			ups = append(ups, StripUpdate{Disk: st.Disk, Slot: st.Slot, Data: up.new})
+		ups = make([]StripUpdate, len(plan.Strips))
+		for i, st := range plan.Strips {
+			ups[i] = StripUpdate{Disk: st.Disk, Slot: st.Slot, Data: cur[i]}
 		}
 		if err := a.journal.RecordClosure(cycle, ups); err != nil {
 			return err
@@ -944,22 +889,18 @@ func (a *Array) writeStripRange(dataIdx int64, within int, data []byte) error {
 	// an idempotent rewrite of the same closure. The redo record is
 	// deliberately left in place on error so recovery can replay it.
 	var commitErr error
-	skipped := 0
-	for st, up := range updates {
-		dev := a.liveDevice(st.Disk, cycle*slots+int64(st.Slot))
+	for i, st := range plan.Strips {
+		dev := a.liveDevice(st.Disk, base+int64(st.Slot))
 		if dev == nil {
-			skipped++
 			// Failed strip: skip. Its delta still lands on every live
-			// parity in the closure (propagated breadth-first above), so
+			// parity in the closure (the steps above ran regardless), so
 			// reconstruction — degraded reads and the rebuild alike —
 			// recovers the post-write value from the live stripes.
 			continue
 		}
 		a.stats.writeOps.Add(1)
-		if err := dev.WriteStrip(cycle*slots+int64(st.Slot), up.new); err != nil {
-			if commitErr == nil {
-				commitErr = err
-			}
+		if err := dev.WriteStrip(base+int64(st.Slot), cur[i]); err != nil && commitErr == nil {
+			commitErr = err
 		}
 	}
 	if commitErr != nil {

@@ -3,12 +3,50 @@ package store
 import (
 	"fmt"
 	"testing"
+
+	"github.com/oiraid/oiraid/internal/layout"
 )
+
+// checkWriteCosts rewrites every data strip of arr with zeros and requires
+// the exact device cost of each small write: one read and one write per
+// closure strip, except that a closure strip on the failed disk (-1: none)
+// is not written and costs decodeReads survivor reads to snapshot.
+func checkWriteCosts(t *testing.T, arr *Array, failed int, closure, decodeReads int64) {
+	t.Helper()
+	buf := make([]byte, testStrip)
+	hit := 0
+	for i := int64(0); i < arr.Capacity()/testStrip; i++ {
+		target, _ := arr.LocateDataStrip(i)
+		lost := int64(0)
+		for _, st := range arr.Analyzer().UpdateStrips(target) {
+			if st.Disk == failed {
+				lost++
+			}
+		}
+		if lost > 0 {
+			hit++
+		}
+		arr.ResetStats()
+		if _, err := arr.WriteAt(buf, i*testStrip); err != nil {
+			t.Fatal(err)
+		}
+		wantR, wantW := closure-lost+lost*decodeReads, closure-lost
+		if st := arr.Stats(); st.ReadOps != wantR || st.WriteOps != wantW {
+			t.Fatalf("write of strip %d (%d closure strips on failed disk %d): %d reads / %d writes, want %d/%d",
+				i, lost, failed, st.ReadOps, st.WriteOps, wantR, wantW)
+		}
+	}
+	if failed >= 0 && hit == 0 {
+		t.Fatalf("no closure touches failed disk %d", failed)
+	}
+}
 
 // TestDeviceOpCounts pins, on one in-memory cycle of each bench geometry,
 // the exact device-operation counts the benchmark's store.dev_*_per_*
-// metrics report: small write, one-hop degraded read, deep read under the
-// bench's pinned three-disk set, and single-failure rebuild.
+// metrics report: small write (healthy, and with one closure member on a
+// failed disk), one-hop degraded read, deep read under the bench's pinned
+// three-disk set, and single-failure rebuild — plus the small write of the
+// RAID6 three-strip Reed–Solomon closure.
 func TestDeviceOpCounts(t *testing.T) {
 	for _, tc := range []struct {
 		v, k      int
@@ -24,20 +62,12 @@ func TestDeviceOpCounts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := fillArray(t, arr, int64(tc.v))
+			fillArray(t, arr, int64(tc.v))
 			buf := make([]byte, testStrip)
 			strips := arr.Capacity() / testStrip
 
-			for i := int64(0); i < strips; i++ {
-				arr.ResetStats()
-				if _, err := arr.WriteAt(buf, i*testStrip); err != nil {
-					t.Fatal(err)
-				}
-				if st := arr.Stats(); st.ReadOps != 4 || st.WriteOps != 4 {
-					t.Fatalf("write of strip %d: %d reads / %d writes, want 4/4", i, st.ReadOps, st.WriteOps)
-				}
-			}
-			want = hashArray(t, arr)
+			checkWriteCosts(t, arr, -1, 4, 0)
+			want := hashArray(t, arr)
 
 			// readOn reads every data strip stored on one of disks, once.
 			readOn := func(disks []int) (n int64) {
@@ -64,6 +94,9 @@ func TestDeviceOpCounts(t *testing.T) {
 			if st := arr.Stats(); st.ReadOps != n*int64(tc.k-1) {
 				t.Fatalf("%d one-hop degraded reads cost %d device reads, want %d each", n, st.ReadOps, tc.k-1)
 			}
+			// A small write whose closure has a strip on the failed disk
+			// snapshots it through its inner stripe and skips its write.
+			checkWriteCosts(t, arr, 0, 4, int64(tc.k-1))
 
 			// Rebuild reads k-1 sources per rebuilt strip (parity included).
 			dev, err := NewMemDevice(int64(an.SlotsPerDisk()), testStrip)
@@ -100,4 +133,19 @@ func TestDeviceOpCounts(t *testing.T) {
 			}
 		})
 	}
+
+	// RAID6: data, P and Q. A lost member is decoded from all five others.
+	t.Run("raid6", func(t *testing.T) {
+		r6, err := layout.NewRAID6(6)
+		arr, err := NewMemArray(analyzerFor(t, r6, err), 1, testStrip)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fillArray(t, arr, 6)
+		checkWriteCosts(t, arr, -1, 3, 0)
+		if err := arr.FailDisk(0); err != nil {
+			t.Fatal(err)
+		}
+		checkWriteCosts(t, arr, 0, 3, 5)
+	})
 }

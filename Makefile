@@ -44,8 +44,11 @@ bench:
 # The benchmark under bench/ is its own module (replace ../), which no
 # root ./... pattern reaches: vet it and run its smoke tests here, so an
 # API change that breaks the benchmark's build fails before it merges.
+# The kernel and array micro-benchmarks run once each, so they cannot rot.
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+	$(GO) test -run '^$$' -bench 'Slice|Encode|Reconstruct|ArrayWrite|ArrayDegradedRead' -benchtime 1x \
+		./internal/gf ./internal/erasure ./internal/store
 
 lint:
 	$(GO) vet ./...

@@ -14,10 +14,8 @@ func (x *XOR) UpdateParity(idx int, oldData, newData []byte, parity [][]byte) er
 	if len(parity) != 1 || len(parity[0]) != len(oldData) || len(newData) != len(oldData) {
 		return ErrShardSize
 	}
-	p := parity[0]
-	for i := range p {
-		p[i] ^= oldData[i] ^ newData[i]
-	}
+	gf.XorSlice(oldData, parity[0])
+	gf.XorSlice(newData, parity[0])
 	return nil
 }
 
@@ -30,15 +28,20 @@ func (r *ReedSolomon) UpdateParity(idx int, oldData, newData []byte, parity [][]
 	if len(parity) != r.m || len(newData) != len(oldData) {
 		return ErrShardSize
 	}
-	delta := make([]byte, len(oldData))
-	for i := range delta {
-		delta[i] = oldData[i] ^ newData[i]
-	}
-	for j, p := range parity {
+	for _, p := range parity {
 		if len(p) != len(oldData) {
 			return ErrShardSize
 		}
-		gf.MulAddSlice256(r.parity[j][idx], delta, p)
+	}
+	var chunk [chunkBytes]byte
+	for off := 0; off < len(oldData); off += chunkBytes {
+		delta := chunk[:min(chunkBytes, len(oldData)-off)]
+		end := off + len(delta)
+		copy(delta, oldData[off:end])
+		gf.XorSlice(newData[off:end], delta)
+		for j, p := range parity {
+			gf.MulAddSlice256(r.parity[j][idx], delta, p[off:end])
+		}
 	}
 	return nil
 }

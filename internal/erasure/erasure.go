@@ -12,6 +12,7 @@
 package erasure
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -94,15 +95,11 @@ func (x *XOR) ParityShards() int { return 1 }
 
 // Encode implements Code.
 func (x *XOR) Encode(shards [][]byte) error {
-	size, err := checkShards(shards, x.k, 1)
-	if err != nil {
+	if _, err := checkShards(shards, x.k, 1); err != nil {
 		return err
 	}
 	parity := shards[x.k]
 	copy(parity, shards[0])
-	if len(shards[0]) < size {
-		return ErrShardSize
-	}
 	for _, s := range shards[1:x.k] {
 		gf.XorSlice(s, parity)
 	}
@@ -130,15 +127,16 @@ func (x *XOR) Reconstruct(shards [][]byte, present []bool) error {
 	if missing < 0 {
 		return nil
 	}
-	dst := shards[missing]
-	for i := range dst {
-		dst[i] = 0
-	}
+	dst, first := shards[missing], true
 	for i, s := range shards {
-		if i == missing {
-			continue
+		switch {
+		case i == missing:
+		case first:
+			copy(dst, s)
+			first = false
+		default:
+			gf.XorSlice(s, dst)
 		}
-		gf.XorSlice(s, dst)
 	}
 	return nil
 }
@@ -149,17 +147,25 @@ func (x *XOR) Verify(shards [][]byte) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	acc := make([]byte, size)
-	for _, s := range shards {
-		gf.XorSlice(s, acc)
-	}
-	for _, b := range acc {
-		if b != 0 {
+	var chunk [chunkBytes]byte
+	for off := 0; off < size; off += chunkBytes {
+		acc := chunk[:min(chunkBytes, size-off)]
+		end := off + len(acc)
+		copy(acc, shards[0][off:end])
+		for _, s := range shards[1:x.k] {
+			gf.XorSlice(s[off:end], acc)
+		}
+		if !bytes.Equal(acc, shards[x.k][off:end]) {
 			return false, nil
 		}
 	}
 	return true, nil
 }
+
+// chunkBytes is how much of a shard Verify and UpdateParity work on at a
+// time, in a buffer on their own stack: no allocation, and the accumulator
+// stays in L1 while the shards stream past it.
+const chunkBytes = 4096
 
 // ReedSolomon is a systematic MDS code with k data and m parity shards,
 // built from an extended Vandermonde generator matrix over GF(2^8).
@@ -211,31 +217,29 @@ func (r *ReedSolomon) ParityShards() int { return r.m }
 
 // Encode implements Code.
 func (r *ReedSolomon) Encode(shards [][]byte) error {
-	if _, err := checkShards(shards, r.k, r.m); err != nil {
+	size, err := checkShards(shards, r.k, r.m)
+	if err != nil {
 		return err
 	}
-	r.codeShards(r.parity, shards[:r.k], shards[r.k:])
+	for i, row := range r.parity {
+		codeRow(row, shards[:r.k], 0, size, shards[r.k+i])
+	}
 	return nil
 }
 
-// codeShards computes out = coeff · in, shard-wise.
-func (r *ReedSolomon) codeShards(coeff matrix.Matrix, in, out [][]byte) {
-	for i, row := range coeff {
-		dst := out[i]
-		for j := range dst {
-			dst[j] = 0
-		}
-		for j, c := range row {
-			if c != 0 {
-				gf.MulAddSlice256(c, in[j], dst)
-			}
-		}
+// codeRow computes dst = Σ row[j]·in[j][off:end]: the first term
+// overwrites dst, the rest accumulate.
+func codeRow(row []byte, in [][]byte, off, end int, dst []byte) {
+	gf.MulSlice256(row[0], in[0][off:end], dst)
+	for j, c := range row[1:] {
+		gf.MulAddSlice256(c, in[j+1][off:end], dst)
 	}
 }
 
 // Reconstruct implements Code.
 func (r *ReedSolomon) Reconstruct(shards [][]byte, present []bool) error {
-	if _, err := checkShards(shards, r.k, r.m); err != nil {
+	size, err := checkShards(shards, r.k, r.m)
+	if err != nil {
 		return err
 	}
 	if len(present) != r.k+r.m {
@@ -266,29 +270,17 @@ func (r *ReedSolomon) Reconstruct(shards [][]byte, present []bool) error {
 	for i, idx := range rows {
 		in[i] = shards[idx]
 	}
-	// Recover missing data shards first.
-	var dataRows matrix.Matrix
-	var dataOut [][]byte
+	// Recover missing data shards first, then recompute missing parity
+	// from the (now complete) data shards.
 	for _, idx := range missing {
 		if idx < r.k {
-			dataRows = append(dataRows, dec[idx])
-			dataOut = append(dataOut, shards[idx])
+			codeRow(dec[idx], in, 0, size, shards[idx])
 		}
 	}
-	if len(dataRows) > 0 {
-		r.codeShards(dataRows, in, dataOut)
-	}
-	// Then recompute missing parity from the (now complete) data shards.
-	var parRows matrix.Matrix
-	var parOut [][]byte
 	for _, idx := range missing {
 		if idx >= r.k {
-			parRows = append(parRows, r.parity[idx-r.k])
-			parOut = append(parOut, shards[idx])
+			codeRow(r.parity[idx-r.k], shards[:r.k], 0, size, shards[idx])
 		}
-	}
-	if len(parRows) > 0 {
-		r.codeShards(parRows, shards[:r.k], parOut)
 	}
 	return nil
 }
@@ -299,19 +291,13 @@ func (r *ReedSolomon) Verify(shards [][]byte) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	buf := make([]byte, size)
-	for i, row := range r.parity {
-		for j := range buf {
-			buf[j] = 0
-		}
-		for j, c := range row {
-			if c != 0 {
-				gf.MulAddSlice256(c, shards[j], buf)
-			}
-		}
-		want := shards[r.k+i]
-		for j := range buf {
-			if buf[j] != want[j] {
+	var chunk [chunkBytes]byte
+	for off := 0; off < size; off += chunkBytes {
+		buf := chunk[:min(chunkBytes, size-off)]
+		end := off + len(buf)
+		for i, row := range r.parity {
+			codeRow(row, shards[:r.k], off, end, buf)
+			if !bytes.Equal(buf, shards[r.k+i][off:end]) {
 				return false, nil
 			}
 		}

@@ -3,9 +3,12 @@ package erasure
 import (
 	"bytes"
 	"errors"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"github.com/oiraid/oiraid/internal/gf"
 )
 
 func fillRandom(shards [][]byte, seed int64) {
@@ -287,6 +290,7 @@ func benchmarkEncode(b *testing.B, code Code, size int) {
 	shards := AllocShards(k, m, size)
 	fillRandom(shards[:k], 1)
 	b.SetBytes(int64(k * size))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := code.Encode(shards); err != nil {
@@ -295,19 +299,19 @@ func benchmarkEncode(b *testing.B, code Code, size int) {
 	}
 }
 
-func BenchmarkXOREncode8x64K(b *testing.B) {
+func benchmarkXOREncode(b *testing.B, size int) {
 	code, _ := NewXOR(8)
-	benchmarkEncode(b, code, 64<<10)
+	benchmarkEncode(b, code, size)
 }
 
-func BenchmarkRSEncode8p2x64K(b *testing.B) {
+func benchmarkRSEncode(b *testing.B, size int) {
 	code, _ := NewReedSolomon(8, 2)
-	benchmarkEncode(b, code, 64<<10)
+	benchmarkEncode(b, code, size)
 }
 
-func BenchmarkRSReconstruct8p2x64K(b *testing.B) {
+func benchmarkRSReconstruct(b *testing.B, size int) {
 	code, _ := NewReedSolomon(8, 2)
-	shards := AllocShards(8, 2, 64<<10)
+	shards := AllocShards(8, 2, size)
 	fillRandom(shards[:8], 1)
 	if err := code.Encode(shards); err != nil {
 		b.Fatal(err)
@@ -316,11 +320,115 @@ func BenchmarkRSReconstruct8p2x64K(b *testing.B) {
 	for i := range present {
 		present[i] = i != 3 && i != 7
 	}
-	b.SetBytes(64 << 10 * 2)
+	b.SetBytes(int64(size) * 2)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := code.Reconstruct(shards, present); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkXOREncode8x4K(b *testing.B)        { benchmarkXOREncode(b, 4<<10) }
+func BenchmarkXOREncode8x64K(b *testing.B)       { benchmarkXOREncode(b, 64<<10) }
+func BenchmarkRSEncode8p2x4K(b *testing.B)       { benchmarkRSEncode(b, 4<<10) }
+func BenchmarkRSEncode8p2x64K(b *testing.B)      { benchmarkRSEncode(b, 64<<10) }
+func BenchmarkRSReconstruct8p2x4K(b *testing.B)  { benchmarkRSReconstruct(b, 4<<10) }
+func BenchmarkRSReconstruct8p2x64K(b *testing.B) { benchmarkRSReconstruct(b, 64<<10) }
+
+// TestOddShardSizes: shard sizes that are no multiple of a vector width or
+// of chunkBytes (4097 leaves a one-byte last chunk). Encode is checked
+// against the scalar definition, Verify must see a flip in the last byte,
+// every loss pattern of up to m shards must decode, UpdateParity must agree
+// with re-encoding, and nothing but RS decoding (its decode matrix) may
+// allocate.
+func TestOddShardSizes(t *testing.T) {
+	for _, cfg := range [][2]int{{1, 1}, {4, 1}, {5, 2}, {8, 3}} {
+		k, m := cfg[0], cfg[1]
+		code, err := NewCode(k, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, size := range []int{1, 7, 4097} {
+			shards := AllocShards(k, m, size)
+			fillRandom(shards[:k], int64(size))
+			if err := code.Encode(shards); err != nil {
+				t.Fatal(err)
+			}
+			for j := 0; j < m; j++ {
+				for i := 0; i < size; i++ {
+					var want byte
+					for c := 0; c < k; c++ {
+						coeff := byte(1)
+						if rs, ok := code.(*ReedSolomon); ok {
+							coeff = rs.parity[j][c]
+						}
+						want ^= gf.Mul256(coeff, shards[c][i])
+					}
+					if shards[k+j][i] != want {
+						t.Fatalf("(%d,%d) size %d: parity %d byte %d = %d, scalar definition %d", k, m, size, j, i, shards[k+j][i], want)
+					}
+				}
+			}
+			if ok, err := code.Verify(shards); err != nil || !ok {
+				t.Fatalf("(%d,%d) size %d: Verify = %v, %v", k, m, size, ok, err)
+			}
+			shards[k+m-1][size-1] ^= 0x80
+			if ok, _ := code.Verify(shards); ok {
+				t.Fatalf("(%d,%d) size %d: Verify missed a flip in the last byte", k, m, size)
+			}
+			shards[k+m-1][size-1] ^= 0x80
+
+			for mask := 1; mask < 1<<(k+m); mask++ {
+				if bits.OnesCount(uint(mask)) > m {
+					continue
+				}
+				work := cloneShards(shards)
+				present := make([]bool, k+m)
+				for i := range present {
+					if present[i] = mask&(1<<i) == 0; !present[i] {
+						for b := range work[i] {
+							work[i][b] = 0xAA
+						}
+					}
+				}
+				if err := code.Reconstruct(work, present); err != nil {
+					t.Fatalf("(%d,%d) size %d lost %b: %v", k, m, size, mask, err)
+				}
+				for i := range work {
+					if !bytes.Equal(work[i], shards[i]) {
+						t.Fatalf("(%d,%d) size %d lost %b: shard %d differs", k, m, size, mask, i)
+					}
+				}
+			}
+
+			oldData := append([]byte(nil), shards[k-1]...)
+			fillRandom(shards[k-1:k], int64(size)+1)
+			if err := code.UpdateParity(k-1, oldData, shards[k-1], shards[k:]); err != nil {
+				t.Fatal(err)
+			}
+			if ok, err := code.Verify(shards); err != nil || !ok {
+				t.Fatalf("(%d,%d) size %d: Verify after UpdateParity = %v, %v", k, m, size, ok, err)
+			}
+
+			present := make([]bool, k+m)
+			for i := range present {
+				present[i] = i != 0
+			}
+			calls := map[string]func(){
+				"Encode":       func() { code.Encode(shards) },
+				"Verify":       func() { code.Verify(shards) },
+				"UpdateParity": func() { code.UpdateParity(0, oldData, oldData, shards[k:]) },
+			}
+			if m == 1 {
+				calls["Reconstruct"] = func() { code.Reconstruct(shards, present) }
+			}
+			for name, call := range calls {
+				if n := testing.AllocsPerRun(10, call); n != 0 {
+					t.Errorf("(%d,%d) size %d: %s allocates %v times per call", k, m, size, name, n)
+				}
+			}
 		}
 	}
 }

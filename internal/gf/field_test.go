@@ -287,25 +287,23 @@ func BenchmarkMul256(b *testing.B) {
 	_ = acc
 }
 
-func BenchmarkXorSlice64K(b *testing.B) {
-	src := make([]byte, 64<<10)
-	dst := make([]byte, 64<<10)
-	b.SetBytes(64 << 10)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		XorSlice(src, dst)
-	}
-}
-
-func BenchmarkMulAddSlice64K(b *testing.B) {
-	src := make([]byte, 64<<10)
-	dst := make([]byte, 64<<10)
+func benchmarkKernel(b *testing.B, size int, kernel func(src, dst []byte)) {
+	src := make([]byte, size)
+	dst := make([]byte, size)
 	for i := range src {
 		src[i] = byte(i)
 	}
-	b.SetBytes(64 << 10)
+	b.SetBytes(int64(size))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MulAddSlice256(0x1d, src, dst)
+		kernel(src, dst)
 	}
 }
+
+func mulAdd1d(src, dst []byte) { MulAddSlice256(0x1d, src, dst) }
+
+func BenchmarkXorSlice4K(b *testing.B)     { benchmarkKernel(b, 4<<10, XorSlice) }
+func BenchmarkXorSlice64K(b *testing.B)    { benchmarkKernel(b, 64<<10, XorSlice) }
+func BenchmarkMulAddSlice4K(b *testing.B)  { benchmarkKernel(b, 4<<10, mulAdd1d) }
+func BenchmarkMulAddSlice64K(b *testing.B) { benchmarkKernel(b, 64<<10, mulAdd1d) }

@@ -3,11 +3,17 @@ package gf
 // GF(2^8) arithmetic with the Rijndael/AES reducing polynomial
 // x^8 + x^4 + x^3 + x^2 + 1 (0x11d, the polynomial conventionally used by
 // storage erasure coders). Addition is XOR; multiplication uses log/exp
-// tables generated at package initialisation from the generator element 2.
+// tables generated at package initialisation from the generator element 2,
+// and the slice kernels a full product table derived from them.
 //
 // The tables are package-level constants-by-construction: they are computed
 // once in newGF256Tables and never mutated afterwards, so concurrent use is
 // safe.
+
+import (
+	"crypto/subtle"
+	"fmt"
+)
 
 const gf256Poly = 0x11d
 
@@ -15,6 +21,9 @@ type gf256Tables struct {
 	exp [512]byte // exp[i] = 2^i, doubled to avoid a mod 255 in Mul
 	log [256]byte // log[a] for a != 0
 	inv [256]byte
+	// mul[c][s] = c·s: one 256-byte product row per coefficient, so the
+	// slice kernels are one branch-free lookup per byte.
+	mul [256][256]byte
 }
 
 // gf256 holds the shared GF(2^8) tables. It is written exactly once, by the
@@ -38,6 +47,9 @@ func newGF256Tables() *gf256Tables {
 	}
 	for a := 1; a < 256; a++ {
 		t.inv[a] = t.exp[255-int(t.log[a])]
+		for b := 1; b < 256; b++ {
+			t.mul[a][b] = t.exp[int(t.log[a])+int(t.log[b])]
+		}
 	}
 	return t
 }
@@ -65,25 +77,16 @@ func Inv256(a byte) byte { return gf256.inv[a] }
 func Exp256(e int) byte { return gf256.exp[e%255] }
 
 // MulSlice256 computes dst[i] = c·src[i] for all i. dst and src must have
-// equal length; they may alias.
+// equal length; they may alias exactly.
 func MulSlice256(c byte, src, dst []byte) {
-	if c == 0 {
-		for i := range dst {
-			dst[i] = 0
-		}
-		return
-	}
+	checkLen(src, dst)
 	if c == 1 {
 		copy(dst, src)
 		return
 	}
-	logC := int(gf256.log[c])
+	row := &gf256.mul[c]
 	for i, s := range src {
-		if s == 0 {
-			dst[i] = 0
-		} else {
-			dst[i] = gf256.exp[logC+int(gf256.log[s])]
-		}
+		dst[i] = row[s]
 	}
 }
 
@@ -91,36 +94,32 @@ func MulSlice256(c byte, src, dst []byte) {
 // in GF(2^8)). dst and src must have equal length and must not alias unless
 // identical.
 func MulAddSlice256(c byte, src, dst []byte) {
-	if c == 0 {
+	checkLen(src, dst)
+	switch c {
+	case 0:
 		return
-	}
-	if c == 1 {
+	case 1:
 		XorSlice(src, dst)
 		return
 	}
-	logC := int(gf256.log[c])
+	row := &gf256.mul[c]
 	for i, s := range src {
-		if s != 0 {
-			dst[i] ^= gf256.exp[logC+int(gf256.log[s])]
-		}
+		dst[i] ^= row[s]
 	}
 }
 
-// XorSlice computes dst[i] ^= src[i] for all i. Lengths must match.
+// XorSlice computes dst[i] ^= src[i] for all i, sixteen bytes at a time
+// where the platform has vector registers (crypto/subtle.XORBytes). dst and
+// src must have equal length and must not alias unless identical.
 func XorSlice(src, dst []byte) {
-	// Word-at-a-time XOR: the common strip sizes are multiples of 8.
-	n := len(dst) &^ 7
-	for i := 0; i < n; i += 8 {
-		dst[i] ^= src[i]
-		dst[i+1] ^= src[i+1]
-		dst[i+2] ^= src[i+2]
-		dst[i+3] ^= src[i+3]
-		dst[i+4] ^= src[i+4]
-		dst[i+5] ^= src[i+5]
-		dst[i+6] ^= src[i+6]
-		dst[i+7] ^= src[i+7]
-	}
-	for i := n; i < len(dst); i++ {
-		dst[i] ^= src[i]
+	checkLen(src, dst)
+	subtle.XORBytes(dst, dst, src)
+}
+
+// checkLen panics on the caller bug every slice kernel shares: operands of
+// different lengths.
+func checkLen(src, dst []byte) {
+	if len(src) != len(dst) {
+		panic(fmt.Sprintf("gf: slice kernel on %d and %d bytes", len(src), len(dst)))
 	}
 }

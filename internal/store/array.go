@@ -130,7 +130,51 @@ type Array struct {
 	// Written under mu, read under at least the read lock.
 	readOnly bool
 
+	// scratch is the one pool of strip buffers (*stripScratch): the write
+	// path, the task executor, the stripe walk and partial-strip reads all
+	// borrow from it, so none of them allocates a strip in steady state.
+	scratch sync.Pool
+
 	stats ioCounters
+}
+
+// stripScratch is a borrowed set of strip-sized buffers plus the slice
+// headers its borrower indexes strips through. A borrower owns it from
+// getScratch to putScratch and must not let a buffer outlive that: devices
+// do not retain what they are handed (see Device), sinks copy.
+type stripScratch struct {
+	stripBytes int
+	bufs       [][]byte // owned buffers; grows to the most ever asked for
+	heads      [][]byte // header scratch, may point at bufs or at caller memory
+}
+
+func (a *Array) getScratch() *stripScratch {
+	if sc, ok := a.scratch.Get().(*stripScratch); ok {
+		return sc
+	}
+	return &stripScratch{stripBytes: a.stripBytes}
+}
+
+func (a *Array) putScratch(sc *stripScratch) {
+	clear(sc.heads[:cap(sc.heads)]) // drop references to caller memory
+	a.scratch.Put(sc)
+}
+
+// strips returns n of the scratch's buffers, contents undefined. A second
+// call hands out the same buffers again.
+func (sc *stripScratch) strips(n int) [][]byte {
+	for len(sc.bufs) < n {
+		sc.bufs = append(sc.bufs, make([]byte, sc.stripBytes))
+	}
+	return sc.bufs[:n:n]
+}
+
+// headers returns n nil slice headers.
+func (sc *stripScratch) headers(n int) [][]byte {
+	if cap(sc.heads) < n {
+		sc.heads = make([][]byte, n)
+	}
+	return sc.heads[:n]
 }
 
 // NewArray assembles an array from one device per disk. All devices must
@@ -500,7 +544,8 @@ func (a *Array) decodeVia(target layout.Strip, cycle int64, alive func(disk int)
 	if !ok {
 		return errNoDecodePath
 	}
-	run := planRun{cycle: cycle, depth: depth}
+	run := planRun{cycle: cycle, depth: depth, sc: a.getScratch()}
+	defer a.putScratch(run.sc)
 	return a.execTask(&run, info.Stripe, info.Present, []int{info.Target}, nil,
 		func(_ layout.Strip, content []byte) error {
 			copy(p, content)
@@ -512,10 +557,9 @@ func (a *Array) decodeVia(target layout.Strip, cycle int64, alive func(disk int)
 type planRun struct {
 	cycle int64
 	depth int // heal recursion depth of the read being served
-	// shards is the scratch shard set, of the given stripe shape, that
-	// consecutive tasks of one shape share.
-	shape  [2]int
-	shards [][]byte
+	// sc lends every task of the run its shard set; whoever starts the
+	// run borrows it and gives it back.
+	sc *stripScratch
 }
 
 // execTask is the one gather-decode-scatter loop. It reads the members of
@@ -529,10 +573,7 @@ func (a *Array) execTask(run *planRun, via int, reads []bool, targets []int,
 	earlier func(st layout.Strip, p []byte) (bool, error),
 	sink func(st layout.Strip, content []byte) error) error {
 	stripe := a.sch.Stripes()[via]
-	if shape := [2]int{stripe.Data, stripe.Parity()}; run.shards == nil || shape != run.shape {
-		run.shape, run.shards = shape, erasure.AllocShards(shape[0], shape[1], a.stripBytes)
-	}
-	shards := run.shards
+	shards := run.sc.strips(len(stripe.Strips))
 	slots := int64(a.an.SlotsPerDisk())
 	for pos, read := range reads {
 		if !read {
@@ -551,7 +592,7 @@ func (a *Array) execTask(run *planRun, via int, reads []bool, targets []int,
 			return err
 		}
 	}
-	if err := a.codes[run.shape].Reconstruct(shards, reads); err != nil {
+	if err := a.codes[[2]int{stripe.Data, stripe.Parity()}].Reconstruct(shards, reads); err != nil {
 		return fmt.Errorf("store: reconstruct stripe %d of cycle %d: %w", via, run.cycle, err)
 	}
 	for _, pos := range targets {
@@ -637,7 +678,8 @@ func (a *Array) reconstructDeep(cycle int64, target layout.Strip, p []byte, avoi
 		recovered[st] = append([]byte(nil), content...)
 		return nil
 	}
-	run := planRun{cycle: cycle, depth: depth}
+	run := planRun{cycle: cycle, depth: depth, sc: a.getScratch()}
+	defer a.putScratch(run.sc)
 	for _, task := range plan.Tasks {
 		if err := a.execTask(&run, task.Via, task.Present, task.TargetPos, earlier, sink); err != nil {
 			return err
@@ -659,7 +701,12 @@ func (a *Array) ReadAt(p []byte, off int64) (int, error) {
 		return 0, fmt.Errorf("%w: %d", ErrNegativeOffset, off)
 	}
 	total := 0
-	buf := make([]byte, a.stripBytes)
+	var sc *stripScratch // borrowed by the first partial strip
+	defer func() {
+		if sc != nil {
+			a.putScratch(sc)
+		}
+	}()
 	for total < len(p) {
 		pos := off + int64(total)
 		if pos >= a.Capacity() {
@@ -672,10 +719,21 @@ func (a *Array) ReadAt(p []byte, off int64) (int, error) {
 			n = len(p) - total
 		}
 		d, devStrip := a.locate(dataIdx)
-		if err := a.readStrip(d, devStrip, buf); err != nil {
-			return total, err
+		if n == a.stripBytes {
+			// A whole strip lands in the caller's memory directly.
+			if err := a.readStrip(d, devStrip, p[total:total+n]); err != nil {
+				return total, err
+			}
+		} else {
+			if sc == nil {
+				sc = a.getScratch()
+			}
+			buf := sc.strips(1)[0]
+			if err := a.readStrip(d, devStrip, buf); err != nil {
+				return total, err
+			}
+			copy(p[total:total+n], buf[within:])
 		}
-		copy(p[total:total+n], buf[within:])
 		total += n
 	}
 	return total, nil
@@ -839,16 +897,39 @@ func (a *Array) writeStripRange(dataIdx int64, within int, data []byte) error {
 		}
 	}
 
-	old, cur := make([][]byte, len(plan.Strips)), make([][]byte, len(plan.Strips))
+	// cur[i] is closure strip i's new content. The target, and every strip
+	// some step folds from (a step's Source), keeps its content on media
+	// beside it in old[i]; the rest are read into cur[i] and updated in
+	// place. A whole-strip write's new target content is the caller's slice.
+	n, whole := len(plan.Strips), len(data) == a.stripBytes
+	sc := a.getScratch()
+	defer a.putScratch(sc)
+	bufs, heads := sc.strips(2*n), sc.headers(3*n)
+	cur, old, parity := heads[:n], heads[n:2*n], heads[2*n:]
+	old[0] = bufs[n]
+	for _, step := range plan.Steps {
+		old[step.Source] = bufs[n+step.Source]
+	}
 	for i, st := range plan.Strips {
-		old[i] = make([]byte, a.stripBytes)
-		if err := a.readStripForUpdate(st.Disk, base+int64(st.Slot), old[i]); err != nil {
+		cur[i] = bufs[i]
+		media := cur[i]
+		if old[i] != nil {
+			media = old[i]
+		}
+		if err := a.readStripForUpdate(st.Disk, base+int64(st.Slot), media); err != nil {
 			return err
 		}
-		cur[i] = append([]byte(nil), old[i]...)
+		switch {
+		case old[i] == nil:
+		case i == 0 && whole:
+			cur[0] = data
+		default:
+			copy(cur[i], old[i])
+		}
 	}
-	copy(cur[0][within:], data)
-	parity := make([][]byte, 0, len(plan.Strips))
+	if !whole {
+		copy(cur[0][within:], data)
+	}
 	for _, step := range plan.Steps {
 		parity = parity[:0]
 		for _, pi := range step.Parity {

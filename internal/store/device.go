@@ -16,6 +16,12 @@ import (
 )
 
 // Device is a strip-granularity block device.
+//
+// ReadStrip and WriteStrip must not retain p after they return, and
+// WriteStrip must not modify it: the array hands them pooled scratch buffers
+// and callers' own slices, both of which are reused the moment the call is
+// over. An implementation that queues, retries in the background or forwards
+// asynchronously copies p first.
 type Device interface {
 	// Strips returns the device size in strips.
 	Strips() int64

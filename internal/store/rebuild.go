@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/oiraid/oiraid/internal/core"
-	"github.com/oiraid/oiraid/internal/erasure"
 	"github.com/oiraid/oiraid/internal/layout"
 )
 
@@ -178,7 +177,8 @@ func (a *Array) rebuildCycle(cycle int64) error {
 		rebuilt[st] = true
 		return nil
 	}
-	run := planRun{cycle: cycle}
+	run := planRun{cycle: cycle, sc: a.getScratch()}
+	defer a.putScratch(run.sc)
 	for _, task := range a.rebuildPlan.Tasks {
 		if err := a.execTask(&run, task.Via, task.Present, task.TargetPos, earlier, sink); err != nil {
 			return err
@@ -259,22 +259,20 @@ func (a *Array) ScrubProgress() (scanned, total int64) {
 func (a *Array) walkStripes(cycle int64, read func(dev Device, d int, devStrip int64, p []byte) error,
 	visit func(si int, stripe layout.Stripe, shards [][]byte) error) error {
 	base := cycle * int64(a.an.SlotsPerDisk())
-	var shape [2]int
-	var shards [][]byte // shared by consecutive stripes of one shape
+	sc := a.getScratch()
+	defer a.putScratch(sc)
 	for _, outer := range []bool{true, false} {
 		for si, stripe := range a.sch.Stripes() {
 			if outer != (stripe.Layer == layout.LayerOuter) {
 				continue
 			}
-			if sh := [2]int{stripe.Data, stripe.Parity()}; shards == nil || sh != shape {
-				shape, shards = sh, erasure.AllocShards(sh[0], sh[1], a.stripBytes)
-			}
+			shards := sc.strips(len(stripe.Strips))
 			for mi, st := range stripe.Strips {
 				if err := read(a.device(st.Disk), st.Disk, base+int64(st.Slot), shards[mi]); err != nil {
 					return err
 				}
 			}
-			ok, err := a.codes[shape].Verify(shards)
+			ok, err := a.codes[[2]int{stripe.Data, stripe.Parity()}].Verify(shards)
 			if err != nil {
 				return fmt.Errorf("store: verify stripe %d of cycle %d: %w", si, cycle, err)
 			}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"path/filepath"
@@ -441,34 +442,52 @@ func TestFileBackedArray(t *testing.T) {
 	}
 }
 
-func BenchmarkArrayWrite(b *testing.B) {
-	arr := newOIArray(b, 9)
-	buf := make([]byte, testStrip)
-	b.SetBytes(testStrip)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		off := (int64(i) * testStrip) % arr.Capacity()
-		if _, err := arr.WriteAt(buf, off); err != nil {
-			b.Fatal(err)
-		}
+// benchArray is a two-cycle 9-disk OI-RAID array at each strip size the
+// benchmark's workloads run.
+func benchArray(b *testing.B, run func(b *testing.B, arr *Array, buf []byte)) {
+	for _, size := range []int{4 << 10, 64 << 10} {
+		b.Run(fmt.Sprintf("%dK", size>>10), func(b *testing.B) {
+			arr, err := NewMemArray(oiAnalyzer(b, 9), 2, size)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(size))
+			b.ReportAllocs()
+			run(b, arr, make([]byte, size))
+		})
 	}
 }
 
-func BenchmarkArrayDegradedRead(b *testing.B) {
-	arr := newOIArray(b, 9)
-	buf := make([]byte, testStrip)
-	if _, err := arr.WriteAt(buf, 0); err != nil {
-		b.Fatal(err)
-	}
-	arr.FailDisk(0)
-	b.SetBytes(testStrip)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		off := (int64(i) * testStrip) % arr.Capacity()
-		if _, err := arr.ReadAt(buf, off); err != nil {
-			b.Fatal(err)
+func BenchmarkArrayWrite(b *testing.B) {
+	benchArray(b, func(b *testing.B, arr *Array, buf []byte) {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			off := (int64(i) * int64(len(buf))) % arr.Capacity()
+			if _, err := arr.WriteAt(buf, off); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
+}
+
+// BenchmarkArrayDegradedRead reads only strips of the failed disk, so every
+// iteration is a one-hop reconstruction.
+func BenchmarkArrayDegradedRead(b *testing.B) {
+	benchArray(b, func(b *testing.B, arr *Array, buf []byte) {
+		arr.FailDisk(0)
+		var lost []int64
+		for i := int64(0); i < arr.Capacity()/int64(len(buf)); i++ {
+			if arr.DataStripDisk(i) == 0 {
+				lost = append(lost, i*int64(len(buf)))
+			}
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := arr.ReadAt(buf, lost[i%len(lost)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // TestRepairFixesSilentParityCorruption: corrupt a parity strip directly

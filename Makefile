@@ -47,7 +47,7 @@ bench:
 # The kernel and array micro-benchmarks run once each, so they cannot rot.
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
-	$(GO) test -run '^$$' -bench 'Slice|Encode|Reconstruct|ArrayWrite|ArrayDegradedRead' -benchtime 1x \
+	$(GO) test -run '^$$' -bench 'Slice|Encode|Reconstruct|ArrayWrite|ArrayDegradedRead|ArrayDeepRead' -benchtime 1x \
 		./internal/gf ./internal/erasure ./internal/store
 
 lint:

@@ -116,13 +116,23 @@ func (a *Analyzer) DataMemberStripes(st layout.Strip) []int {
 
 // Recoverable reports whether the peeling decoder recovers every strip of
 // the cycle after the given disks fail. It is the fast path used by the
-// reliability Monte Carlo; Plan produces the full schedule.
+// reliability Monte Carlo; Availability reports which strips stay lost and
+// Plan produces the full schedule.
 func (a *Analyzer) Recoverable(failed []int) bool {
+	_, _, remaining := a.peel(failed)
+	return remaining == 0
+}
+
+// peel is the peeling decoder: repair a stripe whenever its losses fit its
+// parity, to a fixed point. It returns the residual — lost maps each strip of
+// a failed disk to whether it is still lost, lostCount[si] is the number of
+// still-lost members of stripe si, remaining the number of still-lost strips.
+func (a *Analyzer) peel(failed []int) (map[int32]bool, []int32, int) {
 	lost, lostCount := a.initLoss(failed)
-	if len(lost) == 0 {
-		return true
-	}
 	remaining := len(lost)
+	if remaining == 0 {
+		return lost, lostCount, 0
+	}
 
 	// Queue of stripes that can currently repair their losses.
 	var queue []int32
@@ -157,7 +167,7 @@ func (a *Analyzer) Recoverable(failed []int) bool {
 			}
 		}
 	}
-	return remaining == 0
+	return lost, lostCount, remaining
 }
 
 // initLoss computes the lost-strip set and per-stripe loss counts for a

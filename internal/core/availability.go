@@ -38,9 +38,8 @@ type Availability struct {
 }
 
 // Availability runs the peeling decoder on the failure pattern and
-// returns the full per-strip classification. It shares the fixed-point
-// loop with Recoverable but keeps the residual lost set instead of only
-// its cardinality.
+// returns the full per-strip classification: the report is built from the
+// residual of the same peel Recoverable runs.
 func (a *Analyzer) Availability(failed []int) *Availability {
 	av := &Availability{slots: a.slots}
 	seen := make(map[int]bool, len(failed))
@@ -53,41 +52,10 @@ func (a *Analyzer) Availability(failed []int) *Availability {
 	}
 	sort.Ints(av.Failed)
 
-	lost, lostCount := a.initLoss(av.Failed)
-	var queue []int32
-	inQueue := make(map[int32]bool)
-	push := func(si int32) {
-		if !inQueue[si] && lostCount[si] > 0 && int(lostCount[si]) <= a.stripes[si].Parity() {
-			inQueue[si] = true
-			queue = append(queue, si)
-		}
-	}
-	for si := range a.stripes {
-		push(int32(si))
-	}
-	for len(queue) > 0 {
-		si := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		inQueue[si] = false
-		if lostCount[si] == 0 || int(lostCount[si]) > a.stripes[si].Parity() {
-			continue
-		}
-		for _, id := range a.members[si] {
-			if !lost[id] {
-				continue
-			}
-			delete(lost, id)
-			for _, sj := range a.stripesOf[id] {
-				lostCount[sj]--
-				if sj != si {
-					push(sj)
-				}
-			}
-		}
-	}
+	lost, lostCount, remaining := a.peel(av.Failed)
 
-	av.lostSet = make(map[int32]bool, len(lost))
-	ids := make([]int32, 0, len(lost))
+	av.lostSet = make(map[int32]bool, remaining)
+	ids := make([]int32, 0, remaining)
 	for id, still := range lost {
 		if !still {
 			continue

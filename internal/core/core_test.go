@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -256,9 +258,12 @@ func TestOIRAIDTripleFailurePlans(t *testing.T) {
 
 // validatePlan checks plan internal consistency: every task reads sources
 // that are alive or recovered in an earlier phase, targets every lost
-// strip exactly once, reads exactly Data sources per task, and marks each
-// source's and names each target's member position within the repairing
-// stripe.
+// strip but the Unrecovered ones exactly once, reads exactly Data sources
+// per task, and marks each source's and names each target's member position
+// within the repairing stripe. For every strip it then checks the sub-plan
+// For extracts: none for a strip the plan does not rebuild, otherwise tasks
+// in ascending order whose every read is alive or a target of an earlier
+// returned task, the last of them targeting the strip.
 func validatePlan(t *testing.T, a *Analyzer, plan *Plan) {
 	t.Helper()
 	failedSet := make(map[int]bool)
@@ -314,9 +319,80 @@ func validatePlan(t *testing.T, a *Analyzer, plan *Plan) {
 			}
 		}
 	}
-	want := len(plan.Failed) * a.SlotsPerDisk()
+	for _, st := range plan.Unrecovered {
+		if targeted[st] {
+			t.Fatalf("strip %v both targeted and unrecovered", st)
+		}
+	}
+	want := len(plan.Failed)*a.SlotsPerDisk() - len(plan.Unrecovered)
 	if len(targeted) != want {
 		t.Fatalf("plan targeted %d strips, want %d", len(targeted), want)
+	}
+	if plan.Complete != (len(plan.Unrecovered) == 0) {
+		t.Fatalf("Complete=%v with %d unrecovered strips", plan.Complete, len(plan.Unrecovered))
+	}
+	for d := 0; d < a.Disks(); d++ {
+		for slot := 0; slot < a.SlotsPerDisk(); slot++ {
+			st := layout.Strip{Disk: d, Slot: slot}
+			need := plan.For(st)
+			if !targeted[st] {
+				if len(need) != 0 {
+					t.Fatalf("For(%v) = %v for a strip the plan does not rebuild", st, need)
+				}
+				continue
+			}
+			if len(need) == 0 || !sort.IntsAreSorted(need) {
+				t.Fatalf("For(%v) = %v, want a non-empty ascending list", st, need)
+			}
+			held := make(map[layout.Strip]bool)
+			for _, ti := range need {
+				for _, src := range plan.Tasks[ti].Reads {
+					if failedSet[src.Disk] && !held[src] {
+						t.Fatalf("For(%v) = %v: task %d reads %v, which no earlier returned task rebuilds", st, need, ti, src)
+					}
+				}
+				for _, tgt := range plan.Tasks[ti].Targets {
+					held[tgt] = true
+				}
+			}
+			last := plan.Tasks[need[len(need)-1]]
+			if !slices.Contains(last.Targets, st) {
+				t.Fatalf("For(%v) = %v does not end in the task that rebuilds it", st, need)
+			}
+		}
+	}
+}
+
+// TestPeelPlanAvailabilityAgree: the queue peel (Recoverable, Availability)
+// and the phase planner (Plan) reach the same fixed point — same verdict,
+// same residual — and every plan, complete or not, passes validatePlan,
+// which checks the sub-plan For extracts for each strip.
+func TestPeelPlanAvailabilityAgree(t *testing.T) {
+	check := func(a *Analyzer, failed []int) {
+		t.Helper()
+		plan := a.Plan(failed, PlanOptions{})
+		av := a.Availability(failed)
+		if rec := a.Recoverable(failed); plan.Complete != rec || av.Recoverable != rec {
+			t.Fatalf("v=%d %v: Plan.Complete=%v Availability.Recoverable=%v Recoverable=%v",
+				a.Disks(), failed, plan.Complete, av.Recoverable, rec)
+		}
+		unrecovered := append([]layout.Strip(nil), plan.Unrecovered...)
+		sort.Slice(unrecovered, func(i, j int) bool { return a.stripID(unrecovered[i]) < a.stripID(unrecovered[j]) })
+		if !slices.Equal(unrecovered, av.Lost) {
+			t.Fatalf("v=%d %v: Plan.Unrecovered %v, Availability.Lost %v", a.Disks(), failed, unrecovered, av.Lost)
+		}
+		validatePlan(t, a, plan)
+	}
+	a9 := oiAnalyzer(t, 9)
+	for size := 1; size <= 4; size++ {
+		combinations(9, size, func(p []int) { check(a9, p) })
+	}
+	rng := rand.New(rand.NewSource(20))
+	for _, v := range []int{16, 25} {
+		a := oiAnalyzer(t, v)
+		for trial := 0; trial < 200; trial++ {
+			check(a, rng.Perm(v)[:3+trial%2])
+		}
 	}
 }
 
@@ -511,6 +587,16 @@ func BenchmarkRecoverableOIRAID25Triple(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if !a.Recoverable([]int{1, 7, 13}) {
+			b.Fatal("should be recoverable")
+		}
+	}
+}
+
+func BenchmarkAvailabilityOIRAID25Triple(b *testing.B) {
+	a := oiAnalyzer(b, 25)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !a.Availability([]int{1, 7, 13}).Recoverable {
 			b.Fatal("should be recoverable")
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/oiraid/oiraid/internal/layout"
@@ -54,6 +55,48 @@ type Plan struct {
 	// from disk d, as [start, length] pairs — the simulator's
 	// sequentiality input.
 	ReadRuns [][][2]int
+
+	// producer[strip id] is one more than the index of the task that
+	// rebuilds the strip, 0 for a strip no task targets; slots is the id
+	// stride (strip id = disk·slots + slot).
+	producer []int32
+	slots    int
+}
+
+// For returns the indices into Tasks, in execution order, of the tasks
+// target transitively needs and nothing else: the task that rebuilds it and,
+// for every lost strip such a task reads, the task that rebuilds that. A
+// strip one stripe decodes yields one task; a strip the plan does not
+// rebuild (never lost, or in Unrecovered) yields none.
+func (p *Plan) For(target layout.Strip) []int {
+	first := p.producerOf(target)
+	if first < 0 {
+		return nil
+	}
+	need := append(make([]int, 0, p.Phases), first)
+	for i := 0; i < len(need); i++ {
+		for _, src := range p.Tasks[need[i]].Reads {
+			if ti := p.producerOf(src); ti >= 0 && !slices.Contains(need, ti) {
+				need = append(need, ti)
+			}
+		}
+	}
+	// A task reads only strips of earlier phases and Tasks is in phase
+	// order, so ascending index is an execution order.
+	sort.Ints(need)
+	return need
+}
+
+// producerOf returns the index of the task that rebuilds st, or -1.
+func (p *Plan) producerOf(st layout.Strip) int {
+	if st.Disk < 0 || st.Slot < 0 || st.Slot >= p.slots {
+		return -1
+	}
+	id := st.Disk*p.slots + st.Slot
+	if id >= len(p.producer) {
+		return -1
+	}
+	return int(p.producer[id]) - 1
 }
 
 // MaxReadStrips returns the largest per-survivor read load, the quantity
@@ -114,13 +157,7 @@ func (a *Analyzer) Plan(failed []int, opts PlanOptions) *Plan {
 		Failed:       append([]int(nil), failed...),
 		Complete:     true,
 		ReadsPerDisk: make([]int, a.disks),
-	}
-	failedSet := make([]bool, a.disks)
-	for _, d := range failed {
-		if d < 0 || d >= a.disks {
-			continue
-		}
-		failedSet[d] = true
+		slots:        a.slots,
 	}
 
 	lost, _ := a.initLoss(failed)
@@ -128,6 +165,7 @@ func (a *Analyzer) Plan(failed []int, opts PlanOptions) *Plan {
 	if len(lost) == 0 {
 		return plan
 	}
+	plan.producer = make([]int32, a.disks*a.slots)
 
 	// recoveredBefore: strips recovered in a previous phase (readable).
 	recoveredBefore := make(map[int32]bool)
@@ -279,6 +317,7 @@ func (a *Analyzer) Plan(failed []int, opts PlanOptions) *Plan {
 				tid := mem[tp]
 				assigned[tid] = true
 				task.Targets[i], task.TargetPos[i] = a.strip(tid), int(tp)
+				plan.producer[tid] = int32(len(plan.Tasks) + len(phaseTasks) + 1)
 			}
 			for i, sp := range bestSrcs {
 				sid := mem[sp]

@@ -27,6 +27,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -138,6 +139,10 @@ type Engine struct {
 	rebuildErr     error
 	lastRebuildErr error // outcome of the most recent finished rebuild
 	rebuildDone    chan struct{}
+
+	// exposure is the risk report of the failed list it was computed for:
+	// Status searches the slack once per failure set, not once per call.
+	exposure atomic.Pointer[exposureMemo]
 
 	// QoS: admission control, foreground-latency tracking, and the pacer
 	// the rebuild/scrub loops block on. stopCh closes on Close so paced
@@ -772,11 +777,23 @@ type Status struct {
 	MetaEpoch uint64 `json:"meta_epoch,omitempty"`
 }
 
+// exposureMemo is core.MeasureExposure(failed, 2) beside its argument.
+type exposureMemo struct {
+	failed []int
+	report core.Exposure
+}
+
 // Status reports the current operational state, including the exposure
 // report from core.MeasureExposure (slack searched up to 2 additional
-// failures).
+// failures), computed by the first call after the failed set changed and
+// outside every engine lock.
 func (e *Engine) Status() Status {
 	failed := e.arr.FailedDisks()
+	exp := e.exposure.Load()
+	if exp == nil || !slices.Equal(exp.failed, failed) {
+		exp = &exposureMemo{failed: slices.Clone(failed), report: e.an.MeasureExposure(failed, 2)}
+		e.exposure.Store(exp)
+	}
 	rebuilt, cycles := e.arr.RebuildProgress()
 	scanned, scrubTotal := e.arr.ScrubProgress()
 	var lastErr string
@@ -805,7 +822,7 @@ func (e *Engine) Status() Status {
 		Rebuilding:       e.Rebuilding(),
 		Rebuilt:          rebuilt,
 		Cycles:           cycles,
-		Exposure:         e.an.MeasureExposure(failed, 2),
+		Exposure:         exp.report,
 		Spares:           e.SpareCount(),
 		Evictions:        e.mon.evictions.Load(),
 		AutoRebuilds:     e.mon.autoRebuilds.Load(),

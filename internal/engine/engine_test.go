@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/oiraid/oiraid/internal/bibd"
@@ -125,7 +126,8 @@ func TestErrors(t *testing.T) {
 }
 
 // TestFailRebuild: degraded reads stay correct and a background rebuild
-// restores health, visible through Status.
+// restores health, visible through Status — whose exposure report, kept from
+// one call to the next, is always the one of the current failed set.
 func TestFailRebuild(t *testing.T) {
 	e := newEngine(t, 9, 2, Options{})
 	payload := make([]byte, e.StripBytes())
@@ -135,12 +137,22 @@ func TestFailRebuild(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	status := func() Status {
+		t.Helper()
+		st := e.Status()
+		if want := e.an.MeasureExposure(st.Failed, 2); !reflect.DeepEqual(st.Exposure, want) {
+			t.Fatalf("status with %v failed reports exposure %+v, want %+v", st.Failed, st.Exposure, want)
+		}
+		return st
+	}
+	status()
 	for _, d := range []int{2, 5} {
 		if err := e.FailDisk(d); err != nil {
 			t.Fatal(err)
 		}
+		status()
 	}
-	st := e.Status()
+	st := status()
 	if len(st.Failed) != 2 || !st.Exposure.Recoverable {
 		t.Fatalf("status after failures: %+v", st)
 	}
@@ -164,7 +176,7 @@ func TestFailRebuild(t *testing.T) {
 	if err := e.RebuildWait(); err != nil {
 		t.Fatal(err)
 	}
-	st = e.Status()
+	st = status()
 	if len(st.Failed) != 0 || st.Rebuilding {
 		t.Fatalf("status after rebuild: %+v", st)
 	}

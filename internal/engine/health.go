@@ -524,7 +524,7 @@ func (e *Engine) heal(d int) {
 	// the serving mode, so leave the array fenced rather than burning
 	// rebuild attempts that are guaranteed to fail. A later SetDiskDown
 	// promotion or replacement re-kicks the rebuild.
-	if failed := e.arr.FailedDisks(); !e.an.Availability(failed).Recoverable {
+	if !e.an.Recoverable(e.arr.FailedDisks()) {
 		return
 	}
 	for attempt := 0; attempt < 5 && !e.closed.Load(); attempt++ {

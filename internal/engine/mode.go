@@ -195,7 +195,7 @@ func (e *Engine) maybeAutoRebuild() {
 		return
 	}
 	failed := e.arr.FailedDisks()
-	if len(failed) == 0 || !e.an.Availability(failed).Recoverable {
+	if len(failed) == 0 || !e.an.Recoverable(failed) {
 		return
 	}
 	if err := e.StartRebuild(e.mon.pol.RebuildBatch); err == nil {

@@ -8,7 +8,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"time"
 
@@ -270,9 +269,3 @@ func testDisk(opt Options) disk.Params {
 }
 
 func f(format string, args ...interface{}) string { return fmt.Sprintf(format, args...) }
-
-func sortedCopy(xs []int) []int {
-	out := append([]int(nil), xs...)
-	sort.Ints(out)
-	return out
-}

@@ -50,11 +50,6 @@ type OIRAID struct {
 
 	stripes    []Stripe
 	dataStrips []Strip
-
-	// groupOf[t*v+d] is the index within class t of the group containing
-	// disk d, and memberOf[t*v+d] is d's member position in that group.
-	groupOf  []int
-	memberOf []int
 }
 
 var _ Scheme = (*OIRAID)(nil)
@@ -124,23 +119,8 @@ func NewOIRAID(d *bibd.Design, opts ...OIRAIDOption) (*OIRAID, error) {
 		innerParity: cfg.innerParity,
 		outerParity: cfg.outerParity,
 	}
-	o.buildIndexes()
 	o.buildStripes()
 	return o, nil
-}
-
-func (o *OIRAID) buildIndexes() {
-	d := o.design
-	o.groupOf = make([]int, d.R()*d.V)
-	o.memberOf = make([]int, d.R()*d.V)
-	for t, class := range d.Classes {
-		for j, bi := range class {
-			for mi, disk := range d.Blocks[bi] {
-				o.groupOf[t*d.V+disk] = j
-				o.memberOf[t*d.V+disk] = mi
-			}
-		}
-	}
 }
 
 // isInnerParity reports whether member position mi holds inner parity in
@@ -360,12 +340,3 @@ func (o *OIRAID) OuterParity() int { return o.outerParity }
 // kept physically contiguous, so single-failure rebuild reads one
 // sequential extent per survivor.
 func (o *OIRAID) BandWidth() int { return o.rows }
-
-// Skewed reports whether the outer-stripe skew is enabled.
-func (o *OIRAID) Skewed() bool { return o.skew }
-
-// GroupOf returns, for class t and disk d, the group index within the
-// class and d's member position inside that group.
-func (o *OIRAID) GroupOf(t, d int) (group, member int) {
-	return o.groupOf[t*o.design.V+d], o.memberOf[t*o.design.V+d]
-}

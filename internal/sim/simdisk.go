@@ -122,6 +122,3 @@ func (d *simDisk) maybeStart() {
 		d.maybeStart()
 	})
 }
-
-// queueLen returns the number of queued (not in-flight) requests.
-func (d *simDisk) queueLen() int { return len(d.fg) + len(d.bg) }

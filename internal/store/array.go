@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -65,10 +66,10 @@ func (c *ioCounters) reset() {
 // Mutability invariants (what the concurrency engine in internal/engine
 // relies on):
 //
-//   - devs, replaced, failed, rebuildPlan, rebuiltCycles, and journal are
-//     only written under mu; every I/O path reads them under at least the
-//     read lock.
-//   - stats is atomic, so read-lock holders may bump counters.
+//   - devs, replaced, failed, rebuiltCycles, and journal are only written
+//     under mu; every I/O path reads them under at least the read lock.
+//   - stats and plans are atomic, so read-lock holders may bump counters
+//     and publish the recovery plan they computed.
 //   - Devices serialise their own strip accesses, so a single strip is
 //     never read or written torn, even by read-lock holders (read repair
 //     rewrites strips under the read lock).
@@ -93,10 +94,15 @@ type Array struct {
 
 	// Incremental-rebuild state: cycles below rebuiltCycles have been
 	// reconstructed onto the replacement devices, so I/O for them treats
-	// the failed disks as alive via their replacements. rebuildPlan is
-	// non-nil while an incremental rebuild is underway.
-	rebuildPlan   *core.Plan
+	// the failed disks as alive via their replacements.
 	rebuiltCycles int64
+
+	// plans memoises the recovery plan of the array's unavailable set: [0]
+	// for the failed disks (deep reads and the rebuild), [1] for failed plus
+	// read-avoided (the deep read that skirts quarantine). An entry is used
+	// only while the set it was computed for, its Failed, is still that set,
+	// and is replaced otherwise — no transition has to invalidate it.
+	plans [2]atomic.Pointer[core.Plan]
 
 	// journal, when set, closes the write hole by redo logging: the full
 	// new content of a read-modify-write's parity closure is made durable
@@ -243,8 +249,8 @@ func (a *Array) ResetStats() { a.stats.reset() }
 
 // FailedDisks returns the currently failed disk ids.
 func (a *Array) FailedDisks() []int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
+	a.mu.RLock()
+	defer a.mu.RUnlock()
 	return a.failedListLocked()
 }
 
@@ -266,7 +272,6 @@ func (a *Array) FailDisk(d int) error {
 	}
 	a.failed[d] = true
 	a.replaced[d] = nil
-	a.rebuildPlan = nil
 	a.rebuiltCycles = 0
 	if a.meta != nil {
 		// The eviction is acknowledged only once the new failed set is on
@@ -645,51 +650,90 @@ func (a *Array) ProbeDiskStrip(d int, devStrip int64, p []byte) error {
 	return dev.ReadStrip(devStrip, p)
 }
 
-// reconstructDeep recovers the target strip by executing the multi-phase
-// recovery plan for this cycle in memory (no device writes). It is the
-// slow path for failure patterns where no single live stripe covers the
-// strip — e.g. reading a group that lost two disks before any rebuild.
-// With avoidQuarantined set, read-avoided disks are planned around as if
-// failed, so a partition-downed node never stalls the read of a strip that
-// is decodable without it. An incomplete plan does not abort the read —
-// the peeling decoder still produces every recoverable strip, and only a
-// target it cannot produce fails, with ErrStripUnavailable (the per-strip
-// refinement of ErrTooManyFailures).
-func (a *Array) reconstructDeep(cycle int64, target layout.Strip, p []byte, avoidQuarantined bool, depth int) error {
-	var failed []int
+// recoveryPlan returns the recovery plan of the failed disks — with
+// avoidQuarantined, of the failed and the read-avoided disks — computing it
+// only when the memo holds the plan of another set. Caller holds mu in
+// either mode: readers that miss together each compute the same plan.
+func (a *Array) recoveryPlan(avoidQuarantined bool) *core.Plan {
+	down := func(d int) bool { return a.failed[d] || (avoidQuarantined && a.avoided(d)) }
+	memo := &a.plans[0]
+	if avoidQuarantined {
+		memo = &a.plans[1]
+	}
+	n := 0
 	for d := range a.devs {
-		if a.failed[d] || (avoidQuarantined && a.avoided(d)) {
-			failed = append(failed, d)
+		if down(d) {
+			n++
 		}
 	}
-	plan := a.an.Plan(failed, core.PlanOptions{})
-	for _, st := range plan.Unrecovered {
-		if st == target {
-			return fmt.Errorf("%w: strip %v under failed disks %v", ErrStripUnavailable, target, failed)
+	// As many disks, all of them down: the same set.
+	if plan := memo.Load(); plan != nil && len(plan.Failed) == n &&
+		!slices.ContainsFunc(plan.Failed, func(d int) bool { return !down(d) }) {
+		return plan
+	}
+	set := make([]int, 0, n)
+	for d := range a.devs {
+		if down(d) {
+			set = append(set, d)
 		}
 	}
-	recovered := make(map[layout.Strip][]byte)
+	plan := a.an.Plan(set, core.PlanOptions{})
+	memo.Store(plan)
+	return plan
+}
+
+// reconstructDeep recovers the target strip in memory (no device writes)
+// by running the part of the recovery plan the strip needs: the tasks
+// Plan.For extracts, at most one stripe per phase on OI-RAID. It is the slow
+// path for failure patterns where no single live stripe covers the strip —
+// e.g. reading a group that lost two disks before any rebuild. With
+// avoidQuarantined set, read-avoided disks are planned around as if failed,
+// so a partition-downed node never stalls the read of a strip that is
+// decodable without it. An incomplete plan does not abort the read — the
+// plan still rebuilds every recoverable strip, and only a target it does not
+// rebuild fails, with ErrStripUnavailable (the per-strip refinement of
+// ErrTooManyFailures).
+func (a *Array) reconstructDeep(cycle int64, target layout.Strip, p []byte, avoidQuarantined bool, depth int) error {
+	plan := a.recoveryPlan(avoidQuarantined)
+	need := plan.For(target)
+	if len(need) == 0 {
+		return fmt.Errorf("%w: strip %v under failed disks %v", ErrStripUnavailable, target, plan.Failed)
+	}
+	// Strips the earlier tasks rebuilt wait in borrowed buffers, kept[i] in
+	// held[i], for the tasks that read them.
+	rebuilt := 0
+	for _, ti := range need {
+		rebuilt += len(plan.Tasks[ti].Targets)
+	}
+	keep := a.getScratch()
+	defer a.putScratch(keep)
+	held, kept := keep.strips(rebuilt), make([]layout.Strip, 0, rebuilt)
 	earlier := func(st layout.Strip, buf []byte) (bool, error) {
-		content, ok := recovered[st]
-		copy(buf, content)
-		return ok, nil
+		i := slices.Index(kept, st)
+		if i < 0 {
+			return false, nil
+		}
+		copy(buf, held[i])
+		return true, nil
 	}
 	sink := func(st layout.Strip, content []byte) error {
-		recovered[st] = append([]byte(nil), content...)
+		if st == target {
+			copy(p, content)
+		} else {
+			copy(held[len(kept)], content)
+			kept = append(kept, st)
+		}
 		return nil
 	}
 	run := planRun{cycle: cycle, depth: depth, sc: a.getScratch()}
 	defer a.putScratch(run.sc)
-	for _, task := range plan.Tasks {
+	for _, ti := range need {
+		task := &plan.Tasks[ti]
 		if err := a.execTask(&run, task.Via, task.Present, task.TargetPos, earlier, sink); err != nil {
 			return err
 		}
-		if content, ok := recovered[target]; ok {
-			copy(p, content)
-			return nil
-		}
 	}
-	return fmt.Errorf("%w: strip %v not produced by recovery plan", ErrStripUnavailable, target)
+	return nil
 }
 
 // ReadAt implements io.ReaderAt over the logical data space, serving

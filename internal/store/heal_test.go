@@ -162,30 +162,34 @@ func testOneHopHealsCorruptSource(t *testing.T) {
 	}
 }
 
-// deepTarget returns the first logical data strip that no single stripe
-// decodes under the array's failed set, so its read runs the multi-phase
+// deepTargets returns the logical data strips that no single stripe decodes
+// under the array's failed set, so that reading one runs the multi-phase
 // plan.
-func deepTarget(t *testing.T, arr *Array) int64 {
+func deepTargets(t testing.TB, arr *Array) []int64 {
 	t.Helper()
 	alive := func(disk int) bool { return !arr.failed[disk] }
-	for i := int64(0); i < arr.Capacity()/testStrip; i++ {
-		st, cycle := arr.LocateDataStrip(i)
-		if cycle != 0 || alive(st.Disk) {
+	var deep []int64
+	for i := int64(0); i < arr.Capacity()/int64(arr.stripBytes); i++ {
+		st, _ := arr.LocateDataStrip(i)
+		if alive(st.Disk) {
 			continue
 		}
 		if _, ok := arr.an.DecodePath(st, alive); !ok {
-			return i
+			deep = append(deep, i)
 		}
 	}
-	t.Fatal("failed set leaves every strip one-hop decodable")
-	return 0
+	if len(deep) == 0 {
+		t.Fatal("failed set leaves every strip one-hop decodable")
+	}
+	return deep
 }
 
 // testDeepReadHealsCorruptSource is TestReconstructHealsCorruptSource for
 // the multi-phase path: two disks of one group plus a third are failed, a
-// source of the plan's first task is corrupt, and its other stripe is
-// intact — the deep read heals it and serves the right bytes. With that
-// other stripe lost as well the read fails, naming the checksum error.
+// source of the first task the target's sub-plan runs is corrupt, and its
+// other stripe is intact — the deep read heals it and serves the right
+// bytes. With that other stripe lost as well the read fails, naming the
+// checksum error.
 func testDeepReadHealsCorruptSource(t *testing.T) {
 	failed := []int{0, 1, 3}
 	arr, inner := newChecksummedArray(t, 9)
@@ -199,21 +203,30 @@ func testDeepReadHealsCorruptSource(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	victim := deepTarget(t, arr)
 	alive := func(disk int) bool { return !arr.failed[disk] }
-	// The first task always runs; pick one of its sources that decodes
-	// through its other stripe, and one of that stripe's members.
+	// A deep read runs the tasks Plan.For names, and the first of them reads
+	// live strips only; pick a victim with such a source that decodes through
+	// its other stripe, and one of that stripe's members.
+	var victim int64
 	var src, peer layout.Strip
 	found := false
-	for _, st := range arr.an.Plan(failed, core.PlanOptions{}).Tasks[0].Reads {
-		other := func(disk int) bool { return disk != st.Disk && alive(disk) }
-		if info, ok := arr.an.DecodePath(st, other); ok {
-			src, peer, found = st, info.Members[(info.Target+1)%len(info.Members)], true
-			break
+	plan := arr.an.Plan(failed, core.PlanOptions{})
+search:
+	for _, victim = range deepTargets(t, arr) {
+		target, cycle := arr.LocateDataStrip(victim)
+		if cycle != 0 {
+			break // the corruption below addresses cycle 0
+		}
+		for _, st := range plan.Tasks[plan.For(target)[0]].Reads {
+			other := func(disk int) bool { return disk != st.Disk && alive(disk) }
+			if info, ok := arr.an.DecodePath(st, other); ok {
+				src, peer, found = st, info.Members[(info.Target+1)%len(info.Members)], true
+				break search
+			}
 		}
 	}
 	if !found {
-		t.Fatal("no source of the first task has an intact other stripe")
+		t.Fatal("no deep read's first task has a source with an intact other stripe")
 	}
 	orig := flipByte(t, inner[src.Disk], int64(src.Slot))
 

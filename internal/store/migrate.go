@@ -72,9 +72,6 @@ func (m *MirrorDevice) Source() Device { return m.src }
 // mirror is transparent, the source chain is the device that counts.
 func (m *MirrorDevice) Inner() Device { return m.src }
 
-// Destination returns the destination device writes are mirrored to.
-func (m *MirrorDevice) Destination() Device { return m.dst }
-
 func (m *MirrorDevice) markDirty(idx int64) {
 	m.mu.Lock()
 	m.dirty[idx] = struct{}{}

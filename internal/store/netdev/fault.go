@@ -30,10 +30,6 @@ const (
 // deliberately looks like any other transport error to the client.
 var errPartition = errors.New("netdev: injected partition")
 
-// IsInjectedPartition reports whether err came from a FaultTransport
-// (test assertions only).
-func IsInjectedPartition(err error) bool { return errors.Is(err, errPartition) }
-
 // FaultTransport is an http.RoundTripper that injects network faults
 // between a NodeClient and its node: full and asymmetric partitions,
 // link delay, and torn (truncated) responses. All modes are runtime-

@@ -126,30 +126,6 @@ func (d *NetDevice) rangeURL(query string) string {
 	return d.c.base + "/node/v1/devices/" + url.PathEscape(d.name) + "/range?" + query
 }
 
-// ReadStripRange reads count consecutive strips starting at start in one
-// request, returning the concatenated payload. The bulk read half of
-// strip migration: one round trip instead of count.
-func (d *NetDevice) ReadStripRange(start int64, count int) ([]byte, error) {
-	if start < 0 || count <= 0 || start+int64(count) > d.strips {
-		return nil, fmt.Errorf("%w: range [%d,%d) of %d strips", store.ErrStripOutOfRange, start, start+int64(count), d.strips)
-	}
-	want := count * d.stripBytes
-	var out []byte
-	q := "start=" + strconv.FormatInt(start, 10) + "&count=" + strconv.Itoa(count)
-	err := d.c.do(call{method: http.MethodGet, url: d.rangeURL(q)}, func(resp *http.Response) error {
-		body, err := readBody(resp, want)
-		if err == nil && len(body) != want {
-			err = fmt.Errorf("%w: %d range bytes, want %d", ErrBadFrame, len(body), want)
-		}
-		out = body
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // WriteStripRange writes len(p)/StripBytes consecutive strips starting
 // at start in one request. Fenced: the node rejects it with
 // store.ErrStaleEpoch once a newer coordinator holds the lease, which is

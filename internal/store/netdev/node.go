@@ -251,13 +251,6 @@ func (n *Node) AddDevice(name string, dev store.Device) {
 	n.geo[name] = DeviceStat{Strips: dev.Strips(), StripBytes: dev.StripBytes()}
 }
 
-// AddBlob registers an existing blob under name.
-func (n *Node) AddBlob(name string, b store.Blob) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.blobs[name] = b
-}
-
 // device resolves the request's {dev} segment, answering 404 itself when
 // the node does not serve it.
 func (n *Node) device(w http.ResponseWriter, r *http.Request) (store.Device, bool) {
@@ -290,7 +283,6 @@ func (n *Node) Handler() http.Handler {
 	mux.HandleFunc("DELETE /node/v1/devices/{dev}", n.handleDeleteDevice)
 	mux.HandleFunc("GET /node/v1/devices/{dev}/strips/{idx}", n.handleReadStrip)
 	mux.HandleFunc("PUT /node/v1/devices/{dev}/strips/{idx}", n.handleWriteStrip)
-	mux.HandleFunc("GET /node/v1/devices/{dev}/range", n.handleReadRange)
 	mux.HandleFunc("PUT /node/v1/devices/{dev}/range", n.handleWriteRange)
 	mux.HandleFunc("GET /node/v1/devices/{dev}/sums", n.handleStripSums)
 	mux.HandleFunc("POST /node/v1/blobs/{name}", n.handleCreateBlob)
@@ -480,38 +472,6 @@ func rangeBounds(dev store.Device, start int64, count int) error {
 		return fmt.Errorf("%w: range of %d strips × %d bytes exceeds %d-byte cap", store.ErrBadGeometry, count, dev.StripBytes(), rangeMaxBytes)
 	}
 	return nil
-}
-
-// handleReadRange serves count strips starting at start as one
-// contiguous body, checksummed as a whole (crcHeader) — the bulk read
-// half of strip migration.
-func (n *Node) handleReadRange(w http.ResponseWriter, r *http.Request) {
-	dev, ok := n.device(w, r)
-	if !ok {
-		return
-	}
-	start, err1 := strconv.ParseInt(r.URL.Query().Get("start"), 10, 64)
-	count, err2 := strconv.Atoi(r.URL.Query().Get("count"))
-	if err1 != nil || err2 != nil {
-		failAs(w, store.ErrBadGeometry, fmt.Errorf("netdev: bad range query"))
-		return
-	}
-	if err := rangeBounds(dev, start, count); err != nil {
-		fail(w, err)
-		return
-	}
-	sb := dev.StripBytes()
-	buf := make([]byte, count*sb)
-	for i := 0; i < count; i++ {
-		if err := dev.ReadStrip(start+int64(i), buf[i*sb:(i+1)*sb]); err != nil {
-			fail(w, err)
-			return
-		}
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set(crcHeader, blobCRC(buf))
-	w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
-	w.Write(buf)
 }
 
 // handleWriteRange lands a contiguous run of strips in one request — the

@@ -53,8 +53,13 @@ func TestDeviceOpCounts(t *testing.T) {
 		deep      []int
 		deepReads int64 // device reads to read every data strip of deep once
 	}{
-		{v: 9, k: 3, deep: []int{0, 1, 3}, deepReads: 1094},
-		{v: 25, k: 5, deep: []int{0, 1, 5}, deepReads: 20916},
+		// The structural minimum. Most data strips of the set still decode
+		// in one hop, k-1 reads; one with no one-hop path runs the two tasks
+		// Plan.For names — an outer-stripe repair (k-1 reads) feeding an
+		// inner-stripe repair (k-2 more, the rebuilt strip is not read) —
+		// not the plan of the whole set: 42·2 + 6·3 and 276·4 + 12·7.
+		{v: 9, k: 3, deep: []int{0, 1, 3}, deepReads: 102},
+		{v: 25, k: 5, deep: []int{0, 1, 5}, deepReads: 1188},
 	} {
 		t.Run(fmt.Sprintf("v=%d", tc.v), func(t *testing.T) {
 			an := oiAnalyzer(t, tc.v)
@@ -69,19 +74,21 @@ func TestDeviceOpCounts(t *testing.T) {
 			checkWriteCosts(t, arr, -1, 4, 0)
 			want := hashArray(t, arr)
 
-			// readOn reads every data strip stored on one of disks, once.
-			readOn := func(disks []int) (n int64) {
+			// readOn reads every data strip stored on one of disks, once, and
+			// reports how many it read and the most device reads one cost.
+			readOn := func(disks []int) (n, worst int64) {
 				for i := int64(0); i < strips; i++ {
 					for _, d := range disks {
 						if arr.DataStripDisk(i) == d {
+							before := arr.Stats().ReadOps
 							if _, err := arr.ReadAt(buf, i*testStrip); err != nil {
 								t.Fatal(err)
 							}
-							n++
+							n, worst = n+1, max(worst, arr.Stats().ReadOps-before)
 						}
 					}
 				}
-				return n
+				return n, worst
 			}
 
 			// One hop: every strip of a lone failed disk decodes through its
@@ -90,7 +97,7 @@ func TestDeviceOpCounts(t *testing.T) {
 				t.Fatal(err)
 			}
 			arr.ResetStats()
-			n := readOn([]int{0})
+			n, _ := readOn([]int{0})
 			if st := arr.Stats(); st.ReadOps != n*int64(tc.k-1) {
 				t.Fatalf("%d one-hop degraded reads cost %d device reads, want %d each", n, st.ReadOps, tc.k-1)
 			}
@@ -124,9 +131,10 @@ func TestDeviceOpCounts(t *testing.T) {
 				}
 			}
 			arr.ResetStats()
-			n = readOn(tc.deep)
-			if st := arr.Stats(); st.ReadOps != tc.deepReads {
-				t.Fatalf("%d deep reads under %v cost %d device reads, want %d", n, tc.deep, st.ReadOps, tc.deepReads)
+			n, worst := readOn(tc.deep)
+			if st := arr.Stats(); st.ReadOps != tc.deepReads || worst != int64(2*tc.k-3) {
+				t.Fatalf("%d deep reads under %v cost %d device reads, %d the dearest, want %d and %d",
+					n, tc.deep, st.ReadOps, worst, tc.deepReads, 2*tc.k-3)
 			}
 			if got := hashArray(t, arr); got != want {
 				t.Fatal("content changed")

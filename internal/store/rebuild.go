@@ -110,13 +110,9 @@ func (a *Array) RebuildStep(batch int64) (done bool, err error) {
 	if _, err := a.replayClosures(); err != nil {
 		return false, err
 	}
-	if a.rebuildPlan == nil {
-		plan := a.an.Plan(failed, core.PlanOptions{})
-		if !plan.Complete {
-			return false, fmt.Errorf("%w: rebuild impossible: %s", ErrTooManyFailures, a.an.Availability(failed).Describe())
-		}
-		a.rebuildPlan = plan
-		a.rebuiltCycles = 0
+	plan := a.recoveryPlan(false)
+	if !plan.Complete {
+		return false, fmt.Errorf("%w: rebuild impossible: %s", ErrTooManyFailures, a.an.Availability(failed).Describe())
 	}
 
 	end := a.rebuiltCycles + batch
@@ -124,7 +120,7 @@ func (a *Array) RebuildStep(batch int64) (done bool, err error) {
 		end = a.cycles
 	}
 	for cycle := a.rebuiltCycles; cycle < end; cycle++ {
-		if err := a.rebuildCycle(cycle); err != nil {
+		if err := a.rebuildCycle(cycle, plan); err != nil {
 			return false, err
 		}
 		a.rebuiltCycles = cycle + 1
@@ -137,7 +133,6 @@ func (a *Array) RebuildStep(batch int64) (done bool, err error) {
 		a.replaced[d] = nil
 		a.failed[d] = false
 	}
-	a.rebuildPlan = nil
 	a.rebuiltCycles = 0
 	if a.meta != nil {
 		// Completion is acknowledged only once the cleared failed set is
@@ -153,10 +148,10 @@ func (a *Array) RebuildStep(batch int64) (done bool, err error) {
 	return true, nil
 }
 
-// rebuildCycle executes the active plan's tasks for one cycle, writing
-// each reconstructed strip to its disk's replacement; a later phase reads
-// an earlier phase's output back from there.
-func (a *Array) rebuildCycle(cycle int64) error {
+// rebuildCycle executes the plan's tasks for one cycle, writing each
+// reconstructed strip to its disk's replacement; a later phase reads an
+// earlier phase's output back from there.
+func (a *Array) rebuildCycle(cycle int64, plan *core.Plan) error {
 	base := cycle * int64(a.an.SlotsPerDisk())
 	rebuilt := make(map[layout.Strip]bool) // written this cycle
 	earlier := func(st layout.Strip, p []byte) (bool, error) {
@@ -179,7 +174,7 @@ func (a *Array) rebuildCycle(cycle int64) error {
 	}
 	run := planRun{cycle: cycle, sc: a.getScratch()}
 	defer a.putScratch(run.sc)
-	for _, task := range a.rebuildPlan.Tasks {
+	for _, task := range plan.Tasks {
 		if err := a.execTask(&run, task.Via, task.Present, task.TargetPos, earlier, sink); err != nil {
 			return err
 		}

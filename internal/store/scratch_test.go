@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -22,8 +23,9 @@ func poolDrops() bool {
 }
 
 // TestSteadyStateAllocs pins what the scratch pool buys on a journal-less
-// in-memory array: a healthy single-strip write and a one-hop degraded read
-// allocate no strip, an aligned one-strip read allocates nothing at all.
+// in-memory array: a healthy single-strip write, a one-hop degraded read and
+// a deep read allocate no strip, an aligned one-strip read allocates nothing
+// at all.
 func TestSteadyStateAllocs(t *testing.T) {
 	if poolDrops() {
 		t.Skip("sync.Pool drops items in this build (race detector)")
@@ -66,14 +68,51 @@ func TestSteadyStateAllocs(t *testing.T) {
 		_, err := arr.ReadAt(buf, lost*testStrip)
 		return err
 	})
+	for _, d := range []int{1, 3} {
+		if err := arr.FailDisk(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The plan comes from the memo and the strips the sub-plan rebuilds on
+	// the way wait in scratch: what is left is the task list, the list of
+	// kept strips and the executor's closures — and, all together, less
+	// memory than one strip.
+	deep := deepTargets(t, arr)[0] * testStrip
+	pin("deep read", 8, func() error {
+		_, err := arr.ReadAt(buf, deep)
+		return err
+	})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 50; i++ {
+		if _, err := arr.ReadAt(buf, deep); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perOp := (after.TotalAlloc - before.TotalAlloc) / 50; perOp >= testStrip {
+		t.Errorf("deep read: %d bytes allocated per op, a strip is %d", perOp, testStrip)
+	}
+}
+
+// yieldDevice yields the processor before every read, so goroutines sharing
+// an array interleave inside an operation and not only between two.
+type yieldDevice struct{ Device }
+
+func (d yieldDevice) ReadStrip(idx int64, p []byte) error {
+	runtime.Gosched()
+	return d.Device.ReadStrip(idx, p)
 }
 
 // TestScratchPoolConcurrent runs, against one array and therefore one
-// scratch pool, writers on disjoint closures (one cycle each, disk 0 failed,
-// so some of their read-modify-writes reconstruct), plain readers and
-// degraded readers of cycles nobody writes, all checked against a flat
-// model. A scratch buffer still in use after it went back to the pool shows
-// as a wrong byte here and as a data race under -race.
+// scratch pool, writers on disjoint closures (one cycle each, disks 0, 1 and
+// 3 failed, so some of their read-modify-writes reconstruct), plain readers,
+// degraded readers and deep readers of cycles nobody writes, all checked
+// against a flat model. A scratch buffer still in use after it went back to
+// the pool — a shard, or a strip a deep read rebuilt for a later task — is
+// borrowed again by whoever runs during its owner's next device read
+// (yieldDevice), and shows as a wrong byte here and as a data race under
+// -race.
 func TestScratchPoolConcurrent(t *testing.T) {
 	const writers, frozen, strip = 2, 2, 128
 	arr, err := NewMemArray(oiAnalyzer(t, 9), writers+frozen, strip)
@@ -85,14 +124,24 @@ func TestScratchPoolConcurrent(t *testing.T) {
 	if _, err := arr.WriteAt(model, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := arr.FailDisk(0); err != nil {
-		t.Fatal(err)
+	arr.InstrumentDevices(func(_ int, dev Device) Device { return yieldDevice{dev} })
+	for _, d := range []int{0, 1, 3} {
+		if err := arr.FailDisk(d); err != nil {
+			t.Fatal(err)
+		}
 	}
 	perCycle := arr.Capacity() / int64(writers+frozen)
-	var lost []int64 // offsets of the frozen cycles' strips on the failed disk
+	// Offsets of the frozen cycles' strips on the failed disks, and of those
+	// among them that no single stripe decodes.
+	var lost, deep []int64
 	for off := writers * perCycle; off < arr.Capacity(); off += strip {
-		if arr.DataStripDisk(off/strip) == 0 {
+		if arr.failed[arr.DataStripDisk(off/strip)] {
 			lost = append(lost, off)
+		}
+	}
+	for _, i := range deepTargets(t, arr) {
+		if off := i * strip; off >= writers*perCycle {
+			deep = append(deep, off)
 		}
 	}
 
@@ -137,6 +186,9 @@ func TestScratchPoolConcurrent(t *testing.T) {
 		})
 		worker(30+r, func(rng *rand.Rand, buf []byte) error {
 			return checkedRead(buf[:strip], lost[rng.Intn(len(lost))])
+		})
+		worker(40+r, func(rng *rand.Rand, buf []byte) error {
+			return checkedRead(buf[:strip], deep[rng.Intn(len(deep))])
 		})
 	}
 	wg.Wait()

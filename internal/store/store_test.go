@@ -8,8 +8,10 @@ import (
 	"io"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/oiraid/oiraid/internal/bibd"
 	"github.com/oiraid/oiraid/internal/core"
@@ -490,6 +492,24 @@ func BenchmarkArrayDegradedRead(b *testing.B) {
 	})
 }
 
+// BenchmarkArrayDeepRead reads, under the bench's pinned three-disk set, only
+// strips that no single stripe decodes, so every iteration looks its two
+// tasks up in the array's recovery plan and runs them.
+func BenchmarkArrayDeepRead(b *testing.B) {
+	benchArray(b, func(b *testing.B, arr *Array, buf []byte) {
+		for _, d := range []int{0, 1, 3} {
+			arr.FailDisk(d)
+		}
+		deep := deepTargets(b, arr)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := arr.ReadAt(buf, deep[i%len(deep)]*int64(len(buf))); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // TestRepairFixesSilentParityCorruption: corrupt a parity strip directly
 // on a device; Scrub detects it and Fsck(true) recomputes it, including
 // the cascading inner-parity fix when the corrupted strip is an outer
@@ -599,6 +619,136 @@ func TestConcurrentReaders(t *testing.T) {
 	if arr.Stats().DegradedReads == 0 {
 		t.Fatal("expected degraded reads in the mix")
 	}
+}
+
+// parkedDevice parks every read until release is closed, announcing the
+// first one on entered.
+type parkedDevice struct {
+	Device
+	entered, release chan struct{}
+	once             sync.Once
+}
+
+func (d *parkedDevice) ReadStrip(idx int64, p []byte) error {
+	d.once.Do(func() { close(d.entered) })
+	<-d.release
+	return d.Device.ReadStrip(idx, p)
+}
+
+// TestFailedDisksSharesReadLock: FailedDisks only reads, so it must not wait
+// for a reader that is parked inside a device — status, the mode machine and
+// the health poll all call it while foreground reads are in flight.
+func TestFailedDisksSharesReadLock(t *testing.T) {
+	arr := newOIArray(t, 9)
+	fillArray(t, arr, 9)
+	read := arr.DataStripDisk(0)
+	down := (read + 1) % 9
+	if err := arr.FailDisk(down); err != nil {
+		t.Fatal(err)
+	}
+	parked := &parkedDevice{entered: make(chan struct{}), release: make(chan struct{})}
+	arr.InstrumentDevices(func(d int, dev Device) Device {
+		if d == read {
+			parked.Device = dev
+			return parked
+		}
+		return dev
+	})
+	readDone := make(chan error, 1)
+	go func() {
+		_, err := arr.ReadAt(make([]byte, testStrip), 0)
+		readDone <- err
+	}()
+	<-parked.entered // the reader holds the read lock from here on
+
+	got := make(chan []int, 1)
+	go func() { got <- arr.FailedDisks() }()
+	select {
+	case failed := <-got:
+		if !slices.Equal(failed, []int{down}) {
+			t.Errorf("FailedDisks = %v, want [%d]", failed, down)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("FailedDisks waits for a reader that holds the read lock")
+	}
+	close(parked.release)
+	if err := <-readDone; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRecoveryPlanFollowsFailureSet: the array keeps the recovery plan of
+// its unavailable set and deep reads and rebuild look tasks up in it, so
+// across every transition that changes the set — a further failure,
+// quarantine on and off, replacement and a partial rebuild, the rebuild's
+// completion, a new failure set afterwards — every strip must still read
+// back equal to the model: a plan served for a set it was not computed for
+// reads a device that is gone.
+func TestRecoveryPlanFollowsFailureSet(t *testing.T) {
+	an := oiAnalyzer(t, 9)
+	arr := newOIArray(t, 9)
+	want := fillArray(t, arr, 31)
+	step := func(what string) {
+		t.Helper()
+		if got := hashArray(t, arr); got != want {
+			t.Fatalf("after %s: content differs from the model", what)
+		}
+	}
+	fail := func(disks ...int) {
+		t.Helper()
+		for _, d := range disks {
+			if err := arr.FailDisk(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		deepTargets(t, arr) // the reads that follow include deep ones
+	}
+
+	failed := []int{0, 1, 3}
+	fail(failed...)
+	step("failing 0, 1 and 3")
+
+	further, live := -1, -1
+	for d := an.Disks() - 1; d >= 0; d-- {
+		switch {
+		case slices.Contains(failed, d):
+		case further < 0 && an.Recoverable(append(failed[:3:3], d)):
+			further = d
+		case live < 0:
+			live = d
+		}
+	}
+	failed = append(failed, further)
+	fail(further)
+	step("a further failure")
+
+	for _, avoid := range []bool{true, false} {
+		if err := arr.SetReadAvoid(live, avoid); err != nil {
+			t.Fatal(err)
+		}
+		step(fmt.Sprintf("SetReadAvoid(%d, %v)", live, avoid))
+	}
+
+	for _, d := range failed {
+		dev, err := NewMemDevice(arr.Cycles()*int64(an.SlotsPerDisk()), testStrip)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := arr.ReplaceDisk(d, dev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if done, err := arr.RebuildStep(1); err != nil || done {
+		t.Fatalf("first rebuild step: done=%v err=%v", done, err)
+	}
+	step("a partial rebuild")
+	if err := arr.Rebuild(); err != nil {
+		t.Fatal(err)
+	}
+	step("the rebuild")
+
+	fail(3, 4, 6)
+	step("failing 3, 4 and 6 after the rebuild")
 }
 
 // TestIncrementalRebuildWithOnlineIO: RebuildStep interleaved with reads

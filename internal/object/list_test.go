@@ -94,7 +94,9 @@ func TestListPaginationUnderConcurrentPuts(t *testing.T) {
 					return
 				default:
 				}
-				key := fmt.Sprintf("new/%d-%04d", w, i)
+				// A bounded key space (later laps overwrite): the array
+				// holds 576 strips and nothing else paces the writers.
+				key := fmt.Sprintf("new/%d-%04d", w, i%64)
 				data := bytes.Repeat([]byte{byte(w)}, 64)
 				if _, err := s.PutObject(ctx, "pages", key, bytes.NewReader(data), 64, nil); err != nil {
 					t.Errorf("concurrent put %s: %v", key, err)

@@ -154,9 +154,13 @@ func (c *Client) breakerFor(method, path string) *retry.Breaker {
 type call struct {
 	method, path string
 	hdr          map[string]string
-	// body is a replayable request body; stream, with size, a one-shot
-	// one that limits the call to a single attempt.
+	// body is a replayable request body, and so is at: size bytes from
+	// offset start, read by each attempt through a section reader of its
+	// own. stream, with size, is a one-shot body that limits the call to a
+	// single attempt.
 	body   []byte
+	at     io.ReaderAt
+	start  int64
 	stream io.Reader
 	size   int64
 	// sink consumes a response below 400 and reports whether a failure
@@ -169,8 +173,11 @@ type call struct {
 // error response is whatever the catalogue says its code is.
 func (c *Client) roundTrip(ctx context.Context, rq *call) (retryAfter time.Duration, retryable bool, err error) {
 	body, size := rq.stream, rq.size
-	if rq.body != nil {
+	switch {
+	case rq.body != nil:
 		body, size = bytes.NewReader(rq.body), int64(len(rq.body))
+	case rq.at != nil:
+		body = io.NewSectionReader(rq.at, rq.start, size)
 	}
 	req, err := http.NewRequestWithContext(ctx, rq.method, c.base+rq.path, body)
 	if err != nil {
@@ -179,6 +186,10 @@ func (c *Client) roundTrip(ctx context.Context, rq *call) (retryAfter time.Durat
 	if body != nil {
 		req.Header.Set("Content-Type", "application/octet-stream")
 		req.ContentLength = size
+	}
+	if rq.at != nil {
+		// What net/http works out for itself from a *bytes.Reader.
+		req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(io.NewSectionReader(rq.at, rq.start, size)), nil }
 	}
 	for k, v := range rq.hdr {
 		req.Header.Set(k, v)

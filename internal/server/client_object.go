@@ -19,13 +19,15 @@ import (
 // error) but could not, because the request body streamed from a
 // non-rewindable reader and re-sending would require replaying bytes the
 // client no longer has. The caller owns the retry decision: re-issue the
-// PUT with a fresh reader. Bodies up to maxBufferedPut are buffered and
-// retried transparently; only larger streams can surface this error.
+// PUT with a fresh reader. A body that can be re-read in place (PutObject)
+// or is no larger than maxBufferedPut is retried transparently; only a
+// larger stream can surface this error.
 var ErrNonRetryable = errors.New("server: streaming body consumed, not retrying")
 
 // maxBufferedPut is the largest object/part body the client buffers in
-// memory to make the PUT replayable across retries (8 MiB). Larger
-// bodies stream straight from the reader in a single attempt.
+// memory to make the PUT replayable across retries (8 MiB) when the reader
+// offers no way to re-read it. Larger ones stream straight from the reader
+// in a single attempt.
 const maxBufferedPut = 8 << 20
 
 // objectsPath builds the URL path of an object, escaping each key
@@ -98,11 +100,15 @@ func (c *Client) ListBucketsCtx(ctx context.Context) ([]object.BucketInfo, error
 	return bs, err
 }
 
-// PutObject stores size bytes from r as bucket/key. Bodies up to
-// maxBufferedPut are buffered so transient failures (429/503/504,
-// transport errors) retry transparently; larger bodies stream in one
-// attempt and a retryable failure surfaces wrapped in ErrNonRetryable
-// instead of silently re-sending a half-consumed reader.
+// PutObject stores size bytes from r as bucket/key. When r is an
+// io.Seeker and an io.ReaderAt (a bytes.Reader, a file) the body is sent
+// from its current offset with no copy, whatever its size, and each attempt
+// re-reads it in place; otherwise bodies up to maxBufferedPut are buffered.
+// Either way transient failures (429/503/504, transport errors) retry
+// transparently and r is left size bytes further on. Larger bodies that
+// cannot be re-read stream in one attempt and a retryable failure surfaces
+// wrapped in ErrNonRetryable instead of silently re-sending a
+// half-consumed reader.
 func (c *Client) PutObject(bucket, key string, r io.Reader, size int64, meta map[string]string) (object.Info, error) {
 	return c.PutObjectCtx(context.Background(), bucket, key, r, size, meta)
 }
@@ -115,22 +121,30 @@ func (c *Client) PutObjectCtx(ctx context.Context, bucket, key string, r io.Read
 	return c.putBody(ctx, objectsPath(bucket, key), r, size, userMetaHeaders(meta))
 }
 
-// putBody implements the buffered-or-single-shot PUT protocol shared by
-// PutObject and UploadPart.
+// putBody implements the in-place, buffered or single-shot PUT protocol
+// shared by PutObject and UploadPart. An in-place body is read by ReadAt,
+// never by seeking r back: net/http may still be reading one attempt's body
+// when the next starts.
 func (c *Client) putBody(ctx context.Context, path string, r io.Reader, size int64, hdr map[string]string) (object.Info, error) {
 	var info object.Info
 	if size < 0 {
 		return info, fmt.Errorf("%w: negative size %d", object.ErrBadName, size)
 	}
 	var out []byte
-	rq := &call{method: http.MethodPut, path: path, hdr: hdr, sink: buffer(&out)}
-	if size <= maxBufferedPut {
+	rq := &call{method: http.MethodPut, path: path, hdr: hdr, sink: buffer(&out), size: size}
+	at, start, err := inPlaceBody(r, size)
+	switch {
+	case err != nil:
+		return info, err
+	case at != nil:
+		rq.at, rq.start = at, start
+	case size <= maxBufferedPut:
 		rq.body = make([]byte, size)
 		if _, err := io.ReadFull(r, rq.body); err != nil {
 			return info, fmt.Errorf("server: reading put body: %w", err)
 		}
-	} else {
-		rq.stream, rq.size = r, size
+	default:
+		rq.stream = r
 	}
 	if err := c.run(ctx, rq); err != nil {
 		return info, err
@@ -139,6 +153,36 @@ func (c *Client) putBody(ctx context.Context, path string, r io.Reader, size int
 		return info, fmt.Errorf("server: decode put response: %w", err)
 	}
 	return info, nil
+}
+
+// inPlaceBody returns r as an io.ReaderAt and the offset its body starts at
+// when size bytes can be re-read where they lie, leaving r where reading
+// them would have; a reader that holds fewer is refused. A nil at means
+// buffer or stream: r cannot seek (an *os.File on a pipe has the method and
+// fails it), or the body is empty — net/http sends a non-nil body it cannot
+// size chunked, which the server answers 411, and an empty []byte as none.
+func inPlaceBody(r io.Reader, size int64) (at io.ReaderAt, start int64, err error) {
+	ra, ok := r.(interface {
+		io.ReaderAt
+		io.Seeker
+	})
+	if !ok || size == 0 {
+		return nil, 0, nil
+	}
+	if start, err = ra.Seek(0, io.SeekCurrent); err != nil {
+		return nil, 0, nil
+	}
+	end, err := ra.Seek(0, io.SeekEnd)
+	if err != nil {
+		return nil, 0, nil
+	}
+	if end-start < size {
+		return nil, 0, fmt.Errorf("server: reading put body: %d of %d bytes: %w", end-start, size, io.ErrUnexpectedEOF)
+	}
+	if _, err := ra.Seek(start+size, io.SeekStart); err != nil {
+		return nil, 0, fmt.Errorf("server: reading put body: %w", err)
+	}
+	return ra, start, nil
 }
 
 // GetObject streams bucket/key into w and returns its Info (assembled

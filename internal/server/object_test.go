@@ -8,7 +8,10 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -344,6 +347,112 @@ func TestPutRetrySafety(t *testing.T) {
 	}
 	if got := streamAttempts.Load(); got != 1 {
 		t.Fatalf("streaming PUT was attempted %d times; must be exactly 1", got)
+	}
+}
+
+// TestPutSeekableBodyReplayed: a body that can be re-read in place is sent
+// from where the reader stands, with no copy and no size ceiling, every
+// attempt reading it afresh — the shed first attempt may still be reading
+// it when the second starts, which -race would report if they shared a
+// cursor; one that holds fewer bytes than declared is refused before
+// anything is sent.
+func TestPutSeekableBodyReplayed(t *testing.T) {
+	var attempts atomic.Int32
+	var stored []byte
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.ContentLength < 0 { // as putObject does
+			http.Error(w, "object PUT requires Content-Length", http.StatusLengthRequired)
+			return
+		}
+		if attempts.Add(1) == 1 {
+			// Shed the first attempt with half of its body consumed.
+			io.CopyN(io.Discard, r.Body, r.ContentLength/2)
+			w.WriteHeader(http.StatusServiceUnavailable)
+			return
+		}
+		stored, _ = io.ReadAll(r.Body)
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(object.Info{Bucket: "b", Key: "k", Size: int64(len(stored)), ETag: "t"})
+	}))
+	defer ts.Close()
+	c := NewClientWithOptions(ts.URL, ClientOptions{
+		MaxRetries: 3, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond,
+	})
+
+	// 9 MiB is past the buffering ceiling; the reader stands 3 bytes in
+	// and holds 2 bytes more than the object.
+	data := objectPayload(9, 9<<20+5)
+	src := bytes.NewReader(data)
+	src.Seek(3, io.SeekStart)
+	info, err := c.PutObject("b", "k", src, 9<<20, nil)
+	if err != nil {
+		t.Fatalf("seekable 9 MiB PUT past a 503: %v", err)
+	}
+	if got := attempts.Load(); got != 2 {
+		t.Fatalf("attempts: got %d want 2", got)
+	}
+	if info.Size != 9<<20 || !bytes.Equal(stored, data[3:3+9<<20]) {
+		t.Fatalf("replayed body mangled: server stored %d bytes, info %+v", len(stored), info)
+	}
+	if src.Len() != 2 {
+		t.Fatalf("reader left %d bytes from its end, want 2: it must stand where reading the object would leave it", src.Len())
+	}
+
+	attempts.Store(1)
+	if info, err := c.PutObject("b", "k", bytes.NewReader(nil), 0, nil); err != nil || info.Size != 0 || len(stored) != 0 {
+		t.Fatalf("empty seekable PUT: info %+v, %d bytes stored, err %v", info, len(stored), err)
+	}
+
+	before := attempts.Load()
+	if _, err := c.PutObject("b", "k", bytes.NewReader(data[:100]), 101, nil); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("seekable body one byte short: got %v, want io.ErrUnexpectedEOF", err)
+	}
+	if got := attempts.Load(); got != before {
+		t.Fatalf("a short seekable body was sent (%d requests)", got-before)
+	}
+}
+
+// TestPutEmptySeekableBody: a zero-byte object or part from a reader that
+// could be re-read in place goes out with Content-Length 0, not chunked —
+// the real server refuses a PUT of unknown length with 411.
+func TestPutEmptySeekableBody(t *testing.T) {
+	c := newObjectTestServer(t)
+	if err := c.MakeBucket("empties"); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Create(filepath.Join(t.TempDir(), "empty"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	for name, r := range map[string]io.Reader{"bytes.Reader": bytes.NewReader(nil), "strings.Reader": strings.NewReader(""), "os.File": f} {
+		info, err := c.PutObject("empties", name, r, 0, nil)
+		if err != nil || info.Size != 0 {
+			t.Fatalf("empty PUT from %s: info %+v, err %v", name, info, err)
+		}
+		var got bytes.Buffer
+		if _, err := c.GetObject("empties", name, &got); err != nil || got.Len() != 0 {
+			t.Fatalf("empty object from %s read back %d bytes, err %v", name, got.Len(), err)
+		}
+	}
+
+	id, err := c.CreateUpload("empties", "parts", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := objectPayload(11, 3*testStrip)
+	if _, err := c.UploadPart("empties", "parts", id, 1, bytes.NewReader(data), int64(len(data))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.UploadPart("empties", "parts", id, 2, bytes.NewReader(nil), 0); err != nil {
+		t.Fatalf("empty part: %v", err)
+	}
+	if _, err := c.CompleteUpload("empties", "parts", id); err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if _, err := c.GetObject("empties", "parts", &got); err != nil || !bytes.Equal(got.Bytes(), data) {
+		t.Fatalf("object with an empty last part: %d bytes, err %v", got.Len(), err)
 	}
 }
 

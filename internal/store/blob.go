@@ -14,6 +14,12 @@ import (
 // nothing a Blob implementation accepts through WriteAt is guaranteed to
 // survive a power failure until Sync returns. CrashBlob models exactly
 // that contract for the power-fail test harness.
+//
+// WriteAt must not retain p after it returns, nor ever write to it: the
+// metadata journal hands it a frame that a pending redo record goes on
+// reading. MemBlob and CrashBlob copy, FileBlob is a pwrite, the cluster's
+// quorum blob waits for every replica; see openFrame for the one reader
+// that can outlive the call.
 type Blob interface {
 	io.ReaderAt
 	io.WriterAt
@@ -232,9 +238,7 @@ func (b *MemBlob) WriteAt(p []byte, off int64) (int, error) {
 		return 0, fmt.Errorf("%w: %d", ErrNegativeOffset, off)
 	}
 	if end := off + int64(len(p)); end > int64(len(b.data)) {
-		grown := make([]byte, end)
-		copy(grown, b.data)
-		b.data = grown
+		b.data = resizeBytes(b.data, end)
 	}
 	return copy(b.data[off:], p), nil
 }
@@ -256,18 +260,32 @@ func (b *MemBlob) Truncate(size int64) error {
 	if size < 0 {
 		return fmt.Errorf("%w: %d", ErrNegativeOffset, size)
 	}
-	if size <= int64(len(b.data)) {
-		b.data = b.data[:size]
-	} else {
-		grown := make([]byte, size)
-		copy(grown, b.data)
-		b.data = grown
-	}
+	b.data = resizeBytes(b.data, size)
 	return nil
 }
 
 // Close implements Blob.
 func (b *MemBlob) Close() error { return nil }
+
+// resizeBytes returns b with length n — the one way an in-memory blob image
+// (MemBlob, both images of a CrashBlob) changes size. Shrinking keeps the
+// capacity. Growing inside it zeroes the bytes it re-exposes, so a hole
+// reads zero as an os.File's does; growing past it is append's amortised
+// growth, so a run of appends costs the bytes appended and not the size of
+// the blob (the journal appends six frames per strip write to a region
+// that reaches a mebibyte between compactions).
+func resizeBytes(b []byte, n int64) []byte {
+	switch old := int64(len(b)); {
+	case n <= old:
+		return b[:n]
+	case n <= int64(cap(b)):
+		b = b[:n]
+		clear(b[old:])
+		return b
+	default:
+		return append(b, make([]byte, n-old)...)
+	}
+}
 
 // readBlobAll reads a blob's entire content into memory.
 func readBlobAll(b Blob) ([]byte, error) {

@@ -236,9 +236,7 @@ func (b *CrashBlob) WriteAt(p []byte, off int64) (int, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if end := off + int64(len(p)); end > int64(len(b.volatile)) {
-		grown := make([]byte, end)
-		copy(grown, b.volatile)
-		b.volatile = grown
+		b.volatile = resizeBytes(b.volatile, end)
 	}
 	copy(b.volatile[off:], p)
 	b.pending = append(b.pending, crashOp{off: off, data: append([]byte(nil), p...)})
@@ -255,13 +253,7 @@ func (b *CrashBlob) Truncate(size int64) error {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if size <= int64(len(b.volatile)) {
-		b.volatile = b.volatile[:size]
-	} else {
-		grown := make([]byte, size)
-		copy(grown, b.volatile)
-		b.volatile = grown
-	}
+	b.volatile = resizeBytes(b.volatile, size)
 	b.pending = append(b.pending, crashOp{size: size, truncate: true})
 	return nil
 }
@@ -285,13 +277,7 @@ func (b *CrashBlob) Sync() error {
 		if op.truncate {
 			// Truncation carries no bytes; it persists if the flush
 			// reached it.
-			if size := op.size; size <= int64(len(b.durable)) {
-				b.durable = b.durable[:size]
-			} else {
-				grown := make([]byte, size)
-				copy(grown, b.durable)
-				b.durable = grown
-			}
+			b.durable = resizeBytes(b.durable, op.size)
 			continue
 		}
 		n := len(op.data)
@@ -299,9 +285,7 @@ func (b *CrashBlob) Sync() error {
 			n = budget // torn flush: only a prefix of this op persists
 		}
 		if end := op.off + int64(n); end > int64(len(b.durable)) {
-			grown := make([]byte, end)
-			copy(grown, b.durable)
-			b.durable = grown
+			b.durable = resizeBytes(b.durable, end)
 		}
 		copy(b.durable[op.off:], op.data[:n])
 		budget -= n

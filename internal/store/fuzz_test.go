@@ -110,8 +110,9 @@ func FuzzJournalReplay(f *testing.F) {
 	f.Add([]byte("OIRDJNL1 short"), []byte{}, uint8(9))
 	// The bare 9-byte clear frame (cycle, no strip-id list) of early
 	// journals is not a format any more: hard corruption, not a wildcard.
-	bare := append(journalHeader(1), appendJournalFrame(nil, []byte{recSnapEnd})...)
-	bare = appendJournalFrame(bare, append([]byte{recClear}, make([]byte, 8)...))
+	bare, clear := openFrame(appendSnapEndFrame(journalHeader(1)), 1+8)
+	clear[0] = recClear
+	bare = sealFrame(bare, clear)
 	if _, err := OpenMetaJournal(NewMemBlobBytes(bare), NewMemBlob(), 4); !errors.Is(err, ErrJournalCorrupt) {
 		f.Fatalf("bare clear frame: err %v, want ErrJournalCorrupt", err)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -179,7 +180,7 @@ func OpenMetaJournal(b0, b1 Blob, disks int) (*MetaJournal, error) {
 		// Fresh journal: initialise region 0 at epoch 1. The seal frame
 		// goes in before the header (header-last, like compaction) so a
 		// headered region always carries a complete snapshot prefix.
-		seal := appendJournalFrame(nil, []byte{recSnapEnd})
+		seal := appendSnapEndFrame(nil)
 		j.active, j.epoch = 0, 1
 		j.off = journalHeaderLen + int64(len(seal))
 		j.acked = j.off
@@ -214,7 +215,7 @@ func OpenMetaJournal(b0, b1 Blob, disks int) (*MetaJournal, error) {
 		// Pre-seal stream (an upgraded journal): seal it now, so every
 		// journal that has been opened once is a valid quorum-merge
 		// source from here on.
-		if err := j.appendFrame([]byte{recSnapEnd}, true); err != nil {
+		if err := j.appendFrame(appendSnapEndFrame(nil), true); err != nil {
 			return nil, err
 		}
 		j.hasSeal = true
@@ -284,7 +285,7 @@ func (j *MetaJournal) apply(payload []byte) error {
 	le := binary.LittleEndian
 	switch payload[0] {
 	case recSum:
-		if len(payload) != 1+4+8+4 {
+		if len(payload) != sumLen {
 			return fmt.Errorf("%w: sum record length %d", ErrJournalCorrupt, len(payload))
 		}
 		disk := int(le.Uint32(payload[1:]))
@@ -301,13 +302,13 @@ func (j *MetaJournal) apply(payload []byte) error {
 		}
 		j.pending = append(j.pending, *pc)
 	case recClear:
-		cycle, ids, err := decodeClear(payload)
+		cycle, strips, err := decodeClear(payload)
 		if err != nil {
 			return err
 		}
-		j.dropPending(cycle, ids)
+		j.dropPending(cycle, strips)
 	case recTransition:
-		if len(payload) != 1+1+4+8 {
+		if len(payload) != transitionLen {
 			return fmt.Errorf("%w: transition record length %d", ErrJournalCorrupt, len(payload))
 		}
 		kind := TransitionKind(payload[1])
@@ -376,25 +377,26 @@ func decodeClosure(payload []byte, disks int) (*PendingClosure, error) {
 	return pc, nil
 }
 
-// encodeClear builds one clear-record payload: cycle plus the strip ids of
-// the closure being cleared.
-func encodeClear(cycle int64, ids [][2]int) []byte {
-	payload := make([]byte, 1+8+2+8*len(ids))
+// appendClearFrame appends one clear record: cycle plus the (disk, slot)
+// of every strip of the closure being cleared.
+func appendClearFrame(buf []byte, cycle int64, strips []StripUpdate) []byte {
+	buf, payload := openFrame(buf, 1+8+2+8*len(strips))
 	payload[0] = recClear
 	le := binary.LittleEndian
 	le.PutUint64(payload[1:], uint64(cycle))
-	le.PutUint16(payload[9:], uint16(len(ids)))
+	le.PutUint16(payload[9:], uint16(len(strips)))
 	off := 11
-	for _, id := range ids {
-		le.PutUint32(payload[off:], uint32(id[0]))
-		le.PutUint32(payload[off+4:], uint32(id[1]))
+	for _, su := range strips {
+		le.PutUint32(payload[off:], uint32(su.Disk))
+		le.PutUint32(payload[off+4:], uint32(su.Slot))
 		off += 8
 	}
-	return payload
+	return sealFrame(buf, payload)
 }
 
-// decodeClear parses one clear-record payload.
-func decodeClear(payload []byte) (cycle int64, ids [][2]int, err error) {
+// decodeClear parses one clear-record payload; the strips it returns carry
+// a location and no Data.
+func decodeClear(payload []byte) (cycle int64, strips []StripUpdate, err error) {
 	le := binary.LittleEndian
 	if len(payload) < 1+8+2 {
 		return 0, nil, fmt.Errorf("%w: clear record length %d", ErrJournalCorrupt, len(payload))
@@ -406,15 +408,18 @@ func decodeClear(payload []byte) (cycle int64, ids [][2]int, err error) {
 	}
 	off := 11
 	for i := 0; i < n; i++ {
-		ids = append(ids, [2]int{int(le.Uint32(payload[off:])), int(le.Uint32(payload[off+4:]))})
+		strips = append(strips, StripUpdate{Disk: int(le.Uint32(payload[off:])), Slot: int(le.Uint32(payload[off+4:]))})
 		off += 8
 	}
-	return cycle, ids, nil
+	return cycle, strips, nil
 }
 
-// encodeKV builds one KV record payload.
-func encodeKV(key string, value []byte, del bool) []byte {
-	payload := make([]byte, 1+1+2+len(key)+4+len(value))
+// kvLen is the payload length of a KV record.
+func kvLen(key string, value []byte) int { return 1 + 1 + 2 + len(key) + 4 + len(value) }
+
+// appendKVFrame appends one KV record (a put, or a tombstone).
+func appendKVFrame(buf []byte, key string, value []byte, del bool) []byte {
+	buf, payload := openFrame(buf, kvLen(key, value))
 	payload[0] = recKV
 	if del {
 		payload[1] = kvDelete
@@ -425,7 +430,7 @@ func encodeKV(key string, value []byte, del bool) []byte {
 	off := 4 + len(key)
 	le.PutUint32(payload[off:], uint32(len(value)))
 	copy(payload[off+4:], value)
-	return payload
+	return sealFrame(buf, payload)
 }
 
 // decodeKV parses one KV record payload with strict bounds (fuzzed via
@@ -464,10 +469,10 @@ func (j *MetaJournal) PutKV(key string, value []byte, sync bool) error {
 	if len(key) == 0 || len(key) > kvMaxKey {
 		return fmt.Errorf("store: kv key length %d out of range", len(key))
 	}
-	if len(value) > journalMaxPayload-(1+1+2+len(key)+4) {
+	if len(value) > journalMaxPayload-kvLen(key, nil) {
 		return fmt.Errorf("store: kv value %d bytes exceeds frame limit", len(value))
 	}
-	if err := j.appendFrame(encodeKV(key, value, false), sync); err != nil {
+	if err := j.appendFrame(appendKVFrame(nil, key, value, false), sync); err != nil {
 		return err
 	}
 	j.kv[key] = append([]byte(nil), value...)
@@ -481,7 +486,7 @@ func (j *MetaJournal) DeleteKV(key string, sync bool) error {
 	if len(key) == 0 || len(key) > kvMaxKey {
 		return fmt.Errorf("store: kv key length %d out of range", len(key))
 	}
-	if err := j.appendFrame(encodeKV(key, nil, true), sync); err != nil {
+	if err := j.appendFrame(appendKVFrame(nil, key, nil, true), sync); err != nil {
 		return err
 	}
 	delete(j.kv, key)
@@ -525,7 +530,7 @@ func (j *MetaJournal) KVRange(prefix string) (keys []string, values [][]byte) {
 // already advanced — while records of *other* writes on the cycle
 // survive, still carrying the content their own retries need to repair a
 // half-applied commit.
-func (j *MetaJournal) dropPending(cycle int64, ids [][2]int) {
+func (j *MetaJournal) dropPending(cycle int64, ids []StripUpdate) {
 	kept := j.pending[:0]
 	for _, pc := range j.pending {
 		if pc.Cycle != cycle || !sameStripSet(pc.Strips, ids) {
@@ -536,14 +541,14 @@ func (j *MetaJournal) dropPending(cycle int64, ids [][2]int) {
 }
 
 // sameStripSet reports whether the record's strip locations are exactly
-// the given (disk, slot) set, order-insensitively.
-func sameStripSet(strips []StripUpdate, ids [][2]int) bool {
+// the (disk, slot) set of ids, order-insensitively.
+func sameStripSet(strips, ids []StripUpdate) bool {
 	if len(strips) != len(ids) {
 		return false
 	}
 	set := make(map[[2]int]bool, len(ids))
 	for _, id := range ids {
-		set[id] = true
+		set[[2]int{id.Disk, id.Slot}] = true
 	}
 	for _, su := range strips {
 		if !set[[2]int{su.Disk, su.Slot}] {
@@ -560,8 +565,8 @@ func (j *MetaJournal) addTransition(tr Transition) {
 	}
 }
 
-// appendFrame writes one frame to the active region; sync forces it (and
-// everything appended before it) durable before returning.
+// appendFrame writes one sealed frame to the active region; sync forces it
+// (and everything appended before it) durable before returning.
 //
 // Replicated-blob discipline: when the region blob is quorum-replicated,
 // a write can land on the local cache (full count) yet fail to reach a
@@ -574,14 +579,13 @@ func (j *MetaJournal) addTransition(tr Transition) {
 // verbatim ahead of the new frame, so replicas converge on a single byte
 // stream and any replica acknowledging a frame holds everything since
 // the acknowledged frontier.
-func (j *MetaJournal) appendFrame(payload []byte, sync bool) error {
+func (j *MetaJournal) appendFrame(frame []byte, sync bool) error {
 	if j.closed {
 		return ErrClosed
 	}
 	if err := j.clearPoison(); err != nil {
 		return err
 	}
-	frame := appendJournalFrame(nil, payload)
 	b := j.blobs[j.active]
 	start := j.off
 	buf := frame
@@ -636,13 +640,7 @@ func (j *MetaJournal) RecordSum(disk int, strip int64, sum uint32) error {
 	if disk < 0 || disk >= j.disks || strip < 0 {
 		return fmt.Errorf("%w: sum for disk %d strip %d", ErrNoSuchDisk, disk, strip)
 	}
-	payload := make([]byte, 1+4+8+4)
-	payload[0] = recSum
-	le := binary.LittleEndian
-	le.PutUint32(payload[1:], uint32(disk))
-	le.PutUint64(payload[5:], uint64(strip))
-	le.PutUint32(payload[13:], sum)
-	if err := j.appendFrame(payload, false); err != nil {
+	if err := j.appendFrame(appendSumFrame(nil, disk, strip, sum), false); err != nil {
 		return err
 	}
 	j.sums[disk][strip] = sum
@@ -679,31 +677,33 @@ func (j *MetaJournal) RecordClosure(cycle int64, strips []StripUpdate) error {
 	}
 	size := 1 + 8 + 2
 	for _, su := range strips {
+		if su.Disk < 0 || su.Disk >= j.disks || su.Slot < 0 {
+			return fmt.Errorf("%w: closure strip (%d,%d)", ErrNoSuchDisk, su.Disk, su.Slot)
+		}
 		size += 12 + len(su.Data)
 	}
 	if size > journalMaxPayload {
 		return fmt.Errorf("store: closure record %d bytes exceeds frame limit", size)
 	}
-	payload := make([]byte, size)
+	// The closure is copied once, into the frame; the pending record keeps
+	// the frame alive and its strips are the payload's own sub-slices.
+	frame, payload := openFrame(nil, size)
 	payload[0] = recClosure
 	le := binary.LittleEndian
 	le.PutUint64(payload[1:], uint64(cycle))
 	le.PutUint16(payload[9:], uint16(len(strips)))
 	off := 11
-	pc := PendingClosure{Cycle: cycle}
-	for _, su := range strips {
-		if su.Disk < 0 || su.Disk >= j.disks || su.Slot < 0 {
-			return fmt.Errorf("%w: closure strip (%d,%d)", ErrNoSuchDisk, su.Disk, su.Slot)
-		}
+	pc := PendingClosure{Cycle: cycle, Strips: make([]StripUpdate, len(strips))}
+	for i, su := range strips {
 		le.PutUint32(payload[off:], uint32(su.Disk))
 		le.PutUint32(payload[off+4:], uint32(su.Slot))
 		le.PutUint32(payload[off+8:], uint32(len(su.Data)))
 		off += 12
-		copy(payload[off:], su.Data)
-		off += len(su.Data)
-		pc.Strips = append(pc.Strips, StripUpdate{Disk: su.Disk, Slot: su.Slot, Data: append([]byte(nil), su.Data...)})
+		end := off + copy(payload[off:], su.Data)
+		pc.Strips[i] = StripUpdate{Disk: su.Disk, Slot: su.Slot, Data: payload[off:end:end]}
+		off = end
 	}
-	if err := j.appendFrame(payload, true); err != nil {
+	if err := j.appendFrame(sealFrame(frame, payload), true); err != nil {
 		return err
 	}
 	j.pending = append(j.pending, pc)
@@ -720,14 +720,10 @@ func (j *MetaJournal) ClearClosure(cycle int64, strips []StripUpdate) error {
 	if len(strips) > 0xffff {
 		return fmt.Errorf("store: closure of %d strips too large", len(strips))
 	}
-	var ids [][2]int
-	for _, su := range strips {
-		ids = append(ids, [2]int{su.Disk, su.Slot})
-	}
-	if err := j.appendFrame(encodeClear(cycle, ids), false); err != nil {
+	if err := j.appendFrame(appendClearFrame(nil, cycle, strips), false); err != nil {
 		return err
 	}
-	j.dropPending(cycle, ids)
+	j.dropPending(cycle, strips)
 	return j.maybeCompact()
 }
 
@@ -745,16 +741,11 @@ func (j *MetaJournal) RecordTransition(kind TransitionKind, disk int, generation
 	if disk < 0 || disk >= j.disks {
 		return fmt.Errorf("%w: %d", ErrNoSuchDisk, disk)
 	}
-	payload := make([]byte, 1+1+4+8)
-	payload[0] = recTransition
-	payload[1] = byte(kind)
-	le := binary.LittleEndian
-	le.PutUint32(payload[2:], uint32(disk))
-	le.PutUint64(payload[6:], generation)
-	if err := j.appendFrame(payload, true); err != nil {
+	tr := Transition{Kind: kind, Disk: disk, Generation: generation}
+	if err := j.appendFrame(appendTransitionFrame(nil, tr), true); err != nil {
 		return err
 	}
-	j.addTransition(Transition{Kind: kind, Disk: disk, Generation: generation})
+	j.addTransition(tr)
 	return nil
 }
 
@@ -805,38 +796,42 @@ func (j *MetaJournal) maybeCompact() error {
 		j.poisoned = true
 		return err
 	}
-	le := binary.LittleEndian
-	var buf []byte
+	// The snapshot is a function of the state alone — checksums by (disk,
+	// ascending strip), transitions in order, KV by ascending key — so
+	// equal journals compact to equal bytes and a cut that tears this write
+	// is reproducible. It is sized first and built in one buffer.
+	size := len(j.trans)*(frameHeaderLen+transitionLen) + frameHeaderLen + 1
+	for _, m := range j.sums {
+		size += len(m) * (frameHeaderLen + sumLen)
+	}
+	kvKeys := make([]string, 0, len(j.kv))
+	for k, v := range j.kv {
+		kvKeys = append(kvKeys, k)
+		size += frameHeaderLen + kvLen(k, v)
+	}
+	sort.Strings(kvKeys)
+	buf := make([]byte, 0, size)
+	var strips []int64
 	for disk, m := range j.sums {
-		for strip, sum := range m {
-			payload := make([]byte, 1+4+8+4)
-			payload[0] = recSum
-			le.PutUint32(payload[1:], uint32(disk))
-			le.PutUint64(payload[5:], uint64(strip))
-			le.PutUint32(payload[13:], sum)
-			buf = appendJournalFrame(buf, payload)
+		strips = strips[:0]
+		for strip := range m {
+			strips = append(strips, strip)
+		}
+		slices.Sort(strips)
+		for _, strip := range strips {
+			buf = appendSumFrame(buf, disk, strip, m[strip])
 		}
 	}
 	for _, tr := range j.trans {
-		payload := make([]byte, 1+1+4+8)
-		payload[0] = recTransition
-		payload[1] = byte(tr.Kind)
-		le.PutUint32(payload[2:], uint32(tr.Disk))
-		le.PutUint64(payload[6:], tr.Generation)
-		buf = appendJournalFrame(buf, payload)
+		buf = appendTransitionFrame(buf, tr)
 	}
-	kvKeys := make([]string, 0, len(j.kv))
-	for k := range j.kv {
-		kvKeys = append(kvKeys, k)
-	}
-	sort.Strings(kvKeys)
 	for _, k := range kvKeys {
-		buf = appendJournalFrame(buf, encodeKV(k, j.kv[k], false))
+		buf = appendKVFrame(buf, k, j.kv[k], false)
 	}
 	// Seal the snapshot: a merge refuses a headered region without it, so
 	// a compaction torn between content and header on a replica minority
 	// can never masquerade as a complete recovery source.
-	buf = appendJournalFrame(buf, []byte{recSnapEnd})
+	buf = appendSnapEndFrame(buf)
 	if _, err := b.WriteAt(buf, journalHeaderLen); err != nil {
 		j.poisoned = true
 		return err
@@ -861,12 +856,72 @@ func (j *MetaJournal) maybeCompact() error {
 	return nil
 }
 
-func appendJournalFrame(buf, payload []byte) []byte {
+// frameHeaderLen is the fixed prefix of a journal frame: the payload's
+// length and its CRC-32C, four little-endian bytes each.
+const frameHeaderLen = 8
+
+// Payload lengths of the fixed-size records.
+const (
+	sumLen        = 1 + 4 + 8 + 4
+	transitionLen = 1 + 1 + 4 + 8
+)
+
+// openFrame and sealFrame are the journal's one frame builder: openFrame
+// extends buf by one frame with an n-byte payload and returns the region
+// the record is then encoded into, in place; sealFrame stamps the header,
+// taking the CRC over the payload where it lies. A record is written once:
+// one buffer for a single append (buf nil), none for a frame that joins a
+// buffer with room (the compaction snapshot).
+//
+// Every append gets a buffer of its own, never one pooled or reused.
+// Blob.WriteAt may not retain it — but a region blob can be a netdev blob
+// under a quorum blob, and net/http may still be reading a request body
+// after its round trip has failed and WriteAt has returned. Nothing writes
+// to a sealed frame, so that late read is harmless (as is the pending
+// record aliasing a closure frame); reusing the buffer would make it a race.
+func openFrame(buf []byte, n int) (frames, payload []byte) {
+	off := len(buf) + frameHeaderLen
+	buf = append(buf, make([]byte, frameHeaderLen+n)...)
+	return buf, buf[off:]
+}
+
+// sealFrame completes the frame openFrame started: payload is the region
+// openFrame returned and ends buf.
+func sealFrame(buf, payload []byte) []byte {
+	hdr := buf[len(buf)-len(payload)-frameHeaderLen:]
 	le := binary.LittleEndian
-	hdr := make([]byte, 8)
 	le.PutUint32(hdr, uint32(len(payload)))
 	le.PutUint32(hdr[4:], crc32.Checksum(payload, castagnoli))
-	return append(append(buf, hdr...), payload...)
+	return buf
+}
+
+// appendSumFrame appends one checksum record.
+func appendSumFrame(buf []byte, disk int, strip int64, sum uint32) []byte {
+	buf, payload := openFrame(buf, sumLen)
+	payload[0] = recSum
+	le := binary.LittleEndian
+	le.PutUint32(payload[1:], uint32(disk))
+	le.PutUint64(payload[5:], uint64(strip))
+	le.PutUint32(payload[13:], sum)
+	return sealFrame(buf, payload)
+}
+
+// appendTransitionFrame appends one state-transition record.
+func appendTransitionFrame(buf []byte, tr Transition) []byte {
+	buf, payload := openFrame(buf, transitionLen)
+	payload[0] = recTransition
+	payload[1] = byte(tr.Kind)
+	le := binary.LittleEndian
+	le.PutUint32(payload[2:], uint32(tr.Disk))
+	le.PutUint64(payload[6:], tr.Generation)
+	return sealFrame(buf, payload)
+}
+
+// appendSnapEndFrame appends the seal record.
+func appendSnapEndFrame(buf []byte) []byte {
+	buf, payload := openFrame(buf, 1)
+	payload[0] = recSnapEnd
+	return sealFrame(buf, payload)
 }
 
 // MergeJournalReplicas reassembles one journal region from replicas of

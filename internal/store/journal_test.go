@@ -2,7 +2,9 @@ package store
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"testing"
 )
 
@@ -247,5 +249,200 @@ func TestJournalCompactionCrashKeepsOldRegion(t *testing.T) {
 				t.Fatalf("cut %d: sum %d lost in compaction crash: %d", cut, i, got)
 			}
 		}
+	}
+}
+
+// goldenJournal appends one record of every kind (and a second of the kinds
+// compaction orders) to a fresh three-disk journal over b0/b1.
+func goldenJournal(t *testing.T, b0, b1 Blob) *MetaJournal {
+	t.Helper()
+	j := openTestJournal(t, b0, b1, 3)
+	ups := []StripUpdate{{Disk: 0, Slot: 1, Data: []byte("abcd")}, {Disk: 2, Slot: 0, Data: []byte("wxyz")}}
+	for _, err := range []error{
+		j.RecordSum(0, 5, 0xdeadbeef),
+		j.RecordSum(0, 1, 0x01020304),
+		j.RecordSum(2, 7, 0xcafef00d),
+		j.RecordClosure(3, ups),
+		j.ClearClosure(3, ups),
+		j.RecordTransition(TransEvict, 1, 9),
+		j.PutKV("k/a", []byte("value"), true),
+		j.PutKV("k/b", nil, false),
+		j.DeleteKV("k/b", false),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return j
+}
+
+// TestJournalGoldenBytes holds the journal's byte stream to what the commit
+// before the frame builder wrote: the region after goldenJournal's appends,
+// and the snapshot a compaction of that state writes (captured from a run
+// of that commit whose map walk happened to be ascending). A journal
+// written by either side mounts under the other because these are equal.
+func TestJournalGoldenBytes(t *testing.T) {
+	const appended = "4f4952444a4e4c31010000000100000000000000c802e40f" + // header, epoch 1
+		"01000000b9b4dc7406" + // seal
+		"1100000052e6267801000000000500000000000000efbeadde" + // sum (0,5)
+		"11000000ebe95af00100000000010000000000000004030201" + // sum (0,1)
+		"110000008a050167010200000007000000000000000df0feca" + // sum (2,7)
+		"2b000000de62b4d80203000000000000000200000000000100000004000000616263640200000000000000040000007778797a" + // closure
+		"1b000000aecfcfcf030300000000000000020000000000010000000200000000000000" + // clear
+		"0e000000b0813e290401010000000900000000000000" + // transition
+		"10000000e789b69a050003006b2f610500000076616c7565" + // put k/a
+		"0b000000a481b4fc050003006b2f6200000000" + // put k/b
+		"0b00000001fae237050103006b2f6200000000" // delete k/b
+	const compacted = "4f4952444a4e4c31010000000200000000000000a185a0d4" + // header, epoch 2
+		"11000000ebe95af00100000000010000000000000004030201" + // sum (0,1)
+		"1100000052e6267801000000000500000000000000efbeadde" + // sum (0,5)
+		"110000008a050167010200000007000000000000000df0feca" + // sum (2,7)
+		"0e000000b0813e290401010000000900000000000000" + // transition
+		"10000000e789b69a050003006b2f610500000076616c7565" + // k/a
+		"0e00000088555a69050003006b2f6303000000010203" + // k/c
+		"01000000b9b4dc7406" // seal
+	b0, b1 := NewMemBlob(), NewMemBlob()
+	j := goldenJournal(t, b0, b1)
+	if got := hex.EncodeToString(b0.Bytes()); got != appended {
+		t.Errorf("appended region\n got %s\nwant %s", got, appended)
+	}
+	j.SetCompactThreshold(1)
+	if err := j.PutKV("k/c", []byte{1, 2, 3}, false); err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(b1.Bytes()); got != compacted {
+		t.Errorf("compacted region\n got %s\nwant %s", got, compacted)
+	}
+}
+
+// manySums records 300 checksums over three disks in a scrambled strip
+// order, enough that a snapshot following map order differs between runs.
+func manySums(t *testing.T, j *MetaJournal) {
+	t.Helper()
+	for i := int64(0); i < 300; i++ {
+		if err := j.RecordSum(int(i%3), (i*7919)%1009, uint32(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestJournalCompactionDeterministic: the compaction snapshot is a function
+// of the journal's state — two journals fed the same records compact to
+// byte-identical regions.
+func TestJournalCompactionDeterministic(t *testing.T) {
+	region := func() []byte {
+		b0, b1 := NewMemBlob(), NewMemBlob()
+		j := openTestJournal(t, b0, b1, 3)
+		manySums(t, j)
+		j.SetCompactThreshold(1)
+		if err := j.PutKV("k", []byte("v"), false); err != nil {
+			t.Fatal(err)
+		}
+		if j.Epoch() != 2 {
+			t.Fatalf("epoch %d: no compaction", j.Epoch())
+		}
+		return b1.Bytes()
+	}
+	if a, b := region(), region(); !bytes.Equal(a, b) {
+		t.Error("two journals fed the same records compacted to different bytes")
+	}
+}
+
+// TestJournalCompactionCutReproducible: a power cut inside the compaction's
+// snapshot flush tears it at a seeded byte, and two runs of one schedule
+// leave the same survivor images.
+func TestJournalCompactionCutReproducible(t *testing.T) {
+	crash := func() (r0, r1 []byte) {
+		ctl := NewCrashController(11)
+		cb0, cb1 := NewCrashBlob(ctl), NewCrashBlob(ctl)
+		j := openTestJournal(t, cb0, cb1, 3)
+		manySums(t, j)
+		if err := j.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		j.SetCompactThreshold(1)
+		// The put's own append, the snapshot's Truncate and WriteAt persist;
+		// the Sync that flushes the snapshot is the torn operation.
+		ctl.Arm(3)
+		if err := j.PutKV("k", []byte("v"), false); !errors.Is(err, ErrCrashed) {
+			t.Fatalf("compaction under an armed controller: %v, want ErrCrashed", err)
+		}
+		return cb0.Survivor().Bytes(), cb1.Survivor().Bytes()
+	}
+	a0, a1 := crash()
+	b0, b1 := crash()
+	if whole := 300 * (frameHeaderLen + sumLen); len(a1) <= journalHeaderLen || len(a1) >= whole {
+		t.Fatalf("the cut left %d snapshot bytes of %d: not inside the snapshot write", len(a1), whole)
+	}
+	if !bytes.Equal(a0, b0) || !bytes.Equal(a1, b1) {
+		t.Error("two runs of one schedule and cut left different survivor images")
+	}
+}
+
+// journaledArray is a two-cycle 9-disk in-memory array with a metadata
+// journal over MemBlobs attached.
+func journaledArray(t testing.TB, stripBytes int) *Array {
+	t.Helper()
+	arr, err := NewMemArray(oiAnalyzer(t, 9), 2, stripBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := OpenMetaJournal(NewMemBlob(), NewMemBlob(), 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arr.SetJournal(j)
+	return arr
+}
+
+// TestJournalAllocs pins what a record costs in allocations: a checksum
+// record is its one frame; a journalled single-strip write is the update
+// list, the closure frame, the pending record's strip list and the clear
+// frame, with headroom for the region's amortised growth.
+func TestJournalAllocs(t *testing.T) {
+	if poolDrops() {
+		t.Skip("sync.Pool drops items in this build (race detector)")
+	}
+	j := openTestJournal(t, NewMemBlob(), NewMemBlob(), 2)
+	if n := testing.AllocsPerRun(200, func() {
+		if err := j.RecordSum(1, 7, 42); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Errorf("RecordSum: %v allocations per record, want at most 1", n)
+	}
+	arr := journaledArray(t, testStrip)
+	buf := make([]byte, testStrip)
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := arr.ConcurrentWriteAt(buf, 5*testStrip); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 8 {
+		t.Errorf("journalled single-strip write: %v allocations per op, want at most 8", n)
+	}
+}
+
+// BenchmarkJournaledWrite is BenchmarkArrayWrite with a metadata journal
+// over MemBlobs attached: what the redo record, the clear and the region's
+// growth add to a strip write.
+func BenchmarkJournaledWrite(b *testing.B) {
+	for _, size := range []int{512, 4 << 10, 64 << 10} {
+		name := fmt.Sprintf("%dK", size>>10)
+		if size < 1<<10 {
+			name = fmt.Sprint(size)
+		}
+		b.Run(name, func(b *testing.B) {
+			arr := journaledArray(b, size)
+			buf := make([]byte, size)
+			b.SetBytes(int64(size))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				off := (int64(i) * int64(size)) % arr.Capacity()
+				if _, err := arr.WriteAt(buf, off); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

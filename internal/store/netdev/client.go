@@ -461,9 +461,9 @@ func putBytes(url string, p []byte) call {
 // readBody reads a response body of at most max bytes and verifies it
 // against the node's X-Oiraid-Crc header when one is present.
 func readBody(resp *http.Response, max int) ([]byte, error) {
-	body, err := io.ReadAll(io.LimitReader(resp.Body, int64(max)+1))
+	body, err := readSized(resp.Body, resp.ContentLength, max)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadFrame, err)
+		return nil, err
 	}
 	if want := resp.Header.Get(crcHeader); want != "" && want != blobCRC(body) {
 		return nil, fmt.Errorf("%w: body crc %s, header says %s", ErrBadFrame, blobCRC(body), want)

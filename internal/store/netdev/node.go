@@ -396,12 +396,12 @@ func (n *Node) handleReadStrip(w http.ResponseWriter, r *http.Request) {
 		failAs(w, store.ErrBadGeometry, err)
 		return
 	}
-	buf := make([]byte, dev.StripBytes())
-	if err := dev.ReadStrip(idx, buf); err != nil {
+	frame := make([]byte, FrameHeaderLen+dev.StripBytes())
+	if err := dev.ReadStrip(idx, frame[FrameHeaderLen:]); err != nil {
 		fail(w, err)
 		return
 	}
-	frame := EncodeFrame(OpRead, idx, buf)
+	sealFrame(frame, OpRead, idx)
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
 	w.Write(frame)
@@ -420,9 +420,9 @@ func (n *Node) handleWriteStrip(w http.ResponseWriter, r *http.Request) {
 		failAs(w, store.ErrBadGeometry, err)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, int64(FrameHeaderLen+dev.StripBytes())+1))
+	body, err := readSized(r.Body, r.ContentLength, FrameHeaderLen+dev.StripBytes())
 	if err != nil {
-		fail(w, fmt.Errorf("%w: %v", ErrBadFrame, err))
+		fail(w, err)
 		return
 	}
 	fr, err := DecodeFrame(body, dev.StripBytes())

@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 )
 
 // Frame ops. A frame carries one strip payload in either direction: the
@@ -75,14 +76,24 @@ type Frame struct {
 // EncodeFrame wraps payload in a checksummed frame.
 func EncodeFrame(op byte, strip int64, payload []byte) []byte {
 	b := make([]byte, FrameHeaderLen+len(payload))
+	copy(b[FrameHeaderLen:], payload)
+	sealFrame(b, op, strip)
+	return b
+}
+
+// sealFrame writes the header of the frame that fills b, over the payload
+// already in place at b[FrameHeaderLen:] — a sender that can produce the
+// payload there (a node reading a strip off its device) builds the frame
+// in one buffer.
+func sealFrame(b []byte, op byte, strip int64) {
+	payload := b[FrameHeaderLen:]
 	copy(b[0:4], frameMagic[:])
 	b[4] = frameVersion
 	b[5] = op
+	b[6], b[7] = 0, 0 // reserved: zero whatever b held
 	binary.BigEndian.PutUint64(b[8:16], uint64(strip))
 	binary.BigEndian.PutUint32(b[16:20], uint32(len(payload)))
 	binary.BigEndian.PutUint32(b[20:24], crc32.Checksum(payload, castagnoli))
-	copy(b[FrameHeaderLen:], payload)
-	return b
 }
 
 // DecodeFrame parses and validates a frame. maxPayload bounds the
@@ -118,6 +129,38 @@ func DecodeFrame(b []byte, maxPayload int) (Frame, error) {
 	fr.Strip = int64(binary.BigEndian.Uint64(b[8:16]))
 	fr.Payload = payload
 	return fr, nil
+}
+
+// readSized reads an HTTP body of at most max bytes whose declared
+// Content-Length is n into one buffer sized from n: a strip RPC body has a
+// known size, and io.ReadAll would reach it by doubling from 512 bytes. A
+// declared length past the bound is refused before anything is allocated
+// for it, and a body shorter or longer than declared is a damaged
+// transfer. Only n < 0 (chunked, or decompressed by the transport) is left
+// to a bounded io.ReadAll, which returns at most max+1 bytes — the last
+// one being the caller's cue to refuse.
+func readSized(body io.Reader, n int64, max int) ([]byte, error) {
+	if n < 0 {
+		b, err := io.ReadAll(io.LimitReader(body, int64(max)+1))
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrBadFrame, err)
+		}
+		return b, nil
+	}
+	if n > int64(max) {
+		return nil, fmt.Errorf("%w: body declares %d bytes, bound is %d", ErrBadFrame, n, max)
+	}
+	// One spare byte to probe for excess with: net/http reports the end of
+	// a declared-length body along with its last byte, so the probe costs
+	// nothing and leaves the connection reusable.
+	b := make([]byte, n+1)
+	if _, err := io.ReadFull(body, b[:n]); err != nil {
+		return nil, fmt.Errorf("%w: body shorter than the %d bytes declared: %v", ErrBadFrame, n, err)
+	}
+	if extra, _ := body.Read(b[n:]); extra > 0 {
+		return nil, fmt.Errorf("%w: body longer than the %d bytes declared", ErrBadFrame, n)
+	}
+	return b[:n:n], nil
 }
 
 // blobCRC is the integrity checksum carried in the X-Oiraid-Crc header

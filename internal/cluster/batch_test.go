@@ -1,0 +1,278 @@
+package cluster
+
+import (
+	"bytes"
+	"errors"
+	"math/rand"
+	"net/http"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"github.com/oiraid/oiraid/internal/core"
+	"github.com/oiraid/oiraid/internal/store"
+	"github.com/oiraid/oiraid/internal/store/netdev"
+)
+
+// closureNodes lists the nodes holding the parity closure of logical strip s,
+// by the manifest.
+func closureNodes(c *Cluster, s int64) map[string][]int {
+	arr := c.Eng.Array()
+	target, _ := arr.LocateDataStrip(s)
+	m := c.ManifestSnapshot()
+	nodes := map[string][]int{}
+	for _, st := range arr.Analyzer().WritePlan(target).Strips {
+		nodes[m.Disks[st.Disk].Node] = append(nodes[m.Disks[st.Disk].Node], st.Disk)
+	}
+	return nodes
+}
+
+// TestClusterBatchRPCCounts is the exact-count evidence for the batched path:
+// every healthy single-strip write is one read RPC and one write RPC per node
+// of its closure — 4 for a closure on two nodes, 6 on three, 720 over the
+// cycle's 144 data strips where strip-at-a-time I/O took 1152 (a node's one
+// strip of a closure travels on the single-strip endpoint) — a plain strip
+// read is still one RPC, and a rebuilt cycle
+// goes out as gather windows of at most three read RPCs and one write RPC
+// each.
+func TestClusterBatchRPCCounts(t *testing.T) {
+	c, ct := countedCluster(t, 4096, nil)
+	p := make([]byte, 4096)
+	rand.New(rand.NewSource(6)).Read(p)
+	strips := c.Eng.Strips()
+	var total int64
+	for s := int64(0); s < strips; s++ {
+		nodes := int64(len(closureNodes(c, s)))
+		before := ct.n.Load()
+		if err := c.Eng.WriteStrip(s, p); err != nil {
+			t.Fatal(err)
+		}
+		if got := ct.n.Load() - before; got != 2*nodes || nodes < 2 || nodes > 3 {
+			t.Fatalf("write of strip %d, closure on %d nodes: %d RPCs, want %d", s, nodes, got, 2*nodes)
+		}
+		total += 2 * nodes
+	}
+	if total != 720 || ct.batchReads.Load()+ct.batchWrites.Load()+ct.singles.Load() != 720 {
+		t.Errorf("%d writes: %d RPCs (%d read batches, %d write batches, %d single-strip), want 720 in all", strips,
+			total, ct.batchReads.Load(), ct.batchWrites.Load(), ct.singles.Load())
+	}
+	before := ct.n.Load()
+	if got, err := c.Eng.ReadStrip(7); err != nil || !bytes.Equal(got, p) {
+		t.Fatalf("read: %v", err)
+	}
+	if got := ct.n.Load() - before; got != 1 {
+		t.Errorf("a plain strip read: %d RPCs, want 1", got)
+	}
+
+	// One cycle of 36 repair tasks at 4 KiB is four 128 KiB gather windows of
+	// ten tasks (thirty strip buffers) each.
+	r0, w0, s0 := ct.batchReads.Load(), ct.batchWrites.Load(), ct.singles.Load()
+	rebuildDisk(t, c, 4)
+	r, w, single := ct.batchReads.Load()-r0, ct.batchWrites.Load()-w0, ct.singles.Load()-s0
+	if r+w+single > 16 || w != 4 {
+		t.Errorf("rebuilt cycle: %d read batches, %d write batches, %d single-strip RPCs; want ≤ 16 in all, 4 write batches (108 strip-at-a-time)", r, w, single)
+	}
+	for s := int64(0); s < strips; s++ {
+		if got, err := c.Eng.ReadStrip(s); err != nil || !bytes.Equal(got, p) {
+			t.Fatalf("strip %d after the rebuild: %v", s, err)
+		}
+	}
+}
+
+// TestClusterSmallStripRebuildIsOneWindow: at 512-byte strips the whole cycle
+// fits one gather window: three read RPCs and one write RPC rebuild a disk.
+func TestClusterSmallStripRebuildIsOneWindow(t *testing.T) {
+	c, ct := countedCluster(t, 512, nil)
+	p := bytes.Repeat([]byte{0x6B}, 512)
+	for s := int64(0); s < c.Eng.Strips(); s++ {
+		if err := c.Eng.WriteStrip(s, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r0, w0, s0 := ct.batchReads.Load(), ct.batchWrites.Load(), ct.singles.Load()
+	rebuildDisk(t, c, 0)
+	if r, w, single := ct.batchReads.Load()-r0, ct.batchWrites.Load()-w0, ct.singles.Load()-s0; r > 3 || w != 1 || single != 0 {
+		t.Errorf("rebuilt cycle: %d read batches, %d write batches, %d single-strip RPCs; want ≤ 3, 1, 0", r, w, single)
+	}
+}
+
+// rebuildDisk fails disk d and rebuilds it onto a replacement the
+// coordinator provisions.
+func rebuildDisk(t *testing.T, c *Cluster, d int) {
+	t.Helper()
+	if err := c.Eng.FailDisk(d); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Eng.StartRebuild(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Eng.RebuildWait(); err != nil {
+		t.Fatal(err)
+	}
+	if failed := c.Eng.Array().FailedDisks(); len(failed) != 0 {
+		t.Fatalf("rebuild of disk %d left %v failed", d, failed)
+	}
+}
+
+// rendezvous is a transport that parks each strip-read RPC — a read batch, or
+// the single-strip read of a node that holds one strip of the request — until
+// as many as it was armed for have arrived: if the executor issued a request's node
+// groups one after another, the first would wait for a second that is never
+// sent. No clock decides the outcome; the timeout only turns a hang into a
+// failure.
+type rendezvous struct {
+	inner http.RoundTripper
+
+	mu       sync.Mutex
+	want     int
+	arrived  int
+	together chan struct{}
+	timedOut bool
+}
+
+func (rv *rendezvous) arm(n int) {
+	rv.mu.Lock()
+	rv.want, rv.arrived, rv.together, rv.timedOut = n, 0, make(chan struct{}), false
+	rv.mu.Unlock()
+}
+
+func (rv *rendezvous) RoundTrip(r *http.Request) (*http.Response, error) {
+	rv.mu.Lock()
+	together := rv.together
+	read := r.URL.Path == "/node/v1/strips/read" || (r.Method == http.MethodGet && strings.Contains(r.URL.Path, "/strips/"))
+	if rv.want > 0 && read {
+		if rv.arrived++; rv.arrived == rv.want {
+			rv.want = 0
+			close(together)
+		}
+		rv.mu.Unlock()
+		select {
+		case <-together:
+		case <-time.After(3 * time.Second):
+			rv.mu.Lock()
+			rv.timedOut = true
+			rv.mu.Unlock()
+		}
+	} else {
+		rv.mu.Unlock()
+	}
+	return rv.inner.RoundTrip(r)
+}
+
+func (rv *rendezvous) CloseIdleConnections() {
+	rv.inner.(interface{ CloseIdleConnections() }).CloseIdleConnections()
+}
+
+// TestClusterBatchGroupsInFlightTogether: the read RPCs of a closure that
+// spans three nodes are all in flight before any of them is answered.
+func TestClusterBatchGroupsInFlightTogether(t *testing.T) {
+	var rv *rendezvous
+	c, _ := countedCluster(t, 512, func(inner http.RoundTripper) http.RoundTripper {
+		rv = &rendezvous{inner: inner}
+		return rv
+	})
+	p := bytes.Repeat([]byte{0x3C}, 512)
+	tried := 0
+	for s := int64(0); s < c.Eng.Strips() && tried < 8; s++ {
+		if len(closureNodes(c, s)) != 3 {
+			continue
+		}
+		tried++
+		rv.arm(3)
+		if err := c.Eng.WriteStrip(s, p); err != nil {
+			t.Fatal(err)
+		}
+		rv.mu.Lock()
+		arrived, timedOut := rv.arrived, rv.timedOut
+		rv.mu.Unlock()
+		if arrived != 3 || timedOut {
+			t.Fatalf("write of strip %d: %d of the closure's 3 read RPCs in flight together (timed out: %v)", s, arrived, timedOut)
+		}
+	}
+	if tried == 0 {
+		t.Fatal("no closure spans three nodes")
+	}
+}
+
+// TestClusterBatchPartitionChargesOwnDisks: when a node drops out under a
+// batch, the transport failure lands on every op of that node's group and on
+// no other — each of its disks' probes is charged its own unreachable error,
+// the other nodes' disks none.
+func TestClusterBatchPartitionChargesOwnDisks(t *testing.T) {
+	tc := newTestCluster(t, 77)
+	opts := tc.options(77)
+	opts.Client.Grace = time.Hour // the node stays unreachable, never lost
+	c, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	p := bytes.Repeat([]byte{0x4D}, 512)
+	var target int64 = -1
+	for s := int64(0); s < c.Eng.Strips(); s++ {
+		if err := c.Eng.WriteStrip(s, p); err != nil {
+			t.Fatal(err)
+		}
+		if nodes := closureNodes(c, s); target < 0 && len(nodes) == 3 {
+			target = s
+		}
+	}
+	nodes := closureNodes(c, target)
+	unreachable := func() []int64 {
+		var out []int64
+		for _, d := range c.Eng.Health().Disks {
+			out = append(out, d.UnreachableErrors)
+		}
+		return out
+	}
+	before := unreachable()
+	tc.faults["beta"].SetPartition(netdev.PartDrop)
+	if err := c.Eng.WriteStrip(target, p); !errors.Is(err, store.ErrUnreachable) {
+		t.Fatalf("write across a partitioned node: %v, want ErrUnreachable", err)
+	}
+	tc.faults["beta"].SetPartition(netdev.PartNone)
+	after := unreachable()
+	onBeta := map[int]bool{}
+	for _, d := range nodes["beta"] {
+		onBeta[d] = true
+	}
+	for d := range after {
+		if got := after[d] - before[d]; onBeta[d] && got != 1 || !onBeta[d] && got != 0 {
+			t.Errorf("disk %d (closure disk on the partitioned node: %v) was charged %d unreachable errors", d, onBeta[d], got)
+		}
+	}
+}
+
+// TestClusterRebuildReadsMatchPlan is TestRebuildReadsMatchPlan of
+// internal/store on the live cluster: through the batched path, over three
+// nodes, every survivor of every failed disk is read exactly as many strips
+// as the plan says, and all survivors the same number.
+func TestClusterRebuildReadsMatchPlan(t *testing.T) {
+	c, _ := countedCluster(t, 512, nil)
+	p := bytes.Repeat([]byte{0x5E}, 512)
+	for s := int64(0); s < c.Eng.Strips(); s++ {
+		if err := c.Eng.WriteStrip(s, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	arr := c.Eng.Array()
+	for failed := 0; failed < 9; failed++ {
+		plan := arr.Analyzer().Plan([]int{failed}, core.PlanOptions{})
+		arr.ResetStats()
+		rebuildDisk(t, c, failed)
+		stats := arr.DiskStats()
+		for d, st := range stats {
+			wantW := int64(0)
+			if d == failed {
+				wantW = int64(plan.WriteStrips)
+			}
+			if st.ReadOps != int64(plan.ReadsPerDisk[d]) || st.WriteOps != wantW {
+				t.Errorf("failed disk %d: disk %d did %d reads / %d writes, the plan says %d / %d", failed, d, st.ReadOps, st.WriteOps, plan.ReadsPerDisk[d], wantW)
+			}
+			if d != failed && st.ReadOps != stats[(failed+1)%9].ReadOps {
+				t.Errorf("failed disk %d: survivor %d read %d strips, survivor %d read %d", failed, d, st.ReadOps, (failed+1)%9, stats[(failed+1)%9].ReadOps)
+			}
+		}
+	}
+}

@@ -2,8 +2,11 @@ package cluster
 
 import (
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -108,4 +111,85 @@ func BenchmarkMigrateDisk(b *testing.B) {
 	b.StopTimer()
 	close(stop)
 	reportLatency(b, <-done)
+}
+
+// countingTransport counts the round trips of every node client it is
+// handed to, and among them the ones that carry strips.
+type countingTransport struct {
+	inner http.RoundTripper
+	n     atomic.Int64 // all round trips
+	// Batch RPCs by direction, and single-strip RPCs.
+	batchReads, batchWrites, singles atomic.Int64
+}
+
+func (ct *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	ct.n.Add(1)
+	switch path := r.URL.Path; {
+	case path == "/node/v1/strips/read":
+		ct.batchReads.Add(1)
+	case path == "/node/v1/strips/write":
+		ct.batchWrites.Add(1)
+	case strings.Contains(path, "/strips/"):
+		ct.singles.Add(1)
+	}
+	return ct.inner.RoundTrip(r)
+}
+
+func (ct *countingTransport) CloseIdleConnections() {
+	ct.inner.(interface{ CloseIdleConnections() }).CloseIdleConnections()
+}
+
+// countedCluster boots a volatile coordinator (journal and manifest in
+// memory) over three mem nodes on loopback, one cycle of v=9 — the bench's
+// cluster-4k stack when stripBytes is 4096 — every node client on one
+// counting transport over wrap(the default transport), wrap nil for none.
+func countedCluster(tb testing.TB, stripBytes int, wrap func(http.RoundTripper) http.RoundTripper) (*Cluster, *countingTransport) {
+	tb.Helper()
+	var specs []NodeSpec
+	for _, id := range []string{"alpha", "beta", "gamma"} {
+		n := netdev.NewMemNode(id)
+		srv := httptest.NewServer(n.Handler())
+		tb.Cleanup(srv.Close)
+		specs = append(specs, NodeSpec{ID: id, URL: srv.URL})
+	}
+	ct := &countingTransport{inner: http.DefaultTransport.(*http.Transport).Clone()}
+	if wrap != nil {
+		ct.inner = wrap(ct.inner)
+	}
+	c, err := Open(Options{
+		Nodes:     specs,
+		Client:    netdev.Options{Timeout: 5 * time.Second, MaxAttempts: 2, Grace: time.Hour},
+		Engine:    engine.Options{Workers: 4},
+		Format:    &FormatSpec{Disks: 9, Cycles: 1, StripBytes: stripBytes},
+		Transport: func(NodeSpec) http.RoundTripper { return ct },
+	})
+	if err != nil {
+		tb.Fatalf("open cluster: %v", err)
+	}
+	tb.Cleanup(func() { c.Close() })
+	return c, ct
+}
+
+// BenchmarkClusterWrite is one single-strip write through the coordinator's
+// engine, round-robin over the cycle's 144 data strips, with the RPCs it
+// took: the closure's reads and writes coalesced per node.
+func BenchmarkClusterWrite(b *testing.B) {
+	c, ct := countedCluster(b, 4096, nil)
+	p := make([]byte, 4096)
+	rand.New(rand.NewSource(5)).Read(p)
+	strips := c.Eng.Strips()
+	for s := int64(0); s < strips; s++ {
+		if err := c.Eng.WriteStrip(s, p); err != nil {
+			b.Fatalf("seed write: %v", err)
+		}
+	}
+	b.SetBytes(4096)
+	b.ResetTimer()
+	before := ct.n.Load()
+	for i := 0; i < b.N; i++ {
+		if err := c.Eng.WriteStrip(int64(i)%strips, p); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(ct.n.Load()-before)/float64(b.N), "rpcs/op")
 }

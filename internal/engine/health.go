@@ -349,7 +349,7 @@ type probeDevice struct {
 	mon   *monitor
 }
 
-var _ store.Device = probeDevice{}
+var _ store.StripLayer = probeDevice{}
 
 func (p probeDevice) Strips() int64   { return p.inner.Strips() }
 func (p probeDevice) StripBytes() int { return p.inner.StripBytes() }
@@ -359,17 +359,35 @@ func (p probeDevice) Close() error    { return p.inner.Close() }
 // for the checksummed layer) can walk through the probe.
 func (p probeDevice) Inner() store.Device { return p.inner }
 
+// Under implements store.StripLayer: the probe forwards every strip op
+// unchanged and only observes its outcome, so a batch passes through it.
+func (p probeDevice) Under() store.Device { return p.inner }
+
 func (p probeDevice) ReadStrip(idx int64, buf []byte) error {
 	t := time.Now()
 	err := p.inner.ReadStrip(idx, buf)
-	p.mon.observe(p.disk, p.gen, time.Since(t), err)
-	return err
+	return p.observe(time.Since(t), err)
 }
 
 func (p probeDevice) WriteStrip(idx int64, buf []byte) error {
 	t := time.Now()
 	err := p.inner.WriteStrip(idx, buf)
-	p.mon.observe(p.disk, p.gen, time.Since(t), err)
+	return p.observe(time.Since(t), err)
+}
+
+// AfterRead and AfterWrite implement store.StripLayer. An op that travelled
+// in a batch is charged the batch's duration: how long its caller waited.
+func (p probeDevice) AfterRead(_ int64, _ []byte, took time.Duration, err error) error {
+	return p.observe(took, err)
+}
+
+func (p probeDevice) AfterWrite(_ int64, _ []byte, took time.Duration, err error) error {
+	return p.observe(took, err)
+}
+
+// observe feeds one op's outcome to the disk's monitor and passes it on.
+func (p probeDevice) observe(took time.Duration, err error) error {
+	p.mon.observe(p.disk, p.gen, took, err)
 	return err
 }
 

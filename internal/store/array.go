@@ -32,16 +32,15 @@ type IOStats struct {
 }
 
 // ioCounters is the lock-free accumulator behind IOStats, so concurrent
-// readers (which hold only the read lock) can update the counters.
+// readers (which hold only the read lock) can update the counters. Device
+// ops are counted per disk (diskCounters); ReadOps/WriteOps are their sums.
 type ioCounters struct {
-	readOps, writeOps, degradedReads, readRepairs, corruptStrips atomic.Int64
-	avoidedReads                                                 atomic.Int64
+	degradedReads, readRepairs, corruptStrips atomic.Int64
+	avoidedReads                              atomic.Int64
 }
 
 func (c *ioCounters) snapshot() IOStats {
 	return IOStats{
-		ReadOps:       c.readOps.Load(),
-		WriteOps:      c.writeOps.Load(),
 		DegradedReads: c.degradedReads.Load(),
 		ReadRepairs:   c.readRepairs.Load(),
 		CorruptStrips: c.corruptStrips.Load(),
@@ -49,9 +48,10 @@ func (c *ioCounters) snapshot() IOStats {
 	}
 }
 
+// diskCounters counts one disk's strip-granularity device accesses.
+type diskCounters struct{ readOps, writeOps atomic.Int64 }
+
 func (c *ioCounters) reset() {
-	c.readOps.Store(0)
-	c.writeOps.Store(0)
 	c.degradedReads.Store(0)
 	c.readRepairs.Store(0)
 	c.corruptStrips.Store(0)
@@ -141,7 +141,14 @@ type Array struct {
 	// borrow from it, so none of them allocates a strip in steady state.
 	scratch sync.Pool
 
-	stats ioCounters
+	// batching records that some attached device peels to a StripBatcher,
+	// so multi-strip steps go out as batches (batch.go); without one the
+	// executor is the plain per-strip loop. Decided whenever the device set
+	// changes, under mu.
+	batching bool
+
+	stats     ioCounters
+	diskStats []diskCounters // per disk
 }
 
 // stripScratch is a borrowed set of strip-sized buffers plus the slice
@@ -152,6 +159,7 @@ type stripScratch struct {
 	stripBytes int
 	bufs       [][]byte // owned buffers; grows to the most ever asked for
 	heads      [][]byte // header scratch, may point at bufs or at caller memory
+	batch      batchState
 }
 
 func (a *Array) getScratch() *stripScratch {
@@ -163,6 +171,7 @@ func (a *Array) getScratch() *stripScratch {
 
 func (a *Array) putScratch(sc *stripScratch) {
 	clear(sc.heads[:cap(sc.heads)]) // drop references to caller memory
+	clear(sc.batch.ops[:cap(sc.batch.ops)])
 	a.scratch.Put(sc)
 }
 
@@ -214,7 +223,9 @@ func NewArray(an *core.Analyzer, devs []Device) (*Array, error) {
 		stripBytes: stripBytes,
 		cycles:     cycles,
 		codes:      make(map[[2]int]erasure.Code),
+		diskStats:  make([]diskCounters, len(devs)),
 	}
+	a.noteDevices()
 	for _, shape := range an.StripeShapes() {
 		code, err := erasure.NewCode(shape[0], shape[1])
 		if err != nil {
@@ -237,15 +248,43 @@ func (a *Array) StripBytes() int { return a.stripBytes }
 func (a *Array) Cycles() int64 { return a.cycles }
 
 // Stats returns a snapshot of the I/O counters.
-func (a *Array) Stats() IOStats { return a.stats.snapshot() }
+func (a *Array) Stats() IOStats {
+	st := a.stats.snapshot()
+	for d := range a.diskStats {
+		st.ReadOps += a.diskStats[d].readOps.Load()
+		st.WriteOps += a.diskStats[d].writeOps.Load()
+	}
+	return st
+}
 
 // Analyzer returns the stripe-graph analyzer the array was built over, so
 // a caller can derive parity closures and stripe membership for external
 // locking (see ConcurrentWriteAt).
 func (a *Array) Analyzer() *core.Analyzer { return a.an }
 
-// ResetStats zeroes the I/O counters.
-func (a *Array) ResetStats() { a.stats.reset() }
+// ResetStats zeroes the I/O counters, the per-disk ones included.
+func (a *Array) ResetStats() {
+	a.stats.reset()
+	for d := range a.diskStats {
+		a.diskStats[d].readOps.Store(0)
+		a.diskStats[d].writeOps.Store(0)
+	}
+}
+
+// DiskStats returns each disk's ReadOps and WriteOps (index = disk id), which
+// Stats sums — the measured side of the paper's uniform recovery load. The
+// other fields stay zero.
+func (a *Array) DiskStats() []IOStats {
+	out := make([]IOStats, len(a.diskStats))
+	for d := range a.diskStats {
+		out[d] = IOStats{ReadOps: a.diskStats[d].readOps.Load(), WriteOps: a.diskStats[d].writeOps.Load()}
+	}
+	return out
+}
+
+// countRead and countWrite account for one device op on disk d.
+func (a *Array) countRead(d int)  { a.diskStats[d].readOps.Add(1) }
+func (a *Array) countWrite(d int) { a.diskStats[d].writeOps.Add(1) }
 
 // FailedDisks returns the currently failed disk ids.
 func (a *Array) FailedDisks() []int {
@@ -309,6 +348,7 @@ func (a *Array) InstrumentDevices(wrap func(disk int, dev Device) Device) {
 			a.replaced[i] = wrap(i, dev)
 		}
 	}
+	a.noteDevices()
 }
 
 // locate maps a logical data-strip index to (disk, absolute device strip).
@@ -456,19 +496,14 @@ func (a *Array) readStrip(d int, devStrip int64, p []byte) error {
 	return err
 }
 
-// readMember is the one device read of the data plane (DESIGN.md §8): it
-// reads strip (d, devStrip) from dev, its live device, and heals a checksum
-// failure (a latent sector error caught by a ChecksummedDevice) in place —
-// reconstruct through whichever of the strip's stripes still decodes,
-// write back, carry on with the healed content. depth bounds the recursion.
+// readMember is the one-strip device read of the data plane (DESIGN.md §8):
+// it reads strip (d, devStrip) from dev, its live device, and settles it as
+// the batch executor settles each of its reads — counted, and healed in
+// place when it fails its checksum.
 func (a *Array) readMember(dev Device, d int, devStrip int64, p []byte, depth int) error {
-	a.stats.readOps.Add(1)
-	err := dev.ReadStrip(devStrip, p)
-	if !errors.Is(err, ErrCorrupt) || depth >= maxHealDepth {
-		return err
-	}
-	a.stats.corruptStrips.Add(1)
-	return a.healStrip(dev, d, devStrip, p, depth, err)
+	op := batchOp{dev: dev, disk: d, idx: devStrip, buf: p}
+	op.err = dev.ReadStrip(devStrip, p)
+	return a.settleRead(&op, false, depth)
 }
 
 // healStrip reconstructs strip (d, devStrip), whose read failed with the
@@ -479,7 +514,7 @@ func (a *Array) healStrip(dev Device, d int, devStrip int64, p []byte, depth int
 	if herr := a.reconstructStripDepth(d, devStrip, p, depth+1); herr != nil {
 		return fmt.Errorf("store: corrupt source (%d,%d) unhealable (%w): %w", d, devStrip, herr, cause)
 	}
-	a.stats.writeOps.Add(1)
+	a.countWrite(d)
 	a.stats.readRepairs.Add(1)
 	if werr := dev.WriteStrip(devStrip, p); werr != nil {
 		return fmt.Errorf("store: read repair of strip (%d,%d): %w", d, devStrip, werr)
@@ -552,10 +587,7 @@ func (a *Array) decodeVia(target layout.Strip, cycle int64, alive func(disk int)
 	run := planRun{cycle: cycle, depth: depth, sc: a.getScratch()}
 	defer a.putScratch(run.sc)
 	return a.execTask(&run, info.Stripe, info.Present, []int{info.Target}, nil,
-		func(_ layout.Strip, content []byte) error {
-			copy(p, content)
-			return nil
-		})
+		func(_ layout.Strip, content []byte) { copy(p, content) })
 }
 
 // planRun is the state of one execution of recovery tasks over one cycle.
@@ -567,43 +599,39 @@ type planRun struct {
 	sc *stripScratch
 }
 
-// execTask is the one gather-decode-scatter loop. It reads the members of
-// stripe via that reads marks into their shards — each through readMember,
-// so a checksum-failed survivor is healed through its other stripe —
-// decodes, and hands the strip at each targets position to sink (content
-// is only valid during the call). A source that an earlier task of the
-// same run reconstructed is served by earlier, which reports false for a
-// strip the plan never lost; nil when no source can be one.
+// execTask is the gather-decode-scatter of one in-memory recovery task. It
+// reads the members of stripe via that reads marks into their shards — as one
+// batch through readStrips, so a checksum-failed survivor is healed through
+// its other stripe — decodes, and hands the strip at each targets position to
+// sink (content is only valid during the call). A source that an earlier task
+// of the same run reconstructed is served by earlier, which reports false for
+// a strip the plan never lost; nil when no source can be one.
 func (a *Array) execTask(run *planRun, via int, reads []bool, targets []int,
-	earlier func(st layout.Strip, p []byte) (bool, error),
-	sink func(st layout.Strip, content []byte) error) error {
+	earlier func(st layout.Strip, p []byte) bool,
+	sink func(st layout.Strip, content []byte)) error {
 	stripe := a.sch.Stripes()[via]
 	shards := run.sc.strips(len(stripe.Strips))
+	ops := run.sc.opList(len(stripe.Strips))
 	slots := int64(a.an.SlotsPerDisk())
 	for pos, read := range reads {
 		if !read {
 			continue
 		}
 		st := stripe.Strips[pos]
-		if earlier != nil {
-			if ok, err := earlier(st, shards[pos]); err != nil {
-				return err
-			} else if ok {
-				continue
-			}
+		if earlier != nil && earlier(st, shards[pos]) {
+			continue
 		}
 		idx := run.cycle*slots + int64(st.Slot)
-		if err := a.readMember(a.liveDevice(st.Disk, idx), st.Disk, idx, shards[pos], run.depth); err != nil {
-			return err
-		}
+		ops = append(ops, batchOp{dev: a.liveDevice(st.Disk, idx), disk: st.Disk, idx: idx, buf: shards[pos]})
+	}
+	if err := a.readStrips(run.sc, ops, false, run.depth, nil); err != nil {
+		return err
 	}
 	if err := a.codes[[2]int{stripe.Data, stripe.Parity()}].Reconstruct(shards, reads); err != nil {
 		return fmt.Errorf("store: reconstruct stripe %d of cycle %d: %w", via, run.cycle, err)
 	}
 	for _, pos := range targets {
-		if err := sink(stripe.Strips[pos], shards[pos]); err != nil {
-			return err
-		}
+		sink(stripe.Strips[pos], shards[pos])
 	}
 	return nil
 }
@@ -646,7 +674,7 @@ func (a *Array) ProbeDiskStrip(d int, devStrip int64, p []byte) error {
 	if dev == nil {
 		return fmt.Errorf("%w: disk %d", ErrDiskFaulty, d)
 	}
-	a.stats.readOps.Add(1)
+	a.countRead(d)
 	return dev.ReadStrip(devStrip, p)
 }
 
@@ -708,22 +736,20 @@ func (a *Array) reconstructDeep(cycle int64, target layout.Strip, p []byte, avoi
 	keep := a.getScratch()
 	defer a.putScratch(keep)
 	held, kept := keep.strips(rebuilt), make([]layout.Strip, 0, rebuilt)
-	earlier := func(st layout.Strip, buf []byte) (bool, error) {
+	earlier := func(st layout.Strip, buf []byte) bool {
 		i := slices.Index(kept, st)
-		if i < 0 {
-			return false, nil
+		if i >= 0 {
+			copy(buf, held[i])
 		}
-		copy(buf, held[i])
-		return true, nil
+		return i >= 0
 	}
-	sink := func(st layout.Strip, content []byte) error {
+	sink := func(st layout.Strip, content []byte) {
 		if st == target {
 			copy(p, content)
 		} else {
 			copy(held[len(kept)], content)
 			kept = append(kept, st)
 		}
-		return nil
 	}
 	run := planRun{cycle: cycle, depth: depth, sc: a.getScratch()}
 	defer a.putScratch(run.sc)
@@ -835,24 +861,6 @@ func (a *Array) writeAtLocked(p []byte, off int64) (int, error) {
 	return total, nil
 }
 
-// readStripForUpdate collects an old-value snapshot for a read-modify-
-// write. Unlike the foreground read path it never serves a quarantined
-// disk's strip by decoding through a sibling stripe: a derived value
-// equals the media value only while every deriving stripe is consistent,
-// and during retry storms transiently half-committed stripes exist — a
-// delta computed from such a derived value would poison parity for good.
-// A live disk is read directly (an unreachable one aborts the write,
-// which the caller retries); only a genuinely failed disk's strip is
-// reconstructed, where stripes are kept consistent by replay-before-
-// rebuild.
-func (a *Array) readStripForUpdate(d int, devStrip int64, p []byte) error {
-	dev := a.liveDevice(d, devStrip)
-	if dev == nil {
-		return a.reconstructStripDepth(d, devStrip, p, 0)
-	}
-	return a.readMember(dev, d, devStrip, p, 0)
-}
-
 // resolvePendingClosures is the consistency barrier ahead of a
 // read-modify-write's snapshot. A commit that failed partway can leave
 // the closure half-applied on media — over a network transport a "failed"
@@ -954,15 +962,40 @@ func (a *Array) writeStripRange(dataIdx int64, within int, data []byte) error {
 	for _, step := range plan.Steps {
 		old[step.Source] = bufs[n+step.Source]
 	}
+	// The snapshot never serves a quarantined disk's strip by decoding
+	// through a sibling stripe, as the foreground read path would: a derived
+	// value equals the media value only while every deriving stripe is
+	// consistent, and during retry storms transiently half-committed stripes
+	// exist — a delta computed from such a derived value would poison parity
+	// for good. A live disk is read directly, all of them as one batch (an
+	// unreachable one aborts the write, which the caller retries); only a
+	// genuinely failed disk's strip is reconstructed — after the reads ahead
+	// of it in plan order — where stripes are kept consistent by
+	// replay-before-rebuild.
+	ops := sc.opList(n)
 	for i, st := range plan.Strips {
 		cur[i] = bufs[i]
 		media := cur[i]
 		if old[i] != nil {
 			media = old[i]
 		}
-		if err := a.readStripForUpdate(st.Disk, base+int64(st.Slot), media); err != nil {
+		idx := base + int64(st.Slot)
+		if dev := a.liveDevice(st.Disk, idx); dev != nil {
+			ops = append(ops, batchOp{dev: dev, disk: st.Disk, idx: idx, buf: media})
+			continue
+		}
+		if err := a.readStrips(sc, ops, false, 0, nil); err != nil {
 			return err
 		}
+		ops = ops[:0]
+		if err := a.reconstructStripDepth(st.Disk, idx, media, 0); err != nil {
+			return err
+		}
+	}
+	if err := a.readStrips(sc, ops, false, 0, nil); err != nil {
+		return err
+	}
+	for i := range plan.Strips {
 		switch {
 		case old[i] == nil:
 		case i == 0 && whole:
@@ -1013,23 +1046,20 @@ func (a *Array) writeStripRange(dataIdx int64, within int, data []byte) error {
 	// content; the op still fails, the caller re-sends, and the retry is
 	// an idempotent rewrite of the same closure. The redo record is
 	// deliberately left in place on error so recovery can replay it.
-	var commitErr error
+	//
+	// A failed disk's strip is skipped: its delta still lands on every live
+	// parity in the closure (the steps above ran regardless), so
+	// reconstruction — degraded reads and the rebuild alike — recovers the
+	// post-write value from the live stripes.
+	ops = ops[:0]
 	for i, st := range plan.Strips {
-		dev := a.liveDevice(st.Disk, base+int64(st.Slot))
-		if dev == nil {
-			// Failed strip: skip. Its delta still lands on every live
-			// parity in the closure (the steps above ran regardless), so
-			// reconstruction — degraded reads and the rebuild alike —
-			// recovers the post-write value from the live stripes.
-			continue
-		}
-		a.stats.writeOps.Add(1)
-		if err := dev.WriteStrip(base+int64(st.Slot), cur[i]); err != nil && commitErr == nil {
-			commitErr = err
+		idx := base + int64(st.Slot)
+		if dev := a.liveDevice(st.Disk, idx); dev != nil {
+			ops = append(ops, batchOp{dev: dev, disk: st.Disk, idx: idx, buf: cur[i]})
 		}
 	}
-	if commitErr != nil {
-		return commitErr
+	if failed := a.writeStrips(sc, ops, true); failed != nil {
+		return failed.err
 	}
 	if a.journal != nil {
 		// Scoped to this write's strip set: records of other in-flight

@@ -1,0 +1,519 @@
+package store
+
+import (
+	"errors"
+	"fmt"
+	"sync"
+	"testing"
+	"time"
+
+	"github.com/oiraid/oiraid/internal/core"
+)
+
+// fakeNode stands for a storage node: the nodeDevs that share one share
+// batches. It records what reached it and how.
+type fakeNode struct {
+	mu      sync.Mutex
+	batches []int // ops per batch call, reads and writes alike
+	singles int   // ReadStrip/WriteStrip calls
+	// refuse, when set, fails the matching ops of a batch.
+	refuse func(dev *nodeDev, idx int64, write bool) error
+}
+
+func (n *fakeNode) take() (batches []int, singles int) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	batches, singles = n.batches, n.singles
+	n.batches, n.singles = nil, 0
+	return batches, singles
+}
+
+// nodeDev is a MemDevice on a fakeNode: a batch-capable leaf.
+type nodeDev struct {
+	*MemDevice
+	node *fakeNode
+	disk int
+}
+
+var _ StripBatcher = (*nodeDev)(nil)
+
+func (d *nodeDev) BatchKey() any { return d.node }
+
+func (d *nodeDev) ReadStrip(idx int64, p []byte) error {
+	d.node.mu.Lock()
+	d.node.singles++
+	d.node.mu.Unlock()
+	return d.MemDevice.ReadStrip(idx, p)
+}
+
+func (d *nodeDev) WriteStrip(idx int64, p []byte) error {
+	d.node.mu.Lock()
+	d.node.singles++
+	d.node.mu.Unlock()
+	return d.MemDevice.WriteStrip(idx, p)
+}
+
+func (d *nodeDev) ReadStrips(ops []StripOp)  { d.batch(ops, false) }
+func (d *nodeDev) WriteStrips(ops []StripOp) { d.batch(ops, true) }
+
+func (d *nodeDev) batch(ops []StripOp, write bool) {
+	d.node.mu.Lock()
+	d.node.batches = append(d.node.batches, len(ops))
+	refuse := d.node.refuse
+	d.node.mu.Unlock()
+	for i := range ops {
+		op := &ops[i]
+		dev := op.Dev.(*nodeDev)
+		switch {
+		case dev.node != d.node:
+			op.Err = fmt.Errorf("op for node %p reached node %p", dev.node, d.node)
+		case refuse != nil && refuse(dev, op.Idx, write) != nil:
+			op.Err = refuse(dev, op.Idx, write)
+		case write:
+			op.Err = dev.MemDevice.WriteStrip(op.Idx, op.Buf)
+		default:
+			op.Err = dev.MemDevice.ReadStrip(op.Idx, op.Buf)
+		}
+	}
+}
+
+// spyLayer is a transparent layer that records each op's outcome per disk,
+// as the engine's probe does.
+type spyLayer struct {
+	Device
+	disk int
+	log  *spyLog
+}
+
+type spyLog struct {
+	mu   sync.Mutex
+	ops  map[int]int
+	errs map[int][]error
+}
+
+func (l *spyLog) take() (ops map[int]int, errs map[int][]error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	ops, errs = l.ops, l.errs
+	l.ops, l.errs = map[int]int{}, map[int][]error{}
+	return ops, errs
+}
+
+var _ StripLayer = spyLayer{}
+
+func (s spyLayer) Under() Device { return s.Device }
+
+func (s spyLayer) ReadStrip(idx int64, p []byte) error {
+	return s.AfterRead(idx, p, 0, s.Device.ReadStrip(idx, p))
+}
+
+func (s spyLayer) WriteStrip(idx int64, p []byte) error {
+	return s.AfterWrite(idx, p, 0, s.Device.WriteStrip(idx, p))
+}
+
+func (s spyLayer) AfterRead(_ int64, _ []byte, _ time.Duration, err error) error {
+	s.log.mu.Lock()
+	defer s.log.mu.Unlock()
+	s.log.ops[s.disk]++
+	if err != nil {
+		s.log.errs[s.disk] = append(s.log.errs[s.disk], err)
+	}
+	return err
+}
+
+func (s spyLayer) AfterWrite(idx int64, p []byte, took time.Duration, err error) error {
+	return s.AfterRead(idx, p, took, err)
+}
+
+// nodeArray is an OI-RAID array over three fakeNodes, disk d on node d%3 as
+// the cluster manifest places them, every device spy(checksum(nodeDev)) — the
+// order a mount builds.
+type nodeArray struct {
+	*Array
+	slots int64
+	nodes [3]*fakeNode
+	leafs []*nodeDev
+	spy   *spyLog
+}
+
+func (na *nodeArray) newLeaf(t testing.TB, d int) *nodeDev {
+	mem, err := NewMemDevice(na.slots, testStrip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &nodeDev{MemDevice: mem, node: na.nodes[d%3], disk: d}
+}
+
+func newNodeArray(t *testing.T, v int) *nodeArray {
+	t.Helper()
+	na := &nodeArray{spy: &spyLog{}}
+	na.spy.take()
+	for i := range na.nodes {
+		na.nodes[i] = &fakeNode{}
+	}
+	an := oiAnalyzer(t, v)
+	na.slots = int64(an.SlotsPerDisk())
+	devs := make([]Device, v)
+	for d := range devs {
+		leaf := na.newLeaf(t, d)
+		na.leafs = append(na.leafs, leaf)
+		devs[d] = spyLayer{Device: NewChecksummedDevice(leaf), disk: d, log: na.spy}
+	}
+	arr, err := NewArray(an, devs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	na.Array = arr
+	return na
+}
+
+// calls drains the nodes' records: the batch calls made, the ops they
+// carried, and the single calls.
+func (na *nodeArray) calls() (batches, ops, singles int) {
+	for _, n := range na.nodes {
+		b, s := n.take()
+		batches, singles = batches+len(b), singles+s
+		for _, k := range b {
+			ops += k
+		}
+	}
+	return batches, ops, singles
+}
+
+// TestBatchCoalescesPerNode: on devices that can batch, a healthy
+// single-strip write is one read batch and one write batch per node its
+// closure touches — 4 calls for a closure on two nodes, 6 on three, 720 over
+// the cycle's 144 data strips instead of 1152 — and every layer still sees
+// each strip op once. A plain strip read stays one single call.
+func TestBatchCoalescesPerNode(t *testing.T) {
+	na := newNodeArray(t, 9)
+	model, err := NewMemArray(na.an, 1, testStrip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, testStrip)
+	strips := na.Capacity() / testStrip
+	total := 0
+	for i := int64(0); i < strips; i++ {
+		for k := range buf {
+			buf[k] = byte(i + int64(k))
+		}
+		target, _ := na.LocateDataStrip(i)
+		nodes := map[int]bool{}
+		for _, st := range na.an.WritePlan(target).Strips {
+			nodes[st.Disk%3] = true
+		}
+		if _, err := na.WriteAt(buf, i*testStrip); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := model.WriteAt(buf, i*testStrip); err != nil {
+			t.Fatal(err)
+		}
+		batches, ops, singles := na.calls()
+		if batches != 2*len(nodes) || ops != 8 || singles != 0 || len(nodes) < 2 {
+			t.Fatalf("write of strip %d (closure on %d nodes): %d batch calls carrying %d ops, %d single calls", i, len(nodes), batches, ops, singles)
+		}
+		seen, errs := na.spy.take()
+		for _, st := range na.an.WritePlan(target).Strips {
+			if seen[st.Disk] != 2 {
+				t.Fatalf("write of strip %d: the layer of disk %d saw %d ops, want a read and a write", i, st.Disk, seen[st.Disk])
+			}
+		}
+		if len(seen) != 4 || len(errs) != 0 {
+			t.Fatalf("write of strip %d: layers of %d disks saw ops, errors %v", i, len(seen), errs)
+		}
+		total += batches
+	}
+	if total != 720 {
+		t.Errorf("%d batch calls for %d writes, want 720", total, strips)
+	}
+	if got, want := hashArray(t, na.Array), hashArray(t, model); got != want {
+		t.Error("content differs from the same writes on an in-memory array")
+	}
+	if batches, _, singles := na.calls(); batches != 0 || singles != int(strips) {
+		t.Errorf("reading %d strips: %d batch calls, %d single calls", strips, batches, singles)
+	}
+	if st, dst := na.Stats(), na.DiskStats(); st.ReadOps != 5*strips || st.WriteOps != 4*strips {
+		t.Errorf("counters: %+v", st)
+	} else {
+		var r, w int64
+		for _, d := range dst {
+			r, w = r+d.ReadOps, w+d.WriteOps
+		}
+		if r != st.ReadOps || w != st.WriteOps {
+			t.Errorf("per-disk counters sum to %d/%d, totals are %d/%d", r, w, st.ReadOps, st.WriteOps)
+		}
+	}
+}
+
+// TestBatchRebuildWindow: a rebuilt cycle gathers in one read batch per
+// surviving node and scatters in one write batch, through both stacking
+// orders (the replacement is checksum(spy(leaf)), as ReplaceDisk builds it),
+// and the result is the pre-failure content.
+func TestBatchRebuildWindow(t *testing.T) {
+	na := newNodeArray(t, 9)
+	want := fillArray(t, na.Array, 41)
+	for failed := 0; failed < 9; failed++ {
+		if err := na.FailDisk(failed); err != nil {
+			t.Fatal(err)
+		}
+		leaf := na.newLeaf(t, failed)
+		if err := na.ReplaceDisk(failed, NewChecksummedDevice(spyLayer{Device: leaf, disk: failed, log: na.spy})); err != nil {
+			t.Fatal(err)
+		}
+		na.calls()
+		na.spy.take()
+		if err := na.Rebuild(); err != nil {
+			t.Fatal(err)
+		}
+		batches, ops, singles := na.calls()
+		slots := na.an.SlotsPerDisk()
+		if batches > 4 || ops != 3*slots || singles != 0 {
+			t.Errorf("rebuild of disk %d: %d batch calls carrying %d ops (want ≤ 4 and %d), %d single calls", failed, batches, ops, 3*slots, singles)
+		}
+		if seen, _ := na.spy.take(); seen[failed] != slots {
+			t.Errorf("rebuild of disk %d: the replacement's layer saw %d writes, want %d", failed, seen[failed], slots)
+		}
+		if got := hashArray(t, na.Array); got != want {
+			t.Fatalf("content differs after rebuilding disk %d", failed)
+		}
+	}
+	if bad, err := na.Scrub(); err != nil || bad != 0 {
+		t.Errorf("scrub: %d bad, %v", bad, err)
+	}
+}
+
+// TestBatchLayerSemantics: inside a batch, a strip corrupted behind its
+// ChecksummedDevice comes back ErrCorrupt for that op alone, is healed
+// through its other stripe and counted once; and an op the node refuses
+// fails alone — the closure commit stays best-effort, the other strips land,
+// and only the refused disk's layer sees an error.
+func TestBatchLayerSemantics(t *testing.T) {
+	na := newNodeArray(t, 9)
+	want := fillArray(t, na.Array, 43)
+	target, _ := na.LocateDataStrip(0)
+	closure := na.an.WritePlan(target).Strips
+	victim := closure[1]
+	buf := make([]byte, testStrip)
+	if err := na.leafs[victim.Disk].MemDevice.ReadStrip(int64(victim.Slot), buf); err != nil {
+		t.Fatal(err)
+	}
+	buf[5] ^= 0x40
+	if err := na.leafs[victim.Disk].MemDevice.WriteStrip(int64(victim.Slot), buf); err != nil {
+		t.Fatal(err)
+	}
+	na.ResetStats()
+	na.spy.take()
+	if _, err := na.ReadAt(buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := na.WriteAt(buf, 0); err != nil { // rewrites strip 0 with its own content
+		t.Fatalf("write over a corrupt closure strip: %v", err)
+	}
+	if st := na.Stats(); st.CorruptStrips != 1 || st.ReadRepairs != 1 {
+		t.Errorf("corrupt closure strip: %+v, want one corrupt strip, one repair", st)
+	}
+	if _, errs := na.spy.take(); len(errs) != 1 || len(errs[victim.Disk]) != 1 || !errors.Is(errs[victim.Disk][0], ErrCorrupt) {
+		t.Errorf("layer errors %v, want one ErrCorrupt on disk %d", errs, victim.Disk)
+	}
+	if got := hashArray(t, na.Array); got != want {
+		t.Fatal("content differs after the heal")
+	}
+
+	// The node of closure[2] refuses that one write. With a journal attached
+	// the redo record stays pending, and the re-sent write replays it through
+	// the executor before it snapshots.
+	na.SetJournal(openTestJournal(t, NewMemBlob(), NewMemBlob(), 9))
+	refused := closure[2]
+	boom := fmt.Errorf("%w: injected", ErrTransient)
+	na.nodes[refused.Disk%3].refuse = func(dev *nodeDev, idx int64, write bool) error {
+		if write && dev.disk == refused.Disk && idx == int64(refused.Slot) {
+			return boom
+		}
+		return nil
+	}
+	for k := range buf {
+		buf[k] = byte(k)
+	}
+	na.spy.take()
+	if _, err := na.WriteAt(buf, 0); !errors.Is(err, boom) {
+		t.Fatalf("write with one refused closure strip: %v", err)
+	}
+	_, errs := na.spy.take()
+	if len(errs) != 1 || len(errs[refused.Disk]) != 1 {
+		t.Errorf("layer errors %v, want one on disk %d", errs, refused.Disk)
+	}
+	got := make([]byte, testStrip)
+	if err := na.leafs[target.Disk].MemDevice.ReadStrip(int64(target.Slot), got); err != nil || string(got) != string(buf) {
+		t.Errorf("the data strip of a half-refused commit did not land (err %v)", err)
+	}
+	if pending, err := na.journal.PendingClosures(); err != nil || len(pending) != 1 {
+		t.Fatalf("pending redo records after the failed commit: %d, %v", len(pending), err)
+	}
+	na.nodes[refused.Disk%3].refuse = nil
+	if _, err := na.WriteAt(buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	if pending, err := na.journal.PendingClosures(); err != nil || len(pending) != 0 {
+		t.Fatalf("pending redo records after the re-sent write: %d, %v", len(pending), err)
+	}
+	if bad, err := na.Scrub(); err != nil || bad != 0 {
+		t.Errorf("scrub after the re-sent write: %d bad, %v", bad, err)
+	}
+}
+
+// TestBatchLeavesOpaqueDevicesAlone: a MirrorDevice has an Inner() for fsck
+// but duplicates writes, so the executor must hand it single calls — every
+// write issued through the executor reaches the migration's destination —
+// while the other disks keep batching.
+func TestBatchLeavesOpaqueDevicesAlone(t *testing.T) {
+	na := newNodeArray(t, 9)
+	fillArray(t, na.Array, 47)
+	const moved = 4
+	dst, err := NewMemDevice(int64(na.an.SlotsPerDisk()), testStrip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The migration's bulk copy, then mirrored foreground writes.
+	buf := make([]byte, testStrip)
+	for idx := int64(0); idx < dst.Strips(); idx++ {
+		if err := na.leafs[moved].MemDevice.ReadStrip(idx, buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := dst.WriteStrip(idx, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mirror, err := na.StartMirror(moved, dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	na.calls()
+	fillArray(t, na.Array, 48)
+	if batches, _, singles := na.calls(); batches == 0 || singles == 0 {
+		t.Errorf("with a mirror on disk %d: %d batch calls, %d single calls; want both", moved, batches, singles)
+	}
+	if mirror.DirtyCount() != 0 {
+		t.Fatalf("%d dirty strips", mirror.DirtyCount())
+	}
+	got := make([]byte, testStrip)
+	for idx := int64(0); idx < dst.Strips(); idx++ {
+		if err := na.leafs[moved].MemDevice.ReadStrip(idx, buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := dst.ReadStrip(idx, got); err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(buf) {
+			t.Fatalf("strip %d: the mirror's destination missed a write issued through the executor", idx)
+		}
+	}
+}
+
+// TestRebuildReadsMatchPlan is E3 on the live array: for every choice of
+// failed disk, the device reads a Rebuild makes on each survivor equal the
+// plan's ReadsPerDisk to the strip, and are the same on every survivor — the
+// uniform reconstruction workload the t-design declustering result proves
+// (arXiv 1209.6152) and internal/sim only simulates. The rebuilt strips are
+// the only writes, all on the replacement.
+func TestRebuildReadsMatchPlan(t *testing.T) {
+	for _, v := range []int{9, 16, 25} {
+		t.Run(fmt.Sprintf("v=%d", v), func(t *testing.T) {
+			arr := newOIArray(t, v)
+			want := fillArray(t, arr, int64(v))
+			checkRebuildReads(t, arr, func(d int) Device {
+				mem, err := NewMemDevice(arr.cycles*int64(arr.an.SlotsPerDisk()), testStrip)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return mem
+			})
+			if got := hashArray(t, arr); got != want {
+				t.Fatal("content differs after the rebuilds")
+			}
+		})
+	}
+	t.Run("batched", func(t *testing.T) {
+		na := newNodeArray(t, 9)
+		want := fillArray(t, na.Array, 9)
+		checkRebuildReads(t, na.Array, func(d int) Device { return na.newLeaf(t, d) })
+		if got := hashArray(t, na.Array); got != want {
+			t.Fatal("content differs after the rebuilds")
+		}
+	})
+}
+
+func checkRebuildReads(t *testing.T, arr *Array, replacement func(d int) Device) {
+	t.Helper()
+	for failed := 0; failed < arr.an.Disks(); failed++ {
+		if err := arr.FailDisk(failed); err != nil {
+			t.Fatal(err)
+		}
+		if err := arr.ReplaceDisk(failed, replacement(failed)); err != nil {
+			t.Fatal(err)
+		}
+		plan := arr.an.Plan([]int{failed}, core.PlanOptions{})
+		arr.ResetStats()
+		if err := arr.Rebuild(); err != nil {
+			t.Fatal(err)
+		}
+		survivor := (failed + 1) % arr.an.Disks()
+		for d, st := range arr.DiskStats() {
+			wantR, wantW := arr.cycles*int64(plan.ReadsPerDisk[d]), int64(0)
+			if d == failed {
+				wantW = arr.cycles * int64(plan.WriteStrips)
+			}
+			if st.ReadOps != wantR || st.WriteOps != wantW {
+				t.Errorf("failed disk %d: disk %d did %d reads / %d writes, the plan says %d / %d", failed, d, st.ReadOps, st.WriteOps, wantR, wantW)
+			}
+			if d != failed && st.ReadOps != arr.DiskStats()[survivor].ReadOps {
+				t.Errorf("failed disk %d: survivor %d read %d strips, survivor %d read %d: the load is not uniform",
+					failed, d, st.ReadOps, survivor, arr.DiskStats()[survivor].ReadOps)
+			}
+		}
+	}
+}
+
+// TestBatchExecutorAllocs pins what routing every multi-strip step through
+// the executor costs an in-process array: nothing. A rebuilt cycle allocates
+// no more than the step's own bookkeeping did before there was an executor,
+// and a cycle of scrub nothing per stripe.
+func TestBatchExecutorAllocs(t *testing.T) {
+	if poolDrops() {
+		t.Skip("sync.Pool drops items in this build (race detector)")
+	}
+	const runs = 20
+	arr, err := NewMemArray(oiAnalyzer(t, 9), runs+4, testStrip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillArray(t, arr, 3)
+	if n := testing.AllocsPerRun(runs, func() {
+		if _, _, err := arr.ScrubStep(1); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 0 {
+		t.Errorf("a scrubbed cycle: %v allocations, want none", n)
+	}
+	if err := arr.FailDisk(2); err != nil {
+		t.Fatal(err)
+	}
+	mem, err := NewMemDevice(arr.cycles*int64(arr.an.SlotsPerDisk()), testStrip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := arr.ReplaceDisk(2, mem); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := arr.RebuildStep(1); err != nil { // computes the plan
+		t.Fatal(err)
+	}
+	// What is left is RebuildStep's list of the failed disks.
+	if n := testing.AllocsPerRun(runs, func() {
+		if _, err := arr.RebuildStep(1); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Errorf("a rebuilt cycle: %v allocations (limit 1)", n)
+	}
+}

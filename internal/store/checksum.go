@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // ErrCorrupt reports a strip whose content failed checksum verification —
@@ -48,7 +49,7 @@ type ChecksummedDevice struct {
 	verified, corrupt atomic.Int64
 }
 
-var _ Device = (*ChecksummedDevice)(nil)
+var _ StripLayer = (*ChecksummedDevice)(nil)
 
 // NewChecksummedDevice wraps dev with volatile (in-memory) checksums.
 func NewChecksummedDevice(dev Device) *ChecksummedDevice {
@@ -74,7 +75,13 @@ func (c *ChecksummedDevice) StripBytes() int { return c.inner.StripBytes() }
 
 // ReadStrip implements Device, verifying the checksum when one is known.
 func (c *ChecksummedDevice) ReadStrip(idx int64, p []byte) error {
-	if err := c.inner.ReadStrip(idx, p); err != nil {
+	return c.AfterRead(idx, p, 0, c.inner.ReadStrip(idx, p))
+}
+
+// AfterRead implements StripLayer: the verification of a strip the inner
+// device read into p.
+func (c *ChecksummedDevice) AfterRead(idx int64, p []byte, _ time.Duration, err error) error {
+	if err != nil {
 		return err
 	}
 	c.mu.RLock()
@@ -101,7 +108,13 @@ func (c *ChecksummedDevice) ReadStripRaw(idx int64, p []byte) error {
 // WriteStrip implements Device, recording the new checksum (durably when
 // journal-backed).
 func (c *ChecksummedDevice) WriteStrip(idx int64, p []byte) error {
-	if err := c.inner.WriteStrip(idx, p); err != nil {
+	return c.AfterWrite(idx, p, 0, c.inner.WriteStrip(idx, p))
+}
+
+// AfterWrite implements StripLayer: the record of the checksum of a strip
+// the inner device stored.
+func (c *ChecksummedDevice) AfterWrite(idx int64, p []byte, _ time.Duration, err error) error {
+	if err != nil {
 		return err
 	}
 	sum := crc32.Checksum(p, castagnoli)
@@ -125,3 +138,6 @@ func (c *ChecksummedDevice) Close() error { return c.inner.Close() }
 // Inner exposes the wrapped device (tests corrupt it behind the wrapper's
 // back to exercise the detection path).
 func (c *ChecksummedDevice) Inner() Device { return c.inner }
+
+// Under implements StripLayer.
+func (c *ChecksummedDevice) Under() Device { return c.inner }

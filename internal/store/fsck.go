@@ -103,62 +103,66 @@ func (a *Array) Fsck(repair bool) (*FsckReport, error) {
 		rep.Issues = append(rep.Issues, is)
 	}
 
-	// The parity pass reads under the checksums, so a (reported) checksum
-	// issue neither masks the parity verdict nor gets healed unasked.
-	raw := func(dev Device, _ int, devStrip int64, p []byte) error {
-		a.stats.readOps.Add(1)
-		if cd := checksummedOf(dev); cd != nil {
-			return cd.ReadStripRaw(devStrip, p)
-		}
-		return dev.ReadStrip(devStrip, p)
-	}
-
-	buf := make([]byte, a.stripBytes)
+	sc := a.getScratch()
+	defer a.putScratch(sc)
+	bufs := sc.strips(min(a.windowStrips(1), len(a.devs)*int(slots)))
 	for cycle := int64(0); cycle < a.cycles; cycle++ {
-		// Pass A: durable checksums, healed from parity when repairing.
-		for d := range a.devs {
-			dev := a.device(d)
-			for slot := int64(0); slot < slots; slot++ {
-				devStrip := cycle*slots + slot
-				rep.StripsChecked++
-				a.stats.readOps.Add(1)
-				err := dev.ReadStrip(devStrip, buf)
-				if err == nil {
-					continue
-				}
-				if !errors.Is(err, ErrCorrupt) {
-					return rep, err
-				}
-				a.stats.corruptStrips.Add(1)
-				rep.ChecksumErrors++
-				is := FsckIssue{Kind: "checksum", Cycle: cycle, Disk: d, Slot: int(slot)}
-				if repair {
-					if herr := a.healStrip(dev, d, devStrip, buf, 0, err); herr == nil {
-						is.Repaired = true
-						rep.Repaired++
-					} else if !errors.Is(herr, ErrCorrupt) {
-						return rep, herr // the write-back failed
-					}
-				}
-				addIssue(is)
+		// Pass A: durable checksums, healed from parity when repairing. The
+		// cycle's strips are read disk by disk, a window's worth per batch.
+		checkSum := func(op *batchOp) error {
+			rep.StripsChecked++
+			a.countRead(op.disk)
+			if op.err == nil {
+				return nil
 			}
+			if !errors.Is(op.err, ErrCorrupt) {
+				return op.err
+			}
+			a.stats.corruptStrips.Add(1)
+			rep.ChecksumErrors++
+			is := FsckIssue{Kind: "checksum", Cycle: cycle, Disk: op.disk, Slot: int(op.idx % slots)}
+			if repair {
+				if herr := a.healStrip(op.dev, op.disk, op.idx, op.buf, 0, op.err); herr == nil {
+					is.Repaired = true
+					rep.Repaired++
+				} else if !errors.Is(herr, ErrCorrupt) {
+					return herr // the write-back failed
+				}
+			}
+			addIssue(is)
+			return nil
+		}
+		ops := sc.opList(len(bufs))
+		for n, total := int64(0), int64(len(a.devs))*slots; n < total; n++ {
+			d := int(n / slots)
+			ops = append(ops, batchOp{dev: a.device(d), disk: d, idx: cycle*slots + n%slots, buf: bufs[len(ops)]})
+			if len(ops) < len(bufs) && n < total-1 {
+				continue
+			}
+			if err := a.readStrips(sc, ops, false, 0, checkSum); err != nil {
+				return rep, err
+			}
+			ops = ops[:0]
 		}
 
-		// Pass B: parity consistency; with repair, parity is recomputed
-		// from data, which the walk's outer-first order makes cascade.
-		err := a.walkStripes(cycle, raw, func(si int, stripe layout.Stripe, shards [][]byte) error {
+		// Pass B: parity consistency, read under the checksums so that a
+		// (reported) checksum issue neither masks the parity verdict nor gets
+		// healed unasked; with repair, parity is recomputed from data, which
+		// the walk's outer-first order makes cascade.
+		err := a.walkStripes(cycle, true, func(si int, stripe layout.Stripe, shards [][]byte) error {
 			rep.ParityErrors++
 			is := FsckIssue{Kind: "parity", Cycle: cycle, Stripe: si, Layer: stripe.Layer.String()}
 			if repair {
 				if err := a.codes[[2]int{stripe.Data, stripe.Parity()}].Encode(shards); err != nil {
 					return err
 				}
+				ops := sc.opList(stripe.Parity())
 				for mi := stripe.Data; mi < len(stripe.Strips); mi++ {
 					st := stripe.Strips[mi]
-					a.stats.writeOps.Add(1)
-					if err := a.device(st.Disk).WriteStrip(cycle*slots+int64(st.Slot), shards[mi]); err != nil {
-						return err
-					}
+					ops = append(ops, batchOp{dev: a.device(st.Disk), disk: st.Disk, idx: cycle*slots + int64(st.Slot), buf: shards[mi]})
+				}
+				if failed := a.writeStrips(sc, ops, false); failed != nil {
+					return failed.err
 				}
 				is.Repaired = true
 				rep.Repaired++

@@ -57,13 +57,16 @@ func (a *Array) replayClosures() (int, error) {
 	return len(replayed), nil
 }
 
-// replayClosure rewrites one record's strips onto their live devices. A
-// strip on a failed disk is skipped — the live stripes carry its content
-// and the rebuild reconstructs it — and so is a stale record from a
+// replayClosure rewrites one record's strips onto their live devices, as one
+// batch. A strip on a failed disk is skipped — the live stripes carry its
+// content and the rebuild reconstructs it — and so is a stale record from a
 // different geometry. A write error names the strip. Caller holds mu (or
 // the striped locks covering the closure).
 func (a *Array) replayClosure(pc PendingClosure) error {
 	slots := int64(a.an.SlotsPerDisk())
+	sc := a.getScratch()
+	defer a.putScratch(sc)
+	ops := sc.opList(len(pc.Strips))
 	for _, su := range pc.Strips {
 		if su.Disk < 0 || su.Disk >= len(a.devs) ||
 			su.Slot < 0 || int64(su.Slot) >= slots ||
@@ -72,14 +75,12 @@ func (a *Array) replayClosure(pc PendingClosure) error {
 			continue
 		}
 		devStrip := pc.Cycle*slots + int64(su.Slot)
-		dev := a.liveDevice(su.Disk, devStrip)
-		if dev == nil {
-			continue
+		if dev := a.liveDevice(su.Disk, devStrip); dev != nil {
+			ops = append(ops, batchOp{dev: dev, disk: su.Disk, idx: devStrip, buf: su.Data})
 		}
-		a.stats.writeOps.Add(1)
-		if err := dev.WriteStrip(devStrip, su.Data); err != nil {
-			return fmt.Errorf("strip (%d,%d) of cycle %d: %w", su.Disk, su.Slot, pc.Cycle, err)
-		}
+	}
+	if failed := a.writeStrips(sc, ops, false); failed != nil {
+		return fmt.Errorf("strip (%d,%d) of cycle %d: %w", failed.disk, failed.idx%slots, pc.Cycle, failed.err)
 	}
 	return nil
 }

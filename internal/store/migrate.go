@@ -157,6 +157,7 @@ func (a *Array) StartMirror(d int, dst Device) (*MirrorDevice, error) {
 	}
 	m := NewMirrorDevice(a.devs[d], dst)
 	a.devs[d] = m
+	a.noteDevices()
 	return m, nil
 }
 
@@ -184,6 +185,7 @@ func (a *Array) DropMirror(d int) error {
 		return nil
 	}
 	a.devs[d] = m.src
+	a.noteDevices()
 	return nil
 }
 
@@ -215,5 +217,6 @@ func (a *Array) SwapDisk(d int, dev Device) error {
 		dev = NewDurableChecksummedDevice(dev, d, a.meta.Journal().Sums(d), a.meta.Journal())
 	}
 	a.devs[d] = dev
+	a.noteDevices()
 	return nil
 }

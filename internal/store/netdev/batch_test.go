@@ -1,0 +1,392 @@
+package netdev
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync/atomic"
+	"testing"
+
+	"github.com/oiraid/oiraid/internal/store"
+)
+
+// countingRT counts round trips by URL path.
+type countingRT struct {
+	inner http.RoundTripper
+	all   atomic.Int64
+	batch atomic.Int64 // of them, to /node/v1/strips/…
+}
+
+func (rt *countingRT) RoundTrip(r *http.Request) (*http.Response, error) {
+	rt.all.Add(1)
+	if strings.HasPrefix(r.URL.Path, "/node/v1/strips/") {
+		rt.batch.Add(1)
+	}
+	return rt.inner.RoundTrip(r)
+}
+
+// stripOf is the test content of strip idx of the device with the given tag.
+func stripOf(tag byte, idx int64, n int) []byte {
+	p := bytes.Repeat([]byte{tag}, n)
+	p[0] = byte(idx)
+	return p
+}
+
+// batchFixture is one node with two devices of different strip sizes behind
+// a counting, fault-injecting transport.
+type batchFixture struct {
+	n      *Node
+	c      *NodeClient
+	ft     *FaultTransport
+	rt     *countingRT
+	d0, d1 *NetDevice
+}
+
+func newBatchFixture(t *testing.T) *batchFixture {
+	t.Helper()
+	n, srv := startNode(t, "n0")
+	f := &batchFixture{n: n, ft: NewFaultTransport(nil, 11)}
+	f.rt = &countingRT{inner: f.ft}
+	opts := fastOpts()
+	opts.Transport = f.rt
+	f.c = NewNodeClient(srv.URL, opts)
+	t.Cleanup(func() { f.c.Close() })
+	var err error
+	if f.d0, err = f.c.CreateDevice("d0", 8, 512); err != nil {
+		t.Fatal(err)
+	}
+	if f.d1, err = f.c.CreateDevice("d1", 8, 1024); err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// ops builds one op per strip index on dev, reading into fresh buffers or
+// writing the strips' test content.
+func (f *batchFixture) ops(dev *NetDevice, tag byte, write bool, idxs ...int64) []store.StripOp {
+	var ops []store.StripOp
+	for _, idx := range idxs {
+		buf := make([]byte, dev.StripBytes())
+		if write {
+			buf = stripOf(tag, idx, dev.StripBytes())
+		}
+		ops = append(ops, store.StripOp{Dev: dev, Idx: idx, Buf: buf})
+	}
+	return ops
+}
+
+// TestBatchRoundTrip: strips of two devices of one node, of different strip
+// sizes, are written in one RPC and read back in one, each in its own frame.
+func TestBatchRoundTrip(t *testing.T) {
+	f := newBatchFixture(t)
+	w := append(f.ops(f.d0, 0xA0, true, 0, 3, 5), f.ops(f.d1, 0xB0, true, 1, 2)...)
+	before := f.rt.all.Load()
+	f.d0.WriteStrips(w)
+	for i, op := range w {
+		if op.Err != nil {
+			t.Fatalf("write op %d: %v", i, op.Err)
+		}
+	}
+	r := append(f.ops(f.d1, 0, false, 2, 1), f.ops(f.d0, 0, false, 5, 0, 3)...)
+	f.d1.ReadStrips(r)
+	if got := f.rt.all.Load() - before; got != 2 || f.rt.batch.Load() != 2 {
+		t.Errorf("5 writes and 5 reads took %d RPCs (%d batch), want 2", got, f.rt.batch.Load())
+	}
+	for i, op := range r {
+		tag := byte(0xA0)
+		if op.Dev == store.Device(f.d1) {
+			tag = 0xB0
+		}
+		if op.Err != nil || !bytes.Equal(op.Buf, stripOf(tag, op.Idx, len(op.Buf))) {
+			t.Errorf("read op %d (strip %d): err %v, content % x…", i, op.Idx, op.Err, op.Buf[:4])
+		}
+	}
+	// The single-strip endpoints see the same media.
+	got := make([]byte, 512)
+	if err := f.d0.ReadStrip(3, got); err != nil || !bytes.Equal(got, stripOf(0xA0, 3, 512)) {
+		t.Errorf("single read of a batch-written strip: %v", err)
+	}
+}
+
+// TestBatchPerItemErrors: a device the node does not serve, a strip out of
+// range and a wrong-sized buffer each fail their own op with the sentinel a
+// single call would return; the batch's other ops succeed.
+func TestBatchPerItemErrors(t *testing.T) {
+	f := newBatchFixture(t)
+	ghost := f.c.Device("ghost", 8, 512)
+	far := f.c.Device("d0", 64, 512) // bound blind to a geometry the node does not have
+	for _, write := range []bool{true, false} {
+		ops := f.ops(f.d0, 0xC0, write, 1)
+		ops = append(ops, f.ops(ghost, 0xC0, write, 1)...)
+		ops = append(ops, f.ops(far, 0xC0, write, 40)...)
+		ops = append(ops, store.StripOp{Dev: f.d0, Idx: 2, Buf: make([]byte, 100)})
+		ops = append(ops, f.ops(f.d1, 0xC1, write, 7)...)
+		before := f.rt.all.Load()
+		if write {
+			f.d0.WriteStrips(ops)
+		} else {
+			f.d0.ReadStrips(ops)
+		}
+		if got := f.rt.all.Load() - before; got != 1 {
+			t.Errorf("write=%v: %d RPCs, want 1 (no retry for per-item verdicts)", write, got)
+		}
+		for i, want := range []error{nil, ErrNodeNotFound, store.ErrStripOutOfRange, store.ErrShortBuffer, nil} {
+			if got := ops[i].Err; !errors.Is(got, want) || (want == nil && got != nil) {
+				t.Errorf("write=%v op %d: %v, want %v", write, i, got, want)
+			}
+		}
+		if !write && (!bytes.Equal(ops[0].Buf, stripOf(0xC0, 1, 512)) || !bytes.Equal(ops[4].Buf, stripOf(0xC1, 7, 1024))) {
+			t.Error("the good items of a batch with failed ones came back damaged")
+		}
+	}
+	if f.c.Down() {
+		t.Error("per-item verdicts marked the node down")
+	}
+}
+
+// TestBatchTornResponseRetried: a truncated batch response fails the codec's
+// checksums and the whole batch is sent again.
+func TestBatchTornResponseRetried(t *testing.T) {
+	f := newBatchFixture(t)
+	f.d0.WriteStrips(f.ops(f.d0, 0xD0, true, 0, 1, 2, 3))
+	f.ft.SetTorn(2)
+	for round := 0; round < 6; round++ {
+		ops := f.ops(f.d0, 0, false, 0, 1, 2, 3)
+		f.d0.ReadStrips(ops)
+		for _, op := range ops {
+			if op.Err != nil || !bytes.Equal(op.Buf, stripOf(0xD0, op.Idx, 512)) {
+				t.Fatalf("round %d strip %d under torn responses: %v", round, op.Idx, op.Err)
+			}
+		}
+	}
+	if f.c.Stats().Retries == 0 {
+		t.Error("no retries recorded under torn responses")
+	}
+}
+
+// TestBatchPartition: a transport failure lands on every op of the batch, as
+// store.ErrUnreachable; an asymmetric partition's writes land unacknowledged
+// and the re-sent batch is an idempotent rewrite.
+func TestBatchPartition(t *testing.T) {
+	f := newBatchFixture(t)
+	f.ft.SetPartition(PartDrop)
+	ops := append(f.ops(f.d0, 0xE0, true, 0, 1), f.ops(f.d1, 0xE1, true, 0)...)
+	f.d0.WriteStrips(ops)
+	for i, op := range ops {
+		if !errors.Is(op.Err, store.ErrUnreachable) {
+			t.Errorf("op %d under a full partition: %v, want ErrUnreachable", i, op.Err)
+		}
+	}
+
+	f = newBatchFixture(t)
+	f.ft.SetPartition(PartAsym)
+	ops = f.ops(f.d0, 0xE2, true, 4, 5)
+	f.d0.WriteStrips(ops)
+	if !errors.Is(ops[0].Err, store.ErrUnreachable) || !errors.Is(ops[1].Err, store.ErrUnreachable) {
+		t.Fatalf("a batch whose ack was dropped: %v, %v, want ErrUnreachable", ops[0].Err, ops[1].Err)
+	}
+	got := make([]byte, 512)
+	for _, idx := range []int64{4, 5} {
+		if err := f.n.devs["d0"].ReadStrip(idx, got); err != nil || !bytes.Equal(got, stripOf(0xE2, idx, 512)) {
+			t.Errorf("strip %d of the unacked batch did not land on the node: err %v", idx, err)
+		}
+	}
+	f.ft.SetPartition(PartNone)
+	f.d0.WriteStrips(ops)
+	if ops[0].Err != nil || ops[1].Err != nil {
+		t.Errorf("re-sent batch: %v, %v", ops[0].Err, ops[1].Err)
+	}
+}
+
+// TestBatchFencing: a deposed coordinator's write batch is refused whole with
+// ErrStaleEpoch and nothing lands; its read batch still works.
+func TestBatchFencing(t *testing.T) {
+	_, srv := startNode(t, "n0")
+	client := func(epoch uint64) *NodeClient {
+		c := NewNodeClient(srv.URL, fastOpts())
+		t.Cleanup(func() { c.Close() })
+		tok := &FenceToken{}
+		tok.Advance(epoch)
+		c.SetFence(tok)
+		return c
+	}
+	cur, stale := client(5), client(4)
+	if err := cur.AcquireLease(5, "coord-b"); err != nil {
+		t.Fatal(err)
+	}
+	dev, err := cur.CreateDevice("d0", 8, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := &batchFixture{}
+	dev.WriteStrips(f.ops(dev, 0x10, true, 0, 1))
+	sdev := stale.Device("d0", 8, 512)
+	ops := f.ops(sdev, 0x20, true, 0, 1)
+	sdev.WriteStrips(ops)
+	for i, op := range ops {
+		if !errors.Is(op.Err, store.ErrStaleEpoch) {
+			t.Errorf("stale write op %d: %v, want ErrStaleEpoch", i, op.Err)
+		}
+	}
+	got := f.ops(sdev, 0, false, 0, 1)
+	sdev.ReadStrips(got)
+	for _, op := range got {
+		if op.Err != nil || !bytes.Equal(op.Buf, stripOf(0x10, op.Idx, 512)) {
+			t.Errorf("strip %d after a fenced batch: err %v, content % x…", op.Idx, op.Err, op.Buf[:2])
+		}
+	}
+}
+
+// TestBatchSplitsAtCap: a group larger than one message may be is sent as
+// several, and every op still gets its answer.
+func TestBatchSplitsAtCap(t *testing.T) {
+	f := newBatchFixture(t)
+	const strips, stripBytes = 72, 64 << 10 // 4.5 MiB of payload
+	big, err := f.c.CreateDevice("big", strips, stripBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var idxs []int64
+	for i := int64(0); i < strips; i++ {
+		idxs = append(idxs, i)
+	}
+	before := f.rt.batch.Load()
+	big.WriteStrips(f.ops(big, 0x30, true, idxs...))
+	got := f.ops(big, 0, false, idxs...)
+	big.ReadStrips(got)
+	if n := f.rt.batch.Load() - before; n != 4 {
+		t.Errorf("%d batch RPCs for %d MiB each way under a %d MiB cap, want 4", n, strips*stripBytes>>20, batchMaxBytes>>20)
+	}
+	for _, op := range got {
+		if op.Err != nil || !bytes.Equal(op.Buf, stripOf(0x30, op.Idx, stripBytes)) {
+			t.Fatalf("strip %d: err %v", op.Idx, op.Err)
+		}
+	}
+}
+
+// TestBatchNodeRefusesDamage drives the batch handlers with what a client
+// never sends: a message whose trailer or frame checksum does not verify, a
+// write item without its frame, and a read request whose answer would not
+// fit a message.
+func TestBatchNodeRefusesDamage(t *testing.T) {
+	f := newBatchFixture(t)
+	post := func(path string, body []byte) (int, string) {
+		resp, err := http.Post(f.c.Base()+path, octetStream, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		return resp.StatusCode, resp.Header.Get("X-Oiraid-Err")
+	}
+	good := encodeBatch(kindWriteReq, []batchItem{{Dev: "d0", Strip: 1, Payload: stripOf(0x40, 1, 512)}}, nil)
+	for name, at := range map[string]int{"trailer": len(good) - 1, "payload": len(good) - 100, "name": batchHeaderLen + 1} {
+		bad := bytes.Clone(good)
+		bad[at] ^= 0x01
+		if status, code := post("/node/v1/strips/write", bad); status != http.StatusBadRequest || code != "bad-frame" {
+			t.Errorf("flipped %s byte: %d %q, want 400 bad-frame", name, status, code)
+		}
+	}
+	got := make([]byte, 512)
+	if err := f.d0.ReadStrip(1, got); err != nil || !bytes.Equal(got, make([]byte, 512)) {
+		t.Errorf("a refused batch reached the strip: err %v", err)
+	}
+	// A write item without its frame fails alone, as a caller's bug.
+	mixed := []batchItem{{Dev: "d0", Strip: 2}, {Dev: "d0", Strip: 3, Payload: stripOf(0x41, 3, 512)}}
+	resp, err := http.Post(f.c.Base()+"/node/v1/strips/write", octetStream, bytes.NewReader(encodeBatch(kindWriteReq, mixed, nil)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if answer, err := decodeBatch(body, kindWriteResp, 0); err != nil || len(answer) != 2 || answer[0].Code != "short-buffer" || answer[1].Code != "" {
+		t.Errorf("a frameless write item: %+v, err %v", answer, err)
+	}
+	if status, _ := post("/node/v1/strips/write", encodeBatch(kindReadReq, []batchItem{{Dev: "d0", Strip: 1}}, nil)); status != http.StatusBadRequest {
+		t.Errorf("a read request on the write endpoint: %d, want 400", status)
+	}
+	// 4097 reads of 1 KiB strips: a small request, an answer past the cap.
+	many := make([]batchItem, batchMaxBytes/1024+1)
+	for i := range many {
+		many[i] = batchItem{Dev: "d1", Strip: int64(i % 8)}
+	}
+	if status, code := post("/node/v1/strips/read", encodeBatch(kindReadReq, many, nil)); status != http.StatusBadRequest || code != "bad-geometry" {
+		t.Errorf("read batch past the response cap: %d %q, want 400 bad-geometry", status, code)
+	}
+}
+
+// TestBatchCodec: every kind round-trips, and the decoder holds a message to
+// its kind, its frames to the kind's op and the item's strip.
+func TestBatchCodec(t *testing.T) {
+	items := []batchItem{
+		{Dev: "disk00", Strip: 7, Payload: []byte("seven")},
+		{Dev: "d", Strip: 1 << 40, Code: "not-found", Msg: "netdev: no such device"},
+		{Dev: "disk02", Strip: 0, Payload: []byte{}},
+	}
+	for _, kind := range []byte{kindReadResp, kindWriteReq} {
+		b := encodeBatch(kind, items, nil)
+		got, err := decodeBatch(b, kind, 16)
+		if err != nil {
+			t.Fatalf("kind %d: %v", kind, err)
+		}
+		for i := range items {
+			if got[i].Dev != items[i].Dev || got[i].Strip != items[i].Strip || got[i].Code != items[i].Code ||
+				got[i].Msg != items[i].Msg || !bytes.Equal(got[i].Payload, items[i].Payload) || (got[i].Payload == nil) != (items[i].Payload == nil) {
+				t.Errorf("kind %d item %d: %+v, want %+v", kind, i, got[i], items[i])
+			}
+		}
+		if _, err := decodeBatch(b, kind^0x01, 16); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("kind %d decoded as %d: %v", kind, kind^0x01, err)
+		}
+		if _, err := decodeBatch(b, kind, 4); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("kind %d: payload past the bound accepted: %v", kind, err)
+		}
+	}
+	// A frame where the kind carries none.
+	b := encodeBatch(kindWriteReq, items, nil)
+	b[5] = kindWriteResp
+	if _, err := decodeBatch(b, kindWriteResp, 16); !errors.Is(err, ErrBadFrame) {
+		t.Errorf("frames in a write response: %v", err)
+	}
+}
+
+// BenchmarkNetDeviceBatch is one batch RPC of n 4 KiB strips against an
+// in-process node over loopback HTTP; BenchmarkNetDeviceStrip is the strip
+// that travels alone.
+func BenchmarkNetDeviceBatch(b *testing.B) {
+	srv := httptest.NewServer(NewMemNode("n0").Handler())
+	defer srv.Close()
+	c := NewNodeClient(srv.URL, Options{})
+	defer c.Close()
+	dev, err := c.CreateDevice("d0", 64, 4096)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, dir := range []string{"read", "write"} {
+		for _, n := range []int{1, 2, 4, 36} {
+			b.Run(fmt.Sprintf("%s/%d", dir, n), func(b *testing.B) {
+				ops := make([]store.StripOp, n)
+				for i := range ops {
+					ops[i] = store.StripOp{Dev: dev, Idx: int64(i), Buf: make([]byte, 4096)}
+				}
+				b.SetBytes(int64(n) * 4096)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if dir == "read" {
+						dev.ReadStrips(ops)
+					} else {
+						dev.WriteStrips(ops)
+					}
+					for k := range ops {
+						if ops[k].Err != nil {
+							b.Fatal(ops[k].Err)
+						}
+					}
+				}
+			})
+		}
+	}
+}

@@ -44,3 +44,45 @@ func FuzzFrameDecode(f *testing.F) {
 		}
 	})
 }
+
+// FuzzBatchDecode is FuzzFrameDecode for the batch codec: a message the
+// decoder accepts re-encodes to exactly the bytes that came in, under every
+// kind, and no accepted frame exceeds the payload bound.
+func FuzzBatchDecode(f *testing.F) {
+	items := []batchItem{
+		{Dev: "disk00", Strip: 7, Payload: []byte("some strip payload")},
+		{Dev: "disk03", Strip: 1 << 40, Code: "not-found", Msg: "netdev: no such device or blob on node"},
+		{Dev: "d", Strip: 0, Payload: []byte{}},
+	}
+	good := encodeBatch(kindReadResp, items, nil)
+	f.Add(good, byte(kindReadResp), 64)
+	f.Add(encodeBatch(kindWriteReq, items, nil), byte(kindWriteReq), 64)
+	f.Add(encodeBatch(kindReadReq, []batchItem{{Dev: "disk00", Strip: 3}, {Dev: "disk01", Strip: 4}}, nil), byte(kindReadReq), 0)
+	f.Add(encodeBatch(kindWriteResp, nil, nil), byte(kindWriteResp), 0)
+	f.Add([]byte{}, byte(kindReadReq), 0)
+	f.Add([]byte("oSTB"), byte(kindReadReq), 16)
+	f.Add(good[:len(good)-1], byte(kindReadResp), 64)
+	f.Add(good[:batchHeaderLen], byte(kindReadResp), 64)
+	f.Add(append(bytes.Clone(good), 0x00), byte(kindReadResp), 64)
+	huge := bytes.Clone(good)
+	huge[8], huge[9] = 0xFF, 0xFF // an item count no message could hold
+	f.Add(huge, byte(kindReadResp), 64)
+
+	f.Fuzz(func(t *testing.T, data []byte, kind byte, maxPayload int) {
+		if maxPayload < -1 || maxPayload > 1<<20 {
+			maxPayload = 1 << 20
+		}
+		got, err := decodeBatch(data, kind, maxPayload)
+		if err != nil {
+			return
+		}
+		for i, it := range got {
+			if maxPayload >= 0 && len(it.Payload) > maxPayload {
+				t.Fatalf("item %d: decoder accepted %d payload bytes past bound %d", i, len(it.Payload), maxPayload)
+			}
+		}
+		if out := encodeBatch(kind, got, nil); !bytes.Equal(out, data) {
+			t.Fatalf("accepted batch does not round-trip: in %d bytes, out %d bytes", len(data), len(out))
+		}
+	})
+}

@@ -285,6 +285,8 @@ func (n *Node) Handler() http.Handler {
 	mux.HandleFunc("PUT /node/v1/devices/{dev}/strips/{idx}", n.handleWriteStrip)
 	mux.HandleFunc("PUT /node/v1/devices/{dev}/range", n.handleWriteRange)
 	mux.HandleFunc("GET /node/v1/devices/{dev}/sums", n.handleStripSums)
+	mux.HandleFunc("POST /node/v1/strips/read", n.handleReadStrips)
+	mux.HandleFunc("POST /node/v1/strips/write", n.handleWriteStrips)
 	mux.HandleFunc("POST /node/v1/blobs/{name}", n.handleCreateBlob)
 	mux.HandleFunc("DELETE /node/v1/blobs/{name}", n.handleDeleteBlob)
 	mux.HandleFunc("GET /node/v1/blobs/{name}", n.handleReadBlob)
@@ -474,6 +476,21 @@ func rangeBounds(dev store.Device, start int64, count int) error {
 	return nil
 }
 
+// readCapped reads the body of a bulk request (strip range, strip batch) into
+// one buffer sized from its Content-Length. A body over max is the sender's
+// bug, not the wire's, and is refused as such — on its declared length before
+// anything is allocated, or, when the length is undeclared, once it has run
+// past the bound.
+func readCapped(r *http.Request, max int) ([]byte, error) {
+	if r.ContentLength <= int64(max) {
+		body, err := readSized(r.Body, r.ContentLength, max)
+		if err != nil || len(body) <= max {
+			return body, err
+		}
+	}
+	return nil, fmt.Errorf("%w: request body exceeds the %d-byte cap", store.ErrBadGeometry, max)
+}
+
 // handleWriteRange lands a contiguous run of strips in one request — the
 // bulk write half of strip migration. Fenced like every mutating
 // endpoint, and the body checksum must verify before any strip touches
@@ -491,9 +508,9 @@ func (n *Node) handleWriteRange(w http.ResponseWriter, r *http.Request) {
 		failAs(w, store.ErrBadGeometry, err)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, rangeMaxBytes+1))
+	body, err := readCapped(r, rangeMaxBytes)
 	if err != nil {
-		fail(w, fmt.Errorf("%w: %v", ErrBadFrame, err))
+		fail(w, err)
 		return
 	}
 	sb := dev.StripBytes()
@@ -517,6 +534,131 @@ func (n *Node) handleWriteRange(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	w.WriteHeader(http.StatusNoContent)
+}
+
+// readBatch reads and decodes a batch request of the given kind, answering
+// the failure itself: a message that did not survive the wire is refused
+// whole — retryably — before anything it names is touched.
+func readBatch(w http.ResponseWriter, r *http.Request, kind byte) ([]batchItem, bool) {
+	body, err := readCapped(r, batchMaxBytes)
+	var items []batchItem
+	if err == nil {
+		items, err = decodeBatch(body, kind, batchMaxBytes)
+	}
+	if err != nil {
+		fail(w, err)
+	}
+	return items, err == nil
+}
+
+// batchDevice resolves a batch item's device.
+func (n *Node) batchDevice(name string) (store.Device, error) {
+	n.mu.RLock()
+	dev, ok := n.devs[name]
+	n.mu.RUnlock()
+	if !ok {
+		return nil, fmt.Errorf("%w: device %s", ErrNodeNotFound, name)
+	}
+	return dev, nil
+}
+
+// verdict records err as a response item's catalogue code and text.
+func (it *batchItem) verdict(err error) {
+	it.Code, it.Msg, it.Payload = Catalogue.Encode(err).Code, err.Error(), nil
+}
+
+// writeBatch answers with a batch message.
+func writeBatch(w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Type", octetStream)
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.Write(body)
+}
+
+// handleReadStrips serves a batch of strip reads, of any of the node's
+// devices, in one response: every item answered in place with the strip in a
+// frame of its own, or with the catalogue code a single read would have
+// failed with — one missing device or bad index fails that item alone.
+func (n *Node) handleReadStrips(w http.ResponseWriter, r *http.Request) {
+	items, ok := readBatch(w, r, kindReadReq)
+	if !ok {
+		return
+	}
+	devs, widest, size := make([]store.Device, len(items)), 0, batchHeaderLen+batchTrailer
+	for i := range items {
+		it := &items[i]
+		it.Code, it.Msg = "", ""
+		var err error
+		if devs[i], err = n.batchDevice(it.Dev); err != nil {
+			it.verdict(err)
+		} else {
+			widest = max(widest, devs[i].StripBytes())
+			size += FrameHeaderLen + devs[i].StripBytes()
+		}
+		size += it.wireSize()
+	}
+	if size > batchMaxBytes {
+		fail(w, fmt.Errorf("%w: a response of %d bytes exceeds the %d-byte batch cap", store.ErrBadGeometry, size, batchMaxBytes))
+		return
+	}
+	// Lay the response out as if every read will succeed and read each strip
+	// into its frame; only when one fails is the message built again around
+	// the verdicts, from the strips already read.
+	blank := make([]byte, widest)
+	for i, dev := range devs {
+		if dev != nil {
+			items[i].Payload = blank[:dev.StripBytes()]
+		}
+	}
+	var errs []error
+	body := encodeBatch(kindReadResp, items, func(i int, p []byte) {
+		if err := devs[i].ReadStrip(items[i].Strip, p); err != nil {
+			if errs == nil {
+				errs = make([]error, len(items))
+			}
+			errs[i] = err
+		}
+	})
+	if errs != nil {
+		for i, err := range errs {
+			if err != nil {
+				items[i].verdict(err)
+			}
+		}
+		body = encodeBatch(kindReadResp, items, nil)
+	}
+	writeBatch(w, body)
+}
+
+// handleWriteStrips lands a batch of strip writes in one request. Fenced
+// like a single write, and every frame's checksum has verified before the
+// first strip touches media, so a torn message places nothing. The items
+// are written in order; one that fails does not stop the ones after it —
+// the commit of a parity closure is best-effort across the whole closure
+// (store.Array) — and carries its own code back.
+func (n *Node) handleWriteStrips(w http.ResponseWriter, r *http.Request) {
+	if !n.fenceOK(w, r) {
+		return
+	}
+	items, ok := readBatch(w, r, kindWriteReq)
+	if !ok {
+		return
+	}
+	for i := range items {
+		it := &items[i]
+		dev, err := n.batchDevice(it.Dev)
+		switch {
+		case err != nil:
+		case it.Payload == nil || len(it.Payload) != dev.StripBytes():
+			err = fmt.Errorf("%w: %d payload bytes, strip is %d", store.ErrShortBuffer, len(it.Payload), dev.StripBytes())
+		default:
+			err = dev.WriteStrip(it.Strip, it.Payload)
+		}
+		it.Code, it.Msg, it.Payload = "", "", nil
+		if err != nil {
+			it.verdict(err)
+		}
+	}
+	writeBatch(w, encodeBatch(kindWriteResp, items, nil))
 }
 
 // handleStripSums serves per-strip CRC-32C checksums for a range — the

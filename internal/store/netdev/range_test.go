@@ -3,8 +3,12 @@ package netdev
 import (
 	"bytes"
 	"errors"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
+	"github.com/oiraid/oiraid/internal/retry"
 	"github.com/oiraid/oiraid/internal/store"
 )
 
@@ -158,4 +162,67 @@ func TestNetDeviceRangeFencing(t *testing.T) {
 	if _, err := cur.OpenDevice("d0"); !errors.Is(err, ErrNodeNotFound) {
 		t.Fatalf("open after delete: %v", err)
 	}
+}
+
+// TestWriteRangeBodySizing: the range handler reads its body into one buffer
+// sized from the declared length, and a body over the cap — declared, or
+// chunked and running past it — is refused as over the bound before any strip
+// is touched, not as a strip-size mismatch.
+func TestWriteRangeBodySizing(t *testing.T) {
+	n, srv := startNode(t, "n0")
+	c := NewNodeClient(srv.URL, fastOpts())
+	defer c.Close()
+	const stripBytes = 1 << 16
+	dev, err := c.CreateDevice("d0", 4, stripBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	put := func(length int64, body io.Reader) (status int, code string) {
+		t.Helper()
+		req := httptest.NewRequest(http.MethodPut, dev.rangeURL("start=0"), body)
+		req.ContentLength = length
+		rec := httptest.NewRecorder()
+		n.Handler().ServeHTTP(rec, req)
+		return rec.Code, rec.Header().Get(retry.Header)
+	}
+	want := bytes.Repeat([]byte{0x7E}, 2*stripBytes)
+	if status, code := put(-1, bytes.NewReader(want)); status != http.StatusNoContent {
+		t.Fatalf("chunked range write: status %d (%s)", status, code)
+	}
+	if got := readStrips(t, dev, 0, 2); !bytes.Equal(got, want) {
+		t.Fatal("strips after a chunked range write differ")
+	}
+	// A declared length no machine can honour: refused unread.
+	if status, code := put(1<<50, untouched{t}); status != http.StatusBadRequest || code != "bad-geometry" {
+		t.Errorf("declared length past the cap: status %d code %q, want 400 bad-geometry", status, code)
+	}
+	if status, code := put(rangeMaxBytes+1, untouched{t}); status != http.StatusBadRequest || code != "bad-geometry" {
+		t.Errorf("declared length one past the cap: status %d code %q, want 400 bad-geometry", status, code)
+	}
+	// Length unknown and endless: read up to the cap and no further.
+	endless := &countingReader{r: zeroReader{}}
+	if status, code := put(-1, endless); status != http.StatusBadRequest || code != "bad-geometry" {
+		t.Errorf("chunked body past the cap: status %d code %q, want 400 bad-geometry", status, code)
+	}
+	if endless.n > rangeMaxBytes+1 {
+		t.Errorf("an endless body was read for %d bytes, the cap is %d", endless.n, rangeMaxBytes)
+	}
+	// A body shorter than it declares is a damaged transfer.
+	if status, code := put(int64(len(want)), bytes.NewReader(want[:len(want)-1])); status != http.StatusBadRequest || code != "bad-frame" {
+		t.Errorf("body shorter than declared: status %d code %q, want 400 bad-frame", status, code)
+	}
+	if got := readStrips(t, dev, 0, 2); !bytes.Equal(got, want) {
+		t.Error("a refused range write reached the strips")
+	}
+}
+
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
 }

@@ -29,6 +29,7 @@ func (a *Array) ReplaceDisk(d int, dev Device) error {
 		dev = NewDurableChecksummedDevice(dev, d, nil, a.meta.Journal())
 	}
 	a.replaced[d] = dev
+	a.noteDevices()
 	// A fresh device is not the disk that earned the quarantine: clear
 	// any read-avoid mark left from before the eviction so reads use the
 	// replacement directly once its cycles rebuild.
@@ -133,6 +134,7 @@ func (a *Array) RebuildStep(batch int64) (done bool, err error) {
 		a.replaced[d] = nil
 		a.failed[d] = false
 	}
+	a.noteDevices()
 	a.rebuiltCycles = 0
 	if a.meta != nil {
 		// Completion is acknowledged only once the cleared failed set is
@@ -148,35 +150,62 @@ func (a *Array) RebuildStep(batch int64) (done bool, err error) {
 	return true, nil
 }
 
-// rebuildCycle executes the plan's tasks for one cycle, writing each
-// reconstructed strip to its disk's replacement; a later phase reads an
-// earlier phase's output back from there.
+// rebuildCycle executes the plan's tasks for one cycle, a window of
+// same-phase tasks at a time: gather the window's sources as one batch,
+// decode each task, scatter the rebuilt strips to the replacements as one
+// batch. A phase's tasks are independent of one another and read only what
+// survived or what an earlier phase rebuilt, and Tasks is in phase order — so
+// by the time a phase gathers, everything it reads from a replacement has
+// been written there.
 func (a *Array) rebuildCycle(cycle int64, plan *core.Plan) error {
 	base := cycle * int64(a.an.SlotsPerDisk())
-	rebuilt := make(map[layout.Strip]bool) // written this cycle
-	earlier := func(st layout.Strip, p []byte) (bool, error) {
-		if !a.failed[st.Disk] {
-			return false, nil
+	stripes := a.sch.Stripes()
+	sc := a.getScratch()
+	defer a.putScratch(sc)
+	limit := a.windowStrips(0) // nothing to coalesce: one task per window
+	for lo := 0; lo < len(plan.Tasks); {
+		hi, strips := lo, 0
+		for hi < len(plan.Tasks) && plan.Tasks[hi].Phase == plan.Tasks[lo].Phase {
+			width := len(stripes[plan.Tasks[hi].Via].Strips)
+			if hi > lo && strips+width > limit {
+				break
+			}
+			strips += width
+			hi++
 		}
-		if !rebuilt[st] {
-			return true, fmt.Errorf("store: internal: phase read of unrebuilt strip %v in cycle %d", st, cycle)
+		window, bufs, ops := plan.Tasks[lo:hi], sc.strips(strips), sc.opList(strips)
+		lo = hi
+
+		for _, task := range window {
+			stripe := stripes[task.Via]
+			for pos, read := range task.Present {
+				if read {
+					st := stripe.Strips[pos]
+					// A survivor's device, or the replacement of a failed disk.
+					ops = append(ops, batchOp{dev: a.device(st.Disk), disk: st.Disk, idx: base + int64(st.Slot), buf: bufs[pos]})
+				}
+			}
+			bufs = bufs[len(stripe.Strips):]
 		}
-		a.stats.readOps.Add(1)
-		return true, a.replaced[st.Disk].ReadStrip(base+int64(st.Slot), p)
-	}
-	sink := func(st layout.Strip, content []byte) error {
-		a.stats.writeOps.Add(1)
-		if err := a.replaced[st.Disk].WriteStrip(base+int64(st.Slot), content); err != nil {
+		if err := a.readStrips(sc, ops, false, 0, nil); err != nil {
 			return err
 		}
-		rebuilt[st] = true
-		return nil
-	}
-	run := planRun{cycle: cycle, sc: a.getScratch()}
-	defer a.putScratch(run.sc)
-	for _, task := range plan.Tasks {
-		if err := a.execTask(&run, task.Via, task.Present, task.TargetPos, earlier, sink); err != nil {
-			return err
+
+		bufs, ops = sc.strips(strips), ops[:0]
+		for _, task := range window {
+			stripe := stripes[task.Via]
+			shards := bufs[:len(stripe.Strips):len(stripe.Strips)]
+			bufs = bufs[len(stripe.Strips):]
+			if err := a.codes[[2]int{stripe.Data, stripe.Parity()}].Reconstruct(shards, task.Present); err != nil {
+				return fmt.Errorf("store: reconstruct stripe %d of cycle %d: %w", task.Via, cycle, err)
+			}
+			for _, pos := range task.TargetPos {
+				st := stripe.Strips[pos]
+				ops = append(ops, batchOp{dev: a.replaced[st.Disk], disk: st.Disk, idx: base + int64(st.Slot), buf: shards[pos]})
+			}
+		}
+		if failed := a.writeStrips(sc, ops, false); failed != nil {
+			return failed.err
 		}
 	}
 	return nil
@@ -216,15 +245,12 @@ func (a *Array) ScrubStep(batch int64) (done bool, bad int, err error) {
 	if end > a.cycles {
 		end = a.cycles
 	}
-	healing := func(dev Device, d int, devStrip int64, p []byte) error {
-		return a.readMember(dev, d, devStrip, p, 0)
-	}
 	count := func(int, layout.Stripe, [][]byte) error {
 		bad++
 		return nil
 	}
 	for cycle := a.scrubCursor; cycle < end; cycle++ {
-		if err := a.walkStripes(cycle, healing, count); err != nil {
+		if err := a.walkStripes(cycle, false, count); err != nil {
 			return false, bad, err
 		}
 		a.scrubCursor = cycle + 1
@@ -245,13 +271,14 @@ func (a *Array) ScrubProgress() (scanned, total int64) {
 }
 
 // walkStripes is the one read-all-members-then-check loop: for every
-// stripe of the cycle it reads each member through read, verifies the
+// stripe of the cycle it reads the members as one batch — healing a strip
+// that fails its checksum, or with raw under the checksums — verifies the
 // stripe against its parity, and hands an inconsistent one, with its
 // shards (valid only during the call), to visit. Outer-layer stripes come
 // first: outer parity strips are data members of inner stripes, so a
 // visitor that rewrites outer parity may dirty inner parity, which the
 // inner stripes' turn then sees. Caller holds mu.
-func (a *Array) walkStripes(cycle int64, read func(dev Device, d int, devStrip int64, p []byte) error,
+func (a *Array) walkStripes(cycle int64, raw bool,
 	visit func(si int, stripe layout.Stripe, shards [][]byte) error) error {
 	base := cycle * int64(a.an.SlotsPerDisk())
 	sc := a.getScratch()
@@ -261,11 +288,12 @@ func (a *Array) walkStripes(cycle int64, read func(dev Device, d int, devStrip i
 			if outer != (stripe.Layer == layout.LayerOuter) {
 				continue
 			}
-			shards := sc.strips(len(stripe.Strips))
+			shards, ops := sc.strips(len(stripe.Strips)), sc.opList(len(stripe.Strips))
 			for mi, st := range stripe.Strips {
-				if err := read(a.device(st.Disk), st.Disk, base+int64(st.Slot), shards[mi]); err != nil {
-					return err
-				}
+				ops = append(ops, batchOp{dev: a.device(st.Disk), disk: st.Disk, idx: base + int64(st.Slot), buf: shards[mi]})
+			}
+			if err := a.readStrips(sc, ops, raw, 0, nil); err != nil {
+				return err
 			}
 			ok, err := a.codes[[2]int{stripe.Data, stripe.Parity()}].Verify(shards)
 			if err != nil {

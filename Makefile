@@ -44,11 +44,11 @@ bench:
 # The benchmark under bench/ is its own module (replace ../), which no
 # root ./... pattern reaches: vet it and run its smoke tests here, so an
 # API change that breaks the benchmark's build fails before it merges.
-# The kernel, array, journal, blob, strip-RPC, batch-RPC and cluster-write
-# micro-benchmarks run once each, so they cannot rot.
+# The kernel, array, journal, blob, strip-RPC, batch-RPC, cluster-write and
+# disk-migration micro-benchmarks run once each, so they cannot rot.
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
-	$(GO) test -run '^$$' -bench 'Slice|Encode|Reconstruct|ArrayWrite|ArrayDegradedRead|ArrayDeepRead|JournaledWrite|MemBlobAppend|NetDeviceStrip|NetDeviceBatch|ClusterWrite' -benchtime 1x \
+	$(GO) test -run '^$$' -bench 'Slice|Encode|Reconstruct|ArrayWrite|ArrayDegradedRead|ArrayDeepRead|JournaledWrite|MemBlobAppend|NetDeviceStrip|NetDeviceBatch|ClusterWrite|MigrateDisk' -benchtime 1x \
 		./internal/gf ./internal/erasure ./internal/store ./internal/store/netdev ./internal/cluster
 
 lint:

@@ -34,6 +34,7 @@ import (
 	"syscall"
 
 	"github.com/oiraid/oiraid"
+	"github.com/oiraid/oiraid/internal/engine"
 	"github.com/oiraid/oiraid/internal/server"
 	"github.com/oiraid/oiraid/internal/store"
 )
@@ -335,33 +336,6 @@ func create(dir string, disks int, cycles int64, strip int) error {
 	return nil
 }
 
-func status(dir string) error {
-	return withArray(dir, func(mnt *oiraid.Mount, g *oiraid.Geometry) error {
-		arr, failed := mnt.Array, mnt.Failed
-		fmt.Println(g)
-		fmt.Printf("array: %s, meta epoch %d\n", mnt.Meta.UUIDString(), mnt.Meta.Epoch())
-		fmt.Printf("cycles: %d, strip: %d B, usable capacity: %d B\n", arr.Cycles(), arr.StripBytes(), arr.Capacity())
-		if len(failed) == 0 {
-			fmt.Println("state: healthy")
-			return nil
-		}
-		exp := g.Exposure(failed, 3)
-		switch {
-		case !exp.Recoverable:
-			fmt.Printf("state: FAILED — pattern %v exceeds fault tolerance (data loss)\n", failed)
-			fmt.Printf("availability: %s\n", g.Analyzer().Availability(failed).Describe())
-			fmt.Println("hint: a read-only or partial degraded policy (oiraidd -degraded-policy) can still serve the decodable strips")
-		case len(exp.CriticalDisks) > 0:
-			fmt.Printf("state: degraded, failed disks %v — CRITICAL: losing any of disks %v would lose data\n",
-				failed, exp.CriticalDisks)
-		default:
-			fmt.Printf("state: degraded, failed disks %v — %d further arbitrary failure(s) still survivable\n",
-				failed, exp.Slack)
-		}
-		return nil
-	})
-}
-
 // stripPlane is what the write, read, scrub and fsck verbs need from the
 // array they drive: one mounted from -dir, or an oiraidd server behind
 // -remote (a *server.Client as it is).
@@ -458,49 +432,98 @@ func fsckCmd(dir string, repair bool, out io.Writer) error {
 	return localStripCmd(dir, "fsck", 0, 0, repair, nil, out)
 }
 
-// failCmd evicts a disk: the transition is committed to the journal and
-// superblocks before it is acknowledged, so a restart cannot resurrect
-// the disk.
-func failCmd(dir string, d int) error {
-	return withArray(dir, func(mnt *oiraid.Mount, g *oiraid.Geometry) error {
-		arr := mnt.Array
-		for _, f := range arr.FailedDisks() {
-			if f == d {
-				return fmt.Errorf("disk %d already failed", d)
-			}
+// adminPlane is what the status, fail and rebuild verbs need from the array
+// they drive: one mounted from -dir, or an oiraidd server behind -remote (a
+// *server.Client as it is).
+type adminPlane interface {
+	StatusCtx(ctx context.Context) (engine.Status, error)
+	FailDiskCtx(ctx context.Context, d int) error
+	RebuildCtx(ctx context.Context, wait bool) error
+}
+
+// localAdmin is a mounted array; its operations run to completion, so the
+// context goes unused.
+type localAdmin struct {
+	mnt *oiraid.Mount
+	g   *oiraid.Geometry
+}
+
+func (l localAdmin) StatusCtx(context.Context) (engine.Status, error) {
+	arr, failed := l.mnt.Array, l.mnt.Array.FailedDisks()
+	return engine.Status{
+		Disks: l.g.Disks(), Cycles: arr.Cycles(), StripBytes: arr.StripBytes(), Capacity: arr.Capacity(),
+		Failed: failed, Exposure: l.g.Exposure(failed, 3),
+		ArrayUUID: l.mnt.Meta.UUIDString(), MetaEpoch: l.mnt.Meta.Epoch(),
+	}, nil
+}
+
+// FailDiskCtx evicts a disk: the transition is committed to the journal and
+// superblocks before it is acknowledged, so a restart cannot resurrect the
+// disk.
+func (l localAdmin) FailDiskCtx(_ context.Context, d int) error {
+	for _, f := range l.mnt.Array.FailedDisks() {
+		if f == d {
+			return fmt.Errorf("disk %d already failed", d)
 		}
-		if err := arr.FailDisk(d); err != nil {
+	}
+	return l.mnt.Array.FailDisk(d)
+}
+
+// RebuildCtx rebuilds every failed disk onto a fresh image in the directory.
+func (l localAdmin) RebuildCtx(context.Context, bool) error {
+	for _, d := range l.mnt.Array.FailedDisks() {
+		dev, err := l.mnt.Replace(d)
+		if err != nil {
 			return err
 		}
-		failed := arr.FailedDisks()
-		fmt.Printf("disk %d marked failed; pattern %v recoverable: %v\n",
-			d, failed, g.Recoverable(failed))
-		return nil
+		if err := l.mnt.Array.ReplaceDisk(d, dev); err != nil {
+			return err
+		}
+	}
+	return l.mnt.Array.Rebuild()
+}
+
+// adminCmd runs one of status, fail and rebuild against either plane.
+func adminCmd(ctx context.Context, p adminPlane, cmd string, d int, out io.Writer) error {
+	if cmd == "fail" {
+		if err := p.FailDiskCtx(ctx, d); err != nil {
+			return err
+		}
+	}
+	st, err := p.StatusCtx(ctx)
+	if err != nil {
+		return err
+	}
+	switch cmd {
+	case "fail":
+		fmt.Fprintf(out, "disk %d marked failed; pattern %v recoverable: %v\n", d, st.Failed, st.Exposure.Recoverable)
+	case "rebuild":
+		if len(st.Failed) == 0 {
+			fmt.Fprintln(out, "nothing to rebuild")
+			return nil
+		}
+		if err := p.RebuildCtx(ctx, true); err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "rebuilt disks %v\n", st.Failed)
+	default: // "status"
+		printStatus(st, out)
+	}
+	return nil
+}
+
+// localAdminCmd runs an admin verb against the array mounted from dir.
+func localAdminCmd(dir, cmd string, d int) error {
+	return withArray(dir, func(mnt *oiraid.Mount, g *oiraid.Geometry) error {
+		return adminCmd(context.Background(), localAdmin{mnt, g}, cmd, d, os.Stdout)
 	})
 }
 
-func rebuildCmd(dir string) error {
-	return withArray(dir, func(mnt *oiraid.Mount, _ *oiraid.Geometry) error {
-		if len(mnt.Failed) == 0 {
-			fmt.Println("nothing to rebuild")
-			return nil
-		}
-		for _, d := range mnt.Failed {
-			dev, err := mnt.Replace(d)
-			if err != nil {
-				return err
-			}
-			if err := mnt.Array.ReplaceDisk(d, dev); err != nil {
-				return err
-			}
-		}
-		if err := mnt.Array.Rebuild(); err != nil {
-			return err
-		}
-		fmt.Printf("rebuilt disks %v\n", mnt.Failed)
-		return nil
-	})
-}
+func status(dir string) error { return localAdminCmd(dir, "status", -1) }
+
+func failCmd(dir string, d int) error { return localAdminCmd(dir, "fail", d) }
+
+func rebuildCmd(dir string) error { return localAdminCmd(dir, "rebuild", -1) }
 
 func printFsckReport(rep *store.FsckReport, out io.Writer) error {
 	fmt.Fprintf(out, "fsck: %d strips, %d stripes over %d cycle(s): %d checksum error(s), %d parity error(s), %d repaired\n",
@@ -526,14 +549,8 @@ func remoteCmd(ctx context.Context, c *server.Client, cmd string, off, length in
 	switch cmd {
 	case "write", "read", "scrub", "fsck":
 		return stripCmd(ctx, c, cmd, off, length, repair, in, out)
-	case "status":
-		return remoteStatus(ctx, c, out)
-	case "fail":
-		if err := c.FailDiskCtx(ctx, diskID); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "disk %d marked failed\n", diskID)
-		return nil
+	case "status", "fail", "rebuild":
+		return adminCmd(ctx, c, cmd, diskID, out)
 	case "quarantine":
 		if err := c.QuarantineCtx(ctx, diskID); err != nil {
 			return err
@@ -545,12 +562,6 @@ func remoteCmd(ctx context.Context, c *server.Client, cmd string, off, length in
 			return err
 		}
 		fmt.Fprintf(out, "disk %d released from quarantine\n", diskID)
-		return nil
-	case "rebuild":
-		if err := c.RebuildCtx(ctx, true); err != nil {
-			return err
-		}
-		fmt.Fprintln(out, "rebuild complete")
 		return nil
 	case "metrics":
 		m, err := c.MetricsCtx(ctx)
@@ -695,13 +706,13 @@ func remoteHealth(ctx context.Context, c *server.Client, w io.Writer) error {
 	return nil
 }
 
-func remoteStatus(ctx context.Context, c *server.Client, w io.Writer) error {
-	st, err := c.StatusCtx(ctx)
-	if err != nil {
-		return err
-	}
+// printStatus renders a status report, the same for both planes.
+func printStatus(st engine.Status, w io.Writer) {
 	fmt.Fprintf(w, "%d disks, %d cycles, strip: %d B, usable capacity: %d B\n",
 		st.Disks, st.Cycles, st.StripBytes, st.Capacity)
+	if st.ArrayUUID != "" {
+		fmt.Fprintf(w, "array: %s, meta epoch %d\n", st.ArrayUUID, st.MetaEpoch)
+	}
 	if st.Mode != "" && st.Mode != "normal" {
 		fmt.Fprintf(w, "mode: %s", st.Mode)
 		if len(st.Down) > 0 {
@@ -727,7 +738,6 @@ func remoteStatus(ctx context.Context, c *server.Client, w io.Writer) error {
 		fmt.Fprintf(w, "state: degraded, failed disks %v — %d further arbitrary failure(s) still survivable\n",
 			st.Failed, st.Exposure.Slack)
 	}
-	return nil
 }
 
 func planCmd(disks int, failList string) error {

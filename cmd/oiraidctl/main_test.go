@@ -171,6 +171,9 @@ func TestRemoteLifecycle(t *testing.T) {
 	if err := rc("fail", 0, 0, 4, nil, &out); err != nil {
 		t.Fatal(err)
 	}
+	if want := "disk 4 marked failed; pattern [4] recoverable: true\n"; out.String() != want {
+		t.Fatalf("fail printed %q, want %q as with -dir", out.String(), want)
+	}
 	out.Reset()
 	if err := rc("status", 0, 0, -1, nil, &out); err != nil {
 		t.Fatal(err)
@@ -189,6 +192,9 @@ func TestRemoteLifecycle(t *testing.T) {
 	out.Reset()
 	if err := rc("rebuild", 0, 0, -1, nil, &out); err != nil {
 		t.Fatal(err)
+	}
+	if want := "rebuilt disks [4]\n"; out.String() != want {
+		t.Fatalf("rebuild printed %q, want %q as with -dir", out.String(), want)
 	}
 	out.Reset()
 	if err := rc("status", 0, 0, -1, nil, &out); err != nil {

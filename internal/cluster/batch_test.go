@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -94,6 +95,147 @@ func TestClusterSmallStripRebuildIsOneWindow(t *testing.T) {
 	rebuildDisk(t, c, 0)
 	if r, w, single := ct.batchReads.Load()-r0, ct.batchWrites.Load()-w0, ct.singles.Load()-s0; r > 3 || w != 1 || single != 0 {
 		t.Errorf("rebuilt cycle: %d read batches, %d write batches, %d single-strip RPCs; want ≤ 3, 1, 0", r, w, single)
+	}
+}
+
+// rpcLog is a transport that records, in order, the strip-plane RPCs that pass
+// it, each as "host path".
+type rpcLog struct {
+	inner http.RoundTripper
+	mu    sync.Mutex
+	rpcs  []string
+}
+
+func (l *rpcLog) RoundTrip(r *http.Request) (*http.Response, error) {
+	if strings.Contains(r.URL.Path, "/strips/") {
+		l.mu.Lock()
+		l.rpcs = append(l.rpcs, r.URL.Host+" "+r.URL.Path)
+		l.mu.Unlock()
+	}
+	return l.inner.RoundTrip(r)
+}
+
+func (l *rpcLog) CloseIdleConnections() {
+	l.inner.(interface{ CloseIdleConnections() }).CloseIdleConnections()
+}
+
+func (l *rpcLog) take() []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	rpcs := l.rpcs
+	l.rpcs = nil
+	return rpcs
+}
+
+// loggedCluster is countedCluster behind an rpcLog, with every strip written
+// and the host of each node by id.
+func loggedCluster(t *testing.T, stripBytes int) (*Cluster, *rpcLog, map[string]string) {
+	t.Helper()
+	var log *rpcLog
+	c, _ := countedCluster(t, stripBytes, func(inner http.RoundTripper) http.RoundTripper {
+		log = &rpcLog{inner: inner}
+		return log
+	})
+	p := make([]byte, stripBytes)
+	rand.New(rand.NewSource(8)).Read(p)
+	for s := int64(0); s < c.Eng.Strips(); s++ {
+		if err := c.Eng.WriteStrip(s, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hosts := map[string]string{}
+	for _, n := range c.ManifestSnapshot().Nodes {
+		hosts[n.ID] = strings.TrimPrefix(n.URL, "http://")
+	}
+	log.take()
+	return c, log, hosts
+}
+
+// TestClusterMigrationRPCCounts pins what a migrated cycle costs on the strip
+// plane: one gather window is one read batch at the source node and one write
+// batch at the destination — the whole 36-strip cycle at 512-byte strips, two
+// windows of 128 KiB at 4 KiB — where a strip-at-a-time copy took 36 reads
+// and a bulk write.
+func TestClusterMigrationRPCCounts(t *testing.T) {
+	for _, tc := range []struct{ stripBytes, windows int }{{512, 1}, {4096, 2}} {
+		c, log, hosts := loggedCluster(t, tc.stripBytes)
+		c.memberMu.Lock()
+		err := c.migrateDisk(0, "beta") // disk 0 lives on alpha
+		c.memberMu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []string
+		for w := 0; w < tc.windows; w++ {
+			want = append(want, hosts["alpha"]+" /node/v1/strips/read", hosts["beta"]+" /node/v1/strips/write")
+		}
+		if got := log.take(); !slices.Equal(got, want) {
+			t.Errorf("%d-byte strips: a migrated cycle's strip RPCs\n got %v\nwant %v", tc.stripBytes, got, want)
+		}
+		if got := c.DisksOn("beta"); !slices.Contains(got, 0) {
+			t.Errorf("%d-byte strips: disk 0 did not move, beta holds %v", tc.stripBytes, got)
+		}
+	}
+}
+
+// TestClusterMirrorDrainRPCCounts: the flip's re-copy of k dirty strips goes
+// out in 128 KiB windows too, a read and a write RPC each, and leaves the
+// destination equal to the source.
+func TestClusterMirrorDrainRPCCounts(t *testing.T) {
+	const stripBytes, disk = 4096, 0
+	c, log, _ := loggedCluster(t, stripBytes)
+	arr := c.Eng.Array()
+	strips := arr.Cycles() * int64(arr.Analyzer().SlotsPerDisk())
+	beta := c.Client("beta")
+	dst, err := beta.CreateDevice("drain-dst", strips, stripBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Eng.StartMirror(disk, dst); err != nil {
+		t.Fatal(err)
+	}
+	defer c.Eng.AbortMigration(disk)
+
+	// With the destination gone every mirrored write is refused there and
+	// its strip goes dirty: each strip of the disk that a closure holds.
+	if err := beta.DeleteDevice("drain-dst"); err != nil {
+		t.Fatal(err)
+	}
+	p := bytes.Repeat([]byte{0x7A}, stripBytes)
+	dirty := map[int]bool{}
+	for s := int64(0); s < c.Eng.Strips(); s += 5 {
+		if err := c.Eng.WriteStrip(s, p); err != nil {
+			t.Fatalf("write %d with the mirror's destination gone: %v", s, err)
+		}
+		target, _ := arr.LocateDataStrip(s)
+		for _, st := range arr.Analyzer().WritePlan(target).Strips {
+			if st.Disk == disk {
+				dirty[st.Slot] = true
+			}
+		}
+	}
+	if _, err := beta.CreateDevice("drain-dst", strips, stripBytes); err != nil {
+		t.Fatal(err)
+	}
+	defer beta.DeleteDevice("drain-dst")
+	log.take()
+	if err := arr.DrainMirror(disk); err != nil {
+		t.Fatal(err)
+	}
+	k := len(dirty)
+	bound := 2 * ((k*stripBytes + 128<<10 - 1) / (128 << 10))
+	if got := log.take(); k < 2 || len(got) == 0 || len(got) > bound {
+		t.Errorf("drain of %d dirty strips: %d strip RPCs %v, want 1 to %d", k, len(got), got, bound)
+	}
+	src := c.Client("alpha").Device("disk00", strips, stripBytes)
+	got, want := make([]byte, stripBytes), make([]byte, stripBytes)
+	for slot := range dirty {
+		if err := src.ReadStrip(int64(slot), want); err != nil {
+			t.Fatal(err)
+		}
+		if err := dst.ReadStrip(int64(slot), got); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("strip %d of the destination after the drain differs (err %v)", slot, err)
+		}
 	}
 }
 

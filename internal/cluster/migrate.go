@@ -12,11 +12,14 @@
 //     failures go to a dirty set instead of the health monitor.
 //  3. Copy cycle by cycle, paced by the engine's QoS bucket (the same
 //     budget rebuilds run under, so foreground p99 stays bounded). Each
-//     cycle is copied under the engine's cycle lock (a consistent
-//     snapshot), shipped as one fenced bulk write, and then the cursor
-//     is committed to the quorum — the resume point.
-//  4. Flip under the exclusive mode lock: re-copy dirty strips (no
-//     foreground writer can race now), clone the superblock to the
+//     cycle is copied by the array's batch executor under the engine's
+//     cycle lock (a consistent snapshot; a source strip that fails its
+//     checksum is healed on the way): gathered from the source node,
+//     scattered to the destination as fenced batch writes, and then the
+//     cursor is committed to the quorum — the resume point.
+//  4. Flip under the exclusive mode lock: the engine re-copies dirty
+//     strips the same way (no foreground writer can race now), then
+//     this package clones the superblock to the
 //     destination (both placements stay mountable at the same epoch —
 //     a crash on either side of the commit mounts a healthy array),
 //     commit the manifest, swap the engine device.
@@ -624,8 +627,7 @@ func (c *Cluster) runMigration(rec MigrationRecord) error {
 		rec.Cursor = verified
 	}
 
-	mirror, err := eng.StartMirror(d, dstDev)
-	if err != nil {
+	if err := eng.StartMirror(d, dstDev); err != nil {
 		// The source disk failed (heal owns it now) or a mirror is
 		// already installed; either way this record cannot proceed.
 		return c.migrateFailed(rec, fmt.Errorf("cluster: migrate disk %d: %w", d, err))
@@ -637,24 +639,12 @@ func (c *Cluster) runMigration(rec MigrationRecord) error {
 		}
 	}()
 
-	buf := make([]byte, slots*int64(stripBytes))
-	copyCycle := func(cy int64) error {
-		unlock := eng.LockCycle(cy)
-		defer unlock()
-		for s := int64(0); s < slots; s++ {
-			if err := arr.ProbeDiskStrip(d, cy*slots+s, buf[s*int64(stripBytes):(s+1)*int64(stripBytes)]); err != nil {
-				return err
-			}
-		}
-		return dstDev.WriteStripRange(cy*slots, buf)
-	}
-
 	for cy := rec.Cursor; cy < cycles; cy++ {
 		if !eng.PaceBackground(c.migStop) {
 			return errMigrationParked
 		}
 		for {
-			err := copyCycle(cy)
+			err := eng.CopyMirrorCycle(d, cy)
 			if err == nil {
 				break
 			}
@@ -682,21 +672,12 @@ func (c *Cluster) runMigration(rec MigrationRecord) error {
 		}
 	}
 
-	// Flip. Everything in the finish closure runs under the exclusive
-	// mode lock: no foreground write is in flight and none can start, so
-	// the dirty set is final and the swap is atomic against I/O.
+	// Flip. The engine drains the mirror's dirty set and runs the finish
+	// closure under the exclusive mode lock: no foreground write is in
+	// flight and none can start, so the dirty set is final and the swap is
+	// atomic against I/O.
 	srcSb := c.srcSuperblockBlob(rec.Src)
 	flip := func() error {
-		for _, idx := range mirror.Dirty() {
-			b := buf[:stripBytes]
-			if err := mirror.Source().ReadStrip(idx, b); err != nil {
-				return err
-			}
-			if err := dstDev.WriteStrip(idx, b); err != nil {
-				return err
-			}
-			mirror.ClearDirty(idx)
-		}
 		if err := c.Mount.Meta.CloneSuperblock(d, dstSb); err != nil {
 			return err
 		}

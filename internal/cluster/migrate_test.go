@@ -184,6 +184,78 @@ func TestClusterDrainNode(t *testing.T) {
 	verify(c, "after drain")
 }
 
+// TestMigrationHealsCorruptSource: a latent sector error on the disk being
+// moved — a strip overwritten on the node behind the coordinator's back —
+// is caught by the copy's checksum, healed from parity on the source and
+// copied healed; it does not abort the drain.
+func TestMigrationHealsCorruptSource(t *testing.T) {
+	tc := newTestCluster(t, 27)
+	c, err := Open(tc.options(27))
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer c.Close()
+	verify := preload(t, c, 27)
+
+	cl := netdev.NewNodeClient(tc.srvs[1].URL, netdev.Options{Timeout: time.Second})
+	defer cl.Close()
+	dev, err := cl.OpenDevice("disk01")
+	if err != nil {
+		t.Fatalf("open beta's disk01: %v", err)
+	}
+	if err := dev.WriteStrip(5, bytes.Repeat([]byte{0xBD}, 512)); err != nil {
+		t.Fatalf("corrupt strip 5 of disk 1: %v", err)
+	}
+
+	if _, err := c.DrainNode("beta"); err != nil {
+		t.Fatalf("drain over a corrupt source strip: %v", err)
+	}
+	if st := c.Eng.Array().Stats(); st.CorruptStrips < 1 || st.ReadRepairs < 1 {
+		t.Fatalf("stats after the drain %+v, want the corrupt strip counted and repaired", st)
+	}
+	verify(c, "after drain")
+}
+
+// TestClusterDrainNodeLargeStrips: a disk whose cycle is larger than any one
+// message may be (36 strips of 512 KiB) still migrates — the copy travels in
+// windows, a strip of this size alone.
+func TestClusterDrainNodeLargeStrips(t *testing.T) {
+	const stripBytes = 512 << 10
+	tc := newTestCluster(t, 29)
+	opts := tc.options(29)
+	opts.Client.Timeout = 5 * time.Second
+	opts.Format = &FormatSpec{Disks: 9, Cycles: 1, StripBytes: stripBytes}
+	c, err := Open(opts)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer c.Close()
+	want := make([]byte, stripBytes)
+	for i := range want {
+		want[i] = byte(i * 29)
+	}
+	for s := int64(0); s < 4; s++ {
+		if err := c.Eng.WriteStrip(s, want); err != nil {
+			t.Fatalf("write %d: %v", s, err)
+		}
+	}
+	rep, err := c.DrainNode("beta")
+	if err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if len(rep.Moved) != 3 || len(c.DisksOn("beta")) != 0 {
+		t.Fatalf("moved %v, beta still holds %v", rep.Moved, c.DisksOn("beta"))
+	}
+	for s := int64(0); s < 4; s++ {
+		if got, err := c.Eng.ReadStrip(s); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("strip %d after the drain: %v", s, err)
+		}
+	}
+	if frep, err := c.Eng.Fsck(context.Background(), false); err != nil || !frep.Clean {
+		t.Fatalf("fsck after the drain: %v %+v", err, frep)
+	}
+}
+
 // TestMembershipValidation pins the error taxonomy of the membership
 // verbs: bad specs, duplicates, unknown nodes, unreachable targets.
 func TestMembershipValidation(t *testing.T) {
@@ -780,7 +852,9 @@ func TestMigrationResumeAfterCoordinatorKill(t *testing.T) {
 	staleDeadline := time.Now().Add(10 * time.Second)
 	var staleErr error
 	for time.Now().Before(staleDeadline) {
-		staleErr = dev.WriteStripRange(0, make([]byte, 512))
+		zombie := []store.StripOp{{Dev: dev, Idx: 0, Buf: make([]byte, 512)}, {Dev: dev, Idx: 1, Buf: make([]byte, 512)}}
+		dev.WriteStrips(zombie)
+		staleErr = zombie[0].Err
 		if errors.Is(staleErr, store.ErrStaleEpoch) {
 			break
 		}

@@ -30,12 +30,11 @@ func (e *Engine) PaceBackground(stop <-chan struct{}) bool {
 	return e.qos.pace(stop)
 }
 
-// LockCycle takes every striped lock of one layout cycle exclusively
+// lockCycle takes every striped lock of one layout cycle exclusively
 // (holding the mode lock shared, like any striped operation). While it
-// is held no foreground write can touch the cycle, so a migration may
-// copy the cycle's strips as a consistent snapshot. Acquisition follows
+// is held no foreground operation can touch the cycle. Acquisition follows
 // the same ascending-table order as every other lock path.
-func (e *Engine) LockCycle(cycle int64) (unlock func()) {
+func (e *Engine) lockCycle(cycle int64) (unlock func()) {
 	e.mode.RLock()
 	all := make([]int, e.nStripes)
 	for i := range all {
@@ -50,8 +49,18 @@ func (e *Engine) LockCycle(cycle int64) (unlock func()) {
 
 // StartMirror installs a migration mirror on disk d: every subsequent
 // write lands on dst too, reads stay on the source.
-func (e *Engine) StartMirror(d int, dst store.Device) (*store.MirrorDevice, error) {
-	return e.arr.StartMirror(d, dst)
+func (e *Engine) StartMirror(d int, dst store.Device) error {
+	_, err := e.arr.StartMirror(d, dst)
+	return err
+}
+
+// CopyMirrorCycle copies one layout cycle of migrating disk d to the
+// mirror's destination, holding the cycle's locks for the copy: what lands
+// is a consistent snapshot, and a latent sector error found on the source
+// is healed with no writer in the way.
+func (e *Engine) CopyMirrorCycle(d int, cycle int64) error {
+	defer e.lockCycle(cycle)()
+	return e.arr.CopyMirrorCycle(d, cycle)
 }
 
 // AbortMigration drops disk d's mirror, restoring the pre-migration
@@ -60,15 +69,19 @@ func (e *Engine) StartMirror(d int, dst store.Device) (*store.MirrorDevice, erro
 func (e *Engine) AbortMigration(d int) error { return e.arr.DropMirror(d) }
 
 // CompleteMigration is the flip: under the exclusive mode lock (every
-// foreground operation drained, none can start) it runs finish — the
-// caller's last-mile work: re-copying dirty strips, cloning the
-// superblock to the destination, committing the new placement — and
-// then swaps disk d's device to dev, wrapped with the engine's health
-// instrumentation like any attached device. If finish fails the mirror
-// stays installed and the source remains authoritative.
+// foreground operation drained, none can start, so the mirror's dirty set
+// is final) it re-copies the dirty strips, runs finish — the caller's
+// last-mile work: cloning the superblock to the destination, committing
+// the new placement — and then swaps disk d's device to dev, wrapped with
+// the engine's health instrumentation like any attached device. If the
+// drain or finish fails the mirror stays installed and the source remains
+// authoritative.
 func (e *Engine) CompleteMigration(d int, dev store.Device, finish func() error) error {
 	e.mode.Lock()
 	defer e.mode.Unlock()
+	if err := e.arr.DrainMirror(d); err != nil {
+		return err
+	}
 	if finish != nil {
 		if err := finish(); err != nil {
 			return err

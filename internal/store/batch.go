@@ -92,8 +92,9 @@ func (sc *stripScratch) opList(n int) []batchOp {
 }
 
 // batchWindowBytes bounds the strip buffers a step that walks many strips — a
-// rebuilt cycle's tasks, fsck's checksum pass — holds per batch on a batching
-// array. A window's strips exist three times over while they travel (the
+// rebuilt cycle's tasks, fsck's checksum pass, a migrating disk's copy — holds
+// per batch on a batching array. A window's strips exist three times over
+// while they travel (the
 // scratch set, the client's message, the node's), and on a coordinator whose
 // whole resident set is a few tens of MiB that shows: measured on the
 // bench's cluster-4k, windows of 1 MiB, 512, 256 and 128 KiB raise the
@@ -139,11 +140,21 @@ func batchLeaf(dev Device) StripBatcher {
 func (a *Array) noteDevices() {
 	a.batching = false
 	for d := range a.devs {
-		if batchLeaf(a.devs[d]) != nil || (a.replaced[d] != nil && batchLeaf(a.replaced[d]) != nil) {
+		if canBatch(a.devs[d]) || canBatch(a.replaced[d]) {
 			a.batching = true
 			return
 		}
 	}
+}
+
+// canBatch reports whether dev, which may be nil, peels to a batcher. A
+// migration mirror does at either end: its copy gathers from one and scatters
+// to the other.
+func canBatch(dev Device) bool {
+	if m, ok := dev.(*MirrorDevice); ok {
+		return canBatch(m.src) || canBatch(m.dst)
+	}
+	return dev != nil && batchLeaf(dev) != nil
 }
 
 // stripCall is the single device call of op: the opaque path.
@@ -239,7 +250,8 @@ func (a *Array) writeStrips(sc *stripScratch, ops []batchOp, bestEffort bool) *b
 // every device stack that peels to a StripBatcher has its op sent to the
 // leaf in one call per batch key — the first key's on this goroutine, each
 // other's on its own — and its layers' hooks run afterwards, per strip,
-// innermost first; an opaque stack gets its single call, in op order.
+// innermost first (a disk's permanent failure is shown them once); an opaque
+// stack gets its single call, in op order.
 func (a *Array) issue(sc *stripScratch, ops []batchOp, write, raw bool) {
 	b := &sc.batch
 	if cap(b.leaves) < len(ops) {
@@ -297,11 +309,33 @@ func (a *Array) issue(sc *stripScratch, ops []batchOp, write, raw bool) {
 		g := &b.groups[gi]
 		for k := g.start; k < g.end; k++ {
 			op := &ops[b.from[k]]
-			op.err = layerHooks(op, g.took, b.wire[k].Err, write, raw)
+			if op.err = b.wire[k].Err; !goneBefore(ops, b, g.start, k, op.err) {
+				op.err = layerHooks(op, g.took, op.err, write, raw)
+			}
 		}
 	}
 	clear(b.wire) // drop the device and buffer references
 	clear(b.groups)
+}
+
+// goneBefore reports whether err, the leaf's outcome of wire op k, is a
+// permanent failure that an op on the same disk, earlier in its group (which
+// starts at wire op start), already met. A permanent error says the device is
+// gone, and it says so once: the loop of single calls stops at it, and a
+// health probe that evicts after a few of them must not count one vanished
+// device once per strip that rode along. A transient failure is an event of
+// its own op — how long it took is what slow-disk detection feeds on — and
+// always reaches the layers.
+func goneBefore(ops []batchOp, b *batchState, start, k int, err error) bool {
+	if err == nil || IsTransient(err) {
+		return false
+	}
+	for j := start; j < k; j++ {
+		if e := b.wire[j].Err; e != nil && !IsTransient(e) && ops[b.from[j]].disk == ops[b.from[k]].disk {
+			return true
+		}
+	}
+	return false
 }
 
 // layerHooks runs the hooks of op's transparent layers over the leaf's

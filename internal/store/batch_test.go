@@ -410,6 +410,174 @@ func TestBatchLeavesOpaqueDevicesAlone(t *testing.T) {
 	}
 }
 
+// TestBatchFailureChargedOncePerDisk: when every strip of a batch on one
+// disk fails for good — its device is gone — the disk's layers are shown one
+// failed op, as the loop of single calls, which stops at the first, would
+// show them: a health probe that evicts after a few failed ops must not evict
+// on one. Transient failures reach the layers op by op.
+func TestBatchFailureChargedOncePerDisk(t *testing.T) {
+	const moved = 4
+	na := newNodeArray(t, 9)
+	fillArray(t, na.Array, 59)
+	if _, err := na.StartMirror(moved, na.newLeaf(t, moved+1)); err != nil {
+		t.Fatal(err)
+	}
+	gone := errors.New("device gone")
+	na.nodes[moved%3].refuse = func(dev *nodeDev, _ int64, write bool) error {
+		if dev == na.leafs[moved] && !write {
+			return gone
+		}
+		return nil
+	}
+	na.spy.take()
+	if err := na.CopyMirrorCycle(moved, 0); !errors.Is(err, gone) {
+		t.Fatalf("copy from a device that is gone: %v", err)
+	}
+	if _, errs := na.spy.take(); len(errs) != 1 || len(errs[moved]) != 1 {
+		t.Errorf("layer errors %v, want one on disk %d", errs, moved)
+	}
+	gone = fmt.Errorf("%w: path down", ErrTransient)
+	if err := na.CopyMirrorCycle(moved, 0); !errors.Is(err, ErrTransient) {
+		t.Fatalf("copy from an unreachable device: %v", err)
+	}
+	if _, errs := na.spy.take(); len(errs[moved]) != na.an.SlotsPerDisk() {
+		t.Errorf("%d layer errors on disk %d, want one per strip of the cycle", len(errs[moved]), moved)
+	}
+}
+
+// refusingDev is a device whose write of one strip fails.
+type refusingDev struct {
+	Device
+	idx int64
+	err error
+}
+
+func (d *refusingDev) WriteStrip(idx int64, p []byte) error {
+	if d.err != nil && idx == d.idx {
+		return d.err
+	}
+	return d.Device.WriteStrip(idx, p)
+}
+
+// TestCopyMirror is a disk migration's copy on the array alone: cycle by
+// cycle through the executor, byte-exact, one device read per strip copied, a
+// corrupt source strip healed on the way; a destination write that is refused
+// fails the copy with the device's own error and leaves the strip dirty for
+// the drain, which re-copies it.
+func TestCopyMirror(t *testing.T) {
+	const moved = 4
+	t.Run("batched", func(t *testing.T) {
+		na := newNodeArray(t, 9)
+		dst := na.newLeaf(t, moved+1) // on another node than the source
+		refuse := func(idx int64, err error) {
+			dst.node.mu.Lock()
+			defer dst.node.mu.Unlock()
+			dst.node.refuse = func(dev *nodeDev, at int64, write bool) error {
+				if write && dev == dst && at == idx {
+					return err
+				}
+				return nil
+			}
+		}
+		checkCopyMirror(t, na.Array, moved, na.leafs[moved].MemDevice, dst.MemDevice, dst, refuse, na.calls)
+	})
+	t.Run("plain", func(t *testing.T) {
+		arr := newOIArray(t, 9)
+		mem, err := NewMemDevice(arr.devs[moved].Strips(), testStrip)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := arr.devs[moved].(*MemDevice)
+		arr.devs[moved] = NewChecksummedDevice(src)
+		dst := &refusingDev{Device: mem}
+		checkCopyMirror(t, arr, moved, src, mem, dst, func(idx int64, err error) { dst.idx, dst.err = idx, err }, nil)
+	})
+}
+
+// checkCopyMirror migrates disk moved of arr, whose leaf is src, onto dst,
+// whose leaf is dstLeaf; refuse(idx, err) makes dst fail writes of strip idx
+// with err, and calls, when the devices batch, drains the nodes' records.
+func checkCopyMirror(t *testing.T, arr *Array, moved int, src, dstLeaf *MemDevice, dst Device,
+	refuse func(idx int64, err error), calls func() (batches, ops, singles int)) {
+	t.Helper()
+	travelled := func(what string, strips int) {
+		t.Helper()
+		if calls == nil {
+			return
+		}
+		if batches, ops, singles := calls(); batches != 2 || ops != 2*strips || singles != 0 {
+			t.Errorf("%s: %d batch calls carrying %d ops, %d single calls; want a read batch and a write batch of %d strips", what, batches, ops, singles, strips)
+		}
+	}
+	want := fillArray(t, arr, 53)
+	equal := func(when string) {
+		t.Helper()
+		a, b := make([]byte, testStrip), make([]byte, testStrip)
+		for idx := int64(0); idx < src.Strips(); idx++ {
+			if err := src.ReadStrip(idx, a); err != nil {
+				t.Fatal(err)
+			}
+			if err := dstLeaf.ReadStrip(idx, b); err != nil {
+				t.Fatal(err)
+			}
+			if string(a) != string(b) {
+				t.Fatalf("%s: strip %d of the destination differs from the source", when, idx)
+			}
+		}
+	}
+	mirror, err := arr.StartMirror(moved, dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	garbage := make([]byte, testStrip)
+	if err := src.WriteStrip(2, garbage); err != nil { // under the checksums
+		t.Fatal(err)
+	}
+	arr.ResetStats()
+	for cycle := int64(0); cycle < arr.cycles; cycle++ {
+		if err := arr.CopyMirrorCycle(moved, cycle); err != nil {
+			t.Fatalf("copy of cycle %d: %v", cycle, err)
+		}
+	}
+	if st, disk := arr.Stats(), arr.DiskStats()[moved]; disk.ReadOps != src.Strips() || st.CorruptStrips != 1 || st.ReadRepairs != 1 {
+		t.Errorf("copy of %d strips: %d reads of the disk, %+v; want a read per strip, one corrupt strip healed", src.Strips(), disk.ReadOps, st)
+	}
+	equal("after the copy")
+
+	// A refused destination write: the device's error, a dirty strip.
+	stale := fmt.Errorf("%w: refused", ErrStaleEpoch)
+	refuse(3, stale)
+	if calls != nil {
+		calls()
+	}
+	if err := arr.CopyMirrorCycle(moved, 0); !errors.Is(err, ErrStaleEpoch) {
+		t.Fatalf("copy with a refused destination write: %v, want the device's ErrStaleEpoch", err)
+	}
+	if mirror.DirtyCount() == 0 {
+		t.Fatal("a refused destination write left no strip dirty")
+	}
+	travelled("a copied cycle", arr.an.SlotsPerDisk())
+	if err := arr.SwapDisk(moved, dst); err == nil {
+		t.Fatal("SwapDisk over a dirty mirror")
+	}
+	if err := dstLeaf.WriteStrip(3, garbage); err != nil {
+		t.Fatal(err)
+	}
+	refuse(-1, nil)
+	dirty := mirror.DirtyCount()
+	if err := arr.DrainMirror(moved); err != nil || mirror.DirtyCount() != 0 {
+		t.Fatalf("drain: %v, %d strips still dirty", err, mirror.DirtyCount())
+	}
+	travelled("the drain", dirty)
+	equal("after the drain")
+	if err := arr.SwapDisk(moved, dst); err != nil {
+		t.Fatal(err)
+	}
+	if got := hashArray(t, arr); got != want {
+		t.Fatal("content differs after the flip")
+	}
+}
+
 // TestRebuildReadsMatchPlan is E3 on the live array: for every choice of
 // failed disk, the device reads a Rebuild makes on each survivor equal the
 // plan's ReadsPerDisk to the strip, and are the same on every survivor — the

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -65,9 +66,6 @@ func (m *MirrorDevice) WriteStrip(idx int64, p []byte) error {
 // destination's lifecycle belongs to the migration that created it.
 func (m *MirrorDevice) Close() error { return m.src.Close() }
 
-// Source returns the wrapped source device.
-func (m *MirrorDevice) Source() Device { return m.src }
-
 // Inner implements the wrapper-chain walk (fsck, checksummedOf): the
 // mirror is transparent, the source chain is the device that counts.
 func (m *MirrorDevice) Inner() Device { return m.src }
@@ -78,16 +76,31 @@ func (m *MirrorDevice) markDirty(idx int64) {
 	m.mu.Unlock()
 }
 
-// Dirty returns the strips whose destination copy is stale (a mirrored
-// write did not land). The migration must re-copy them, with foreground
-// writes excluded, before the flip.
-func (m *MirrorDevice) Dirty() []int64 {
+// settle records the outcome of copying idxs to the destination: a strip
+// whose copy landed is clean, every strip of a window that did not land
+// whole is dirty.
+func (m *MirrorDevice) settle(idxs []int64, landed bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, idx := range idxs {
+		if landed {
+			delete(m.dirty, idx)
+		} else {
+			m.dirty[idx] = struct{}{}
+		}
+	}
+}
+
+// dirtyStrips returns, ascending, the strips whose destination copy is stale
+// (a mirrored write did not land).
+func (m *MirrorDevice) dirtyStrips() []int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	out := make([]int64, 0, len(m.dirty))
 	for idx := range m.dirty {
 		out = append(out, idx)
 	}
+	slices.Sort(out)
 	return out
 }
 
@@ -96,13 +109,6 @@ func (m *MirrorDevice) DirtyCount() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.dirty)
-}
-
-// ClearDirty drops idx from the dirty set after a successful re-copy.
-func (m *MirrorDevice) ClearDirty(idx int64) {
-	m.mu.Lock()
-	delete(m.dirty, idx)
-	m.mu.Unlock()
 }
 
 // CloneSuperblock writes disk's current superblock image into b and
@@ -161,15 +167,86 @@ func (a *Array) StartMirror(d int, dst Device) (*MirrorDevice, error) {
 	return m, nil
 }
 
-// Mirror returns the migration mirror installed on disk d, nil if none.
-func (a *Array) Mirror(d int) *MirrorDevice {
+// CopyMirrorCycle is the bulk copy of a disk migration (DESIGN.md §15): it
+// copies the strips of one layout cycle of disk d from the mirror's source to
+// its destination. The caller excludes foreground I/O on the cycle for the
+// call, which makes the copy a consistent snapshot.
+func (a *Array) CopyMirrorCycle(d int, cycle int64) error {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	if d < 0 || d >= len(a.devs) {
-		return nil
+	m, err := a.mirror(d)
+	if err != nil {
+		return err
 	}
-	m, _ := a.devs[d].(*MirrorDevice)
-	return m
+	if cycle < 0 || cycle >= a.cycles {
+		return fmt.Errorf("%w: cycle %d of %d", ErrStripOutOfRange, cycle, a.cycles)
+	}
+	idxs := make([]int64, a.an.SlotsPerDisk())
+	for slot := range idxs {
+		idxs[slot] = cycle*int64(len(idxs)) + int64(slot)
+	}
+	return a.copyMirror(m, d, idxs)
+}
+
+// DrainMirror re-copies the strips of disk d whose mirrored write did not
+// reach the destination. The caller excludes all foreground I/O, so that the
+// dirty set is final; SwapDisk wants it empty.
+func (a *Array) DrainMirror(d int) error {
+	a.mu.RLock()
+	defer a.mu.RUnlock()
+	m, err := a.mirror(d)
+	if err != nil {
+		return err
+	}
+	return a.copyMirror(m, d, m.dirtyStrips())
+}
+
+// mirror returns the migration mirror of disk d. Caller holds mu.
+func (a *Array) mirror(d int) (*MirrorDevice, error) {
+	if d < 0 || d >= len(a.devs) {
+		return nil, fmt.Errorf("%w: %d", ErrNoSuchDisk, d)
+	}
+	m, ok := a.devs[d].(*MirrorDevice)
+	if !ok {
+		return nil, fmt.Errorf("store: disk %d has no migration in flight", d)
+	}
+	if a.failed[d] {
+		// The heal path owns a failed disk: its strips move by rebuild.
+		return nil, fmt.Errorf("%w: disk %d", ErrDiskFaulty, d)
+	}
+	return m, nil
+}
+
+// copyMirror copies strips idxs of disk d from m's source to its destination
+// through the batch executor, a window at a time: gather from the source's
+// stack — counted, a checksum failure healed in place, as any read of the
+// data plane — and scatter to the raw destination. It stops at the first
+// window that fails, the device's error unchanged; that window's strips are
+// dirty, every strip before it clean. Caller holds mu and keeps writers off
+// idxs.
+func (a *Array) copyMirror(m *MirrorDevice, d int, idxs []int64) error {
+	sc := a.getScratch()
+	defer a.putScratch(sc)
+	for window := a.windowStrips(1); len(idxs) > 0; {
+		n := min(window, len(idxs))
+		bufs, ops := sc.strips(n), sc.opList(n)
+		for i, idx := range idxs[:n] {
+			ops = append(ops, batchOp{dev: m.src, disk: d, idx: idx, buf: bufs[i]})
+		}
+		if err := a.readStrips(sc, ops, false, 0, nil); err != nil {
+			return err
+		}
+		for i := range ops {
+			ops[i].dev, ops[i].err = m.dst, nil
+		}
+		failed := a.writeStrips(sc, ops, false)
+		m.settle(idxs[:n], failed == nil)
+		if failed != nil {
+			return failed.err
+		}
+		idxs = idxs[n:]
+	}
+	return nil
 }
 
 // DropMirror uninstalls disk d's migration mirror, restoring the source

@@ -49,8 +49,8 @@ const (
 	kindWriteResp = 0x04 // items carry a code, or nothing
 
 	// batchMaxBytes caps one batch message in either direction; a client
-	// splits a larger group. With store's 1 MiB gather window a group
-	// never comes near it.
+	// splits a larger group. With store's 128 KiB gather window only a group
+	// of strips that are themselves megabytes comes near it.
 	batchMaxBytes = 4 << 20
 )
 

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/oiraid/oiraid/internal/retry"
 	"github.com/oiraid/oiraid/internal/store"
 )
 
@@ -316,6 +317,65 @@ func TestBatchNodeRefusesDamage(t *testing.T) {
 	if status, code := post("/node/v1/strips/read", encodeBatch(kindReadReq, many, nil)); status != http.StatusBadRequest || code != "bad-geometry" {
 		t.Errorf("read batch past the response cap: %d %q, want 400 bad-geometry", status, code)
 	}
+}
+
+// TestBatchBodySizing: the batch handlers read a request into one buffer
+// sized from the declared length, and a body over the cap — declared, or
+// chunked and running past it — is refused as over the bound before any strip
+// is touched, not as a damaged message.
+func TestBatchBodySizing(t *testing.T) {
+	f := newBatchFixture(t)
+	post := func(length int64, body io.Reader) (status int, code string) {
+		t.Helper()
+		req := httptest.NewRequest(http.MethodPost, "/node/v1/strips/write", body)
+		req.ContentLength = length
+		rec := httptest.NewRecorder()
+		f.n.Handler().ServeHTTP(rec, req)
+		return rec.Code, rec.Header().Get(retry.Header)
+	}
+	want := [][]byte{stripOf(0x50, 0, 512), stripOf(0x50, 1, 512)}
+	msg := encodeBatch(kindWriteReq, []batchItem{{Dev: "d0", Strip: 0, Payload: want[0]}, {Dev: "d0", Strip: 1, Payload: want[1]}}, nil)
+	landed := func() bool {
+		got := f.ops(f.d0, 0, false, 0, 1)
+		f.d0.ReadStrips(got)
+		return got[0].Err == nil && got[1].Err == nil && bytes.Equal(got[0].Buf, want[0]) && bytes.Equal(got[1].Buf, want[1])
+	}
+	if status, code := post(-1, bytes.NewReader(msg)); status != http.StatusOK || !landed() {
+		t.Fatalf("chunked batch write: status %d (%s), strips landed: %v", status, code, landed())
+	}
+	// A declared length no machine can honour: refused unread.
+	if status, code := post(1<<50, untouched{t}); status != http.StatusBadRequest || code != "bad-geometry" {
+		t.Errorf("declared length past the cap: status %d code %q, want 400 bad-geometry", status, code)
+	}
+	if status, code := post(batchMaxBytes+1, untouched{t}); status != http.StatusBadRequest || code != "bad-geometry" {
+		t.Errorf("declared length one past the cap: status %d code %q, want 400 bad-geometry", status, code)
+	}
+	// Length unknown and endless: read up to the cap and no further.
+	endless := &countingReader{r: zeroReader{}}
+	if status, code := post(-1, endless); status != http.StatusBadRequest || code != "bad-geometry" {
+		t.Errorf("chunked body past the cap: status %d code %q, want 400 bad-geometry", status, code)
+	}
+	if endless.n > batchMaxBytes+1 {
+		t.Errorf("an endless body was read for %d bytes, the cap is %d", endless.n, batchMaxBytes)
+	}
+	// A body shorter than it declares is a damaged transfer.
+	if status, code := post(int64(len(msg)), bytes.NewReader(msg[:len(msg)-1])); status != http.StatusBadRequest || code != "bad-frame" {
+		t.Errorf("body shorter than declared: status %d code %q, want 400 bad-frame", status, code)
+	}
+	if !landed() {
+		t.Error("a refused batch write reached the strips")
+	}
+}
+
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
 }
 
 // TestBatchCodec: every kind round-trips, and the decoder holds a message to

@@ -122,26 +122,6 @@ func (d *NetDevice) WriteStrip(idx int64, p []byte) error {
 	return d.c.do(call{method: http.MethodPut, url: d.c.withFence(d.stripURL(idx)), body: EncodeFrame(OpWrite, idx, p), ctype: octetStream}, nil)
 }
 
-func (d *NetDevice) rangeURL(query string) string {
-	return d.c.base + "/node/v1/devices/" + url.PathEscape(d.name) + "/range?" + query
-}
-
-// WriteStripRange writes len(p)/StripBytes consecutive strips starting
-// at start in one request. Fenced: the node rejects it with
-// store.ErrStaleEpoch once a newer coordinator holds the lease, which is
-// what keeps a deposed coordinator's migration copies off the media.
-// Idempotent, so lost acks are re-sent.
-func (d *NetDevice) WriteStripRange(start int64, p []byte) error {
-	if len(p) == 0 || len(p)%d.stripBytes != 0 {
-		return fmt.Errorf("%w: %d bytes, strip is %d", store.ErrShortBuffer, len(p), d.stripBytes)
-	}
-	count := int64(len(p) / d.stripBytes)
-	if start < 0 || start+count > d.strips {
-		return fmt.Errorf("%w: range [%d,%d) of %d strips", store.ErrStripOutOfRange, start, start+count, d.strips)
-	}
-	return d.c.do(putBytes(d.c.withFence(d.rangeURL("start="+strconv.FormatInt(start, 10))), p), nil)
-}
-
 // StripSums fetches per-strip CRC-32C checksums for a range — how a
 // resuming migration verifies its already-committed prefix without
 // moving the data again.
@@ -161,10 +141,6 @@ func (d *NetDevice) StripSums(start int64, count int) ([]string, error) {
 	}
 	return out.Sums, nil
 }
-
-// StripCRC is the checksum StripSums speaks, computed locally — compare
-// against a fetched sum to verify a copied strip.
-func StripCRC(p []byte) string { return blobCRC(p) }
 
 // DeleteDevice removes a device from the node (fenced, idempotent) —
 // the source-reclaim step after a migration flips placement.

@@ -283,7 +283,6 @@ func (n *Node) Handler() http.Handler {
 	mux.HandleFunc("DELETE /node/v1/devices/{dev}", n.handleDeleteDevice)
 	mux.HandleFunc("GET /node/v1/devices/{dev}/strips/{idx}", n.handleReadStrip)
 	mux.HandleFunc("PUT /node/v1/devices/{dev}/strips/{idx}", n.handleWriteStrip)
-	mux.HandleFunc("PUT /node/v1/devices/{dev}/range", n.handleWriteRange)
 	mux.HandleFunc("GET /node/v1/devices/{dev}/sums", n.handleStripSums)
 	mux.HandleFunc("POST /node/v1/strips/read", n.handleReadStrips)
 	mux.HandleFunc("POST /node/v1/strips/write", n.handleWriteStrips)
@@ -458,25 +457,14 @@ func (n *Node) handleWriteStrip(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// rangeMaxBytes caps one bulk strip-range transfer. Large enough to
-// amortise per-request overhead during migration, small enough that a
-// single request can neither exhaust node memory nor stall the handler
-// for long.
-const rangeMaxBytes = 16 << 20
+// sumsMaxStrips caps the strips of one checksum request. What a strip costs
+// there is one read through the handler's single strip buffer and a dozen
+// bytes of response, whatever its size, so the bound is a count: far above
+// any geometry's strips per cycle, small enough that one request cannot hold
+// the handler for long.
+const sumsMaxStrips = 1 << 16
 
-// rangeBounds validates a strip-range request against the device
-// geometry.
-func rangeBounds(dev store.Device, start int64, count int) error {
-	if start < 0 || count <= 0 || start+int64(count) > dev.Strips() {
-		return fmt.Errorf("%w: range [%d,%d) of %d strips", store.ErrStripOutOfRange, start, start+int64(count), dev.Strips())
-	}
-	if int64(count)*int64(dev.StripBytes()) > rangeMaxBytes {
-		return fmt.Errorf("%w: range of %d strips × %d bytes exceeds %d-byte cap", store.ErrBadGeometry, count, dev.StripBytes(), rangeMaxBytes)
-	}
-	return nil
-}
-
-// readCapped reads the body of a bulk request (strip range, strip batch) into
+// readCapped reads the body of a bulk request (a strip batch) into
 // one buffer sized from its Content-Length. A body over max is the sender's
 // bug, not the wire's, and is refused as such — on its declared length before
 // anything is allocated, or, when the length is undeclared, once it has run
@@ -489,51 +477,6 @@ func readCapped(r *http.Request, max int) ([]byte, error) {
 		}
 	}
 	return nil, fmt.Errorf("%w: request body exceeds the %d-byte cap", store.ErrBadGeometry, max)
-}
-
-// handleWriteRange lands a contiguous run of strips in one request — the
-// bulk write half of strip migration. Fenced like every mutating
-// endpoint, and the body checksum must verify before any strip touches
-// media, so a torn transfer places nothing.
-func (n *Node) handleWriteRange(w http.ResponseWriter, r *http.Request) {
-	if !n.fenceOK(w, r) {
-		return
-	}
-	dev, ok := n.device(w, r)
-	if !ok {
-		return
-	}
-	start, err := strconv.ParseInt(r.URL.Query().Get("start"), 10, 64)
-	if err != nil {
-		failAs(w, store.ErrBadGeometry, err)
-		return
-	}
-	body, err := readCapped(r, rangeMaxBytes)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	sb := dev.StripBytes()
-	if len(body) == 0 || len(body)%sb != 0 {
-		fail(w, fmt.Errorf("%w: %d body bytes, strip is %d", store.ErrShortBuffer, len(body), sb))
-		return
-	}
-	count := len(body) / sb
-	if err := rangeBounds(dev, start, count); err != nil {
-		fail(w, err)
-		return
-	}
-	if want := r.Header.Get(crcHeader); want != "" && want != blobCRC(body) {
-		fail(w, fmt.Errorf("%w: range body crc %s, header says %s", ErrBadFrame, blobCRC(body), want))
-		return
-	}
-	for i := 0; i < count; i++ {
-		if err := dev.WriteStrip(start+int64(i), body[i*sb:(i+1)*sb]); err != nil {
-			fail(w, err)
-			return
-		}
-	}
-	w.WriteHeader(http.StatusNoContent)
 }
 
 // readBatch reads and decodes a batch request of the given kind, answering
@@ -675,8 +618,12 @@ func (n *Node) handleStripSums(w http.ResponseWriter, r *http.Request) {
 		failAs(w, store.ErrBadGeometry, fmt.Errorf("netdev: bad sums query"))
 		return
 	}
-	if err := rangeBounds(dev, start, count); err != nil {
-		fail(w, err)
+	if start < 0 || count <= 0 || start+int64(count) > dev.Strips() {
+		fail(w, fmt.Errorf("%w: range [%d,%d) of %d strips", store.ErrStripOutOfRange, start, start+int64(count), dev.Strips()))
+		return
+	}
+	if count > sumsMaxStrips {
+		fail(w, fmt.Errorf("%w: sums of %d strips exceed the %d-strip cap", store.ErrBadGeometry, count, sumsMaxStrips))
 		return
 	}
 	buf := make([]byte, dev.StripBytes())

@@ -3,12 +3,8 @@ package netdev
 import (
 	"bytes"
 	"errors"
-	"io"
-	"net/http"
-	"net/http/httptest"
 	"testing"
 
-	"github.com/oiraid/oiraid/internal/retry"
 	"github.com/oiraid/oiraid/internal/store"
 )
 
@@ -24,9 +20,26 @@ func readStrips(t *testing.T, dev *NetDevice, start int64, count int) []byte {
 	return out
 }
 
-// TestNetDeviceRangeRoundTrip covers the bulk-migration surface: a ranged
-// write moves whole cycles in one request and the checksums match the
-// per-strip contents.
+// writeRun writes len(p)/StripBytes consecutive strips of dev from start as
+// one batch — a migration's bulk write — and returns the first op's error.
+func writeRun(dev *NetDevice, start int64, p []byte) error {
+	sb := dev.StripBytes()
+	ops := make([]store.StripOp, len(p)/sb)
+	for i := range ops {
+		ops[i] = store.StripOp{Dev: dev, Idx: start + int64(i), Buf: p[i*sb : (i+1)*sb]}
+	}
+	dev.WriteStrips(ops)
+	for i := range ops {
+		if ops[i].Err != nil {
+			return ops[i].Err
+		}
+	}
+	return nil
+}
+
+// TestNetDeviceRangeRoundTrip covers the bulk-migration surface: a batch
+// write moves a run of strips in one request and the range checksums match
+// the per-strip contents.
 func TestNetDeviceRangeRoundTrip(t *testing.T) {
 	_, srv := startNode(t, "n0")
 	c := NewNodeClient(srv.URL, fastOpts())
@@ -41,12 +54,12 @@ func TestNetDeviceRangeRoundTrip(t *testing.T) {
 	for i := range bulk {
 		bulk[i] = byte(i * 7)
 	}
-	if err := dev.WriteStripRange(2, bulk); err != nil {
-		t.Fatalf("write range: %v", err)
+	if err := writeRun(dev, 2, bulk); err != nil {
+		t.Fatalf("write run: %v", err)
 	}
 	// Bulk write is idempotent — a migration retry must be harmless.
-	if err := dev.WriteStripRange(2, bulk); err != nil {
-		t.Fatalf("re-write range: %v", err)
+	if err := writeRun(dev, 2, bulk); err != nil {
+		t.Fatalf("re-write run: %v", err)
 	}
 
 	// Per-strip reads see the same bytes the bulk write landed.
@@ -64,17 +77,17 @@ func TestNetDeviceRangeRoundTrip(t *testing.T) {
 		t.Fatalf("got %d sums, want 4", len(sums))
 	}
 	for i, sum := range sums {
-		if want := StripCRC(bulk[i*stripBytes : (i+1)*stripBytes]); sum != want {
+		if want := blobCRC(bulk[i*stripBytes : (i+1)*stripBytes]); sum != want {
 			t.Fatalf("sum %d = %q, want %q", i, sum, want)
 		}
 	}
 
 	// Sentinel taxonomy on the ranged surface.
-	if err := dev.WriteStripRange(6, bulk); !errors.Is(err, store.ErrStripOutOfRange) {
+	if err := writeRun(dev, 6, bulk); !errors.Is(err, store.ErrStripOutOfRange) {
 		t.Fatalf("overrun write: %v", err)
 	}
-	if err := dev.WriteStripRange(0, bulk[:stripBytes+1]); !errors.Is(err, store.ErrShortBuffer) {
-		t.Fatalf("ragged write: %v", err)
+	if _, err := dev.StripSums(6, 4); !errors.Is(err, store.ErrStripOutOfRange) {
+		t.Fatalf("overrun sums: %v", err)
 	}
 }
 
@@ -106,7 +119,7 @@ func TestNetDeviceRangeFencing(t *testing.T) {
 	for i := range bulk {
 		bulk[i] = byte(i)
 	}
-	if err := dev.WriteStripRange(0, bulk); err != nil {
+	if err := writeRun(dev, 0, bulk); err != nil {
 		t.Fatalf("fenced write at current epoch: %v", err)
 	}
 
@@ -117,7 +130,7 @@ func TestNetDeviceRangeFencing(t *testing.T) {
 	staleFence.Advance(4)
 	stale.SetFence(staleFence)
 	sdev := stale.Device("d0", strips, stripBytes)
-	if err := sdev.WriteStripRange(0, bulk); !errors.Is(err, store.ErrStaleEpoch) {
+	if err := writeRun(sdev, 0, bulk); !errors.Is(err, store.ErrStaleEpoch) {
 		t.Fatalf("stale bulk write: %v, want ErrStaleEpoch", err)
 	}
 	if err := sdev.WriteStrip(0, bulk[:stripBytes]); !errors.Is(err, store.ErrStaleEpoch) {
@@ -145,7 +158,7 @@ func TestNetDeviceRangeFencing(t *testing.T) {
 	classic := NewNodeClient(srv.URL, fastOpts())
 	defer classic.Close()
 	cdev := classic.Device("d0", strips, stripBytes)
-	if err := cdev.WriteStripRange(0, bulk); err != nil {
+	if err := writeRun(cdev, 0, bulk); err != nil {
 		t.Fatalf("unfenced write: %v", err)
 	}
 
@@ -164,65 +177,48 @@ func TestNetDeviceRangeFencing(t *testing.T) {
 	}
 }
 
-// TestWriteRangeBodySizing: the range handler reads its body into one buffer
-// sized from the declared length, and a body over the cap — declared, or
-// chunked and running past it — is refused as over the bound before any strip
-// is touched, not as a strip-size mismatch.
-func TestWriteRangeBodySizing(t *testing.T) {
+// hollowDevice has a geometry and no media: every strip reads as zeros.
+type hollowDevice struct {
+	strips     int64
+	stripBytes int
+}
+
+func (d hollowDevice) Strips() int64   { return d.strips }
+func (d hollowDevice) StripBytes() int { return d.stripBytes }
+func (d hollowDevice) Close() error    { return nil }
+func (d hollowDevice) ReadStrip(_ int64, p []byte) error {
+	clear(p)
+	return nil
+}
+func (d hollowDevice) WriteStrip(int64, []byte) error { return store.ErrReadOnly }
+
+// TestStripSumsBoundedByCount: a checksum request is bounded by how many
+// strips it names, not by their bytes — the handler reads through one strip
+// buffer and answers one CRC per strip — so a resuming migration can verify a
+// cycle of large strips; past the count cap it is refused before a strip is
+// read.
+func TestStripSumsBoundedByCount(t *testing.T) {
 	n, srv := startNode(t, "n0")
 	c := NewNodeClient(srv.URL, fastOpts())
 	defer c.Close()
-	const stripBytes = 1 << 16
-	dev, err := c.CreateDevice("d0", 4, stripBytes)
+	n.AddDevice("big", hollowDevice{strips: 64, stripBytes: 1 << 20})
+	n.AddDevice("many", hollowDevice{strips: sumsMaxStrips + 1, stripBytes: 16})
+
+	// 36 strips of 1 MiB: more bytes than any one message may carry.
+	sums, err := c.Device("big", 64, 1<<20).StripSums(0, 36)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("sums over 36 MiB of strips: %v", err)
 	}
-	put := func(length int64, body io.Reader) (status int, code string) {
-		t.Helper()
-		req := httptest.NewRequest(http.MethodPut, dev.rangeURL("start=0"), body)
-		req.ContentLength = length
-		rec := httptest.NewRecorder()
-		n.Handler().ServeHTTP(rec, req)
-		return rec.Code, rec.Header().Get(retry.Header)
+	for i, sum := range sums {
+		if want := blobCRC(make([]byte, 1<<20)); sum != want {
+			t.Fatalf("sum %d = %q, want %q", i, sum, want)
+		}
 	}
-	want := bytes.Repeat([]byte{0x7E}, 2*stripBytes)
-	if status, code := put(-1, bytes.NewReader(want)); status != http.StatusNoContent {
-		t.Fatalf("chunked range write: status %d (%s)", status, code)
+	many := c.Device("many", sumsMaxStrips+1, 16)
+	if _, err := many.StripSums(0, sumsMaxStrips); err != nil {
+		t.Fatalf("sums of %d strips, the cap: %v", sumsMaxStrips, err)
 	}
-	if got := readStrips(t, dev, 0, 2); !bytes.Equal(got, want) {
-		t.Fatal("strips after a chunked range write differ")
+	if _, err := many.StripSums(0, sumsMaxStrips+1); !errors.Is(err, store.ErrBadGeometry) {
+		t.Fatalf("sums of one strip past the cap: %v, want ErrBadGeometry", err)
 	}
-	// A declared length no machine can honour: refused unread.
-	if status, code := put(1<<50, untouched{t}); status != http.StatusBadRequest || code != "bad-geometry" {
-		t.Errorf("declared length past the cap: status %d code %q, want 400 bad-geometry", status, code)
-	}
-	if status, code := put(rangeMaxBytes+1, untouched{t}); status != http.StatusBadRequest || code != "bad-geometry" {
-		t.Errorf("declared length one past the cap: status %d code %q, want 400 bad-geometry", status, code)
-	}
-	// Length unknown and endless: read up to the cap and no further.
-	endless := &countingReader{r: zeroReader{}}
-	if status, code := put(-1, endless); status != http.StatusBadRequest || code != "bad-geometry" {
-		t.Errorf("chunked body past the cap: status %d code %q, want 400 bad-geometry", status, code)
-	}
-	if endless.n > rangeMaxBytes+1 {
-		t.Errorf("an endless body was read for %d bytes, the cap is %d", endless.n, rangeMaxBytes)
-	}
-	// A body shorter than it declares is a damaged transfer.
-	if status, code := put(int64(len(want)), bytes.NewReader(want[:len(want)-1])); status != http.StatusBadRequest || code != "bad-frame" {
-		t.Errorf("body shorter than declared: status %d code %q, want 400 bad-frame", status, code)
-	}
-	if got := readStrips(t, dev, 0, 2); !bytes.Equal(got, want) {
-		t.Error("a refused range write reached the strips")
-	}
-}
-
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
 }

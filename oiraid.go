@@ -40,7 +40,6 @@ import (
 	"github.com/oiraid/oiraid/internal/disk"
 	"github.com/oiraid/oiraid/internal/engine"
 	"github.com/oiraid/oiraid/internal/layout"
-	"github.com/oiraid/oiraid/internal/object"
 	"github.com/oiraid/oiraid/internal/reliability"
 	"github.com/oiraid/oiraid/internal/server"
 	"github.com/oiraid/oiraid/internal/sim"
@@ -54,10 +53,6 @@ type (
 	Design = bibd.Design
 	// Scheme is a periodic data layout with coding stripes.
 	Scheme = layout.Scheme
-	// Strip addresses one strip (disk, slot) within a layout cycle.
-	Strip = layout.Strip
-	// Stripe is one parity relation of a Scheme.
-	Stripe = layout.Stripe
 	// Analyzer answers recovery, tolerance, and update queries about a
 	// Scheme.
 	Analyzer = core.Analyzer
@@ -86,38 +81,15 @@ type (
 	Engine = engine.Engine
 	// EngineOptions tunes an Engine.
 	EngineOptions = engine.Options
-	// EngineStats is the engine's counter snapshot.
-	EngineStats = engine.Stats
-	// EngineStatus is the engine's operational snapshot (also the JSON
-	// body of oiraidd's /v1/status).
-	EngineStatus = engine.Status
 	// Server exposes an Engine over HTTP (the oiraidd service).
 	Server = server.Server
 	// ServerOptions tunes a Server.
 	ServerOptions = server.Options
-	// ServerClient is the Go client for an oiraidd server.
-	ServerClient = server.Client
-	// ServerClientOptions tunes the client's timeout and retry/backoff.
-	ServerClientOptions = server.ClientOptions
 	// FaultConfig parameterises deterministic fault injection.
 	FaultConfig = store.FaultConfig
 	// FaultInjector is a device wrapper injecting transient errors, torn
 	// writes, silent bit-flips, latency, and permanent failure.
 	FaultInjector = store.FaultDevice
-	// RetryPolicy bounds per-device retries of transient errors.
-	RetryPolicy = store.RetryPolicy
-	// HealthPolicy tunes the engine's auto-eviction and auto-rebuild.
-	HealthPolicy = engine.HealthPolicy
-	// HealthReport is the engine's per-disk health snapshot (also the
-	// JSON body of oiraidd's /v1/health).
-	HealthReport = engine.HealthReport
-	// DiskHealth is one disk's entry in a HealthReport.
-	DiskHealth = engine.DiskHealth
-	// SpareProvider materialises a hot-spare device for a failed disk.
-	SpareProvider = engine.SpareProvider
-	// QoSConfig tunes the engine's admission control, deadline handling,
-	// and adaptive rebuild/scrub pacing.
-	QoSConfig = engine.QoSConfig
 	// QoSState is the live QoS snapshot (also the JSON body of oiraidd's
 	// /v1/qos).
 	QoSState = engine.QoSState
@@ -125,31 +97,8 @@ type (
 	QoSUpdate = engine.QoSUpdate
 	// Blob is a byte-addressed durable file (superblock/journal media).
 	Blob = store.Blob
-	// Superblock is the per-disk durable identity + geometry record.
-	Superblock = store.Superblock
-	// ArrayMeta is an array's durable metadata plane (superblocks +
-	// metadata journal).
-	ArrayMeta = store.ArrayMeta
 	// Mount is the result of assembling an array from on-media metadata.
 	Mount = store.Mount
-	// FsckReport is a full two-layer verification report.
-	FsckReport = store.FsckReport
-	// FsckIssue is one inconsistency found by fsck.
-	FsckIssue = store.FsckIssue
-	// ObjectStore is the bucket/object plane layered over an Engine.
-	ObjectStore = object.Store
-	// ObjectStoreOptions tunes an ObjectStore.
-	ObjectStoreOptions = object.Options
-	// ObjectInfo is one object's metadata record.
-	ObjectInfo = object.Info
-	// ObjectBucketInfo is one bucket's listing entry.
-	ObjectBucketInfo = object.BucketInfo
-	// ObjectListPage is one page of an object listing.
-	ObjectListPage = object.ListPage
-	// ObjectPartInfo describes one uploaded multipart part.
-	ObjectPartInfo = object.PartInfo
-	// ObjectFsckReport is the object plane's consistency report.
-	ObjectFsckReport = object.FsckReport
 )
 
 // SupportedDiskCounts lists array sizes v ≤ limit for which an OI-RAID
@@ -292,21 +241,14 @@ func NewFileArray(g *Geometry, dir string, cycles int64, stripBytes int) (*Array
 	return mnt.Array, nil
 }
 
-// DegradedPolicy selects what MountArray does when the committed
+// DegradedPolicy selects what a mount does when the committed
 // failure pattern is beyond the layout's recovery capability: refuse
 // (the default), serve the full address space read-only (when every
 // data strip is still decodable), or serve the decodable subset.
 type DegradedPolicy = store.DegradedPolicy
 
-// Degradation policies (see store.DegradedPolicy).
-const (
-	DegradedRefuse   = store.DegradedRefuse
-	DegradedReadOnly = store.DegradedReadOnly
-	DegradedPartial  = store.DegradedPartial
-)
-
-// FormatOption customises FormatArray; MountOption customises
-// MountArray.
+// FormatOption customises FormatArray and FormatDir; MountOption
+// customises MountDir.
 type (
 	FormatOption = store.FormatOption
 	MountOption  = store.MountOption
@@ -330,17 +272,6 @@ func ParseDegradedPolicy(s string) (DegradedPolicy, error) { return store.ParseD
 // left untouched.
 func FormatArray(g *Geometry, devs []Device, sbs []Blob, j0, j1 Blob, opts ...FormatOption) (*Mount, error) {
 	return store.FormatArray(g.an, devs, sbs, j0, j1, opts...)
-}
-
-// MountArray assembles an array from its on-media metadata: it loads
-// every superblock, fails disks whose copy is missing, foreign,
-// misplaced, or stale, replays the metadata journal, and — under the
-// default refuse policy — refuses to serve when the failure pattern
-// exceeds the layout's recovery capability. The read-only and partial
-// policies (stamped at format or overridden per mount) keep the
-// decodable strips serving instead; see store.DegradedPolicy.
-func MountArray(g *Geometry, devs []Device, sbs []Blob, j0, j1 Blob, opts ...MountOption) (*Mount, error) {
-	return store.MountArray(g.an, devs, sbs, j0, j1, opts...)
 }
 
 // FormatDir formats a fresh array in the local directory format — per
@@ -392,41 +323,16 @@ func NewEngine(arr *Array, opts EngineOptions) (*Engine, error) {
 	return engine.New(arr, opts)
 }
 
-// NewObjectStore mounts the bucket/object plane over an engine. Object
-// metadata persists through the array's metadata journal, so the store
-// survives remounts on durably-formatted arrays; interrupted PUTs are
-// swept (rolled back) during this call.
-func NewObjectStore(eng *Engine, opts ObjectStoreOptions) (*ObjectStore, error) {
-	return object.New(eng, opts)
-}
-
 // NewServer builds the HTTP service over an engine; serve it with
 // Server.Serve or mount Server.Handler.
 func NewServer(eng *Engine, opts ServerOptions) *Server {
 	return server.New(eng, opts)
 }
 
-// NewServerClient targets an oiraidd base URL with default retry/backoff.
-func NewServerClient(base string) *ServerClient {
-	return server.NewClient(base)
-}
-
-// NewServerClientWithOptions targets an oiraidd base URL with explicit
-// timeout and retry/backoff options.
-func NewServerClientWithOptions(base string, opts ServerClientOptions) *ServerClient {
-	return server.NewClientWithOptions(base, opts)
-}
-
 // NewFaultDevice wraps a device with deterministic, seedable fault
 // injection — the chaos-testing backbone of the self-healing stack.
 func NewFaultDevice(dev Device, cfg FaultConfig) *FaultInjector {
 	return store.NewFaultDevice(dev, cfg)
-}
-
-// NewRetryDevice wraps a device with bounded retry/backoff of transient
-// errors.
-func NewRetryDevice(dev Device, pol RetryPolicy) Device {
-	return store.NewRetryDevice(dev, pol)
 }
 
 // NewChecksummedDevice wraps any device with per-strip CRC-32C

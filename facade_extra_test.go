@@ -143,19 +143,40 @@ func TestLossProbabilityFacade(t *testing.T) {
 	}
 }
 
-func TestChecksummedDeviceFacade(t *testing.T) {
+// TestFormattedArrayVerifiesFacade: an array with a metadata journal keeps
+// per-strip checksums, so a strip corrupted behind its back reads back
+// healed from parity (read repair).
+func TestFormattedArrayVerifiesFacade(t *testing.T) {
 	g := testGeometry(t, 9)
-	devs := make([]Device, g.Disks())
+	devs, sbs := make([]Device, g.Disks()), make([]Blob, g.Disks())
 	strips := int64(g.Analyzer().SlotsPerDisk())
 	for i := range devs {
 		mem, err := NewMemDevice(strips, 512)
 		if err != nil {
 			t.Fatal(err)
 		}
-		devs[i] = NewChecksummedDevice(mem)
+		devs[i], sbs[i] = mem, NewMemBlob()
 	}
-	if devs[0].Strips() != strips {
-		t.Fatal("wrapper geometry wrong")
+	m, err := FormatArray(g, devs, sbs, NewMemBlob(), NewMemBlob())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bytes.Repeat([]byte{0x5A}, 512)
+	if _, err := m.Array.WriteAt(want, 0); err != nil {
+		t.Fatal(err)
+	}
+	d := m.Array.DataStripDisk(0)
+	for idx := int64(0); idx < strips; idx++ { // the strip is somewhere on disk d
+		if err := devs[d].WriteStrip(idx, make([]byte, 512)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make([]byte, 512)
+	if _, err := m.Array.ReadAt(got, 0); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("read of a corrupted strip: %v", err)
+	}
+	if st := m.Array.Stats(); st.ReadRepairs != 1 {
+		t.Fatalf("read repairs %d, want 1", st.ReadRepairs)
 	}
 }
 

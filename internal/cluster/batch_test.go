@@ -239,6 +239,136 @@ func TestClusterMirrorDrainRPCCounts(t *testing.T) {
 	}
 }
 
+// methodLog is a transport that records the strip-plane RPCs that pass it as
+// "METHOD host path", and sends those for one host through a fault transport.
+type methodLog struct {
+	inner, fault http.RoundTripper
+	mu           sync.Mutex
+	faulty       string // host
+	rpcs         []string
+}
+
+func (l *methodLog) RoundTrip(r *http.Request) (*http.Response, error) {
+	l.mu.Lock()
+	if strings.Contains(r.URL.Path, "/strips/") {
+		l.rpcs = append(l.rpcs, r.Method+" "+r.URL.Host+" "+r.URL.Path)
+	}
+	faulty := r.URL.Host == l.faulty
+	l.mu.Unlock()
+	if faulty {
+		return l.fault.RoundTrip(r)
+	}
+	return l.inner.RoundTrip(r)
+}
+
+func (l *methodLog) CloseIdleConnections() {
+	l.inner.(interface{ CloseIdleConnections() }).CloseIdleConnections()
+}
+
+func (l *methodLog) take() []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	rpcs := l.rpcs
+	l.rpcs = nil
+	return rpcs
+}
+
+// TestClusterMirroredWriteRidesBatch: a foreground write whose closure holds
+// a migrating disk sends the disk's repeat at the destination node inside
+// that node's one write batch — a write is one write RPC per node, not two
+// single-strip PUTs more — and when the destination node fails under a
+// FaultTransport the write still succeeds and the source disk is charged no
+// error and none of the destination's latency.
+func TestClusterMirroredWriteRidesBatch(t *testing.T) {
+	const disk, stripBytes = 0, 512 // disk 0 lives on alpha
+	const delay = 100 * time.Millisecond
+	var log *methodLog
+	var fault *netdev.FaultTransport
+	c, _ := countedCluster(t, stripBytes, func(inner http.RoundTripper) http.RoundTripper {
+		fault = netdev.NewFaultTransport(inner, 1)
+		log = &methodLog{inner: inner, fault: fault}
+		return log
+	})
+	p := bytes.Repeat([]byte{0x2F}, stripBytes)
+	for s := int64(0); s < c.Eng.Strips(); s++ {
+		if err := c.Eng.WriteStrip(s, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	arr := c.Eng.Array()
+	beta := c.Client("beta")
+	dst, err := beta.CreateDevice("mirror-dst", arr.Cycles()*int64(arr.Analyzer().SlotsPerDisk()), stripBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Eng.StartMirror(disk, dst); err != nil {
+		t.Fatal(err)
+	}
+	defer c.Eng.AbortMigration(disk)
+	hosts := map[string]string{}
+	for _, n := range c.ManifestSnapshot().Nodes {
+		hosts[strings.TrimPrefix(n.URL, "http://")] = n.ID
+	}
+	// strip returns a data strip whose closure holds the migrating disk, on
+	// beta's disks too or not.
+	strip := func(onBeta bool) (int64, map[string][]int) {
+		for s := int64(0); s < c.Eng.Strips(); s++ {
+			nodes := closureNodes(c, s)
+			if _, ok := nodes["beta"]; ok == onBeta && slices.Contains(nodes["alpha"], disk) {
+				return s, nodes
+			}
+		}
+		t.Fatalf("no closure holds disk %d with beta in it: %v", disk, onBeta)
+		return 0, nil
+	}
+
+	s, nodes := strip(true)
+	log.take()
+	if err := c.Eng.WriteStrip(s, p); err != nil {
+		t.Fatal(err)
+	}
+	writes := map[string][]string{}
+	for _, rpc := range log.take() {
+		f := strings.Fields(rpc)
+		if f[0] == http.MethodPut || f[2] == "/node/v1/strips/write" {
+			writes[hosts[f[1]]] = append(writes[hosts[f[1]]], f[0]+" "+f[2])
+		}
+	}
+	for node := range nodes {
+		if len(writes[node]) != 1 {
+			t.Errorf("node %s: write RPCs %v, want one", node, writes[node])
+		}
+	}
+	if len(writes) != len(nodes) || !slices.Equal(writes["beta"], []string{"POST /node/v1/strips/write"}) {
+		t.Errorf("write of strip %d with disk %d migrating to beta: write RPCs %v, want one per closure node, beta's a batch", s, disk, writes)
+	}
+
+	s, _ = strip(false)
+	before := c.Eng.Health().Disks[disk]
+	log.mu.Lock()
+	for h, id := range hosts {
+		if id == "beta" {
+			log.faulty = h
+		}
+	}
+	log.mu.Unlock()
+	fault.SetDelay(delay)
+	fault.SetPartition(netdev.PartDrop)
+	err = c.Eng.WriteStrip(s, p)
+	fault.SetPartition(netdev.PartNone)
+	fault.SetDelay(0)
+	if err != nil {
+		t.Fatalf("write with the migration's destination node down: %v", err)
+	}
+	after := c.Eng.Health().Disks[disk]
+	if after.Errors != before.Errors || after.TransientErrors != before.TransientErrors || after.UnreachableErrors != before.UnreachableErrors {
+		t.Errorf("disk %d was charged the destination's failure: %+v, was %+v", disk, after, before)
+	}
+	if moved := after.P99LatencyUs - before.P99LatencyUs; moved >= float64(delay/16)/1e3 {
+		t.Errorf("disk %d's p99 moved %.0f µs: the destination's %v was charged to it", disk, moved, delay)
+	}
+}
+
 // rebuildDisk fails disk d and rebuilds it onto a replacement the
 // coordinator provisions.
 func rebuildDisk(t *testing.T, c *Cluster, d int) {

@@ -7,8 +7,8 @@
 //  1. Commit a MigrationRecord (src, dst, cursor=0) through the quorum
 //     metadata plane. From here on the move survives coordinator death:
 //     whoever mounts next finds the record and resumes.
-//  2. Install a store.MirrorDevice on the disk: foreground writes land
-//     on both placements, reads stay on the source, destination
+//  2. Install the array's migration mirror on the disk: foreground writes
+//     land on both placements, reads stay on the source, destination
 //     failures go to a dirty set instead of the health monitor.
 //  3. Copy cycle by cycle, paced by the engine's QoS bucket (the same
 //     budget rebuilds run under, so foreground p99 stays bounded). Each
@@ -38,6 +38,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/url"
 	"sort"
 	"time"
 
@@ -109,6 +110,9 @@ func (e badMember) Is(target error) bool { return target == ErrBadMember }
 func (c *Cluster) AddNode(spec NodeSpec) (MoveReport, error) {
 	if spec.ID == "" || spec.URL == "" {
 		return MoveReport{}, badMember("cluster: add node needs an id and a url")
+	}
+	if u, err := url.Parse(spec.URL); err != nil || u.Host == "" {
+		return MoveReport{}, badMember(fmt.Sprintf("cluster: add node %s: malformed url %q", spec.ID, spec.URL))
 	}
 	c.memberMu.Lock()
 	defer c.memberMu.Unlock()

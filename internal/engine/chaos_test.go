@@ -15,9 +15,9 @@ import (
 	"github.com/oiraid/oiraid/internal/store"
 )
 
-// newChaosEngine builds an engine whose disks are checksummed fault
-// devices, returning the per-disk injectors. A journal is attached so
-// writes aborted by injected faults stay recoverable.
+// newChaosEngine builds an engine whose disks are fault devices, returning
+// the per-disk injectors. A journal is attached, so writes aborted by
+// injected faults stay recoverable and every strip is checksummed.
 func newChaosEngine(t testing.TB, v int, cycles int64, opts Options) (*Engine, []*store.FaultDevice) {
 	t.Helper()
 	d, err := bibd.ForArray(v)
@@ -41,7 +41,7 @@ func newChaosEngine(t testing.TB, v int, cycles int64, opts Options) (*Engine, [
 			t.Fatal(err)
 		}
 		faults[i] = store.NewFaultDevice(mem, store.FaultConfig{Seed: int64(1000 + i)})
-		devs[i] = store.NewChecksummedDevice(faults[i])
+		devs[i] = faults[i]
 	}
 	arr, err := store.NewArray(an, devs)
 	if err != nil {
@@ -131,7 +131,7 @@ func TestChaosPermanentEvictsAndHeals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.AddSpareDevice(store.NewChecksummedDevice(spare))
+	e.AddSpareDevice(spare)
 	if got := e.SpareCount(); got != 1 {
 		t.Fatalf("spare pool = %d, want 1", got)
 	}

@@ -115,8 +115,8 @@ type Engine struct {
 
 	replace func(disk int) (store.Device, error)
 
-	// Self-healing state: the monitor observes every device op through
-	// probe wrappers; the healer goroutine consumes its evictions.
+	// Self-healing state: the monitor observes every device op as the
+	// array's observer; the healer goroutine consumes its evictions.
 	mon       *monitor
 	retryPol  *store.RetryPolicy
 	retryMu   sync.Mutex
@@ -212,8 +212,9 @@ func New(arr *store.Array, opts Options) (*Engine, error) {
 	e.retryPol = opts.Retry
 	e.retryDevs = make([]*store.RetryDevice, an.Disks())
 	e.mon = newMonitor(an.Disks(), pol, opts.Health != nil)
-	// Thread every device access through the retry/probe stack so the
-	// monitor sees the array's view of each disk from the first op.
+	// The monitor sees the array's view of each disk from the first op, and
+	// every device access goes through the retry policy.
+	arr.SetObserver(e.mon.observe)
 	arr.InstrumentDevices(e.wrapDevice)
 	if opts.Health != nil {
 		e.healStop = make(chan struct{})
@@ -633,8 +634,8 @@ func (e *Engine) StartRebuild(batch int64) error {
 
 // attachReplacements provisions a device for every failed disk lacking
 // one: the hot-spare pool first (FIFO), then Options.Replace. Adopted
-// devices get the same retry/probe wrapping as the originals, so health
-// monitoring follows the disk across the swap.
+// devices get the same retry wrapping as the originals, and the monitor
+// follows the disk across the swap.
 func (e *Engine) attachReplacements() error {
 	for _, d := range e.arr.NeedsReplacement() {
 		var dev store.Device

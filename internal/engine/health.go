@@ -1,10 +1,11 @@
-// Health monitoring and self-healing: every device access flows through a
-// per-disk probe that records latency and classifies errors; a threshold
-// policy auto-evicts a persistently failing disk (FailDisk), adopts a
-// device from the hot-spare pool, and drives a background rebuild — no
-// operator in the loop. The monitor is always on (its cost is two clock
-// reads and a few atomics per device op); eviction and auto-rebuild
-// activate only when Options.Health is set.
+// Health monitoring and self-healing: the monitor is the array's observer
+// (store.Array.SetObserver), so every device op of every disk reaches it
+// with its latency and outcome, which it classifies; a threshold policy
+// auto-evicts a persistently failing disk (FailDisk), adopts a device from
+// the hot-spare pool, and drives a background rebuild — no operator in the
+// loop. The monitor is always on (its cost is two clock reads and a few
+// atomics per device op); eviction and auto-rebuild activate only when
+// Options.Health is set.
 package engine
 
 import (
@@ -157,17 +158,15 @@ type HealthReport struct {
 	Policy *HealthPolicy `json:"policy,omitempty"`
 }
 
-// diskCounters is one disk's lock-free accumulator. gen is the device
-// generation: it advances when a replacement device is attached, and
-// observations from probes of older generations are discarded — an op
-// that was in flight against the evicted device must not count against
-// the fresh disk that replaced it.
+// diskCounters is one disk's lock-free accumulator. No op in flight against
+// an evicted device can count against the fresh one that replaces it: the
+// array observes an op before its hold on the array lock ends, and attaches
+// a device only under the exclusive lock (store.Array.SetObserver).
 type diskCounters struct {
 	ops, errors, transient, corrupt, slow atomic.Int64
 	unreachable                           atomic.Int64
 	latencyNs                             atomic.Int64
 	evicted                               atomic.Bool
-	gen                                   atomic.Int64
 
 	// Tail-tolerance estimators, updated by CAS so observe stays lock-free.
 	// latEwmaBits holds the float64 bits of a latency EWMA (ns, α=1/8);
@@ -252,14 +251,12 @@ func newMonitor(disks int, pol HealthPolicy, auto bool) *monitor {
 	}
 }
 
-// observe classifies one device-op outcome. Caller bugs (range, buffer
-// size) and shutdown artifacts do not count against the disk, nor do
-// observations from a probe of a superseded device generation.
-func (m *monitor) observe(disk int, gen int64, dur time.Duration, err error) {
+// observe classifies one device-op outcome; it is the array's observer. An
+// op that travelled in a batch is charged the batch's duration: how long its
+// caller waited. Caller bugs (range, buffer size) and shutdown artifacts do
+// not count against the disk.
+func (m *monitor) observe(disk int, dur time.Duration, err error) {
 	c := &m.disks[disk]
-	if gen != c.gen.Load() {
-		return
-	}
 	ops := c.ops.Add(1)
 	c.latencyNs.Add(int64(dur))
 	c.observeLatency(dur)
@@ -317,13 +314,10 @@ func (m *monitor) observe(disk int, gen int64, dur time.Duration, err error) {
 	}
 }
 
-// adopt advances a disk's device generation when a replacement device is
-// attached: error state clears (the fresh device starts with a clean
-// slate, and may be evicted again later), and observations still in
-// flight against the superseded device no longer count.
+// adopt clears a disk's error state when a replacement device is attached:
+// the fresh device starts with a clean slate, and may be evicted again later.
 func (m *monitor) adopt(disk int) {
 	c := &m.disks[disk]
-	c.gen.Add(1)
 	c.errors.Store(0)
 	c.transient.Store(0)
 	c.unreachable.Store(0)
@@ -338,57 +332,6 @@ func (m *monitor) adopt(disk int) {
 	c.quarantines.Store(0)
 	c.fastProbes.Store(0)
 	c.quarBase.Store(0)
-}
-
-// probeDevice wraps a store.Device with the monitor's per-disk probe,
-// pinned to the device generation it was created under.
-type probeDevice struct {
-	inner store.Device
-	disk  int
-	gen   int64
-	mon   *monitor
-}
-
-var _ store.StripLayer = probeDevice{}
-
-func (p probeDevice) Strips() int64   { return p.inner.Strips() }
-func (p probeDevice) StripBytes() int { return p.inner.StripBytes() }
-func (p probeDevice) Close() error    { return p.inner.Close() }
-
-// Inner exposes the wrapped device so unwrap chains (store fsck's search
-// for the checksummed layer) can walk through the probe.
-func (p probeDevice) Inner() store.Device { return p.inner }
-
-// Under implements store.StripLayer: the probe forwards every strip op
-// unchanged and only observes its outcome, so a batch passes through it.
-func (p probeDevice) Under() store.Device { return p.inner }
-
-func (p probeDevice) ReadStrip(idx int64, buf []byte) error {
-	t := time.Now()
-	err := p.inner.ReadStrip(idx, buf)
-	return p.observe(time.Since(t), err)
-}
-
-func (p probeDevice) WriteStrip(idx int64, buf []byte) error {
-	t := time.Now()
-	err := p.inner.WriteStrip(idx, buf)
-	return p.observe(time.Since(t), err)
-}
-
-// AfterRead and AfterWrite implement store.StripLayer. An op that travelled
-// in a batch is charged the batch's duration: how long its caller waited.
-func (p probeDevice) AfterRead(_ int64, _ []byte, took time.Duration, err error) error {
-	return p.observe(took, err)
-}
-
-func (p probeDevice) AfterWrite(_ int64, _ []byte, took time.Duration, err error) error {
-	return p.observe(took, err)
-}
-
-// observe feeds one op's outcome to the disk's monitor and passes it on.
-func (p probeDevice) observe(took time.Duration, err error) error {
-	p.mon.observe(p.disk, p.gen, took, err)
-	return err
 }
 
 // SpareProvider materialises a hot-spare device for the given failed
@@ -438,19 +381,20 @@ func (e *Engine) takeSpare() (SpareProvider, bool) {
 	return p, true
 }
 
-// wrapDevice layers the configured retry policy and the health probe
-// around a backing device for disk d. Every device the engine attaches —
-// the originals, pool spares, auto-provisioned replacements — goes
-// through it, so monitoring follows the disk across device swaps.
+// wrapDevice layers the configured retry policy, if any, around a backing
+// device for disk d. Every device the engine attaches — the originals, pool
+// spares, auto-provisioned replacements, migration destinations — goes
+// through it; the monitor needs no wrapper, it observes every disk's ops
+// through the array.
 func (e *Engine) wrapDevice(d int, dev store.Device) store.Device {
-	if e.retryPol != nil {
-		rd := store.NewRetryDevice(dev, *e.retryPol)
-		e.retryMu.Lock()
-		e.retryDevs[d] = rd
-		e.retryMu.Unlock()
-		dev = rd
+	if e.retryPol == nil {
+		return dev
 	}
-	return probeDevice{inner: dev, disk: d, gen: e.mon.disks[d].gen.Load(), mon: e.mon}
+	rd := store.NewRetryDevice(dev, *e.retryPol)
+	e.retryMu.Lock()
+	e.retryDevs[d] = rd
+	e.retryMu.Unlock()
+	return rd
 }
 
 // Health returns the engine's health snapshot.

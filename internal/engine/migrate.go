@@ -6,10 +6,9 @@
 // copied cycle is a consistent snapshot), and the atomic device flip at
 // the end (under the exclusive mode lock, so no write is in flight when
 // the source stops receiving them). Read-path awareness is inherited:
-// the store.MirrorDevice serves reads from the source for the whole
-// copy, and destination write failures never reach the health monitor,
-// so an in-flight move can neither slow reads down nor trigger a false
-// eviction.
+// the array's migration mirror serves reads from the source for the whole
+// copy, and destination ops are never observed, so an in-flight move can
+// neither slow reads down nor trigger a false eviction.
 
 package engine
 
@@ -50,8 +49,7 @@ func (e *Engine) lockCycle(cycle int64) (unlock func()) {
 // StartMirror installs a migration mirror on disk d: every subsequent
 // write lands on dst too, reads stay on the source.
 func (e *Engine) StartMirror(d int, dst store.Device) error {
-	_, err := e.arr.StartMirror(d, dst)
-	return err
+	return e.arr.StartMirror(d, dst)
 }
 
 // CopyMirrorCycle copies one layout cycle of migrating disk d to the
@@ -73,7 +71,7 @@ func (e *Engine) AbortMigration(d int) error { return e.arr.DropMirror(d) }
 // is final) it re-copies the dirty strips, runs finish — the caller's
 // last-mile work: cloning the superblock to the destination, committing
 // the new placement — and then swaps disk d's device to dev, wrapped with
-// the engine's health instrumentation like any attached device. If the
+// the engine's retry policy like any attached device. If the
 // drain or finish fails the mirror stays installed and the source remains
 // authoritative.
 func (e *Engine) CompleteMigration(d int, dev store.Device, finish func() error) error {

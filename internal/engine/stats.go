@@ -78,7 +78,9 @@ type Stats struct {
 	RebuildThrottleNs    int64
 	// ScrubBatches/ScrubPasses/ScrubBadStripes describe background-scrub
 	// activity: slices executed, full passes completed, and
-	// inconsistent stripes repaired.
+	// inconsistent stripes found — counted, not repaired (a strip that
+	// fails its checksum on the way is healed, but parity is left for
+	// Fsck(true)).
 	ScrubBatches    int64
 	ScrubPasses     int64
 	ScrubBadStripes int64

@@ -210,7 +210,7 @@ func TestQuarantineEscalatesToEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.AddSpareDevice(store.NewChecksummedDevice(spare))
+	e.AddSpareDevice(spare)
 
 	oracle := make(map[int64][]byte)
 	for addr := int64(0); addr < e.Strips(); addr++ {

@@ -26,7 +26,7 @@ import (
 
 // newObjectTestServer is newTestServer with the bucket/object plane
 // mounted over the engine.
-func newObjectTestServer(t testing.TB) *Client {
+func newObjectTestServer(t testing.TB) (*Server, *Client) {
 	t.Helper()
 	d, err := bibd.ForArray(9)
 	if err != nil {
@@ -58,7 +58,7 @@ func newObjectTestServer(t testing.TB) *Client {
 		ts.Close()
 		eng.Close()
 	})
-	return NewClient(ts.URL)
+	return srv, NewClient(ts.URL)
 }
 
 func objectPayload(seed int64, n int) []byte {
@@ -67,13 +67,46 @@ func objectPayload(seed int64, n int) []byte {
 	return p
 }
 
+// writeCounter is a ResponseWriter that counts the Writes reaching it.
+type writeCounter struct {
+	*httptest.ResponseRecorder
+	writes int
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.ResponseRecorder.Write(p)
+}
+
+// TestObjectGetStreams: an object GET reaches the ResponseWriter chunk by
+// chunk as the strips are read — the 200 is committed before the last one
+// is — instead of being buffered whole by the handler stack.
+func TestObjectGetStreams(t *testing.T) {
+	srv, c := newObjectTestServer(t)
+	if err := c.MakeBucket("stream"); err != nil {
+		t.Fatal(err)
+	}
+	want := objectPayload(31, 12*testStrip) // three 4-strip chunks
+	if _, err := c.PutObject("stream", "k", bytes.NewReader(want), int64(len(want)), nil); err != nil {
+		t.Fatal(err)
+	}
+	w := &writeCounter{ResponseRecorder: httptest.NewRecorder()}
+	srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/buckets/stream/objects/k", nil))
+	if w.Code != http.StatusOK || !bytes.Equal(w.Body.Bytes(), want) {
+		t.Fatalf("GET: status %d, %d bytes", w.Code, w.Body.Len())
+	}
+	if w.writes < 2 {
+		t.Errorf("a %d-strip GET reached the ResponseWriter in %d Write, want one per chunk", len(want)/testStrip, w.writes)
+	}
+}
+
 // TestObjectLifecycleHTTP is the end-to-end acceptance path: create a
 // bucket, multipart-PUT an object spanning well over 64 strips with a
 // disk failed between parts, read it back bit-identically through the
 // degraded path, exercise the conditional GET, walk a paginated LIST,
 // and delete everything.
 func TestObjectLifecycleHTTP(t *testing.T) {
-	c := newObjectTestServer(t)
+	_, c := newObjectTestServer(t)
 
 	if err := c.MakeBucket("photos"); err != nil {
 		t.Fatal(err)
@@ -236,7 +269,7 @@ func TestObjectLifecycleHTTP(t *testing.T) {
 // TestObjectHTTPBasics covers the single-shot PUT path, HEAD, bucket
 // listing, and sentinel mapping through the HTTP plane.
 func TestObjectHTTPBasics(t *testing.T) {
-	c := newObjectTestServer(t)
+	_, c := newObjectTestServer(t)
 
 	if _, err := c.PutObject("nope", "k", bytes.NewReader([]byte("x")), 1, nil); !errors.Is(err, object.ErrNoSuchBucket) {
 		t.Fatalf("put into missing bucket: want ErrNoSuchBucket, got %v", err)
@@ -416,7 +449,7 @@ func TestPutSeekableBodyReplayed(t *testing.T) {
 // could be re-read in place goes out with Content-Length 0, not chunked —
 // the real server refuses a PUT of unknown length with 411.
 func TestPutEmptySeekableBody(t *testing.T) {
-	c := newObjectTestServer(t)
+	_, c := newObjectTestServer(t)
 	if err := c.MakeBucket("empties"); err != nil {
 		t.Fatal(err)
 	}

@@ -91,6 +91,35 @@ func TestServerOpDeadline504(t *testing.T) {
 	}
 }
 
+// TestServerRequestDeadline504: an op still waiting when the request's
+// deadline expires — here queued for admission behind a slow write — answers
+// the catalogue's 504 with the deadline code, not a bare status of the
+// handler stack's own.
+func TestServerRequestDeadline504(t *testing.T) {
+	ts, _ := newQoSServer(t, &engine.QoSConfig{AdmitDepth: 1, AdmitWait: 10 * time.Second},
+		Options{RequestTimeout: 50 * time.Millisecond}, 30*time.Millisecond)
+	slow := make(chan error, 1)
+	go func() {
+		resp, err := httpPut(ts.URL+"/v1/strips/0", make([]byte, testStrip))
+		if err == nil {
+			resp.Body.Close()
+		}
+		slow <- err
+	}()
+	time.Sleep(10 * time.Millisecond) // the slow write holds the one admission slot
+	resp, err := httpPut(ts.URL+"/v1/strips/1", make([]byte, testStrip))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusGatewayTimeout || resp.Header.Get("X-Oiraid-Err") != "deadline" {
+		t.Errorf("queued past the request deadline: status %d, code %q; want 504, \"deadline\"", resp.StatusCode, resp.Header.Get("X-Oiraid-Err"))
+	}
+	if err := <-slow; err != nil {
+		t.Fatal(err)
+	}
+}
+
 // httpPut issues a raw PUT with no retry layer, exposing the bare status.
 func httpPut(url string, body []byte) (*http.Response, error) {
 	req, err := http.NewRequest(http.MethodPut, url, bytes.NewReader(body))

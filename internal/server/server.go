@@ -23,8 +23,9 @@
 // decodes back into the sentinel, so remote callers branch with errors.Is
 // the same way local ones do. Transient conditions answer 503 with a
 // Retry-After header; requests shed by admission control answer 429 with
-// Retry-After; an expired op deadline answers 504. The client retries the
-// rows marked retryable (and transport errors) through internal/retry.
+// Retry-After; an expired request or op deadline answers 504. The client
+// retries the rows marked retryable (and transport errors) through
+// internal/retry.
 package server
 
 import (
@@ -48,13 +49,15 @@ import (
 
 // Options tunes a Server.
 type Options struct {
-	// RequestTimeout caps each request's handling time (default 30s).
+	// RequestTimeout is each request's deadline (default 30s): it bounds
+	// the request context every handler runs under, and an operation still
+	// waiting when it expires answers 504.
 	RequestTimeout time.Duration
 	// RebuildBatch is the layout-cycle batch size for POST /v1/rebuild
 	// (default 1, keeping foreground interleave fine-grained).
 	RebuildBatch int64
-	// OpTimeout bounds each strip operation's engine time, layered under
-	// the request context so client disconnects cancel too. An op that
+	// OpTimeout bounds each strip operation's engine time, nested inside
+	// the request deadline so client disconnects cancel too. An op that
 	// exceeds it answers 504. 0 leaves ops bounded only by
 	// RequestTimeout.
 	OpTimeout time.Duration
@@ -124,10 +127,17 @@ func New(eng *engine.Engine, opts Options) *Server {
 	return s
 }
 
-// Handler returns the routed handler with panic recovery and the
-// per-request timeout applied.
+// Handler returns the routed handler with panic recovery and the one
+// request deadline: RequestTimeout bounds the context every handler runs
+// under, so an operation that outlives it fails with
+// context.DeadlineExceeded and answers the catalogue's 504. Nothing is
+// buffered — a response body reaches the client as the handler writes it.
 func (s *Server) Handler() http.Handler {
-	return http.TimeoutHandler(s.recoverPanics(s.mux), s.opts.RequestTimeout, "request timed out\n")
+	return s.recoverPanics(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		ctx, cancel := context.WithTimeout(r.Context(), s.opts.RequestTimeout)
+		defer cancel()
+		s.mux.ServeHTTP(w, r.WithContext(ctx))
+	}))
 }
 
 // recoverPanics converts a handler panic into a 500 and a counter bump
@@ -251,7 +261,7 @@ func (s *Server) fail(w http.ResponseWriter, err error) {
 }
 
 // opCtx derives the context strip operations run under: the request
-// context (client disconnects and the handler timeout cancel it) bounded
+// context (client disconnects and the request deadline cancel it) bounded
 // by OpTimeout when configured.
 func (s *Server) opCtx(r *http.Request) (context.Context, context.CancelFunc) {
 	if s.opts.OpTimeout > 0 {

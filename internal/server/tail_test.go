@@ -22,7 +22,8 @@ import (
 )
 
 // newTailServer builds a server whose engine runs the given health
-// policy over checksummed fault devices, returning the injectors.
+// policy over fault devices with a journal (so checksums), returning the
+// injectors.
 func newTailServer(t testing.TB, pol *engine.HealthPolicy) (*Server, *Client, []*store.FaultDevice) {
 	t.Helper()
 	d, err := bibd.ForArray(9)
@@ -46,7 +47,7 @@ func newTailServer(t testing.TB, pol *engine.HealthPolicy) (*Server, *Client, []
 			t.Fatal(err)
 		}
 		faults[i] = store.NewFaultDevice(mem, store.FaultConfig{Seed: int64(2000 + i)})
-		devs[i] = store.NewChecksummedDevice(faults[i])
+		devs[i] = faults[i]
 	}
 	arr, err := store.NewArray(an, devs)
 	if err != nil {

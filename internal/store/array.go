@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"github.com/oiraid/oiraid/internal/core"
 	"github.com/oiraid/oiraid/internal/erasure"
@@ -21,7 +22,7 @@ type IOStats struct {
 	// DegradedReads counts reads served by reconstruction.
 	DegradedReads int64
 	// ReadRepairs counts strips healed in place after a checksum failure
-	// (latent sector errors caught by a ChecksummedDevice).
+	// (latent sector errors caught by the checksum step).
 	ReadRepairs int64
 	// CorruptStrips counts checksum mismatches observed on the read path
 	// (each is an ErrCorrupt that triggered reconstruction).
@@ -66,8 +67,9 @@ func (c *ioCounters) reset() {
 // Mutability invariants (what the concurrency engine in internal/engine
 // relies on):
 //
-//   - devs, replaced, failed, rebuiltCycles, and journal are only written
-//     under mu; every I/O path reads them under at least the read lock.
+//   - devs, replaced, mirrors, failed, rebuiltCycles, journal and observe
+//     are only written under mu; every I/O path reads them under at least
+//     the read lock.
 //   - stats and plans are atomic, so read-lock holders may bump counters
 //     and publish the recovery plan they computed.
 //   - Devices serialise their own strip accesses, so a single strip is
@@ -85,8 +87,12 @@ type Array struct {
 	an  *core.Analyzer
 	sch layout.Scheme
 
+	// A disk is one device — a leaf, or an opaque wrapper such as the
+	// engine's retry layer — plus the per-disk state the array keeps beside
+	// it and the steps it runs after every op (batch.go).
 	devs       []Device
-	replaced   []Device // replacement device for rebuilt disks, nil otherwise
+	replaced   []Device  // replacement device for rebuilt disks, nil otherwise
+	mirrors    []*mirror // migration destination of a migrating disk, nil otherwise
 	failed     []bool
 	stripBytes int
 	cycles     int64
@@ -141,7 +147,10 @@ type Array struct {
 	// borrow from it, so none of them allocates a strip in steady state.
 	scratch sync.Pool
 
-	// batching records that some attached device peels to a StripBatcher,
+	// observe is the observer SetObserver registered, nil for none.
+	observe func(disk int, took time.Duration, err error)
+
+	// batching records that some attached device is a StripBatcher,
 	// so multi-strip steps go out as batches (batch.go); without one the
 	// executor is the plain per-strip loop. Decided whenever the device set
 	// changes, under mu.
@@ -219,6 +228,7 @@ func NewArray(an *core.Analyzer, devs []Device) (*Array, error) {
 		sch:        an.Scheme(),
 		devs:       devs,
 		replaced:   make([]Device, len(devs)),
+		mirrors:    make([]*mirror, len(devs)),
 		failed:     make([]bool, len(devs)),
 		stripBytes: stripBytes,
 		cycles:     cycles,
@@ -311,6 +321,8 @@ func (a *Array) FailDisk(d int) error {
 	}
 	a.failed[d] = true
 	a.replaced[d] = nil
+	a.mirrors[d] = nil // the heal path owns a failed disk: its strips move by rebuild
+	a.noteDevices()
 	a.rebuiltCycles = 0
 	if a.meta != nil {
 		// The eviction is acknowledged only once the new failed set is on
@@ -334,9 +346,10 @@ func (a *Array) failedListLocked() []int {
 
 // InstrumentDevices replaces every attached device (including any
 // replacement already attached) with wrap(disk, device) — the hook the
-// engine's health monitor uses to interpose per-disk probes and retry
-// shims around the backing devices. Call it before serving I/O; wrap must
-// return a device that delegates to its argument.
+// engine interposes its retry layer through. The wrapper is opaque to the
+// array: the per-disk steps (checksums, the observer) run around whatever it
+// returns. Call it before serving I/O; wrap must return a device that
+// delegates to its argument.
 func (a *Array) InstrumentDevices(wrap func(disk int, dev Device) Device) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -463,9 +476,8 @@ func (a *Array) ReadAvoided() []int {
 
 // readStrip reads one physical strip, reconstructing if the disk is
 // failed. A read-avoided (quarantined) disk is bypassed the same way when
-// a decode path around it exists. A checksum failure (latent sector error
-// from a ChecksummedDevice) is healed in place: the strip is
-// reconstructed from parity and rewritten.
+// a decode path around it exists. A checksum failure (latent sector error)
+// is healed in place: the strip is reconstructed from parity and rewritten.
 func (a *Array) readStrip(d int, devStrip int64, p []byte) error {
 	dev := a.liveDevice(d, devStrip)
 	if dev == nil {
@@ -502,22 +514,23 @@ func (a *Array) readStrip(d int, devStrip int64, p []byte) error {
 // place when it fails its checksum.
 func (a *Array) readMember(dev Device, d int, devStrip int64, p []byte, depth int) error {
 	op := batchOp{dev: dev, disk: d, idx: devStrip, buf: p}
-	op.err = dev.ReadStrip(devStrip, p)
+	a.call(&op, false, false)
 	return a.settleRead(&op, false, depth)
 }
 
 // healStrip reconstructs strip (d, devStrip), whose read failed with the
-// checksum error cause, into p and rewrites it on dev. A strip no stripe
-// can decode fails with both cause and the reconstruction error in the
-// chain; a failed write-back carries neither.
+// checksum error cause, into p and rewrites it on dev, as any write of the
+// data plane. A strip no stripe can decode fails with both cause and the
+// reconstruction error in the chain; a failed write-back carries neither.
 func (a *Array) healStrip(dev Device, d int, devStrip int64, p []byte, depth int, cause error) error {
 	if herr := a.reconstructStripDepth(d, devStrip, p, depth+1); herr != nil {
 		return fmt.Errorf("store: corrupt source (%d,%d) unhealable (%w): %w", d, devStrip, herr, cause)
 	}
-	a.countWrite(d)
 	a.stats.readRepairs.Add(1)
-	if werr := dev.WriteStrip(devStrip, p); werr != nil {
-		return fmt.Errorf("store: read repair of strip (%d,%d): %w", d, devStrip, werr)
+	sc := a.getScratch() // the caller's is busy settling its own batch
+	defer a.putScratch(sc)
+	if failed := a.writeStrips(sc, append(sc.opList(1), batchOp{dev: dev, disk: d, idx: devStrip, buf: p}), false); failed != nil {
+		return fmt.Errorf("store: read repair of strip (%d,%d): %w", d, devStrip, failed.err)
 	}
 	return nil
 }
@@ -674,8 +687,10 @@ func (a *Array) ProbeDiskStrip(d int, devStrip int64, p []byte) error {
 	if dev == nil {
 		return fmt.Errorf("%w: disk %d", ErrDiskFaulty, d)
 	}
+	op := batchOp{dev: dev, disk: d, idx: devStrip, buf: p}
 	a.countRead(d)
-	return dev.ReadStrip(devStrip, p)
+	a.call(&op, false, false)
+	return op.err
 }
 
 // recoveryPlan returns the recovery plan of the failed disks — with

@@ -2,6 +2,8 @@ package store
 
 import (
 	"errors"
+	"hash/crc32"
+	"slices"
 	"sync"
 	"time"
 )
@@ -16,7 +18,7 @@ type StripOp struct {
 	Err error
 }
 
-// StripBatcher is the optional interface of a leaf Device whose ops take
+// StripBatcher is the optional interface of a Device whose ops take
 // real time and can travel together — a strip on a storage node, where what
 // an op costs is the round trip and not its bytes. The array hands such a
 // device the strip ops of one request that share its BatchKey as one call,
@@ -36,33 +38,15 @@ type StripBatcher interface {
 	WriteStrips(ops []StripOp)
 }
 
-// StripLayer is the optional interface of a transparent Device wrapper: one
-// whose ReadStrip is exactly Under().ReadStrip followed by AfterRead, and
-// whose WriteStrip is Under().WriteStrip followed by AfterWrite. Stating the
-// per-strip work as hooks is what lets a batch pass through the layer: the
-// array sends the ops to the leaf together and then runs each layer's hook
-// per strip, innermost first, as the single calls would have. A wrapper that
-// does anything else around the inner op — retries it, duplicates it, may
-// not issue it — must not implement StripLayer; it stays opaque and keeps
-// receiving single calls.
-type StripLayer interface {
-	Device
-	// Under returns the device the layer forwards every strip op to.
-	Under() Device
-	// AfterRead receives the outcome of the inner read of strip idx into p,
-	// which took took, and returns the layer's own outcome.
-	AfterRead(idx int64, p []byte, took time.Duration, err error) error
-	// AfterWrite is AfterRead for the inner write of p to strip idx.
-	AfterWrite(idx int64, p []byte, took time.Duration, err error) error
-}
-
-// batchOp is one device op of a request: a strip of disk's live device dev.
+// batchOp is one device op of a request: a strip of disk's live device dev or,
+// with mirror set, of the disk's migration destination.
 type batchOp struct {
-	dev  Device
-	disk int
-	idx  int64
-	buf  []byte
-	err  error
+	dev    Device
+	disk   int
+	idx    int64
+	buf    []byte
+	err    error
+	mirror bool
 }
 
 // batchGroup is the run of a batch's wire ops that share a batch key.
@@ -75,8 +59,8 @@ type batchGroup struct {
 // batchState is the executor's part of a stripScratch.
 type batchState struct {
 	ops    []batchOp
-	leaves []StripBatcher // per op; nil once grouped, or for an opaque stack
-	opaque []int          // ops whose stack does not peel to a batcher
+	leaves []StripBatcher // per op; nil once grouped, or for an opaque device
+	opaque []int          // ops whose device is not a batcher
 	wire   []StripOp      // the grouped ops, group after group
 	from   []int          // wire[k] is ops[from[k]]
 	groups []batchGroup
@@ -115,65 +99,77 @@ func (a *Array) windowStrips(least int) int {
 	return max(least, batchWindowBytes/a.stripBytes)
 }
 
-// maxLayers bounds the transparent layers the executor peels; a deeper stack
-// is opaque.
-const maxLayers = 4
-
-// batchLeaf peels dev's transparent layers down to its leaf and returns it
-// when it can batch; nil means the stack is opaque. Only StripLayer is
-// peeled — never an Inner() method, which fsck's unwrap hook shares with
-// wrappers that are not transparent (MirrorDevice duplicates writes).
-func batchLeaf(dev Device) StripBatcher {
-	for n := 0; n <= maxLayers; n++ {
-		layer, ok := dev.(StripLayer)
-		if !ok {
-			leaf, _ := dev.(StripBatcher)
-			return leaf
-		}
-		dev = layer.Under()
-	}
-	return nil
-}
-
 // noteDevices decides, when the device set changes, whether the executor has
 // anything to coalesce. Caller holds mu.
 func (a *Array) noteDevices() {
 	a.batching = false
 	for d := range a.devs {
-		if canBatch(a.devs[d]) || canBatch(a.replaced[d]) {
+		if canBatch(a.devs[d]) || canBatch(a.replaced[d]) || a.mirrors[d] != nil && canBatch(a.mirrors[d].dst) {
 			a.batching = true
 			return
 		}
 	}
 }
 
-// canBatch reports whether dev, which may be nil, peels to a batcher. A
-// migration mirror does at either end: its copy gathers from one and scatters
-// to the other.
+// canBatch reports whether dev, which may be nil, is a batcher.
 func canBatch(dev Device) bool {
-	if m, ok := dev.(*MirrorDevice); ok {
-		return canBatch(m.src) || canBatch(m.dst)
-	}
-	return dev != nil && batchLeaf(dev) != nil
+	_, ok := dev.(StripBatcher)
+	return ok
 }
 
-// stripCall is the single device call of op: the opaque path.
-func stripCall(op *batchOp, write, raw bool) error {
-	switch {
-	case write:
-		return op.dev.WriteStrip(op.idx, op.buf)
-	case raw:
-		return rawRead(op)
-	}
-	return op.dev.ReadStrip(op.idx, op.buf)
+// SetObserver registers fn as the array's one observer: after every strip op
+// of a disk's device, and after the checksum step — so a latent sector error
+// reaches it as ErrCorrupt — it is handed the disk, how long the op took and
+// its outcome. The engine's health monitor registers itself here. An op is
+// observed before its hold on the array lock ends, and a device is attached
+// only under the exclusive lock, so no observation ever counts against a
+// device attached after its op was issued; fn therefore runs with the lock
+// held and must neither block nor call back into the array.
+func (a *Array) SetObserver(fn func(disk int, took time.Duration, err error)) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.observe = fn
 }
 
-// rawRead reads op's strip under its stack's checksum layer, if it has one.
-func rawRead(op *batchOp) error {
-	if cd := checksummedOf(op.dev); cd != nil {
-		return cd.ReadStripRaw(op.idx, op.buf)
+// call performs op as one device call and runs the disk's steps over it.
+func (a *Array) call(op *batchOp, write, raw bool) {
+	var t0 time.Time
+	if a.observe != nil {
+		t0 = time.Now()
 	}
-	return op.dev.ReadStrip(op.idx, op.buf)
+	if write {
+		op.err = op.dev.WriteStrip(op.idx, op.buf)
+	} else {
+		op.err = op.dev.ReadStrip(op.idx, op.buf)
+	}
+	var took time.Duration
+	if a.observe != nil {
+		took = time.Since(t0)
+	}
+	a.steps(op, took, write, raw)
+}
+
+// steps runs a disk's per-op steps over the outcome of op, which took took, in
+// their one order (DESIGN.md §8): first the strip's checksum in the journal's
+// table — verified after a read unless raw, recorded after a write — then the
+// observer. An array without a journal has no checksums. A migration
+// destination's op has no steps: the sum of what it wrote was recorded for
+// the source, and its failure is the migration's, not the disk's.
+func (a *Array) steps(op *batchOp, took time.Duration, write, raw bool) {
+	if op.mirror {
+		return
+	}
+	if a.journal != nil && op.err == nil {
+		switch {
+		case write:
+			op.err = a.journal.RecordSum(op.disk, op.idx, crc32.Checksum(op.buf, castagnoli))
+		case !raw:
+			op.err = a.journal.verifySum(op.disk, op.idx, op.buf)
+		}
+	}
+	if a.observe != nil {
+		a.observe(op.disk, took, op.err)
+	}
 }
 
 // readStrips is the gather half of the batch executor (DESIGN.md §8): it
@@ -191,7 +187,7 @@ func (a *Array) readStrips(sc *stripScratch, ops []batchOp, raw bool, depth int,
 	for i := range ops {
 		op := &ops[i]
 		if !batched {
-			op.err = stripCall(op, false, raw)
+			a.call(op, false, raw)
 		}
 		var err error
 		if settle != nil {
@@ -207,7 +203,7 @@ func (a *Array) readStrips(sc *stripScratch, ops []batchOp, raw bool, depth int,
 }
 
 // settleRead accounts for the device read op made and, unless raw, heals a
-// checksum failure (a latent sector error caught by a ChecksummedDevice) in
+// checksum failure (a latent sector error the checksum step caught) in
 // place: reconstruct through whichever of the strip's stripes still decodes,
 // write back, carry on with the healed content. depth bounds the recursion.
 func (a *Array) settleRead(op *batchOp, raw bool, depth int) error {
@@ -219,12 +215,17 @@ func (a *Array) settleRead(op *batchOp, raw bool, depth int) error {
 	return a.healStrip(op.dev, op.disk, op.idx, op.buf, depth, op.err)
 }
 
-// writeStrips is the scatter half: it writes every op, counts it, and
-// returns the first op that failed, nil when none did. Ops on one device
-// land in op order. With bestEffort a failed write does not stop the ones
-// after it (a closure commit); without, the plain loop stops at the first
-// failure, and a batch — which travels whole — still reports it.
+// writeStrips is the scatter half: it writes every op — a write to a
+// migrating disk followed by the same write to its migration destination
+// (withMirrors) — counts each but a destination's, and returns the first op
+// that failed, destinations' aside: nil when none did. A failed write to a
+// migrating disk, at either end, leaves its strip dirty for the migration to
+// re-copy. Ops on one device land in op order. With bestEffort a failed write
+// does not stop the ones after it (a closure commit); without, the plain loop
+// stops at the first failure, and a batch — which travels whole — still
+// reports it.
 func (a *Array) writeStrips(sc *stripScratch, ops []batchOp, bestEffort bool) *batchOp {
+	ops = a.withMirrors(ops)
 	batched := a.batching && len(ops) > 1
 	if batched {
 		a.issue(sc, ops, true, false)
@@ -232,11 +233,19 @@ func (a *Array) writeStrips(sc *stripScratch, ops []batchOp, bestEffort bool) *b
 	var failed *batchOp
 	for i := range ops {
 		op := &ops[i]
-		a.countWrite(op.disk)
-		if !batched {
-			op.err = stripCall(op, true, false)
+		if !op.mirror {
+			a.countWrite(op.disk)
 		}
-		if op.err != nil && failed == nil {
+		if !batched {
+			a.call(op, true, false)
+		}
+		if op.err == nil {
+			continue
+		}
+		if m := a.mirrors[op.disk]; m != nil {
+			m.markDirty(op.idx)
+		}
+		if !op.mirror && failed == nil {
 			failed = op
 			if !batched && !bestEffort {
 				break
@@ -246,12 +255,38 @@ func (a *Array) writeStrips(sc *stripScratch, ops []batchOp, bestEffort bool) *b
 	return failed
 }
 
+// withMirrors returns ops with the same write to the migration destination
+// right after each write to a migrating disk — ops itself when there is none.
+func (a *Array) withMirrors(ops []batchOp) []batchOp {
+	extra := 0
+	for i := range ops {
+		if a.mirrors[ops[i].disk] != nil && !ops[i].mirror {
+			extra++
+		}
+	}
+	if extra == 0 {
+		return ops
+	}
+	n := len(ops)
+	ops = slices.Grow(ops, extra)[:n+extra]
+	for i, j := n-1, n+extra-1; i >= 0; i-- {
+		op := ops[i]
+		if m := a.mirrors[op.disk]; m != nil && !op.mirror {
+			ops[j] = batchOp{dev: m.dst, disk: op.disk, idx: op.idx, buf: op.buf, mirror: true}
+			j--
+		}
+		ops[j] = op
+		j--
+	}
+	return ops
+}
+
 // issue performs ops on a batching array and leaves each outcome in its err:
-// every device stack that peels to a StripBatcher has its op sent to the
-// leaf in one call per batch key — the first key's on this goroutine, each
-// other's on its own — and its layers' hooks run afterwards, per strip,
-// innermost first (a disk's permanent failure is shown them once); an opaque
-// stack gets its single call, in op order.
+// ops on a StripBatcher go to it in one call per batch key — the first key's
+// on this goroutine, each other's on its own — and the disks' steps run over
+// them afterwards, op by op, each charged its call's duration (a disk's
+// permanent failure is observed once); an op on an opaque device is a single
+// call, in op order.
 func (a *Array) issue(sc *stripScratch, ops []batchOp, write, raw bool) {
 	b := &sc.batch
 	if cap(b.leaves) < len(ops) {
@@ -260,7 +295,7 @@ func (a *Array) issue(sc *stripScratch, ops []batchOp, write, raw bool) {
 	leaves := b.leaves[:len(ops)]
 	b.opaque, b.wire, b.from, b.groups = b.opaque[:0], b.wire[:0], b.from[:0], b.groups[:0]
 	for i := range ops {
-		if leaves[i] = batchLeaf(ops[i].dev); leaves[i] == nil {
+		if leaves[i], _ = ops[i].dev.(StripBatcher); leaves[i] == nil {
 			b.opaque = append(b.opaque, i)
 		}
 	}
@@ -298,7 +333,7 @@ func (a *Array) issue(sc *stripScratch, ops []batchOp, write, raw bool) {
 		}(&b.groups[gi])
 	}
 	for _, i := range b.opaque {
-		ops[i].err = stripCall(&ops[i], write, raw)
+		a.call(&ops[i], write, raw)
 	}
 	if len(b.groups) > 0 {
 		send(&b.groups[0])
@@ -310,7 +345,7 @@ func (a *Array) issue(sc *stripScratch, ops []batchOp, write, raw bool) {
 		for k := g.start; k < g.end; k++ {
 			op := &ops[b.from[k]]
 			if op.err = b.wire[k].Err; !goneBefore(ops, b, g.start, k, op.err) {
-				op.err = layerHooks(op, g.took, op.err, write, raw)
+				a.steps(op, g.took, write, raw)
 			}
 		}
 	}
@@ -325,39 +360,15 @@ func (a *Array) issue(sc *stripScratch, ops []batchOp, write, raw bool) {
 // health probe that evicts after a few of them must not count one vanished
 // device once per strip that rode along. A transient failure is an event of
 // its own op — how long it took is what slow-disk detection feeds on — and
-// always reaches the layers.
+// is always observed. A migration destination's failure is not the disk's.
 func goneBefore(ops []batchOp, b *batchState, start, k int, err error) bool {
 	if err == nil || IsTransient(err) {
 		return false
 	}
 	for j := start; j < k; j++ {
-		if e := b.wire[j].Err; e != nil && !IsTransient(e) && ops[b.from[j]].disk == ops[b.from[k]].disk {
+		if e := b.wire[j].Err; e != nil && !IsTransient(e) && ops[b.from[j]].disk == ops[b.from[k]].disk && !ops[b.from[j]].mirror {
 			return true
 		}
 	}
 	return false
-}
-
-// layerHooks runs the hooks of op's transparent layers over the leaf's
-// outcome err, innermost first — what the nested single calls do on their
-// way back up. A raw read skips the checksum layer's verdict.
-func layerHooks(op *batchOp, took time.Duration, err error, write, raw bool) error {
-	var layers [maxLayers]StripLayer
-	n := 0
-	for dev := op.dev; ; n++ {
-		layer, ok := dev.(StripLayer)
-		if !ok {
-			break
-		}
-		layers[n], dev = layer, layer.Under()
-	}
-	for n--; n >= 0; n-- {
-		switch _, sums := layers[n].(*ChecksummedDevice); {
-		case write:
-			err = layers[n].AfterWrite(op.idx, op.buf, took, err)
-		case !(raw && sums):
-			err = layers[n].AfterRead(op.idx, op.buf, took, err)
-		}
-	}
-	return err
 }

@@ -1,8 +1,10 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -77,18 +79,21 @@ func (d *nodeDev) batch(ops []StripOp, write bool) {
 	}
 }
 
-// spyLayer is a transparent layer that records each op's outcome per disk,
-// as the engine's probe does.
-type spyLayer struct {
-	Device
-	disk int
-	log  *spyLog
-}
-
+// spyLog is an observer that records each op's outcome per disk, as the
+// engine's health monitor does.
 type spyLog struct {
 	mu   sync.Mutex
 	ops  map[int]int
 	errs map[int][]error
+}
+
+func (l *spyLog) observe(disk int, _ time.Duration, err error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.ops[disk]++
+	if err != nil {
+		l.errs[disk] = append(l.errs[disk], err)
+	}
 }
 
 func (l *spyLog) take() (ops map[int]int, errs map[int][]error) {
@@ -99,35 +104,10 @@ func (l *spyLog) take() (ops map[int]int, errs map[int][]error) {
 	return ops, errs
 }
 
-var _ StripLayer = spyLayer{}
-
-func (s spyLayer) Under() Device { return s.Device }
-
-func (s spyLayer) ReadStrip(idx int64, p []byte) error {
-	return s.AfterRead(idx, p, 0, s.Device.ReadStrip(idx, p))
-}
-
-func (s spyLayer) WriteStrip(idx int64, p []byte) error {
-	return s.AfterWrite(idx, p, 0, s.Device.WriteStrip(idx, p))
-}
-
-func (s spyLayer) AfterRead(_ int64, _ []byte, _ time.Duration, err error) error {
-	s.log.mu.Lock()
-	defer s.log.mu.Unlock()
-	s.log.ops[s.disk]++
-	if err != nil {
-		s.log.errs[s.disk] = append(s.log.errs[s.disk], err)
-	}
-	return err
-}
-
-func (s spyLayer) AfterWrite(idx int64, p []byte, took time.Duration, err error) error {
-	return s.AfterRead(idx, p, took, err)
-}
-
 // nodeArray is an OI-RAID array over three fakeNodes, disk d on node d%3 as
-// the cluster manifest places them, every device spy(checksum(nodeDev)) — the
-// order a mount builds.
+// the cluster manifest places them, every device a bare nodeDev, with a
+// journal (so checksums) and the spy as its observer — what a mount and an
+// engine make of an array.
 type nodeArray struct {
 	*Array
 	slots int64
@@ -155,15 +135,15 @@ func newNodeArray(t *testing.T, v int) *nodeArray {
 	na.slots = int64(an.SlotsPerDisk())
 	devs := make([]Device, v)
 	for d := range devs {
-		leaf := na.newLeaf(t, d)
-		na.leafs = append(na.leafs, leaf)
-		devs[d] = spyLayer{Device: NewChecksummedDevice(leaf), disk: d, log: na.spy}
+		na.leafs = append(na.leafs, na.newLeaf(t, d))
+		devs[d] = na.leafs[d]
 	}
 	arr, err := NewArray(an, devs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	na.Array = arr
+	na.Array = journaled(t, arr)
+	na.SetObserver(na.spy.observe)
 	return na
 }
 
@@ -183,7 +163,7 @@ func (na *nodeArray) calls() (batches, ops, singles int) {
 // TestBatchCoalescesPerNode: on devices that can batch, a healthy
 // single-strip write is one read batch and one write batch per node its
 // closure touches — 4 calls for a closure on two nodes, 6 on three, 720 over
-// the cycle's 144 data strips instead of 1152 — and every layer still sees
+// the cycle's 144 data strips instead of 1152 — and the observer still sees
 // each strip op once. A plain strip read stays one single call.
 func TestBatchCoalescesPerNode(t *testing.T) {
 	na := newNodeArray(t, 9)
@@ -216,11 +196,11 @@ func TestBatchCoalescesPerNode(t *testing.T) {
 		seen, errs := na.spy.take()
 		for _, st := range na.an.WritePlan(target).Strips {
 			if seen[st.Disk] != 2 {
-				t.Fatalf("write of strip %d: the layer of disk %d saw %d ops, want a read and a write", i, st.Disk, seen[st.Disk])
+				t.Fatalf("write of strip %d: disk %d was observed %d times, want a read and a write", i, st.Disk, seen[st.Disk])
 			}
 		}
 		if len(seen) != 4 || len(errs) != 0 {
-			t.Fatalf("write of strip %d: layers of %d disks saw ops, errors %v", i, len(seen), errs)
+			t.Fatalf("write of strip %d: %d disks observed, errors %v", i, len(seen), errs)
 		}
 		total += batches
 	}
@@ -247,9 +227,8 @@ func TestBatchCoalescesPerNode(t *testing.T) {
 }
 
 // TestBatchRebuildWindow: a rebuilt cycle gathers in one read batch per
-// surviving node and scatters in one write batch, through both stacking
-// orders (the replacement is checksum(spy(leaf)), as ReplaceDisk builds it),
-// and the result is the pre-failure content.
+// surviving node and scatters in one write batch, the replacement's writes
+// observed like any disk's, and the result is the pre-failure content.
 func TestBatchRebuildWindow(t *testing.T) {
 	na := newNodeArray(t, 9)
 	want := fillArray(t, na.Array, 41)
@@ -258,7 +237,7 @@ func TestBatchRebuildWindow(t *testing.T) {
 			t.Fatal(err)
 		}
 		leaf := na.newLeaf(t, failed)
-		if err := na.ReplaceDisk(failed, NewChecksummedDevice(spyLayer{Device: leaf, disk: failed, log: na.spy})); err != nil {
+		if err := na.ReplaceDisk(failed, leaf); err != nil {
 			t.Fatal(err)
 		}
 		na.calls()
@@ -272,7 +251,7 @@ func TestBatchRebuildWindow(t *testing.T) {
 			t.Errorf("rebuild of disk %d: %d batch calls carrying %d ops (want ≤ 4 and %d), %d single calls", failed, batches, ops, 3*slots, singles)
 		}
 		if seen, _ := na.spy.take(); seen[failed] != slots {
-			t.Errorf("rebuild of disk %d: the replacement's layer saw %d writes, want %d", failed, seen[failed], slots)
+			t.Errorf("rebuild of disk %d: the replacement's writes were observed %d times, want %d", failed, seen[failed], slots)
 		}
 		if got := hashArray(t, na.Array); got != want {
 			t.Fatalf("content differs after rebuilding disk %d", failed)
@@ -283,12 +262,12 @@ func TestBatchRebuildWindow(t *testing.T) {
 	}
 }
 
-// TestBatchLayerSemantics: inside a batch, a strip corrupted behind its
-// ChecksummedDevice comes back ErrCorrupt for that op alone, is healed
-// through its other stripe and counted once; and an op the node refuses
-// fails alone — the closure commit stays best-effort, the other strips land,
-// and only the refused disk's layer sees an error.
-func TestBatchLayerSemantics(t *testing.T) {
+// TestBatchStepSemantics: inside a batch, a strip corrupted behind the
+// array's back comes back ErrCorrupt from the checksum step for that op alone,
+// is observed as such, healed through its other stripe and counted once; and
+// an op the node refuses fails alone — the closure commit stays best-effort,
+// the other strips land, and only the refused disk is observed failing.
+func TestBatchStepSemantics(t *testing.T) {
 	na := newNodeArray(t, 9)
 	want := fillArray(t, na.Array, 43)
 	target, _ := na.LocateDataStrip(0)
@@ -314,16 +293,15 @@ func TestBatchLayerSemantics(t *testing.T) {
 		t.Errorf("corrupt closure strip: %+v, want one corrupt strip, one repair", st)
 	}
 	if _, errs := na.spy.take(); len(errs) != 1 || len(errs[victim.Disk]) != 1 || !errors.Is(errs[victim.Disk][0], ErrCorrupt) {
-		t.Errorf("layer errors %v, want one ErrCorrupt on disk %d", errs, victim.Disk)
+		t.Errorf("observed errors %v, want one ErrCorrupt on disk %d", errs, victim.Disk)
 	}
 	if got := hashArray(t, na.Array); got != want {
 		t.Fatal("content differs after the heal")
 	}
 
-	// The node of closure[2] refuses that one write. With a journal attached
-	// the redo record stays pending, and the re-sent write replays it through
-	// the executor before it snapshots.
-	na.SetJournal(openTestJournal(t, NewMemBlob(), NewMemBlob(), 9))
+	// The node of closure[2] refuses that one write. The redo record stays
+	// pending, and the re-sent write replays it through the executor before
+	// it snapshots.
 	refused := closure[2]
 	boom := fmt.Errorf("%w: injected", ErrTransient)
 	na.nodes[refused.Disk%3].refuse = func(dev *nodeDev, idx int64, write bool) error {
@@ -341,7 +319,7 @@ func TestBatchLayerSemantics(t *testing.T) {
 	}
 	_, errs := na.spy.take()
 	if len(errs) != 1 || len(errs[refused.Disk]) != 1 {
-		t.Errorf("layer errors %v, want one on disk %d", errs, refused.Disk)
+		t.Errorf("observed errors %v, want one on disk %d", errs, refused.Disk)
 	}
 	got := make([]byte, testStrip)
 	if err := na.leafs[target.Disk].MemDevice.ReadStrip(int64(target.Slot), got); err != nil || string(got) != string(buf) {
@@ -362,64 +340,85 @@ func TestBatchLayerSemantics(t *testing.T) {
 	}
 }
 
-// TestBatchLeavesOpaqueDevicesAlone: a MirrorDevice has an Inner() for fsck
-// but duplicates writes, so the executor must hand it single calls — every
-// write issued through the executor reaches the migration's destination —
-// while the other disks keep batching.
+// orderDev is an opaque wrapper — it states no batch interface, as the
+// engine's retry layer does not — that records its calls in order.
+type orderDev struct {
+	Device
+	mu    sync.Mutex
+	calls []string
+}
+
+func (o *orderDev) record(op string, idx int64) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.calls = append(o.calls, fmt.Sprint(op, idx))
+}
+
+func (o *orderDev) take() []string {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	calls := o.calls
+	o.calls = nil
+	return calls
+}
+
+func (o *orderDev) ReadStrip(idx int64, p []byte) error {
+	o.record("r", idx)
+	return o.Device.ReadStrip(idx, p)
+}
+
+func (o *orderDev) WriteStrip(idx int64, p []byte) error {
+	o.record("w", idx)
+	return o.Device.WriteStrip(idx, p)
+}
+
+// TestBatchLeavesOpaqueDevicesAlone: a disk whose device is not a batcher —
+// an opaque wrapper around one, as the engine's retry layer is — is handed
+// single calls in op order, each observed once, while the other disks keep
+// batching.
 func TestBatchLeavesOpaqueDevicesAlone(t *testing.T) {
+	const wrapped = 4
 	na := newNodeArray(t, 9)
+	opaque := &orderDev{Device: na.leafs[wrapped]}
+	na.InstrumentDevices(func(d int, dev Device) Device {
+		if d == wrapped {
+			return opaque
+		}
+		return dev
+	})
 	fillArray(t, na.Array, 47)
-	const moved = 4
-	dst, err := NewMemDevice(int64(na.an.SlotsPerDisk()), testStrip)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The migration's bulk copy, then mirrored foreground writes.
-	buf := make([]byte, testStrip)
-	for idx := int64(0); idx < dst.Strips(); idx++ {
-		if err := na.leafs[moved].MemDevice.ReadStrip(idx, buf); err != nil {
-			t.Fatal(err)
-		}
-		if err := dst.WriteStrip(idx, buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mirror, err := na.StartMirror(moved, dst)
-	if err != nil {
-		t.Fatal(err)
-	}
 	na.calls()
-	fillArray(t, na.Array, 48)
-	if batches, _, singles := na.calls(); batches == 0 || singles == 0 {
-		t.Errorf("with a mirror on disk %d: %d batch calls, %d single calls; want both", moved, batches, singles)
+	na.spy.take()
+	opaque.take()
+	if rep, err := na.Fsck(false); err != nil || !rep.Clean {
+		t.Fatalf("fsck: %+v, %v", rep, err)
 	}
-	if mirror.DirtyCount() != 0 {
-		t.Fatalf("%d dirty strips", mirror.DirtyCount())
+	batches, _, singles := na.calls()
+	calls := opaque.take()
+	if batches == 0 || singles != len(calls) {
+		t.Errorf("fsck: %d batch calls, %d single calls; want batches, and single calls for the %d ops of disk %d alone", batches, singles, len(calls), wrapped)
 	}
-	got := make([]byte, testStrip)
-	for idx := int64(0); idx < dst.Strips(); idx++ {
-		if err := na.leafs[moved].MemDevice.ReadStrip(idx, buf); err != nil {
-			t.Fatal(err)
+	// The checksum pass reads the disk's strips in ascending order.
+	for i := range int(na.slots) {
+		if want := fmt.Sprint("r", i); i >= len(calls) || calls[i] != want {
+			t.Fatalf("call %d on the opaque device: %v, want %s", i, calls, want)
 		}
-		if err := dst.ReadStrip(idx, got); err != nil {
-			t.Fatal(err)
-		}
-		if string(got) != string(buf) {
-			t.Fatalf("strip %d: the mirror's destination missed a write issued through the executor", idx)
-		}
+	}
+	if seen, errs := na.spy.take(); seen[wrapped] != len(calls) || len(errs) != 0 {
+		t.Errorf("disk %d was observed %d times for %d calls, errors %v", wrapped, seen[wrapped], len(calls), errs)
 	}
 }
 
 // TestBatchFailureChargedOncePerDisk: when every strip of a batch on one
-// disk fails for good — its device is gone — the disk's layers are shown one
+// disk fails for good — its device is gone — the observer is shown one
 // failed op, as the loop of single calls, which stops at the first, would
-// show them: a health probe that evicts after a few failed ops must not evict
-// on one. Transient failures reach the layers op by op.
+// show it: a health monitor that evicts after a few failed ops must not evict
+// on one. Transient failures are observed op by op.
 func TestBatchFailureChargedOncePerDisk(t *testing.T) {
 	const moved = 4
 	na := newNodeArray(t, 9)
 	fillArray(t, na.Array, 59)
-	if _, err := na.StartMirror(moved, na.newLeaf(t, moved+1)); err != nil {
+	if err := na.StartMirror(moved, na.newLeaf(t, moved+1)); err != nil {
 		t.Fatal(err)
 	}
 	gone := errors.New("device gone")
@@ -434,46 +433,131 @@ func TestBatchFailureChargedOncePerDisk(t *testing.T) {
 		t.Fatalf("copy from a device that is gone: %v", err)
 	}
 	if _, errs := na.spy.take(); len(errs) != 1 || len(errs[moved]) != 1 {
-		t.Errorf("layer errors %v, want one on disk %d", errs, moved)
+		t.Errorf("observed errors %v, want one on disk %d", errs, moved)
 	}
 	gone = fmt.Errorf("%w: path down", ErrTransient)
 	if err := na.CopyMirrorCycle(moved, 0); !errors.Is(err, ErrTransient) {
 		t.Fatalf("copy from an unreachable device: %v", err)
 	}
 	if _, errs := na.spy.take(); len(errs[moved]) != na.an.SlotsPerDisk() {
-		t.Errorf("%d layer errors on disk %d, want one per strip of the cycle", len(errs[moved]), moved)
+		t.Errorf("%d observed errors on disk %d, want one per strip of the cycle", len(errs[moved]), moved)
 	}
 }
 
-// refusingDev is a device whose write of one strip fails.
+// refusingDev is a device whose writes of some strips fail.
 type refusingDev struct {
 	Device
-	idx int64
-	err error
+	idxs []int64
+	err  error
 }
 
 func (d *refusingDev) WriteStrip(idx int64, p []byte) error {
-	if d.err != nil && idx == d.idx {
+	if slices.Contains(d.idxs, idx) {
 		return d.err
 	}
 	return d.Device.WriteStrip(idx, p)
 }
 
+// dirtyCount is the number of stale destination strips of migrating disk d.
+func dirtyCount(arr *Array, d int) int { return len(arr.mirrors[d].dirtyStrips()) }
+
+// equalDevices fails unless a and b hold the same strips.
+func equalDevices(t *testing.T, when string, a, b *MemDevice) {
+	t.Helper()
+	p, q := make([]byte, testStrip), make([]byte, testStrip)
+	for idx := int64(0); idx < a.Strips(); idx++ {
+		if err := a.ReadStrip(idx, p); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.ReadStrip(idx, q); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(p, q) {
+			t.Fatalf("%s: strip %d of the destination differs from the source", when, idx)
+		}
+	}
+}
+
+// TestMirrorWritesTravelInBatches: a foreground write to a migrating disk is
+// repeated at the migration's destination inside the destination node's
+// batch — not one single call anywhere — and the destination's ops are
+// neither counted nor observed. A destination that refuses its writes fails
+// no foreground write and is observed by no one; the strips go dirty, and the
+// drain re-copies them before the flip.
+func TestMirrorWritesTravelInBatches(t *testing.T) {
+	const moved = 4
+	na := newNodeArray(t, 9)
+	fillArray(t, na.Array, 61)
+	dst := na.newLeaf(t, moved+1) // on another node than the source
+	if err := na.StartMirror(moved, dst); err != nil {
+		t.Fatal(err)
+	}
+	if err := na.CopyMirrorCycle(moved, 0); err != nil {
+		t.Fatal(err)
+	}
+	na.calls()
+	na.spy.take()
+	na.ResetStats()
+	fillArray(t, na.Array, 62)
+	if batches, _, singles := na.calls(); batches == 0 || singles != 0 {
+		t.Errorf("writes with a mirror on disk %d: %d batch calls, %d single calls; want no single call", moved, batches, singles)
+	}
+	seen, errs := na.spy.take()
+	if st := na.DiskStats()[moved]; int64(seen[moved]) != st.ReadOps+st.WriteOps || len(errs) != 0 {
+		t.Errorf("disk %d: observed %d times for %d device ops, errors %v", moved, seen[moved], st.ReadOps+st.WriteOps, errs)
+	}
+	if n := dirtyCount(na.Array, moved); n != 0 {
+		t.Fatalf("%d dirty strips", n)
+	}
+	equalDevices(t, "after mirrored writes", na.leafs[moved].MemDevice, dst.MemDevice)
+
+	refused := fmt.Errorf("%w: destination refuses", ErrTransient)
+	setRefuse := func(refuse func(dev *nodeDev, idx int64, write bool) error) {
+		dst.node.mu.Lock()
+		defer dst.node.mu.Unlock()
+		dst.node.refuse = refuse
+	}
+	setRefuse(func(dev *nodeDev, _ int64, write bool) error {
+		if dev == dst && write {
+			return refused
+		}
+		return nil
+	})
+	want := fillArray(t, na.Array, 63)
+	if _, errs := na.spy.take(); len(errs) != 0 {
+		t.Errorf("the destination's refusals were observed: %v", errs)
+	}
+	if n := dirtyCount(na.Array, moved); n != int(na.slots) {
+		t.Errorf("%d dirty strips after every strip's repeat was refused, want %d", n, na.slots)
+	}
+	setRefuse(nil)
+	if err := na.DrainMirror(moved); err != nil || dirtyCount(na.Array, moved) != 0 {
+		t.Fatalf("drain: %v, %d strips still dirty", err, dirtyCount(na.Array, moved))
+	}
+	equalDevices(t, "after the drain", na.leafs[moved].MemDevice, dst.MemDevice)
+	if err := na.SwapDisk(moved, dst); err != nil {
+		t.Fatal(err)
+	}
+	if got := hashArray(t, na.Array); got != want {
+		t.Fatal("content differs after the flip")
+	}
+}
+
 // TestCopyMirror is a disk migration's copy on the array alone: cycle by
 // cycle through the executor, byte-exact, one device read per strip copied, a
-// corrupt source strip healed on the way; a destination write that is refused
-// fails the copy with the device's own error and leaves the strip dirty for
-// the drain, which re-copies it.
+// corrupt source strip healed on the way; destination writes that are refused
+// fail the copy with the device's own error and leave their strips dirty for
+// the drain, which re-copies them.
 func TestCopyMirror(t *testing.T) {
 	const moved = 4
 	t.Run("batched", func(t *testing.T) {
 		na := newNodeArray(t, 9)
 		dst := na.newLeaf(t, moved+1) // on another node than the source
-		refuse := func(idx int64, err error) {
+		refuse := func(idxs []int64, err error) {
 			dst.node.mu.Lock()
 			defer dst.node.mu.Unlock()
 			dst.node.refuse = func(dev *nodeDev, at int64, write bool) error {
-				if write && dev == dst && at == idx {
+				if write && dev == dst && slices.Contains(idxs, at) {
 					return err
 				}
 				return nil
@@ -482,23 +566,21 @@ func TestCopyMirror(t *testing.T) {
 		checkCopyMirror(t, na.Array, moved, na.leafs[moved].MemDevice, dst.MemDevice, dst, refuse, na.calls)
 	})
 	t.Run("plain", func(t *testing.T) {
-		arr := newOIArray(t, 9)
+		arr := journaled(t, newOIArray(t, 9))
 		mem, err := NewMemDevice(arr.devs[moved].Strips(), testStrip)
 		if err != nil {
 			t.Fatal(err)
 		}
-		src := arr.devs[moved].(*MemDevice)
-		arr.devs[moved] = NewChecksummedDevice(src)
 		dst := &refusingDev{Device: mem}
-		checkCopyMirror(t, arr, moved, src, mem, dst, func(idx int64, err error) { dst.idx, dst.err = idx, err }, nil)
+		checkCopyMirror(t, arr, moved, arr.devs[moved].(*MemDevice), mem, dst, func(idxs []int64, err error) { dst.idxs, dst.err = idxs, err }, nil)
 	})
 }
 
 // checkCopyMirror migrates disk moved of arr, whose leaf is src, onto dst,
-// whose leaf is dstLeaf; refuse(idx, err) makes dst fail writes of strip idx
-// with err, and calls, when the devices batch, drains the nodes' records.
+// whose leaf is dstLeaf; refuse(idxs, err) makes dst fail writes of strips
+// idxs with err, and calls, when the devices batch, drains the nodes' records.
 func checkCopyMirror(t *testing.T, arr *Array, moved int, src, dstLeaf *MemDevice, dst Device,
-	refuse func(idx int64, err error), calls func() (batches, ops, singles int)) {
+	refuse func(idxs []int64, err error), calls func() (batches, ops, singles int)) {
 	t.Helper()
 	travelled := func(what string, strips int) {
 		t.Helper()
@@ -510,27 +592,11 @@ func checkCopyMirror(t *testing.T, arr *Array, moved int, src, dstLeaf *MemDevic
 		}
 	}
 	want := fillArray(t, arr, 53)
-	equal := func(when string) {
-		t.Helper()
-		a, b := make([]byte, testStrip), make([]byte, testStrip)
-		for idx := int64(0); idx < src.Strips(); idx++ {
-			if err := src.ReadStrip(idx, a); err != nil {
-				t.Fatal(err)
-			}
-			if err := dstLeaf.ReadStrip(idx, b); err != nil {
-				t.Fatal(err)
-			}
-			if string(a) != string(b) {
-				t.Fatalf("%s: strip %d of the destination differs from the source", when, idx)
-			}
-		}
-	}
-	mirror, err := arr.StartMirror(moved, dst)
-	if err != nil {
+	if err := arr.StartMirror(moved, dst); err != nil {
 		t.Fatal(err)
 	}
 	garbage := make([]byte, testStrip)
-	if err := src.WriteStrip(2, garbage); err != nil { // under the checksums
+	if err := src.WriteStrip(2, garbage); err != nil { // behind the checksums
 		t.Fatal(err)
 	}
 	arr.ResetStats()
@@ -542,39 +608,121 @@ func checkCopyMirror(t *testing.T, arr *Array, moved int, src, dstLeaf *MemDevic
 	if st, disk := arr.Stats(), arr.DiskStats()[moved]; disk.ReadOps != src.Strips() || st.CorruptStrips != 1 || st.ReadRepairs != 1 {
 		t.Errorf("copy of %d strips: %d reads of the disk, %+v; want a read per strip, one corrupt strip healed", src.Strips(), disk.ReadOps, st)
 	}
-	equal("after the copy")
+	equalDevices(t, "after the copy", src, dstLeaf)
 
-	// A refused destination write: the device's error, a dirty strip.
+	// Refused destination writes: the device's error, their strips dirty.
 	stale := fmt.Errorf("%w: refused", ErrStaleEpoch)
-	refuse(3, stale)
+	refuse([]int64{3, 5}, stale)
 	if calls != nil {
 		calls()
 	}
 	if err := arr.CopyMirrorCycle(moved, 0); !errors.Is(err, ErrStaleEpoch) {
-		t.Fatalf("copy with a refused destination write: %v, want the device's ErrStaleEpoch", err)
+		t.Fatalf("copy with refused destination writes: %v, want the device's ErrStaleEpoch", err)
 	}
-	if mirror.DirtyCount() == 0 {
-		t.Fatal("a refused destination write left no strip dirty")
+	dirty := dirtyCount(arr, moved) // a window stops the copy: one strip on a plain array
+	if dirty == 0 {
+		t.Fatal("refused destination writes left no strip dirty")
 	}
 	travelled("a copied cycle", arr.an.SlotsPerDisk())
 	if err := arr.SwapDisk(moved, dst); err == nil {
 		t.Fatal("SwapDisk over a dirty mirror")
 	}
-	if err := dstLeaf.WriteStrip(3, garbage); err != nil {
-		t.Fatal(err)
+	for _, idx := range arr.mirrors[moved].dirtyStrips() {
+		if err := dstLeaf.WriteStrip(idx, garbage); err != nil {
+			t.Fatal(err)
+		}
 	}
-	refuse(-1, nil)
-	dirty := mirror.DirtyCount()
-	if err := arr.DrainMirror(moved); err != nil || mirror.DirtyCount() != 0 {
-		t.Fatalf("drain: %v, %d strips still dirty", err, mirror.DirtyCount())
+	refuse(nil, nil)
+	if err := arr.DrainMirror(moved); err != nil || dirtyCount(arr, moved) != 0 {
+		t.Fatalf("drain: %v, %d strips still dirty", err, dirtyCount(arr, moved))
 	}
 	travelled("the drain", dirty)
-	equal("after the drain")
+	equalDevices(t, "after the drain", src, dstLeaf)
 	if err := arr.SwapDisk(moved, dst); err != nil {
 		t.Fatal(err)
 	}
 	if got := hashArray(t, arr); got != want {
 		t.Fatal("content differs after the flip")
+	}
+}
+
+// blockingDev is a device whose reads announce themselves on entered and
+// then wait for release.
+type blockingDev struct {
+	Device
+	entered, release chan struct{}
+}
+
+func (b *blockingDev) ReadStrip(idx int64, p []byte) error {
+	b.entered <- struct{}{}
+	<-b.release
+	return b.Device.ReadStrip(idx, p)
+}
+
+// TestObservationPrecedesAttach: an op is observed before its hold on the
+// array lock ends, and a device is attached only under the exclusive lock, so
+// a read in flight on a disk when the disk is failed and replaced is observed
+// before the replacement exists — no observation can count against a device
+// attached after its op was issued.
+func TestObservationPrecedesAttach(t *testing.T) {
+	const d = 3
+	arr := newOIArray(t, 9)
+	var mu sync.Mutex
+	var events []string
+	event := func(e string) {
+		mu.Lock()
+		defer mu.Unlock()
+		events = append(events, e)
+	}
+	arr.SetObserver(func(disk int, _ time.Duration, _ error) {
+		if disk == d {
+			event("observed")
+		}
+	})
+	blocking := &blockingDev{Device: arr.devs[d], entered: make(chan struct{}), release: make(chan struct{})}
+	arr.InstrumentDevices(func(disk int, dev Device) Device {
+		if disk == d {
+			return blocking
+		}
+		return dev
+	})
+	fresh, err := NewMemDevice(arr.devs[0].Strips(), testStrip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := int64(0)
+	for arr.DataStripDisk(addr) != d {
+		addr++
+	}
+	read := make(chan error, 1)
+	go func() {
+		_, err := arr.ReadAt(make([]byte, testStrip), addr*testStrip)
+		read <- err
+	}()
+	<-blocking.entered
+	attached := make(chan error, 1)
+	go func() {
+		err := arr.FailDisk(d)
+		if err == nil {
+			err = arr.ReplaceDisk(d, fresh)
+		}
+		event("attached")
+		attached <- err
+	}()
+	select {
+	case <-attached:
+		t.Fatal("a device was attached while an op on the disk was in flight")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(blocking.release)
+	if err := <-read; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-attached; err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(events, []string{"observed", "attached"}) {
+		t.Errorf("events %v, want the in-flight read observed before the attach", events)
 	}
 }
 

@@ -105,6 +105,11 @@ var ErrReadOnly = errors.New("store: array is read-only while degraded beyond to
 // should be retried.
 var ErrIntentReplay = errors.New("store: pending closure replay failed")
 
+// ErrCorrupt reports a strip whose content failed checksum verification —
+// a latent sector error. The array's read path treats such strips as
+// erased and reconstructs them from parity (read repair).
+var ErrCorrupt = errors.New("store: strip checksum mismatch")
+
 // IsTransient reports whether err is worth retrying at the same device —
 // the branch the retry policy and the health monitor take between backoff
 // (transient) and eviction (permanent).

@@ -21,7 +21,7 @@ const (
 	FaultTorn
 	// FaultCorrupt flips one bit of the payload silently: the operation
 	// reports success but the stored (or returned) bytes are wrong. A
-	// ChecksummedDevice turns this into ErrCorrupt on the next read.
+	// An array with a journal turns this into ErrCorrupt on the next read.
 	FaultCorrupt
 )
 

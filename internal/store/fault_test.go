@@ -100,20 +100,17 @@ func TestFaultInjectTorn(t *testing.T) {
 }
 
 // TestFaultCorruptDetectedByChecksum: a silent bit-flip on write surfaces
-// as ErrCorrupt through a ChecksummedDevice.
+// as ErrCorrupt through the checksum step of an array with a journal.
 func TestFaultCorruptDetectedByChecksum(t *testing.T) {
-	f := newFaultMem(t, FaultConfig{})
-	c := NewChecksummedDevice(f)
-	p := bytes.Repeat([]byte{7}, 64)
-	if err := c.WriteStrip(2, p); err != nil {
-		t.Fatal(err)
-	}
+	arr := journaled(t, newOIArray(t, 9))
+	f := NewFaultDevice(arr.devs[2], FaultConfig{})
+	arr.devs[2] = f
+	p := bytes.Repeat([]byte{7}, testStrip)
+	writeMember(t, arr, 2, 2, p)
 	f.Inject(2, FaultCorrupt)
-	if err := c.WriteStrip(2, p); err != nil {
-		t.Fatal(err) // silent: the write itself reports success
-	}
-	got := make([]byte, 64)
-	if err := c.ReadStrip(2, got); !errors.Is(err, ErrCorrupt) {
+	writeMember(t, arr, 2, 2, p) // silent: the write itself reports success
+	got := make([]byte, testStrip)
+	if err := arr.ProbeDiskStrip(2, 2, got); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("want ErrCorrupt, got %v", err)
 	}
 }

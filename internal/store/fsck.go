@@ -56,26 +56,6 @@ type FsckReport struct {
 // maxFsckIssues caps the itemised issue list in a report.
 const maxFsckIssues = 1024
 
-// innerDevice is the unwrap hook every instrumenting wrapper (retry,
-// probe, fault, checksum) implements.
-type innerDevice interface{ Inner() Device }
-
-// checksummedOf walks a wrapper chain down to its ChecksummedDevice, or
-// nil when the chain has none.
-func checksummedOf(dev Device) *ChecksummedDevice {
-	for dev != nil {
-		if cd, ok := dev.(*ChecksummedDevice); ok {
-			return cd
-		}
-		iw, ok := dev.(innerDevice)
-		if !ok {
-			return nil
-		}
-		dev = iw.Inner()
-	}
-	return nil
-}
-
 // Fsck walks both redundancy layers of the whole array, verifying every
 // strip against its durable checksum and every stripe (outer BIBD layer
 // and inner RAID5 layer) against its parity. With repair set, checksum

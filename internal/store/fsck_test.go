@@ -82,16 +82,16 @@ func TestFsckFindsAndRepairsCorruptStrip(t *testing.T) {
 	}
 }
 
-// TestFsckFindsParityOnlyDamage writes garbage through the checksummed
-// wrapper over a parity strip: the checksum is valid (the write recorded
-// it), so only the parity walk can notice.
+// TestFsckFindsParityOnlyDamage writes garbage through the array's write
+// steps over a parity strip: the checksum is valid (the write recorded it),
+// so only the parity walk can notice.
 func TestFsckFindsParityOnlyDamage(t *testing.T) {
 	r := newMountRig(t, 9, 2)
 	m := r.format(t)
 	want := fillArray(t, m.Array, 23)
 
-	// Find an inner-layer stripe and clobber its parity strip via the
-	// wrapper, so the bad content gets a matching checksum.
+	// Find an inner-layer stripe and clobber its parity strip through the
+	// write steps, so the bad content gets a matching checksum.
 	var target layout.Strip
 	var stripeIdx int
 	for si, stripe := range m.Array.Analyzer().Scheme().Stripes() {
@@ -105,13 +105,7 @@ func TestFsckFindsParityOnlyDamage(t *testing.T) {
 	for i := range garbage {
 		garbage[i] = 0xee
 	}
-	cd := checksummedOf(m.Array.device(target.Disk))
-	if cd == nil {
-		t.Fatal("formatted array device not checksummed")
-	}
-	if err := cd.WriteStrip(int64(target.Slot), garbage); err != nil {
-		t.Fatal(err)
-	}
+	writeMember(t, m.Array, target.Disk, int64(target.Slot), garbage)
 
 	rep, err := m.Array.Fsck(false)
 	if err != nil {

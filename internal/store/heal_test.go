@@ -11,31 +11,20 @@ import (
 	"github.com/oiraid/oiraid/internal/layout"
 )
 
-// newChecksummedArray builds an OI-RAID array whose devices are all
-// checksummed mem devices, returning the raw inner devices for
-// behind-the-back corruption.
+// newChecksummedArray builds an OI-RAID array of mem devices with a journal,
+// so with checksums, returning the devices for behind-the-back corruption.
 func newChecksummedArray(t *testing.T, v int) (*Array, []*MemDevice) {
 	t.Helper()
-	an := oiAnalyzer(t, v)
-	devs := make([]Device, an.Disks())
-	inner := make([]*MemDevice, an.Disks())
-	for i := range devs {
-		mem, err := NewMemDevice(2*int64(an.SlotsPerDisk()), testStrip)
-		if err != nil {
-			t.Fatal(err)
-		}
-		inner[i] = mem
-		devs[i] = NewChecksummedDevice(mem)
-	}
-	arr, err := NewArray(an, devs)
-	if err != nil {
-		t.Fatal(err)
+	arr := journaled(t, newOIArray(t, v))
+	inner := make([]*MemDevice, len(arr.devs))
+	for i, dev := range arr.devs {
+		inner[i] = dev.(*MemDevice)
 	}
 	return arr, inner
 }
 
-// flipByte corrupts one byte of a strip behind the checksum wrapper — a
-// latent sector error — and returns the strip's original content.
+// flipByte corrupts one byte of a strip behind the array's back — a latent
+// sector error — and returns the strip's original content.
 func flipByte(t *testing.T, dev *MemDevice, idx int64) []byte {
 	t.Helper()
 	buf := make([]byte, testStrip)
@@ -58,7 +47,7 @@ func TestReadRepairWritesBack(t *testing.T) {
 	fillArray(t, arr, 21)
 
 	// Corrupt the device strip backing logical data strip 0 behind the
-	// checksum wrapper.
+	// array's back.
 	d, devStrip := arr.locate(0)
 	buf := make([]byte, testStrip)
 	if err := inner[d].ReadStrip(devStrip, buf); err != nil {
@@ -271,7 +260,7 @@ func TestRebuildHealsCorruptSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := arr.ReplaceDisk(0, NewChecksummedDevice(mem)); err != nil {
+	if err := arr.ReplaceDisk(0, mem); err != nil {
 		t.Fatal(err)
 	}
 	arr.ResetStats()

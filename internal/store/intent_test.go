@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"github.com/oiraid/oiraid/internal/layout"
@@ -86,12 +87,10 @@ func TestWriteHoleRecovery(t *testing.T) {
 	if n := pendingCount(t, j); n != 1 {
 		t.Fatalf("%d closures pending after the torn commit, want 1", n)
 	}
-	bad, err := arr.Scrub()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bad == 0 {
-		t.Fatal("torn commit left no inconsistency; test broken")
+	// The journal gives the array checksums too: the torn parity strips fail
+	// theirs, and with the whole closure's parity torn nothing can heal them.
+	if _, err := arr.Scrub(); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("scrub of the torn commit: %v, want ErrCorrupt", err)
 	}
 
 	n, err := arr.RecoverIntent()

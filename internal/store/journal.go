@@ -17,6 +17,10 @@ import (
 // to mount rather than silently dropping durable state.
 var ErrJournalCorrupt = errors.New("store: metadata journal corrupt")
 
+// castagnoli is the CRC-32C table of strip checksums and journal frames (the
+// polynomial storage systems conventionally use).
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
 const (
 	journalMagic     = "OIRDJNL1"
 	journalVersion   = 1
@@ -102,17 +106,13 @@ type PendingClosure struct {
 	Strips []StripUpdate
 }
 
-// ChecksumSink receives per-strip checksums as they are written; the
-// metadata journal implements it to make ChecksummedDevice sums durable.
-type ChecksumSink interface {
-	RecordSum(disk int, strip int64, sum uint32) error
-}
-
 // MetaJournal is the array's durable metadata journal: an append-only
 // frame log over two blobs (double-buffered for crash-safe compaction)
 // holding per-strip checksums, redo records of in-flight parity closures,
 // and state transitions. Replay tolerates a torn tail — frames are
-// CRC-protected and parsing stops at the first invalid one.
+// CRC-protected and parsing stops at the first invalid one. Its checksum
+// table is the array's only one: the array verifies every strip it reads
+// against it and records every strip it writes into it (DESIGN.md §10).
 //
 // Durability policy, derived from what recovery needs:
 //
@@ -137,14 +137,17 @@ type MetaJournal struct {
 	poisoned  bool  // a compaction failed mid-way; inactive region needs a wipe
 	compactAt int64
 	disks     int
-	sums      []map[int64]uint32
 	pending   []PendingClosure // FIFO; overlapping closures are serialised by the array
 	trans     []Transition
 	kv        map[string][]byte
 	closed    bool
-}
 
-var _ ChecksumSink = (*MetaJournal)(nil)
+	// sums is the checksum table, per disk. It is written under mu and sumMu
+	// both and read under either, so a read's lookup never waits on an
+	// append or a sync.
+	sumMu sync.RWMutex
+	sums  []map[int64]uint32
+}
 
 // OpenMetaJournal opens (replaying) or initialises the journal over its
 // two regions. Two empty blobs initialise a fresh journal; a non-empty
@@ -633,7 +636,7 @@ func (j *MetaJournal) clearPoison() error {
 	return nil
 }
 
-// RecordSum implements ChecksumSink (lazily durable).
+// RecordSum records the checksum of strip of disk (lazily durable).
 func (j *MetaJournal) RecordSum(disk int, strip int64, sum uint32) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -643,23 +646,26 @@ func (j *MetaJournal) RecordSum(disk int, strip int64, sum uint32) error {
 	if err := j.appendFrame(appendSumFrame(nil, disk, strip, sum), false); err != nil {
 		return err
 	}
+	j.sumMu.Lock()
 	j.sums[disk][strip] = sum
+	j.sumMu.Unlock()
 	return nil
 }
 
-// Sums returns a copy of the durable checksum map for one disk, the
-// initial state a ChecksummedDevice is wrapped with at mount.
-func (j *MetaJournal) Sums(disk int) map[int64]uint32 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if disk < 0 || disk >= j.disks {
-		return nil
+// verifySum checks p, the content of strip of disk, against the recorded
+// checksum: ErrCorrupt on a mismatch, nil when it matches or none is
+// recorded (a strip never written through the journal's array).
+func (j *MetaJournal) verifySum(disk int, strip int64, p []byte) error {
+	j.sumMu.RLock()
+	want, known := uint32(0), false
+	if disk < len(j.sums) {
+		want, known = j.sums[disk][strip]
 	}
-	out := make(map[int64]uint32, len(j.sums[disk]))
-	for k, v := range j.sums[disk] {
-		out[k] = v
+	j.sumMu.RUnlock()
+	if known && crc32.Checksum(p, castagnoli) != want {
+		return fmt.Errorf("%w: strip %d", ErrCorrupt, strip)
 	}
-	return out
+	return nil
 }
 
 // RecordClosure appends a redo record carrying the full new content of a

@@ -4,11 +4,11 @@ import (
 	"bytes"
 	"encoding/hex"
 	"errors"
-	"fmt"
+	"maps"
 	"testing"
 )
 
-func openTestJournal(t *testing.T, b0, b1 Blob, disks int) *MetaJournal {
+func openTestJournal(t testing.TB, b0, b1 Blob, disks int) *MetaJournal {
 	t.Helper()
 	j, err := OpenMetaJournal(b0, b1, disks)
 	if err != nil {
@@ -379,26 +379,37 @@ func TestJournalCompactionCutReproducible(t *testing.T) {
 	}
 }
 
+// Sums returns a copy of the checksum table of one disk.
+func (j *MetaJournal) Sums(disk int) map[int64]uint32 {
+	j.sumMu.RLock()
+	defer j.sumMu.RUnlock()
+	return maps.Clone(j.sums[disk])
+}
+
+// journaled attaches a metadata journal over MemBlobs to arr, which gives the
+// array checksums, and returns it.
+func journaled(t testing.TB, arr *Array) *Array {
+	t.Helper()
+	arr.SetJournal(openTestJournal(t, NewMemBlob(), NewMemBlob(), arr.an.Disks()))
+	return arr
+}
+
 // journaledArray is a two-cycle 9-disk in-memory array with a metadata
-// journal over MemBlobs attached.
+// journal over MemBlobs attached, so with checksums.
 func journaledArray(t testing.TB, stripBytes int) *Array {
 	t.Helper()
 	arr, err := NewMemArray(oiAnalyzer(t, 9), 2, stripBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := OpenMetaJournal(NewMemBlob(), NewMemBlob(), 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	arr.SetJournal(j)
-	return arr
+	return journaled(t, arr)
 }
 
 // TestJournalAllocs pins what a record costs in allocations: a checksum
 // record is its one frame; a journalled single-strip write is the update
-// list, the closure frame, the pending record's strip list and the clear
-// frame, with headroom for the region's amortised growth.
+// list, the closure frame, the pending record's strip list, the clear frame
+// and the four strips' checksum records — 8, what a formatted array's write
+// has cost since checksums were first journalled.
 func TestJournalAllocs(t *testing.T) {
 	if poolDrops() {
 		t.Skip("sync.Pool drops items in this build (race detector)")
@@ -422,24 +433,49 @@ func TestJournalAllocs(t *testing.T) {
 	}
 }
 
+// journaledSizes are the strip sizes the journaled benchmarks run at, by
+// sub-benchmark name.
+var journaledSizes = []struct {
+	name string
+	size int
+}{{"512", 512}, {"4K", 4 << 10}, {"64K", 64 << 10}}
+
 // BenchmarkJournaledWrite is BenchmarkArrayWrite with a metadata journal
-// over MemBlobs attached: what the redo record, the clear and the region's
-// growth add to a strip write.
+// over MemBlobs attached: what the redo record, the clear, the strips'
+// checksum records and the region's growth add to a strip write.
 func BenchmarkJournaledWrite(b *testing.B) {
-	for _, size := range []int{512, 4 << 10, 64 << 10} {
-		name := fmt.Sprintf("%dK", size>>10)
-		if size < 1<<10 {
-			name = fmt.Sprint(size)
-		}
-		b.Run(name, func(b *testing.B) {
-			arr := journaledArray(b, size)
-			buf := make([]byte, size)
-			b.SetBytes(int64(size))
+	for _, sz := range journaledSizes {
+		b.Run(sz.name, func(b *testing.B) {
+			arr := journaledArray(b, sz.size)
+			buf := make([]byte, sz.size)
+			b.SetBytes(int64(sz.size))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				off := (int64(i) * int64(size)) % arr.Capacity()
+				off := (int64(i) * int64(sz.size)) % arr.Capacity()
 				if _, err := arr.WriteAt(buf, off); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkJournaledRead is BenchmarkJournaledWrite's twin for whole-strip
+// reads: what the checksum step — a lookup in the journal's table and a
+// CRC-32C of the strip — adds to a strip read.
+func BenchmarkJournaledRead(b *testing.B) {
+	for _, sz := range journaledSizes {
+		b.Run(sz.name, func(b *testing.B) {
+			arr := journaledArray(b, sz.size)
+			fillArray(b, arr, 1)
+			buf := make([]byte, sz.size)
+			b.SetBytes(int64(sz.size))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				off := (int64(i) * int64(sz.size)) % arr.Capacity()
+				if _, err := arr.ReadAt(buf, off); err != nil {
 					b.Fatal(err)
 				}
 			}

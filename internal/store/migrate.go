@@ -6,94 +6,30 @@ import (
 	"sync"
 )
 
-// MirrorDevice duplicates writes onto a second device while a healthy
-// disk's strips are being migrated to a new home. Reads are served by
-// the source (the destination is incomplete until the copy finishes), so
-// foreground latency never depends on the destination; a destination
-// write failure is absorbed into the dirty set instead of failing the
-// foreground operation, and the migration re-copies those strips before
-// it flips placement.
-//
-// The mirror is installed outermost over the source's existing wrapper
-// chain (checksums, retries, health probes), so source semantics — sum
-// recording, eviction accounting — are exactly what they were without
-// the mirror. The destination is written raw: its errors must not count
-// toward the source disk's health, and its checksums are already durable
-// in the journal from the source-side writes of identical bytes.
-type MirrorDevice struct {
-	src, dst Device
+// mirror is the state of a migrating disk: the destination its strips move to
+// and the strips whose copy there is stale. Every write of the disk's strips
+// is repeated at the destination (writeStrips); reads stay on the source,
+// whose content is complete, so foreground latency never waits on the
+// destination. A repeat that fails, or whose source write did, does not fail
+// the foreground operation: its strip is marked dirty, and the migration
+// re-copies the dirty strips before it flips placement. The destination's ops
+// run none of the disk's steps — its errors must not count toward the
+// source's health, and the sums of its content are the source writes'.
+type mirror struct {
+	dst Device
 
 	mu    sync.Mutex
 	dirty map[int64]struct{}
 }
 
-var _ Device = (*MirrorDevice)(nil)
-
-// NewMirrorDevice builds a mirror over src that forwards writes to dst.
-func NewMirrorDevice(src, dst Device) *MirrorDevice {
-	return &MirrorDevice{src: src, dst: dst, dirty: map[int64]struct{}{}}
-}
-
-// Strips implements Device.
-func (m *MirrorDevice) Strips() int64 { return m.src.Strips() }
-
-// StripBytes implements Device.
-func (m *MirrorDevice) StripBytes() int { return m.src.StripBytes() }
-
-// ReadStrip implements Device: reads come from the source only.
-func (m *MirrorDevice) ReadStrip(idx int64, p []byte) error {
-	return m.src.ReadStrip(idx, p)
-}
-
-// WriteStrip implements Device: the source write decides the outcome
-// (foreground semantics unchanged); the destination write is best-effort
-// with failures recorded as dirty strips for the migration to re-copy.
-func (m *MirrorDevice) WriteStrip(idx int64, p []byte) error {
-	if err := m.src.WriteStrip(idx, p); err != nil {
-		// The source state is unknown (the write may have half-landed on
-		// retry paths): whatever the caller does next, make sure the
-		// migration re-reads this strip before trusting the destination.
-		m.markDirty(idx)
-		return err
-	}
-	if err := m.dst.WriteStrip(idx, p); err != nil {
-		m.markDirty(idx)
-	}
-	return nil
-}
-
-// Close implements Device, closing the source side only — the
-// destination's lifecycle belongs to the migration that created it.
-func (m *MirrorDevice) Close() error { return m.src.Close() }
-
-// Inner implements the wrapper-chain walk (fsck, checksummedOf): the
-// mirror is transparent, the source chain is the device that counts.
-func (m *MirrorDevice) Inner() Device { return m.src }
-
-func (m *MirrorDevice) markDirty(idx int64) {
+func (m *mirror) markDirty(idx int64) {
 	m.mu.Lock()
 	m.dirty[idx] = struct{}{}
 	m.mu.Unlock()
 }
 
-// settle records the outcome of copying idxs to the destination: a strip
-// whose copy landed is clean, every strip of a window that did not land
-// whole is dirty.
-func (m *MirrorDevice) settle(idxs []int64, landed bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, idx := range idxs {
-		if landed {
-			delete(m.dirty, idx)
-		} else {
-			m.dirty[idx] = struct{}{}
-		}
-	}
-}
-
-// dirtyStrips returns, ascending, the strips whose destination copy is stale
-// (a mirrored write did not land).
-func (m *MirrorDevice) dirtyStrips() []int64 {
+// dirtyStrips returns, ascending, the strips whose destination copy is stale.
+func (m *mirror) dirtyStrips() []int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	out := make([]int64, 0, len(m.dirty))
@@ -102,13 +38,6 @@ func (m *MirrorDevice) dirtyStrips() []int64 {
 	}
 	slices.Sort(out)
 	return out
-}
-
-// DirtyCount returns the number of stale destination strips.
-func (m *MirrorDevice) DirtyCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.dirty)
 }
 
 // CloneSuperblock writes disk's current superblock image into b and
@@ -145,32 +74,31 @@ func (m *ArrayMeta) CloneSuperblock(disk int, b Blob) error {
 // every write to the disk lands on dst too, while reads stay on the
 // current device. The installation takes the exclusive array lock, so no
 // in-flight operation can slip a write past the mirror.
-func (a *Array) StartMirror(d int, dst Device) (*MirrorDevice, error) {
+func (a *Array) StartMirror(d int, dst Device) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if d < 0 || d >= len(a.devs) {
-		return nil, fmt.Errorf("%w: %d", ErrNoSuchDisk, d)
+		return fmt.Errorf("%w: %d", ErrNoSuchDisk, d)
 	}
 	if a.failed[d] {
 		// A failed disk's data moves via rebuild, not migration.
-		return nil, fmt.Errorf("%w: disk %d", ErrDiskFaulty, d)
+		return fmt.Errorf("%w: disk %d", ErrDiskFaulty, d)
 	}
-	if _, ok := a.devs[d].(*MirrorDevice); ok {
-		return nil, fmt.Errorf("store: disk %d already migrating", d)
+	if a.mirrors[d] != nil {
+		return fmt.Errorf("store: disk %d already migrating", d)
 	}
 	if dst.StripBytes() != a.stripBytes || dst.Strips() < a.cycles*int64(a.an.SlotsPerDisk()) {
-		return nil, fmt.Errorf("%w: migration destination for disk %d", ErrBadGeometry, d)
+		return fmt.Errorf("%w: migration destination for disk %d", ErrBadGeometry, d)
 	}
-	m := NewMirrorDevice(a.devs[d], dst)
-	a.devs[d] = m
+	a.mirrors[d] = &mirror{dst: dst, dirty: map[int64]struct{}{}}
 	a.noteDevices()
-	return m, nil
+	return nil
 }
 
 // CopyMirrorCycle is the bulk copy of a disk migration (DESIGN.md §15): it
-// copies the strips of one layout cycle of disk d from the mirror's source to
-// its destination. The caller excludes foreground I/O on the cycle for the
-// call, which makes the copy a consistent snapshot.
+// copies the strips of one layout cycle of disk d from its device to the
+// mirror's destination. The caller excludes foreground I/O on the cycle for
+// the call, which makes the copy a consistent snapshot.
 func (a *Array) CopyMirrorCycle(d int, cycle int64) error {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
@@ -202,66 +130,70 @@ func (a *Array) DrainMirror(d int) error {
 }
 
 // mirror returns the migration mirror of disk d. Caller holds mu.
-func (a *Array) mirror(d int) (*MirrorDevice, error) {
+func (a *Array) mirror(d int) (*mirror, error) {
 	if d < 0 || d >= len(a.devs) {
 		return nil, fmt.Errorf("%w: %d", ErrNoSuchDisk, d)
-	}
-	m, ok := a.devs[d].(*MirrorDevice)
-	if !ok {
-		return nil, fmt.Errorf("store: disk %d has no migration in flight", d)
 	}
 	if a.failed[d] {
 		// The heal path owns a failed disk: its strips move by rebuild.
 		return nil, fmt.Errorf("%w: disk %d", ErrDiskFaulty, d)
 	}
-	return m, nil
+	if a.mirrors[d] == nil {
+		return nil, fmt.Errorf("store: disk %d has no migration in flight", d)
+	}
+	return a.mirrors[d], nil
 }
 
-// copyMirror copies strips idxs of disk d from m's source to its destination
-// through the batch executor, a window at a time: gather from the source's
-// stack — counted, a checksum failure healed in place, as any read of the
-// data plane — and scatter to the raw destination. It stops at the first
-// window that fails, the device's error unchanged; that window's strips are
-// dirty, every strip before it clean. Caller holds mu and keeps writers off
+// copyMirror copies strips idxs of disk d from its device to m's destination
+// through the batch executor, a window at a time: gather from the disk —
+// counted, a checksum failure healed in place, as any read of the data plane —
+// and scatter to the destination. A strip whose copy landed is clean, one
+// whose copy failed dirty; the copy stops after the first window with a
+// failure, the device's error unchanged. Caller holds mu and keeps writers off
 // idxs.
-func (a *Array) copyMirror(m *MirrorDevice, d int, idxs []int64) error {
+func (a *Array) copyMirror(m *mirror, d int, idxs []int64) error {
 	sc := a.getScratch()
 	defer a.putScratch(sc)
 	for window := a.windowStrips(1); len(idxs) > 0; {
 		n := min(window, len(idxs))
 		bufs, ops := sc.strips(n), sc.opList(n)
 		for i, idx := range idxs[:n] {
-			ops = append(ops, batchOp{dev: m.src, disk: d, idx: idx, buf: bufs[i]})
+			ops = append(ops, batchOp{dev: a.devs[d], disk: d, idx: idx, buf: bufs[i]})
 		}
 		if err := a.readStrips(sc, ops, false, 0, nil); err != nil {
 			return err
 		}
 		for i := range ops {
-			ops[i].dev, ops[i].err = m.dst, nil
+			ops[i].dev, ops[i].err, ops[i].mirror = m.dst, nil, true
 		}
-		failed := a.writeStrips(sc, ops, false)
-		m.settle(idxs[:n], failed == nil)
-		if failed != nil {
-			return failed.err
+		a.writeStrips(sc, ops, true)
+		var err error
+		m.mu.Lock()
+		for _, op := range ops {
+			if op.err == nil {
+				delete(m.dirty, op.idx)
+			} else if err == nil {
+				err = op.err
+			}
+		}
+		m.mu.Unlock()
+		if err != nil {
+			return err
 		}
 		idxs = idxs[n:]
 	}
 	return nil
 }
 
-// DropMirror uninstalls disk d's migration mirror, restoring the source
-// device — the abort path when a migration cannot finish.
+// DropMirror uninstalls disk d's migration mirror — the abort path when a
+// migration cannot finish.
 func (a *Array) DropMirror(d int) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if d < 0 || d >= len(a.devs) {
 		return fmt.Errorf("%w: %d", ErrNoSuchDisk, d)
 	}
-	m, ok := a.devs[d].(*MirrorDevice)
-	if !ok {
-		return nil
-	}
-	a.devs[d] = m.src
+	a.mirrors[d] = nil
 	a.noteDevices()
 	return nil
 }
@@ -271,29 +203,22 @@ func (a *Array) DropMirror(d int) error {
 // clean (every mirrored write landed or was re-copied): the caller must
 // have quiesced writes, drained the dirty set, and committed the new
 // placement before calling, because after SwapDisk returns the source
-// receives nothing.
+// receives nothing. The strips' checksums stay where they are, in the
+// journal's table: dev holds the same bytes.
 func (a *Array) SwapDisk(d int, dev Device) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if d < 0 || d >= len(a.devs) {
-		return fmt.Errorf("%w: %d", ErrNoSuchDisk, d)
+	m, err := a.mirror(d)
+	if err != nil {
+		return err
 	}
-	m, ok := a.devs[d].(*MirrorDevice)
-	if !ok {
-		return fmt.Errorf("store: disk %d has no migration in flight", d)
-	}
-	if n := m.DirtyCount(); n != 0 {
+	if n := len(m.dirtyStrips()); n != 0 {
 		return fmt.Errorf("store: disk %d migration has %d dirty strips", d, n)
 	}
 	if dev.StripBytes() != a.stripBytes || dev.Strips() < a.cycles*int64(a.an.SlotsPerDisk()) {
 		return fmt.Errorf("%w: migration destination for disk %d", ErrBadGeometry, d)
 	}
-	if a.meta != nil && checksummedOf(dev) == nil {
-		// Seed with the journal's sums for the disk: the destination holds
-		// byte-identical content, so reads verify from the first strip.
-		dev = NewDurableChecksummedDevice(dev, d, a.meta.Journal().Sums(d), a.meta.Journal())
-	}
-	a.devs[d] = dev
+	a.devs[d], a.mirrors[d] = dev, nil
 	a.noteDevices()
 	return nil
 }

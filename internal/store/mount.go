@@ -260,11 +260,7 @@ func FormatArray(an *core.Analyzer, devs []Device, sbs []Blob, j0, j1 Blob, opts
 	if err != nil {
 		return nil, err
 	}
-	wrapped := make([]Device, len(devs))
-	for i, dev := range devs {
-		wrapped[i] = NewDurableChecksummedDevice(dev, i, nil, journal)
-	}
-	arr, err := NewArray(an, wrapped)
+	arr, err := NewArray(an, devs)
 	if err != nil {
 		return nil, err
 	}
@@ -450,11 +446,7 @@ func MountArray(an *core.Analyzer, devs []Device, sbs []Blob, j0, j1 Blob, opts 
 	if err != nil {
 		return nil, err
 	}
-	wrapped := make([]Device, len(devs))
-	for i, dev := range devs {
-		wrapped[i] = NewDurableChecksummedDevice(dev, i, journal.Sums(i), journal)
-	}
-	arr, err := NewArray(an, wrapped)
+	arr, err := NewArray(an, devs)
 	if err != nil {
 		return nil, err
 	}

@@ -9,10 +9,9 @@ import (
 
 // ReplaceDisk attaches a fresh device onto which failed disk d will be
 // rebuilt. The device must match the array geometry. On an array with a
-// durable metadata plane the replacement is wrapped in a journal-backed
-// ChecksummedDevice (unless the caller already did) and the adoption is
-// committed — with a fresh disk identity — before it is acknowledged; the
-// disk stays in the failed set until its rebuild completes.
+// durable metadata plane the adoption is committed — with a fresh disk
+// identity — before it is acknowledged; the disk stays in the failed set
+// until its rebuild completes.
 func (a *Array) ReplaceDisk(d int, dev Device) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -24,9 +23,6 @@ func (a *Array) ReplaceDisk(d int, dev Device) error {
 	}
 	if dev.StripBytes() != a.stripBytes || dev.Strips() < a.cycles*int64(a.an.SlotsPerDisk()) {
 		return fmt.Errorf("%w: replacement for disk %d", ErrBadGeometry, d)
-	}
-	if a.meta != nil && checksummedOf(dev) == nil {
-		dev = NewDurableChecksummedDevice(dev, d, nil, a.meta.Journal())
 	}
 	a.replaced[d] = dev
 	a.noteDevices()

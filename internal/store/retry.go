@@ -84,9 +84,6 @@ func (r *RetryDevice) Strips() int64 { return r.inner.Strips() }
 // StripBytes implements Device.
 func (r *RetryDevice) StripBytes() int { return r.inner.StripBytes() }
 
-// Inner exposes the wrapped device.
-func (r *RetryDevice) Inner() Device { return r.inner }
-
 // Stats returns a snapshot of the retry counters.
 func (r *RetryDevice) Stats() RetryStats {
 	return RetryStats{Ops: r.ops.Load(), Retries: r.retries.Load(), Absorbed: r.absorbed.Load(), Exhausted: r.exhausted.Load()}

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"path/filepath"
@@ -871,77 +872,84 @@ func TestRebuildStepValidation(t *testing.T) {
 	}
 }
 
-// TestChecksummedDeviceBasics: checksums verify on read, detect silent
-// corruption, and unknown strips pass through un-verified.
-func TestChecksummedDeviceBasics(t *testing.T) {
-	mem, err := NewMemDevice(4, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dev := NewChecksummedDevice(mem)
-	if dev.Strips() != 4 || dev.StripBytes() != 64 {
-		t.Fatal("geometry passthrough wrong")
-	}
-	p := bytes.Repeat([]byte{0x11}, 64)
-	if err := dev.WriteStrip(2, p); err != nil {
-		t.Fatal(err)
-	}
-	q := make([]byte, 64)
-	if err := dev.ReadStrip(2, q); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(p, q) {
-		t.Fatal("round trip failed")
-	}
-	// Silent corruption behind the wrapper's back.
-	raw := make([]byte, 64)
-	if err := dev.Inner().ReadStrip(2, raw); err != nil {
-		t.Fatal(err)
-	}
-	raw[5] ^= 0x80
-	if err := dev.Inner().WriteStrip(2, raw); err != nil {
-		t.Fatal(err)
-	}
-	if err := dev.ReadStrip(2, q); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("expected ErrCorrupt, got %v", err)
-	}
-	// Never-written strip: no checksum, read passes.
-	if err := dev.ReadStrip(0, q); err != nil {
-		t.Fatalf("unverified strip read failed: %v", err)
-	}
-	if err := dev.Close(); err != nil {
-		t.Fatal(err)
+// writeMember writes p to strip idx of disk d the way the array writes any
+// strip — through the disk's steps, so the journal records its checksum.
+func writeMember(t testing.TB, arr *Array, d int, idx int64, p []byte) {
+	t.Helper()
+	arr.mu.RLock()
+	defer arr.mu.RUnlock()
+	sc := arr.getScratch()
+	defer arr.putScratch(sc)
+	if failed := arr.writeStrips(sc, append(sc.opList(1), batchOp{dev: arr.device(d), disk: d, idx: idx, buf: p}), false); failed != nil {
+		t.Fatal(failed.err)
 	}
 }
 
-// TestReadRepairHealsLatentSectorError: corrupt a data strip behind a
-// checksummed device; a foreground read detects it, reconstructs from
-// parity, heals in place, and subsequent reads hit clean media.
-func TestReadRepairHealsLatentSectorError(t *testing.T) {
-	an := oiAnalyzer(t, 9)
-	devs := make([]Device, an.Disks())
-	for i := range devs {
-		mem, err := NewMemDevice(int64(an.SlotsPerDisk()), testStrip)
-		if err != nil {
+// TestChecksumStepBasics: on an array with a journal, a strip written through
+// the array has its checksum in the journal's table and a read verifies it —
+// a strip corrupted behind the array's back fails with ErrCorrupt, a raw read
+// does not look — while a strip never written passes unverified. An array
+// without a journal verifies nothing.
+func TestChecksumStepBasics(t *testing.T) {
+	arr := newOIArray(t, 9)
+	mem := arr.devs[2].(*MemDevice)
+	p, q := bytes.Repeat([]byte{0x11}, testStrip), make([]byte, testStrip)
+	corrupt := func() {
+		t.Helper()
+		if err := mem.ReadStrip(2, q); err != nil {
 			t.Fatal(err)
 		}
-		devs[i] = NewChecksummedDevice(mem)
+		q[5] ^= 0x80
+		if err := mem.WriteStrip(2, q); err != nil {
+			t.Fatal(err)
+		}
 	}
-	arr, err := NewArray(an, devs)
+	writeMember(t, arr, 2, 2, p)
+	corrupt()
+	if err := arr.ProbeDiskStrip(2, 2, q); err != nil {
+		t.Fatalf("a journal-less array verified a read: %v", err)
+	}
+
+	journaled(t, arr)
+	writeMember(t, arr, 2, 2, p)
+	if got, want := arr.journal.Sums(2)[2], crc32.Checksum(p, castagnoli); got != want {
+		t.Fatalf("journal holds sum %#x for the strip, want %#x", got, want)
+	}
+	if err := arr.ProbeDiskStrip(2, 2, q); err != nil || !bytes.Equal(p, q) {
+		t.Fatalf("round trip: %v", err)
+	}
+	corrupt()
+	if err := arr.ProbeDiskStrip(2, 2, q); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("read of a corrupted strip: %v, want ErrCorrupt", err)
+	}
+	raw := batchOp{dev: mem, disk: 2, idx: 2, buf: q}
+	if arr.call(&raw, false, true); raw.err != nil {
+		t.Fatalf("raw read verified: %v", raw.err)
+	}
+	if err := arr.ProbeDiskStrip(2, 0, q); err != nil {
+		t.Fatalf("never-written strip: %v", err)
+	}
+}
+
+// TestReadRepairHealsLatentSectorError: corrupt a data strip behind the
+// array's back; a foreground read detects it, reconstructs from parity,
+// heals in place, and subsequent reads hit clean media.
+func TestReadRepairHealsLatentSectorError(t *testing.T) {
+	arr, err := NewMemArray(oiAnalyzer(t, 9), 1, testStrip)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := fillArray(t, arr, 66)
+	want := fillArray(t, journaled(t, arr), 66)
 
 	// Corrupt the physical location of logical strip 0 silently.
 	d, devStrip := arr.locate(0)
-	cd := devs[d].(*ChecksummedDevice)
+	mem := arr.devs[d].(*MemDevice)
 	raw := make([]byte, testStrip)
-	if err := cd.Inner().ReadStrip(devStrip, raw); err != nil {
+	if err := mem.ReadStrip(devStrip, raw); err != nil {
 		t.Fatal(err)
 	}
 	raw[0] ^= 0xFF
-	if err := cd.Inner().WriteStrip(devStrip, raw); err != nil {
+	if err := mem.WriteStrip(devStrip, raw); err != nil {
 		t.Fatal(err)
 	}
 

@@ -335,13 +335,6 @@ func NewFaultDevice(dev Device, cfg FaultConfig) *FaultInjector {
 	return store.NewFaultDevice(dev, cfg)
 }
 
-// NewChecksummedDevice wraps any device with per-strip CRC-32C
-// verification: silent media corruption surfaces as a detectable erasure,
-// which the array's read path heals in place from parity (read repair).
-func NewChecksummedDevice(dev Device) Device {
-	return store.NewChecksummedDevice(dev)
-}
-
 // SimulateRecovery runs the event-driven simulator for the failure
 // pattern on this geometry.
 func SimulateRecovery(g *Geometry, failed []int, cfg SimConfig) (*SimResult, error) {

@@ -2,11 +2,14 @@
 // storage nodes (internal/store/netdev) and runs the engine over it —
 // the coordinator half of multi-node OI-RAID.
 //
-// Failure-domain mapping: disks are placed round-robin across nodes
-// (disk d on node d mod N), so the disks of one node form a set the
-// 9-disk OI-RAID geometry provably recovers from — losing a whole node
-// is survivable by construction, and the two-layer BIBD declustering
-// spreads the rebuild load over every surviving disk.
+// Failure-domain mapping: one rule (placeNode) puts every disk on the
+// eligible node holding the fewest disks, so a format places disk d on
+// node d mod N. Losing a whole node is survivable only where each node's
+// disk set is one the layout recovers from. Over 2 to 8 nodes that is 9
+// disks on 3 or more, 16 on 4 or more, and 25 on exactly 5 or 8
+// (TestPlacementCensus pins the table).
+// The two-layer BIBD declustering spreads the rebuild load over every
+// surviving disk.
 //
 // Reachability handling composes three existing mechanisms:
 //
@@ -228,7 +231,7 @@ type Cluster struct {
 // With Options.Holder set this is also the takeover path: acquire a
 // fenced lease at a fresh epoch, reassemble the metadata plane from the
 // node quorum, and resume — a standby calls exactly this.
-func Open(opts Options) (*Cluster, error) {
+func Open(opts Options) (_ *Cluster, err error) {
 	ha := opts.Holder != ""
 	c := &Cluster{dir: opts.Dir, clients: map[string]*netdev.NodeClient{}}
 	if ha {
@@ -275,52 +278,57 @@ func Open(opts Options) (*Cluster, error) {
 	if ha {
 		c.fence = fence
 	}
-	for _, n := range nodeList {
-		cl := c.newClientLocked(n)
-		c.clients[n.ID] = cl
+	voters := make([]*netdev.NodeClient, len(nodeList))
+	for i, n := range nodeList {
+		voters[i] = c.newClientLocked(n)
+		c.clients[n.ID] = voters[i]
 		c.order = append(c.order, n.ID)
 	}
-	closeClients := func() {
+	// Every failed exit below unwinds here: before the engine exists the
+	// clients and journal blobs are closed directly, after it the
+	// engine's Close closes them (OnClose below).
+	var j0, j1 store.Blob
+	var eng *engine.Engine
+	defer func() {
+		if err == nil {
+			return
+		}
+		if eng != nil {
+			eng.Close()
+			return
+		}
 		for _, cl := range c.clients {
 			cl.Close()
 		}
-	}
+		for _, j := range []store.Blob{j0, j1} {
+			if j != nil {
+				j.Close()
+			}
+		}
+	}()
 
 	// HA: fenced takeover — lease first (deposing any rival), then the
 	// metadata plane from the quorum. The journal blobs come back
 	// quorum-wrapped, so every append below is majority-durable before
 	// it acks.
-	var j0, j1 store.Blob
 	if ha {
 		// The replicator gets its own snapshot of the membership: the
 		// metadata voter set is fixed for the reign even if AddNode or
 		// DrainNode changes the data-plane node list afterwards.
-		repClients := make(map[string]*netdev.NodeClient, len(c.clients))
-		for id, cl := range c.clients {
-			repClients[id] = cl
-		}
 		c.rep = &replicator{holder: opts.Holder, fence: fence,
-			order: append([]string(nil), c.order...), clients: repClients}
+			order: append([]string(nil), c.order...), clients: voters}
 		var haveManifest bool
-		j0, j1, haveManifest, err = c.takeover(loaded)
-		if err != nil {
-			closeClients()
+		if j0, j1, haveManifest, err = c.takeover(loaded); err != nil {
 			return nil, err
 		}
 		if !haveManifest {
 			if opts.Format == nil {
-				closeClients()
-				j0.Close()
-				j1.Close()
 				return nil, errors.New("cluster: no manifest anywhere and no format spec")
 			}
 			c.manifest = buildManifest(opts.Nodes, *opts.Format)
 		}
 		loaded = haveManifest
 		if err := nodesMatch(c.manifest.Nodes, opts.Nodes); err != nil {
-			closeClients()
-			j0.Close()
-			j1.Close()
 			return nil, err
 		}
 	}
@@ -329,7 +337,6 @@ func Open(opts Options) (*Cluster, error) {
 	// Geometry: disks count from the manifest placements.
 	an, err := analyzerFor(len(man.Disks))
 	if err != nil {
-		closeClients()
 		return nil, err
 	}
 	strips := man.Cycles * int64(an.SlotsPerDisk())
@@ -340,7 +347,6 @@ func Open(opts Options) (*Cluster, error) {
 	for d, p := range man.Disks {
 		cl, ok := c.clients[p.Node]
 		if !ok {
-			closeClients()
 			return nil, fmt.Errorf("cluster: disk %d placed on unknown node %q", d, p.Node)
 		}
 		if loaded {
@@ -355,7 +361,6 @@ func Open(opts Options) (*Cluster, error) {
 			}
 		}
 		if err != nil {
-			closeClients()
 			return nil, fmt.Errorf("cluster: disk %d on node %s: %w", d, p.Node, err)
 		}
 	}
@@ -365,17 +370,11 @@ func Open(opts Options) (*Cluster, error) {
 	// mode replaced this above with quorum-replicated blobs, where the
 	// local file is only the read cache.)
 	if !ha {
-		if c.dir != "" {
-			if j0, err = store.CreateFileBlob(filepath.Join(c.dir, "meta0.journal")); err != nil {
-				closeClients()
-				return nil, err
-			}
-			if j1, err = store.CreateFileBlob(filepath.Join(c.dir, "meta1.journal")); err != nil {
-				closeClients()
-				return nil, err
-			}
-		} else {
-			j0, j1 = store.NewMemBlob(), store.NewMemBlob()
+		if j0, err = c.localBlob("meta0.journal"); err != nil {
+			return nil, err
+		}
+		if j1, err = c.localBlob("meta1.journal"); err != nil {
+			return nil, err
 		}
 	}
 
@@ -385,7 +384,6 @@ func Open(opts Options) (*Cluster, error) {
 	// superblock carried one.
 	policy, err := store.ParseDegradedPolicy(man.Degraded)
 	if err != nil {
-		closeClients()
 		return nil, fmt.Errorf("cluster: manifest: %w", err)
 	}
 	var mnt *store.Mount
@@ -399,7 +397,6 @@ func Open(opts Options) (*Cluster, error) {
 		mnt, err = store.FormatArray(an, devs, sbs, j0, j1, store.WithDegradedPolicy(policy))
 	}
 	if err != nil {
-		closeClients()
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
 
@@ -408,9 +405,7 @@ func Open(opts Options) (*Cluster, error) {
 		eopts.Health = &engine.HealthPolicy{}
 	}
 	eopts.Replace = c.provisionReplacement
-	eng, err := engine.New(mnt.Array, eopts)
-	if err != nil {
-		closeClients()
+	if eng, err = engine.New(mnt.Array, eopts); err != nil {
 		return nil, err
 	}
 	c.engPtr.Store(eng)
@@ -445,7 +440,6 @@ func Open(opts Options) (*Cluster, error) {
 	// which stamps the new epoch and reseeds the quorum copy.
 	if !loaded || ha {
 		if err := c.saveManifest(); err != nil {
-			eng.Close()
 			return nil, err
 		}
 	}
@@ -566,6 +560,24 @@ func (c *Cluster) nodeUp(eng *engine.Engine, id string) {
 	eng.Array().RecoverIntent()
 }
 
+// nodeStateLocked is node id's state as NodeStatus reports it: ok, down,
+// lost or draining. Caller holds c.mu.
+func (c *Cluster) nodeStateLocked(id string) string {
+	switch cl := c.clients[id]; {
+	case cl == nil || cl.Lost():
+		return "lost"
+	case cl.Down():
+		return "down"
+	case c.draining[id]:
+		return "draining"
+	}
+	return "ok"
+}
+
+// eligibleLocked reports whether node id may receive a disk: only an ok
+// node does. Caller holds c.mu.
+func (c *Cluster) eligibleLocked(id string) bool { return c.nodeStateLocked(id) == "ok" }
+
 // provisionReplacement is the engine's Replace hook: a new device for
 // disk d on a surviving node, with the superblock copy rebound next to
 // it and the manifest updated — the step that moves a dead node's disk
@@ -576,23 +588,7 @@ func (c *Cluster) provisionReplacement(d int) (store.Device, error) {
 		c.mu.Unlock()
 		return nil, fmt.Errorf("%w: disk %d", store.ErrNoSuchDisk, d)
 	}
-	// Pick the surviving node with the fewest disks (ties broken by
-	// manifest order) so replacements spread instead of piling onto one
-	// node.
-	load := map[string]int{}
-	for _, p := range c.manifest.Disks {
-		load[p.Node]++
-	}
-	best := ""
-	for _, id := range c.order {
-		cl := c.clients[id]
-		if cl.Lost() || cl.Down() || c.draining[id] {
-			continue
-		}
-		if best == "" || load[id] < load[best] {
-			best = id
-		}
-	}
+	best := placeNode(c.order, c.manifest.Disks, c.eligibleLocked)
 	cl := c.clients[best]
 	c.mu.Unlock()
 	if best == "" {
@@ -627,6 +623,19 @@ func (c *Cluster) provisionReplacement(d int) (store.Device, error) {
 }
 
 func (c *Cluster) manifestPath() string { return filepath.Join(c.dir, "cluster.json") }
+
+// localBlob opens the coordinator's own copy of a journal region: a file
+// in the state directory, or memory for a volatile coordinator.
+func (c *Cluster) localBlob(file string) (store.Blob, error) {
+	if c.dir == "" {
+		return store.NewMemBlob(), nil
+	}
+	b, err := store.CreateFileBlob(filepath.Join(c.dir, file))
+	if err != nil {
+		return nil, err // an untyped nil: Open's cleanup closes what is non-nil
+	}
+	return b, nil
+}
 
 func (c *Cluster) loadManifest() (bool, error) {
 	if c.dir == "" {
@@ -695,9 +704,11 @@ func (c *Cluster) saveManifestLocked() error {
 	return nil
 }
 
-// buildManifest places disk d on node d mod N. For the canonical 9-disk
-// geometry on 3 nodes this yields node-aligned disk sets ({0,3,6},
-// {1,4,7}, {2,5,8}), each of which the layout provably recovers from.
+// buildManifest places the disks one at a time by placeNode, which on
+// empty nodes is disk d on node d mod N. For the canonical 9-disk
+// geometry on 3 nodes this yields {0,3,6}, {1,4,7}, {2,5,8}, each a set
+// the layout recovers from; on other geometries and node counts some
+// node's set may not be (TestPlacementCensus).
 func buildManifest(nodes []NodeSpec, spec FormatSpec) Manifest {
 	m := Manifest{
 		Nodes:      append([]NodeSpec(nil), nodes...),
@@ -707,9 +718,14 @@ func buildManifest(nodes []NodeSpec, spec FormatSpec) Manifest {
 	if spec.Degraded != store.DegradedRefuse {
 		m.Degraded = spec.Degraded.String()
 	}
+	ids := make([]string, len(nodes))
+	for i, n := range nodes {
+		ids[i] = n.ID
+	}
+	every := func(string) bool { return true }
 	for d := 0; d < spec.Disks; d++ {
 		m.Disks = append(m.Disks, Placement{
-			Node:   nodes[d%len(nodes)].ID,
+			Node:   placeNode(ids, m.Disks, every),
 			Device: fmt.Sprintf("disk%02d", d),
 			Super:  fmt.Sprintf("sb%02d", d),
 		})
@@ -727,6 +743,30 @@ func replacementCount(m Manifest) int {
 		}
 	}
 	return n
+}
+
+// placeNode is the cluster's one node-placement rule: among the eligible
+// nodes of order, the one holding the fewest of disks, ties broken by
+// order. It returns "" when no node is eligible. Format, replacement
+// provisioning, drain and rebalance all place through it.
+func placeNode(order []string, disks []Placement, eligible func(id string) bool) string {
+	load := diskLoad(disks)
+	best := ""
+	for _, id := range order {
+		if eligible(id) && (best == "" || load[id] < load[best]) {
+			best = id
+		}
+	}
+	return best
+}
+
+// diskLoad counts the disks placed on each node.
+func diskLoad(disks []Placement) map[string]int {
+	load := map[string]int{}
+	for _, p := range disks {
+		load[p.Node]++
+	}
+	return load
 }
 
 // analyzerFor builds the OI-RAID analyzer for the given disk count.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -137,6 +138,47 @@ func TestClusterFormatMountRemount(t *testing.T) {
 		}
 		if !bytes.Equal(buf, got) {
 			t.Fatalf("strip %d differs after remount", s)
+		}
+	}
+}
+
+// TestPlacementCensus runs the placement rule at format over three
+// geometries and two to eight nodes, checks that it is disk d on node
+// d mod N, and pins how many nodes hold a disk set the layout cannot
+// recover from — losing any one of those nodes is beyond tolerance.
+func TestPlacementCensus(t *testing.T) {
+	lossy := map[int][]int{ // disks → lossy node sets for N = 2, 3, …, 8
+		9:  {2, 0, 0, 0, 0, 0, 0},
+		16: {2, 3, 0, 0, 0, 0, 0},
+		25: {2, 3, 4, 0, 1, 2, 0},
+	}
+	for v, row := range lossy {
+		an, err := analyzerFor(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, want := range row {
+			n := i + 2
+			var nodes []NodeSpec
+			for j := 0; j < n; j++ {
+				nodes = append(nodes, NodeSpec{ID: fmt.Sprintf("n%d", j)})
+			}
+			sets := map[string][]int{}
+			for d, p := range buildManifest(nodes, FormatSpec{Disks: v}).Disks {
+				if p.Node != nodes[d%n].ID {
+					t.Fatalf("v=%d N=%d: disk %d on %s, want %s", v, n, d, p.Node, nodes[d%n].ID)
+				}
+				sets[p.Node] = append(sets[p.Node], d)
+			}
+			got := 0
+			for _, set := range sets {
+				if !an.Recoverable(set) {
+					got++
+				}
+			}
+			if got != want {
+				t.Errorf("v=%d N=%d: %d of %d node sets lossy, want %d", v, n, got, n, want)
+			}
 		}
 	}
 }

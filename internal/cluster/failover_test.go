@@ -447,6 +447,69 @@ func TestClusterHACloseLeavesNoGoroutines(t *testing.T) {
 	}
 }
 
+// TestClusterHARejoinedNodeVotes: a node declared lost, healed around and
+// then rejoined gets a fresh client, and that client must become the
+// metadata voter the lease renews through — while the renewal loop keeps
+// running. Beta's renewal counter advancing after the rejoin is the proof;
+// under -race the swap must also be ordered against every renewal round.
+func TestClusterHARejoinedNodeVotes(t *testing.T) {
+	h := newFailoverHarness(t)
+	opts, faults := h.coordOptions(t, "coord-a", 41)
+	opts.Client.Grace = 300 * time.Millisecond
+	opts.Format = &FormatSpec{Disks: 9, Cycles: 2, StripBytes: 512}
+	c, err := Open(opts)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer c.Close()
+	data := make([]byte, 512)
+
+	faults["beta"].SetPartition(netdev.PartDrop)
+	deadline := time.Now().Add(30 * time.Second)
+	for !c.Client("beta").Lost() && time.Now().Before(deadline) {
+		for s := int64(0); s < c.Eng.Strips(); s++ {
+			c.Eng.WriteStrip(s, data)
+		}
+	}
+	if !c.Client("beta").Lost() {
+		t.Fatalf("beta never declared lost")
+	}
+	for time.Now().Before(deadline) {
+		for s := int64(0); s < c.Eng.Strips(); s++ {
+			c.Eng.ReadStrip(s)
+		}
+		if len(c.DisksOn("beta")) == 0 && len(c.Eng.Status().Failed) == 0 && !c.Eng.Rebuilding() {
+			break
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	if n := len(c.DisksOn("beta")); n != 0 {
+		t.Fatalf("beta still holds %d disks after the heal", n)
+	}
+
+	faults["beta"].SetPartition(netdev.PartNone)
+	if _, err := c.RejoinNode(NodeSpec{ID: "beta"}); err != nil {
+		t.Fatalf("rejoin: %v", err)
+	}
+	st, err := c.Client("beta").FetchMetaState()
+	if err != nil {
+		t.Fatalf("beta meta state: %v", err)
+	}
+	before := st.RenewSeq
+	for time.Now().Before(deadline) && st.RenewSeq < before+3 {
+		time.Sleep(opts.LeaseRenew)
+		if st, err = c.Client("beta").FetchMetaState(); err != nil {
+			t.Fatalf("beta meta state: %v", err)
+		}
+	}
+	if st.RenewSeq < before+3 {
+		t.Fatalf("beta's renewal counter %d → %d after the rejoin: the new client is not a voter", before, st.RenewSeq)
+	}
+	if c.Deposed() {
+		t.Fatalf("leader deposed across the rejoin")
+	}
+}
+
 // TestStandbyValidation pins the standby's preconditions and context
 // hygiene.
 func TestStandbyValidation(t *testing.T) {

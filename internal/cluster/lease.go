@@ -4,10 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/oiraid/oiraid/internal/engine"
@@ -79,27 +76,21 @@ func (c *Cluster) renewLoop() {
 			continue
 		}
 
-		var stale, confirmed atomic.Int64
-		var wg sync.WaitGroup
-		for _, id := range c.rep.order {
-			wg.Add(1)
-			go func(cl *netdev.NodeClient) {
-				defer wg.Done()
-				switch err := cl.RenewLease(epoch, c.rep.holder); {
-				case err == nil:
-					confirmed.Add(1)
-				case errors.Is(err, store.ErrStaleEpoch):
-					stale.Add(1)
-				}
-			}(c.rep.clients[id])
+		errs := eachNode(c.rep.voters(), func(_ int, cl *netdev.NodeClient) error {
+			return cl.RenewLease(epoch, c.rep.holder)
+		})
+		stale := 0
+		for _, err := range errs {
+			if errors.Is(err, store.ErrStaleEpoch) {
+				stale++
+			}
 		}
-		wg.Wait()
-		if int(stale.Load()) >= c.rep.quorum() {
+		if stale >= c.rep.quorum() {
 			c.rep.deposed.Store(true)
 			c.Eng.ForceMode(engine.ModeReadOnly)
 			return
 		}
-		if int(confirmed.Load()) < c.rep.quorum() {
+		if acks(errs) < c.rep.quorum() {
 			if misses++; misses >= renewMissLimit {
 				// Quorum loss beyond the miss budget: demote to read-only
 				// service from whatever survives until the lease is
@@ -118,24 +109,13 @@ func (c *Cluster) renewLoop() {
 // reads advance no counters, so a suspended leader is invisible to the
 // standby's stall detector — which is the point.
 func (c *Cluster) probeEpochs(epoch uint64) (alive int, higher bool) {
-	var aliveN, higherN atomic.Int64
-	var wg sync.WaitGroup
-	for _, id := range c.rep.order {
-		wg.Add(1)
-		go func(cl *netdev.NodeClient) {
-			defer wg.Done()
-			st, err := cl.FetchMetaState()
-			if err != nil {
-				return
-			}
-			aliveN.Add(1)
-			if st.Epoch > epoch {
-				higherN.Add(1)
-			}
-		}(c.rep.clients[id])
+	states, alive := survey(c.rep.voters())
+	for _, st := range states {
+		if st != nil && st.Epoch > epoch {
+			higher = true
+		}
 	}
-	wg.Wait()
-	return int(aliveN.Load()), higherN.Load() > 0
+	return alive, higher
 }
 
 // Deposed reports whether a newer coordinator has fenced this one off.
@@ -145,7 +125,7 @@ func (c *Cluster) Deposed() bool {
 	if c.rep == nil {
 		return false
 	}
-	return c.rep.Deposed()
+	return c.rep.deposed.Load()
 }
 
 // Epoch returns the coordinator's fencing epoch (0 outside HA mode).
@@ -208,7 +188,7 @@ func Standby(ctx context.Context, opts Options, so StandbyOptions) (*Cluster, er
 		}
 	}()
 
-	quorum := len(clients)/2 + 1
+	quorum := majority(len(clients))
 	lastSig := ""
 	lastMove := time.Now()
 	var lastErr error
@@ -252,30 +232,12 @@ func Standby(ctx context.Context, opts Options, so StandbyOptions) (*Cluster, er
 // into a comparable string. Any live leader advances it every renewal
 // interval on at least a quorum of nodes.
 func leaseSignature(clients []*netdev.NodeClient) (sig string, responsive int) {
-	type probe struct {
-		idx int
-		st  netdev.MetaState
-		ok  bool
-	}
-	out := make([]probe, len(clients))
-	var wg sync.WaitGroup
-	for i, cl := range clients {
-		wg.Add(1)
-		go func(i int, cl *netdev.NodeClient) {
-			defer wg.Done()
-			st, err := cl.FetchMetaState()
-			out[i] = probe{idx: i, st: st, ok: err == nil}
-		}(i, cl)
-	}
-	wg.Wait()
+	states, responsive := survey(clients)
 	var parts []string
-	for _, p := range out {
-		if !p.ok {
-			continue
+	for i, st := range states {
+		if st != nil {
+			parts = append(parts, fmt.Sprintf("%d:%d:%d", i, st.Epoch, st.RenewSeq))
 		}
-		responsive++
-		parts = append(parts, fmt.Sprintf("%d:%d:%d", p.idx, p.st.Epoch, p.st.RenewSeq))
 	}
-	sort.Strings(parts)
 	return strings.Join(parts, ","), responsive
 }

@@ -39,6 +39,7 @@ import (
 	"errors"
 	"fmt"
 	"net/url"
+	"slices"
 	"sort"
 	"time"
 
@@ -184,9 +185,11 @@ func (c *Cluster) DrainNode(id string) (MoveReport, error) {
 		if len(disks) == 0 {
 			break
 		}
-		dst, err := c.leastLoadedEligible(id)
-		if err != nil {
-			return rep, err
+		c.mu.Lock()
+		dst := placeNode(c.order, c.manifest.Disks, c.eligibleLocked)
+		c.mu.Unlock()
+		if dst == "" {
+			return rep, fmt.Errorf("%w: no eligible node to migrate to", store.ErrUnreachable)
 		}
 		if err := c.migrateDisk(disks[0], dst); err != nil {
 			return rep, err
@@ -197,18 +200,8 @@ func (c *Cluster) DrainNode(id string) (MoveReport, error) {
 	// Remove from the membership. The client retires instead of closing:
 	// in HA mode it may still be a metadata voter for the reign.
 	c.mu.Lock()
-	for i, n := range c.manifest.Nodes {
-		if n.ID == id {
-			c.manifest.Nodes = append(c.manifest.Nodes[:i], c.manifest.Nodes[i+1:]...)
-			break
-		}
-	}
-	for i, o := range c.order {
-		if o == id {
-			c.order = append(c.order[:i], c.order[i+1:]...)
-			break
-		}
-	}
+	c.manifest.Nodes = slices.DeleteFunc(c.manifest.Nodes, func(n NodeSpec) bool { return n.ID == id })
+	c.order = slices.DeleteFunc(c.order, func(o string) bool { return o == id })
 	delete(c.clients, id)
 	c.retired = append(c.retired, cl)
 	err := c.saveManifestLocked()
@@ -289,19 +282,7 @@ func (c *Cluster) NodeStatus() []NodeInfo {
 	defer c.mu.Unlock()
 	out := make([]NodeInfo, 0, len(c.manifest.Nodes))
 	for _, n := range c.manifest.Nodes {
-		cl := c.clients[n.ID]
-		state := "ok"
-		switch {
-		case cl == nil:
-			state = "lost"
-		case cl.Lost():
-			state = "lost"
-		case cl.Down():
-			state = "down"
-		case c.draining[n.ID]:
-			state = "draining"
-		}
-		info := NodeInfo{ID: n.ID, URL: n.URL, State: state}
+		info := NodeInfo{ID: n.ID, URL: n.URL, State: c.nodeStateLocked(n.ID)}
 		for d, p := range c.manifest.Disks {
 			if p.Node == n.ID {
 				info.Disks = append(info.Disks, d)
@@ -315,21 +296,29 @@ func (c *Cluster) NodeStatus() []NodeInfo {
 // Migrations lists the in-flight migrations from their committed
 // records — the same view a successor coordinator would resume from.
 func (c *Cluster) Migrations() []MigrationStatus {
-	_, vals := c.Mount.Meta.Journal().KVRange(migrateKeyPrefix)
 	cycles := c.Mount.Array.Cycles()
 	var out []MigrationStatus
-	for _, v := range vals {
-		var rec MigrationRecord
-		if json.Unmarshal(v, &rec) != nil {
-			continue
-		}
+	for _, rec := range c.migRecords() {
 		out = append(out, MigrationStatus{
 			Disk: rec.Disk, From: rec.Src.Node, To: rec.Dst.Node,
 			Cursor: rec.Cursor, Cycles: cycles,
 		})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Disk < out[j].Disk })
 	return out
+}
+
+// migRecords decodes the committed migration records, ordered by disk.
+func (c *Cluster) migRecords() []MigrationRecord {
+	_, vals := c.Mount.Meta.Journal().KVRange(migrateKeyPrefix)
+	var recs []MigrationRecord
+	for _, v := range vals {
+		var rec MigrationRecord
+		if json.Unmarshal(v, &rec) == nil {
+			recs = append(recs, rec)
+		}
+	}
+	sort.Slice(recs, func(i, j int) bool { return recs[i].Disk < recs[j].Disk })
+	return recs
 }
 
 // rebalance migrates disks from the most- to the least-loaded eligible
@@ -348,79 +337,33 @@ func (c *Cluster) rebalance() (MoveReport, error) {
 	}
 }
 
-// nextBalanceMove picks one disk to move: from the most-loaded node
-// whose disks can be read to the least-loaded node that can receive
-// (reachable, not draining). Ties break by membership order; within a
-// node the highest-numbered disk moves first.
+// nextBalanceMove picks one disk to move: from the most-loaded eligible
+// node (ties by membership order; its highest-numbered disk) to the node
+// placeNode picks, while their loads differ by more than one.
 func (c *Cluster) nextBalanceMove() (int, string, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	load := map[string]int{}
-	for _, id := range c.order {
-		cl := c.clients[id]
-		if cl == nil || cl.Lost() || cl.Down() || c.draining[id] {
-			continue
-		}
-		load[id] = 0
-	}
-	for _, p := range c.manifest.Disks {
-		if _, ok := load[p.Node]; ok {
-			load[p.Node]++
-		}
-	}
-	donor, recipient := "", ""
-	for _, id := range c.order {
-		if _, ok := load[id]; !ok {
-			continue
-		}
-		if donor == "" || load[id] > load[donor] {
-			donor = id
-		}
-		if recipient == "" || load[id] < load[recipient] {
-			recipient = id
-		}
-	}
-	if donor == "" || recipient == "" || load[donor]-load[recipient] <= 1 {
+	dst := placeNode(c.order, c.manifest.Disks, c.eligibleLocked)
+	if dst == "" {
 		return 0, "", false
 	}
-	move := -1
+	load := diskLoad(c.manifest.Disks)
+	donor := dst
+	for _, id := range c.order {
+		if c.eligibleLocked(id) && load[id] > load[donor] {
+			donor = id
+		}
+	}
+	if load[donor]-load[dst] <= 1 {
+		return 0, "", false
+	}
+	move := 0
 	for d, p := range c.manifest.Disks {
 		if p.Node == donor {
 			move = d
 		}
 	}
-	if move < 0 {
-		return 0, "", false
-	}
-	return move, recipient, true
-}
-
-// leastLoadedEligible picks the reachable, non-draining node (excluding
-// id) with the fewest disks.
-func (c *Cluster) leastLoadedEligible(exclude string) (string, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	load := map[string]int{}
-	for _, p := range c.manifest.Disks {
-		load[p.Node]++
-	}
-	best := ""
-	for _, id := range c.order {
-		if id == exclude || c.draining[id] {
-			continue
-		}
-		cl := c.clients[id]
-		if cl == nil || cl.Lost() || cl.Down() {
-			continue
-		}
-		if best == "" || load[id] < load[best] {
-			best = id
-		}
-	}
-	if best == "" {
-		return "", fmt.Errorf("%w: no eligible node to migrate to", store.ErrUnreachable)
-	}
-	return best, nil
+	return move, dst, true
 }
 
 // migrateDisk commits a migration record for disk d → dstNode and runs
@@ -456,18 +399,10 @@ func (c *Cluster) migrateDisk(d int, dstNode string) error {
 // successor side of crash safety. Runs in a tracked goroutine so Open
 // returns promptly; Close parks any in-flight copy via migStop.
 func (c *Cluster) resumeMigrations() {
-	_, vals := c.Mount.Meta.Journal().KVRange(migrateKeyPrefix)
-	var recs []MigrationRecord
-	for _, v := range vals {
-		var rec MigrationRecord
-		if json.Unmarshal(v, &rec) == nil {
-			recs = append(recs, rec)
-		}
-	}
+	recs := c.migRecords()
 	if len(recs) == 0 {
 		return
 	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].Disk < recs[j].Disk })
 	c.migWg.Add(1)
 	go func() {
 		defer c.migWg.Done()
@@ -541,12 +476,7 @@ func (c *Cluster) scrubStaleMedia(id string) {
 		}
 	}
 	c.mu.Unlock()
-	_, vals := c.Mount.Meta.Journal().KVRange(migrateKeyPrefix)
-	for _, v := range vals {
-		var rec MigrationRecord
-		if json.Unmarshal(v, &rec) != nil {
-			continue
-		}
+	for _, rec := range c.migRecords() {
 		for _, p := range []Placement{rec.Src, rec.Dst} {
 			if p.Node == id {
 				keep[p.Device] = true
@@ -597,7 +527,7 @@ func (c *Cluster) runMigration(rec MigrationRecord) error {
 		return c.deleteMigRecord(d)
 	}
 
-	dstCl := c.Client(rec.Dst.Node)
+	dstCl, srcCl := c.Client(rec.Dst.Node), c.Client(rec.Src.Node)
 	if dstCl == nil {
 		// Destination left the membership while the record was parked.
 		return c.deleteMigRecord(d)
@@ -619,7 +549,6 @@ func (c *Cluster) runMigration(rec MigrationRecord) error {
 		if rec.Cursor > cycles {
 			rec.Cursor = cycles
 		}
-		srcCl := c.Client(rec.Src.Node)
 		if srcCl == nil {
 			return c.deleteMigRecord(d)
 		}
@@ -647,27 +576,10 @@ func (c *Cluster) runMigration(rec MigrationRecord) error {
 		if !eng.PaceBackground(c.migStop) {
 			return errMigrationParked
 		}
-		for {
-			err := eng.CopyMirrorCycle(d, cy)
-			if err == nil {
-				break
-			}
-			if errors.Is(err, store.ErrStaleEpoch) {
-				return fmt.Errorf("%w: %w", errMigrationParked, err)
-			}
-			if errors.Is(err, store.ErrClosed) || errors.Is(err, engine.ErrClosed) {
-				// Shutdown raced the copy: park, the next open resumes.
-				return errMigrationParked
-			}
-			if !errors.Is(err, store.ErrTransient) || dstCl.Lost() {
-				return c.migrateFailed(rec, fmt.Errorf("cluster: migrate disk %d cycle %d: %w", d, cy, err))
-			}
-			// Transient (partition, node down): wait for the path to heal.
-			select {
-			case <-c.migStop:
-				return errMigrationParked
-			case <-time.After(migrateRetryEvery):
-			}
+		if err := c.migrateStep(rec, dstCl, fmt.Sprintf("cycle %d", cy), func() error {
+			return eng.CopyMirrorCycle(d, cy)
+		}); err != nil {
+			return err
 		}
 		rec.Cursor = cy + 1
 		if err := c.putMigRecord(rec); err != nil {
@@ -680,7 +592,6 @@ func (c *Cluster) runMigration(rec MigrationRecord) error {
 	// closure under the exclusive mode lock: no foreground write is in
 	// flight and none can start, so the dirty set is final and the swap is
 	// atomic against I/O.
-	srcSb := c.srcSuperblockBlob(rec.Src)
 	flip := func() error {
 		if err := c.Mount.Meta.CloneSuperblock(d, dstSb); err != nil {
 			return err
@@ -693,35 +604,17 @@ func (c *Cluster) runMigration(rec MigrationRecord) error {
 			c.manifest.Disks[d] = prev
 		}
 		c.mu.Unlock()
-		if err != nil {
+		if err != nil && srcCl != nil {
 			// The commit did not land: the source stays authoritative,
 			// so its blob must hold the superblock binding again.
-			if srcSb != nil {
-				_ = c.Mount.Meta.CloneSuperblock(d, srcSb)
-			}
-			return err
+			_ = c.Mount.Meta.CloneSuperblock(d, srcCl.Blob(rec.Src.Super))
 		}
-		return nil
+		return err
 	}
-	for {
-		err := eng.CompleteMigration(d, dstDev, flip)
-		if err == nil {
-			break
-		}
-		if errors.Is(err, store.ErrStaleEpoch) {
-			return fmt.Errorf("%w: %w", errMigrationParked, err)
-		}
-		if errors.Is(err, store.ErrClosed) || errors.Is(err, engine.ErrClosed) {
-			return errMigrationParked
-		}
-		if !errors.Is(err, store.ErrTransient) || dstCl.Lost() {
-			return c.migrateFailed(rec, fmt.Errorf("cluster: migrate disk %d: flip: %w", d, err))
-		}
-		select {
-		case <-c.migStop:
-			return errMigrationParked
-		case <-time.After(migrateRetryEvery):
-		}
+	if err := c.migrateStep(rec, dstCl, "flip", func() error {
+		return eng.CompleteMigration(d, dstDev, flip)
+	}); err != nil {
+		return err
 	}
 	done = true
 
@@ -729,6 +622,35 @@ func (c *Cluster) runMigration(rec MigrationRecord) error {
 	// finalize-only path above, which reclaims again (idempotent).
 	c.reclaim(rec.Src)
 	return c.deleteMigRecord(d)
+}
+
+// migrateStep runs one step of a migration (a cycle copy, the flip)
+// until it succeeds, and otherwise returns the migration's verdict:
+//   - a stale epoch, or a closed engine or array: parked, the record
+//     stays for the next open;
+//   - a transient error while the destination is not lost: wait
+//     migrateRetryEvery for the path to heal and try again, or park if a
+//     stop is requested meanwhile;
+//   - anything else: abandoned (migrateFailed).
+func (c *Cluster) migrateStep(rec MigrationRecord, dstCl *netdev.NodeClient, what string, step func() error) error {
+	for {
+		err := step()
+		switch {
+		case err == nil:
+			return nil
+		case errors.Is(err, store.ErrStaleEpoch):
+			return fmt.Errorf("%w: %w", errMigrationParked, err)
+		case errors.Is(err, store.ErrClosed) || errors.Is(err, engine.ErrClosed):
+			return errMigrationParked
+		case !errors.Is(err, store.ErrTransient) || dstCl.Lost():
+			return c.migrateFailed(rec, fmt.Errorf("cluster: migrate disk %d: %s: %w", rec.Disk, what, err))
+		}
+		select {
+		case <-c.migStop:
+			return errMigrationParked
+		case <-time.After(migrateRetryEvery):
+		}
+	}
 }
 
 // migrateAside parks the record when the cause is transient (partition,
@@ -749,16 +671,6 @@ func (c *Cluster) migrateFailed(rec MigrationRecord, cause error) error {
 		return fmt.Errorf("%w: abandoning after %w", errMigrationParked, cause)
 	}
 	return cause
-}
-
-// srcSuperblockBlob rebinds a handle to the source's superblock blob —
-// the restore target when a flip fails to commit.
-func (c *Cluster) srcSuperblockBlob(p Placement) *netdev.NetBlob {
-	cl := c.Client(p.Node)
-	if cl == nil {
-		return nil
-	}
-	return cl.Blob(p.Super)
 }
 
 // verifyCopiedPrefix compares per-strip checksums of the first cursor

@@ -256,6 +256,71 @@ func TestClusterDrainNodeLargeStrips(t *testing.T) {
 	}
 }
 
+// TestMigrationParksOnUnreachableDestination: a destination that cannot be
+// reached when the migration creates its device parks the migration — the
+// record stays committed at cursor 0 and the source placement stays
+// authoritative — and the next open resumes it to completion.
+func TestMigrationParksOnUnreachableDestination(t *testing.T) {
+	tc := newTestCluster(t, 43)
+	c, err := Open(tc.options(43))
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	verify := preload(t, c, 43)
+	src := c.ManifestSnapshot().Disks[1]
+
+	// Draining beta sends its first disk to alpha, the least-loaded
+	// eligible node; alpha stops answering before anything reaches it.
+	tc.faults["alpha"].SetPartition(netdev.PartDrop)
+	if _, err := c.DrainNode("beta"); !errors.Is(err, errMigrationParked) || !errors.Is(err, store.ErrUnreachable) {
+		t.Fatalf("drain onto an unreachable destination = %v, want a parked migration", err)
+	}
+	migs := c.Migrations()
+	if len(migs) != 1 || migs[0].Disk != 1 || migs[0].From != "beta" || migs[0].To != "alpha" || migs[0].Cursor != 0 {
+		t.Fatalf("migrations after the park: %+v, want disk 1 beta→alpha at cursor 0", migs)
+	}
+	if got := c.ManifestSnapshot().Disks[1]; got != src {
+		t.Fatalf("disk 1 placement %+v after the park, want the source %+v", got, src)
+	}
+
+	tc.faults["alpha"].SetPartition(netdev.PartNone)
+	deadline := time.Now().Add(10 * time.Second)
+	for c.Client("alpha").Down() && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatalf("close with a parked migration: %v", err)
+	}
+
+	opts := tc.options(44)
+	opts.Format = nil
+	c2, err := Open(opts)
+	if err != nil {
+		t.Fatalf("remount: %v", err)
+	}
+	defer c2.Close()
+	for time.Now().Before(deadline) && (len(c2.Migrations()) != 0 || c2.ManifestSnapshot().Disks[1].Node != "alpha") {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if migs := c2.Migrations(); len(migs) != 0 {
+		t.Fatalf("migration records left after the resume: %+v", migs)
+	}
+	if got := c2.ManifestSnapshot().Disks[1]; got.Node != "alpha" || got == src {
+		t.Fatalf("disk 1 at %+v after the resume, want it moved to alpha", got)
+	}
+	nst, err := c2.Client("beta").Stat()
+	if err != nil {
+		t.Fatalf("stat beta: %v", err)
+	}
+	if _, ok := nst.Devices[src.Device]; ok {
+		t.Fatalf("source device %s not reclaimed from beta", src.Device)
+	}
+	if _, ok := nst.Blobs[src.Super]; ok {
+		t.Fatalf("source superblock %s not reclaimed from beta", src.Super)
+	}
+	verify(c2, "after the resumed migration")
+}
+
 // TestMembershipValidation pins the error taxonomy of the membership
 // verbs: bad specs, duplicates, unknown nodes, unreachable targets.
 func TestMembershipValidation(t *testing.T) {

@@ -3,7 +3,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 
@@ -35,16 +34,22 @@ type replicator struct {
 	fence   *netdev.FenceToken
 	order   []string
 	mu      sync.RWMutex
-	clients map[string]*netdev.NodeClient
+	clients []*netdev.NodeClient // clients[i] votes for order[i]; guarded by mu
 	deposed atomic.Bool
 }
 
-func (r *replicator) quorum() int { return len(r.order)/2 + 1 }
+// majority is the quorum of n voters.
+func majority(n int) int { return n/2 + 1 }
 
-func (r *replicator) client(id string) *netdev.NodeClient {
+func (r *replicator) quorum() int { return majority(len(r.order)) }
+
+// voters snapshots the voter clients, in order, under r.mu. It is the
+// only read of the voter set, so a rejoin's setClient is ordered against
+// every fan-out, the lease renewals included.
+func (r *replicator) voters() []*netdev.NodeClient {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.clients[id]
+	return append([]*netdev.NodeClient(nil), r.clients...)
 }
 
 // setClient swaps the client behind an existing voter; unknown IDs are
@@ -52,27 +57,60 @@ func (r *replicator) client(id string) *netdev.NodeClient {
 func (r *replicator) setClient(id string, cl *netdev.NodeClient) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.clients[id]; ok {
-		r.clients[id] = cl
+	for i, o := range r.order {
+		if o == id {
+			r.clients[i] = cl
+		}
 	}
 }
 
-// fanout runs op against every node concurrently and demands a quorum
+// eachNode is the coordinator's one node fan-out: it runs call against
+// every client concurrently and returns the errors in client order.
+func eachNode(clients []*netdev.NodeClient, call func(i int, cl *netdev.NodeClient) error) []error {
+	errs := make([]error, len(clients))
+	var wg sync.WaitGroup
+	for i, cl := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = call(i, cl)
+		}()
+	}
+	wg.Wait()
+	return errs
+}
+
+// survey reads every node's metadata state (epoch, holder, renewal
+// counter) at once; states[i] is nil where node i did not answer.
+func survey(clients []*netdev.NodeClient) (states []*netdev.MetaState, answered int) {
+	states = make([]*netdev.MetaState, len(clients))
+	errs := eachNode(clients, func(i int, cl *netdev.NodeClient) error {
+		st, err := cl.FetchMetaState()
+		if err == nil {
+			states[i] = &st
+		}
+		return err
+	})
+	return states, acks(errs)
+}
+
+// acks counts the calls that succeeded.
+func acks(errs []error) int {
+	n := 0
+	for _, err := range errs {
+		if err == nil {
+			n++
+		}
+	}
+	return n
+}
+
+// fanout runs op against every voter concurrently and demands a quorum
 // of successes. A stale-epoch verdict from any node latches the deposed
 // flag and wins over every other error: the coordinator must stand
 // down, not retry.
 func (r *replicator) fanout(op func(*netdev.NodeClient) error) error {
-	errs := make([]error, len(r.order))
-	var wg sync.WaitGroup
-	for i, id := range r.order {
-		wg.Add(1)
-		go func(i int, cl *netdev.NodeClient) {
-			defer wg.Done()
-			errs[i] = op(cl)
-		}(i, r.client(id))
-	}
-	wg.Wait()
-
+	errs := eachNode(r.voters(), func(_ int, cl *netdev.NodeClient) error { return op(cl) })
 	ok := 0
 	var firstErr error
 	for i, err := range errs {
@@ -92,9 +130,6 @@ func (r *replicator) fanout(op func(*netdev.NodeClient) error) error {
 	}
 	return nil
 }
-
-// Deposed reports whether any node has fenced this coordinator off.
-func (r *replicator) Deposed() bool { return r.deposed.Load() }
 
 // quorumBlob is a store.Blob whose writes are durable only once a
 // majority of storage nodes hold them: the local blob is a cache for
@@ -180,51 +215,24 @@ func (c *Cluster) takeover(loaded bool) (j0, j1 store.Blob, haveManifest bool, e
 	rep := c.rep
 
 	// 1. Epoch survey + lease.
-	states := make([]*netdev.MetaState, len(rep.order))
-	var wg sync.WaitGroup
-	for i, id := range rep.order {
-		wg.Add(1)
-		go func(i int, cl *netdev.NodeClient) {
-			defer wg.Done()
-			if st, err := cl.FetchMetaState(); err == nil {
-				states[i] = &st
-			}
-		}(i, rep.client(id))
-	}
-	wg.Wait()
-	responsive := 0
-	var maxEpoch uint64
-	for _, st := range states {
-		if st == nil {
-			continue
-		}
-		responsive++
-		if st.Epoch > maxEpoch {
-			maxEpoch = st.Epoch
-		}
-	}
+	voters := rep.voters()
+	states, responsive := survey(voters)
 	if responsive < rep.quorum() {
 		return nil, nil, false, fmt.Errorf(
 			"cluster: takeover needs a node quorum, only %d/%d answered: %w",
 			responsive, len(rep.order), store.ErrUnreachable)
 	}
-	epoch := maxEpoch + 1
-	rep.fence.Advance(epoch)
-	grants := make([]bool, len(rep.order))
-	for i, id := range rep.order {
-		wg.Add(1)
-		go func(i int, cl *netdev.NodeClient) {
-			defer wg.Done()
-			grants[i] = cl.AcquireLease(epoch, rep.holder) == nil
-		}(i, rep.client(id))
-	}
-	wg.Wait()
-	granted := 0
-	for _, ok := range grants {
-		if ok {
-			granted++
+	var maxEpoch uint64
+	for _, st := range states {
+		if st != nil && st.Epoch > maxEpoch {
+			maxEpoch = st.Epoch
 		}
 	}
+	epoch := maxEpoch + 1
+	rep.fence.Advance(epoch)
+	granted := acks(eachNode(voters, func(_ int, cl *netdev.NodeClient) error {
+		return cl.AcquireLease(epoch, rep.holder)
+	}))
 	if granted < rep.quorum() {
 		// A rival claimed a higher epoch between survey and acquire, or
 		// the quorum slipped away. Either way this reign never starts.
@@ -260,14 +268,9 @@ func (c *Cluster) takeover(loaded bool) (j0, j1 store.Blob, haveManifest bool, e
 func (c *Cluster) recoverRegion(name, file string) (store.Blob, error) {
 	reps := fetchReplicas(c.rep, name)
 	data := recoverJournalRegion(reps)
-	var local store.Blob
-	var err error
-	if c.dir != "" {
-		if local, err = store.CreateFileBlob(filepath.Join(c.dir, file)); err != nil {
-			return nil, err
-		}
-	} else {
-		local = store.NewMemBlob()
+	local, err := c.localBlob(file)
+	if err != nil {
+		return nil, err
 	}
 	if data == nil && len(reps) == 0 {
 		if data, err = readAllBlob(local); err != nil {
@@ -326,20 +329,13 @@ type metaReplica struct {
 // absent from the result — quorum accounting happens in the callers.
 func fetchReplicas(rep *replicator, name string) []metaReplica {
 	out := make([]metaReplica, len(rep.order))
-	var wg sync.WaitGroup
-	for i, id := range rep.order {
-		wg.Add(1)
-		go func(i int, id string) {
-			defer wg.Done()
-			data, gen, err := rep.client(id).ReadMetaBlob(name)
-			if err != nil {
-				out[i] = metaReplica{}
-				return
-			}
-			out[i] = metaReplica{node: id, gen: gen, data: data}
-		}(i, id)
-	}
-	wg.Wait()
+	eachNode(rep.voters(), func(i int, cl *netdev.NodeClient) error {
+		data, gen, err := cl.ReadMetaBlob(name)
+		if err == nil {
+			out[i] = metaReplica{node: rep.order[i], gen: gen, data: data}
+		}
+		return err
+	})
 	var got []metaReplica
 	for _, r := range out {
 		if r.node != "" {

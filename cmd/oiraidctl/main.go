@@ -694,10 +694,8 @@ func remoteHealth(ctx context.Context, c *server.Client, w io.Writer) error {
 	}
 	fmt.Fprintf(w, "policy: %s; spares: %d available, %d used; evictions: %d; auto-rebuilds: %d\n",
 		mode, h.Spares, h.SparesUsed, h.Evictions, h.AutoRebuilds)
-	if h.Quarantines > 0 || h.QuarantineReleases > 0 || h.QuarantineEscalations > 0 {
-		fmt.Fprintf(w, "quarantines: %d entered, %d released, %d escalated to eviction\n",
-			h.Quarantines, h.QuarantineReleases, h.QuarantineEscalations)
-	}
+	fmt.Fprintf(w, "quarantines: %d entered, %d released, %d escalated to eviction\n",
+		h.Quarantines, h.QuarantineReleases, h.QuarantineEscalations)
 	for _, d := range h.Disks {
 		fmt.Fprintf(w, "disk %2d  %-11s ops %-8d errors %-4d transient %-4d absorbed %-4d corrupt %-4d slow %-4d quar %-3d mean %.1fµs p99 %.1fµs\n",
 			d.Disk, d.State, d.Ops, d.Errors, d.TransientErrors, d.RetriesAbsorbed,

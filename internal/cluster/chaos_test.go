@@ -126,7 +126,7 @@ func runChaosSweep(t *testing.T, seed int64) {
 	tc.faults["beta"].SetPartition(netdev.PartAsym)
 
 	// Foreground reads during the partition must succeed via degraded
-	// reconstruction once the quarantine engages.
+	// reconstruction once beta's disks are marked down.
 	readDeadline := time.Now().Add(500 * time.Millisecond)
 	okReads := 0
 	for time.Now().Before(readDeadline) {
@@ -250,7 +250,7 @@ func TestClusterDegradedReadsDuringPartition(t *testing.T) {
 	}
 
 	tc.faults["alpha"].SetPartition(netdev.PartDrop)
-	// First touches trip the breaker and quarantine alpha's disks; after
+	// First touches trip the breaker and mark alpha's disks down; after
 	// that every strip must read back correctly via reconstruction.
 	deadline := time.Now().Add(10 * time.Second)
 	var lastErr error
@@ -297,8 +297,8 @@ func TestClusterDegradedReadsDuringPartition(t *testing.T) {
 		}
 	}
 
-	// Lift the partition: the prober brings alpha back, quarantine
-	// releases, and full-stripe writes succeed again.
+	// Lift the partition: the prober brings alpha back, the down marks
+	// clear, and full-stripe writes succeed again.
 	tc.faults["alpha"].SetPartition(netdev.PartNone)
 	recovered := false
 	deadline = time.Now().Add(10 * time.Second)
@@ -323,5 +323,116 @@ func TestClusterDegradedReadsDuringPartition(t *testing.T) {
 	rep, err := c.Eng.Fsck(context.Background(), false)
 	if err != nil || !rep.Clean {
 		t.Fatalf("fsck after rejoin: %v %+v", err, rep)
+	}
+}
+
+// TestClusterPartitionsAreNotSlowness: a node partitioned again and again
+// inside its grace window is down each time, not slow. Its disks report
+// "down", the engine sends them no read while the array is idle, and no
+// quarantine cycle is counted — so when the node later browns out for
+// real, its disks are quarantined once and nothing escalates to an
+// eviction and a full rebuild.
+func TestClusterPartitionsAreNotSlowness(t *testing.T) {
+	const slowOp = 25 * time.Millisecond
+	tc := newTestCluster(t, 47)
+	opts := tc.options(47)
+	opts.Client.Grace = 30 * time.Second // no partition here outlasts it
+	opts.Engine.Health.SlowOp = slowOp
+	opts.Engine.Health.QuarantineSlowFrac = 0.45 // QuarantineEscalate keeps its default
+	c, err := Open(opts)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer c.Close()
+
+	data := make([]byte, 512)
+	for s := int64(0); s < c.Eng.Strips(); s++ {
+		if err := c.Eng.WriteStrip(s, data); err != nil {
+			t.Fatalf("write %d: %v", s, err)
+		}
+	}
+	beta := c.DisksOn("beta")
+	// One data strip per beta disk: a read of it lands on that disk alone.
+	var betaAddrs []int64
+	for _, d := range beta {
+		for s := int64(0); s < c.Eng.Strips(); s++ {
+			if c.Eng.Array().DataStripDisk(s) == d {
+				betaAddrs = append(betaAddrs, s)
+				break
+			}
+		}
+	}
+	readBeta := func() {
+		var wg sync.WaitGroup
+		for _, s := range betaAddrs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				c.Eng.ReadStrip(s) // errors are expected while the node drops out
+			}()
+		}
+		wg.Wait()
+	}
+	// betaIs reports whether every beta disk is in state; a quarantine
+	// counts once its entry is recorded, not just triggered.
+	betaIs := func(state string) bool {
+		h := c.Eng.Health()
+		for _, d := range beta {
+			if h.Disks[d].State != state || (state == "quarantined" && h.Disks[d].Quarantines == 0) {
+				return false
+			}
+		}
+		return true
+	}
+	waitFor := func(what, state string, poke func()) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for !betaIs(state) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: beta's disks never %q: %+v", what, state, c.Eng.Health().Disks)
+			}
+			if poke != nil {
+				poke()
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+
+	for round := 1; round <= 3; round++ {
+		what := fmt.Sprintf("partition %d", round)
+		tc.faults["beta"].SetPartition(netdev.PartDrop)
+		waitFor(what, "down", readBeta)
+		// Idle for five quarantine-probe periods: nothing reads beta.
+		before := c.Eng.Array().DiskStats()
+		time.Sleep(5 * opts.Engine.Health.QuarantineProbe)
+		after := c.Eng.Array().DiskStats()
+		for _, d := range beta {
+			if n := after[d].ReadOps - before[d].ReadOps; n != 0 {
+				t.Fatalf("%s: idle engine read down disk %d %d times", what, d, n)
+			}
+		}
+		tc.faults["beta"].SetPartition(netdev.PartNone)
+		waitFor(what+" lifted", "healthy", nil)
+	}
+	if h := c.Eng.Health(); h.Quarantines != 0 {
+		t.Fatalf("partitions counted as quarantines: %d", h.Quarantines)
+	}
+
+	// A real brown-out: every op on beta is slower than SlowOp.
+	tc.faults["beta"].SetDelay(slowOp * 5 / 2)
+	waitFor("brown-out", "quarantined", readBeta)
+	tc.faults["beta"].SetDelay(0)
+	h := c.Eng.Health()
+	if h.Evictions != 0 || h.QuarantineEscalations != 0 {
+		t.Fatalf("brown-out after partitions escalated: %d evictions, %d escalations",
+			h.Evictions, h.QuarantineEscalations)
+	}
+	for _, d := range beta {
+		if q := h.Disks[d].Quarantines; q != 1 {
+			t.Fatalf("disk %d: %d quarantines, want only the brown-out's", d, q)
+		}
+	}
+	if st := c.Eng.Status(); len(st.Failed) != 0 || c.Client("beta").Lost() {
+		t.Fatalf("beta lost or evicted: failed %v", st.Failed)
 	}
 }

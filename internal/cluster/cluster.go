@@ -13,19 +13,23 @@
 //
 // Reachability handling composes three existing mechanisms:
 //
-//   - Node down (transient): the NodeClient's OnDown hook quarantines
-//     the node's disks, so foreground reads reconstruct around them
-//     (store.Array read-avoid) instead of stalling on retries; writes
-//     keep being attempted and return store.ErrUnreachable, which the
-//     health monitor deliberately does not count toward eviction.
-//   - Node back (OnUp): the quarantines are released and the disks
-//     serve reads again — no rebuild, nothing was evicted.
+//   - Node down (transient): the NodeClient's OnDown hook marks the
+//     node's disks down (engine.SetDiskDown), so foreground reads
+//     reconstruct around them (store.Array read-avoid) instead of
+//     stalling on retries and the serving mode counts them unavailable;
+//     writes keep being attempted and return store.ErrUnreachable, which
+//     the health monitor deliberately does not count toward eviction.
+//     A down disk is not slow: slow-disk quarantine stays a verdict on
+//     the disk's speed, and its counters do not move.
+//   - Node back (OnUp): the down marks are cleared and the disks serve
+//     reads again — no rebuild, nothing was evicted.
 //   - Node lost (grace window elapsed): operations turn into permanent
-//     errors, the monitor evicts the node's disks, and the engine's
-//     heal path rebuilds them onto replacement devices provisioned on
-//     surviving nodes — with each replacement's superblock blob rebound
-//     alongside (ArrayMeta.RebindSuperblock), so the metadata plane
-//     follows the data off the dead node.
+//     errors (OnDown fires once more, and each disk gets a probe read so
+//     an idle array hears of it too), the monitor evicts the node's
+//     disks, and the engine's heal path rebuilds them onto replacement
+//     devices provisioned on surviving nodes — with each replacement's
+//     superblock blob rebound alongside (ArrayMeta.RebindSuperblock), so
+//     the metadata plane follows the data off the dead node.
 package cluster
 
 import (
@@ -148,7 +152,7 @@ type Options struct {
 	// node, Seed is offset per node.
 	Client netdev.Options
 	// Engine configures the engine. Health must be set for a cluster
-	// (the quarantine probe loop drives partition recovery); Open
+	// (its eviction path heals the disks of a lost node); Open
 	// installs a default policy when it is nil. Replace is overridden
 	// by the cluster's own provisioner.
 	Engine engine.Options
@@ -524,32 +528,40 @@ func (c *Cluster) DisksOn(id string) []int {
 	return out
 }
 
-// nodeDown quarantines every disk on the node: reads reconstruct around
-// them (the partition would otherwise stall every read that lands on
-// the node for a full retry budget), writes keep probing the path.
+// nodeDown marks every disk on the node down: reads reconstruct around
+// them (the partition would otherwise stall every read that lands on the
+// node for a full retry budget), writes keep probing the path, and enough
+// downed paths across nodes demote the array to read-only/partial service
+// from the survivors instead of acking writes it cannot protect.
+//
+// The hook fires once more when the grace window declares the node lost.
+// Reads avoid a down disk and an idle array sends it nothing, so each disk
+// then gets one probe read: its ErrNodeLost is how the engine's monitor
+// learns of the loss, and it evicts the disk and heals it onto the
+// survivors.
 func (c *Cluster) nodeDown(eng *engine.Engine, id string) {
 	if eng == nil {
 		return
 	}
+	cl := c.Client(id)
+	lost := cl != nil && cl.Lost()
+	buf := make([]byte, eng.StripBytes())
 	for _, d := range c.DisksOn(id) {
-		_ = eng.QuarantineDisk(d) // best effort; closed engine says no
-		// Feed the serving-mode computation: enough downed paths across
-		// nodes demote the array to read-only/partial service from the
-		// survivors instead of acking writes it cannot protect.
-		_ = eng.SetDiskDown(d, true)
+		// Best effort: a closed engine says no, and then nothing is probed.
+		if err := eng.SetDiskDown(d, true); err == nil && lost {
+			_ = eng.Array().ProbeDiskStrip(d, 0, buf) // its error is the report the monitor reads
+		}
 	}
 }
 
-// nodeUp releases the node's quarantines: the disks were healthy the
-// whole time, nothing needs rebuilding.
+// nodeUp clears the node's down marks: the disks were healthy the whole
+// time, nothing needs rebuilding. The serving mode recomputes toward
+// normal and a rebuild the partition starved is re-kicked.
 func (c *Cluster) nodeUp(eng *engine.Engine, id string) {
 	if eng == nil {
 		return
 	}
 	for _, d := range c.DisksOn(id) {
-		_ = eng.ReleaseDisk(d)
-		// Clearing the down-mark recomputes the serving mode toward
-		// normal and re-kicks a rebuild the partition starved.
 		_ = eng.SetDiskDown(d, false)
 	}
 	// A down episode can leave half-committed parity closures: a commit

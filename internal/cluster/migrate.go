@@ -210,8 +210,8 @@ func (c *Cluster) DrainNode(id string) (MoveReport, error) {
 }
 
 // RejoinNode brings a known node back. Inside the grace window the
-// client recovers on its own and the node's disks were only
-// quarantined — zero strips move. After the grace window (the node was
+// client recovers on its own and the node's disks were only down —
+// zero strips move. After the grace window (the node was
 // declared lost and its disks healed elsewhere) the latched-dead client
 // is replaced with a fresh one, stale media on the node is scrubbed,
 // and rebalancing migrates the delta back — paced, like any migration.
@@ -235,8 +235,8 @@ func (c *Cluster) RejoinNode(spec NodeSpec) (MoveReport, error) {
 	c.mu.Unlock()
 
 	if !old.Lost() {
-		// Inside the grace window: nothing was evicted, the probe loop
-		// releases the quarantines when the node answers again.
+		// Inside the grace window: nothing was evicted, the client's probe
+		// loop clears the down marks when the node answers again.
 		if len(c.DisksOn(spec.ID)) > 0 {
 			return MoveReport{}, nil
 		}

@@ -364,7 +364,7 @@ func TestMembershipValidation(t *testing.T) {
 }
 
 // TestClusterRejoinInsideGraceZeroMovement: a node that comes back
-// inside the grace window was only quarantined — RejoinNode must move
+// inside the grace window was only down — RejoinNode must move
 // zero strips and the node serves its original placements again.
 func TestClusterRejoinInsideGraceZeroMovement(t *testing.T) {
 	tc := newTestCluster(t, 31)

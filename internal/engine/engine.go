@@ -98,13 +98,15 @@ type Engine struct {
 	// failure set — the serving Mode plus the failed-disk bits stripOp and
 	// the hedged read branch on (atomic so the advisory pre-admission
 	// fence reads it lock-free; recomputeModeLocked republishes it under
-	// e.mode exclusive on every structural transition). downDisks marks
-	// paths the cluster reports unreachable — distinct from failed — and
-	// is guarded by e.mode. forcedFloor is the cluster-forced lower bound
-	// (quorum loss).
+	// e.mode exclusive on every structural transition). forcedFloor is
+	// the cluster-forced lower bound (quorum loss). A disk's down mark
+	// lives beside its other facts in the monitor (diskCounters.down).
 	failState   atomic.Uint32
-	downDisks   []bool
 	forcedFloor atomic.Int32
+	// avoidMu serialises syncAvoid, so the array's read-avoid bit of a
+	// disk always ends at the last evaluation of its down and quarantine
+	// facts.
+	avoidMu sync.Mutex
 
 	// submitMu is held shared while enqueueing pool tasks and exclusive
 	// by Close, so the task channel is never closed under a sender.
@@ -123,16 +125,17 @@ type Engine struct {
 	retryDevs []*store.RetryDevice
 	spareMu   sync.Mutex
 	spares    []SpareProvider
-	healStop  chan struct{}
-	healWg    sync.WaitGroup
 
-	// Tail tolerance: the quarantine manager goroutine (tailLoop) runs
-	// iff Options.Health is set; hedgeWg tracks the cleanup goroutines
-	// that reap losing hedge branches so Close can drain them.
-	tailStop    chan struct{}
-	tailWg      sync.WaitGroup
+	// hedgeWg tracks the cleanup goroutines that reap losing hedge
+	// branches so Close can drain them.
 	hedgeWg     sync.WaitGroup
 	probeCursor atomic.Int64
+
+	// stop closes on Close: the background loops (scrub always; heal and
+	// tail iff Options.Health is set) return, and paced background work
+	// aborts at its next batch boundary. loops tracks the loops.
+	stop  chan struct{}
+	loops sync.WaitGroup
 
 	rebuildMu      sync.Mutex
 	rebuilding     bool
@@ -145,11 +148,8 @@ type Engine struct {
 	exposure atomic.Pointer[exposureMemo]
 
 	// QoS: admission control, foreground-latency tracking, and the pacer
-	// the rebuild/scrub loops block on. stopCh closes on Close so paced
-	// background work aborts at its next batch boundary.
-	qos     *qos
-	stopCh  chan struct{}
-	scrubWg sync.WaitGroup
+	// the rebuild/scrub loops block on.
+	qos *qos
 
 	// closers run at the tail of Close, after the metadata seal: transport
 	// teardown (network node clients) must stay alive until the seal's
@@ -181,6 +181,7 @@ func New(arr *store.Array, opts Options) (*Engine, error) {
 		locks:      make([]sync.RWMutex, opts.LockStripes),
 		tasks:      make(chan func(), 4*opts.Workers),
 		replace:    opts.Replace,
+		stop:       make(chan struct{}),
 	}
 	e.strips = arr.Cycles() * int64(e.perCycle)
 	if e.replace == nil {
@@ -190,7 +191,11 @@ func New(arr *store.Array, opts Options) (*Engine, error) {
 		}
 	}
 	e.buildLockSets()
-	e.downDisks = make([]bool, an.Disks())
+	var pol HealthPolicy
+	if opts.Health != nil {
+		pol = *opts.Health
+	}
+	e.mon = newMonitor(an.Disks(), pol, opts.Health != nil)
 	// Derive the initial serving mode from the mounted failure pattern:
 	// an array mounted beyond tolerance under a read-only/partial policy
 	// starts fenced, matching the store layer's mount-time fence.
@@ -202,27 +207,16 @@ func New(arr *store.Array, opts Options) (*Engine, error) {
 		qcfg = *opts.QoS
 	}
 	e.qos = newQoS(qcfg)
-	e.stopCh = make(chan struct{})
-	e.scrubWg.Add(1)
-	go e.scrubLoop()
-	var pol HealthPolicy
-	if opts.Health != nil {
-		pol = *opts.Health
-	}
+	e.goLoop(e.scrubLoop)
 	e.retryPol = opts.Retry
 	e.retryDevs = make([]*store.RetryDevice, an.Disks())
-	e.mon = newMonitor(an.Disks(), pol, opts.Health != nil)
 	// The monitor sees the array's view of each disk from the first op, and
 	// every device access goes through the retry policy.
 	arr.SetObserver(e.mon.observe)
 	arr.InstrumentDevices(e.wrapDevice)
 	if opts.Health != nil {
-		e.healStop = make(chan struct{})
-		e.healWg.Add(1)
-		go e.healLoop()
-		e.tailStop = make(chan struct{})
-		e.tailWg.Add(1)
-		go e.tailLoop()
+		e.goLoop(e.healLoop)
+		e.goLoop(e.tailLoop)
 	}
 	for i := 0; i < opts.Workers; i++ {
 		e.wg.Add(1)
@@ -234,6 +228,16 @@ func New(arr *store.Array, opts Options) (*Engine, error) {
 		}()
 	}
 	return e, nil
+}
+
+// goLoop runs a background loop that returns once e.stop closes; Close
+// waits for it.
+func (e *Engine) goLoop(loop func()) {
+	e.loops.Add(1)
+	go func() {
+		defer e.loops.Done()
+		loop()
+	}()
 }
 
 // buildLockSets precomputes, per data-strip position within a cycle, the
@@ -659,8 +663,7 @@ func (e *Engine) attachReplacements() error {
 		// The slot now holds a fresh device: a stale down-mark from the old
 		// disk's path must not pin the mode degraded after the rebuild.
 		e.mode.Lock()
-		e.downDisks[d] = false
-		e.recomputeModeLocked()
+		e.markDownLocked(d, false)
 		e.mode.Unlock()
 	}
 	return nil
@@ -672,7 +675,7 @@ func (e *Engine) rebuildLoop(batch int64, done chan struct{}) {
 		// Pacing gate: blocks while the token bucket refills at the
 		// adaptive rate, yields to foreground work even unpaced, and
 		// aborts the rebuild at a batch boundary when the engine closes.
-		if !e.qos.pace(e.stopCh) {
+		if !e.qos.pace(e.stop) {
 			err = ErrClosed
 			break
 		}
@@ -834,26 +837,20 @@ func (e *Engine) Status() Status {
 	}
 }
 
-// Close drains the worker pool, waits for a running rebuild, and seals
-// the durable metadata plane (when the array has one) so the next mount
-// sees a clean shutdown. Further operations return ErrClosed.
+// Close stops the background loops, waits for a running rebuild, drains
+// the worker pool, and seals the durable metadata plane (when the array
+// has one) so the next mount sees a clean shutdown. Further operations
+// return ErrClosed.
 func (e *Engine) Close() error {
 	if e.closed.Swap(true) {
 		return nil
 	}
-	if e.tailStop != nil {
-		close(e.tailStop)
-		e.tailWg.Wait()
-	}
-	if e.healStop != nil {
-		close(e.healStop)
-		e.healWg.Wait()
-	}
-	// Closing stopCh aborts a paced rebuild at its next batch boundary
-	// (RebuildWait then reports ErrClosed) and stops the scrub loop.
-	close(e.stopCh)
+	// Closing stop ends the heal, tail and scrub loops and aborts a paced
+	// rebuild at its next batch boundary (RebuildWait then reports
+	// ErrClosed).
+	close(e.stop)
+	e.loops.Wait()
 	e.RebuildWait()
-	e.scrubWg.Wait()
 	e.submitMu.Lock()
 	close(e.tasks)
 	e.submitMu.Unlock()

@@ -6,11 +6,13 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"github.com/oiraid/oiraid/internal/bibd"
 	"github.com/oiraid/oiraid/internal/core"
 	"github.com/oiraid/oiraid/internal/layout"
 	"github.com/oiraid/oiraid/internal/store"
+	"github.com/oiraid/oiraid/internal/testutil"
 )
 
 const testStrip = 256
@@ -243,5 +245,37 @@ func TestWriteClosureCoversUpdateStrips(t *testing.T) {
 		if len(e.writeSets[i]) != 3 {
 			t.Fatalf("strip %v: write set %v, want 3 stripes", st, e.writeSets[i])
 		}
+	}
+}
+
+// TestCloseStopsEveryLoop: Close on an engine running every background
+// mechanism at once — the heal and tail loops (Health), the scrubber
+// (QoS), and a paced rebuild mid-flight — stops them all through the one
+// stop channel: no goroutine outlives it, and the rebuild reports
+// ErrClosed.
+func TestCloseStopsEveryLoop(t *testing.T) {
+	guard := testutil.NewLeakGuard()
+	e := newEngine(t, 9, 8, Options{
+		Health: &HealthPolicy{QuarantineProbe: time.Millisecond},
+		QoS: &QoSConfig{
+			RebuildRate:   0.2, // one batch per 5s: the rebuild is still running at Close
+			ScrubInterval: time.Millisecond,
+		},
+	})
+	if err := e.FailDisk(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.StartRebuild(1); err != nil {
+		t.Fatal(err)
+	}
+	if !e.Rebuilding() {
+		t.Fatal("rebuild not in flight before Close")
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	guard.Check(t)
+	if err := e.RebuildWait(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("RebuildWait after Close = %v, want ErrClosed", err)
 	}
 }

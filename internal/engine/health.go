@@ -10,7 +10,7 @@ package engine
 
 import (
 	"errors"
-	"math"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -78,10 +78,7 @@ func (p HealthPolicy) withDefaults() HealthPolicy {
 		p.HedgeFloor = time.Millisecond
 	}
 	if p.HedgeCeiling < p.HedgeFloor {
-		p.HedgeCeiling = 50 * time.Millisecond
-		if p.HedgeCeiling < p.HedgeFloor {
-			p.HedgeCeiling = p.HedgeFloor
-		}
+		p.HedgeCeiling = max(50*time.Millisecond, p.HedgeFloor)
 	}
 	if p.QuarantineMinOps <= 0 {
 		p.QuarantineMinOps = 8
@@ -101,9 +98,10 @@ func (p HealthPolicy) withDefaults() HealthPolicy {
 // DiskHealth is one disk's health snapshot.
 type DiskHealth struct {
 	Disk int `json:"disk"`
-	// State is "healthy", "failed" (awaiting or undergoing rebuild),
-	// "evicted" (auto-evicted by the health policy, awaiting heal), or
-	// "quarantined" (too slow to serve reads; writes still land on it).
+	// State is, by precedence, "evicted" (auto-evicted, awaiting heal),
+	// "failed" (awaiting or undergoing rebuild), "down" (its path, e.g. its
+	// storage node, is unreachable), "quarantined" (too slow to serve
+	// reads; writes still land on it), or "healthy".
 	State string `json:"state"`
 	// Ops counts device operations (reads + writes) admitted to the disk.
 	Ops int64 `json:"ops"`
@@ -169,14 +167,16 @@ type diskCounters struct {
 	evicted                               atomic.Bool
 
 	// Tail-tolerance estimators, updated by CAS so observe stays lock-free.
-	// latEwmaBits holds the float64 bits of a latency EWMA (ns, α=1/8);
-	// p99Ns is a streaming high-quantile estimate: it steps up 1/8 of the
-	// gap on samples above it and decays 1/512 of the gap on samples below,
-	// so it settles near the envelope of the latency distribution — cheap
-	// enough to run per op, accurate enough to arm a hedge timer.
-	latEwmaBits  atomic.Uint64
-	p99Ns        atomic.Int64
-	slowFracBits atomic.Uint64 // float64 bits of the slow-op fraction EWMA
+	// latEwma is a latency EWMA (ns, α=1/8); p99Ns is a streaming
+	// high-quantile estimate: it steps up 1/8 of the gap on samples above
+	// it and decays 1/512 of the gap on samples below, so it settles near
+	// the envelope of the latency distribution — cheap enough to run per
+	// op, accurate enough to arm a hedge timer.
+	latEwma  atomicFloat
+	p99Ns    atomic.Int64
+	slowFrac atomicFloat // slow-op fraction EWMA
+
+	down atomic.Bool // path unreachable (SetDiskDown); written under e.mode
 
 	quarantined atomic.Bool
 	quarantines atomic.Int64 // completed/entered quarantine cycles on this device
@@ -184,34 +184,16 @@ type diskCounters struct {
 	quarBase    atomic.Int64 // ops count at the last release; re-arms MinOps
 }
 
-// ewmaAdd folds sample into the float64-bits EWMA at bits with weight
-// alpha. The average deliberately ramps from zero rather than seeding
-// with the first sample: for the slow-op fraction that means one slow
-// op cannot spike the fraction to 1.0 — it takes a sustained run to
-// cross a quarantine threshold.
-func ewmaAdd(bits *atomic.Uint64, sample, alpha float64) float64 {
-	for {
-		old := bits.Load()
-		cur := math.Float64frombits(old)
-		next := cur + alpha*(sample-cur)
-		if bits.CompareAndSwap(old, math.Float64bits(next)) {
-			return next
-		}
-	}
-}
-
 // observeLatency feeds one op latency into the disk's EWMA and streaming
 // p99 estimators.
 func (c *diskCounters) observeLatency(dur time.Duration) {
 	ns := int64(dur)
-	ewmaAdd(&c.latEwmaBits, float64(ns), 1.0/8)
+	c.latEwma.ewma(float64(ns), 1.0/8, false)
 	for {
 		cur := c.p99Ns.Load()
-		var next int64
+		next := cur - (cur-ns)/512
 		if ns > cur {
 			next = cur + (ns-cur)/8 + 1
-		} else {
-			next = cur - (cur-ns)/512
 		}
 		if c.p99Ns.CompareAndSwap(cur, next) {
 			return
@@ -261,15 +243,12 @@ func (m *monitor) observe(disk int, dur time.Duration, err error) {
 	c.latencyNs.Add(int64(dur))
 	c.observeLatency(dur)
 	if m.pol.SlowOp > 0 {
-		isSlow := dur >= m.pol.SlowOp
-		if isSlow {
-			c.slow.Add(1)
-		}
 		sample := 0.0
-		if isSlow {
-			sample = 1.0
+		if dur >= m.pol.SlowOp {
+			c.slow.Add(1)
+			sample = 1
 		}
-		frac := ewmaAdd(&c.slowFracBits, sample, 1.0/8)
+		frac := c.slowFrac.ewma(sample, 1.0/8, false)
 		if m.autoMon && m.pol.QuarantineSlowFrac > 0 &&
 			frac >= m.pol.QuarantineSlowFrac &&
 			ops >= c.quarBase.Load()+m.pol.QuarantineMinOps &&
@@ -308,7 +287,23 @@ func (m *monitor) observe(disk int, dur time.Duration, err error) {
 	case store.IsTransient(err):
 		c.transient.Add(1)
 	}
-	if c.errors.Add(1) >= m.pol.EvictAfter && m.autoMon && !c.evicted.Swap(true) {
+	// A permanent error on a down path is the path's loss itself (the
+	// network layer turns unreachable into permanent once the node's grace
+	// window elapses): there is nothing left to count toward.
+	lost := c.down.Load() && errors.Is(err, store.ErrPermanent)
+	if (c.errors.Add(1) >= m.pol.EvictAfter || lost) && m.autoMon {
+		m.evict(disk)
+	}
+}
+
+// avoided reports whether reads should reconstruct around the disk: its
+// path is down, or it is quarantined as too slow.
+func (c *diskCounters) avoided() bool { return c.down.Load() || c.quarantined.Load() }
+
+// evict hands disk d to the healer and counts the eviction, once per
+// device (the evicted flag gates the send).
+func (m *monitor) evict(disk int) {
+	if !m.disks[disk].evicted.Swap(true) {
 		m.evictions.Add(1)
 		m.evictCh <- disk
 	}
@@ -325,9 +320,9 @@ func (m *monitor) adopt(disk int) {
 	// The fresh device starts with clean tail state too: latency history,
 	// slow fraction, and the quarantine escalation count all belonged to
 	// the hardware that was just replaced.
-	c.latEwmaBits.Store(0)
+	c.latEwma.Store(0)
 	c.p99Ns.Store(0)
-	c.slowFracBits.Store(0)
+	c.slowFrac.Store(0)
 	c.quarantined.Store(false)
 	c.quarantines.Store(0)
 	c.fastProbes.Store(0)
@@ -399,10 +394,7 @@ func (e *Engine) wrapDevice(d int, dev store.Device) store.Device {
 
 // Health returns the engine's health snapshot.
 func (e *Engine) Health() HealthReport {
-	failedSet := make(map[int]bool)
-	for _, d := range e.arr.FailedDisks() {
-		failedSet[d] = true
-	}
+	failed := e.arr.FailedDisks()
 	rep := HealthReport{
 		Disks:        make([]DiskHealth, len(e.mon.disks)),
 		Spares:       e.SpareCount(),
@@ -419,14 +411,7 @@ func (e *Engine) Health() HealthReport {
 		pol := e.mon.pol
 		rep.Policy = &pol
 	}
-	e.retryMu.Lock()
-	retries := make([]int64, len(e.retryDevs))
-	for d, rd := range e.retryDevs {
-		if rd != nil {
-			retries[d] = rd.Stats().Absorbed
-		}
-	}
-	e.retryMu.Unlock()
+	retries, _ := e.retriesAbsorbed()
 	for d := range rep.Disks {
 		c := &e.mon.disks[d]
 		h := DiskHealth{
@@ -444,13 +429,15 @@ func (e *Engine) Health() HealthReport {
 		if h.Ops > 0 {
 			h.MeanLatencyUs = float64(c.latencyNs.Load()) / float64(h.Ops) / 1e3
 		}
-		h.EWMALatencyUs = math.Float64frombits(c.latEwmaBits.Load()) / 1e3
+		h.EWMALatencyUs = c.latEwma.Load() / 1e3
 		h.P99LatencyUs = float64(c.p99Ns.Load()) / 1e3
 		switch {
-		case failedSet[d] && c.evicted.Load():
+		case slices.Contains(failed, d) && c.evicted.Load():
 			h.State = "evicted"
-		case failedSet[d]:
+		case slices.Contains(failed, d):
 			h.State = "failed"
+		case c.down.Load():
+			h.State = "down"
 		case c.quarantined.Load():
 			h.State = "quarantined"
 		}
@@ -459,15 +446,29 @@ func (e *Engine) Health() HealthReport {
 	return rep
 }
 
+// retriesAbsorbed returns, per disk and in total, the transient faults
+// the retry policy hid from the array (all zero without a policy).
+func (e *Engine) retriesAbsorbed() (perDisk []int64, total int64) {
+	e.retryMu.Lock()
+	defer e.retryMu.Unlock()
+	perDisk = make([]int64, len(e.retryDevs))
+	for d, rd := range e.retryDevs {
+		if rd != nil {
+			perDisk[d] = rd.Stats().Absorbed
+			total += perDisk[d]
+		}
+	}
+	return perDisk, total
+}
+
 // healLoop is the self-healing goroutine: it consumes eviction requests
 // from the monitor, fails the disk, adopts a spare (or auto-provisions a
 // replacement), and drives a background rebuild to completion — then
 // closes the write hole left by any aborted in-flight writes.
 func (e *Engine) healLoop() {
-	defer e.healWg.Done()
 	for {
 		select {
-		case <-e.healStop:
+		case <-e.stop:
 			return
 		case d := <-e.mon.evictCh:
 			e.heal(d)
@@ -490,10 +491,7 @@ func (e *Engine) heal(d int) {
 		return
 	}
 	for attempt := 0; attempt < 5 && !e.closed.Load(); attempt++ {
-		err := e.StartRebuild(e.mon.pol.RebuildBatch)
-		if err == nil {
-			e.mon.autoRebuilds.Add(1)
-		} else if !errors.Is(err, ErrRebuildRunning) {
+		if err := e.autoRebuild(); err != nil && !errors.Is(err, ErrRebuildRunning) {
 			// Provisioning failed (no spare and Replace errored); back off
 			// and retry rather than spinning.
 			time.Sleep(time.Duration(attempt+1) * 10 * time.Millisecond)

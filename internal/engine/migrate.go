@@ -24,7 +24,7 @@ import (
 // park its work.
 func (e *Engine) PaceBackground(stop <-chan struct{}) bool {
 	if stop == nil {
-		stop = e.stopCh
+		stop = e.stop
 	}
 	return e.qos.pace(stop)
 }

@@ -78,41 +78,64 @@ func (e *Engine) Mode() Mode { return e.state().mode() }
 
 // SetDiskDown marks disk d's path down (true) or restored (false) — the
 // cluster's node-unreachability signal, distinct from both failure (the
-// disk's content is intact behind the partition) and slow-disk
-// quarantine (a quarantined disk still serves direct reads). Down disks
-// join the failed set in the serving-mode computation, so enough downed
-// paths demote the array to read-only or partial-read service from the
-// survivors; when the path returns the mode recomputes toward normal
-// and, if failed disks remain recoverable, an automatic rebuild kicks.
+// disk's content is intact behind the partition) and slow-disk quarantine
+// (a verdict on the disk's speed). A down disk is read-avoided, so reads
+// reconstruct around it instead of stalling on the dead path, and it joins
+// the failed set in the serving-mode computation, so enough downed paths
+// demote the array to read-only or partial-read service from the
+// survivors; when the path returns the mode recomputes toward normal and,
+// if failed disks remain recoverable, an automatic rebuild kicks.
 func (e *Engine) SetDiskDown(d int, down bool) error {
-	if e.closed.Load() {
-		return ErrClosed
-	}
-	if d < 0 || d >= e.an.Disks() {
-		return fmt.Errorf("%w: %d", store.ErrNoSuchDisk, d)
+	if err := e.checkDisk(d); err != nil {
+		return err
 	}
 	e.mode.Lock()
-	if e.downDisks[d] == down {
+	if e.mon.disks[d].down.Load() == down {
 		e.mode.Unlock()
 		return nil
 	}
-	e.downDisks[d] = down
-	e.recomputeModeLocked()
+	e.markDownLocked(d, down)
 	promoted := !down && e.Mode() == ModeDegraded
 	e.mode.Unlock()
 	if promoted {
-		e.maybeAutoRebuild()
+		_ = e.autoRebuild() // best effort: an unstarted heal stays visible in Status
 	}
 	return nil
 }
 
+// checkDisk gates the per-disk verbs: the engine is open and d a disk.
+func (e *Engine) checkDisk(d int) error {
+	if e.closed.Load() {
+		return ErrClosed
+	}
+	if d < 0 || d >= len(e.mon.disks) {
+		return fmt.Errorf("%w: disk %d", store.ErrNoSuchDisk, d)
+	}
+	return nil
+}
+
+// markDownLocked records disk d's path state, then re-derives its
+// read-avoid bit and the serving mode. Caller holds e.mode exclusively.
+func (e *Engine) markDownLocked(d int, down bool) {
+	e.mon.disks[d].down.Store(down)
+	e.syncAvoid(d)
+	e.recomputeModeLocked()
+}
+
+// syncAvoid sets the array's read-avoid bit of disk d (callers have
+// validated d) to down ∨ quarantined. It is the one writer of that bit:
+// path-down marks, quarantine entry and release all end here.
+func (e *Engine) syncAvoid(d int) {
+	e.avoidMu.Lock()
+	defer e.avoidMu.Unlock()
+	_ = e.arr.SetReadAvoid(d, e.mon.disks[d].avoided())
+}
+
 // DownDisks returns the disks whose paths are currently marked down.
 func (e *Engine) DownDisks() []int {
-	e.mode.RLock()
-	defer e.mode.RUnlock()
 	var out []int
-	for d, dn := range e.downDisks {
-		if dn {
+	for d := range e.mon.disks {
+		if e.mon.disks[d].down.Load() {
 			out = append(out, d)
 		}
 	}
@@ -140,12 +163,7 @@ func (e *Engine) ForceMode(floor Mode) {
 // have drained and no write admitted under the old mode is still running.
 func (e *Engine) recomputeModeLocked() {
 	failed := e.arr.FailedDisks()
-	u := append([]int(nil), failed...)
-	for d, dn := range e.downDisks {
-		if dn {
-			u = append(u, d)
-		}
-	}
+	u := append(failed, e.DownDisks()...)
 	mode := ModeNormal
 	if len(u) > 0 {
 		av := e.an.Availability(u)
@@ -158,9 +176,7 @@ func (e *Engine) recomputeModeLocked() {
 			mode = ModePartial
 		}
 	}
-	if floor := Mode(e.forcedFloor.Load()); mode < floor {
-		mode = floor
-	}
+	mode = max(mode, Mode(e.forcedFloor.Load()))
 	next := failState(mode)
 	if len(failed) >= 1 {
 		next |= stateFailed
@@ -185,20 +201,20 @@ func (e *Engine) recomputeModeLocked() {
 	}
 }
 
-// maybeAutoRebuild launches a background rebuild when the self-healing
-// loop is active, failed disks remain, and the pattern is recoverable —
-// the promotion path after a partition heals mid-heal (the healer's
-// bounded retries may have given up while the partition starved rebuild
-// reads). Must be called without e.mode held.
-func (e *Engine) maybeAutoRebuild() {
-	if !e.mon.autoMon || e.closed.Load() {
-		return
-	}
+// autoRebuild starts a background rebuild on the self-healing loop's
+// behalf, and counts it, when the loop is active, failed disks remain, and
+// the pattern is recoverable; otherwise it does nothing. The healer starts
+// its rebuilds here, and so does the promotion path after a partition
+// heals mid-heal (the healer's bounded retries may have given up while the
+// partition starved rebuild reads). Must be called without e.mode held.
+func (e *Engine) autoRebuild() error {
 	failed := e.arr.FailedDisks()
-	if len(failed) == 0 || !e.an.Recoverable(failed) {
-		return
+	if !e.mon.autoMon || len(failed) == 0 || !e.an.Recoverable(failed) {
+		return nil
 	}
-	if err := e.StartRebuild(e.mon.pol.RebuildBatch); err == nil {
+	err := e.StartRebuild(e.mon.pol.RebuildBatch)
+	if err == nil {
 		e.mon.autoRebuilds.Add(1)
 	}
+	return err
 }

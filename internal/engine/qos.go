@@ -19,7 +19,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -91,12 +90,6 @@ type QoSUpdate struct {
 	LatencyTarget  *time.Duration `json:"latency_target_ns,omitempty"`
 }
 
-// atomicFloat is a float64 stored as uint64 bits.
-type atomicFloat struct{ bits atomic.Uint64 }
-
-func (f *atomicFloat) Load() float64   { return math.Float64frombits(f.bits.Load()) }
-func (f *atomicFloat) Store(v float64) { f.bits.Store(math.Float64bits(v)) }
-
 // ewmaAlpha weights new foreground-latency samples; ~15 samples reach
 // steady state, fast enough to react within one rebuild batch of load.
 const ewmaAlpha = 0.2
@@ -122,13 +115,14 @@ type qos struct {
 	// Foreground-latency EWMA (ns) and op counter for idle detection.
 	ewmaNs atomicFloat
 	fgOps  atomic.Int64
+	// idle: no foreground ops during the last refill interval.
+	idle atomic.Bool
 
 	// Token bucket shared by the rebuild and scrub loops.
 	mu         sync.Mutex
 	tokens     float64
 	lastRefill time.Time
 	lastFgOps  int64 // fgOps at the previous refill; equal → idle interval
-	idle       bool  // no foreground ops during the last refill interval
 
 	// throttleNs accumulates time background work spent blocked in the
 	// pacer — the direct measure of how much recovery yielded to
@@ -147,17 +141,14 @@ func newQoS(cfg QoSConfig) *qos {
 			cfg.AdmitWait = 50 * time.Millisecond
 		}
 	}
-	if cfg.ScrubBatch <= 0 {
-		cfg.ScrubBatch = 1
-	}
 	q.admitWait.Store(int64(cfg.AdmitWait))
 	q.rebuildRate.Store(cfg.RebuildRate)
 	q.minRate.Store(cfg.MinRebuildRate)
 	q.scrubInterval.Store(int64(cfg.ScrubInterval))
-	q.scrubBatch.Store(cfg.ScrubBatch)
+	q.scrubBatch.Store(max(cfg.ScrubBatch, 1))
 	q.latencyTarget.Store(int64(cfg.LatencyTarget))
 	q.lastRefill = time.Now()
-	q.idle = true
+	q.idle.Store(true)
 	q.tokens = 1 // first background batch starts immediately, then paces
 	return q
 }
@@ -186,11 +177,16 @@ func (q *qos) admit(ctx context.Context) (release func(), err error) {
 			return nil, ctx.Err()
 		}
 	}
+	return q.admitted(), nil
+}
+
+// admitted accounts an operation that holds a slot and returns its release.
+func (q *qos) admitted() (release func()) {
 	q.inflight.Add(1)
 	return func() {
 		q.inflight.Add(-1)
 		<-q.slots
-	}, nil
+	}
 }
 
 // tryAdmit claims an admission slot without waiting. Hedge branches use
@@ -203,11 +199,7 @@ func (q *qos) tryAdmit() (release func(), ok bool) {
 	}
 	select {
 	case q.slots <- struct{}{}:
-		q.inflight.Add(1)
-		return func() {
-			q.inflight.Add(-1)
-			<-q.slots
-		}, true
+		return q.admitted(), true
 	default:
 		return nil, false
 	}
@@ -216,43 +208,39 @@ func (q *qos) tryAdmit() (release func(), ok bool) {
 // observe feeds one foreground-operation latency into the EWMA.
 func (q *qos) observe(dur time.Duration) {
 	q.fgOps.Add(1)
-	for {
-		old := q.ewmaNs.bits.Load()
-		cur := math.Float64frombits(old)
-		next := float64(dur)
-		if cur != 0 {
-			next = (1-ewmaAlpha)*cur + ewmaAlpha*float64(dur)
-		}
-		if q.ewmaNs.bits.CompareAndSwap(old, math.Float64bits(next)) {
-			return
-		}
+	q.ewmaNs.ewma(float64(dur), ewmaAlpha, true)
+}
+
+// load is the one verdict background pacing reads: the foreground EWMA
+// over the latency target while the array is busy and over target, else
+// exactly 1 (no pressure: idle, no target, or target met).
+func (q *qos) load(idle bool) float64 {
+	target := float64(q.latencyTarget.Load())
+	ewma := q.ewmaNs.Load()
+	if idle || target <= 0 || ewma <= target {
+		return 1
 	}
+	return ewma / target
 }
 
 // effectiveRate derives the current rebuild pacing rate: the configured
-// ceiling while idle or meeting the latency target, scaled by
-// target/EWMA under load, floored at MinRebuildRate. idle is sampled by
-// the bucket refill; callers outside the refill path get the last
-// interval's verdict.
+// ceiling without load, divided by the load factor under it, floored at
+// MinRebuildRate. idle is sampled by the bucket refill; callers outside
+// the refill path get the last interval's verdict.
 func (q *qos) effectiveRate(idle bool) float64 {
 	base := q.rebuildRate.Load()
 	if base <= 0 {
 		return 0
 	}
-	target := float64(q.latencyTarget.Load())
-	ewma := q.ewmaNs.Load()
-	if idle || target <= 0 || ewma <= target {
+	l := q.load(idle)
+	if l == 1 {
 		return base
 	}
-	r := base * target / ewma
 	floor := q.minRate.Load()
 	if floor <= 0 {
 		floor = base / 10
 	}
-	if r < floor {
-		r = floor
-	}
-	return r
+	return max(base/l, floor)
 }
 
 // pace blocks until the token bucket grants one background batch, or stop
@@ -265,9 +253,10 @@ func (q *qos) pace(stop <-chan struct{}) bool {
 		q.mu.Lock()
 		now := time.Now()
 		ops := q.fgOps.Load()
-		q.idle = ops == q.lastFgOps
+		idle := ops == q.lastFgOps
+		q.idle.Store(idle)
 		q.lastFgOps = ops
-		rate := q.effectiveRate(q.idle)
+		rate := q.effectiveRate(idle)
 		if rate <= 0 {
 			q.tokens = 0
 			q.lastRefill = now
@@ -280,11 +269,9 @@ func (q *qos) pace(stop <-chan struct{}) bool {
 				return true
 			}
 		}
-		q.tokens += now.Sub(q.lastRefill).Seconds() * rate
+		// Burst 1: background work never bunches up.
+		q.tokens = min(q.tokens+now.Sub(q.lastRefill).Seconds()*rate, 1)
 		q.lastRefill = now
-		if q.tokens > 1 { // burst 1: background work never bunches up
-			q.tokens = 1
-		}
 		if q.tokens >= 1 {
 			q.tokens--
 			q.mu.Unlock()
@@ -305,33 +292,18 @@ func (q *qos) pace(stop <-chan struct{}) bool {
 }
 
 // scrubPause derives the current pause before the next scrub slice: the
-// configured interval, stretched by EWMA/target (capped at 10×) while
-// foreground load is over target. <= 0 means the scrubber is disabled.
+// configured interval, stretched by the load factor (capped at 10×).
+// <= 0 means the scrubber is disabled.
 func (q *qos) scrubPause() time.Duration {
 	iv := time.Duration(q.scrubInterval.Load())
 	if iv <= 0 {
 		return 0
 	}
-	target := float64(q.latencyTarget.Load())
-	ewma := q.ewmaNs.Load()
-	q.mu.Lock()
-	idle := q.idle
-	q.mu.Unlock()
-	if idle || target <= 0 || ewma <= target {
-		return iv
-	}
-	stretch := ewma / target
-	if stretch > 10 {
-		stretch = 10
-	}
-	return time.Duration(float64(iv) * stretch)
+	return time.Duration(float64(iv) * min(q.load(q.idle.Load()), 10))
 }
 
 // snapshot builds the QoSState for Stats and GET /v1/qos.
 func (q *qos) snapshot() QoSState {
-	q.mu.Lock()
-	idle := q.idle
-	q.mu.Unlock()
 	return QoSState{
 		AdmitDepth:           cap(q.slots),
 		AdmitWait:            time.Duration(q.admitWait.Load()),
@@ -340,7 +312,7 @@ func (q *qos) snapshot() QoSState {
 		ScrubInterval:        time.Duration(q.scrubInterval.Load()),
 		ScrubBatch:           q.scrubBatch.Load(),
 		LatencyTarget:        time.Duration(q.latencyTarget.Load()),
-		EffectiveRebuildRate: q.effectiveRate(idle),
+		EffectiveRebuildRate: q.effectiveRate(q.idle.Load()),
 		ForegroundEWMAUs:     q.ewmaNs.Load() / 1e3,
 		Inflight:             q.inflight.Load(),
 		Queued:               q.queued.Load(),
@@ -378,11 +350,7 @@ func (e *Engine) SetQoS(u QoSUpdate) (QoSState, error) {
 		q.scrubInterval.Store(int64(*u.ScrubInterval))
 	}
 	if u.ScrubBatch != nil {
-		b := *u.ScrubBatch
-		if b == 0 {
-			b = 1
-		}
-		q.scrubBatch.Store(b)
+		q.scrubBatch.Store(max(*u.ScrubBatch, 1))
 	}
 	if u.LatencyTarget != nil {
 		q.latencyTarget.Store(int64(*u.LatencyTarget))
@@ -398,10 +366,10 @@ func (e *Engine) SetQoS(u QoSUpdate) (QoSState, error) {
 
 // scrubLoop is the background scrubber: every ScrubInterval (stretched
 // under load) it verifies ScrubBatch cycles, skipping slices while the
-// array is degraded or rebuilding. Disabled intervals poll lazily so the
-// scrubber can be turned on later via SetQoS.
+// array is degraded or rebuilding — scrub verifies parity, which a rebuild
+// is busy rewriting. Disabled intervals poll lazily so the scrubber can be
+// turned on later via SetQoS.
 func (e *Engine) scrubLoop() {
-	defer e.scrubWg.Done()
 	const idlePoll = 500 * time.Millisecond
 	for {
 		pause := e.qos.scrubPause()
@@ -411,7 +379,7 @@ func (e *Engine) scrubLoop() {
 		}
 		t := time.NewTimer(pause)
 		select {
-		case <-e.stopCh:
+		case <-e.stop:
 			t.Stop()
 			return
 		case <-e.qos.scrubKick:
@@ -419,29 +387,28 @@ func (e *Engine) scrubLoop() {
 			continue
 		case <-t.C:
 		}
-		if !enabled {
+		if !enabled || e.Rebuilding() || len(e.arr.FailedDisks()) > 0 {
 			continue
 		}
-		e.scrubSlice()
+		// An error means the array degraded mid-slice; the next slice
+		// (post-heal) resumes.
+		_, _, _ = e.scrubStep()
 	}
 }
 
-// scrubSlice runs one incremental scrub step, recording progress and the
-// inconsistency count. Degraded or rebuilding arrays skip the slice —
-// scrub verifies parity, which a rebuild is busy rewriting.
-func (e *Engine) scrubSlice() {
-	if e.Rebuilding() || len(e.arr.FailedDisks()) > 0 {
-		return
+// scrubStep runs one incremental scrub step of ScrubBatch cycles and
+// records it: the slice, the inconsistent stripes it found, and the pass
+// it completed.
+func (e *Engine) scrubStep() (done bool, bad int, err error) {
+	done, bad, err = e.arr.ScrubStep(e.qos.scrubBatch.Load())
+	if err == nil {
+		e.stats.scrubBatches.Add(1)
+		e.stats.scrubBad.Add(int64(bad))
+		if done {
+			e.stats.scrubPasses.Add(1)
+		}
 	}
-	done, bad, err := e.arr.ScrubStep(e.qos.scrubBatch.Load())
-	if err != nil {
-		return // degraded mid-slice; the next slice (post-heal) resumes
-	}
-	e.stats.scrubBatches.Add(1)
-	e.stats.scrubBad.Add(int64(bad))
-	if done {
-		e.stats.scrubPasses.Add(1)
-	}
+	return done, bad, err
 }
 
 // ScrubPass drives an incremental scrub to pass completion, honoring ctx
@@ -452,21 +419,14 @@ func (e *Engine) ScrubPass(ctx context.Context) (bad int, err error) {
 	if e.closed.Load() {
 		return 0, ErrClosed
 	}
-	batch := e.qos.scrubBatch.Load()
 	for {
 		if err := ctx.Err(); err != nil {
 			return bad, err
 		}
-		done, n, err := e.arr.ScrubStep(batch)
+		done, n, err := e.scrubStep()
 		bad += n
-		if err != nil {
+		if err != nil || done {
 			return bad, err
-		}
-		e.stats.scrubBatches.Add(1)
-		e.stats.scrubBad.Add(int64(n))
-		if done {
-			e.stats.scrubPasses.Add(1)
-			return bad, nil
 		}
 	}
 }

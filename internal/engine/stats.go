@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"sync/atomic"
 	"time"
 )
@@ -9,6 +10,30 @@ import (
 var start = time.Now()
 
 func nowNano() int64 { return int64(time.Since(start)) }
+
+// atomicFloat is a float64 stored as uint64 bits.
+type atomicFloat struct{ bits atomic.Uint64 }
+
+func (f *atomicFloat) Load() float64   { return math.Float64frombits(f.bits.Load()) }
+func (f *atomicFloat) Store(v float64) { f.bits.Store(math.Float64bits(v)) }
+
+// ewma folds sample into the average with weight alpha and returns the
+// result: the engine's one estimator update. From zero it ramps, unless
+// seed makes the first sample the average (QoS); the monitor ramps so one
+// slow op cannot spike a slow-op fraction to 1.0.
+func (f *atomicFloat) ewma(sample, alpha float64, seed bool) float64 {
+	for {
+		old := f.bits.Load()
+		cur := math.Float64frombits(old)
+		next := cur + alpha*(sample-cur)
+		if seed && cur == 0 {
+			next = sample
+		}
+		if f.bits.CompareAndSwap(old, math.Float64bits(next)) {
+			return next
+		}
+	}
+}
 
 // counters is the lock-free accumulator behind Stats.
 type counters struct {
@@ -110,14 +135,7 @@ type Stats struct {
 // Stats returns a snapshot of the engine and array counters.
 func (e *Engine) Stats() Stats {
 	io := e.arr.Stats()
-	var absorbed int64
-	e.retryMu.Lock()
-	for _, rd := range e.retryDevs {
-		if rd != nil {
-			absorbed += rd.Stats().Absorbed
-		}
-	}
-	e.retryMu.Unlock()
+	_, absorbed := e.retriesAbsorbed()
 	q := e.qos.snapshot()
 	return Stats{
 		Reads:           e.stats.reads.Load(),

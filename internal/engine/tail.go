@@ -23,11 +23,8 @@
 package engine
 
 import (
-	"fmt"
 	"sync"
 	"time"
-
-	"github.com/oiraid/oiraid/internal/store"
 )
 
 // hedging reports whether the hedged read path is active.
@@ -40,13 +37,7 @@ func (e *Engine) hedging() bool {
 func (e *Engine) hedgeDelay(d int) time.Duration {
 	pol := &e.mon.pol
 	delay := time.Duration(float64(e.mon.disks[d].p99Ns.Load()) * pol.HedgeMultiple)
-	if delay < pol.HedgeFloor {
-		delay = pol.HedgeFloor
-	}
-	if delay > pol.HedgeCeiling {
-		delay = pol.HedgeCeiling
-	}
-	return delay
+	return min(max(delay, pol.HedgeFloor), pol.HedgeCeiling)
 }
 
 // hedgeResult is one branch's outcome in the hedge race.
@@ -69,10 +60,11 @@ type hedgeResult struct {
 func (e *Engine) readStripHedged(addr int64) ([]byte, error) {
 	d := e.arr.DataStripDisk(addr)
 	// With a disk failed the read may already be a reconstruction (and the
-	// deep-degraded path can cross stripes); with the primary quarantined
-	// the array reconstructs around it anyway. Hedging would only add a
-	// second reconstruction of the same strip — skip it.
-	if e.state().anyFailed() || e.mon.disks[d].quarantined.Load() {
+	// deep-degraded path can cross stripes); with the primary read-avoided
+	// (down or quarantined) the array reconstructs around it anyway.
+	// Hedging would only add a second reconstruction of the same strip —
+	// skip it.
+	if e.state().anyFailed() || e.mon.disks[d].avoided() {
 		p := make([]byte, e.stripBytes)
 		return p, e.readChunk(addr, 0, p)
 	}
@@ -156,64 +148,58 @@ func (e *Engine) readStripHedged(addr int64) ([]byte, error) {
 // probe loop will release it once it answers fast again; otherwise it
 // stays quarantined until ReleaseDisk.
 func (e *Engine) QuarantineDisk(d int) error {
-	if e.closed.Load() {
-		return ErrClosed
+	err := e.checkDisk(d)
+	if err == nil && !e.mon.disks[d].quarantined.Swap(true) {
+		e.enterQuarantine(d)
 	}
-	if err := e.arr.SetReadAvoid(d, true); err != nil {
-		return err
-	}
-	c := &e.mon.disks[d]
-	if !c.quarantined.Swap(true) {
-		c.quarantines.Add(1)
-		c.fastProbes.Store(0)
-		e.mon.quarantines.Add(1)
-	}
-	return nil
+	return err
 }
 
-// ReleaseDisk lifts a quarantine: disk d serves reads again and its
-// slow-op history resets. Releasing a disk that is not quarantined is a
-// no-op.
+// ReleaseDisk lifts a quarantine: disk d serves reads again (unless its
+// path is down) and its slow-op history resets. Releasing a disk that is
+// not quarantined is a no-op.
 func (e *Engine) ReleaseDisk(d int) error {
-	if e.closed.Load() {
-		return ErrClosed
+	err := e.checkDisk(d)
+	if err == nil && e.mon.disks[d].quarantined.Load() {
+		e.release(d)
 	}
-	if d < 0 || d >= len(e.mon.disks) {
-		return fmt.Errorf("%w: disk %d", store.ErrNoSuchDisk, d)
-	}
-	if !e.mon.disks[d].quarantined.Load() {
-		return nil
-	}
-	return e.release(d)
+	return err
 }
 
-// release clears the read-avoid bit and resets the disk's slow history:
+// enterQuarantine is the one quarantine entry, for the monitor's trigger
+// and the operator alike: the caller has set the quarantined flag; this
+// counts the cycle, restarts the probe streak and read-avoids the disk.
+func (e *Engine) enterQuarantine(d int) {
+	c := &e.mon.disks[d]
+	c.quarantines.Add(1)
+	c.fastProbes.Store(0)
+	e.mon.quarantines.Add(1)
+	e.syncAvoid(d)
+}
+
+// release lifts the slowness verdict and resets the disk's slow history:
 // the slow-op fraction starts fresh, and the ops baseline (quarBase)
 // makes the quarantine trigger wait for QuarantineMinOps new samples
-// before trusting the fresh fraction.
-func (e *Engine) release(d int) error {
+// before trusting the fresh fraction. A down disk stays read-avoided.
+func (e *Engine) release(d int) {
 	c := &e.mon.disks[d]
-	if err := e.arr.SetReadAvoid(d, false); err != nil {
-		return err
-	}
-	c.slowFracBits.Store(0)
+	c.slowFrac.Store(0)
 	c.quarBase.Store(c.ops.Load())
 	c.fastProbes.Store(0)
 	c.quarantined.Store(false)
+	e.syncAvoid(d)
 	e.mon.releases.Add(1)
-	return nil
 }
 
 // tailLoop is the quarantine manager goroutine (running iff
 // Options.Health is set): it consumes quarantine triggers from the
 // monitor and periodically probes quarantined disks for recovery.
 func (e *Engine) tailLoop() {
-	defer e.tailWg.Done()
 	ticker := time.NewTicker(e.mon.pol.QuarantineProbe)
 	defer ticker.Stop()
 	for {
 		select {
-		case <-e.tailStop:
+		case <-e.stop:
 			return
 		case d := <-e.mon.quarCh:
 			e.quarantine(d)
@@ -229,36 +215,27 @@ func (e *Engine) tailLoop() {
 // judgment that a disk which keeps browning out is on its way to dying.
 func (e *Engine) quarantine(d int) {
 	c := &e.mon.disks[d]
-	if c.evicted.Load() {
+	switch {
+	case c.evicted.Load():
 		c.quarantined.Store(false)
-		return
-	}
-	if c.quarantines.Load() >= e.mon.pol.QuarantineEscalate {
+	case c.quarantines.Load() >= e.mon.pol.QuarantineEscalate:
 		c.quarantined.Store(false)
 		e.mon.escalations.Add(1)
-		if !c.evicted.Swap(true) {
-			e.mon.evictions.Add(1)
-			e.mon.evictCh <- d
-		}
-		return
+		e.mon.evict(d)
+	default:
+		e.enterQuarantine(d)
 	}
-	if err := e.arr.SetReadAvoid(d, true); err != nil {
-		c.quarantined.Store(false)
-		return
-	}
-	c.quarantines.Add(1)
-	c.fastProbes.Store(0)
-	e.mon.quarantines.Add(1)
 }
 
 // probeQuarantined sends one recovery probe read to every quarantined
-// disk. The probe goes through the disk's normal retry/probe stack, so
-// its latency also feeds the monitor's estimators. Enough consecutive
-// fast probes release the disk.
+// disk whose path is up (a down path is the node client's to probe). The
+// probe goes through the disk's normal retry/probe stack, so its latency
+// also feeds the monitor's estimators. Enough consecutive fast probes
+// release the disk.
 func (e *Engine) probeQuarantined() {
 	for d := range e.mon.disks {
 		c := &e.mon.disks[d]
-		if !c.quarantined.Load() || c.evicted.Load() {
+		if !c.quarantined.Load() || c.evicted.Load() || c.down.Load() {
 			continue
 		}
 		strips := e.arr.Cycles() * int64(e.an.SlotsPerDisk())
@@ -269,7 +246,7 @@ func (e *Engine) probeQuarantined() {
 		dur := time.Since(t)
 		if err == nil && (e.mon.pol.SlowOp <= 0 || dur < e.mon.pol.SlowOp) {
 			if c.fastProbes.Add(1) >= e.mon.pol.QuarantineProbeOK {
-				_ = e.release(d)
+				e.release(d)
 			}
 		} else {
 			c.fastProbes.Store(0)

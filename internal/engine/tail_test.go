@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -325,5 +326,126 @@ func TestManualQuarantineRelease(t *testing.T) {
 	}
 	if err := e.QuarantineDisk(len(e.mon.disks) + 5); err == nil {
 		t.Fatal("quarantine of bogus disk must fail")
+	}
+}
+
+// TestDownDiskIsNotQuarantined: a down path is read-avoided but is not a
+// slowness verdict — the disk reports "down", no quarantine is counted,
+// the probe loop leaves it alone, and lifting either fact leaves the
+// other's read-avoid in force.
+func TestDownDiskIsNotQuarantined(t *testing.T) {
+	e, _ := newChaosEngine(t, 9, 2, Options{
+		Workers: 2,
+		Health: &HealthPolicy{
+			QuarantineProbe:   2 * time.Millisecond,
+			QuarantineProbeOK: 1 << 20, // probes never release: the test does
+		},
+	})
+	oracle := make(map[int64][]byte)
+	for addr := int64(0); addr < e.Strips(); addr++ {
+		p := chaosPattern(e.StripBytes(), addr, 0)
+		if err := e.WriteStrip(addr, p); err != nil {
+			t.Fatalf("seed write %d: %v", addr, err)
+		}
+		oracle[addr] = p
+	}
+	victim := e.arr.DataStripDisk(0)
+	avoided := func() bool { return slices.Contains(e.arr.ReadAvoided(), victim) }
+	state := func() string { return e.Health().Disks[victim].State }
+
+	if err := e.SetDiskDown(victim, true); err != nil {
+		t.Fatal(err)
+	}
+	if got := state(); got != "down" || !avoided() {
+		t.Fatalf("down disk: state %q, read-avoided %v", got, avoided())
+	}
+	// Idle for many probe periods: nothing reads the down disk.
+	before := e.arr.DiskStats()[victim].ReadOps
+	time.Sleep(40 * time.Millisecond)
+	if after := e.arr.DiskStats()[victim].ReadOps; after != before {
+		t.Fatalf("idle down disk read %d times", after-before)
+	}
+	for _, addr := range victimAddrs(e, victim, 4) {
+		if got, err := e.ReadStrip(addr); err != nil || !bytes.Equal(got, oracle[addr]) {
+			t.Fatalf("read %d around down disk: %v", addr, err)
+		}
+	}
+	if h := e.Health(); h.Quarantines != 0 || h.Disks[victim].Quarantines != 0 {
+		t.Fatalf("down counted as quarantine: %+v", h)
+	}
+
+	// Operator quarantine on a down disk: down outranks it, and releasing
+	// it lifts only the slowness verdict.
+	if err := e.QuarantineDisk(victim); err != nil {
+		t.Fatal(err)
+	}
+	if got := state(); got != "down" {
+		t.Fatalf("down+quarantined state %q, want down", got)
+	}
+	if err := e.ReleaseDisk(victim); err != nil {
+		t.Fatal(err)
+	}
+	if !avoided() {
+		t.Fatal("release lifted the down disk's read-avoid")
+	}
+
+	// The other order: the path comes back under a quarantine, which keeps
+	// the disk read-avoided until it is released.
+	if err := e.QuarantineDisk(victim); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.SetDiskDown(victim, false); err != nil {
+		t.Fatal(err)
+	}
+	if got := state(); got != "quarantined" || !avoided() {
+		t.Fatalf("path back under quarantine: state %q, read-avoided %v", got, avoided())
+	}
+	if err := e.ReleaseDisk(victim); err != nil {
+		t.Fatal(err)
+	}
+	if got := state(); got != "healthy" || avoided() {
+		t.Fatalf("released: state %q, read-avoided %v", got, avoided())
+	}
+	if h := e.Health(); h.Quarantines != 2 || h.QuarantineEscalations != 0 || h.Evictions != 0 {
+		t.Fatalf("only the two operator quarantines count: %+v", h)
+	}
+}
+
+// TestPermanentErrorOnDownPathEvicts: a permanent error from a down disk
+// is the path's loss, not one strike of EvictAfter — a single probe read
+// evicts the disk, the healer rebuilds it onto a spare, and the fresh
+// device comes back neither down nor read-avoided.
+func TestPermanentErrorOnDownPathEvicts(t *testing.T) {
+	e, faults := newChaosEngine(t, 9, 2, Options{
+		Workers: 2,
+		Health:  &HealthPolicy{EvictAfter: 1000}, // out of reach: only the down path evicts
+	})
+	spare, err := store.NewMemDevice(e.arr.Cycles()*int64(e.an.SlotsPerDisk()), testStrip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.AddSpareDevice(spare)
+	victim := e.arr.DataStripDisk(0)
+	if err := e.SetDiskDown(victim, true); err != nil {
+		t.Fatal(err)
+	}
+	faults[victim].FailNow()
+	buf := make([]byte, testStrip)
+	if err := e.arr.ProbeDiskStrip(victim, 0, buf); err == nil {
+		t.Fatal("probe of a failed device succeeded")
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		st := e.Stats()
+		if st.Evictions == 1 && st.SparesUsed == 1 && !e.Rebuilding() && len(e.arr.FailedDisks()) == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("one permanent error on a down path did not evict and heal: %+v", st)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := e.Health().Disks[victim].State; got != "healthy" || len(e.DownDisks()) != 0 || len(e.arr.ReadAvoided()) != 0 {
+		t.Fatalf("after heal: state %q, down %v, avoided %v", got, e.DownDisks(), e.arr.ReadAvoided())
 	}
 }

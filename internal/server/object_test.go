@@ -499,3 +499,53 @@ func (neverEnding) Read(p []byte) (int, error) {
 	}
 	return len(p), nil
 }
+
+// TestMultipartAbortHTTP: aborting an upload over HTTP frees every part's
+// strips — the object plane's fsck is clean and back at its baseline —
+// and the id is gone for good: completing or aborting it again, or
+// aborting an id never issued, answers ErrNoSuchUpload.
+func TestMultipartAbortHTTP(t *testing.T) {
+	srv, c := newObjectTestServer(t)
+	if err := c.MakeBucket("mpu"); err != nil {
+		t.Fatal(err)
+	}
+	keep := objectPayload(7, 3*testStrip)
+	if _, err := c.PutObject("mpu", "keep", bytes.NewReader(keep), int64(len(keep)), nil); err != nil {
+		t.Fatal(err)
+	}
+	objs := srv.opts.Objects
+	base := objs.Fsck()
+
+	id, err := c.CreateUpload("mpu", "dead", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for part := 1; part <= 3; part++ {
+		p := objectPayload(int64(part), 5*testStrip)
+		if _, err := c.UploadPart("mpu", "dead", id, part, bytes.NewReader(p), int64(len(p))); err != nil {
+			t.Fatalf("part %d: %v", part, err)
+		}
+	}
+	if rep := objs.Fsck(); rep.Uploads != 1 || rep.Used <= base.Used {
+		t.Fatalf("parts not staged: %+v (baseline %+v)", rep, base)
+	}
+	if err := c.AbortUpload("mpu", "dead", id); err != nil {
+		t.Fatal(err)
+	}
+	if rep := objs.Fsck(); !rep.Clean || rep.Uploads != 0 || rep.Used != base.Used {
+		t.Fatalf("fsck after abort: %+v, baseline %+v", rep, base)
+	}
+	if _, err := c.CompleteUpload("mpu", "dead", id); !errors.Is(err, object.ErrNoSuchUpload) {
+		t.Fatalf("complete after abort: want ErrNoSuchUpload, got %v", err)
+	}
+	if err := c.AbortUpload("mpu", "dead", id); !errors.Is(err, object.ErrNoSuchUpload) {
+		t.Fatalf("second abort: want ErrNoSuchUpload, got %v", err)
+	}
+	if err := c.AbortUpload("mpu", "dead", "no-such-id"); !errors.Is(err, object.ErrNoSuchUpload) {
+		t.Fatalf("abort of unknown id: want ErrNoSuchUpload, got %v", err)
+	}
+	var got bytes.Buffer
+	if _, err := c.GetObject("mpu", "keep", &got); err != nil || !bytes.Equal(got.Bytes(), keep) {
+		t.Fatalf("object beside the aborted upload: %v", err)
+	}
+}

@@ -64,8 +64,9 @@ type Options struct {
 	// Transport overrides the HTTP transport (fault injection hook).
 	Transport http.RoundTripper
 	// OnDown runs (in its own goroutine, at most once per down episode)
-	// when the node transitions reachable→unreachable; OnUp runs on the
-	// way back. Close drains both.
+	// when the node transitions reachable→unreachable, and once more when
+	// the node is declared lost (Lost reports true by then); OnUp runs on
+	// the way back. Close drains both.
 	OnDown func()
 	OnUp   func()
 }
@@ -104,7 +105,7 @@ func (o Options) withDefaults() Options {
 //
 // While down, operations fail with store.ErrUnreachable (transient: the
 // engine's monitor does not count it toward eviction, and the cluster
-// layer quarantines the node's disks so reads reconstruct around them).
+// layer marks the node's disks down so reads reconstruct around them).
 // Once lost, operations fail with ErrNodeLost (permanent: eviction and
 // heal). A background prober pings the node while it is down, so
 // recovery is detected even with no foreground traffic.
@@ -329,12 +330,19 @@ func (c *NodeClient) classifyDown(cause error) error {
 	return fmt.Errorf("%w: %s (%v)", store.ErrUnreachable, c.base, cause)
 }
 
-func (c *NodeClient) markLost() { c.lost.Store(true) }
+// markLost latches the node lost and tells the OnDown hook, which may be
+// the only news of it: the prober can declare a node lost with no
+// operation in flight to carry ErrNodeLost.
+func (c *NodeClient) markLost() {
+	if !c.lost.Swap(true) {
+		c.fire(c.opts.OnDown)
+	}
+}
 
 // fire runs a reachability callback in a tracked goroutine. Callbacks
 // must not run inline: markDown fires from inside device operations that
-// hold array locks, and the cluster layer's handlers (quarantine,
-// release) take them again.
+// hold array locks, and the cluster layer's handlers (marking the node's
+// disks down and up) take them again.
 func (c *NodeClient) fire(fn func()) {
 	if fn == nil {
 		return

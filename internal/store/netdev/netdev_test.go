@@ -320,6 +320,45 @@ func TestGraceWindowEscalatesToLost(t *testing.T) {
 	}
 }
 
+// TestProberLossFiresOnDown: a node the prober declares lost, with no
+// operation in flight to carry ErrNodeLost, is announced through OnDown
+// once more — the coordinator's only news of the loss on an idle array.
+func TestProberLossFiresOnDown(t *testing.T) {
+	_, srv := startNode(t, "n0")
+	ft := NewFaultTransport(nil, 13)
+	opts := fastOpts()
+	opts.Grace = 100 * time.Millisecond
+	opts.Transport = ft
+	calls := make(chan bool, 4)
+	var c *NodeClient
+	opts.OnDown = func() { calls <- c.Lost() }
+	c = NewNodeClient(srv.URL, opts)
+	defer c.Close()
+	dev, err := c.CreateDevice("d0", 4, 128)
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	ft.SetPartition(PartDrop)
+	if err := dev.ReadStrip(0, make([]byte, 128)); !errors.Is(err, store.ErrUnreachable) {
+		t.Fatalf("partitioned read: %v, want ErrUnreachable", err)
+	}
+	for i, wantLost := range []bool{false, true} {
+		select {
+		case lost := <-calls:
+			if lost != wantLost {
+				t.Fatalf("OnDown call %d saw Lost() = %v, want %v", i+1, lost, wantLost)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("OnDown call %d never came", i+1)
+		}
+	}
+	select {
+	case <-calls:
+		t.Fatal("OnDown fired a third time")
+	case <-time.After(4 * opts.ProbeInterval):
+	}
+}
+
 func TestWrongNodeIdentityIsPermanent(t *testing.T) {
 	_, srv := startNode(t, "actually-n1")
 	opts := fastOpts()

@@ -285,10 +285,19 @@ func runFailoverSweep(t *testing.T, seed int64) {
 	// Deterministic wire-level proof of the fence: a metadata append
 	// carrying A's epoch bounces off every node that promised B's. The
 	// epoch check runs before the generation check node-side, so the
-	// rejection must be stale-epoch proper, not a stale-gen artifact.
+	// rejection must be stale-epoch proper, not a stale-gen artifact. A's
+	// breaker for a node may still be open from the partition, and its
+	// "circuit open" is A's own answer, not the node's: a transient answer
+	// is asked again until the node is heard.
 	staleRejected := 0
 	for _, id := range []string{"alpha", "beta", "gamma"} {
-		err := cA.Client(id).MetaWriteAt(metaBlobJournal0, make([]byte, 1), 0, cA.Epoch(), 1)
+		var err error
+		for probeEnd := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+			err = cA.Client(id).MetaWriteAt(metaBlobJournal0, make([]byte, 1), 0, cA.Epoch(), 1)
+			if !store.IsTransient(err) || time.Now().After(probeEnd) {
+				break
+			}
+		}
 		if errors.Is(err, store.ErrStaleEpoch) && !errors.Is(err, netdev.ErrStaleGen) {
 			staleRejected++
 		}

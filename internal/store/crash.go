@@ -168,7 +168,7 @@ func (d *CrashDevice) Survivor() (*MemDevice, error) {
 	if err != nil {
 		return nil, err
 	}
-	copy(m.data, d.data)
+	copy(m.reg.b, d.data)
 	return m, nil
 }
 

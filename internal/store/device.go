@@ -12,6 +12,7 @@ package store
 import (
 	"fmt"
 	"os"
+	"runtime"
 	"sync"
 )
 
@@ -35,29 +36,103 @@ type Device interface {
 	Close() error
 }
 
-// MemDevice is an in-memory Device.
+// MemDevice is an in-memory Device. Its bytes are a region outside the Go
+// heap (mapRegion), so the collector neither counts them nor doubles them.
+// Every access to the region holds mu: the deferred unlock keeps m
+// reachable, so the finalizer cannot release the region mid-copy.
 type MemDevice struct {
 	mu         sync.RWMutex
-	data       []byte
+	reg        *region // nil once closed
+	strips     int64
 	stripBytes int
-	closed     bool
 }
 
 var _ Device = (*MemDevice)(nil)
 
 // NewMemDevice allocates a memory-backed device of strips × stripBytes.
+// It reads all zeros. Close releases its region at once; a device that is
+// dropped without Close releases it when the collector finds it unreachable.
 func NewMemDevice(strips int64, stripBytes int) (*MemDevice, error) {
 	if strips <= 0 || stripBytes <= 0 {
 		return nil, fmt.Errorf("%w: %d×%d", ErrBadGeometry, strips, stripBytes)
 	}
-	return &MemDevice{
-		data:       make([]byte, strips*int64(stripBytes)),
-		stripBytes: stripBytes,
-	}, nil
+	reg, err := takeRegion(int(strips * int64(stripBytes)))
+	if err != nil {
+		return nil, fmt.Errorf("store: map device: %w", err)
+	}
+	m := &MemDevice{reg: reg, strips: strips, stripBytes: stripBytes}
+	runtime.SetFinalizer(m, (*MemDevice).Close)
+	return m, nil
+}
+
+// region is the bytes of one MemDevice, kept for the next device of the
+// same size once that one is released.
+type region struct {
+	b    []byte
+	next *region // in regions.free
+	at   uint64  // regions.cycle at release
+}
+
+// regions is the free list of released regions, newest first. Releasing
+// allocates nothing (a finalizer may run inside an allocation-counting
+// test), and a region no device takes within two collections is unmapped,
+// so nothing is kept without bound.
+var regions struct {
+	sync.Mutex
+	free  *region
+	cycle uint64 // collections seen by onGC
+}
+
+// takeRegion returns a released region of n bytes, zeroed, or maps a new one.
+func takeRegion(n int) (*region, error) {
+	regions.Lock()
+	for p := &regions.free; *p != nil; p = &(*p).next {
+		if r := *p; len(r.b) == n {
+			*p, r.next = r.next, nil
+			regions.Unlock()
+			clear(r.b)
+			return r, nil
+		}
+	}
+	regions.Unlock()
+	b, err := mapRegion(n)
+	if err != nil {
+		return nil, err
+	}
+	return &region{b: b}, nil
+}
+
+func (r *region) release() {
+	regions.Lock()
+	r.at, r.next, regions.free = regions.cycle, regions.free, r
+	regions.Unlock()
+}
+
+// gcTick's finalizer runs once per collection and re-arms itself.
+type gcTick struct{ _ *byte }
+
+func init() { runtime.SetFinalizer(&gcTick{}, onGC) }
+
+// onGC unmaps the regions released two or more collections ago. The list
+// is ordered by release, so they are its tail.
+func onGC(t *gcTick) {
+	regions.Lock()
+	regions.cycle++
+	p := &regions.free
+	for *p != nil && regions.cycle-(*p).at < 2 {
+		p = &(*p).next
+	}
+	stale := *p
+	*p = nil
+	regions.Unlock()
+	for ; stale != nil; stale = stale.next {
+		unmapRegion(stale.b)
+	}
+	runtime.SetFinalizer(t, onGC)
 }
 
 // Strips implements Device.
-func (m *MemDevice) Strips() int64 { return int64(len(m.data) / m.stripBytes) }
+func (m *MemDevice) Strips() int64 { return m.strips }
 
 // StripBytes implements Device.
 func (m *MemDevice) StripBytes() int { return m.stripBytes }
@@ -66,13 +141,13 @@ func (m *MemDevice) StripBytes() int { return m.stripBytes }
 func (m *MemDevice) ReadStrip(idx int64, p []byte) error {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	if m.closed {
+	if m.reg == nil {
 		return ErrClosed
 	}
 	if err := m.check(idx, p); err != nil {
 		return err
 	}
-	copy(p, m.data[idx*int64(m.stripBytes):])
+	copy(p, m.reg.b[idx*int64(m.stripBytes):])
 	return nil
 }
 
@@ -80,19 +155,19 @@ func (m *MemDevice) ReadStrip(idx int64, p []byte) error {
 func (m *MemDevice) WriteStrip(idx int64, p []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.closed {
+	if m.reg == nil {
 		return ErrClosed
 	}
 	if err := m.check(idx, p); err != nil {
 		return err
 	}
-	copy(m.data[idx*int64(m.stripBytes):], p)
+	copy(m.reg.b[idx*int64(m.stripBytes):], p)
 	return nil
 }
 
 func (m *MemDevice) check(idx int64, p []byte) error {
-	if idx < 0 || idx >= m.Strips() {
-		return fmt.Errorf("%w: %d of %d", ErrStripOutOfRange, idx, m.Strips())
+	if idx < 0 || idx >= m.strips {
+		return fmt.Errorf("%w: %d of %d", ErrStripOutOfRange, idx, m.strips)
 	}
 	if len(p) != m.stripBytes {
 		return fmt.Errorf("%w: buffer %d bytes, strip is %d", ErrShortBuffer, len(p), m.stripBytes)
@@ -100,12 +175,15 @@ func (m *MemDevice) check(idx int64, p []byte) error {
 	return nil
 }
 
-// Close implements Device.
+// Close implements Device: it releases the region for the next device of
+// its size. Closing twice is harmless.
 func (m *MemDevice) Close() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.closed = true
-	m.data = nil
+	if m.reg != nil {
+		m.reg.release()
+		m.reg = nil
+	}
 	return nil
 }
 

@@ -1,0 +1,159 @@
+package store
+
+import (
+	"bytes"
+	"errors"
+	"runtime"
+	"testing"
+	"time"
+)
+
+// onFreeList reports whether r waits on the free list for its next device.
+func onFreeList(r *region) bool {
+	regions.Lock()
+	defer regions.Unlock()
+	for p := regions.free; p != nil; p = p.next {
+		if p == r {
+			return true
+		}
+	}
+	return false
+}
+
+// collectUntil runs collections until onFreeList(r) is want.
+func collectUntil(t *testing.T, r *region, want bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); onFreeList(r) != want; {
+		if time.Now().After(deadline) {
+			t.Fatalf("region on the free list = %v after 10 s of collections, want %v", !want, want)
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// writtenRegion builds a device, fills every strip with 0xa5 and returns its
+// region; with closeIt the device is closed, otherwise it is dropped.
+func writtenRegion(t *testing.T, strips int64, stripBytes int, closeIt bool) *region {
+	t.Helper()
+	d, err := NewMemDevice(strips, stripBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := bytes.Repeat([]byte{0xa5}, stripBytes)
+	for i := int64(0); i < strips; i++ {
+		if err := d.WriteStrip(i, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := d.reg
+	if closeIt {
+		d.Close()
+	}
+	return r
+}
+
+// TestMemDeviceRegionReuse: a region released by Close, or by the collector
+// once its device is unreachable, is the next same-size device's, and that
+// device reads all zeros.
+func TestMemDeviceRegionReuse(t *testing.T) {
+	const strips, stripBytes = 3, 4093 // a size no other test uses
+	for _, closeIt := range []bool{true, false} {
+		r := writtenRegion(t, strips, stripBytes, closeIt)
+		collectUntil(t, r, true)
+		d, err := NewMemDevice(strips, stripBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.reg != r {
+			t.Fatalf("close=%v: the released region was not reused", closeIt)
+		}
+		buf := make([]byte, stripBytes)
+		for i := int64(0); i < strips; i++ {
+			if err := d.ReadStrip(i, buf); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf, make([]byte, stripBytes)) {
+				t.Fatalf("close=%v: strip %d of a reused region is not zero", closeIt, i)
+			}
+		}
+		d.Close()
+	}
+}
+
+// TestMemDeviceRegionsConcurrent: devices of one size built, written, closed
+// or dropped from several goroutines while collections run each start out
+// all zeros.
+func TestMemDeviceRegionsConcurrent(t *testing.T) {
+	const stripBytes = 4087 // a size no other test uses
+	done := make(chan struct{})
+	for g := 0; g < 4; g++ {
+		go func(g int) {
+			defer func() { done <- struct{}{} }()
+			buf := make([]byte, stripBytes)
+			for i := 0; i < 50; i++ {
+				d, err := NewMemDevice(2, stripBytes)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if err := d.ReadStrip(1, buf); err != nil || !bytes.Equal(buf, make([]byte, stripBytes)) {
+					t.Errorf("a new device's strip is not zero (err %v)", err)
+					return
+				}
+				d.WriteStrip(1, bytes.Repeat([]byte{byte(g + 1)}, stripBytes))
+				if i%2 == 0 {
+					d.Close()
+				}
+				if i%10 == 0 {
+					runtime.GC()
+				}
+			}
+		}(g)
+	}
+	for g := 0; g < 4; g++ {
+		<-done
+	}
+}
+
+// TestMemDeviceRegionUnmapped: a released region no device takes leaves the
+// free list within a few collections.
+func TestMemDeviceRegionUnmapped(t *testing.T) {
+	r := writtenRegion(t, 5, 4091, true)
+	if !onFreeList(r) {
+		t.Fatal("Close did not release the region")
+	}
+	collectUntil(t, r, false)
+}
+
+// TestMemDeviceClose: closing twice is harmless, I/O after Close fails with
+// ErrClosed, and Strips races nothing.
+func TestMemDeviceClose(t *testing.T) {
+	d, err := NewMemDevice(4, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 100; i++ {
+			if d.Strips() != 4 {
+				t.Error("Strips changed")
+			}
+		}
+	}()
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	<-done
+	if err := d.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+	buf := make([]byte, 512)
+	if err := d.ReadStrip(0, buf); !errors.Is(err, ErrClosed) {
+		t.Errorf("read after Close: %v, want ErrClosed", err)
+	}
+	if err := d.WriteStrip(0, buf); !errors.Is(err, ErrClosed) {
+		t.Errorf("write after Close: %v, want ErrClosed", err)
+	}
+}

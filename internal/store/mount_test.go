@@ -105,7 +105,7 @@ func TestMountDetectsOfflineCorruption(t *testing.T) {
 	disk, devStrip := m.Array.locate(0)
 	dev := r.devs[disk]
 	for i := 0; i < testStrip; i++ {
-		dev.data[devStrip*int64(testStrip)+int64(i)] ^= 0xa5
+		dev.reg.b[devStrip*int64(testStrip)+int64(i)] ^= 0xa5
 	}
 
 	m2 := r.mount(t)

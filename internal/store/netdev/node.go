@@ -101,9 +101,10 @@ type Node struct {
 }
 
 // NewMemNode builds a memory-backed storage node (tests, benchmarks).
-// Devices and blobs created through the API live until the node is
-// garbage collected, so closing and re-serving the same Node models a
-// node restart that keeps its media.
+// A device created through the API lives until it is deleted or the node
+// is closed: Close releases every device's bytes, so it models losing the
+// node's media. Serving the same open Node again behind a new listener
+// models a node restart that keeps them.
 func NewMemNode(id string) *Node {
 	n := &Node{
 		id:        id,

@@ -1,6 +1,7 @@
 package netdev
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -80,5 +81,55 @@ func TestNodeRejectsMalformedRequests(t *testing.T) {
 
 	if stat, meta := state(); !reflect.DeepEqual(stat, stat0) || !reflect.DeepEqual(meta, meta0) {
 		t.Fatalf("malformed requests changed the node:\nstat %+v -> %+v\nmeta %+v -> %+v", stat0, stat, meta0, meta)
+	}
+}
+
+// TestNodeDeviceDeleteAndRecreate runs the checksum route against deletes of
+// the device it reads (under -race: the route reads the device's size after
+// releasing the node's lock), then checks that a device created again with
+// the same geometry serves zeros, not the deleted device's bytes.
+func TestNodeDeviceDeleteAndRecreate(t *testing.T) {
+	n := NewMemNode("alpha")
+	h := n.Handler()
+	do := func(method, target, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, target, strings.NewReader(body)))
+		return rec
+	}
+	const stripBytes = 512
+	create := func() {
+		t.Helper()
+		if rec := do("POST", "/node/v1/devices/d0", `{"strips":4,"strip_bytes":512}`); rec.Code != http.StatusOK {
+			t.Fatalf("create: %d %s", rec.Code, rec.Body)
+		}
+	}
+	create()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 200; i++ {
+			do("GET", "/node/v1/devices/d0/sums?start=0&count=4", "")
+		}
+	}()
+	for i := 0; i < 50; i++ {
+		do("DELETE", "/node/v1/devices/d0", "")
+		create()
+	}
+	<-done
+
+	if err := n.devs["d0"].WriteStrip(1, bytes.Repeat([]byte{0xff}, stripBytes)); err != nil {
+		t.Fatal(err)
+	}
+	if rec := do("DELETE", "/node/v1/devices/d0", ""); rec.Code != http.StatusNoContent {
+		t.Fatalf("delete: %d %s", rec.Code, rec.Body)
+	}
+	create()
+	rec := do("GET", "/node/v1/devices/d0/strips/1", "")
+	fr, err := DecodeFrame(rec.Body.Bytes(), stripBytes)
+	if err != nil {
+		t.Fatalf("read strip: %d %v", rec.Code, err)
+	}
+	if !bytes.Equal(fr.Payload, make([]byte, stripBytes)) {
+		t.Fatal("a recreated device serves the deleted device's bytes")
 	}
 }

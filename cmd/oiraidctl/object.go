@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"time"
 
 	"github.com/oiraid/oiraid"
 	"github.com/oiraid/oiraid/internal/engine"
@@ -147,9 +148,18 @@ func objectCmd(ctx context.Context, s objectPlane, cmd, bucket, key, prefix stri
 		if err != nil {
 			return err
 		}
+		// What a HEAD carries, so that -dir and -remote print the same: the
+		// etag is the content's CRC-32C, and Last-Modified has whole seconds.
 		enc := json.NewEncoder(out)
 		enc.SetIndent("", "  ")
-		return enc.Encode(info)
+		return enc.Encode(struct {
+			Bucket   string            `json:"bucket"`
+			Key      string            `json:"key"`
+			Size     int64             `json:"size"`
+			ETag     string            `json:"etag"`
+			Modified time.Time         `json:"modified"`
+			UserMeta map[string]string `json:"user_meta,omitempty"`
+		}{info.Bucket, info.Key, info.Size, info.ETag, info.Modified.UTC().Truncate(time.Second), info.UserMeta})
 	default:
 		return fmt.Errorf("object command %q not implemented", cmd)
 	}

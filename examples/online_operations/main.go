@@ -78,7 +78,7 @@ func main() {
 	fmt.Printf("disk 4 failed: recoverable=%v, guaranteed slack for %d more arbitrary failure(s)\n",
 		exp.Recoverable, exp.Slack)
 
-	// 3. Online incremental rebuild with writes in flight.
+	// 3. Online incremental rebuild, a layout cycle at a time, with writes in flight.
 	spare, err := oiraid.NewMemDevice(strips, stripBytes)
 	if err != nil {
 		log.Fatal(err)
@@ -89,7 +89,8 @@ func main() {
 	}
 	steps := 0
 	for {
-		done, err := arr.RebuildStep(2)
+		cycle, _ := arr.RebuildProgress()
+		done, err := arr.RebuildCycle(cycle)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -2,9 +2,9 @@
 // keyed by stripe id let reads and read-modify-writes on disjoint stripes
 // proceed in parallel while the 4-strip update closure of one stripe (data
 // strip, inner parity, outer parity, outer parity's inner parity) stays
-// atomic; a bounded worker pool fans multi-strip requests out; and a
-// background goroutine drives incremental rebuild batches under the same
-// coordination so foreground I/O interleaves safely with recovery.
+// atomic; a bounded worker pool fans multi-strip requests out; and the
+// background passes — rebuild, scrub, a migration's copy — walk the array
+// one layout cycle at a time beside foreground I/O.
 //
 // Locking model. Every engine operation holds the engine's mode lock
 // shared; structural transitions (FailDisk, rebuild completion) hold it
@@ -16,11 +16,10 @@
 // read lock) to run in parallel. With two or more disks failed, a read may
 // take the multi-phase deep-reconstruction path across arbitrary stripes,
 // so writes fall back to the exclusive mode lock; reads stay shared (the
-// deep path only reads, and read repair is idempotent). Array-internal
-// structural state is additionally protected by the array's own RWMutex,
-// which RebuildStep takes exclusively — rebuild batches therefore
-// serialise against every device access without blocking the engine's
-// admission path between batches.
+// deep path only reads, and read repair is idempotent). A background pass
+// keeps writers off the one cycle it is on and never blocks readers: every
+// write holds its cycle's writer lock shared, the pass holds it exclusively
+// and the array's own lock shared (see walkCycles).
 package engine
 
 import (
@@ -50,10 +49,6 @@ type Options struct {
 	// Workers bounds the worker pool that fans multi-strip ReadAt/WriteAt
 	// requests out (default 8).
 	Workers int
-	// LockStripes is the size of the striped-lock table (default 128).
-	// (cycle, stripe) pairs hash onto it, so a smaller table trades
-	// parallelism for footprint, never correctness.
-	LockStripes int
 	// Replace provisions a replacement device for a failed disk when a
 	// rebuild starts, after the hot-spare pool (AddSpare) is exhausted.
 	// Default: a fresh in-memory device of array geometry.
@@ -72,6 +67,10 @@ type Options struct {
 	QoS *QoSConfig
 }
 
+// lockTable sizes the striped locks, keyed by (cycle, stripe), and the
+// cycles' writer locks: aliasing costs parallelism, never correctness.
+const lockTable = 128
+
 // Engine wraps a store.Array for concurrent use.
 type Engine struct {
 	arr *store.Array
@@ -86,9 +85,10 @@ type Engine struct {
 	// writeSets[i] / readSets[i] are the stripe ids (per cycle) an
 	// operation on data strip i of a cycle must lock: the full parity
 	// closure for writes, the stripes containing the strip for reads.
-	writeSets [][]int
-	readSets  [][]int
-	locks     []sync.RWMutex
+	writeSets  [][]int
+	readSets   [][]int
+	locks      [lockTable]sync.RWMutex
+	cycleLocks [lockTable]sync.RWMutex
 
 	// mode is held shared by striped operations and exclusive by
 	// structural transitions.
@@ -168,9 +168,6 @@ func New(arr *store.Array, opts Options) (*Engine, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = 8
 	}
-	if opts.LockStripes <= 0 {
-		opts.LockStripes = 128
-	}
 	e := &Engine{
 		arr:        arr,
 		an:         an,
@@ -178,7 +175,6 @@ func New(arr *store.Array, opts Options) (*Engine, error) {
 		stripBytes: arr.StripBytes(),
 		perCycle:   len(sch.DataStrips()),
 		nStripes:   len(sch.Stripes()),
-		locks:      make([]sync.RWMutex, opts.LockStripes),
 		tasks:      make(chan func(), 4*opts.Workers),
 		replace:    opts.Replace,
 		stop:       make(chan struct{}),
@@ -433,45 +429,66 @@ func (e *Engine) stripOp(addr int64, write bool, fn func() error) error {
 
 // lockStripes acquires the striped locks for the given stripe ids of one
 // cycle in ascending table order (deadlock-free against every other
-// acquisition, which uses the same order), returning the paired unlock.
+// acquisition, which uses the same order), returning the paired unlock. A
+// write first takes the cycle's writer lock shared, so it waits while a
+// background pass walks the cycle.
 func (e *Engine) lockStripes(cycle int64, stripes []int, write bool) (unlock func()) {
 	idx := make([]int, 0, len(stripes))
 	for _, si := range stripes {
-		i := int((cycle*int64(e.nStripes) + int64(si)) % int64(len(e.locks)))
-		dup := false
-		for _, seen := range idx {
-			if seen == i {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			idx = append(idx, i)
-		}
+		idx = append(idx, int((cycle*int64(e.nStripes)+int64(si))%lockTable))
 	}
-	for i := 1; i < len(idx); i++ {
-		for j := i; j > 0 && idx[j] < idx[j-1]; j-- {
-			idx[j], idx[j-1] = idx[j-1], idx[j]
-		}
-	}
+	slices.Sort(idx)
+	idx = slices.Compact(idx)
+	cl := &e.cycleLocks[cycle%lockTable]
+	lock, release := (*sync.RWMutex).RLock, (*sync.RWMutex).RUnlock
 	t := nowNano()
+	if write {
+		cl.RLock()
+		lock, release = (*sync.RWMutex).Lock, (*sync.RWMutex).Unlock
+	}
 	for _, i := range idx {
-		if write {
-			e.locks[i].Lock()
-		} else {
-			e.locks[i].RLock()
-		}
+		lock(&e.locks[i])
 	}
 	e.stats.lockWaitNs.Add(nowNano() - t)
 	return func() {
-		for k := len(idx) - 1; k >= 0; k-- {
-			if write {
-				e.locks[idx[k]].Unlock()
-			} else {
-				e.locks[idx[k]].RUnlock()
-			}
+		for _, i := range idx {
+			release(&e.locks[i])
+		}
+		if write {
+			cl.RUnlock()
 		}
 	}
+}
+
+// lockCycle keeps writers off one layout cycle: the mode lock shared, like
+// any striped operation, then the cycle's writer lock exclusively. Reads
+// take neither exclusively and proceed.
+func (e *Engine) lockCycle(cycle int64) (unlock func()) {
+	e.mode.RLock()
+	cl := &e.cycleLocks[cycle%lockTable]
+	cl.Lock()
+	return func() {
+		cl.Unlock()
+		e.mode.RUnlock()
+	}
+}
+
+// walkCycles is the one walk of a background pass (rebuild, scrub, a
+// migration's copy): up to batch cycles from the pass's cursor, each under
+// its own lockCycle, until a step reports the pass done or fails. A cursor
+// that moved meanwhile means another walker did that cycle.
+func (e *Engine) walkCycles(batch int64, cursor func() (cycle, total int64),
+	step func(cycle int64) (done bool, err error)) (done bool, err error) {
+	for n := int64(0); n < batch && !done && err == nil; {
+		cycle, _ := cursor()
+		unlock := e.lockCycle(cycle)
+		if now, _ := cursor(); now == cycle {
+			done, err = step(cycle)
+			n++
+		}
+		unlock()
+	}
+	return done, err
 }
 
 // ReadAt reads the byte range [off, off+len(p)) from the logical data
@@ -609,8 +626,8 @@ func (e *Engine) FailDisk(d int) error {
 
 // StartRebuild provisions replacement devices for every failed disk
 // lacking one (via Options.Replace) and launches the background rebuild
-// goroutine, which drives Array.RebuildStep in batches of the given number
-// of layout cycles (default 1 when batch < 1). It returns immediately;
+// goroutine, which walks Array.RebuildCycle up to batch layout cycles per
+// pacer grant (default 1 when batch < 1). It returns immediately;
 // RebuildWait blocks until completion. Starting with no failed disks is a
 // no-op that completes immediately.
 func (e *Engine) StartRebuild(batch int64) error {
@@ -680,7 +697,7 @@ func (e *Engine) rebuildLoop(batch int64, done chan struct{}) {
 			break
 		}
 		var finished bool
-		finished, err = e.arr.RebuildStep(batch)
+		finished, err = e.walkCycles(batch, e.arr.RebuildProgress, e.arr.RebuildCycle)
 		e.stats.rebuildBatches.Add(1)
 		if err != nil {
 			// A disk that failed mid-rebuild invalidated the plan and has
@@ -692,9 +709,9 @@ func (e *Engine) rebuildLoop(batch int64, done chan struct{}) {
 					err = aerr
 				}
 			}
-			// RebuildStep closes the write hole before decoding — it
-			// replays pending redo records of half-applied commits — and
-			// aborts the batch if a replay write is still unreachable.
+			// RebuildCycle closes the write hole before decoding — it
+			// replays the cycle's pending redo records of half-applied
+			// commits — and aborts if a replay write is still unreachable.
 			// That is a wait, not a failure: retry at the next pace tick
 			// (the flapping node either returns or gets evicted, at which
 			// point its strips are skipped).

@@ -17,34 +17,10 @@ import (
 )
 
 // PaceBackground blocks on the QoS background pacer (shared with
-// rebuild/scrub) until the next unit of background work may proceed.
-// A nil stop channel uses the engine's own; callers with their own
-// lifecycle (cluster migrations) pass theirs so their shutdown does not
-// wait out a pacer token. False means stop fired and the caller must
-// park its work.
-func (e *Engine) PaceBackground(stop <-chan struct{}) bool {
-	if stop == nil {
-		stop = e.stop
-	}
-	return e.qos.pace(stop)
-}
-
-// lockCycle takes every striped lock of one layout cycle exclusively
-// (holding the mode lock shared, like any striped operation). While it
-// is held no foreground operation can touch the cycle. Acquisition follows
-// the same ascending-table order as every other lock path.
-func (e *Engine) lockCycle(cycle int64) (unlock func()) {
-	e.mode.RLock()
-	all := make([]int, e.nStripes)
-	for i := range all {
-		all[i] = i
-	}
-	inner := e.lockStripes(cycle, all, true)
-	return func() {
-		inner()
-		e.mode.RUnlock()
-	}
-}
+// rebuild/scrub) until the next unit of background work may proceed. The
+// caller's stop channel (a cluster migration's) ends the wait: false means
+// the caller must park its work.
+func (e *Engine) PaceBackground(stop <-chan struct{}) bool { return e.qos.pace(stop) }
 
 // StartMirror installs a migration mirror on disk d: every subsequent
 // write lands on dst too, reads stay on the source.
@@ -53,12 +29,13 @@ func (e *Engine) StartMirror(d int, dst store.Device) error {
 }
 
 // CopyMirrorCycle copies one layout cycle of migrating disk d to the
-// mirror's destination, holding the cycle's locks for the copy: what lands
-// is a consistent snapshot, and a latent sector error found on the source
-// is healed with no writer in the way.
+// mirror's destination: the background walk over that one cycle, whose
+// cursor and pacing are the caller's. No writer touches the cycle meanwhile,
+// so what lands is a consistent snapshot.
 func (e *Engine) CopyMirrorCycle(d int, cycle int64) error {
-	defer e.lockCycle(cycle)()
-	return e.arr.CopyMirrorCycle(d, cycle)
+	_, err := e.walkCycles(1, func() (int64, int64) { return cycle, 0 },
+		func(c int64) (bool, error) { return true, e.arr.CopyMirrorCycle(d, c) })
+	return err
 }
 
 // AbortMigration drops disk d's mirror, restoring the pre-migration

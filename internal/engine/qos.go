@@ -46,7 +46,7 @@ type QoSConfig struct {
 	// ScrubInterval is the idle pause between background scrub slices.
 	// 0 disables the background scrubber.
 	ScrubInterval time.Duration
-	// ScrubBatch is the layout-cycle batch per scrub slice (default 1).
+	// ScrubBatch is the number of layout cycles per scrub slice (default 1).
 	ScrubBatch int64
 	// LatencyTarget is the foreground-latency EWMA target driving
 	// adaptation. 0 disables adaptation: rebuild runs at RebuildRate and
@@ -396,11 +396,14 @@ func (e *Engine) scrubLoop() {
 	}
 }
 
-// scrubStep runs one incremental scrub step of ScrubBatch cycles and
-// records it: the slice, the inconsistent stripes it found, and the pass
-// it completed.
+// scrubStep walks one slice of up to ScrubBatch cycles and records it: the
+// slice, the inconsistent stripes it found, and the pass it completed.
 func (e *Engine) scrubStep() (done bool, bad int, err error) {
-	done, bad, err = e.arr.ScrubStep(e.qos.scrubBatch.Load())
+	done, err = e.walkCycles(e.qos.scrubBatch.Load(), e.arr.ScrubProgress, func(cycle int64) (bool, error) {
+		done, n, err := e.arr.ScrubCycle(cycle)
+		bad += n
+		return done, err
+	})
 	if err == nil {
 		e.stats.scrubBatches.Add(1)
 		e.stats.scrubBad.Add(int64(bad))

@@ -70,11 +70,11 @@ type Stats struct {
 	FsckRuns int64
 	// DeviceReads/DeviceWrites count strip-granularity device accesses.
 	DeviceReads, DeviceWrites int64
-	// RebuildBatches counts RebuildStep invocations by the background
-	// rebuild goroutine.
+	// RebuildBatches counts the pacer grants the rebuild goroutine walked,
+	// each up to StartRebuild's batch of layout cycles.
 	RebuildBatches int64
 	// LockWaitNs is the cumulative time operations spent blocked acquiring
-	// engine locks (striped locks plus deep-degraded escalation).
+	// engine locks (cycle and striped locks plus deep-degraded escalation).
 	LockWaitNs int64
 	// RetriesAbsorbed counts transient device faults hidden by the retry
 	// policy across all disks.
@@ -102,7 +102,7 @@ type Stats struct {
 	EffectiveRebuildRate float64
 	RebuildThrottleNs    int64
 	// ScrubBatches/ScrubPasses/ScrubBadStripes describe background-scrub
-	// activity: slices executed, full passes completed, and
+	// activity: slices walked, full passes completed, and
 	// inconsistent stripes found — counted, not repaired (a strip that
 	// fails its checksum on the way is healed, but parity is left for
 	// Fsck(true)).

@@ -27,7 +27,7 @@ func TestConcurrentStress(t *testing.T) {
 		readers = 4
 		iters   = 120
 	)
-	e := newEngine(t, 9, 2, Options{Workers: 6, LockStripes: 32})
+	e := newEngine(t, 9, 2, Options{Workers: 6})
 	strips := e.Strips()
 	sb := e.StripBytes()
 
@@ -160,7 +160,7 @@ func TestConcurrentStressDeepDegraded(t *testing.T) {
 		readers = 3
 		iters   = 60
 	)
-	e := newEngine(t, 9, 2, Options{Workers: 4, LockStripes: 16})
+	e := newEngine(t, 9, 2, Options{Workers: 4})
 	strips := e.Strips()
 	sb := e.StripBytes()
 	pattern := func(addr int64, seq int) []byte {

@@ -233,12 +233,13 @@ func (c *Client) GetObjectCond(ctx context.Context, bucket, key, etag string, w 
 }
 
 // infoFromHeaders reconstructs the Info fields the object endpoints
-// expose as headers (ETag, size, user metadata).
+// expose as headers (ETag, size, Last-Modified, user metadata).
 func infoFromHeaders(resp *http.Response) object.Info {
 	info := object.Info{
 		ETag: strings.Trim(resp.Header.Get("ETag"), `"`),
 		Size: resp.ContentLength,
 	}
+	info.Modified, _ = http.ParseTime(resp.Header.Get("Last-Modified"))
 	for k, vs := range resp.Header {
 		lk := strings.ToLower(k)
 		if strings.HasPrefix(lk, userMetaPrefix) && len(vs) > 0 {

@@ -53,8 +53,9 @@ type Options struct {
 	// the request context every handler runs under, and an operation still
 	// waiting when it expires answers 504.
 	RequestTimeout time.Duration
-	// RebuildBatch is the layout-cycle batch size for POST /v1/rebuild
-	// (default 1, keeping foreground interleave fine-grained).
+	// RebuildBatch is the number of layout cycles POST /v1/rebuild walks
+	// per pacer grant (default 1); each holds off only its own cycle's
+	// writers.
 	RebuildBatch int64
 	// OpTimeout bounds each strip operation's engine time, nested inside
 	// the request deadline so client disconnects cancel too. An op that

@@ -60,18 +60,18 @@ func (c *ioCounters) reset() {
 }
 
 // Array is a byte-accurate RAID array over strip devices, laid out by any
-// layout.Scheme. It is safe for concurrent use: reads (including degraded
-// reads) run concurrently under a read lock; writes, failure injection,
-// rebuild, scrub, and fsck serialise under the write lock.
+// layout.Scheme. It is safe for concurrent use: reads, ConcurrentWriteAt and
+// the per-cycle background passes run under the read lock; WriteAt, failure
+// injection, the rebuild's completion flip and fsck under the write lock.
 //
 // Mutability invariants (what the concurrency engine in internal/engine
 // relies on):
 //
-//   - devs, replaced, mirrors, failed, rebuiltCycles, journal and observe
-//     are only written under mu; every I/O path reads them under at least
-//     the read lock.
-//   - stats and plans are atomic, so read-lock holders may bump counters
-//     and publish the recovery plan they computed.
+//   - devs, replaced, mirrors, failed, journal and observe are only written
+//     under mu; every I/O path reads them under at least the read lock.
+//   - The rebuild and scrub cursors, stats and plans are atomic, so
+//     read-lock holders may advance a cursor, bump counters and publish the
+//     recovery plan they computed.
 //   - Devices serialise their own strip accesses, so a single strip is
 //     never read or written torn, even by read-lock holders (read repair
 //     rewrites strips under the read lock).
@@ -101,7 +101,7 @@ type Array struct {
 	// Incremental-rebuild state: cycles below rebuiltCycles have been
 	// reconstructed onto the replacement devices, so I/O for them treats
 	// the failed disks as alive via their replacements.
-	rebuiltCycles int64
+	rebuiltCycles atomic.Int64
 
 	// plans memoises the recovery plan of the array's unavailable set: [0]
 	// for the failed disks (deep reads and the rebuild), [1] for failed plus
@@ -122,10 +122,9 @@ type Array struct {
 	meta *ArrayMeta
 
 	// Incremental-scrub state: cycles below scrubCursor have been verified
-	// in the current pass; ScrubStep advances it and wraps to 0 when the
-	// pass completes, so background scrubbing releases the array between
-	// slices instead of holding the lock for a whole-array scan.
-	scrubCursor int64
+	// in the current pass; ScrubCycle advances it and wraps to 0 when the
+	// pass completes.
+	scrubCursor atomic.Int64
 
 	// readAvoid marks disks whose reads should be served by parity
 	// reconstruction when a decode path around them exists — the
@@ -323,7 +322,7 @@ func (a *Array) FailDisk(d int) error {
 	a.replaced[d] = nil
 	a.mirrors[d] = nil // the heal path owns a failed disk: its strips move by rebuild
 	a.noteDevices()
-	a.rebuiltCycles = 0
+	a.rebuiltCycles.Store(0)
 	if a.meta != nil {
 		// The eviction is acknowledged only once the new failed set is on
 		// media; on error the in-memory state stays failed (conservative:
@@ -388,7 +387,7 @@ func (a *Array) liveDevice(d int, devStrip int64) Device {
 	}
 	// devStrip = cycle·slots + slot with slot < slots, so the comparison
 	// below is exactly cycle < rebuiltCycles.
-	if a.replaced[d] != nil && devStrip < a.rebuiltCycles*int64(a.an.SlotsPerDisk()) {
+	if a.replaced[d] != nil && devStrip < a.rebuiltCycles.Load()*int64(a.an.SlotsPerDisk()) {
 		return a.replaced[d]
 	}
 	return nil
@@ -396,7 +395,7 @@ func (a *Array) liveDevice(d int, devStrip int64) Device {
 
 // stripAlive reports whether the strip's content is directly readable.
 func (a *Array) stripAlive(d int, cycle int64) bool {
-	return !a.failed[d] || (a.replaced[d] != nil && cycle < a.rebuiltCycles)
+	return !a.failed[d] || (a.replaced[d] != nil && cycle < a.rebuiltCycles.Load())
 }
 
 // avoided reports whether disk d is read-avoided (quarantined).
@@ -838,11 +837,12 @@ func (a *Array) WriteAt(p []byte, off int64) (int, error) {
 // ConcurrentWriteAt is WriteAt under the read lock: disjoint writes run in
 // parallel with each other and with reads. The caller must guarantee that
 // no two concurrent ConcurrentWriteAt calls touch intersecting parity
-// closures, and that no concurrent read decodes through a stripe an
-// in-flight write is updating — the striped-lock engine in internal/engine
-// provides exactly this exclusion, keyed by stripe id. Structural
-// operations (FailDisk, ReplaceDisk, RebuildStep, Scrub, Fsck) take the
-// write lock and therefore remain safe to interleave.
+// closures, that no concurrent read decodes through a stripe an in-flight
+// write is updating, and that no write runs on a cycle a background pass
+// (RebuildCycle, ScrubCycle, CopyMirrorCycle) is on — the engine in
+// internal/engine provides exactly this exclusion. Structural operations
+// (FailDisk, ReplaceDisk, the rebuild's flip, Fsck) take the write lock and
+// therefore remain safe to interleave.
 func (a *Array) ConcurrentWriteAt(p []byte, off int64) (int, error) {
 	a.mu.RLock()
 	defer a.mu.RUnlock()

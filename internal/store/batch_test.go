@@ -805,7 +805,7 @@ func TestBatchExecutorAllocs(t *testing.T) {
 	}
 	fillArray(t, arr, 3)
 	if n := testing.AllocsPerRun(runs, func() {
-		if _, _, err := arr.ScrubStep(1); err != nil {
+		if _, _, err := scrubNext(arr); err != nil {
 			t.Fatal(err)
 		}
 	}); n > 0 {
@@ -821,12 +821,12 @@ func TestBatchExecutorAllocs(t *testing.T) {
 	if err := arr.ReplaceDisk(2, mem); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := arr.RebuildStep(1); err != nil { // computes the plan
+	if _, err := rebuildNext(arr); err != nil { // computes the plan
 		t.Fatal(err)
 	}
-	// What is left is RebuildStep's list of the failed disks.
+	// What is left is RebuildCycle's list of the failed disks.
 	if n := testing.AllocsPerRun(runs, func() {
-		if _, err := arr.RebuildStep(1); err != nil {
+		if _, err := rebuildNext(arr); err != nil {
 			t.Fatal(err)
 		}
 	}); n > 1 {

@@ -31,12 +31,12 @@ func (a *Array) SetJournal(j *MetaJournal) {
 func (a *Array) RecoverIntent() (cycles int, err error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.replayClosures()
+	return a.replayClosures(-1)
 }
 
-// replayClosures redoes every pending closure onto the live devices.
-// Caller holds mu.
-func (a *Array) replayClosures() (int, error) {
+// replayClosures redoes the pending closures of cycle (of all when cycle < 0)
+// onto the live devices. Caller holds mu, shared if no writer is on the cycle.
+func (a *Array) replayClosures(cycle int64) (int, error) {
 	if a.journal == nil {
 		return 0, nil
 	}
@@ -46,6 +46,9 @@ func (a *Array) replayClosures() (int, error) {
 	}
 	replayed := make(map[int64]bool)
 	for _, pc := range pending {
+		if cycle >= 0 && pc.Cycle != cycle {
+			continue
+		}
 		if err := a.replayClosure(pc); err != nil {
 			return len(replayed), fmt.Errorf("%w: %v", ErrIntentReplay, err)
 		}

@@ -183,7 +183,7 @@ func (a *Array) SealMeta() error {
 	if a.meta == nil {
 		return nil
 	}
-	return a.meta.commitSeal(a.failedListLocked(), a.rebuiltCycles, a.scrubCursor)
+	return a.meta.commitSeal(a.failedListLocked(), a.rebuiltCycles.Load(), a.scrubCursor.Load())
 }
 
 // Mount is the result of assembling an array from media.
@@ -463,11 +463,9 @@ func MountArray(an *core.Analyzer, devs []Device, sbs []Blob, j0, j1 Blob, opts 
 	if degraded {
 		arr.SetReadOnly(true)
 	}
-	arr.mu.Lock()
 	if cons.ScrubCursor < arr.cycles {
-		arr.scrubCursor = cons.ScrubCursor
+		arr.scrubCursor.Store(cons.ScrubCursor)
 	}
-	arr.mu.Unlock()
 
 	meta := &ArrayMeta{
 		sbs:       sbs,

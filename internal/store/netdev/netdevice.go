@@ -69,9 +69,6 @@ func (d *NetDevice) StripBytes() int { return d.stripBytes }
 // stays open for the next mount.
 func (d *NetDevice) Close() error { return nil }
 
-// Node returns the client this device rides on.
-func (d *NetDevice) Node() *NodeClient { return d.c }
-
 // check validates a strip index and buffer against the bound geometry.
 func (d *NetDevice) check(idx int64, p []byte) error {
 	if idx < 0 || idx >= d.strips {

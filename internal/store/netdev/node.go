@@ -215,9 +215,6 @@ func (n *Node) saveManifest() error {
 	return store.SyncDir(n.dir)
 }
 
-// ID returns the node identity echoed by /ping.
-func (n *Node) ID() string { return n.id }
-
 // Close closes every device and blob the node serves.
 func (n *Node) Close() error {
 	n.mu.Lock()

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/oiraid/oiraid/internal/core"
 	"github.com/oiraid/oiraid/internal/layout"
@@ -40,7 +41,7 @@ func (a *Array) ReplaceDisk(d int, dev Device) error {
 
 // NeedsReplacement lists the failed disks that have no replacement device
 // attached yet — the set a rebuild driver must provision before
-// RebuildStep can make progress.
+// RebuildCycle can make progress.
 func (a *Array) NeedsReplacement() []int {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
@@ -58,72 +59,38 @@ func (a *Array) NeedsReplacement() []int {
 // first, outer-layer repairs where groups lost several disks). On success
 // the replacements become live and the failure flags clear.
 //
-// Rebuild is RebuildStep over every remaining cycle; use RebuildStep
-// directly for online rebuilds that interleave with foreground I/O.
-func (a *Array) Rebuild() error {
-	_, err := a.RebuildStep(a.cycles)
+// Rebuild is RebuildCycle from the cursor on; use RebuildCycle directly
+// for online rebuilds that interleave with foreground I/O.
+func (a *Array) Rebuild() (err error) {
+	for done := false; !done && err == nil; {
+		done, err = a.RebuildCycle(a.rebuiltCycles.Load())
+	}
 	return err
 }
 
-// RebuildProgress reports incremental-rebuild progress in layout cycles.
+// RebuildProgress reports the rebuild cursor and the total in layout cycles.
 func (a *Array) RebuildProgress() (rebuilt, total int64) {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return a.rebuiltCycles, a.cycles
+	return a.rebuiltCycles.Load(), a.cycles
 }
 
-// RebuildStep advances an incremental rebuild by up to batch layout
-// cycles, then releases the array for foreground I/O. Reads and writes
-// for already-rebuilt cycles are served from the replacement devices, so
-// the array stays fully coherent while the rebuild is in flight. When the
-// last cycle completes the replacements become live, the failure flags
-// clear, and done is true.
-func (a *Array) RebuildStep(batch int64) (done bool, err error) {
-	if batch < 1 {
-		return false, fmt.Errorf("store: rebuild batch %d < 1", batch)
+// RebuildCycle rebuilds the cycle at the cursor onto the replacement
+// devices, which serve it from then on, and advances the cursor; any other
+// cycle is refused. It holds the array lock shared and
+// the caller keeps writers off the cycle, so reads and every other cycle's
+// I/O go on beside it. After the last cycle the array lock is taken
+// exclusively for the flip: the replacements become live and done is true.
+func (a *Array) RebuildCycle(cycle int64) (done bool, err error) {
+	last, err := a.rebuildCycleShared(cycle)
+	if err != nil || !last {
+		return false, err
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-
 	failed := a.failedListLocked()
-	if len(failed) == 0 {
-		return true, nil
-	}
-	for _, d := range failed {
-		if a.replaced[d] == nil {
-			return false, fmt.Errorf("%w: disk %d", ErrNoReplacement, d)
-		}
-	}
-	// Close the write hole under the same lock as the reconstruction: a
-	// foreground commit that failed partway (a node down mid-write) leaves
-	// some strips new and some old, and decoding a failed disk through
-	// such a stripe would fabricate content. The pending redo records
-	// carry the full consistent closure; replaying them here — atomically
-	// with the batch, so no new half-commit can slip between replay and
-	// decode — makes every live stripe self-consistent first. A replay
-	// write that itself fails (its node still unreachable) aborts the
-	// batch with ErrIntentReplay and the rebuild loop retries; once the
-	// node is evicted its strips are skipped and the batch proceeds.
-	if _, err := a.replayClosures(); err != nil {
-		return false, err
-	}
-	plan := a.recoveryPlan(false)
-	if !plan.Complete {
-		return false, fmt.Errorf("%w: rebuild impossible: %s", ErrTooManyFailures, a.an.Availability(failed).Describe())
-	}
-
-	end := a.rebuiltCycles + batch
-	if end > a.cycles {
-		end = a.cycles
-	}
-	for cycle := a.rebuiltCycles; cycle < end; cycle++ {
-		if err := a.rebuildCycle(cycle, plan); err != nil {
-			return false, err
-		}
-		a.rebuiltCycles = cycle + 1
-	}
-	if a.rebuiltCycles < a.cycles {
-		return false, nil
+	if a.rebuiltCycles.Load() < a.cycles {
+		// Healthy; or a disk failed since the last cycle was rebuilt, and
+		// the rebuild starts over under the new plan.
+		return len(failed) == 0, nil
 	}
 	for _, d := range failed {
 		a.devs[d] = a.replaced[d]
@@ -131,7 +98,7 @@ func (a *Array) RebuildStep(batch int64) (done bool, err error) {
 		a.failed[d] = false
 	}
 	a.noteDevices()
-	a.rebuiltCycles = 0
+	a.rebuiltCycles.Store(0)
 	if a.meta != nil {
 		// Completion is acknowledged only once the cleared failed set is
 		// on media; the transition fsync also flushes the checksums of
@@ -144,6 +111,43 @@ func (a *Array) RebuildStep(batch int64) (done bool, err error) {
 		}
 	}
 	return true, nil
+}
+
+// rebuildCycleShared is RebuildCycle up to the flip; last: nothing is left.
+func (a *Array) rebuildCycleShared(cycle int64) (last bool, err error) {
+	a.mu.RLock()
+	defer a.mu.RUnlock()
+	failed := a.failedListLocked()
+	if len(failed) == 0 {
+		return true, nil
+	}
+	for _, d := range failed {
+		if a.replaced[d] == nil {
+			return false, fmt.Errorf("%w: disk %d", ErrNoReplacement, d)
+		}
+	}
+	if cur := a.rebuiltCycles.Load(); cycle != cur || cycle >= a.cycles {
+		return false, fmt.Errorf("store: rebuild of cycle %d refused: the cursor is at %d", cycle, cur)
+	}
+	// Close the write hole under the same hold as the decode: a commit
+	// that failed partway (a node down mid-write) leaves some strips new and
+	// some old, and decoding through such a stripe would fabricate content.
+	// Replaying the cycle's pending redo records, with no writer on it, makes
+	// its stripes consistent first. A replay write that fails (its node
+	// still unreachable) aborts with ErrIntentReplay and the rebuild loop
+	// retries; once the node is evicted its strips are skipped.
+	if _, err := a.replayClosures(cycle); err != nil {
+		return false, err
+	}
+	plan := a.recoveryPlan(false)
+	if !plan.Complete {
+		return false, fmt.Errorf("%w: rebuild impossible: %s", ErrTooManyFailures, a.an.Availability(failed).Describe())
+	}
+	if err := a.rebuildCycle(cycle, plan); err != nil {
+		return false, err
+	}
+	a.rebuiltCycles.Store(cycle + 1)
+	return cycle+1 == a.cycles, nil
 }
 
 // rebuildCycle executes the plan's tasks for one cycle, a window of
@@ -209,61 +213,50 @@ func (a *Array) rebuildCycle(cycle int64, plan *core.Plan) error {
 
 // Scrub verifies every stripe of every cycle against its parity and
 // returns the number of inconsistent stripes. The array must be healthy
-// (no failed disks). Scrub is ScrubStep over a whole fresh pass; use
-// ScrubStep directly for scrubbing that interleaves with foreground I/O.
+// (no failed disks). Scrub is ScrubCycle over a whole fresh pass; use
+// ScrubCycle directly for scrubbing that interleaves with foreground I/O.
 func (a *Array) Scrub() (bad int, err error) {
 	a.mu.Lock()
-	a.scrubCursor = 0
+	a.scrubCursor.Store(0)
 	a.mu.Unlock()
-	_, bad, err = a.ScrubStep(a.cycles)
+	for done := false; !done && err == nil; {
+		var n int
+		done, n, err = a.ScrubCycle(a.scrubCursor.Load())
+		bad += n
+	}
 	return bad, err
 }
 
-// ScrubStep advances an incremental scrub by up to batch layout cycles
-// from the scrub cursor, then releases the array for foreground I/O. bad
-// counts the inconsistent stripes found in this slice. A strip that fails
-// its checksum on the way (a latent sector error) is healed in place
-// through readMember and the pass carries on. When the cursor reaches the
-// last cycle the pass is complete: done is true and the cursor wraps to 0
-// for the next pass. It requires a healthy array; a slice attempted while
-// a disk is failed returns ErrDiskFaulty and leaves the cursor where it
-// was, so scrubbing resumes after the rebuild.
-func (a *Array) ScrubStep(batch int64) (done bool, bad int, err error) {
-	if batch < 1 {
-		return false, 0, fmt.Errorf("store: scrub batch %d < 1", batch)
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if len(a.failedListLocked()) > 0 {
-		return false, 0, ErrDiskFaulty
-	}
-	end := a.scrubCursor + batch
-	if end > a.cycles {
-		end = a.cycles
-	}
-	count := func(int, layout.Stripe, [][]byte) error {
-		bad++
-		return nil
-	}
-	for cycle := a.scrubCursor; cycle < end; cycle++ {
-		if err := a.walkStripes(cycle, false, count); err != nil {
-			return false, bad, err
-		}
-		a.scrubCursor = cycle + 1
-	}
-	if a.scrubCursor < a.cycles {
-		return false, bad, nil
-	}
-	a.scrubCursor = 0
-	return true, bad, nil
-}
-
-// ScrubProgress reports the incremental-scrub cursor in layout cycles:
-// cycles verified in the current pass and the pass length.
-func (a *Array) ScrubProgress() (scanned, total int64) {
+// ScrubCycle verifies the cycle at the scrub cursor, under the same contract
+// as RebuildCycle, and advances the cursor; bad counts the inconsistent
+// stripes. A strip that fails its checksum (a latent sector error) is healed
+// in place through readMember. After the last cycle the pass is complete:
+// done is true and the cursor wraps to 0. A cycle attempted while a disk is
+// failed returns ErrDiskFaulty and leaves the cursor, so scrubbing resumes
+// after the rebuild.
+func (a *Array) ScrubCycle(cycle int64) (done bool, bad int, err error) {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	return a.scrubCursor, a.cycles
+	if slices.Contains(a.failed, true) {
+		return false, 0, ErrDiskFaulty
+	}
+	if cur := a.scrubCursor.Load(); cycle != cur {
+		return false, 0, fmt.Errorf("store: scrub of cycle %d refused: the cursor is at %d", cycle, cur)
+	}
+	err = a.walkStripes(cycle, false, func(int, layout.Stripe, [][]byte) error {
+		bad++
+		return nil
+	})
+	if err != nil {
+		return false, bad, err
+	}
+	a.scrubCursor.Store((cycle + 1) % a.cycles)
+	return cycle+1 == a.cycles, bad, nil
+}
+
+// ScrubProgress reports the scrub cursor and the pass length in cycles.
+func (a *Array) ScrubProgress() (scanned, total int64) {
+	return a.scrubCursor.Load(), a.cycles
 }
 
 // walkStripes is the one read-all-members-then-check loop: for every
@@ -273,7 +266,8 @@ func (a *Array) ScrubProgress() (scanned, total int64) {
 // shards (valid only during the call), to visit. Outer-layer stripes come
 // first: outer parity strips are data members of inner stripes, so a
 // visitor that rewrites outer parity may dirty inner parity, which the
-// inner stripes' turn then sees. Caller holds mu.
+// inner stripes' turn then sees. Caller holds mu, shared if no writer is on
+// the cycle.
 func (a *Array) walkStripes(cycle int64, raw bool,
 	visit func(si int, stripe layout.Stripe, shards [][]byte) error) error {
 	base := cycle * int64(a.an.SlotsPerDisk())

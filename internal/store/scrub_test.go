@@ -5,6 +5,23 @@ import (
 	"testing"
 )
 
+// scrubNext scrubs the cycle at the scrub cursor.
+func scrubNext(arr *Array) (done bool, bad int, err error) {
+	cycle, _ := arr.ScrubProgress()
+	return arr.ScrubCycle(cycle)
+}
+
+// scrubRest scrubs from the cursor to the end of the pass.
+func scrubRest(arr *Array) (done bool, bad int, err error) {
+	for {
+		done, n, err := scrubNext(arr)
+		bad += n
+		if err != nil || done {
+			return done, bad, err
+		}
+	}
+}
+
 // TestScrubStepIncremental: slicing a scrub pass cycle-by-cycle finds the
 // same inconsistencies as the one-shot Scrub, the cursor advances and
 // wraps, and the pass total matches.
@@ -39,7 +56,7 @@ func TestScrubStepIncremental(t *testing.T) {
 	var gotBad int
 	steps := 0
 	for {
-		done, bad, err := arr.ScrubStep(1)
+		done, bad, err := scrubNext(arr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,29 +80,28 @@ func TestScrubStepIncremental(t *testing.T) {
 		t.Fatalf("incremental pass found %d bad stripes, Scrub found %d", gotBad, wantBad)
 	}
 
-	// A batch larger than the remaining cycles completes the pass in one
-	// step.
-	if done, bad, err := arr.ScrubStep(1 << 20); err != nil || !done || bad != wantBad {
+	// Scrubbing to the end of a fresh pass finds them all again.
+	if done, bad, err := scrubRest(arr); err != nil || !done || bad != wantBad {
 		t.Fatalf("whole-pass step = done %v, %d bad, %v", done, bad, err)
 	}
 }
 
-// TestScrubStepValidation: bad batch sizes and degraded arrays are
-// refused, and a failed disk leaves the cursor untouched so the pass
-// resumes after rebuild.
+// TestScrubStepValidation: a cycle other than the cursor and degraded
+// arrays are refused, and a failed disk leaves the cursor untouched so the
+// pass resumes after rebuild.
 func TestScrubStepValidation(t *testing.T) {
 	arr := newOIArray(t, 9)
 	fillArray(t, arr, 5)
-	if _, _, err := arr.ScrubStep(0); err == nil {
-		t.Fatal("batch 0 must fail")
+	if _, _, err := arr.ScrubCycle(1); err == nil {
+		t.Fatal("a cycle past the cursor must be refused")
 	}
-	if done, _, err := arr.ScrubStep(1); err != nil || done {
+	if done, _, err := scrubNext(arr); err != nil || done {
 		t.Fatalf("first slice = done %v, %v", done, err)
 	}
 	if err := arr.FailDisk(3); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := arr.ScrubStep(1); !errors.Is(err, ErrDiskFaulty) {
+	if _, _, err := scrubNext(arr); !errors.Is(err, ErrDiskFaulty) {
 		t.Fatalf("degraded scrub slice: want ErrDiskFaulty, got %v", err)
 	}
 	if scanned, _ := arr.ScrubProgress(); scanned != 1 {
@@ -101,7 +117,7 @@ func TestScrubStepValidation(t *testing.T) {
 	if err := arr.Rebuild(); err != nil {
 		t.Fatal(err)
 	}
-	if done, bad, err := arr.ScrubStep(1 << 20); err != nil || !done || bad != 0 {
+	if done, bad, err := scrubRest(arr); err != nil || !done || bad != 0 {
 		t.Fatalf("resumed pass = done %v, %d bad, %v", done, bad, err)
 	}
 
@@ -110,7 +126,7 @@ func TestScrubStepValidation(t *testing.T) {
 	dark := NewFaultDevice(arr.devs[5], FaultConfig{})
 	arr.devs[5] = dark
 	dark.FailNow()
-	if _, _, err := arr.ScrubStep(1); !errors.Is(err, ErrPermanent) {
+	if _, _, err := scrubNext(arr); !errors.Is(err, ErrPermanent) {
 		t.Fatalf("scrub slice over a dark disk: want ErrPermanent, got %v", err)
 	}
 	if scanned, _ := arr.ScrubProgress(); scanned != 0 {
@@ -129,7 +145,7 @@ func TestScrubHealsLatentSectorError(t *testing.T) {
 
 	arr.ResetStats()
 	for step := 1; ; step++ {
-		done, bad, err := arr.ScrubStep(1)
+		done, bad, err := scrubNext(arr)
 		if err != nil || bad != 0 {
 			t.Fatalf("slice %d: %d bad, %v", step, bad, err)
 		}

@@ -739,7 +739,7 @@ func TestRecoveryPlanFollowsFailureSet(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if done, err := arr.RebuildStep(1); err != nil || done {
+	if done, err := rebuildNext(arr); err != nil || done {
 		t.Fatalf("first rebuild step: done=%v err=%v", done, err)
 	}
 	step("a partial rebuild")
@@ -752,7 +752,13 @@ func TestRecoveryPlanFollowsFailureSet(t *testing.T) {
 	step("failing 3, 4 and 6 after the rebuild")
 }
 
-// TestIncrementalRebuildWithOnlineIO: RebuildStep interleaved with reads
+// rebuildNext rebuilds the cycle at the rebuild cursor.
+func rebuildNext(arr *Array) (done bool, err error) {
+	cycle, _ := arr.RebuildProgress()
+	return arr.RebuildCycle(cycle)
+}
+
+// TestIncrementalRebuildWithOnlineIO: RebuildCycle interleaved with reads
 // and writes stays coherent — writes landing in already-rebuilt cycles go
 // to the replacement device, writes in not-yet-rebuilt cycles are
 // reconstructed later, and the final array scrubs clean with the model's
@@ -782,7 +788,7 @@ func TestIncrementalRebuildWithOnlineIO(t *testing.T) {
 
 	step := 0
 	for {
-		done, err := arr.RebuildStep(2)
+		done, err := rebuildNext(arr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -831,7 +837,8 @@ func TestIncrementalRebuildWithOnlineIO(t *testing.T) {
 	}
 }
 
-// TestRebuildStepValidation: bad batches and a second failure mid-rebuild.
+// TestRebuildStepValidation: a cycle other than the cursor is refused, and
+// a second failure mid-rebuild restarts it.
 func TestRebuildStepValidation(t *testing.T) {
 	an := oiAnalyzer(t, 9)
 	arr, err := NewMemArray(an, 4, testStrip)
@@ -839,16 +846,19 @@ func TestRebuildStepValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := fillArray(t, arr, 3)
-	if _, err := arr.RebuildStep(0); err == nil {
-		t.Fatal("batch 0 must fail")
-	}
-	if done, err := arr.RebuildStep(1); err != nil || !done {
+	if done, err := rebuildNext(arr); err != nil || !done {
 		t.Fatalf("healthy array step = (%v, %v), want done", done, err)
 	}
 	arr.FailDisk(1)
 	dev, _ := NewMemDevice(4*int64(an.SlotsPerDisk()), testStrip)
 	arr.ReplaceDisk(1, dev)
-	if done, err := arr.RebuildStep(1); err != nil || done {
+	if _, err := arr.RebuildCycle(1); err == nil {
+		t.Fatal("a cycle past the cursor must be refused")
+	}
+	if rebuilt, _ := arr.RebuildProgress(); rebuilt != 0 {
+		t.Fatalf("progress after a refused cycle = %d, want 0", rebuilt)
+	}
+	if done, err := rebuildNext(arr); err != nil || done {
 		t.Fatalf("first step = (%v, %v), want in-progress", done, err)
 	}
 	// A second failure aborts the rebuild in flight.

@@ -22,12 +22,9 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"net"
 	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"github.com/oiraid/oiraid/internal/cluster"
@@ -82,41 +79,18 @@ func buildNode(cfg config, ccfg clusterConfig) (*netdev.Node, error) {
 	return netdev.NewMemNode(ccfg.nodeID), nil
 }
 
-// runNode serves a storage node until SIGINT/SIGTERM.
-func runNode(cfg config, ccfg clusterConfig) error {
+// runNode serves a storage node until ctx ends.
+func runNode(ctx context.Context, cfg config, ccfg clusterConfig) error {
 	n, err := buildNode(cfg, ccfg)
 	if err != nil {
 		return err
 	}
-	l, err := net.Listen("tcp", cfg.addr)
-	if err != nil {
-		n.Close()
-		return err
-	}
-	log.Printf("oiraidd: storage node %q serving on http://%s", ccfg.nodeID, l.Addr())
 	hs := &http.Server{
 		Handler:           n.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(l) }()
-	select {
-	case err := <-errc:
-		n.Close()
-		return err
-	case <-ctx.Done():
-		log.Printf("oiraidd: node %q shutting down", ccfg.nodeID)
-		sctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-		defer cancel()
-		err := hs.Shutdown(sctx)
-		if cerr := n.Close(); err == nil {
-			err = cerr
-		}
-		return err
-	}
+	return serve(ctx, cfg.addr, hs, fmt.Sprintf("storage node %q serving", ccfg.nodeID), n.Close)
 }
 
 // coordinatorOptions derives the cluster options shared by the leader
@@ -221,33 +195,26 @@ func engineOpts(cfg config) engine.Options {
 	return opts
 }
 
-// runCoordinator serves the cluster array until SIGINT/SIGTERM.
-func runCoordinator(cfg config, ccfg clusterConfig) error {
+// runCoordinator serves the cluster array until ctx ends.
+func runCoordinator(ctx context.Context, cfg config, ccfg clusterConfig) error {
 	srv, c, err := buildClusterServer(cfg, ccfg)
 	if err != nil {
 		return err
 	}
-	l, err := net.Listen("tcp", cfg.addr)
-	if err != nil {
-		c.Close()
-		return err
-	}
 	m := c.ManifestSnapshot()
+	banner := fmt.Sprintf("coordinator serving %d disks across %d nodes", len(m.Disks), len(m.Nodes))
 	if ccfg.coordID != "" {
-		log.Printf("oiraidd: coordinator %q (epoch %d) serving %d disks across %d nodes on http://%s",
-			ccfg.coordID, c.Epoch(), len(m.Disks), len(m.Nodes), l.Addr())
-	} else {
-		log.Printf("oiraidd: coordinator serving %d disks across %d nodes on http://%s",
-			len(m.Disks), len(m.Nodes), l.Addr())
+		banner = fmt.Sprintf("coordinator %q (epoch %d) serving %d disks across %d nodes",
+			ccfg.coordID, c.Epoch(), len(m.Disks), len(m.Nodes))
 	}
-	return serveCluster(srv, l)
+	return serve(ctx, cfg.addr, srv, banner, c.Close)
 }
 
 // runStandby watches the cluster's lease heartbeat and becomes the
 // coordinator when the leader dies: fenced takeover at a higher epoch,
 // metadata reassembled from the node quorum, then the same API surface
 // as a primary coordinator.
-func runStandby(cfg config, ccfg clusterConfig) error {
+func runStandby(ctx context.Context, cfg config, ccfg clusterConfig) error {
 	copts, err := coordinatorOptions(cfg, ccfg)
 	if err != nil {
 		return err
@@ -257,8 +224,6 @@ func runStandby(cfg config, ccfg clusterConfig) error {
 	// never-started cluster would be "taken over" into a fresh format.
 	copts.Format = nil
 
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
 	log.Printf("oiraidd: standby %q watching the lease (takeover after %v of heartbeat silence)",
 		ccfg.coordID, ccfg.failoverAfter)
 	c, err := cluster.Standby(ctx, copts, cluster.StandbyOptions{
@@ -276,29 +241,6 @@ func runStandby(cfg config, ccfg clusterConfig) error {
 	if err != nil {
 		return err
 	}
-	l, err := net.Listen("tcp", cfg.addr)
-	if err != nil {
-		c.Close()
-		return err
-	}
-	log.Printf("oiraidd: standby %q took over at epoch %d, serving on http://%s",
-		ccfg.coordID, c.Epoch(), l.Addr())
-	return serveCluster(srv, l)
-}
-
-// serveCluster runs a coordinator server until SIGINT/SIGTERM.
-func serveCluster(srv *server.Server, l net.Listener) error {
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(l) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-		log.Printf("oiraidd: coordinator shutting down")
-		sctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-		defer cancel()
-		return srv.Shutdown(sctx) // closes the engine, draining node clients
-	}
+	banner := fmt.Sprintf("standby %q took over at epoch %d, serving", ccfg.coordID, c.Epoch())
+	return serve(ctx, cfg.addr, srv, banner, c.Close)
 }

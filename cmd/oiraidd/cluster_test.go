@@ -11,9 +11,11 @@ import (
 	"testing"
 	"time"
 
+	"github.com/oiraid/oiraid"
 	"github.com/oiraid/oiraid/internal/cluster"
 	"github.com/oiraid/oiraid/internal/server"
 	"github.com/oiraid/oiraid/internal/store"
+	"github.com/oiraid/oiraid/internal/store/netdev"
 )
 
 // bootStorageNode starts one storage-node half of the binary on a
@@ -333,4 +335,77 @@ func TestParseNodeSpecs(t *testing.T) {
 			t.Fatalf("parseNodeSpecs(%q) accepted", bad)
 		}
 	}
+}
+
+// TestModesStopOnCancel: every mode serves until its context ends and then
+// shuts down cleanly — without error, and with what it built closed: the
+// single-host array and the coordinator's array sealed, the storage node's
+// directory reopenable, the standby gone without taking over.
+func TestModesStopOnCancel(t *testing.T) {
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	cfg := config{addr: "127.0.0.1:0", disks: 9, cycles: 2, strip: 512, batch: 1, timeout: 10 * time.Second, retries: 2}
+
+	t.Run("single-host", func(t *testing.T) {
+		cfg := cfg
+		cfg.dir = t.TempDir()
+		if err := run(cancelled, cfg); err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		mnt, _, err := oiraid.MountDir(cfg.dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mnt.Array.SealMeta()
+		if !mnt.WasClean {
+			t.Fatal("array left unsealed")
+		}
+	})
+
+	t.Run("node", func(t *testing.T) {
+		cfg := cfg
+		cfg.dir = t.TempDir()
+		if err := runNode(cancelled, cfg, clusterConfig{nodeID: "alpha"}); err != nil {
+			t.Fatalf("runNode: %v", err)
+		}
+		n, err := netdev.NewDirNode("alpha", cfg.dir)
+		if err != nil {
+			t.Fatalf("reopen the node's directory: %v", err)
+		}
+		n.Close()
+	})
+
+	specs := ""
+	for i, id := range []string{"alpha", "beta", "gamma"} {
+		url, _ := bootStorageNode(t, id, t.TempDir())
+		if i > 0 {
+			specs += ","
+		}
+		specs += fmt.Sprintf("%s=%s", id, url)
+	}
+	ccfg := clusterConfig{nodes: specs, grace: 30 * time.Second, netTimeout: time.Second,
+		coordID: "coord-a", leaseRenew: 20 * time.Millisecond, failoverAfter: time.Hour}
+	cfg.dir = t.TempDir()
+
+	t.Run("coordinator", func(t *testing.T) {
+		if err := runCoordinator(cancelled, cfg, ccfg); err != nil {
+			t.Fatalf("runCoordinator: %v", err)
+		}
+		_, c, err := buildClusterServer(cfg, ccfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if !c.Mount.WasClean {
+			t.Fatal("cluster array left unsealed")
+		}
+	})
+
+	t.Run("standby", func(t *testing.T) {
+		ccfg := ccfg
+		ccfg.coordID, ccfg.standby = "coord-b", true
+		if err := runStandby(cancelled, cfg, ccfg); err != nil {
+			t.Fatalf("runStandby: %v", err)
+		}
+	})
 }

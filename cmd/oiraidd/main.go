@@ -212,6 +212,8 @@ func main() {
 	flag.DurationVar(&ccfg.failoverAfter, "failover-after", 2*time.Second, "heartbeat silence before a standby takes over")
 	flag.Parse()
 
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
 	var err error
 	switch {
 	case ccfg.node && ccfg.nodes != "":
@@ -221,42 +223,56 @@ func main() {
 	case ccfg.standby && ccfg.coordID == "":
 		err = fmt.Errorf("-standby requires -coord-id")
 	case ccfg.node:
-		err = runNode(cfg, ccfg)
+		err = runNode(ctx, cfg, ccfg)
 	case ccfg.standby:
-		err = runStandby(cfg, ccfg)
+		err = runStandby(ctx, cfg, ccfg)
 	case ccfg.nodes != "":
-		err = runCoordinator(cfg, ccfg)
+		err = runCoordinator(ctx, cfg, ccfg)
 	default:
-		err = run(cfg)
+		err = run(ctx, cfg)
 	}
 	if err != nil {
 		log.Fatalf("oiraidd: %v", err)
 	}
 }
 
-func run(cfg config) error {
+func run(ctx context.Context, cfg config) error {
 	srv, err := buildServer(cfg)
 	if err != nil {
 		return err
 	}
-	l, err := net.Listen("tcp", cfg.addr)
-	if err != nil {
-		return err
-	}
-	log.Printf("oiraidd: serving %d disks on http://%s", cfg.disks, l.Addr())
+	return serve(ctx, cfg.addr, srv, fmt.Sprintf("serving %d disks", cfg.disks))
+}
 
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(l) }()
+// stack is what a mode serves: *http.Server and *server.Server both are
+// one.
+type stack interface {
+	Serve(net.Listener) error
+	Shutdown(context.Context) error
+}
 
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-		log.Printf("oiraidd: shutting down")
-		sctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-		defer cancel()
-		return srv.Shutdown(sctx)
+// serve is the daemon's one serve path: it listens on addr and serves srv
+// until ctx ends (a signal) or serving fails. Every exit — a failed listen
+// included — then shuts srv down, draining in-flight requests for up to a
+// minute, and runs closers, so no mode leaves the stack it built unsealed.
+// banner names what is served in the log.
+func serve(ctx context.Context, addr string, srv stack, banner string, closers ...func() error) error {
+	l, err := net.Listen("tcp", addr)
+	if err == nil {
+		log.Printf("oiraidd: %s on http://%s", banner, l.Addr())
+		errc := make(chan error, 1)
+		go func() { errc <- srv.Serve(l) }()
+		select {
+		case err = <-errc:
+		case <-ctx.Done():
+			log.Printf("oiraidd: shutting down")
+		}
 	}
+	sctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	errs := []error{err, srv.Shutdown(sctx)}
+	for _, c := range closers {
+		errs = append(errs, c())
+	}
+	return errors.Join(errs...)
 }

@@ -357,3 +357,29 @@ func TestQoSFlagsWired(t *testing.T) {
 		t.Fatalf("scrub pass not counted:\n%s", metrics)
 	}
 }
+
+// TestRunSealsWhenListenFails: a -dir daemon has formatted its array by the
+// time it listens. When the address is taken, run must still close the
+// stack it built, so the array is sealed and the next mount is clean.
+func TestRunSealsWhenListenFails(t *testing.T) {
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
+	cfg := config{
+		addr: taken.Addr().String(), disks: 9, cycles: 2, strip: 512, dir: t.TempDir(),
+		batch: 1, timeout: 10 * time.Second,
+	}
+	if err := run(context.Background(), cfg); err == nil {
+		t.Fatal("run on a taken address returned no error")
+	}
+	mnt, _, err := oiraid.MountDir(cfg.dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mnt.Array.SealMeta()
+	if !mnt.WasClean {
+		t.Fatal("the array run formatted was left unsealed when the listen failed")
+	}
+}

@@ -705,12 +705,13 @@ func (c *Cluster) saveManifestLocked() error {
 		// quorum requirement makes the save recoverable by the next
 		// coordinator.
 		c.manGen++
-		gen, epoch := c.manGen, c.rep.fence.Epoch()
+		gen := c.manGen
 		return c.rep.fanout(func(cl *netdev.NodeClient) error {
-			if err := cl.MetaWriteAt(metaBlobManifest, raw, 0, epoch, gen); err != nil {
+			b := cl.Blob(metaBlobManifest).AtGen(gen)
+			if _, err := b.WriteAt(raw, 0); err != nil {
 				return err
 			}
-			return cl.MetaSync(metaBlobManifest, epoch, gen)
+			return b.Sync()
 		})
 	}
 	return nil

@@ -142,6 +142,37 @@ func TestClusterFormatMountRemount(t *testing.T) {
 	}
 }
 
+// TestClusterFormatRefusesUnservableStrips: a strip too large for a batch
+// message alone would format, then fail every strip write on the wire. The
+// nodes refuse its device instead, so Open fails with ErrBadGeometry, no
+// node is left holding a device, and a format with a strip that fits
+// succeeds on the same nodes.
+func TestClusterFormatRefusesUnservableStrips(t *testing.T) {
+	tc := newTestCluster(t, 3)
+	opts := tc.options(3)
+	opts.Format = &FormatSpec{Disks: 9, Cycles: 1, StripBytes: 4 << 20}
+	if c, err := Open(opts); !errors.Is(err, store.ErrBadGeometry) {
+		if err == nil {
+			c.Close()
+		}
+		t.Fatalf("open with 4 MiB strips: %v, want ErrBadGeometry", err)
+	}
+	for i, srv := range tc.srvs {
+		cl := netdev.NewNodeClient(srv.URL, netdev.Options{Timeout: time.Second})
+		st, err := cl.Stat()
+		cl.Close()
+		if err != nil || len(st.Devices) != 0 {
+			t.Fatalf("node %s after the refused format: %d devices (%v)", tc.specs[i].ID, len(st.Devices), err)
+		}
+	}
+	opts.Format = &FormatSpec{Disks: 9, Cycles: 1, StripBytes: 512}
+	c, err := Open(opts)
+	if err != nil {
+		t.Fatalf("open with 512-byte strips after the refusal: %v", err)
+	}
+	c.Close()
+}
+
 // TestPlacementCensus runs the placement rule at format over three
 // geometries and two to eight nodes, checks that it is disk d on node
 // d mod N, and pins how many nodes hold a disk set the layout cannot

@@ -293,7 +293,7 @@ func runFailoverSweep(t *testing.T, seed int64) {
 	for _, id := range []string{"alpha", "beta", "gamma"} {
 		var err error
 		for probeEnd := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
-			err = cA.Client(id).MetaWriteAt(metaBlobJournal0, make([]byte, 1), 0, cA.Epoch(), 1)
+			_, err = cA.Client(id).Blob(metaBlobJournal0).AtGen(1).WriteAt(make([]byte, 1), 0)
 			if !store.IsTransient(err) || time.Now().After(probeEnd) {
 				break
 			}
@@ -337,7 +337,7 @@ func runFailoverSweep(t *testing.T, seed int64) {
 	// The node quorum has promised B's epoch to B.
 	promised := 0
 	for _, id := range []string{"alpha", "beta", "gamma"} {
-		st, err := cB.Client(id).FetchMetaState()
+		st, err := cB.Client(id).Stat()
 		if err == nil && st.Epoch == cB.Epoch() && st.Holder == "coord-b" {
 			promised++
 		}
@@ -500,14 +500,21 @@ func TestClusterHARejoinedNodeVotes(t *testing.T) {
 	if _, err := c.RejoinNode(NodeSpec{ID: "beta"}); err != nil {
 		t.Fatalf("rejoin: %v", err)
 	}
-	st, err := c.Client("beta").FetchMetaState()
+	st, err := c.Client("beta").Stat()
 	if err != nil {
 		t.Fatalf("beta meta state: %v", err)
+	}
+	// The rejoin reclaims beta's stale media, but the blob table it sweeps
+	// also holds beta's replicas of the metadata quorum: they must stay.
+	for _, name := range []string{"manifest", "meta0", "meta1"} {
+		if b, ok := st.Blobs[name]; !ok || b.Gen < 1 {
+			t.Fatalf("beta's %s replica after the rejoin: %+v (present %v), want gen ≥ 1", name, b, ok)
+		}
 	}
 	before := st.RenewSeq
 	for time.Now().Before(deadline) && st.RenewSeq < before+3 {
 		time.Sleep(opts.LeaseRenew)
-		if st, err = c.Client("beta").FetchMetaState(); err != nil {
+		if st, err = c.Client("beta").Stat(); err != nil {
 			t.Fatalf("beta meta state: %v", err)
 		}
 	}

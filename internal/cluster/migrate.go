@@ -467,7 +467,9 @@ func (c *Cluster) scrubStaleMedia(id string) {
 	if err != nil {
 		return
 	}
-	keep := map[string]bool{}
+	// The replicated metadata blobs are the node's copy of the cluster's
+	// metadata, not a disk's media.
+	keep := map[string]bool{metaBlobManifest: true, metaBlobJournal0: true, metaBlobJournal1: true}
 	c.mu.Lock()
 	for _, p := range c.manifest.Disks {
 		if p.Node == id {

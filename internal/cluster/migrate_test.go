@@ -199,11 +199,12 @@ func TestMigrationHealsCorruptSource(t *testing.T) {
 
 	cl := netdev.NewNodeClient(tc.srvs[1].URL, netdev.Options{Timeout: time.Second})
 	defer cl.Close()
-	dev, err := cl.OpenDevice("disk01")
+	nst, err := cl.Stat()
 	if err != nil {
-		t.Fatalf("open beta's disk01: %v", err)
+		t.Fatalf("stat beta: %v", err)
 	}
-	if err := dev.WriteStrip(5, bytes.Repeat([]byte{0xBD}, 512)); err != nil {
+	g := nst.Devices["disk01"]
+	if err := cl.Device("disk01", g.Strips, g.StripBytes).WriteStrip(5, bytes.Repeat([]byte{0xBD}, 512)); err != nil {
 		t.Fatalf("corrupt strip 5 of disk 1: %v", err)
 	}
 

@@ -80,12 +80,12 @@ func eachNode(clients []*netdev.NodeClient, call func(i int, cl *netdev.NodeClie
 	return errs
 }
 
-// survey reads every node's metadata state (epoch, holder, renewal
+// survey reads every node's inventory (its fence: epoch, holder, renewal
 // counter) at once; states[i] is nil where node i did not answer.
-func survey(clients []*netdev.NodeClient) (states []*netdev.MetaState, answered int) {
-	states = make([]*netdev.MetaState, len(clients))
+func survey(clients []*netdev.NodeClient) (states []*netdev.NodeStat, answered int) {
+	states = make([]*netdev.NodeStat, len(clients))
 	errs := eachNode(clients, func(i int, cl *netdev.NodeClient) error {
-		st, err := cl.FetchMetaState()
+		st, err := cl.Stat()
 		if err == nil {
 			states[i] = &st
 		}
@@ -133,8 +133,9 @@ func (r *replicator) fanout(op func(*netdev.NodeClient) error) error {
 
 // quorumBlob is a store.Blob whose writes are durable only once a
 // majority of storage nodes hold them: the local blob is a cache for
-// reads and replay, the node copies are the authoritative record a
-// standby reassembles at takeover.
+// reads and replay, the node copies — each a NetBlob stamped with the
+// blob's generation, under the coordinator's fence — are the
+// authoritative record a standby reassembles at takeover.
 //
 // The write contract is shaped for the metadata journal's acked-frontier
 // discipline: when the local write lands but the quorum does not,
@@ -166,7 +167,8 @@ func (b *quorumBlob) WriteAt(p []byte, off int64) (int, error) {
 	}
 	gen := b.gen.Load()
 	err = b.rep.fanout(func(cl *netdev.NodeClient) error {
-		return cl.MetaWriteAt(b.name, p, off, b.rep.fence.Epoch(), gen)
+		_, err := cl.Blob(b.name).AtGen(gen).WriteAt(p, off)
+		return err
 	})
 	return len(p), err
 }
@@ -177,7 +179,7 @@ func (b *quorumBlob) Sync() error {
 	}
 	gen := b.gen.Load()
 	return b.rep.fanout(func(cl *netdev.NodeClient) error {
-		return cl.MetaSync(b.name, b.rep.fence.Epoch(), gen)
+		return cl.Blob(b.name).AtGen(gen).Sync()
 	})
 }
 
@@ -191,7 +193,7 @@ func (b *quorumBlob) Truncate(size int64) error {
 		return err
 	}
 	return b.rep.fanout(func(cl *netdev.NodeClient) error {
-		return cl.MetaTruncate(b.name, size, b.rep.fence.Epoch(), gen)
+		return cl.Blob(b.name).AtGen(gen).Truncate(size)
 	})
 }
 
@@ -330,7 +332,7 @@ type metaReplica struct {
 func fetchReplicas(rep *replicator, name string) []metaReplica {
 	out := make([]metaReplica, len(rep.order))
 	eachNode(rep.voters(), func(i int, cl *netdev.NodeClient) error {
-		data, gen, err := cl.ReadMetaBlob(name)
+		data, gen, err := cl.Blob(name).ReadAll()
 		if err == nil {
 			out[i] = metaReplica{node: rep.order[i], gen: gen, data: data}
 		}
@@ -414,16 +416,16 @@ func reseed(rep *replicator, name string, local store.Blob, data []byte, gen uin
 	if err := local.Sync(); err != nil {
 		return err
 	}
-	epoch := rep.fence.Epoch()
 	return rep.fanout(func(cl *netdev.NodeClient) error {
-		if err := cl.MetaTruncate(name, 0, epoch, gen); err != nil {
+		b := cl.Blob(name).AtGen(gen)
+		if err := b.Truncate(0); err != nil {
 			return err
 		}
 		if len(data) > 0 {
-			if err := cl.MetaWriteAt(name, data, 0, epoch, gen); err != nil {
+			if _, err := b.WriteAt(data, 0); err != nil {
 				return err
 			}
 		}
-		return cl.MetaSync(name, epoch, gen)
+		return b.Sync()
 	})
 }

@@ -125,6 +125,13 @@ func New(eng *engine.Engine, opts Options) *Server {
 		s.mux.HandleFunc("POST /v1/nodes/{id}/drain", s.nodeDrain)
 		s.mux.HandleFunc("POST /v1/nodes/{id}/rejoin", s.nodeRejoin)
 	}
+	s.hs = &http.Server{
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       opts.RequestTimeout + 10*time.Second,
+		WriteTimeout:      opts.RequestTimeout + 10*time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	return s
 }
 
@@ -166,24 +173,13 @@ func (s *Server) recoverPanics(next http.Handler) http.Handler {
 
 // Serve accepts connections on l until Shutdown. It always returns a
 // non-nil error; after Shutdown the error is http.ErrServerClosed.
-func (s *Server) Serve(l net.Listener) error {
-	s.hs = &http.Server{
-		Handler:           s.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       s.opts.RequestTimeout + 10*time.Second,
-		WriteTimeout:      s.opts.RequestTimeout + 10*time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-	return s.hs.Serve(l)
-}
+func (s *Server) Serve(l net.Listener) error { return s.hs.Serve(l) }
 
-// Shutdown gracefully stops a running Serve: in-flight requests complete
-// (bounded by ctx), then the engine drains.
+// Shutdown gracefully stops Serve: in-flight requests complete (bounded
+// by ctx), then the engine drains. A Serve that had not started yet
+// returns at once.
 func (s *Server) Shutdown(ctx context.Context) error {
-	var err error
-	if s.hs != nil {
-		err = s.hs.Shutdown(ctx)
-	}
+	err := s.hs.Shutdown(ctx)
 	if cerr := s.eng.Close(); err == nil {
 		err = cerr
 	}

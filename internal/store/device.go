@@ -11,6 +11,7 @@ package store
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"sync"
@@ -53,10 +54,11 @@ var _ Device = (*MemDevice)(nil)
 // It reads all zeros. Close releases its region at once; a device that is
 // dropped without Close releases it when the collector finds it unreachable.
 func NewMemDevice(strips int64, stripBytes int) (*MemDevice, error) {
-	if strips <= 0 || stripBytes <= 0 {
-		return nil, fmt.Errorf("%w: %d×%d", ErrBadGeometry, strips, stripBytes)
+	size, err := DeviceBytes(strips, stripBytes)
+	if err != nil {
+		return nil, err
 	}
-	reg, err := takeRegion(int(strips * int64(stripBytes)))
+	reg, err := takeRegion(int(size))
 	if err != nil {
 		return nil, fmt.Errorf("store: map device: %w", err)
 	}
@@ -197,16 +199,27 @@ type FileDevice struct {
 
 var _ Device = (*FileDevice)(nil)
 
+// DeviceBytes is the byte size of a device of strips × stripBytes. A
+// geometry that is empty, or whose size does not fit an int64, is refused
+// with ErrBadGeometry: its offsets would wrap.
+func DeviceBytes(strips int64, stripBytes int) (int64, error) {
+	if strips <= 0 || stripBytes <= 0 || strips > math.MaxInt64/int64(stripBytes) {
+		return 0, fmt.Errorf("%w: %d×%d", ErrBadGeometry, strips, stripBytes)
+	}
+	return strips * int64(stripBytes), nil
+}
+
 // NewFileDevice creates (truncating) a file-backed device at path.
 func NewFileDevice(path string, strips int64, stripBytes int) (*FileDevice, error) {
-	if strips <= 0 || stripBytes <= 0 {
-		return nil, fmt.Errorf("%w: %d×%d", ErrBadGeometry, strips, stripBytes)
+	size, err := DeviceBytes(strips, stripBytes)
+	if err != nil {
+		return nil, err
 	}
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("store: create device: %w", err)
 	}
-	if err := f.Truncate(strips * int64(stripBytes)); err != nil {
+	if err := f.Truncate(size); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("store: size device: %w", err)
 	}
@@ -216,8 +229,9 @@ func NewFileDevice(path string, strips int64, stripBytes int) (*FileDevice, erro
 // OpenFileDevice opens an existing device image, verifying its size
 // matches the geometry.
 func OpenFileDevice(path string, strips int64, stripBytes int) (*FileDevice, error) {
-	if strips <= 0 || stripBytes <= 0 {
-		return nil, fmt.Errorf("%w: %d×%d", ErrBadGeometry, strips, stripBytes)
+	size, err := DeviceBytes(strips, stripBytes)
+	if err != nil {
+		return nil, err
 	}
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
@@ -228,9 +242,9 @@ func OpenFileDevice(path string, strips int64, stripBytes int) (*FileDevice, err
 		f.Close()
 		return nil, err
 	}
-	if want := strips * int64(stripBytes); info.Size() != want {
+	if info.Size() != size {
 		f.Close()
-		return nil, fmt.Errorf("store: device %s is %d bytes, want %d", path, info.Size(), want)
+		return nil, fmt.Errorf("store: device %s is %d bytes, want %d", path, info.Size(), size)
 	}
 	return &FileDevice{f: f, strips: strips, stripBytes: stripBytes}, nil
 }

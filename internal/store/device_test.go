@@ -3,6 +3,8 @@ package store
 import (
 	"bytes"
 	"errors"
+	"math"
+	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -155,5 +157,30 @@ func TestMemDeviceClose(t *testing.T) {
 	}
 	if err := d.WriteStrip(0, buf); !errors.Is(err, ErrClosed) {
 		t.Errorf("write after Close: %v, want ErrClosed", err)
+	}
+}
+
+// TestDeviceRefusesOverflowingGeometry: a geometry whose byte size does not
+// fit an int64 is refused by every device constructor. Unchecked, 2⁶¹+1
+// strips of 8 bytes wrap to an 8-byte device whose first strip past the
+// second panics its reader.
+func TestDeviceRefusesOverflowingGeometry(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "d.img")
+	for _, g := range []struct {
+		strips     int64
+		stripBytes int
+	}{{1<<61 + 1, 8}, {math.MaxInt64, 2}, {2, math.MaxInt}, {0, 8}, {8, 0}} {
+		if _, err := NewMemDevice(g.strips, g.stripBytes); !errors.Is(err, ErrBadGeometry) {
+			t.Errorf("NewMemDevice(%d, %d): %v, want ErrBadGeometry", g.strips, g.stripBytes, err)
+		}
+		if _, err := NewFileDevice(path, g.strips, g.stripBytes); !errors.Is(err, ErrBadGeometry) {
+			t.Errorf("NewFileDevice(%d, %d): %v, want ErrBadGeometry", g.strips, g.stripBytes, err)
+		}
+		if _, err := OpenFileDevice(path, g.strips, g.stripBytes); !errors.Is(err, ErrBadGeometry) {
+			t.Errorf("OpenFileDevice(%d, %d): %v, want ErrBadGeometry", g.strips, g.stripBytes, err)
+		}
+	}
+	if n, err := DeviceBytes(1<<20, 4096); err != nil || n != 1<<32 {
+		t.Fatalf("DeviceBytes(2^20, 4096) = %d, %v", n, err)
 	}
 }

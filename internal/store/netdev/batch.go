@@ -80,6 +80,12 @@ func frameOp(kind byte) byte {
 	return 0
 }
 
+// batchStripMax is the largest strip of device dev that a batch message
+// can carry alone: the cap less the message's framing and the item's.
+func batchStripMax(dev string) int {
+	return batchMaxBytes - batchHeaderLen - batchTrailer - batchItemMin - len(dev) - FrameHeaderLen
+}
+
 func (it *batchItem) wireSize() int {
 	n := batchItemMin + len(it.Dev) + len(it.Code) + len(it.Msg)
 	if it.Payload != nil {

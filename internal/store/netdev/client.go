@@ -460,8 +460,7 @@ func (c *NodeClient) Stat() (NodeStat, error) {
 
 const octetStream = "application/octet-stream"
 
-// putBytes builds the PUT of a checksummed byte body (blob and metadata
-// writes).
+// putBytes builds the PUT of a checksummed byte body (a blob write).
 func putBytes(url string, p []byte) call {
 	return call{method: http.MethodPut, url: url, body: p, ctype: octetStream, crc: blobCRC(p)}
 }

@@ -2,7 +2,11 @@ package netdev
 
 import (
 	"bytes"
+	"encoding/json"
+	"reflect"
 	"testing"
+
+	"github.com/oiraid/oiraid/internal/store"
 )
 
 // FuzzFrameDecode drives the strip-transport codec with arbitrary
@@ -83,6 +87,53 @@ func FuzzBatchDecode(f *testing.F) {
 		}
 		if out := encodeBatch(kind, got, nil); !bytes.Equal(out, data) {
 			t.Fatalf("accepted batch does not round-trip: in %d bytes, out %d bytes", len(data), len(out))
+		}
+	})
+}
+
+// FuzzNodeState drives a directory node's state file with arbitrary bytes:
+// whatever node.json holds either loads or is refused with an error, never
+// a panic, and a state that loads saves and reloads unchanged — a node
+// never writes a state file it would refuse at its next start.
+func FuzzNodeState(f *testing.F) {
+	f.Add([]byte(`{"devices":{"disk00":{"strips":8,"strip_bytes":512}},"blobs":["sb00"]}`))
+	f.Add([]byte(`{"devices":{},"blobs":["sb00","manifest","meta0"],"gens":{"manifest":4,"meta0":2},"epoch":7,"holder":"coord-a"}`))
+	f.Add([]byte(`{"blobs":["a","a"]}`))
+	f.Add([]byte(`{"blobs":["../a"]}`))
+	f.Add([]byte(`{"devices":{"a/b":{"strips":1,"strip_bytes":1}}}`))
+	f.Add([]byte(`{"gens":{"a":1}}`))
+	f.Add([]byte(`{"epoch":-1}`))
+	f.Add([]byte(`null`))
+	f.Add([]byte{})
+
+	// loaded is the node a state file loads into, its media left out.
+	loaded := func(st nodeState) *Node {
+		n := newNode("n0", "")
+		for name, g := range st.Devices {
+			n.geo[name] = g
+		}
+		for _, name := range st.Blobs {
+			n.blobs[name] = &nodeBlob{Blob: store.NewMemBlob(), gen: st.Gens[name]}
+		}
+		n.epoch, n.holder = st.Epoch, st.Holder
+		return n
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		st, err := decodeState(raw)
+		if err != nil {
+			return
+		}
+		saved := loaded(st).state()
+		out, err := json.Marshal(saved)
+		if err != nil {
+			t.Fatalf("a loaded state does not save: %v", err)
+		}
+		again, err := decodeState(out)
+		if err != nil {
+			t.Fatalf("a saved state does not reload: %v\n%s", err, out)
+		}
+		if resaved := loaded(again).state(); !reflect.DeepEqual(resaved, saved) {
+			t.Fatalf("state changed across a save and a reload:\n%+v\n%+v", saved, resaved)
 		}
 	})
 }

@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -55,7 +59,7 @@ func TestMetaLeaseFencing(t *testing.T) {
 		t.Fatalf("stale renew: want ErrStaleEpoch, got %v", err)
 	}
 
-	st, err := c.FetchMetaState()
+	st, err := c.Stat()
 	if err != nil {
 		t.Fatalf("state: %v", err)
 	}
@@ -73,22 +77,26 @@ func TestMetaLeaseFencing(t *testing.T) {
 // are rejected with ErrStaleGen.
 func TestMetaBlobGenWipe(t *testing.T) {
 	c := metaTestClient(t, NewMemNode("n0"))
+	fence := &FenceToken{}
+	fence.Advance(1)
+	c.SetFence(fence)
+	journal := c.Blob("journal")
 
 	old := []byte("old-stream-content-that-must-die")
-	if err := c.MetaWriteAt("journal", old, 0, 1, 1); err != nil {
+	if _, err := journal.AtGen(1).WriteAt(old, 0); err != nil {
 		t.Fatalf("gen-1 write: %v", err)
 	}
-	if err := c.MetaSync("journal", 1, 1); err != nil {
+	if err := journal.AtGen(1).Sync(); err != nil {
 		t.Fatalf("sync: %v", err)
 	}
 
 	// A gen-2 write at a nonzero offset arrives at a replica that never
 	// saw gen 2 open: the node must wipe before applying.
 	tail := []byte("new")
-	if err := c.MetaWriteAt("journal", tail, 8, 1, 2); err != nil {
+	if _, err := journal.AtGen(2).WriteAt(tail, 8); err != nil {
 		t.Fatalf("gen-2 write: %v", err)
 	}
-	got, gen, err := c.ReadMetaBlob("journal")
+	got, gen, err := journal.ReadAll()
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
@@ -101,16 +109,16 @@ func TestMetaBlobGenWipe(t *testing.T) {
 	}
 
 	// Stale-gen writes are rejected and wrap both sentinels.
-	err = c.MetaWriteAt("journal", old, 0, 1, 1)
+	_, err = journal.AtGen(1).WriteAt(old, 0)
 	if !errors.Is(err, ErrStaleGen) || !errors.Is(err, store.ErrStaleEpoch) {
 		t.Fatalf("gen-1 rewrite: want ErrStaleGen (wrapping ErrStaleEpoch), got %v", err)
 	}
 
 	// Truncate at a new gen opens an empty stream.
-	if err := c.MetaTruncate("journal", 0, 1, 3); err != nil {
+	if err := journal.AtGen(3).Truncate(0); err != nil {
 		t.Fatalf("truncate gen 3: %v", err)
 	}
-	got, gen, err = c.ReadMetaBlob("journal")
+	got, gen, err = journal.ReadAll()
 	if err != nil {
 		t.Fatalf("read after truncate: %v", err)
 	}
@@ -202,11 +210,15 @@ func TestMetaStatePersists(t *testing.T) {
 	if err := c.AcquireLease(7, "coordA"); err != nil {
 		t.Fatalf("acquire: %v", err)
 	}
+	fence := &FenceToken{}
+	fence.Advance(7)
+	c.SetFence(fence)
+	manifest := c.Blob("manifest").AtGen(4)
 	payload := []byte("durable-meta")
-	if err := c.MetaWriteAt("manifest", payload, 0, 7, 4); err != nil {
+	if _, err := manifest.WriteAt(payload, 0); err != nil {
 		t.Fatalf("meta write: %v", err)
 	}
-	if err := c.MetaSync("manifest", 7, 4); err != nil {
+	if err := manifest.Sync(); err != nil {
 		t.Fatalf("meta sync: %v", err)
 	}
 	if err := n.Close(); err != nil {
@@ -219,7 +231,7 @@ func TestMetaStatePersists(t *testing.T) {
 	}
 	defer n2.Close()
 	c2 := metaTestClient(t, n2)
-	st, err := c2.FetchMetaState()
+	st, err := c2.Stat()
 	if err != nil {
 		t.Fatalf("state: %v", err)
 	}
@@ -232,12 +244,150 @@ func TestMetaStatePersists(t *testing.T) {
 	if err := c2.AcquireLease(6, "coordB"); !errors.Is(err, store.ErrStaleEpoch) {
 		t.Fatalf("pre-promise epoch after restart: want ErrStaleEpoch, got %v", err)
 	}
-	got, gen, err := c2.ReadMetaBlob("manifest")
+	got, gen, err := c2.Blob("manifest").ReadAll()
 	if err != nil || gen != 4 || !bytes.Equal(got, payload) {
 		t.Fatalf("read after restart: %q gen %d err %v", got, gen, err)
 	}
-	// The state file itself is the atomic-rename artifact.
-	if _, err := filepath.Glob(filepath.Join(dir, "meta.state")); err != nil {
-		t.Fatalf("glob: %v", err)
+	// Beside the blob's own file the directory holds one state file.
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if !reflect.DeepEqual(names, []string{"manifest.blob", stateFile}) {
+		t.Fatalf("node directory holds %v, want the blob and %s", names, stateFile)
+	}
+}
+
+// TestBlobRequestRules pins the rules every blob shares beyond the
+// generation wipe: a gen-less write to a missing blob is a 404 and makes
+// nothing, a gen-stamped request without an epoch is refused before it
+// acts, and a stamped write makes the blob it names at its generation.
+func TestBlobRequestRules(t *testing.T) {
+	c := metaTestClient(t, NewMemNode("n0"))
+	if _, err := c.Blob("ghost").WriteAt([]byte("x"), 0); !errors.Is(err, ErrNodeNotFound) {
+		t.Fatalf("gen-less write to a missing blob: %v, want ErrNodeNotFound", err)
+	}
+	if _, err := c.Blob("ghost").AtGen(2).WriteAt([]byte("x"), 0); !errors.Is(err, store.ErrBadGeometry) {
+		t.Fatalf("gen-stamped write without an epoch: %v, want ErrBadGeometry", err)
+	}
+	if err := c.Blob("ghost").AtGen(2).Truncate(0); !errors.Is(err, store.ErrBadGeometry) {
+		t.Fatalf("gen-stamped truncate without an epoch: %v, want ErrBadGeometry", err)
+	}
+	st, err := c.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Blobs) != 0 {
+		t.Fatalf("refused requests made blobs: %+v", st.Blobs)
+	}
+
+	fence := &FenceToken{}
+	fence.Advance(3)
+	c.SetFence(fence)
+	if _, err := c.Blob("ghost").AtGen(2).WriteAt([]byte("x"), 4); err != nil {
+		t.Fatalf("stamped write to a missing blob: %v", err)
+	}
+	// A sync does not make a blob, stamped or not.
+	if err := c.Blob("other").AtGen(2).Sync(); !errors.Is(err, ErrNodeNotFound) {
+		t.Fatalf("stamped sync of a missing blob: %v, want ErrNodeNotFound", err)
+	}
+	if st, err = c.Stat(); err != nil {
+		t.Fatal(err)
+	}
+	if want := (BlobStat{Size: 5, Gen: 2}); len(st.Blobs) != 1 || st.Blobs["ghost"] != want || st.Epoch != 3 {
+		t.Fatalf("after a stamped write: blobs %+v epoch %d, want ghost at %+v and epoch 3", st.Blobs, st.Epoch, want)
+	}
+}
+
+// TestDirNodeRefusesOlderStateFile: a directory still holding the
+// second state file of the older node format, which kept the fence, is
+// refused by name rather than half-read without its fence. An older node
+// that never held a lease had no such file, and its node.json loads as it
+// is.
+func TestDirNodeRefusesOlderStateFile(t *testing.T) {
+	dir := t.TempDir()
+	classic := `{"devices": {}, "blobs": ["sb00"]}`
+	if err := os.WriteFile(filepath.Join(dir, stateFile), []byte(classic), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "sb00.blob"), []byte("superblock"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	n, err := NewDirNode("n0", dir)
+	if err != nil {
+		t.Fatalf("an older node's directory without a fence file: %v", err)
+	}
+	st, err := metaTestClient(t, n).Stat()
+	n.Close()
+	if err != nil || st.Blobs["sb00"] != (BlobStat{Size: 10}) || st.Epoch != 0 {
+		t.Fatalf("older node reopened as %+v (%v), want sb00 of 10 bytes at gen 0", st, err)
+	}
+
+	older := filepath.Join(dir, "meta") + ".state"
+	if err := os.WriteFile(older, []byte(`{"epoch":7,"holder":"coordA","gens":{"manifest":4}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if n, err = NewDirNode("n0", dir); err == nil {
+		n.Close()
+		t.Fatal("a directory holding the older state file opened")
+	}
+	if !strings.Contains(err.Error(), older) {
+		t.Fatalf("refusal %q does not name %s", err, older)
+	}
+}
+
+// TestBlobRequestsConcurrent drives one blob from several writers at rising
+// generations while the holder renews its lease and the inventory is read:
+// every request is answered, and the blob ends at the last generation with
+// only that generation's bytes in it.
+func TestBlobRequestsConcurrent(t *testing.T) {
+	c := metaTestClient(t, NewMemNode("n0"))
+	if err := c.AcquireLease(1, "coordA"); err != nil {
+		t.Fatal(err)
+	}
+	fence := &FenceToken{}
+	fence.Advance(1)
+	c.SetFence(fence)
+	const writers, gens = 4, 12
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for g := uint64(1); g <= gens; g++ {
+				b := c.Blob("journal").AtGen(g)
+				_, err := b.WriteAt([]byte{byte(g)}, int64(w))
+				if err == nil {
+					err = b.Sync()
+				}
+				if err != nil && !errors.Is(err, ErrStaleGen) {
+					t.Errorf("writer %d at gen %d: %v", w, g, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 3*gens; i++ {
+			if err := c.RenewLease(1, "coordA"); err != nil {
+				t.Errorf("renew: %v", err)
+				return
+			}
+			if _, err := c.Stat(); err != nil {
+				t.Errorf("stat: %v", err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	got, gen, err := c.Blob("journal").ReadAll()
+	if err != nil || gen != gens || !bytes.Equal(got, bytes.Repeat([]byte{gens}, writers)) {
+		t.Fatalf("blob after the writers: % x at gen %d (%v), want %d bytes of %d", got, gen, err, writers, gens)
 	}
 }

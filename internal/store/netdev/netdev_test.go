@@ -77,16 +77,17 @@ func TestNetDeviceRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Reopen by inventory.
-	dev2, err := c.OpenDevice("d0")
+	// Rebind by inventory.
+	st, err := c.Stat()
 	if err != nil {
-		t.Fatalf("open: %v", err)
+		t.Fatalf("stat: %v", err)
 	}
-	if err := dev2.ReadStrip(3, r); err != nil || r[0] != 3 {
-		t.Fatalf("reopened read: %v %x", err, r[0])
+	g := st.Devices["d0"]
+	if err := c.Device("d0", g.Strips, g.StripBytes).ReadStrip(3, r); err != nil || r[0] != 3 {
+		t.Fatalf("rebound read: %v %x", err, r[0])
 	}
-	if _, err := c.OpenDevice("nope"); !errors.Is(err, ErrNodeNotFound) {
-		t.Fatalf("open missing: %v", err)
+	if err := c.Device("nope", 16, 512).ReadStrip(0, r); !errors.Is(err, ErrNodeNotFound) {
+		t.Fatalf("read of a missing device: %v", err)
 	}
 
 	// Sentinel taxonomy across the wire.
@@ -140,8 +141,49 @@ func TestNetBlobRoundTrip(t *testing.T) {
 	if size, _ := b.Size(); size != 5 {
 		t.Fatalf("size after truncate %d", size)
 	}
-	if _, err := c.OpenBlob("missing"); !errors.Is(err, ErrNodeNotFound) {
-		t.Fatalf("open missing: %v", err)
+	if _, err := c.Blob("missing").Size(); !errors.Is(err, ErrNodeNotFound) {
+		t.Fatalf("size of a missing blob: %v", err)
+	}
+}
+
+// genless drops the generation header, as an older node's blob reads do.
+type genless struct{ http.ResponseWriter }
+
+func (w genless) WriteHeader(code int) {
+	w.Header().Del(genHeader)
+	w.ResponseWriter.WriteHeader(code)
+}
+
+func (w genless) Write(p []byte) (int, error) {
+	w.Header().Del(genHeader)
+	return w.ResponseWriter.Write(p)
+}
+
+// A node that answers blob reads without a generation serves them at
+// generation 0: a superblock read must not fail as a torn frame.
+func TestNetBlobReadWithoutGenHeader(t *testing.T) {
+	n := NewMemNode("n0")
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		n.Handler().ServeHTTP(genless{w}, r)
+	}))
+	defer srv.Close()
+	opts := fastOpts()
+	opts.MaxAttempts = 1
+	c := NewNodeClient(srv.URL, opts)
+	defer c.Close()
+	b, err := c.CreateBlob("sb00")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.WriteAt([]byte("superblock"), 0); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 10)
+	if n, err := b.ReadAt(buf, 0); err != nil || string(buf[:n]) != "superblock" {
+		t.Fatalf("read: %d %v %q", n, err, buf)
+	}
+	if raw, gen, err := b.ReadAll(); err != nil || gen != 0 || string(raw) != "superblock" {
+		t.Fatalf("ReadAll: %q gen %d %v", raw, gen, err)
 	}
 }
 
@@ -381,12 +423,8 @@ func TestPermanentMediaErrorPassesThrough(t *testing.T) {
 
 	c := NewNodeClient(srv.URL, fastOpts())
 	defer c.Close()
-	dev, err := c.OpenDevice("sick")
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
 	buf := make([]byte, 256)
-	err = dev.ReadStrip(0, buf)
+	err := c.Device("sick", 8, 256).ReadStrip(0, buf)
 	if !errors.Is(err, store.ErrPermanent) {
 		t.Fatalf("sick disk: %v, want ErrPermanent", err)
 	}
@@ -526,15 +564,18 @@ func TestDirNodePersistsAcrossReopen(t *testing.T) {
 	defer srv2.Close()
 	c2 := NewNodeClient(srv2.URL, fastOpts())
 	defer c2.Close()
-	dev2, err := c2.OpenDevice("d0")
+	st, err := c2.Stat()
 	if err != nil {
-		t.Fatalf("open after reopen: %v", err)
+		t.Fatalf("stat after reopen: %v", err)
+	}
+	if g := st.Devices["d0"]; g != (DeviceStat{Strips: 4, StripBytes: 128}) {
+		t.Fatalf("device across reopen: %+v", g)
 	}
 	buf := make([]byte, 128)
-	if err := dev2.ReadStrip(1, buf); err != nil || !bytes.Equal(buf, w) {
+	if err := c2.Device("d0", 4, 128).ReadStrip(1, buf); err != nil || !bytes.Equal(buf, w) {
 		t.Fatalf("data across reopen: %v", err)
 	}
-	if _, err := c2.OpenBlob("sb0"); err != nil {
-		t.Fatalf("blob across reopen: %v", err)
+	if _, ok := st.Blobs["sb0"]; !ok {
+		t.Fatalf("blob across reopen: %+v", st.Blobs)
 	}
 }

@@ -23,20 +23,6 @@ type NetDevice struct {
 
 var _ store.Device = (*NetDevice)(nil)
 
-// OpenDevice binds to an existing device on the node, taking geometry
-// from the node's inventory.
-func (c *NodeClient) OpenDevice(name string) (*NetDevice, error) {
-	st, err := c.Stat()
-	if err != nil {
-		return nil, err
-	}
-	g, ok := st.Devices[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: device %s on %s", ErrNodeNotFound, name, c.base)
-	}
-	return &NetDevice{c: c, name: name, strips: g.Strips, stripBytes: g.StripBytes}, nil
-}
-
 // Device binds to a device on the node without a network round trip,
 // trusting the caller's geometry (a cluster manifest). The mount that
 // follows verifies everything against superblocks anyway, and binding
@@ -51,7 +37,7 @@ func (c *NodeClient) Device(name string, strips int64, stripBytes int) *NetDevic
 func (c *NodeClient) CreateDevice(name string, strips int64, stripBytes int) (*NetDevice, error) {
 	var g DeviceStat
 	err := c.postJSON(c.withFence("/node/v1/devices/"+url.PathEscape(name)),
-		createDeviceReq{Strips: strips, StripBytes: stripBytes}, &g)
+		DeviceStat{Strips: strips, StripBytes: stripBytes}, &g)
 	if err != nil {
 		return nil, err
 	}
@@ -155,12 +141,14 @@ func (c *NodeClient) deleteReq(path string) error {
 }
 
 // NetBlob is a store.Blob on a remote storage node: the substrate the
-// coordinator writes per-disk superblocks through. Reads and writes
-// carry a CRC-32C header so metadata crossing the wire gets the same
-// torn-bytes detection as strip frames.
+// coordinator writes per-disk superblocks through, and the replica of a
+// quorum-replicated metadata blob (AtGen). Reads and writes carry a
+// CRC-32C header so metadata crossing the wire gets the same torn-bytes
+// detection as strip frames.
 type NetBlob struct {
 	c    *NodeClient
 	name string
+	gen  uint64 // the generation its mutating requests carry; 0: none
 }
 
 var _ store.Blob = (*NetBlob)(nil)
@@ -171,24 +159,22 @@ func (c *NodeClient) Blob(name string) *NetBlob {
 	return &NetBlob{c: c, name: name}
 }
 
-// OpenBlob binds to an existing blob on the node.
-func (c *NodeClient) OpenBlob(name string) (*NetBlob, error) {
-	st, err := c.Stat()
-	if err != nil {
-		return nil, err
-	}
-	if _, ok := st.Blobs[name]; !ok {
-		return nil, fmt.Errorf("%w: blob %s on %s", ErrNodeNotFound, name, c.base)
-	}
-	return &NetBlob{c: c, name: name}, nil
-}
-
 // CreateBlob creates (idempotently) a blob on the node and binds to it.
 func (c *NodeClient) CreateBlob(name string) (*NetBlob, error) {
 	if err := c.postJSON(c.withFence("/node/v1/blobs/"+url.PathEscape(name)), nil, nil); err != nil {
 		return nil, err
 	}
 	return &NetBlob{c: c, name: name}, nil
+}
+
+// AtGen returns the blob bound with generation stamp gen (≥ 1): its
+// writes, syncs and truncates carry it, and the node applies the
+// generation rule to them — it refuses a stamp below the blob's
+// generation, wipes the blob for one above it, and makes a missing blob
+// for a stamped write or truncate. A stamped request must also carry an
+// epoch, so the client needs a fence (SetFence).
+func (b *NetBlob) AtGen(gen uint64) *NetBlob {
+	return &NetBlob{c: b.c, name: b.name, gen: gen}
 }
 
 func (b *NetBlob) url(suffix, query string) string {
@@ -199,40 +185,88 @@ func (b *NetBlob) url(suffix, query string) string {
 	return u
 }
 
+// mutation is the URL of a mutating request: fenced, and stamped with the
+// blob's generation when it has one.
+func (b *NetBlob) mutation(suffix, query string) string {
+	if b.gen != 0 {
+		if query != "" {
+			query += "&"
+		}
+		query += "gen=" + strconv.FormatUint(b.gen, 10)
+	}
+	return b.c.withFence(b.url(suffix, query))
+}
+
+// read GETs up to n bytes at off: the available prefix, the blob's
+// generation, and whether the read ran off the end. A response without a
+// generation (an older node's superblock read) is generation 0.
+func (b *NetBlob) read(off int64, n int) (body []byte, gen uint64, eof bool, err error) {
+	q := "off=" + strconv.FormatInt(off, 10) + "&len=" + strconv.Itoa(n)
+	err = b.c.do(call{method: http.MethodGet, url: b.url("", q)}, func(resp *http.Response) error {
+		var err error
+		if body, err = readBody(resp, n); err != nil {
+			return err
+		}
+		if h := resp.Header.Get(genHeader); h != "" {
+			if gen, err = strconv.ParseUint(h, 10, 64); err != nil {
+				return fmt.Errorf("%w: bad gen header: %v", ErrBadFrame, err)
+			}
+		}
+		// A short body without the EOF marker is a torn response: the
+		// node always returns either the full requested range or a
+		// prefix explicitly marked EOF.
+		eof = resp.Header.Get(eofHeader) == "1"
+		if len(body) < n && !eof {
+			return fmt.Errorf("%w: short blob read %d of %d without EOF", ErrBadFrame, len(body), n)
+		}
+		return nil
+	})
+	return body, gen, eof, err
+}
+
 // ReadAt implements store.Blob with os.File semantics: a read crossing
 // the end returns the available prefix and io.EOF.
 func (b *NetBlob) ReadAt(p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, fmt.Errorf("%w: %d", store.ErrNegativeOffset, off)
 	}
-	var n int
-	var eof bool
-	q := "off=" + strconv.FormatInt(off, 10) + "&len=" + strconv.Itoa(len(p))
-	err := b.c.do(call{method: http.MethodGet, url: b.url("", q)}, func(resp *http.Response) error {
-		body, err := readBody(resp, len(p))
-		if err != nil {
-			return err
-		}
-		if len(body) > len(p) {
-			return fmt.Errorf("%w: %d bytes for a %d-byte read", ErrBadFrame, len(body), len(p))
-		}
-		n = copy(p, body)
-		eof = resp.Header.Get(eofHeader) == "1"
-		// A short body without the EOF marker is a torn response: the
-		// node always returns either the full requested range or a
-		// prefix explicitly marked EOF.
-		if n < len(p) && !eof {
-			return fmt.Errorf("%w: short blob read %d of %d without EOF", ErrBadFrame, n, len(p))
-		}
-		return nil
-	})
+	body, _, eof, err := b.read(off, len(p))
 	if err != nil {
 		return 0, err
 	}
+	n := copy(p, body)
 	if eof {
 		return n, io.EOF
 	}
 	return n, nil
+}
+
+// readAllChunk bounds one read of ReadAll.
+const readAllChunk = 4 << 20
+
+// ReadAll fetches the node's whole copy of the blob along with its
+// generation. The read is chunked; a generation change between chunks
+// means a concurrent truncation and fails the read (transient — the
+// caller re-reads the new stream).
+func (b *NetBlob) ReadAll() ([]byte, uint64, error) {
+	var out []byte
+	var gen uint64
+	for {
+		chunk, g, eof, err := b.read(int64(len(out)), readAllChunk)
+		if err != nil {
+			return nil, 0, err
+		}
+		// Only a full chunk is followed by another, so out is empty only
+		// at the first.
+		if len(out) > 0 && g != gen {
+			return nil, 0, fmt.Errorf("%w: blob %s generation moved %d→%d mid-read",
+				store.ErrTransient, b.name, gen, g)
+		}
+		out, gen = append(out, chunk...), g
+		if eof || len(chunk) == 0 {
+			return out, gen, nil
+		}
+	}
 }
 
 // WriteAt implements store.Blob. Idempotent, so lost acks are re-sent.
@@ -240,7 +274,7 @@ func (b *NetBlob) WriteAt(p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, fmt.Errorf("%w: %d", store.ErrNegativeOffset, off)
 	}
-	u := b.c.withFence(b.url("", "off="+strconv.FormatInt(off, 10)))
+	u := b.mutation("", "off="+strconv.FormatInt(off, 10))
 	if err := b.c.do(putBytes(u, p), decodeWritten(len(p))); err != nil {
 		return 0, err
 	}
@@ -250,23 +284,22 @@ func (b *NetBlob) WriteAt(p []byte, off int64) (int, error) {
 // Sync implements store.Blob: the node fsyncs the backing file before
 // acknowledging, preserving the written→durable barrier across the wire.
 func (b *NetBlob) Sync() error {
-	return b.c.postJSON(b.c.withFence("/node/v1/blobs/"+url.PathEscape(b.name)+"/sync"), nil, nil)
+	return b.c.do(call{method: http.MethodPost, url: b.mutation("/sync", "")}, nil)
 }
 
 // Size implements store.Blob.
 func (b *NetBlob) Size() (int64, error) {
-	var out struct {
-		Size int64 `json:"size"`
-	}
-	if err := b.c.getJSON("/node/v1/blobs/"+url.PathEscape(b.name)+"/stat", &out); err != nil {
+	var st BlobStat
+	if err := b.c.do(call{method: http.MethodGet, url: b.url("/stat", "")}, decodeJSON(&st)); err != nil {
 		return 0, err
 	}
-	return out.Size, nil
+	return st.Size, nil
 }
 
-// Truncate implements store.Blob.
+// Truncate implements store.Blob. The node syncs the blob before it
+// answers.
 func (b *NetBlob) Truncate(size int64) error {
-	return b.c.postJSON(b.c.withFence("/node/v1/blobs/"+url.PathEscape(b.name)+"/truncate?size="+strconv.FormatInt(size, 10)), nil, nil)
+	return b.c.do(call{method: http.MethodPost, url: b.mutation("/truncate", "size="+strconv.FormatInt(size, 10))}, nil)
 }
 
 // Close implements store.Blob; the node-side blob stays open.

@@ -10,77 +10,116 @@ import (
 	"testing"
 
 	"github.com/oiraid/oiraid/internal/retry"
-	"github.com/oiraid/oiraid/internal/store"
 )
 
-// TestNodeRejectsMalformedRequests sends the node raw requests whose
-// names, numbers or bodies do not parse. Each must answer 400 with the
-// bad-geometry code, and none may create a device, a blob, a metadata
-// blob or move the fence.
+// TestNodeRejectsMalformedRequests sends a memory node and a directory
+// node raw requests whose names, numbers, bodies or geometries the node
+// must refuse. Each must answer 400 with its code — bad-geometry, or
+// negative-offset for a negative offset or size on either kind of node —
+// and none may create a device or a blob, stamp a generation, or move the
+// fence, though many carry an epoch above it: a request is checked in full
+// before it acts.
 func TestNodeRejectsMalformedRequests(t *testing.T) {
-	n := NewMemNode("alpha")
+	newDir := func() *Node {
+		n, err := NewDirNode("alpha", t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	for kind, n := range map[string]*Node{"mem": NewMemNode("alpha"), "dir": newDir()} {
+		t.Run(kind, func(t *testing.T) {
+			defer n.Close()
+			rejectsMalformedRequests(t, n)
+		})
+	}
+}
+
+func rejectsMalformedRequests(t *testing.T, n *Node) {
 	h := n.Handler()
 	do := func(method, target, body string) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(method, target, strings.NewReader(body)))
 		return rec
 	}
-	dev, err := store.NewMemDevice(4, 512)
-	if err != nil {
-		t.Fatal(err)
+	for _, req := range []struct{ method, target, body string }{
+		{"POST", "/node/v1/devices/d0?epoch=2", `{"strips":4,"strip_bytes":512}`},
+		{"POST", "/node/v1/blobs/b0?epoch=2", ""},
+		{"PUT", "/node/v1/blobs/m0?epoch=2&gen=1&off=0", "x"},
+	} {
+		if rec := do(req.method, req.target, req.body); rec.Code/100 != 2 {
+			t.Fatalf("%s %s: %d %s", req.method, req.target, rec.Code, rec.Body)
+		}
 	}
-	n.AddDevice("d0", dev)
-	if rec := do("POST", "/node/v1/blobs/b0", ""); rec.Code != http.StatusNoContent {
-		t.Fatalf("create blob: %d %s", rec.Code, rec.Body)
-	}
-	state := func() (NodeStat, MetaState) {
+	stat := func() NodeStat {
 		var st NodeStat
 		if err := json.NewDecoder(do("GET", "/node/v1/stat", "").Body).Decode(&st); err != nil {
 			t.Fatal(err)
 		}
-		var ms MetaState
-		if err := json.NewDecoder(do("GET", "/node/v1/meta/state", "").Body).Decode(&ms); err != nil {
-			t.Fatal(err)
-		}
-		return st, ms
+		return st
 	}
-	stat0, meta0 := state()
+	stat0 := stat()
 
-	for _, req := range []struct{ method, target, body string }{
-		// Names.
-		{"POST", "/node/v1/devices/bad*name", `{"strips":4,"strip_bytes":512}`},
-		{"POST", "/node/v1/blobs/bad*name", ""},
-		{"PUT", "/node/v1/meta/blobs/bad*name?epoch=1&gen=1&off=0", "x"},
-		{"POST", "/node/v1/meta/blobs/bad*name/truncate?epoch=1&gen=1&size=0", ""},
-		// Numbers.
-		{"GET", "/node/v1/devices/d0/strips/x", ""},
-		{"PUT", "/node/v1/devices/d0/strips/x", ""},
-		{"PUT", "/node/v1/devices/d0/strips/0?epoch=x", ""},
-		{"POST", "/node/v1/devices/d1?epoch=-1", `{"strips":4,"strip_bytes":512}`},
-		{"GET", "/node/v1/blobs/b0?off=x&len=1", ""},
-		{"GET", "/node/v1/blobs/b0?off=0&len=x", ""},
-		{"PUT", "/node/v1/blobs/b0?off=x", "x"},
-		{"POST", "/node/v1/blobs/b0/truncate?size=x", ""},
-		{"PUT", "/node/v1/meta/blobs/m0?epoch=x&gen=1&off=0", "x"},
-		{"PUT", "/node/v1/meta/blobs/m0?epoch=1&gen=x&off=0", "x"},
-		{"PUT", "/node/v1/meta/blobs/m0?epoch=1&gen=1&off=x", "x"},
-		{"POST", "/node/v1/meta/blobs/m0/sync?epoch=1&gen=x", ""},
-		{"POST", "/node/v1/meta/blobs/m0/truncate?epoch=1&gen=1&size=x", ""},
-		// Queries and bodies.
-		{"GET", "/node/v1/devices/d0/sums?start=x&count=1", ""},
-		{"GET", "/node/v1/devices/d0/sums?start=0", ""},
-		{"POST", "/node/v1/devices/d1", "{"},
-		{"POST", "/node/v1/meta/lease", "not json"},
+	for code, reqs := range map[string][]struct{ method, target, body string }{
+		"bad-geometry": {
+			// Names.
+			{"POST", "/node/v1/devices/bad*name", `{"strips":4,"strip_bytes":512}`},
+			{"POST", "/node/v1/blobs/bad*name?epoch=5", ""},
+			{"PUT", "/node/v1/blobs/bad*name?epoch=5&gen=3&off=0", "x"},
+			{"POST", "/node/v1/blobs/bad*name/truncate?epoch=5&gen=3&size=0", ""},
+			// Numbers.
+			{"GET", "/node/v1/devices/d0/strips/x", ""},
+			{"PUT", "/node/v1/devices/d0/strips/x", ""},
+			{"PUT", "/node/v1/devices/d0/strips/x?epoch=5", ""},
+			{"PUT", "/node/v1/devices/d0/strips/0?epoch=x", ""},
+			{"POST", "/node/v1/devices/d1?epoch=-1", `{"strips":4,"strip_bytes":512}`},
+			{"GET", "/node/v1/blobs/b0?off=x&len=1", ""},
+			{"GET", "/node/v1/blobs/b0?off=0&len=x", ""},
+			{"GET", "/node/v1/blobs/b0?off=0&len=67108865", ""},
+			{"PUT", "/node/v1/blobs/b0?off=x", "x"},
+			{"POST", "/node/v1/blobs/b0/truncate?size=x", ""},
+			{"PUT", "/node/v1/blobs/m0?epoch=x&gen=4&off=0", "x"},
+			{"PUT", "/node/v1/blobs/m0?epoch=5&gen=x&off=0", "x"},
+			{"PUT", "/node/v1/blobs/m0?epoch=5&gen=4&off=x", "x"},
+			{"POST", "/node/v1/blobs/m0/sync?epoch=5&gen=x", ""},
+			{"POST", "/node/v1/blobs/m0/truncate?epoch=5&gen=4&size=x", ""},
+			// A generation without the epoch every metadata write carries.
+			{"PUT", "/node/v1/blobs/m0?gen=4&off=0", "x"},
+			{"PUT", "/node/v1/blobs/m9?gen=4&off=0", "x"},
+			{"POST", "/node/v1/blobs/m0/sync?gen=4", ""},
+			{"POST", "/node/v1/blobs/m0/truncate?gen=4&size=0", ""},
+			// Geometries the store or the wire cannot hold: 2⁶¹+1 strips of
+			// 8 bytes overflow, and a 4 MiB strip does not fit a batch alone.
+			{"POST", "/node/v1/devices/d1?epoch=5", `{"strips":2305843009213693953,"strip_bytes":8}`},
+			{"POST", "/node/v1/devices/d1?epoch=5", `{"strips":4,"strip_bytes":4194304}`},
+			{"POST", "/node/v1/devices/d1?epoch=5", `{"strips":0,"strip_bytes":512}`},
+			// Queries and bodies.
+			{"GET", "/node/v1/devices/d0/sums?start=x&count=1", ""},
+			{"GET", "/node/v1/devices/d0/sums?start=0", ""},
+			{"POST", "/node/v1/devices/d1?epoch=5", "{"},
+			{"POST", "/node/v1/meta/lease", "not json"},
+		},
+		"negative-offset": {
+			{"PUT", "/node/v1/blobs/m0?epoch=5&gen=3&off=-1", "x"},
+			{"PUT", "/node/v1/blobs/m9?epoch=5&gen=3&off=-1", "x"},
+			{"PUT", "/node/v1/blobs/b0?off=-1", "x"},
+			{"GET", "/node/v1/blobs/b0?off=-1&len=1", ""},
+			{"GET", "/node/v1/blobs/b0?off=0&len=-1", ""},
+			{"POST", "/node/v1/blobs/b0/truncate?size=-1", ""},
+			{"POST", "/node/v1/blobs/m0/truncate?epoch=5&gen=3&size=-1", ""},
+		},
 	} {
-		rec := do(req.method, req.target, req.body)
-		if rec.Code != http.StatusBadRequest || rec.Header().Get(retry.Header) != "bad-geometry" {
-			t.Errorf("%s %s: %d %q (%s), want 400 bad-geometry",
-				req.method, req.target, rec.Code, rec.Header().Get(retry.Header), strings.TrimSpace(rec.Body.String()))
+		for _, req := range reqs {
+			rec := do(req.method, req.target, req.body)
+			if rec.Code != http.StatusBadRequest || rec.Header().Get(retry.Header) != code {
+				t.Errorf("%s %s: %d %q (%s), want 400 %s",
+					req.method, req.target, rec.Code, rec.Header().Get(retry.Header), strings.TrimSpace(rec.Body.String()), code)
+			}
 		}
 	}
 
-	if stat, meta := state(); !reflect.DeepEqual(stat, stat0) || !reflect.DeepEqual(meta, meta0) {
-		t.Fatalf("malformed requests changed the node:\nstat %+v -> %+v\nmeta %+v -> %+v", stat0, stat, meta0, meta)
+	if st := stat(); !reflect.DeepEqual(st, stat0) {
+		t.Fatalf("malformed requests changed the node:\n%+v\n-> %+v", stat0, st)
 	}
 }
 

@@ -172,8 +172,8 @@ func TestNetDeviceRangeFencing(t *testing.T) {
 	if err := cur.DeleteBlob("sb0"); err != nil {
 		t.Fatalf("delete blob: %v", err)
 	}
-	if _, err := cur.OpenDevice("d0"); !errors.Is(err, ErrNodeNotFound) {
-		t.Fatalf("open after delete: %v", err)
+	if err := dev.ReadStrip(0, make([]byte, stripBytes)); !errors.Is(err, ErrNodeNotFound) {
+		t.Fatalf("read after delete: %v", err)
 	}
 }
 

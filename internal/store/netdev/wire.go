@@ -1,5 +1,5 @@
 // Package netdev is the network plane of the data path: it exports local
-// strip devices and metadata blobs from a *storage node* over HTTP, and
+// strip devices and blobs from a *storage node* over HTTP, and
 // implements store.Device / store.Blob clients that a coordinator mounts
 // an array across. The package is built robustness-first:
 //

@@ -39,6 +39,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,33 +65,42 @@ type Placement struct {
 	Super  string `json:"super"`  // superblock blob name on that node
 }
 
-// Manifest is the coordinator's persisted cluster map: which nodes
-// exist and where each disk (and its superblock copy) currently lives.
-// It is a bootstrap hint, not the source of truth — the mount still
-// assembles from the superblocks themselves (media-authoritative), so a
-// stale manifest entry surfaces as a failed disk, never as silent
-// corruption.
+// Manifest is the coordinator's cluster map: which nodes exist and where
+// each disk (and its superblock copy) currently lives. It is one record
+// of the coordinator's metadata journal (manifestKey), beside the
+// migration records that depend on it, and every membership change
+// commits it as one synced append (Cluster.commit). It is a bootstrap
+// hint, not the source of truth — the mount still assembles from the
+// superblocks themselves (media-authoritative), so a stale manifest entry
+// surfaces as a failed disk, never as silent corruption.
 type Manifest struct {
 	Nodes      []NodeSpec  `json:"nodes"`
 	Disks      []Placement `json:"disks"`
 	Cycles     int64       `json:"cycles"`
 	StripBytes int         `json:"strip_bytes"`
-	// Epoch records the fencing epoch of the coordinator that wrote
-	// this manifest (0 outside HA mode) — an audit trail for fsck and
-	// takeover debugging, not an input to recovery.
-	Epoch uint64 `json:"epoch,omitempty"`
-	// Degraded is the array's degradation policy ("refuse", "read-only",
-	// "partial") — what a mount does when the committed failure pattern
-	// is beyond tolerance. Empty means refuse (the historic behaviour).
-	// It is stamped into the superblocks at format and also applied as a
-	// per-mount override, so a manifest edit can relax the policy of an
-	// array formatted before the field existed.
-	Degraded string `json:"degraded_policy,omitempty"`
 }
 
-// ParseManifest decodes and sanity-checks a manifest image. Recovery
-// reads replicas that may be torn mid-save, so structural validation is
-// what separates "the last acked manifest" from "half a JSON object".
+// manifestKey is the manifest's record in the metadata journal's KV space.
+const manifestKey = "cluster/manifest"
+
+// The older coordinator format kept the manifest in a second store: a
+// file in the state directory and, in HA mode, a blob on every node. Open
+// refuses both by name instead of reading either.
+const (
+	legacyManifestFile = "cluster.json"
+	legacyManifestBlob = "manifest"
+)
+
+// clone returns a copy that shares no slice with m.
+func (m Manifest) clone() Manifest {
+	m.Nodes = slices.Clone(m.Nodes)
+	m.Disks = slices.Clone(m.Disks)
+	return m
+}
+
+// ParseManifest decodes and validates a manifest record payload: nodes
+// and disks present, positive geometry, unique node IDs, every disk
+// placed on a known node.
 func ParseManifest(raw []byte) (Manifest, error) {
 	var m Manifest
 	if err := json.Unmarshal(raw, &m); err != nil {
@@ -123,9 +133,6 @@ func ParseManifest(raw []byte) (Manifest, error) {
 			return Manifest{}, fmt.Errorf("cluster: disk %d missing device or superblock name", d)
 		}
 	}
-	if _, err := store.ParseDegradedPolicy(m.Degraded); err != nil {
-		return Manifest{}, fmt.Errorf("cluster: manifest: %w", err)
-	}
 	return m, nil
 }
 
@@ -142,9 +149,11 @@ type FormatSpec struct {
 
 // Options configures Open.
 type Options struct {
-	// Dir is the coordinator's state directory: cluster.json (the
-	// manifest) and the metadata journal live here. Empty runs volatile
-	// (in-memory journal, manifest not persisted) — tests only.
+	// Dir is the coordinator's state directory: the two regions of its
+	// metadata journal (meta0.journal, meta1.journal), which hold the
+	// manifest beside the migration records. Empty runs volatile (journal
+	// in memory) — tests only. In HA mode the regions live on the node
+	// quorum and these files are only their local read cache.
 	Dir string
 	// Nodes lists the storage nodes. Required when no manifest exists.
 	Nodes []NodeSpec
@@ -159,17 +168,18 @@ type Options struct {
 	// Transport, when set, supplies the HTTP transport per node — the
 	// fault-injection hook for partition tests.
 	Transport func(NodeSpec) http.RoundTripper
-	// Format, when set and no cluster state exists yet, formats a new
+	// Format, when set and the journal holds no manifest yet, formats a new
 	// array of this size across the nodes.
 	Format *FormatSpec
 	// Holder, when non-empty, runs the coordinator in HA mode under
 	// this identity: it acquires a fenced lease from a node quorum at
 	// open (deposing any previous coordinator), replicates every
-	// manifest commit and metadata-journal append to a majority of
-	// nodes before acking, and renews the lease so a standby can
-	// detect its death. Empty keeps the classic single-coordinator
+	// metadata-journal append — manifest commits included — to a
+	// majority of nodes before acking, and renews the lease so a standby
+	// can detect its death. Empty keeps the classic single-coordinator
 	// behavior. HA mode requires Nodes (the manifest itself lives
-	// behind the quorum, so the node list must come from config).
+	// behind the quorum, so the node list must come from config). The
+	// first HA open over a classic Dir seeds the quorum from its journal.
 	Holder string
 	// LeaseRenew is the lease renewal interval in HA mode
 	// (default 100ms).
@@ -178,6 +188,10 @@ type Options struct {
 	// onMigrateResume, when set (tests), observes every migration record
 	// the resume path picks up, before the migration continues.
 	onMigrateResume func(MigrationRecord)
+	// journalBlob, when set (tests), supplies the coordinator's own copy
+	// of a journal region (meta0.journal, meta1.journal) in place of
+	// Dir's file: the crash-cut sweeps hand in store.CrashBlobs.
+	journalBlob func(file string) store.Blob
 }
 
 // Cluster is a mounted multi-node array: the engine plus the node
@@ -187,7 +201,8 @@ type Cluster struct {
 	Mount *store.Mount
 
 	dir      string
-	mu       sync.Mutex // guards manifest + persisted file + clients/order
+	journal  *store.MetaJournal // the manifest record, migration records, the array's metadata
+	mu       sync.Mutex         // guards manifest + its commit + clients/order
 	manifest Manifest
 
 	clients map[string]*netdev.NodeClient // node ID → client
@@ -218,13 +233,12 @@ type Cluster struct {
 	migStop  chan struct{}
 	stopMig  sync.Once
 	migWg    sync.WaitGroup
-	// onMigrateResume, when set (tests), observes every migration record
-	// picked up by the resume path before it continues.
+	// onMigrateResume and journalBlob are Options' test hooks.
 	onMigrateResume func(MigrationRecord)
+	journalBlob     func(file string) store.Blob
 
 	// HA mode (nil/zero in classic mode).
 	rep        *replicator
-	manGen     uint64 // manifest blob generation, guarded by mu
 	leaseEvery time.Duration
 	renewStop  chan struct{}
 	stopRenew  sync.Once
@@ -237,7 +251,18 @@ type Cluster struct {
 // node quorum, and resume — a standby calls exactly this.
 func Open(opts Options) (_ *Cluster, err error) {
 	ha := opts.Holder != ""
-	c := &Cluster{dir: opts.Dir, clients: map[string]*netdev.NodeClient{}}
+	// The client-template state is kept on the Cluster so membership
+	// changes can build identically-configured clients after Open.
+	c := &Cluster{
+		dir:             opts.Dir,
+		clients:         map[string]*netdev.NodeClient{},
+		copts:           opts.Client,
+		transport:       opts.Transport,
+		draining:        map[string]bool{},
+		migStop:         make(chan struct{}),
+		onMigrateResume: opts.onMigrateResume,
+		journalBlob:     opts.journalBlob,
+	}
 	if ha {
 		if len(opts.Nodes) == 0 {
 			return nil, errors.New("cluster: HA mode requires the node list")
@@ -247,50 +272,22 @@ func Open(opts Options) (_ *Cluster, err error) {
 			c.leaseEvery = defaultLeaseRenew
 		}
 		c.renewStop = make(chan struct{})
+		c.fence = &netdev.FenceToken{}
+	}
+	if c.dir != "" {
+		if err := os.MkdirAll(c.dir, 0o755); err != nil {
+			return nil, err
+		}
+		old := filepath.Join(c.dir, legacyManifestFile)
+		if _, err := os.Stat(old); err == nil {
+			return nil, fmt.Errorf("cluster: %s is the manifest file of an older coordinator format: "+
+				"the manifest is now a record of the metadata journal and the file is never read", old)
+		}
 	}
 
-	// Local manifest: a bootstrap cache. In HA mode the quorum copy
-	// recovered below overrides it; classic mode trusts it outright.
-	loaded, err := c.loadManifest()
-	if err != nil {
-		return nil, err
-	}
-	nodeList := opts.Nodes
-	if !ha && loaded {
-		nodeList = c.manifest.Nodes
-	}
-	if !loaded && !ha {
-		if opts.Format == nil {
-			return nil, errors.New("cluster: no manifest and no format spec")
-		}
-		if len(opts.Nodes) == 0 {
-			return nil, errors.New("cluster: no nodes")
-		}
-		c.manifest = buildManifest(opts.Nodes, *opts.Format)
-	}
-
-	// One client per node. The engine does not exist yet, so the
-	// reachability hooks go through an atomic pointer filled in below.
-	// The template state is kept on the Cluster so membership changes
-	// can build identically-configured clients after Open.
-	c.copts = opts.Client
-	c.transport = opts.Transport
-	c.draining = map[string]bool{}
-	c.migStop = make(chan struct{})
-	c.onMigrateResume = opts.onMigrateResume
-	fence := &netdev.FenceToken{}
-	if ha {
-		c.fence = fence
-	}
-	voters := make([]*netdev.NodeClient, len(nodeList))
-	for i, n := range nodeList {
-		voters[i] = c.newClientLocked(n)
-		c.clients[n.ID] = voters[i]
-		c.order = append(c.order, n.ID)
-	}
 	// Every failed exit below unwinds here: before the engine exists the
-	// clients and journal blobs are closed directly, after it the
-	// engine's Close closes them (OnClose below).
+	// clients and the journal (or its region blobs) are closed directly,
+	// after it the engine's Close closes them (OnClose below).
 	var j0, j1 store.Blob
 	var eng *engine.Engine
 	defer func() {
@@ -304,6 +301,10 @@ func Open(opts Options) (_ *Cluster, err error) {
 		for _, cl := range c.clients {
 			cl.Close()
 		}
+		if c.journal != nil {
+			c.journal.Close()
+			return
+		}
 		for _, j := range []store.Blob{j0, j1} {
 			if j != nil {
 				j.Close()
@@ -311,32 +312,48 @@ func Open(opts Options) (_ *Cluster, err error) {
 		}
 	}()
 
-	// HA: fenced takeover — lease first (deposing any rival), then the
-	// metadata plane from the quorum. The journal blobs come back
-	// quorum-wrapped, so every append below is majority-durable before
-	// it acks.
+	// The metadata journal comes first: its manifest record names the
+	// geometry and the nodes everything below binds. Classic mode keeps
+	// the regions coordinator-local. HA mode runs the fenced takeover —
+	// lease first (deposing any rival), then the regions from the quorum,
+	// quorum-wrapped so every append is majority-durable before it acks —
+	// over the configured nodes, whose clients the replicator gets a fixed
+	// snapshot of: the metadata voter set stays put for the reign even if
+	// AddNode or DrainNode changes the data-plane node list afterwards.
 	if ha {
-		// The replicator gets its own snapshot of the membership: the
-		// metadata voter set is fixed for the reign even if AddNode or
-		// DrainNode changes the data-plane node list afterwards.
-		c.rep = &replicator{holder: opts.Holder, fence: fence,
-			order: append([]string(nil), c.order...), clients: voters}
-		var haveManifest bool
-		if j0, j1, haveManifest, err = c.takeover(loaded); err != nil {
-			return nil, err
-		}
-		if !haveManifest {
-			if opts.Format == nil {
-				return nil, errors.New("cluster: no manifest anywhere and no format spec")
-			}
-			c.manifest = buildManifest(opts.Nodes, *opts.Format)
-		}
-		loaded = haveManifest
-		if err := nodesMatch(c.manifest.Nodes, opts.Nodes); err != nil {
-			return nil, err
-		}
+		c.addClientsLocked(opts.Nodes)
+		c.rep = &replicator{holder: opts.Holder, fence: c.fence,
+			order: slices.Clone(c.order), clients: c.clientsInOrderLocked()}
+		j0, j1, err = c.takeover()
+	} else if j0, err = c.localBlob("meta0.journal"); err == nil {
+		j1, err = c.localBlob("meta1.journal")
 	}
-	man := c.manifest
+	if err != nil {
+		return nil, err
+	}
+	if c.journal, err = store.OpenMetaJournal(j0, j1); err != nil {
+		return nil, err
+	}
+	man, loaded, err := journaledManifest(c.journal)
+	if err != nil {
+		return nil, err
+	}
+	if !loaded {
+		if opts.Format == nil {
+			return nil, errors.New("cluster: no manifest in the metadata journal and no format spec")
+		}
+		if len(opts.Nodes) == 0 {
+			return nil, errors.New("cluster: no nodes")
+		}
+		man = buildManifest(opts.Nodes, *opts.Format)
+	}
+	if ha {
+		if err := nodesMatch(man.Nodes, opts.Nodes); err != nil {
+			return nil, err
+		}
+	} else {
+		c.addClientsLocked(man.Nodes)
+	}
 
 	// Geometry: disks count from the manifest placements.
 	an, err := analyzerFor(len(man.Disks))
@@ -369,36 +386,17 @@ func Open(opts Options) (_ *Cluster, err error) {
 		}
 	}
 
-	// Classic mode: the metadata journal is coordinator-local state —
-	// the coordinator's own write-ahead record, not array media. (HA
-	// mode replaced this above with quorum-replicated blobs, where the
-	// local file is only the read cache.)
-	if !ha {
-		if j0, err = c.localBlob("meta0.journal"); err != nil {
-			return nil, err
-		}
-		if j1, err = c.localBlob("meta1.journal"); err != nil {
-			return nil, err
-		}
-	}
-
-	// Degradation policy: the manifest's word applies at format (stamped
-	// into the superblocks) and as the per-mount override, so editing the
-	// manifest relaxes the policy of arrays formatted before the
-	// superblock carried one.
-	policy, err := store.ParseDegradedPolicy(man.Degraded)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: manifest: %w", err)
-	}
+	// A format starts the journal afresh — whatever a journal without a
+	// manifest holds belongs to no array — and commits the manifest last:
+	// a crash before that commit leaves a journal without one, and the
+	// next open formats again.
 	var mnt *store.Mount
 	if loaded {
-		var mos []store.MountOption
-		if man.Degraded != "" {
-			mos = append(mos, store.WithMountDegradedPolicy(policy))
-		}
-		mnt, err = store.MountArray(an, devs, sbs, j0, j1, mos...)
-	} else {
-		mnt, err = store.FormatArray(an, devs, sbs, j0, j1, store.WithDegradedPolicy(policy))
+		c.manifest = man
+		mnt, err = store.MountWithJournal(an, devs, sbs, c.journal)
+	} else if mnt, err = store.FormatArray(an, devs, sbs, j0, j1, store.WithDegradedPolicy(opts.Format.Degraded)); err == nil {
+		c.journal = mnt.Meta.Journal()
+		err = c.commit(func(m *Manifest) { *m = man }, nil)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
@@ -420,11 +418,7 @@ func Open(opts Options) (_ *Cluster, err error) {
 	// stayed metadata voters for the reign.
 	eng.OnClose(func() error {
 		c.mu.Lock()
-		cls := make([]*netdev.NodeClient, 0, len(c.clients)+len(c.retired))
-		for _, id := range c.order {
-			cls = append(cls, c.clients[id])
-		}
-		cls = append(cls, c.retired...)
+		cls := append(c.clientsInOrderLocked(), c.retired...)
 		c.mu.Unlock()
 		var first error
 		for _, cl := range cls {
@@ -440,25 +434,39 @@ func Open(opts Options) (_ *Cluster, err error) {
 	// Replacement names must not collide across coordinator restarts:
 	// continue from the count of non-original placements.
 	c.replaceSeq.Store(int64(replacementCount(man)))
-	// Persist the manifest when it is new — and always in HA mode,
-	// which stamps the new epoch and reseeds the quorum copy.
-	if !loaded || ha {
-		if err := c.saveManifest(); err != nil {
-			return nil, err
-		}
-	}
 	if ha {
 		c.renewWg.Add(1)
 		go c.renewLoop()
 	}
 	// Resume any migration a previous coordinator (or a previous run of
-	// this one) left mid-flight: the records are quorum-committed KV
+	// this one) left mid-flight: the records are committed journal
 	// entries, so the successor picks up from the last committed range.
 	c.resumeMigrations()
 	// A node that was already unreachable at mount shows up as failed
 	// disks (the mount detected their superblocks missing); the engine
 	// heals them like any other failure once ops start flowing.
 	return c, nil
+}
+
+// addClientsLocked builds a client per node and appends the nodes to the
+// order. Safe before the Cluster is published (Open) or with c.mu held.
+// The engine does not exist yet at Open, so the reachability hooks go
+// through an atomic pointer Open fills in later.
+func (c *Cluster) addClientsLocked(nodes []NodeSpec) {
+	for _, n := range nodes {
+		c.clients[n.ID] = c.newClientLocked(n)
+		c.order = append(c.order, n.ID)
+	}
+}
+
+// clientsInOrderLocked lists the member clients in order. Caller holds
+// c.mu, or Open has not published the Cluster yet.
+func (c *Cluster) clientsInOrderLocked() []*netdev.NodeClient {
+	cls := make([]*netdev.NodeClient, len(c.order))
+	for i, id := range c.order {
+		cls[i] = c.clients[id]
+	}
+	return cls
 }
 
 // newClientLocked builds a node client from the stored template. Safe
@@ -509,10 +517,7 @@ func (c *Cluster) Client(id string) *netdev.NodeClient {
 func (c *Cluster) ManifestSnapshot() Manifest {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	m := c.manifest
-	m.Nodes = append([]NodeSpec(nil), c.manifest.Nodes...)
-	m.Disks = append([]Placement(nil), c.manifest.Disks...)
-	return m
+	return c.manifest.clone()
 }
 
 // DisksOn lists the disk indices currently placed on node id.
@@ -591,9 +596,9 @@ func (c *Cluster) nodeStateLocked(id string) string {
 func (c *Cluster) eligibleLocked(id string) bool { return c.nodeStateLocked(id) == "ok" }
 
 // provisionReplacement is the engine's Replace hook: a new device for
-// disk d on a surviving node, with the superblock copy rebound next to
-// it and the manifest updated — the step that moves a dead node's disk
-// to live hardware.
+// disk d on a surviving node, the manifest committed with its placement,
+// and the superblock copy rebound next to it — the step that moves a dead
+// node's disk to live hardware.
 func (c *Cluster) provisionReplacement(d int) (store.Device, error) {
 	c.mu.Lock()
 	if d < 0 || d >= len(c.manifest.Disks) {
@@ -608,38 +613,74 @@ func (c *Cluster) provisionReplacement(d int) (store.Device, error) {
 	}
 
 	seq := c.replaceSeq.Add(1)
-	devName := fmt.Sprintf("disk%02d-r%d", d, seq)
-	sbName := fmt.Sprintf("sb%02d-r%d", d, seq)
+	p := Placement{Node: best, Device: fmt.Sprintf("disk%02d-r%d", d, seq), Super: fmt.Sprintf("sb%02d-r%d", d, seq)}
 	an := c.Mount.Array.Analyzer()
 	strips := c.Mount.Array.Cycles() * int64(an.SlotsPerDisk())
-	dev, err := cl.CreateDevice(devName, strips, c.Mount.Array.StripBytes())
+	dev, err := cl.CreateDevice(p.Device, strips, c.Mount.Array.StripBytes())
 	if err != nil {
 		return nil, fmt.Errorf("cluster: provision disk %d on %s: %w", d, best, err)
 	}
-	sb, err := cl.CreateBlob(sbName)
+	sb, err := cl.CreateBlob(p.Super)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: provision superblock %d on %s: %w", d, best, err)
 	}
-	if err := c.Mount.Meta.RebindSuperblock(d, sb); err != nil {
+	if err := c.commit(func(m *Manifest) { m.Disks[d] = p }, nil); err != nil {
 		return nil, err
 	}
-
-	c.mu.Lock()
-	c.manifest.Disks[d] = Placement{Node: best, Device: devName, Super: sbName}
-	err = c.saveManifestLocked()
-	c.mu.Unlock()
-	if err != nil {
+	if err := c.Mount.Meta.RebindSuperblock(d, sb); err != nil {
 		return nil, err
 	}
 	return dev, nil
 }
 
-func (c *Cluster) manifestPath() string { return filepath.Join(c.dir, "cluster.json") }
+// commit is the coordinator's one membership commit: edit turns a copy of
+// the installed manifest into the next one, which is appended to the
+// metadata journal as one synced record and only then installed, along
+// with install's matching change to the clients and order. A failed
+// commit leaves memory as it was. (Its record may still reach the log, if
+// the append landed and only the sync failed; the next open then binds a
+// placement this run never used, and the media-authoritative mount fails
+// that disk if its superblock is not there.) Format, replacement, add,
+// drain, rejoin and the migration flip all commit here.
+func (c *Cluster) commit(edit func(*Manifest), install func()) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	next := c.manifest.clone()
+	edit(&next)
+	raw, err := json.Marshal(next)
+	if err != nil {
+		return err
+	}
+	if err := c.journal.PutKV(manifestKey, raw, true); err != nil {
+		return fmt.Errorf("cluster: commit manifest: %w", err)
+	}
+	c.manifest = next
+	if install != nil {
+		install()
+	}
+	return nil
+}
+
+// journaledManifest reads the manifest record out of the journal; ok is
+// false when it holds none (no format has committed yet).
+func journaledManifest(j *store.MetaJournal) (m Manifest, ok bool, err error) {
+	raw, ok := j.GetKV(manifestKey)
+	if !ok {
+		return Manifest{}, false, nil
+	}
+	if m, err = ParseManifest(raw); err != nil {
+		return Manifest{}, false, err
+	}
+	return m, true, nil
+}
 
 // localBlob opens the coordinator's own copy of a journal region: a file
 // in the state directory, or memory for a volatile coordinator.
 func (c *Cluster) localBlob(file string) (store.Blob, error) {
-	if c.dir == "" {
+	switch {
+	case c.journalBlob != nil:
+		return c.journalBlob(file), nil
+	case c.dir == "":
 		return store.NewMemBlob(), nil
 	}
 	b, err := store.CreateFileBlob(filepath.Join(c.dir, file))
@@ -647,74 +688,6 @@ func (c *Cluster) localBlob(file string) (store.Blob, error) {
 		return nil, err // an untyped nil: Open's cleanup closes what is non-nil
 	}
 	return b, nil
-}
-
-func (c *Cluster) loadManifest() (bool, error) {
-	if c.dir == "" {
-		return false, nil
-	}
-	if err := os.MkdirAll(c.dir, 0o755); err != nil {
-		return false, err
-	}
-	raw, err := os.ReadFile(c.manifestPath())
-	if os.IsNotExist(err) {
-		return false, nil
-	}
-	if err != nil {
-		return false, err
-	}
-	m, err := ParseManifest(raw)
-	if err != nil {
-		return false, fmt.Errorf("%s: %w", c.manifestPath(), err)
-	}
-	c.manifest = m
-	return true, nil
-}
-
-func (c *Cluster) saveManifest() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.saveManifestLocked()
-}
-
-// saveManifestLocked persists the manifest: atomically and durably to
-// the local directory (tmp is fsynced before the rename, the directory
-// after — a crash can never leave a torn or vanishing manifest), and in
-// HA mode replicated to a node quorum at a fresh blob generation before
-// the commit is acknowledged. Volatile classic clusters (no dir) keep
-// it in memory only.
-func (c *Cluster) saveManifestLocked() error {
-	if c.rep != nil {
-		c.manifest.Epoch = c.rep.fence.Epoch()
-	}
-	if c.dir == "" && c.rep == nil {
-		return nil
-	}
-	raw, err := json.MarshalIndent(c.manifest, "", "  ")
-	if err != nil {
-		return err
-	}
-	if c.dir != "" {
-		if err := store.AtomicWriteFile(c.manifestPath(), raw, 0o644); err != nil {
-			return err
-		}
-	}
-	if c.rep != nil {
-		// Full rewrite under a bumped generation: the gen wipe replaces
-		// the old image on every replica that hears about it, and the
-		// quorum requirement makes the save recoverable by the next
-		// coordinator.
-		c.manGen++
-		gen := c.manGen
-		return c.rep.fanout(func(cl *netdev.NodeClient) error {
-			b := cl.Blob(metaBlobManifest).AtGen(gen)
-			if _, err := b.WriteAt(raw, 0); err != nil {
-				return err
-			}
-			return b.Sync()
-		})
-	}
-	return nil
 }
 
 // buildManifest places the disks one at a time by placeNode, which on
@@ -727,9 +700,6 @@ func buildManifest(nodes []NodeSpec, spec FormatSpec) Manifest {
 		Nodes:      append([]NodeSpec(nil), nodes...),
 		Cycles:     spec.Cycles,
 		StripBytes: spec.StripBytes,
-	}
-	if spec.Degraded != store.DegradedRefuse {
-		m.Degraded = spec.Degraded.String()
 	}
 	ids := make([]string, len(nodes))
 	for i, n := range nodes {

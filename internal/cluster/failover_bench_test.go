@@ -74,7 +74,8 @@ func BenchmarkFailoverQuorumAppend(b *testing.B) {
 
 // BenchmarkFailoverTakeover measures a full fenced takeover against an
 // established cluster: acquire a higher epoch from the quorum, recover
-// the manifest and both journal regions from replicas, mount the array,
+// both journal regions (the manifest among their records) from replicas,
+// mount the array,
 // and replay pending closures — the wall-clock a standby adds on top of
 // its detection window.
 func BenchmarkFailoverTakeover(b *testing.B) {

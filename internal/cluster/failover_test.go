@@ -392,8 +392,8 @@ func TestClusterHARecoverFromQuorumAlone(t *testing.T) {
 	}
 
 	// Successor: fresh dir, no Format — everything must come from the
-	// quorum (manifest recovery picks the newest parseable generation,
-	// journal regions merge frame-by-frame).
+	// quorum (the journal regions merge frame-by-frame, and the manifest
+	// is one of their records).
 	optsB, _ := h.coordOptions(t, "coord-b", 4)
 	cB, err := Open(optsB)
 	if err != nil {
@@ -472,6 +472,17 @@ func TestClusterHARejoinedNodeVotes(t *testing.T) {
 	}
 	defer c.Close()
 	data := make([]byte, 512)
+	// The manifest is a journal record: an HA open replicates the journal
+	// regions and nothing else.
+	for _, spec := range h.specs {
+		st, err := c.Client(spec.ID).Stat()
+		if err != nil {
+			t.Fatalf("%s stat: %v", spec.ID, err)
+		}
+		if _, ok := st.Blobs[legacyManifestBlob]; ok {
+			t.Fatalf("node %s holds a %q blob after an HA open", spec.ID, legacyManifestBlob)
+		}
+	}
 
 	faults["beta"].SetPartition(netdev.PartDrop)
 	deadline := time.Now().Add(30 * time.Second)
@@ -506,7 +517,7 @@ func TestClusterHARejoinedNodeVotes(t *testing.T) {
 	}
 	// The rejoin reclaims beta's stale media, but the blob table it sweeps
 	// also holds beta's replicas of the metadata quorum: they must stay.
-	for _, name := range []string{"manifest", "meta0", "meta1"} {
+	for _, name := range []string{metaBlobJournal0, metaBlobJournal1} {
 		if b, ok := st.Blobs[name]; !ok || b.Gen < 1 {
 			t.Fatalf("beta's %s replica after the rejoin: %+v (present %v), want gen ≥ 1", name, b, ok)
 		}

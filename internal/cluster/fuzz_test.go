@@ -6,16 +6,15 @@ import (
 	"testing"
 )
 
-// FuzzManifestDecode hammers ParseManifest with arbitrary bytes — the
-// exact input shape quorum recovery feeds it: manifest replicas that
-// may be torn mid-save, zero-filled after a generation wipe, or
-// damaged on a node. The decoder must never panic, and anything it
-// accepts must satisfy the invariants recovery relies on (non-empty
-// node/disk sets, positive geometry, placements on known nodes) and
-// survive a marshal → parse round trip unchanged.
+// FuzzManifestDecode hammers ParseManifest with arbitrary bytes in place
+// of the manifest record's payload in the metadata journal. The journal's
+// frame CRC keeps torn payloads out, so what reaches the decoder is a
+// payload some coordinator committed — but it must never panic on any
+// input, and anything it accepts must satisfy the invariants Open relies
+// on (non-empty node/disk sets, positive geometry, placements on known
+// nodes) and survive a marshal → parse round trip unchanged.
 func FuzzManifestDecode(f *testing.F) {
-	// A real manifest as the coverage seed, plus the torn/wiped shapes
-	// recovery actually encounters.
+	// A real record payload as the coverage seed, plus malformed shapes.
 	good := Manifest{
 		Nodes: []NodeSpec{{ID: "alpha", URL: "http://h1:7980"}, {ID: "beta", URL: "http://h2:7980"}, {ID: "gamma", URL: "http://h3:7980"}},
 		Disks: []Placement{
@@ -25,16 +24,15 @@ func FuzzManifestDecode(f *testing.F) {
 		},
 		Cycles:     4,
 		StripBytes: 4096,
-		Epoch:      7,
 	}
-	raw, err := json.Marshal(good)
+	raw, err := json.Marshal(good) // the record payload Cluster.commit writes
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(raw)
-	f.Add(raw[:len(raw)/2])                                                // torn mid-save
-	f.Add(append(raw, make([]byte, 64)...))                                // acked image + stale tail
-	f.Add(make([]byte, 256))                                               // gen-wiped replica (all zeros)
+	f.Add(raw[:len(raw)/2])                                                // cut short
+	f.Add(append(raw, make([]byte, 64)...))                                // trailing bytes
+	f.Add(make([]byte, 256))                                               // all zeros
 	f.Add([]byte(`{"nodes":[],"disks":[]}`))                               // structurally empty
 	f.Add([]byte(`{"nodes":[{"id":"a","url":"u"},{"id":"a","url":"u"}]}`)) // dup node
 	f.Add([]byte(`{"cycles":-1}`))
@@ -64,9 +62,9 @@ func FuzzManifestDecode(f *testing.F) {
 				t.Fatalf("accepted dangling placement %+v", p)
 			}
 		}
-		// Round trip: what a coordinator would re-save must parse back
-		// to the same manifest, or recovery on the next takeover sees a
-		// different cluster than the one that was acked.
+		// Round trip: the record a coordinator commits next must parse
+		// back to the same manifest, or the next open sees a different
+		// cluster than the one that was acked.
 		re, err := json.Marshal(m)
 		if err != nil {
 			t.Fatalf("re-marshal: %v", err)

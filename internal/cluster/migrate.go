@@ -4,9 +4,10 @@
 //
 // The migration state machine:
 //
-//  1. Commit a MigrationRecord (src, dst, cursor=0) through the quorum
-//     metadata plane. From here on the move survives coordinator death:
-//     whoever mounts next finds the record and resumes.
+//  1. Commit a MigrationRecord (src, dst, cursor=0) to the metadata
+//     journal (quorum-replicated in HA mode). From here on the move
+//     survives coordinator death: whoever mounts next finds the record
+//     and resumes.
 //  2. Install the array's migration mirror on the disk: foreground writes
 //     land on both placements, reads stay on the source, destination
 //     failures go to a dirty set instead of the health monitor.
@@ -19,10 +20,11 @@
 //     cursor is committed to the quorum — the resume point.
 //  4. Flip under the exclusive mode lock: the engine re-copies dirty
 //     strips the same way (no foreground writer can race now), then
-//     this package clones the superblock to the
-//     destination (both placements stay mountable at the same epoch —
-//     a crash on either side of the commit mounts a healthy array),
-//     commit the manifest, swap the engine device.
+//     this package clones the superblock to the destination (both
+//     placements stay mountable at the same epoch — a crash on either
+//     side of the commit mounts a healthy array), commits the placement
+//     as one journal append beside the still-present record, and the
+//     engine swaps the device.
 //  5. Reclaim the source and delete the record — in that order, so a
 //     crash in between leaves a record whose finalize path re-runs the
 //     (idempotent) reclaim.
@@ -133,18 +135,10 @@ func (c *Cluster) AddNode(spec NodeSpec) (MoveReport, error) {
 		return MoveReport{}, fmt.Errorf("cluster: add node %s: %w", spec.ID, err)
 	}
 
-	c.mu.Lock()
-	c.manifest.Nodes = append(c.manifest.Nodes, spec)
-	c.clients[spec.ID] = cl
-	c.order = append(c.order, spec.ID)
-	err := c.saveManifestLocked()
-	if err != nil {
-		c.manifest.Nodes = c.manifest.Nodes[:len(c.manifest.Nodes)-1]
-		delete(c.clients, spec.ID)
-		c.order = c.order[:len(c.order)-1]
-	}
-	c.mu.Unlock()
-	if err != nil {
+	if err := c.commit(func(m *Manifest) { m.Nodes = append(m.Nodes, spec) }, func() {
+		c.clients[spec.ID] = cl
+		c.order = append(c.order, spec.ID)
+	}); err != nil {
 		cl.Close()
 		return MoveReport{}, err
 	}
@@ -199,14 +193,13 @@ func (c *Cluster) DrainNode(id string) (MoveReport, error) {
 
 	// Remove from the membership. The client retires instead of closing:
 	// in HA mode it may still be a metadata voter for the reign.
-	c.mu.Lock()
-	c.manifest.Nodes = slices.DeleteFunc(c.manifest.Nodes, func(n NodeSpec) bool { return n.ID == id })
-	c.order = slices.DeleteFunc(c.order, func(o string) bool { return o == id })
-	delete(c.clients, id)
-	c.retired = append(c.retired, cl)
-	err := c.saveManifestLocked()
-	c.mu.Unlock()
-	return rep, err
+	return rep, c.commit(func(m *Manifest) {
+		m.Nodes = slices.DeleteFunc(m.Nodes, func(n NodeSpec) bool { return n.ID == id })
+	}, func() {
+		c.order = slices.DeleteFunc(c.order, func(o string) bool { return o == id })
+		delete(c.clients, id)
+		c.retired = append(c.retired, cl)
+	})
 }
 
 // RejoinNode brings a known node back. Inside the grace window the
@@ -251,17 +244,17 @@ func (c *Cluster) RejoinNode(spec NodeSpec) (MoveReport, error) {
 			cl.Close()
 			return MoveReport{}, fmt.Errorf("cluster: rejoin %s: %w", spec.ID, err)
 		}
-		c.mu.Lock()
-		c.clients[spec.ID] = cl
-		c.retired = append(c.retired, old)
-		for i := range c.manifest.Nodes {
-			if c.manifest.Nodes[i].ID == spec.ID {
-				c.manifest.Nodes[i].URL = spec.URL
+		if err := c.commit(func(m *Manifest) {
+			for i := range m.Nodes {
+				if m.Nodes[i].ID == spec.ID {
+					m.Nodes[i].URL = spec.URL
+				}
 			}
-		}
-		err := c.saveManifestLocked()
-		c.mu.Unlock()
-		if err != nil {
+		}, func() {
+			c.clients[spec.ID] = cl
+			c.retired = append(c.retired, old)
+		}); err != nil {
+			cl.Close()
 			return MoveReport{}, err
 		}
 		if c.rep != nil {
@@ -309,7 +302,7 @@ func (c *Cluster) Migrations() []MigrationStatus {
 
 // migRecords decodes the committed migration records, ordered by disk.
 func (c *Cluster) migRecords() []MigrationRecord {
-	_, vals := c.Mount.Meta.Journal().KVRange(migrateKeyPrefix)
+	_, vals := c.journal.KVRange(migrateKeyPrefix)
 	var recs []MigrationRecord
 	for _, v := range vals {
 		var rec MigrationRecord
@@ -427,11 +420,11 @@ func (c *Cluster) putMigRecord(rec MigrationRecord) error {
 	if err != nil {
 		return err
 	}
-	return c.Mount.Meta.Journal().PutKV(migrateKey(rec.Disk), raw, true)
+	return c.journal.PutKV(migrateKey(rec.Disk), raw, true)
 }
 
 func (c *Cluster) deleteMigRecord(d int) error {
-	return c.Mount.Meta.Journal().DeleteKV(migrateKey(d), true)
+	return c.journal.DeleteKV(migrateKey(d), true)
 }
 
 func (c *Cluster) placement(d int) (Placement, bool) {
@@ -467,9 +460,9 @@ func (c *Cluster) scrubStaleMedia(id string) {
 	if err != nil {
 		return
 	}
-	// The replicated metadata blobs are the node's copy of the cluster's
+	// The replicated journal regions are the node's copy of the cluster's
 	// metadata, not a disk's media.
-	keep := map[string]bool{metaBlobManifest: true, metaBlobJournal0: true, metaBlobJournal1: true}
+	keep := map[string]bool{metaBlobJournal0: true, metaBlobJournal1: true}
 	c.mu.Lock()
 	for _, p := range c.manifest.Disks {
 		if p.Node == id {
@@ -593,25 +586,13 @@ func (c *Cluster) runMigration(rec MigrationRecord) error {
 	// Flip. The engine drains the mirror's dirty set and runs the finish
 	// closure under the exclusive mode lock: no foreground write is in
 	// flight and none can start, so the dirty set is final and the swap is
-	// atomic against I/O.
+	// atomic against I/O. The flip is one journal append, made while the
+	// record is still there: a replay that finds the placement at Dst
+	// finds the record too, and finishes the reclaim above.
 	flip := func() error {
-		if err := c.Mount.Meta.CloneSuperblock(d, dstSb); err != nil {
-			return err
-		}
-		c.mu.Lock()
-		prev := c.manifest.Disks[d]
-		c.manifest.Disks[d] = rec.Dst
-		err := c.saveManifestLocked()
-		if err != nil {
-			c.manifest.Disks[d] = prev
-		}
-		c.mu.Unlock()
-		if err != nil && srcCl != nil {
-			// The commit did not land: the source stays authoritative,
-			// so its blob must hold the superblock binding again.
-			_ = c.Mount.Meta.CloneSuperblock(d, srcCl.Blob(rec.Src.Super))
-		}
-		return err
+		return c.Mount.Meta.CloneSuperblock(d, dstSb, func() error {
+			return c.commit(func(m *Manifest) { m.Disks[d] = rec.Dst }, nil)
+		})
 	}
 	if err := c.migrateStep(rec, dstCl, "flip", func() error {
 		return eng.CompleteMigration(d, dstDev, flip)

@@ -10,11 +10,10 @@ import (
 	"github.com/oiraid/oiraid/internal/store/netdev"
 )
 
-// Names of the coordinator metadata blobs replicated onto the nodes.
-// Together they are the whole metadata plane: the cluster map plus both
-// metadata-journal regions.
+// Names of the coordinator metadata blobs replicated onto the nodes: the
+// two metadata-journal regions, which are the whole metadata plane — the
+// manifest is one of their records.
 const (
-	metaBlobManifest = "manifest"
 	metaBlobJournal0 = "meta0"
 	metaBlobJournal1 = "meta1"
 )
@@ -202,33 +201,39 @@ func (b *quorumBlob) Truncate(size int64) error {
 //
 //  1. Survey a quorum of nodes for the highest promised epoch and claim
 //     the next one — every node that grants it will from now on reject
-//     the previous coordinator's writes (data plane included).
-//  2. Reassemble the manifest and both metadata-journal regions from
-//     the replicas a quorum holds: newest generation wins, torn tails
-//     and per-replica holes are tolerated by the frame-level merge.
+//     the previous coordinator's writes (data plane included). A node
+//     holding the older format's manifest blob stops the takeover first.
+//  2. Reassemble both metadata-journal regions from the replicas a quorum
+//     holds: newest generation wins, torn tails and per-replica holes are
+//     tolerated by the frame-level merge.
 //  3. Reseed the merged images back out at a fresh generation, so the
 //     new reign starts from a converged majority-held state.
 //
-// Returns the two journal regions as quorum-replicated blobs ready for
-// MountArray, and whether a manifest was found (on the quorum, or —
-// upgrade path — in the local cache when the quorum has never held
-// one).
-func (c *Cluster) takeover(loaded bool) (j0, j1 store.Blob, haveManifest bool, err error) {
+// Returns the two journal regions as quorum-replicated blobs, ready for
+// the journal the array mounts over; the manifest is one of its records.
+// On error, whichever region was already recovered is returned for the
+// caller to close.
+func (c *Cluster) takeover() (j0, j1 store.Blob, err error) {
 	rep := c.rep
 
 	// 1. Epoch survey + lease.
 	voters := rep.voters()
 	states, responsive := survey(voters)
 	if responsive < rep.quorum() {
-		return nil, nil, false, fmt.Errorf(
+		return nil, nil, fmt.Errorf(
 			"cluster: takeover needs a node quorum, only %d/%d answered: %w",
 			responsive, len(rep.order), store.ErrUnreachable)
 	}
 	var maxEpoch uint64
-	for _, st := range states {
-		if st != nil && st.Epoch > maxEpoch {
-			maxEpoch = st.Epoch
+	for i, st := range states {
+		if st == nil {
+			continue
 		}
+		if _, ok := st.Blobs[legacyManifestBlob]; ok {
+			return nil, nil, fmt.Errorf("cluster: node %s holds a %q blob, the manifest of an older coordinator format: "+
+				"the manifest is now a record of the metadata journal and the blob is never read", rep.order[i], legacyManifestBlob)
+		}
+		maxEpoch = max(maxEpoch, st.Epoch)
 	}
 	epoch := maxEpoch + 1
 	rep.fence.Advance(epoch)
@@ -238,29 +243,19 @@ func (c *Cluster) takeover(loaded bool) (j0, j1 store.Blob, haveManifest bool, e
 	if granted < rep.quorum() {
 		// A rival claimed a higher epoch between survey and acquire, or
 		// the quorum slipped away. Either way this reign never starts.
-		return nil, nil, false, fmt.Errorf(
+		return nil, nil, fmt.Errorf(
 			"cluster: lease epoch %d granted by %d/%d nodes, need %d: %w",
 			epoch, granted, len(rep.order), rep.quorum(), store.ErrStaleEpoch)
 	}
 
-	// 2+3. Manifest, then both journal regions.
-	manReps := fetchReplicas(rep, metaBlobManifest)
-	if m, _, ok := recoverManifest(manReps); ok {
-		c.manifest = m
-		haveManifest = true
-	} else {
-		haveManifest = loaded
-	}
-	c.manGen = maxGen(manReps)
-
+	// 2+3. Both journal regions.
 	if j0, err = c.recoverRegion(metaBlobJournal0, "meta0.journal"); err != nil {
-		return nil, nil, false, err
+		return nil, nil, err
 	}
 	if j1, err = c.recoverRegion(metaBlobJournal1, "meta1.journal"); err != nil {
-		j0.Close()
-		return nil, nil, false, err
+		return j0, nil, err
 	}
-	return j0, j1, haveManifest, nil
+	return j0, j1, nil
 }
 
 // recoverRegion rebuilds one journal-region blob from the quorum and
@@ -380,24 +375,6 @@ func recoverJournalRegion(reps []metaReplica) []byte {
 		return merged
 	}
 	return nil
-}
-
-// recoverManifest picks the newest parseable manifest among the
-// replicas: generations descending, so a torn (never-acknowledged) save
-// at the top generation falls back to the last acknowledged one — which
-// a majority holds by construction, and a quorum read intersects.
-func recoverManifest(reps []metaReplica) (Manifest, []byte, bool) {
-	for gen := maxGen(reps); gen > 0; gen-- {
-		for _, r := range reps {
-			if r.gen != gen {
-				continue
-			}
-			if m, err := ParseManifest(r.data); err == nil {
-				return m, r.data, true
-			}
-		}
-	}
-	return Manifest{}, nil, false
 }
 
 // reseed pushes recovered bytes back out as a fresh generation on a

@@ -47,7 +47,7 @@ func newChaosEngine(t testing.TB, v int, cycles int64, opts Options) (*Engine, [
 	if err != nil {
 		t.Fatal(err)
 	}
-	journal, err := store.OpenMetaJournal(store.NewMemBlob(), store.NewMemBlob(), an.Disks())
+	journal, err := store.OpenMetaJournal(store.NewMemBlob(), store.NewMemBlob())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -176,6 +176,33 @@ func TestObjectRemount(t *testing.T) {
 	}
 }
 
+// TestObjectRemountBesideCoordinatorRecords: a cluster coordinator keeps
+// its manifest and migration records in the same journal; the object
+// plane remounts over them and leaves them alone.
+func TestObjectRemountBesideCoordinatorRecords(t *testing.T) {
+	s, eng := newTestStore(t, 2)
+	if err := s.CreateBucket(context.Background(), "logs"); err != nil {
+		t.Fatal(err)
+	}
+	data := payload(4, testStrip)
+	mustPut(t, s, "logs", "k", data)
+	for _, key := range []string{"cluster/manifest", "migrate/03"} {
+		if err := s.jn.PutKV(key, []byte(`{}`), true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s2, err := New(eng, Options{Journal: s.jn})
+	if err != nil {
+		t.Fatalf("remount beside coordinator records: %v", err)
+	}
+	if got := mustGet(t, s2, "logs", "k"); !bytes.Equal(got, data) {
+		t.Fatal("remounted store lost object content")
+	}
+	if _, ok := s.jn.GetKV("migrate/03"); !ok {
+		t.Fatal("the object plane dropped a coordinator record")
+	}
+}
+
 // TestObjectDegradedRead: objects stay readable bit-identical with a
 // failed disk — the engine reconstructs underneath the object plane.
 func TestObjectDegradedRead(t *testing.T) {

@@ -17,7 +17,8 @@ import (
 )
 
 // Journal key schema of the object plane. Everything the store needs to
-// remount lives under these prefixes in the array's metadata journal:
+// remount lives under these prefixes in the array's metadata journal (keys
+// outside them are other planes' records, which mount leaves alone):
 //
 //	bkt/<bucket>          bucket record (creation time)
 //	obj/<bucket>/<key>    committed object metadata (EncodeMeta)
@@ -116,7 +117,7 @@ func New(eng *engine.Engine, opts Options) (*Store, error) {
 		// object plane still works, its metadata is just as volatile as
 		// the data.
 		var err error
-		jn, err = store.OpenMetaJournal(store.NewMemBlob(), store.NewMemBlob(), eng.Array().Analyzer().Disks())
+		jn, err = store.OpenMetaJournal(store.NewMemBlob(), store.NewMemBlob())
 		if err != nil {
 			return nil, err
 		}
@@ -180,7 +181,8 @@ func (s *Store) mount() error {
 				roots = append(roots, rawKV{k, values[i]})
 			}
 		default:
-			return fmt.Errorf("%w: unknown journal key %q", ErrMetaCorrupt, k)
+			// Another plane's record: the KV space is shared, and a cluster
+			// coordinator keeps its manifest and migration records in it.
 		}
 	}
 

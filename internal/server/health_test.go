@@ -49,7 +49,7 @@ func newFaultyServer(t testing.TB) (*Client, []*store.FaultDevice) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	journal, err := store.OpenMetaJournal(store.NewMemBlob(), store.NewMemBlob(), an.Disks())
+	journal, err := store.OpenMetaJournal(store.NewMemBlob(), store.NewMemBlob())
 	if err != nil {
 		t.Fatal(err)
 	}

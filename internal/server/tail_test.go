@@ -53,7 +53,7 @@ func newTailServer(t testing.TB, pol *engine.HealthPolicy) (*Server, *Client, []
 	if err != nil {
 		t.Fatal(err)
 	}
-	journal, err := store.OpenMetaJournal(store.NewMemBlob(), store.NewMemBlob(), an.Disks())
+	journal, err := store.OpenMetaJournal(store.NewMemBlob(), store.NewMemBlob())
 	if err != nil {
 		t.Fatal(err)
 	}

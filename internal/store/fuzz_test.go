@@ -92,8 +92,11 @@ func FuzzSuperblockDecode(f *testing.F) {
 // frames is ErrJournalCorrupt, a torn tail stops replay cleanly.
 func FuzzJournalReplay(f *testing.F) {
 	b0, b1 := NewMemBlob(), NewMemBlob()
-	j, err := OpenMetaJournal(b0, b1, 4)
+	j, err := OpenMetaJournal(b0, b1)
 	if err != nil {
+		f.Fatal(err)
+	}
+	if err := j.Bind(4); err != nil {
 		f.Fatal(err)
 	}
 	if err := j.RecordSum(1, 2, 3); err != nil {
@@ -113,15 +116,18 @@ func FuzzJournalReplay(f *testing.F) {
 	bare, clear := openFrame(appendSnapEndFrame(journalHeader(1)), 1+8)
 	clear[0] = recClear
 	bare = sealFrame(bare, clear)
-	if _, err := OpenMetaJournal(NewMemBlobBytes(bare), NewMemBlob(), 4); !errors.Is(err, ErrJournalCorrupt) {
+	if _, err := OpenMetaJournal(NewMemBlobBytes(bare), NewMemBlob()); !errors.Is(err, ErrJournalCorrupt) {
 		f.Fatalf("bare clear frame: err %v, want ErrJournalCorrupt", err)
 	}
 	f.Add(bare, []byte{}, uint8(4))
 	f.Fuzz(func(t *testing.T, d0, d1 []byte, disks uint8) {
 		n := int(disks%16) + 1
-		j, err := OpenMetaJournal(NewMemBlobBytes(d0), NewMemBlobBytes(d1), n)
+		j, err := OpenMetaJournal(NewMemBlobBytes(d0), NewMemBlobBytes(d1))
+		if err == nil {
+			err = j.Bind(n)
+		}
 		if err != nil {
-			return // refusing corrupt media is correct; panicking is not
+			return // refusing corrupt or foreign media is correct; panicking is not
 		}
 		for d := 0; d < n; d++ {
 			for strip := range j.Sums(d) {

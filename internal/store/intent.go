@@ -7,11 +7,17 @@ import "fmt"
 // parity closure durable before touching devices and clears it after the
 // commit; RecoverIntent replays the records a crash or a failed commit
 // left pending. FormatArray and MountArray attach the array's durable
-// journal; a volatile array may attach one over MemBlobs, or none.
-func (a *Array) SetJournal(j *MetaJournal) {
+// journal; a volatile array may attach one over MemBlobs, or none. The
+// journal is bound to the array's disk count first (MetaJournal.Bind), and
+// one of another geometry is refused and left unattached.
+func (a *Array) SetJournal(j *MetaJournal) error {
+	if err := j.Bind(a.an.Disks()); err != nil {
+		return err
+	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.journal = j
+	return nil
 }
 
 // RecoverIntent closes the write hole after a crash and returns the

@@ -136,10 +136,11 @@ type MetaJournal struct {
 	hasSeal   bool  // replayed stream contained a recSnapEnd frame
 	poisoned  bool  // a compaction failed mid-way; inactive region needs a wipe
 	compactAt int64
-	disks     int
+	disks     int              // set by Bind; 0 until then
 	pending   []PendingClosure // FIFO; overlapping closures are serialised by the array
 	trans     []Transition
 	kv        map[string][]byte
+	snapKeys  []string // maybeCompact's sorted key list, reused: a cluster journal always holds its manifest
 	closed    bool
 
 	// sums is the checksum table, per disk. It is written under mu and sumMu
@@ -150,40 +151,44 @@ type MetaJournal struct {
 }
 
 // OpenMetaJournal opens (replaying) or initialises the journal over its
-// two regions. Two empty blobs initialise a fresh journal; a non-empty
-// region pair with no valid header is ErrJournalCorrupt.
-func OpenMetaJournal(b0, b1 Blob, disks int) (*MetaJournal, error) {
-	if disks < 1 || disks > superMaxDisks {
-		return nil, fmt.Errorf("%w: %d disks", ErrBadGeometry, disks)
-	}
+// two regions. Two empty blobs initialise a fresh journal, and so does the
+// leftover of an initialisation a crash cut short; any other region pair
+// with no valid header is ErrJournalCorrupt. The journal knows
+// no geometry until Bind sizes it for its array: before that it takes KV
+// records only, so a cluster coordinator can read its manifest — the disk
+// count — out of the journal the array then mounts over.
+func OpenMetaJournal(b0, b1 Blob) (*MetaJournal, error) {
 	j := &MetaJournal{
 		blobs:     [2]Blob{b0, b1},
 		compactAt: defaultCompactAt,
-		disks:     disks,
-		sums:      make([]map[int64]uint32, disks),
 		kv:        make(map[string][]byte),
-	}
-	for i := range j.sums {
-		j.sums[i] = make(map[int64]uint32)
 	}
 
 	var contents [2][]byte
-	nonEmpty := false
+	best := -1
+	var bestEpoch uint64
 	for i, b := range j.blobs {
 		data, err := readBlobAll(b)
 		if err != nil {
 			return nil, fmt.Errorf("store: journal region %d: %w", i, err)
 		}
 		contents[i] = data
-		if len(data) > 0 {
-			nonEmpty = true
+		if epoch, ok := parseJournalHeader(data); ok && (best < 0 || epoch > bestEpoch) {
+			best, bestEpoch = i, epoch
 		}
 	}
-	if !nonEmpty {
-		// Fresh journal: initialise region 0 at epoch 1. The seal frame
-		// goes in before the header (header-last, like compaction) so a
-		// headered region always carries a complete snapshot prefix.
+	if best < 0 {
+		// No region ever got a header. Two empty blobs are a fresh journal,
+		// and so is a region 0 holding no more than the header and seal its
+		// initialisation was writing when a crash cut the sync: nothing is
+		// appended before that sync returns. Anything else is corrupt.
 		seal := appendSnapEndFrame(nil)
+		if len(contents[0]) > journalHeaderLen+len(seal) || len(contents[1]) > 0 {
+			return nil, fmt.Errorf("%w: no valid region header", ErrJournalCorrupt)
+		}
+		// Initialise region 0 at epoch 1. The seal frame goes in before the
+		// header (header-last, like compaction) so a headered region always
+		// carries a complete snapshot prefix.
 		j.active, j.epoch = 0, 1
 		j.off = journalHeaderLen + int64(len(seal))
 		j.acked = j.off
@@ -199,17 +204,6 @@ func OpenMetaJournal(b0, b1 Blob, disks int) (*MetaJournal, error) {
 		}
 		return j, nil
 	}
-	best := -1
-	var bestEpoch uint64
-	for i, data := range contents {
-		epoch, ok := parseJournalHeader(data)
-		if ok && (best < 0 || epoch > bestEpoch) {
-			best, bestEpoch = i, epoch
-		}
-	}
-	if best < 0 {
-		return nil, fmt.Errorf("%w: no valid region header", ErrJournalCorrupt)
-	}
 	j.active, j.epoch = best, bestEpoch
 	if err := j.replay(contents[best]); err != nil {
 		return nil, err
@@ -224,6 +218,39 @@ func OpenMetaJournal(b0, b1 Blob, disks int) (*MetaJournal, error) {
 		j.hasSeal = true
 	}
 	return j, nil
+}
+
+// Bind sizes the journal for an array of disks: the checksum table gets a
+// slot per disk, and checksum, closure and transition records are taken
+// for those disks only. A journal whose replayed records name a disk
+// beyond them belongs to a larger array and is refused, and so is a second
+// Bind to a different count. The array binds the journal it is given
+// (SetJournal), so mount and format refuse a journal of the wrong
+// geometry.
+func (j *MetaJournal) Bind(disks int) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	switch {
+	case disks < 1 || disks > superMaxDisks:
+		return fmt.Errorf("%w: %d disks", ErrBadGeometry, disks)
+	case j.disks != 0 && j.disks != disks:
+		return fmt.Errorf("%w: journal bound to %d disks, array has %d", ErrBadGeometry, j.disks, disks)
+	case len(j.sums) > disks:
+		return fmt.Errorf("%w: journal records name disk %d, array has %d disks", ErrBadGeometry, len(j.sums)-1, disks)
+	}
+	j.sumMu.Lock()
+	j.grow(disks - 1)
+	j.sumMu.Unlock()
+	j.disks = disks
+	return nil
+}
+
+// grow extends the checksum table to hold disk. Replay grows it to the
+// highest disk any record names, which Bind checks against the array.
+func (j *MetaJournal) grow(disk int) {
+	for len(j.sums) <= disk {
+		j.sums = append(j.sums, make(map[int64]uint32))
+	}
 }
 
 func journalHeader(epoch uint64) []byte {
@@ -294,14 +321,18 @@ func (j *MetaJournal) apply(payload []byte) error {
 		disk := int(le.Uint32(payload[1:]))
 		strip := int64(le.Uint64(payload[5:]))
 		sum := le.Uint32(payload[13:])
-		if disk < 0 || disk >= j.disks || strip < 0 {
+		if disk < 0 || disk >= superMaxDisks || strip < 0 {
 			return fmt.Errorf("%w: sum record out of bounds (disk %d, strip %d)", ErrJournalCorrupt, disk, strip)
 		}
+		j.grow(disk)
 		j.sums[disk][strip] = sum
 	case recClosure:
-		pc, err := decodeClosure(payload, j.disks)
+		pc, err := decodeClosure(payload, superMaxDisks)
 		if err != nil {
 			return err
+		}
+		for _, su := range pc.Strips {
+			j.grow(su.Disk)
 		}
 		j.pending = append(j.pending, *pc)
 	case recClear:
@@ -319,9 +350,10 @@ func (j *MetaJournal) apply(payload []byte) error {
 			return fmt.Errorf("%w: transition kind %d", ErrJournalCorrupt, kind)
 		}
 		disk := int(le.Uint32(payload[2:]))
-		if disk < 0 || disk >= j.disks {
+		if disk < 0 || disk >= superMaxDisks {
 			return fmt.Errorf("%w: transition disk %d", ErrJournalCorrupt, disk)
 		}
+		j.grow(disk)
 		j.addTransition(Transition{Kind: kind, Disk: disk, Generation: le.Uint64(payload[6:])})
 	case recKV:
 		key, value, del, err := decodeKV(payload)
@@ -810,12 +842,13 @@ func (j *MetaJournal) maybeCompact() error {
 	for _, m := range j.sums {
 		size += len(m) * (frameHeaderLen + sumLen)
 	}
-	kvKeys := make([]string, 0, len(j.kv))
+	kvKeys := j.snapKeys[:0]
 	for k, v := range j.kv {
 		kvKeys = append(kvKeys, k)
 		size += frameHeaderLen + kvLen(k, v)
 	}
 	sort.Strings(kvKeys)
+	j.snapKeys = kvKeys
 	buf := make([]byte, 0, size)
 	var strips []int64
 	for disk, m := range j.sums {

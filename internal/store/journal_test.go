@@ -10,8 +10,11 @@ import (
 
 func openTestJournal(t testing.TB, b0, b1 Blob, disks int) *MetaJournal {
 	t.Helper()
-	j, err := OpenMetaJournal(b0, b1, disks)
+	j, err := OpenMetaJournal(b0, b1)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Bind(disks); err != nil {
 		t.Fatal(err)
 	}
 	return j
@@ -181,8 +184,35 @@ func TestJournalCorruptHeaderRefuses(t *testing.T) {
 	if _, err := b0.WriteAt([]byte{0xff}, 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenMetaJournal(b0, b1, 2); !errors.Is(err, ErrJournalCorrupt) {
+	if _, err := OpenMetaJournal(b0, b1); !errors.Is(err, ErrJournalCorrupt) {
 		t.Fatalf("err %v, want ErrJournalCorrupt", err)
+	}
+}
+
+// TestJournalTornInitReopensFresh cuts a fresh journal's initialisation at
+// each of its writes: what survives holds no header, and no more than the
+// header and seal being written, so the reopen initialises afresh — where
+// a cluster coordinator, which opens its journal before it formats, would
+// otherwise be locked out of its own state. A stray byte in region 1 is
+// still corruption.
+func TestJournalTornInitReopensFresh(t *testing.T) {
+	for cut := int64(0); cut < 3; cut++ {
+		ctl := NewCrashController(cut)
+		cb0, cb1 := NewCrashBlob(ctl), NewCrashBlob(ctl)
+		ctl.Arm(cut)
+		if _, err := OpenMetaJournal(cb0, cb1); !errors.Is(err, ErrCrashed) {
+			t.Fatalf("cut %d: init across the cut: %v, want ErrCrashed", cut, err)
+		}
+		j, err := OpenMetaJournal(cb0.Survivor(), cb1.Survivor())
+		if err != nil {
+			t.Fatalf("cut %d: reopen: %v", cut, err)
+		}
+		if err := j.PutKV("k", []byte("v"), true); err != nil {
+			t.Fatalf("cut %d: append after the reopen: %v", cut, err)
+		}
+	}
+	if _, err := OpenMetaJournal(NewMemBlob(), NewMemBlobBytes([]byte{1})); !errors.Is(err, ErrJournalCorrupt) {
+		t.Fatalf("headerless region 1 byte: %v, want ErrJournalCorrupt", err)
 	}
 }
 
@@ -240,7 +270,7 @@ func TestJournalCompactionCrashKeepsOldRegion(t *testing.T) {
 			err = j.ClearClosure(9, nil)
 		}
 		crashed := ctl.Crashed()
-		j2, jerr := OpenMetaJournal(cb0.Survivor(), cb1.Survivor(), 2)
+		j2, jerr := OpenMetaJournal(cb0.Survivor(), cb1.Survivor())
 		if jerr != nil {
 			t.Fatalf("cut %d (crashed=%v, err=%v): reopen failed: %v", cut, crashed, err, jerr)
 		}

@@ -40,14 +40,18 @@ func (m *mirror) dirtyStrips() []int64 {
 	return out
 }
 
-// CloneSuperblock writes disk's current superblock image into b and
-// rebinds the disk's superblock slot to it. Unlike RebindSuperblock
-// (the heal path, where the old copy is dead anyway), the clone keeps
-// the old blob valid at the same epoch: during a migration flip both
-// placements hold a mountable superblock, so a crash on either side of
-// the manifest commit mounts a healthy array — from the source if the
-// commit did not land, from the destination if it did.
-func (m *ArrayMeta) CloneSuperblock(disk int, b Blob) error {
+// CloneSuperblock writes disk's current superblock image into b, runs
+// commit, and rebinds the disk's superblock slot to b only once commit
+// succeeds. Unlike RebindSuperblock (the heal path, where the old copy is
+// dead anyway), the clone keeps the old blob valid at the same epoch, and
+// no superblock commit can land between clone and rebind: during a
+// migration flip both placements hold a mountable superblock, so a crash
+// on either side of the manifest commit mounts a healthy array — from the
+// source if the commit did not land, from the destination if it did — and
+// a failed commit leaves the slot on the source. commit runs under the
+// metadata lock, which is what keeps superblock commits out of that
+// window, so it must not call back into m.
+func (m *ArrayMeta) CloneSuperblock(disk int, b Blob, commit func() error) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if disk < 0 || disk >= len(m.sbs) {
@@ -64,6 +68,9 @@ func (m *ArrayMeta) CloneSuperblock(disk int, b Blob) error {
 	sb.DiskUUID = m.diskUUIDs[disk]
 	sb.Generation = m.sb.Epoch
 	if err := WriteSuperblock(b, &sb); err != nil {
+		return err
+	}
+	if err := commit(); err != nil {
 		return err
 	}
 	m.sbs[disk] = b

@@ -256,7 +256,7 @@ func FormatArray(an *core.Analyzer, devs []Device, sbs []Blob, j0, j1 Blob, opts
 			return nil, err
 		}
 	}
-	journal, err := OpenMetaJournal(j0, j1, an.Disks())
+	journal, err := OpenMetaJournal(j0, j1)
 	if err != nil {
 		return nil, err
 	}
@@ -292,7 +292,9 @@ func FormatArray(an *core.Analyzer, devs []Device, sbs []Blob, j0, j1 Blob, opts
 	if err := meta.commit(nil, -1, nil); err != nil {
 		return nil, err
 	}
-	arr.SetJournal(journal)
+	if err := arr.SetJournal(journal); err != nil {
+		return nil, err
+	}
 	arr.setMeta(meta)
 	return &Mount{Array: arr, Meta: meta, Super: meta.Superblock()}, nil
 }
@@ -308,8 +310,20 @@ func FormatArray(an *core.Analyzer, devs []Device, sbs []Blob, j0, j1 Blob, opts
 // capability: refuse fails with ErrTooManyFailures (naming the failed
 // disks and the violating inner groups), read-only and partial mount the
 // array write-fenced and serve the decodable strips. It returns
-// ErrJournalCorrupt when the journal header region is undecodable.
+// ErrJournalCorrupt when the journal header region is undecodable, and
+// ErrBadGeometry when its records name a disk the array does not have.
 func MountArray(an *core.Analyzer, devs []Device, sbs []Blob, j0, j1 Blob, opts ...MountOption) (*Mount, error) {
+	journal, err := OpenMetaJournal(j0, j1)
+	if err != nil {
+		return nil, err
+	}
+	return MountWithJournal(an, devs, sbs, journal, opts...)
+}
+
+// MountWithJournal is MountArray over a journal its caller has already
+// opened: a cluster coordinator reads its manifest — where the devices
+// and superblocks live — from the journal before it can mount.
+func MountWithJournal(an *core.Analyzer, devs []Device, sbs []Blob, journal *MetaJournal, opts ...MountOption) (*Mount, error) {
 	var cfg mountConfig
 	for _, opt := range opts {
 		opt(&cfg)
@@ -442,10 +456,6 @@ func MountArray(an *core.Analyzer, devs []Device, sbs []Blob, j0, j1 Blob, opts 
 		}
 	}
 
-	journal, err := OpenMetaJournal(j0, j1, an.Disks())
-	if err != nil {
-		return nil, err
-	}
 	arr, err := NewArray(an, devs)
 	if err != nil {
 		return nil, err
@@ -455,7 +465,9 @@ func MountArray(an *core.Analyzer, devs []Device, sbs []Blob, j0, j1 Blob, opts 
 			return nil, err
 		}
 	}
-	arr.SetJournal(journal)
+	if err := arr.SetJournal(journal); err != nil {
+		return nil, err
+	}
 	replayed, err := arr.RecoverIntent()
 	if err != nil {
 		return nil, fmt.Errorf("store: mount replay: %w", err)

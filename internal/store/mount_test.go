@@ -2,6 +2,7 @@ package store
 
 import (
 	"errors"
+	"strings"
 	"testing"
 )
 
@@ -289,5 +290,26 @@ func TestMountTransitionsCommit(t *testing.T) {
 	}
 	if !rep.Clean {
 		t.Fatalf("fsck not clean after rebuild: %+v", rep)
+	}
+}
+
+// TestMountRefusesJournalOfLargerArray: the journal learns its geometry
+// at mount, so a journal whose records name a disk the array does not
+// have — one of a larger array — is refused there.
+func TestMountRefusesJournalOfLargerArray(t *testing.T) {
+	r := newMountRig(t, 9, 2)
+	if err := r.format(t).Array.SealMeta(); err != nil {
+		t.Fatal(err)
+	}
+	j := openTestJournal(t, r.j0, r.j1, 16)
+	if err := j.RecordSum(12, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	_, err := MountArray(oiAnalyzer(t, r.v), r.devices(), r.sbs, r.j0, r.j1)
+	if !errors.Is(err, ErrBadGeometry) || !strings.Contains(err.Error(), "disk 12") {
+		t.Fatalf("mount over a journal naming disk 12: %v, want ErrBadGeometry naming the disk", err)
 	}
 }

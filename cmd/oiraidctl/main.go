@@ -41,7 +41,7 @@ import (
 
 func main() {
 	if len(os.Args) < 2 {
-		usage()
+		usage(os.Stderr)
 		os.Exit(2)
 	}
 	cmd := os.Args[1]
@@ -51,7 +51,7 @@ func main() {
 	nodeSub := ""
 	if cmd == "node" {
 		if len(args) == 0 {
-			usage()
+			usage(os.Stderr)
 			os.Exit(2)
 		}
 		nodeSub = args[0]
@@ -181,7 +181,7 @@ func main() {
 	case "analyze":
 		err = analyzeCmd(os.Stdin, os.Stdout, *failIn)
 	default:
-		usage()
+		usage(os.Stderr)
 		os.Exit(2)
 	}
 	if err != nil {
@@ -237,8 +237,8 @@ func renderErr(err error) string {
 	return err.Error()
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage: oiraidctl <create|status|write|read|fail|rebuild|scrub|fsck|plan|info|export|analyze|metrics|health|spare|qos|quarantine|release|mb|put|get|rm|ls|stat> [flags]
+func usage(w io.Writer) {
+	fmt.Fprintln(w, `usage: oiraidctl <create|status|write|read|fail|rebuild|scrub|fsck|plan|info|export|analyze|metrics|health|spare|qos|quarantine|release|mb|put|get|rm|ls|stat> [flags]
 
   export  -disks N               write the layout as JSON to stdout
   analyze [-fail 0,1] < layout   validate a custom layout JSON and report its properties

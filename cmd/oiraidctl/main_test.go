@@ -318,6 +318,26 @@ func TestLocalFsck(t *testing.T) {
 	}
 }
 
+// TestUsageNamesObjectVerbs: the usage synopsis names every verb, and the
+// object plane takes exactly the verbs its section of the usage lists.
+func TestUsageNamesObjectVerbs(t *testing.T) {
+	var out bytes.Buffer
+	usage(&out)
+	text := out.String()
+	synopsis := text[strings.Index(text, "<")+1 : strings.Index(text, ">")]
+	object := text[strings.Index(text, "Object commands"):]
+	object = object[:strings.Index(object, "\n\n")]
+	verbs := strings.Split(synopsis, "|")
+	if len(verbs) < 20 {
+		t.Fatalf("synopsis %q names %d verbs", synopsis, len(verbs))
+	}
+	for _, verb := range verbs {
+		if listed := strings.Contains(object, "\n  "+verb+" "); isObjectCmd(verb) != listed {
+			t.Errorf("verb %s: isObjectCmd %v, listed among object commands %v", verb, isObjectCmd(verb), listed)
+		}
+	}
+}
+
 func TestCreateValidation(t *testing.T) {
 	if err := create("", 9, 1, 512); err == nil {
 		t.Fatal("empty dir must fail")

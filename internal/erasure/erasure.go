@@ -46,12 +46,16 @@ type Code interface {
 	// Verify reports whether the parity shards are consistent with the data
 	// shards.
 	Verify(shards [][]byte) (bool, error)
-	// UpdateParity folds the change of data shard idx from oldData to
-	// newData into the parity shards, which must hold the current parity
-	// and are updated in place, without reading the rest of the stripe —
-	// the small write whose cost the paper calls "optimal data update
-	// complexity". All slices must share one length.
-	UpdateParity(idx int, oldData, newData []byte, parity [][]byte) error
+	// UpdateParity folds delta = old ⊕ new of data shard idx into the
+	// parity shards, which must hold the current parity and are updated in
+	// place, without reading the rest of the stripe — the small write whose
+	// cost the paper calls "optimal data update complexity". Parity shard j
+	// changes by Coefficient(j, idx)·delta. All slices must share one
+	// length; any byte range of a shard may be updated alone.
+	UpdateParity(idx int, delta []byte, parity [][]byte) error
+	// Coefficient returns the factor by which data shard idx enters parity
+	// shard j: 1 on every XOR stripe.
+	Coefficient(j, idx int) byte
 }
 
 // checkShards validates shard count and sizes for a k+m code.
@@ -162,9 +166,9 @@ func (x *XOR) Verify(shards [][]byte) (bool, error) {
 	return true, nil
 }
 
-// chunkBytes is how much of a shard Verify and UpdateParity work on at a
-// time, in a buffer on their own stack: no allocation, and the accumulator
-// stays in L1 while the shards stream past it.
+// chunkBytes is how much of a shard Verify works on at a time, in a buffer
+// on its own stack: no allocation, and the accumulator stays in L1 while the
+// shards stream past it.
 const chunkBytes = 4096
 
 // ReedSolomon is a systematic MDS code with k data and m parity shards,

@@ -3,6 +3,7 @@ package erasure
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/bits"
 	"math/rand"
 	"testing"
@@ -330,6 +331,31 @@ func benchmarkRSReconstruct(b *testing.B, size int) {
 	}
 }
 
+// BenchmarkUpdateParity folds one data shard's delta into the parity of an
+// XOR 8+1 and an RS 8+2 stripe: the per-stripe cost of a small write.
+func BenchmarkUpdateParity(b *testing.B) {
+	for _, m := range []int{1, 2} {
+		for _, size := range []int{4 << 10, 64 << 10} {
+			b.Run(fmt.Sprintf("8+%d/%dK", m, size>>10), func(b *testing.B) {
+				code, err := NewCode(8, m)
+				if err != nil {
+					b.Fatal(err)
+				}
+				shards := AllocShards(9, m, size)
+				fillRandom(shards, 1)
+				b.SetBytes(int64(size))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := code.UpdateParity(i%8, shards[8], shards[9:]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 func BenchmarkXOREncode8x4K(b *testing.B)        { benchmarkXOREncode(b, 4<<10) }
 func BenchmarkXOREncode8x64K(b *testing.B)       { benchmarkXOREncode(b, 64<<10) }
 func BenchmarkRSEncode8p2x4K(b *testing.B)       { benchmarkRSEncode(b, 4<<10) }
@@ -360,11 +386,7 @@ func TestOddShardSizes(t *testing.T) {
 				for i := 0; i < size; i++ {
 					var want byte
 					for c := 0; c < k; c++ {
-						coeff := byte(1)
-						if rs, ok := code.(*ReedSolomon); ok {
-							coeff = rs.parity[j][c]
-						}
-						want ^= gf.Mul256(coeff, shards[c][i])
+						want ^= gf.Mul256(code.Coefficient(j, c), shards[c][i])
 					}
 					if shards[k+j][i] != want {
 						t.Fatalf("(%d,%d) size %d: parity %d byte %d = %d, scalar definition %d", k, m, size, j, i, shards[k+j][i], want)
@@ -403,9 +425,10 @@ func TestOddShardSizes(t *testing.T) {
 				}
 			}
 
-			oldData := append([]byte(nil), shards[k-1]...)
+			delta := append([]byte(nil), shards[k-1]...)
 			fillRandom(shards[k-1:k], int64(size)+1)
-			if err := code.UpdateParity(k-1, oldData, shards[k-1], shards[k:]); err != nil {
+			gf.XorSlice(shards[k-1], delta)
+			if err := code.UpdateParity(k-1, delta, shards[k:]); err != nil {
 				t.Fatal(err)
 			}
 			if ok, err := code.Verify(shards); err != nil || !ok {
@@ -419,7 +442,7 @@ func TestOddShardSizes(t *testing.T) {
 			calls := map[string]func(){
 				"Encode":       func() { code.Encode(shards) },
 				"Verify":       func() { code.Verify(shards) },
-				"UpdateParity": func() { code.UpdateParity(0, oldData, oldData, shards[k:]) },
+				"UpdateParity": func() { code.UpdateParity(0, delta, shards[k:]) },
 			}
 			if m == 1 {
 				calls["Reconstruct"] = func() { code.Reconstruct(shards, present) }
@@ -433,44 +456,60 @@ func TestOddShardSizes(t *testing.T) {
 	}
 }
 
-// TestDeltaUpdateMatchesReencode: applying a small write via UpdateParity
-// must give bit-identical parity to re-encoding the whole stripe.
+// TestDeltaUpdateMatchesReencode: folding the delta old ⊕ new of a small
+// write via UpdateParity gives bit-identical parity to re-encoding the whole
+// stripe, whether the delta spans the shard or one byte range of it; a zero
+// delta leaves parity byte-identical.
 func TestDeltaUpdateMatchesReencode(t *testing.T) {
-	for _, cfg := range [][2]int{{4, 1}, {5, 2}, {8, 3}} {
+	const size = 256
+	for _, cfg := range [][2]int{{4, 1}, {5, 2}, {8, 3}, {8, 2}, {3, 4}} {
 		k, m := cfg[0], cfg[1]
 		code, err := NewCode(k, m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		shards := AllocShards(k, m, 256)
+		shards := AllocShards(k, m, size)
 		fillRandom(shards[:k], int64(k+m))
 		if err := code.Encode(shards); err != nil {
 			t.Fatal(err)
 		}
 		for idx := 0; idx < k; idx++ {
-			oldData := append([]byte(nil), shards[idx]...)
-			newData := make([]byte, 256)
 			rng := rand.New(rand.NewSource(int64(idx)))
-			for i := range newData {
-				newData[i] = byte(rng.Intn(256))
+			for _, r := range [][2]int{{0, size}, {17, 100}} {
+				lo, hi := r[0], r[1]
+				newData := append([]byte(nil), shards[idx]...)
+				rng.Read(newData[lo:hi])
+				delta := append([]byte(nil), shards[idx][lo:hi]...)
+				gf.XorSlice(newData[lo:hi], delta)
+				parity := make([][]byte, m)
+				for j := range parity {
+					parity[j] = append([]byte(nil), shards[k+j]...)
+				}
+				sub := make([][]byte, m)
+				for j := range sub {
+					sub[j] = parity[j][lo:hi]
+				}
+				if err := code.UpdateParity(idx, delta, sub); err != nil {
+					t.Fatal(err)
+				}
+				ref := cloneShards(shards)
+				copy(ref[idx], newData)
+				if err := code.Encode(ref); err != nil {
+					t.Fatal(err)
+				}
+				for j := 0; j < m; j++ {
+					if !bytes.Equal(parity[j], ref[k+j]) {
+						t.Fatalf("(%d,%d) idx=%d range %v: delta parity %d mismatch", k, m, idx, r, j)
+					}
+				}
 			}
-			// Delta path.
-			parity := make([][]byte, m)
-			for j := range parity {
-				parity[j] = append([]byte(nil), shards[k+j]...)
-			}
-			if err := code.UpdateParity(idx, oldData, newData, parity); err != nil {
+			before := cloneShards(shards[k:])
+			if err := code.UpdateParity(idx, make([]byte, size), shards[k:]); err != nil {
 				t.Fatal(err)
 			}
-			// Reference: full re-encode.
-			ref := cloneShards(shards)
-			copy(ref[idx], newData)
-			if err := code.Encode(ref); err != nil {
-				t.Fatal(err)
-			}
-			for j := 0; j < m; j++ {
-				if !bytes.Equal(parity[j], ref[k+j]) {
-					t.Fatalf("(%d,%d) idx=%d: delta parity %d mismatch", k, m, idx, j)
+			for j := range before {
+				if !bytes.Equal(before[j], shards[k+j]) {
+					t.Fatalf("(%d,%d) idx=%d: a zero delta changed parity %d", k, m, idx, j)
 				}
 			}
 		}
@@ -480,17 +519,23 @@ func TestDeltaUpdateMatchesReencode(t *testing.T) {
 func TestDeltaUpdateValidation(t *testing.T) {
 	x, _ := NewXOR(3)
 	buf := make([]byte, 8)
-	if err := x.UpdateParity(5, buf, buf, [][]byte{buf}); err == nil {
+	if err := x.UpdateParity(5, buf, [][]byte{buf}); err == nil {
 		t.Fatal("out-of-range index must fail")
 	}
-	if err := x.UpdateParity(0, buf, buf, [][]byte{buf, buf}); err == nil {
+	if err := x.UpdateParity(0, buf, [][]byte{buf, buf}); err == nil {
 		t.Fatal("wrong parity count must fail")
 	}
+	if err := x.UpdateParity(0, buf[:4], [][]byte{buf}); err == nil {
+		t.Fatal("a delta shorter than the parity must fail")
+	}
 	r, _ := NewReedSolomon(3, 2)
-	if err := r.UpdateParity(0, buf, buf[:4], [][]byte{buf, buf}); err == nil {
+	if err := r.UpdateParity(0, buf[:4], [][]byte{buf, buf}); err == nil {
 		t.Fatal("mismatched sizes must fail")
 	}
-	if err := r.UpdateParity(-1, buf, buf, [][]byte{buf, buf}); err == nil {
+	if err := r.UpdateParity(0, buf, [][]byte{buf}); err == nil {
+		t.Fatal("wrong parity count must fail")
+	}
+	if err := r.UpdateParity(-1, buf, [][]byte{buf, buf}); err == nil {
 		t.Fatal("negative index must fail")
 	}
 }

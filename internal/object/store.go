@@ -584,9 +584,10 @@ func (s *Store) unpin(txn uint64) {
 
 // writeRuns streams exactly size bytes from r into the allocated runs
 // through the pooled buffer, padding the tail of each run to a strip
-// boundary so every engine write is full-strip (no read-modify-write).
-// It returns the extent list (with per-extent CRCs) and the
-// whole-object CRC.
+// boundary so every engine write is full-strip: the data strip is not
+// merged with its old content, though each strip's parity closure is
+// still read and rewritten. It returns the extent list (with per-extent
+// CRCs) and the whole-object CRC.
 func (s *Store) writeRuns(ctx context.Context, r io.Reader, size int64, runs []run) ([]Extent, uint32, error) {
 	buf := s.pool.Get().([]byte)
 	defer s.pool.Put(buf)

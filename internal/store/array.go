@@ -11,6 +11,7 @@ import (
 
 	"github.com/oiraid/oiraid/internal/core"
 	"github.com/oiraid/oiraid/internal/erasure"
+	"github.com/oiraid/oiraid/internal/gf"
 	"github.com/oiraid/oiraid/internal/layout"
 )
 
@@ -947,12 +948,20 @@ func (a *Array) resolvePendingClosures(cycle int64, closure []layout.Strip) erro
 
 // writeStripRange applies a sub-strip write to logical data strip dataIdx
 // as a snapshot-then-commit read-modify-write over the strip's write plan
-// (core.WritePlan): first the old values of the data strip and its whole
-// parity closure are collected (reconstructing strips on failed disks, so
-// both redundancy layers stay mutually consistent in degraded mode), then
-// the plan's steps compute the new values in memory, then every strip on a
-// live disk is written — all three in plan order, so the device-write
-// sequence of a write is a function of its target alone.
+// (core.WritePlan): first the current values of the data strip and its
+// whole parity closure are collected (reconstructing strips on failed
+// disks, so both redundancy layers stay mutually consistent in degraded
+// mode), then the plan's steps fold the data strip's change into the
+// parities in memory, then every strip on a live disk is written — all
+// three in plan order, so the device-write sequence of a write is a
+// function of its target alone.
+//
+// The change is one delta, Δ = old ⊕ new over the written byte range,
+// computed once. Each step folds its source's Δ into its parities in place,
+// and a parity that is itself a later step's source changes by its code
+// coefficient × its feeder's Δ — the feeder's own slice at coefficient 1,
+// as on every XOR stripe. An OI-RAID small write is thus four passes over
+// the range: the Δ, and one fold into each of its three parities.
 func (a *Array) writeStripRange(dataIdx int64, within int, data []byte) error {
 	target, cycle := a.LocateDataStrip(dataIdx)
 	plan := a.an.WritePlan(target)
@@ -964,19 +973,15 @@ func (a *Array) writeStripRange(dataIdx int64, within int, data []byte) error {
 		}
 	}
 
-	// cur[i] is closure strip i's new content. The target, and every strip
-	// some step folds from (a step's Source), keeps its content on media
-	// beside it in old[i]; the rest are read into cur[i] and updated in
-	// place. A whole-strip write's new target content is the caller's slice.
-	n, whole := len(plan.Strips), len(data) == a.stripBytes
+	// cur[i] is closure strip i's content: read from media, then updated in
+	// place. A whole-strip write's target is the caller's slice, and its
+	// media content goes to bufs[n], where it becomes the Δ; delta[i] is
+	// strip i's Δ over [within, end), nil until a step needs it.
+	n, whole, end := len(plan.Strips), len(data) == a.stripBytes, within+len(data)
 	sc := a.getScratch()
 	defer a.putScratch(sc)
 	bufs, heads := sc.strips(2*n), sc.headers(3*n)
-	cur, old, parity := heads[:n], heads[n:2*n], heads[2*n:]
-	old[0] = bufs[n]
-	for _, step := range plan.Steps {
-		old[step.Source] = bufs[n+step.Source]
-	}
+	cur, delta, parity := heads[:n], heads[n:2*n], heads[2*n:]
 	// The snapshot never serves a quarantined disk's strip by decoding
 	// through a sibling stripe, as the foreground read path would: a derived
 	// value equals the media value only while every deriving stripe is
@@ -991,8 +996,8 @@ func (a *Array) writeStripRange(dataIdx int64, within int, data []byte) error {
 	for i, st := range plan.Strips {
 		cur[i] = bufs[i]
 		media := cur[i]
-		if old[i] != nil {
-			media = old[i]
+		if i == 0 && whole {
+			media = bufs[n]
 		}
 		idx := base + int64(st.Slot)
 		if dev := a.liveDevice(st.Disk, idx); dev != nil {
@@ -1010,27 +1015,40 @@ func (a *Array) writeStripRange(dataIdx int64, within int, data []byte) error {
 	if err := a.readStrips(sc, ops, false, 0, nil); err != nil {
 		return err
 	}
-	for i := range plan.Strips {
-		switch {
-		case old[i] == nil:
-		case i == 0 && whole:
-			cur[0] = data
-		default:
-			copy(cur[i], old[i])
-		}
-	}
-	if !whole {
+	if whole {
+		delta[0], cur[0] = bufs[n], data
+		gf.XorSlice(data, delta[0])
+	} else {
+		delta[0] = bufs[n][:len(data)]
+		copy(delta[0], data)
+		gf.XorSlice(cur[0][within:end], delta[0])
 		copy(cur[0][within:], data)
 	}
-	for _, step := range plan.Steps {
-		parity = parity[:0]
-		for _, pi := range step.Parity {
-			parity = append(parity, cur[pi])
-		}
+	for si, step := range plan.Steps {
 		stripe := a.sch.Stripes()[step.Stripe]
 		code := a.codes[[2]int{stripe.Data, stripe.Parity()}]
-		if err := code.UpdateParity(step.DataPos, old[step.Source], cur[step.Source], parity); err != nil {
+		feed := delta[step.Source]
+		parity = parity[:0]
+		for _, pi := range step.Parity {
+			parity = append(parity, cur[pi][within:end])
+		}
+		if err := code.UpdateParity(step.DataPos, feed, parity); err != nil {
 			return err
+		}
+		for j, pi := range step.Parity {
+			feeds, single := deltaUse(plan.Steps, si, pi)
+			if !feeds {
+				continue
+			}
+			switch c := code.Coefficient(j, step.DataPos); {
+			case single && c == 1:
+				delta[pi] = feed
+			case delta[pi] == nil:
+				delta[pi] = bufs[n+pi][:len(data)]
+				gf.MulSlice256(c, feed, delta[pi])
+			default:
+				gf.MulAddSlice256(c, feed, delta[pi])
+			}
 		}
 	}
 
@@ -1083,4 +1101,18 @@ func (a *Array) writeStripRange(dataIdx int64, within int, data []byte) error {
 		return a.journal.ClearClosure(cycle, ups)
 	}
 	return nil
+}
+
+// deltaUse reports whether closure strip i is the source of a step after
+// steps[done], and whether it is the parity of exactly one step: a strip
+// fed once at coefficient 1 shares its feeder's delta.
+func deltaUse(steps []core.WriteStep, done, i int) (feeds, single bool) {
+	fed := 0
+	for si, step := range steps {
+		feeds = feeds || si > done && step.Source == i
+		if slices.Contains(step.Parity, i) {
+			fed++
+		}
+	}
+	return feeds, fed == 1
 }

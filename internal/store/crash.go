@@ -94,6 +94,7 @@ type CrashDevice struct {
 	ctl        *CrashController
 	mu         sync.Mutex
 	data       []byte
+	persisted  stripSet // strips some write persisted bytes of
 	stripBytes int
 }
 
@@ -108,6 +109,7 @@ func NewCrashDevice(ctl *CrashController, strips int64, stripBytes int) (*CrashD
 	return &CrashDevice{
 		ctl:        ctl,
 		data:       make([]byte, strips*int64(stripBytes)),
+		persisted:  newStripSet(strips),
 		stripBytes: stripBytes,
 	}, nil
 }
@@ -151,6 +153,7 @@ func (d *CrashDevice) WriteStrip(idx int64, p []byte) error {
 	if persist > 0 {
 		d.mu.Lock()
 		copy(d.data[idx*int64(d.stripBytes):idx*int64(d.stripBytes)+int64(persist)], p[:persist])
+		d.persisted.add(idx)
 		d.mu.Unlock()
 	}
 	return err
@@ -160,7 +163,9 @@ func (d *CrashDevice) WriteStrip(idx int64, p []byte) error {
 func (d *CrashDevice) Close() error { return nil }
 
 // Survivor returns a fresh MemDevice holding exactly the durable state —
-// what a remount after the power failure would find on the platter.
+// what a remount after the power failure would find on the platter. Only
+// the strips some write reached are written to it; the rest read zero, as
+// they did here.
 func (d *CrashDevice) Survivor() (*MemDevice, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -168,7 +173,16 @@ func (d *CrashDevice) Survivor() (*MemDevice, error) {
 	if err != nil {
 		return nil, err
 	}
-	copy(m.reg.b, d.data)
+	for idx := int64(0); idx < d.Strips(); idx++ {
+		if !d.persisted.has(idx) {
+			continue
+		}
+		off := idx * int64(d.stripBytes)
+		if err := m.WriteStrip(idx, d.data[off:off+int64(d.stripBytes)]); err != nil {
+			m.Close()
+			return nil, err
+		}
+	}
 	return m, nil
 }
 

@@ -293,7 +293,7 @@ func (r *crashRig) survivorImage() []byte {
 		if err != nil {
 			r.t.Fatal(err)
 		}
-		img = append(img, m.reg.b...)
+		img = append(img, deviceImage(r.t, m)...)
 	}
 	img = append(img, r.j0.Survivor().Bytes()...)
 	return append(img, r.j1.Survivor().Bytes()...)

@@ -41,12 +41,28 @@ type Device interface {
 // heap (mapRegion), so the collector neither counts them nor doubles them.
 // Every access to the region holds mu: the deferred unlock keeps m
 // reachable, so the finalizer cannot release the region mid-copy.
+//
+// The device is sparse, like a sparse file: written marks the strips it has
+// stored, and a strip outside it reads zero without touching the region. A
+// region comes back from the free list holding its last device's bytes, so
+// WriteStrip, which overwrites a whole strip, is the one writer of region
+// bytes: a new device costs its bitmap, not a clear of its region.
 type MemDevice struct {
 	mu         sync.RWMutex
 	reg        *region // nil once closed
+	written    stripSet
 	strips     int64
 	stripBytes int
 }
+
+// stripSet is a bitmap of strip indexes.
+type stripSet []uint64
+
+func newStripSet(strips int64) stripSet { return make(stripSet, (strips+63)/64) }
+
+func (s stripSet) has(i int64) bool { return s[i/64]&(1<<(i%64)) != 0 }
+
+func (s stripSet) add(i int64) { s[i/64] |= 1 << (i % 64) }
 
 var _ Device = (*MemDevice)(nil)
 
@@ -62,7 +78,7 @@ func NewMemDevice(strips int64, stripBytes int) (*MemDevice, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: map device: %w", err)
 	}
-	m := &MemDevice{reg: reg, strips: strips, stripBytes: stripBytes}
+	m := &MemDevice{reg: reg, written: newStripSet(strips), strips: strips, stripBytes: stripBytes}
 	runtime.SetFinalizer(m, (*MemDevice).Close)
 	return m, nil
 }
@@ -85,14 +101,14 @@ var regions struct {
 	cycle uint64 // collections seen by onGC
 }
 
-// takeRegion returns a released region of n bytes, zeroed, or maps a new one.
+// takeRegion returns a released region of n bytes, holding whatever its
+// last device wrote, or maps a new one.
 func takeRegion(n int) (*region, error) {
 	regions.Lock()
 	for p := &regions.free; *p != nil; p = &(*p).next {
 		if r := *p; len(r.b) == n {
 			*p, r.next = r.next, nil
 			regions.Unlock()
-			clear(r.b)
 			return r, nil
 		}
 	}
@@ -149,7 +165,11 @@ func (m *MemDevice) ReadStrip(idx int64, p []byte) error {
 	if err := m.check(idx, p); err != nil {
 		return err
 	}
-	copy(p, m.reg.b[idx*int64(m.stripBytes):])
+	if m.written.has(idx) {
+		copy(p, m.reg.b[idx*int64(m.stripBytes):])
+	} else {
+		clear(p)
+	}
 	return nil
 }
 
@@ -163,6 +183,7 @@ func (m *MemDevice) WriteStrip(idx int64, p []byte) error {
 	if err := m.check(idx, p); err != nil {
 		return err
 	}
+	m.written.add(idx)
 	copy(m.reg.b[idx*int64(m.stripBytes):], p)
 	return nil
 }

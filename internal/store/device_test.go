@@ -10,6 +10,34 @@ import (
 	"time"
 )
 
+// flipStrip XORs every byte of strip idx of dev with mask, behind the back
+// of any array over it.
+func flipStrip(t *testing.T, dev Device, idx int64, mask byte) {
+	t.Helper()
+	buf := make([]byte, dev.StripBytes())
+	if err := dev.ReadStrip(idx, buf); err != nil {
+		t.Fatal(err)
+	}
+	for i := range buf {
+		buf[i] ^= mask
+	}
+	if err := dev.WriteStrip(idx, buf); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// deviceImage reads every strip of dev into one byte slice.
+func deviceImage(t testing.TB, dev Device) []byte {
+	t.Helper()
+	img := make([]byte, dev.Strips()*int64(dev.StripBytes()))
+	for idx := int64(0); idx < dev.Strips(); idx++ {
+		if err := dev.ReadStrip(idx, img[idx*int64(dev.StripBytes()):][:dev.StripBytes()]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return img
+}
+
 // onFreeList reports whether r waits on the free list for its next device.
 func onFreeList(r *region) bool {
 	regions.Lock()
@@ -80,6 +108,65 @@ func TestMemDeviceRegionReuse(t *testing.T) {
 			}
 		}
 		d.Close()
+	}
+}
+
+// TestMemDeviceSparse: a region whose last device wrote every strip, taken
+// by a device of another strip size with the same byte count, reads zero on
+// every strip; and a strip written there reads back exactly.
+func TestMemDeviceSparse(t *testing.T) {
+	const strips, stripBytes = 6, 4084 // a size no other test uses
+	r := writtenRegion(t, strips, stripBytes, true)
+	d, err := NewMemDevice(2*strips, stripBytes/2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if d.reg != r {
+		t.Fatal("the released region was not reused")
+	}
+	if img := deviceImage(t, d); !bytes.Equal(img, make([]byte, len(img))) {
+		t.Fatal("a reused region reads bytes its last device wrote")
+	}
+	p := bytes.Repeat([]byte{0x3c}, stripBytes/2)
+	if err := d.WriteStrip(5, p); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, strips*stripBytes)
+	copy(want[5*len(p):], p)
+	if !bytes.Equal(deviceImage(t, d), want) {
+		t.Fatal("after one strip write the device does not read that strip and zeros")
+	}
+}
+
+// TestCrashSurvivorSparse: a crash device's survivor, built on a region its
+// last device filled, holds exactly the durable bytes — whole strips, a torn
+// prefix, zero elsewhere.
+func TestCrashSurvivorSparse(t *testing.T) {
+	const strips, stripBytes = 7, 4082 // a size no other test uses
+	r := writtenRegion(t, strips, stripBytes, true)
+	ctl := NewCrashController(3)
+	d, err := NewCrashDevice(ctl, strips, stripBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.WriteStrip(2, bytes.Repeat([]byte{0x11}, stripBytes)); err != nil {
+		t.Fatal(err)
+	}
+	ctl.Arm(0)
+	if err := d.WriteStrip(4, bytes.Repeat([]byte{0x22}, stripBytes)); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("write at the cut: %v, want ErrCrashed", err)
+	}
+	m, err := d.Survivor()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if m.reg != r {
+		t.Fatal("the survivor did not reuse the released region")
+	}
+	if !bytes.Equal(deviceImage(t, m), d.data) {
+		t.Fatal("the survivor differs from the durable image")
 	}
 }
 
@@ -182,5 +269,51 @@ func TestDeviceRefusesOverflowingGeometry(t *testing.T) {
 	}
 	if n, err := DeviceBytes(1<<20, 4096); err != nil || n != 1<<32 {
 		t.Fatalf("DeviceBytes(2^20, 4096) = %d, %v", n, err)
+	}
+}
+
+// BenchmarkNewMemDevice builds a 16 MiB device, writes one strip and closes
+// it: on a fresh region, mapped and unmapped each time, and on the region
+// the last iteration released.
+func BenchmarkNewMemDevice(b *testing.B) {
+	const strips, stripBytes = 4096, 4096
+	p := make([]byte, stripBytes)
+	for _, fresh := range []bool{true, false} {
+		name := "recycled"
+		if fresh {
+			name = "fresh"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				d, err := NewMemDevice(strips, stripBytes)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := d.WriteStrip(int64(i%strips), p); err != nil {
+					b.Fatal(err)
+				}
+				r := d.reg
+				d.Close()
+				if fresh {
+					unmapReleased(r)
+				}
+			}
+		})
+	}
+}
+
+// unmapReleased takes r off the free list and unmaps it, so the next device
+// of its size maps a fresh region. A region a collection already unmapped
+// is not on the list.
+func unmapReleased(r *region) {
+	regions.Lock()
+	defer regions.Unlock()
+	for p := &regions.free; *p != nil; p = &(*p).next {
+		if *p == r {
+			*p = r.next
+			unmapRegion(r.b)
+			return
+		}
 	}
 }

@@ -104,3 +104,15 @@ func TestDirImagesWithoutSuperblockRefused(t *testing.T) {
 		}
 	}
 }
+
+// TestFormatDirUnwritableJournal: a directory where a journal region cannot
+// be created fails FormatDir, which closes the device images it opened.
+func TestFormatDirUnwritableJournal(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, dirJournal0), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if m, err := FormatDir(oiAnalyzer(t, 9), dir, 1, testStrip); err == nil || errors.Is(err, ErrDirNotEmpty) {
+		t.Fatalf("FormatDir over a journal path that is a directory: %v, %v", m, err)
+	}
+}

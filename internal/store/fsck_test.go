@@ -30,9 +30,7 @@ func TestFsckFindsAndRepairsCorruptStrip(t *testing.T) {
 
 	// Corrupt the media under one known data strip.
 	disk, devStrip := m.Array.locate(5)
-	for i := 0; i < testStrip; i++ {
-		r.devs[disk].reg.b[devStrip*int64(testStrip)+int64(i)] ^= 0x5a
-	}
+	flipStrip(t, r.devs[disk], devStrip, 0x5a)
 
 	rep, err := m.Array.Fsck(false)
 	if err != nil {

@@ -69,6 +69,18 @@ func TestJournalReplaysState(t *testing.T) {
 	}
 }
 
+// TestTransitionKindString: each kind has its name, and an unknown one
+// prints its number.
+func TestTransitionKindString(t *testing.T) {
+	for k, want := range map[TransitionKind]string{
+		TransEvict: "evict", TransAdopt: "adopt", TransRebuildDone: "rebuild-done", 9: "transition(9)",
+	} {
+		if got := k.String(); got != want {
+			t.Errorf("TransitionKind(%d).String() = %q, want %q", uint8(k), got, want)
+		}
+	}
+}
+
 // TestJournalScopedClear pins the strip-set clear semantics: clearing with
 // a strip set drops only records whose strip locations match exactly —
 // the acked write's own record and stacked records of its failed earlier

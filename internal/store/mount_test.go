@@ -104,10 +104,7 @@ func TestMountDetectsOfflineCorruption(t *testing.T) {
 	// Power off; flip bits in the strip holding data index 0 behind the
 	// array's back.
 	disk, devStrip := m.Array.locate(0)
-	dev := r.devs[disk]
-	for i := 0; i < testStrip; i++ {
-		dev.reg.b[devStrip*int64(testStrip)+int64(i)] ^= 0xa5
-	}
+	flipStrip(t, r.devs[disk], devStrip, 0xa5)
 
 	m2 := r.mount(t)
 	if len(m2.Failed) != 0 {

@@ -445,24 +445,35 @@ func TestFileBackedArray(t *testing.T) {
 	}
 }
 
-// benchArray is a two-cycle 9-disk OI-RAID array at each strip size the
-// benchmark's workloads run.
-func benchArray(b *testing.B, run func(b *testing.B, arr *Array, buf []byte)) {
-	for _, size := range []int{4 << 10, 64 << 10} {
-		b.Run(fmt.Sprintf("%dK", size>>10), func(b *testing.B) {
-			arr, err := NewMemArray(oiAnalyzer(b, 9), 2, size)
+// benchShape is an OI-RAID array size v and a strip size.
+type benchShape struct{ v, stripBytes int }
+
+// benchShapes are the geometries of the benchmark's strip workloads: the
+// 9-disk array at 4 and 64 KiB strips, and the 25-disk one at 64 KiB.
+var benchShapes = []benchShape{{9, 4 << 10}, {9, 64 << 10}, {25, 64 << 10}}
+
+// benchArray runs a benchmark on a two-cycle OI-RAID array of each of
+// shapes, named by strip size, with a "v25/" prefix off the 9-disk array.
+func benchArray(b *testing.B, shapes []benchShape, run func(b *testing.B, arr *Array, buf []byte)) {
+	for _, sh := range shapes {
+		name := fmt.Sprintf("%dK", sh.stripBytes>>10)
+		if sh.v != 9 {
+			name = fmt.Sprintf("v%d/%s", sh.v, name)
+		}
+		b.Run(name, func(b *testing.B) {
+			arr, err := NewMemArray(oiAnalyzer(b, sh.v), 2, sh.stripBytes)
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.SetBytes(int64(size))
+			b.SetBytes(int64(sh.stripBytes))
 			b.ReportAllocs()
-			run(b, arr, make([]byte, size))
+			run(b, arr, make([]byte, sh.stripBytes))
 		})
 	}
 }
 
 func BenchmarkArrayWrite(b *testing.B) {
-	benchArray(b, func(b *testing.B, arr *Array, buf []byte) {
+	benchArray(b, benchShapes, func(b *testing.B, arr *Array, buf []byte) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			off := (int64(i) * int64(len(buf))) % arr.Capacity()
@@ -476,7 +487,7 @@ func BenchmarkArrayWrite(b *testing.B) {
 // BenchmarkArrayDegradedRead reads only strips of the failed disk, so every
 // iteration is a one-hop reconstruction.
 func BenchmarkArrayDegradedRead(b *testing.B) {
-	benchArray(b, func(b *testing.B, arr *Array, buf []byte) {
+	benchArray(b, benchShapes, func(b *testing.B, arr *Array, buf []byte) {
 		arr.FailDisk(0)
 		var lost []int64
 		for i := int64(0); i < arr.Capacity()/int64(len(buf)); i++ {
@@ -495,9 +506,10 @@ func BenchmarkArrayDegradedRead(b *testing.B) {
 
 // BenchmarkArrayDeepRead reads, under the bench's pinned three-disk set, only
 // strips that no single stripe decodes, so every iteration looks its two
-// tasks up in the array's recovery plan and runs them.
+// tasks up in the array's recovery plan and runs them. The set is the
+// 9-disk array's; on the 25-disk one it leaves every strip one hop away.
 func BenchmarkArrayDeepRead(b *testing.B) {
-	benchArray(b, func(b *testing.B, arr *Array, buf []byte) {
+	benchArray(b, benchShapes[:2], func(b *testing.B, arr *Array, buf []byte) {
 		for _, d := range []int{0, 1, 3} {
 			arr.FailDisk(d)
 		}

@@ -125,3 +125,48 @@ func TestWritePlanProperty(t *testing.T) {
 		})
 	}
 }
+
+// TestWritePlanSharedParity: a layout in which one parity strip takes the
+// change of the target through two members of its stripe. Strip D is in
+// stripes {D|X} and {D|Y}, X and Y are the data of {X,Y|Q}, Q is the data
+// of {Q|R}, and Y also of {Y|W}, whose step runs after Y's fold into Q: Q's
+// delta is the sum ΔX ⊕ ΔY in a buffer of its own, and summing it must not
+// disturb ΔY, which W still takes.
+func TestWritePlanSharedParity(t *testing.T) {
+	d := &layout.Dump{Name: "shared-parity", Disks: 6, SlotsPerDisk: 1,
+		Stripes: []layout.DumpStripe{
+			{Data: 1, Strips: [][2]int{{0, 0}, {1, 0}}},
+			{Data: 1, Strips: [][2]int{{0, 0}, {2, 0}}},
+			{Data: 2, Strips: [][2]int{{1, 0}, {2, 0}, {3, 0}}},
+			{Data: 1, Strips: [][2]int{{3, 0}, {4, 0}}},
+			{Data: 1, Strips: [][2]int{{2, 0}, {5, 0}}},
+		},
+		DataStrips: [][2]int{{0, 0}},
+	}
+	s, err := d.Scheme()
+	an := analyzerFor(t, s, err)
+	if steps := an.WritePlan(layout.Strip{}).Steps; len(steps) != 6 {
+		t.Fatalf("plan has %d steps, want 6 (Q fed twice)", len(steps))
+	}
+	arr, err := NewMemArray(an, 2, testStrip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := make([]byte, arr.Capacity())
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 20; i++ {
+		off := rng.Int63n(arr.Capacity())
+		n := 1 + rng.Int63n(arr.Capacity()-off)
+		rng.Read(model[off : off+n])
+		if _, err := arr.WriteAt(model[off:off+n], off); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make([]byte, arr.Capacity())
+	if _, err := arr.ReadAt(got, 0); err != nil || !bytes.Equal(got, model) {
+		t.Fatalf("content differs from the model (err %v)", err)
+	}
+	if bad, err := arr.Scrub(); err != nil || bad != 0 {
+		t.Fatalf("scrub: %d inconsistent stripes, err %v", bad, err)
+	}
+}

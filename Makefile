@@ -44,13 +44,13 @@ bench:
 # The benchmark under bench/ is its own module (replace ../), which no
 # root ./... pattern reaches: vet it and run its smoke tests here, so an
 # API change that breaks the benchmark's build fails before it merges.
-# The kernel, parity-delta, device, array, journal, blob, strip-RPC,
-# batch-RPC, cluster-write and disk-migration micro-benchmarks run once each,
-# so they cannot rot.
+# The kernel, parity-delta, device, array, engine strip-op, journal, blob,
+# strip-RPC, batch-RPC, cluster-write and disk-migration micro-benchmarks run
+# once each, so they cannot rot.
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
-	$(GO) test -run '^$$' -bench 'Slice|Encode|Reconstruct|UpdateParity|NewMemDevice|ArrayWrite|ArrayDegradedRead|ArrayDeepRead|JournaledWrite|JournaledRead|MemBlobAppend|NetDeviceStrip|NetDeviceBatch|ClusterWrite|MigrateDisk' -benchtime 1x \
-		./internal/gf ./internal/erasure ./internal/store ./internal/store/netdev ./internal/cluster
+	$(GO) test -run '^$$' -bench 'Slice|Encode|Reconstruct|UpdateParity|NewMemDevice|ArrayWrite|ArrayDegradedRead|ArrayDeepRead|EngineWriteStrip|EngineReadStrip|JournaledWrite|JournaledRead|MemBlobAppend|NetDeviceStrip|NetDeviceBatch|ClusterWrite|MigrateDisk' -benchtime 1x \
+		./internal/gf ./internal/erasure ./internal/store ./internal/engine ./internal/store/netdev ./internal/cluster
 
 # The functions of the serving packages that no test of the module reaches:
 # every test runs with coverage of every package (-coverpkg), the profile goes

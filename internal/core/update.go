@@ -20,6 +20,12 @@ type WriteStep struct {
 	// Parity indexes WritePlan.Strips: the stripe's parity strips in member
 	// order (the order erasure.Code.UpdateParity takes).
 	Parity []int
+	// Feeds marks, by position in Parity, each parity that is the Source of
+	// a later step: its change outlives this step.
+	Feeds []bool
+	// Once marks, by position in Parity, each parity that no other step
+	// updates: its change is this step's alone.
+	Once []bool
 }
 
 // WritePlan is everything a small write of one data strip touches — the
@@ -106,11 +112,33 @@ func (a *Analyzer) buildWritePlans() error {
 		}
 		slices.Sort(plan.Stripes)
 		plan.Stripes = slices.Compact(plan.Stripes)
+		markDeltaUse(plan)
 		for _, id := range ids {
 			depth[id], index[id] = -1, -1
 		}
 	}
 	return nil
+}
+
+// markDeltaUse fills the Feeds and Once marks of plan's steps. Every step
+// out of a strip follows every step into it, so a parity that is the Source
+// of any step is the Source of one after each step that updates it.
+func markDeltaUse(plan *WritePlan) {
+	source := make([]bool, len(plan.Strips))
+	updates := make([]int, len(plan.Strips))
+	for _, step := range plan.Steps {
+		source[step.Source] = true
+		for _, p := range step.Parity {
+			updates[p]++
+		}
+	}
+	for i := range plan.Steps {
+		step := &plan.Steps[i]
+		for _, p := range step.Parity {
+			step.Feeds = append(step.Feeds, source[p])
+			step.Once = append(step.Once, updates[p] == 1)
+		}
+	}
 }
 
 // WritePlan returns the precomputed small-write plan of a user-data strip

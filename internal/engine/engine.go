@@ -391,16 +391,18 @@ func (e *Engine) writeChunk(addr int64, within int, chunk []byte) error {
 // protocol: mode lock shared, then the strip's striped locks — shared for
 // reads, exclusive for the write closure. With ≥2 disks failed, writes
 // escalate to the exclusive mode lock instead (deep reconstruction may
-// cross arbitrary stripes; see the package comment).
+// cross arbitrary stripes; see the package comment). It reads the clock on
+// entry and on exit, and in between only after waiting for a lock.
 func (e *Engine) stripOp(addr int64, write bool, fn func() error) error {
 	t := nowNano()
 	defer func() { e.qos.observe(time.Duration(nowNano() - t)) }()
 	e.mode.RLock()
 	if write && e.state().deep() {
 		e.mode.RUnlock()
-		t := nowNano()
-		e.mode.Lock()
-		e.stats.lockWaitNs.Add(nowNano() - t)
+		if !e.mode.TryLock() {
+			e.mode.Lock()
+			e.stats.lockWaitNs.Add(nowNano() - t)
+		}
 		defer e.mode.Unlock()
 		if err := e.writeFence(); err != nil {
 			return err
@@ -422,41 +424,58 @@ func (e *Engine) stripOp(addr int64, write bool, fn func() error) error {
 	if write {
 		set = e.writeSets[pos]
 	}
-	unlock := e.lockStripes(cycle, set, write)
-	defer unlock()
+	var room [8]int // every shipped scheme's lock set fits
+	held := e.lockStripes(room[:0], cycle, set, write, t)
+	defer e.unlockStripes(held, cycle, write)
 	return fn()
 }
 
 // lockStripes acquires the striped locks for the given stripe ids of one
 // cycle in ascending table order (deadlock-free against every other
-// acquisition, which uses the same order), returning the paired unlock. A
-// write first takes the cycle's writer lock shared, so it waits while a
-// background pass walks the cycle.
-func (e *Engine) lockStripes(cycle int64, stripes []int, write bool) (unlock func()) {
-	idx := make([]int, 0, len(stripes))
+// acquisition, which uses the same order) and returns their table indexes
+// appended to held, for unlockStripes; a caller that passes room on its
+// stack allocates nothing. A write first takes the cycle's writer lock
+// shared, so it waits while a background pass walks the cycle. A lock that
+// is not free at once is waited for, and the wait is charged from since, the
+// caller's entry reading: an op that waits for nothing reads no clock here.
+func (e *Engine) lockStripes(held []int, cycle int64, stripes []int, write bool, since int64) []int {
 	for _, si := range stripes {
-		idx = append(idx, int((cycle*int64(e.nStripes)+int64(si))%lockTable))
+		held = append(held, int((cycle*int64(e.nStripes)+int64(si))%lockTable))
 	}
-	slices.Sort(idx)
-	idx = slices.Compact(idx)
-	cl := &e.cycleLocks[cycle%lockTable]
-	lock, release := (*sync.RWMutex).RLock, (*sync.RWMutex).RUnlock
-	t := nowNano()
+	slices.Sort(held)
+	held = slices.Compact(held)
+	lock, try := (*sync.RWMutex).RLock, (*sync.RWMutex).TryRLock
 	if write {
+		lock, try = (*sync.RWMutex).Lock, (*sync.RWMutex).TryLock
+	}
+	cl := &e.cycleLocks[cycle%lockTable]
+	waited := write && !cl.TryRLock()
+	if waited {
 		cl.RLock()
-		lock, release = (*sync.RWMutex).Lock, (*sync.RWMutex).Unlock
 	}
-	for _, i := range idx {
-		lock(&e.locks[i])
+	for _, i := range held {
+		if !try(&e.locks[i]) {
+			lock(&e.locks[i])
+			waited = true
+		}
 	}
-	e.stats.lockWaitNs.Add(nowNano() - t)
-	return func() {
-		for _, i := range idx {
-			release(&e.locks[i])
-		}
-		if write {
-			cl.RUnlock()
-		}
+	if waited {
+		e.stats.lockWaitNs.Add(nowNano() - since)
+	}
+	return held
+}
+
+// unlockStripes releases the locks lockStripes returned as held.
+func (e *Engine) unlockStripes(held []int, cycle int64, write bool) {
+	unlock := (*sync.RWMutex).RUnlock
+	if write {
+		unlock = (*sync.RWMutex).Unlock
+	}
+	for _, i := range held {
+		unlock(&e.locks[i])
+	}
+	if write {
+		e.cycleLocks[cycle%lockTable].RUnlock()
 	}
 }
 

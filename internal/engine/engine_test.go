@@ -17,7 +17,8 @@ import (
 
 const testStrip = 256
 
-func newEngine(t testing.TB, v int, cycles int64, opts Options) *Engine {
+// oiAnalyzer is the analyzer of the v-disk OI-RAID layout.
+func oiAnalyzer(t testing.TB, v int) *core.Analyzer {
 	t.Helper()
 	d, err := bibd.ForArray(v)
 	if err != nil {
@@ -31,7 +32,12 @@ func newEngine(t testing.TB, v int, cycles int64, opts Options) *Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arr, err := store.NewMemArray(an, cycles, testStrip)
+	return an
+}
+
+func newEngine(t testing.TB, v int, cycles int64, opts Options) *Engine {
+	t.Helper()
+	arr, err := store.NewMemArray(oiAnalyzer(t, v), cycles, testStrip)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,7 +74,8 @@ type Stats struct {
 	// each up to StartRebuild's batch of layout cycles.
 	RebuildBatches int64
 	// LockWaitNs is the cumulative time operations spent blocked acquiring
-	// engine locks (cycle and striped locks plus deep-degraded escalation).
+	// engine locks (cycle and striped locks plus deep-degraded escalation),
+	// each wait counted from its operation's start.
 	LockWaitNs int64
 	// RetriesAbsorbed counts transient device faults hidden by the retry
 	// policy across all disks.

@@ -74,7 +74,7 @@ func (e *Engine) readStripHedged(addr int64) ([]byte, error) {
 	e.mode.RLock()
 	cycle := addr / int64(e.perCycle)
 	pos := int(addr % int64(e.perCycle))
-	unlock := e.lockStripes(cycle, e.readSets[pos], false)
+	held := e.lockStripes(make([]int, 0, len(e.readSets[pos])), cycle, e.readSets[pos], false, t)
 
 	resCh := make(chan hedgeResult, 2) // buffered: the loser never blocks
 	var branches sync.WaitGroup
@@ -136,7 +136,7 @@ func (e *Engine) readStripHedged(addr int64) ([]byte, error) {
 	e.hedgeWg.Add(1)
 	go func() {
 		branches.Wait()
-		unlock()
+		e.unlockStripes(held, cycle, false)
 		e.mode.RUnlock()
 		e.hedgeWg.Done()
 	}()

@@ -509,13 +509,11 @@ func (a *Array) readStrip(d int, devStrip int64, p []byte) error {
 }
 
 // readMember is the one-strip device read of the data plane (DESIGN.md §8):
-// it reads strip (d, devStrip) from dev, its live device, and settles it as
-// the batch executor settles each of its reads — counted, and healed in
-// place when it fails its checksum.
+// strip (d, devStrip) of dev, its live device, as a one-op list of the batch
+// executor — counted, and healed in place when it fails its checksum.
 func (a *Array) readMember(dev Device, d int, devStrip int64, p []byte, depth int) error {
-	op := batchOp{dev: dev, disk: d, idx: devStrip, buf: p}
-	a.call(&op, false, false)
-	return a.settleRead(&op, false, depth)
+	ops := [1]batchOp{{dev: dev, disk: d, idx: devStrip, buf: p}}
+	return a.readStrips(nil, ops[:], false, depth)
 }
 
 // healStrip reconstructs strip (d, devStrip), whose read failed with the
@@ -529,7 +527,7 @@ func (a *Array) healStrip(dev Device, d int, devStrip int64, p []byte, depth int
 	a.stats.readRepairs.Add(1)
 	sc := a.getScratch() // the caller's is busy settling its own batch
 	defer a.putScratch(sc)
-	if failed := a.writeStrips(sc, append(sc.opList(1), batchOp{dev: dev, disk: d, idx: devStrip, buf: p}), false); failed != nil {
+	if failed := a.writeStrips(sc, append(sc.opList(1), batchOp{dev: dev, disk: d, idx: devStrip, buf: p})); failed != nil {
 		return fmt.Errorf("store: read repair of strip (%d,%d): %w", d, devStrip, failed.err)
 	}
 	return nil
@@ -637,7 +635,7 @@ func (a *Array) execTask(run *planRun, via int, reads []bool, targets []int,
 		idx := run.cycle*slots + int64(st.Slot)
 		ops = append(ops, batchOp{dev: a.liveDevice(st.Disk, idx), disk: st.Disk, idx: idx, buf: shards[pos]})
 	}
-	if err := a.readStrips(run.sc, ops, false, run.depth, nil); err != nil {
+	if err := a.readStrips(run.sc, ops, false, run.depth); err != nil {
 		return err
 	}
 	if err := a.codes[[2]int{stripe.Data, stripe.Parity()}].Reconstruct(shards, reads); err != nil {
@@ -687,10 +685,10 @@ func (a *Array) ProbeDiskStrip(d int, devStrip int64, p []byte) error {
 	if dev == nil {
 		return fmt.Errorf("%w: disk %d", ErrDiskFaulty, d)
 	}
-	op := batchOp{dev: dev, disk: d, idx: devStrip, buf: p}
+	ops := [1]batchOp{{dev: dev, disk: d, idx: devStrip, buf: p}}
 	a.countRead(d)
-	a.call(&op, false, false)
-	return op.err
+	a.exec(nil, ops[:], false, false)
+	return ops[0].err
 }
 
 // recoveryPlan returns the recovery plan of the failed disks — with
@@ -958,10 +956,11 @@ func (a *Array) resolvePendingClosures(cycle int64, closure []layout.Strip) erro
 //
 // The change is one delta, Δ = old ⊕ new over the written byte range,
 // computed once. Each step folds its source's Δ into its parities in place,
-// and a parity that is itself a later step's source changes by its code
-// coefficient × its feeder's Δ — the feeder's own slice at coefficient 1,
-// as on every XOR stripe. An OI-RAID small write is thus four passes over
-// the range: the Δ, and one fold into each of its three parities.
+// and a parity that is itself a later step's source (core.WriteStep.Feeds)
+// changes by its code coefficient × its feeder's Δ — the feeder's own slice
+// when it has one feeder (WriteStep.Once) at coefficient 1, as on every XOR
+// stripe. An OI-RAID small write is thus four passes over the range: the Δ,
+// and one fold into each of its three parities.
 func (a *Array) writeStripRange(dataIdx int64, within int, data []byte) error {
 	target, cycle := a.LocateDataStrip(dataIdx)
 	plan := a.an.WritePlan(target)
@@ -1004,7 +1003,7 @@ func (a *Array) writeStripRange(dataIdx int64, within int, data []byte) error {
 			ops = append(ops, batchOp{dev: dev, disk: st.Disk, idx: idx, buf: media})
 			continue
 		}
-		if err := a.readStrips(sc, ops, false, 0, nil); err != nil {
+		if err := a.readStrips(sc, ops, false, 0); err != nil {
 			return err
 		}
 		ops = ops[:0]
@@ -1012,7 +1011,7 @@ func (a *Array) writeStripRange(dataIdx int64, within int, data []byte) error {
 			return err
 		}
 	}
-	if err := a.readStrips(sc, ops, false, 0, nil); err != nil {
+	if err := a.readStrips(sc, ops, false, 0); err != nil {
 		return err
 	}
 	if whole {
@@ -1024,7 +1023,7 @@ func (a *Array) writeStripRange(dataIdx int64, within int, data []byte) error {
 		gf.XorSlice(cur[0][within:end], delta[0])
 		copy(cur[0][within:], data)
 	}
-	for si, step := range plan.Steps {
+	for _, step := range plan.Steps {
 		stripe := a.sch.Stripes()[step.Stripe]
 		code := a.codes[[2]int{stripe.Data, stripe.Parity()}]
 		feed := delta[step.Source]
@@ -1036,12 +1035,11 @@ func (a *Array) writeStripRange(dataIdx int64, within int, data []byte) error {
 			return err
 		}
 		for j, pi := range step.Parity {
-			feeds, single := deltaUse(plan.Steps, si, pi)
-			if !feeds {
+			if !step.Feeds[j] {
 				continue
 			}
 			switch c := code.Coefficient(j, step.DataPos); {
-			case single && c == 1:
+			case step.Once[j] && c == 1:
 				delta[pi] = feed
 			case delta[pi] == nil:
 				delta[pi] = bufs[n+pi][:len(data)]
@@ -1091,7 +1089,7 @@ func (a *Array) writeStripRange(dataIdx int64, within int, data []byte) error {
 			ops = append(ops, batchOp{dev: dev, disk: st.Disk, idx: idx, buf: cur[i]})
 		}
 	}
-	if failed := a.writeStrips(sc, ops, true); failed != nil {
+	if failed := a.writeStrips(sc, ops); failed != nil {
 		return failed.err
 	}
 	if a.journal != nil {
@@ -1101,18 +1099,4 @@ func (a *Array) writeStripRange(dataIdx int64, within int, data []byte) error {
 		return a.journal.ClearClosure(cycle, ups)
 	}
 	return nil
-}
-
-// deltaUse reports whether closure strip i is the source of a step after
-// steps[done], and whether it is the parity of exactly one step: a strip
-// fed once at coefficient 1 shares its feeder's delta.
-func deltaUse(steps []core.WriteStep, done, i int) (feeds, single bool) {
-	fed := 0
-	for si, step := range steps {
-		feeds = feeds || si > done && step.Source == i
-		if slices.Contains(step.Parity, i) {
-			fed++
-		}
-	}
-	return feeds, fed == 1
 }

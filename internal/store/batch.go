@@ -39,14 +39,18 @@ type StripBatcher interface {
 }
 
 // batchOp is one device op of a request: a strip of disk's live device dev or,
-// with mirror set, of the disk's migration destination.
+// with mirror set, of the disk's migration destination. took is the device
+// time the op is charged, measured only for an observer; gone says its device
+// answered with a permanent failure.
 type batchOp struct {
 	dev    Device
 	disk   int
 	idx    int64
 	buf    []byte
 	err    error
+	took   time.Duration
 	mirror bool
+	gone   bool
 }
 
 // batchGroup is the run of a batch's wire ops that share a batch key.
@@ -60,7 +64,6 @@ type batchGroup struct {
 type batchState struct {
 	ops    []batchOp
 	leaves []StripBatcher // per op; nil once grouped, or for an opaque device
-	opaque []int          // ops whose device is not a batcher
 	wire   []StripOp      // the grouped ops, group after group
 	from   []int          // wire[k] is ops[from[k]]
 	groups []batchGroup
@@ -117,85 +120,88 @@ func canBatch(dev Device) bool {
 	return ok
 }
 
-// SetObserver registers fn as the array's one observer: after every strip op
-// of a disk's device, and after the checksum step — so a latent sector error
-// reaches it as ErrCorrupt — it is handed the disk, how long the op took and
-// its outcome. The engine's health monitor registers itself here. An op is
-// observed before its hold on the array lock ends, and a device is attached
-// only under the exclusive lock, so no observation ever counts against a
-// device attached after its op was issued; fn therefore runs with the lock
-// held and must neither block nor call back into the array.
+// SetObserver registers fn as the array's one observer: after the device
+// calls of an op list, and after the checksum step — so a latent sector error
+// reaches it as ErrCorrupt — it is handed each op's disk, the device time the
+// op is charged and its outcome. The engine's health monitor registers itself
+// here. An op is observed before its hold on the array lock ends, and a device
+// is attached only under the exclusive lock, so no observation ever counts
+// against a device attached after its op was issued; fn therefore runs with
+// the lock held and must neither block nor call back into the array.
 func (a *Array) SetObserver(fn func(disk int, took time.Duration, err error)) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.observe = fn
 }
 
-// call performs op as one device call and runs the disk's steps over it.
-func (a *Array) call(op *batchOp, write, raw bool) {
-	var t0 time.Time
-	if a.observe != nil {
-		t0 = time.Now()
-	}
-	if write {
-		op.err = op.dev.WriteStrip(op.idx, op.buf)
+// exec is the batch executor (DESIGN.md §8). It issues every op first — on a
+// batching array a list of more than one op through issue, otherwise one
+// device call per op in op order — and then runs each disk's steps over the
+// outcomes in op order: the strip's checksum in the journal's table (verified
+// after a read unless raw, recorded after a write; an array without a journal
+// has none), then the observer. A migration destination's op has no steps:
+// the sum of what it wrote was recorded for the source, and its failure is the
+// migration's, not the disk's. Neither step runs inside a device's time. sc
+// may be nil for a list of one op, which is never grouped.
+func (a *Array) exec(sc *stripScratch, ops []batchOp, write, raw bool) {
+	if a.batching && len(ops) > 1 {
+		a.issue(sc, ops, write)
 	} else {
-		op.err = op.dev.ReadStrip(op.idx, op.buf)
-	}
-	var took time.Duration
-	if a.observe != nil {
-		took = time.Since(t0)
-	}
-	a.steps(op, took, write, raw)
-}
-
-// steps runs a disk's per-op steps over the outcome of op, which took took, in
-// their one order (DESIGN.md §8): first the strip's checksum in the journal's
-// table — verified after a read unless raw, recorded after a write — then the
-// observer. An array without a journal has no checksums. A migration
-// destination's op has no steps: the sum of what it wrote was recorded for
-// the source, and its failure is the migration's, not the disk's.
-func (a *Array) steps(op *batchOp, took time.Duration, write, raw bool) {
-	if op.mirror {
-		return
-	}
-	if a.journal != nil && op.err == nil {
-		switch {
-		case write:
-			op.err = a.journal.RecordSum(op.disk, op.idx, crc32.Checksum(op.buf, castagnoli))
-		case !raw:
-			op.err = a.journal.verifySum(op.disk, op.idx, op.buf)
-		}
-	}
-	if a.observe != nil {
-		a.observe(op.disk, took, op.err)
-	}
-}
-
-// readStrips is the gather half of the batch executor (DESIGN.md §8): it
-// reads every op and settles each in op order, stopping at the first error a
-// settle returns. The default settle (nil) is readMember's — count the read,
-// heal a checksum failure in place at heal depth depth; raw reads under the
-// checksums and only counts. On an array with no batch-capable device, and
-// for a single op anywhere, this is the plain loop: one ReadStrip, settle,
-// next. Otherwise all ops are issued before any is settled.
-func (a *Array) readStrips(sc *stripScratch, ops []batchOp, raw bool, depth int, settle func(op *batchOp) error) error {
-	batched := a.batching && len(ops) > 1
-	if batched {
-		a.issue(sc, ops, false, raw)
+		a.callEach(ops, write, false)
 	}
 	for i := range ops {
 		op := &ops[i]
-		if !batched {
-			a.call(op, false, raw)
+		op.gone = op.err != nil && !IsTransient(op.err)
+		if op.mirror || goneBefore(ops[:i], op) {
+			continue
 		}
-		var err error
-		if settle != nil {
-			err = settle(op)
+		if a.journal != nil && op.err == nil {
+			switch {
+			case write:
+				op.err = a.journal.RecordSum(op.disk, op.idx, crc32.Checksum(op.buf, castagnoli))
+			case !raw:
+				op.err = a.journal.verifySum(op.disk, op.idx, op.buf)
+			}
+		}
+		if a.observe != nil {
+			a.observe(op.disk, op.took, op.err)
+		}
+	}
+}
+
+// callEach performs ops one device call each, in op order — with batched,
+// only those on an opaque device — and, when an observer wants device times,
+// charges each the time since the previous call returned: one clock reading
+// per call boundary.
+func (a *Array) callEach(ops []batchOp, write, batched bool) {
+	var t time.Duration
+	if a.observe != nil {
+		t = monotime()
+	}
+	for i := range ops {
+		op := &ops[i]
+		if batched && canBatch(op.dev) {
+			continue
+		}
+		if write {
+			op.err = op.dev.WriteStrip(op.idx, op.buf)
 		} else {
-			err = a.settleRead(op, raw, depth)
+			op.err = op.dev.ReadStrip(op.idx, op.buf)
 		}
-		if err != nil {
+		if a.observe != nil {
+			now := monotime()
+			op.took, t = now-t, now
+		}
+	}
+}
+
+// readStrips is the gather half of the batch executor: it reads every op, then
+// settles each in op order with settleRead and returns the first error a
+// settle returns, settling no op after it.
+func (a *Array) readStrips(sc *stripScratch, ops []batchOp, raw bool, depth int) error {
+	a.exec(sc, ops, false, raw)
+	for i := range ops {
+		if err := a.settleRead(&ops[i], raw, depth); err != nil {
 			return err
 		}
 	}
@@ -218,26 +224,18 @@ func (a *Array) settleRead(op *batchOp, raw bool, depth int) error {
 // writeStrips is the scatter half: it writes every op — a write to a
 // migrating disk followed by the same write to its migration destination
 // (withMirrors) — counts each but a destination's, and returns the first op
-// that failed, destinations' aside: nil when none did. A failed write to a
-// migrating disk, at either end, leaves its strip dirty for the migration to
-// re-copy. Ops on one device land in op order. With bestEffort a failed write
-// does not stop the ones after it (a closure commit); without, the plain loop
-// stops at the first failure, and a batch — which travels whole — still
-// reports it.
-func (a *Array) writeStrips(sc *stripScratch, ops []batchOp, bestEffort bool) *batchOp {
+// that failed, destinations' aside: nil when none did. A failed write does not
+// stop the ones after it, and a failed write to a migrating disk, at either
+// end, leaves its strip dirty for the migration to re-copy. Ops on one device
+// land in op order.
+func (a *Array) writeStrips(sc *stripScratch, ops []batchOp) *batchOp {
 	ops = a.withMirrors(ops)
-	batched := a.batching && len(ops) > 1
-	if batched {
-		a.issue(sc, ops, true, false)
-	}
+	a.exec(sc, ops, true, false)
 	var failed *batchOp
 	for i := range ops {
 		op := &ops[i]
 		if !op.mirror {
 			a.countWrite(op.disk)
-		}
-		if !batched {
-			a.call(op, true, false)
 		}
 		if op.err == nil {
 			continue
@@ -247,9 +245,6 @@ func (a *Array) writeStrips(sc *stripScratch, ops []batchOp, bestEffort bool) *b
 		}
 		if !op.mirror && failed == nil {
 			failed = op
-			if !batched && !bestEffort {
-				break
-			}
 		}
 	}
 	return failed
@@ -281,23 +276,20 @@ func (a *Array) withMirrors(ops []batchOp) []batchOp {
 	return ops
 }
 
-// issue performs ops on a batching array and leaves each outcome in its err:
-// ops on a StripBatcher go to it in one call per batch key — the first key's
-// on this goroutine, each other's on its own — and the disks' steps run over
-// them afterwards, op by op, each charged its call's duration (a disk's
-// permanent failure is observed once); an op on an opaque device is a single
-// call, in op order.
-func (a *Array) issue(sc *stripScratch, ops []batchOp, write, raw bool) {
+// issue performs the ops of a batching array's list and leaves each outcome
+// in its err: ops on a StripBatcher go to it in one call per batch key — the
+// first key's on this goroutine, each other's on its own — every op charged
+// its call's duration; the ops on opaque devices are single calls, as on a
+// plain array (callEach).
+func (a *Array) issue(sc *stripScratch, ops []batchOp, write bool) {
 	b := &sc.batch
 	if cap(b.leaves) < len(ops) {
 		b.leaves = make([]StripBatcher, len(ops))
 	}
 	leaves := b.leaves[:len(ops)]
-	b.opaque, b.wire, b.from, b.groups = b.opaque[:0], b.wire[:0], b.from[:0], b.groups[:0]
+	b.wire, b.from, b.groups = b.wire[:0], b.from[:0], b.groups[:0]
 	for i := range ops {
-		if leaves[i], _ = ops[i].dev.(StripBatcher); leaves[i] == nil {
-			b.opaque = append(b.opaque, i)
-		}
+		leaves[i], _ = ops[i].dev.(StripBatcher)
 	}
 	for i := range ops {
 		if leaves[i] == nil {
@@ -317,13 +309,13 @@ func (a *Array) issue(sc *stripScratch, ops []batchOp, write, raw bool) {
 	}
 
 	send := func(g *batchGroup) {
-		t0 := time.Now()
+		t := monotime()
 		if write {
 			g.lead.WriteStrips(b.wire[g.start:g.end])
 		} else {
 			g.lead.ReadStrips(b.wire[g.start:g.end])
 		}
-		g.took = time.Since(t0)
+		g.took = monotime() - t
 	}
 	for gi := 1; gi < len(b.groups); gi++ {
 		b.wg.Add(1)
@@ -332,43 +324,31 @@ func (a *Array) issue(sc *stripScratch, ops []batchOp, write, raw bool) {
 			send(g)
 		}(&b.groups[gi])
 	}
-	for _, i := range b.opaque {
-		a.call(&ops[i], write, raw)
-	}
+	a.callEach(ops, write, true)
 	if len(b.groups) > 0 {
 		send(&b.groups[0])
 	}
 	b.wg.Wait()
 
-	for gi := range b.groups {
-		g := &b.groups[gi]
+	for _, g := range b.groups {
 		for k := g.start; k < g.end; k++ {
 			op := &ops[b.from[k]]
-			if op.err = b.wire[k].Err; !goneBefore(ops, b, g.start, k, op.err) {
-				a.steps(op, g.took, write, raw)
-			}
+			op.err, op.took = b.wire[k].Err, g.took
 		}
 	}
 	clear(b.wire) // drop the device and buffer references
 	clear(b.groups)
 }
 
-// goneBefore reports whether err, the leaf's outcome of wire op k, is a
-// permanent failure that an op on the same disk, earlier in its group (which
-// starts at wire op start), already met. A permanent error says the device is
-// gone, and it says so once: the loop of single calls stops at it, and a
-// health probe that evicts after a few of them must not count one vanished
-// device once per strip that rode along. A transient failure is an event of
-// its own op — how long it took is what slow-disk detection feeds on — and
-// is always observed. A migration destination's failure is not the disk's.
-func goneBefore(ops []batchOp, b *batchState, start, k int, err error) bool {
-	if err == nil || IsTransient(err) {
-		return false
-	}
-	for j := start; j < k; j++ {
-		if e := b.wire[j].Err; e != nil && !IsTransient(e) && ops[b.from[j]].disk == ops[b.from[k]].disk && !ops[b.from[j]].mirror {
-			return true
-		}
-	}
-	return false
+// goneBefore reports whether op is a permanent failure that an op of earlier,
+// the ops ahead of it in its list, on the same disk already met. A permanent
+// error says the device is gone, and it says so once: a health probe that
+// evicts after a few of them must not count one vanished device once per strip
+// of the list. A transient failure is an event of its own op — how long it
+// took is what slow-disk detection feeds on — and is always observed. A
+// migration destination's failure is not the disk's.
+func goneBefore(earlier []batchOp, op *batchOp) bool {
+	return op.gone && slices.ContainsFunc(earlier, func(e batchOp) bool {
+		return e.gone && !e.mirror && e.disk == op.disk
+	})
 }

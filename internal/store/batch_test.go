@@ -409,11 +409,11 @@ func TestBatchLeavesOpaqueDevicesAlone(t *testing.T) {
 	}
 }
 
-// TestBatchFailureChargedOncePerDisk: when every strip of a batch on one
+// TestBatchFailureChargedOncePerDisk: when every strip of an op list on one
 // disk fails for good — its device is gone — the observer is shown one
-// failed op, as the loop of single calls, which stops at the first, would
-// show it: a health monitor that evicts after a few failed ops must not evict
-// on one. Transient failures are observed op by op.
+// failed op, whether the device batches or is handed single calls: a health
+// monitor that evicts after a few failed ops must not evict on one. Transient
+// failures are observed op by op.
 func TestBatchFailureChargedOncePerDisk(t *testing.T) {
 	const moved = 4
 	na := newNodeArray(t, 9)
@@ -441,6 +441,119 @@ func TestBatchFailureChargedOncePerDisk(t *testing.T) {
 	}
 	if _, errs := na.spy.take(); len(errs[moved]) != na.an.SlotsPerDisk() {
 		t.Errorf("%d observed errors on disk %d, want one per strip of the cycle", len(errs[moved]), moved)
+	}
+
+	// An opaque device: a rebuild window onto a replacement that is gone.
+	na = newNodeArray(t, 9)
+	fillArray(t, na.Array, 61)
+	if err := na.FailDisk(moved); err != nil {
+		t.Fatal(err)
+	}
+	vanished := &refusingDev{Device: na.newLeaf(t, moved), err: errors.New("replacement gone")}
+	for idx := range na.slots {
+		vanished.idxs = append(vanished.idxs, idx)
+	}
+	if err := na.ReplaceDisk(moved, vanished); err != nil {
+		t.Fatal(err)
+	}
+	na.spy.take()
+	if err := na.Rebuild(); !errors.Is(err, vanished.err) {
+		t.Fatalf("rebuild onto a replacement that is gone: %v", err)
+	}
+	if _, errs := na.spy.take(); len(errs) != 1 || len(errs[moved]) != 1 {
+		t.Errorf("observed errors %v, want one on disk %d", errs, moved)
+	}
+	if st := na.DiskStats()[moved]; st.WriteOps < 2 {
+		t.Errorf("the window wrote %d strips to the replacement, want several", st.WriteOps)
+	}
+}
+
+// sleepDev is a device whose write of strip slow sleeps nap first.
+type sleepDev struct {
+	Device
+	slow int64
+	nap  time.Duration
+}
+
+func (d *sleepDev) WriteStrip(idx int64, p []byte) error {
+	if idx == d.slow {
+		time.Sleep(d.nap)
+	}
+	return d.Device.WriteStrip(idx, p)
+}
+
+// slowBlob is a blob whose writes sleep nap first.
+type slowBlob struct {
+	Blob
+	nap time.Duration
+}
+
+func (b *slowBlob) WriteAt(p []byte, off int64) (int, error) {
+	time.Sleep(b.nap)
+	return b.Blob.WriteAt(p, off)
+}
+
+// tookLog is an observer that records the device time charged to each op.
+type tookLog struct{ took []time.Duration }
+
+func (l *tookLog) observe(_ int, took time.Duration, _ error) { l.took = append(l.took, took) }
+
+// TestPlainOpChargedItsOwnCall: on an array of opaque devices, each op of a
+// list is charged the time of its own device call — a write that sleeps in a
+// closure commit at least its nap, the ops before and after it less. The nap
+// is long enough that a thread descheduled on a loaded machine does not pass
+// for it.
+func TestPlainOpChargedItsOwnCall(t *testing.T) {
+	const nap = 10 * time.Millisecond
+	arr := newOIArray(t, 9)
+	target, _ := arr.LocateDataStrip(0)
+	closure := arr.an.WritePlan(target).Strips
+	const slow = 2 // the closure strip whose write sleeps
+	arr.InstrumentDevices(func(d int, dev Device) Device {
+		if d == closure[slow].Disk {
+			return &sleepDev{Device: dev, slow: int64(closure[slow].Slot), nap: nap}
+		}
+		return dev
+	})
+	var log tookLog
+	arr.SetObserver(log.observe)
+	if _, err := arr.WriteAt(make([]byte, testStrip), 0); err != nil {
+		t.Fatal(err)
+	}
+	if len(log.took) != 2*len(closure) {
+		t.Fatalf("%d ops observed, want a read and a write of each of %d closure strips", len(log.took), len(closure))
+	}
+	for i, took := range log.took {
+		if sleeper := i == len(closure)+slow; sleeper != (took >= nap) {
+			t.Errorf("op %d charged %v; only op %d sleeps %v", i, took, len(closure)+slow, nap)
+		}
+	}
+}
+
+// TestChecksumTimeNotCharged: on a journaled array the checksum step runs
+// after the device calls, so none of its time is charged to an op — not even
+// when recording each sum takes 10 ms.
+func TestChecksumTimeNotCharged(t *testing.T) {
+	const nap = 10 * time.Millisecond
+	arr := newOIArray(t, 9)
+	b0, b1 := &slowBlob{Blob: NewMemBlob()}, &slowBlob{Blob: NewMemBlob()}
+	if err := arr.SetJournal(openTestJournal(t, b0, b1, 9)); err != nil {
+		t.Fatal(err)
+	}
+	var log tookLog
+	arr.SetObserver(log.observe)
+	b0.nap, b1.nap = nap, nap
+	start := time.Now()
+	if _, err := arr.WriteAt(make([]byte, testStrip), 0); err != nil {
+		t.Fatal(err)
+	}
+	if len(log.took) == 0 || time.Since(start) < time.Duration(len(log.took)/2)*nap {
+		t.Fatalf("%d ops observed in %v: the checksum records did not take their %v each", len(log.took), time.Since(start), nap)
+	}
+	for i, took := range log.took {
+		if took >= nap {
+			t.Errorf("op %d charged %v, the time of a checksum record", i, took)
+		}
 	}
 }
 

@@ -119,8 +119,11 @@ func (a *Array) Fsck(repair bool) (*FsckReport, error) {
 			if len(ops) < len(bufs) && n < total-1 {
 				continue
 			}
-			if err := a.readStrips(sc, ops, false, 0, checkSum); err != nil {
-				return rep, err
+			a.exec(sc, ops, false, false)
+			for i := range ops {
+				if err := checkSum(&ops[i]); err != nil {
+					return rep, err
+				}
 			}
 			ops = ops[:0]
 		}
@@ -141,7 +144,7 @@ func (a *Array) Fsck(repair bool) (*FsckReport, error) {
 					st := stripe.Strips[mi]
 					ops = append(ops, batchOp{dev: a.device(st.Disk), disk: st.Disk, idx: cycle*slots + int64(st.Slot), buf: shards[mi]})
 				}
-				if failed := a.writeStrips(sc, ops, false); failed != nil {
+				if failed := a.writeStrips(sc, ops); failed != nil {
 					return failed.err
 				}
 				is.Repaired = true

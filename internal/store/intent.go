@@ -88,7 +88,7 @@ func (a *Array) replayClosure(pc PendingClosure) error {
 			ops = append(ops, batchOp{dev: dev, disk: su.Disk, idx: devStrip, buf: su.Data})
 		}
 	}
-	if failed := a.writeStrips(sc, ops, false); failed != nil {
+	if failed := a.writeStrips(sc, ops); failed != nil {
 		return fmt.Errorf("strip (%d,%d) of cycle %d: %w", failed.disk, failed.idx%slots, pc.Cycle, failed.err)
 	}
 	return nil

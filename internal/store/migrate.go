@@ -167,13 +167,13 @@ func (a *Array) copyMirror(m *mirror, d int, idxs []int64) error {
 		for i, idx := range idxs[:n] {
 			ops = append(ops, batchOp{dev: a.devs[d], disk: d, idx: idx, buf: bufs[i]})
 		}
-		if err := a.readStrips(sc, ops, false, 0, nil); err != nil {
+		if err := a.readStrips(sc, ops, false, 0); err != nil {
 			return err
 		}
 		for i := range ops {
 			ops[i].dev, ops[i].err, ops[i].mirror = m.dst, nil, true
 		}
-		a.writeStrips(sc, ops, true)
+		a.writeStrips(sc, ops)
 		var err error
 		m.mu.Lock()
 		for _, op := range ops {

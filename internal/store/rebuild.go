@@ -187,7 +187,7 @@ func (a *Array) rebuildCycle(cycle int64, plan *core.Plan) error {
 			}
 			bufs = bufs[len(stripe.Strips):]
 		}
-		if err := a.readStrips(sc, ops, false, 0, nil); err != nil {
+		if err := a.readStrips(sc, ops, false, 0); err != nil {
 			return err
 		}
 
@@ -204,7 +204,7 @@ func (a *Array) rebuildCycle(cycle int64, plan *core.Plan) error {
 				ops = append(ops, batchOp{dev: a.replaced[st.Disk], disk: st.Disk, idx: base + int64(st.Slot), buf: shards[pos]})
 			}
 		}
-		if failed := a.writeStrips(sc, ops, false); failed != nil {
+		if failed := a.writeStrips(sc, ops); failed != nil {
 			return failed.err
 		}
 	}
@@ -282,7 +282,7 @@ func (a *Array) walkStripes(cycle int64, raw bool,
 			for mi, st := range stripe.Strips {
 				ops = append(ops, batchOp{dev: a.device(st.Disk), disk: st.Disk, idx: base + int64(st.Slot), buf: shards[mi]})
 			}
-			if err := a.readStrips(sc, ops, raw, 0, nil); err != nil {
+			if err := a.readStrips(sc, ops, raw, 0); err != nil {
 				return err
 			}
 			ok, err := a.codes[[2]int{stripe.Data, stripe.Parity()}].Verify(shards)

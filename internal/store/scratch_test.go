@@ -6,21 +6,12 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+
+	"github.com/oiraid/oiraid/internal/testutil"
 )
 
-// poolDrops reports whether sync.Pool discards at random, as it does under
-// the race detector; a steady-state allocation count means nothing then.
-func poolDrops() bool {
-	var p sync.Pool
-	x := new(int)
-	for i := 0; i < 256; i++ {
-		p.Put(x)
-		if p.Get() == nil {
-			return true
-		}
-	}
-	return false
-}
+// poolDrops reports whether sync.Pool discards at random (testutil.PoolDrops).
+func poolDrops() bool { return testutil.PoolDrops() }
 
 // TestSteadyStateAllocs pins what the scratch pool buys on a journal-less
 // in-memory array: a healthy single-strip write, a one-hop degraded read and

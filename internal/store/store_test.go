@@ -902,7 +902,7 @@ func writeMember(t testing.TB, arr *Array, d int, idx int64, p []byte) {
 	defer arr.mu.RUnlock()
 	sc := arr.getScratch()
 	defer arr.putScratch(sc)
-	if failed := arr.writeStrips(sc, append(sc.opList(1), batchOp{dev: arr.device(d), disk: d, idx: idx, buf: p}), false); failed != nil {
+	if failed := arr.writeStrips(sc, append(sc.opList(1), batchOp{dev: arr.device(d), disk: d, idx: idx, buf: p})); failed != nil {
 		t.Fatal(failed.err)
 	}
 }
@@ -944,9 +944,9 @@ func TestChecksumStepBasics(t *testing.T) {
 	if err := arr.ProbeDiskStrip(2, 2, q); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("read of a corrupted strip: %v, want ErrCorrupt", err)
 	}
-	raw := batchOp{dev: mem, disk: 2, idx: 2, buf: q}
-	if arr.call(&raw, false, true); raw.err != nil {
-		t.Fatalf("raw read verified: %v", raw.err)
+	raw := []batchOp{{dev: mem, disk: 2, idx: 2, buf: q}}
+	if arr.exec(nil, raw, false, true); raw[0].err != nil {
+		t.Fatalf("raw read verified: %v", raw[0].err)
 	}
 	if err := arr.ProbeDiskStrip(2, 0, q); err != nil {
 		t.Fatalf("never-written strip: %v", err)

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/oiraid/oiraid/internal/bibd"
@@ -85,7 +86,7 @@ func TestWritePlanProperty(t *testing.T) {
 					}
 					delete(want, st) // a duplicate fails the next lookup
 				}
-				for _, step := range plan.Steps {
+				for si, step := range plan.Steps {
 					stripe := sch.Stripes()[step.Stripe]
 					if stripe.Strips[step.DataPos] != plan.Strips[step.Source] || step.DataPos >= stripe.Data {
 						t.Fatalf("plan of %v: step %+v misplaces its source", target, step)
@@ -93,6 +94,10 @@ func TestWritePlanProperty(t *testing.T) {
 					for j, p := range step.Parity {
 						if p <= step.Source || plan.Strips[p] != stripe.Strips[stripe.Data+j] {
 							t.Fatalf("plan of %v: step %+v parity %d wrong or ahead of its source", target, step, j)
+						}
+						if feeds, once := rescanDeltaUse(plan.Steps, si, p); step.Feeds[j] != feeds || step.Once[j] != once {
+							t.Fatalf("plan of %v: step %+v parity %d marked feeds %v once %v, a rescan says %v %v",
+								target, step, j, step.Feeds[j], step.Once[j], feeds, once)
 						}
 					}
 				}
@@ -124,6 +129,20 @@ func TestWritePlanProperty(t *testing.T) {
 			}
 		})
 	}
+}
+
+// rescanDeltaUse is the definition of a step's marks for closure strip i:
+// whether a step after steps[done] folds i's change, and whether exactly one
+// step updates i.
+func rescanDeltaUse(steps []core.WriteStep, done, i int) (feeds, once bool) {
+	updates := 0
+	for si, step := range steps {
+		feeds = feeds || si > done && step.Source == i
+		if slices.Contains(step.Parity, i) {
+			updates++
+		}
+	}
+	return feeds, updates == 1
 }
 
 // TestWritePlanSharedParity: a layout in which one parity strip takes the

@@ -49,7 +49,7 @@ bench:
 # once each, so they cannot rot.
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
-	$(GO) test -run '^$$' -bench 'Slice|Encode|Reconstruct|UpdateParity|NewMemDevice|ArrayWrite|ArrayDegradedRead|ArrayDeepRead|EngineWriteStrip|EngineReadStrip|JournaledWrite|JournaledRead|MemBlobAppend|NetDeviceStrip|NetDeviceBatch|ClusterWrite|MigrateDisk' -benchtime 1x \
+	$(GO) test -run '^$$' -bench 'Slice|Encode|Reconstruct|UpdateParity|NewMemDevice|Fsck|ArrayWrite|ArrayDegradedRead|ArrayDeepRead|EngineWriteStrip|EngineReadStrip|JournaledWrite|JournaledRead|MemBlobAppend|NetDeviceStrip|NetDeviceBatch|ClusterWrite|MigrateDisk' -benchtime 1x \
 		./internal/gf ./internal/erasure ./internal/store ./internal/engine ./internal/store/netdev ./internal/cluster
 
 # The functions of the serving packages that no test of the module reaches:

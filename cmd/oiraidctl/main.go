@@ -362,9 +362,10 @@ func (l localStrips) FsckCtx(_ context.Context, repair bool) (*store.FsckReport,
 }
 
 // stripCmd runs one strip verb — write, read, scrub or fsck — against
-// either plane. fsck is the two-layer verification pass — durable per-strip
-// checksums, then parity of every stripe in both layers; with repair,
-// damaged strips are reconstructed from redundancy. A dirty array (damage
+// either plane. fsck is the scrub's two-layer check with a report — every
+// stripe of both layers read once, its strips against their durable
+// checksums and the stripe against its parity; with repair, damaged strips
+// are reconstructed from redundancy. A dirty array (damage
 // found and not repaired) is an error.
 func stripCmd(ctx context.Context, s stripPlane, cmd string, off, length int64, repair bool, in io.Reader, out io.Writer) error {
 	switch cmd {

@@ -50,6 +50,33 @@ func TestRecoverableMatchesPlanner(t *testing.T) {
 	}
 }
 
+// TestEveryStripInAStripe: every (disk, slot) of a cycle is a member of at
+// least one stripe. The array's one verification walk (scrub, fsck) reads
+// stripes, not disks, so it checks every strip's checksum only because of
+// this. On OI-RAID v = 9 a third of the strips (inner parity) sit in one
+// stripe and the rest in two.
+func TestEveryStripInAStripe(t *testing.T) {
+	for _, a := range append(propertySchemes(t), oiAnalyzer(t, 25)) {
+		s := a.Scheme()
+		holders := make([]int, s.Disks()*s.SlotsPerDisk())
+		for _, stripe := range s.Stripes() {
+			for _, st := range stripe.Strips {
+				holders[st.Disk*s.SlotsPerDisk()+st.Slot]++
+			}
+		}
+		tally := map[int]int{}
+		for i, n := range holders {
+			if n == 0 {
+				t.Fatalf("%s: strip (disk %d, slot %d) is in no stripe", s.Name(), i/s.SlotsPerDisk(), i%s.SlotsPerDisk())
+			}
+			tally[n]++
+		}
+		if s.Name() == "oi-raid(v=9,k=3,r=4)" && (tally[1] != 108 || tally[2] != 216 || len(tally) != 2) {
+			t.Fatalf("%s: strips per holder count %v, want 108 in one stripe and 216 in two", s.Name(), tally)
+		}
+	}
+}
+
 // TestPlanReadAccounting: ReadsPerDisk must equal the per-disk tally of
 // non-recovered task reads, and ReadRuns must cover exactly those slots.
 func TestPlanReadAccounting(t *testing.T) {

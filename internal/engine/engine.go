@@ -3,8 +3,8 @@
 // proceed in parallel while the 4-strip update closure of one stripe (data
 // strip, inner parity, outer parity, outer parity's inner parity) stays
 // atomic; a bounded worker pool fans multi-strip requests out; and the
-// background passes — rebuild, scrub, a migration's copy — walk the array
-// one layout cycle at a time beside foreground I/O.
+// background passes — rebuild, scrub, fsck, a migration's copy — walk the
+// array one layout cycle at a time beside foreground I/O.
 //
 // Locking model. Every engine operation holds the engine's mode lock
 // shared; structural transitions (FailDisk, rebuild completion) hold it
@@ -492,7 +492,7 @@ func (e *Engine) lockCycle(cycle int64) (unlock func()) {
 	}
 }
 
-// walkCycles is the one walk of a background pass (rebuild, scrub, a
+// walkCycles is the one walk of a background pass (rebuild, scrub, fsck, a
 // migration's copy): up to batch cycles from the pass's cursor, each under
 // its own lockCycle, until a step reports the pass done or fails. A cursor
 // that moved meanwhile means another walker did that cycle.

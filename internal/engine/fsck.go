@@ -6,13 +6,13 @@ import (
 	"github.com/oiraid/oiraid/internal/store"
 )
 
-// Fsck quiesces the engine and runs a full two-layer verification pass
-// over the array (see store.Array.Fsck): every strip against its durable
-// checksum, every stripe of both redundancy layers against its parity.
-// With repair set, damage is fixed in place. The engine's exclusive mode
-// lock is held for the duration, so foreground I/O drains first and
-// nothing interleaves with the walk; a running rebuild must finish
-// before a check can start.
+// Fsck runs the two-layer verification (store.Array.FsckCycle) over every
+// cycle of the array: every strip against its durable checksum, every stripe
+// of both redundancy layers against its parity; with repair set, damage is
+// fixed in place. It is a background walk (walkCycles) beside foreground
+// I/O: only writers of the cycle being checked wait, readers never do. It
+// checks ctx between cycles, ending with ctx.Err() once ctx is done, and a
+// running rebuild must finish before a check can start.
 func (e *Engine) Fsck(ctx context.Context, repair bool) (*store.FsckReport, error) {
 	if e.closed.Load() {
 		return nil, ErrClosed
@@ -20,17 +20,17 @@ func (e *Engine) Fsck(ctx context.Context, repair bool) (*store.FsckReport, erro
 	if e.Rebuilding() {
 		return nil, ErrRebuildRunning
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	rep := &store.FsckReport{Cycles: e.arr.Cycles()}
+	for cycle := range rep.Cycles {
+		if err := ctx.Err(); err != nil {
+			return rep, err
+		}
+		_, err := e.walkCycles(1, func() (int64, int64) { return cycle, rep.Cycles },
+			func(c int64) (bool, error) { return true, e.arr.FsckCycle(c, repair, rep) })
+		if err != nil {
+			return rep, err
+		}
 	}
-	e.mode.Lock()
-	defer e.mode.Unlock()
-	if e.closed.Load() {
-		return nil, ErrClosed
-	}
-	rep, err := e.arr.Fsck(repair)
-	if err == nil {
-		e.stats.fsckRuns.Add(1)
-	}
-	return rep, err
+	e.stats.fsckRuns.Add(1)
+	return rep, nil
 }

@@ -154,7 +154,7 @@ func TestCorruptReadsOnEveryDevice(t *testing.T) {
 // TestEveryDeviceOpObservedOnce: writes, a scrub pass and a check-only fsck
 // on a durable array — in-process, and over batching devices — reach the
 // health monitor once per device op: each disk's Ops grow by exactly its
-// DiskStats reads and writes, raw reads of fsck's parity pass included.
+// DiskStats reads and writes.
 func TestEveryDeviceOpObservedOnce(t *testing.T) {
 	for _, batched := range []bool{false, true} {
 		t.Run(fmt.Sprint("batched=", batched), func(t *testing.T) {

@@ -401,8 +401,9 @@ func (c *Client) ScrubCtx(ctx context.Context) (int, error) {
 	return resp["bad_stripes"], err
 }
 
-// Fsck runs a full two-layer verification pass on the server, repairing
-// damage in place when repair is set, and returns the report.
+// Fsck runs a full two-layer verification pass on the server, a cycle at a
+// time beside foreground I/O, repairing damage in place when repair is set,
+// and returns the report.
 func (c *Client) Fsck(repair bool) (*store.FsckReport, error) {
 	return c.FsckCtx(context.Background(), repair)
 }

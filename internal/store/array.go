@@ -62,8 +62,9 @@ func (c *ioCounters) reset() {
 
 // Array is a byte-accurate RAID array over strip devices, laid out by any
 // layout.Scheme. It is safe for concurrent use: reads, ConcurrentWriteAt and
-// the per-cycle background passes run under the read lock; WriteAt, failure
-// injection, the rebuild's completion flip and fsck under the write lock.
+// the per-cycle background passes (fsck's among them) run under the read
+// lock; WriteAt, failure injection and the rebuild's completion flip under
+// the write lock.
 //
 // Mutability invariants (what the concurrency engine in internal/engine
 // relies on):
@@ -513,7 +514,7 @@ func (a *Array) readStrip(d int, devStrip int64, p []byte) error {
 // executor — counted, and healed in place when it fails its checksum.
 func (a *Array) readMember(dev Device, d int, devStrip int64, p []byte, depth int) error {
 	ops := [1]batchOp{{dev: dev, disk: d, idx: devStrip, buf: p}}
-	return a.readStrips(nil, ops[:], false, depth)
+	return a.readStrips(nil, ops[:], depth)
 }
 
 // healStrip reconstructs strip (d, devStrip), whose read failed with the
@@ -635,7 +636,7 @@ func (a *Array) execTask(run *planRun, via int, reads []bool, targets []int,
 		idx := run.cycle*slots + int64(st.Slot)
 		ops = append(ops, batchOp{dev: a.liveDevice(st.Disk, idx), disk: st.Disk, idx: idx, buf: shards[pos]})
 	}
-	if err := a.readStrips(run.sc, ops, false, run.depth); err != nil {
+	if err := a.readStrips(run.sc, ops, run.depth); err != nil {
 		return err
 	}
 	if err := a.codes[[2]int{stripe.Data, stripe.Parity()}].Reconstruct(shards, reads); err != nil {
@@ -687,7 +688,7 @@ func (a *Array) ProbeDiskStrip(d int, devStrip int64, p []byte) error {
 	}
 	ops := [1]batchOp{{dev: dev, disk: d, idx: devStrip, buf: p}}
 	a.countRead(d)
-	a.exec(nil, ops[:], false, false)
+	a.exec(nil, ops[:], false)
 	return ops[0].err
 }
 
@@ -838,9 +839,9 @@ func (a *Array) WriteAt(p []byte, off int64) (int, error) {
 // no two concurrent ConcurrentWriteAt calls touch intersecting parity
 // closures, that no concurrent read decodes through a stripe an in-flight
 // write is updating, and that no write runs on a cycle a background pass
-// (RebuildCycle, ScrubCycle, CopyMirrorCycle) is on — the engine in
-// internal/engine provides exactly this exclusion. Structural operations
-// (FailDisk, ReplaceDisk, the rebuild's flip, Fsck) take the write lock and
+// (RebuildCycle, ScrubCycle, FsckCycle, CopyMirrorCycle) is on — the engine
+// in internal/engine provides exactly this exclusion. Structural operations
+// (FailDisk, ReplaceDisk, the rebuild's flip) take the write lock and
 // therefore remain safe to interleave.
 func (a *Array) ConcurrentWriteAt(p []byte, off int64) (int, error) {
 	a.mu.RLock()
@@ -1003,7 +1004,7 @@ func (a *Array) writeStripRange(dataIdx int64, within int, data []byte) error {
 			ops = append(ops, batchOp{dev: dev, disk: st.Disk, idx: idx, buf: media})
 			continue
 		}
-		if err := a.readStrips(sc, ops, false, 0); err != nil {
+		if err := a.readStrips(sc, ops, 0); err != nil {
 			return err
 		}
 		ops = ops[:0]
@@ -1011,7 +1012,7 @@ func (a *Array) writeStripRange(dataIdx int64, within int, data []byte) error {
 			return err
 		}
 	}
-	if err := a.readStrips(sc, ops, false, 0); err != nil {
+	if err := a.readStrips(sc, ops, 0); err != nil {
 		return err
 	}
 	if whole {

@@ -79,11 +79,10 @@ func (sc *stripScratch) opList(n int) []batchOp {
 }
 
 // batchWindowBytes bounds the strip buffers a step that walks many strips — a
-// rebuilt cycle's tasks, fsck's checksum pass, a migrating disk's copy — holds
-// per batch on a batching array. A window's strips exist three times over
-// while they travel (the
-// scratch set, the client's message, the node's), and on a coordinator whose
-// whole resident set is a few tens of MiB that shows: measured on the
+// rebuilt cycle's tasks, a migrating disk's copy — holds per batch on a
+// batching array. A window's strips exist three times over while they travel
+// (the scratch set, the client's message, the node's), and on a coordinator
+// whose whole resident set is a few tens of MiB that shows: measured on the
 // bench's cluster-4k, windows of 1 MiB, 512, 256 and 128 KiB raise the
 // memory peak by 8, 5, 3.7 and 2 %. 128 KiB still turns the 108 strip RPCs
 // of a 4 KiB-strip cycle of the 9-disk geometry into 16, a strip that rides
@@ -138,12 +137,12 @@ func (a *Array) SetObserver(fn func(disk int, took time.Duration, err error)) {
 // batching array a list of more than one op through issue, otherwise one
 // device call per op in op order — and then runs each disk's steps over the
 // outcomes in op order: the strip's checksum in the journal's table (verified
-// after a read unless raw, recorded after a write; an array without a journal
-// has none), then the observer. A migration destination's op has no steps:
+// after a read, recorded after a write; an array without a journal has none),
+// then the observer. A migration destination's op has no steps:
 // the sum of what it wrote was recorded for the source, and its failure is the
 // migration's, not the disk's. Neither step runs inside a device's time. sc
 // may be nil for a list of one op, which is never grouped.
-func (a *Array) exec(sc *stripScratch, ops []batchOp, write, raw bool) {
+func (a *Array) exec(sc *stripScratch, ops []batchOp, write bool) {
 	if a.batching && len(ops) > 1 {
 		a.issue(sc, ops, write)
 	} else {
@@ -156,10 +155,9 @@ func (a *Array) exec(sc *stripScratch, ops []batchOp, write, raw bool) {
 			continue
 		}
 		if a.journal != nil && op.err == nil {
-			switch {
-			case write:
+			if write {
 				op.err = a.journal.RecordSum(op.disk, op.idx, crc32.Checksum(op.buf, castagnoli))
-			case !raw:
+			} else {
 				op.err = a.journal.verifySum(op.disk, op.idx, op.buf)
 			}
 		}
@@ -198,23 +196,23 @@ func (a *Array) callEach(ops []batchOp, write, batched bool) {
 // readStrips is the gather half of the batch executor: it reads every op, then
 // settles each in op order with settleRead and returns the first error a
 // settle returns, settling no op after it.
-func (a *Array) readStrips(sc *stripScratch, ops []batchOp, raw bool, depth int) error {
-	a.exec(sc, ops, false, raw)
+func (a *Array) readStrips(sc *stripScratch, ops []batchOp, depth int) error {
+	a.exec(sc, ops, false)
 	for i := range ops {
-		if err := a.settleRead(&ops[i], raw, depth); err != nil {
+		if err := a.settleRead(&ops[i], depth); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// settleRead accounts for the device read op made and, unless raw, heals a
-// checksum failure (a latent sector error the checksum step caught) in
-// place: reconstruct through whichever of the strip's stripes still decodes,
-// write back, carry on with the healed content. depth bounds the recursion.
-func (a *Array) settleRead(op *batchOp, raw bool, depth int) error {
+// settleRead accounts for the device read op made and heals a checksum
+// failure (a latent sector error the checksum step caught) in place:
+// reconstruct through whichever of the strip's stripes still decodes, write
+// back, carry on with the healed content. depth bounds the recursion.
+func (a *Array) settleRead(op *batchOp, depth int) error {
 	a.countRead(op.disk)
-	if raw || !errors.Is(op.err, ErrCorrupt) || depth >= maxHealDepth {
+	if !errors.Is(op.err, ErrCorrupt) || depth >= maxHealDepth {
 		return op.err
 	}
 	a.stats.corruptStrips.Add(1)
@@ -230,7 +228,7 @@ func (a *Array) settleRead(op *batchOp, raw bool, depth int) error {
 // land in op order.
 func (a *Array) writeStrips(sc *stripScratch, ops []batchOp) *batchOp {
 	ops = a.withMirrors(ops)
-	a.exec(sc, ops, true, false)
+	a.exec(sc, ops, true)
 	var failed *batchOp
 	for i := range ops {
 		op := &ops[i]

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/oiraid/oiraid/internal/core"
+	"github.com/oiraid/oiraid/internal/layout"
 )
 
 // fakeNode stands for a storage node: the nodeDevs that share one share
@@ -398,11 +399,21 @@ func TestBatchLeavesOpaqueDevicesAlone(t *testing.T) {
 	if batches == 0 || singles != len(calls) {
 		t.Errorf("fsck: %d batch calls, %d single calls; want batches, and single calls for the %d ops of disk %d alone", batches, singles, len(calls), wrapped)
 	}
-	// The checksum pass reads the disk's strips in ascending order.
-	for i := range int(na.slots) {
-		if want := fmt.Sprint("r", i); i >= len(calls) || calls[i] != want {
-			t.Fatalf("call %d on the opaque device: %v, want %s", i, calls, want)
+	// The walk reads the disk's strips in stripe order, outer layer first.
+	var want []string
+	for cycle := range na.Cycles() {
+		for _, outer := range []bool{true, false} {
+			for _, stripe := range na.Analyzer().Scheme().Stripes() {
+				for _, st := range stripe.Strips {
+					if st.Disk == wrapped && outer == (stripe.Layer == layout.LayerOuter) {
+						want = append(want, fmt.Sprint("r", cycle*na.slots+int64(st.Slot)))
+					}
+				}
+			}
 		}
+	}
+	if !slices.Equal(calls, want) {
+		t.Fatalf("calls on the opaque device: %v, want %v", calls, want)
 	}
 	if seen, errs := na.spy.take(); seen[wrapped] != len(calls) || len(errs) != 0 {
 		t.Errorf("disk %d was observed %d times for %d calls, errors %v", wrapped, seen[wrapped], len(calls), errs)

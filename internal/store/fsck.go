@@ -1,10 +1,8 @@
 package store
 
 import (
-	"errors"
 	"fmt"
-
-	"github.com/oiraid/oiraid/internal/layout"
+	"slices"
 )
 
 // FsckIssue is one inconsistency found by Fsck.
@@ -56,108 +54,57 @@ type FsckReport struct {
 // maxFsckIssues caps the itemised issue list in a report.
 const maxFsckIssues = 1024
 
-// Fsck walks both redundancy layers of the whole array, verifying every
-// strip against its durable checksum and every stripe (outer BIBD layer
-// and inner RAID5 layer) against its parity. With repair set, checksum
-// failures are reconstructed from parity and rewritten, and inconsistent
-// stripes get their parity recomputed from data (outer layer first, since
-// outer parity strips are data members of inner stripes).
-//
-// The checksum pass trusts parity (it reconstructs from it, as read repair
-// does) and the parity pass trusts data. The array must be healthy; it is
-// locked for the duration, so route calls through Engine.Fsck on a serving
-// array.
+// add counts is in the report and, up to maxFsckIssues, lists it.
+func (r *FsckReport) add(is FsckIssue) {
+	if is.Kind == "checksum" {
+		r.ChecksumErrors++
+	} else {
+		r.ParityErrors++
+	}
+	if is.Repaired {
+		r.Repaired++
+	}
+	if len(r.Issues) >= maxFsckIssues {
+		r.Truncated = true
+		return
+	}
+	r.Issues = append(r.Issues, is)
+}
+
+// Fsck verifies both redundancy layers of the whole array: FsckCycle over
+// every cycle, the way Scrub runs ScrubCycle. It takes no lock across
+// cycles, so it is for an array no writer is using; route calls through
+// Engine.Fsck on a serving array.
 func (a *Array) Fsck(repair bool) (*FsckReport, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if len(a.failedListLocked()) > 0 {
-		return nil, ErrDiskFaulty
-	}
 	rep := &FsckReport{Cycles: a.cycles}
-	slots := int64(a.an.SlotsPerDisk())
-	addIssue := func(is FsckIssue) {
-		if len(rep.Issues) >= maxFsckIssues {
-			rep.Truncated = true
-			return
-		}
-		rep.Issues = append(rep.Issues, is)
-	}
-
-	sc := a.getScratch()
-	defer a.putScratch(sc)
-	bufs := sc.strips(min(a.windowStrips(1), len(a.devs)*int(slots)))
 	for cycle := int64(0); cycle < a.cycles; cycle++ {
-		// Pass A: durable checksums, healed from parity when repairing. The
-		// cycle's strips are read disk by disk, a window's worth per batch.
-		checkSum := func(op *batchOp) error {
-			rep.StripsChecked++
-			a.countRead(op.disk)
-			if op.err == nil {
-				return nil
-			}
-			if !errors.Is(op.err, ErrCorrupt) {
-				return op.err
-			}
-			a.stats.corruptStrips.Add(1)
-			rep.ChecksumErrors++
-			is := FsckIssue{Kind: "checksum", Cycle: cycle, Disk: op.disk, Slot: int(op.idx % slots)}
-			if repair {
-				if herr := a.healStrip(op.dev, op.disk, op.idx, op.buf, 0, op.err); herr == nil {
-					is.Repaired = true
-					rep.Repaired++
-				} else if !errors.Is(herr, ErrCorrupt) {
-					return herr // the write-back failed
-				}
-			}
-			addIssue(is)
-			return nil
-		}
-		ops := sc.opList(len(bufs))
-		for n, total := int64(0), int64(len(a.devs))*slots; n < total; n++ {
-			d := int(n / slots)
-			ops = append(ops, batchOp{dev: a.device(d), disk: d, idx: cycle*slots + n%slots, buf: bufs[len(ops)]})
-			if len(ops) < len(bufs) && n < total-1 {
-				continue
-			}
-			a.exec(sc, ops, false, false)
-			for i := range ops {
-				if err := checkSum(&ops[i]); err != nil {
-					return rep, err
-				}
-			}
-			ops = ops[:0]
-		}
-
-		// Pass B: parity consistency, read under the checksums so that a
-		// (reported) checksum issue neither masks the parity verdict nor gets
-		// healed unasked; with repair, parity is recomputed from data, which
-		// the walk's outer-first order makes cascade.
-		err := a.walkStripes(cycle, true, func(si int, stripe layout.Stripe, shards [][]byte) error {
-			rep.ParityErrors++
-			is := FsckIssue{Kind: "parity", Cycle: cycle, Stripe: si, Layer: stripe.Layer.String()}
-			if repair {
-				if err := a.codes[[2]int{stripe.Data, stripe.Parity()}].Encode(shards); err != nil {
-					return err
-				}
-				ops := sc.opList(stripe.Parity())
-				for mi := stripe.Data; mi < len(stripe.Strips); mi++ {
-					st := stripe.Strips[mi]
-					ops = append(ops, batchOp{dev: a.device(st.Disk), disk: st.Disk, idx: cycle*slots + int64(st.Slot), buf: shards[mi]})
-				}
-				if failed := a.writeStrips(sc, ops); failed != nil {
-					return failed.err
-				}
-				is.Repaired = true
-				rep.Repaired++
-			}
-			addIssue(is)
-			return nil
-		})
-		if err != nil {
+		if err := a.FsckCycle(cycle, repair, rep); err != nil {
 			return rep, err
 		}
-		rep.StripesChecked += int64(len(a.sch.Stripes()))
 	}
-	rep.Clean = rep.ChecksumErrors+rep.ParityErrors == rep.Repaired
 	return rep, nil
+}
+
+// FsckCycle verifies one cycle with the scrub's check (walkStripes) and adds
+// what it finds to rep: every strip against its durable checksum, every
+// stripe of the outer BIBD layer and the inner RAID5 layer against its
+// parity. With repair set, a checksum failure is reconstructed from parity
+// and rewritten, as read repair does, and an inconsistent stripe gets its
+// parity recomputed from data (outer layer first, since outer parity strips
+// are data members of inner stripes). It holds the array lock shared and the
+// caller keeps writers off the cycle, as for ScrubCycle. The array must be
+// healthy.
+func (a *Array) FsckCycle(cycle int64, repair bool, rep *FsckReport) error {
+	a.mu.RLock()
+	defer a.mu.RUnlock()
+	if slices.Contains(a.failed, true) {
+		return ErrDiskFaulty
+	}
+	if err := a.walkStripes(cycle, repair, repair, rep); err != nil {
+		return err
+	}
+	rep.StripsChecked += int64(len(a.devs) * a.an.SlotsPerDisk())
+	rep.StripesChecked += int64(len(a.sch.Stripes()))
+	rep.Clean = rep.ChecksumErrors+rep.ParityErrors == rep.Repaired
+	return nil
 }

@@ -167,7 +167,7 @@ func (a *Array) copyMirror(m *mirror, d int, idxs []int64) error {
 		for i, idx := range idxs[:n] {
 			ops = append(ops, batchOp{dev: a.devs[d], disk: d, idx: idx, buf: bufs[i]})
 		}
-		if err := a.readStrips(sc, ops, false, 0); err != nil {
+		if err := a.readStrips(sc, ops, 0); err != nil {
 			return err
 		}
 		for i := range ops {

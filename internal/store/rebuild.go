@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
@@ -187,7 +188,7 @@ func (a *Array) rebuildCycle(cycle int64, plan *core.Plan) error {
 			}
 			bufs = bufs[len(stripe.Strips):]
 		}
-		if err := a.readStrips(sc, ops, false, 0); err != nil {
+		if err := a.readStrips(sc, ops, 0); err != nil {
 			return err
 		}
 
@@ -229,11 +230,12 @@ func (a *Array) Scrub() (bad int, err error) {
 
 // ScrubCycle verifies the cycle at the scrub cursor, under the same contract
 // as RebuildCycle, and advances the cursor; bad counts the inconsistent
-// stripes. A strip that fails its checksum (a latent sector error) is healed
-// in place through readMember. After the last cycle the pass is complete:
-// done is true and the cursor wraps to 0. A cycle attempted while a disk is
-// failed returns ErrDiskFaulty and leaves the cursor, so scrubbing resumes
-// after the rebuild.
+// stripes. It is the check fsck runs (walkStripes), healing a strip that
+// fails its checksum (a latent sector error) in place but leaving parity
+// alone. A strip no stripe can heal fails the cycle with ErrCorrupt. After
+// the last cycle the pass is complete: done is true and the cursor wraps to
+// 0. A cycle attempted while a disk is failed returns ErrDiskFaulty and
+// leaves the cursor, so scrubbing resumes after the rebuild.
 func (a *Array) ScrubCycle(cycle int64) (done bool, bad int, err error) {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
@@ -243,15 +245,16 @@ func (a *Array) ScrubCycle(cycle int64) (done bool, bad int, err error) {
 	if cur := a.scrubCursor.Load(); cycle != cur {
 		return false, 0, fmt.Errorf("store: scrub of cycle %d refused: the cursor is at %d", cycle, cur)
 	}
-	err = a.walkStripes(cycle, false, func(int, layout.Stripe, [][]byte) error {
-		bad++
-		return nil
-	})
+	var rep FsckReport
+	err = a.walkStripes(cycle, true, false, &rep)
+	if n := rep.ChecksumErrors - rep.Repaired; err == nil && n > 0 {
+		err = fmt.Errorf("%w: %d strips of cycle %d unhealable", ErrCorrupt, n, cycle)
+	}
 	if err != nil {
-		return false, bad, err
+		return false, rep.ParityErrors, err
 	}
 	a.scrubCursor.Store((cycle + 1) % a.cycles)
-	return cycle+1 == a.cycles, bad, nil
+	return cycle+1 == a.cycles, rep.ParityErrors, nil
 }
 
 // ScrubProgress reports the scrub cursor and the pass length in cycles.
@@ -259,20 +262,21 @@ func (a *Array) ScrubProgress() (scanned, total int64) {
 	return a.scrubCursor.Load(), a.cycles
 }
 
-// walkStripes is the one read-all-members-then-check loop: for every
-// stripe of the cycle it reads the members as one batch — healing a strip
-// that fails its checksum, or with raw under the checksums — verifies the
-// stripe against its parity, and hands an inconsistent one, with its
-// shards (valid only during the call), to visit. Outer-layer stripes come
-// first: outer parity strips are data members of inner stripes, so a
-// visitor that rewrites outer parity may dirty inner parity, which the
-// inner stripes' turn then sees. Caller holds mu, shared if no writer is on
-// the cycle.
-func (a *Array) walkStripes(cycle int64, raw bool,
-	visit func(si int, stripe layout.Stripe, shards [][]byte) error) error {
+// walkStripes is the one check of a cycle, scrub's and fsck's: for every
+// stripe of the cycle it reads the members as one batch, verifies the stripe
+// against its parity, and adds what it finds to rep. A member that fails its
+// checksum is reported once, even when it sits in two stripes; with heal it
+// is healed in place (healStrip), otherwise the stripe is verified over the
+// bytes as read. With fix an inconsistent stripe gets its parity recomputed
+// from data. Outer-layer stripes come first: outer parity strips are data
+// members of inner stripes, so a fix of outer parity may dirty inner parity,
+// which the inner stripes' turn then sees. Caller holds mu, shared if no
+// writer is on the cycle.
+func (a *Array) walkStripes(cycle int64, heal, fix bool, rep *FsckReport) error {
 	base := cycle * int64(a.an.SlotsPerDisk())
 	sc := a.getScratch()
 	defer a.putScratch(sc)
+	var corrupt []layout.Strip // reported this cycle
 	for _, outer := range []bool{true, false} {
 		for si, stripe := range a.sch.Stripes() {
 			if outer != (stripe.Layer == layout.LayerOuter) {
@@ -282,18 +286,52 @@ func (a *Array) walkStripes(cycle int64, raw bool,
 			for mi, st := range stripe.Strips {
 				ops = append(ops, batchOp{dev: a.device(st.Disk), disk: st.Disk, idx: base + int64(st.Slot), buf: shards[mi]})
 			}
-			if err := a.readStrips(sc, ops, raw, 0); err != nil {
-				return err
+			a.exec(sc, ops, false)
+			for mi := range ops {
+				op, st := &ops[mi], stripe.Strips[mi]
+				a.countRead(op.disk)
+				if op.err == nil || errors.Is(op.err, ErrCorrupt) && slices.Contains(corrupt, st) {
+					continue
+				}
+				if !errors.Is(op.err, ErrCorrupt) {
+					return op.err
+				}
+				corrupt = append(corrupt, st)
+				a.stats.corruptStrips.Add(1)
+				is := FsckIssue{Kind: "checksum", Cycle: cycle, Disk: st.Disk, Slot: st.Slot}
+				if heal {
+					herr := a.healStrip(op.dev, op.disk, op.idx, op.buf, 0, op.err)
+					if herr != nil && !errors.Is(herr, ErrCorrupt) {
+						return herr // the write-back failed
+					}
+					is.Repaired = herr == nil
+				}
+				rep.add(is)
 			}
-			ok, err := a.codes[[2]int{stripe.Data, stripe.Parity()}].Verify(shards)
+			code := a.codes[[2]int{stripe.Data, stripe.Parity()}]
+			ok, err := code.Verify(shards)
 			if err != nil {
 				return fmt.Errorf("store: verify stripe %d of cycle %d: %w", si, cycle, err)
 			}
-			if !ok {
-				if err := visit(si, stripe, shards); err != nil {
+			if ok {
+				continue
+			}
+			is := FsckIssue{Kind: "parity", Cycle: cycle, Stripe: si, Layer: stripe.Layer.String()}
+			if fix {
+				if err := code.Encode(shards); err != nil {
 					return err
 				}
+				ops = ops[:0]
+				for mi := stripe.Data; mi < len(stripe.Strips); mi++ {
+					st := stripe.Strips[mi]
+					ops = append(ops, batchOp{dev: a.device(st.Disk), disk: st.Disk, idx: base + int64(st.Slot), buf: shards[mi]})
+				}
+				if failed := a.writeStrips(sc, ops); failed != nil {
+					return failed.err
+				}
+				is.Repaired = true
 			}
+			rep.add(is)
 		}
 	}
 	return nil

@@ -81,6 +81,39 @@ func TestClusterBatchRPCCounts(t *testing.T) {
 	}
 }
 
+// TestHAWriteRPCCounts pins what a strip write costs an HA coordinator, by
+// route: the closure's strip RPCs, as on a classic one (a read and a write
+// batch per node of the closure), plus the journal's two appends — the redo
+// record, then the closure's checksums and clear — each a blob write at every
+// one of the three voters, and the redo record's sync at each. Over a cycle's
+// 144 writes that is 720 strip RPCs, 864 blob writes and 432 syncs: 14 RPCs a
+// write, where one append per record took 26.
+func TestHAWriteRPCCounts(t *testing.T) {
+	c, ct := countedClusterHA(t, 512, nil, "coord-a")
+	p := make([]byte, 512)
+	rand.New(rand.NewSource(7)).Read(p)
+	strips := c.Eng.Strips()
+	dev := func() int64 { return ct.batchReads.Load() + ct.batchWrites.Load() + ct.singles.Load() }
+	d0, w0, s0, tr0, all0 := dev(), ct.blobWrites.Load(), ct.blobSyncs.Load(), ct.blobTruncates.Load(), ct.stripRPCs()
+	epoch := c.journal.Epoch()
+	for s := int64(0); s < strips; s++ {
+		if err := c.Eng.WriteStrip(s, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c.journal.Epoch() != epoch {
+		t.Fatal("the journal compacted during the writes; the counts below leave compaction out")
+	}
+	d, w, sy, tr := dev()-d0, ct.blobWrites.Load()-w0, ct.blobSyncs.Load()-s0, ct.blobTruncates.Load()-tr0
+	if strips != 144 || d != 720 || w != 3*2*strips || sy != 3*strips || tr != 0 {
+		t.Errorf("%d writes: %d strip RPCs, %d blob writes, %d blob syncs, %d truncations; want 720, %d, %d, 0",
+			strips, d, w, sy, tr, 3*2*strips, 3*strips)
+	}
+	if per := float64(ct.stripRPCs()-all0) / float64(strips); per != 14 {
+		t.Errorf("%.2f RPCs per strip write, want 14", per)
+	}
+}
+
 // TestClusterSmallStripRebuildIsOneWindow: at 512-byte strips the whole cycle
 // fits one gather window: three read RPCs and one write RPC rebuild a disk.
 func TestClusterSmallStripRebuildIsOneWindow(t *testing.T) {

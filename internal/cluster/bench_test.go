@@ -120,6 +120,9 @@ type countingTransport struct {
 	n     atomic.Int64 // all round trips
 	// Batch RPCs by direction, and single-strip RPCs.
 	batchReads, batchWrites, singles atomic.Int64
+	// Blob writes, syncs and truncations: an HA coordinator's journal
+	// appends, one per voter.
+	blobWrites, blobSyncs, blobTruncates atomic.Int64
 }
 
 func (ct *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
@@ -131,8 +134,23 @@ func (ct *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) 
 		ct.batchWrites.Add(1)
 	case strings.Contains(path, "/strips/"):
 		ct.singles.Add(1)
+	case !strings.HasPrefix(path, "/node/v1/blobs/"):
+	case strings.HasSuffix(path, "/sync"):
+		ct.blobSyncs.Add(1)
+	case strings.HasSuffix(path, "/truncate"):
+		ct.blobTruncates.Add(1)
+	case r.Method == http.MethodPut:
+		ct.blobWrites.Add(1)
 	}
 	return ct.inner.RoundTrip(r)
+}
+
+// stripRPCs is what the strip plane and the journal's blobs took: every
+// round trip but the lease renewals and health probes an HA coordinator
+// makes on its own clock.
+func (ct *countingTransport) stripRPCs() int64 {
+	return ct.batchReads.Load() + ct.batchWrites.Load() + ct.singles.Load() +
+		ct.blobWrites.Load() + ct.blobSyncs.Load() + ct.blobTruncates.Load()
 }
 
 func (ct *countingTransport) CloseIdleConnections() {
@@ -144,6 +162,14 @@ func (ct *countingTransport) CloseIdleConnections() {
 // cluster-4k stack when stripBytes is 4096 — every node client on one
 // counting transport over wrap(the default transport), wrap nil for none.
 func countedCluster(tb testing.TB, stripBytes int, wrap func(http.RoundTripper) http.RoundTripper) (*Cluster, *countingTransport) {
+	tb.Helper()
+	return countedClusterHA(tb, stripBytes, wrap, "")
+}
+
+// countedClusterHA is countedCluster with Options.Holder set to holder: an
+// HA coordinator, whose journal regions are replicated onto the three
+// nodes through the same counting transport ("" for a classic one).
+func countedClusterHA(tb testing.TB, stripBytes int, wrap func(http.RoundTripper) http.RoundTripper, holder string) (*Cluster, *countingTransport) {
 	tb.Helper()
 	var specs []NodeSpec
 	for _, id := range []string{"alpha", "beta", "gamma"} {
@@ -162,6 +188,7 @@ func countedCluster(tb testing.TB, stripBytes int, wrap func(http.RoundTripper) 
 		Engine:    engine.Options{Workers: 4},
 		Format:    &FormatSpec{Disks: 9, Cycles: 1, StripBytes: stripBytes},
 		Transport: func(NodeSpec) http.RoundTripper { return ct },
+		Holder:    holder,
 	})
 	if err != nil {
 		tb.Fatalf("open cluster: %v", err)

@@ -637,11 +637,8 @@ func (c *Cluster) provisionReplacement(d int) (store.Device, error) {
 // the installed manifest into the next one, which is appended to the
 // metadata journal as one synced record and only then installed, along
 // with install's matching change to the clients and order. A failed
-// commit leaves memory as it was. (Its record may still reach the log, if
-// the append landed and only the sync failed; the next open then binds a
-// placement this run never used, and the media-authoritative mount fails
-// that disk if its superblock is not there.) Format, replacement, add,
-// drain, rejoin and the migration flip all commit here.
+// commit leaves memory as it was, and the log too (restate). Format,
+// replacement, add, drain, rejoin and the migration flip all commit here.
 func (c *Cluster) commit(edit func(*Manifest), install func()) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -652,13 +649,40 @@ func (c *Cluster) commit(edit func(*Manifest), install func()) error {
 		return err
 	}
 	if err := c.journal.PutKV(manifestKey, raw, true); err != nil {
-		return fmt.Errorf("cluster: commit manifest: %w", err)
+		return c.restate(fmt.Errorf("cluster: commit manifest: %w", err))
 	}
 	c.manifest = next
 	if install != nil {
 		install()
 	}
 	return nil
+}
+
+// restate answers a failed commit, whose record may reach the log all the
+// same: its append can land with only the sync failing, or stay claimed in
+// the journal's unacknowledged suffix, which the next append re-sends. A
+// reopen would then bind a placement this run never used — one whose
+// destination an abandoned flip has already reclaimed. So the installed
+// manifest (none, before a format's commit) is journaled again, synced,
+// behind it. When that fails too, the journal is closed: fail-stop until a
+// reopen, so nothing this run appends can carry the record into the log,
+// and the error wraps store.ErrClosed, on which a migration parks, keeping
+// both placements for the reopen to settle. Caller holds c.mu.
+func (c *Cluster) restate(cause error) error {
+	var err error
+	if len(c.manifest.Disks) == 0 {
+		err = c.journal.DeleteKV(manifestKey, true)
+	} else {
+		var raw []byte
+		if raw, err = json.Marshal(c.manifest); err == nil {
+			err = c.journal.PutKV(manifestKey, raw, true)
+		}
+	}
+	if err == nil {
+		return cause
+	}
+	c.journal.Close()
+	return fmt.Errorf("%w; restating the installed manifest: %w; journal stopped: %w", cause, err, store.ErrClosed)
 }
 
 // journaledManifest reads the manifest record out of the journal; ok is

@@ -557,3 +557,93 @@ func TestClusterHAMembershipBlobRPCs(t *testing.T) {
 		t.Errorf("a one-cycle migration sent %d blob RPCs, want 29", got)
 	}
 }
+
+// tornFlip is a journal region whose sync of a manifest record, once armed,
+// flushes every queued byte and then cuts power: a cut at a flip's sync
+// whose torn prefix keeps the whole frame. The coordinator lives on,
+// reaching its nodes.
+type tornFlip struct {
+	*store.CrashBlob
+	ctl      *store.CrashController
+	armed    *atomic.Bool
+	manifest bool // a manifest record is queued for the next sync
+}
+
+func (b *tornFlip) WriteAt(p []byte, off int64) (int, error) {
+	b.manifest = b.manifest || b.armed.Load() && bytes.Contains(p, []byte(manifestKey))
+	return b.CrashBlob.WriteAt(p, off)
+}
+
+func (b *tornFlip) Sync() error {
+	if err := b.CrashBlob.Sync(); err != nil || !b.manifest {
+		return err
+	}
+	b.ctl.Arm(0)
+	_, err := b.CrashBlob.WriteAt(nil, 0)
+	return err
+}
+
+// TestMembershipCommitAmbiguousFlip: a drain's first flip fails at its sync
+// after the whole record reached the media, so the durable log places the
+// disk at the flip's destination while the coordinator, told the commit
+// failed, keeps the source. The coordinator must not reclaim the
+// destination the log names: a reopen over the durable log binds it, and
+// serves every strip with no disk failed.
+func TestMembershipCommitAmbiguousFlip(t *testing.T) {
+	const seed = 88
+	tc := newTestCluster(t, seed)
+	var armed atomic.Bool
+	var cc *crashCoordinator
+	opts, cc := crashOptions(tc, seed, func(b *store.CrashBlob) store.Blob {
+		return &tornFlip{CrashBlob: b, ctl: cc.ctl, armed: &armed}
+	})
+	c, err := Open(opts)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	verify := preload(t, c, seed)
+	armed.Store(true)
+	if _, err := c.DrainNode("gamma"); err == nil || !cc.ctl.Crashed() {
+		t.Fatalf("drain across the torn flip: %v (crashed %v), want a failure at the cut", err, cc.ctl.Crashed())
+	}
+	man, ok, recs := cc.durable(t)
+	if !ok || len(recs) != 1 || man.Disks[recs[0].Disk] != recs[0].Dst {
+		t.Fatalf("durable log: manifest %v, migration records %+v; want the first flip's destination placed", ok, recs)
+	}
+	dst := recs[0].Dst
+	cl := c.Client(dst.Node)
+	st, err := cl.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := st.Devices[dst.Device]; !ok {
+		t.Fatalf("node %s no longer holds %s, the device the durable log places disk %d on", dst.Node, dst.Device, recs[0].Disk)
+	}
+	for _, f := range cc.faults {
+		f.SetPartition(netdev.PartDrop)
+	}
+	c.Close()
+
+	s := cc.survivors()
+	for id := range tc.faults {
+		tc.faults[id] = netdev.NewFaultTransport(nil, seed+1)
+	}
+	ropts := tc.options(seed + 1)
+	ropts.Dir = ""
+	ropts.journalBlob = func(file string) store.Blob { return s[file] }
+	c2, err := Open(ropts)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer c2.Close()
+	for deadline := time.Now().Add(20 * time.Second); time.Now().Before(deadline) && len(c2.Migrations()) > 0; {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if failed := c2.Eng.Array().FailedDisks(); len(failed) > 0 {
+		t.Fatalf("the reopen failed disks %v", failed)
+	}
+	if p := c2.ManifestSnapshot().Disks[recs[0].Disk]; p != dst {
+		t.Fatalf("the reopen placed disk %d at %+v, the durable log at %+v", recs[0].Disk, p, dst)
+	}
+	verify(c2, "after the reopen")
+}

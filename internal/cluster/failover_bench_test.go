@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -45,12 +46,16 @@ func benchHAOptions(b *testing.B, specs []NodeSpec, holder string, format bool) 
 }
 
 // BenchmarkFailoverQuorumAppend measures an HA strip write: the parity
-// closure plus its intent-journal append replicated to a node quorum
-// before the ack. The delta against BenchmarkClusterWriteStrip is the
-// price of surviving coordinator loss.
+// closure plus its intent-journal appends replicated to a node quorum
+// before the ack, with the RPCs it took — the lease renewals and health
+// probes left out. The delta against BenchmarkClusterWrite is the price of
+// surviving coordinator loss.
 func BenchmarkFailoverQuorumAppend(b *testing.B) {
 	specs := benchHANodes(b)
-	c, err := Open(benchHAOptions(b, specs, "bench-leader", true))
+	ct := &countingTransport{inner: http.DefaultTransport.(*http.Transport).Clone()}
+	opts := benchHAOptions(b, specs, "bench-leader", true)
+	opts.Transport = func(NodeSpec) http.RoundTripper { return ct }
+	c, err := Open(opts)
 	if err != nil {
 		b.Fatalf("open HA cluster: %v", err)
 	}
@@ -61,6 +66,7 @@ func BenchmarkFailoverQuorumAppend(b *testing.B) {
 	lats := make([]time.Duration, 0, b.N)
 	b.SetBytes(4096)
 	b.ResetTimer()
+	before := ct.stripRPCs()
 	for i := 0; i < b.N; i++ {
 		t0 := time.Now()
 		if err := c.Eng.WriteStrip(int64(i)%strips, p); err != nil {
@@ -69,6 +75,7 @@ func BenchmarkFailoverQuorumAppend(b *testing.B) {
 		lats = append(lats, time.Since(t0))
 	}
 	b.StopTimer()
+	b.ReportMetric(float64(ct.stripRPCs()-before)/float64(b.N), "rpcs/op")
 	reportLatency(b, lats)
 }
 

@@ -152,7 +152,9 @@ func (r *objCrashRig) workload(m *store.Mount) error {
 	if err := eng.FailDisk(1); err != nil {
 		return err
 	}
-	for i := 0; i < 3; i++ {
+	// Ten degraded PUTs keep the sweep's span between 566 and 599
+	// persisting operations, so at 100 points it cuts every 5th one.
+	for i := 0; i < 10; i++ {
 		if err := put(fmt.Sprintf("deg/%02d", i), payload(int64(300+i), 2*testStrip+i)); err != nil {
 			return err
 		}

@@ -10,6 +10,49 @@ import (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
+// crcCombine returns the CRC-32C of a‖b given crcA, the CRC-32C of a, and
+// crcB, that of b, which is lenB bytes long — without touching the bytes, so
+// an object's whole CRC follows from its extents' CRCs. It is zlib's
+// crc32_combine over the Castagnoli polynomial: crcA shifted past lenB zero
+// bytes (a multiply by x^(8·lenB) modulo the polynomial), xored with crcB.
+func crcCombine(crcA, crcB uint32, lenB int64) uint32 {
+	return crcMulMod(crcXPow8n(lenB), crcA) ^ crcB
+}
+
+// crcPoly is the Castagnoli polynomial, bit-reversed as the table uses it:
+// bit 31 is x^0.
+const crcPoly = 0x82f63b78
+
+// crcMulMod returns a·b modulo crcPoly.
+func crcMulMod(a, b uint32) uint32 {
+	var p uint32
+	for m := uint32(1) << 31; m != 0 && a != 0; m >>= 1 {
+		if a&m != 0 {
+			p ^= b
+			a ^= m
+		}
+		if b&1 != 0 {
+			b = b>>1 ^ crcPoly
+		} else {
+			b >>= 1
+		}
+	}
+	return p
+}
+
+// crcXPow8n returns x^(8·n) modulo crcPoly, by squaring: x^8, x^16, x^32, …
+// for the bits set in n.
+func crcXPow8n(n int64) uint32 {
+	p, sq := uint32(1)<<31, uint32(1)<<(31-8) // x^0, x^8
+	for ; n > 0; n >>= 1 {
+		if n&1 != 0 {
+			p = crcMulMod(sq, p)
+		}
+		sq = crcMulMod(sq, sq)
+	}
+	return p
+}
+
 // Name limits, S3-ish: bucket names are DNS-label-like, object keys are
 // printable UTF-8 paths (slashes allowed, they are just bytes).
 const (

@@ -245,13 +245,13 @@ func (s *Store) readBackCRC(ctx context.Context, exts []Extent) (uint32, error) 
 				return 0, fmt.Errorf("object: reading back part: %w", err)
 			}
 			extCRC = crc32.Update(extCRC, castagnoli, buf[:chunk])
-			whole = crc32.Update(whole, castagnoli, buf[:chunk])
 			off += int64(chunk)
 			left -= int64(chunk)
 		}
 		if extCRC != e.CRC {
 			return 0, fmt.Errorf("%w: part extent at strip %d", ErrCorruptObject, e.Start)
 		}
+		whole = crcCombine(whole, extCRC, e.Bytes)
 	}
 	return whole, nil
 }

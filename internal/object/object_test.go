@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"strings"
@@ -438,5 +439,28 @@ func TestAllocatorReuse(t *testing.T) {
 	}
 	if err := a.mark(r2[0].start, 1); !errors.Is(err, ErrMetaCorrupt) {
 		t.Fatalf("double mark: %v", err)
+	}
+}
+
+// TestCRCCombine: the CRC-32C of a buffer split anywhere into runs equals the
+// runs' CRCs combined in order — empty runs, one-byte runs and runs longer
+// than a strip among them — so an object's whole CRC from its extents' CRCs
+// is the one a pass over every byte computes.
+func TestCRCCombine(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	for trial := 0; trial < 200; trial++ {
+		buf := make([]byte, rng.Intn(5000))
+		rng.Read(buf)
+		var whole uint32
+		for rest := buf; ; {
+			n := min(len(rest), rng.Intn(3)*rng.Intn(2000))
+			whole = crcCombine(whole, crc32.Checksum(rest[:n], castagnoli), int64(n))
+			if rest = rest[n:]; len(rest) == 0 {
+				break
+			}
+		}
+		if want := crc32.Checksum(buf, castagnoli); whole != want {
+			t.Fatalf("trial %d: %d bytes combined to %08x, want %08x", trial, len(buf), whole, want)
+		}
 	}
 }

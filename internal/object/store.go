@@ -607,7 +607,6 @@ func (s *Store) writeRuns(ctx context.Context, r io.Reader, size int64, runs []r
 				return nil, 0, fmt.Errorf("object: reading payload: %w", err)
 			}
 			ext.CRC = crc32.Update(ext.CRC, castagnoli, buf[:chunk])
-			whole = crc32.Update(whole, castagnoli, buf[:chunk])
 			wlen := chunk
 			if int64(chunk) == left { // final chunk of the run: pad to strip boundary
 				wlen = int((int64(chunk) + s.sb - 1) / s.sb * s.sb)
@@ -622,6 +621,7 @@ func (s *Store) writeRuns(ctx context.Context, r io.Reader, size int64, runs []r
 			left -= int64(chunk)
 		}
 		remaining -= content
+		whole = crcCombine(whole, ext.CRC, content)
 		exts = append(exts, ext)
 	}
 	if remaining != 0 {
@@ -661,7 +661,6 @@ func (s *Store) GetObject(ctx context.Context, bucket, key string, w io.Writer) 
 				return info, fmt.Errorf("object: reading strips: %w", err)
 			}
 			extCRC = crc32.Update(extCRC, castagnoli, buf[:chunk])
-			whole = crc32.Update(whole, castagnoli, buf[:chunk])
 			if _, err := w.Write(buf[:chunk]); err != nil {
 				return info, fmt.Errorf("object: writing payload: %w", err)
 			}
@@ -671,6 +670,7 @@ func (s *Store) GetObject(ctx context.Context, bucket, key string, w io.Writer) 
 		if extCRC != e.CRC {
 			return info, fmt.Errorf("%w: extent at strip %d", ErrCorruptObject, e.Start)
 		}
+		whole = crcCombine(whole, extCRC, e.Bytes)
 	}
 	if whole != wantCRC {
 		return info, fmt.Errorf("%w: whole-object checksum", ErrCorruptObject)

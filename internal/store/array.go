@@ -528,8 +528,8 @@ func (a *Array) healStrip(dev Device, d int, devStrip int64, p []byte, depth int
 	a.stats.readRepairs.Add(1)
 	sc := a.getScratch() // the caller's is busy settling its own batch
 	defer a.putScratch(sc)
-	if failed := a.writeStrips(sc, append(sc.opList(1), batchOp{dev: dev, disk: d, idx: devStrip, buf: p})); failed != nil {
-		return fmt.Errorf("store: read repair of strip (%d,%d): %w", d, devStrip, failed.err)
+	if err := a.writeStrips(sc, append(sc.opList(1), batchOp{dev: dev, disk: d, idx: devStrip, buf: p}), nil); err != nil {
+		return fmt.Errorf("store: read repair of strip (%d,%d): %w", d, devStrip, err)
 	}
 	return nil
 }
@@ -688,7 +688,7 @@ func (a *Array) ProbeDiskStrip(d int, devStrip int64, p []byte) error {
 	}
 	ops := [1]batchOp{{dev: dev, disk: d, idx: devStrip, buf: p}}
 	a.countRead(d)
-	a.exec(nil, ops[:], false)
+	a.exec(nil, ops[:], false, nil)
 	return ops[0].err
 }
 
@@ -938,9 +938,6 @@ func (a *Array) resolvePendingClosures(cycle int64, closure []layout.Strip) erro
 			// epoch (ErrStaleEpoch) must not masquerade as a disk fault.
 			return fmt.Errorf("%w: %w", ErrIntentReplay, err)
 		}
-		if err := a.journal.ClearClosure(pc.Cycle, pc.Strips); err != nil {
-			return err
-		}
 	}
 	return nil
 }
@@ -1058,13 +1055,13 @@ func (a *Array) writeStripRange(dataIdx int64, within int, data []byte) error {
 	// carrying the full new closure content, which recovery replays
 	// verbatim — sound even when a disk has also failed, where recomputing
 	// parity from a half-written stripe would not be.
-	var ups []StripUpdate
+	var done *PendingClosure
 	if a.journal != nil {
-		ups = make([]StripUpdate, len(plan.Strips))
+		done = &PendingClosure{Cycle: cycle, Strips: make([]StripUpdate, len(plan.Strips))}
 		for i, st := range plan.Strips {
-			ups[i] = StripUpdate{Disk: st.Disk, Slot: st.Slot, Data: cur[i]}
+			done.Strips[i] = StripUpdate{Disk: st.Disk, Slot: st.Slot, Data: cur[i]}
 		}
-		if err := a.journal.RecordClosure(cycle, ups); err != nil {
+		if err := a.journal.RecordClosure(cycle, done.Strips); err != nil {
 			return err
 		}
 	}
@@ -1090,14 +1087,15 @@ func (a *Array) writeStripRange(dataIdx int64, within int, data []byte) error {
 			ops = append(ops, batchOp{dev: dev, disk: st.Disk, idx: idx, buf: cur[i]})
 		}
 	}
-	if failed := a.writeStrips(sc, ops); failed != nil {
-		return failed.err
+	// The clear rides with the strips' checksums, scoped to this write's
+	// strip set: records of other in-flight writes on the cycle keep their
+	// repair content (resolve above guarantees none of them overlapped this
+	// closure).
+	if err := a.writeStrips(sc, ops, done); err != nil {
+		return err
 	}
 	if a.journal != nil {
-		// Scoped to this write's strip set: records of other in-flight
-		// writes on the cycle keep their repair content (resolve above
-		// guarantees none of them overlapped this closure).
-		return a.journal.ClearClosure(cycle, ups)
+		return a.journal.compactIfDue()
 	}
 	return nil
 }

@@ -67,6 +67,7 @@ type batchState struct {
 	wire   []StripOp      // the grouped ops, group after group
 	from   []int          // wire[k] is ops[from[k]]
 	groups []batchGroup
+	sums   []stripSum // a write list's checksums (recordWrites)
 	wg     sync.WaitGroup
 }
 
@@ -142,21 +143,32 @@ func (a *Array) SetObserver(fn func(disk int, took time.Duration, err error)) {
 // the sum of what it wrote was recorded for the source, and its failure is the
 // migration's, not the disk's. Neither step runs inside a device's time. sc
 // may be nil for a list of one op, which is never grouped.
-func (a *Array) exec(sc *stripScratch, ops []batchOp, write bool) {
+//
+// A write list's checksums are one journal append (recordWrites), which also
+// carries done's clear when done is not nil and every write but a
+// destination's landed: the parity closure those writes commit. exec returns
+// the append's error, which every op it recorded takes too; a clear alone,
+// for a list with no such op, has no other place for it.
+func (a *Array) exec(sc *stripScratch, ops []batchOp, write bool, done *PendingClosure) (logged error) {
 	if a.batching && len(ops) > 1 {
 		a.issue(sc, ops, write)
 	} else {
 		a.callEach(ops, write, false)
 	}
 	for i := range ops {
+		ops[i].gone = ops[i].err != nil && !IsTransient(ops[i].err)
+	}
+	if write && a.journal != nil {
+		logged = a.recordWrites(sc, ops, done)
+	}
+	for i := range ops {
 		op := &ops[i]
-		op.gone = op.err != nil && !IsTransient(op.err)
 		if op.mirror || goneBefore(ops[:i], op) {
 			continue
 		}
 		if a.journal != nil && op.err == nil {
 			if write {
-				op.err = a.journal.RecordSum(op.disk, op.idx, crc32.Checksum(op.buf, castagnoli))
+				op.err = logged
 			} else {
 				op.err = a.journal.verifySum(op.disk, op.idx, op.buf)
 			}
@@ -165,6 +177,25 @@ func (a *Array) exec(sc *stripScratch, ops []batchOp, write bool) {
 			a.observe(op.disk, op.took, op.err)
 		}
 	}
+	return logged
+}
+
+// recordWrites is a write list's checksum step: the checksum of every strip
+// it wrote, in op order, and done's clear when every write but a
+// destination's landed, as one journal append.
+func (a *Array) recordWrites(sc *stripScratch, ops []batchOp, done *PendingClosure) error {
+	sums := sc.batch.sums[:0]
+	for i := range ops {
+		switch op := &ops[i]; {
+		case op.mirror:
+		case op.err != nil:
+			done = nil
+		default:
+			sums = append(sums, stripSum{op.disk, op.idx, crc32.Checksum(op.buf, castagnoli)})
+		}
+	}
+	sc.batch.sums = sums
+	return a.journal.recordWrites(sums, done)
 }
 
 // callEach performs ops one device call each, in op order — with batched,
@@ -197,7 +228,7 @@ func (a *Array) callEach(ops []batchOp, write, batched bool) {
 // settles each in op order with settleRead and returns the first error a
 // settle returns, settling no op after it.
 func (a *Array) readStrips(sc *stripScratch, ops []batchOp, depth int) error {
-	a.exec(sc, ops, false)
+	a.exec(sc, ops, false, nil)
 	for i := range ops {
 		if err := a.settleRead(&ops[i], depth); err != nil {
 			return err
@@ -221,15 +252,17 @@ func (a *Array) settleRead(op *batchOp, depth int) error {
 
 // writeStrips is the scatter half: it writes every op — a write to a
 // migrating disk followed by the same write to its migration destination
-// (withMirrors) — counts each but a destination's, and returns the first op
-// that failed, destinations' aside: nil when none did. A failed write does not
-// stop the ones after it, and a failed write to a migrating disk, at either
-// end, leaves its strip dirty for the migration to re-copy. Ops on one device
-// land in op order.
-func (a *Array) writeStrips(sc *stripScratch, ops []batchOp) *batchOp {
+// (withMirrors) — counts each but a destination's, and returns the error of
+// the first op that failed, destinations' aside, else the journal's: nil when
+// nothing did. A failed write does not stop the ones after it, and a failed
+// write to a migrating disk, at either end, leaves its strip dirty for the
+// migration to re-copy. Ops on one device land in op order. done, when not
+// nil, is the parity closure the ops commit: it is cleared in the journal
+// with their checksums when none failed.
+func (a *Array) writeStrips(sc *stripScratch, ops []batchOp, done *PendingClosure) error {
 	ops = a.withMirrors(ops)
-	a.exec(sc, ops, true)
-	var failed *batchOp
+	err := a.exec(sc, ops, true, done)
+	var failed error
 	for i := range ops {
 		op := &ops[i]
 		if !op.mirror {
@@ -242,10 +275,13 @@ func (a *Array) writeStrips(sc *stripScratch, ops []batchOp) *batchOp {
 			m.markDirty(op.idx)
 		}
 		if !op.mirror && failed == nil {
-			failed = op
+			failed = op.err
 		}
 	}
-	return failed
+	if failed != nil {
+		return failed
+	}
+	return err
 }
 
 // withMirrors returns ops with the same write to the migration destination

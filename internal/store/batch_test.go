@@ -543,7 +543,7 @@ func TestPlainOpChargedItsOwnCall(t *testing.T) {
 
 // TestChecksumTimeNotCharged: on a journaled array the checksum step runs
 // after the device calls, so none of its time is charged to an op — not even
-// when recording each sum takes 10 ms.
+// when its append, like the redo record's before the writes, takes 10 ms.
 func TestChecksumTimeNotCharged(t *testing.T) {
 	const nap = 10 * time.Millisecond
 	arr := newOIArray(t, 9)
@@ -558,8 +558,8 @@ func TestChecksumTimeNotCharged(t *testing.T) {
 	if _, err := arr.WriteAt(make([]byte, testStrip), 0); err != nil {
 		t.Fatal(err)
 	}
-	if len(log.took) == 0 || time.Since(start) < time.Duration(len(log.took)/2)*nap {
-		t.Fatalf("%d ops observed in %v: the checksum records did not take their %v each", len(log.took), time.Since(start), nap)
+	if len(log.took) == 0 || time.Since(start) < 2*nap {
+		t.Fatalf("%d ops observed in %v: the redo record and the checksum step did not take their %v each", len(log.took), time.Since(start), nap)
 	}
 	for i, took := range log.took {
 		if took >= nap {

@@ -189,11 +189,25 @@ func (b *FileBlob) Close() error {
 	return err
 }
 
-// MemBlob is an in-memory Blob for tests and volatile metadata.
+// MemBlob is an in-memory Blob for tests and volatile metadata. Its bytes
+// are a run of chunks, memChunk bytes each but the last, which is shorter:
+// a blob grows by adding chunks, so a journal region that reaches a
+// mebibyte never reallocates and copies what it holds, and its slack is
+// about a chunk at most.
 type MemBlob struct {
-	mu   sync.RWMutex
-	data []byte
+	mu     sync.RWMutex
+	chunks [][]byte
 }
+
+// memChunk is the size of every MemBlob chunk but the last.
+const memChunk = 64 << 10
+
+// memChunks recycles the whole chunks blobs drop, zeroed. A journal region
+// a compaction empties is regrown by the next one within a few writes;
+// taking its chunks back spares allocating and zeroing that memory anew,
+// and what the pool still holds at the second collection after a drop is
+// freed, so a dead region holds its memory for no longer.
+var memChunks = sync.Pool{New: func() any { return new([memChunk]byte) }}
 
 var _ Blob = (*MemBlob)(nil)
 
@@ -202,14 +216,59 @@ func NewMemBlob() *MemBlob { return &MemBlob{} }
 
 // NewMemBlobBytes returns an in-memory blob seeded with data (copied).
 func NewMemBlobBytes(data []byte) *MemBlob {
-	return &MemBlob{data: append([]byte(nil), data...)}
+	b := &MemBlob{}
+	b.resize(int64(len(data)))
+	for i, c := range b.chunks {
+		copy(c, data[i*memChunk:])
+	}
+	return b
+}
+
+// size is the blob's length. Caller holds mu.
+func (b *MemBlob) size() int64 {
+	if len(b.chunks) == 0 {
+		return 0
+	}
+	return int64(len(b.chunks)-1)*memChunk + int64(len(b.chunks[len(b.chunks)-1]))
+}
+
+// resize sets the blob's length to n, each chunk's with resizeBytes. The
+// first chunk grows by append, so a small blob stays small; every later one
+// is a pool chunk, handed back when the blob drops it. Caller holds mu.
+func (b *MemBlob) resize(n int64) {
+	last := int((n+memChunk-1)/memChunk) - 1 // -1 when n is 0
+	for len(b.chunks) <= last {
+		if k := len(b.chunks); k == 0 {
+			b.chunks = append(b.chunks, nil)
+		} else {
+			b.chunks[k-1] = resizeBytes(b.chunks[k-1], memChunk)
+			b.chunks = append(b.chunks, memChunks.Get().(*[memChunk]byte)[:0])
+		}
+	}
+	for i := last + 1; i < len(b.chunks); i++ {
+		if i > 0 {
+			clear(b.chunks[i])
+			memChunks.Put((*[memChunk]byte)(b.chunks[i][:memChunk]))
+		}
+		b.chunks[i] = nil
+	}
+	if last < 0 {
+		b.chunks = nil
+		return
+	}
+	b.chunks = b.chunks[:last+1]
+	b.chunks[last] = resizeBytes(b.chunks[last], n-int64(last)*memChunk)
 }
 
 // Bytes returns a copy of the blob's content.
 func (b *MemBlob) Bytes() []byte {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	return append([]byte(nil), b.data...)
+	out := make([]byte, 0, b.size())
+	for _, c := range b.chunks {
+		out = append(out, c...)
+	}
+	return out
 }
 
 // ReadAt implements Blob with os.File semantics: a read crossing the end
@@ -220,10 +279,14 @@ func (b *MemBlob) ReadAt(p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, fmt.Errorf("%w: %d", ErrNegativeOffset, off)
 	}
-	if off >= int64(len(b.data)) {
+	size := b.size()
+	if off >= size {
 		return 0, io.EOF
 	}
-	n := copy(p, b.data[off:])
+	n := 0
+	for at := off; n < len(p) && at < size; at = off + int64(n) {
+		n += copy(p[n:], b.chunks[at/memChunk][at%memChunk:])
+	}
 	if n < len(p) {
 		return n, io.EOF
 	}
@@ -237,10 +300,14 @@ func (b *MemBlob) WriteAt(p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, fmt.Errorf("%w: %d", ErrNegativeOffset, off)
 	}
-	if end := off + int64(len(p)); end > int64(len(b.data)) {
-		b.data = resizeBytes(b.data, end)
+	if end := off + int64(len(p)); end > b.size() {
+		b.resize(end)
 	}
-	return copy(b.data[off:], p), nil
+	n := 0
+	for at := off; n < len(p); at = off + int64(n) {
+		n += copy(b.chunks[at/memChunk][at%memChunk:], p[n:])
+	}
+	return n, nil
 }
 
 // Sync implements Blob (a no-op: memory has no volatile cache).
@@ -250,7 +317,7 @@ func (b *MemBlob) Sync() error { return nil }
 func (b *MemBlob) Size() (int64, error) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	return int64(len(b.data)), nil
+	return b.size(), nil
 }
 
 // Truncate implements Blob.
@@ -260,7 +327,7 @@ func (b *MemBlob) Truncate(size int64) error {
 	if size < 0 {
 		return fmt.Errorf("%w: %d", ErrNegativeOffset, size)
 	}
-	b.data = resizeBytes(b.data, size)
+	b.resize(size)
 	return nil
 }
 
@@ -268,20 +335,22 @@ func (b *MemBlob) Truncate(size int64) error {
 func (b *MemBlob) Close() error { return nil }
 
 // resizeBytes returns b with length n — the one way an in-memory blob image
-// (MemBlob, both images of a CrashBlob) changes size. Shrinking keeps the
-// capacity. Growing inside it zeroes the bytes it re-exposes, so a hole
-// reads zero as an os.File's does; growing past it is append's amortised
-// growth, so a run of appends costs the bytes appended and not the size of
-// the blob (the journal appends six frames per strip write to a region
-// that reaches a mebibyte between compactions).
+// (a MemBlob chunk, both images of a CrashBlob) changes size. The bytes
+// past an image's length are zero — new memory is, and shrinking clears
+// what it cuts off — so growing inside the capacity is a reslice that
+// re-exposes zeros, and a hole reads zero as an os.File's does. Shrinking
+// to zero drops the array, so a truncated journal region holds no memory;
+// growing past the capacity is append's amortised growth, so a run of
+// appends costs the bytes appended and not the size of the image.
 func resizeBytes(b []byte, n int64) []byte {
 	switch old := int64(len(b)); {
+	case n == 0:
+		return nil
 	case n <= old:
+		clear(b[n:])
 		return b[:n]
 	case n <= int64(cap(b)):
-		b = b[:n]
-		clear(b[old:])
-		return b
+		return b[:n]
 	default:
 		return append(b, make([]byte, n-old)...)
 	}

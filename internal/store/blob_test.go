@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"io"
+	"math/rand"
 	"path/filepath"
 	"testing"
 )
@@ -173,5 +174,61 @@ func BenchmarkMemBlobAppend(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestMemBlobChunks: a MemBlob reads as one flat byte run across its chunk
+// boundaries. Random writes, reads and truncations — many straddling a
+// boundary, some growing by several chunks at once, some shrinking into the
+// middle of a chunk — leave the same bytes as a plain slice, with what a
+// shrink drops reading zero once regrown; Truncate(0) drops every chunk.
+func TestMemBlobChunks(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	b, model := NewMemBlob(), []byte(nil)
+	near := func() int64 { // an offset within a few bytes of a chunk boundary
+		return int64(rng.Intn(5))*memChunk + int64(rng.Intn(64)) - 32
+	}
+	for step := 0; step < 2000; step++ {
+		at := max(0, near())
+		switch rng.Intn(4) {
+		case 0, 1:
+			p := make([]byte, rng.Intn(3*memChunk/2))
+			rng.Read(p)
+			if _, err := b.WriteAt(p, at); err != nil {
+				t.Fatal(err)
+			}
+			if end := at + int64(len(p)); end > int64(len(model)) {
+				model = append(model, make([]byte, end-int64(len(model)))...)
+			}
+			copy(model[at:], p)
+		case 2:
+			if err := b.Truncate(at); err != nil {
+				t.Fatal(err)
+			}
+			if at <= int64(len(model)) {
+				model = model[:at]
+			} else {
+				model = append(model, make([]byte, at-int64(len(model)))...)
+			}
+		case 3:
+			p := make([]byte, 1+rng.Intn(2*memChunk))
+			n, err := b.ReadAt(p, at)
+			want := []byte(nil)
+			if at < int64(len(model)) {
+				want = model[at:min(int64(len(model)), at+int64(len(p)))]
+			}
+			if n != len(want) || !bytes.Equal(p[:n], want) || (n < len(p)) != (err == io.EOF) {
+				t.Fatalf("step %d: read of %d at %d: %d bytes, err %v; want %d", step, len(p), at, n, err, len(want))
+			}
+		}
+		if size, _ := b.Size(); size != int64(len(model)) {
+			t.Fatalf("step %d: size %d, want %d", step, size, len(model))
+		}
+	}
+	if !bytes.Equal(b.Bytes(), model) {
+		t.Fatal("content differs from the model")
+	}
+	if err := b.Truncate(0); err != nil || len(b.chunks) != 0 || cap(b.chunks) != 0 {
+		t.Fatalf("Truncate(0): %v, %d chunks left", err, len(b.chunks))
 	}
 }

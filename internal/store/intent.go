@@ -58,19 +58,17 @@ func (a *Array) replayClosures(cycle int64) (int, error) {
 		if err := a.replayClosure(pc); err != nil {
 			return len(replayed), fmt.Errorf("%w: %v", ErrIntentReplay, err)
 		}
-		if err := a.journal.ClearClosure(pc.Cycle, pc.Strips); err != nil {
-			return len(replayed), err
-		}
 		replayed[pc.Cycle] = true
 	}
-	return len(replayed), nil
+	return len(replayed), a.journal.compactIfDue()
 }
 
 // replayClosure rewrites one record's strips onto their live devices, as one
-// batch. A strip on a failed disk is skipped — the live stripes carry its
-// content and the rebuild reconstructs it — and so is a stale record from a
-// different geometry. A write error names the strip. Caller holds mu (or
-// the striped locks covering the closure).
+// batch, and clears the record with their checksums once every write landed.
+// A strip on a failed disk is skipped — the live stripes carry its content
+// and the rebuild reconstructs it — and so is a stale record from a
+// different geometry. A write error names the cycle. Caller holds mu (or the
+// striped locks covering the closure).
 func (a *Array) replayClosure(pc PendingClosure) error {
 	slots := int64(a.an.SlotsPerDisk())
 	sc := a.getScratch()
@@ -88,8 +86,8 @@ func (a *Array) replayClosure(pc PendingClosure) error {
 			ops = append(ops, batchOp{dev: dev, disk: su.Disk, idx: devStrip, buf: su.Data})
 		}
 	}
-	if failed := a.writeStrips(sc, ops); failed != nil {
-		return fmt.Errorf("strip (%d,%d) of cycle %d: %w", failed.disk, failed.idx%slots, pc.Cycle, failed.err)
+	if err := a.writeStrips(sc, ops, &pc); err != nil {
+		return fmt.Errorf("cycle %d: %w", pc.Cycle, err)
 	}
 	return nil
 }

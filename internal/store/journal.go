@@ -28,8 +28,8 @@ const (
 	// journalMaxPayload bounds a single frame; larger lengths in the
 	// stream mean a torn or corrupt tail.
 	journalMaxPayload = 16 << 20
-	// defaultCompactAt is the appended-bytes threshold that triggers a
-	// snapshot into the inactive region.
+	// defaultCompactAt is the least appended-bytes threshold that triggers
+	// a snapshot into the inactive region (maybeCompact).
 	defaultCompactAt = 1 << 20
 	// journalMaxTransitions bounds the retained state-transition audit
 	// trail (old entries are dropped at compaction).
@@ -121,7 +121,9 @@ type PendingClosure struct {
 //   - Checksum records and closure clears are lazily durable — they are
 //     flushed by the next fsync on the region. Losing a checksum causes
 //     at worst a spurious ErrCorrupt healed by read repair; losing a
-//     clear causes an idempotent replay.
+//     clear causes an idempotent replay. A write list's checksums, and
+//     the clear of the closure it committed, are one append (recordWrites),
+//     so a strip write costs the journal two: its redo record and that.
 //   - Transitions fsync: an acknowledged evict/adopt/rebuild-complete
 //     must survive, and the fsync also flushes the checksums recorded
 //     before it (rebuild writes in particular).
@@ -133,8 +135,10 @@ type MetaJournal struct {
 	off       int64 // append offset in the active region
 	acked     int64 // offset up to which every append was accepted by the blob
 	appended  int64 // bytes appended since open/compaction
+	snapLen   int64 // bytes of the active region's snapshot prefix, its seal included
 	hasSeal   bool  // replayed stream contained a recSnapEnd frame
-	poisoned  bool  // a compaction failed mid-way; inactive region needs a wipe
+	poisoned  bool  // a compaction or its wipe failed; inactive region needs a wipe
+	wiped     bool  // this journal emptied the inactive region, and nothing wrote it since
 	compactAt int64
 	disks     int              // set by Bind; 0 until then
 	pending   []PendingClosure // FIFO; overlapping closures are serialised by the array
@@ -192,6 +196,7 @@ func OpenMetaJournal(b0, b1 Blob) (*MetaJournal, error) {
 		j.active, j.epoch = 0, 1
 		j.off = journalHeaderLen + int64(len(seal))
 		j.acked = j.off
+		j.snapLen = int64(len(seal))
 		j.hasSeal = true
 		if _, err := j.blobs[0].WriteAt(seal, journalHeaderLen); err != nil {
 			return nil, err
@@ -215,6 +220,7 @@ func OpenMetaJournal(b0, b1 Blob) (*MetaJournal, error) {
 		if err := j.appendFrame(appendSnapEndFrame(nil), true); err != nil {
 			return nil, err
 		}
+		j.snapLen = j.off - journalHeaderLen
 		j.hasSeal = true
 	}
 	return j, nil
@@ -304,6 +310,9 @@ func (j *MetaJournal) replay(data []byte) error {
 			return err
 		}
 		off += 8 + n
+		if payload[0] == recSnapEnd && j.snapLen == 0 {
+			j.snapLen = int64(off - journalHeaderLen) // the first seal ends the snapshot
+		}
 	}
 	j.off = int64(off)
 	j.acked = j.off
@@ -412,10 +421,13 @@ func decodeClosure(payload []byte, disks int) (*PendingClosure, error) {
 	return pc, nil
 }
 
+// clearLen is the payload length of a clear record of n strips.
+func clearLen(n int) int { return 1 + 8 + 2 + 8*n }
+
 // appendClearFrame appends one clear record: cycle plus the (disk, slot)
 // of every strip of the closure being cleared.
 func appendClearFrame(buf []byte, cycle int64, strips []StripUpdate) []byte {
-	buf, payload := openFrame(buf, 1+8+2+8*len(strips))
+	buf, payload := openFrame(buf, clearLen(len(strips)))
 	payload[0] = recClear
 	le := binary.LittleEndian
 	le.PutUint64(payload[1:], uint64(cycle))
@@ -438,7 +450,7 @@ func decodeClear(payload []byte) (cycle int64, strips []StripUpdate, err error) 
 	}
 	cycle = int64(le.Uint64(payload[1:]))
 	n := int(le.Uint16(payload[9:]))
-	if len(payload) != 1+8+2+8*n {
+	if len(payload) != clearLen(n) {
 		return 0, nil, fmt.Errorf("%w: clear record length %d for %d strips", ErrJournalCorrupt, len(payload), n)
 	}
 	off := 11
@@ -576,17 +588,14 @@ func (j *MetaJournal) dropPending(cycle int64, ids []StripUpdate) {
 }
 
 // sameStripSet reports whether the record's strip locations are exactly
-// the (disk, slot) set of ids, order-insensitively.
+// the (disk, slot) set of ids, order-insensitively. A closure is a handful
+// of strips, so a scan of ids per strip beats building a set.
 func sameStripSet(strips, ids []StripUpdate) bool {
 	if len(strips) != len(ids) {
 		return false
 	}
-	set := make(map[[2]int]bool, len(ids))
-	for _, id := range ids {
-		set[[2]int{id.Disk, id.Slot}] = true
-	}
 	for _, su := range strips {
-		if !set[[2]int{su.Disk, su.Slot}] {
+		if !slices.ContainsFunc(ids, func(id StripUpdate) bool { return id.Disk == su.Disk && id.Slot == su.Slot }) {
 			return false
 		}
 	}
@@ -647,9 +656,10 @@ func (j *MetaJournal) appendFrame(frame []byte, sync bool) error {
 	return nil
 }
 
-// clearPoison wipes the inactive region after a failed compaction. Until
-// the wipe is accepted by the blob (for a quorum-replicated region: by a
-// node majority), no further frames are appended — a minority replica
+// clearPoison wipes the inactive region after a failed compaction, or after
+// a failed wipe of the region a compaction superseded. Until the wipe is
+// accepted by the blob (for a quorum-replicated region: by a node
+// majority), no further frames are appended — a minority replica
 // could be holding a complete-looking snapshot from the failed attempt,
 // and appends the snapshot does not contain must not be acknowledged
 // while a takeover might choose it.
@@ -664,24 +674,82 @@ func (j *MetaJournal) clearPoison() error {
 	if err := b.Sync(); err != nil {
 		return err
 	}
-	j.poisoned = false
+	j.poisoned, j.wiped = false, true
 	return nil
+}
+
+// stripSum is one strip's checksum as a write list records it.
+type stripSum struct {
+	disk  int
+	strip int64
+	sum   uint32
 }
 
 // RecordSum records the checksum of strip of disk (lazily durable).
 func (j *MetaJournal) RecordSum(disk int, strip int64, sum uint32) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if disk < 0 || disk >= j.disks || strip < 0 {
-		return fmt.Errorf("%w: sum for disk %d strip %d", ErrNoSuchDisk, disk, strip)
+	return j.appendWrites([]stripSum{{disk, strip, sum}}, nil)
+}
+
+// recordWrites is the journal's half of a write list: the checksum record of
+// every strip it wrote, in order, and — when done is not nil — the clear of
+// the closure those writes committed, as one append. Both are lazily
+// durable. Clearing drops done's pending records (dropPending) but does not
+// compact: the caller runs compactIfDue once its op is settled.
+func (j *MetaJournal) recordWrites(sums []stripSum, done *PendingClosure) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.appendWrites(sums, done)
+}
+
+func (j *MetaJournal) appendWrites(sums []stripSum, done *PendingClosure) error {
+	size := len(sums) * (frameHeaderLen + sumLen)
+	for _, s := range sums {
+		if s.disk < 0 || s.disk >= j.disks || s.strip < 0 {
+			return fmt.Errorf("%w: sum for disk %d strip %d", ErrNoSuchDisk, s.disk, s.strip)
+		}
 	}
-	if err := j.appendFrame(appendSumFrame(nil, disk, strip, sum), false); err != nil {
+	if done != nil {
+		if len(done.Strips) > 0xffff {
+			return fmt.Errorf("store: closure of %d strips too large", len(done.Strips))
+		}
+		size += frameHeaderLen + clearLen(len(done.Strips))
+	}
+	if size == 0 {
+		return nil
+	}
+	buf := make([]byte, 0, size)
+	for _, s := range sums {
+		buf = appendSumFrame(buf, s.disk, s.strip, s.sum)
+	}
+	if done != nil {
+		buf = appendClearFrame(buf, done.Cycle, done.Strips)
+	}
+	if err := j.appendFrame(buf, false); err != nil {
 		return err
 	}
-	j.sumMu.Lock()
-	j.sums[disk][strip] = sum
-	j.sumMu.Unlock()
+	if len(sums) > 0 {
+		j.sumMu.Lock()
+		for _, s := range sums {
+			j.sums[s.disk][s.strip] = s.sum
+		}
+		j.sumMu.Unlock()
+	}
+	if done != nil {
+		j.dropPending(done.Cycle, done.Strips)
+	}
 	return nil
+}
+
+// compactIfDue compacts the journal when maybeCompact's trigger has fired.
+func (j *MetaJournal) compactIfDue() error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.closed {
+		return ErrClosed
+	}
+	return j.maybeCompact()
 }
 
 // verifySum checks p, the content of strip of disk, against the recorded
@@ -755,13 +823,9 @@ func (j *MetaJournal) RecordClosure(cycle int64, strips []StripUpdate) error {
 func (j *MetaJournal) ClearClosure(cycle int64, strips []StripUpdate) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if len(strips) > 0xffff {
-		return fmt.Errorf("store: closure of %d strips too large", len(strips))
-	}
-	if err := j.appendFrame(appendClearFrame(nil, cycle, strips), false); err != nil {
+	if err := j.appendWrites(nil, &PendingClosure{Cycle: cycle, Strips: strips}); err != nil {
 		return err
 	}
-	j.dropPending(cycle, strips)
 	return j.maybeCompact()
 }
 
@@ -801,8 +865,9 @@ func (j *MetaJournal) Epoch() uint64 {
 	return j.epoch
 }
 
-// SetCompactThreshold overrides the appended-bytes compaction trigger
-// (tests use small values); n <= 0 restores the default.
+// SetCompactThreshold overrides the least appended-bytes compaction trigger
+// (tests use small values); n <= 0 restores the default. The trigger is never
+// below the active region's snapshot size (maybeCompact).
 func (j *MetaJournal) SetCompactThreshold(n int64) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -812,14 +877,19 @@ func (j *MetaJournal) SetCompactThreshold(n int64) {
 	j.compactAt = n
 }
 
-// maybeCompact snapshots live state (checksums, transitions) into the
-// inactive region once the active one has grown past the threshold and
-// no closures are pending. The header is written last and fsynced after
-// the frames, so a crash mid-compaction leaves the old region
+// maybeCompact snapshots live state (checksums, transitions, KV) into the
+// inactive region once no closures are pending and the bytes appended since
+// the active region's snapshot reach the larger of the threshold and that
+// snapshot's size: what compaction rewrites then stays at most what was
+// appended, however large the state grows. The header is written last and
+// fsynced after the frames, so a crash mid-compaction leaves the old region
 // authoritative: the new header only becomes valid once everything it
-// governs is durable.
+// governs is durable. Once it is, the superseded region is emptied, so one
+// region is live between compactions. A region this journal has not emptied
+// itself — at open, it may hold an older stream, on a replica or after a
+// crash before that wipe — is emptied before the snapshot goes in.
 func (j *MetaJournal) maybeCompact() error {
-	if j.appended < j.compactAt || len(j.pending) > 0 {
+	if j.appended < max(j.compactAt, j.snapLen) || len(j.pending) > 0 {
 		return nil
 	}
 	if j.poisoned {
@@ -830,10 +900,13 @@ func (j *MetaJournal) maybeCompact() error {
 	}
 	inactive := 1 - j.active
 	b := j.blobs[inactive]
-	if err := b.Truncate(0); err != nil {
-		j.poisoned = true
-		return err
+	if !j.wiped {
+		if err := b.Truncate(0); err != nil {
+			j.poisoned = true
+			return err
+		}
 	}
+	j.wiped = false
 	// The snapshot is a function of the state alone — checksums by (disk,
 	// ascending strip), transitions in order, KV by ascending key — so
 	// equal journals compact to equal bytes and a cut that tears this write
@@ -887,11 +960,18 @@ func (j *MetaJournal) maybeCompact() error {
 		j.poisoned = true
 		return err
 	}
+	old := j.active
 	j.active = inactive
 	j.epoch++
 	j.off = journalHeaderLen + int64(len(buf))
 	j.acked = j.off
 	j.appended = 0
+	j.snapLen = int64(len(buf))
+	if err := j.blobs[old].Truncate(0); err != nil {
+		j.poisoned = true
+		return err
+	}
+	j.wiped = true
 	return nil
 }
 

@@ -173,7 +173,7 @@ func (a *Array) copyMirror(m *mirror, d int, idxs []int64) error {
 		for i := range ops {
 			ops[i].dev, ops[i].err, ops[i].mirror = m.dst, nil, true
 		}
-		a.writeStrips(sc, ops)
+		a.writeStrips(sc, ops, nil)
 		var err error
 		m.mu.Lock()
 		for _, op := range ops {

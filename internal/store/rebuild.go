@@ -205,8 +205,8 @@ func (a *Array) rebuildCycle(cycle int64, plan *core.Plan) error {
 				ops = append(ops, batchOp{dev: a.replaced[st.Disk], disk: st.Disk, idx: base + int64(st.Slot), buf: shards[pos]})
 			}
 		}
-		if failed := a.writeStrips(sc, ops); failed != nil {
-			return failed.err
+		if err := a.writeStrips(sc, ops, nil); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -286,7 +286,7 @@ func (a *Array) walkStripes(cycle int64, heal, fix bool, rep *FsckReport) error 
 			for mi, st := range stripe.Strips {
 				ops = append(ops, batchOp{dev: a.device(st.Disk), disk: st.Disk, idx: base + int64(st.Slot), buf: shards[mi]})
 			}
-			a.exec(sc, ops, false)
+			a.exec(sc, ops, false, nil)
 			for mi := range ops {
 				op, st := &ops[mi], stripe.Strips[mi]
 				a.countRead(op.disk)
@@ -326,8 +326,8 @@ func (a *Array) walkStripes(cycle int64, heal, fix bool, rep *FsckReport) error 
 					st := stripe.Strips[mi]
 					ops = append(ops, batchOp{dev: a.device(st.Disk), disk: st.Disk, idx: base + int64(st.Slot), buf: shards[mi]})
 				}
-				if failed := a.writeStrips(sc, ops); failed != nil {
-					return failed.err
+				if err := a.writeStrips(sc, ops, nil); err != nil {
+					return err
 				}
 				is.Repaired = true
 			}

@@ -902,8 +902,8 @@ func writeMember(t testing.TB, arr *Array, d int, idx int64, p []byte) {
 	defer arr.mu.RUnlock()
 	sc := arr.getScratch()
 	defer arr.putScratch(sc)
-	if failed := arr.writeStrips(sc, append(sc.opList(1), batchOp{dev: arr.device(d), disk: d, idx: idx, buf: p})); failed != nil {
-		t.Fatal(failed.err)
+	if err := arr.writeStrips(sc, append(sc.opList(1), batchOp{dev: arr.device(d), disk: d, idx: idx, buf: p}), nil); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -85,8 +85,7 @@ func main() {
 		// qos command knobs; -1 leaves a knob unchanged on the server.
 		qosRate   = fs.Float64("rebuild-rate", -1, "qos: rebuild batches/sec when idle (0: unpaced, -1: unchanged)")
 		qosMin    = fs.Float64("min-rebuild-rate", -1, "qos: rebuild pacing floor under load (-1: unchanged)")
-		qosScrub  = fs.Duration("scrub-interval", -1, "qos: pause between background scrub slices (0: off, -1: unchanged)")
-		qosBatch  = fs.Int64("scrub-batch", -1, "qos: layout cycles per scrub slice (-1: unchanged)")
+		qosScrub  = fs.Float64("scrub-rate", -1, "qos: background scrub layout cycles/sec when idle (0: off, -1: unchanged)")
 		qosTarget = fs.Duration("latency-target", -1, "qos: foreground-latency target (0: no adaptation, -1: unchanged)")
 		qosWait   = fs.Duration("admit-wait", -1, "qos: admission wait budget before shedding (-1: unchanged)")
 	)
@@ -100,10 +99,7 @@ func main() {
 		qu.MinRebuildRate = qosMin
 	}
 	if *qosScrub >= 0 {
-		qu.ScrubInterval = qosScrub
-	}
-	if *qosBatch >= 0 {
-		qu.ScrubBatch = qosBatch
+		qu.ScrubRate = qosScrub
 	}
 	if *qosTarget >= 0 {
 		qu.LatencyTarget = qosTarget
@@ -269,7 +265,7 @@ spare registers -count hot spares with the server's auto-rebuild pool;
 quarantine -disk N makes reads reconstruct around a slow disk while
 writes still land on it, and release -disk N lifts that; qos reads the
 live pacing knobs, or sets the ones passed via -rebuild-rate,
--min-rebuild-rate, -scrub-interval, -scrub-batch, -latency-target, and
+-min-rebuild-rate, -scrub-rate, -latency-target, and
 -admit-wait (-1 leaves a knob unchanged). When the coordinator runs with
 a standby (oiraidd -standby), -fallback URL retries the command once
 against the standby if -remote is unreachable.`)
@@ -679,7 +675,8 @@ func remoteQoS(ctx context.Context, c *server.Client, qu oiraid.QoSUpdate, out i
 		st.AdmitDepth, st.AdmitWait, st.Queued, st.Shed, st.Inflight)
 	fmt.Fprintf(out, "rebuild: %g batches/s configured, floor %g, effective %g\n",
 		st.RebuildRate, st.MinRebuildRate, st.EffectiveRebuildRate)
-	fmt.Fprintf(out, "scrub: every %v, %d cycle(s)/slice\n", st.ScrubInterval, st.ScrubBatch)
+	fmt.Fprintf(out, "scrub: %g cycles/s; grants: rebuild %d, copy %d, operator %d, scrub %d\n", st.ScrubRate,
+		st.Grants.Rebuild, st.Grants.Copy, st.Grants.Operator, st.Grants.Scrub)
 	fmt.Fprintf(out, "latency: target %v, foreground EWMA %.1fµs\n", st.LatencyTarget, st.ForegroundEWMAUs)
 	return nil
 }

@@ -134,7 +134,6 @@ func assembleClusterServer(cfg config, c *cluster.Cluster) (*server.Server, erro
 	}
 	return server.New(c.Eng, server.Options{
 		RequestTimeout: cfg.timeout,
-		RebuildBatch:   cfg.batch,
 		OpTimeout:      cfg.opTimeout,
 		Objects:        objs,
 		Membership:     c,
@@ -168,9 +167,8 @@ func engineOpts(cfg config) engine.Options {
 	opts := engine.Options{Workers: cfg.workers}
 	if cfg.evictAfter > 0 || cfg.hedgeMult > 0 || cfg.quarSlowFrac > 0 {
 		opts.Health = &engine.HealthPolicy{
-			EvictAfter:   cfg.evictAfter,
-			SlowOp:       cfg.slowOp,
-			RebuildBatch: cfg.batch,
+			EvictAfter: cfg.evictAfter,
+			SlowOp:     cfg.slowOp,
 
 			HedgeMultiple: cfg.hedgeMult,
 			HedgeFloor:    cfg.hedgeFloor,
@@ -181,16 +179,15 @@ func engineOpts(cfg config) engine.Options {
 			QuarantineEscalate: cfg.quarEscalate,
 		}
 	}
-	if cfg.admitDepth > 0 || cfg.rebuildRate > 0 || cfg.scrubInterval > 0 || cfg.latencyTarget > 0 {
-		opts.QoS = &engine.QoSConfig{
-			AdmitDepth:     cfg.admitDepth,
-			AdmitWait:      cfg.admitWait,
-			RebuildRate:    cfg.rebuildRate,
-			MinRebuildRate: cfg.minRate,
-			ScrubInterval:  cfg.scrubInterval,
-			ScrubBatch:     cfg.scrubBatch,
-			LatencyTarget:  cfg.latencyTarget,
-		}
+	// A zero QoSConfig is no QoS; -rebuild-batch is the scheduler's batch.
+	opts.QoS = &engine.QoSConfig{
+		AdmitDepth:     cfg.admitDepth,
+		AdmitWait:      cfg.admitWait,
+		RebuildRate:    cfg.rebuildRate,
+		MinRebuildRate: cfg.minRate,
+		RebuildBatch:   cfg.batch,
+		ScrubRate:      cfg.scrubRate,
+		LatencyTarget:  cfg.latencyTarget,
 	}
 	return opts
 }

@@ -62,8 +62,7 @@ type config struct {
 	admitWait     time.Duration // admission wait budget before shedding with 429
 	rebuildRate   float64       // rebuild batches/sec when idle (0: unpaced)
 	minRate       float64       // pacing floor under load (0: rebuildRate/10)
-	scrubInterval time.Duration // pause between background scrub slices (0: scrubber off)
-	scrubBatch    int64         // layout cycles per scrub slice
+	scrubRate     float64       // background scrub layout cycles/sec when idle (0: scrubber off)
 	latencyTarget time.Duration // foreground-latency EWMA target (0: no adaptation)
 }
 
@@ -118,7 +117,6 @@ func buildServer(cfg config) (*server.Server, error) {
 	}
 	return server.New(eng, server.Options{
 		RequestTimeout: cfg.timeout,
-		RebuildBatch:   cfg.batch,
 		OpTimeout:      cfg.opTimeout,
 		Objects:        objs,
 	}), nil
@@ -179,7 +177,7 @@ func main() {
 	flag.IntVar(&cfg.strip, "strip", 4096, "strip size in bytes")
 	flag.StringVar(&cfg.dir, "dir", "", "device-image directory (empty: memory-backed)")
 	flag.IntVar(&cfg.workers, "workers", 0, "I/O pool size (0: engine default)")
-	flag.Int64Var(&cfg.batch, "rebuild-batch", 1, "layout cycles per rebuild pacer grant, each rebuilt under its own cycle lock")
+	flag.Int64Var(&cfg.batch, "rebuild-batch", 1, "layout cycles per rebuild grant, each rebuilt under its own cycle lock")
 	flag.DurationVar(&cfg.timeout, "timeout", 30*time.Second, "per-request timeout")
 	flag.StringVar(&cfg.degraded, "degraded-policy", "", "beyond-tolerance serving policy: refuse, read-only, or partial (empty: refuse / superblock's word)")
 	flag.IntVar(&cfg.retries, "retry", 4, "device retry attempts for transient errors (0: disable)")
@@ -197,8 +195,7 @@ func main() {
 	flag.DurationVar(&cfg.admitWait, "admit-wait", 0, "admission wait budget before shedding (0: 50ms default)")
 	flag.Float64Var(&cfg.rebuildRate, "rebuild-rate", 0, "rebuild batches/sec when idle (0: unpaced)")
 	flag.Float64Var(&cfg.minRate, "min-rebuild-rate", 0, "rebuild pacing floor under load (0: rebuild-rate/10)")
-	flag.DurationVar(&cfg.scrubInterval, "scrub-interval", 0, "pause between background scrub slices (0: scrubber off)")
-	flag.Int64Var(&cfg.scrubBatch, "scrub-batch", 1, "layout cycles per scrub slice, each verified under its own cycle lock")
+	flag.Float64Var(&cfg.scrubRate, "scrub-rate", 0, "background scrub layout cycles/sec when idle (0: scrubber off)")
 	flag.DurationVar(&cfg.latencyTarget, "latency-target", 0, "foreground-latency target driving adaptive pacing (0: off)")
 	var ccfg clusterConfig
 	flag.BoolVar(&ccfg.node, "node", false, "run as a storage node exporting local blobs (cluster mode)")

@@ -319,8 +319,7 @@ func TestQoSFlagsWired(t *testing.T) {
 		admitDepth:    16,
 		admitWait:     20 * time.Millisecond,
 		rebuildRate:   50,
-		scrubInterval: time.Hour, // enabled but effectively manual
-		scrubBatch:    1,
+		scrubRate:     1.0 / 3600, // enabled but effectively manual
 		latencyTarget: 5 * time.Millisecond,
 		opTimeout:     5 * time.Second,
 	})

@@ -499,11 +499,18 @@ func (c *Cluster) Close() error {
 	// open resumes them.
 	c.stopMig.Do(func() { close(c.migStop) })
 	c.migWg.Wait()
+	c.stopRenewing()
+	c.renewWg.Wait()
+	return c.Eng.Close()
+}
+
+// stopRenewing ends the lease renewals of an HA coordinator: at Close, and
+// when its journal fail-stops, so a standby sees the heartbeat stall and
+// takes over a coordinator that can no longer commit.
+func (c *Cluster) stopRenewing() {
 	if c.renewStop != nil {
 		c.stopRenew.Do(func() { close(c.renewStop) })
-		c.renewWg.Wait()
 	}
-	return c.Eng.Close()
 }
 
 // Client returns the node client for id (tests, CLI surfacing).
@@ -667,7 +674,8 @@ func (c *Cluster) commit(edit func(*Manifest), install func()) error {
 // behind it. When that fails too, the journal is closed: fail-stop until a
 // reopen, so nothing this run appends can carry the record into the log,
 // and the error wraps store.ErrClosed, on which a migration parks, keeping
-// both placements for the reopen to settle. Caller holds c.mu.
+// both placements for the reopen to settle; an HA coordinator also stops
+// renewing its lease, handing over to a standby. Caller holds c.mu.
 func (c *Cluster) restate(cause error) error {
 	var err error
 	if len(c.manifest.Disks) == 0 {
@@ -682,6 +690,7 @@ func (c *Cluster) restate(cause error) error {
 		return cause
 	}
 	c.journal.Close()
+	c.stopRenewing()
 	return fmt.Errorf("%w; restating the installed manifest: %w; journal stopped: %w", cause, err, store.ErrClosed)
 }
 

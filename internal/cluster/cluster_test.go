@@ -62,7 +62,6 @@ func (tc *testCluster) options(seed int64) Options {
 			Workers: 4,
 			Health: &engine.HealthPolicy{
 				EvictAfter:        3,
-				RebuildBatch:      1,
 				QuarantineProbe:   30 * time.Millisecond,
 				QuarantineProbeOK: 2,
 			},

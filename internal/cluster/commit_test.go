@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -646,4 +647,81 @@ func TestMembershipCommitAmbiguousFlip(t *testing.T) {
 		t.Fatalf("the reopen placed disk %d at %+v, the durable log at %+v", recs[0].Disk, p, dst)
 	}
 	verify(c2, "after the reopen")
+}
+
+// failingRegion is a coordinator's own copy of a journal region whose
+// writes and syncs fail once armed, while every node still answers.
+type failingRegion struct {
+	store.Blob
+	armed *atomic.Bool
+}
+
+var errRegion = errors.New("injected region failure")
+
+func (b failingRegion) WriteAt(p []byte, off int64) (int, error) {
+	if b.armed.Load() {
+		return 0, errRegion
+	}
+	return b.Blob.WriteAt(p, off)
+}
+
+func (b failingRegion) Sync() error {
+	if b.armed.Load() {
+		return errRegion
+	}
+	return b.Blob.Sync()
+}
+
+// TestFailStoppedCoordinatorStopsRenewing: an HA coordinator whose commit
+// fails, and whose restatement of the installed manifest fails too, closes
+// its journal and stops renewing its lease: the nodes' renewal counters
+// stop advancing, and a standby takes over without a process restart and
+// serves every strip.
+func TestFailStoppedCoordinatorStopsRenewing(t *testing.T) {
+	const seed = 89
+	h := newFailoverHarness(t)
+	opts, _ := h.coordOptions(t, "coord-a", seed)
+	opts.Format = &FormatSpec{Disks: 9, Cycles: 1, StripBytes: 512}
+	var armed atomic.Bool
+	opts.journalBlob = func(string) store.Blob { return failingRegion{store.NewMemBlob(), &armed} }
+	c, err := Open(opts)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer c.Close()
+	verify := preload(t, c, seed)
+
+	armed.Store(true)
+	if _, err := c.provisionReplacement(4); !errors.Is(err, store.ErrClosed) {
+		t.Fatalf("a commit whose restatement fails too: %v, want the journal closed", err)
+	}
+	renewals := func() (sum uint64) {
+		for _, spec := range h.specs {
+			st, err := c.Client(spec.ID).Stat()
+			if err != nil {
+				t.Fatalf("%s stat: %v", spec.ID, err)
+			}
+			sum += st.RenewSeq
+		}
+		return sum
+	}
+	time.Sleep(10 * opts.LeaseRenew) // a renewal round in flight lands
+	before := renewals()
+	time.Sleep(10 * opts.LeaseRenew)
+	if after := renewals(); after != before {
+		t.Fatalf("renewal counters %d → %d over 10 renewal intervals after the journal stopped", before, after)
+	}
+
+	optsB, _ := h.coordOptions(t, "coord-b", seed+1000)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	b, err := Standby(ctx, optsB, StandbyOptions{Poll: 20 * time.Millisecond, FailoverAfter: 250 * time.Millisecond})
+	if err != nil {
+		t.Fatalf("standby: %v", err)
+	}
+	defer b.Close()
+	if b.Epoch() <= c.Epoch() {
+		t.Fatalf("standby epoch %d, fail-stopped leader's %d", b.Epoch(), c.Epoch())
+	}
+	verify(b, "after the takeover")
 }

@@ -73,7 +73,6 @@ func (h *failoverHarness) coordOptions(t *testing.T, holder string, seed int64) 
 			Workers: 4,
 			Health: &engine.HealthPolicy{
 				EvictAfter:        3,
-				RebuildBatch:      1,
 				QuarantineProbe:   30 * time.Millisecond,
 				QuarantineProbeOK: 2,
 			},

@@ -147,8 +147,8 @@ type Engine struct {
 	// Status searches the slack once per failure set, not once per call.
 	exposure atomic.Pointer[exposureMemo]
 
-	// QoS: admission control, foreground-latency tracking, and the pacer
-	// the rebuild/scrub loops block on.
+	// QoS: admission control, foreground-latency tracking, and the
+	// scheduler every background pass takes its grants from.
 	qos *qos
 
 	// closers run at the tail of Close, after the metadata seal: transport
@@ -192,17 +192,17 @@ func New(arr *store.Array, opts Options) (*Engine, error) {
 		pol = *opts.Health
 	}
 	e.mon = newMonitor(an.Disks(), pol, opts.Health != nil)
+	var qcfg QoSConfig
+	if opts.QoS != nil {
+		qcfg = *opts.QoS
+	}
+	e.qos = newQoS(qcfg)
 	// Derive the initial serving mode from the mounted failure pattern:
 	// an array mounted beyond tolerance under a read-only/partial policy
 	// starts fenced, matching the store layer's mount-time fence.
 	e.mode.Lock()
 	e.recomputeModeLocked()
 	e.mode.Unlock()
-	var qcfg QoSConfig
-	if opts.QoS != nil {
-		qcfg = *opts.QoS
-	}
-	e.qos = newQoS(qcfg)
 	e.goLoop(e.scrubLoop)
 	e.retryPol = opts.Retry
 	e.retryDevs = make([]*store.RetryDevice, an.Disks())
@@ -646,15 +646,17 @@ func (e *Engine) FailDisk(d int) error {
 // StartRebuild provisions replacement devices for every failed disk
 // lacking one (via Options.Replace) and launches the background rebuild
 // goroutine, which walks Array.RebuildCycle up to batch layout cycles per
-// pacer grant (default 1 when batch < 1). It returns immediately;
-// RebuildWait blocks until completion. Starting with no failed disks is a
-// no-op that completes immediately.
+// scheduler grant (QoSConfig.RebuildBatch when batch < 1). The rebuild is
+// the scheduler's first pass: from here until it ends no other background
+// pass is granted a batch. It returns immediately; RebuildWait blocks
+// until completion. Starting with no failed disks is a no-op that
+// completes immediately.
 func (e *Engine) StartRebuild(batch int64) error {
 	if e.closed.Load() {
 		return ErrClosed
 	}
 	if batch < 1 {
-		batch = 1
+		batch = e.qos.rebuildBatch
 	}
 	e.rebuildMu.Lock()
 	defer e.rebuildMu.Unlock()
@@ -668,6 +670,7 @@ func (e *Engine) StartRebuild(batch int64) error {
 	e.rebuildErr = nil
 	done := make(chan struct{})
 	e.rebuildDone = done
+	e.qos.hold(passRebuild, 1)
 	go e.rebuildLoop(batch, done)
 	return nil
 }
@@ -711,13 +714,12 @@ func (e *Engine) rebuildLoop(batch int64, done chan struct{}) {
 		// Pacing gate: blocks while the token bucket refills at the
 		// adaptive rate, yields to foreground work even unpaced, and
 		// aborts the rebuild at a batch boundary when the engine closes.
-		if !e.qos.pace(e.stop) {
+		if !e.qos.grant(passRebuild, e.stop) {
 			err = ErrClosed
 			break
 		}
 		var finished bool
 		finished, err = e.walkCycles(batch, e.arr.RebuildProgress, e.arr.RebuildCycle)
-		e.stats.rebuildBatches.Add(1)
 		if err != nil {
 			// A disk that failed mid-rebuild invalidated the plan and has
 			// no replacement yet; provision one and re-plan.
@@ -731,7 +733,7 @@ func (e *Engine) rebuildLoop(batch int64, done chan struct{}) {
 			// RebuildCycle closes the write hole before decoding — it
 			// replays the cycle's pending redo records of half-applied
 			// commits — and aborts if a replay write is still unreachable.
-			// That is a wait, not a failure: retry at the next pace tick
+			// That is a wait, not a failure: retry at the next grant
 			// (the flapping node either returns or gets evicted, at which
 			// point its strips are skipped).
 			if errors.Is(err, store.ErrIntentReplay) {
@@ -749,6 +751,7 @@ func (e *Engine) rebuildLoop(batch int64, done chan struct{}) {
 	e.mode.Lock()
 	e.recomputeModeLocked()
 	e.mode.Unlock()
+	e.qos.hold(passRebuild, -1)
 	e.rebuildMu.Lock()
 	e.rebuildErr = err
 	e.lastRebuildErr = err

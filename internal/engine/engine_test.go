@@ -264,8 +264,8 @@ func TestCloseStopsEveryLoop(t *testing.T) {
 	e := newEngine(t, 9, 8, Options{
 		Health: &HealthPolicy{QuarantineProbe: time.Millisecond},
 		QoS: &QoSConfig{
-			RebuildRate:   0.2, // one batch per 5s: the rebuild is still running at Close
-			ScrubInterval: time.Millisecond,
+			RebuildRate: 0.2, // one batch per 5s: the rebuild is still running at Close
+			ScrubRate:   1000,
 		},
 	})
 	if err := e.FailDisk(1); err != nil {

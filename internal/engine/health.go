@@ -28,9 +28,6 @@ type HealthPolicy struct {
 	// the per-disk slow-op counter. It is also the slowness criterion the
 	// quarantine state machine classifies by, so quarantine needs it set.
 	SlowOp time.Duration `json:"slow_op_ns"`
-	// RebuildBatch is the layout-cycle batch size for auto-rebuilds
-	// (default 1).
-	RebuildBatch int64 `json:"rebuild_batch"`
 
 	// HedgeMultiple, when positive, enables hedged reads: every strip
 	// read arms a timer at HedgeMultiple × the target disk's streaming
@@ -70,9 +67,6 @@ type HealthPolicy struct {
 func (p HealthPolicy) withDefaults() HealthPolicy {
 	if p.EvictAfter <= 0 {
 		p.EvictAfter = 3
-	}
-	if p.RebuildBatch <= 0 {
-		p.RebuildBatch = 1
 	}
 	if p.HedgeFloor <= 0 {
 		p.HedgeFloor = time.Millisecond

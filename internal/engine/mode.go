@@ -189,6 +189,7 @@ func (e *Engine) recomputeModeLocked() {
 	// redo record and checksum is durable before the array stops accepting
 	// new ones.
 	old := failState(e.failState.Swap(uint32(next))).mode()
+	e.qos.setFailed(len(failed) > 0)
 	if old == mode {
 		return
 	}
@@ -212,7 +213,7 @@ func (e *Engine) autoRebuild() error {
 	if !e.mon.autoMon || len(failed) == 0 || !e.an.Recoverable(failed) {
 		return nil
 	}
-	err := e.StartRebuild(e.mon.pol.RebuildBatch)
+	err := e.StartRebuild(0)
 	if err == nil {
 		e.mon.autoRebuilds.Add(1)
 	}

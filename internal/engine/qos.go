@@ -9,8 +9,10 @@
 //   - Deadline propagation: the ...Ctx operation variants observe
 //     cancellation and deadlines at admission and between per-strip
 //     batches, so a caller's budget bounds engine work end to end.
-//   - Adaptive pacing: rebuild batches and scrub slices pass through a
-//     token bucket whose rate adapts to a foreground-latency EWMA —
+//   - One background scheduler: every background pass — rebuild, a
+//     migration's copy, an operator's fsck or scrub, the background
+//     scrub — asks grant for each batch it walks. Grants go in that
+//     priority order, and the rates adapt to a foreground-latency EWMA:
 //     full rate while the array is idle or meeting its latency target,
 //     throttled proportionally under load, never below a floor so
 //     recovery cannot starve.
@@ -37,20 +39,23 @@ type QoSConfig struct {
 	// AdmitWait is how long an operation may wait for admission before it
 	// is shed with store.ErrOverloaded (default 50ms when AdmitDepth > 0).
 	AdmitWait time.Duration
-	// RebuildRate caps background rebuild at this many batches per second
-	// when the array is idle. 0 leaves the rebuild unpaced.
+	// RebuildRate caps the grants of rebuild, migration copy and operator
+	// passes at this many batches per second when the array is idle. 0
+	// leaves them unpaced.
 	RebuildRate float64
 	// MinRebuildRate is the pacing floor under foreground load (default
 	// RebuildRate/10), guaranteeing recovery always progresses.
 	MinRebuildRate float64
-	// ScrubInterval is the idle pause between background scrub slices.
-	// 0 disables the background scrubber.
-	ScrubInterval time.Duration
-	// ScrubBatch is the number of layout cycles per scrub slice (default 1).
-	ScrubBatch int64
+	// RebuildBatch is the number of layout cycles a rebuild walks per
+	// grant when StartRebuild is given none: POST /v1/rebuild and the
+	// self-healing loop's rebuilds (default 1).
+	RebuildBatch int64
+	// ScrubRate is the background scrubber's pace in layout cycles per
+	// second when idle. 0 disables the background scrubber.
+	ScrubRate float64
 	// LatencyTarget is the foreground-latency EWMA target driving
 	// adaptation. 0 disables adaptation: rebuild runs at RebuildRate and
-	// scrub at ScrubInterval regardless of load.
+	// scrub at ScrubRate regardless of load.
 	LatencyTarget time.Duration
 }
 
@@ -61,8 +66,7 @@ type QoSState struct {
 	AdmitWait      time.Duration `json:"admit_wait_ns"`
 	RebuildRate    float64       `json:"rebuild_rate"`
 	MinRebuildRate float64       `json:"min_rebuild_rate"`
-	ScrubInterval  time.Duration `json:"scrub_interval_ns"`
-	ScrubBatch     int64         `json:"scrub_batch"`
+	ScrubRate      float64       `json:"scrub_rate"`
 	LatencyTarget  time.Duration `json:"latency_target_ns"`
 	// EffectiveRebuildRate is the rate the pacer is currently granting,
 	// after adaptation (0 when unpaced).
@@ -75,6 +79,17 @@ type QoSState struct {
 	Queued int64 `json:"queued_total"`
 	// Shed counts operations rejected with store.ErrOverloaded.
 	Shed int64 `json:"shed_total"`
+	// Grants counts the batches the scheduler has granted, per pass.
+	Grants PassGrants `json:"grants"`
+}
+
+// PassGrants counts scheduler grants per background pass, in priority
+// order.
+type PassGrants struct {
+	Rebuild  int64 `json:"rebuild"`
+	Copy     int64 `json:"copy"`
+	Operator int64 `json:"operator"`
+	Scrub    int64 `json:"scrub"`
 }
 
 // QoSUpdate is a partial, live update of the pacing knobs (POST /v1/qos).
@@ -85,8 +100,7 @@ type QoSUpdate struct {
 	AdmitWait      *time.Duration `json:"admit_wait_ns,omitempty"`
 	RebuildRate    *float64       `json:"rebuild_rate,omitempty"`
 	MinRebuildRate *float64       `json:"min_rebuild_rate,omitempty"`
-	ScrubInterval  *time.Duration `json:"scrub_interval_ns,omitempty"`
-	ScrubBatch     *int64         `json:"scrub_batch,omitempty"`
+	ScrubRate      *float64       `json:"scrub_rate,omitempty"`
 	LatencyTarget  *time.Duration `json:"latency_target_ns,omitempty"`
 }
 
@@ -94,17 +108,29 @@ type QoSUpdate struct {
 // steady state, fast enough to react within one rebuild batch of load.
 const ewmaAlpha = 0.2
 
+// pass is a class of background work, in grant priority order: no pass
+// is granted a batch while a pass of an earlier class is active.
+type pass int
+
+const (
+	passRebuild  pass = iota
+	passCopy          // a migration's copy (PaceBackground)
+	passOperator      // Fsck and ScrubPass
+	passScrub         // the background scrubber
+	nPasses
+)
+
 // qos is the engine's QoS state. Knobs are atomics so SetQoS tunes a
-// running engine without pausing I/O; the token bucket is the only
-// mutex-guarded piece, contended only by the two background loops.
+// running engine without pausing I/O; the scheduler is the only
+// mutex-guarded piece, contended only by background passes.
 type qos struct {
 	// Live-tunable knobs.
 	admitWait     atomic.Int64 // ns
 	rebuildRate   atomicFloat  // batches/sec; <= 0: unpaced
 	minRate       atomicFloat  // floor; <= 0: rebuildRate/10
-	scrubInterval atomic.Int64 // ns; <= 0: scrubber idle
-	scrubBatch    atomic.Int64
+	scrubRate     atomicFloat  // cycles/sec; <= 0: scrubber off
 	latencyTarget atomic.Int64 // ns; <= 0: no adaptation
+	rebuildBatch  int64
 
 	// Admission semaphore; nil when AdmitDepth == 0.
 	slots    chan struct{}
@@ -115,26 +141,31 @@ type qos struct {
 	// Foreground-latency EWMA (ns) and op counter for idle detection.
 	ewmaNs atomicFloat
 	fgOps  atomic.Int64
-	// idle: no foreground ops during the last refill interval.
+	// idle: no foreground ops between the last two grant decisions.
 	idle atomic.Bool
 
-	// Token bucket shared by the rebuild and scrub loops.
+	// The scheduler: one mutex, one wake channel, one token bucket of
+	// burst 1 (background work never bunches up), each pass refilling it
+	// at its own rate. active counts the passes held per class, grants
+	// the batches granted.
 	mu         sync.Mutex
+	active     [nPasses]int
+	grants     [nPasses]int64
 	tokens     float64
 	lastRefill time.Time
-	lastFgOps  int64 // fgOps at the previous refill; equal → idle interval
+	lastFgOps  int64 // fgOps at the previous grant decision; equal → idle
+	failed     bool  // a disk is failed: no scrub grants
+	// wake is closed and replaced by every signal.
+	wake chan struct{}
 
-	// throttleNs accumulates time background work spent blocked in the
-	// pacer — the direct measure of how much recovery yielded to
+	// throttleNs accumulates time background work spent waiting for the
+	// shared bucket — the direct measure of how much recovery yielded to
 	// foreground load.
 	throttleNs atomic.Int64
-
-	// scrubKick wakes the scrubber early after a SetQoS (buffered 1).
-	scrubKick chan struct{}
 }
 
 func newQoS(cfg QoSConfig) *qos {
-	q := &qos{scrubKick: make(chan struct{}, 1)}
+	q := &qos{wake: make(chan struct{}), rebuildBatch: max(cfg.RebuildBatch, 1)}
 	if cfg.AdmitDepth > 0 {
 		q.slots = make(chan struct{}, cfg.AdmitDepth)
 		if cfg.AdmitWait <= 0 {
@@ -144,8 +175,7 @@ func newQoS(cfg QoSConfig) *qos {
 	q.admitWait.Store(int64(cfg.AdmitWait))
 	q.rebuildRate.Store(cfg.RebuildRate)
 	q.minRate.Store(cfg.MinRebuildRate)
-	q.scrubInterval.Store(int64(cfg.ScrubInterval))
-	q.scrubBatch.Store(max(cfg.ScrubBatch, 1))
+	q.scrubRate.Store(cfg.ScrubRate)
 	q.latencyTarget.Store(int64(cfg.LatencyTarget))
 	q.lastRefill = time.Now()
 	q.idle.Store(true)
@@ -225,8 +255,8 @@ func (q *qos) load(idle bool) float64 {
 
 // effectiveRate derives the current rebuild pacing rate: the configured
 // ceiling without load, divided by the load factor under it, floored at
-// MinRebuildRate. idle is sampled by the bucket refill; callers outside
-// the refill path get the last interval's verdict.
+// MinRebuildRate. idle is sampled by grant; callers outside it get the
+// last decision's verdict.
 func (q *qos) effectiveRate(idle bool) float64 {
 	base := q.rebuildRate.Load()
 	if base <= 0 {
@@ -243,80 +273,136 @@ func (q *qos) effectiveRate(idle bool) float64 {
 	return max(base/l, floor)
 }
 
-// pace blocks until the token bucket grants one background batch, or stop
-// closes (returns false). With no rate configured it degrades to a
-// cooperative scheduling point: a non-blocking check of stop plus a
-// yield, so an unpaced rebuild still cannot monopolise the scheduler or
-// outlive Close.
-func (q *qos) pace(stop <-chan struct{}) bool {
+// hold registers (n = 1) or ends (n = -1) a pass of class p: while any
+// pass of p is held, no later class is granted a batch.
+func (q *qos) hold(p pass, n int) {
+	q.mu.Lock()
+	if q.active[p] += n; q.active[p] == 0 {
+		q.signalLocked()
+	}
+	q.mu.Unlock()
+}
+
+// setFailed tells the scheduler whether a disk is failed: the scrubber is
+// granted nothing then, because the array is the rebuild's.
+func (q *qos) setFailed(failed bool) {
+	q.mu.Lock()
+	if q.failed != failed {
+		q.failed = failed
+		q.signalLocked()
+	}
+	q.mu.Unlock()
+}
+
+// signalLocked wakes every pass parked in grant to decide again. Caller
+// holds mu.
+func (q *qos) signalLocked() {
+	close(q.wake)
+	q.wake = make(chan struct{})
+}
+
+// grant blocks until pass p may walk its next batch, or stop closes
+// (false). Every signal — SetQoS, a held pass ending, the failure set
+// changing — ends every wait, so a raised rate takes effect at once.
+func (q *qos) grant(p pass, stop <-chan struct{}) bool {
 	for {
-		q.mu.Lock()
-		now := time.Now()
-		ops := q.fgOps.Load()
-		idle := ops == q.lastFgOps
-		q.idle.Store(idle)
-		q.lastFgOps = ops
-		rate := q.effectiveRate(idle)
-		if rate <= 0 {
-			q.tokens = 0
-			q.lastRefill = now
-			q.mu.Unlock()
-			select {
-			case <-stop:
-				return false
-			default:
-				runtime.Gosched()
-				return true
-			}
-		}
-		// Burst 1: background work never bunches up.
-		q.tokens = min(q.tokens+now.Sub(q.lastRefill).Seconds()*rate, 1)
-		q.lastRefill = now
-		if q.tokens >= 1 {
-			q.tokens--
-			q.mu.Unlock()
-			return true
-		}
-		wait := time.Duration((1 - q.tokens) / rate * float64(time.Second))
-		q.mu.Unlock()
-		t := time.NewTimer(wait)
-		start := now
 		select {
 		case <-stop:
-			t.Stop()
 			return false
+		default:
+		}
+		q.mu.Lock()
+		wait, ok := q.decideLocked(p)
+		wake := q.wake
+		q.mu.Unlock()
+		if ok {
+			runtime.Gosched()
+			return true
+		}
+		if wait == 0 {
+			select {
+			case <-stop:
+			case <-wake:
+			}
+			continue
+		}
+		start := time.Now()
+		t := time.NewTimer(wait)
+		select {
+		case <-stop:
+		case <-wake:
 		case <-t.C:
+		}
+		t.Stop()
+		if p != passScrub {
 			q.throttleNs.Add(int64(time.Since(start)))
 		}
 	}
 }
 
-// scrubPause derives the current pause before the next scrub slice: the
-// configured interval, stretched by the load factor (capped at 10×).
-// <= 0 means the scrubber is disabled.
-func (q *qos) scrubPause() time.Duration {
-	iv := time.Duration(q.scrubInterval.Load())
-	if iv <= 0 {
-		return 0
+// decideLocked grants pass p one batch (ok), or says how long until its
+// token is due — 0: until a signal. Nothing is granted while a pass of an
+// earlier class is held. Rebuild, copy and operator passes refill at the
+// adaptive rate; with no rate set they are unpaced, and a grant is a check
+// of stop plus a yield, with no timer. The scrubber refills at ScrubRate
+// stretched by the same load factor (capped at 10×), and waits for a
+// signal while ScrubRate is 0 or a disk is failed. Caller holds mu.
+func (q *qos) decideLocked(p pass) (wait time.Duration, ok bool) {
+	for earlier := range p {
+		if q.active[earlier] > 0 {
+			return 0, false
+		}
 	}
-	return time.Duration(float64(iv) * min(q.load(q.idle.Load()), 10))
+	now := time.Now()
+	ops := q.fgOps.Load()
+	idle := ops == q.lastFgOps
+	q.idle.Store(idle)
+	q.lastFgOps = ops
+	rate := q.effectiveRate(idle)
+	if p == passScrub {
+		rate = q.scrubRate.Load() / min(q.load(idle), 10)
+		if q.failed || rate <= 0 {
+			return 0, false
+		}
+	}
+	if rate <= 0 {
+		q.tokens, q.lastRefill = 0, now
+	} else {
+		q.tokens = min(q.tokens+now.Sub(q.lastRefill).Seconds()*rate, 1)
+		q.lastRefill = now
+		if q.tokens < 1 {
+			// At least 1ns: a wait of 0 would mean "until a signal".
+			return max(time.Duration((1-q.tokens)/rate*float64(time.Second)), 1), false
+		}
+		q.tokens--
+	}
+	q.grants[p]++
+	return 0, true
 }
 
 // snapshot builds the QoSState for Stats and GET /v1/qos.
 func (q *qos) snapshot() QoSState {
+	q.mu.Lock()
+	g := q.grants
+	q.mu.Unlock()
 	return QoSState{
 		AdmitDepth:           cap(q.slots),
 		AdmitWait:            time.Duration(q.admitWait.Load()),
 		RebuildRate:          q.rebuildRate.Load(),
 		MinRebuildRate:       q.minRate.Load(),
-		ScrubInterval:        time.Duration(q.scrubInterval.Load()),
-		ScrubBatch:           q.scrubBatch.Load(),
+		ScrubRate:            q.scrubRate.Load(),
 		LatencyTarget:        time.Duration(q.latencyTarget.Load()),
 		EffectiveRebuildRate: q.effectiveRate(q.idle.Load()),
 		ForegroundEWMAUs:     q.ewmaNs.Load() / 1e3,
 		Inflight:             q.inflight.Load(),
 		Queued:               q.queued.Load(),
 		Shed:                 q.shed.Load(),
+		Grants: PassGrants{
+			Rebuild:  g[passRebuild],
+			Copy:     g[passCopy],
+			Operator: g[passOperator],
+			Scrub:    g[passScrub],
+		},
 	}
 }
 
@@ -324,14 +410,14 @@ func (q *qos) snapshot() QoSState {
 func (e *Engine) QoS() QoSState { return e.qos.snapshot() }
 
 // SetQoS applies a partial update of the pacing knobs to a running
-// engine and returns the resulting state. Negative rates, intervals, or
-// batch sizes are rejected with store.ErrBadGeometry (they would encode
-// "off" ambiguously — use 0 to disable a mechanism).
+// engine and returns the resulting state. Negative rates or durations are
+// rejected with store.ErrBadGeometry (they would encode "off" ambiguously
+// — use 0 to disable a mechanism). Every pass waiting for a grant decides
+// again under the new knobs.
 func (e *Engine) SetQoS(u QoSUpdate) (QoSState, error) {
 	if (u.RebuildRate != nil && *u.RebuildRate < 0) ||
 		(u.MinRebuildRate != nil && *u.MinRebuildRate < 0) ||
-		(u.ScrubInterval != nil && *u.ScrubInterval < 0) ||
-		(u.ScrubBatch != nil && *u.ScrubBatch < 0) ||
+		(u.ScrubRate != nil && *u.ScrubRate < 0) ||
 		(u.LatencyTarget != nil && *u.LatencyTarget < 0) ||
 		(u.AdmitWait != nil && *u.AdmitWait < 0) {
 		return e.qos.snapshot(), fmt.Errorf("%w: QoS knobs must be >= 0", store.ErrBadGeometry)
@@ -346,60 +432,34 @@ func (e *Engine) SetQoS(u QoSUpdate) (QoSState, error) {
 	if u.MinRebuildRate != nil {
 		q.minRate.Store(*u.MinRebuildRate)
 	}
-	if u.ScrubInterval != nil {
-		q.scrubInterval.Store(int64(*u.ScrubInterval))
-	}
-	if u.ScrubBatch != nil {
-		q.scrubBatch.Store(max(*u.ScrubBatch, 1))
+	if u.ScrubRate != nil {
+		q.scrubRate.Store(*u.ScrubRate)
 	}
 	if u.LatencyTarget != nil {
 		q.latencyTarget.Store(int64(*u.LatencyTarget))
 	}
-	// Wake the scrubber so a newly set interval takes effect now, not
-	// after the previous (possibly long) pause.
-	select {
-	case q.scrubKick <- struct{}{}:
-	default:
-	}
+	q.mu.Lock()
+	q.signalLocked()
+	q.mu.Unlock()
 	return q.snapshot(), nil
 }
 
-// scrubLoop is the background scrubber: every ScrubInterval (stretched
-// under load) it verifies ScrubBatch cycles, skipping slices while the
-// array is degraded or rebuilding — scrub verifies parity, which a rebuild
-// is busy rewriting. Disabled intervals poll lazily so the scrubber can be
-// turned on later via SetQoS.
+// scrubLoop is the background scrubber: one cycle per scrub grant. The
+// scheduler holds it back while any other pass is held — scrub verifies
+// parity, which a rebuild is busy rewriting — while a disk is failed, and
+// while ScrubRate is 0.
 func (e *Engine) scrubLoop() {
-	const idlePoll = 500 * time.Millisecond
-	for {
-		pause := e.qos.scrubPause()
-		enabled := pause > 0
-		if !enabled {
-			pause = idlePoll
-		}
-		t := time.NewTimer(pause)
-		select {
-		case <-e.stop:
-			t.Stop()
-			return
-		case <-e.qos.scrubKick:
-			t.Stop()
-			continue
-		case <-t.C:
-		}
-		if !enabled || e.Rebuilding() || len(e.arr.FailedDisks()) > 0 {
-			continue
-		}
-		// An error means the array degraded mid-slice; the next slice
+	for e.qos.grant(passScrub, e.stop) {
+		// An error means the array degraded mid-cycle; the next grant
 		// (post-heal) resumes.
 		_, _, _ = e.scrubStep()
 	}
 }
 
-// scrubStep walks one slice of up to ScrubBatch cycles and records it: the
-// slice, the inconsistent stripes it found, and the pass it completed.
+// scrubStep walks one cycle of the scrub and records it: the cycle, the
+// inconsistent stripes it found, and the pass it completed.
 func (e *Engine) scrubStep() (done bool, bad int, err error) {
-	done, err = e.walkCycles(e.qos.scrubBatch.Load(), e.arr.ScrubProgress, func(cycle int64) (bool, error) {
+	done, err = e.walkCycles(1, e.arr.ScrubProgress, func(cycle int64) (bool, error) {
 		done, n, err := e.arr.ScrubCycle(cycle)
 		bad += n
 		return done, err
@@ -414,22 +474,34 @@ func (e *Engine) scrubStep() (done bool, bad int, err error) {
 	return done, bad, err
 }
 
-// ScrubPass drives an incremental scrub to pass completion, honoring ctx
-// between slices, and returns the number of inconsistent stripes found
-// from the current cursor to the end of the pass. It is the engine-level
-// backend of POST /v1/scrub and oiraidctl scrub -remote.
+// ScrubPass drives an incremental scrub to pass completion as an operator
+// pass and returns the number of inconsistent stripes found from the
+// current cursor to the end of the pass. It is the engine-level backend
+// of POST /v1/scrub and oiraidctl scrub -remote.
 func (e *Engine) ScrubPass(ctx context.Context) (bad int, err error) {
-	if e.closed.Load() {
-		return 0, ErrClosed
-	}
-	for {
-		if err := ctx.Err(); err != nil {
-			return bad, err
-		}
+	err = e.operatorPass(ctx, func() (bool, error) {
 		done, n, err := e.scrubStep()
 		bad += n
-		if err != nil || done {
-			return bad, err
+		return done, err
+	})
+	return bad, err
+}
+
+// operatorPass runs step, one cycle per operator grant, until it reports
+// the pass done or fails: it waits for a running rebuild or migration
+// copy, paces like them, and ends with ctx.Err() once ctx is done.
+func (e *Engine) operatorPass(ctx context.Context, step func() (done bool, err error)) error {
+	if e.closed.Load() {
+		return ErrClosed
+	}
+	e.qos.hold(passOperator, 1)
+	defer e.qos.hold(passOperator, -1)
+	for {
+		if !e.qos.grant(passOperator, ctx.Done()) {
+			return ctx.Err()
+		}
+		if done, err := step(); err != nil || done {
+			return err
 		}
 	}
 }

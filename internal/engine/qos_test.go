@@ -132,31 +132,31 @@ func TestPacerAdapts(t *testing.T) {
 	}
 }
 
-// TestPacerStop: a closed stop channel aborts pace() both while blocked
+// TestPacerStop: a closed stop channel aborts grant() both while blocked
 // waiting for a token and on the unpaced fast path.
 func TestPacerStop(t *testing.T) {
-	q := newQoS(QoSConfig{RebuildRate: 0.1}) // 10s per token: pace must block
+	q := newQoS(QoSConfig{RebuildRate: 0.1}) // 10s per token: grant must block
 	stop := make(chan struct{})
-	q.pace(stop) // consumes the initial token
+	q.grant(passRebuild, stop) // consumes the initial token
 	done := make(chan bool)
-	go func() { done <- q.pace(stop) }()
+	go func() { done <- q.grant(passRebuild, stop) }()
 	select {
 	case <-done:
-		t.Fatal("pace returned while bucket empty and stop open")
+		t.Fatal("grant returned while bucket empty and stop open")
 	case <-time.After(50 * time.Millisecond):
 	}
 	close(stop)
 	select {
 	case ok := <-done:
 		if ok {
-			t.Fatal("pace = true after stop")
+			t.Fatal("grant = true after stop")
 		}
 	case <-time.After(time.Second):
-		t.Fatal("pace did not observe stop")
+		t.Fatal("grant did not observe stop")
 	}
 	unpaced := newQoS(QoSConfig{})
-	if ok := unpaced.pace(stop); ok {
-		t.Fatal("unpaced pace = true with stop closed")
+	if ok := unpaced.grant(passRebuild, stop); ok {
+		t.Fatal("unpaced grant = true with stop closed")
 	}
 }
 
@@ -243,8 +243,7 @@ func TestQoSRebuildAbortsOnClose(t *testing.T) {
 // and SetQoS enables it live on an engine built without QoS.
 func TestQoSBackgroundScrub(t *testing.T) {
 	e := newEngine(t, 9, 2, Options{QoS: &QoSConfig{
-		ScrubInterval: 2 * time.Millisecond,
-		ScrubBatch:    1 << 20,
+		ScrubRate: (1 << 20) / 0.002, // ScrubBatch / ScrubInterval
 	}})
 	waitPasses := func(want int64) {
 		t.Helper()
@@ -267,8 +266,8 @@ func TestQoSBackgroundScrub(t *testing.T) {
 	if e2.Stats().ScrubBatches != 0 {
 		t.Fatal("scrubber ran while disabled")
 	}
-	iv, batch := 2*time.Millisecond, int64(1<<20)
-	if _, err := e2.SetQoS(QoSUpdate{ScrubInterval: &iv, ScrubBatch: &batch}); err != nil {
+	scrubRate := (1 << 20) / 0.002
+	if _, err := e2.SetQoS(QoSUpdate{ScrubRate: &scrubRate}); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
@@ -295,7 +294,7 @@ func TestQoSBackgroundScrub(t *testing.T) {
 	if err := faults[4].Inner().WriteStrip(1, raw); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e3.SetQoS(QoSUpdate{ScrubInterval: &iv, ScrubBatch: &batch}); err != nil {
+	if _, err := e3.SetQoS(QoSUpdate{ScrubRate: &scrubRate}); err != nil {
 		t.Fatal(err)
 	}
 	deadline = time.Now().Add(10 * time.Second)
@@ -329,9 +328,9 @@ func TestSetQoSValidation(t *testing.T) {
 	if _, err := e.SetQoS(QoSUpdate{RebuildRate: &bad}); !errors.Is(err, store.ErrBadGeometry) {
 		t.Fatalf("negative rate: want ErrBadGeometry, got %v", err)
 	}
-	badIv := -time.Second
-	if _, err := e.SetQoS(QoSUpdate{ScrubInterval: &badIv}); !errors.Is(err, store.ErrBadGeometry) {
-		t.Fatalf("negative interval: want ErrBadGeometry, got %v", err)
+	badScrub := -1.0
+	if _, err := e.SetQoS(QoSUpdate{ScrubRate: &badScrub}); !errors.Is(err, store.ErrBadGeometry) {
+		t.Fatalf("negative scrub rate: want ErrBadGeometry, got %v", err)
 	}
 	rate, target := 42.0, 3*time.Millisecond
 	st, err := e.SetQoS(QoSUpdate{RebuildRate: &rate, LatencyTarget: &target})

@@ -37,13 +37,12 @@ func (f *atomicFloat) ewma(sample, alpha float64, seed bool) float64 {
 
 // counters is the lock-free accumulator behind Stats.
 type counters struct {
-	reads, writes  atomic.Int64
-	rebuildBatches atomic.Int64
-	lockWaitNs     atomic.Int64
-	scrubBatches   atomic.Int64
-	scrubPasses    atomic.Int64
-	scrubBad       atomic.Int64
-	fsckRuns       atomic.Int64
+	reads, writes atomic.Int64
+	lockWaitNs    atomic.Int64
+	scrubBatches  atomic.Int64
+	scrubPasses   atomic.Int64
+	scrubBad      atomic.Int64
+	fsckRuns      atomic.Int64
 
 	hedgeFired  atomic.Int64
 	hedgeWon    atomic.Int64
@@ -70,8 +69,8 @@ type Stats struct {
 	FsckRuns int64
 	// DeviceReads/DeviceWrites count strip-granularity device accesses.
 	DeviceReads, DeviceWrites int64
-	// RebuildBatches counts the pacer grants the rebuild goroutine walked,
-	// each up to StartRebuild's batch of layout cycles.
+	// RebuildBatches counts the scheduler grants the rebuild goroutine
+	// walked, each up to StartRebuild's batch of layout cycles.
 	RebuildBatches int64
 	// LockWaitNs is the cumulative time operations spent blocked acquiring
 	// engine locks (cycle and striped locks plus deep-degraded escalation),
@@ -103,7 +102,7 @@ type Stats struct {
 	EffectiveRebuildRate float64
 	RebuildThrottleNs    int64
 	// ScrubBatches/ScrubPasses/ScrubBadStripes describe background-scrub
-	// activity: slices walked, full passes completed, and
+	// activity: cycles walked (one per grant), full passes completed, and
 	// inconsistent stripes found — counted, not repaired (a strip that
 	// fails its checksum on the way is healed, but parity is left for
 	// Fsck(true)).
@@ -147,7 +146,7 @@ func (e *Engine) Stats() Stats {
 		FsckRuns:        e.stats.fsckRuns.Load(),
 		DeviceReads:     io.ReadOps,
 		DeviceWrites:    io.WriteOps,
-		RebuildBatches:  e.stats.rebuildBatches.Load(),
+		RebuildBatches:  q.Grants.Rebuild,
 		LockWaitNs:      e.stats.lockWaitNs.Load(),
 		RetriesAbsorbed: absorbed,
 		Evictions:       e.mon.evictions.Load(),

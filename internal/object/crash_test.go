@@ -286,13 +286,15 @@ func TestObjectCrashSweep(t *testing.T) {
 		t.Fatalf("dry run failed in %s: %v", dry.phase, err)
 	}
 	span := dry.ctl.Writes() - afterFormat
-	points := int64(100)
+	// A fixed stride names each subtest by a cut index that does not move
+	// when the workload's count of persisting operations does; the span
+	// must then be long enough for 100 points.
+	stride := int64(5)
 	if testing.Short() {
-		points = 25
+		stride = 22
 	}
-	stride := span / points
-	if stride < 1 {
-		stride = 1
+	if span < 100*5 {
+		t.Fatalf("workload span %d persisting operations, want >= %d for 100 cut points at stride 5", span, 100*5)
 	}
 
 	ran := 0

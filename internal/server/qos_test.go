@@ -274,3 +274,27 @@ func TestServerQoSEndpoints(t *testing.T) {
 		t.Fatalf("clean array scrub found %d bad stripes", n)
 	}
 }
+
+// TestServerQoSRefusesUnknownField: a POST /v1/qos naming a knob the
+// server does not have — the retired scrub_interval_ns and scrub_batch
+// among them — answers 400 naming the field and changes nothing.
+func TestServerQoSRefusesUnknownField(t *testing.T) {
+	s, c := newTestServer(t)
+	for _, tc := range []struct{ body, field string }{
+		{`{"scrub_interval_ns":2000000}`, "scrub_interval_ns"},
+		{`{"scrub_rate":5,"scrub_batch":4}`, "scrub_batch"},
+	} {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/qos", strings.NewReader(tc.body)))
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), `"`+tc.field+`"`) {
+			t.Fatalf("POST %s: %d %q, want 400 naming %q", tc.body, rec.Code, rec.Body.String(), tc.field)
+		}
+	}
+	st, err := c.QoS()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.ScrubRate != 0 {
+		t.Fatalf("a refused update changed the state: %+v", st)
+	}
+}

@@ -53,10 +53,6 @@ type Options struct {
 	// the request context every handler runs under, and an operation still
 	// waiting when it expires answers 504.
 	RequestTimeout time.Duration
-	// RebuildBatch is the number of layout cycles POST /v1/rebuild walks
-	// per pacer grant (default 1); each holds off only its own cycle's
-	// writers.
-	RebuildBatch int64
 	// OpTimeout bounds each strip operation's engine time, nested inside
 	// the request deadline so client disconnects cancel too. An op that
 	// exceeds it answers 504. 0 leaves ops bounded only by
@@ -96,9 +92,6 @@ type Server struct {
 func New(eng *engine.Engine, opts Options) *Server {
 	if opts.RequestTimeout <= 0 {
 		opts.RequestTimeout = 30 * time.Second
-	}
-	if opts.RebuildBatch < 1 {
-		opts.RebuildBatch = 1
 	}
 	s := &Server{eng: eng, opts: opts, mux: http.NewServeMux()}
 	s.mux.HandleFunc("PUT /v1/strips/{addr}", s.putStrip)
@@ -331,7 +324,8 @@ func (s *Server) diskOp(op func(id int) error) http.HandlerFunc {
 }
 
 func (s *Server) rebuild(w http.ResponseWriter, r *http.Request) {
-	if err := s.eng.StartRebuild(s.opts.RebuildBatch); err != nil {
+	// Batch 0: the engine's QoSConfig.RebuildBatch cycles per grant.
+	if err := s.eng.StartRebuild(0); err != nil {
 		s.fail(w, err)
 		return
 	}
@@ -370,8 +364,11 @@ func (s *Server) qosGet(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) qosSet(w http.ResponseWriter, r *http.Request) {
+	// A knob this server does not have is refused by name, not dropped.
 	var u engine.QoSUpdate
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&u); err != nil {
+	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<16))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&u); err != nil {
 		http.Error(w, "bad QoS update: "+err.Error(), http.StatusBadRequest)
 		return
 	}

@@ -238,13 +238,15 @@ func TestCrashSweep(t *testing.T) {
 		t.Fatalf("dry run failed in %s: %v", dry.phase, err)
 	}
 	span := dry.ctl.Writes() - afterFormat
-	points := int64(220)
+	// A fixed stride names each subtest by a cut index that does not move
+	// when the workload's count of persisting operations does; the span
+	// must then be long enough for 200 points.
+	stride := int64(3)
 	if testing.Short() {
-		points = 40
+		stride = 20
 	}
-	stride := span / points
-	if stride < 1 {
-		stride = 1
+	if span < 200*3 {
+		t.Fatalf("workload span %d persisting operations, want >= %d for 200 cut points at stride 3", span, 200*3)
 	}
 
 	ran := 0

@@ -45,12 +45,12 @@ bench:
 # root ./... pattern reaches: vet it and run its smoke tests here, so an
 # API change that breaks the benchmark's build fails before it merges.
 # The kernel, parity-delta, device, array, engine strip-op, journal, blob,
-# strip-RPC, batch-RPC, cluster-write, HA-write and disk-migration
-# micro-benchmarks run once each, so they cannot rot.
+# strip-RPC, batch-RPC, cluster-write, HA-write, disk-migration and
+# object strip-allocator micro-benchmarks run once each, so they cannot rot.
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
-	$(GO) test -run '^$$' -bench 'Slice|Encode|Reconstruct|UpdateParity|NewMemDevice|Fsck|ArrayWrite|ArrayDegradedRead|ArrayDeepRead|EngineWriteStrip|EngineReadStrip|JournaledWrite|JournaledRead|MemBlobAppend|NetDeviceStrip|NetDeviceBatch|ClusterWrite|FailoverQuorumAppend|MigrateDisk' -benchtime 1x \
-		./internal/gf ./internal/erasure ./internal/store ./internal/engine ./internal/store/netdev ./internal/cluster
+	$(GO) test -run '^$$' -bench 'Slice|Encode|Reconstruct|UpdateParity|NewMemDevice|Fsck|ArrayWrite|ArrayDegradedRead|ArrayDeepRead|EngineWriteStrip|EngineReadStrip|JournaledWrite|JournaledRead|MemBlobAppend|NetDeviceStrip|NetDeviceBatch|ClusterWrite|FailoverQuorumAppend|MigrateDisk|Alloc' -benchtime 1x \
+		./internal/gf ./internal/erasure ./internal/store ./internal/engine ./internal/store/netdev ./internal/cluster ./internal/object
 
 # The functions of the serving packages that no test of the module reaches:
 # every test runs with coverage of every package (-coverpkg), the profile goes

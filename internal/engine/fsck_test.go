@@ -15,7 +15,7 @@ import (
 )
 
 // TestEngineFsck: the engine runs the two-layer walk and counts the
-// pass; a second run while a rebuild is active is refused.
+// pass; a check started while a rebuild runs waits for it and is clean.
 func TestEngineFsck(t *testing.T) {
 	e := newEngine(t, 9, 2, Options{Workers: 4})
 	buf := make([]byte, testStrip)
@@ -46,11 +46,14 @@ func TestEngineFsck(t *testing.T) {
 	if err := e.StartRebuild(1); err != nil {
 		t.Fatal(err)
 	}
-	// A concurrent fsck is refused while the rebuild is still running;
-	// if the tiny rebuild already finished, a clean pass is also fine.
-	if _, err := e.Fsck(context.Background(), false); err != nil &&
-		!errors.Is(err, ErrRebuildRunning) {
+	// The scheduler grants the rebuild before any operator pass, so this
+	// check runs once the rebuild has ended and the array is whole.
+	rep, err = e.Fsck(context.Background(), false)
+	if err != nil {
 		t.Fatalf("fsck during rebuild: %v", err)
+	}
+	if !rep.Clean {
+		t.Fatalf("fsck during rebuild dirty: %+v", rep)
 	}
 	if err := e.RebuildWait(); err != nil {
 		t.Fatal(err)

@@ -33,6 +33,8 @@ type objCrashRig struct {
 	// also legitimate).
 	inflightKey  string
 	inflightWant [][]byte
+	// deleted lists the keys of acknowledged DELETEs.
+	deleted []string
 }
 
 const crashBucket = "crash-bucket"
@@ -92,40 +94,24 @@ func (r *objCrashRig) workload(m *store.Mount) error {
 	}
 	ctx := context.Background()
 
-	put := func(key string, data []byte) error {
-		r.inflightKey, r.inflightWant = key, [][]byte{nil, data}
-		if old, ok := r.oracle[key]; ok {
-			r.inflightWant = append(r.inflightWant, old)
-		}
-		if _, err := s.PutObject(ctx, crashBucket, key, bytes.NewReader(data), int64(len(data)), nil); err != nil {
-			return err
-		}
-		r.oracle[key] = data
-		r.inflightKey = ""
-		return nil
-	}
-
 	r.phase = "bucket"
 	if err := s.CreateBucket(ctx, crashBucket); err != nil {
 		return err
 	}
 	r.phase = "put"
 	for i := 0; i < 6; i++ {
-		if err := put(fmt.Sprintf("obj/%02d", i), payload(int64(i+1), (i+1)*testStrip+i*37)); err != nil {
+		if err := r.put(s, fmt.Sprintf("obj/%02d", i), payload(int64(i+1), (i+1)*testStrip+i*37)); err != nil {
 			return err
 		}
 	}
 	r.phase = "overwrite"
-	if err := put("obj/02", payload(100, 2*testStrip+5)); err != nil {
+	if err := r.put(s, "obj/02", payload(100, 2*testStrip+5)); err != nil {
 		return err
 	}
 	r.phase = "delete"
-	r.inflightKey, r.inflightWant = "obj/04", [][]byte{nil, r.oracle["obj/04"]}
-	if err := s.DeleteObject(ctx, crashBucket, "obj/04"); err != nil {
+	if err := r.del(s, "obj/04"); err != nil {
 		return err
 	}
-	delete(r.oracle, "obj/04")
-	r.inflightKey = ""
 
 	r.phase = "multipart"
 	p1 := payload(201, 3*testStrip+11)
@@ -155,13 +141,116 @@ func (r *objCrashRig) workload(m *store.Mount) error {
 	// Ten degraded PUTs keep the sweep's span between 566 and 599
 	// persisting operations, so at 100 points it cuts every 5th one.
 	for i := 0; i < 10; i++ {
-		if err := put(fmt.Sprintf("deg/%02d", i), payload(int64(300+i), 2*testStrip+i)); err != nil {
+		if err := r.put(s, fmt.Sprintf("deg/%02d", i), payload(int64(300+i), 2*testStrip+i)); err != nil {
 			return err
 		}
 	}
 	r.phase = "seal"
 	return eng.Close()
 }
+
+// put PUTs key through s, recording it in flight until acknowledged.
+func (r *objCrashRig) put(s *Store, key string, data []byte) error {
+	r.inflightKey, r.inflightWant = key, [][]byte{nil, data}
+	if old, ok := r.oracle[key]; ok {
+		r.inflightWant = append(r.inflightWant, old)
+	}
+	if _, err := s.PutObject(context.Background(), crashBucket, key, bytes.NewReader(data), int64(len(data)), nil); err != nil {
+		return err
+	}
+	r.oracle[key] = data
+	r.inflightKey = ""
+	return nil
+}
+
+// del DELETEs key through s, recording it in flight until acknowledged.
+func (r *objCrashRig) del(s *Store, key string) error {
+	r.inflightKey, r.inflightWant = key, [][]byte{nil, r.oracle[key]}
+	if err := s.DeleteObject(context.Background(), crashBucket, key); err != nil {
+		return err
+	}
+	delete(r.oracle, key)
+	r.deleted = append(r.deleted, key)
+	r.inflightKey = ""
+	return nil
+}
+
+// reuseWorkload frees strips and lands the next PUT on them at once, as
+// first fit does: it overwrites one object and deletes another, and after
+// each a PUT must take the freed strips — or the workload fails with
+// errNoReuse. It returns on the first error, as workload does.
+func (r *objCrashRig) reuseWorkload(m *store.Mount) error {
+	eng, err := engine.New(m.Array, engine.Options{})
+	if err != nil {
+		return err
+	}
+	defer eng.Close()
+	s, err := New(eng, Options{ChunkBytes: 2 * testStrip})
+	if err != nil {
+		return err
+	}
+	r.phase = "bucket"
+	if err := s.CreateBucket(context.Background(), crashBucket); err != nil {
+		return err
+	}
+	r.phase = "put"
+	for i, key := range []string{"a", "b", "c"} {
+		if err := r.put(s, key, payload(int64(400+i), (3-i)*testStrip+i*41)); err != nil {
+			return err
+		}
+	}
+	// lands PUTs key and requires it to occupy every strip of freed.
+	lands := func(key string, freed []Extent, data []byte) error {
+		if err := r.put(s, key, data); err != nil {
+			return err
+		}
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		got := s.buckets[crashBucket].objects[key].Extents
+		owns := map[int64]bool{}
+		for _, e := range got {
+			for i := e.Start; i < e.Start+int64(e.Strips); i++ {
+				owns[i] = true
+			}
+		}
+		for _, e := range freed {
+			for i := e.Start; i < e.Start+int64(e.Strips); i++ {
+				if !owns[i] {
+					return fmt.Errorf("%w: %q got %+v, freed %+v", errNoReuse, key, got, freed)
+				}
+			}
+		}
+		return nil
+	}
+	extents := func(key string) []Extent {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.buckets[crashBucket].objects[key].Extents
+	}
+
+	r.phase = "overwrite"
+	old := extents("a")
+	if err := r.put(s, "a", payload(410, 3*testStrip+9)); err != nil {
+		return err
+	}
+	r.phase = "reuse-overwritten"
+	if err := lands("d", old, payload(411, 3*testStrip)); err != nil {
+		return err
+	}
+	r.phase = "delete"
+	old = extents("b")
+	if err := r.del(s, "b"); err != nil {
+		return err
+	}
+	r.phase = "reuse-deleted"
+	if err := lands("e", old, payload(412, 2*testStrip+77)); err != nil {
+		return err
+	}
+	r.phase = "seal"
+	return eng.Close()
+}
+
+var errNoReuse = errors.New("a PUT did not land on the strips freed before it")
 
 // recover remounts from the survivors, swaps fresh media into failed
 // slots, rebuilds, and mounts a fresh object store (running its
@@ -246,6 +335,14 @@ func (r *objCrashRig) verify(s *Store) error {
 				r.inflightKey, err, buf.Len())
 		}
 	}
+	for _, key := range r.deleted {
+		if _, ok := r.oracle[key]; ok || key == r.inflightKey {
+			continue // PUT again since
+		}
+		if _, err := s.StatObject(ctx, crashBucket, key); !errors.Is(err, ErrNoSuchObject) {
+			return fmt.Errorf("deleted object %q resurrected (err=%v)", key, err)
+		}
+	}
 	if rep := s.Fsck(); !rep.Clean {
 		return fmt.Errorf("allocator fsck dirty after recovery: %+v", rep)
 	}
@@ -327,5 +424,45 @@ func TestObjectCrashSweep(t *testing.T) {
 	t.Logf("swept %d crash points over %d operations; crash phases: %v", ran, span, phases)
 	if len(phases) < 4 {
 		t.Errorf("crash points hit %d phases (%v), want >= 4", len(phases), phases)
+	}
+}
+
+// TestObjectCrashReuse: first fit hands strips freed by an overwrite or a
+// DELETE to the next PUT at once. Cut power at every persisting operation
+// of a workload that does both, then remount: every acknowledged object
+// reads back with its CRCs clean, the PUT cut mid-flight is all or
+// nothing, no deleted object comes back, and no strip leaked.
+func TestObjectCrashReuse(t *testing.T) {
+	dry := newObjCrashRig(t, 0)
+	mDry := dry.format()
+	afterFormat := dry.ctl.Writes()
+	if err := dry.reuseWorkload(mDry); err != nil {
+		t.Fatalf("dry run failed in %s: %v", dry.phase, err)
+	}
+	span := dry.ctl.Writes() - afterFormat
+	phases := map[string]int{}
+	for cut := int64(0); cut < span; cut++ {
+		r := newObjCrashRig(t, cut)
+		m := r.format()
+		r.ctl.Arm(cut)
+		if err := r.reuseWorkload(m); err == nil || !r.ctl.Crashed() {
+			t.Fatalf("cut %d of %d in %s: workload returned %v without a crash", cut, span, r.phase, err)
+		}
+		phases[r.phase]++
+		s, eng, err := r.recover()
+		if err != nil {
+			t.Fatalf("cut %d in %s: recovery failed: %v", cut, r.phase, err)
+		}
+		err = r.verify(s)
+		eng.Close()
+		if err != nil {
+			t.Fatalf("cut %d in %s: %v", cut, r.phase, err)
+		}
+	}
+	t.Logf("cut %d persisting operations; crash phases: %v", span, phases)
+	for _, p := range []string{"reuse-overwritten", "reuse-deleted"} {
+		if phases[p] == 0 {
+			t.Errorf("no cut fell in phase %s", p)
+		}
 	}
 }

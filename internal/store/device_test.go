@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"math/rand"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -136,6 +137,108 @@ func TestMemDeviceSparse(t *testing.T) {
 	copy(want[5*len(p):], p)
 	if !bytes.Equal(deviceImage(t, d), want) {
 		t.Fatal("after one strip write the device does not read that strip and zeros")
+	}
+}
+
+// TestAllZero: the zero test finds a single non-zero byte at any offset of
+// buffers of every length across the four-word blocks and the byte tail.
+func TestAllZero(t *testing.T) {
+	for n := 0; n <= 100; n++ {
+		p := make([]byte, n)
+		if !allZero(p) {
+			t.Fatalf("%d zero bytes read non-zero", n)
+		}
+		for i := range p {
+			p[i] = 0x80
+			if allZero(p) {
+				t.Fatalf("%d bytes with byte %d set read zero", n, i)
+			}
+			p[i] = 0
+		}
+	}
+}
+
+// TestZeroWritesStaySparse: a rebuild and a migration copy of an array
+// whose first half was written leave the strips of the replacement and of
+// the destination that hold zeros unwritten, and both read back exactly
+// the device they stand in for. So does a zero strip written where the
+// device never wrote; one written over data is stored.
+func TestZeroWritesStaySparse(t *testing.T) {
+	arr, err := NewMemArray(oiAnalyzer(t, 9), 4, testStrip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := make([]byte, arr.Capacity()/2)
+	rand.New(rand.NewSource(40)).Read(half)
+	if _, err := arr.WriteAt(half, 0); err != nil {
+		t.Fatal(err)
+	}
+	// sparseCopy checks that dev holds img and has written exactly the
+	// strips of img that are not all zero, of which there are some but
+	// not all.
+	sparseCopy := func(what string, dev *MemDevice, img []byte) {
+		t.Helper()
+		if !bytes.Equal(deviceImage(t, dev), img) {
+			t.Fatalf("%s does not read back the device it replaces", what)
+		}
+		var written int64
+		for i := int64(0); i < dev.strips; i++ {
+			zero := allZero(img[i*testStrip:][:testStrip])
+			if dev.written.has(i) == zero {
+				t.Fatalf("%s strip %d: written=%v, all zero=%v", what, i, dev.written.has(i), zero)
+			}
+			if !zero {
+				written++
+			}
+		}
+		if written == 0 || written == dev.strips {
+			t.Fatalf("%s wrote %d of %d strips; a half-written array has both kinds", what, written, dev.strips)
+		}
+	}
+
+	const lost, moved = 2, 5
+	img := deviceImage(t, arr.devs[lost])
+	if err := arr.FailDisk(lost); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := NewMemDevice(arr.devs[lost].Strips(), testStrip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	if err := arr.ReplaceDisk(lost, fresh); err != nil {
+		t.Fatal(err)
+	}
+	if err := arr.Rebuild(); err != nil {
+		t.Fatal(err)
+	}
+	sparseCopy("the rebuilt replacement", fresh, img)
+
+	dst, err := NewMemDevice(arr.devs[moved].Strips(), testStrip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dst.Close()
+	if err := arr.StartMirror(moved, dst); err != nil {
+		t.Fatal(err)
+	}
+	for c := int64(0); c < arr.Cycles(); c++ {
+		if err := arr.CopyMirrorCycle(moved, c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sparseCopy("the migration destination", dst, deviceImage(t, arr.devs[moved]))
+
+	zeros := make([]byte, testStrip)
+	last := dst.strips - 1
+	if err := dst.WriteStrip(last, zeros); err != nil || dst.written.has(last) {
+		t.Fatalf("a zero strip written where the device never wrote: err %v, written %v", err, dst.written.has(last))
+	}
+	if err := dst.WriteStrip(0, zeros); err != nil {
+		t.Fatal(err)
+	}
+	if img := deviceImage(t, dst); !allZero(img[:testStrip]) {
+		t.Fatal("a zero strip written over data does not read zero")
 	}
 }
 

@@ -30,49 +30,53 @@ func closureNodes(c *Cluster, s int64) map[string][]int {
 }
 
 // TestClusterBatchRPCCounts is the exact-count evidence for the batched path:
-// every healthy single-strip write is one read RPC and one write RPC per node
-// of its closure — 4 for a closure on two nodes, 6 on three, 720 over the
-// cycle's 144 data strips where strip-at-a-time I/O took 1152 (a node's one
-// strip of a closure travels on the single-strip endpoint) — a plain strip
-// read is still one RPC, and a rebuilt cycle
-// goes out as gather windows of at most three read RPCs and one write RPC
-// each.
+// every healthy single-strip write is one read message and one write message
+// per node of its closure — 4 for a closure on two nodes, 6 on three, 720 over
+// the cycle's 144 data strips where strip-at-a-time I/O took 1152 (a node's
+// one strip of a closure travels as a message of one item) — a plain strip
+// read is one message, and a rebuilt cycle goes out as gather windows of at
+// most three read messages and one write message each. No write or read
+// takes any other round trip, and the writes and the read ride streams
+// opened at most once per node.
 func TestClusterBatchRPCCounts(t *testing.T) {
 	c, ct := countedCluster(t, 4096, nil)
 	p := make([]byte, 4096)
 	rand.New(rand.NewSource(6)).Read(p)
 	strips := c.Eng.Strips()
 	var total int64
+	opens := ct.opens()
 	for s := int64(0); s < strips; s++ {
 		nodes := int64(len(closureNodes(c, s)))
-		before := ct.n.Load()
+		before := ct.rpcs()
 		if err := c.Eng.WriteStrip(s, p); err != nil {
 			t.Fatal(err)
 		}
-		if got := ct.n.Load() - before; got != 2*nodes || nodes < 2 || nodes > 3 {
+		if got := ct.rpcs() - before; got != 2*nodes || nodes < 2 || nodes > 3 {
 			t.Fatalf("write of strip %d, closure on %d nodes: %d RPCs, want %d", s, nodes, got, 2*nodes)
 		}
 		total += 2 * nodes
 	}
-	if total != 720 || ct.batchReads.Load()+ct.batchWrites.Load()+ct.singles.Load() != 720 {
-		t.Errorf("%d writes: %d RPCs (%d read batches, %d write batches, %d single-strip), want 720 in all", strips,
-			total, ct.batchReads.Load(), ct.batchWrites.Load(), ct.singles.Load())
+	if reads, writes := ct.messages(); total != 720 || reads+writes != 720 {
+		t.Errorf("%d writes: %d RPCs (%d read messages, %d write messages), want 720 in all", strips, total, reads, writes)
 	}
-	before := ct.n.Load()
+	before := ct.rpcs()
 	if got, err := c.Eng.ReadStrip(7); err != nil || !bytes.Equal(got, p) {
 		t.Fatalf("read: %v", err)
 	}
-	if got := ct.n.Load() - before; got != 1 {
+	if got := ct.rpcs() - before; got != 1 {
 		t.Errorf("a plain strip read: %d RPCs, want 1", got)
+	}
+	if got := ct.opens() - opens; got > 3 {
+		t.Errorf("%d writes and a read opened %d strip streams, want at most one per node", strips, got)
 	}
 
 	// One cycle of 36 repair tasks at 4 KiB is four 128 KiB gather windows of
 	// ten tasks (thirty strip buffers) each.
-	r0, w0, s0 := ct.batchReads.Load(), ct.batchWrites.Load(), ct.singles.Load()
+	r0, w0 := ct.messages()
 	rebuildDisk(t, c, 4)
-	r, w, single := ct.batchReads.Load()-r0, ct.batchWrites.Load()-w0, ct.singles.Load()-s0
-	if r+w+single > 16 || w != 4 {
-		t.Errorf("rebuilt cycle: %d read batches, %d write batches, %d single-strip RPCs; want ≤ 16 in all, 4 write batches (108 strip-at-a-time)", r, w, single)
+	r, w := ct.messages()
+	if r, w = r-r0, w-w0; r+w > 16 || w != 4 {
+		t.Errorf("rebuilt cycle: %d read messages, %d write messages; want ≤ 16 in all, 4 write messages (108 strip-at-a-time)", r, w)
 	}
 	for s := int64(0); s < strips; s++ {
 		if got, err := c.Eng.ReadStrip(s); err != nil || !bytes.Equal(got, p) {
@@ -82,19 +86,19 @@ func TestClusterBatchRPCCounts(t *testing.T) {
 }
 
 // TestHAWriteRPCCounts pins what a strip write costs an HA coordinator, by
-// route: the closure's strip RPCs, as on a classic one (a read and a write
-// batch per node of the closure), plus the journal's two appends — the redo
+// route: the closure's strip messages, as on a classic one (a read and a write
+// message per node of the closure), plus the journal's two appends — the redo
 // record, then the closure's checksums and clear — each a blob write at every
 // one of the three voters, and the redo record's sync at each. Over a cycle's
-// 144 writes that is 720 strip RPCs, 864 blob writes and 432 syncs: 14 RPCs a
-// write, where one append per record took 26.
+// 144 writes that is 720 strip messages, 864 blob writes and 432 syncs: 14
+// RPCs a write, where one append per record took 26. The strip messages ride
+// streams opened at most once per node.
 func TestHAWriteRPCCounts(t *testing.T) {
 	c, ct := countedClusterHA(t, 512, nil, "coord-a")
 	p := make([]byte, 512)
 	rand.New(rand.NewSource(7)).Read(p)
 	strips := c.Eng.Strips()
-	dev := func() int64 { return ct.batchReads.Load() + ct.batchWrites.Load() + ct.singles.Load() }
-	d0, w0, s0, tr0, all0 := dev(), ct.blobWrites.Load(), ct.blobSyncs.Load(), ct.blobTruncates.Load(), ct.stripRPCs()
+	d0, w0, s0, tr0, all0, opens := ct.strips(), ct.blobWrites.Load(), ct.blobSyncs.Load(), ct.blobTruncates.Load(), ct.stripRPCs(), ct.opens()
 	epoch := c.journal.Epoch()
 	for s := int64(0); s < strips; s++ {
 		if err := c.Eng.WriteStrip(s, p); err != nil {
@@ -104,18 +108,22 @@ func TestHAWriteRPCCounts(t *testing.T) {
 	if c.journal.Epoch() != epoch {
 		t.Fatal("the journal compacted during the writes; the counts below leave compaction out")
 	}
-	d, w, sy, tr := dev()-d0, ct.blobWrites.Load()-w0, ct.blobSyncs.Load()-s0, ct.blobTruncates.Load()-tr0
+	d, w, sy, tr := ct.strips()-d0, ct.blobWrites.Load()-w0, ct.blobSyncs.Load()-s0, ct.blobTruncates.Load()-tr0
 	if strips != 144 || d != 720 || w != 3*2*strips || sy != 3*strips || tr != 0 {
-		t.Errorf("%d writes: %d strip RPCs, %d blob writes, %d blob syncs, %d truncations; want 720, %d, %d, 0",
+		t.Errorf("%d writes: %d strip messages, %d blob writes, %d blob syncs, %d truncations; want 720, %d, %d, 0",
 			strips, d, w, sy, tr, 3*2*strips, 3*strips)
 	}
 	if per := float64(ct.stripRPCs()-all0) / float64(strips); per != 14 {
 		t.Errorf("%.2f RPCs per strip write, want 14", per)
 	}
+	if got := ct.opens() - opens; got > 3 {
+		t.Errorf("%d writes opened %d strip streams, want at most one per node", strips, got)
+	}
 }
 
 // TestClusterSmallStripRebuildIsOneWindow: at 512-byte strips the whole cycle
-// fits one gather window: three read RPCs and one write RPC rebuild a disk.
+// fits one gather window: three read messages and one write message rebuild a
+// disk.
 func TestClusterSmallStripRebuildIsOneWindow(t *testing.T) {
 	c, ct := countedCluster(t, 512, nil)
 	p := bytes.Repeat([]byte{0x6B}, 512)
@@ -124,51 +132,57 @@ func TestClusterSmallStripRebuildIsOneWindow(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r0, w0, s0 := ct.batchReads.Load(), ct.batchWrites.Load(), ct.singles.Load()
+	r0, w0 := ct.messages()
 	rebuildDisk(t, c, 0)
-	if r, w, single := ct.batchReads.Load()-r0, ct.batchWrites.Load()-w0, ct.singles.Load()-s0; r > 3 || w != 1 || single != 0 {
-		t.Errorf("rebuilt cycle: %d read batches, %d write batches, %d single-strip RPCs; want ≤ 3, 1, 0", r, w, single)
+	if r, w := ct.messages(); r-r0 > 3 || w-w0 != 1 {
+		t.Errorf("rebuilt cycle: %d read messages, %d write messages; want ≤ 3, 1", r-r0, w-w0)
 	}
 }
 
-// rpcLog is a transport that records, in order, the strip-plane RPCs that pass
-// it, each as "host path".
-type rpcLog struct {
-	inner http.RoundTripper
-	mu    sync.Mutex
-	rpcs  []string
+// msgLog records, in order, the strip messages that cross the fault
+// transports it hooks, each as "host read" or "host write".
+type msgLog struct {
+	mu   sync.Mutex
+	msgs []string
 }
 
-func (l *rpcLog) RoundTrip(r *http.Request) (*http.Response, error) {
-	if strings.Contains(r.URL.Path, "/strips/") {
-		l.mu.Lock()
-		l.rpcs = append(l.rpcs, r.URL.Host+" "+r.URL.Path)
-		l.mu.Unlock()
+func (l *msgLog) hook(host string, write bool) {
+	kind := "read"
+	if write {
+		kind = "write"
 	}
-	return l.inner.RoundTrip(r)
+	l.mu.Lock()
+	l.msgs = append(l.msgs, host+" "+kind)
+	l.mu.Unlock()
 }
 
-func (l *rpcLog) CloseIdleConnections() {
-	l.inner.(interface{ CloseIdleConnections() }).CloseIdleConnections()
-}
-
-func (l *rpcLog) take() []string {
+func (l *msgLog) take() []string {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	rpcs := l.rpcs
-	l.rpcs = nil
-	return rpcs
+	msgs := l.msgs
+	l.msgs = nil
+	return msgs
 }
 
-// loggedCluster is countedCluster behind an rpcLog, with every strip written
-// and the host of each node by id.
-func loggedCluster(t *testing.T, stripBytes int) (*Cluster, *rpcLog, map[string]string) {
+// faultedCluster is countedCluster with every node client behind a fault
+// transport of its own, each hooked to one msgLog.
+func faultedCluster(t *testing.T, stripBytes int) (*Cluster, *msgLog, map[string]*netdev.FaultTransport) {
 	t.Helper()
-	var log *rpcLog
-	c, _ := countedCluster(t, stripBytes, func(inner http.RoundTripper) http.RoundTripper {
-		log = &rpcLog{inner: inner}
-		return log
+	log, faults := &msgLog{}, map[string]*netdev.FaultTransport{}
+	c, _ := countedCluster(t, stripBytes, func(node string, inner http.RoundTripper) http.RoundTripper {
+		ft := netdev.NewFaultTransport(inner, int64(len(faults))+1)
+		ft.SetHook(log.hook)
+		faults[node] = ft
+		return ft
 	})
+	return c, log, faults
+}
+
+// loggedCluster is faultedCluster with every strip written and the host of
+// each node by id.
+func loggedCluster(t *testing.T, stripBytes int) (*Cluster, *msgLog, map[string]string) {
+	t.Helper()
+	c, log, _ := faultedCluster(t, stripBytes)
 	p := make([]byte, stripBytes)
 	rand.New(rand.NewSource(8)).Read(p)
 	for s := int64(0); s < c.Eng.Strips(); s++ {
@@ -185,10 +199,10 @@ func loggedCluster(t *testing.T, stripBytes int) (*Cluster, *rpcLog, map[string]
 }
 
 // TestClusterMigrationRPCCounts pins what a migrated cycle costs on the strip
-// plane: one gather window is one read batch at the source node and one write
-// batch at the destination — the whole 36-strip cycle at 512-byte strips, two
-// windows of 128 KiB at 4 KiB — where a strip-at-a-time copy took 36 reads
-// and a bulk write.
+// plane: one gather window is one read message at the source node and one
+// write message at the destination — the whole 36-strip cycle at 512-byte
+// strips, two windows of 128 KiB at 4 KiB — where a strip-at-a-time copy took
+// 36 reads and a bulk write.
 func TestClusterMigrationRPCCounts(t *testing.T) {
 	for _, tc := range []struct{ stripBytes, windows int }{{512, 1}, {4096, 2}} {
 		c, log, hosts := loggedCluster(t, tc.stripBytes)
@@ -200,10 +214,10 @@ func TestClusterMigrationRPCCounts(t *testing.T) {
 		}
 		var want []string
 		for w := 0; w < tc.windows; w++ {
-			want = append(want, hosts["alpha"]+" /node/v1/strips/read", hosts["beta"]+" /node/v1/strips/write")
+			want = append(want, hosts["alpha"]+" read", hosts["beta"]+" write")
 		}
 		if got := log.take(); !slices.Equal(got, want) {
-			t.Errorf("%d-byte strips: a migrated cycle's strip RPCs\n got %v\nwant %v", tc.stripBytes, got, want)
+			t.Errorf("%d-byte strips: a migrated cycle's strip messages\n got %v\nwant %v", tc.stripBytes, got, want)
 		}
 		if got := c.DisksOn("beta"); !slices.Contains(got, 0) {
 			t.Errorf("%d-byte strips: disk 0 did not move, beta holds %v", tc.stripBytes, got)
@@ -212,7 +226,7 @@ func TestClusterMigrationRPCCounts(t *testing.T) {
 }
 
 // TestClusterMirrorDrainRPCCounts: the flip's re-copy of k dirty strips goes
-// out in 128 KiB windows too, a read and a write RPC each, and leaves the
+// out in 128 KiB windows too, a read and a write message each, and leaves the
 // destination equal to the source.
 func TestClusterMirrorDrainRPCCounts(t *testing.T) {
 	const stripBytes, disk = 4096, 0
@@ -258,7 +272,7 @@ func TestClusterMirrorDrainRPCCounts(t *testing.T) {
 	k := len(dirty)
 	bound := 2 * ((k*stripBytes + 128<<10 - 1) / (128 << 10))
 	if got := log.take(); k < 2 || len(got) == 0 || len(got) > bound {
-		t.Errorf("drain of %d dirty strips: %d strip RPCs %v, want 1 to %d", k, len(got), got, bound)
+		t.Errorf("drain of %d dirty strips: %d strip messages %v, want 1 to %d", k, len(got), got, bound)
 	}
 	src := c.Client("alpha").Device("disk00", strips, stripBytes)
 	got, want := make([]byte, stripBytes), make([]byte, stripBytes)
@@ -272,56 +286,16 @@ func TestClusterMirrorDrainRPCCounts(t *testing.T) {
 	}
 }
 
-// methodLog is a transport that records the strip-plane RPCs that pass it as
-// "METHOD host path", and sends those for one host through a fault transport.
-type methodLog struct {
-	inner, fault http.RoundTripper
-	mu           sync.Mutex
-	faulty       string // host
-	rpcs         []string
-}
-
-func (l *methodLog) RoundTrip(r *http.Request) (*http.Response, error) {
-	l.mu.Lock()
-	if strings.Contains(r.URL.Path, "/strips/") {
-		l.rpcs = append(l.rpcs, r.Method+" "+r.URL.Host+" "+r.URL.Path)
-	}
-	faulty := r.URL.Host == l.faulty
-	l.mu.Unlock()
-	if faulty {
-		return l.fault.RoundTrip(r)
-	}
-	return l.inner.RoundTrip(r)
-}
-
-func (l *methodLog) CloseIdleConnections() {
-	l.inner.(interface{ CloseIdleConnections() }).CloseIdleConnections()
-}
-
-func (l *methodLog) take() []string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	rpcs := l.rpcs
-	l.rpcs = nil
-	return rpcs
-}
-
 // TestClusterMirroredWriteRidesBatch: a foreground write whose closure holds
 // a migrating disk sends the disk's repeat at the destination node inside
-// that node's one write batch — a write is one write RPC per node, not two
-// single-strip PUTs more — and when the destination node fails under a
+// that node's one write message — a write is one write message per node, not
+// one more for the repeat — and when the destination node fails under its
 // FaultTransport the write still succeeds and the source disk is charged no
 // error and none of the destination's latency.
 func TestClusterMirroredWriteRidesBatch(t *testing.T) {
 	const disk, stripBytes = 0, 512 // disk 0 lives on alpha
 	const delay = 100 * time.Millisecond
-	var log *methodLog
-	var fault *netdev.FaultTransport
-	c, _ := countedCluster(t, stripBytes, func(inner http.RoundTripper) http.RoundTripper {
-		fault = netdev.NewFaultTransport(inner, 1)
-		log = &methodLog{inner: inner, fault: fault}
-		return log
-	})
+	c, log, faults := faultedCluster(t, stripBytes)
 	p := bytes.Repeat([]byte{0x2F}, stripBytes)
 	for s := int64(0); s < c.Eng.Strips(); s++ {
 		if err := c.Eng.WriteStrip(s, p); err != nil {
@@ -360,31 +334,24 @@ func TestClusterMirroredWriteRidesBatch(t *testing.T) {
 	if err := c.Eng.WriteStrip(s, p); err != nil {
 		t.Fatal(err)
 	}
-	writes := map[string][]string{}
-	for _, rpc := range log.take() {
-		f := strings.Fields(rpc)
-		if f[0] == http.MethodPut || f[2] == "/node/v1/strips/write" {
-			writes[hosts[f[1]]] = append(writes[hosts[f[1]]], f[0]+" "+f[2])
+	writes := map[string]int{}
+	for _, msg := range log.take() {
+		if f := strings.Fields(msg); f[1] == "write" {
+			writes[hosts[f[0]]]++
 		}
 	}
 	for node := range nodes {
-		if len(writes[node]) != 1 {
-			t.Errorf("node %s: write RPCs %v, want one", node, writes[node])
+		if writes[node] != 1 {
+			t.Errorf("node %s: %d write messages, want one", node, writes[node])
 		}
 	}
-	if len(writes) != len(nodes) || !slices.Equal(writes["beta"], []string{"POST /node/v1/strips/write"}) {
-		t.Errorf("write of strip %d with disk %d migrating to beta: write RPCs %v, want one per closure node, beta's a batch", s, disk, writes)
+	if len(writes) != len(nodes) {
+		t.Errorf("write of strip %d with disk %d migrating to beta: write messages %v, want one per closure node", s, disk, writes)
 	}
 
 	s, _ = strip(false)
 	before := c.Eng.Health().Disks[disk]
-	log.mu.Lock()
-	for h, id := range hosts {
-		if id == "beta" {
-			log.faulty = h
-		}
-	}
-	log.mu.Unlock()
+	fault := faults["beta"]
 	fault.SetDelay(delay)
 	fault.SetPartition(netdev.PartDrop)
 	err = c.Eng.WriteStrip(s, p)
@@ -420,15 +387,12 @@ func rebuildDisk(t *testing.T, c *Cluster, d int) {
 	}
 }
 
-// rendezvous is a transport that parks each strip-read RPC — a read batch, or
-// the single-strip read of a node that holds one strip of the request — until
-// as many as it was armed for have arrived: if the executor issued a request's node
-// groups one after another, the first would wait for a second that is never
-// sent. No clock decides the outcome; the timeout only turns a hang into a
-// failure.
+// rendezvous parks each strip read message — a node's share of a request,
+// one item or many — until as many as it was armed for have arrived: if the
+// executor issued a request's node groups one after another, the first would
+// wait for a second that is never sent. No clock decides the outcome; the
+// timeout only turns a hang into a failure.
 type rendezvous struct {
-	inner http.RoundTripper
-
 	mu       sync.Mutex
 	want     int
 	arrived  int
@@ -442,41 +406,35 @@ func (rv *rendezvous) arm(n int) {
 	rv.mu.Unlock()
 }
 
-func (rv *rendezvous) RoundTrip(r *http.Request) (*http.Response, error) {
+func (rv *rendezvous) hook(_ string, write bool) {
 	rv.mu.Lock()
 	together := rv.together
-	read := r.URL.Path == "/node/v1/strips/read" || (r.Method == http.MethodGet && strings.Contains(r.URL.Path, "/strips/"))
-	if rv.want > 0 && read {
-		if rv.arrived++; rv.arrived == rv.want {
-			rv.want = 0
-			close(together)
-		}
+	if rv.want == 0 || write {
 		rv.mu.Unlock()
-		select {
-		case <-together:
-		case <-time.After(3 * time.Second):
-			rv.mu.Lock()
-			rv.timedOut = true
-			rv.mu.Unlock()
-		}
-	} else {
+		return
+	}
+	if rv.arrived++; rv.arrived == rv.want {
+		rv.want = 0
+		close(together)
+	}
+	rv.mu.Unlock()
+	select {
+	case <-together:
+	case <-time.After(3 * time.Second):
+		rv.mu.Lock()
+		rv.timedOut = true
 		rv.mu.Unlock()
 	}
-	return rv.inner.RoundTrip(r)
 }
 
-func (rv *rendezvous) CloseIdleConnections() {
-	rv.inner.(interface{ CloseIdleConnections() }).CloseIdleConnections()
-}
-
-// TestClusterBatchGroupsInFlightTogether: the read RPCs of a closure that
-// spans three nodes are all in flight before any of them is answered.
+// TestClusterBatchGroupsInFlightTogether: the read messages of a closure
+// that spans three nodes are all in flight before any of them is answered.
 func TestClusterBatchGroupsInFlightTogether(t *testing.T) {
-	var rv *rendezvous
-	c, _ := countedCluster(t, 512, func(inner http.RoundTripper) http.RoundTripper {
-		rv = &rendezvous{inner: inner}
-		return rv
-	})
+	c, _, faults := faultedCluster(t, 512)
+	rv := &rendezvous{}
+	for _, ft := range faults {
+		ft.SetHook(rv.hook)
+	}
 	p := bytes.Repeat([]byte{0x3C}, 512)
 	tried := 0
 	for s := int64(0); s < c.Eng.Strips() && tried < 8; s++ {
@@ -492,7 +450,7 @@ func TestClusterBatchGroupsInFlightTogether(t *testing.T) {
 		arrived, timedOut := rv.arrived, rv.timedOut
 		rv.mu.Unlock()
 		if arrived != 3 || timedOut {
-			t.Fatalf("write of strip %d: %d of the closure's 3 read RPCs in flight together (timed out: %v)", s, arrived, timedOut)
+			t.Fatalf("write of strip %d: %d of the closure's 3 read messages in flight together (timed out: %v)", s, arrived, timedOut)
 		}
 	}
 	if tried == 0 {

@@ -401,6 +401,9 @@ func Open(opts Options) (_ *Cluster, err error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
+	if !ha && c.dir == "" && c.journalBlob == nil {
+		c.journal.SetCompactThreshold(memJournalCompactAt)
+	}
 
 	eopts := opts.Engine
 	if eopts.Health == nil {
@@ -706,6 +709,16 @@ func journaledManifest(j *store.MetaJournal) (m Manifest, ok bool, err error) {
 	}
 	return m, true, nil
 }
+
+// memJournalCompactAt is the compaction trigger of a volatile coordinator's
+// journal, a quarter of a file journal's. Its regions are heap memory and a
+// compaction of them syncs nothing, so it compacts four times as often and
+// holds a quarter of the frames a file journal lets pile up in between: on
+// a one-cycle 4 KiB-strip cluster that is about 0.7 MiB less heap at the
+// top of the journal's sawtooth. Measured on the bench's cluster-4k over
+// ten alternating 20 s runs with one HTTP request per strip op, it alone
+// took mem_peak_mb from 22.2 to 20.8 MiB and left setup_s level.
+const memJournalCompactAt = 256 << 10
 
 // localBlob opens the coordinator's own copy of a journal region: a file
 // in the state directory, or memory for a volatile coordinator.

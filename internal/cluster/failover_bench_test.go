@@ -59,6 +59,7 @@ func BenchmarkFailoverQuorumAppend(b *testing.B) {
 	if err != nil {
 		b.Fatalf("open HA cluster: %v", err)
 	}
+	ct.c = c
 	b.Cleanup(func() { c.Close() })
 	p := make([]byte, 4096)
 	rand.New(rand.NewSource(5)).Read(p)

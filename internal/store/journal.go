@@ -866,8 +866,9 @@ func (j *MetaJournal) Epoch() uint64 {
 }
 
 // SetCompactThreshold overrides the least appended-bytes compaction trigger
-// (tests use small values); n <= 0 restores the default. The trigger is never
-// below the active region's snapshot size (maybeCompact).
+// (a volatile cluster coordinator lowers it; tests use small values); n <= 0
+// restores the default. The trigger is never below the active region's
+// snapshot size (maybeCompact).
 func (j *MetaJournal) SetCompactThreshold(n int64) {
 	j.mu.Lock()
 	defer j.mu.Unlock()

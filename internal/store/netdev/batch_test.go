@@ -2,33 +2,40 @@ package netdev
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync/atomic"
 	"testing"
 
-	"github.com/oiraid/oiraid/internal/retry"
 	"github.com/oiraid/oiraid/internal/store"
 )
 
-// countingRT counts round trips by URL path.
+// countingRT counts the round trips that are not strip streams.
 type countingRT struct {
 	inner http.RoundTripper
-	all   atomic.Int64
-	batch atomic.Int64 // of them, to /node/v1/strips/…
+	other atomic.Int64
 }
 
 func (rt *countingRT) RoundTrip(r *http.Request) (*http.Response, error) {
-	rt.all.Add(1)
-	if strings.HasPrefix(r.URL.Path, "/node/v1/strips/") {
-		rt.batch.Add(1)
+	if r.URL.Path != stripsPath {
+		rt.other.Add(1)
 	}
 	return rt.inner.RoundTrip(r)
 }
+
+// messages is the strip messages c has sent, of either kind.
+func messages(c *NodeClient) int64 {
+	st := c.Stats()
+	return st.ReadMessages + st.WriteMessages
+}
+
+// rpcs is what the fixture's client has cost the wire: its strip messages
+// and its other round trips.
+func (f *batchFixture) rpcs() int64 { return messages(f.c) + f.rt.other.Load() }
 
 // stripOf is the test content of strip idx of the device with the given tag.
 func stripOf(tag byte, idx int64, n int) []byte {
@@ -81,11 +88,12 @@ func (f *batchFixture) ops(dev *NetDevice, tag byte, write bool, idxs ...int64) 
 }
 
 // TestBatchRoundTrip: strips of two devices of one node, of different strip
-// sizes, are written in one RPC and read back in one, each in its own frame.
+// sizes, are written in one message and read back in one, each in its own
+// frame.
 func TestBatchRoundTrip(t *testing.T) {
 	f := newBatchFixture(t)
 	w := append(f.ops(f.d0, 0xA0, true, 0, 3, 5), f.ops(f.d1, 0xB0, true, 1, 2)...)
-	before := f.rt.all.Load()
+	before := f.rpcs()
 	f.d0.WriteStrips(w)
 	for i, op := range w {
 		if op.Err != nil {
@@ -94,8 +102,8 @@ func TestBatchRoundTrip(t *testing.T) {
 	}
 	r := append(f.ops(f.d1, 0, false, 2, 1), f.ops(f.d0, 0, false, 5, 0, 3)...)
 	f.d1.ReadStrips(r)
-	if got := f.rt.all.Load() - before; got != 2 || f.rt.batch.Load() != 2 {
-		t.Errorf("5 writes and 5 reads took %d RPCs (%d batch), want 2", got, f.rt.batch.Load())
+	if got := f.rpcs() - before; got != 2 || messages(f.c) != 2 {
+		t.Errorf("5 writes and 5 reads took %d RPCs (%d messages), want 2", got, messages(f.c))
 	}
 	for i, op := range r {
 		tag := byte(0xA0)
@@ -106,7 +114,7 @@ func TestBatchRoundTrip(t *testing.T) {
 			t.Errorf("read op %d (strip %d): err %v, content % x…", i, op.Idx, op.Err, op.Buf[:4])
 		}
 	}
-	// The single-strip endpoints see the same media.
+	// A strip read alone sees the same media.
 	got := make([]byte, 512)
 	if err := f.d0.ReadStrip(3, got); err != nil || !bytes.Equal(got, stripOf(0xA0, 3, 512)) {
 		t.Errorf("single read of a batch-written strip: %v", err)
@@ -126,13 +134,13 @@ func TestBatchPerItemErrors(t *testing.T) {
 		ops = append(ops, f.ops(far, 0xC0, write, 40)...)
 		ops = append(ops, store.StripOp{Dev: f.d0, Idx: 2, Buf: make([]byte, 100)})
 		ops = append(ops, f.ops(f.d1, 0xC1, write, 7)...)
-		before := f.rt.all.Load()
+		before := f.rpcs()
 		if write {
 			f.d0.WriteStrips(ops)
 		} else {
 			f.d0.ReadStrips(ops)
 		}
-		if got := f.rt.all.Load() - before; got != 1 {
+		if got := f.rpcs() - before; got != 1 {
 			t.Errorf("write=%v: %d RPCs, want 1 (no retry for per-item verdicts)", write, got)
 		}
 		for i, want := range []error{nil, ErrNodeNotFound, store.ErrStripOutOfRange, store.ErrShortBuffer, nil} {
@@ -255,12 +263,12 @@ func TestBatchSplitsAtCap(t *testing.T) {
 	for i := int64(0); i < strips; i++ {
 		idxs = append(idxs, i)
 	}
-	before := f.rt.batch.Load()
+	before := messages(f.c)
 	big.WriteStrips(f.ops(big, 0x30, true, idxs...))
 	got := f.ops(big, 0, false, idxs...)
 	big.ReadStrips(got)
-	if n := f.rt.batch.Load() - before; n != 4 {
-		t.Errorf("%d batch RPCs for %d MiB each way under a %d MiB cap, want 4", n, strips*stripBytes>>20, batchMaxBytes>>20)
+	if n := messages(f.c) - before; n != 4 {
+		t.Errorf("%d messages for %d MiB each way under a %d MiB cap, want 4", n, strips*stripBytes>>20, batchMaxBytes>>20)
 	}
 	for _, op := range got {
 		if op.Err != nil || !bytes.Equal(op.Buf, stripOf(0x30, op.Idx, stripBytes)) {
@@ -269,101 +277,142 @@ func TestBatchSplitsAtCap(t *testing.T) {
 	}
 }
 
-// TestBatchNodeRefusesDamage drives the batch handlers with what a client
-// never sends: a message whose trailer or frame checksum does not verify, a
-// write item without its frame, and a read request whose answer would not
-// fit a message.
-func TestBatchNodeRefusesDamage(t *testing.T) {
-	f := newBatchFixture(t)
-	post := func(path string, body []byte) (int, string) {
-		resp, err := http.Post(f.c.Base()+path, octetStream, bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		return resp.StatusCode, resp.Header.Get("X-Oiraid-Err")
-	}
-	good := encodeBatch(kindWriteReq, []batchItem{{Dev: "d0", Strip: 1, Payload: stripOf(0x40, 1, 512)}}, nil)
-	for name, at := range map[string]int{"trailer": len(good) - 1, "payload": len(good) - 100, "name": batchHeaderLen + 1} {
-		bad := bytes.Clone(good)
-		bad[at] ^= 0x01
-		if status, code := post("/node/v1/strips/write", bad); status != http.StatusBadRequest || code != "bad-frame" {
-			t.Errorf("flipped %s byte: %d %q, want 400 bad-frame", name, status, code)
-		}
-	}
-	got := make([]byte, 512)
-	if err := f.d0.ReadStrip(1, got); err != nil || !bytes.Equal(got, make([]byte, 512)) {
-		t.Errorf("a refused batch reached the strip: err %v", err)
-	}
-	// A write item without its frame fails alone, as a caller's bug.
-	mixed := []batchItem{{Dev: "d0", Strip: 2}, {Dev: "d0", Strip: 3, Payload: stripOf(0x41, 3, 512)}}
-	resp, err := http.Post(f.c.Base()+"/node/v1/strips/write", octetStream, bytes.NewReader(encodeBatch(kindWriteReq, mixed, nil)))
+// rawStream is a strip stream opened by hand, to send a node what a client
+// never sends.
+type rawStream struct {
+	t    *testing.T
+	pw   *io.PipeWriter
+	resp *http.Response
+	head [batchLenEnd]byte
+}
+
+func openRawStream(t *testing.T, base string) *rawStream {
+	t.Helper()
+	pr, pw := io.Pipe()
+	req, err := http.NewRequest(http.MethodPost, base+stripsPath, pr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if answer, err := decodeBatch(body, kindWriteResp, 0); err != nil || len(answer) != 2 || answer[0].Code != "short-buffer" || answer[1].Code != "" {
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("stream refused: %d", resp.StatusCode)
+	}
+	s := &rawStream{t: t, pw: pw, resp: resp}
+	t.Cleanup(s.close)
+	return s
+}
+
+// exchange writes b and reads the next answer; an error means the node
+// ended the stream.
+func (s *rawStream) exchange(b []byte) ([]byte, error) {
+	s.t.Helper()
+	if _, err := s.pw.Write(b); err != nil {
+		return nil, err
+	}
+	return readMessage(s.resp.Body, &s.head, batchMaxBytes)
+}
+
+func (s *rawStream) close() {
+	s.pw.Close()
+	s.resp.Body.Close()
+}
+
+// TestBatchNodeRefusesDamage drives the strip route with what a client never
+// sends: a message whose trailer, frame or name does not verify, and one of a
+// response kind, each of which ends the stream with nothing landed; a write
+// item without its frame, refused alone; and a read request whose answer would
+// not fit a message, refused item by item.
+func TestBatchNodeRefusesDamage(t *testing.T) {
+	f := newBatchFixture(t)
+	good := encodeBatch(kindWriteReq, fence{}, []batchItem{{Dev: "d0", Strip: 1, Payload: stripOf(0x40, 1, 512)}}, nil)
+	for name, at := range map[string]int{"trailer": len(good) - 1, "payload": len(good) - 100, "name": batchHeaderLen + 1} {
+		bad := bytes.Clone(good)
+		bad[at] ^= 0x01
+		if answer, err := openRawStream(t, f.c.Base()).exchange(bad); err == nil {
+			t.Errorf("flipped %s byte: answered %d bytes, want the stream ended", name, len(answer))
+		}
+	}
+	if _, err := openRawStream(t, f.c.Base()).exchange(encodeBatch(kindWriteResp, fence{}, []batchItem{{Dev: "d0", Strip: 1}}, nil)); err == nil {
+		t.Error("a response-kind message was answered, want the stream ended")
+	}
+	got := make([]byte, 512)
+	if err := f.d0.ReadStrip(1, got); err != nil || !bytes.Equal(got, make([]byte, 512)) {
+		t.Errorf("a refused message reached the strip: err %v", err)
+	}
+	// A write item without its frame fails alone, as a caller's bug.
+	s := openRawStream(t, f.c.Base())
+	mixed := []batchItem{{Dev: "d0", Strip: 2}, {Dev: "d0", Strip: 3, Payload: stripOf(0x41, 3, 512)}}
+	body, err := s.exchange(encodeBatch(kindWriteReq, fence{}, mixed, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if answer, _, err := decodeBatch(body, kindWriteResp, 0); err != nil || len(answer) != 2 || answer[0].Code != "short-buffer" || answer[1].Code != "" {
 		t.Errorf("a frameless write item: %+v, err %v", answer, err)
 	}
-	if status, _ := post("/node/v1/strips/write", encodeBatch(kindReadReq, []batchItem{{Dev: "d0", Strip: 1}}, nil)); status != http.StatusBadRequest {
-		t.Errorf("a read request on the write endpoint: %d, want 400", status)
-	}
-	// 4097 reads of 1 KiB strips: a small request, an answer past the cap.
+	// 4097 reads of 1 KiB strips, on the same stream: a small request, an
+	// answer past the cap.
 	many := make([]batchItem, batchMaxBytes/1024+1)
 	for i := range many {
 		many[i] = batchItem{Dev: "d1", Strip: int64(i % 8)}
 	}
-	if status, code := post("/node/v1/strips/read", encodeBatch(kindReadReq, many, nil)); status != http.StatusBadRequest || code != "bad-geometry" {
-		t.Errorf("read batch past the response cap: %d %q, want 400 bad-geometry", status, code)
+	body, err = s.exchange(encodeBatch(kindReadReq, fence{}, many, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	answer, _, err := decodeBatch(body, kindReadResp, 0)
+	if err != nil || len(answer) != len(many) {
+		t.Fatalf("read past the answer cap: %d items, err %v", len(answer), err)
+	}
+	for i, it := range answer {
+		if it.Code != "bad-geometry" || it.Payload != nil {
+			t.Fatalf("read past the answer cap, item %d: code %q, %d payload bytes; want bad-geometry and none", i, it.Code, len(it.Payload))
+		}
 	}
 }
 
-// TestBatchBodySizing: the batch handlers read a request into one buffer
-// sized from the declared length, and a body over the cap — declared, or
-// chunked and running past it — is refused as over the bound before any strip
-// is touched, not as a damaged message.
+// TestBatchBodySizing: a stream message is read into one buffer for the
+// length its header declares, and a declaration over the cap is refused on
+// the header alone — before anything is allocated for it or read past it,
+// and before any strip is touched — as is a message shorter than it
+// declares.
 func TestBatchBodySizing(t *testing.T) {
 	f := newBatchFixture(t)
-	post := func(length int64, body io.Reader) (status int, code string) {
-		t.Helper()
-		req := httptest.NewRequest(http.MethodPost, "/node/v1/strips/write", body)
-		req.ContentLength = length
-		rec := httptest.NewRecorder()
-		f.n.Handler().ServeHTTP(rec, req)
-		return rec.Code, rec.Header().Get(retry.Header)
-	}
 	want := [][]byte{stripOf(0x50, 0, 512), stripOf(0x50, 1, 512)}
-	msg := encodeBatch(kindWriteReq, []batchItem{{Dev: "d0", Strip: 0, Payload: want[0]}, {Dev: "d0", Strip: 1, Payload: want[1]}}, nil)
+	msg := encodeBatch(kindWriteReq, fence{}, []batchItem{{Dev: "d0", Strip: 0, Payload: want[0]}, {Dev: "d0", Strip: 1, Payload: want[1]}}, nil)
 	landed := func() bool {
 		got := f.ops(f.d0, 0, false, 0, 1)
 		f.d0.ReadStrips(got)
 		return got[0].Err == nil && got[1].Err == nil && bytes.Equal(got[0].Buf, want[0]) && bytes.Equal(got[1].Buf, want[1])
 	}
-	if status, code := post(-1, bytes.NewReader(msg)); status != http.StatusOK || !landed() {
-		t.Fatalf("chunked batch write: status %d (%s), strips landed: %v", status, code, landed())
+	var head [batchLenEnd]byte
+	if b, err := readMessage(bytes.NewReader(msg), &head, batchMaxBytes); err != nil || !bytes.Equal(b, msg) {
+		t.Fatalf("exact message: %d bytes, err %v", len(b), err)
 	}
-	// A declared length no machine can honour: refused unread.
-	if status, code := post(1<<50, untouched{t}); status != http.StatusBadRequest || code != "bad-geometry" {
-		t.Errorf("declared length past the cap: status %d code %q, want 400 bad-geometry", status, code)
+	for _, declared := range []uint32{1 << 31, batchMaxBytes + 1, batchHeaderLen + batchTrailer - 1} {
+		over := bytes.Clone(msg)
+		binary.BigEndian.PutUint32(over[8:12], declared)
+		r := &countingReader{r: io.MultiReader(bytes.NewReader(over), zeroReader{})}
+		if _, err := readMessage(r, &head, batchMaxBytes); !errors.Is(err, ErrBadFrame) || r.n > batchLenEnd {
+			t.Errorf("declared length %d: %v after %d bytes read, want ErrBadFrame after %d", declared, err, r.n, batchLenEnd)
+		}
+		if _, err := openRawStream(t, f.c.Base()).exchange(over); err == nil {
+			t.Errorf("declared length %d: answered, want the stream ended", declared)
+		}
 	}
-	if status, code := post(batchMaxBytes+1, untouched{t}); status != http.StatusBadRequest || code != "bad-geometry" {
-		t.Errorf("declared length one past the cap: status %d code %q, want 400 bad-geometry", status, code)
+	if _, err := readMessage(bytes.NewReader(msg[:len(msg)-1]), &head, batchMaxBytes); !errors.Is(err, ErrBadFrame) {
+		t.Errorf("message shorter than declared: %v, want ErrBadFrame", err)
 	}
-	// Length unknown and endless: read up to the cap and no further.
-	endless := &countingReader{r: zeroReader{}}
-	if status, code := post(-1, endless); status != http.StatusBadRequest || code != "bad-geometry" {
-		t.Errorf("chunked body past the cap: status %d code %q, want 400 bad-geometry", status, code)
+	if _, err := readMessage(bytes.NewReader(nil), &head, batchMaxBytes); err != io.EOF {
+		t.Errorf("stream ended between messages: %v, want io.EOF", err)
 	}
-	if endless.n > batchMaxBytes+1 {
-		t.Errorf("an endless body was read for %d bytes, the cap is %d", endless.n, batchMaxBytes)
+	if landed() {
+		t.Fatal("a refused message reached the strips")
 	}
-	// A body shorter than it declares is a damaged transfer.
-	if status, code := post(int64(len(msg)), bytes.NewReader(msg[:len(msg)-1])); status != http.StatusBadRequest || code != "bad-frame" {
-		t.Errorf("body shorter than declared: status %d code %q, want 400 bad-frame", status, code)
-	}
-	if !landed() {
-		t.Error("a refused batch write reached the strips")
+	if _, err := openRawStream(t, f.c.Base()).exchange(msg); err != nil || !landed() {
+		t.Errorf("the same message whole: err %v, strips landed: %v", err, landed())
 	}
 }
 
@@ -378,8 +427,10 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// TestBatchCodec: every kind round-trips, and the decoder holds a message to
-// its kind, its frames to the kind's op and the item's strip.
+// TestBatchCodec: every kind round-trips with its fence, the decoder holds a
+// message to its kind, its declared length and fence flag, its frames to the
+// kind's op and the item's strip, and a message encoded into a recycled
+// buffer carries none of its old bytes.
 func TestBatchCodec(t *testing.T) {
 	items := []batchItem{
 		{Dev: "disk00", Strip: 7, Payload: []byte("seven")},
@@ -387,35 +438,57 @@ func TestBatchCodec(t *testing.T) {
 		{Dev: "disk02", Strip: 0, Payload: []byte{}},
 	}
 	for _, kind := range []byte{kindReadResp, kindWriteReq} {
-		b := encodeBatch(kind, items, nil)
-		got, err := decodeBatch(b, kind, 16)
-		if err != nil {
-			t.Fatalf("kind %d: %v", kind, err)
-		}
-		for i := range items {
-			if got[i].Dev != items[i].Dev || got[i].Strip != items[i].Strip || got[i].Code != items[i].Code ||
-				got[i].Msg != items[i].Msg || !bytes.Equal(got[i].Payload, items[i].Payload) || (got[i].Payload == nil) != (items[i].Payload == nil) {
-				t.Errorf("kind %d item %d: %+v, want %+v", kind, i, got[i], items[i])
+		for _, fc := range []fence{{}, {epoch: 0, on: true}, {epoch: 1 << 60, on: true}} {
+			b := encodeBatch(kind, fc, items, nil)
+			got, gotFence, err := decodeBatch(b, kind, 16)
+			if err != nil {
+				t.Fatalf("kind %d: %v", kind, err)
+			}
+			if gotFence != fc {
+				t.Errorf("kind %d: fence %+v, want %+v", kind, gotFence, fc)
+			}
+			for i := range items {
+				if got[i].Dev != items[i].Dev || got[i].Strip != items[i].Strip || got[i].Code != items[i].Code ||
+					got[i].Msg != items[i].Msg || !bytes.Equal(got[i].Payload, items[i].Payload) || (got[i].Payload == nil) != (items[i].Payload == nil) {
+					t.Errorf("kind %d item %d: %+v, want %+v", kind, i, got[i], items[i])
+				}
 			}
 		}
-		if _, err := decodeBatch(b, kind^0x01, 16); !errors.Is(err, ErrBadFrame) {
+		b := encodeBatch(kind, fence{}, items, nil)
+		if _, _, err := decodeBatch(b, kind^0x01, 16); !errors.Is(err, ErrBadFrame) {
 			t.Errorf("kind %d decoded as %d: %v", kind, kind^0x01, err)
 		}
-		if _, err := decodeBatch(b, kind, 4); !errors.Is(err, ErrBadFrame) {
+		if _, _, err := decodeBatch(b, kind, 4); !errors.Is(err, ErrBadFrame) {
 			t.Errorf("kind %d: payload past the bound accepted: %v", kind, err)
+		}
+		if _, _, err := decodeBatch(append(bytes.Clone(b), 0), kind, 16); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("kind %d: a byte past the declared length accepted: %v", kind, err)
 		}
 	}
 	// A frame where the kind carries none.
-	b := encodeBatch(kindWriteReq, items, nil)
+	b := encodeBatch(kindWriteReq, fence{}, items, nil)
 	b[5] = kindWriteResp
-	if _, err := decodeBatch(b, kindWriteResp, 16); !errors.Is(err, ErrBadFrame) {
+	if _, _, err := decodeBatch(b, kindWriteResp, 16); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("frames in a write response: %v", err)
+	}
+	// An epoch without the flag that says the message carries one.
+	b = encodeBatch(kindReadReq, fence{epoch: 3, on: true}, nil, nil)
+	b[6] = 0
+	if _, _, err := decodeBatch(b, kindReadReq, 16); !errors.Is(err, ErrBadFrame) {
+		t.Errorf("an unflagged epoch: %v", err)
+	}
+	// A recycled buffer's old bytes do not leak into the next message.
+	dirty := bytes.Repeat([]byte{0xFF}, 1<<msgMinShift)
+	putMsg(dirty)
+	b = encodeBatch(kindReadReq, fence{}, []batchItem{{Dev: "d", Strip: 1}}, nil)
+	if _, f, err := decodeBatch(b, kindReadReq, 16); err != nil || f != (fence{}) {
+		t.Errorf("an unfenced message in a recycled buffer: fence %+v, err %v", f, err)
 	}
 }
 
-// BenchmarkNetDeviceBatch is one batch RPC of n 4 KiB strips against an
-// in-process node over loopback HTTP; BenchmarkNetDeviceStrip is the strip
-// that travels alone.
+// BenchmarkNetDeviceBatch is one message of n 4 KiB strips against an
+// in-process node over a loopback stream; BenchmarkNetDeviceStrip is the
+// strip that travels alone.
 func BenchmarkNetDeviceBatch(b *testing.B) {
 	srv := httptest.NewServer(NewMemNode("n0").Handler())
 	defer srv.Close()

@@ -2,13 +2,12 @@ package netdev
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
-
-	"github.com/oiraid/oiraid/internal/retry"
 )
 
 // untouched fails the test if anything reads from it: a body refused on its
@@ -70,9 +69,11 @@ func TestReadBodyRefusesOversizedResponse(t *testing.T) {
 	}
 }
 
-// TestWriteStripBodySizing drives the node's strip-write handler with the
-// bodies a client never sends: chunked ones (length unknown), and declared
-// ones that are too long.
+// TestWriteStripBodySizing drives the node's strip route with single-strip
+// write messages whose header declares a length other than the one they have:
+// one byte short (the node reads what was declared, and the rest fails the
+// checksums) and one byte long (the stream ends before the message does).
+// Neither lands; the same message declared right does.
 func TestWriteStripBodySizing(t *testing.T) {
 	_, srv := startNode(t, "n0")
 	c := NewNodeClient(srv.URL, fastOpts())
@@ -81,45 +82,38 @@ func TestWriteStripBodySizing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	put := func(body io.Reader) (status int, code string) {
-		t.Helper()
-		req, err := http.NewRequest(http.MethodPut, dev.stripURL(1), body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		io.Copy(io.Discard, resp.Body)
-		return resp.StatusCode, resp.Header.Get(retry.Header)
-	}
 	want := bytes.Repeat([]byte{0x3C}, 512)
-	frame := EncodeFrame(OpWrite, 1, want)
-
-	// io.MultiReader hides the length from net/http, so the body goes out
-	// chunked and the handler sees ContentLength -1.
-	if status, code := put(io.MultiReader(bytes.NewReader(frame))); status != http.StatusNoContent {
-		t.Fatalf("chunked strip write: status %d (%s)", status, code)
+	msg := encodeBatch(kindWriteReq, fence{}, []batchItem{{Dev: "d0", Strip: 1, Payload: want}}, nil)
+	declared := func(n int) []byte {
+		b := bytes.Clone(msg)
+		binary.BigEndian.PutUint32(b[8:12], uint32(n))
+		return b
+	}
+	if answer, err := openRawStream(t, srv.URL).exchange(declared(len(msg) - 1)); err == nil {
+		t.Errorf("message declared one byte short: answered %d bytes, want the stream ended", len(answer))
+	}
+	s := openRawStream(t, srv.URL)
+	if _, err := s.pw.Write(declared(len(msg) + 1)); err != nil {
+		t.Fatal(err)
+	}
+	s.pw.Close()
+	if answer, err := readMessage(s.resp.Body, &s.head, batchMaxBytes); err == nil {
+		t.Errorf("message declared one byte long: answered %d bytes, want the stream ended", len(answer))
 	}
 	got := make([]byte, 512)
-	if err := dev.ReadStrip(1, got); err != nil || !bytes.Equal(got, want) {
-		t.Fatalf("strip after a chunked write: err %v", err)
+	if err := dev.ReadStrip(1, got); err != nil || !bytes.Equal(got, make([]byte, 512)) {
+		t.Fatalf("a refused write reached the strip: err %v", err)
 	}
-	if status, code := put(io.MultiReader(bytes.NewReader(frame), bytes.NewReader(make([]byte, 1<<20)))); status != http.StatusBadRequest || code != "bad-frame" {
-		t.Errorf("chunked body past the bound: status %d code %q, want 400 bad-frame", status, code)
-	}
-	if status, code := put(bytes.NewReader(append(frame[:len(frame):len(frame)], 0))); status != http.StatusBadRequest || code != "bad-frame" {
-		t.Errorf("declared body one past the bound: status %d code %q, want 400 bad-frame", status, code)
+	if _, err := openRawStream(t, srv.URL).exchange(msg); err != nil {
+		t.Fatalf("the message declared right: %v", err)
 	}
 	if err := dev.ReadStrip(1, got); err != nil || !bytes.Equal(got, want) {
-		t.Errorf("a refused write reached the strip: err %v", err)
+		t.Errorf("strip after the message declared right: err %v", err)
 	}
 }
 
-// BenchmarkNetDeviceStrip is one strip RPC against an in-process node over
-// loopback HTTP: the wire's share of a cluster read or write.
+// BenchmarkNetDeviceStrip is one strip message against an in-process node
+// over a loopback stream: the wire's share of a cluster read or write.
 func BenchmarkNetDeviceStrip(b *testing.B) {
 	srv := httptest.NewServer(NewMemNode("n0").Handler())
 	defer srv.Close()

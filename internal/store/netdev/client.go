@@ -61,7 +61,9 @@ type Options struct {
 	ExpectID string
 	// Seed fixes the backoff jitter stream for deterministic tests.
 	Seed int64
-	// Transport overrides the HTTP transport (fault injection hook).
+	// Transport overrides the HTTP transport (fault injection hook). Without
+	// one, the client has a clone of the default transport of its own, so
+	// its Close leaves other clients' idle connections alone.
 	Transport http.RoundTripper
 	// OnDown runs (in its own goroutine, at most once per down episode)
 	// when the node transitions reachable→unreachable, and once more when
@@ -137,9 +139,13 @@ type NodeClient struct {
 	// coordinator's fencing epoch (see SetFence).
 	fence atomic.Pointer[FenceToken]
 
+	// streams carry every strip message (stream.go).
+	streams streamPool
+
 	stats struct {
 		attempts, retries, breakerFastFails atomic.Int64
 		downs, ups                          atomic.Int64
+		readMsgs, writeMsgs, streamOpens    atomic.Int64
 	}
 }
 
@@ -147,6 +153,9 @@ type NodeClient struct {
 // "http://127.0.0.1:7980").
 func NewNodeClient(base string, opts Options) *NodeClient {
 	opts = opts.withDefaults()
+	if opts.Transport == nil {
+		opts.Transport = http.DefaultTransport.(*http.Transport).Clone()
+	}
 	r := retry.New(opts.Seed)
 	return &NodeClient{
 		base:      strings.TrimRight(base, "/"),
@@ -172,21 +181,18 @@ func (c *NodeClient) Down() bool {
 // Lost reports whether the node has been declared lost for good.
 func (c *NodeClient) Lost() bool { return c.lost.Load() }
 
-// Close stops the background prober, waits for in-flight OnDown/OnUp
-// callbacks, and closes idle connections. Operations after Close return
-// store.ErrClosed.
+// Close ends every strip stream, stops the background prober, waits for
+// in-flight OnDown/OnUp callbacks, and closes idle connections. Operations
+// after Close return store.ErrClosed.
 func (c *NodeClient) Close() error {
 	if c.closed.Swap(true) {
 		return nil
 	}
+	c.endStreams()
 	close(c.probeStop)
 	c.probeWg.Wait()
 	c.cbWg.Wait()
-	tr := c.hc.Transport
-	if tr == nil {
-		tr = http.DefaultTransport
-	}
-	if t, ok := tr.(interface{ CloseIdleConnections() }); ok {
+	if t, ok := c.hc.Transport.(interface{ CloseIdleConnections() }); ok {
 		t.CloseIdleConnections()
 	}
 	return nil
@@ -255,12 +261,21 @@ func (c *NodeClient) roundTrip(ctx context.Context, rq *call, decode decoder) (r
 	return 0, false, nil
 }
 
-// do runs rq through the shared retry loop and breaker, then folds the
-// outcome into the reachability state: an answer from the node — even a
-// rejection — proves the wire fine and passes through unchanged (a
-// permanent media error, a fenced write, a caller bug); a wire fault that
-// outlived the policy, or a breaker refusal, means the node is down.
+// do is one request through run.
 func (c *NodeClient) do(rq call, decode decoder) error {
+	return c.run(func(ctx context.Context) (time.Duration, bool, error) {
+		return c.roundTrip(ctx, &rq, decode)
+	})
+}
+
+// run runs attempt — one request, or one strip message — through the shared
+// retry loop and breaker, then folds the outcome into the reachability
+// state: an answer from the node — even a rejection — proves the wire fine
+// and passes through unchanged (a permanent media error, a fenced write, a
+// caller bug); a wire fault that outlived the policy, or a breaker refusal,
+// means the node is down. An attempt reports whether its failure is
+// retryable, and a retryable failure is a wire fault.
+func (c *NodeClient) run(attempt func(context.Context) (retryAfter time.Duration, retryable bool, err error)) error {
 	if c.closed.Load() {
 		return store.ErrClosed
 	}
@@ -272,7 +287,7 @@ func (c *NodeClient) do(rq call, decode decoder) error {
 		if c.closed.Load() {
 			return 0, false, store.ErrClosed
 		}
-		retryAfter, wireFault, err = c.roundTrip(ctx, &rq, decode)
+		retryAfter, wireFault, err = attempt(ctx)
 		return retryAfter, wireFault, err
 	})
 	c.stats.attempts.Add(int64(attempts))
@@ -532,13 +547,18 @@ func (c *NodeClient) postJSON(path string, in, out any) error {
 	return c.do(rq, decode)
 }
 
-// ClientStats is a snapshot of the client's wire counters.
+// ClientStats is a snapshot of the client's wire counters. ReadMessages and
+// WriteMessages count the strip messages sent, one per attempt, whatever
+// their items; StreamOpens counts the streams they rode.
 type ClientStats struct {
 	Attempts         int64 `json:"attempts"`
 	Retries          int64 `json:"retries"`
 	BreakerFastFails int64 `json:"breaker_fast_fails"`
 	Downs            int64 `json:"downs"`
 	Ups              int64 `json:"ups"`
+	ReadMessages     int64 `json:"read_messages"`
+	WriteMessages    int64 `json:"write_messages"`
+	StreamOpens      int64 `json:"stream_opens"`
 }
 
 // Stats returns the client's counters.
@@ -549,5 +569,8 @@ func (c *NodeClient) Stats() ClientStats {
 		BreakerFastFails: c.stats.breakerFastFails.Load(),
 		Downs:            c.stats.downs.Load(),
 		Ups:              c.stats.ups.Load(),
+		ReadMessages:     c.stats.readMsgs.Load(),
+		WriteMessages:    c.stats.writeMsgs.Load(),
+		StreamOpens:      c.stats.streamOpens.Load(),
 	}
 }

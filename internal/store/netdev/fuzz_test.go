@@ -58,25 +58,25 @@ func FuzzBatchDecode(f *testing.F) {
 		{Dev: "disk03", Strip: 1 << 40, Code: "not-found", Msg: "netdev: no such device or blob on node"},
 		{Dev: "d", Strip: 0, Payload: []byte{}},
 	}
-	good := encodeBatch(kindReadResp, items, nil)
+	good := encodeBatch(kindReadResp, fence{}, items, nil)
 	f.Add(good, byte(kindReadResp), 64)
-	f.Add(encodeBatch(kindWriteReq, items, nil), byte(kindWriteReq), 64)
-	f.Add(encodeBatch(kindReadReq, []batchItem{{Dev: "disk00", Strip: 3}, {Dev: "disk01", Strip: 4}}, nil), byte(kindReadReq), 0)
-	f.Add(encodeBatch(kindWriteResp, nil, nil), byte(kindWriteResp), 0)
+	f.Add(encodeBatch(kindWriteReq, fence{epoch: 9, on: true}, items, nil), byte(kindWriteReq), 64)
+	f.Add(encodeBatch(kindReadReq, fence{}, []batchItem{{Dev: "disk00", Strip: 3}, {Dev: "disk01", Strip: 4}}, nil), byte(kindReadReq), 0)
+	f.Add(encodeBatch(kindWriteResp, fence{}, nil, nil), byte(kindWriteResp), 0)
 	f.Add([]byte{}, byte(kindReadReq), 0)
 	f.Add([]byte("oSTB"), byte(kindReadReq), 16)
 	f.Add(good[:len(good)-1], byte(kindReadResp), 64)
 	f.Add(good[:batchHeaderLen], byte(kindReadResp), 64)
 	f.Add(append(bytes.Clone(good), 0x00), byte(kindReadResp), 64)
 	huge := bytes.Clone(good)
-	huge[8], huge[9] = 0xFF, 0xFF // an item count no message could hold
+	huge[20], huge[21] = 0xFF, 0xFF // an item count no message could hold
 	f.Add(huge, byte(kindReadResp), 64)
 
 	f.Fuzz(func(t *testing.T, data []byte, kind byte, maxPayload int) {
 		if maxPayload < -1 || maxPayload > 1<<20 {
 			maxPayload = 1 << 20
 		}
-		got, err := decodeBatch(data, kind, maxPayload)
+		got, fc, err := decodeBatch(data, kind, maxPayload)
 		if err != nil {
 			return
 		}
@@ -85,7 +85,7 @@ func FuzzBatchDecode(f *testing.F) {
 				t.Fatalf("item %d: decoder accepted %d payload bytes past bound %d", i, len(it.Payload), maxPayload)
 			}
 		}
-		if out := encodeBatch(kind, got, nil); !bytes.Equal(out, data) {
+		if out := encodeBatch(kind, fc, got, nil); !bytes.Equal(out, data) {
 			t.Fatalf("accepted batch does not round-trip: in %d bytes, out %d bytes", len(data), len(out))
 		}
 	})

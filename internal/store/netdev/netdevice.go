@@ -66,43 +66,21 @@ func (d *NetDevice) check(idx int64, p []byte) error {
 	return nil
 }
 
-func (d *NetDevice) stripURL(idx int64) string {
-	return d.c.base + "/node/v1/devices/" + url.PathEscape(d.name) + "/strips/" + strconv.FormatInt(idx, 10)
-}
+// ReadStrip implements store.Device: a read message of one item. A torn or
+// corrupted answer fails the codec's checksums and is retried as a wire
+// fault.
+func (d *NetDevice) ReadStrip(idx int64, p []byte) error { return d.single(idx, p, false) }
 
-// ReadStrip implements store.Device: GET the strip, decode and verify
-// the frame, copy the payload out. A torn or corrupted response fails
-// frame validation and is retried as a wire fault.
-func (d *NetDevice) ReadStrip(idx int64, p []byte) error {
-	if err := d.check(idx, p); err != nil {
-		return err
-	}
-	return d.c.do(call{method: http.MethodGet, url: d.stripURL(idx)}, func(resp *http.Response) error {
-		body, err := readBody(resp, FrameHeaderLen+d.stripBytes)
-		if err != nil {
-			return err
-		}
-		fr, err := DecodeFrame(body, d.stripBytes)
-		if err != nil {
-			return err
-		}
-		if fr.Op != OpRead || fr.Strip != idx || len(fr.Payload) != d.stripBytes {
-			return fmt.Errorf("%w: response frame op=%d strip=%d len=%d, want op=%d strip=%d len=%d", ErrBadFrame, fr.Op, fr.Strip, len(fr.Payload), OpRead, idx, d.stripBytes)
-		}
-		copy(p, fr.Payload)
-		return nil
-	})
-}
+// WriteStrip implements store.Device: a write message of one item, its strip
+// inside a checksummed frame. Strip writes are idempotent, so a write whose
+// ack was lost (an asymmetric partition: the node executed it, the answer
+// never came back) is safely re-sent until acknowledged.
+func (d *NetDevice) WriteStrip(idx int64, p []byte) error { return d.single(idx, p, true) }
 
-// WriteStrip implements store.Device: PUT the strip inside a checksummed
-// frame. Strip writes are idempotent, so a write whose ack was lost (an
-// asymmetric partition: the node executed it, the response never came
-// back) is safely re-sent until acknowledged.
-func (d *NetDevice) WriteStrip(idx int64, p []byte) error {
-	if err := d.check(idx, p); err != nil {
-		return err
-	}
-	return d.c.do(call{method: http.MethodPut, url: d.c.withFence(d.stripURL(idx)), body: EncodeFrame(OpWrite, idx, p), ctype: octetStream}, nil)
+func (d *NetDevice) single(idx int64, p []byte, write bool) error {
+	ops := [1]store.StripOp{{Dev: d, Idx: idx, Buf: p}}
+	d.c.stripBatch(ops[:], write)
+	return ops[0].Err
 }
 
 // StripSums fetches per-strip CRC-32C checksums for a range — how a

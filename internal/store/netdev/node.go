@@ -119,6 +119,8 @@ type Node struct {
 
 	newDev  func(name string, strips int64, stripBytes int) (store.Device, error)
 	newBlob func(name string) (store.Blob, error)
+
+	streams nodeStreams // the open strip streams (stream.go)
 }
 
 // nodeBlob is a blob of the node's table with its generation: 0 until a
@@ -288,8 +290,11 @@ func (n *Node) saveState() error {
 	return store.AtomicWriteFile(n.path(stateFile, ""), raw, 0o644)
 }
 
-// Close closes every device and blob the node serves.
+// Close ends every strip stream, waits for their handlers, then closes every
+// device and blob the node serves.
 func (n *Node) Close() error {
+	n.endStreams(nil)
+	n.streams.wg.Wait()
 	n.lockAll()
 	defer n.unlockAll()
 	var first error
@@ -346,11 +351,8 @@ func (n *Node) Handler() http.Handler {
 	mux.HandleFunc("GET /node/v1/stat", n.handleStat)
 	mux.HandleFunc("POST /node/v1/devices/{dev}", n.handleCreateDevice)
 	mux.HandleFunc("DELETE /node/v1/devices/{dev}", n.handleDeleteDevice)
-	mux.HandleFunc("GET /node/v1/devices/{dev}/strips/{idx}", n.handleReadStrip)
-	mux.HandleFunc("PUT /node/v1/devices/{dev}/strips/{idx}", n.handleWriteStrip)
 	mux.HandleFunc("GET /node/v1/devices/{dev}/sums", n.handleStripSums)
-	mux.HandleFunc("POST /node/v1/strips/read", n.handleReadStrips)
-	mux.HandleFunc("POST /node/v1/strips/write", n.handleWriteStrips)
+	mux.HandleFunc("POST "+stripsPath, n.handleStrips)
 	mux.HandleFunc("POST /node/v1/blobs/{name}", n.handleCreateBlob)
 	mux.HandleFunc("DELETE /node/v1/blobs/{name}", n.handleDeleteBlob)
 	mux.HandleFunc("GET /node/v1/blobs/{name}", n.handleReadBlob)
@@ -554,88 +556,6 @@ func (n *Node) change(w http.ResponseWriter, q *query, s stamps, act func() erro
 	}
 }
 
-// stripIndex reads the {idx} path segment of a strip route.
-func (q *query) stripIndex() int64 {
-	idx, err := strconv.ParseInt(q.r.PathValue("idx"), 10, 64)
-	if err != nil {
-		q.fail(fmt.Errorf("%w: bad strip index: %v", store.ErrBadGeometry, err))
-	}
-	return idx
-}
-
-func (n *Node) handleReadStrip(w http.ResponseWriter, r *http.Request) {
-	dev, ok := n.device(w, r)
-	if !ok {
-		return
-	}
-	q := newQuery(r)
-	idx := q.stripIndex()
-	if q.err != nil {
-		fail(w, q.err)
-		return
-	}
-	frame := make([]byte, FrameHeaderLen+dev.StripBytes())
-	if err := dev.ReadStrip(idx, frame[FrameHeaderLen:]); err != nil {
-		fail(w, err)
-		return
-	}
-	sealFrame(frame, OpRead, idx)
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
-	w.Write(frame)
-}
-
-func (n *Node) handleWriteStrip(w http.ResponseWriter, r *http.Request) {
-	dev, ok := n.device(w, r)
-	if !ok {
-		return
-	}
-	q := newQuery(r)
-	idx, s := q.stripIndex(), q.stamps()
-	if q.err != nil {
-		fail(w, q.err)
-		return
-	}
-	body, err := readSized(r.Body, r.ContentLength, FrameHeaderLen+dev.StripBytes())
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	fr, err := DecodeFrame(body, dev.StripBytes())
-	if err != nil {
-		// The frame did not survive the wire (or the sender is broken
-		// in a way the checksum catches). Refuse: damaged bytes must not
-		// reach media. The client treats bad-frame as transient and
-		// re-sends.
-		fail(w, err)
-		return
-	}
-	if fr.Op != OpWrite {
-		fail(w, fmt.Errorf("%w: op %d on write", ErrBadFrame, fr.Op))
-		return
-	}
-	if fr.Strip != idx {
-		// URL and frame disagree about the target strip: a routing bug
-		// or a mixed-up retry. Refusing keeps a misdirected write from
-		// silently landing on the wrong strip.
-		fail(w, fmt.Errorf("%w: frame strip %d, url strip %d", ErrBadFrame, fr.Strip, idx))
-		return
-	}
-	if len(fr.Payload) != dev.StripBytes() {
-		fail(w, fmt.Errorf("%w: %d payload bytes, strip is %d", store.ErrShortBuffer, len(fr.Payload), dev.StripBytes()))
-		return
-	}
-	if err := n.admit(s); err != nil {
-		fail(w, err)
-		return
-	}
-	if err := dev.WriteStrip(idx, fr.Payload); err != nil {
-		fail(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
 // sumsMaxStrips caps the strips of one checksum request. What a strip costs
 // there is one read through the handler's single strip buffer and a dozen
 // bytes of response, whatever its size, so the bound is a count: far above
@@ -643,8 +563,8 @@ func (n *Node) handleWriteStrip(w http.ResponseWriter, r *http.Request) {
 // the handler for long.
 const sumsMaxStrips = 1 << 16
 
-// readCapped reads the body of a bulk request (a strip batch, a blob write)
-// into one buffer sized from its Content-Length. A body over max is the
+// readCapped reads the body of a blob write into one buffer sized from its
+// Content-Length. A body over max is the
 // sender's bug, not the wire's, and is refused as such — on its declared
 // length before anything is allocated, or, when the length is undeclared,
 // once it has run past the bound.
@@ -656,21 +576,6 @@ func readCapped(r *http.Request, max int) ([]byte, error) {
 		}
 	}
 	return nil, fmt.Errorf("%w: request body exceeds the %d-byte cap", store.ErrBadGeometry, max)
-}
-
-// readBatch reads and decodes a batch request of the given kind, answering
-// the failure itself: a message that did not survive the wire is refused
-// whole — retryably — before anything it names is touched.
-func readBatch(w http.ResponseWriter, r *http.Request, kind byte) ([]batchItem, bool) {
-	body, err := readCapped(r, batchMaxBytes)
-	var items []batchItem
-	if err == nil {
-		items, err = decodeBatch(body, kind, batchMaxBytes)
-	}
-	if err != nil {
-		fail(w, err)
-	}
-	return items, err == nil
 }
 
 // batchDevice resolves a batch item's device.
@@ -689,22 +594,11 @@ func (it *batchItem) verdict(err error) {
 	it.Code, it.Msg, it.Payload = Catalogue.Encode(err).Code, err.Error(), nil
 }
 
-// writeBatch answers with a batch message.
-func writeBatch(w http.ResponseWriter, body []byte) {
-	w.Header().Set("Content-Type", octetStream)
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	w.Write(body)
-}
-
-// handleReadStrips serves a batch of strip reads, of any of the node's
-// devices, in one response: every item answered in place with the strip in a
-// frame of its own, or with the catalogue code a single read would have
-// failed with — one missing device or bad index fails that item alone.
-func (n *Node) handleReadStrips(w http.ResponseWriter, r *http.Request) {
-	items, ok := readBatch(w, r, kindReadReq)
-	if !ok {
-		return
-	}
+// readStrips answers a read message: every item answered in place with the
+// strip in a frame of its own, or with the catalogue code a single read would
+// have failed with — one missing device or bad index fails that item alone.
+// A message whose answer would exceed the cap is refused item by item.
+func (n *Node) readStrips(items []batchItem) []byte {
 	devs, widest, size := make([]store.Device, len(items)), 0, batchHeaderLen+batchTrailer
 	for i := range items {
 		it := &items[i]
@@ -719,20 +613,24 @@ func (n *Node) handleReadStrips(w http.ResponseWriter, r *http.Request) {
 		size += it.wireSize()
 	}
 	if size > batchMaxBytes {
-		fail(w, fmt.Errorf("%w: a response of %d bytes exceeds the %d-byte batch cap", store.ErrBadGeometry, size, batchMaxBytes))
-		return
+		err := fmt.Errorf("%w: an answer of %d bytes exceeds the %d-byte message cap", store.ErrBadGeometry, size, batchMaxBytes)
+		for i := range items {
+			items[i].verdict(err)
+		}
+		return encodeBatch(kindReadResp, fence{}, items, nil)
 	}
-	// Lay the response out as if every read will succeed and read each strip
+	// Lay the answer out as if every read will succeed and read each strip
 	// into its frame; only when one fails is the message built again around
 	// the verdicts, from the strips already read.
-	blank := make([]byte, widest)
+	blank := getMsg(widest)
+	defer putMsg(blank)
 	for i, dev := range devs {
 		if dev != nil {
 			items[i].Payload = blank[:dev.StripBytes()]
 		}
 	}
 	var errs []error
-	body := encodeBatch(kindReadResp, items, func(i int, p []byte) {
+	body := encodeBatch(kindReadResp, fence{}, items, func(i int, p []byte) {
 		if err := devs[i].ReadStrip(items[i].Strip, p); err != nil {
 			if errs == nil {
 				errs = make([]error, len(items))
@@ -746,48 +644,41 @@ func (n *Node) handleReadStrips(w http.ResponseWriter, r *http.Request) {
 				items[i].verdict(err)
 			}
 		}
-		body = encodeBatch(kindReadResp, items, nil)
+		first := body
+		body = encodeBatch(kindReadResp, fence{}, items, nil)
+		putMsg(first)
 	}
-	writeBatch(w, body)
+	return body
 }
 
-// handleWriteStrips lands a batch of strip writes in one request. Fenced
-// like a single write, and every frame's checksum has verified before the
-// first strip touches media, so a torn message places nothing. The items
-// are written in order; one that fails does not stop the ones after it —
-// the commit of a parity closure is best-effort across the whole closure
-// (store.Array) — and carries its own code back.
-func (n *Node) handleWriteStrips(w http.ResponseWriter, r *http.Request) {
-	q := newQuery(r)
-	s := q.stamps()
-	if q.err != nil {
-		fail(w, q.err)
-		return
-	}
-	items, ok := readBatch(w, r, kindWriteReq)
-	if !ok {
-		return
-	}
-	if err := n.admit(s); err != nil {
-		fail(w, err)
-		return
-	}
+// writeStrips answers a write message, whose every frame's checksum has
+// verified before the first strip touches media, so a torn message places
+// nothing. A write fenced below the node's promise is refused item by item.
+// The items are written in order; one that fails does not stop the ones
+// after it — the commit of a parity closure is best-effort across the whole
+// closure (store.Array) — and carries its own code back.
+func (n *Node) writeStrips(f fence, items []batchItem) []byte {
+	refused := n.admit(stamps{epoch: f.epoch, fenced: f.on})
 	for i := range items {
 		it := &items[i]
-		dev, err := n.batchDevice(it.Dev)
-		switch {
-		case err != nil:
-		case it.Payload == nil || len(it.Payload) != dev.StripBytes():
-			err = fmt.Errorf("%w: %d payload bytes, strip is %d", store.ErrShortBuffer, len(it.Payload), dev.StripBytes())
-		default:
-			err = dev.WriteStrip(it.Strip, it.Payload)
+		err := refused
+		if err == nil {
+			var dev store.Device
+			dev, err = n.batchDevice(it.Dev)
+			switch {
+			case err != nil:
+			case it.Payload == nil || len(it.Payload) != dev.StripBytes():
+				err = fmt.Errorf("%w: %d payload bytes, strip is %d", store.ErrShortBuffer, len(it.Payload), dev.StripBytes())
+			default:
+				err = dev.WriteStrip(it.Strip, it.Payload)
+			}
 		}
 		it.Code, it.Msg, it.Payload = "", "", nil
 		if err != nil {
 			it.verdict(err)
 		}
 	}
-	writeBatch(w, encodeBatch(kindWriteResp, items, nil))
+	return encodeBatch(kindWriteResp, fence{}, items, nil)
 }
 
 // handleStripSums serves per-strip CRC-32C checksums for a range — the

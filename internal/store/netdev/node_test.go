@@ -68,10 +68,6 @@ func rejectsMalformedRequests(t *testing.T, n *Node) {
 			{"PUT", "/node/v1/blobs/bad*name?epoch=5&gen=3&off=0", "x"},
 			{"POST", "/node/v1/blobs/bad*name/truncate?epoch=5&gen=3&size=0", ""},
 			// Numbers.
-			{"GET", "/node/v1/devices/d0/strips/x", ""},
-			{"PUT", "/node/v1/devices/d0/strips/x", ""},
-			{"PUT", "/node/v1/devices/d0/strips/x?epoch=5", ""},
-			{"PUT", "/node/v1/devices/d0/strips/0?epoch=x", ""},
 			{"POST", "/node/v1/devices/d1?epoch=-1", `{"strips":4,"strip_bytes":512}`},
 			{"GET", "/node/v1/blobs/b0?off=x&len=1", ""},
 			{"GET", "/node/v1/blobs/b0?off=0&len=x", ""},
@@ -163,12 +159,11 @@ func TestNodeDeviceDeleteAndRecreate(t *testing.T) {
 		t.Fatalf("delete: %d %s", rec.Code, rec.Body)
 	}
 	create()
-	rec := do("GET", "/node/v1/devices/d0/strips/1", "")
-	fr, err := DecodeFrame(rec.Body.Bytes(), stripBytes)
-	if err != nil {
-		t.Fatalf("read strip: %d %v", rec.Code, err)
+	answer, _, err := decodeBatch(n.readStrips([]batchItem{{Dev: "d0", Strip: 1}}), kindReadResp, stripBytes)
+	if err != nil || answer[0].Code != "" {
+		t.Fatalf("read strip: %+v %v", answer, err)
 	}
-	if !bytes.Equal(fr.Payload, make([]byte, stripBytes)) {
+	if !bytes.Equal(answer[0].Payload, make([]byte, stripBytes)) {
 		t.Fatal("a recreated device serves the deleted device's bytes")
 	}
 }

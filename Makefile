@@ -12,8 +12,12 @@ test:
 # protocol, the fault-injection, QoS, crash, tail, object, cluster,
 # fail-over, membership and degradation sweeps all run here — no -run
 # filter, so a test cannot fall out of coverage by being renamed or moved.
+# The strip-stream lifecycle tests then run five times more: a race there
+# would hide in the hand-over of an upgraded connection among the client's
+# dial, its deadline timer and Close, which one pass may not interleave.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=5 -run 'Stream|CloseInBenchOrder|NodeRestart' ./internal/store/netdev ./internal/cluster
 
 # Short coverage-guided smoke over every fuzz target of the module: the
 # decoders that face media, the wire or an operator's file (array I/O,

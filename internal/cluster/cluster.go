@@ -30,6 +30,9 @@
 //     devices provisioned on surviving nodes — with each replacement's
 //     superblock blob rebound alongside (ArrayMeta.RebindSuperblock), so
 //     the metadata plane follows the data off the dead node.
+//
+// Both hooks run one level-triggered handler (nodeReach) that applies the
+// client's current state, so a hook that runs late cannot undo a newer one.
 package cluster
 
 import (
@@ -224,6 +227,7 @@ type Cluster struct {
 	fence     *netdev.FenceToken
 	nodeSeq   atomic.Int64
 	engPtr    atomic.Pointer[engine.Engine]
+	reachMu   sync.Mutex // serialises nodeReach
 
 	// Membership/migration state. memberMu serialises membership
 	// operations (one migration plan at a time); draining marks nodes
@@ -483,8 +487,8 @@ func (c *Cluster) newClientLocked(n NodeSpec) *netdev.NodeClient {
 		copts.Transport = c.transport(n)
 	}
 	id := n.ID
-	copts.OnDown = func() { c.nodeDown(c.engPtr.Load(), id) }
-	copts.OnUp = func() { c.nodeUp(c.engPtr.Load(), id) }
+	reach := func() { c.nodeReach(c.engPtr.Load(), id) }
+	copts.OnDown, copts.OnUp = reach, reach
 	cl := netdev.NewNodeClient(n.URL, copts)
 	if c.fence != nil {
 		cl.SetFence(c.fence)
@@ -543,48 +547,55 @@ func (c *Cluster) DisksOn(id string) []int {
 	return out
 }
 
-// nodeDown marks every disk on the node down: reads reconstruct around
-// them (the partition would otherwise stall every read that lands on the
-// node for a full retry budget), writes keep probing the path, and enough
-// downed paths across nodes demote the array to read-only/partial service
-// from the survivors instead of acking writes it cannot protect.
+// nodeReach is both reachability hooks of node id's client. The client runs
+// each hook in a goroutine of its own, so one may run late — the up of a
+// finished down episode after the down of the next — or twice. The hook is
+// therefore level-triggered: under one lock it reads what the client reports
+// now and marks the node's disks to match, so whatever order the hooks run
+// in, the last one leaves the disks as the client is.
 //
-// The hook fires once more when the grace window declares the node lost.
-// Reads avoid a down disk and an idle array sends it nothing, so each disk
-// then gets one probe read: its ErrNodeLost is how the engine's monitor
-// learns of the loss, and it evicts the disk and heals it onto the
-// survivors.
-func (c *Cluster) nodeDown(eng *engine.Engine, id string) {
-	if eng == nil {
+// A down node's disks are marked down: reads reconstruct around them (the
+// partition would otherwise stall every read that lands on the node for a
+// full retry budget), writes keep probing the path, and enough downed paths
+// across nodes demote the array to read-only/partial service from the
+// survivors instead of acking writes it cannot protect.
+//
+// A lost node's disks each get one probe read besides: reads avoid a down
+// disk and an idle array sends it nothing, so its ErrNodeLost is how the
+// engine's monitor learns of the loss, and it evicts the disk and heals it
+// onto the survivors.
+//
+// A reachable node's marks are cleared: the disks were healthy the whole
+// time, nothing needs rebuilding. The serving mode recomputes toward normal
+// and a rebuild the partition starved is re-kicked. A down episode can leave
+// half-committed parity closures — a commit whose write to this node failed,
+// or whose ack was lost, left its redo record pending — so they are replayed,
+// the cluster's equivalent of a post-rejoin resync; with none pending the
+// replay changes nothing.
+func (c *Cluster) nodeReach(eng *engine.Engine, id string) {
+	cl := c.Client(id)
+	if eng == nil || cl == nil {
 		return
 	}
-	cl := c.Client(id)
-	lost := cl != nil && cl.Lost()
-	buf := make([]byte, eng.StripBytes())
-	for _, d := range c.DisksOn(id) {
+	c.reachMu.Lock()
+	lost := cl.Lost()
+	down := lost || cl.Down()
+	disks := c.DisksOn(id)
+	open := true
+	for _, d := range disks {
 		// Best effort: a closed engine says no, and then nothing is probed.
-		if err := eng.SetDiskDown(d, true); err == nil && lost {
+		open = eng.SetDiskDown(d, down) == nil && open
+	}
+	c.reachMu.Unlock()
+	switch {
+	case lost && open:
+		buf := make([]byte, eng.StripBytes())
+		for _, d := range disks {
 			_ = eng.Array().ProbeDiskStrip(d, 0, buf) // its error is the report the monitor reads
 		}
+	case !down:
+		eng.Array().RecoverIntent()
 	}
-}
-
-// nodeUp clears the node's down marks: the disks were healthy the whole
-// time, nothing needs rebuilding. The serving mode recomputes toward
-// normal and a rebuild the partition starved is re-kicked.
-func (c *Cluster) nodeUp(eng *engine.Engine, id string) {
-	if eng == nil {
-		return
-	}
-	for _, d := range c.DisksOn(id) {
-		_ = eng.SetDiskDown(d, false)
-	}
-	// A down episode can leave half-committed parity closures: a commit
-	// whose write to this node failed (or whose ack was lost) left its
-	// redo record pending. Replay them now that the node is back so
-	// every stripe is self-consistent again — the cluster's equivalent
-	// of a post-rejoin resync.
-	eng.Array().RecoverIntent()
 }
 
 // nodeStateLocked is node id's state as NodeStatus reports it: ok, down,

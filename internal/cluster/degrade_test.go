@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -300,5 +301,60 @@ func runDegradationSweep(t *testing.T, seed int64) {
 	rep, err = c2.Eng.Fsck(context.Background(), false)
 	if err != nil || !rep.Clean {
 		t.Fatalf("fsck after remount: %v %+v", err, rep)
+	}
+}
+
+// TestReachHookOutOfOrder: a node client runs each reachability hook in a
+// goroutine of its own, so the up of a finished down episode can run after
+// the down of the next, and a down after the up that ended it. Delivered so,
+// each hook leaves the node's disks marked as the client reports: down while
+// it is down, clear once it is back.
+func TestReachHookOutOfOrder(t *testing.T) {
+	tc := newTestCluster(t, 3)
+	opts := tc.options(3)
+	opts.Client.Grace = time.Hour
+	c, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	beta := c.DisksOn("beta")
+	marked := func() bool {
+		down := c.Eng.DownDisks()
+		for _, d := range beta {
+			if !slices.Contains(down, d) {
+				return false
+			}
+		}
+		return true
+	}
+	cleared := func() bool {
+		return !slices.ContainsFunc(c.Eng.DownDisks(), func(d int) bool { return slices.Contains(beta, d) })
+	}
+	wait := func(cond func() bool) bool {
+		for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				return false
+			}
+		}
+		return true
+	}
+
+	tc.faults["beta"].SetPartition(netdev.PartDrop)
+	if err := c.Client("beta").Ping(); err == nil || !wait(marked) {
+		t.Fatalf("beta partitioned: ping %v, down disks %v, want %v among them", err, c.Eng.DownDisks(), beta)
+	}
+	c.nodeReach(c.Eng, "beta") // the up of an earlier episode, run late
+	if !marked() {
+		t.Fatalf("a late up hook cleared the disks of a down node: down disks %v, want %v among them", c.Eng.DownDisks(), beta)
+	}
+
+	tc.faults["beta"].SetPartition(netdev.PartNone)
+	if !wait(func() bool { return !c.Client("beta").Down() && cleared() }) {
+		t.Fatalf("beta back: down %v, down disks %v", c.Client("beta").Down(), c.Eng.DownDisks())
+	}
+	c.nodeReach(c.Eng, "beta") // the down of the episode just ended, run late
+	if !cleared() {
+		t.Fatalf("a late down hook marked the disks of a reachable node: down disks %v", c.Eng.DownDisks())
 	}
 }

@@ -115,7 +115,7 @@ var sentinels = map[string]error{
 
 	"netdev.ErrBadFrame": netdev.ErrBadFrame, "netdev.ErrNodeNotFound": netdev.ErrNodeNotFound,
 	"netdev.ErrStaleGen": netdev.ErrStaleGen, "netdev.ErrNodeLost": netdev.ErrNodeLost,
-	"netdev.ErrWrongNode": netdev.ErrWrongNode,
+	"netdev.ErrWrongNode": netdev.ErrWrongNode, "netdev.ErrNoUpgrade": netdev.ErrNoUpgrade,
 }
 
 // localOnly are the sentinels with no row on either plane, and why.

@@ -1,15 +1,19 @@
 package netdev
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/oiraid/oiraid/internal/store"
 )
@@ -277,31 +281,35 @@ func TestBatchSplitsAtCap(t *testing.T) {
 	}
 }
 
-// rawStream is a strip stream opened by hand, to send a node what a client
-// never sends.
+// rawStream is a strip stream opened by hand — an Upgrade written on a bare
+// connection — to send a node what a client never sends. Every read and
+// write on it is bounded, so a node that waits where it should refuse fails
+// the test instead of hanging it.
 type rawStream struct {
 	t    *testing.T
-	pw   *io.PipeWriter
-	resp *http.Response
+	conn *net.TCPConn
+	r    *bufio.Reader
 	head [batchLenEnd]byte
 }
 
 func openRawStream(t *testing.T, base string) *rawStream {
 	t.Helper()
-	pr, pw := io.Pipe()
-	req, err := http.NewRequest(http.MethodPost, base+stripsPath, pr)
+	host := strings.TrimPrefix(base, "http://")
+	conn, err := net.Dial("tcp", host)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.DefaultClient.Do(req)
+	s := &rawStream{t: t, conn: conn.(*net.TCPConn), r: bufio.NewReader(conn)}
+	t.Cleanup(func() { s.conn.Close() })
+	s.conn.SetDeadline(time.Now().Add(5 * time.Second))
+	fmt.Fprintf(conn, "POST %s HTTP/1.1\r\nHost: %s\r\nConnection: Upgrade\r\nUpgrade: %s\r\nContent-Length: 0\r\n\r\n", stripsPath, host, stripsProto)
+	resp, err := http.ReadResponse(s.r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("stream refused: %d", resp.StatusCode)
+	if resp.StatusCode != http.StatusSwitchingProtocols {
+		t.Fatalf("stream refused: %s", resp.Status)
 	}
-	s := &rawStream{t: t, pw: pw, resp: resp}
-	t.Cleanup(s.close)
 	return s
 }
 
@@ -309,15 +317,15 @@ func openRawStream(t *testing.T, base string) *rawStream {
 // ended the stream.
 func (s *rawStream) exchange(b []byte) ([]byte, error) {
 	s.t.Helper()
-	if _, err := s.pw.Write(b); err != nil {
+	if _, err := s.conn.Write(b); err != nil {
 		return nil, err
 	}
-	return readMessage(s.resp.Body, &s.head, batchMaxBytes)
+	return s.answer()
 }
 
-func (s *rawStream) close() {
-	s.pw.Close()
-	s.resp.Body.Close()
+// answer reads the next answer off the stream.
+func (s *rawStream) answer() ([]byte, error) {
+	return readMessage(s.r, &s.head, batchMaxBytes)
 }
 
 // TestBatchNodeRefusesDamage drives the strip route with what a client never

@@ -93,11 +93,11 @@ func TestWriteStripBodySizing(t *testing.T) {
 		t.Errorf("message declared one byte short: answered %d bytes, want the stream ended", len(answer))
 	}
 	s := openRawStream(t, srv.URL)
-	if _, err := s.pw.Write(declared(len(msg) + 1)); err != nil {
+	if _, err := s.conn.Write(declared(len(msg) + 1)); err != nil {
 		t.Fatal(err)
 	}
-	s.pw.Close()
-	if answer, err := readMessage(s.resp.Body, &s.head, batchMaxBytes); err == nil {
+	s.conn.CloseWrite()
+	if answer, err := s.answer(); err == nil {
 		t.Errorf("message declared one byte long: answered %d bytes, want the stream ended", len(answer))
 	}
 	got := make([]byte, 512)

@@ -130,10 +130,12 @@ type NodeClient struct {
 
 	// cbWg tracks OnDown/OnUp callback goroutines and probeWg the
 	// background prober; Close drains both so an engine shutdown leaves
-	// no transport goroutine behind.
-	cbWg      sync.WaitGroup
-	probeWg   sync.WaitGroup
-	probeStop chan struct{}
+	// no transport goroutine behind. done ends at Close: the prober stops,
+	// and a stream's dial in flight is cancelled.
+	cbWg    sync.WaitGroup
+	probeWg sync.WaitGroup
+	done    context.Context
+	stop    context.CancelFunc
 
 	// fence, when set, stamps every mutating request with the
 	// coordinator's fencing epoch (see SetFence).
@@ -157,14 +159,16 @@ func NewNodeClient(base string, opts Options) *NodeClient {
 		opts.Transport = http.DefaultTransport.(*http.Transport).Clone()
 	}
 	r := retry.New(opts.Seed)
+	done, stop := context.WithCancel(context.Background())
 	return &NodeClient{
-		base:      strings.TrimRight(base, "/"),
-		hc:        &http.Client{Transport: opts.Transport},
-		opts:      opts,
-		pol:       retry.Policy{Attempts: opts.MaxAttempts, BaseDelay: opts.BaseDelay, MaxDelay: opts.MaxDelay},
-		retry:     r,
-		breaker:   r.NewBreaker(opts.BreakerThreshold, opts.BreakerCooldown),
-		probeStop: make(chan struct{}),
+		base:    strings.TrimRight(base, "/"),
+		hc:      &http.Client{Transport: opts.Transport},
+		opts:    opts,
+		pol:     retry.Policy{Attempts: opts.MaxAttempts, BaseDelay: opts.BaseDelay, MaxDelay: opts.MaxDelay},
+		retry:   r,
+		breaker: r.NewBreaker(opts.BreakerThreshold, opts.BreakerCooldown),
+		done:    done,
+		stop:    stop,
 	}
 }
 
@@ -189,7 +193,7 @@ func (c *NodeClient) Close() error {
 		return nil
 	}
 	c.endStreams()
-	close(c.probeStop)
+	c.stop()
 	c.probeWg.Wait()
 	c.cbWg.Wait()
 	if t, ok := c.hc.Transport.(interface{ CloseIdleConnections() }); ok {
@@ -380,7 +384,7 @@ func (c *NodeClient) probeLoop() {
 	defer timer.Stop()
 	for {
 		select {
-		case <-c.probeStop:
+		case <-c.done.Done():
 			return
 		case <-timer.C:
 		}

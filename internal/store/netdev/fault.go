@@ -204,111 +204,84 @@ func (t *FaultTransport) openStream(req *http.Request) (*http.Response, error) {
 	mode := t.mode
 	t.mu.Unlock()
 	if mode == PartDrop {
-		req.Body.Close()
 		return nil, fmt.Errorf("%w: stream refused", errPartition)
 	}
-	fs := &faultStream{t: t, host: req.URL.Host, ctx: req.Context(), in: req.Body}
-	out := req.Clone(req.Context())
-	out.Body = fs
-	resp, err := t.inner.RoundTrip(out)
+	resp, err := t.inner.RoundTrip(req)
 	if err != nil {
 		return nil, err
 	}
-	resp.Body = &faultAnswers{s: fs, in: resp.Body}
+	if conn, ok := resp.Body.(io.ReadWriteCloser); ok && resp.StatusCode == http.StatusSwitchingProtocols {
+		ctx, cancel := context.WithCancel(context.Background())
+		resp.Body = &faultConn{t: t, host: req.URL.Host, conn: conn, ctx: ctx, cancel: cancel}
+	}
 	return resp, nil
 }
 
-// faultStream is the request side of a stream under faults: it hands the
-// transport one message at a time, after drawing its fate.
-type faultStream struct {
-	t    *FaultTransport
-	host string
-	ctx  context.Context
-	in   io.ReadCloser
-	head [batchLenEnd]byte
-	out  []byte // the rest of the message being passed on
-
-	mu      sync.Mutex
-	fates   []fate // of the messages passed on and not yet answered
-	dropped bool   // a message was dropped: the stream is cut
+// faultConn is an upgraded stream under faults. Each message's fate is drawn
+// at its Write — the client writes a message whole, in one — and applied to
+// its answer as it is read: passed on whole, cut short, or not at all.
+type faultConn struct {
+	t      *FaultTransport
+	host   string
+	conn   io.ReadWriteCloser
+	ctx    context.Context // Close ends a delay in progress
+	cancel context.CancelFunc
+	fates  []fate // of the messages passed on and not yet answered
+	head   [batchLenEnd]byte
+	rest   []byte // of the answer being passed on
+	err    error  // once the rest is out: the stream is over
 }
 
-func (s *faultStream) Read(p []byte) (int, error) {
-	if len(s.out) == 0 {
-		msg, err := readMessage(s.in, &s.head, batchMaxBytes)
-		if err != nil {
-			return 0, err
-		}
-		f := s.t.draw()
-		if err := wait(s.ctx, f.delay); err != nil {
-			return 0, err
-		}
-		if f.hook != nil {
-			f.hook(s.host, msg[5] == kindWriteReq)
-		}
-		s.mu.Lock()
-		if f.mode == PartDrop {
-			// The message never reaches the node; failing the body cuts the
-			// connection under the stream.
-			s.dropped = true
-			s.mu.Unlock()
-			return 0, fmt.Errorf("%w: message dropped", errPartition)
-		}
-		s.fates = append(s.fates, f)
-		s.mu.Unlock()
-		s.out = msg
+func (c *faultConn) Write(msg []byte) (int, error) {
+	f := c.t.draw()
+	if err := wait(c.ctx, f.delay); err != nil {
+		return 0, err
 	}
-	n := copy(p, s.out)
-	s.out = s.out[n:]
-	return n, nil
+	if f.hook != nil {
+		f.hook(c.host, len(msg) > 5 && msg[5] == kindWriteReq)
+	}
+	if f.mode == PartDrop {
+		// The message never reaches the node, and the connection is cut
+		// under the stream.
+		c.conn.Close()
+		return 0, fmt.Errorf("%w: message dropped", errPartition)
+	}
+	c.fates = append(c.fates, f)
+	return c.conn.Write(msg)
 }
 
-func (s *faultStream) Close() error { return s.in.Close() }
-
-// faultAnswers is the answer side of a stream under faults: it passes each
-// answer on as its message's fate says — whole, cut short, or not at all.
-type faultAnswers struct {
-	s    *faultStream
-	in   io.ReadCloser
-	head [batchLenEnd]byte
-	rest []byte // of the answer being passed on
-	err  error  // once the rest is out: the stream is over
-}
-
-func (a *faultAnswers) Read(p []byte) (int, error) {
-	if len(a.rest) == 0 {
-		if a.err != nil {
-			return 0, a.err
+func (c *faultConn) Read(p []byte) (int, error) {
+	if len(c.rest) == 0 {
+		if c.err != nil {
+			return 0, c.err
 		}
-		msg, err := readMessage(a.in, &a.head, batchMaxBytes)
-		a.s.mu.Lock()
-		dropped := a.s.dropped
+		msg, err := readMessage(c.conn, &c.head, batchMaxBytes)
 		var f fate
-		if err == nil && len(a.s.fates) > 0 {
-			f, a.s.fates = a.s.fates[0], a.s.fates[1:]
+		if err == nil && len(c.fates) > 0 {
+			f, c.fates = c.fates[0], c.fates[1:]
 		}
-		a.s.mu.Unlock()
 		switch {
-		case dropped:
-			a.err = fmt.Errorf("%w: message dropped", errPartition)
 		case err != nil:
-			a.err = err
+			c.err = err
 		case f.mode == PartAsym:
 			// The node executed the message; the client never learns.
-			a.err = fmt.Errorf("%w: answer dropped", errPartition)
+			c.err = fmt.Errorf("%w: answer dropped", errPartition)
 		case f.torn:
 			// A connection cut mid-answer: the codec must catch it.
-			a.rest, a.err = msg[:f.cut(int64(len(msg)))], io.ErrUnexpectedEOF
+			c.rest, c.err = msg[:f.cut(int64(len(msg)))], io.ErrUnexpectedEOF
 		default:
-			a.rest = msg
+			c.rest = msg
 		}
-		if len(a.rest) == 0 {
-			return 0, a.err
+		if len(c.rest) == 0 {
+			return 0, c.err
 		}
 	}
-	n := copy(p, a.rest)
-	a.rest = a.rest[n:]
+	n := copy(p, c.rest)
+	c.rest = c.rest[n:]
 	return n, nil
 }
 
-func (a *faultAnswers) Close() error { return a.in.Close() }
+func (c *faultConn) Close() error {
+	c.cancel()
+	return c.conn.Close()
+}

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -37,6 +38,44 @@ func startNode(t *testing.T, id string) (*Node, *httptest.Server) {
 	srv := httptest.NewServer(n.Handler())
 	t.Cleanup(srv.Close)
 	return n, srv
+}
+
+// nodeProcess is a node served on a listener the way an oiraidd -node
+// process serves it, with the connections its server accepted tracked through
+// ConnState.
+type nodeProcess struct {
+	srv   *http.Server
+	mu    sync.Mutex
+	conns map[net.Conn]struct{}
+}
+
+func serveNode(n *Node, l net.Listener) *nodeProcess {
+	p := &nodeProcess{conns: map[net.Conn]struct{}{}}
+	p.srv = &http.Server{Handler: n.Handler(), ConnState: func(c net.Conn, s http.ConnState) {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		switch s {
+		case http.StateNew:
+			p.conns[c] = struct{}{}
+		case http.StateClosed:
+			delete(p.conns, c)
+		}
+	}}
+	go p.srv.Serve(l)
+	return p
+}
+
+// kill ends the process's sockets as its death would: the listener and every
+// connection the server accepted close, the strip streams the node took over
+// included — http.Server.Close alone leaves a hijacked connection open. The
+// Node, the media, survives.
+func (p *nodeProcess) kill() {
+	p.srv.Close()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for c := range p.conns {
+		c.Close()
+	}
 }
 
 func TestNetDeviceRoundTrip(t *testing.T) {
@@ -203,9 +242,17 @@ func TestTornResponsesAreRetried(t *testing.T) {
 	if err := dev.WriteStrip(0, w); err != nil {
 		t.Fatalf("seed write: %v", err)
 	}
+	b, err := c.CreateBlob("sb0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.WriteAt([]byte("superblock"), 0); err != nil {
+		t.Fatal(err)
+	}
 
-	// Every second response arrives truncated; the frame checksum must
-	// catch each one and the retry loop absorb it.
+	// Every second answer arrives truncated — to a strip message or to a
+	// blob read's request; the frame checksum or the body's must catch each
+	// one and the retry loop absorb it.
 	ft.SetTorn(2)
 	r := make([]byte, 1024)
 	for i := 0; i < 10; i++ {
@@ -214,6 +261,10 @@ func TestTornResponsesAreRetried(t *testing.T) {
 		}
 		if !bytes.Equal(r, w) {
 			t.Fatalf("read %d returned damaged data", i)
+		}
+		sb := make([]byte, 10)
+		if n, err := b.ReadAt(sb, 0); err != nil || string(sb[:n]) != "superblock" {
+			t.Fatalf("blob read %d under torn responses: %q, %v", i, sb[:n], err)
 		}
 	}
 	if got := c.Stats().Retries; got == 0 {
@@ -440,8 +491,7 @@ func TestNodeRestartKeepsMedia(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := l.Addr().String()
-	hsrv := &http.Server{Handler: n.Handler()}
-	go hsrv.Serve(l)
+	proc := serveNode(n, l)
 
 	opts := fastOpts()
 	c := NewNodeClient("http://"+addr, opts)
@@ -456,7 +506,7 @@ func TestNodeRestartKeepsMedia(t *testing.T) {
 	}
 
 	// Kill the node process (the media — the Node — survives).
-	hsrv.Close()
+	proc.kill()
 	buf := make([]byte, 128)
 	if err := dev.ReadStrip(0, buf); !errors.Is(err, store.ErrUnreachable) {
 		t.Fatalf("down read: %v, want ErrUnreachable", err)
@@ -476,9 +526,7 @@ func TestNodeRestartKeepsMedia(t *testing.T) {
 	if err != nil {
 		t.Fatalf("rebind %s: %v", addr, err)
 	}
-	hsrv2 := &http.Server{Handler: n.Handler()}
-	go hsrv2.Serve(l2)
-	defer hsrv2.Close()
+	defer serveNode(n, l2).kill()
 
 	deadline = time.Now().Add(5 * time.Second)
 	for c.Down() && time.Now().Before(deadline) {

@@ -36,6 +36,7 @@ var Catalogue = retry.Catalogue{
 	{Err: store.ErrBadGeometry, Code: "bad-geometry", Status: http.StatusBadRequest},
 	{Err: store.ErrNegativeOffset, Code: "negative-offset", Status: http.StatusBadRequest},
 	{Err: ErrNodeNotFound, Code: "not-found", Status: http.StatusNotFound},
+	{Err: ErrNoUpgrade, Code: "no-upgrade", Status: http.StatusUpgradeRequired},
 	// The frame did not survive the wire. The node refuses it — damaged
 	// bytes must not reach media — and the client re-sends.
 	{Err: ErrBadFrame, Code: "bad-frame", Status: http.StatusBadRequest, Retryable: true},

@@ -1,11 +1,15 @@
 package netdev
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
+	"net/http/httptrace"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,67 +18,66 @@ import (
 )
 
 // A coordinator's strip traffic to a node rides a few long-lived streams
-// instead of one HTTP request per op (DESIGN.md §13). A stream is one POST to
-// the node's strip route, made full duplex: its request body carries request
-// messages of the batch codec (batch.go), its response body carries their
-// answers, in order, one message in flight at a time. Everything a request
-// costs — headers, routing, a connection taken from and given back to a pool
-// — is paid once per stream, not once per message.
+// instead of one HTTP request per op (DESIGN.md §13). A stream is one HTTP
+// Upgrade of the node's strip route to oiraid-strips/2: the node answers 101
+// and takes the connection over, which then carries request messages of the
+// batch codec (batch.go) one way and their answers the other, in order, one
+// in flight at a time. What a request costs — headers, routing, a pooled
+// connection — is paid once per stream; a message is one write and one read.
 //
 // Each message is one attempt of NodeClient.send, which keeps deadlines,
 // retry, the breaker and the grace classification where every other call has
 // them. A stream that fails an attempt is torn down, not repaired: after a
 // deadline, an EOF or an answer that does not decode, where the next message
 // would start on the wire is unknown.
-const stripsPath = "/node/v1/strips"
+const (
+	stripsPath  = "/node/v1/strips"
+	stripsProto = "oiraid-strips/2"
+)
+
+// ErrNoUpgrade reports a strip route that did not upgrade: a request without
+// the Upgrade token (the node answers 426), or a node that answers anything
+// but 101 — one older than the upgraded streams. Retrying cannot change it.
+var ErrNoUpgrade = errors.New("netdev: strip stream not upgraded")
 
 // streamIdle is how long a node keeps a stream on which no message arrives.
 // A client retires a stream idle for half as long, so it never sends on one
 // the node is about to end.
 const streamIdle = 10 * time.Second
 
-var errStreamEnded = errors.New("netdev: strip stream ended")
+// streamBuf sizes the reader at each end of a stream: one message of a 4 KiB
+// strip fits, so it costs one read, not two (a 101 body reads unbuffered, the
+// server's buffer is 4 KiB). On BenchmarkNetDeviceStrip 8 KiB beat 4 and 64.
+const streamBuf = 8 << 10
+
+// upgradeTo reports whether h asks for, or agrees to, a strip stream.
+func upgradeTo(h http.Header) bool { return strings.EqualFold(h.Get("Upgrade"), stripsProto) }
 
 // stream is the client half of one open stream.
 type stream struct {
-	pr     *io.PipeReader // what the transport sends: the request body
-	pw     *io.PipeWriter // where send writes messages
-	body   io.ReadCloser  // the answers; set once the node accepted the stream
-	cancel context.CancelFunc
-	// timer bounds the open and then each message in flight: when it fires,
-	// it ends the stream under whatever waits on it.
+	body io.ReadCloser // the 101 answer's: reads the connection, and closes it
+	w    io.Writer     // writes the connection
+	r    *bufio.Reader // reads the answers off body
+	// timer bounds each message in flight: when it fires, it ends the
+	// stream under the exchange.
 	timer     *time.Timer
 	once      sync.Once
 	head      [batchLenEnd]byte
 	idleSince time.Time
 }
 
-// end tears the stream's connection down, so that every read or write on it
+// end closes the stream's connection, so that every read or write on it
 // returns. It is safe from any goroutine, any number of times; the deadline
 // timer calls it.
-func (s *stream) end() {
-	s.once.Do(func() {
-		s.cancel()
-		s.pr.CloseWithError(errStreamEnded)
-	})
-}
-
-// close ends the stream and releases its answers' body; only the stream's
-// owner calls it.
-func (s *stream) close() {
-	s.end()
-	if s.body != nil {
-		s.body.Close()
-	}
-}
+func (s *stream) end() { s.once.Do(func() { s.body.Close() }) }
 
 // exchange writes msg and reads its answer, within timeout.
 func (s *stream) exchange(msg []byte, timeout time.Duration) ([]byte, error) {
 	s.timer.Reset(timeout)
-	_, err := s.pw.Write(msg)
+	_, err := s.w.Write(msg)
 	var answer []byte
 	if err == nil {
-		answer, err = readMessage(s.body, &s.head, batchMaxBytes)
+		answer, err = readMessage(s.r, &s.head, batchMaxBytes)
 	}
 	if !s.timer.Stop() {
 		return nil, fmt.Errorf("netdev: strip stream: no answer within %v: %w", timeout, context.DeadlineExceeded)
@@ -101,10 +104,8 @@ type streamPool struct {
 // and a rebuild or migration beside them. Measured on the bench's
 // cluster-4k (20 s, loopback, go1.24): with one stream kept per node, the
 // two parallel clients of its mixed phase opened 9,444 streams; with this
-// idle set they opened 3. A kept stream costs about 80 KiB of heap and
-// stack over client and node together, an idle keep-alive connection
-// 15–30 KiB; 32 KiB of the difference is net/http's copy buffer, held
-// for the life of a streaming request body.
+// idle set they opened 3. A kept stream costs about 37 KiB of heap and
+// stack over client and node together, an idle keep-alive connection 42.
 const maxIdleStreams = 8
 
 // send is one strip message through the retry loop. Each attempt takes a
@@ -161,7 +162,7 @@ func (c *NodeClient) put(s *stream) {
 	if c.closed.Load() || len(p.idle) >= maxIdleStreams {
 		delete(p.live, s)
 		p.mu.Unlock()
-		s.close()
+		s.end()
 		return
 	}
 	s.idleSince = time.Now()
@@ -176,7 +177,7 @@ func (c *NodeClient) drop(s *stream) {
 	delete(p.live, s)
 	c.dropIdleLocked(len(p.idle))
 	p.mu.Unlock()
-	s.close()
+	s.end()
 }
 
 // retireLocked closes the idle streams idle past half the node's streamIdle,
@@ -196,7 +197,7 @@ func (c *NodeClient) dropIdleLocked(n int) {
 	p := &c.streams
 	for _, s := range p.idle[:n] {
 		delete(p.live, s)
-		s.close()
+		s.end()
 	}
 	rest := copy(p.idle, p.idle[n:])
 	clear(p.idle[rest:])
@@ -215,17 +216,52 @@ func (c *NodeClient) endStreams() {
 	}
 }
 
-// dial opens a stream: one POST whose answer's headers say the node took it.
-// The open is bounded by the attempt deadline like any request; a refusal is
-// classified by the catalogue, a transport failure is a wire fault.
+// dial opens a stream: one Upgrade of the strip route, through the client's
+// transport, whose 101 answer hands the connection over. The open is bounded
+// by the attempt deadline like any request, and Close cancels it; a refusal
+// is classified by the catalogue, a node that answers anything but 101 is
+// ErrNoUpgrade, and a transport failure is a wire fault.
 func (c *NodeClient) dial() (*stream, time.Duration, bool, error) {
-	ctx, cancel := context.WithCancel(context.Background())
-	pr, pw := io.Pipe()
-	s := &stream{pr: pr, pw: pw, cancel: cancel}
+	ctx, cancel := context.WithTimeout(c.done, c.opts.Timeout)
+	defer cancel()
+	// The connection the upgrade went out on writes the stream when an
+	// interposer wrapped the 101 body as a plain ReadCloser (the bench's
+	// tracer does), hiding its Write.
+	var sent io.Writer
+	ctx = httptrace.WithClientTrace(ctx, &httptrace.ClientTrace{GotConn: func(ci httptrace.GotConnInfo) { sent = ci.Conn }})
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+stripsPath, nil)
+	if err != nil {
+		return nil, 0, false, err
+	}
+	req.Header.Set("Connection", "Upgrade")
+	req.Header.Set("Upgrade", stripsProto)
+	resp, err := c.hc.Do(req)
+	if err != nil {
+		return nil, 0, true, err
+	}
+	if w, ok := resp.Body.(io.Writer); ok {
+		sent = w
+	}
+	var retryAfter time.Duration
+	retryable := false
+	switch {
+	case resp.StatusCode >= 300:
+		retryAfter, retryable, err = Catalogue.Decode(resp)
+	case resp.StatusCode != http.StatusSwitchingProtocols || !upgradeTo(resp.Header):
+		err = fmt.Errorf("%w: the node answered %s", ErrNoUpgrade, resp.Status)
+	case sent == nil:
+		err = errors.New("netdev: strip stream: the upgraded connection is not writable")
+	}
+	if err != nil {
+		resp.Body.Close()
+		return nil, retryAfter, retryable, err
+	}
+	s := &stream{body: resp.Body, w: sent, r: bufio.NewReaderSize(resp.Body, streamBuf)}
+	s.timer = time.AfterFunc(c.opts.Timeout, s.end)
 	p := &c.streams
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if c.closed.Load() {
-		p.mu.Unlock()
 		s.end()
 		return nil, 0, false, store.ErrClosed
 	}
@@ -233,46 +269,13 @@ func (c *NodeClient) dial() (*stream, time.Duration, bool, error) {
 		p.live = map[*stream]struct{}{}
 	}
 	p.live[s] = struct{}{}
-	p.mu.Unlock()
-	forget := func() {
-		p.mu.Lock()
-		delete(p.live, s)
-		p.mu.Unlock()
-		s.end()
-	}
-
-	s.timer = time.AfterFunc(c.opts.Timeout, s.end)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+stripsPath, pr)
-	if err != nil {
-		s.timer.Stop()
-		forget()
-		return nil, 0, false, err
-	}
-	req.Header.Set("Content-Type", octetStream)
-	resp, err := c.hc.Do(req)
-	fired := !s.timer.Stop()
-	switch {
-	case err != nil:
-		forget()
-		return nil, 0, true, err
-	case fired:
-		resp.Body.Close()
-		forget()
-		return nil, 0, true, fmt.Errorf("netdev: strip stream not accepted within %v: %w", c.opts.Timeout, context.DeadlineExceeded)
-	case resp.StatusCode != http.StatusOK:
-		retryAfter, retryable, err := Catalogue.Decode(resp)
-		resp.Body.Close()
-		forget()
-		return nil, retryAfter, retryable, err
-	}
-	s.body = resp.Body
 	c.stats.streamOpens.Add(1)
 	return s, 0, false, nil
 }
 
-// nodeStreams is a node's open streams, so that Close — and the Shutdown of
-// the server a stream came through — can end them: a stream is a request
-// that never finishes on its own while its client keeps it.
+// nodeStreams is a node's open streams. A hijacked connection is the node's,
+// unknown to its http.Server's Close and Shutdown, so the node ends them: at
+// Close, at the Shutdown of the server they came through, and when idle.
 type nodeStreams struct {
 	mu      sync.Mutex
 	open    map[*nodeStream]struct{}
@@ -282,31 +285,47 @@ type nodeStreams struct {
 }
 
 type nodeStream struct {
-	rc    *http.ResponseController
+	conn  net.Conn
 	srv   *http.Server
 	ended atomic.Bool
 }
 
-// handleStrips serves the node's one strip route: a stream of request
-// messages, each answered in turn. A message that does not decode ends the
-// stream — refused whole before anything it names is touched, and nothing
-// after it can be trusted to start where it seems to — and so do an EOF, a
-// stream idle for streamIdle, the node's Close and the server's Shutdown.
+// handleStrips serves the node's one strip route: a request that asks for
+// the upgrade has its connection taken over and served as a stream in a
+// goroutine of its own, so what the server kept for the request goes with
+// the handler; any other is answered 426.
 func (n *Node) handleStrips(w http.ResponseWriter, r *http.Request) {
-	rc := http.NewResponseController(w)
-	if err := rc.EnableFullDuplex(); err != nil {
+	if !upgradeTo(r.Header) {
+		w.Header().Set("Upgrade", stripsProto)
+		fail(w, fmt.Errorf("%w: %s takes Upgrade: %s", ErrNoUpgrade, stripsPath, stripsProto))
+		return
+	}
+	conn, brw, err := http.NewResponseController(w).Hijack()
+	if err != nil {
 		fail(w, fmt.Errorf("netdev: strip stream: %w", err))
 		return
 	}
-	st := n.openStream(r, rc)
+	st := n.openStream(r, conn)
 	if st == nil {
-		fail(w, fmt.Errorf("%w: node is closing", store.ErrClosed))
+		conn.Close() // the node is closing
 		return
 	}
+	br := brw.Reader
+	if br.Buffered() == 0 {
+		br = bufio.NewReaderSize(conn, streamBuf)
+	}
+	go n.serveStream(st, br)
+}
+
+// serveStream answers the 101, then each message of the stream in turn,
+// reading them through br. A message that does not decode ends the stream —
+// refused whole before anything it names is touched, and nothing after it
+// can be trusted to start where it seems to — and so do an EOF, a stream
+// idle for streamIdle, the node's Close and the server's Shutdown.
+func (n *Node) serveStream(st *nodeStream, br *bufio.Reader) {
+	conn := st.conn
 	defer n.closeStream(st)
-	w.Header().Set("Content-Type", octetStream)
-	w.WriteHeader(http.StatusOK)
-	if rc.Flush() != nil {
+	if _, err := io.WriteString(conn, "HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: "+stripsProto+"\r\n\r\n"); err != nil {
 		return
 	}
 	var head [batchLenEnd]byte
@@ -314,11 +333,11 @@ func (n *Node) handleStrips(w http.ResponseWriter, r *http.Request) {
 		// The deadline goes first and the check second; endStreams marks
 		// first and sets its own deadline second. So either this read meets
 		// the past deadline or the check sees the mark.
-		rc.SetReadDeadline(time.Now().Add(streamIdle))
+		conn.SetReadDeadline(time.Now().Add(streamIdle))
 		if st.ended.Load() {
 			return
 		}
-		msg, err := readMessage(r.Body, &head, batchMaxBytes)
+		msg, err := readMessage(br, &head, batchMaxBytes)
 		if err != nil {
 			return
 		}
@@ -327,9 +346,9 @@ func (n *Node) handleStrips(w http.ResponseWriter, r *http.Request) {
 		if answer == nil {
 			return
 		}
-		_, err = w.Write(answer)
+		_, err = conn.Write(answer)
 		putMsg(answer)
-		if err != nil || rc.Flush() != nil {
+		if err != nil {
 			return
 		}
 	}
@@ -351,9 +370,9 @@ func (n *Node) answer(msg []byte) []byte {
 	return nil
 }
 
-// openStream registers a stream, nil when the node is closing. The first
-// stream through a server hooks that server's Shutdown.
-func (n *Node) openStream(r *http.Request, rc *http.ResponseController) *nodeStream {
+// openStream registers a stream on conn, nil when the node is closing. The
+// first stream through a server hooks that server's Shutdown.
+func (n *Node) openStream(r *http.Request, conn net.Conn) *nodeStream {
 	srv, _ := r.Context().Value(http.ServerContextKey).(*http.Server)
 	ns := &n.streams
 	ns.mu.Lock()
@@ -371,13 +390,15 @@ func (n *Node) openStream(r *http.Request, rc *http.ResponseController) *nodeStr
 	if ns.open == nil {
 		ns.open = map[*nodeStream]struct{}{}
 	}
-	st := &nodeStream{rc: rc, srv: srv}
+	st := &nodeStream{conn: conn, srv: srv}
 	ns.open[st] = struct{}{}
 	ns.wg.Add(1)
 	return st
 }
 
+// closeStream closes a stream's connection and forgets it.
 func (n *Node) closeStream(st *nodeStream) {
+	st.conn.Close()
 	ns := &n.streams
 	ns.mu.Lock()
 	delete(ns.open, st)
@@ -399,7 +420,7 @@ func (n *Node) endStreams(srv *http.Server) {
 	for st := range ns.open {
 		if srv == nil || st.srv == srv {
 			st.ended.Store(true)
-			st.rc.SetReadDeadline(past)
+			st.conn.SetReadDeadline(past)
 		}
 	}
 }

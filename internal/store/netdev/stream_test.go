@@ -2,6 +2,7 @@ package netdev
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"net"
 	"net/http"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/oiraid/oiraid/internal/retry"
 	"github.com/oiraid/oiraid/internal/store"
 )
 
@@ -298,8 +300,7 @@ func TestStreamLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := l.Addr().String()
-	hsrv := &http.Server{Handler: n.Handler()}
-	go hsrv.Serve(l)
+	proc := serveNode(n, l)
 	c3 := NewNodeClient("http://"+addr, fastOpts())
 	defer c3.Close()
 	dev, err = c3.CreateDevice("d0", 4, 512)
@@ -310,7 +311,7 @@ func TestStreamLifecycle(t *testing.T) {
 	if err := dev.WriteStrip(2, w); err != nil {
 		t.Fatal(err)
 	}
-	hsrv.Close() // ends the stream's connection with the process
+	proc.kill() // ends the stream's connection with the process
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
 		if l, err = net.Listen("tcp", addr); err == nil || time.Now().After(deadline) {
 			break
@@ -319,9 +320,7 @@ func TestStreamLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("rebind %s: %v", addr, err)
 	}
-	hsrv = &http.Server{Handler: n.Handler()}
-	go hsrv.Serve(l)
-	defer hsrv.Close()
+	defer serveNode(n, l).kill()
 	before := c3.Stats()
 	got := make([]byte, 512)
 	if err := dev.ReadStrip(2, got); err != nil || !bytes.Equal(got, w) {
@@ -330,5 +329,104 @@ func TestStreamLifecycle(t *testing.T) {
 	after := c3.Stats()
 	if after.StreamOpens != before.StreamOpens+1 || after.Retries != before.Retries+1 || c3.Down() {
 		t.Errorf("read after the restart: %+v, was %+v (down %v); want one retry on one new stream", after, before, c3.Down())
+	}
+}
+
+// TestStreamShutdown: an http.Server's Shutdown — what oiraidd -node runs on
+// SIGINT — ends the upgraded streams that came through it, idle or not,
+// although the server no longer knows their connections, and leaves nothing
+// running once the node is closed.
+func TestStreamShutdown(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	n := NewMemNode("n0")
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hsrv := &http.Server{Handler: n.Handler()}
+	served := make(chan error, 1)
+	go func() { served <- hsrv.Serve(l) }()
+	c := NewNodeClient("http://"+l.Addr().String(), fastOpts())
+	dev, err := c.CreateDevice("d0", 4, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 3; i++ { // overlapping reads: several streams kept idle
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			dev.ReadStrip(int64(i), make([]byte, 512))
+		}()
+	}
+	wg.Wait()
+	if openStreams(n) == 0 {
+		t.Fatal("no stream open before the shutdown")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	t0 := time.Now()
+	if err := hsrv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if !waitFor(func() bool { return openStreams(n) == 0 }) || time.Since(t0) > time.Second {
+		t.Errorf("%d streams open %v after Shutdown began, want none within 1s", openStreams(n), time.Since(t0))
+	}
+	if err := <-served; err != http.ErrServerClosed {
+		t.Errorf("Serve: %v", err)
+	}
+	c.Close()
+	if err := n.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !waitFor(func() bool { return runtime.NumGoroutine() <= baseline }) {
+		t.Errorf("%d goroutines after the shutdown, %d before", runtime.NumGoroutine(), baseline)
+	}
+}
+
+// TestStripRouteWantsUpgrade: a request to the strip route that does not ask
+// for the upgrade is answered 426, with the Upgrade it takes and the
+// catalogue's code, which the client decodes into ErrNoUpgrade.
+func TestStripRouteWantsUpgrade(t *testing.T) {
+	_, srv := startNode(t, "n0")
+	resp, err := http.Post(srv.URL+stripsPath, octetStream, bytes.NewReader(encodeBatch(kindReadReq, fence{}, nil, nil)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusUpgradeRequired || resp.Header.Get("Upgrade") != stripsProto || resp.Header.Get(retry.Header) != "no-upgrade" {
+		t.Fatalf("a plain POST: %s, Upgrade %q, code %q; want 426, %q, no-upgrade", resp.Status, resp.Header.Get("Upgrade"), resp.Header.Get(retry.Header), stripsProto)
+	}
+	if _, retryable, err := Catalogue.Decode(resp); !errors.Is(err, ErrNoUpgrade) || retryable {
+		t.Errorf("decoded: %v (retryable %v), want ErrNoUpgrade, not retryable", err, retryable)
+	}
+}
+
+// TestDialNodeWithoutUpgrade: a node that answers the upgrade with anything
+// but 101 — one older than the upgraded streams answers 200 and holds its
+// response open — fails the op with ErrNoUpgrade well within the attempt
+// deadline, without a retry and without marking the node down.
+func TestDialNodeWithoutUpgrade(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != stripsPath {
+			NewMemNode("n0").Handler().ServeHTTP(w, r)
+			return
+		}
+		w.WriteHeader(http.StatusOK)
+		w.(http.Flusher).Flush()
+		<-r.Context().Done()
+	}))
+	defer srv.Close()
+	opts := fastOpts()
+	opts.Timeout = 2 * time.Second
+	c := NewNodeClient(srv.URL, opts)
+	defer c.Close()
+	t0 := time.Now()
+	err := c.Device("d0", 4, 512).ReadStrip(0, make([]byte, 512))
+	if took := time.Since(t0); !errors.Is(err, ErrNoUpgrade) || took > opts.Timeout/2 {
+		t.Fatalf("read from a node that does not upgrade: %v after %v, want ErrNoUpgrade well within %v", err, took, opts.Timeout)
+	}
+	if st := c.Stats(); st.Attempts != 1 || st.StreamOpens != 0 || c.Down() {
+		t.Errorf("%+v (down %v): want one attempt, no stream, the node up", st, c.Down())
 	}
 }

@@ -12,12 +12,13 @@ test:
 # protocol, the fault-injection, QoS, crash, tail, object, cluster,
 # fail-over, membership and degradation sweeps all run here — no -run
 # filter, so a test cannot fall out of coverage by being renamed or moved.
-# The strip-stream lifecycle tests then run five times more: a race there
+# The stream lifecycle and blob tests then run five times more: a race there
 # would hide in the hand-over of an upgraded connection among the client's
-# dial, its deadline timer and Close, which one pass may not interleave.
+# dial, its deadline timer and Close, or among blob ops sharing a node's
+# streams, which one pass may not interleave.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=5 -run 'Stream|CloseInBenchOrder|NodeRestart' ./internal/store/netdev ./internal/cluster
+	$(GO) test -race -count=5 -run 'Stream|Blob|CloseInBenchOrder|NodeRestart' ./internal/store/netdev ./internal/cluster
 
 # Short coverage-guided smoke over every fuzz target of the module: the
 # decoders that face media, the wire or an operator's file (array I/O,
@@ -49,11 +50,12 @@ bench:
 # root ./... pattern reaches: vet it and run its smoke tests here, so an
 # API change that breaks the benchmark's build fails before it merges.
 # The kernel, parity-delta, device, array, engine strip-op, journal, blob,
-# strip-RPC, batch-RPC, cluster-write, HA-write, disk-migration and
-# object strip-allocator micro-benchmarks run once each, so they cannot rot.
+# strip-message, batch-message, blob-message, cluster-format, cluster-write,
+# HA-write, disk-migration and object strip-allocator micro-benchmarks run
+# once each, so they cannot rot.
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
-	$(GO) test -run '^$$' -bench 'Slice|Encode|Reconstruct|UpdateParity|NewMemDevice|Fsck|ArrayWrite|ArrayDegradedRead|ArrayDeepRead|EngineWriteStrip|EngineReadStrip|JournaledWrite|JournaledRead|MemBlobAppend|NetDeviceStrip|NetDeviceBatch|ClusterWrite|FailoverQuorumAppend|MigrateDisk|Alloc' -benchtime 1x \
+	$(GO) test -run '^$$' -bench 'Slice|Encode|Reconstruct|UpdateParity|NewMemDevice|Fsck|ArrayWrite|ArrayDegradedRead|ArrayDeepRead|EngineWriteStrip|EngineReadStrip|JournaledWrite|JournaledRead|MemBlobAppend|NetDeviceStrip|NetDeviceBatch|NetBlob|ClusterFormat|ClusterWrite|FailoverQuorumAppend|MigrateDisk|Alloc' -benchtime 1x \
 		./internal/gf ./internal/erasure ./internal/store ./internal/engine ./internal/store/netdev ./internal/cluster ./internal/object
 
 # The functions of the serving packages that no test of the module reaches:

@@ -67,7 +67,7 @@ func TestClusterBatchRPCCounts(t *testing.T) {
 		t.Errorf("a plain strip read: %d RPCs, want 1", got)
 	}
 	if got := ct.opens() - opens; got > 3 {
-		t.Errorf("%d writes and a read opened %d strip streams, want at most one per node", strips, got)
+		t.Errorf("%d writes and a read opened %d streams, want at most one per node", strips, got)
 	}
 
 	// One cycle of 36 repair tasks at 4 KiB is four 128 KiB gather windows of
@@ -86,19 +86,22 @@ func TestClusterBatchRPCCounts(t *testing.T) {
 }
 
 // TestHAWriteRPCCounts pins what a strip write costs an HA coordinator, by
-// route: the closure's strip messages, as on a classic one (a read and a write
-// message per node of the closure), plus the journal's two appends — the redo
-// record, then the closure's checksums and clear — each a blob write at every
-// one of the three voters, and the redo record's sync at each. Over a cycle's
-// 144 writes that is 720 strip messages, 864 blob writes and 432 syncs: 14
-// RPCs a write, where one append per record took 26. The strip messages ride
-// streams opened at most once per node.
+// message: the closure's strip messages, as on a classic one (a read and a
+// write message per node of the closure), plus the journal's two appends —
+// the redo record, then the closure's checksums and clear — each a blob write
+// at every one of the three voters, and the redo record's sync at each. Over a
+// cycle's 144 writes that is 720 strip messages, 864 blob writes and 432
+// syncs and no other blob message: 14 messages a write, where one append per
+// record took 26. Every message rides a stream opened at most once per node,
+// and no device or blob op is an HTTP request of its own.
 func TestHAWriteRPCCounts(t *testing.T) {
 	c, ct := countedClusterHA(t, 512, nil, "coord-a")
 	p := make([]byte, 512)
 	rand.New(rand.NewSource(7)).Read(p)
 	strips := c.Eng.Strips()
-	d0, w0, s0, tr0, all0, opens := ct.strips(), ct.blobWrites.Load(), ct.blobSyncs.Load(), ct.blobTruncates.Load(), ct.stripRPCs(), ct.opens()
+	writes := func(st netdev.ClientStats) int64 { return st.BlobWrites }
+	syncs := func(st netdev.ClientStats) int64 { return st.BlobSyncs }
+	d0, w0, s0, b0, all0, opens := ct.strips(), sumStats(ct.c, writes), sumStats(ct.c, syncs), ct.blobs(), ct.stripRPCs(), ct.opens()
 	epoch := c.journal.Epoch()
 	for s := int64(0); s < strips; s++ {
 		if err := c.Eng.WriteStrip(s, p); err != nil {
@@ -108,16 +111,20 @@ func TestHAWriteRPCCounts(t *testing.T) {
 	if c.journal.Epoch() != epoch {
 		t.Fatal("the journal compacted during the writes; the counts below leave compaction out")
 	}
-	d, w, sy, tr := ct.strips()-d0, ct.blobWrites.Load()-w0, ct.blobSyncs.Load()-s0, ct.blobTruncates.Load()-tr0
-	if strips != 144 || d != 720 || w != 3*2*strips || sy != 3*strips || tr != 0 {
-		t.Errorf("%d writes: %d strip messages, %d blob writes, %d blob syncs, %d truncations; want 720, %d, %d, 0",
-			strips, d, w, sy, tr, 3*2*strips, 3*strips)
+	d, w, sy := ct.strips()-d0, sumStats(ct.c, writes)-w0, sumStats(ct.c, syncs)-s0
+	other := ct.blobs() - b0 - w - sy
+	if strips != 144 || d != 720 || w != 3*2*strips || sy != 3*strips || other != 0 {
+		t.Errorf("%d writes: %d strip messages, %d blob writes, %d blob syncs, %d other blob messages; want 720, %d, %d, 0",
+			strips, d, w, sy, other, 3*2*strips, 3*strips)
 	}
 	if per := float64(ct.stripRPCs()-all0) / float64(strips); per != 14 {
-		t.Errorf("%.2f RPCs per strip write, want 14", per)
+		t.Errorf("%.2f messages per strip write, want 14", per)
 	}
 	if got := ct.opens() - opens; got > 3 {
-		t.Errorf("%d writes opened %d strip streams, want at most one per node", strips, got)
+		t.Errorf("%d writes opened %d streams, want at most one per node", strips, got)
+	}
+	if got := ct.legacy.Load(); got != 0 {
+		t.Errorf("%d HTTP requests to device or blob routes, want 0", got)
 	}
 }
 

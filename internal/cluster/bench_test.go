@@ -115,49 +115,46 @@ func BenchmarkMigrateDisk(b *testing.B) {
 }
 
 // countingTransport counts the round trips of every node client it is
-// handed to, by route, and reads the strip messages those clients count
-// themselves: a strip message rides a stream, whose open is not counted.
+// handed to, and reads the messages those clients count themselves: a
+// message rides a stream, whose open is not counted.
 type countingTransport struct {
 	inner http.RoundTripper
 	n     atomic.Int64 // every round trip but stream opens
-	// Blob writes, syncs and truncations: an HA coordinator's journal
-	// appends, one per voter.
-	blobWrites, blobSyncs, blobTruncates atomic.Int64
-	c                                    *Cluster // whose clients count the messages; set once open
+	// Requests to the device and blob routes a node no longer serves: every
+	// device and blob op is a stream message.
+	legacy atomic.Int64
+	c      *Cluster // whose clients count the messages; set once open
 }
 
 func (ct *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 	switch path := r.URL.Path; {
 	case path == "/node/v1/strips":
 		return ct.inner.RoundTrip(r)
-	case !strings.HasPrefix(path, "/node/v1/blobs/"):
-	case strings.HasSuffix(path, "/sync"):
-		ct.blobSyncs.Add(1)
-	case strings.HasSuffix(path, "/truncate"):
-		ct.blobTruncates.Add(1)
-	case r.Method == http.MethodPut:
-		ct.blobWrites.Add(1)
+	case strings.HasPrefix(path, "/node/v1/blobs/"), strings.HasPrefix(path, "/node/v1/devices/"):
+		ct.legacy.Add(1)
 	}
 	ct.n.Add(1)
 	return ct.inner.RoundTrip(r)
 }
 
+// sumStats adds up one counter of c's node clients.
+func sumStats(c *Cluster, counter func(netdev.ClientStats) int64) (n int64) {
+	for _, node := range c.ManifestSnapshot().Nodes {
+		n += counter(c.Client(node.ID).Stats())
+	}
+	return n
+}
+
 // messages sums the strip messages the cluster's node clients have sent, by
 // kind.
 func (ct *countingTransport) messages() (reads, writes int64) {
-	for _, n := range ct.c.ManifestSnapshot().Nodes {
-		st := ct.c.Client(n.ID).Stats()
-		reads, writes = reads+st.ReadMessages, writes+st.WriteMessages
-	}
-	return reads, writes
+	return sumStats(ct.c, func(st netdev.ClientStats) int64 { return st.ReadMessages }),
+		sumStats(ct.c, func(st netdev.ClientStats) int64 { return st.WriteMessages })
 }
 
-// opens sums the strip streams the cluster's node clients have opened.
-func (ct *countingTransport) opens() (n int64) {
-	for _, node := range ct.c.ManifestSnapshot().Nodes {
-		n += ct.c.Client(node.ID).Stats().StreamOpens
-	}
-	return n
+// opens sums the streams the cluster's node clients have opened.
+func (ct *countingTransport) opens() int64 {
+	return sumStats(ct.c, func(st netdev.ClientStats) int64 { return st.StreamOpens })
 }
 
 // strips is every strip message sent.
@@ -166,16 +163,22 @@ func (ct *countingTransport) strips() int64 {
 	return r + w
 }
 
-// rpcs is what the node plane has carried: every strip message and every
-// other round trip.
-func (ct *countingTransport) rpcs() int64 { return ct.strips() + ct.n.Load() }
+// blobs is every blob message sent: an HA coordinator's journal appends are
+// a write and a sync to each voter.
+func (ct *countingTransport) blobs() int64 {
+	return sumStats(ct.c, func(st netdev.ClientStats) int64 { return st.BlobMessages })
+}
+
+// rpcs is what the node plane has carried: every message and every other
+// round trip.
+func (ct *countingTransport) rpcs() int64 {
+	return ct.strips() + ct.blobs() + sumStats(ct.c, func(st netdev.ClientStats) int64 { return st.DeviceMessages }) + ct.n.Load()
+}
 
 // stripRPCs is what the strip plane and the journal's blobs took: every
-// strip message and round trip but the lease renewals and health probes an
+// strip and blob message, but not the lease renewals and health probes an
 // HA coordinator makes on its own clock.
-func (ct *countingTransport) stripRPCs() int64 {
-	return ct.strips() + ct.blobWrites.Load() + ct.blobSyncs.Load() + ct.blobTruncates.Load()
-}
+func (ct *countingTransport) stripRPCs() int64 { return ct.strips() + ct.blobs() }
 
 func (ct *countingTransport) CloseIdleConnections() {
 	ct.inner.(interface{ CloseIdleConnections() }).CloseIdleConnections()
@@ -225,10 +228,54 @@ func countedClusterHA(tb testing.TB, stripBytes int, wrap func(node string, inne
 	return c, ct
 }
 
+// BenchmarkClusterFormat is Open with a FormatSpec: a volatile coordinator
+// formats one cycle of v=9 at 4 KiB strips over three loopback mem nodes —
+// the bench's cluster-4k set-up less its fill — and reports the HTTP
+// requests it took (http/op, stream Upgrades included) and the stream
+// messages (msgs/op). Each format gets fresh nodes, built and torn down off
+// the clock.
+func BenchmarkClusterFormat(b *testing.B) {
+	var requests, msgs int64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		var specs []NodeSpec
+		var closers []func()
+		for _, id := range []string{"alpha", "beta", "gamma"} {
+			n := netdev.NewMemNode(id)
+			srv := httptest.NewServer(n.Handler())
+			closers = append(closers, func() { srv.Close(); n.Close() })
+			specs = append(specs, NodeSpec{ID: id, URL: srv.URL})
+		}
+		ct := &countingTransport{inner: http.DefaultTransport.(*http.Transport).Clone()}
+		b.StartTimer()
+		c, err := Open(Options{
+			Nodes:     specs,
+			Client:    netdev.Options{Timeout: 5 * time.Second, MaxAttempts: 2, Grace: time.Hour},
+			Engine:    engine.Options{Workers: 4},
+			Format:    &FormatSpec{Disks: 9, Cycles: 1, StripBytes: 4096},
+			Transport: func(NodeSpec) http.RoundTripper { return ct },
+		})
+		b.StopTimer()
+		if err != nil {
+			b.Fatalf("open cluster: %v", err)
+		}
+		ct.c = c
+		requests += ct.n.Load() + ct.opens()
+		msgs += ct.rpcs() - ct.n.Load()
+		c.Close()
+		for _, close := range closers {
+			close()
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(requests)/float64(b.N), "http/op")
+	b.ReportMetric(float64(msgs)/float64(b.N), "msgs/op")
+}
+
 // BenchmarkClusterWrite is one single-strip write through the coordinator's
 // engine, round-robin over the cycle's 144 data strips, with the RPCs it
 // took — the closure's reads and writes coalesced into one message per node
-// each way — and the strip streams it opened.
+// each way — and the streams it opened.
 func BenchmarkClusterWrite(b *testing.B) {
 	c, ct := countedCluster(b, 4096, nil)
 	p := make([]byte, 4096)

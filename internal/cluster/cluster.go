@@ -374,19 +374,14 @@ func Open(opts Options) (_ *Cluster, err error) {
 		if !ok {
 			return nil, fmt.Errorf("cluster: disk %d placed on unknown node %q", d, p.Node)
 		}
-		if loaded {
-			// Bind blind: geometry comes from the manifest, verification
-			// from the superblocks at mount. Asking the node here would
-			// make an unreachable node block a degraded mount.
-			devs[d], sbs[d] = cl.Device(p.Device, strips, man.StripBytes), cl.Blob(p.Super)
-		} else {
-			devs[d], err = cl.CreateDevice(p.Device, strips, man.StripBytes)
-			if err == nil {
-				sbs[d], err = cl.CreateBlob(p.Super)
-			}
-		}
-		if err != nil {
-			return nil, fmt.Errorf("cluster: disk %d on node %s: %w", d, p.Node, err)
+		// Bind blind: geometry comes from the manifest, verification from
+		// the superblocks at mount. Asking the node here would make an
+		// unreachable node block a degraded mount. A format creates them.
+		devs[d], sbs[d] = cl.Device(p.Device, strips, man.StripBytes), cl.Blob(p.Super)
+	}
+	if !loaded {
+		if err := c.createDisks(man, strips); err != nil {
+			return nil, err
 		}
 	}
 
@@ -453,6 +448,41 @@ func Open(opts Options) (_ *Cluster, err error) {
 	// disks (the mount detected their superblocks missing); the engine
 	// heals them like any other failure once ops start flowing.
 	return c, nil
+}
+
+// createDisks makes every placement's device and superblock blob on its
+// node, before the Cluster is published: each node's disks in turn, the
+// nodes at once, so a format waits for its slowest node's round trips and
+// stream open, not for the sum of them all. A node stops at its first
+// failure; the error is that of the first disk, in order, that failed.
+func (c *Cluster) createDisks(man Manifest, strips int64) error {
+	errs := make([]error, len(man.Disks))
+	var wg sync.WaitGroup
+	for id, cl := range c.clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for d, p := range man.Disks {
+				if p.Node != id {
+					continue
+				}
+				_, err := cl.CreateDevice(p.Device, strips, man.StripBytes)
+				if err == nil {
+					_, err = cl.CreateBlob(p.Super)
+				}
+				if errs[d] = err; err != nil {
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for d, err := range errs {
+		if err != nil {
+			return fmt.Errorf("cluster: disk %d on node %s: %w", d, man.Disks[d].Node, err)
+		}
+	}
+	return nil
 }
 
 // addClientsLocked builds a client per node and appends the nodes to the

@@ -504,30 +504,33 @@ func TestClassicDirUpgradesToHA(t *testing.T) {
 	ha(t.TempDir(), "coord-b").Close()
 }
 
-// blobRPCs counts the metadata-blob RPCs (/node/v1/blobs/) that pass it.
-type blobRPCs struct {
+// legacyRPCs counts the HTTP requests to the device and blob routes a node
+// no longer serves that pass it: every device and blob op is a stream
+// message.
+type legacyRPCs struct {
 	inner http.RoundTripper
 	n     *atomic.Int64
 }
 
-func (b blobRPCs) RoundTrip(r *http.Request) (*http.Response, error) {
-	if strings.HasPrefix(r.URL.Path, "/node/v1/blobs/") {
+func (b legacyRPCs) RoundTrip(r *http.Request) (*http.Response, error) {
+	if strings.HasPrefix(r.URL.Path, "/node/v1/blobs/") || strings.HasPrefix(r.URL.Path, "/node/v1/devices/") {
 		b.n.Add(1)
 	}
 	return b.inner.RoundTrip(r)
 }
 
 // TestClusterHAMembershipBlobRPCs pins what an HA coordinator's
-// membership commits cost on the blob plane: a heal replacement is its
-// superblock blob's create and truncate plus one journal append (a write
-// and a sync to each of three nodes); a one-cycle migration adds the
-// destination's superblock create and clone, four journal appends
-// (record, cursor, flip, delete) and the source's superblock delete.
+// membership commits cost on the blob plane, in blob messages: a heal
+// replacement is its superblock blob's create and truncate plus one journal
+// append (a write and a sync to each of three nodes); a one-cycle migration
+// adds the destination's superblock create and clone, four journal appends
+// (record, cursor, flip, delete) and the source's superblock delete. None is
+// an HTTP request of its own.
 func TestClusterHAMembershipBlobRPCs(t *testing.T) {
 	h := newFailoverHarness(t)
 	opts, faults := h.coordOptions(t, "coord-a", 87)
-	var n atomic.Int64
-	opts.Transport = func(s NodeSpec) http.RoundTripper { return blobRPCs{faults[s.ID], &n} }
+	var legacy atomic.Int64
+	opts.Transport = func(s NodeSpec) http.RoundTripper { return legacyRPCs{faults[s.ID], &legacy} }
 	opts.Format = &FormatSpec{Disks: 9, Cycles: 1, StripBytes: 512}
 	c, err := Open(opts)
 	if err != nil {
@@ -535,27 +538,33 @@ func TestClusterHAMembershipBlobRPCs(t *testing.T) {
 	}
 	defer c.Close()
 	preload(t, c, 87)
+	blobs := func() int64 {
+		return sumStats(c, func(st netdev.ClientStats) int64 { return st.BlobMessages })
+	}
 
 	if err := c.Eng.FailDisk(4); err != nil {
 		t.Fatal(err)
 	}
-	n.Store(0)
+	n := blobs()
 	if _, err := c.provisionReplacement(4); err != nil {
 		t.Fatal(err)
 	}
-	if got := n.Load(); got != 8 {
-		t.Errorf("a heal replacement sent %d blob RPCs, want 8", got)
+	if got := blobs() - n; got != 8 {
+		t.Errorf("a heal replacement sent %d blob messages, want 8", got)
 	}
 
-	n.Store(0)
+	n = blobs()
 	c.memberMu.Lock()
 	err = c.migrateDisk(0, "beta") // disk 0 lives on alpha
 	c.memberMu.Unlock()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := n.Load(); got != 29 {
-		t.Errorf("a one-cycle migration sent %d blob RPCs, want 29", got)
+	if got := blobs() - n; got != 29 {
+		t.Errorf("a one-cycle migration sent %d blob messages, want 29", got)
+	}
+	if got := legacy.Load(); got != 0 {
+		t.Errorf("%d HTTP requests to device or blob routes, want 0", got)
 	}
 }
 

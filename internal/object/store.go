@@ -69,7 +69,10 @@ type Store struct {
 	jn    *store.MetaJournal
 	sb    int64 // strip bytes
 	chunk int64 // pooled buffer size (multiple of sb)
-	pool  sync.Pool
+	// pool is held by pointer and its New captures only the size: the
+	// runtime keeps a pool in use for two collections, and one that reached
+	// the Store would keep the store and its engine's array with it.
+	pool *sync.Pool
 
 	mu       sync.Mutex
 	alloc    *allocator
@@ -133,6 +136,7 @@ func New(eng *engine.Engine, opts Options) (*Store, error) {
 		jn:       jn,
 		sb:       sb,
 		chunk:    chunk,
+		pool:     &sync.Pool{New: func() any { return make([]byte, chunk) }},
 		alloc:    newAllocator(eng.Strips()),
 		buckets:  make(map[string]*bucketState),
 		uploads:  make(map[uint64]*upload),
@@ -140,7 +144,6 @@ func New(eng *engine.Engine, opts Options) (*Store, error) {
 		pins:     make(map[uint64]int),
 		parked:   make(map[uint64][]Extent),
 	}
-	s.pool.New = func() any { return make([]byte, s.chunk) }
 	if err := s.mount(); err != nil {
 		return nil, err
 	}

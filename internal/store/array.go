@@ -145,8 +145,11 @@ type Array struct {
 
 	// scratch is the one pool of strip buffers (*stripScratch): the write
 	// path, the task executor, the stripe walk and partial-strip reads all
-	// borrow from it, so none of them allocates a strip in steady state.
-	scratch sync.Pool
+	// borrow from it, so none of them allocates a strip in steady state. It
+	// is held by pointer: the runtime keeps every pool in use for two
+	// collections, and a pool inside the Array would keep the array, and
+	// its devices' regions, with it.
+	scratch *sync.Pool
 
 	// observe is the observer SetObserver registered, nil for none.
 	observe func(disk int, took time.Duration, err error)
@@ -173,10 +176,7 @@ type stripScratch struct {
 }
 
 func (a *Array) getScratch() *stripScratch {
-	if sc, ok := a.scratch.Get().(*stripScratch); ok {
-		return sc
-	}
-	return &stripScratch{stripBytes: a.stripBytes}
+	return a.scratch.Get().(*stripScratch)
 }
 
 func (a *Array) putScratch(sc *stripScratch) {
@@ -235,6 +235,7 @@ func NewArray(an *core.Analyzer, devs []Device) (*Array, error) {
 		cycles:     cycles,
 		codes:      make(map[[2]int]erasure.Code),
 		diskStats:  make([]diskCounters, len(devs)),
+		scratch:    &sync.Pool{New: func() any { return &stripScratch{stripBytes: stripBytes} }},
 	}
 	a.noteDevices()
 	for _, shape := range an.StripeShapes() {

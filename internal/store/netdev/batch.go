@@ -10,16 +10,17 @@ import (
 	"github.com/oiraid/oiraid/internal/store"
 )
 
-// Every strip op crosses the wire as one message of this codec, on a stream
-// (stream.go, DESIGN.md §13): the client writes a read or write request, the
-// node answers it with a message of the matching response kind. A node's
-// share of a parity closure or of a rebuild window is one message each way,
-// and a strip that travels alone is a message of one item.
+// Every op addressed to a device or a blob on a node crosses the wire as one
+// message of this codec, on a stream (stream.go, DESIGN.md §13): the client
+// writes a request, the node answers it with a message of the request's kind
+// plus one. A node's share of a parity closure or of a rebuild window is one
+// message each way, a strip that travels alone is a message of one item, and
+// so is each device or blob op.
 //
-// Message layout (big endian), the same for requests and responses:
+// Message layout (big endian), the same for requests and answers:
 //
 //	0  4  magic "oSTB"
-//	4  1  version (2)
+//	4  1  version (3)
 //	5  1  kind
 //	6  1  flags (bit 0: the message carries a fencing epoch)
 //	7  1  reserved (zero)
@@ -31,31 +32,51 @@ import (
 //
 // and each item:
 //
-//	1  device name length, then the name
-//	8  strip index
-//	1  error code length, then the code (responses; empty = done)
+//	1  name length, then the name of the device or blob
+//	8  strip: a strip index, a blob offset, the first strip of a sums op,
+//	   the strip count of a device create
+//	8  size: the bytes of a blob read, the size of a truncate, the strips
+//	   of a sums op, the strip bytes of a device create; in a stat answer,
+//	   the blob's size
+//	8  generation: a blob op's stamp (0: none); in a read or stat answer,
+//	   the blob's
+//	1  flags (bit 0, in a blob read's answer: the read ran off the end)
+//	1  error code length, then the code (answers; empty = done)
 //	2  error text length, then the text
 //	4  frame length, then the frame (0 = none)
 //
 // A payload crosses the wire inside a strip-transport frame with its own
-// checksum — a read response's items and a write request's items carry one —
-// so the trailer covers only what the frames do not: the header, names,
-// indices and verdicts. The length in the header is what lets a reader cut
-// messages off a stream; the fence is in the header because a stream
-// outlives the epochs its messages are sent under.
+// checksum — a read answer's items and a write request's items carry one, its
+// strip field the item's — so the trailer covers only what the frames do not:
+// the header, names, numbers and verdicts. The length in the header is what
+// lets a reader cut messages off a stream; the fence is in the header because
+// a stream outlives the epochs its messages are sent under.
 const (
-	batchVersion   = 2
+	batchVersion   = 3
 	batchLenEnd    = 12 // the header up to the length: what a stream reader needs first
 	batchHeaderLen = 24
-	batchItemMin   = 1 + 8 + 1 + 2 + 4
+	batchItemMin   = 1 + 8 + 8 + 8 + 1 + 1 + 2 + 4
 	batchTrailer   = 4
 
-	kindReadReq   = 0x01 // items name strips
-	kindReadResp  = 0x02 // items carry OpRead frames, or a code
-	kindWriteReq  = 0x03 // items carry OpWrite frames
-	kindWriteResp = 0x04 // items carry a code, or nothing
+	// Every request kind is odd, and its answer is the kind after it.
+	kindReadReq      = 0x01 // items name strips
+	kindReadResp     = 0x02 // items carry OpRead frames, or a code
+	kindWriteReq     = 0x03 // items carry OpWrite frames
+	kindWriteResp    = 0x04 // items carry a code, or nothing
+	kindDevCreate    = 0x05
+	kindDevDelete    = 0x07
+	kindDevSums      = 0x09 // answered with an OpRead frame of 4-byte CRC-32Cs
+	kindBlobCreate   = 0x0B
+	kindBlobDelete   = 0x0D
+	kindBlobRead     = 0x0F // answered with an OpRead frame of the bytes read
+	kindBlobWrite    = 0x11 // items carry OpWrite frames
+	kindBlobSync     = 0x13
+	kindBlobTruncate = 0x15
+	kindBlobStat     = 0x17
+	kindEnd          = 0x19 // past the last kind
 
-	flagFenced = 0x01
+	flagFenced = 0x01 // message
+	flagEOF    = 0x01 // item
 
 	// batchMaxBytes caps one message in either direction; a client splits a
 	// larger group. With store's 128 KiB gather window only a group of strips
@@ -63,19 +84,32 @@ const (
 	batchMaxBytes = 4 << 20
 )
 
+// mutates reports whether a request of kind changes the node, and so carries
+// the client's fence.
+func mutates(kind byte) bool {
+	switch kind {
+	case kindReadReq, kindDevSums, kindBlobRead, kindBlobStat:
+		return false
+	}
+	return true
+}
+
 var batchMagic = [4]byte{'o', 'S', 'T', 'B'}
 
-// fence is the fencing stamp of a write message: the epoch of the
+// fence is the fencing stamp of a mutating message: the epoch of the
 // coordinator that sent it, when it has one (see SetFence).
 type fence struct {
 	epoch uint64
 	on    bool
 }
 
-// batchItem is one strip of a batch message.
+// batchItem is one op of a batch message: a strip, or a device or blob op.
 type batchItem struct {
-	Dev   string
-	Strip int64
+	Name  string
+	Strip int64  // see the item layout above
+	Size  int64  // see the item layout above
+	Gen   uint64 // a blob's generation stamp, 0 for none
+	EOF   bool   // a blob read's answer: the read ran off the end
 	// Code and Msg are a response item's verdict: the node catalogue's code
 	// and the error's text, both empty for an op that was done.
 	Code, Msg string
@@ -88,22 +122,23 @@ type batchItem struct {
 // it carries none.
 func frameOp(kind byte) byte {
 	switch kind {
-	case kindReadResp:
+	case kindReadResp, kindDevSums + 1, kindBlobRead + 1:
 		return OpRead
-	case kindWriteReq:
+	case kindWriteReq, kindBlobWrite:
 		return OpWrite
 	}
 	return 0
 }
 
-// batchStripMax is the largest strip of device dev that a batch message
-// can carry alone: the cap less the message's framing and the item's.
-func batchStripMax(dev string) int {
-	return batchMaxBytes - batchHeaderLen - batchTrailer - batchItemMin - len(dev) - FrameHeaderLen
+// batchStripMax is the largest payload — a strip, a chunk of a blob — that a
+// batch message can carry alone for the device or blob name: the cap less
+// the message's framing and the item's.
+func batchStripMax(name string) int {
+	return batchMaxBytes - batchHeaderLen - batchTrailer - batchItemMin - len(name) - FrameHeaderLen
 }
 
 func (it *batchItem) wireSize() int {
-	n := batchItemMin + len(it.Dev) + len(it.Code) + len(it.Msg)
+	n := batchItemMin + len(it.Name) + len(it.Code) + len(it.Msg)
 	if it.Payload != nil {
 		n += FrameHeaderLen + len(it.Payload)
 	}
@@ -121,7 +156,7 @@ func encodeBatch(kind byte, f fence, items []batchItem, fill func(i int, p []byt
 	size := batchHeaderLen + batchTrailer
 	for i := range items {
 		it := &items[i]
-		it.Dev, it.Code, it.Msg = it.Dev[:min(len(it.Dev), 0xFF)], it.Code[:min(len(it.Code), 0xFF)], it.Msg[:min(len(it.Msg), 0xFFFF)]
+		it.Name, it.Code, it.Msg = it.Name[:min(len(it.Name), 0xFF)], it.Code[:min(len(it.Code), 0xFF)], it.Msg[:min(len(it.Msg), 0xFFFF)]
 		size += it.wireSize()
 	}
 	b := getMsg(size)[:batchHeaderLen] // a recycled buffer: every byte is written below
@@ -136,8 +171,15 @@ func encodeBatch(kind byte, f fence, items []batchItem, fill func(i int, p []byt
 	sum, mark := uint32(0), 0 // b[mark:] is not yet in sum
 	for i := range items {
 		it := &items[i]
-		b = append(append(b, byte(len(it.Dev))), it.Dev...)
+		b = append(append(b, byte(len(it.Name))), it.Name...)
 		b = binary.BigEndian.AppendUint64(b, uint64(it.Strip))
+		b = binary.BigEndian.AppendUint64(b, uint64(it.Size))
+		b = binary.BigEndian.AppendUint64(b, it.Gen)
+		var flags byte
+		if it.EOF {
+			flags = flagEOF
+		}
+		b = append(b, flags)
 		b = append(append(b, byte(len(it.Code))), it.Code...)
 		b = append(binary.BigEndian.AppendUint16(b, uint16(len(it.Msg))), it.Msg...)
 		if it.Payload == nil {
@@ -292,13 +334,20 @@ func decodeBatch(b []byte, kind byte, maxPayload int) ([]batchItem, fence, error
 	sum, mark := uint32(0), 0 // b[mark:r.off] is not yet in sum
 	for i := range items {
 		it := &items[i]
-		it.Dev = string(r.take(int(r.uint(1))))
+		it.Name = string(r.take(int(r.uint(1))))
 		it.Strip = int64(r.uint(8))
+		it.Size = int64(r.uint(8))
+		it.Gen = r.uint(8)
+		flags := r.uint(1)
+		it.EOF = flags&flagEOF != 0
 		it.Code = string(r.take(int(r.uint(1))))
 		it.Msg = string(r.take(int(r.uint(2))))
 		length := int(r.uint(4))
 		if r.short {
 			return bad("item %d cut short", i)
+		}
+		if flags&^flagEOF != 0 {
+			return bad("item %d: flags %#x", i, flags)
 		}
 		if length == 0 {
 			continue
@@ -362,7 +411,7 @@ func (c *NodeClient) stripBatch(ops []store.StripOp, write bool) {
 		if op.Err = d.check(op.Idx, op.Buf); op.Err != nil {
 			continue
 		}
-		it := batchItem{Dev: d.name, Strip: op.Idx, Payload: op.Buf}
+		it := batchItem{Name: d.name, Strip: op.Idx, Payload: op.Buf}
 		n := it.wireSize() // the item with its frame: a write's request, a read's response
 		if !write {
 			it.Payload = nil
@@ -375,53 +424,25 @@ func (c *NodeClient) stripBatch(ops []store.StripOp, write bool) {
 	flush()
 }
 
-// sendBatch is one message: items[k] is ops[sent[k]]. It goes through send
-// like every strip message, so a transport failure or a torn answer lands on
-// every op of it. The node's verdict on a single item lands on that op alone
-// — unless the catalogue calls it retryable, in which case the whole message
-// is, as the single op would have been. A write message is stamped with the
-// client's fence as it is now; a deposed writer's message is refused item by
-// item with ErrStaleEpoch.
+// sendBatch is one message: items[k] is ops[sent[k]]. A transport failure
+// or a torn answer lands on every op of it, and the node's verdict on a single
+// item on that op alone (see message). A deposed writer's message is refused
+// item by item with ErrStaleEpoch.
 func (c *NodeClient) sendBatch(ops []store.StripOp, sent []int, items []batchItem, write bool) {
-	reqKind, respKind := byte(kindReadReq), byte(kindReadResp)
-	var f fence
+	kind := byte(kindReadReq)
 	if write {
-		reqKind, respKind = kindWriteReq, kindWriteResp
-		if t := c.fence.Load(); t != nil {
-			f = fence{epoch: t.Epoch(), on: true}
-		}
+		kind = kindWriteReq
 	}
-	msg := encodeBatch(reqKind, f, items, nil)
-	defer putMsg(msg)
-	err := c.send(msg, func(answer []byte) error {
-		defer putMsg(answer)
-		got, _, err := decodeBatch(answer, respKind, -1)
-		if err != nil {
-			return err
+	err := c.message(kind, items, func(k int, it *batchItem, verdict error) error {
+		op := &ops[sent[k]]
+		switch {
+		case verdict != nil:
+		case !write && len(it.Payload) != len(op.Buf):
+			return fmt.Errorf("%w: batch item %d carries %d payload bytes, strip is %d", ErrBadFrame, k, len(it.Payload), len(op.Buf))
+		case !write:
+			copy(op.Buf, it.Payload)
 		}
-		if len(got) != len(items) {
-			return fmt.Errorf("%w: batch of %d items answered with %d", ErrBadFrame, len(items), len(got))
-		}
-		for k := range got {
-			it, op := &got[k], &ops[sent[k]]
-			if it.Dev != items[k].Dev || it.Strip != items[k].Strip {
-				return fmt.Errorf("%w: batch item %d answers %s/%d, want %s/%d", ErrBadFrame, k, it.Dev, it.Strip, items[k].Dev, items[k].Strip)
-			}
-			switch {
-			case it.Code != "":
-				var retryable bool
-				if op.Err, retryable = itemError(it); retryable {
-					return op.Err
-				}
-			case !write && len(it.Payload) != len(op.Buf):
-				return fmt.Errorf("%w: batch item %d carries %d payload bytes, strip is %d", ErrBadFrame, k, len(it.Payload), len(op.Buf))
-			default:
-				if !write {
-					copy(op.Buf, it.Payload)
-				}
-				op.Err = nil
-			}
-		}
+		op.Err = verdict
 		return nil
 	})
 	if err != nil {
@@ -431,16 +452,75 @@ func (c *NodeClient) sendBatch(ops []store.StripOp, sent []int, items []batchIte
 	}
 }
 
+// message sends items as one message of kind through send, stamped with the
+// client's fence as it is now when the kind mutates, and hands each answered
+// item to each with the node's verdict on it (nil: done). A verdict the
+// catalogue calls retryable fails the whole message, which is retried as a
+// single op would be. each returns ErrBadFrame for an answer that does not
+// fit its item, and must not keep the item's payload, which aliases the
+// answer.
+func (c *NodeClient) message(kind byte, items []batchItem, each func(k int, it *batchItem, verdict error) error) error {
+	var f fence
+	if t := c.fence.Load(); t != nil && mutates(kind) {
+		f = fence{epoch: t.Epoch(), on: true}
+	}
+	msg := encodeBatch(kind, f, items, nil)
+	defer putMsg(msg)
+	return c.send(msg, func(answer []byte) error {
+		defer putMsg(answer)
+		got, _, err := decodeBatch(answer, kind+1, -1)
+		if err != nil {
+			return err
+		}
+		if len(got) != len(items) {
+			return fmt.Errorf("%w: batch of %d items answered with %d", ErrBadFrame, len(items), len(got))
+		}
+		for k := range got {
+			it := &got[k]
+			if it.Name != items[k].Name || it.Strip != items[k].Strip {
+				return fmt.Errorf("%w: batch item %d answers %s/%d, want %s/%d", ErrBadFrame, k, it.Name, it.Strip, items[k].Name, items[k].Strip)
+			}
+			var verdict error
+			if it.Code != "" {
+				var retryable bool
+				if verdict, retryable = itemError(it); retryable {
+					return verdict
+				}
+			}
+			if err := each(k, it, verdict); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// do is one device or blob op: it as a message of its own. got, when not
+// nil, reads the answered item of an op the node did (see message).
+func (c *NodeClient) do(kind byte, it batchItem, got func(*batchItem) error) error {
+	var verdict error
+	err := c.message(kind, []batchItem{it}, func(_ int, a *batchItem, err error) error {
+		if verdict = err; err != nil || got == nil {
+			return nil
+		}
+		return got(a)
+	})
+	if err != nil {
+		return err
+	}
+	return verdict
+}
+
 // itemError turns a response item's verdict back into the catalogue's
 // sentinel, as Catalogue.Decode does for a whole response.
 func itemError(it *batchItem) (err error, retryable bool) {
 	for _, row := range Catalogue {
 		if row.Code == it.Code {
 			if row.Err == nil {
-				return fmt.Errorf("netdev: %s/%d: %s", it.Dev, it.Strip, it.Msg), row.Retryable
+				return fmt.Errorf("netdev: %s/%d: %s", it.Name, it.Strip, it.Msg), row.Retryable
 			}
 			return fmt.Errorf("%w (%s)", row.Err, it.Msg), row.Retryable
 		}
 	}
-	return fmt.Errorf("netdev: %s/%d: %s: %s", it.Dev, it.Strip, it.Code, it.Msg), false
+	return fmt.Errorf("netdev: %s/%d: %s: %s", it.Name, it.Strip, it.Code, it.Msg), false
 }

@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -335,7 +336,7 @@ func (s *rawStream) answer() ([]byte, error) {
 // not fit a message, refused item by item.
 func TestBatchNodeRefusesDamage(t *testing.T) {
 	f := newBatchFixture(t)
-	good := encodeBatch(kindWriteReq, fence{}, []batchItem{{Dev: "d0", Strip: 1, Payload: stripOf(0x40, 1, 512)}}, nil)
+	good := encodeBatch(kindWriteReq, fence{}, []batchItem{{Name: "d0", Strip: 1, Payload: stripOf(0x40, 1, 512)}}, nil)
 	for name, at := range map[string]int{"trailer": len(good) - 1, "payload": len(good) - 100, "name": batchHeaderLen + 1} {
 		bad := bytes.Clone(good)
 		bad[at] ^= 0x01
@@ -343,7 +344,7 @@ func TestBatchNodeRefusesDamage(t *testing.T) {
 			t.Errorf("flipped %s byte: answered %d bytes, want the stream ended", name, len(answer))
 		}
 	}
-	if _, err := openRawStream(t, f.c.Base()).exchange(encodeBatch(kindWriteResp, fence{}, []batchItem{{Dev: "d0", Strip: 1}}, nil)); err == nil {
+	if _, err := openRawStream(t, f.c.Base()).exchange(encodeBatch(kindWriteResp, fence{}, []batchItem{{Name: "d0", Strip: 1}}, nil)); err == nil {
 		t.Error("a response-kind message was answered, want the stream ended")
 	}
 	got := make([]byte, 512)
@@ -352,7 +353,7 @@ func TestBatchNodeRefusesDamage(t *testing.T) {
 	}
 	// A write item without its frame fails alone, as a caller's bug.
 	s := openRawStream(t, f.c.Base())
-	mixed := []batchItem{{Dev: "d0", Strip: 2}, {Dev: "d0", Strip: 3, Payload: stripOf(0x41, 3, 512)}}
+	mixed := []batchItem{{Name: "d0", Strip: 2}, {Name: "d0", Strip: 3, Payload: stripOf(0x41, 3, 512)}}
 	body, err := s.exchange(encodeBatch(kindWriteReq, fence{}, mixed, nil))
 	if err != nil {
 		t.Fatal(err)
@@ -364,7 +365,7 @@ func TestBatchNodeRefusesDamage(t *testing.T) {
 	// answer past the cap.
 	many := make([]batchItem, batchMaxBytes/1024+1)
 	for i := range many {
-		many[i] = batchItem{Dev: "d1", Strip: int64(i % 8)}
+		many[i] = batchItem{Name: "d1", Strip: int64(i % 8)}
 	}
 	body, err = s.exchange(encodeBatch(kindReadReq, fence{}, many, nil))
 	if err != nil {
@@ -389,7 +390,7 @@ func TestBatchNodeRefusesDamage(t *testing.T) {
 func TestBatchBodySizing(t *testing.T) {
 	f := newBatchFixture(t)
 	want := [][]byte{stripOf(0x50, 0, 512), stripOf(0x50, 1, 512)}
-	msg := encodeBatch(kindWriteReq, fence{}, []batchItem{{Dev: "d0", Strip: 0, Payload: want[0]}, {Dev: "d0", Strip: 1, Payload: want[1]}}, nil)
+	msg := encodeBatch(kindWriteReq, fence{}, []batchItem{{Name: "d0", Strip: 0, Payload: want[0]}, {Name: "d0", Strip: 1, Payload: want[1]}}, nil)
 	landed := func() bool {
 		got := f.ops(f.d0, 0, false, 0, 1)
 		f.d0.ReadStrips(got)
@@ -435,60 +436,82 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// TestBatchCodec: every kind round-trips with its fence, the decoder holds a
-// message to its kind, its declared length and fence flag, its frames to the
-// kind's op and the item's strip, and a message encoded into a recycled
-// buffer carries none of its old bytes.
+// TestBatchCodec: every kind round-trips with its fence, its items' numbers,
+// generations and EOF marks, and their verdicts, which decode back into the
+// catalogue's sentinels; the decoder holds a message to its kind, its declared
+// length and fence flag, its frames to the kind's op and the item's strip; and
+// a message encoded into a recycled buffer carries none of its old bytes.
 func TestBatchCodec(t *testing.T) {
-	items := []batchItem{
-		{Dev: "disk00", Strip: 7, Payload: []byte("seven")},
-		{Dev: "d", Strip: 1 << 40, Code: "not-found", Msg: "netdev: no such device"},
-		{Dev: "disk02", Strip: 0, Payload: []byte{}},
-	}
-	for _, kind := range []byte{kindReadResp, kindWriteReq} {
+	verdicts := []error{ErrStaleGen, ErrNodeNotFound, store.ErrNegativeOffset}
+	for kind := byte(kindReadReq); kind < kindEnd; kind++ {
+		var items []batchItem
+		for _, gen := range []uint64{0, 1, 1 << 63} {
+			it := batchItem{Name: "disk00", Strip: 7, Size: 1 << 40, Gen: gen}
+			if frameOp(kind) != 0 {
+				it.Payload = []byte("seven")
+			}
+			items = append(items, it)
+		}
+		for _, err := range verdicts {
+			it := batchItem{Name: "m0", Strip: -1, Gen: 1}
+			it.verdict(fmt.Errorf("%w: blob m0", err))
+			items = append(items, it)
+		}
+		items = append(items, batchItem{Name: "m0", Strip: 3, Size: 16, Gen: 2, EOF: true})
+		if frameOp(kind) != 0 {
+			items[len(items)-1].Payload = []byte{} // the read ran off the end at once
+		}
 		for _, fc := range []fence{{}, {epoch: 0, on: true}, {epoch: 1 << 60, on: true}} {
 			b := encodeBatch(kind, fc, items, nil)
 			got, gotFence, err := decodeBatch(b, kind, 16)
 			if err != nil {
 				t.Fatalf("kind %d: %v", kind, err)
 			}
-			if gotFence != fc {
-				t.Errorf("kind %d: fence %+v, want %+v", kind, gotFence, fc)
+			if gotFence != fc || !reflect.DeepEqual(got, items) {
+				t.Errorf("kind %d fence %+v: decoded %+v %+v", kind, fc, gotFence, got)
 			}
-			for i := range items {
-				if got[i].Dev != items[i].Dev || got[i].Strip != items[i].Strip || got[i].Code != items[i].Code ||
-					got[i].Msg != items[i].Msg || !bytes.Equal(got[i].Payload, items[i].Payload) || (got[i].Payload == nil) != (items[i].Payload == nil) {
-					t.Errorf("kind %d item %d: %+v, want %+v", kind, i, got[i], items[i])
-				}
+		}
+		got, _, _ := decodeBatch(encodeBatch(kind, fence{}, items, nil), kind, 16)
+		for i, want := range verdicts {
+			if err, retryable := itemError(&got[3+i]); !errors.Is(err, want) || retryable {
+				t.Errorf("kind %d: verdict %v decoded as %v (retryable %v)", kind, want, err, retryable)
 			}
 		}
 		b := encodeBatch(kind, fence{}, items, nil)
 		if _, _, err := decodeBatch(b, kind^0x01, 16); !errors.Is(err, ErrBadFrame) {
 			t.Errorf("kind %d decoded as %d: %v", kind, kind^0x01, err)
 		}
-		if _, _, err := decodeBatch(b, kind, 4); !errors.Is(err, ErrBadFrame) {
-			t.Errorf("kind %d: payload past the bound accepted: %v", kind, err)
-		}
 		if _, _, err := decodeBatch(append(bytes.Clone(b), 0), kind, 16); !errors.Is(err, ErrBadFrame) {
 			t.Errorf("kind %d: a byte past the declared length accepted: %v", kind, err)
 		}
-	}
-	// A frame where the kind carries none.
-	b := encodeBatch(kindWriteReq, fence{}, items, nil)
-	b[5] = kindWriteResp
-	if _, _, err := decodeBatch(b, kindWriteResp, 16); !errors.Is(err, ErrBadFrame) {
-		t.Errorf("frames in a write response: %v", err)
+		if frameOp(kind) == 0 {
+			continue
+		}
+		if _, _, err := decodeBatch(b, kind, 4); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("kind %d: payload past the bound accepted: %v", kind, err)
+		}
+		// A frame where the kind carries none.
+		b[5] = kindWriteResp
+		if _, _, err := decodeBatch(b, kindWriteResp, 16); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("frames of kind %d in a write response: %v", kind, err)
+		}
 	}
 	// An epoch without the flag that says the message carries one.
-	b = encodeBatch(kindReadReq, fence{epoch: 3, on: true}, nil, nil)
+	b := encodeBatch(kindReadReq, fence{epoch: 3, on: true}, nil, nil)
 	b[6] = 0
 	if _, _, err := decodeBatch(b, kindReadReq, 16); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("an unflagged epoch: %v", err)
 	}
+	// An item flag the codec does not know.
+	b = encodeBatch(kindBlobStat, fence{}, []batchItem{{Name: "m0"}}, nil)
+	b[batchHeaderLen+1+2+8+8+8] = 0x02
+	if _, _, err := decodeBatch(b, kindBlobStat, 16); !errors.Is(err, ErrBadFrame) {
+		t.Errorf("an unknown item flag: %v", err)
+	}
 	// A recycled buffer's old bytes do not leak into the next message.
 	dirty := bytes.Repeat([]byte{0xFF}, 1<<msgMinShift)
 	putMsg(dirty)
-	b = encodeBatch(kindReadReq, fence{}, []batchItem{{Dev: "d", Strip: 1}}, nil)
+	b = encodeBatch(kindReadReq, fence{}, []batchItem{{Name: "d", Strip: 1}}, nil)
 	if _, f, err := decodeBatch(b, kindReadReq, 16); err != nil || f != (fence{}) {
 		t.Errorf("an unfenced message in a recycled buffer: fence %+v, err %v", f, err)
 	}

@@ -3,70 +3,15 @@ package netdev
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
-	"io"
-	"net/http"
 	"net/http/httptest"
 	"testing"
 )
-
-// untouched fails the test if anything reads from it: a body refused on its
-// declared length must be refused before it is read, let alone allocated.
-type untouched struct{ t *testing.T }
-
-func (u untouched) Read([]byte) (int, error) {
-	u.t.Error("a refused body was read")
-	return 0, io.EOF
-}
-
-// TestReadSized: one buffer of the declared length, the declared length held
-// to the bound before it is trusted, and the body held to the declaration.
-func TestReadSized(t *testing.T) {
-	payload := bytes.Repeat([]byte{0xA5}, 100)
-	// A declaration no machine can honour: allocating it would kill the test.
-	if _, err := readSized(untouched{t}, 1<<50, 100); !errors.Is(err, ErrBadFrame) {
-		t.Errorf("declared length past the bound: %v, want ErrBadFrame", err)
-	}
-	if _, err := readSized(untouched{t}, 101, 100); !errors.Is(err, ErrBadFrame) {
-		t.Errorf("declared length one past the bound: %v, want ErrBadFrame", err)
-	}
-	if b, err := readSized(bytes.NewReader(payload), 100, 100); err != nil || !bytes.Equal(b, payload) || cap(b) != 100 {
-		t.Errorf("exact body: %d bytes (cap %d), err %v", len(b), cap(b), err)
-	}
-	if _, err := readSized(bytes.NewReader(payload[:99]), 100, 100); !errors.Is(err, ErrBadFrame) {
-		t.Errorf("body shorter than declared: %v, want ErrBadFrame", err)
-	}
-	if _, err := readSized(bytes.NewReader(payload), 99, 100); !errors.Is(err, ErrBadFrame) {
-		t.Errorf("body longer than declared: %v, want ErrBadFrame", err)
-	}
-	if b, err := readSized(bytes.NewReader(nil), 0, 100); err != nil || len(b) != 0 {
-		t.Errorf("empty body: %d bytes, err %v", len(b), err)
-	}
-	// Length unknown: read to the end, but never past the bound plus the
-	// one byte that lets the caller see it was exceeded.
-	if b, err := readSized(bytes.NewReader(payload), -1, 100); err != nil || !bytes.Equal(b, payload) {
-		t.Errorf("unknown length inside the bound: %d bytes, err %v", len(b), err)
-	}
-	endless := io.MultiReader(bytes.NewReader(payload), zeroReader{})
-	if b, err := readSized(endless, -1, 100); err != nil || len(b) != 101 {
-		t.Errorf("unknown length past the bound: %d bytes, err %v; want 101 for the caller to refuse", len(b), err)
-	}
-}
 
 type zeroReader struct{}
 
 func (zeroReader) Read(p []byte) (int, error) {
 	clear(p)
 	return len(p), nil
-}
-
-// TestReadBodyRefusesOversizedResponse: a response declaring more than the
-// caller will take is refused on the declaration.
-func TestReadBodyRefusesOversizedResponse(t *testing.T) {
-	resp := &http.Response{ContentLength: 1 << 50, Body: io.NopCloser(untouched{t}), Header: http.Header{}}
-	if _, err := readBody(resp, FrameHeaderLen+512); !errors.Is(err, ErrBadFrame) {
-		t.Errorf("oversized response: %v, want ErrBadFrame", err)
-	}
 }
 
 // TestWriteStripBodySizing drives the node's strip route with single-strip
@@ -83,7 +28,7 @@ func TestWriteStripBodySizing(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := bytes.Repeat([]byte{0x3C}, 512)
-	msg := encodeBatch(kindWriteReq, fence{}, []batchItem{{Dev: "d0", Strip: 1, Payload: want}}, nil)
+	msg := encodeBatch(kindWriteReq, fence{}, []batchItem{{Name: "d0", Strip: 1, Payload: want}}, nil)
 	declared := func(n int) []byte {
 		b := bytes.Clone(msg)
 		binary.BigEndian.PutUint32(b[8:12], uint32(n))

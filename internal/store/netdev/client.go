@@ -137,17 +137,17 @@ type NodeClient struct {
 	done    context.Context
 	stop    context.CancelFunc
 
-	// fence, when set, stamps every mutating request with the
+	// fence, when set, stamps every mutating message with the
 	// coordinator's fencing epoch (see SetFence).
 	fence atomic.Pointer[FenceToken]
 
-	// streams carry every strip message (stream.go).
+	// streams carry every message of the batch codec (stream.go).
 	streams streamPool
 
 	stats struct {
 		attempts, retries, breakerFastFails atomic.Int64
-		downs, ups                          atomic.Int64
-		readMsgs, writeMsgs, streamOpens    atomic.Int64
+		downs, ups, streamOpens             atomic.Int64
+		msgs                                [kindEnd / 2]atomic.Int64 // sent, by request kind / 2
 	}
 }
 
@@ -185,7 +185,7 @@ func (c *NodeClient) Down() bool {
 // Lost reports whether the node has been declared lost for good.
 func (c *NodeClient) Lost() bool { return c.lost.Load() }
 
-// Close ends every strip stream, stops the background prober, waits for
+// Close ends every stream, stops the background prober, waits for
 // in-flight OnDown/OnUp callbacks, and closes idle connections. Operations
 // after Close return store.ErrClosed.
 func (c *NodeClient) Close() error {
@@ -202,20 +202,17 @@ func (c *NodeClient) Close() error {
 	return nil
 }
 
-// call is one node request: what to send and how to read the answer.
+// call is one HTTP request to the node — a ping, the inventory or the
+// lease; every device and blob op is a stream message (batch.go).
 type call struct {
 	method string
 	url    string // absolute
 	body   []byte // nil: no body
-	ctype  string // Content-Type of body
-	crc    string // X-Oiraid-Crc of body ("" = none)
 }
 
 // decoder reads a 2xx response to its end (an unread remainder costs the
 // connection its reuse). Any error it returns means the bytes were torn
-// or corrupted in flight, and the attempt is retried as a wire fault. It
-// travels beside the call, not inside it, so that the closures the hot
-// strip path passes stay on the stack.
+// or corrupted in flight, and the attempt is retried as a wire fault.
 type decoder func(*http.Response) error
 
 // discard is the decoder of calls that expect no payload. A declared-empty
@@ -243,10 +240,7 @@ func (c *NodeClient) roundTrip(ctx context.Context, rq *call, decode decoder) (r
 		return 0, false, err
 	}
 	if rq.body != nil {
-		req.Header.Set("Content-Type", rq.ctype)
-	}
-	if rq.crc != "" {
-		req.Header.Set(crcHeader, rq.crc)
+		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
@@ -265,14 +259,14 @@ func (c *NodeClient) roundTrip(ctx context.Context, rq *call, decode decoder) (r
 	return 0, false, nil
 }
 
-// do is one request through run.
-func (c *NodeClient) do(rq call, decode decoder) error {
+// request is one HTTP request through run.
+func (c *NodeClient) request(rq call, decode decoder) error {
 	return c.run(func(ctx context.Context) (time.Duration, bool, error) {
 		return c.roundTrip(ctx, &rq, decode)
 	})
 }
 
-// run runs attempt — one request, or one strip message — through the shared
+// run runs attempt — one request, or one stream message — through the shared
 // retry loop and breaker, then folds the outcome into the reachability
 // state: an answer from the node — even a rejection — proves the wire fine
 // and passes through unchanged (a permanent media error, a fenced write, a
@@ -464,7 +458,7 @@ func (c *NodeClient) pingOnce() error {
 // the right node), through the full retry/breaker machinery.
 func (c *NodeClient) Ping() error {
 	var who string
-	if err := c.do(c.ping(&who)); err != nil {
+	if err := c.request(c.ping(&who)); err != nil {
 		return err
 	}
 	return c.checkIdentity(who)
@@ -475,43 +469,6 @@ func (c *NodeClient) Stat() (NodeStat, error) {
 	var st NodeStat
 	err := c.getJSON("/node/v1/stat", &st)
 	return st, err
-}
-
-const octetStream = "application/octet-stream"
-
-// putBytes builds the PUT of a checksummed byte body (a blob write).
-func putBytes(url string, p []byte) call {
-	return call{method: http.MethodPut, url: url, body: p, ctype: octetStream, crc: blobCRC(p)}
-}
-
-// readBody reads a response body of at most max bytes and verifies it
-// against the node's X-Oiraid-Crc header when one is present.
-func readBody(resp *http.Response, max int) ([]byte, error) {
-	body, err := readSized(resp.Body, resp.ContentLength, max)
-	if err != nil {
-		return nil, err
-	}
-	if want := resp.Header.Get(crcHeader); want != "" && want != blobCRC(body) {
-		return nil, fmt.Errorf("%w: body crc %s, header says %s", ErrBadFrame, blobCRC(body), want)
-	}
-	return body, nil
-}
-
-// decodeWritten returns a call decoder checking the node acknowledged
-// all want bytes of a write.
-func decodeWritten(want int) decoder {
-	return func(resp *http.Response) error {
-		var out struct {
-			Written int `json:"written"`
-		}
-		if err := decodeJSON(&out)(resp); err != nil {
-			return err
-		}
-		if out.Written != want {
-			return fmt.Errorf("netdev: short write %d of %d", out.Written, want)
-		}
-		return nil
-	}
 }
 
 // decodeJSON returns a call decoder filling v from a JSON response.
@@ -526,34 +483,23 @@ func decodeJSON(v any) decoder {
 
 // getJSON GETs path and decodes the JSON response.
 func (c *NodeClient) getJSON(path string, v any) error {
-	return c.do(call{method: http.MethodGet, url: c.base + path}, decodeJSON(v))
+	return c.request(call{method: http.MethodGet, url: c.base + path}, decodeJSON(v))
 }
 
-// postJSON POSTs a JSON body to path; out, when non-nil, receives the
-// decoded response (a 204 leaves it untouched).
-func (c *NodeClient) postJSON(path string, in, out any) error {
-	rq := call{method: http.MethodPost, url: c.base + path, ctype: "application/json"}
-	if in != nil {
-		var err error
-		if rq.body, err = json.Marshal(in); err != nil {
-			return err
-		}
+// postJSON POSTs v as a JSON body to path; the answer is read and dropped.
+func (c *NodeClient) postJSON(path string, v any) error {
+	body, err := json.Marshal(v)
+	if err != nil {
+		return err
 	}
-	var decode decoder
-	if out != nil {
-		decode = func(resp *http.Response) error {
-			if resp.StatusCode != http.StatusOK {
-				return discard(resp)
-			}
-			return decodeJSON(out)(resp)
-		}
-	}
-	return c.do(rq, decode)
+	return c.request(call{method: http.MethodPost, url: c.base + path, body: body}, nil)
 }
 
-// ClientStats is a snapshot of the client's wire counters. ReadMessages and
-// WriteMessages count the strip messages sent, one per attempt, whatever
-// their items; StreamOpens counts the streams they rode.
+// ClientStats is a snapshot of the client's wire counters. The messages are
+// counted one per attempt, whatever their items: ReadMessages and
+// WriteMessages the strip messages, DeviceMessages the device creates,
+// deletes and sums, BlobMessages every blob op, of which BlobWrites are
+// writes and BlobSyncs syncs. StreamOpens counts the streams they rode.
 type ClientStats struct {
 	Attempts         int64 `json:"attempts"`
 	Retries          int64 `json:"retries"`
@@ -562,19 +508,33 @@ type ClientStats struct {
 	Ups              int64 `json:"ups"`
 	ReadMessages     int64 `json:"read_messages"`
 	WriteMessages    int64 `json:"write_messages"`
+	DeviceMessages   int64 `json:"device_messages"`
+	BlobMessages     int64 `json:"blob_messages"`
+	BlobWrites       int64 `json:"blob_writes"`
+	BlobSyncs        int64 `json:"blob_syncs"`
 	StreamOpens      int64 `json:"stream_opens"`
 }
 
 // Stats returns the client's counters.
 func (c *NodeClient) Stats() ClientStats {
+	sent := func(from, to byte) (n int64) {
+		for k := from; k <= to; k += 2 {
+			n += c.stats.msgs[k/2].Load()
+		}
+		return n
+	}
 	return ClientStats{
 		Attempts:         c.stats.attempts.Load(),
 		Retries:          c.stats.retries.Load(),
 		BreakerFastFails: c.stats.breakerFastFails.Load(),
 		Downs:            c.stats.downs.Load(),
 		Ups:              c.stats.ups.Load(),
-		ReadMessages:     c.stats.readMsgs.Load(),
-		WriteMessages:    c.stats.writeMsgs.Load(),
+		ReadMessages:     sent(kindReadReq, kindReadReq),
+		WriteMessages:    sent(kindWriteReq, kindWriteReq),
+		DeviceMessages:   sent(kindDevCreate, kindDevSums),
+		BlobMessages:     sent(kindBlobCreate, kindBlobStat),
+		BlobWrites:       sent(kindBlobWrite, kindBlobWrite),
+		BlobSyncs:        sent(kindBlobSync, kindBlobSync),
 		StreamOpens:      c.stats.streamOpens.Load(),
 	}
 }

@@ -17,7 +17,7 @@ type PartitionMode int32
 const (
 	// PartNone passes traffic through.
 	PartNone PartitionMode = iota
-	// PartDrop is a full partition: requests and strip messages never
+	// PartDrop is a full partition: requests and stream messages never
 	// reach the node.
 	PartDrop
 	// PartAsym is an asymmetric partition: the request or message reaches
@@ -34,7 +34,7 @@ var errPartition = errors.New("netdev: injected partition")
 
 // FaultTransport is an http.RoundTripper that injects network faults
 // between a NodeClient and its node: full and asymmetric partitions, link
-// delay, and torn (truncated) answers. On a strip stream every fault is
+// delay, and torn (truncated) answers. On a stream every fault is
 // drawn per message, as it is per request elsewhere, so a fault means the
 // same to an op whichever way it travels. All modes are runtime-switchable
 // and safe for concurrent use; the torn-answer draw is seeded so sweeps
@@ -67,7 +67,7 @@ func (t *FaultTransport) SetPartition(mode PartitionMode) {
 	t.mu.Unlock()
 }
 
-// SetDelay adds a fixed delay to every request and every strip message (a
+// SetDelay adds a fixed delay to every request and every stream message (a
 // slow link).
 func (t *FaultTransport) SetDelay(d time.Duration) {
 	t.mu.Lock()
@@ -75,7 +75,7 @@ func (t *FaultTransport) SetDelay(d time.Duration) {
 	t.mu.Unlock()
 }
 
-// SetTorn makes every nth answer — to a request or to a strip message —
+// SetTorn makes every nth answer — to a request or to a stream message —
 // arrive truncated (0 disables). The truncation point is drawn from the
 // seeded stream.
 func (t *FaultTransport) SetTorn(n int64) {
@@ -86,7 +86,8 @@ func (t *FaultTransport) SetTorn(n int64) {
 
 // SetHook makes fn see every strip message that crosses the link, after its
 // delay and before its partition, with the host it is bound for and whether
-// it writes; fn may block it (nil removes the hook). Tests count and order
+// it writes; fn may block it (nil removes the hook). A device or blob message
+// meets the link's faults but not the hook. Tests count and order strip
 // messages with it, and hold them back.
 func (t *FaultTransport) SetHook(fn func(host string, write bool)) {
 	t.mu.Lock()
@@ -196,7 +197,7 @@ type tornBody struct {
 func (b *tornBody) Read(p []byte) (int, error) { return b.r.Read(p) }
 func (b *tornBody) Close() error               { return b.c.Close() }
 
-// openStream passes a strip stream through with every message of it under
+// openStream passes a stream through with every message of it under
 // the fault layer. Opening one is refused under a full partition; an
 // asymmetric one lets it open, so that its messages can execute unanswered.
 func (t *FaultTransport) openStream(req *http.Request) (*http.Response, error) {
@@ -237,8 +238,8 @@ func (c *faultConn) Write(msg []byte) (int, error) {
 	if err := wait(c.ctx, f.delay); err != nil {
 		return 0, err
 	}
-	if f.hook != nil {
-		f.hook(c.host, len(msg) > 5 && msg[5] == kindWriteReq)
+	if kind := msg[5]; f.hook != nil && (kind == kindReadReq || kind == kindWriteReq) {
+		f.hook(c.host, kind == kindWriteReq)
 	}
 	if f.mode == PartDrop {
 		// The message never reaches the node, and the connection is cut

@@ -54,14 +54,14 @@ func FuzzFrameDecode(f *testing.F) {
 // kind, and no accepted frame exceeds the payload bound.
 func FuzzBatchDecode(f *testing.F) {
 	items := []batchItem{
-		{Dev: "disk00", Strip: 7, Payload: []byte("some strip payload")},
-		{Dev: "disk03", Strip: 1 << 40, Code: "not-found", Msg: "netdev: no such device or blob on node"},
-		{Dev: "d", Strip: 0, Payload: []byte{}},
+		{Name: "disk00", Strip: 7, Payload: []byte("some strip payload")},
+		{Name: "disk03", Strip: 1 << 40, Code: "not-found", Msg: "netdev: no such device or blob on node"},
+		{Name: "d", Strip: 0, Payload: []byte{}},
 	}
 	good := encodeBatch(kindReadResp, fence{}, items, nil)
 	f.Add(good, byte(kindReadResp), 64)
 	f.Add(encodeBatch(kindWriteReq, fence{epoch: 9, on: true}, items, nil), byte(kindWriteReq), 64)
-	f.Add(encodeBatch(kindReadReq, fence{}, []batchItem{{Dev: "disk00", Strip: 3}, {Dev: "disk01", Strip: 4}}, nil), byte(kindReadReq), 0)
+	f.Add(encodeBatch(kindReadReq, fence{}, []batchItem{{Name: "disk00", Strip: 3}, {Name: "disk01", Strip: 4}}, nil), byte(kindReadReq), 0)
 	f.Add(encodeBatch(kindWriteResp, fence{}, nil, nil), byte(kindWriteResp), 0)
 	f.Add([]byte{}, byte(kindReadReq), 0)
 	f.Add([]byte("oSTB"), byte(kindReadReq), 16)
@@ -71,6 +71,18 @@ func FuzzBatchDecode(f *testing.F) {
 	huge := bytes.Clone(good)
 	huge[20], huge[21] = 0xFF, 0xFF // an item count no message could hold
 	f.Add(huge, byte(kindReadResp), 64)
+	// The device and blob kinds: numbers, generations at 0, 1 and 2⁶³, an
+	// EOF mark, a verdict.
+	blob := []batchItem{
+		{Name: "manifest", Strip: 4096, Gen: 1, Payload: []byte("a journal record")},
+		{Name: "sb00", Strip: 0, Size: 512, Gen: 1 << 63, EOF: true, Payload: []byte{}},
+		{Name: "m9", Code: "stale-gen", Msg: "netdev: blob superseded by a newer generation"},
+	}
+	f.Add(encodeBatch(kindBlobWrite, fence{epoch: 3, on: true}, blob, nil), byte(kindBlobWrite), 64)
+	f.Add(encodeBatch(kindBlobRead+1, fence{}, blob, nil), byte(kindBlobRead+1), 64)
+	f.Add(encodeBatch(kindBlobStat+1, fence{}, []batchItem{{Name: "sb00", Size: 1 << 40, Gen: 2}}, nil), byte(kindBlobStat+1), 0)
+	f.Add(encodeBatch(kindDevCreate, fence{epoch: 1, on: true}, []batchItem{{Name: "disk00", Strip: 36, Size: 4096}}, nil), byte(kindDevCreate), 0)
+	f.Add(encodeBatch(kindDevSums+1, fence{}, []batchItem{{Name: "disk00", Strip: 0, Size: 2, Payload: make([]byte, 8)}}, nil), byte(kindDevSums+1), 8)
 
 	f.Fuzz(func(t *testing.T, data []byte, kind byte, maxPayload int) {
 		if maxPayload < -1 || maxPayload > 1<<20 {

@@ -17,7 +17,7 @@ import (
 // A lease is not time-based on the node — safety comes entirely from
 // the fence, liveness from standbys watching the renewal counter stall.
 
-// adopt enforces the promise on s, with n.metaMu held. Requests without an
+// adopt enforces the promise on f, with n.metaMu held. Ops without an
 // epoch pass — single-coordinator deployments stay valid — but once a
 // coordinator stamps its writes, a node that has promised a newer epoch
 // refuses the old one, which is what keeps a deposed coordinator's strip
@@ -25,26 +25,26 @@ import (
 // off the shared media. A higher epoch is adopted on the spot — the
 // legitimate leader may have acquired its lease while this node was
 // partitioned away, and its first write is as good as the lease call.
-func (n *Node) adopt(s stamps) error {
+func (n *Node) adopt(f fence) error {
 	switch {
-	case !s.fenced || s.epoch == n.epoch:
+	case !f.on || f.epoch == n.epoch:
 		return nil
-	case s.epoch < n.epoch:
+	case f.epoch < n.epoch:
 		return fmt.Errorf("%w: epoch %d, node promised %d to %q",
-			store.ErrStaleEpoch, s.epoch, n.epoch, n.holder)
+			store.ErrStaleEpoch, f.epoch, n.epoch, n.holder)
 	}
-	n.epoch, n.holder = s.epoch, ""
+	n.epoch, n.holder = f.epoch, ""
 	return n.saveState()
 }
 
 // admit is adopt for a strip write, which acts without n.metaMu.
-func (n *Node) admit(s stamps) error {
-	if !s.fenced {
+func (n *Node) admit(f fence) error {
+	if !f.on {
 		return nil
 	}
 	n.metaMu.Lock()
 	defer n.metaMu.Unlock()
-	return n.adopt(s)
+	return n.adopt(f)
 }
 
 // leaseReq is the body of POST /node/v1/meta/lease.
@@ -57,7 +57,8 @@ type leaseReq struct {
 func (n *Node) handleMetaLease(w http.ResponseWriter, r *http.Request) {
 	var req leaseReq
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil {
-		failAs(w, store.ErrBadGeometry, err)
+		// Answered with the bad-geometry row, in the decoder's own words.
+		Catalogue.Encode(store.ErrBadGeometry).Write(w, err)
 		return
 	}
 	n.metaMu.Lock()

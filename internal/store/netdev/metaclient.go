@@ -2,14 +2,12 @@ package netdev
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 	"sync/atomic"
 
 	"github.com/oiraid/oiraid/internal/store"
 )
 
-// ErrStaleGen reports a gen-stamped blob request rejected because the
+// ErrStaleGen reports a gen-stamped blob op rejected because the
 // node holds a newer blob generation: another coordinator truncated the
 // blob into a new stream. It wraps store.ErrStaleEpoch — both mean the same
 // thing to the writer: it has been superseded and must stand down.
@@ -36,47 +34,24 @@ func (t *FenceToken) Advance(epoch uint64) {
 	}
 }
 
-// SetFence attaches a fencing token: every subsequent mutating request
-// from this client (strip writes, blob writes/sync/truncate, creates)
-// carries the token's epoch, and the node refuses it once it has
-// promised a newer one. Reads stay unfenced — a deposed coordinator can
+// SetFence attaches a fencing token: every subsequent mutating message
+// from this client (strip writes, blob writes, syncs and truncates, creates
+// and deletes) carries the token's epoch, and the node refuses it once it
+// has promised a newer one. Reads stay unfenced — a deposed coordinator can
 // look, it just cannot touch.
 func (c *NodeClient) SetFence(t *FenceToken) { c.fence.Store(t) }
-
-// fenceQuery returns the epoch query fragment ("" when unfenced).
-func (c *NodeClient) fenceQuery() string {
-	t := c.fence.Load()
-	if t == nil {
-		return ""
-	}
-	return "epoch=" + strconv.FormatUint(t.Epoch(), 10)
-}
-
-// withFence appends the fence epoch to a URL that may already carry a
-// query string.
-func (c *NodeClient) withFence(u string) string {
-	q := c.fenceQuery()
-	if q == "" {
-		return u
-	}
-	sep := "?"
-	if strings.Contains(u, "?") {
-		sep = "&"
-	}
-	return u + sep + q
-}
 
 // AcquireLease asks the node to promise epoch to holder. The node
 // grants iff epoch is strictly above anything it has promised
 // (idempotent for the same epoch+holder, so a lost grant is safely
 // re-asked); otherwise the call fails with store.ErrStaleEpoch.
 func (c *NodeClient) AcquireLease(epoch uint64, holder string) error {
-	return c.postJSON("/node/v1/meta/lease", leaseReq{Epoch: epoch, Holder: holder}, nil)
+	return c.postJSON("/node/v1/meta/lease", leaseReq{Epoch: epoch, Holder: holder})
 }
 
 // RenewLease bumps the node's renewal counter, proving the holder of
 // epoch is still alive. Fails with store.ErrStaleEpoch once the node
 // has promised a newer epoch — which is how a deposed leader finds out.
 func (c *NodeClient) RenewLease(epoch uint64, holder string) error {
-	return c.postJSON("/node/v1/meta/lease", leaseReq{Epoch: epoch, Holder: holder, Renew: true}, nil)
+	return c.postJSON("/node/v1/meta/lease", leaseReq{Epoch: epoch, Holder: holder, Renew: true})
 }

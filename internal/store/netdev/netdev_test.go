@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -185,44 +187,74 @@ func TestNetBlobRoundTrip(t *testing.T) {
 	}
 }
 
-// genless drops the generation header, as an older node's blob reads do.
-type genless struct{ http.ResponseWriter }
-
-func (w genless) WriteHeader(code int) {
-	w.Header().Del(genHeader)
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w genless) Write(p []byte) (int, error) {
-	w.Header().Del(genHeader)
-	return w.ResponseWriter.Write(p)
-}
-
-// A node that answers blob reads without a generation serves them at
-// generation 0: a superblock read must not fail as a torn frame.
-func TestNetBlobReadWithoutGenHeader(t *testing.T) {
-	n := NewMemNode("n0")
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		n.Handler().ServeHTTP(genless{w}, r)
-	}))
-	defer srv.Close()
-	opts := fastOpts()
-	opts.MaxAttempts = 1
-	c := NewNodeClient(srv.URL, opts)
+// TestNetBlobLargeInChunks: a blob op larger than one message is cut into
+// chunks under the message cap — a 5 MiB blob is written in two messages and
+// read back by ReadAll in two — and a ReadAt that spans chunks sees the same
+// bytes.
+func TestNetBlobLargeInChunks(t *testing.T) {
+	_, srv := startNode(t, "n0")
+	c := NewNodeClient(srv.URL, fastOpts())
 	defer c.Close()
-	b, err := c.CreateBlob("sb00")
+	b, err := c.CreateBlob("big")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.WriteAt([]byte("superblock"), 0); err != nil {
-		t.Fatal(err)
+	want := make([]byte, 5<<20)
+	rand.New(rand.NewSource(3)).Read(want)
+	msgs := func() int64 { return c.Stats().BlobMessages }
+	before := msgs()
+	if n, err := b.WriteAt(want, 0); err != nil || n != len(want) {
+		t.Fatalf("write of 5 MiB: %d, %v", n, err)
 	}
-	buf := make([]byte, 10)
-	if n, err := b.ReadAt(buf, 0); err != nil || string(buf[:n]) != "superblock" {
-		t.Fatalf("read: %d %v %q", n, err, buf)
+	if got := msgs() - before; got != 2 {
+		t.Errorf("a 5 MiB write took %d messages, want 2", got)
 	}
-	if raw, gen, err := b.ReadAll(); err != nil || gen != 0 || string(raw) != "superblock" {
-		t.Fatalf("ReadAll: %q gen %d %v", raw, gen, err)
+	before = msgs()
+	got, gen, err := b.ReadAll()
+	if err != nil || gen != 0 || !bytes.Equal(got, want) {
+		t.Fatalf("ReadAll of 5 MiB: %d bytes at gen %d, %v", len(got), gen, err)
+	}
+	if got := msgs() - before; got != 2 {
+		t.Errorf("ReadAll of 5 MiB took %d messages, want 2", got)
+	}
+	p := make([]byte, 9<<19)
+	if n, err := b.ReadAt(p, 1<<19); err != nil || n != len(p) || !bytes.Equal(p, want[1<<19:]) {
+		t.Fatalf("ReadAt of the last 4.5 MiB: %d, %v", n, err)
+	}
+	if n, err := b.ReadAt(p, 1<<20); err != io.EOF || n != 4<<20 || !bytes.Equal(p[:n], want[1<<20:]) {
+		t.Fatalf("ReadAt past the end: %d, %v; want 4 MiB and EOF", n, err)
+	}
+}
+
+// BenchmarkNetBlob is one blob op against an in-process node over a loopback
+// stream — a superblock-sized write, a sync, a create: the ops a format and an
+// HA coordinator's journal appends are made of.
+func BenchmarkNetBlob(b *testing.B) {
+	srv := httptest.NewServer(NewMemNode("n0").Handler())
+	defer srv.Close()
+	c := NewNodeClient(srv.URL, Options{})
+	defer c.Close()
+	blob, err := c.CreateBlob("sb00")
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := make([]byte, 512)
+	for _, op := range []struct {
+		name string
+		do   func(i int) error
+	}{
+		{"write", func(int) error { _, err := blob.WriteAt(p, 0); return err }},
+		{"sync", func(int) error { return blob.Sync() }},
+		{"create", func(i int) error { _, err := c.CreateBlob("sb" + strconv.Itoa(i)); return err }},
+	} {
+		b.Run(op.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := op.do(i); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -250,12 +282,16 @@ func TestTornResponsesAreRetried(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Every second answer arrives truncated — to a strip message or to a
-	// blob read's request; the frame checksum or the body's must catch each
-	// one and the retry loop absorb it.
+	// Every second answer arrives truncated — to a strip message, a blob
+	// read's message or a request for the node's inventory; the codec's
+	// checksums or the JSON decoder must catch each one and the retry loop
+	// absorb it.
 	ft.SetTorn(2)
 	r := make([]byte, 1024)
 	for i := 0; i < 10; i++ {
+		if st, err := c.Stat(); err != nil || st.Devices["d0"].Strips != 8 {
+			t.Fatalf("stat %d under torn responses: %+v, %v", i, st, err)
+		}
 		if err := dev.ReadStrip(0, r); err != nil {
 			t.Fatalf("read %d under torn responses: %v", i, err)
 		}

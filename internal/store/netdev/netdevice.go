@@ -1,11 +1,10 @@
 package netdev
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
-	"net/http"
-	"net/url"
-	"strconv"
+	"math"
 
 	"github.com/oiraid/oiraid/internal/store"
 )
@@ -33,15 +32,12 @@ func (c *NodeClient) Device(name string, strips int64, stripBytes int) *NetDevic
 }
 
 // CreateDevice creates (idempotently) a device on the node and binds to
-// it.
+// it. A device of that name with another geometry is ErrBadGeometry.
 func (c *NodeClient) CreateDevice(name string, strips int64, stripBytes int) (*NetDevice, error) {
-	var g DeviceStat
-	err := c.postJSON(c.withFence("/node/v1/devices/"+url.PathEscape(name)),
-		DeviceStat{Strips: strips, StripBytes: stripBytes}, &g)
-	if err != nil {
+	if err := c.do(kindDevCreate, batchItem{Name: name, Strip: strips, Size: int64(stripBytes)}, nil); err != nil {
 		return nil, err
 	}
-	return &NetDevice{c: c, name: name, strips: strips, stripBytes: stripBytes}, nil
+	return c.Device(name, strips, stripBytes), nil
 }
 
 // Strips implements store.Device.
@@ -83,50 +79,49 @@ func (d *NetDevice) single(idx int64, p []byte, write bool) error {
 	return ops[0].Err
 }
 
-// StripSums fetches per-strip CRC-32C checksums for a range — how a
-// resuming migration verifies its already-committed prefix without
+// StripSums fetches per-strip CRC-32C checksums for a range, as hex strings
+// — how a resuming migration verifies its already-committed prefix without
 // moving the data again.
 func (d *NetDevice) StripSums(start int64, count int) ([]string, error) {
 	if start < 0 || count <= 0 || start+int64(count) > d.strips {
 		return nil, fmt.Errorf("%w: range [%d,%d) of %d strips", store.ErrStripOutOfRange, start, start+int64(count), d.strips)
 	}
-	var out struct {
-		Sums []string `json:"sums"`
-	}
-	q := "start=" + strconv.FormatInt(start, 10) + "&count=" + strconv.Itoa(count)
-	if err := d.c.getJSON("/node/v1/devices/"+url.PathEscape(d.name)+"/sums?"+q, &out); err != nil {
+	sums := make([]string, count)
+	err := d.c.do(kindDevSums, batchItem{Name: d.name, Strip: start, Size: int64(count)}, func(it *batchItem) error {
+		if len(it.Payload) != 4*count {
+			return fmt.Errorf("%w: %d bytes of sums for %d strips", ErrBadFrame, len(it.Payload), count)
+		}
+		for i := range sums {
+			sums[i] = fmt.Sprintf("%08x", binary.BigEndian.Uint32(it.Payload[4*i:]))
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	if len(out.Sums) != count {
-		return nil, fmt.Errorf("%w: %d sums for %d strips", ErrBadFrame, len(out.Sums), count)
-	}
-	return out.Sums, nil
+	return sums, nil
 }
 
 // DeleteDevice removes a device from the node (fenced, idempotent) —
 // the source-reclaim step after a migration flips placement.
 func (c *NodeClient) DeleteDevice(name string) error {
-	return c.deleteReq(c.withFence("/node/v1/devices/" + url.PathEscape(name)))
+	return c.do(kindDevDelete, batchItem{Name: name}, nil)
 }
 
 // DeleteBlob removes a blob from the node (fenced, idempotent).
 func (c *NodeClient) DeleteBlob(name string) error {
-	return c.deleteReq(c.withFence("/node/v1/blobs/" + url.PathEscape(name)))
-}
-
-func (c *NodeClient) deleteReq(path string) error {
-	return c.do(call{method: http.MethodDelete, url: c.base + path}, nil)
+	return c.do(kindBlobDelete, batchItem{Name: name}, nil)
 }
 
 // NetBlob is a store.Blob on a remote storage node: the substrate the
 // coordinator writes per-disk superblocks through, and the replica of a
-// quorum-replicated metadata blob (AtGen). Reads and writes carry a
-// CRC-32C header so metadata crossing the wire gets the same torn-bytes
-// detection as strip frames.
+// quorum-replicated metadata blob (AtGen). Its bytes cross the wire inside
+// checksummed frames, so metadata gets the same torn-bytes detection as
+// strips.
 type NetBlob struct {
 	c    *NodeClient
 	name string
-	gen  uint64 // the generation its mutating requests carry; 0: none
+	gen  uint64 // the generation its mutating ops carry; 0: none
 }
 
 var _ store.Blob = (*NetBlob)(nil)
@@ -139,67 +134,53 @@ func (c *NodeClient) Blob(name string) *NetBlob {
 
 // CreateBlob creates (idempotently) a blob on the node and binds to it.
 func (c *NodeClient) CreateBlob(name string) (*NetBlob, error) {
-	if err := c.postJSON(c.withFence("/node/v1/blobs/"+url.PathEscape(name)), nil, nil); err != nil {
+	if err := c.do(kindBlobCreate, batchItem{Name: name}, nil); err != nil {
 		return nil, err
 	}
-	return &NetBlob{c: c, name: name}, nil
+	return c.Blob(name), nil
 }
 
 // AtGen returns the blob bound with generation stamp gen (≥ 1): its
 // writes, syncs and truncates carry it, and the node applies the
 // generation rule to them — it refuses a stamp below the blob's
 // generation, wipes the blob for one above it, and makes a missing blob
-// for a stamped write or truncate. A stamped request must also carry an
+// for a stamped write or truncate. A stamped op must also carry an
 // epoch, so the client needs a fence (SetFence).
 func (b *NetBlob) AtGen(gen uint64) *NetBlob {
 	return &NetBlob{c: b.c, name: b.name, gen: gen}
 }
 
-func (b *NetBlob) url(suffix, query string) string {
-	u := b.c.base + "/node/v1/blobs/" + url.PathEscape(b.name) + suffix
-	if query != "" {
-		u += "?" + query
-	}
-	return u
-}
-
-// mutation is the URL of a mutating request: fenced, and stamped with the
-// blob's generation when it has one.
-func (b *NetBlob) mutation(suffix, query string) string {
-	if b.gen != 0 {
-		if query != "" {
-			query += "&"
-		}
-		query += "gen=" + strconv.FormatUint(b.gen, 10)
-	}
-	return b.c.withFence(b.url(suffix, query))
-}
-
-// read GETs up to n bytes at off: the available prefix, the blob's
-// generation, and whether the read ran off the end. A response without a
-// generation (an older node's superblock read) is generation 0.
-func (b *NetBlob) read(off int64, n int) (body []byte, gen uint64, eof bool, err error) {
-	q := "off=" + strconv.FormatInt(off, 10) + "&len=" + strconv.Itoa(n)
-	err = b.c.do(call{method: http.MethodGet, url: b.url("", q)}, func(resp *http.Response) error {
-		var err error
-		if body, err = readBody(resp, n); err != nil {
-			return err
-		}
-		if h := resp.Header.Get(genHeader); h != "" {
-			if gen, err = strconv.ParseUint(h, 10, 64); err != nil {
-				return fmt.Errorf("%w: bad gen header: %v", ErrBadFrame, err)
+// read fetches up to n bytes at off, one message per chunk of at most one
+// message's payload, handing each chunk's bytes to take (which must not keep
+// them): the blob's generation, and whether the read ran off the end. A
+// generation that moves between chunks means a concurrent truncation and
+// fails the read (transient — the caller re-reads the new stream).
+func (b *NetBlob) read(off int64, n int, take func([]byte)) (gen uint64, eof bool, err error) {
+	most := batchStripMax(b.name)
+	for done := 0; ; {
+		want := min(n-done, most)
+		var got int
+		var g uint64
+		err := b.c.do(kindBlobRead, batchItem{Name: b.name, Strip: off + int64(done), Size: int64(want)}, func(it *batchItem) error {
+			// The node answers the whole range, or a prefix marked EOF.
+			if got = len(it.Payload); got > want || got < want && !it.EOF {
+				return fmt.Errorf("%w: blob read of %d bytes answered with %d (eof %v)", ErrBadFrame, want, got, it.EOF)
 			}
+			g, eof = it.Gen, it.EOF
+			take(it.Payload)
+			return nil
+		})
+		if err != nil {
+			return 0, false, err
 		}
-		// A short body without the EOF marker is a torn response: the
-		// node always returns either the full requested range or a
-		// prefix explicitly marked EOF.
-		eof = resp.Header.Get(eofHeader) == "1"
-		if len(body) < n && !eof {
-			return fmt.Errorf("%w: short blob read %d of %d without EOF", ErrBadFrame, len(body), n)
+		if done > 0 && g != gen {
+			return 0, false, fmt.Errorf("%w: blob %s generation moved %d→%d mid-read", store.ErrTransient, b.name, gen, g)
 		}
-		return nil
-	})
-	return body, gen, eof, err
+		done, gen = done+got, g
+		if eof || done == n {
+			return gen, eof, nil
+		}
+	}
 }
 
 // ReadAt implements store.Blob with os.File semantics: a read crossing
@@ -208,76 +189,69 @@ func (b *NetBlob) ReadAt(p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, fmt.Errorf("%w: %d", store.ErrNegativeOffset, off)
 	}
-	body, _, eof, err := b.read(off, len(p))
-	if err != nil {
+	n := 0
+	_, eof, err := b.read(off, len(p), func(chunk []byte) { n += copy(p[n:], chunk) })
+	switch {
+	case err != nil:
 		return 0, err
-	}
-	n := copy(p, body)
-	if eof {
+	case eof:
 		return n, io.EOF
 	}
 	return n, nil
 }
 
-// readAllChunk bounds one read of ReadAll.
-const readAllChunk = 4 << 20
-
 // ReadAll fetches the node's whole copy of the blob along with its
-// generation. The read is chunked; a generation change between chunks
-// means a concurrent truncation and fails the read (transient — the
-// caller re-reads the new stream).
+// generation, in chunks (see read).
 func (b *NetBlob) ReadAll() ([]byte, uint64, error) {
 	var out []byte
-	var gen uint64
-	for {
-		chunk, g, eof, err := b.read(int64(len(out)), readAllChunk)
-		if err != nil {
-			return nil, 0, err
-		}
-		// Only a full chunk is followed by another, so out is empty only
-		// at the first.
-		if len(out) > 0 && g != gen {
-			return nil, 0, fmt.Errorf("%w: blob %s generation moved %d→%d mid-read",
-				store.ErrTransient, b.name, gen, g)
-		}
-		out, gen = append(out, chunk...), g
-		if eof || len(chunk) == 0 {
-			return out, gen, nil
-		}
+	gen, _, err := b.read(0, math.MaxInt, func(chunk []byte) { out = append(out, chunk...) })
+	if err != nil {
+		return nil, 0, err
 	}
+	return out, gen, nil
 }
 
-// WriteAt implements store.Blob. Idempotent, so lost acks are re-sent.
+// WriteAt implements store.Blob, one message per chunk of at most one
+// message's payload. Idempotent, so lost acks are re-sent.
 func (b *NetBlob) WriteAt(p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, fmt.Errorf("%w: %d", store.ErrNegativeOffset, off)
 	}
-	u := b.mutation("", "off="+strconv.FormatInt(off, 10))
-	if err := b.c.do(putBytes(u, p), decodeWritten(len(p))); err != nil {
-		return 0, err
+	if p == nil {
+		p = []byte{} // an empty write still carries its frame
 	}
-	return len(p), nil
+	most := batchStripMax(b.name)
+	for done := 0; ; {
+		chunk := p[done : done+min(len(p)-done, most)]
+		if err := b.c.do(kindBlobWrite, batchItem{Name: b.name, Strip: off + int64(done), Gen: b.gen, Payload: chunk}, nil); err != nil {
+			return done, err
+		}
+		if done += len(chunk); done == len(p) {
+			return done, nil
+		}
+	}
 }
 
 // Sync implements store.Blob: the node fsyncs the backing file before
 // acknowledging, preserving the written→durable barrier across the wire.
 func (b *NetBlob) Sync() error {
-	return b.c.do(call{method: http.MethodPost, url: b.mutation("/sync", "")}, nil)
+	return b.c.do(kindBlobSync, batchItem{Name: b.name, Gen: b.gen}, nil)
 }
 
 // Size implements store.Blob.
 func (b *NetBlob) Size() (int64, error) {
-	var st BlobStat
-	if err := b.c.do(call{method: http.MethodGet, url: b.url("/stat", "")}, decodeJSON(&st)); err != nil {
-		return 0, err
-	}
-	return st.Size, nil
+	var size int64
+	err := b.c.do(kindBlobStat, batchItem{Name: b.name}, func(it *batchItem) error {
+		size = it.Size
+		return nil
+	})
+	return size, err
 }
 
 // Truncate implements store.Blob. The node syncs the blob before it
 // answers.
 func (b *NetBlob) Truncate(size int64) error {
-	return b.c.do(call{method: http.MethodPost, url: b.mutation("/truncate", "size="+strconv.FormatInt(size, 10))}, nil)
+	return b.c.do(kindBlobTruncate, batchItem{Name: b.name, Size: size, Gen: b.gen}, nil)
 }
 
 // Close implements store.Blob; the node-side blob stays open.

@@ -1,16 +1,16 @@
 package netdev
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net/http"
-	"net/url"
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -18,10 +18,11 @@ import (
 	"github.com/oiraid/oiraid/internal/store"
 )
 
-// Catalogue is the node plane's error table (see retry.Catalogue): the
-// handlers encode every failure through it and NodeClient decodes the
-// X-Oiraid-Err code back into the same sentinel, so the error taxonomy
-// survives the network hop. A sentinel that wraps another precedes it.
+// Catalogue is the node plane's error table (see retry.Catalogue): the node
+// encodes every failure through it — a request's in the X-Oiraid-Err header,
+// a stream message item's in the item — and NodeClient decodes the code back
+// into the same sentinel, so the error taxonomy survives the network hop. A
+// sentinel that wraps another precedes it.
 var Catalogue = retry.Catalogue{
 	// Fencing verdicts on the writer, never retried: the node has promised
 	// a newer coordinator epoch, or a newer coordinator has truncated the
@@ -47,19 +48,6 @@ var Catalogue = retry.Catalogue{
 	{Err: store.ErrTransient, Code: "transient", Status: http.StatusServiceUnavailable, Retryable: true},
 	{Code: "io", Status: http.StatusInternalServerError, Retryable: true},
 }
-
-// crcHeader carries the CRC-32C of a blob read/write body; eofHeader
-// marks a blob read that ran off the end of the blob (os.File ReadAt
-// semantics: prefix + EOF); genHeader carries the blob's generation on a
-// read.
-const (
-	crcHeader = "X-Oiraid-Crc"
-	eofHeader = "X-Oiraid-Eof"
-	genHeader = "X-Oiraid-Gen"
-)
-
-// blobMaxBytes caps the body of one blob read or write.
-const blobMaxBytes = 64 << 20
 
 // ErrNodeNotFound reports a device or blob name the node does not serve.
 var ErrNodeNotFound = errors.New("netdev: no such device or blob on node")
@@ -90,24 +78,24 @@ type NodeStat struct {
 
 // Node exports a set of named strip devices and blobs over HTTP. It is
 // the server half of the network plane: a coordinator's NetDevice/NetBlob
-// clients drive it. The zero tricks rule applies — every handler parses
-// and checks its whole request before it touches the fence or media, and
-// strip payloads are refused unless their frame checksum verifies, so a
-// torn request can never place damaged bytes on a disk.
+// clients drive it. The zero tricks rule applies — every op is parsed and
+// checked whole before it touches the fence or media, and payloads are
+// refused unless their frame checksum verifies, so a torn message can never
+// place damaged bytes on a disk.
 type Node struct {
 	id  string
 	dir string // non-empty for directory-backed nodes
 
-	// mu guards the device table. Strip requests hold it shared only to
+	// mu guards the device table. Strip ops hold it shared only to
 	// look a device up, so a strip read never waits on the fence or on a
 	// blob's fsync; a fenced strip write takes metaMu for its check alone.
 	mu   sync.RWMutex
 	devs map[string]store.Device
 	geo  map[string]DeviceStat
 
-	// metaMu guards the blob table and the fence. A blob request holds it
-	// from its fence check to the end of its operation, so no lease grant
-	// or generation bump lands in between. A change to the device table
+	// metaMu guards the blob table and the fence. A blob op holds it from
+	// its fence check to its end, so no lease grant or generation bump lands
+	// in between. A change to the device table
 	// holds mu and then metaMu, so holding either one reads geo, and
 	// saveState (metaMu held) writes a consistent state file.
 	metaMu sync.Mutex
@@ -121,11 +109,11 @@ type Node struct {
 	newDev  func(name string, strips int64, stripBytes int) (store.Device, error)
 	newBlob func(name string) (store.Blob, error)
 
-	streams nodeStreams // the open strip streams (stream.go)
+	streams nodeStreams // the open streams (stream.go)
 }
 
 // nodeBlob is a blob of the node's table with its generation: 0 until a
-// gen-stamped request stamps one (see blobFor).
+// gen-stamped op stamps one (see blobFor).
 type nodeBlob struct {
 	store.Blob
 	gen uint64
@@ -189,9 +177,9 @@ func NewDirNode(id, dir string) (*Node, error) {
 func (n *Node) path(name, ext string) string { return filepath.Join(n.dir, name+ext) }
 
 // nodeState is what a directory node keeps in its state file: every
-// device's geometry, every blob with the generation a request stamped on
+// device's geometry, every blob with the generation an op stamped on
 // it (a blob at 0 is not listed in Gens), and the fence. A node that never
-// saw a fenced or gen-stamped request writes only devices and blobs — the
+// saw a fenced or gen-stamped op writes only devices and blobs — the
 // whole node.json of an older node that never held a lease, which
 // therefore loads as it is.
 type nodeState struct {
@@ -291,7 +279,7 @@ func (n *Node) saveState() error {
 	return store.AtomicWriteFile(n.path(stateFile, ""), raw, 0o644)
 }
 
-// Close ends every strip stream, waits for their handlers, then closes every
+// Close ends every stream, waits for their handlers, then closes every
 // device and blob the node serves.
 func (n *Node) Close() error {
 	n.endStreams(nil)
@@ -333,129 +321,21 @@ func (n *Node) unlockAll() {
 	n.mu.Unlock()
 }
 
-// device resolves the request's {dev} segment, answering 404 itself when
-// the node does not serve it.
-func (n *Node) device(w http.ResponseWriter, r *http.Request) (store.Device, bool) {
-	n.mu.RLock()
-	d, ok := n.devs[r.PathValue("dev")]
-	n.mu.RUnlock()
-	if !ok {
-		fail(w, fmt.Errorf("%w: device %s", ErrNodeNotFound, r.PathValue("dev")))
-	}
-	return d, ok
-}
-
-// Handler returns the node's HTTP surface, mounted under /node/v1/.
+// Handler returns the node's HTTP surface, mounted under /node/v1/: its
+// identity, its inventory and the lease are requests of their own, and every
+// op on a device or a blob is a message on an upgraded stream (stream.go).
 func (n *Node) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /node/v1/ping", n.handlePing)
 	mux.HandleFunc("GET /node/v1/stat", n.handleStat)
-	mux.HandleFunc("POST /node/v1/devices/{dev}", n.handleCreateDevice)
-	mux.HandleFunc("DELETE /node/v1/devices/{dev}", n.handleDeleteDevice)
-	mux.HandleFunc("GET /node/v1/devices/{dev}/sums", n.handleStripSums)
-	mux.HandleFunc("POST "+stripsPath, n.handleStrips)
-	mux.HandleFunc("POST /node/v1/blobs/{name}", n.handleCreateBlob)
-	mux.HandleFunc("DELETE /node/v1/blobs/{name}", n.handleDeleteBlob)
-	mux.HandleFunc("GET /node/v1/blobs/{name}", n.handleReadBlob)
-	mux.HandleFunc("PUT /node/v1/blobs/{name}", n.handleWriteBlob)
-	mux.HandleFunc("GET /node/v1/blobs/{name}/stat", n.handleStatBlob)
-	mux.HandleFunc("POST /node/v1/blobs/{name}/sync", n.handleSyncBlob)
-	mux.HandleFunc("POST /node/v1/blobs/{name}/truncate", n.handleTruncateBlob)
 	mux.HandleFunc("POST /node/v1/meta/lease", n.handleMetaLease)
+	mux.HandleFunc("POST "+stripsPath, n.handleStrips)
 	return mux
 }
 
 // fail writes err as the coded response its catalogue row prescribes.
 func fail(w http.ResponseWriter, err error) {
 	Catalogue.Encode(err).Write(w, err)
-}
-
-// failAs answers with class's catalogue row but err's own text (an
-// unparsable request is an ErrBadGeometry without being worded as one).
-func failAs(w http.ResponseWriter, class, err error) {
-	Catalogue.Encode(class).Write(w, err)
-}
-
-// query reads what a request carries besides its body: names in the
-// path, numbers in the query string. A handler reads all of its route's,
-// then checks err once, before anything acts — a request that does not
-// parse changes nothing, the fence included.
-type query struct {
-	r   *http.Request
-	v   url.Values // parsed on first use: a strip read has no query string
-	err error
-}
-
-func newQuery(r *http.Request) *query { return &query{r: r} }
-
-func (q *query) get(key string) string {
-	if q.v == nil {
-		q.v = q.r.URL.Query()
-	}
-	return q.v.Get(key)
-}
-
-func (q *query) fail(err error) {
-	if q.err == nil {
-		q.err = err
-	}
-}
-
-// name reads the path segment seg as the name of a device or blob to
-// create: one path segment of portable characters.
-func (q *query) name(seg string) string {
-	name := q.r.PathValue(seg)
-	if !validName(name) {
-		q.fail(fmt.Errorf("%w: bad %s name %q", store.ErrBadGeometry, seg, name))
-	}
-	return name
-}
-
-// count reads a required offset, length or size: a number, not negative.
-func (q *query) count(key string) int64 {
-	s := q.get(key)
-	v, err := strconv.ParseInt(s, 10, 64)
-	switch {
-	case err != nil:
-		q.fail(fmt.Errorf("%w: bad %s %q", store.ErrBadGeometry, key, s))
-	case v < 0:
-		q.fail(fmt.Errorf("%w: %s %d", store.ErrNegativeOffset, key, v))
-	}
-	return v
-}
-
-// stamp reads an optional epoch or generation; ok reports whether the
-// request carries one.
-func (q *query) stamp(key string) (v uint64, ok bool) {
-	s := q.get(key)
-	if s == "" {
-		return 0, false
-	}
-	v, err := strconv.ParseUint(s, 10, 64)
-	if err != nil {
-		q.fail(fmt.Errorf("%w: bad %s %q", store.ErrBadGeometry, key, s))
-	}
-	return v, true
-}
-
-// stamps are what a mutating request may carry in its query: the fencing
-// epoch of the coordinator that sent it, and a blob generation.
-type stamps struct {
-	epoch, gen      uint64
-	fenced, stamped bool
-}
-
-// stamps reads a mutating request's epoch and generation. A generation
-// without an epoch is refused: every metadata write carries its writer's
-// epoch (DESIGN.md §14).
-func (q *query) stamps() stamps {
-	var s stamps
-	s.epoch, s.fenced = q.stamp("epoch")
-	s.gen, s.stamped = q.stamp("gen")
-	if s.stamped && !s.fenced {
-		q.fail(fmt.Errorf("%w: generation %d without an epoch", store.ErrBadGeometry, s.gen))
-	}
-	return s
 }
 
 func (n *Node) handlePing(w http.ResponseWriter, r *http.Request) {
@@ -505,79 +385,12 @@ func checkDevice(name string, g DeviceStat) error {
 	return nil
 }
 
-func (n *Node) handleCreateDevice(w http.ResponseWriter, r *http.Request) {
-	q := newQuery(r)
-	name, s := q.name("dev"), q.stamps()
-	var g DeviceStat
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&g); err != nil {
-		q.fail(fmt.Errorf("%w: %v", store.ErrBadGeometry, err))
-	} else if err := checkDevice(name, g); err != nil {
-		q.fail(err)
-	}
-	n.change(w, q, s, func() error {
-		// A device that exists with the requested geometry is answered as
-		// created: a coordinator retrying a create whose ack was lost must
-		// not error out.
-		if cur, ok := n.geo[name]; ok && cur != g {
-			row := Catalogue.Encode(store.ErrBadGeometry)
-			row.Status = http.StatusConflict
-			row.Write(w, fmt.Errorf("netdev: device %s exists with %dx%d, requested %dx%d",
-				name, cur.Strips, cur.StripBytes, g.Strips, g.StripBytes))
-			return nil
-		} else if !ok {
-			dev, err := n.newDev(name, g.Strips, g.StripBytes)
-			if err != nil {
-				return err
-			}
-			n.devs[name], n.geo[name] = dev, g
-			if err := n.saveState(); err != nil {
-				return err
-			}
-		}
-		writeJSON(w, g)
-		return nil
-	})
-}
-
-// change serves a request that creates or deletes a device or blob: once
-// the whole request has parsed, act runs with both locks held, behind the
-// fence (a newer epoch is adopted first). change answers a failure; act
-// answers its success itself.
-func (n *Node) change(w http.ResponseWriter, q *query, s stamps, act func() error) {
-	err := q.err
-	if err == nil {
-		n.lockAll()
-		if err = n.adopt(s); err == nil {
-			err = act()
-		}
-		n.unlockAll()
-	}
-	if err != nil {
-		fail(w, err)
-	}
-}
-
-// sumsMaxStrips caps the strips of one checksum request. What a strip costs
-// there is one read through the handler's single strip buffer and a dozen
-// bytes of response, whatever its size, so the bound is a count: far above
-// any geometry's strips per cycle, small enough that one request cannot hold
-// the handler for long.
+// sumsMaxStrips caps the strips of one checksum op. What a strip costs there
+// is one read through the node's single strip buffer and four bytes of
+// answer, whatever its size, so the bound is a count: far above any
+// geometry's strips per cycle, small enough that one op cannot hold the
+// stream for long.
 const sumsMaxStrips = 1 << 16
-
-// readCapped reads the body of a blob write into one buffer sized from its
-// Content-Length. A body over max is the
-// sender's bug, not the wire's, and is refused as such — on its declared
-// length before anything is allocated, or, when the length is undeclared,
-// once it has run past the bound.
-func readCapped(r *http.Request, max int) ([]byte, error) {
-	if r.ContentLength <= int64(max) {
-		body, err := readSized(r.Body, r.ContentLength, max)
-		if err != nil || len(body) <= max {
-			return body, err
-		}
-	}
-	return nil, fmt.Errorf("%w: request body exceeds the %d-byte cap", store.ErrBadGeometry, max)
-}
 
 // batchDevice resolves a batch item's device.
 func (n *Node) batchDevice(name string) (store.Device, error) {
@@ -605,7 +418,7 @@ func (n *Node) readStrips(items []batchItem) []byte {
 		it := &items[i]
 		it.Code, it.Msg = "", ""
 		var err error
-		if devs[i], err = n.batchDevice(it.Dev); err != nil {
+		if devs[i], err = n.batchDevice(it.Name); err != nil {
 			it.verdict(err)
 		} else {
 			widest = max(widest, devs[i].StripBytes())
@@ -614,10 +427,7 @@ func (n *Node) readStrips(items []batchItem) []byte {
 		size += it.wireSize()
 	}
 	if size > batchMaxBytes {
-		err := fmt.Errorf("%w: an answer of %d bytes exceeds the %d-byte message cap", store.ErrBadGeometry, size, batchMaxBytes)
-		for i := range items {
-			items[i].verdict(err)
-		}
+		refuse(items, int64(size))
 		return encodeBatch(kindReadResp, fence{}, items, nil)
 	}
 	// Lay the answer out as if every read will succeed and read each strip
@@ -652,6 +462,15 @@ func (n *Node) readStrips(items []batchItem) []byte {
 	return body
 }
 
+// refuse fails every item of a request whose answer of size bytes would
+// exceed the message cap.
+func refuse(items []batchItem, size int64) {
+	err := fmt.Errorf("%w: an answer of %d bytes exceeds the %d-byte message cap", store.ErrBadGeometry, size, batchMaxBytes)
+	for i := range items {
+		items[i].verdict(err)
+	}
+}
+
 // writeStrips answers a write message, whose every frame's checksum has
 // verified before the first strip touches media, so a torn message places
 // nothing. A write fenced below the node's promise is refused item by item.
@@ -659,13 +478,13 @@ func (n *Node) readStrips(items []batchItem) []byte {
 // after it — the commit of a parity closure is best-effort across the whole
 // closure (store.Array) — and carries its own code back.
 func (n *Node) writeStrips(f fence, items []batchItem) []byte {
-	refused := n.admit(stamps{epoch: f.epoch, fenced: f.on})
+	refused := n.admit(f)
 	for i := range items {
 		it := &items[i]
 		err := refused
 		if err == nil {
 			var dev store.Device
-			dev, err = n.batchDevice(it.Dev)
+			dev, err = n.batchDevice(it.Name)
 			switch {
 			case err != nil:
 			case it.Payload == nil || len(it.Payload) != dev.StripBytes():
@@ -682,137 +501,278 @@ func (n *Node) writeStrips(f fence, items []batchItem) []byte {
 	return encodeBatch(kindWriteResp, fence{}, items, nil)
 }
 
-// handleStripSums serves per-strip CRC-32C checksums for a range — the
-// cheap side channel a resuming migration uses to verify its committed
-// prefix without re-reading the data over the wire.
-func (n *Node) handleStripSums(w http.ResponseWriter, r *http.Request) {
-	dev, ok := n.device(w, r)
-	if !ok {
-		return
-	}
-	start, err1 := strconv.ParseInt(r.URL.Query().Get("start"), 10, 64)
-	count, err2 := strconv.Atoi(r.URL.Query().Get("count"))
-	if err1 != nil || err2 != nil {
-		failAs(w, store.ErrBadGeometry, fmt.Errorf("netdev: bad sums query"))
-		return
-	}
-	if start < 0 || count <= 0 || start+int64(count) > dev.Strips() {
-		fail(w, fmt.Errorf("%w: range [%d,%d) of %d strips", store.ErrStripOutOfRange, start, start+int64(count), dev.Strips()))
-		return
-	}
-	if count > sumsMaxStrips {
-		fail(w, fmt.Errorf("%w: sums of %d strips exceed the %d-strip cap", store.ErrBadGeometry, count, sumsMaxStrips))
-		return
-	}
-	buf := make([]byte, dev.StripBytes())
-	sums := make([]string, count)
-	for i := 0; i < count; i++ {
-		if err := dev.ReadStrip(start+int64(i), buf); err != nil {
-			fail(w, err)
-			return
+// serveItems answers a message of device or blob ops. Each item is checked
+// whole before it acts (checkItem) — an item that does not check changes
+// nothing, the fence included — then done behind the message's fence, and
+// answered in place: with what it read, or with the catalogue code of its
+// failure. One item's failure does not stop the items after it. A message
+// whose answer would exceed the cap is refused item by item.
+func (n *Node) serveItems(kind byte, f fence, items []batchItem) []byte {
+	size := int64(batchHeaderLen + batchTrailer)
+	for i := range items {
+		it := &items[i]
+		it.Code, it.Msg = "", ""
+		size += int64(batchItemMin + len(it.Name))
+		switch kind {
+		case kindBlobRead:
+			size += FrameHeaderLen + min(max(it.Size, 0), batchMaxBytes)
+		case kindDevSums:
+			size += FrameHeaderLen + 4*min(max(it.Size, 0), batchMaxBytes)
 		}
-		sums[i] = blobCRC(buf)
 	}
-	writeJSON(w, map[string][]string{"sums": sums})
+	if size > batchMaxBytes {
+		refuse(items, size)
+		return encodeBatch(kind+1, fence{}, items, nil)
+	}
+	for i := range items {
+		it := &items[i]
+		err := checkItem(kind, f, it)
+		if err == nil {
+			err = n.do(kind, f, it)
+		}
+		if frameOp(kind+1) == 0 {
+			it.Payload = nil
+		}
+		if err != nil {
+			it.verdict(err)
+		}
+	}
+	return encodeBatch(kind+1, fence{}, items, nil)
 }
 
-// handleDeleteDevice removes a device and its backing file — the source
-// reclaim step after a migration flips. Fenced (a deposed coordinator
-// must not reclaim anything) and idempotent: deleting an absent device
+// checkItem refuses an op no node could do: a generation without the epoch
+// every metadata write carries (DESIGN.md §14), a name that is not one path
+// segment where the op may create, a device geometry the node cannot serve,
+// a negative blob offset or size, a checksum op past its cap, a blob write
+// without its frame. A read past the message cap is refused with its whole
+// message (serveItems).
+func checkItem(kind byte, f fence, it *batchItem) error {
+	creates := kind == kindDevCreate || kind == kindBlobCreate || kind == kindBlobWrite || kind == kindBlobTruncate
+	switch {
+	case it.Gen != 0 && !f.on:
+		return fmt.Errorf("%w: generation %d without an epoch", store.ErrBadGeometry, it.Gen)
+	case creates && !validName(it.Name):
+		return fmt.Errorf("%w: bad name %q", store.ErrBadGeometry, it.Name)
+	}
+	switch kind {
+	case kindDevCreate:
+		return checkDevice(it.Name, DeviceStat{Strips: it.Strip, StripBytes: int(it.Size)})
+	case kindDevSums:
+		if it.Size > sumsMaxStrips {
+			return fmt.Errorf("%w: sums of %d strips exceed the %d-strip cap", store.ErrBadGeometry, it.Size, sumsMaxStrips)
+		}
+	case kindBlobRead, kindBlobWrite, kindBlobTruncate:
+		if it.Strip < 0 || it.Size < 0 {
+			return fmt.Errorf("%w: offset %d, size %d", store.ErrNegativeOffset, it.Strip, it.Size)
+		}
+		if kind == kindBlobWrite && it.Payload == nil {
+			return fmt.Errorf("%w: a blob write without its frame", store.ErrShortBuffer)
+		}
+	}
+	return nil
+}
+
+// do does one checked device or blob op. A blob's bytes are read and changed
+// under n.metaMu, from the fence check and the generation rule (blobFor) to
+// the end of the op; a create or a delete changes the tables under both
+// locks, behind the fence (change).
+func (n *Node) do(kind byte, f fence, it *batchItem) error {
+	switch kind {
+	case kindDevCreate:
+		return n.change(f, func() error { return n.createDevice(it.Name, DeviceStat{Strips: it.Strip, StripBytes: int(it.Size)}) })
+	case kindDevDelete:
+		return n.change(f, func() error { return n.deleteDevice(it.Name) })
+	case kindDevSums:
+		return n.stripSums(it)
+	case kindBlobCreate:
+		return n.change(f, func() error { return n.createBlob(it.Name) })
+	case kindBlobDelete:
+		return n.change(f, func() error { return n.deleteBlob(it.Name) })
+	case kindBlobRead:
+		return n.readBlob(it)
+	case kindBlobStat:
+		n.metaMu.Lock()
+		defer n.metaMu.Unlock()
+		b, ok := n.blobs[it.Name]
+		if !ok {
+			return fmt.Errorf("%w: blob %s", ErrNodeNotFound, it.Name)
+		}
+		size, err := b.Size()
+		it.Size, it.Gen = size, b.gen
+		return err
+	case kindBlobWrite:
+		return n.blobOp(it.Name, f, it.Gen, true, func(b store.Blob) error {
+			_, err := b.WriteAt(it.Payload, it.Strip)
+			return err
+		})
+	case kindBlobSync:
+		return n.blobOp(it.Name, f, it.Gen, false, store.Blob.Sync)
+	case kindBlobTruncate:
+		// A truncation opens a generation: the blob's new size must not be
+		// lost with the node's page cache.
+		return n.blobOp(it.Name, f, it.Gen, true, func(b store.Blob) error {
+			if err := b.Truncate(it.Size); err != nil {
+				return err
+			}
+			return b.Sync()
+		})
+	}
+	return fmt.Errorf("%w: message kind %d", ErrBadFrame, kind)
+}
+
+// change runs act, an op that creates or deletes a device or blob, with both
+// locks held, behind the fence (a newer epoch is adopted first).
+func (n *Node) change(f fence, act func() error) error {
+	n.lockAll()
+	defer n.unlockAll()
+	if err := n.adopt(f); err != nil {
+		return err
+	}
+	return act()
+}
+
+// createDevice makes a device, idempotently: one that exists with the
+// requested geometry is answered as created — a coordinator retrying a create
+// whose ack was lost must not error out — and one of another geometry is
+// refused.
+func (n *Node) createDevice(name string, g DeviceStat) error {
+	if cur, ok := n.geo[name]; ok {
+		if cur != g {
+			return fmt.Errorf("%w: device %s exists with %dx%d, requested %dx%d",
+				store.ErrBadGeometry, name, cur.Strips, cur.StripBytes, g.Strips, g.StripBytes)
+		}
+		return nil
+	}
+	dev, err := n.newDev(name, g.Strips, g.StripBytes)
+	if err != nil {
+		return err
+	}
+	n.devs[name], n.geo[name] = dev, g
+	return n.saveState()
+}
+
+// deleteDevice removes a device and its backing file — the source reclaim
+// step after a migration flips. Idempotent: deleting an absent device
 // succeeds, so a lost ack is safely re-sent.
-func (n *Node) handleDeleteDevice(w http.ResponseWriter, r *http.Request) {
-	q := newQuery(r)
-	name, s := r.PathValue("dev"), q.stamps()
-	n.change(w, q, s, func() error {
-		if dev, ok := n.devs[name]; ok {
-			if err := dev.Close(); err != nil {
-				return err
-			}
-			delete(n.devs, name)
-			delete(n.geo, name)
-			if n.dir != "" {
-				os.Remove(n.path(name, ".img"))
-			}
-			if err := n.saveState(); err != nil {
-				return err
-			}
-		}
-		w.WriteHeader(http.StatusNoContent)
+func (n *Node) deleteDevice(name string) error {
+	dev, ok := n.devs[name]
+	if !ok {
 		return nil
-	})
+	}
+	if err := dev.Close(); err != nil {
+		return err
+	}
+	delete(n.devs, name)
+	delete(n.geo, name)
+	if n.dir != "" {
+		os.Remove(n.path(name, ".img"))
+	}
+	return n.saveState()
 }
 
-// handleDeleteBlob removes a blob (the migrated disk's stale superblock
-// copy). Fenced and idempotent like device deletion.
-func (n *Node) handleDeleteBlob(w http.ResponseWriter, r *http.Request) {
-	q := newQuery(r)
-	name, s := r.PathValue("name"), q.stamps()
-	n.change(w, q, s, func() error {
-		if b, ok := n.blobs[name]; ok {
-			if err := b.Close(); err != nil {
-				return err
-			}
-			delete(n.blobs, name)
-			if n.dir != "" {
-				os.Remove(n.path(name, ".blob"))
-			}
-			if err := n.saveState(); err != nil {
-				return err
-			}
-		}
-		w.WriteHeader(http.StatusNoContent)
+// createBlob makes an empty blob at generation 0, idempotently.
+func (n *Node) createBlob(name string) error {
+	if _, ok := n.blobs[name]; ok {
 		return nil
-	})
+	}
+	b, err := n.newBlob(name)
+	if err != nil {
+		return err
+	}
+	n.blobs[name] = &nodeBlob{Blob: b}
+	return n.saveState()
 }
 
-// handleCreateBlob makes an empty blob at generation 0, idempotently.
-func (n *Node) handleCreateBlob(w http.ResponseWriter, r *http.Request) {
-	q := newQuery(r)
-	name, s := q.name("name"), q.stamps()
-	n.change(w, q, s, func() error {
-		if _, ok := n.blobs[name]; !ok {
-			b, err := n.newBlob(name)
-			if err != nil {
-				return err
-			}
-			n.blobs[name] = &nodeBlob{Blob: b}
-			if err := n.saveState(); err != nil {
-				return err
-			}
-		}
-		w.WriteHeader(http.StatusNoContent)
+// deleteBlob removes a blob (the migrated disk's stale superblock copy),
+// idempotently like deleteDevice.
+func (n *Node) deleteBlob(name string) error {
+	b, ok := n.blobs[name]
+	if !ok {
 		return nil
-	})
+	}
+	if err := b.Close(); err != nil {
+		return err
+	}
+	delete(n.blobs, name)
+	if n.dir != "" {
+		os.Remove(n.path(name, ".blob"))
+	}
+	return n.saveState()
 }
 
-// blobFor applies the fence and the generation rule to a mutating request
-// on blob name, with n.metaMu held, and returns the blob to act on. The
-// rule is the same for every blob:
+// stripSums answers a checksum op with the CRC-32C of each strip of a range —
+// the cheap side channel a resuming migration uses to verify its committed
+// prefix without re-reading the data over the wire.
+func (n *Node) stripSums(it *batchItem) error {
+	dev, err := n.batchDevice(it.Name)
+	if err != nil {
+		return err
+	}
+	start, count := it.Strip, it.Size
+	if start < 0 || count <= 0 || start+count > dev.Strips() {
+		return fmt.Errorf("%w: range [%d,%d) of %d strips", store.ErrStripOutOfRange, start, start+count, dev.Strips())
+	}
+	buf, sums := make([]byte, dev.StripBytes()), make([]byte, 0, 4*count)
+	for i := int64(0); i < count; i++ {
+		if err := dev.ReadStrip(start+i, buf); err != nil {
+			return err
+		}
+		sums = binary.BigEndian.AppendUint32(sums, crc32.Checksum(buf, castagnoli))
+	}
+	it.Payload = sums
+	return nil
+}
+
+// readBlob answers a read with os.File ReadAt semantics: the available
+// prefix, marked EOF when the read ran off the end, and the blob's
+// generation.
+func (n *Node) readBlob(it *batchItem) error {
+	n.metaMu.Lock()
+	defer n.metaMu.Unlock()
+	b, ok := n.blobs[it.Name]
+	if !ok {
+		return fmt.Errorf("%w: blob %s", ErrNodeNotFound, it.Name)
+	}
+	size, err := b.Size()
+	if err != nil {
+		return err
+	}
+	buf := make([]byte, max(min(it.Size, size-it.Strip), 0))
+	nr, err := b.ReadAt(buf, it.Strip)
+	if err != nil && err != io.EOF {
+		return err
+	}
+	it.Payload, it.Gen, it.EOF = buf[:nr], b.gen, int64(nr) < it.Size || err == io.EOF
+	return nil
+}
+
+// blobFor applies the fence and the generation rule to a mutating op on
+// blob name, with n.metaMu held, and returns the blob to act on. The rule
+// is the same for every blob:
 //
-//   - a request stamped below the blob's generation is refused
-//     (ErrStaleGen): a newer coordinator has truncated the blob into a new
-//     stream;
+//   - an op stamped below the blob's generation is refused (ErrStaleGen):
+//     a newer coordinator has truncated the blob into a new stream;
 //   - one stamped above it wipes the blob, then adopts the generation:
 //     the node missed the truncation that opened it, and nothing of the
 //     destroyed stream may survive into the new one;
 //   - a stamped write or truncate (create) makes a missing blob; anything
-//     else on a missing blob is a 404.
+//     else on a missing blob is ErrNodeNotFound.
 //
 // So a blob replica at generation G holds only zeros and bytes of the
 // generation-G stream, which is what makes frame-level merge recovery
 // sound.
-func (n *Node) blobFor(name string, s stamps, create bool) (store.Blob, error) {
-	if err := n.adopt(s); err != nil {
+func (n *Node) blobFor(name string, f fence, gen uint64, create bool) (store.Blob, error) {
+	if err := n.adopt(f); err != nil {
 		return nil, err
 	}
 	b, ok := n.blobs[name]
 	switch {
-	case !ok && !(create && s.stamped):
+	case !ok && !(create && gen != 0):
 		return nil, fmt.Errorf("%w: blob %s", ErrNodeNotFound, name)
-	case ok && (!s.stamped || s.gen == b.gen):
+	case ok && (gen == 0 || gen == b.gen):
 		return b, nil
-	case ok && s.gen < b.gen:
-		return nil, fmt.Errorf("%w: blob %s gen %d, node at %d", ErrStaleGen, name, s.gen, b.gen)
+	case ok && gen < b.gen:
+		return nil, fmt.Errorf("%w: blob %s gen %d, node at %d", ErrStaleGen, name, gen, b.gen)
 	}
 	if !ok {
 		blob, err := n.newBlob(name)
@@ -825,142 +785,21 @@ func (n *Node) blobFor(name string, s stamps, create bool) (store.Blob, error) {
 	if err := b.Truncate(0); err != nil {
 		return nil, err
 	}
-	b.gen = s.gen
+	b.gen = gen
 	return b, n.saveState()
 }
 
-// blobOp runs op on blob name for a mutating request, in one step with
-// the request's fence check and generation rule (blobFor): n.metaMu is
-// held from the check to the end of op.
-func (n *Node) blobOp(name string, s stamps, create bool, op func(store.Blob) error) error {
+// blobOp runs op on blob name for a mutating op, in one step with its fence
+// check and generation rule (blobFor): n.metaMu is held from the check to
+// the end of op.
+func (n *Node) blobOp(name string, f fence, gen uint64, create bool, op func(store.Blob) error) error {
 	n.metaMu.Lock()
 	defer n.metaMu.Unlock()
-	b, err := n.blobFor(name, s, create)
+	b, err := n.blobFor(name, f, gen, create)
 	if err != nil {
 		return err
 	}
 	return op(b)
-}
-
-// handleReadBlob answers a ?off=&len= read with os.File ReadAt semantics:
-// the available prefix, checksummed, plus the EOF marker when the read ran
-// off the end, and the blob's generation.
-func (n *Node) handleReadBlob(w http.ResponseWriter, r *http.Request) {
-	q := newQuery(r)
-	off, length := q.count("off"), q.count("len")
-	if length > blobMaxBytes {
-		q.fail(fmt.Errorf("%w: a read of %d bytes exceeds the %d-byte cap", store.ErrBadGeometry, length, blobMaxBytes))
-	}
-	if q.err != nil {
-		fail(w, q.err)
-		return
-	}
-	name, buf := r.PathValue("name"), make([]byte, length)
-	n.metaMu.Lock()
-	b, ok := n.blobs[name]
-	if !ok {
-		n.metaMu.Unlock()
-		fail(w, fmt.Errorf("%w: blob %s", ErrNodeNotFound, name))
-		return
-	}
-	gen := b.gen
-	nr, rerr := b.ReadAt(buf, off)
-	n.metaMu.Unlock()
-	if rerr != nil && rerr != io.EOF {
-		fail(w, rerr)
-		return
-	}
-	buf = buf[:nr]
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set(crcHeader, blobCRC(buf))
-	w.Header().Set(genHeader, strconv.FormatUint(gen, 10))
-	if rerr == io.EOF {
-		w.Header().Set(eofHeader, "1")
-	}
-	w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
-	w.Write(buf)
-}
-
-func (n *Node) handleWriteBlob(w http.ResponseWriter, r *http.Request) {
-	q := newQuery(r)
-	name, s, off := q.name("name"), q.stamps(), q.count("off")
-	if q.err != nil {
-		fail(w, q.err)
-		return
-	}
-	body, err := readCapped(r, blobMaxBytes)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	// Blob bytes get the same no-damaged-bytes-on-media guarantee as
-	// strip frames: the declared checksum must match what arrived.
-	if want := r.Header.Get(crcHeader); want != "" && want != blobCRC(body) {
-		fail(w, fmt.Errorf("%w: blob body crc %s, header says %s", ErrBadFrame, blobCRC(body), want))
-		return
-	}
-	var nw int
-	err = n.blobOp(name, s, true, func(b store.Blob) (err error) {
-		nw, err = b.WriteAt(body, off)
-		return err
-	})
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	writeJSON(w, map[string]int{"written": nw})
-}
-
-func (n *Node) handleStatBlob(w http.ResponseWriter, r *http.Request) {
-	n.metaMu.Lock()
-	b, ok := n.blobs[r.PathValue("name")]
-	var st BlobStat
-	if ok {
-		st = b.stat()
-	}
-	n.metaMu.Unlock()
-	if !ok {
-		fail(w, fmt.Errorf("%w: blob %s", ErrNodeNotFound, r.PathValue("name")))
-		return
-	}
-	writeJSON(w, st)
-}
-
-func (n *Node) handleSyncBlob(w http.ResponseWriter, r *http.Request) {
-	q := newQuery(r)
-	s := q.stamps()
-	if q.err != nil {
-		fail(w, q.err)
-		return
-	}
-	if err := n.blobOp(r.PathValue("name"), s, false, store.Blob.Sync); err != nil {
-		fail(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-// handleTruncateBlob resizes a blob and syncs it before it answers: a
-// truncation opens a generation, and the blob's new size must not be lost
-// with the node's page cache.
-func (n *Node) handleTruncateBlob(w http.ResponseWriter, r *http.Request) {
-	q := newQuery(r)
-	name, s, size := q.name("name"), q.stamps(), q.count("size")
-	if q.err != nil {
-		fail(w, q.err)
-		return
-	}
-	err := n.blobOp(name, s, true, func(b store.Blob) error {
-		if err := b.Truncate(size); err != nil {
-			return err
-		}
-		return b.Sync()
-	})
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

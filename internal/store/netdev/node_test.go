@@ -12,13 +12,29 @@ import (
 	"github.com/oiraid/oiraid/internal/retry"
 )
 
-// TestNodeRejectsMalformedRequests sends a memory node and a directory
-// node raw requests whose names, numbers, bodies or geometries the node
-// must refuse. Each must answer 400 with its code — bad-geometry, or
-// negative-offset for a negative offset or size on either kind of node —
-// and none may create a device or a blob, stamp a generation, or move the
-// fence, though many carry an epoch above it: a request is checked in full
-// before it acts.
+// op sends it as a message of kind of its own on the stream and returns the
+// answered item.
+func (s *rawStream) op(kind byte, f fence, it batchItem) batchItem {
+	s.t.Helper()
+	body, err := s.exchange(encodeBatch(kind, f, []batchItem{it}, nil))
+	if err != nil {
+		s.t.Fatalf("kind %d %s: the node ended the stream: %v", kind, it.Name, err)
+	}
+	got, _, err := decodeBatch(body, kind+1, -1)
+	if err != nil || len(got) != 1 {
+		s.t.Fatalf("kind %d %s: answer %+v, %v", kind, it.Name, got, err)
+	}
+	return got[0]
+}
+
+// TestNodeRejectsMalformedRequests sends a memory node and a directory node,
+// on a raw stream, device and blob ops whose names, numbers, frames or
+// geometries the node must refuse, and the lease route a body that does not
+// parse. Each op must be refused alone with its code — bad-geometry,
+// negative-offset for a negative offset or size, short-buffer for a blob
+// write without its frame — and none may create a device or a blob, stamp a
+// generation, or move the fence, though most carry an epoch above it: an op
+// is checked in full before it acts.
 func TestNodeRejectsMalformedRequests(t *testing.T) {
 	newDir := func() *Node {
 		n, err := NewDirNode("alpha", t.TempDir())
@@ -30,88 +46,93 @@ func TestNodeRejectsMalformedRequests(t *testing.T) {
 	for kind, n := range map[string]*Node{"mem": NewMemNode("alpha"), "dir": newDir()} {
 		t.Run(kind, func(t *testing.T) {
 			defer n.Close()
-			rejectsMalformedRequests(t, n)
+			srv := httptest.NewServer(n.Handler())
+			defer srv.Close()
+			rejectsMalformedRequests(t, n, openRawStream(t, srv.URL))
 		})
 	}
 }
 
-func rejectsMalformedRequests(t *testing.T, n *Node) {
-	h := n.Handler()
-	do := func(method, target, body string) *httptest.ResponseRecorder {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(method, target, strings.NewReader(body)))
-		return rec
-	}
-	for _, req := range []struct{ method, target, body string }{
-		{"POST", "/node/v1/devices/d0?epoch=2", `{"strips":4,"strip_bytes":512}`},
-		{"POST", "/node/v1/blobs/b0?epoch=2", ""},
-		{"PUT", "/node/v1/blobs/m0?epoch=2&gen=1&off=0", "x"},
+type rawOp struct {
+	kind byte
+	f    fence
+	it   batchItem
+}
+
+func rejectsMalformedRequests(t *testing.T, n *Node, s *rawStream) {
+	two, five := fence{epoch: 2, on: true}, fence{epoch: 5, on: true}
+	for _, op := range []rawOp{
+		{kindDevCreate, two, batchItem{Name: "d0", Strip: 4, Size: 512}},
+		{kindBlobCreate, two, batchItem{Name: "b0"}},
+		{kindBlobWrite, two, batchItem{Name: "m0", Gen: 1, Payload: []byte("x")}},
 	} {
-		if rec := do(req.method, req.target, req.body); rec.Code/100 != 2 {
-			t.Fatalf("%s %s: %d %s", req.method, req.target, rec.Code, rec.Body)
+		if got := s.op(op.kind, op.f, op.it); got.Code != "" {
+			t.Fatalf("kind %d %s: %s %s", op.kind, op.it.Name, got.Code, got.Msg)
 		}
 	}
+	h := n.Handler()
 	stat := func() NodeStat {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/node/v1/stat", nil))
 		var st NodeStat
-		if err := json.NewDecoder(do("GET", "/node/v1/stat", "").Body).Decode(&st); err != nil {
+		if err := json.NewDecoder(rec.Body).Decode(&st); err != nil {
 			t.Fatal(err)
 		}
 		return st
 	}
 	stat0 := stat()
 
-	for code, reqs := range map[string][]struct{ method, target, body string }{
+	x := []byte("x")
+	for code, ops := range map[string][]rawOp{
 		"bad-geometry": {
-			// Names.
-			{"POST", "/node/v1/devices/bad*name", `{"strips":4,"strip_bytes":512}`},
-			{"POST", "/node/v1/blobs/bad*name?epoch=5", ""},
-			{"PUT", "/node/v1/blobs/bad*name?epoch=5&gen=3&off=0", "x"},
-			{"POST", "/node/v1/blobs/bad*name/truncate?epoch=5&gen=3&size=0", ""},
-			// Numbers.
-			{"POST", "/node/v1/devices/d1?epoch=-1", `{"strips":4,"strip_bytes":512}`},
-			{"GET", "/node/v1/blobs/b0?off=x&len=1", ""},
-			{"GET", "/node/v1/blobs/b0?off=0&len=x", ""},
-			{"GET", "/node/v1/blobs/b0?off=0&len=67108865", ""},
-			{"PUT", "/node/v1/blobs/b0?off=x", "x"},
-			{"POST", "/node/v1/blobs/b0/truncate?size=x", ""},
-			{"PUT", "/node/v1/blobs/m0?epoch=x&gen=4&off=0", "x"},
-			{"PUT", "/node/v1/blobs/m0?epoch=5&gen=x&off=0", "x"},
-			{"PUT", "/node/v1/blobs/m0?epoch=5&gen=4&off=x", "x"},
-			{"POST", "/node/v1/blobs/m0/sync?epoch=5&gen=x", ""},
-			{"POST", "/node/v1/blobs/m0/truncate?epoch=5&gen=4&size=x", ""},
+			// Names, where an op may create.
+			{kindDevCreate, five, batchItem{Name: "bad*name", Strip: 4, Size: 512}},
+			{kindBlobCreate, five, batchItem{Name: "bad*name"}},
+			{kindBlobWrite, five, batchItem{Name: "bad*name", Gen: 3, Payload: x}},
+			{kindBlobTruncate, five, batchItem{Name: "bad*name", Gen: 3}},
+			{kindBlobCreate, five, batchItem{Name: ".hidden"}},
 			// A generation without the epoch every metadata write carries.
-			{"PUT", "/node/v1/blobs/m0?gen=4&off=0", "x"},
-			{"PUT", "/node/v1/blobs/m9?gen=4&off=0", "x"},
-			{"POST", "/node/v1/blobs/m0/sync?gen=4", ""},
-			{"POST", "/node/v1/blobs/m0/truncate?gen=4&size=0", ""},
+			{kindBlobWrite, fence{}, batchItem{Name: "m0", Gen: 4, Payload: x}},
+			{kindBlobWrite, fence{}, batchItem{Name: "m9", Gen: 4, Payload: x}},
+			{kindBlobSync, fence{}, batchItem{Name: "m0", Gen: 4}},
+			{kindBlobTruncate, fence{}, batchItem{Name: "m0", Gen: 4}},
 			// Geometries the store or the wire cannot hold: 2⁶¹+1 strips of
 			// 8 bytes overflow, and a 4 MiB strip does not fit a batch alone.
-			{"POST", "/node/v1/devices/d1?epoch=5", `{"strips":2305843009213693953,"strip_bytes":8}`},
-			{"POST", "/node/v1/devices/d1?epoch=5", `{"strips":4,"strip_bytes":4194304}`},
-			{"POST", "/node/v1/devices/d1?epoch=5", `{"strips":0,"strip_bytes":512}`},
-			// Queries and bodies.
-			{"GET", "/node/v1/devices/d0/sums?start=x&count=1", ""},
-			{"GET", "/node/v1/devices/d0/sums?start=0", ""},
-			{"POST", "/node/v1/devices/d1?epoch=5", "{"},
-			{"POST", "/node/v1/meta/lease", "not json"},
+			{kindDevCreate, five, batchItem{Name: "d1", Strip: 1<<61 + 1, Size: 8}},
+			{kindDevCreate, five, batchItem{Name: "d1", Strip: 4, Size: 4 << 20}},
+			{kindDevCreate, five, batchItem{Name: "d1", Strip: 0, Size: 512}},
+			{kindDevCreate, five, batchItem{Name: "d1", Strip: -4, Size: 512}},
+			// A device of another geometry than the one that exists, at
+			// the node's epoch: a conflict, not a malformed op, so it is
+			// refused behind the fence.
+			{kindDevCreate, two, batchItem{Name: "d0", Strip: 8, Size: 512}},
+			// Reads past their caps.
+			{kindBlobRead, fence{}, batchItem{Name: "b0", Size: batchMaxBytes}},
+			{kindDevSums, fence{}, batchItem{Name: "d0", Size: sumsMaxStrips + 1}},
 		},
 		"negative-offset": {
-			{"PUT", "/node/v1/blobs/m0?epoch=5&gen=3&off=-1", "x"},
-			{"PUT", "/node/v1/blobs/m9?epoch=5&gen=3&off=-1", "x"},
-			{"PUT", "/node/v1/blobs/b0?off=-1", "x"},
-			{"GET", "/node/v1/blobs/b0?off=-1&len=1", ""},
-			{"GET", "/node/v1/blobs/b0?off=0&len=-1", ""},
-			{"POST", "/node/v1/blobs/b0/truncate?size=-1", ""},
-			{"POST", "/node/v1/blobs/m0/truncate?epoch=5&gen=3&size=-1", ""},
+			{kindBlobWrite, five, batchItem{Name: "m0", Strip: -1, Gen: 3, Payload: x}},
+			{kindBlobWrite, five, batchItem{Name: "m9", Strip: -1, Gen: 3, Payload: x}},
+			{kindBlobWrite, fence{}, batchItem{Name: "b0", Strip: -1, Payload: x}},
+			{kindBlobRead, fence{}, batchItem{Name: "b0", Strip: -1, Size: 1}},
+			{kindBlobRead, fence{}, batchItem{Name: "b0", Size: -1}},
+			{kindBlobTruncate, fence{}, batchItem{Name: "b0", Size: -1}},
+			{kindBlobTruncate, five, batchItem{Name: "m0", Size: -1, Gen: 3}},
+		},
+		"short-buffer": {
+			{kindBlobWrite, five, batchItem{Name: "m0", Gen: 3}},
 		},
 	} {
-		for _, req := range reqs {
-			rec := do(req.method, req.target, req.body)
-			if rec.Code != http.StatusBadRequest || rec.Header().Get(retry.Header) != code {
-				t.Errorf("%s %s: %d %q (%s), want 400 %s",
-					req.method, req.target, rec.Code, rec.Header().Get(retry.Header), strings.TrimSpace(rec.Body.String()), code)
+		for _, op := range ops {
+			if got := s.op(op.kind, op.f, op.it); got.Code != code {
+				t.Errorf("kind %d %+v: %q (%s), want %s", op.kind, op.it, got.Code, got.Msg, code)
 			}
 		}
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("POST", "/node/v1/meta/lease", strings.NewReader("not json")))
+	if rec.Code != http.StatusBadRequest || rec.Header().Get(retry.Header) != "bad-geometry" {
+		t.Errorf("a lease that does not parse: %d %q, want 400 bad-geometry", rec.Code, rec.Header().Get(retry.Header))
 	}
 
 	if st := stat(); !reflect.DeepEqual(st, stat0) {
@@ -119,23 +140,29 @@ func rejectsMalformedRequests(t *testing.T, n *Node) {
 	}
 }
 
-// TestNodeDeviceDeleteAndRecreate runs the checksum route against deletes of
-// the device it reads (under -race: the route reads the device's size after
+// serve runs items as one message of kind through the node, as its stream
+// would, and returns the answered items.
+func serve(t *testing.T, n *Node, kind byte, items ...batchItem) []batchItem {
+	t.Helper()
+	got, _, err := decodeBatch(n.answer(encodeBatch(kind, fence{}, items, nil)), kind+1, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// TestNodeDeviceDeleteAndRecreate runs checksum ops against deletes of the
+// device they read (under -race: the op reads the device's size after
 // releasing the node's lock), then checks that a device created again with
 // the same geometry serves zeros, not the deleted device's bytes.
 func TestNodeDeviceDeleteAndRecreate(t *testing.T) {
 	n := NewMemNode("alpha")
-	h := n.Handler()
-	do := func(method, target, body string) *httptest.ResponseRecorder {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(method, target, strings.NewReader(body)))
-		return rec
-	}
 	const stripBytes = 512
+	d0 := batchItem{Name: "d0", Strip: 4, Size: stripBytes}
 	create := func() {
 		t.Helper()
-		if rec := do("POST", "/node/v1/devices/d0", `{"strips":4,"strip_bytes":512}`); rec.Code != http.StatusOK {
-			t.Fatalf("create: %d %s", rec.Code, rec.Body)
+		if got := serve(t, n, kindDevCreate, d0); got[0].Code != "" {
+			t.Fatalf("create: %s %s", got[0].Code, got[0].Msg)
 		}
 	}
 	create()
@@ -143,11 +170,11 @@ func TestNodeDeviceDeleteAndRecreate(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 200; i++ {
-			do("GET", "/node/v1/devices/d0/sums?start=0&count=4", "")
+			serve(t, n, kindDevSums, batchItem{Name: "d0", Size: 4})
 		}
 	}()
 	for i := 0; i < 50; i++ {
-		do("DELETE", "/node/v1/devices/d0", "")
+		serve(t, n, kindDevDelete, batchItem{Name: "d0"})
 		create()
 	}
 	<-done
@@ -155,13 +182,13 @@ func TestNodeDeviceDeleteAndRecreate(t *testing.T) {
 	if err := n.devs["d0"].WriteStrip(1, bytes.Repeat([]byte{0xff}, stripBytes)); err != nil {
 		t.Fatal(err)
 	}
-	if rec := do("DELETE", "/node/v1/devices/d0", ""); rec.Code != http.StatusNoContent {
-		t.Fatalf("delete: %d %s", rec.Code, rec.Body)
+	if got := serve(t, n, kindDevDelete, batchItem{Name: "d0"}); got[0].Code != "" {
+		t.Fatalf("delete: %s %s", got[0].Code, got[0].Msg)
 	}
 	create()
-	answer, _, err := decodeBatch(n.readStrips([]batchItem{{Dev: "d0", Strip: 1}}), kindReadResp, stripBytes)
-	if err != nil || answer[0].Code != "" {
-		t.Fatalf("read strip: %+v %v", answer, err)
+	answer := serve(t, n, kindReadReq, batchItem{Name: "d0", Strip: 1})
+	if answer[0].Code != "" {
+		t.Fatalf("read strip: %+v", answer)
 	}
 	if !bytes.Equal(answer[0].Payload, make([]byte, stripBytes)) {
 		t.Fatal("a recreated device serves the deleted device's bytes")

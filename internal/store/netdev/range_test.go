@@ -3,10 +3,15 @@ package netdev
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"testing"
 
 	"github.com/oiraid/oiraid/internal/store"
 )
+
+// crcOf is the checksum StripSums reports for a strip of content p.
+func crcOf(p []byte) string { return fmt.Sprintf("%08x", crc32.Checksum(p, castagnoli)) }
 
 // readStrips reads count strips of dev from start, one request each.
 func readStrips(t *testing.T, dev *NetDevice, start int64, count int) []byte {
@@ -77,7 +82,7 @@ func TestNetDeviceRangeRoundTrip(t *testing.T) {
 		t.Fatalf("got %d sums, want 4", len(sums))
 	}
 	for i, sum := range sums {
-		if want := blobCRC(bulk[i*stripBytes : (i+1)*stripBytes]); sum != want {
+		if want := crcOf(bulk[i*stripBytes : (i+1)*stripBytes]); sum != want {
 			t.Fatalf("sum %d = %q, want %q", i, sum, want)
 		}
 	}
@@ -210,7 +215,7 @@ func TestStripSumsBoundedByCount(t *testing.T) {
 		t.Fatalf("sums over 36 MiB of strips: %v", err)
 	}
 	for i, sum := range sums {
-		if want := blobCRC(make([]byte, 1<<20)); sum != want {
+		if want := crcOf(make([]byte, 1<<20)); sum != want {
 			t.Fatalf("sum %d = %q, want %q", i, sum, want)
 		}
 	}

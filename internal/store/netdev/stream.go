@@ -17,13 +17,16 @@ import (
 	"github.com/oiraid/oiraid/internal/store"
 )
 
-// A coordinator's strip traffic to a node rides a few long-lived streams
-// instead of one HTTP request per op (DESIGN.md §13). A stream is one HTTP
-// Upgrade of the node's strip route to oiraid-strips/2: the node answers 101
-// and takes the connection over, which then carries request messages of the
-// batch codec (batch.go) one way and their answers the other, in order, one
-// in flight at a time. What a request costs — headers, routing, a pooled
-// connection — is paid once per stream; a message is one write and one read.
+// A coordinator's device and blob traffic to a node — strips, creates,
+// deletes, checksums, superblock and journal reads and writes — rides a few
+// long-lived streams instead of one HTTP request per op (DESIGN.md §13). A
+// stream is one HTTP Upgrade of the node's stream route to oiraid-strips/3:
+// the node answers 101 and takes the connection over, which then carries
+// request messages of the batch codec (batch.go) one way and their answers
+// the other, in order, one in flight at a time. What a request costs —
+// headers, routing, a pooled connection — is paid once per stream; a message
+// is one write and one read. The version in the token is the codec's, so a
+// node and a client of different versions refuse each other (ErrNoUpgrade).
 //
 // Each message is one attempt of NodeClient.send, which keeps deadlines,
 // retry, the breaker and the grace classification where every other call has
@@ -32,13 +35,14 @@ import (
 // would start on the wire is unknown.
 const (
 	stripsPath  = "/node/v1/strips"
-	stripsProto = "oiraid-strips/2"
+	stripsProto = "oiraid-strips/3"
 )
 
-// ErrNoUpgrade reports a strip route that did not upgrade: a request without
-// the Upgrade token (the node answers 426), or a node that answers anything
-// but 101 — one older than the upgraded streams. Retrying cannot change it.
-var ErrNoUpgrade = errors.New("netdev: strip stream not upgraded")
+// ErrNoUpgrade reports a stream route that did not upgrade: a request without
+// this codec's Upgrade token (the node answers 426), or a node that answers
+// anything but 101 — one older than the upgraded streams, or of another codec
+// version. Retrying cannot change it.
+var ErrNoUpgrade = errors.New("netdev: stream not upgraded")
 
 // streamIdle is how long a node keeps a stream on which no message arrives.
 // A client retires a stream idle for half as long, so it never sends on one
@@ -50,7 +54,7 @@ const streamIdle = 10 * time.Second
 // server's buffer is 4 KiB). On BenchmarkNetDeviceStrip 8 KiB beat 4 and 64.
 const streamBuf = 8 << 10
 
-// upgradeTo reports whether h asks for, or agrees to, a strip stream.
+// upgradeTo reports whether h asks for, or agrees to, a stream.
 func upgradeTo(h http.Header) bool { return strings.EqualFold(h.Get("Upgrade"), stripsProto) }
 
 // stream is the client half of one open stream.
@@ -80,10 +84,10 @@ func (s *stream) exchange(msg []byte, timeout time.Duration) ([]byte, error) {
 		answer, err = readMessage(s.r, &s.head, batchMaxBytes)
 	}
 	if !s.timer.Stop() {
-		return nil, fmt.Errorf("netdev: strip stream: no answer within %v: %w", timeout, context.DeadlineExceeded)
+		return nil, fmt.Errorf("netdev: stream: no answer within %v: %w", timeout, context.DeadlineExceeded)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("netdev: strip stream: %w", err)
+		return nil, fmt.Errorf("netdev: stream: %w", err)
 	}
 	return answer, nil
 }
@@ -108,17 +112,14 @@ type streamPool struct {
 // stack over client and node together, an idle keep-alive connection 42.
 const maxIdleStreams = 8
 
-// send is one strip message through the retry loop. Each attempt takes a
+// send is one message through the retry loop. Each attempt takes a
 // stream, writes msg and hands the answer to apply. A stream that fails an
 // attempt is dropped along with the idle ones (all lead to the same node,
 // which may have restarted under them) and the next attempt dials afresh; an
 // error of apply's that is not ErrBadFrame — a retryable item verdict —
 // leaves the stream in the pool.
 func (c *NodeClient) send(msg []byte, apply func(answer []byte) error) error {
-	sent := &c.stats.readMsgs
-	if msg[5] == kindWriteReq {
-		sent = &c.stats.writeMsgs
-	}
+	sent := &c.stats.msgs[msg[5]/2]
 	return c.run(func(context.Context) (time.Duration, bool, error) {
 		s, retryAfter, retryable, err := c.take()
 		if err != nil {
@@ -216,7 +217,7 @@ func (c *NodeClient) endStreams() {
 	}
 }
 
-// dial opens a stream: one Upgrade of the strip route, through the client's
+// dial opens a stream: one Upgrade of the stream route, through the client's
 // transport, whose 101 answer hands the connection over. The open is bounded
 // by the attempt deadline like any request, and Close cancels it; a refusal
 // is classified by the catalogue, a node that answers anything but 101 is
@@ -250,7 +251,7 @@ func (c *NodeClient) dial() (*stream, time.Duration, bool, error) {
 	case resp.StatusCode != http.StatusSwitchingProtocols || !upgradeTo(resp.Header):
 		err = fmt.Errorf("%w: the node answered %s", ErrNoUpgrade, resp.Status)
 	case sent == nil:
-		err = errors.New("netdev: strip stream: the upgraded connection is not writable")
+		err = errors.New("netdev: stream: the upgraded connection is not writable")
 	}
 	if err != nil {
 		resp.Body.Close()
@@ -290,7 +291,7 @@ type nodeStream struct {
 	ended atomic.Bool
 }
 
-// handleStrips serves the node's one strip route: a request that asks for
+// handleStrips serves the node's stream route: a request that asks for
 // the upgrade has its connection taken over and served as a stream in a
 // goroutine of its own, so what the server kept for the request goes with
 // the handler; any other is answered 426.
@@ -302,7 +303,7 @@ func (n *Node) handleStrips(w http.ResponseWriter, r *http.Request) {
 	}
 	conn, brw, err := http.NewResponseController(w).Hijack()
 	if err != nil {
-		fail(w, fmt.Errorf("netdev: strip stream: %w", err))
+		fail(w, fmt.Errorf("netdev: stream: %w", err))
 		return
 	}
 	st := n.openStream(r, conn)
@@ -358,6 +359,9 @@ func (n *Node) serveStream(st *nodeStream, br *bufio.Reader) {
 // message is not a request that decodes.
 func (n *Node) answer(msg []byte) []byte {
 	kind := msg[5]
+	if kind%2 == 0 || kind >= kindEnd {
+		return nil
+	}
 	items, f, err := decodeBatch(msg, kind, batchMaxBytes)
 	switch {
 	case err != nil:
@@ -367,7 +371,7 @@ func (n *Node) answer(msg []byte) []byte {
 	case kind == kindWriteReq:
 		return n.writeStrips(f, items)
 	}
-	return nil
+	return n.serveItems(kind, f, items)
 }
 
 // openStream registers a stream on conn, nil when the node is closing. The

@@ -389,7 +389,7 @@ func TestStreamShutdown(t *testing.T) {
 // catalogue's code, which the client decodes into ErrNoUpgrade.
 func TestStripRouteWantsUpgrade(t *testing.T) {
 	_, srv := startNode(t, "n0")
-	resp, err := http.Post(srv.URL+stripsPath, octetStream, bytes.NewReader(encodeBatch(kindReadReq, fence{}, nil, nil)))
+	resp, err := http.Post(srv.URL+stripsPath, "application/octet-stream", bytes.NewReader(encodeBatch(kindReadReq, fence{}, nil, nil)))
 	if err != nil {
 		t.Fatal(err)
 	}

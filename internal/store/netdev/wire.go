@@ -1,10 +1,10 @@
 // Package netdev is the network plane of the data path: it exports local
-// strip devices and blobs from a *storage node* over HTTP, and
-// implements store.Device / store.Blob clients that a coordinator mounts
+// strip devices and blobs from a *storage node* over upgraded HTTP streams,
+// and implements store.Device / store.Blob clients that a coordinator mounts
 // an array across. The package is built robustness-first:
 //
-//   - Every strip payload crosses the wire inside a checksummed frame
-//     (EncodeFrame/DecodeFrame), so a torn or bit-flipped response is
+//   - Every strip and blob payload crosses the wire inside a checksummed
+//     frame (EncodeFrame/DecodeFrame), so a torn or bit-flipped response is
 //     detected at the codec and retried instead of being written into the
 //     array as data.
 //   - NodeClient bounds every operation with a per-attempt deadline and
@@ -24,13 +24,12 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 )
 
-// Frame ops. A frame carries one strip payload in either direction: the
-// node's response to a strip read, or the client's strip-write request
-// body. Probe and stat traffic is plain HTTP/JSON — only bulk strip data
-// gets the binary framing (and its checksum).
+// Frame ops. A frame carries one payload in either direction: what the node
+// read — a strip, a blob's bytes, a range's checksums — or what the client
+// writes. Probe, inventory and lease traffic is plain HTTP/JSON; the payloads
+// of the batch codec (batch.go) get the binary framing and its checksum.
 const (
 	// OpRead marks a strip-read response frame (node → client).
 	OpRead = 0x01
@@ -129,42 +128,4 @@ func DecodeFrame(b []byte, maxPayload int) (Frame, error) {
 	fr.Strip = int64(binary.BigEndian.Uint64(b[8:16]))
 	fr.Payload = payload
 	return fr, nil
-}
-
-// readSized reads an HTTP body of at most max bytes whose declared
-// Content-Length is n into one buffer sized from n: a strip RPC body has a
-// known size, and io.ReadAll would reach it by doubling from 512 bytes. A
-// declared length past the bound is refused before anything is allocated
-// for it, and a body shorter or longer than declared is a damaged
-// transfer. Only n < 0 (chunked, or decompressed by the transport) is left
-// to a bounded io.ReadAll, which returns at most max+1 bytes — the last
-// one being the caller's cue to refuse.
-func readSized(body io.Reader, n int64, max int) ([]byte, error) {
-	if n < 0 {
-		b, err := io.ReadAll(io.LimitReader(body, int64(max)+1))
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadFrame, err)
-		}
-		return b, nil
-	}
-	if n > int64(max) {
-		return nil, fmt.Errorf("%w: body declares %d bytes, bound is %d", ErrBadFrame, n, max)
-	}
-	// One spare byte to probe for excess with: net/http reports the end of
-	// a declared-length body along with its last byte, so the probe costs
-	// nothing and leaves the connection reusable.
-	b := make([]byte, n+1)
-	if _, err := io.ReadFull(body, b[:n]); err != nil {
-		return nil, fmt.Errorf("%w: body shorter than the %d bytes declared: %v", ErrBadFrame, n, err)
-	}
-	if extra, _ := body.Read(b[n:]); extra > 0 {
-		return nil, fmt.Errorf("%w: body longer than the %d bytes declared", ErrBadFrame, n)
-	}
-	return b[:n:n], nil
-}
-
-// blobCRC is the integrity checksum carried in the X-Oiraid-Crc header
-// of blob reads and writes, covering exactly the transferred bytes.
-func blobCRC(p []byte) string {
-	return fmt.Sprintf("%08x", crc32.Checksum(p, castagnoli))
 }

@@ -103,7 +103,7 @@ type Engine struct {
 	// lives beside its other facts in the monitor (diskCounters.down).
 	failState   atomic.Uint32
 	forcedFloor atomic.Int32
-	// avoidMu serialises syncAvoid, so the array's read-avoid bit of a
+	// avoidMu serialises syncAvoid, so the array's read-avoid mark of a
 	// disk always ends at the last evaluation of its down and quarantine
 	// facts.
 	avoidMu sync.Mutex

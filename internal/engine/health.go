@@ -290,9 +290,17 @@ func (m *monitor) observe(disk int, dur time.Duration, err error) {
 	}
 }
 
-// avoided reports whether reads should reconstruct around the disk: its
-// path is down, or it is quarantined as too slow.
-func (c *diskCounters) avoided() bool { return c.down.Load() || c.quarantined.Load() }
+// readMark is how the array's reads treat the disk: never read while its
+// path is down, read last while it is quarantined as too slow.
+func (c *diskCounters) readMark() store.ReadAvoid {
+	switch {
+	case c.down.Load():
+		return store.ReadDown
+	case c.quarantined.Load():
+		return store.ReadSlow
+	}
+	return store.ReadDirect
+}
 
 // evict hands disk d to the healer and counts the eviction, once per
 // device (the evicted flag gates the send).

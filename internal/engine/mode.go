@@ -115,20 +115,20 @@ func (e *Engine) checkDisk(d int) error {
 }
 
 // markDownLocked records disk d's path state, then re-derives its
-// read-avoid bit and the serving mode. Caller holds e.mode exclusively.
+// read-avoid mark and the serving mode. Caller holds e.mode exclusively.
 func (e *Engine) markDownLocked(d int, down bool) {
 	e.mon.disks[d].down.Store(down)
 	e.syncAvoid(d)
 	e.recomputeModeLocked()
 }
 
-// syncAvoid sets the array's read-avoid bit of disk d (callers have
-// validated d) to down ∨ quarantined. It is the one writer of that bit:
-// path-down marks, quarantine entry and release all end here.
+// syncAvoid sets the array's read-avoid mark of disk d (callers have
+// validated d): down outranks quarantined. It is the one writer of that
+// mark: path-down marks, quarantine entry and release all end here.
 func (e *Engine) syncAvoid(d int) {
 	e.avoidMu.Lock()
 	defer e.avoidMu.Unlock()
-	_ = e.arr.SetReadAvoid(d, e.mon.disks[d].avoided())
+	_ = e.arr.SetReadAvoid(d, e.mon.disks[d].readMark())
 }
 
 // DownDisks returns the disks whose paths are currently marked down.

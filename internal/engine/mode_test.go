@@ -66,16 +66,32 @@ func TestModeLatticeOnDownDisks(t *testing.T) {
 	if got := e.Stats().WritesFenced; got != fencedBefore+1 {
 		t.Fatalf("WritesFenced %d, want %d", got, fencedBefore+1)
 	}
-	// Reads keep flowing: the paths are down for mode purposes, but the
-	// devices behind them still answer in this single-node harness.
+	// Reads keep flowing from the survivors: a strip that decodes around
+	// the down set reads back, and one that does not is refused as
+	// unreachable. A down disk is never read, though the devices behind
+	// the paths still answer in this single-node harness.
+	av := e.arr.Availability(lossyPattern)
+	served, refused := 0, 0
 	for addr, want := range oracle {
+		st, _ := e.arr.LocateDataStrip(addr)
 		got, err := e.ReadStrip(addr)
+		if !av.StripAvailable(st) {
+			if !errors.Is(err, store.ErrUnreachable) {
+				t.Fatalf("read %d (%v) on a down disk while partial: %v, want ErrUnreachable", addr, st, err)
+			}
+			refused++
+			continue
+		}
 		if err != nil {
 			t.Fatalf("read %d while partial: %v", addr, err)
 		}
 		if !bytes.Equal(got, want) {
 			t.Fatalf("strip %d differs while partial", addr)
 		}
+		served++
+	}
+	if served == 0 || refused == 0 {
+		t.Fatalf("partial reads served %d refused %d, want both non-zero", served, refused)
 	}
 
 	st := e.Status()

@@ -25,6 +25,8 @@ package engine
 import (
 	"sync"
 	"time"
+
+	"github.com/oiraid/oiraid/internal/store"
 )
 
 // hedging reports whether the hedged read path is active.
@@ -64,7 +66,7 @@ func (e *Engine) readStripHedged(addr int64) ([]byte, error) {
 	// (down or quarantined) the array reconstructs around it anyway.
 	// Hedging would only add a second reconstruction of the same strip —
 	// skip it.
-	if e.state().anyFailed() || e.mon.disks[d].avoided() {
+	if e.state().anyFailed() || e.mon.disks[d].readMark() != store.ReadDirect {
 		p := make([]byte, e.stripBytes)
 		return p, e.readChunk(addr, 0, p)
 	}

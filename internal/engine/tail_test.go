@@ -2,6 +2,8 @@ package engine
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"slices"
 	"sort"
 	"testing"
@@ -447,5 +449,69 @@ func TestPermanentErrorOnDownPathEvicts(t *testing.T) {
 	}
 	if got := e.Health().Disks[victim].State; got != "healthy" || len(e.DownDisks()) != 0 || len(e.arr.ReadAvoided()) != 0 {
 		t.Fatalf("after heal: state %q, down %v, avoided %v", got, e.DownDisks(), e.arr.ReadAvoided())
+	}
+}
+
+// TestQuarantineNeverReadsDownDisks: with six of nine disks down, every data
+// strip the three survivors decode reads back — also with one survivor
+// quarantined, which only orders the survivors a read tries first. A down
+// disk is never read: a strip on one that does not decode around it is
+// refused as unreachable.
+func TestQuarantineNeverReadsDownDisks(t *testing.T) {
+	down := []int{1, 2, 4, 5, 7, 8}
+	for _, slow := range []int{-1, 0, 3, 6} {
+		e, faults := newChaosEngine(t, 9, 3, Options{Workers: 2, Health: &HealthPolicy{EvictAfter: 1 << 30}})
+		oracle := make([][]byte, e.Strips())
+		for addr := range oracle {
+			oracle[addr] = chaosPattern(e.StripBytes(), int64(addr), 0)
+			if err := e.WriteStrip(int64(addr), oracle[addr]); err != nil {
+				t.Fatalf("seed write %d: %v", addr, err)
+			}
+		}
+		for _, d := range down {
+			faults[d].SetTransientRate(1)
+			if err := e.SetDiskDown(d, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if slow >= 0 {
+			if err := e.QuarantineDisk(slow); err != nil {
+				t.Fatal(err)
+			}
+		}
+		av := e.arr.Availability(down)
+		before := e.arr.DiskStats()
+		decodable, failed, refused, misrefused := 0, 0, 0, 0
+		var first, firstRefusal error
+		for addr, want := range oracle {
+			st, _ := e.arr.LocateDataStrip(int64(addr))
+			got, err := e.ReadStrip(int64(addr))
+			switch {
+			case !av.StripAvailable(st):
+				if refused++; !errors.Is(err, store.ErrUnreachable) {
+					if misrefused++; firstRefusal == nil {
+						firstRefusal = fmt.Errorf("strip %d (%v): %v", addr, st, err)
+					}
+				}
+				continue
+			case err != nil || !bytes.Equal(got, want):
+				if failed++; first == nil {
+					first = fmt.Errorf("strip %d (%v): %v", addr, st, err)
+				}
+			}
+			decodable++
+		}
+		if failed > 0 {
+			t.Errorf("quarantined %d: %d of %d decodable strips failed, first %v", slow, failed, decodable, first)
+		}
+		if refused == 0 || misrefused > 0 {
+			t.Errorf("quarantined %d: %d of %d undecodable strips not refused as unreachable, first %v", slow, misrefused, refused, firstRefusal)
+		}
+		after := e.arr.DiskStats()
+		for _, d := range down {
+			if n := after[d].ReadOps - before[d].ReadOps; n != 0 {
+				t.Errorf("quarantined %d: down disk %d read %d times", slow, d, n)
+			}
+		}
 	}
 }

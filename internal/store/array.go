@@ -105,12 +105,13 @@ type Array struct {
 	// the failed disks as alive via their replacements.
 	rebuiltCycles atomic.Int64
 
-	// plans memoises the recovery plan of the array's unavailable set: [0]
-	// for the failed disks (deep reads and the rebuild), [1] for failed plus
-	// read-avoided (the deep read that skirts quarantine). An entry is used
-	// only while the set it was computed for, its Failed, is still that set,
-	// and is replaced otherwise — no transition has to invalidate it.
-	plans [2]atomic.Pointer[core.Plan]
+	// plans memoises the recovery plan of the array's unavailable set,
+	// indexed by the read-avoid mark planned around (recoveryPlan): the
+	// failed disks (the rebuild), failed plus down (deep reads), failed plus
+	// down plus slow (the deep read that skirts quarantine). An entry is
+	// used only while the set it was computed for, its Failed, is still that
+	// set, and is replaced otherwise — no transition has to invalidate it.
+	plans [readAvoidLevels]atomic.Pointer[core.Plan]
 
 	// journal, when set, closes the write hole by redo logging: the full
 	// new content of a read-modify-write's parity closure is made durable
@@ -128,13 +129,13 @@ type Array struct {
 	// pass completes.
 	scrubCursor atomic.Int64
 
-	// readAvoid marks disks whose reads should be served by parity
-	// reconstruction when a decode path around them exists — the
-	// quarantine state for slow-but-alive disks. Writes still land on an
-	// avoided disk (its content stays current, so leaving quarantine
-	// needs no rebuild). Nil until the first SetReadAvoid; written under
-	// mu, read under at least the read lock.
-	readAvoid []bool
+	// readAvoid marks the disks whose reads are served by parity
+	// reconstruction: a down disk always, a slow one when a decode path
+	// around it exists (ReadAvoid). Writes still land on an avoided disk
+	// (its content stays current, so leaving the mark needs no rebuild).
+	// Nil until the first SetReadAvoid that sets a mark; written under mu,
+	// read under at least the read lock.
+	readAvoid []ReadAvoid
 
 	// readOnly fences the write path: every WriteAt/ConcurrentWriteAt
 	// fails with ErrReadOnly while set. Mount sets it when serving a
@@ -401,29 +402,52 @@ func (a *Array) stripAlive(d int, cycle int64) bool {
 	return !a.failed[d] || (a.replaced[d] != nil && cycle < a.rebuiltCycles.Load())
 }
 
-// avoided reports whether disk d is read-avoided (quarantined).
-func (a *Array) avoided(d int) bool {
-	return a.readAvoid != nil && a.readAvoid[d]
+// ReadAvoid is how reads treat a disk that is not failed: the mark
+// SetReadAvoid sets. The marks are ordered; a read plans around every disk
+// marked at least as high as the pass allows.
+type ReadAvoid uint8
+
+const (
+	// ReadDirect: the disk's strips are read from it.
+	ReadDirect ReadAvoid = iota
+	// ReadSlow: reads plan around the disk while a decode path around it
+	// exists, and read it when none does — slow beats unavailable. The
+	// data-plane half of slow-disk quarantine.
+	ReadSlow
+	// ReadDown: reads plan around the disk in every pass and never read it;
+	// a strip of it that does not decode around it is refused with
+	// ErrUnreachable. The mark of a disk whose path is down.
+	ReadDown
+
+	readAvoidLevels = int(ReadDown) + 1
+)
+
+// avoidMark is disk d's read-avoid mark.
+func (a *Array) avoidMark(d int) ReadAvoid {
+	if a.readAvoid == nil {
+		return ReadDirect
+	}
+	return a.readAvoid[d]
 }
 
-// SetReadAvoid marks disk d read-avoided (avoid true) or clears the mark.
-// While avoided, reads of the disk's strips are served by parity
-// reconstruction whenever a decode path around the disk exists, falling
-// back to a direct read otherwise (slow beats unavailable); writes are
-// unaffected. This is the data-plane half of slow-disk quarantine.
-func (a *Array) SetReadAvoid(d int, avoid bool) error {
+// avoided reports whether disk d is read-avoided (slow or down).
+func (a *Array) avoided(d int) bool { return a.avoidMark(d) != ReadDirect }
+
+// SetReadAvoid sets disk d's read-avoid mark (ReadDirect clears it). Writes
+// are unaffected.
+func (a *Array) SetReadAvoid(d int, mark ReadAvoid) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if d < 0 || d >= len(a.devs) {
 		return fmt.Errorf("%w: %d", ErrNoSuchDisk, d)
 	}
 	if a.readAvoid == nil {
-		if !avoid {
+		if mark == ReadDirect {
 			return nil
 		}
-		a.readAvoid = make([]bool, len(a.devs))
+		a.readAvoid = make([]ReadAvoid, len(a.devs))
 	}
-	a.readAvoid[d] = avoid
+	a.readAvoid[d] = mark
 	return nil
 }
 
@@ -469,7 +493,7 @@ func (a *Array) ReadAvoided() []int {
 	defer a.mu.RUnlock()
 	var out []int
 	for d := range a.readAvoid {
-		if a.readAvoid[d] {
+		if a.readAvoid[d] != ReadDirect {
 			out = append(out, d)
 		}
 	}
@@ -477,9 +501,11 @@ func (a *Array) ReadAvoided() []int {
 }
 
 // readStrip reads one physical strip, reconstructing if the disk is
-// failed. A read-avoided (quarantined) disk is bypassed the same way when
-// a decode path around it exists. A checksum failure (latent sector error)
-// is healed in place: the strip is reconstructed from parity and rewritten.
+// failed. A read-avoided disk is bypassed the same way: a down one always —
+// a strip that does not decode around it is refused with ErrUnreachable —
+// and a slow one when a decode path around it exists. A checksum failure
+// (latent sector error) is healed in place: the strip is reconstructed from
+// parity and rewritten.
 func (a *Array) readStrip(d int, devStrip int64, p []byte) error {
 	dev := a.liveDevice(d, devStrip)
 	if dev == nil {
@@ -490,9 +516,15 @@ func (a *Array) readStrip(d int, devStrip int64, p []byte) error {
 			a.stats.avoidedReads.Add(1)
 			return nil
 		}
-		// No decode path around the quarantined disk (another disk failed
-		// or also avoided in every shared stripe); fall through to the
-		// direct read.
+		// No single stripe around the disk (another disk failed or also
+		// avoided in every shared stripe): a slow disk is read directly,
+		// a down one only ever reconstructed.
+		if a.avoidMark(d) == ReadDown {
+			if err := a.reconstructStripDepth(d, devStrip, p, 0); err != nil {
+				return fmt.Errorf("%w: disk %d is down and strip %d does not decode around it (%v)", ErrUnreachable, d, devStrip, err)
+			}
+			return nil
+		}
 	}
 	err := a.readMember(dev, d, devStrip, p, 0)
 	if err == nil || errors.Is(err, ErrCorrupt) {
@@ -552,23 +584,23 @@ func (a *Array) reconstructStripDepth(d int, devStrip int64, p []byte, depth int
 	slots := int64(a.an.SlotsPerDisk())
 	cycle, slot := devStrip/slots, int(devStrip%slots)
 	target := layout.Strip{Disk: d, Slot: slot}
-	alive := func(disk int) bool { return a.stripAlive(disk, cycle) }
 	if a.readAvoid != nil {
-		// Prefer decode paths that also skirt read-avoided disks — a
-		// quarantined-slow disk costs latency, an unreachable node costs
-		// the whole read. Any strict-path failure falls through to the
-		// plain predicates so slow-but-alive disks stay usable.
+		// Prefer decode paths that also skirt slow disks — a quarantined
+		// disk costs latency, an unreachable node costs the whole read. A
+		// strict-path failure falls through to the pass that reads slow
+		// disks; no pass reads a down one.
 		strict := func(disk int) bool { return a.stripAlive(disk, cycle) && !a.avoided(disk) }
 		if err := a.decodeVia(target, cycle, strict, p, depth); err == nil {
 			return nil
 		}
-		if err := a.reconstructDeep(cycle, target, p, true, depth); err == nil {
+		if err := a.reconstructDeep(cycle, target, p, ReadSlow, depth); err == nil {
 			return nil
 		}
 	}
+	alive := func(disk int) bool { return a.stripAlive(disk, cycle) && a.avoidMark(disk) != ReadDown }
 	err := a.decodeVia(target, cycle, alive, p, depth)
 	if errors.Is(err, errNoDecodePath) {
-		return a.reconstructDeep(cycle, target, p, false, depth)
+		return a.reconstructDeep(cycle, target, p, ReadDown, depth)
 	}
 	return err
 }
@@ -693,16 +725,13 @@ func (a *Array) ProbeDiskStrip(d int, devStrip int64, p []byte) error {
 	return ops[0].err
 }
 
-// recoveryPlan returns the recovery plan of the failed disks — with
-// avoidQuarantined, of the failed and the read-avoided disks — computing it
-// only when the memo holds the plan of another set. Caller holds mu in
-// either mode: readers that miss together each compute the same plan.
-func (a *Array) recoveryPlan(avoidQuarantined bool) *core.Plan {
-	down := func(d int) bool { return a.failed[d] || (avoidQuarantined && a.avoided(d)) }
-	memo := &a.plans[0]
-	if avoidQuarantined {
-		memo = &a.plans[1]
-	}
+// recoveryPlan returns the recovery plan of the failed disks and of those
+// marked around or higher (ReadDirect: the failed disks alone), computing it
+// only when no memo holds the plan of that set — while no disk carries the
+// marks that would tell them apart, every pass shares one plan. Caller holds
+// mu in either mode: readers that miss together each compute the same plan.
+func (a *Array) recoveryPlan(around ReadAvoid) *core.Plan {
+	down := func(d int) bool { return a.failed[d] || around != ReadDirect && a.avoidMark(d) >= around }
 	n := 0
 	for d := range a.devs {
 		if down(d) {
@@ -710,9 +739,11 @@ func (a *Array) recoveryPlan(avoidQuarantined bool) *core.Plan {
 		}
 	}
 	// As many disks, all of them down: the same set.
-	if plan := memo.Load(); plan != nil && len(plan.Failed) == n &&
-		!slices.ContainsFunc(plan.Failed, func(d int) bool { return !down(d) }) {
-		return plan
+	for i := range a.plans {
+		if plan := a.plans[i].Load(); plan != nil && len(plan.Failed) == n &&
+			!slices.ContainsFunc(plan.Failed, func(d int) bool { return !down(d) }) {
+			return plan
+		}
 	}
 	set := make([]int, 0, n)
 	for d := range a.devs {
@@ -721,7 +752,7 @@ func (a *Array) recoveryPlan(avoidQuarantined bool) *core.Plan {
 		}
 	}
 	plan := a.an.Plan(set, core.PlanOptions{})
-	memo.Store(plan)
+	a.plans[around].Store(plan)
 	return plan
 }
 
@@ -729,15 +760,15 @@ func (a *Array) recoveryPlan(avoidQuarantined bool) *core.Plan {
 // by running the part of the recovery plan the strip needs: the tasks
 // Plan.For extracts, at most one stripe per phase on OI-RAID. It is the slow
 // path for failure patterns where no single live stripe covers the strip —
-// e.g. reading a group that lost two disks before any rebuild. With
-// avoidQuarantined set, read-avoided disks are planned around as if failed,
-// so a partition-downed node never stalls the read of a strip that is
-// decodable without it. An incomplete plan does not abort the read — the
+// e.g. reading a group that lost two disks before any rebuild. The disks
+// marked around or higher are planned around as if failed, so a
+// partition-downed node never stalls the read of a strip that is decodable
+// without it. An incomplete plan does not abort the read — the
 // plan still rebuilds every recoverable strip, and only a target it does not
 // rebuild fails, with ErrStripUnavailable (the per-strip refinement of
 // ErrTooManyFailures).
-func (a *Array) reconstructDeep(cycle int64, target layout.Strip, p []byte, avoidQuarantined bool, depth int) error {
-	plan := a.recoveryPlan(avoidQuarantined)
+func (a *Array) reconstructDeep(cycle int64, target layout.Strip, p []byte, around ReadAvoid, depth int) error {
+	plan := a.recoveryPlan(around)
 	need := plan.For(target)
 	if len(need) == 0 {
 		return fmt.Errorf("%w: strip %v under failed disks %v", ErrStripUnavailable, target, plan.Failed)

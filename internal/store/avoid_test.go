@@ -22,7 +22,7 @@ func TestReadAvoidReconstructs(t *testing.T) {
 	}
 
 	victim := arr.DataStripDisk(0)
-	if err := arr.SetReadAvoid(victim, true); err != nil {
+	if err := arr.SetReadAvoid(victim, ReadSlow); err != nil {
 		t.Fatal(err)
 	}
 	if got := arr.ReadAvoided(); len(got) != 1 || got[0] != victim {
@@ -43,13 +43,13 @@ func TestReadAvoidReconstructs(t *testing.T) {
 		t.Fatalf("no avoided reads recorded: %+v", st)
 	}
 
-	// Writes ignore the avoid bit: update a strip on the victim, clear the
+	// Writes ignore the avoid mark: update a strip on the victim, clear the
 	// avoid, and the direct read must see the new contents.
 	fresh := bytes.Repeat([]byte{0xA7}, arr.StripBytes())
 	if _, err := arr.WriteAt(fresh, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := arr.SetReadAvoid(victim, false); err != nil {
+	if err := arr.SetReadAvoid(victim, ReadDirect); err != nil {
 		t.Fatal(err)
 	}
 	if len(arr.ReadAvoided()) != 0 {
@@ -60,14 +60,14 @@ func TestReadAvoidReconstructs(t *testing.T) {
 	}
 }
 
-// TestReadAvoidAdvisory: the avoid bit is advisory — when decoding
+// TestReadAvoidAdvisory: the slow mark is advisory — when decoding
 // around the avoided disks is impossible (here: all disks avoided),
 // reads fall back to the direct path instead of failing.
 func TestReadAvoidAdvisory(t *testing.T) {
 	arr, _ := newChecksummedArray(t, 9)
 	fillArray(t, arr, 34)
 	for d := 0; d < len(arr.devs); d++ {
-		if err := arr.SetReadAvoid(d, true); err != nil {
+		if err := arr.SetReadAvoid(d, ReadSlow); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -80,10 +80,10 @@ func TestReadAvoidAdvisory(t *testing.T) {
 // TestReadAvoidValidation: out-of-range disks are rejected.
 func TestReadAvoidValidation(t *testing.T) {
 	arr, _ := newChecksummedArray(t, 9)
-	if err := arr.SetReadAvoid(-1, true); !errors.Is(err, ErrNoSuchDisk) {
+	if err := arr.SetReadAvoid(-1, ReadSlow); !errors.Is(err, ErrNoSuchDisk) {
 		t.Fatalf("want ErrNoSuchDisk, got %v", err)
 	}
-	if err := arr.SetReadAvoid(len(arr.devs), true); !errors.Is(err, ErrNoSuchDisk) {
+	if err := arr.SetReadAvoid(len(arr.devs), ReadSlow); !errors.Is(err, ErrNoSuchDisk) {
 		t.Fatalf("want ErrNoSuchDisk, got %v", err)
 	}
 }

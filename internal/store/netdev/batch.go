@@ -1,7 +1,28 @@
+// Package netdev is the network plane of the data path: it exports local
+// strip devices and blobs from a *storage node* over upgraded HTTP streams,
+// and implements store.Device / store.Blob clients that a coordinator mounts
+// an array across. The package is built robustness-first:
+//
+//   - Every device and blob op crosses the wire as a message of one codec
+//     (this file), whose trailer is a CRC-32C over every byte before it, so
+//     a torn or bit-flipped answer is detected at the codec and retried
+//     instead of being written into the array as data, and a damaged
+//     request is refused before anything it names is touched.
+//   - NodeClient bounds every operation with a per-attempt deadline and
+//     runs it through the tree's one retry loop and circuit breaker
+//     (internal/retry), and probes an unreachable node in the background
+//     until it answers again.
+//   - Unreachability is classified by a grace window: within it the
+//     client returns store.ErrUnreachable (transient — the engine
+//     reconstructs reads around the node and retries writes); once the
+//     window elapses the node is declared lost and errors become
+//     store.ErrPermanent, which drives the existing evict→spare→rebuild
+//     heal path.
 package netdev
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -20,7 +41,7 @@ import (
 // Message layout (big endian), the same for requests and answers:
 //
 //	0  4  magic "oSTB"
-//	4  1  version (3)
+//	4  1  version (4)
 //	5  1  kind
 //	6  1  flags (bit 0: the message carries a fencing epoch)
 //	7  1  reserved (zero)
@@ -28,7 +49,7 @@ import (
 //	12 8  fencing epoch (zero unless flagged)
 //	20 4  item count
 //	24 …  items
-//	-4 4  CRC-32C of everything before it except the frames
+//	-4 4  CRC-32C of every byte before it
 //
 // and each item:
 //
@@ -43,16 +64,16 @@ import (
 //	1  flags (bit 0, in a blob read's answer: the read ran off the end)
 //	1  error code length, then the code (answers; empty = done)
 //	2  error text length, then the text
-//	4  frame length, then the frame (0 = none)
+//	4  payload length, then the payload (0 = none)
 //
-// A payload crosses the wire inside a strip-transport frame with its own
-// checksum — a read answer's items and a write request's items carry one, its
-// strip field the item's — so the trailer covers only what the frames do not:
-// the header, names, numbers and verdicts. The length in the header is what
-// lets a reader cut messages off a stream; the fence is in the header because
-// a stream outlives the epochs its messages are sent under.
+// Only strip-write and blob-write requests, and strip-read, sums and
+// blob-read answers, carry payloads (hasPayload). The one checksum covers the
+// header, the items and their payloads, and is checked before any item is
+// parsed, so nothing a damaged message names is touched. The length in the
+// header is what lets a reader cut messages off a stream; the fence is in the
+// header because a stream outlives the epochs its messages are sent under.
 const (
-	batchVersion   = 3
+	batchVersion   = 4
 	batchLenEnd    = 12 // the header up to the length: what a stream reader needs first
 	batchHeaderLen = 24
 	batchItemMin   = 1 + 8 + 8 + 8 + 1 + 1 + 2 + 4
@@ -60,16 +81,16 @@ const (
 
 	// Every request kind is odd, and its answer is the kind after it.
 	kindReadReq      = 0x01 // items name strips
-	kindReadResp     = 0x02 // items carry OpRead frames, or a code
-	kindWriteReq     = 0x03 // items carry OpWrite frames
+	kindReadResp     = 0x02 // items carry the strips, or a code
+	kindWriteReq     = 0x03 // items carry the strips
 	kindWriteResp    = 0x04 // items carry a code, or nothing
 	kindDevCreate    = 0x05
 	kindDevDelete    = 0x07
-	kindDevSums      = 0x09 // answered with an OpRead frame of 4-byte CRC-32Cs
+	kindDevSums      = 0x09 // answered with 4-byte CRC-32Cs, one per strip
 	kindBlobCreate   = 0x0B
 	kindBlobDelete   = 0x0D
-	kindBlobRead     = 0x0F // answered with an OpRead frame of the bytes read
-	kindBlobWrite    = 0x11 // items carry OpWrite frames
+	kindBlobRead     = 0x0F // answered with the bytes read
+	kindBlobWrite    = 0x11 // items carry the bytes to write
 	kindBlobSync     = 0x13
 	kindBlobTruncate = 0x15
 	kindBlobStat     = 0x17
@@ -84,6 +105,16 @@ const (
 	batchMaxBytes = 4 << 20
 )
 
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// ErrBadFrame reports a message that failed validation: short or oversized,
+// wrong magic or version, a length field that disagrees with the body, a
+// payload on a kind that carries none, or a checksum mismatch. On an answer
+// it means the bytes were torn or corrupted in flight and the operation is
+// retried; on a request the node refuses the whole message, so damaged bytes
+// never reach media.
+var ErrBadFrame = errors.New("netdev: bad message on the node wire")
+
 // mutates reports whether a request of kind changes the node, and so carries
 // the client's fence.
 func mutates(kind byte) bool {
@@ -92,6 +123,15 @@ func mutates(kind byte) bool {
 		return false
 	}
 	return true
+}
+
+// hasPayload reports whether the items of a message of kind carry payloads.
+func hasPayload(kind byte) bool {
+	switch kind {
+	case kindReadResp, kindWriteReq, kindDevSums + 1, kindBlobRead + 1, kindBlobWrite:
+		return true
+	}
+	return false
 }
 
 var batchMagic = [4]byte{'o', 'S', 'T', 'B'}
@@ -113,45 +153,28 @@ type batchItem struct {
 	// Code and Msg are a response item's verdict: the node catalogue's code
 	// and the error's text, both empty for an op that was done.
 	Code, Msg string
-	// Payload is the content of the item's frame, nil for an item without
-	// one. Decoded, it aliases the message.
+	// Payload is the item's bytes, nil for none: an empty payload decodes
+	// as nil. Decoded, it aliases the message.
 	Payload []byte
-}
-
-// frameOp is the op of the frames a batch of the given kind carries, 0 when
-// it carries none.
-func frameOp(kind byte) byte {
-	switch kind {
-	case kindReadResp, kindDevSums + 1, kindBlobRead + 1:
-		return OpRead
-	case kindWriteReq, kindBlobWrite:
-		return OpWrite
-	}
-	return 0
 }
 
 // batchStripMax is the largest payload — a strip, a chunk of a blob — that a
 // batch message can carry alone for the device or blob name: the cap less
-// the message's framing and the item's.
+// the message's header and trailer and the item's fields.
 func batchStripMax(name string) int {
-	return batchMaxBytes - batchHeaderLen - batchTrailer - batchItemMin - len(name) - FrameHeaderLen
+	return batchMaxBytes - batchHeaderLen - batchTrailer - batchItemMin - len(name)
 }
 
 func (it *batchItem) wireSize() int {
-	n := batchItemMin + len(it.Name) + len(it.Code) + len(it.Msg)
-	if it.Payload != nil {
-		n += FrameHeaderLen + len(it.Payload)
-	}
-	return n
+	return batchItemMin + len(it.Name) + len(it.Code) + len(it.Msg) + len(it.Payload)
 }
 
 // encodeBatch builds the message of kind over items in one buffer of its
-// exact size, stamped with f; each payload is framed where it lands. With
-// fill, a payload's content is not copied from the item but produced in
-// place — fill(i, p) for item i, whose Payload gives only the length and is
-// left pointing at p — so a node reads strips off its devices straight into
-// the response. Names and codes longer than a byte can count, or texts longer
-// than two, are the caller's bug and are cut.
+// exact size, stamped with f. With fill, a payload's content is not copied
+// from the item but produced in place — fill(i, p) for item i, whose Payload
+// gives only the length and is left pointing at p — so a node reads strips
+// off its devices straight into the response. Names and codes longer than a
+// byte can count, or texts longer than two, are the caller's bug and are cut.
 func encodeBatch(kind byte, f fence, items []batchItem, fill func(i int, p []byte)) []byte {
 	size := batchHeaderLen + batchTrailer
 	for i := range items {
@@ -168,7 +191,6 @@ func encodeBatch(kind byte, f fence, items []batchItem, fill func(i int, p []byt
 	binary.BigEndian.PutUint32(b[8:12], uint32(size))
 	binary.BigEndian.PutUint64(b[12:20], f.epoch)
 	binary.BigEndian.PutUint32(b[20:24], uint32(len(items)))
-	sum, mark := uint32(0), 0 // b[mark:] is not yet in sum
 	for i := range items {
 		it := &items[i]
 		b = append(append(b, byte(len(it.Name))), it.Name...)
@@ -182,23 +204,20 @@ func encodeBatch(kind byte, f fence, items []batchItem, fill func(i int, p []byt
 		b = append(b, flags)
 		b = append(append(b, byte(len(it.Code))), it.Code...)
 		b = append(binary.BigEndian.AppendUint16(b, uint16(len(it.Msg))), it.Msg...)
-		if it.Payload == nil {
-			b = binary.BigEndian.AppendUint32(b, 0)
+		b = binary.BigEndian.AppendUint32(b, uint32(len(it.Payload)))
+		if len(it.Payload) == 0 {
 			continue
 		}
-		b = binary.BigEndian.AppendUint32(b, uint32(FrameHeaderLen+len(it.Payload)))
-		sum, mark = crc32.Update(sum, castagnoli, b[mark:]), len(b)+FrameHeaderLen+len(it.Payload)
-		frame := b[len(b):mark]
+		payload := b[len(b) : len(b)+len(it.Payload)]
 		if fill != nil {
-			it.Payload = frame[FrameHeaderLen:]
-			fill(i, it.Payload)
+			it.Payload = payload
+			fill(i, payload)
 		} else {
-			copy(frame[FrameHeaderLen:], it.Payload)
+			copy(payload, it.Payload)
 		}
-		sealFrame(frame, frameOp(kind), it.Strip)
-		b = b[:mark]
+		b = b[:len(b)+len(payload)]
 	}
-	return binary.BigEndian.AppendUint32(b, crc32.Update(sum, castagnoli, b[mark:]))
+	return binary.BigEndian.AppendUint32(b, crc32.Checksum(b, castagnoli))
 }
 
 // readMessage cuts the next message off a stream into one buffer of its
@@ -299,12 +318,11 @@ func (r *batchReader) uint(width int) (v uint64) {
 	return v
 }
 
-// decodeBatch parses and validates a message of the given kind: structure,
-// declared length, fence, trailer checksum, and every frame — its own
-// checksum, the kind's op, the item's strip index, at most maxPayload bytes
-// (negative: unbounded). Anything else is ErrBadFrame. The items' payloads
-// alias b.
-func decodeBatch(b []byte, kind byte, maxPayload int) ([]batchItem, fence, error) {
+// decodeBatch parses and validates a message of the given kind: its
+// structure, declared length and fence, the trailer's checksum (before any
+// item is parsed), and that only a kind that carries payloads carries one.
+// Anything else is ErrBadFrame. The items' payloads alias b.
+func decodeBatch(b []byte, kind byte) ([]batchItem, fence, error) {
 	var f fence
 	bad := func(format string, args ...any) ([]batchItem, fence, error) {
 		return nil, fence{}, fmt.Errorf("%w: batch: %s", ErrBadFrame, fmt.Sprintf(format, args...))
@@ -321,17 +339,20 @@ func decodeBatch(b []byte, kind byte, maxPayload int) ([]batchItem, fence, error
 	if n := binary.BigEndian.Uint32(b[8:12]); int64(n) != int64(len(b)) {
 		return bad("%d bytes, header declares %d", len(b), n)
 	}
+	end := len(b) - batchTrailer
+	if got, want := crc32.Checksum(b[:end], castagnoli), binary.BigEndian.Uint32(b[end:]); got != want {
+		return bad("crc %08x, trailer says %08x", got, want)
+	}
 	f.epoch, f.on = binary.BigEndian.Uint64(b[12:20]), b[6]&flagFenced != 0
 	if !f.on && f.epoch != 0 {
 		return bad("epoch %d without the fence flag", f.epoch)
 	}
-	r := batchReader{b: b, off: batchHeaderLen, end: len(b) - batchTrailer}
+	r := batchReader{b: b, off: batchHeaderLen, end: end}
 	count := binary.BigEndian.Uint32(b[20:24])
 	if int64(count)*batchItemMin > int64(r.end-r.off) {
 		return bad("%d items in %d bytes", count, len(b))
 	}
 	items := make([]batchItem, count)
-	sum, mark := uint32(0), 0 // b[mark:r.off] is not yet in sum
 	for i := range items {
 		it := &items[i]
 		it.Name = string(r.take(int(r.uint(1))))
@@ -342,35 +363,23 @@ func decodeBatch(b []byte, kind byte, maxPayload int) ([]batchItem, fence, error
 		it.EOF = flags&flagEOF != 0
 		it.Code = string(r.take(int(r.uint(1))))
 		it.Msg = string(r.take(int(r.uint(2))))
-		length := int(r.uint(4))
+		payload := r.take(int(r.uint(4)))
 		if r.short {
 			return bad("item %d cut short", i)
 		}
 		if flags&^flagEOF != 0 {
 			return bad("item %d: flags %#x", i, flags)
 		}
-		if length == 0 {
+		if len(payload) == 0 {
 			continue
 		}
-		sum, mark = crc32.Update(sum, castagnoli, b[mark:r.off]), r.off+length
-		frame := r.take(length)
-		if frameOp(kind) == 0 || frame == nil {
-			return bad("item %d: a frame of %d bytes", i, length)
+		if !hasPayload(kind) {
+			return bad("item %d: a payload of %d bytes", i, len(payload))
 		}
-		fr, err := DecodeFrame(frame, maxPayload)
-		if err != nil {
-			return nil, fence{}, fmt.Errorf("batch item %d: %w", i, err)
-		}
-		if fr.Op != frameOp(kind) || fr.Strip != it.Strip {
-			return bad("item %d: frame op=%d strip=%d, want op=%d strip=%d", i, fr.Op, fr.Strip, frameOp(kind), it.Strip)
-		}
-		it.Payload = fr.Payload
+		it.Payload = payload
 	}
 	if r.off != r.end {
 		return bad("%d bytes after the last item", r.end-r.off)
-	}
-	if got, want := crc32.Update(sum, castagnoli, b[mark:r.end]), binary.BigEndian.Uint32(b[r.end:]); got != want {
-		return bad("crc %08x, trailer says %08x", got, want)
 	}
 	return items, f, nil
 }
@@ -412,7 +421,7 @@ func (c *NodeClient) stripBatch(ops []store.StripOp, write bool) {
 			continue
 		}
 		it := batchItem{Name: d.name, Strip: op.Idx, Payload: op.Buf}
-		n := it.wireSize() // the item with its frame: a write's request, a read's response
+		n := it.wireSize() // the item with its strip: a write's request, a read's response
 		if !write {
 			it.Payload = nil
 		}
@@ -468,7 +477,7 @@ func (c *NodeClient) message(kind byte, items []batchItem, each func(k int, it *
 	defer putMsg(msg)
 	return c.send(msg, func(answer []byte) error {
 		defer putMsg(answer)
-		got, _, err := decodeBatch(answer, kind+1, -1)
+		got, _, err := decodeBatch(answer, kind+1)
 		if err != nil {
 			return err
 		}

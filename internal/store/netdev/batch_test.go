@@ -94,7 +94,7 @@ func (f *batchFixture) ops(dev *NetDevice, tag byte, write bool, idxs ...int64) 
 
 // TestBatchRoundTrip: strips of two devices of one node, of different strip
 // sizes, are written in one message and read back in one, each in its own
-// frame.
+// item.
 func TestBatchRoundTrip(t *testing.T) {
 	f := newBatchFixture(t)
 	w := append(f.ops(f.d0, 0xA0, true, 0, 3, 5), f.ops(f.d1, 0xB0, true, 1, 2)...)
@@ -330,10 +330,10 @@ func (s *rawStream) answer() ([]byte, error) {
 }
 
 // TestBatchNodeRefusesDamage drives the strip route with what a client never
-// sends: a message whose trailer, frame or name does not verify, and one of a
-// response kind, each of which ends the stream with nothing landed; a write
-// item without its frame, refused alone; and a read request whose answer would
-// not fit a message, refused item by item.
+// sends: a message whose trailer, payload or name does not verify, and one of
+// a response kind, each of which ends the stream with nothing landed; an empty
+// write item, refused alone; and a read request whose answer would not fit a
+// message, refused item by item.
 func TestBatchNodeRefusesDamage(t *testing.T) {
 	f := newBatchFixture(t)
 	good := encodeBatch(kindWriteReq, fence{}, []batchItem{{Name: "d0", Strip: 1, Payload: stripOf(0x40, 1, 512)}}, nil)
@@ -351,15 +351,15 @@ func TestBatchNodeRefusesDamage(t *testing.T) {
 	if err := f.d0.ReadStrip(1, got); err != nil || !bytes.Equal(got, make([]byte, 512)) {
 		t.Errorf("a refused message reached the strip: err %v", err)
 	}
-	// A write item without its frame fails alone, as a caller's bug.
+	// An empty write item fails alone, as a caller's bug.
 	s := openRawStream(t, f.c.Base())
 	mixed := []batchItem{{Name: "d0", Strip: 2}, {Name: "d0", Strip: 3, Payload: stripOf(0x41, 3, 512)}}
 	body, err := s.exchange(encodeBatch(kindWriteReq, fence{}, mixed, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if answer, _, err := decodeBatch(body, kindWriteResp, 0); err != nil || len(answer) != 2 || answer[0].Code != "short-buffer" || answer[1].Code != "" {
-		t.Errorf("a frameless write item: %+v, err %v", answer, err)
+	if answer, _, err := decodeBatch(body, kindWriteResp); err != nil || len(answer) != 2 || answer[0].Code != "short-buffer" || answer[1].Code != "" {
+		t.Errorf("an empty write item: %+v, err %v", answer, err)
 	}
 	// 4097 reads of 1 KiB strips, on the same stream: a small request, an
 	// answer past the cap.
@@ -371,7 +371,7 @@ func TestBatchNodeRefusesDamage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	answer, _, err := decodeBatch(body, kindReadResp, 0)
+	answer, _, err := decodeBatch(body, kindReadResp)
 	if err != nil || len(answer) != len(many) {
 		t.Fatalf("read past the answer cap: %d items, err %v", len(answer), err)
 	}
@@ -439,15 +439,15 @@ func (c *countingReader) Read(p []byte) (int, error) {
 // TestBatchCodec: every kind round-trips with its fence, its items' numbers,
 // generations and EOF marks, and their verdicts, which decode back into the
 // catalogue's sentinels; the decoder holds a message to its kind, its declared
-// length and fence flag, its frames to the kind's op and the item's strip; and
-// a message encoded into a recycled buffer carries none of its old bytes.
+// length and fence flag, and a payload to a kind that carries one; and a
+// message encoded into a recycled buffer carries none of its old bytes.
 func TestBatchCodec(t *testing.T) {
 	verdicts := []error{ErrStaleGen, ErrNodeNotFound, store.ErrNegativeOffset}
 	for kind := byte(kindReadReq); kind < kindEnd; kind++ {
 		var items []batchItem
 		for _, gen := range []uint64{0, 1, 1 << 63} {
 			it := batchItem{Name: "disk00", Strip: 7, Size: 1 << 40, Gen: gen}
-			if frameOp(kind) != 0 {
+			if hasPayload(kind) {
 				it.Payload = []byte("seven")
 			}
 			items = append(items, it)
@@ -457,13 +457,10 @@ func TestBatchCodec(t *testing.T) {
 			it.verdict(fmt.Errorf("%w: blob m0", err))
 			items = append(items, it)
 		}
-		items = append(items, batchItem{Name: "m0", Strip: 3, Size: 16, Gen: 2, EOF: true})
-		if frameOp(kind) != 0 {
-			items[len(items)-1].Payload = []byte{} // the read ran off the end at once
-		}
+		items = append(items, batchItem{Name: "m0", Strip: 3, Size: 16, Gen: 2, EOF: true}) // the read ran off the end at once
 		for _, fc := range []fence{{}, {epoch: 0, on: true}, {epoch: 1 << 60, on: true}} {
 			b := encodeBatch(kind, fc, items, nil)
-			got, gotFence, err := decodeBatch(b, kind, 16)
+			got, gotFence, err := decodeBatch(b, kind)
 			if err != nil {
 				t.Fatalf("kind %d: %v", kind, err)
 			}
@@ -471,49 +468,85 @@ func TestBatchCodec(t *testing.T) {
 				t.Errorf("kind %d fence %+v: decoded %+v %+v", kind, fc, gotFence, got)
 			}
 		}
-		got, _, _ := decodeBatch(encodeBatch(kind, fence{}, items, nil), kind, 16)
+		got, _, _ := decodeBatch(encodeBatch(kind, fence{}, items, nil), kind)
 		for i, want := range verdicts {
 			if err, retryable := itemError(&got[3+i]); !errors.Is(err, want) || retryable {
 				t.Errorf("kind %d: verdict %v decoded as %v (retryable %v)", kind, want, err, retryable)
 			}
 		}
 		b := encodeBatch(kind, fence{}, items, nil)
-		if _, _, err := decodeBatch(b, kind^0x01, 16); !errors.Is(err, ErrBadFrame) {
+		if _, _, err := decodeBatch(b, kind^0x01); !errors.Is(err, ErrBadFrame) {
 			t.Errorf("kind %d decoded as %d: %v", kind, kind^0x01, err)
 		}
-		if _, _, err := decodeBatch(append(bytes.Clone(b), 0), kind, 16); !errors.Is(err, ErrBadFrame) {
+		if _, _, err := decodeBatch(append(bytes.Clone(b), 0), kind); !errors.Is(err, ErrBadFrame) {
 			t.Errorf("kind %d: a byte past the declared length accepted: %v", kind, err)
 		}
-		if frameOp(kind) == 0 {
+		if !hasPayload(kind) {
 			continue
 		}
-		if _, _, err := decodeBatch(b, kind, 4); !errors.Is(err, ErrBadFrame) {
-			t.Errorf("kind %d: payload past the bound accepted: %v", kind, err)
-		}
-		// A frame where the kind carries none.
-		b[5] = kindWriteResp
-		if _, _, err := decodeBatch(b, kindWriteResp, 16); !errors.Is(err, ErrBadFrame) {
-			t.Errorf("frames of kind %d in a write response: %v", kind, err)
+		// A payload where the kind carries none.
+		b = encodeBatch(kindWriteResp, fence{}, items, nil)
+		if _, _, err := decodeBatch(b, kindWriteResp); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("payloads of kind %d in a write response: %v", kind, err)
 		}
 	}
 	// An epoch without the flag that says the message carries one.
 	b := encodeBatch(kindReadReq, fence{epoch: 3, on: true}, nil, nil)
 	b[6] = 0
-	if _, _, err := decodeBatch(b, kindReadReq, 16); !errors.Is(err, ErrBadFrame) {
+	if _, _, err := decodeBatch(b, kindReadReq); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("an unflagged epoch: %v", err)
 	}
 	// An item flag the codec does not know.
 	b = encodeBatch(kindBlobStat, fence{}, []batchItem{{Name: "m0"}}, nil)
 	b[batchHeaderLen+1+2+8+8+8] = 0x02
-	if _, _, err := decodeBatch(b, kindBlobStat, 16); !errors.Is(err, ErrBadFrame) {
+	if _, _, err := decodeBatch(b, kindBlobStat); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("an unknown item flag: %v", err)
 	}
 	// A recycled buffer's old bytes do not leak into the next message.
 	dirty := bytes.Repeat([]byte{0xFF}, 1<<msgMinShift)
 	putMsg(dirty)
 	b = encodeBatch(kindReadReq, fence{}, []batchItem{{Name: "d", Strip: 1}}, nil)
-	if _, f, err := decodeBatch(b, kindReadReq, 16); err != nil || f != (fence{}) {
+	if _, f, err := decodeBatch(b, kindReadReq); err != nil || f != (fence{}) {
 		t.Errorf("an unfenced message in a recycled buffer: fence %+v, err %v", f, err)
+	}
+}
+
+// TestBatchEveryBitFlipRefused: the trailer covers every byte of a message —
+// header, items and payloads — so one flipped bit anywhere in a two-item
+// strip-write request, or in a read answer with one strip and one verdict,
+// is refused as ErrBadFrame: by readMessage when it breaks what a stream
+// reader checks, by decodeBatch otherwise.
+func TestBatchEveryBitFlipRefused(t *testing.T) {
+	answer := []batchItem{{Name: "d0", Strip: 1, Payload: stripOf(0x61, 1, 512)}, {Name: "d1", Strip: 2}}
+	answer[1].verdict(fmt.Errorf("%w: device d1", ErrNodeNotFound))
+	for _, m := range []struct {
+		name  string
+		kind  byte
+		f     fence
+		items []batchItem
+	}{
+		{"a strip-write request", kindWriteReq, fence{epoch: 7, on: true}, []batchItem{
+			{Name: "d0", Strip: 1, Payload: stripOf(0x60, 1, 512)},
+			{Name: "d1", Strip: 2, Payload: stripOf(0x60, 2, 1024)},
+		}},
+		{"a read answer", kindReadResp, fence{}, answer},
+	} {
+		msg := bytes.Clone(encodeBatch(m.kind, m.f, m.items, nil))
+		if _, _, err := decodeBatch(msg, m.kind); err != nil {
+			t.Fatalf("%s whole: %v", m.name, err)
+		}
+		var head [batchLenEnd]byte
+		for bit := 0; bit < 8*len(msg); bit++ {
+			bad := bytes.Clone(msg)
+			bad[bit/8] ^= 1 << (bit % 8)
+			got, err := readMessage(bytes.NewReader(bad), &head, batchMaxBytes)
+			if err == nil {
+				_, _, err = decodeBatch(got, m.kind)
+			}
+			if !errors.Is(err, ErrBadFrame) {
+				t.Errorf("%s, bit %d of byte %d flipped: %v, want ErrBadFrame", m.name, bit%8, bit/8, err)
+			}
+		}
 	}
 }
 

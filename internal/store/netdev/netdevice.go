@@ -12,7 +12,7 @@ import (
 // NetDevice is a store.Device whose strips live on a remote storage
 // node. All wire robustness — deadlines, retries, backoff, the breaker,
 // the unreachable/lost classification — lives in the shared NodeClient;
-// the device itself only frames payloads and verifies what comes back.
+// the device itself only checks its geometry and what comes back.
 type NetDevice struct {
 	c          *NodeClient
 	name       string
@@ -67,10 +67,10 @@ func (d *NetDevice) check(idx int64, p []byte) error {
 // fault.
 func (d *NetDevice) ReadStrip(idx int64, p []byte) error { return d.single(idx, p, false) }
 
-// WriteStrip implements store.Device: a write message of one item, its strip
-// inside a checksummed frame. Strip writes are idempotent, so a write whose
-// ack was lost (an asymmetric partition: the node executed it, the answer
-// never came back) is safely re-sent until acknowledged.
+// WriteStrip implements store.Device: a write message of one item. Strip
+// writes are idempotent, so a write whose ack was lost (an asymmetric
+// partition: the node executed it, the answer never came back) is safely
+// re-sent until acknowledged.
 func (d *NetDevice) WriteStrip(idx int64, p []byte) error { return d.single(idx, p, true) }
 
 func (d *NetDevice) single(idx int64, p []byte, write bool) error {
@@ -115,8 +115,8 @@ func (c *NodeClient) DeleteBlob(name string) error {
 
 // NetBlob is a store.Blob on a remote storage node: the substrate the
 // coordinator writes per-disk superblocks through, and the replica of a
-// quorum-replicated metadata blob (AtGen). Its bytes cross the wire inside
-// checksummed frames, so metadata gets the same torn-bytes detection as
+// quorum-replicated metadata blob (AtGen). Its bytes cross the wire in
+// checksummed messages, so metadata gets the same torn-bytes detection as
 // strips.
 type NetBlob struct {
 	c    *NodeClient
@@ -216,9 +216,6 @@ func (b *NetBlob) ReadAll() ([]byte, uint64, error) {
 func (b *NetBlob) WriteAt(p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, fmt.Errorf("%w: %d", store.ErrNegativeOffset, off)
-	}
-	if p == nil {
-		p = []byte{} // an empty write still carries its frame
 	}
 	most := batchStripMax(b.name)
 	for done := 0; ; {

@@ -38,7 +38,7 @@ var Catalogue = retry.Catalogue{
 	{Err: store.ErrNegativeOffset, Code: "negative-offset", Status: http.StatusBadRequest},
 	{Err: ErrNodeNotFound, Code: "not-found", Status: http.StatusNotFound},
 	{Err: ErrNoUpgrade, Code: "no-upgrade", Status: http.StatusUpgradeRequired},
-	// The frame did not survive the wire. The node refuses it — damaged
+	// The message did not survive the wire. The node refuses it — damaged
 	// bytes must not reach media — and the client re-sends.
 	{Err: ErrBadFrame, Code: "bad-frame", Status: http.StatusBadRequest, Retryable: true},
 	// The node's local media is dying. This must NOT look like a network
@@ -79,9 +79,9 @@ type NodeStat struct {
 // Node exports a set of named strip devices and blobs over HTTP. It is
 // the server half of the network plane: a coordinator's NetDevice/NetBlob
 // clients drive it. The zero tricks rule applies — every op is parsed and
-// checked whole before it touches the fence or media, and payloads are
-// refused unless their frame checksum verifies, so a torn message can never
-// place damaged bytes on a disk.
+// checked whole before it touches the fence or media, and a message is
+// refused unless its checksum verifies, so a torn message can never place
+// damaged bytes on a disk.
 type Node struct {
 	id  string
 	dir string // non-empty for directory-backed nodes
@@ -408,10 +408,10 @@ func (it *batchItem) verdict(err error) {
 	it.Code, it.Msg, it.Payload = Catalogue.Encode(err).Code, err.Error(), nil
 }
 
-// readStrips answers a read message: every item answered in place with the
-// strip in a frame of its own, or with the catalogue code a single read would
-// have failed with — one missing device or bad index fails that item alone.
-// A message whose answer would exceed the cap is refused item by item.
+// readStrips answers a read message: every item answered in place with its
+// strip, or with the catalogue code a single read would have failed with —
+// one missing device or bad index fails that item alone. A message whose
+// answer would exceed the cap is refused item by item.
 func (n *Node) readStrips(items []batchItem) []byte {
 	devs, widest, size := make([]store.Device, len(items)), 0, batchHeaderLen+batchTrailer
 	for i := range items {
@@ -422,7 +422,7 @@ func (n *Node) readStrips(items []batchItem) []byte {
 			it.verdict(err)
 		} else {
 			widest = max(widest, devs[i].StripBytes())
-			size += FrameHeaderLen + devs[i].StripBytes()
+			size += devs[i].StripBytes()
 		}
 		size += it.wireSize()
 	}
@@ -431,7 +431,7 @@ func (n *Node) readStrips(items []batchItem) []byte {
 		return encodeBatch(kindReadResp, fence{}, items, nil)
 	}
 	// Lay the answer out as if every read will succeed and read each strip
-	// into its frame; only when one fails is the message built again around
+	// into its place; only when one fails is the message built again around
 	// the verdicts, from the strips already read.
 	blank := getMsg(widest)
 	defer putMsg(blank)
@@ -471,12 +471,12 @@ func refuse(items []batchItem, size int64) {
 	}
 }
 
-// writeStrips answers a write message, whose every frame's checksum has
-// verified before the first strip touches media, so a torn message places
-// nothing. A write fenced below the node's promise is refused item by item.
-// The items are written in order; one that fails does not stop the ones
-// after it — the commit of a parity closure is best-effort across the whole
-// closure (store.Array) — and carries its own code back.
+// writeStrips answers a write message, whose checksum has verified before
+// the first strip touches media, so a torn message places nothing. A write
+// fenced below the node's promise is refused item by item. The items are
+// written in order; one that fails does not stop the ones after it — the
+// commit of a parity closure is best-effort across the whole closure
+// (store.Array) — and carries its own code back.
 func (n *Node) writeStrips(f fence, items []batchItem) []byte {
 	refused := n.admit(f)
 	for i := range items {
@@ -515,9 +515,9 @@ func (n *Node) serveItems(kind byte, f fence, items []batchItem) []byte {
 		size += int64(batchItemMin + len(it.Name))
 		switch kind {
 		case kindBlobRead:
-			size += FrameHeaderLen + min(max(it.Size, 0), batchMaxBytes)
+			size += min(max(it.Size, 0), batchMaxBytes)
 		case kindDevSums:
-			size += FrameHeaderLen + 4*min(max(it.Size, 0), batchMaxBytes)
+			size += 4 * min(max(it.Size, 0), batchMaxBytes)
 		}
 	}
 	if size > batchMaxBytes {
@@ -530,7 +530,7 @@ func (n *Node) serveItems(kind byte, f fence, items []batchItem) []byte {
 		if err == nil {
 			err = n.do(kind, f, it)
 		}
-		if frameOp(kind+1) == 0 {
+		if !hasPayload(kind + 1) {
 			it.Payload = nil
 		}
 		if err != nil {
@@ -543,9 +543,8 @@ func (n *Node) serveItems(kind byte, f fence, items []batchItem) []byte {
 // checkItem refuses an op no node could do: a generation without the epoch
 // every metadata write carries (DESIGN.md §14), a name that is not one path
 // segment where the op may create, a device geometry the node cannot serve,
-// a negative blob offset or size, a checksum op past its cap, a blob write
-// without its frame. A read past the message cap is refused with its whole
-// message (serveItems).
+// a negative blob offset or size, a checksum op past its cap. A read past
+// the message cap is refused with its whole message (serveItems).
 func checkItem(kind byte, f fence, it *batchItem) error {
 	creates := kind == kindDevCreate || kind == kindBlobCreate || kind == kindBlobWrite || kind == kindBlobTruncate
 	switch {
@@ -564,9 +563,6 @@ func checkItem(kind byte, f fence, it *batchItem) error {
 	case kindBlobRead, kindBlobWrite, kindBlobTruncate:
 		if it.Strip < 0 || it.Size < 0 {
 			return fmt.Errorf("%w: offset %d, size %d", store.ErrNegativeOffset, it.Strip, it.Size)
-		}
-		if kind == kindBlobWrite && it.Payload == nil {
-			return fmt.Errorf("%w: a blob write without its frame", store.ErrShortBuffer)
 		}
 	}
 	return nil

@@ -20,7 +20,7 @@ func (s *rawStream) op(kind byte, f fence, it batchItem) batchItem {
 	if err != nil {
 		s.t.Fatalf("kind %d %s: the node ended the stream: %v", kind, it.Name, err)
 	}
-	got, _, err := decodeBatch(body, kind+1, -1)
+	got, _, err := decodeBatch(body, kind+1)
 	if err != nil || len(got) != 1 {
 		s.t.Fatalf("kind %d %s: answer %+v, %v", kind, it.Name, got, err)
 	}
@@ -28,13 +28,12 @@ func (s *rawStream) op(kind byte, f fence, it batchItem) batchItem {
 }
 
 // TestNodeRejectsMalformedRequests sends a memory node and a directory node,
-// on a raw stream, device and blob ops whose names, numbers, frames or
-// geometries the node must refuse, and the lease route a body that does not
-// parse. Each op must be refused alone with its code — bad-geometry,
-// negative-offset for a negative offset or size, short-buffer for a blob
-// write without its frame — and none may create a device or a blob, stamp a
-// generation, or move the fence, though most carry an epoch above it: an op
-// is checked in full before it acts.
+// on a raw stream, device and blob ops whose names, numbers or geometries the
+// node must refuse, and the lease route a body that does not parse. Each op
+// must be refused alone with its code — bad-geometry, or negative-offset for
+// a negative offset or size — and none may create a device or a blob, stamp
+// a generation, or move the fence, though most carry an epoch above it: an
+// op is checked in full before it acts.
 func TestNodeRejectsMalformedRequests(t *testing.T) {
 	newDir := func() *Node {
 		n, err := NewDirNode("alpha", t.TempDir())
@@ -119,9 +118,6 @@ func rejectsMalformedRequests(t *testing.T, n *Node, s *rawStream) {
 			{kindBlobTruncate, fence{}, batchItem{Name: "b0", Size: -1}},
 			{kindBlobTruncate, five, batchItem{Name: "m0", Size: -1, Gen: 3}},
 		},
-		"short-buffer": {
-			{kindBlobWrite, five, batchItem{Name: "m0", Gen: 3}},
-		},
 	} {
 		for _, op := range ops {
 			if got := s.op(op.kind, op.f, op.it); got.Code != code {
@@ -144,7 +140,7 @@ func rejectsMalformedRequests(t *testing.T, n *Node, s *rawStream) {
 // would, and returns the answered items.
 func serve(t *testing.T, n *Node, kind byte, items ...batchItem) []batchItem {
 	t.Helper()
-	got, _, err := decodeBatch(n.answer(encodeBatch(kind, fence{}, items, nil)), kind+1, -1)
+	got, _, err := decodeBatch(n.answer(encodeBatch(kind, fence{}, items, nil)), kind+1)
 	if err != nil {
 		t.Fatal(err)
 	}

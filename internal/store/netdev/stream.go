@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptrace"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -20,7 +21,7 @@ import (
 // A coordinator's device and blob traffic to a node — strips, creates,
 // deletes, checksums, superblock and journal reads and writes — rides a few
 // long-lived streams instead of one HTTP request per op (DESIGN.md §13). A
-// stream is one HTTP Upgrade of the node's stream route to oiraid-strips/3:
+// stream is one HTTP Upgrade of the node's stream route to oiraid-strips/4:
 // the node answers 101 and takes the connection over, which then carries
 // request messages of the batch codec (batch.go) one way and their answers
 // the other, in order, one in flight at a time. What a request costs —
@@ -33,10 +34,9 @@ import (
 // them. A stream that fails an attempt is torn down, not repaired: after a
 // deadline, an EOF or an answer that does not decode, where the next message
 // would start on the wire is unknown.
-const (
-	stripsPath  = "/node/v1/strips"
-	stripsProto = "oiraid-strips/3"
-)
+const stripsPath = "/node/v1/strips"
+
+var stripsProto = "oiraid-strips/" + strconv.Itoa(batchVersion)
 
 // ErrNoUpgrade reports a stream route that did not upgrade: a request without
 // this codec's Upgrade token (the node answers 426), or a node that answers
@@ -362,7 +362,7 @@ func (n *Node) answer(msg []byte) []byte {
 	if kind%2 == 0 || kind >= kindEnd {
 		return nil
 	}
-	items, f, err := decodeBatch(msg, kind, batchMaxBytes)
+	items, f, err := decodeBatch(msg, kind)
 	switch {
 	case err != nil:
 		return nil

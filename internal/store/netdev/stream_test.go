@@ -385,20 +385,32 @@ func TestStreamShutdown(t *testing.T) {
 }
 
 // TestStripRouteWantsUpgrade: a request to the strip route that does not ask
-// for the upgrade is answered 426, with the Upgrade it takes and the
-// catalogue's code, which the client decodes into ErrNoUpgrade.
+// for the upgrade, or asks for the codec's previous version, is answered 426,
+// with the Upgrade it takes and the catalogue's code, which the client
+// decodes into ErrNoUpgrade.
 func TestStripRouteWantsUpgrade(t *testing.T) {
 	_, srv := startNode(t, "n0")
-	resp, err := http.Post(srv.URL+stripsPath, "application/octet-stream", bytes.NewReader(encodeBatch(kindReadReq, fence{}, nil, nil)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusUpgradeRequired || resp.Header.Get("Upgrade") != stripsProto || resp.Header.Get(retry.Header) != "no-upgrade" {
-		t.Fatalf("a plain POST: %s, Upgrade %q, code %q; want 426, %q, no-upgrade", resp.Status, resp.Header.Get("Upgrade"), resp.Header.Get(retry.Header), stripsProto)
-	}
-	if _, retryable, err := Catalogue.Decode(resp); !errors.Is(err, ErrNoUpgrade) || retryable {
-		t.Errorf("decoded: %v (retryable %v), want ErrNoUpgrade, not retryable", err, retryable)
+	for _, upgrade := range []string{"", "oiraid-strips/3"} {
+		req, err := http.NewRequest("POST", srv.URL+stripsPath, bytes.NewReader(encodeBatch(kindReadReq, fence{}, nil, nil)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/octet-stream")
+		if upgrade != "" {
+			req.Header.Set("Connection", "Upgrade")
+			req.Header.Set("Upgrade", upgrade)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusUpgradeRequired || resp.Header.Get("Upgrade") != stripsProto || resp.Header.Get(retry.Header) != "no-upgrade" {
+			t.Errorf("a POST with Upgrade %q: %s, Upgrade %q, code %q; want 426, %q, no-upgrade", upgrade, resp.Status, resp.Header.Get("Upgrade"), resp.Header.Get(retry.Header), stripsProto)
+		}
+		if _, retryable, err := Catalogue.Decode(resp); !errors.Is(err, ErrNoUpgrade) || retryable {
+			t.Errorf("Upgrade %q decoded: %v (retryable %v), want ErrNoUpgrade, not retryable", upgrade, err, retryable)
+		}
+		resp.Body.Close()
 	}
 }
 

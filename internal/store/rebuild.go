@@ -32,7 +32,7 @@ func (a *Array) ReplaceDisk(d int, dev Device) error {
 	// any read-avoid mark left from before the eviction so reads use the
 	// replacement directly once its cycles rebuild.
 	if a.readAvoid != nil {
-		a.readAvoid[d] = false
+		a.readAvoid[d] = ReadDirect
 	}
 	if a.meta != nil {
 		return a.meta.commitAdopt(d, a.failedListLocked())
@@ -140,7 +140,7 @@ func (a *Array) rebuildCycleShared(cycle int64) (last bool, err error) {
 	if _, err := a.replayClosures(cycle); err != nil {
 		return false, err
 	}
-	plan := a.recoveryPlan(false)
+	plan := a.recoveryPlan(ReadDirect)
 	if !plan.Complete {
 		return false, fmt.Errorf("%w: rebuild impossible: %s", ErrTooManyFailures, a.an.Availability(failed).Describe())
 	}

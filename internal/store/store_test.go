@@ -735,7 +735,7 @@ func TestRecoveryPlanFollowsFailureSet(t *testing.T) {
 	fail(further)
 	step("a further failure")
 
-	for _, avoid := range []bool{true, false} {
+	for _, avoid := range []ReadAvoid{ReadSlow, ReadDirect} {
 		if err := arr.SetReadAvoid(live, avoid); err != nil {
 			t.Fatal(err)
 		}

@@ -530,7 +530,7 @@ func TestUnreachableSurvivesHTTP(t *testing.T) {
 	}))
 	defer hs.Close()
 	c := server.NewClientWithOptions(hs.URL, server.ClientOptions{MaxRetries: -1})
-	err := c.FailDisk(0)
+	err := c.FailDiskCtx(context.Background(), 0)
 	if !errors.Is(err, store.ErrUnreachable) {
 		t.Fatalf("error lost the unreachable sentinel across HTTP: %v", err)
 	}

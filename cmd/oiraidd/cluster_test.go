@@ -96,7 +96,7 @@ func TestClusterEndToEnd(t *testing.T) {
 	}
 
 	c := server.NewClient("http://" + l.Addr().String())
-	st, err := c.Status()
+	st, err := c.StatusCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestClusterEndToEnd(t *testing.T) {
 	for addr := int64(0); addr < st.Strips; addr += 3 {
 		p := make([]byte, strip)
 		rng.Read(p)
-		if err := c.PutStrip(addr, p); err != nil {
+		if err := c.PutStripCtx(context.Background(), addr, p); err != nil {
 			t.Fatalf("put strip %d: %v", addr, err)
 		}
 		want[addr] = p
@@ -124,7 +124,7 @@ func TestClusterEndToEnd(t *testing.T) {
 		var got []byte
 		var err error
 		for {
-			got, err = c.GetStrip(addr)
+			got, err = c.GetStripCtx(context.Background(), addr)
 			if err == nil || time.Now().After(deadline) {
 				break
 			}
@@ -189,7 +189,7 @@ func TestClusterStandbyTakeover(t *testing.T) {
 	go func() { errcA <- srvA.Serve(lA) }()
 
 	cl := server.NewClient("http://" + lA.Addr().String())
-	st, err := cl.Status()
+	st, err := cl.StatusCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestClusterStandbyTakeover(t *testing.T) {
 	for addr := int64(0); addr < st.Strips; addr += 5 {
 		p := make([]byte, strip)
 		rng.Read(p)
-		if err := cl.PutStrip(addr, p); err != nil {
+		if err := cl.PutStripCtx(context.Background(), addr, p); err != nil {
 			t.Fatalf("put strip %d: %v", addr, err)
 		}
 		want[addr] = p
@@ -264,7 +264,7 @@ func TestClusterStandbyTakeover(t *testing.T) {
 	go func() { errcB <- srvB.Serve(lB) }()
 	clB := server.NewClient("http://" + lB.Addr().String())
 	for addr, p := range want {
-		got, err := clB.GetStrip(addr)
+		got, err := clB.GetStripCtx(context.Background(), addr)
 		if err != nil {
 			t.Fatalf("get strip %d after takeover: %v", addr, err)
 		}
@@ -274,7 +274,7 @@ func TestClusterStandbyTakeover(t *testing.T) {
 	}
 	p := make([]byte, strip)
 	rng.Read(p)
-	if err := clB.PutStrip(1, p); err != nil {
+	if err := clB.PutStripCtx(context.Background(), 1, p); err != nil {
 		t.Fatalf("write through successor: %v", err)
 	}
 	sctxB, scancelB := context.WithTimeout(context.Background(), 30*time.Second)

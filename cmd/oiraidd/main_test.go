@@ -78,7 +78,7 @@ func TestEndToEnd(t *testing.T) {
 		batch: 1, timeout: 10 * time.Second,
 	})
 
-	st, err := c.Status()
+	st, err := c.StatusCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,13 +91,13 @@ func TestEndToEnd(t *testing.T) {
 	for addr := int64(0); addr < st.Strips; addr += 2 {
 		p := make([]byte, strip)
 		rng.Read(p)
-		if err := c.PutStrip(addr, p); err != nil {
+		if err := c.PutStripCtx(context.Background(), addr, p); err != nil {
 			t.Fatalf("put strip %d: %v", addr, err)
 		}
 		want[addr] = p
 	}
 	for addr, p := range want {
-		got, err := c.GetStrip(addr)
+		got, err := c.GetStripCtx(context.Background(), addr)
 		if err != nil {
 			t.Fatalf("get strip %d: %v", addr, err)
 		}
@@ -106,10 +106,10 @@ func TestEndToEnd(t *testing.T) {
 		}
 	}
 
-	if err := c.FailDisk(5); err != nil {
+	if err := c.FailDiskCtx(context.Background(), 5); err != nil {
 		t.Fatal(err)
 	}
-	st, err = c.Status()
+	st, err = c.StatusCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestEndToEnd(t *testing.T) {
 		t.Fatalf("degraded status: %+v", st)
 	}
 	for addr, p := range want { // degraded reads reconstruct through parity
-		got, err := c.GetStrip(addr)
+		got, err := c.GetStripCtx(context.Background(), addr)
 		if err != nil {
 			t.Fatalf("degraded get %d: %v", addr, err)
 		}
@@ -126,10 +126,10 @@ func TestEndToEnd(t *testing.T) {
 		}
 	}
 
-	if err := c.Rebuild(true); err != nil {
+	if err := c.RebuildCtx(context.Background(), true); err != nil {
 		t.Fatal(err)
 	}
-	st, err = c.Status()
+	st, err = c.StatusCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestEndToEnd(t *testing.T) {
 		t.Fatalf("post-rebuild status: %+v", st)
 	}
 	for addr, p := range want {
-		got, err := c.GetStrip(addr)
+		got, err := c.GetStripCtx(context.Background(), addr)
 		if err != nil {
 			t.Fatalf("post-rebuild get %d: %v", addr, err)
 		}
@@ -146,7 +146,7 @@ func TestEndToEnd(t *testing.T) {
 		}
 	}
 
-	metrics, err := c.Metrics()
+	metrics, err := c.MetricsCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestEndToEnd(t *testing.T) {
 		t.Fatalf("shutdown: %v", err)
 	}
 	// The drained engine refuses further work.
-	if _, err := c.GetStrip(0); err == nil {
+	if _, err := c.GetStripCtx(context.Background(), 0); err == nil {
 		t.Fatal("read succeeded after shutdown")
 	}
 }
@@ -182,7 +182,7 @@ func TestFileBackedRestart(t *testing.T) {
 	c, shutdown := boot(t, cfg)
 	p := make([]byte, strip)
 	rand.New(rand.NewSource(7)).Read(p)
-	if err := c.PutStrip(3, p); err != nil {
+	if err := c.PutStripCtx(context.Background(), 3, p); err != nil {
 		t.Fatal(err)
 	}
 	if err := shutdown(); err != nil {
@@ -191,7 +191,7 @@ func TestFileBackedRestart(t *testing.T) {
 
 	c, shutdown = boot(t, cfg)
 	defer shutdown()
-	got, err := c.GetStrip(3)
+	got, err := c.GetStripCtx(context.Background(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,10 +213,10 @@ func TestDurableRestartDetectsOfflineCorruption(t *testing.T) {
 	c, shutdown := boot(t, cfg)
 	p := make([]byte, strip)
 	rand.New(rand.NewSource(11)).Read(p)
-	if err := c.PutStrip(0, p); err != nil {
+	if err := c.PutStripCtx(context.Background(), 0, p); err != nil {
 		t.Fatal(err)
 	}
-	st, err := c.Status()
+	st, err := c.StatusCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,28 +252,28 @@ func TestDurableRestartDetectsOfflineCorruption(t *testing.T) {
 
 	c, shutdown = boot(t, cfg)
 	defer shutdown()
-	st, err = c.Status()
+	st, err = c.StatusCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.ArrayUUID != uuid {
 		t.Fatalf("array identity changed across restart: %s != %s", st.ArrayUUID, uuid)
 	}
-	rep, err := c.Fsck(false)
+	rep, err := c.FsckCtx(context.Background(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Clean || rep.ChecksumErrors == 0 {
 		t.Fatalf("offline corruption not detected: %+v", rep)
 	}
-	rep, err = c.Fsck(true)
+	rep, err = c.FsckCtx(context.Background(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep.Clean {
 		t.Fatalf("remote repair left damage: %+v", rep)
 	}
-	got, err := c.GetStrip(0)
+	got, err := c.GetStripCtx(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func TestQoSFlagsWired(t *testing.T) {
 	})
 	defer shutdown()
 
-	st, err := c.QoS()
+	st, err := c.QoSCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +334,7 @@ func TestQoSFlagsWired(t *testing.T) {
 	}
 
 	rate := 7.5
-	st, err = c.SetQoS(oiraid.QoSUpdate{RebuildRate: &rate})
+	st, err = c.SetQoSCtx(context.Background(), oiraid.QoSUpdate{RebuildRate: &rate})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,13 +342,13 @@ func TestQoSFlagsWired(t *testing.T) {
 		t.Fatalf("qos state after live update: %+v", st)
 	}
 
-	if err := c.PutStrip(0, make([]byte, strip)); err != nil {
+	if err := c.PutStripCtx(context.Background(), 0, make([]byte, strip)); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := c.Scrub(); err != nil || n != 0 {
+	if n, err := c.ScrubCtx(context.Background()); err != nil || n != 0 {
 		t.Fatalf("scrub = %d, %v", n, err)
 	}
-	metrics, err := c.Metrics()
+	metrics, err := c.MetricsCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -279,9 +279,11 @@ func (e *Engine) ReadStrip(addr int64) ([]byte, error) {
 	return e.ReadStripCtx(context.Background(), addr)
 }
 
-// ReadStripCtx is ReadStrip bounded by ctx: cancellation and deadlines
-// are honored at admission, and admission control (when configured) may
-// shed the operation with store.ErrOverloaded.
+// ReadStripCtx is ReadStrip bounded by ctx: admission control (when
+// configured) may shed the operation with store.ErrOverloaded, and ctx
+// bounds its wait for admission and its device reads down to the node
+// message — a read whose deadline passes returns ctx's error and releases
+// its locks then, not when a stalled node answers.
 func (e *Engine) ReadStripCtx(ctx context.Context, addr int64) ([]byte, error) {
 	if err := e.checkStrip(addr); err != nil {
 		return nil, err
@@ -292,10 +294,10 @@ func (e *Engine) ReadStripCtx(ctx context.Context, addr int64) ([]byte, error) {
 	}
 	defer release()
 	if e.hedging() {
-		return e.readStripHedged(addr)
+		return e.readStripHedged(ctx, addr)
 	}
 	p := make([]byte, e.stripBytes)
-	return p, e.readChunk(addr, 0, p)
+	return p, e.readChunk(ctx, addr, 0, p)
 }
 
 // WriteStrip replaces logical data strip addr. len(p) must be StripBytes.
@@ -303,8 +305,8 @@ func (e *Engine) WriteStrip(addr int64, p []byte) error {
 	return e.WriteStripCtx(context.Background(), addr, p)
 }
 
-// WriteStripCtx is WriteStrip bounded by ctx; see ReadStripCtx for the
-// deadline and admission semantics.
+// WriteStripCtx is WriteStrip bounded by ctx at admission. Once admitted
+// the write runs to its end: a deadline never tears a parity closure.
 func (e *Engine) WriteStripCtx(ctx context.Context, addr int64, p []byte) error {
 	if err := e.checkStrip(addr); err != nil {
 		return err
@@ -351,10 +353,11 @@ func (e *Engine) admit(ctx context.Context, write bool) (release func(), err err
 }
 
 // readChunk is the one strip read of an admitted operation: bytes
-// [within, within+len(chunk)) of data strip addr under the read protocol.
-func (e *Engine) readChunk(addr int64, within int, chunk []byte) error {
+// [within, within+len(chunk)) of data strip addr under the read protocol,
+// its device reads bounded by ctx.
+func (e *Engine) readChunk(ctx context.Context, addr int64, within int, chunk []byte) error {
 	err := e.stripOp(addr, false, func() error {
-		_, err := e.arr.ReadAt(chunk, addr*int64(e.stripBytes)+int64(within))
+		_, err := e.arr.ReadAtCtx(ctx, chunk, addr*int64(e.stripBytes)+int64(within))
 		return err
 	})
 	if err == nil {
@@ -518,8 +521,9 @@ func (e *Engine) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // ReadAtCtx is ReadAt bounded by ctx: the range is admitted as one
-// operation, and cancellation or an expired deadline stops the per-strip
-// fan-out at the next strip boundary.
+// operation, cancellation or an expired deadline stops the per-strip
+// fan-out at the next strip boundary, and each strip's device reads are
+// bounded by ctx as ReadStripCtx's are.
 func (e *Engine) ReadAtCtx(ctx context.Context, p []byte, off int64) (int, error) {
 	return e.rangeOp(ctx, p, off, false)
 }
@@ -594,7 +598,7 @@ func (e *Engine) rangeOp(ctx context.Context, p []byte, off int64, write bool) (
 			if write {
 				err = e.writeChunk(addr, within, chunk)
 			} else {
-				err = e.readChunk(addr, within, chunk)
+				err = e.readChunk(ctx, addr, within, chunk)
 			}
 			if err != nil {
 				fail(err)

@@ -9,6 +9,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"slices"
 	"sync/atomic"
@@ -229,8 +230,9 @@ func newMonitor(disks int, pol HealthPolicy, auto bool) *monitor {
 
 // observe classifies one device-op outcome; it is the array's observer. An
 // op that travelled in a batch is charged the batch's duration: how long its
-// caller waited. Caller bugs (range, buffer size) and shutdown artifacts do
-// not count against the disk.
+// caller waited. Caller bugs (range, buffer size), a read its caller gave up
+// on (its context's error) and shutdown artifacts do not count against the
+// disk.
 func (m *monitor) observe(disk int, dur time.Duration, err error) {
 	c := &m.disks[disk]
 	ops := c.ops.Add(1)
@@ -255,6 +257,8 @@ func (m *monitor) observe(disk int, dur time.Duration, err error) {
 	}
 	switch {
 	case errors.Is(err, store.ErrClosed),
+		errors.Is(err, context.Canceled),
+		errors.Is(err, context.DeadlineExceeded),
 		errors.Is(err, store.ErrStripOutOfRange),
 		errors.Is(err, store.ErrShortBuffer):
 		return

@@ -20,7 +20,7 @@ type nodeDev struct {
 
 func (d nodeDev) BatchKey() any { return d.node }
 
-func (d nodeDev) ReadStrips(ops []store.StripOp) {
+func (d nodeDev) ReadStrips(_ context.Context, ops []store.StripOp) {
 	for i := range ops {
 		ops[i].Err = ops[i].Dev.ReadStrip(ops[i].Idx, ops[i].Buf)
 	}

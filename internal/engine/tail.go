@@ -5,9 +5,9 @@
 //     of the target disk's streaming p99 latency; if the direct read has
 //     not returned by then, a parity reconstruction from the inner RAID5
 //     group's survivors races it and the first result wins. The loser is
-//     discarded when it eventually returns — a device read cannot be
-//     interrupted, but nothing waits on it and the cleanup goroutine
-//     reaps it, so hedging never leaks goroutines past Close.
+//     cancelled: a read of a storage node is cut on the wire, a local one
+//     runs out its microseconds. A cleanup goroutine reaps it, so hedging
+//     never leaks goroutines past Close.
 //   - Slow-disk quarantine: a disk whose slow-op fraction crosses the
 //     policy threshold stops serving reads — the array reconstructs
 //     around it (store.Array read-avoid) — while writes continue to land
@@ -23,6 +23,7 @@
 package engine
 
 import (
+	"context"
 	"sync"
 	"time"
 
@@ -55,11 +56,12 @@ type hedgeResult struct {
 //
 // Locking: the race runs under the same mode.RLock + striped read locks
 // as a plain read (the reconstruction branch may trigger read repair,
-// which must stay inside the read protocol). The winner returns
+// which must stay inside the read protocol). Both branches run under a
+// child of ctx, cancelled once the race is decided. The winner returns
 // immediately; lock release is handed to a cleanup goroutine that waits
-// for the losing branch, because both branches touch the array. Close
+// for the cancelled loser, because both branches touch the array. Close
 // waits for all such cleanups via hedgeWg.
-func (e *Engine) readStripHedged(addr int64) ([]byte, error) {
+func (e *Engine) readStripHedged(ctx context.Context, addr int64) ([]byte, error) {
 	d := e.arr.DataStripDisk(addr)
 	// With a disk failed the read may already be a reconstruction (and the
 	// deep-degraded path can cross stripes); with the primary read-avoided
@@ -68,7 +70,7 @@ func (e *Engine) readStripHedged(addr int64) ([]byte, error) {
 	// skip it.
 	if e.state().anyFailed() || e.mon.disks[d].readMark() != store.ReadDirect {
 		p := make([]byte, e.stripBytes)
-		return p, e.readChunk(addr, 0, p)
+		return p, e.readChunk(ctx, addr, 0, p)
 	}
 
 	t := nowNano()
@@ -78,13 +80,14 @@ func (e *Engine) readStripHedged(addr int64) ([]byte, error) {
 	pos := int(addr % int64(e.perCycle))
 	held := e.lockStripes(make([]int, 0, len(e.readSets[pos])), cycle, e.readSets[pos], false, t)
 
+	race, decided := context.WithCancel(ctx)
 	resCh := make(chan hedgeResult, 2) // buffered: the loser never blocks
 	var branches sync.WaitGroup
 	branches.Add(1)
 	go func() {
 		defer branches.Done()
 		p := make([]byte, e.stripBytes)
-		_, err := e.arr.ReadAt(p, addr*int64(e.stripBytes))
+		_, err := e.arr.ReadAtCtx(race, p, addr*int64(e.stripBytes))
 		resCh <- hedgeResult{buf: p, err: err}
 	}()
 
@@ -107,7 +110,7 @@ func (e *Engine) readStripHedged(addr int64) ([]byte, error) {
 				defer branches.Done()
 				defer release()
 				p := make([]byte, e.stripBytes)
-				err := e.arr.ReconstructDataStrip(addr, p)
+				err := e.arr.ReconstructDataStrip(race, addr, p)
 				resCh <- hedgeResult{buf: p, err: err, hedge: true}
 			}()
 		} else {
@@ -132,6 +135,7 @@ func (e *Engine) readStripHedged(addr int64) ([]byte, error) {
 	if res.err == nil {
 		e.stats.reads.Add(1)
 	}
+	decided()
 
 	// Hand lock release to the reaper: the losing branch still holds
 	// array state, so the read protocol stays held until it drains.

@@ -43,6 +43,14 @@ func (b *Breaker) Allow() bool {
 	return true
 }
 
+// Open reports whether the circuit is open: attempts are refused, but for
+// a half-open probe once the cooldown has passed.
+func (b *Breaker) Open() bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.open
+}
+
 // Record folds one attempt's outcome into the breaker: a success closes
 // it; a failure reopens a half-open circuit at once and opens a closed
 // one at the threshold.

@@ -92,8 +92,8 @@ func endpointKey(method, path string) string {
 // and layers byte-granularity ReadAt/WriteAt on top with client-side
 // read-modify-write at unaligned range edges. Transient server conditions
 // (503 with Retry-After, 429 overload sheds, bad gateways, transport
-// errors) are retried with exponential backoff; every method has a
-// context-aware variant.
+// errors) are retried with exponential backoff. Every call takes the
+// caller's context, which bounds its attempts and the server's work.
 type Client struct {
 	base string
 	hc   *http.Client
@@ -267,118 +267,68 @@ func (c *Client) callJSON(ctx context.Context, method, path string, body []byte,
 	return nil
 }
 
-// Status fetches the operational snapshot.
-func (c *Client) Status() (engine.Status, error) {
-	return c.StatusCtx(context.Background())
-}
-
-// StatusCtx is Status bounded by ctx.
+// StatusCtx fetches the operational snapshot.
 func (c *Client) StatusCtx(ctx context.Context) (engine.Status, error) {
 	var st engine.Status
 	err := c.callJSON(ctx, http.MethodGet, "/v1/status", nil, nil, &st, "status")
 	return st, err
 }
 
-// Health fetches the per-disk health report.
-func (c *Client) Health() (engine.HealthReport, error) {
-	return c.HealthCtx(context.Background())
-}
-
-// HealthCtx is Health bounded by ctx.
+// HealthCtx fetches the per-disk health report.
 func (c *Client) HealthCtx(ctx context.Context) (engine.HealthReport, error) {
 	var h engine.HealthReport
 	err := c.callJSON(ctx, http.MethodGet, "/v1/health", nil, nil, &h, "health")
 	return h, err
 }
 
-// AddSpares registers count hot spares with the server's pool, returning
+// AddSparesCtx registers count hot spares with the server's pool, returning
 // the pool size afterwards.
-func (c *Client) AddSpares(count int) (int, error) {
-	return c.AddSparesCtx(context.Background(), count)
-}
-
-// AddSparesCtx is AddSpares bounded by ctx.
 func (c *Client) AddSparesCtx(ctx context.Context, count int) (int, error) {
 	var resp map[string]int
 	err := c.callJSON(ctx, http.MethodPost, fmt.Sprintf("/v1/spares?count=%d", count), nil, nil, &resp, "spares")
 	return resp["spares"], err
 }
 
-// Metrics fetches the text-format counter dump.
-func (c *Client) Metrics() (string, error) {
-	return c.MetricsCtx(context.Background())
-}
-
-// MetricsCtx is Metrics bounded by ctx.
+// MetricsCtx fetches the text-format counter dump.
 func (c *Client) MetricsCtx(ctx context.Context) (string, error) {
 	out, err := c.doCtx(ctx, http.MethodGet, "/v1/metrics", nil)
 	return string(out), err
 }
 
-// PutStrip stores one data strip; len(p) must be the array's strip size.
-func (c *Client) PutStrip(addr int64, p []byte) error {
-	return c.PutStripCtx(context.Background(), addr, p)
-}
-
-// PutStripCtx is PutStrip bounded by ctx.
+// PutStripCtx stores one data strip; len(p) must be the array's strip size.
 func (c *Client) PutStripCtx(ctx context.Context, addr int64, p []byte) error {
 	_, err := c.doCtx(ctx, http.MethodPut, fmt.Sprintf("/v1/strips/%d", addr), p)
 	return err
 }
 
-// GetStrip fetches one data strip.
-func (c *Client) GetStrip(addr int64) ([]byte, error) {
-	return c.GetStripCtx(context.Background(), addr)
-}
-
-// GetStripCtx is GetStrip bounded by ctx.
+// GetStripCtx fetches one data strip.
 func (c *Client) GetStripCtx(ctx context.Context, addr int64) ([]byte, error) {
 	return c.doCtx(ctx, http.MethodGet, fmt.Sprintf("/v1/strips/%d", addr), nil)
 }
 
-// FailDisk injects a disk failure. Failing an already-failed disk is an
+// FailDiskCtx injects a disk failure. Failing an already-failed disk is an
 // idempotent no-op on the server.
-func (c *Client) FailDisk(id int) error {
-	return c.FailDiskCtx(context.Background(), id)
-}
-
-// FailDiskCtx is FailDisk bounded by ctx.
 func (c *Client) FailDiskCtx(ctx context.Context, id int) error {
 	_, err := c.doCtx(ctx, http.MethodPost, fmt.Sprintf("/v1/disks/%d/fail", id), nil)
 	return err
 }
 
-// Quarantine marks disk id quarantined on the server: reads reconstruct
+// QuarantineCtx marks disk id quarantined on the server: reads reconstruct
 // around it while writes continue to land on it.
-func (c *Client) Quarantine(id int) error {
-	return c.QuarantineCtx(context.Background(), id)
-}
-
-// QuarantineCtx is Quarantine bounded by ctx.
 func (c *Client) QuarantineCtx(ctx context.Context, id int) error {
 	_, err := c.doCtx(ctx, http.MethodPost, fmt.Sprintf("/v1/disks/%d/quarantine", id), nil)
 	return err
 }
 
-// Release lifts a quarantine on disk id. Releasing a disk that is not
+// ReleaseCtx lifts a quarantine on disk id. Releasing a disk that is not
 // quarantined is a no-op.
-func (c *Client) Release(id int) error {
-	return c.ReleaseCtx(context.Background(), id)
-}
-
-// ReleaseCtx is Release bounded by ctx.
 func (c *Client) ReleaseCtx(ctx context.Context, id int) error {
 	_, err := c.doCtx(ctx, http.MethodPost, fmt.Sprintf("/v1/disks/%d/release", id), nil)
 	return err
 }
 
-// Rebuild starts a rebuild. With wait true the call blocks until the
+// RebuildCtx starts a rebuild. With wait true the call blocks until the
 // rebuild completes (or fails); otherwise it returns once started.
-func (c *Client) Rebuild(wait bool) error {
-	return c.RebuildCtx(context.Background(), wait)
-}
-
-// RebuildCtx is Rebuild bounded by ctx.
 func (c *Client) RebuildCtx(ctx context.Context, wait bool) error {
 	path := "/v1/rebuild"
 	if wait {
@@ -388,27 +338,17 @@ func (c *Client) RebuildCtx(ctx context.Context, wait bool) error {
 	return err
 }
 
-// Scrub drives an incremental scrub pass to completion on the server and
+// ScrubCtx drives an incremental scrub pass to completion on the server and
 // returns the number of inconsistent stripes found and repaired.
-func (c *Client) Scrub() (int, error) {
-	return c.ScrubCtx(context.Background())
-}
-
-// ScrubCtx is Scrub bounded by ctx.
 func (c *Client) ScrubCtx(ctx context.Context) (int, error) {
 	var resp map[string]int
 	err := c.callJSON(ctx, http.MethodPost, "/v1/scrub", nil, nil, &resp, "scrub")
 	return resp["bad_stripes"], err
 }
 
-// Fsck runs a full two-layer verification pass on the server, a cycle at a
+// FsckCtx runs a full two-layer verification pass on the server, a cycle at a
 // time beside foreground I/O, repairing damage in place when repair is set,
 // and returns the report.
-func (c *Client) Fsck(repair bool) (*store.FsckReport, error) {
-	return c.FsckCtx(context.Background(), repair)
-}
-
-// FsckCtx is Fsck bounded by ctx.
 func (c *Client) FsckCtx(ctx context.Context, repair bool) (*store.FsckReport, error) {
 	path := "/v1/fsck"
 	if repair {
@@ -421,25 +361,15 @@ func (c *Client) FsckCtx(ctx context.Context, repair bool) (*store.FsckReport, e
 	return rep, nil
 }
 
-// QoS fetches the server's live QoS snapshot.
-func (c *Client) QoS() (engine.QoSState, error) {
-	return c.QoSCtx(context.Background())
-}
-
-// QoSCtx is QoS bounded by ctx.
+// QoSCtx fetches the server's live QoS snapshot.
 func (c *Client) QoSCtx(ctx context.Context) (engine.QoSState, error) {
 	var st engine.QoSState
 	err := c.callJSON(ctx, http.MethodGet, "/v1/qos", nil, nil, &st, "qos")
 	return st, err
 }
 
-// SetQoS applies a partial update of the server's QoS knobs and returns
+// SetQoSCtx applies a partial update of the server's QoS knobs and returns
 // the resulting state.
-func (c *Client) SetQoS(u engine.QoSUpdate) (engine.QoSState, error) {
-	return c.SetQoSCtx(context.Background(), u)
-}
-
-// SetQoSCtx is SetQoS bounded by ctx.
 func (c *Client) SetQoSCtx(ctx context.Context, u engine.QoSUpdate) (engine.QoSState, error) {
 	var st engine.QoSState
 	body, err := json.Marshal(u)
@@ -462,14 +392,9 @@ func (c *Client) geometry(ctx context.Context) (int, int64, error) {
 	return c.stripBytes, c.strips, nil
 }
 
-// WriteAt writes p at byte offset off in the data space, doing client-side
-// read-modify-write for unaligned leading/trailing partial strips.
-func (c *Client) WriteAt(p []byte, off int64) (int, error) {
-	return c.WriteAtCtx(context.Background(), p, off)
-}
-
-// WriteAtCtx is WriteAt bounded by ctx; a cancelled context stops between
-// strips with the bytes written so far.
+// WriteAtCtx writes p at byte offset off in the data space, doing client-side
+// read-modify-write for unaligned leading/trailing partial strips. A
+// cancelled context stops between strips with the bytes written so far.
 func (c *Client) WriteAtCtx(ctx context.Context, p []byte, off int64) (int, error) {
 	sb, strips, err := c.geometry(ctx)
 	if err != nil {
@@ -510,13 +435,8 @@ func (c *Client) WriteAtCtx(ctx context.Context, p []byte, off int64) (int, erro
 	return total, nil
 }
 
-// ReadAt reads len(p) bytes at byte offset off in the data space.
-func (c *Client) ReadAt(p []byte, off int64) (int, error) {
-	return c.ReadAtCtx(context.Background(), p, off)
-}
-
-// ReadAtCtx is ReadAt bounded by ctx; a cancelled context stops between
-// strips with the bytes read so far.
+// ReadAtCtx reads len(p) bytes at byte offset off in the data space. A
+// cancelled context stops between strips with the bytes read so far.
 func (c *Client) ReadAtCtx(ctx context.Context, p []byte, off int64) (int, error) {
 	sb, strips, err := c.geometry(ctx)
 	if err != nil {

@@ -19,7 +19,7 @@ import (
 // error) but could not, because the request body streamed from a
 // non-rewindable reader and re-sending would require replaying bytes the
 // client no longer has. The caller owns the retry decision: re-issue the
-// PUT with a fresh reader. A body that can be re-read in place (PutObject)
+// PUT with a fresh reader. A body that can be re-read in place (PutObjectCtx)
 // or is no larger than maxBufferedPut is retried transparently; only a
 // larger stream can surface this error.
 var ErrNonRetryable = errors.New("server: streaming body consumed, not retrying")
@@ -66,41 +66,32 @@ func userMetaHeaders(meta map[string]string) map[string]string {
 	return hdr
 }
 
-// MakeBucket creates a bucket.
-func (c *Client) MakeBucket(name string) error {
-	return c.MakeBucketCtx(context.Background(), name)
-}
-
-// MakeBucketCtx is MakeBucket bounded by ctx.
+// MakeBucketCtx creates a bucket.
 func (c *Client) MakeBucketCtx(ctx context.Context, name string) error {
 	_, err := c.doCtx(ctx, http.MethodPut, "/v1/buckets/"+url.PathEscape(name), nil)
 	return err
 }
 
-// RemoveBucket deletes an empty bucket.
-func (c *Client) RemoveBucket(name string) error {
-	return c.RemoveBucketCtx(context.Background(), name)
-}
-
-// RemoveBucketCtx is RemoveBucket bounded by ctx.
+// RemoveBucketCtx deletes an empty bucket.
 func (c *Client) RemoveBucketCtx(ctx context.Context, name string) error {
 	_, err := c.doCtx(ctx, http.MethodDelete, "/v1/buckets/"+url.PathEscape(name), nil)
 	return err
 }
 
-// ListBuckets returns every bucket on the server.
-func (c *Client) ListBuckets() ([]object.BucketInfo, error) {
-	return c.ListBucketsCtx(context.Background())
-}
-
-// ListBucketsCtx is ListBuckets bounded by ctx.
+// ListBucketsCtx returns every bucket on the server.
 func (c *Client) ListBucketsCtx(ctx context.Context) ([]object.BucketInfo, error) {
 	var bs []object.BucketInfo
 	err := c.callJSON(ctx, http.MethodGet, "/v1/buckets", nil, nil, &bs, "buckets")
 	return bs, err
 }
 
-// PutObject stores size bytes from r as bucket/key. When r is an
+// PutObject is PutObjectCtx with no deadline, for the benchmark module's
+// clientTarget (bench/stack.go), its one caller.
+func (c *Client) PutObject(bucket, key string, r io.Reader, size int64, meta map[string]string) (object.Info, error) {
+	return c.PutObjectCtx(context.Background(), bucket, key, r, size, meta)
+}
+
+// PutObjectCtx stores size bytes from r as bucket/key. When r is an
 // io.Seeker and an io.ReaderAt (a bytes.Reader, a file) the body is sent
 // from its current offset with no copy, whatever its size, and each attempt
 // re-reads it in place; otherwise bodies up to maxBufferedPut are buffered.
@@ -109,11 +100,6 @@ func (c *Client) ListBucketsCtx(ctx context.Context) ([]object.BucketInfo, error
 // cannot be re-read stream in one attempt and a retryable failure surfaces
 // wrapped in ErrNonRetryable instead of silently re-sending a
 // half-consumed reader.
-func (c *Client) PutObject(bucket, key string, r io.Reader, size int64, meta map[string]string) (object.Info, error) {
-	return c.PutObjectCtx(context.Background(), bucket, key, r, size, meta)
-}
-
-// PutObjectCtx is PutObject bounded by ctx.
 func (c *Client) PutObjectCtx(ctx context.Context, bucket, key string, r io.Reader, size int64, meta map[string]string) (object.Info, error) {
 	if err := checkKey(key); err != nil {
 		return object.Info{}, err
@@ -122,7 +108,7 @@ func (c *Client) PutObjectCtx(ctx context.Context, bucket, key string, r io.Read
 }
 
 // putBody implements the in-place, buffered or single-shot PUT protocol
-// shared by PutObject and UploadPart. An in-place body is read by ReadAt,
+// shared by PutObjectCtx and UploadPartCtx. An in-place body is read by ReadAt,
 // never by seeking r back: net/http may still be reading one attempt's body
 // when the next starts.
 func (c *Client) putBody(ctx context.Context, path string, r io.Reader, size int64, hdr map[string]string) (object.Info, error) {
@@ -185,16 +171,16 @@ func inPlaceBody(r io.Reader, size int64) (at io.ReaderAt, start int64, err erro
 	return ra, start, nil
 }
 
-// GetObject streams bucket/key into w and returns its Info (assembled
+// GetObject is GetObjectCtx with no deadline, for the benchmark module's
+// clientTarget (bench/stack.go), its one caller.
+func (c *Client) GetObject(bucket, key string, w io.Writer) (object.Info, error) {
+	return c.GetObjectCtx(context.Background(), bucket, key, w)
+}
+
+// GetObjectCtx streams bucket/key into w and returns its Info (assembled
 // from response headers). The transfer is verified against the declared
 // Content-Length — a truncated body (server aborting on a mid-stream
 // read error) is reported rather than silently accepted.
-func (c *Client) GetObject(bucket, key string, w io.Writer) (object.Info, error) {
-	info, _, err := c.GetObjectCond(context.Background(), bucket, key, "", w)
-	return info, err
-}
-
-// GetObjectCtx is GetObject bounded by ctx.
 func (c *Client) GetObjectCtx(ctx context.Context, bucket, key string, w io.Writer) (object.Info, error) {
 	info, _, err := c.GetObjectCond(ctx, bucket, key, "", w)
 	return info, err
@@ -252,12 +238,7 @@ func infoFromHeaders(resp *http.Response) object.Info {
 	return info
 }
 
-// StatObject fetches an object's Info without its data (HEAD).
-func (c *Client) StatObject(bucket, key string) (object.Info, error) {
-	return c.StatObjectCtx(context.Background(), bucket, key)
-}
-
-// StatObjectCtx is StatObject bounded by ctx.
+// StatObjectCtx fetches an object's Info without its data (HEAD).
 func (c *Client) StatObjectCtx(ctx context.Context, bucket, key string) (object.Info, error) {
 	var info object.Info
 	if err := checkKey(key); err != nil {
@@ -271,12 +252,7 @@ func (c *Client) StatObjectCtx(ctx context.Context, bucket, key string) (object.
 	return info, err
 }
 
-// RemoveObject deletes an object.
-func (c *Client) RemoveObject(bucket, key string) error {
-	return c.RemoveObjectCtx(context.Background(), bucket, key)
-}
-
-// RemoveObjectCtx is RemoveObject bounded by ctx.
+// RemoveObjectCtx deletes an object.
 func (c *Client) RemoveObjectCtx(ctx context.Context, bucket, key string) error {
 	if err := checkKey(key); err != nil {
 		return err
@@ -285,14 +261,9 @@ func (c *Client) RemoveObjectCtx(ctx context.Context, bucket, key string) error 
 	return err
 }
 
-// ListObjects fetches one LIST page: up to max keys matching prefix,
+// ListObjectsCtx fetches one LIST page: up to max keys matching prefix,
 // strictly after the `after` cursor. Follow page.NextAfter while
 // page.Truncated to walk the whole bucket.
-func (c *Client) ListObjects(bucket, prefix, after string, max int) (object.ListPage, error) {
-	return c.ListObjectsCtx(context.Background(), bucket, prefix, after, max)
-}
-
-// ListObjectsCtx is ListObjects bounded by ctx.
 func (c *Client) ListObjectsCtx(ctx context.Context, bucket, prefix, after string, max int) (object.ListPage, error) {
 	var page object.ListPage
 	q := url.Values{}
@@ -313,12 +284,7 @@ func (c *Client) ListObjectsCtx(ctx context.Context, bucket, prefix, after strin
 	return page, err
 }
 
-// CreateUpload starts a multipart upload of bucket/key and returns its id.
-func (c *Client) CreateUpload(bucket, key string, meta map[string]string) (string, error) {
-	return c.CreateUploadCtx(context.Background(), bucket, key, meta)
-}
-
-// CreateUploadCtx is CreateUpload bounded by ctx.
+// CreateUploadCtx starts a multipart upload of bucket/key and returns its id.
 func (c *Client) CreateUploadCtx(ctx context.Context, bucket, key string, meta map[string]string) (string, error) {
 	if err := checkKey(key); err != nil {
 		return "", err
@@ -328,13 +294,8 @@ func (c *Client) CreateUploadCtx(ctx context.Context, bucket, key string, meta m
 	return resp["upload_id"], err
 }
 
-// UploadPart streams one part (1-based part numbers) under the same
-// buffered-or-single-shot retry protocol as PutObject.
-func (c *Client) UploadPart(bucket, key, uploadID string, part int, r io.Reader, size int64) (object.PartInfo, error) {
-	return c.UploadPartCtx(context.Background(), bucket, key, uploadID, part, r, size)
-}
-
-// UploadPartCtx is UploadPart bounded by ctx.
+// UploadPartCtx streams one part (1-based part numbers) under the same
+// buffered-or-single-shot retry protocol as PutObjectCtx.
 func (c *Client) UploadPartCtx(ctx context.Context, bucket, key, uploadID string, part int, r io.Reader, size int64) (object.PartInfo, error) {
 	if err := checkKey(key); err != nil {
 		return object.PartInfo{}, err
@@ -347,12 +308,7 @@ func (c *Client) UploadPartCtx(ctx context.Context, bucket, key, uploadID string
 	return object.PartInfo{Part: part, Size: size, ETag: info.ETag}, nil
 }
 
-// CompleteUpload assembles the uploaded parts into the committed object.
-func (c *Client) CompleteUpload(bucket, key, uploadID string) (object.Info, error) {
-	return c.CompleteUploadCtx(context.Background(), bucket, key, uploadID)
-}
-
-// CompleteUploadCtx is CompleteUpload bounded by ctx.
+// CompleteUploadCtx assembles the uploaded parts into the committed object.
 func (c *Client) CompleteUploadCtx(ctx context.Context, bucket, key, uploadID string) (object.Info, error) {
 	var info object.Info
 	if err := checkKey(key); err != nil {
@@ -362,12 +318,7 @@ func (c *Client) CompleteUploadCtx(ctx context.Context, bucket, key, uploadID st
 	return info, err
 }
 
-// AbortUpload discards a multipart upload and frees its parts.
-func (c *Client) AbortUpload(bucket, key, uploadID string) error {
-	return c.AbortUploadCtx(context.Background(), bucket, key, uploadID)
-}
-
-// AbortUploadCtx is AbortUpload bounded by ctx.
+// AbortUploadCtx discards a multipart upload and frees its parts.
 func (c *Client) AbortUploadCtx(ctx context.Context, bucket, key, uploadID string) error {
 	if err := checkKey(key); err != nil {
 		return err

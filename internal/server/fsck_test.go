@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"math/rand"
 	"net/http/httptest"
 	"strings"
@@ -65,7 +66,7 @@ func TestRemoteFsck(t *testing.T) {
 	c, raw, mnt := newDurableTestServer(t)
 	content := make([]byte, testStrip)
 	rand.New(rand.NewSource(9)).Read(content)
-	if err := c.PutStrip(0, content); err != nil {
+	if err := c.PutStripCtx(context.Background(), 0, content); err != nil {
 		t.Fatal(err)
 	}
 
@@ -80,7 +81,7 @@ func TestRemoteFsck(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rep, err := c.Fsck(false)
+	rep, err := c.FsckCtx(context.Background(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,14 +98,14 @@ func TestRemoteFsck(t *testing.T) {
 		t.Fatalf("report does not name (cycle 0, disk %d, slot %d): %+v", st.Disk, st.Slot, rep.Issues)
 	}
 
-	rep, err = c.Fsck(true)
+	rep, err = c.FsckCtx(context.Background(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep.Clean || rep.Repaired == 0 {
 		t.Fatalf("remote repair left damage: %+v", rep)
 	}
-	rep, err = c.Fsck(false)
+	rep, err = c.FsckCtx(context.Background(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestRemoteFsck(t *testing.T) {
 	}
 
 	// The repaired strip serves the original content.
-	got, err := c.GetStrip(0)
+	got, err := c.GetStripCtx(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestRemoteFsck(t *testing.T) {
 	}
 
 	// The new counters surface through /v1/metrics and /v1/status.
-	m, err := c.Metrics()
+	m, err := c.MetricsCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestRemoteFsck(t *testing.T) {
 			t.Errorf("metrics missing %s", want)
 		}
 	}
-	status, err := c.Status()
+	status, err := c.StatusCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

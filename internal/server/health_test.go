@@ -91,7 +91,7 @@ func TestFailDiskIdempotentHTTP(t *testing.T) {
 			t.Fatalf("fail #%d = %d, want 204", i+1, resp.StatusCode)
 		}
 	}
-	st, err := c.Status()
+	st, err := c.StatusCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,11 +107,11 @@ func TestHealthAndSparesHTTP(t *testing.T) {
 	p := make([]byte, testStrip)
 	rand.New(rand.NewSource(5)).Read(p)
 	for addr := int64(0); addr < 4; addr++ {
-		if err := c.PutStrip(addr, p); err != nil {
+		if err := c.PutStripCtx(context.Background(), addr, p); err != nil {
 			t.Fatal(err)
 		}
 	}
-	h, err := c.Health()
+	h, err := c.HealthCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,14 +129,14 @@ func TestHealthAndSparesHTTP(t *testing.T) {
 		t.Fatal("health report shows zero device ops after writes")
 	}
 
-	n, err := c.AddSpares(2)
+	n, err := c.AddSparesCtx(context.Background(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 2 {
 		t.Fatalf("spare pool = %d, want 2", n)
 	}
-	if h, err = c.Health(); err != nil || h.Spares != 2 {
+	if h, err = c.HealthCtx(context.Background()); err != nil || h.Spares != 2 {
 		t.Fatalf("health spares = %d (%v), want 2", h.Spares, err)
 	}
 }
@@ -177,7 +177,7 @@ func TestClientRetries503(t *testing.T) {
 		BaseDelay:  time.Millisecond,
 		MaxDelay:   5 * time.Millisecond,
 	})
-	if err := c.FailDisk(0); err != nil {
+	if err := c.FailDiskCtx(context.Background(), 0); err != nil {
 		t.Fatalf("client did not ride out two 503s: %v", err)
 	}
 	if got := hits.Load(); got != 3 {
@@ -192,7 +192,7 @@ func TestClientRetries503(t *testing.T) {
 	}))
 	defer fatal.Close()
 	c2 := NewClientWithOptions(fatal.URL, ClientOptions{MaxRetries: 3, BaseDelay: time.Millisecond})
-	if err := c2.FailDisk(0); !errors.Is(err, store.ErrTooManyFailures) {
+	if err := c2.FailDiskCtx(context.Background(), 0); !errors.Is(err, store.ErrTooManyFailures) {
 		t.Fatalf("want ErrTooManyFailures, got %v", err)
 	}
 	if got := hits.Load(); got != 1 {
@@ -210,7 +210,7 @@ func TestClientRetriesTransport(t *testing.T) {
 	backend.Close() // nothing listens here any more
 	c := NewClientWithOptions(url, ClientOptions{MaxRetries: 2, BaseDelay: time.Millisecond})
 	start := time.Now()
-	err := c.FailDisk(0)
+	err := c.FailDiskCtx(context.Background(), 0)
 	if err == nil {
 		t.Fatal("call to closed server succeeded")
 	}
@@ -249,13 +249,13 @@ func TestClientContextCancel(t *testing.T) {
 // /v1/rebuild.
 func TestSelfHealOverHTTP(t *testing.T) {
 	c, faults := newFaultyServer(t)
-	if _, err := c.AddSpares(1); err != nil {
+	if _, err := c.AddSparesCtx(context.Background(), 1); err != nil {
 		t.Fatal(err)
 	}
 	p := make([]byte, testStrip)
 	rand.New(rand.NewSource(6)).Read(p)
 	for addr := int64(0); addr < 8; addr++ {
-		if err := c.PutStrip(addr, p); err != nil {
+		if err := c.PutStripCtx(context.Background(), addr, p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -268,11 +268,11 @@ func TestSelfHealOverHTTP(t *testing.T) {
 		// Keep traffic flowing so the monitor sees the failure; the client
 		// rides the 503s out.
 		for addr := int64(0); addr < 8; addr++ {
-			c.GetStrip(addr) //nolint:errcheck // errors expected mid-heal
+			c.GetStripCtx(context.Background(), addr) //nolint:errcheck // errors expected mid-heal
 		}
-		h, err := c.Health()
+		h, err := c.HealthCtx(context.Background())
 		if err == nil && h.Evictions >= 1 && h.SparesUsed >= 1 && h.Spares == 0 {
-			if st, serr := c.Status(); serr == nil && len(st.Failed) == 0 && !st.Rebuilding {
+			if st, serr := c.StatusCtx(context.Background()); serr == nil && len(st.Failed) == 0 && !st.Rebuilding {
 				healed = true
 				continue
 			}
@@ -282,7 +282,7 @@ func TestSelfHealOverHTTP(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	got, err := c.GetStrip(3)
+	got, err := c.GetStripCtx(context.Background(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}

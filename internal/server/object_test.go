@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -83,7 +84,7 @@ func (w *writeCounter) Write(p []byte) (int, error) {
 // is — instead of being buffered whole by the handler stack.
 func TestObjectGetStreams(t *testing.T) {
 	srv, c := newObjectTestServer(t)
-	if err := c.MakeBucket("stream"); err != nil {
+	if err := c.MakeBucketCtx(context.Background(), "stream"); err != nil {
 		t.Fatal(err)
 	}
 	want := objectPayload(31, 12*testStrip) // three 4-strip chunks
@@ -108,10 +109,10 @@ func TestObjectGetStreams(t *testing.T) {
 func TestObjectLifecycleHTTP(t *testing.T) {
 	_, c := newObjectTestServer(t)
 
-	if err := c.MakeBucket("photos"); err != nil {
+	if err := c.MakeBucketCtx(context.Background(), "photos"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.MakeBucket("photos"); !errors.Is(err, object.ErrBucketExists) {
+	if err := c.MakeBucketCtx(context.Background(), "photos"); !errors.Is(err, object.ErrBucketExists) {
 		t.Fatalf("duplicate bucket: want ErrBucketExists, got %v", err)
 	}
 
@@ -123,7 +124,7 @@ func TestObjectLifecycleHTTP(t *testing.T) {
 		data[55*testStrip:],
 	}
 
-	id, err := c.CreateUpload("photos", "big/blob.bin", map[string]string{"origin": "lifecycle-test"})
+	id, err := c.CreateUploadCtx(context.Background(), "photos", "big/blob.bin", map[string]string{"origin": "lifecycle-test"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,11 +132,11 @@ func TestObjectLifecycleHTTP(t *testing.T) {
 		if i == 1 {
 			// Lose a disk mid-upload: the remaining parts land
 			// degraded and every read below reconstructs.
-			if err := c.FailDisk(2); err != nil {
+			if err := c.FailDiskCtx(context.Background(), 2); err != nil {
 				t.Fatal(err)
 			}
 		}
-		pi, err := c.UploadPart("photos", "big/blob.bin", id, i+1, bytes.NewReader(p), int64(len(p)))
+		pi, err := c.UploadPartCtx(context.Background(), "photos", "big/blob.bin", id, i+1, bytes.NewReader(p), int64(len(p)))
 		if err != nil {
 			t.Fatalf("part %d: %v", i+1, err)
 		}
@@ -143,7 +144,7 @@ func TestObjectLifecycleHTTP(t *testing.T) {
 			t.Fatalf("part %d size: got %d want %d", i+1, pi.Size, len(p))
 		}
 	}
-	info, err := c.CompleteUpload("photos", "big/blob.bin", id)
+	info, err := c.CompleteUploadCtx(context.Background(), "photos", "big/blob.bin", id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +200,7 @@ func TestObjectLifecycleHTTP(t *testing.T) {
 	after := ""
 	pages := 0
 	for {
-		page, err := c.ListObjects("photos", "", after, 2)
+		page, err := c.ListObjectsCtx(context.Background(), "photos", "", after, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,7 +228,7 @@ func TestObjectLifecycleHTTP(t *testing.T) {
 		}
 	}
 	// Prefix listing narrows to the index objects.
-	page, err := c.ListObjects("photos", "idx/", "", 0)
+	page, err := c.ListObjectsCtx(context.Background(), "photos", "idx/", "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,11 +238,11 @@ func TestObjectLifecycleHTTP(t *testing.T) {
 
 	// Teardown: delete everything, then the bucket.
 	for _, k := range want {
-		if err := c.RemoveObject("photos", k); err != nil {
+		if err := c.RemoveObjectCtx(context.Background(), "photos", k); err != nil {
 			t.Fatalf("rm %s: %v", k, err)
 		}
 	}
-	if _, err := c.StatObject("photos", "big/blob.bin"); !errors.Is(err, object.ErrNoSuchObject) {
+	if _, err := c.StatObjectCtx(context.Background(), "photos", "big/blob.bin"); !errors.Is(err, object.ErrNoSuchObject) {
 		t.Fatalf("stat after delete: want ErrNoSuchObject, got %v", err)
 	}
 	// A missing key whose text spells another sentinel's message still
@@ -251,14 +252,14 @@ func TestObjectLifecycleHTTP(t *testing.T) {
 		if _, err := c.GetObject("photos", k, io.Discard); !errors.Is(err, object.ErrNoSuchObject) || errors.Is(err, store.ErrStripOutOfRange) || errors.Is(err, store.ErrDiskFaulty) {
 			t.Fatalf("GET missing %q: want ErrNoSuchObject alone, got %v", k, err)
 		}
-		if err := c.RemoveObject("photos", k); !errors.Is(err, object.ErrNoSuchObject) || errors.Is(err, store.ErrStripOutOfRange) || errors.Is(err, store.ErrDiskFaulty) {
+		if err := c.RemoveObjectCtx(context.Background(), "photos", k); !errors.Is(err, object.ErrNoSuchObject) || errors.Is(err, store.ErrStripOutOfRange) || errors.Is(err, store.ErrDiskFaulty) {
 			t.Fatalf("DELETE missing %q: want ErrNoSuchObject alone, got %v", k, err)
 		}
-		if _, err := c.StatObject("photos", k); !errors.Is(err, object.ErrNoSuchObject) {
+		if _, err := c.StatObjectCtx(context.Background(), "photos", k); !errors.Is(err, object.ErrNoSuchObject) {
 			t.Fatalf("HEAD missing %q: want ErrNoSuchObject, got %v", k, err)
 		}
 	}
-	if err := c.RemoveBucket("photos"); err != nil {
+	if err := c.RemoveBucketCtx(context.Background(), "photos"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.GetObject("photos", "x", io.Discard); !errors.Is(err, object.ErrNoSuchBucket) {
@@ -274,7 +275,7 @@ func TestObjectHTTPBasics(t *testing.T) {
 	if _, err := c.PutObject("nope", "k", bytes.NewReader([]byte("x")), 1, nil); !errors.Is(err, object.ErrNoSuchBucket) {
 		t.Fatalf("put into missing bucket: want ErrNoSuchBucket, got %v", err)
 	}
-	if err := c.MakeBucket("docs"); err != nil {
+	if err := c.MakeBucketCtx(context.Background(), "docs"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -284,7 +285,7 @@ func TestObjectHTTPBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := c.StatObject("docs", "readme")
+	st, err := c.StatObjectCtx(context.Background(), "docs", "readme")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +293,7 @@ func TestObjectHTTPBasics(t *testing.T) {
 		t.Fatalf("stat mismatch: %+v vs put %+v", st, info)
 	}
 
-	bs, err := c.ListBuckets()
+	bs, err := c.ListBucketsCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,10 +301,10 @@ func TestObjectHTTPBasics(t *testing.T) {
 		t.Fatalf("bucket listing: %+v", bs)
 	}
 
-	if err := c.RemoveBucket("docs"); !errors.Is(err, object.ErrBucketNotEmpty) {
+	if err := c.RemoveBucketCtx(context.Background(), "docs"); !errors.Is(err, object.ErrBucketNotEmpty) {
 		t.Fatalf("rm non-empty bucket: want ErrBucketNotEmpty, got %v", err)
 	}
-	if err := c.RemoveObject("docs", "gone"); !errors.Is(err, object.ErrNoSuchObject) {
+	if err := c.RemoveObjectCtx(context.Background(), "docs", "gone"); !errors.Is(err, object.ErrNoSuchObject) {
 		t.Fatalf("rm missing object: want ErrNoSuchObject, got %v", err)
 	}
 	if _, err := c.PutObject("docs", "", bytes.NewReader(nil), 0, nil); !errors.Is(err, object.ErrBadName) {
@@ -450,7 +451,7 @@ func TestPutSeekableBodyReplayed(t *testing.T) {
 // the real server refuses a PUT of unknown length with 411.
 func TestPutEmptySeekableBody(t *testing.T) {
 	_, c := newObjectTestServer(t)
-	if err := c.MakeBucket("empties"); err != nil {
+	if err := c.MakeBucketCtx(context.Background(), "empties"); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Create(filepath.Join(t.TempDir(), "empty"))
@@ -469,18 +470,18 @@ func TestPutEmptySeekableBody(t *testing.T) {
 		}
 	}
 
-	id, err := c.CreateUpload("empties", "parts", nil)
+	id, err := c.CreateUploadCtx(context.Background(), "empties", "parts", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	data := objectPayload(11, 3*testStrip)
-	if _, err := c.UploadPart("empties", "parts", id, 1, bytes.NewReader(data), int64(len(data))); err != nil {
+	if _, err := c.UploadPartCtx(context.Background(), "empties", "parts", id, 1, bytes.NewReader(data), int64(len(data))); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.UploadPart("empties", "parts", id, 2, bytes.NewReader(nil), 0); err != nil {
+	if _, err := c.UploadPartCtx(context.Background(), "empties", "parts", id, 2, bytes.NewReader(nil), 0); err != nil {
 		t.Fatalf("empty part: %v", err)
 	}
-	if _, err := c.CompleteUpload("empties", "parts", id); err != nil {
+	if _, err := c.CompleteUploadCtx(context.Background(), "empties", "parts", id); err != nil {
 		t.Fatal(err)
 	}
 	var got bytes.Buffer
@@ -506,7 +507,7 @@ func (neverEnding) Read(p []byte) (int, error) {
 // aborting an id never issued, answers ErrNoSuchUpload.
 func TestMultipartAbortHTTP(t *testing.T) {
 	srv, c := newObjectTestServer(t)
-	if err := c.MakeBucket("mpu"); err != nil {
+	if err := c.MakeBucketCtx(context.Background(), "mpu"); err != nil {
 		t.Fatal(err)
 	}
 	keep := objectPayload(7, 3*testStrip)
@@ -516,32 +517,32 @@ func TestMultipartAbortHTTP(t *testing.T) {
 	objs := srv.opts.Objects
 	base := objs.Fsck()
 
-	id, err := c.CreateUpload("mpu", "dead", nil)
+	id, err := c.CreateUploadCtx(context.Background(), "mpu", "dead", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for part := 1; part <= 3; part++ {
 		p := objectPayload(int64(part), 5*testStrip)
-		if _, err := c.UploadPart("mpu", "dead", id, part, bytes.NewReader(p), int64(len(p))); err != nil {
+		if _, err := c.UploadPartCtx(context.Background(), "mpu", "dead", id, part, bytes.NewReader(p), int64(len(p))); err != nil {
 			t.Fatalf("part %d: %v", part, err)
 		}
 	}
 	if rep := objs.Fsck(); rep.Uploads != 1 || rep.Used <= base.Used {
 		t.Fatalf("parts not staged: %+v (baseline %+v)", rep, base)
 	}
-	if err := c.AbortUpload("mpu", "dead", id); err != nil {
+	if err := c.AbortUploadCtx(context.Background(), "mpu", "dead", id); err != nil {
 		t.Fatal(err)
 	}
 	if rep := objs.Fsck(); !rep.Clean || rep.Uploads != 0 || rep.Used != base.Used {
 		t.Fatalf("fsck after abort: %+v, baseline %+v", rep, base)
 	}
-	if _, err := c.CompleteUpload("mpu", "dead", id); !errors.Is(err, object.ErrNoSuchUpload) {
+	if _, err := c.CompleteUploadCtx(context.Background(), "mpu", "dead", id); !errors.Is(err, object.ErrNoSuchUpload) {
 		t.Fatalf("complete after abort: want ErrNoSuchUpload, got %v", err)
 	}
-	if err := c.AbortUpload("mpu", "dead", id); !errors.Is(err, object.ErrNoSuchUpload) {
+	if err := c.AbortUploadCtx(context.Background(), "mpu", "dead", id); !errors.Is(err, object.ErrNoSuchUpload) {
 		t.Fatalf("second abort: want ErrNoSuchUpload, got %v", err)
 	}
-	if err := c.AbortUpload("mpu", "dead", "no-such-id"); !errors.Is(err, object.ErrNoSuchUpload) {
+	if err := c.AbortUploadCtx(context.Background(), "mpu", "dead", "no-such-id"); !errors.Is(err, object.ErrNoSuchUpload) {
 		t.Fatalf("abort of unknown id: want ErrNoSuchUpload, got %v", err)
 	}
 	var got bytes.Buffer

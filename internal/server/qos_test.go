@@ -13,10 +13,12 @@ import (
 	"time"
 
 	"github.com/oiraid/oiraid/internal/bibd"
+	"github.com/oiraid/oiraid/internal/cluster"
 	"github.com/oiraid/oiraid/internal/core"
 	"github.com/oiraid/oiraid/internal/engine"
 	"github.com/oiraid/oiraid/internal/layout"
 	"github.com/oiraid/oiraid/internal/store"
+	"github.com/oiraid/oiraid/internal/store/netdev"
 )
 
 // newQoSServer builds a server whose engine has the given QoS config and
@@ -85,7 +87,7 @@ func TestServerOpDeadline504(t *testing.T) {
 	}
 
 	c := NewClientWithOptions(ts.URL, ClientOptions{MaxRetries: 0})
-	err = c.PutStrip(0, make([]byte, testStrip))
+	err = c.PutStripCtx(context.Background(), 0, make([]byte, testStrip))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("client error = %v, want context.DeadlineExceeded", err)
 	}
@@ -117,6 +119,48 @@ func TestServerRequestDeadline504(t *testing.T) {
 	}
 	if err := <-slow; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestServerDeadlineReachesNode: a strip GET against a coordinator one of
+// whose nodes has stalled answers 504 within the op timeout, not when the
+// node client's own deadlines (three 2 s attempts) give up: the request's
+// context cuts the node message.
+func TestServerDeadlineReachesNode(t *testing.T) {
+	stalled := netdev.NewFaultTransport(nil, 1)
+	c, err := cluster.Open(cluster.Options{
+		Nodes:  []cluster.NodeSpec{memNode(t, "alpha"), memNode(t, "beta"), memNode(t, "gamma")},
+		Engine: engine.Options{Workers: 2},
+		Format: &cluster.FormatSpec{Disks: 9, Cycles: 1, StripBytes: testStrip},
+		Transport: func(n cluster.NodeSpec) http.RoundTripper {
+			if n.ID == "beta" {
+				return stalled
+			}
+			return http.DefaultTransport.(*http.Transport).Clone()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	ts := httptest.NewServer(New(c.Eng, Options{OpTimeout: 100 * time.Millisecond}).Handler())
+	t.Cleanup(ts.Close)
+	disks := c.ManifestSnapshot().Disks
+	addr := int64(0)
+	for disks[c.Eng.Array().DataStripDisk(addr)].Node != "beta" {
+		addr++
+	}
+	stalled.SetDelay(time.Hour)
+	defer stalled.SetDelay(0) // the coordinator's Close seals every disk
+	t0 := time.Now()
+	resp, err := http.Get(fmt.Sprintf("%s/v1/strips/%d", ts.URL, addr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if took := time.Since(t0); resp.StatusCode != http.StatusGatewayTimeout || resp.Header.Get("X-Oiraid-Err") != "deadline" || took > 200*time.Millisecond {
+		t.Fatalf("GET of a stalled node's strip: status %d, code %q after %v; want 504, \"deadline\" within 200ms",
+			resp.StatusCode, resp.Header.Get("X-Oiraid-Err"), took)
 	}
 }
 
@@ -182,19 +226,19 @@ func TestServerOverload429(t *testing.T) {
 	// absorb the shedding, so a serial pass of the same ops all succeed
 	// and the raw client sees ErrOverloaded semantics via errors.Is.
 	for i := 0; i < burst; i++ {
-		if err := c.PutStrip(int64(i), make([]byte, testStrip)); err != nil {
+		if err := c.PutStripCtx(context.Background(), int64(i), make([]byte, testStrip)); err != nil {
 			t.Fatalf("retrying client write %d: %v", i, err)
 		}
 	}
 
-	st, err := c.QoS()
+	st, err := c.QoSCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Shed == 0 {
 		t.Fatalf("qos snapshot records no sheds: %+v", st)
 	}
-	m, err := c.Metrics()
+	m, err := c.MetricsCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +263,7 @@ func TestServerOverloadErrIs(t *testing.T) {
 		wg.Add(1)
 		go func(addr int64) {
 			defer wg.Done()
-			if err := c.PutStrip(addr, make([]byte, testStrip)); errors.Is(err, store.ErrOverloaded) {
+			if err := c.PutStripCtx(context.Background(), addr, make([]byte, testStrip)); errors.Is(err, store.ErrOverloaded) {
 				mu.Lock()
 				sawOverload = true
 				mu.Unlock()
@@ -237,7 +281,7 @@ func TestServerOverloadErrIs(t *testing.T) {
 func TestServerQoSEndpoints(t *testing.T) {
 	_, c := newTestServer(t)
 
-	st, err := c.QoS()
+	st, err := c.QoSCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,14 +290,14 @@ func TestServerQoSEndpoints(t *testing.T) {
 	}
 
 	rate, target := 12.5, 2*time.Millisecond
-	st, err = c.SetQoS(engine.QoSUpdate{RebuildRate: &rate, LatencyTarget: &target})
+	st, err = c.SetQoSCtx(context.Background(), engine.QoSUpdate{RebuildRate: &rate, LatencyTarget: &target})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.RebuildRate != 12.5 || st.LatencyTarget != target {
 		t.Fatalf("updated qos state = %+v", st)
 	}
-	st, err = c.QoS()
+	st, err = c.QoSCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,11 +306,11 @@ func TestServerQoSEndpoints(t *testing.T) {
 	}
 
 	bad := -1.0
-	if _, err := c.SetQoS(engine.QoSUpdate{RebuildRate: &bad}); !errors.Is(err, store.ErrBadGeometry) {
+	if _, err := c.SetQoSCtx(context.Background(), engine.QoSUpdate{RebuildRate: &bad}); !errors.Is(err, store.ErrBadGeometry) {
 		t.Fatalf("negative rate: want ErrBadGeometry, got %v", err)
 	}
 
-	n, err := c.Scrub()
+	n, err := c.ScrubCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +334,7 @@ func TestServerQoSRefusesUnknownField(t *testing.T) {
 			t.Fatalf("POST %s: %d %q, want 400 naming %q", tc.body, rec.Code, rec.Body.String(), tc.field)
 		}
 	}
-	st, err := c.QoS()
+	st, err := c.QoSCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math/rand"
 	"net/http"
@@ -56,10 +57,10 @@ func TestStripAPI(t *testing.T) {
 	_, c := newTestServer(t)
 	p := make([]byte, testStrip)
 	rand.New(rand.NewSource(1)).Read(p)
-	if err := c.PutStrip(3, p); err != nil {
+	if err := c.PutStripCtx(context.Background(), 3, p); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.GetStrip(3)
+	got, err := c.GetStripCtx(context.Background(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,13 +68,13 @@ func TestStripAPI(t *testing.T) {
 		t.Fatal("strip round-trip differs")
 	}
 
-	if _, err := c.GetStrip(1 << 40); !errors.Is(err, store.ErrStripOutOfRange) {
+	if _, err := c.GetStripCtx(context.Background(), 1<<40); !errors.Is(err, store.ErrStripOutOfRange) {
 		t.Fatalf("want ErrStripOutOfRange, got %v", err)
 	}
-	if err := c.PutStrip(0, make([]byte, 5)); !errors.Is(err, store.ErrShortBuffer) {
+	if err := c.PutStripCtx(context.Background(), 0, make([]byte, 5)); !errors.Is(err, store.ErrShortBuffer) {
 		t.Fatalf("want ErrShortBuffer, got %v", err)
 	}
-	if err := c.FailDisk(99); !errors.Is(err, store.ErrNoSuchDisk) {
+	if err := c.FailDiskCtx(context.Background(), 99); !errors.Is(err, store.ErrNoSuchDisk) {
 		t.Fatalf("want ErrNoSuchDisk, got %v", err)
 	}
 }
@@ -85,11 +86,11 @@ func TestByteRangeHelpers(t *testing.T) {
 	payload := make([]byte, 2*testStrip+77)
 	rand.New(rand.NewSource(2)).Read(payload)
 	const off = 99
-	if n, err := c.WriteAt(payload, off); err != nil || n != len(payload) {
+	if n, err := c.WriteAtCtx(context.Background(), payload, off); err != nil || n != len(payload) {
 		t.Fatalf("WriteAt = %d, %v", n, err)
 	}
 	got := make([]byte, len(payload))
-	if n, err := c.ReadAt(got, off); err != nil || n != len(payload) {
+	if n, err := c.ReadAtCtx(context.Background(), got, off); err != nil || n != len(payload) {
 		t.Fatalf("ReadAt = %d, %v", n, err)
 	}
 	if !bytes.Equal(got, payload) {
@@ -104,12 +105,12 @@ func TestLifecycleOverHTTP(t *testing.T) {
 	p := make([]byte, testStrip)
 	rand.New(rand.NewSource(3)).Read(p)
 	for addr := int64(0); addr < 8; addr++ {
-		if err := c.PutStrip(addr, p); err != nil {
+		if err := c.PutStripCtx(context.Background(), addr, p); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	st, err := c.Status()
+	st, err := c.StatusCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,17 +118,17 @@ func TestLifecycleOverHTTP(t *testing.T) {
 		t.Fatalf("healthy status: %+v", st)
 	}
 
-	if err := c.FailDisk(4); err != nil {
+	if err := c.FailDiskCtx(context.Background(), 4); err != nil {
 		t.Fatal(err)
 	}
-	st, err = c.Status()
+	st, err = c.StatusCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(st.Failed) != 1 || st.Failed[0] != 4 {
 		t.Fatalf("degraded status: %+v", st)
 	}
-	got, err := c.GetStrip(2)
+	got, err := c.GetStripCtx(context.Background(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,10 +136,10 @@ func TestLifecycleOverHTTP(t *testing.T) {
 		t.Fatal("degraded read differs")
 	}
 
-	if err := c.Rebuild(true); err != nil {
+	if err := c.RebuildCtx(context.Background(), true); err != nil {
 		t.Fatal(err)
 	}
-	st, err = c.Status()
+	st, err = c.StatusCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +147,7 @@ func TestLifecycleOverHTTP(t *testing.T) {
 		t.Fatalf("post-rebuild status: %+v", st)
 	}
 
-	metrics, err := c.Metrics()
+	metrics, err := c.MetricsCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

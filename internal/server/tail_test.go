@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -101,7 +102,7 @@ func TestPanicRecoveryMiddleware(t *testing.T) {
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("status = %d, want 500", resp.StatusCode)
 	}
-	m, err := c.Metrics()
+	m, err := c.MetricsCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestQuarantineRecoverOverHTTP(t *testing.T) {
 		QuarantineProbeOK:  2,
 		QuarantineEscalate: 100,
 	})
-	st, err := c.Status()
+	st, err := c.StatusCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestQuarantineRecoverOverHTTP(t *testing.T) {
 		return bytes.Repeat([]byte{byte(addr*31 + int64(seq))}, testStrip)
 	}
 	for addr := int64(0); addr < st.Strips; addr++ {
-		if err := c.PutStrip(addr, payload(addr, 0)); err != nil {
+		if err := c.PutStripCtx(context.Background(), addr, payload(addr, 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -139,7 +140,7 @@ func TestQuarantineRecoverOverHTTP(t *testing.T) {
 	faults[victim].SetSlow(1.0, 10*time.Millisecond)
 	deadline := time.Now().Add(15 * time.Second)
 	for {
-		h, err := c.Health()
+		h, err := c.HealthCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +151,7 @@ func TestQuarantineRecoverOverHTTP(t *testing.T) {
 			t.Fatalf("victim never quarantined over HTTP: %+v", h.Disks[victim])
 		}
 		for addr := int64(0); addr < st.Strips; addr++ {
-			if _, err := c.GetStrip(addr); err != nil {
+			if _, err := c.GetStripCtx(context.Background(), addr); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -158,11 +159,11 @@ func TestQuarantineRecoverOverHTTP(t *testing.T) {
 
 	// Reads while quarantined reconstruct, bit-identical; writes land.
 	for addr := int64(0); addr < st.Strips; addr++ {
-		got, err := c.GetStrip(addr)
+		got, err := c.GetStripCtx(context.Background(), addr)
 		if err != nil || !bytes.Equal(got, payload(addr, 0)) {
 			t.Fatalf("quarantined read %d: %v", addr, err)
 		}
-		if err := c.PutStrip(addr, payload(addr, 1)); err != nil {
+		if err := c.PutStripCtx(context.Background(), addr, payload(addr, 1)); err != nil {
 			t.Fatalf("quarantined write %d: %v", addr, err)
 		}
 	}
@@ -170,7 +171,7 @@ func TestQuarantineRecoverOverHTTP(t *testing.T) {
 	faults[victim].SetSlow(0, 0)
 	deadline = time.Now().Add(15 * time.Second)
 	for {
-		h, err := c.Health()
+		h, err := c.HealthCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,13 +184,13 @@ func TestQuarantineRecoverOverHTTP(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	for addr := int64(0); addr < st.Strips; addr++ {
-		got, err := c.GetStrip(addr)
+		got, err := c.GetStripCtx(context.Background(), addr)
 		if err != nil || !bytes.Equal(got, payload(addr, 1)) {
 			t.Fatalf("read %d after release: %v", addr, err)
 		}
 	}
 
-	m, err := c.Metrics()
+	m, err := c.MetricsCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,10 +216,10 @@ func TestQuarantineEscalateOverHTTP(t *testing.T) {
 		QuarantineProbeOK:  2,
 		QuarantineEscalate: 1,
 	})
-	if n, err := c.AddSpares(1); err != nil || n != 1 {
+	if n, err := c.AddSparesCtx(context.Background(), 1); err != nil || n != 1 {
 		t.Fatalf("AddSpares = %d, %v", n, err)
 	}
-	st, err := c.Status()
+	st, err := c.StatusCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +227,7 @@ func TestQuarantineEscalateOverHTTP(t *testing.T) {
 		return bytes.Repeat([]byte{byte(addr*17 + 5)}, testStrip)
 	}
 	for addr := int64(0); addr < st.Strips; addr++ {
-		if err := c.PutStrip(addr, payload(addr)); err != nil {
+		if err := c.PutStripCtx(context.Background(), addr, payload(addr)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -237,7 +238,7 @@ func TestQuarantineEscalateOverHTTP(t *testing.T) {
 		faults[victim].SetSlow(1.0, 10*time.Millisecond)
 		deadline := time.Now().Add(15 * time.Second)
 		for {
-			h, err := c.Health()
+			h, err := c.HealthCtx(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -248,7 +249,7 @@ func TestQuarantineEscalateOverHTTP(t *testing.T) {
 				t.Fatalf("%s: no quarantine reaction: %+v", round, h.Disks[victim])
 			}
 			for addr := int64(0); addr < st.Strips; addr++ {
-				if _, err := c.GetStrip(addr); err != nil {
+				if _, err := c.GetStripCtx(context.Background(), addr); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -259,7 +260,7 @@ func TestQuarantineEscalateOverHTTP(t *testing.T) {
 	faults[victim].SetSlow(0, 0)
 	deadline := time.Now().Add(15 * time.Second)
 	for {
-		h, err := c.Health()
+		h, err := c.HealthCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -277,11 +278,11 @@ func TestQuarantineEscalateOverHTTP(t *testing.T) {
 	// the heal to finish and the array to be clean again.
 	deadline = time.Now().Add(20 * time.Second)
 	for {
-		sta, err := c.Status()
+		sta, err := c.StatusCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := c.Metrics()
+		m, err := c.MetricsCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -298,7 +299,7 @@ func TestQuarantineEscalateOverHTTP(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	for addr := int64(0); addr < st.Strips; addr++ {
-		got, err := c.GetStrip(addr)
+		got, err := c.GetStripCtx(context.Background(), addr)
 		if err != nil || !bytes.Equal(got, payload(addr)) {
 			t.Fatalf("read %d after escalation heal: %v", addr, err)
 		}
@@ -309,29 +310,29 @@ func TestQuarantineEscalateOverHTTP(t *testing.T) {
 // state machine the monitor does.
 func TestManualQuarantineOverHTTP(t *testing.T) {
 	_, c, _ := newTailServer(t, nil)
-	if err := c.PutStrip(0, bytes.Repeat([]byte{9}, testStrip)); err != nil {
+	if err := c.PutStripCtx(context.Background(), 0, bytes.Repeat([]byte{9}, testStrip)); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Quarantine(0); err != nil {
+	if err := c.QuarantineCtx(context.Background(), 0); err != nil {
 		t.Fatal(err)
 	}
-	h, err := c.Health()
+	h, err := c.HealthCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if h.Disks[0].State != "quarantined" {
 		t.Fatalf("state = %q, want quarantined", h.Disks[0].State)
 	}
-	if _, err := c.GetStrip(0); err != nil {
+	if _, err := c.GetStripCtx(context.Background(), 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Release(0); err != nil {
+	if err := c.ReleaseCtx(context.Background(), 0); err != nil {
 		t.Fatal(err)
 	}
-	if h, err = c.Health(); err != nil || h.Disks[0].State != "healthy" {
+	if h, err = c.HealthCtx(context.Background()); err != nil || h.Disks[0].State != "healthy" {
 		t.Fatalf("state after release: %+v, %v", h.Disks[0], err)
 	}
-	if err := c.Quarantine(99); !errors.Is(err, store.ErrNoSuchDisk) {
+	if err := c.QuarantineCtx(context.Background(), 99); !errors.Is(err, store.ErrNoSuchDisk) {
 		t.Fatalf("quarantine of bogus disk: %v", err)
 	}
 }
@@ -344,24 +345,24 @@ func TestHedgeCountersOverHTTP(t *testing.T) {
 		HedgeFloor:    500 * time.Microsecond,
 		HedgeCeiling:  3 * time.Millisecond,
 	})
-	st, err := c.Status()
+	st, err := c.StatusCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for addr := int64(0); addr < st.Strips; addr++ {
-		if err := c.PutStrip(addr, bytes.Repeat([]byte{byte(addr)}, testStrip)); err != nil {
+		if err := c.PutStripCtx(context.Background(), addr, bytes.Repeat([]byte{byte(addr)}, testStrip)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	faults[0].SetSlow(1.0, 20*time.Millisecond)
 	for round := 0; round < 3; round++ {
 		for addr := int64(0); addr < st.Strips; addr++ {
-			if _, err := c.GetStrip(addr); err != nil {
+			if _, err := c.GetStripCtx(context.Background(), addr); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	m, err := c.Metrics()
+	m, err := c.MetricsCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +398,7 @@ func TestClientCircuitBreaker(t *testing.T) {
 	})
 
 	for i := 0; i < 2; i++ {
-		if _, err := c.Status(); err == nil || errors.Is(err, ErrCircuitOpen) {
+		if _, err := c.StatusCtx(context.Background()); err == nil || errors.Is(err, ErrCircuitOpen) {
 			t.Fatalf("call %d should fail against the server, got %v", i, err)
 		}
 	}
@@ -405,7 +406,7 @@ func TestClientCircuitBreaker(t *testing.T) {
 		t.Fatalf("server saw %d calls, want 2", got)
 	}
 	// Third call: circuit open, refused locally.
-	if _, err := c.Status(); !errors.Is(err, ErrCircuitOpen) {
+	if _, err := c.StatusCtx(context.Background()); !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("want ErrCircuitOpen, got %v", err)
 	}
 	if got := hits.Load(); got != 2 {
@@ -413,7 +414,7 @@ func TestClientCircuitBreaker(t *testing.T) {
 	}
 	// Other endpoints have their own circuit: the call fails against the
 	// (still down) server instead of being refused locally.
-	if _, err := c.Metrics(); errors.Is(err, ErrCircuitOpen) {
+	if _, err := c.MetricsCtx(context.Background()); errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("distinct endpoint shares the open circuit: %v", err)
 	}
 	if got := hits.Load(); got != 3 {
@@ -421,14 +422,14 @@ func TestClientCircuitBreaker(t *testing.T) {
 	}
 
 	healthy.Store(1)
-	if _, err := c.Status(); !errors.Is(err, ErrCircuitOpen) {
+	if _, err := c.StatusCtx(context.Background()); !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("cooldown not elapsed, want ErrCircuitOpen, got %v", err)
 	}
 	time.Sleep(120 * time.Millisecond)
-	if _, err := c.Status(); err != nil {
+	if _, err := c.StatusCtx(context.Background()); err != nil {
 		t.Fatalf("half-open probe should succeed: %v", err)
 	}
-	if _, err := c.Status(); err != nil {
+	if _, err := c.StatusCtx(context.Background()); err != nil {
 		t.Fatalf("circuit should be closed: %v", err)
 	}
 
@@ -439,7 +440,7 @@ func TestClientCircuitBreaker(t *testing.T) {
 	big := make([]byte, maxBufferedPut+1)
 	for name, call := range map[string]func() error{
 		"GetObject":  func() error { _, err := c.GetObject("b", "k", io.Discard); return err },
-		"StatObject": func() error { _, err := c.StatObject("b", "k"); return err },
+		"StatObject": func() error { _, err := c.StatObjectCtx(context.Background(), "b", "k"); return err },
 		"streamed PutObject": func() error {
 			_, err := c.PutObject("b", "k", bytes.NewReader(big), int64(len(big)), nil)
 			return err
@@ -472,15 +473,15 @@ func TestClientBreakerReopensOnFailedProbe(t *testing.T) {
 		BreakerThreshold: 1,
 		BreakerCooldown:  50 * time.Millisecond,
 	})
-	if _, err := c.Status(); err == nil || errors.Is(err, ErrCircuitOpen) {
+	if _, err := c.StatusCtx(context.Background()); err == nil || errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("first call must reach the server: %v", err)
 	}
 	time.Sleep(60 * time.Millisecond)
-	if _, err := c.Status(); err == nil || errors.Is(err, ErrCircuitOpen) {
+	if _, err := c.StatusCtx(context.Background()); err == nil || errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("probe must reach the server: %v", err)
 	}
 	// The failed probe reopened the circuit immediately.
-	if _, err := c.Status(); !errors.Is(err, ErrCircuitOpen) {
+	if _, err := c.StatusCtx(context.Background()); !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("want ErrCircuitOpen after failed probe, got %v", err)
 	}
 }
@@ -519,7 +520,7 @@ func TestClientMaxRetryTime(t *testing.T) {
 		Seed:         1,
 	})
 	start := time.Now()
-	_, err := c.Status()
+	_, err := c.StatusCtx(context.Background())
 	elapsed := time.Since(start)
 	if err == nil || errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("want surfaced server error, got %v", err)
@@ -534,7 +535,7 @@ func TestClientMaxRetryTime(t *testing.T) {
 	// GET-to-writer and HEAD honour the same budget.
 	for name, call := range map[string]func() error{
 		"GetObject":  func() error { _, err := c.GetObject("b", "k", io.Discard); return err },
-		"StatObject": func() error { _, err := c.StatObject("b", "k"); return err },
+		"StatObject": func() error { _, err := c.StatObjectCtx(context.Background(), "b", "k"); return err },
 	} {
 		hits.Store(0)
 		start = time.Now()

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -506,13 +507,13 @@ func (a *Array) ReadAvoided() []int {
 // and a slow one when a decode path around it exists. A checksum failure
 // (latent sector error) is healed in place: the strip is reconstructed from
 // parity and rewritten.
-func (a *Array) readStrip(d int, devStrip int64, p []byte) error {
+func (a *Array) readStrip(ctx context.Context, d int, devStrip int64, p []byte) error {
 	dev := a.liveDevice(d, devStrip)
 	if dev == nil {
-		return a.reconstructStripDepth(d, devStrip, p, 0)
+		return a.reconstructStripDepth(ctx, d, devStrip, p, 0)
 	}
 	if a.avoided(d) && !a.failed[d] {
-		if err := a.readStripAvoiding(d, devStrip, p); err == nil {
+		if err := a.readStripAvoiding(ctx, d, devStrip, p); err == nil {
 			a.stats.avoidedReads.Add(1)
 			return nil
 		}
@@ -520,14 +521,14 @@ func (a *Array) readStrip(d int, devStrip int64, p []byte) error {
 		// avoided in every shared stripe): a slow disk is read directly,
 		// a down one only ever reconstructed.
 		if a.avoidMark(d) == ReadDown {
-			if err := a.reconstructStripDepth(d, devStrip, p, 0); err != nil {
+			if err := a.reconstructStripDepth(ctx, d, devStrip, p, 0); err != nil {
 				return fmt.Errorf("%w: disk %d is down and strip %d does not decode around it (%v)", ErrUnreachable, d, devStrip, err)
 			}
 			return nil
 		}
 	}
-	err := a.readMember(dev, d, devStrip, p, 0)
-	if err == nil || errors.Is(err, ErrCorrupt) {
+	err := a.readMember(ctx, dev, d, devStrip, p, 0)
+	if err == nil || errors.Is(err, ErrCorrupt) || ctx.Err() != nil {
 		return err
 	}
 	// The disk is dark (unreachable path, injected fault) rather than
@@ -536,7 +537,7 @@ func (a *Array) readStrip(d int, devStrip int64, p []byte) error {
 	// the strip from survivors when the layout still decodes it —
 	// single-stripe decode first, full multi-phase peeling (avoiding
 	// quarantined peers, usually dark for the same reason) after.
-	if rerr := a.reconstructStripDepth(d, devStrip, p, 0); rerr == nil {
+	if rerr := a.reconstructStripDepth(ctx, d, devStrip, p, 0); rerr == nil {
 		return nil
 	}
 	return err
@@ -545,17 +546,17 @@ func (a *Array) readStrip(d int, devStrip int64, p []byte) error {
 // readMember is the one-strip device read of the data plane (DESIGN.md §8):
 // strip (d, devStrip) of dev, its live device, as a one-op list of the batch
 // executor — counted, and healed in place when it fails its checksum.
-func (a *Array) readMember(dev Device, d int, devStrip int64, p []byte, depth int) error {
+func (a *Array) readMember(ctx context.Context, dev Device, d int, devStrip int64, p []byte, depth int) error {
 	ops := [1]batchOp{{dev: dev, disk: d, idx: devStrip, buf: p}}
-	return a.readStrips(nil, ops[:], depth)
+	return a.readStrips(ctx, nil, ops[:], depth)
 }
 
 // healStrip reconstructs strip (d, devStrip), whose read failed with the
 // checksum error cause, into p and rewrites it on dev, as any write of the
 // data plane. A strip no stripe can decode fails with both cause and the
 // reconstruction error in the chain; a failed write-back carries neither.
-func (a *Array) healStrip(dev Device, d int, devStrip int64, p []byte, depth int, cause error) error {
-	if herr := a.reconstructStripDepth(d, devStrip, p, depth+1); herr != nil {
+func (a *Array) healStrip(ctx context.Context, dev Device, d int, devStrip int64, p []byte, depth int, cause error) error {
+	if herr := a.reconstructStripDepth(ctx, d, devStrip, p, depth+1); herr != nil {
 		return fmt.Errorf("store: corrupt source (%d,%d) unhealable (%w): %w", d, devStrip, herr, cause)
 	}
 	a.stats.readRepairs.Add(1)
@@ -579,7 +580,7 @@ var errNoDecodePath = errors.New("store: no single-stripe decode path")
 // decoding when one live stripe suffices, full multi-phase peeling for
 // deep multi-failure patterns. depth is the heal recursion depth (0 for a
 // read that is not itself healing a source).
-func (a *Array) reconstructStripDepth(d int, devStrip int64, p []byte, depth int) error {
+func (a *Array) reconstructStripDepth(ctx context.Context, d int, devStrip int64, p []byte, depth int) error {
 	a.stats.degradedReads.Add(1)
 	slots := int64(a.an.SlotsPerDisk())
 	cycle, slot := devStrip/slots, int(devStrip%slots)
@@ -590,17 +591,17 @@ func (a *Array) reconstructStripDepth(d int, devStrip int64, p []byte, depth int
 		// strict-path failure falls through to the pass that reads slow
 		// disks; no pass reads a down one.
 		strict := func(disk int) bool { return a.stripAlive(disk, cycle) && !a.avoided(disk) }
-		if err := a.decodeVia(target, cycle, strict, p, depth); err == nil {
+		if err := a.decodeVia(ctx, target, cycle, strict, p, depth); err == nil {
 			return nil
 		}
-		if err := a.reconstructDeep(cycle, target, p, ReadSlow, depth); err == nil {
+		if err := a.reconstructDeep(ctx, cycle, target, p, ReadSlow, depth); err == nil {
 			return nil
 		}
 	}
 	alive := func(disk int) bool { return a.stripAlive(disk, cycle) && a.avoidMark(disk) != ReadDown }
-	err := a.decodeVia(target, cycle, alive, p, depth)
+	err := a.decodeVia(ctx, target, cycle, alive, p, depth)
 	if errors.Is(err, errNoDecodePath) {
-		return a.reconstructDeep(cycle, target, p, ReadDown, depth)
+		return a.reconstructDeep(ctx, cycle, target, p, ReadDown, depth)
 	}
 	return err
 }
@@ -611,25 +612,25 @@ func (a *Array) reconstructStripDepth(d int, devStrip int64, p []byte, depth int
 // Unlike failure reconstruction it never falls back to the deep
 // multi-phase path: the disk is alive, so the caller direct-reads it
 // instead.
-func (a *Array) readStripAvoiding(d int, devStrip int64, p []byte) error {
+func (a *Array) readStripAvoiding(ctx context.Context, d int, devStrip int64, p []byte) error {
 	slots := int64(a.an.SlotsPerDisk())
 	cycle, slot := devStrip/slots, int(devStrip%slots)
 	target := layout.Strip{Disk: d, Slot: slot}
 	alive := func(disk int) bool {
 		return disk != d && a.stripAlive(disk, cycle) && !a.avoided(disk)
 	}
-	return a.decodeVia(target, cycle, alive, p, 0)
+	return a.decodeVia(ctx, target, cycle, alive, p, 0)
 }
 
 // decodeVia reconstructs target into p through one stripe whose members
 // satisfy alive: the one-task plan core.DecodePath describes. It returns
 // errNoDecodePath when no single stripe qualifies.
-func (a *Array) decodeVia(target layout.Strip, cycle int64, alive func(disk int) bool, p []byte, depth int) error {
+func (a *Array) decodeVia(ctx context.Context, target layout.Strip, cycle int64, alive func(disk int) bool, p []byte, depth int) error {
 	info, ok := a.an.DecodePath(target, alive)
 	if !ok {
 		return errNoDecodePath
 	}
-	run := planRun{cycle: cycle, depth: depth, sc: a.getScratch()}
+	run := planRun{ctx: ctx, cycle: cycle, depth: depth, sc: a.getScratch()}
 	defer a.putScratch(run.sc)
 	return a.execTask(&run, info.Stripe, info.Present, []int{info.Target}, nil,
 		func(_ layout.Strip, content []byte) { copy(p, content) })
@@ -637,6 +638,7 @@ func (a *Array) decodeVia(target layout.Strip, cycle int64, alive func(disk int)
 
 // planRun is the state of one execution of recovery tasks over one cycle.
 type planRun struct {
+	ctx   context.Context // bounds the run's device reads
 	cycle int64
 	depth int // heal recursion depth of the read being served
 	// sc lends every task of the run its shard set; whoever starts the
@@ -669,7 +671,7 @@ func (a *Array) execTask(run *planRun, via int, reads []bool, targets []int,
 		idx := run.cycle*slots + int64(st.Slot)
 		ops = append(ops, batchOp{dev: a.liveDevice(st.Disk, idx), disk: st.Disk, idx: idx, buf: shards[pos]})
 	}
-	if err := a.readStrips(run.sc, ops, run.depth); err != nil {
+	if err := a.readStrips(run.ctx, run.sc, ops, run.depth); err != nil {
 		return err
 	}
 	if err := a.codes[[2]int{stripe.Data, stripe.Parity()}].Reconstruct(shards, reads); err != nil {
@@ -690,14 +692,14 @@ func (a *Array) DataStripDisk(dataIdx int64) int {
 
 // ReconstructDataStrip reads logical data strip dataIdx without touching
 // the disk that stores it, decoding from the surviving members of one of
-// its stripes — the racing branch of a hedged read. It fails with
-// errNoDecodePath semantics (wrapped ErrDiskFaulty) when no stripe can be
-// decoded around the disk.
-func (a *Array) ReconstructDataStrip(dataIdx int64, p []byte) error {
+// its stripes — the racing branch of a hedged read. ctx bounds the reads as
+// it does ReadAtCtx's. It fails with errNoDecodePath semantics (wrapped
+// ErrDiskFaulty) when no stripe can be decoded around the disk.
+func (a *Array) ReconstructDataStrip(ctx context.Context, dataIdx int64, p []byte) error {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
 	d, devStrip := a.locate(dataIdx)
-	if err := a.readStripAvoiding(d, devStrip, p); err != nil {
+	if err := a.readStripAvoiding(ctx, d, devStrip, p); err != nil {
 		if errors.Is(err, errNoDecodePath) {
 			return fmt.Errorf("%w: no decode path around disk %d", ErrDiskFaulty, d)
 		}
@@ -721,7 +723,7 @@ func (a *Array) ProbeDiskStrip(d int, devStrip int64, p []byte) error {
 	}
 	ops := [1]batchOp{{dev: dev, disk: d, idx: devStrip, buf: p}}
 	a.countRead(d)
-	a.exec(nil, ops[:], false, nil)
+	a.exec(unbounded, nil, ops[:], false, nil)
 	return ops[0].err
 }
 
@@ -767,7 +769,7 @@ func (a *Array) recoveryPlan(around ReadAvoid) *core.Plan {
 // plan still rebuilds every recoverable strip, and only a target it does not
 // rebuild fails, with ErrStripUnavailable (the per-strip refinement of
 // ErrTooManyFailures).
-func (a *Array) reconstructDeep(cycle int64, target layout.Strip, p []byte, around ReadAvoid, depth int) error {
+func (a *Array) reconstructDeep(ctx context.Context, cycle int64, target layout.Strip, p []byte, around ReadAvoid, depth int) error {
 	plan := a.recoveryPlan(around)
 	need := plan.For(target)
 	if len(need) == 0 {
@@ -797,7 +799,7 @@ func (a *Array) reconstructDeep(cycle int64, target layout.Strip, p []byte, arou
 			kept = append(kept, st)
 		}
 	}
-	run := planRun{cycle: cycle, depth: depth, sc: a.getScratch()}
+	run := planRun{ctx: ctx, cycle: cycle, depth: depth, sc: a.getScratch()}
 	defer a.putScratch(run.sc)
 	for _, ti := range need {
 		task := &plan.Tasks[ti]
@@ -808,9 +810,16 @@ func (a *Array) reconstructDeep(cycle int64, target layout.Strip, p []byte, arou
 	return nil
 }
 
-// ReadAt implements io.ReaderAt over the logical data space, serving
-// degraded reads transparently.
-func (a *Array) ReadAt(p []byte, off int64) (int, error) {
+// ReadAt implements io.ReaderAt: ReadAtCtx with no deadline.
+func (a *Array) ReadAt(p []byte, off int64) (int, error) { return a.ReadAtCtx(unbounded, p, off) }
+
+// ReadAtCtx reads the logical data space, serving degraded reads
+// transparently. ctx bounds the device reads that go to a StripBatcher (a
+// strip on a storage node): once it is done, a message in flight is cut and
+// the read fails with ctx's error, and so does every read after it. Local
+// devices answer in microseconds and are not cut. A read's heal write-back
+// is never cut.
+func (a *Array) ReadAtCtx(ctx context.Context, p []byte, off int64) (int, error) {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
 	if off < 0 {
@@ -837,7 +846,7 @@ func (a *Array) ReadAt(p []byte, off int64) (int, error) {
 		d, devStrip := a.locate(dataIdx)
 		if n == a.stripBytes {
 			// A whole strip lands in the caller's memory directly.
-			if err := a.readStrip(d, devStrip, p[total:total+n]); err != nil {
+			if err := a.readStrip(ctx, d, devStrip, p[total:total+n]); err != nil {
 				return total, err
 			}
 		} else {
@@ -845,7 +854,7 @@ func (a *Array) ReadAt(p []byte, off int64) (int, error) {
 				sc = a.getScratch()
 			}
 			buf := sc.strips(1)[0]
-			if err := a.readStrip(d, devStrip, buf); err != nil {
+			if err := a.readStrip(ctx, d, devStrip, buf); err != nil {
 				return total, err
 			}
 			copy(p[total:total+n], buf[within:])
@@ -1033,15 +1042,15 @@ func (a *Array) writeStripRange(dataIdx int64, within int, data []byte) error {
 			ops = append(ops, batchOp{dev: dev, disk: st.Disk, idx: idx, buf: media})
 			continue
 		}
-		if err := a.readStrips(sc, ops, 0); err != nil {
+		if err := a.readStrips(unbounded, sc, ops, 0); err != nil {
 			return err
 		}
 		ops = ops[:0]
-		if err := a.reconstructStripDepth(st.Disk, idx, media, 0); err != nil {
+		if err := a.reconstructStripDepth(unbounded, st.Disk, idx, media, 0); err != nil {
 			return err
 		}
 	}
-	if err := a.readStrips(sc, ops, 0); err != nil {
+	if err := a.readStrips(unbounded, sc, ops, 0); err != nil {
 		return err
 	}
 	if whole {

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"errors"
 	"hash/crc32"
 	"slices"
@@ -18,6 +19,11 @@ type StripOp struct {
 	Err error
 }
 
+// unbounded is the context of the device I/O no caller bounds: every write,
+// which a deadline must never tear, and the array's own reads — a write's
+// snapshot, a rebuild, migration or fsck window, a recovery probe.
+var unbounded = context.Background()
+
 // StripBatcher is the optional interface of a Device whose ops take
 // real time and can travel together — a strip on a storage node, where what
 // an op costs is the round trip and not its bytes. The array hands such a
@@ -33,8 +39,12 @@ type StripBatcher interface {
 	// ReadStrips performs every op as ReadStrip would and sets its Err. Each
 	// op's Dev is a device with this device's BatchKey, not necessarily this
 	// one; ops on one device take effect in slice order. Buf is not retained.
-	ReadStrips(ops []StripOp)
-	// WriteStrips is ReadStrips for writes.
+	// Once ctx is done the reads stop, and those not done fail with an error
+	// that wraps ctx's.
+	ReadStrips(ctx context.Context, ops []StripOp)
+	// WriteStrips is ReadStrips for writes. It takes no context: a write
+	// the array has begun is never cut, so a deadline cannot tear a parity
+	// closure.
 	WriteStrips(ops []StripOp)
 }
 
@@ -149,11 +159,11 @@ func (a *Array) SetObserver(fn func(disk int, took time.Duration, err error)) {
 // destination's landed: the parity closure those writes commit. exec returns
 // the append's error, which every op it recorded takes too; a clear alone,
 // for a list with no such op, has no other place for it.
-func (a *Array) exec(sc *stripScratch, ops []batchOp, write bool, done *PendingClosure) (logged error) {
+func (a *Array) exec(ctx context.Context, sc *stripScratch, ops []batchOp, write bool, done *PendingClosure) (logged error) {
 	if a.batching && len(ops) > 1 {
-		a.issue(sc, ops, write)
+		a.issue(ctx, sc, ops, write)
 	} else {
-		a.callEach(ops, write, false)
+		a.callEach(ctx, ops, write, false)
 	}
 	for i := range ops {
 		ops[i].gone = ops[i].err != nil && !IsTransient(ops[i].err)
@@ -201,8 +211,9 @@ func (a *Array) recordWrites(sc *stripScratch, ops []batchOp, done *PendingClosu
 // callEach performs ops one device call each, in op order — with batched,
 // only those on an opaque device — and, when an observer wants device times,
 // charges each the time since the previous call returned: one clock reading
-// per call boundary.
-func (a *Array) callEach(ops []batchOp, write, batched bool) {
+// per call boundary. A read on a batcher under a ctx that can end is a
+// batch of one, so that ctx reaches the wire.
+func (a *Array) callEach(ctx context.Context, ops []batchOp, write, batched bool) {
 	var t time.Duration
 	if a.observe != nil {
 		t = monotime()
@@ -212,9 +223,14 @@ func (a *Array) callEach(ops []batchOp, write, batched bool) {
 		if batched && canBatch(op.dev) {
 			continue
 		}
-		if write {
+		switch {
+		case write:
 			op.err = op.dev.WriteStrip(op.idx, op.buf)
-		} else {
+		case a.batching && ctx.Done() != nil && canBatch(op.dev):
+			one := []StripOp{{Dev: op.dev, Idx: op.idx, Buf: op.buf}}
+			op.dev.(StripBatcher).ReadStrips(ctx, one)
+			op.err = one[0].Err
+		default:
 			op.err = op.dev.ReadStrip(op.idx, op.buf)
 		}
 		if a.observe != nil {
@@ -227,10 +243,10 @@ func (a *Array) callEach(ops []batchOp, write, batched bool) {
 // readStrips is the gather half of the batch executor: it reads every op, then
 // settles each in op order with settleRead and returns the first error a
 // settle returns, settling no op after it.
-func (a *Array) readStrips(sc *stripScratch, ops []batchOp, depth int) error {
-	a.exec(sc, ops, false, nil)
+func (a *Array) readStrips(ctx context.Context, sc *stripScratch, ops []batchOp, depth int) error {
+	a.exec(ctx, sc, ops, false, nil)
 	for i := range ops {
-		if err := a.settleRead(&ops[i], depth); err != nil {
+		if err := a.settleRead(ctx, &ops[i], depth); err != nil {
 			return err
 		}
 	}
@@ -241,13 +257,13 @@ func (a *Array) readStrips(sc *stripScratch, ops []batchOp, depth int) error {
 // failure (a latent sector error the checksum step caught) in place:
 // reconstruct through whichever of the strip's stripes still decodes, write
 // back, carry on with the healed content. depth bounds the recursion.
-func (a *Array) settleRead(op *batchOp, depth int) error {
+func (a *Array) settleRead(ctx context.Context, op *batchOp, depth int) error {
 	a.countRead(op.disk)
 	if !errors.Is(op.err, ErrCorrupt) || depth >= maxHealDepth {
 		return op.err
 	}
 	a.stats.corruptStrips.Add(1)
-	return a.healStrip(op.dev, op.disk, op.idx, op.buf, depth, op.err)
+	return a.healStrip(ctx, op.dev, op.disk, op.idx, op.buf, depth, op.err)
 }
 
 // writeStrips is the scatter half: it writes every op — a write to a
@@ -261,7 +277,7 @@ func (a *Array) settleRead(op *batchOp, depth int) error {
 // with their checksums when none failed.
 func (a *Array) writeStrips(sc *stripScratch, ops []batchOp, done *PendingClosure) error {
 	ops = a.withMirrors(ops)
-	err := a.exec(sc, ops, true, done)
+	err := a.exec(unbounded, sc, ops, true, done)
 	var failed error
 	for i := range ops {
 		op := &ops[i]
@@ -315,7 +331,7 @@ func (a *Array) withMirrors(ops []batchOp) []batchOp {
 // first key's on this goroutine, each other's on its own — every op charged
 // its call's duration; the ops on opaque devices are single calls, as on a
 // plain array (callEach).
-func (a *Array) issue(sc *stripScratch, ops []batchOp, write bool) {
+func (a *Array) issue(ctx context.Context, sc *stripScratch, ops []batchOp, write bool) {
 	b := &sc.batch
 	if cap(b.leaves) < len(ops) {
 		b.leaves = make([]StripBatcher, len(ops))
@@ -347,7 +363,7 @@ func (a *Array) issue(sc *stripScratch, ops []batchOp, write bool) {
 		if write {
 			g.lead.WriteStrips(b.wire[g.start:g.end])
 		} else {
-			g.lead.ReadStrips(b.wire[g.start:g.end])
+			g.lead.ReadStrips(ctx, b.wire[g.start:g.end])
 		}
 		g.took = monotime() - t
 	}
@@ -358,7 +374,7 @@ func (a *Array) issue(sc *stripScratch, ops []batchOp, write bool) {
 			send(g)
 		}(&b.groups[gi])
 	}
-	a.callEach(ops, write, true)
+	a.callEach(ctx, ops, write, true)
 	if len(b.groups) > 0 {
 		send(&b.groups[0])
 	}

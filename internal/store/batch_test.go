@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -56,8 +57,8 @@ func (d *nodeDev) WriteStrip(idx int64, p []byte) error {
 	return d.MemDevice.WriteStrip(idx, p)
 }
 
-func (d *nodeDev) ReadStrips(ops []StripOp)  { d.batch(ops, false) }
-func (d *nodeDev) WriteStrips(ops []StripOp) { d.batch(ops, true) }
+func (d *nodeDev) ReadStrips(_ context.Context, ops []StripOp) { d.batch(ops, false) }
+func (d *nodeDev) WriteStrips(ops []StripOp)                   { d.batch(ops, true) }
 
 func (d *nodeDev) batch(ops []StripOp, write bool) {
 	d.node.mu.Lock()

@@ -21,6 +21,7 @@
 package netdev
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -388,25 +389,28 @@ func decodeBatch(b []byte, kind byte) ([]batchItem, fence, error) {
 // one node can share a message.
 func (d *NetDevice) BatchKey() any { return d.c }
 
-// ReadStrips implements store.StripBatcher.
-func (d *NetDevice) ReadStrips(ops []store.StripOp) { d.c.stripBatch(ops, false) }
+// ReadStrips implements store.StripBatcher: ctx bounds the read messages
+// (see NodeClient.run), and one cut in flight ends its stream.
+func (d *NetDevice) ReadStrips(ctx context.Context, ops []store.StripOp) {
+	d.c.stripBatch(ctx, ops, false)
+}
 
 // WriteStrips implements store.StripBatcher. Fenced like WriteStrip, and as
 // idempotent: a batch whose ack was lost is re-sent whole.
-func (d *NetDevice) WriteStrips(ops []store.StripOp) { d.c.stripBatch(ops, true) }
+func (d *NetDevice) WriteStrips(ops []store.StripOp) { d.c.stripBatch(d.c.done, ops, true) }
 
 var _ store.StripBatcher = (*NetDevice)(nil)
 
 // stripBatch performs ops, all on devices of this node, in as few messages as
-// batchMaxBytes allows, setting each op's Err. An op that fails its local
-// geometry check is not sent.
-func (c *NodeClient) stripBatch(ops []store.StripOp, write bool) {
+// batchMaxBytes allows and under ctx, setting each op's Err. An op that fails
+// its local geometry check is not sent.
+func (c *NodeClient) stripBatch(ctx context.Context, ops []store.StripOp, write bool) {
 	sent := make([]int, 0, len(ops)) // indices into ops of the chunk being built
 	items := make([]batchItem, 0, len(ops))
 	size := 0 // of the chunk's larger message
 	flush := func() {
 		if len(sent) > 0 {
-			c.sendBatch(ops, sent, items, write)
+			c.sendBatch(ctx, ops, sent, items, write)
 		}
 		sent, items, size = sent[:0], items[:0], 0
 	}
@@ -437,12 +441,12 @@ func (c *NodeClient) stripBatch(ops []store.StripOp, write bool) {
 // or a torn answer lands on every op of it, and the node's verdict on a single
 // item on that op alone (see message). A deposed writer's message is refused
 // item by item with ErrStaleEpoch.
-func (c *NodeClient) sendBatch(ops []store.StripOp, sent []int, items []batchItem, write bool) {
+func (c *NodeClient) sendBatch(ctx context.Context, ops []store.StripOp, sent []int, items []batchItem, write bool) {
 	kind := byte(kindReadReq)
 	if write {
 		kind = kindWriteReq
 	}
-	err := c.message(kind, items, func(k int, it *batchItem, verdict error) error {
+	err := c.message(ctx, kind, items, func(k int, it *batchItem, verdict error) error {
 		op := &ops[sent[k]]
 		switch {
 		case verdict != nil:
@@ -461,21 +465,21 @@ func (c *NodeClient) sendBatch(ops []store.StripOp, sent []int, items []batchIte
 	}
 }
 
-// message sends items as one message of kind through send, stamped with the
+// message sends items as one message of kind through send under ctx, stamped with the
 // client's fence as it is now when the kind mutates, and hands each answered
 // item to each with the node's verdict on it (nil: done). A verdict the
 // catalogue calls retryable fails the whole message, which is retried as a
 // single op would be. each returns ErrBadFrame for an answer that does not
 // fit its item, and must not keep the item's payload, which aliases the
 // answer.
-func (c *NodeClient) message(kind byte, items []batchItem, each func(k int, it *batchItem, verdict error) error) error {
+func (c *NodeClient) message(ctx context.Context, kind byte, items []batchItem, each func(k int, it *batchItem, verdict error) error) error {
 	var f fence
 	if t := c.fence.Load(); t != nil && mutates(kind) {
 		f = fence{epoch: t.Epoch(), on: true}
 	}
 	msg := encodeBatch(kind, f, items, nil)
 	defer putMsg(msg)
-	return c.send(msg, func(answer []byte) error {
+	return c.send(ctx, msg, func(answer []byte) error {
 		defer putMsg(answer)
 		got, _, err := decodeBatch(answer, kind+1)
 		if err != nil {
@@ -504,11 +508,12 @@ func (c *NodeClient) message(kind byte, items []batchItem, each func(k int, it *
 	})
 }
 
-// do is one device or blob op: it as a message of its own. got, when not
-// nil, reads the answered item of an op the node did (see message).
+// do is one device or blob op: it as a message of its own, under the
+// client's own context. got, when not nil, reads the answered item of an op
+// the node did (see message).
 func (c *NodeClient) do(kind byte, it batchItem, got func(*batchItem) error) error {
 	var verdict error
-	err := c.message(kind, []batchItem{it}, func(_ int, a *batchItem, err error) error {
+	err := c.message(c.done, kind, []batchItem{it}, func(_ int, a *batchItem, err error) error {
 		if verdict = err; err != nil || got == nil {
 			return nil
 		}

@@ -3,6 +3,7 @@ package netdev
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -106,7 +107,7 @@ func TestBatchRoundTrip(t *testing.T) {
 		}
 	}
 	r := append(f.ops(f.d1, 0, false, 2, 1), f.ops(f.d0, 0, false, 5, 0, 3)...)
-	f.d1.ReadStrips(r)
+	f.d1.ReadStrips(context.Background(), r)
 	if got := f.rpcs() - before; got != 2 || messages(f.c) != 2 {
 		t.Errorf("5 writes and 5 reads took %d RPCs (%d messages), want 2", got, messages(f.c))
 	}
@@ -143,7 +144,7 @@ func TestBatchPerItemErrors(t *testing.T) {
 		if write {
 			f.d0.WriteStrips(ops)
 		} else {
-			f.d0.ReadStrips(ops)
+			f.d0.ReadStrips(context.Background(), ops)
 		}
 		if got := f.rpcs() - before; got != 1 {
 			t.Errorf("write=%v: %d RPCs, want 1 (no retry for per-item verdicts)", write, got)
@@ -170,7 +171,7 @@ func TestBatchTornResponseRetried(t *testing.T) {
 	f.ft.SetTorn(2)
 	for round := 0; round < 6; round++ {
 		ops := f.ops(f.d0, 0, false, 0, 1, 2, 3)
-		f.d0.ReadStrips(ops)
+		f.d0.ReadStrips(context.Background(), ops)
 		for _, op := range ops {
 			if op.Err != nil || !bytes.Equal(op.Buf, stripOf(0xD0, op.Idx, 512)) {
 				t.Fatalf("round %d strip %d under torn responses: %v", round, op.Idx, op.Err)
@@ -247,7 +248,7 @@ func TestBatchFencing(t *testing.T) {
 		}
 	}
 	got := f.ops(sdev, 0, false, 0, 1)
-	sdev.ReadStrips(got)
+	sdev.ReadStrips(context.Background(), got)
 	for _, op := range got {
 		if op.Err != nil || !bytes.Equal(op.Buf, stripOf(0x10, op.Idx, 512)) {
 			t.Errorf("strip %d after a fenced batch: err %v, content % x…", op.Idx, op.Err, op.Buf[:2])
@@ -271,7 +272,7 @@ func TestBatchSplitsAtCap(t *testing.T) {
 	before := messages(f.c)
 	big.WriteStrips(f.ops(big, 0x30, true, idxs...))
 	got := f.ops(big, 0, false, idxs...)
-	big.ReadStrips(got)
+	big.ReadStrips(context.Background(), got)
 	if n := messages(f.c) - before; n != 4 {
 		t.Errorf("%d messages for %d MiB each way under a %d MiB cap, want 4", n, strips*stripBytes>>20, batchMaxBytes>>20)
 	}
@@ -393,7 +394,7 @@ func TestBatchBodySizing(t *testing.T) {
 	msg := encodeBatch(kindWriteReq, fence{}, []batchItem{{Name: "d0", Strip: 0, Payload: want[0]}, {Name: "d0", Strip: 1, Payload: want[1]}}, nil)
 	landed := func() bool {
 		got := f.ops(f.d0, 0, false, 0, 1)
-		f.d0.ReadStrips(got)
+		f.d0.ReadStrips(context.Background(), got)
 		return got[0].Err == nil && got[1].Err == nil && bytes.Equal(got[0].Buf, want[0]) && bytes.Equal(got[1].Buf, want[1])
 	}
 	var head [batchLenEnd]byte
@@ -573,7 +574,7 @@ func BenchmarkNetDeviceBatch(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					if dir == "read" {
-						dev.ReadStrips(ops)
+						dev.ReadStrips(context.Background(), ops)
 					} else {
 						dev.WriteStrips(ops)
 					}

@@ -130,8 +130,10 @@ type NodeClient struct {
 
 	// cbWg tracks OnDown/OnUp callback goroutines and probeWg the
 	// background prober; Close drains both so an engine shutdown leaves
-	// no transport goroutine behind. done ends at Close: the prober stops,
-	// and a stream's dial in flight is cancelled.
+	// no transport goroutine behind. done is the context of every op no
+	// caller bounds — writes, device and blob ops, pings, inventory and
+	// lease requests, the prober's pings — and ends at Close, which so
+	// cancels their retries, dials and requests in flight.
 	cbWg    sync.WaitGroup
 	probeWg sync.WaitGroup
 	done    context.Context
@@ -259,29 +261,37 @@ func (c *NodeClient) roundTrip(ctx context.Context, rq *call, decode decoder) (r
 	return 0, false, nil
 }
 
-// request is one HTTP request through run.
+// request is one HTTP request through run, under the client's own context.
 func (c *NodeClient) request(rq call, decode decoder) error {
-	return c.run(func(ctx context.Context) (time.Duration, bool, error) {
+	return c.run(c.done, func(ctx context.Context) (time.Duration, bool, error) {
 		return c.roundTrip(ctx, &rq, decode)
 	})
 }
 
 // run runs attempt — one request, or one stream message — through the shared
-// retry loop and breaker, then folds the outcome into the reachability
-// state: an answer from the node — even a rejection — proves the wire fine
-// and passes through unchanged (a permanent media error, a fenced write, a
-// caller bug); a wire fault that outlived the policy, or a breaker refusal,
-// means the node is down. An attempt reports whether its failure is
-// retryable, and a retryable failure is a wire fault.
-func (c *NodeClient) run(attempt func(context.Context) (retryAfter time.Duration, retryable bool, err error)) error {
+// retry loop and breaker under ctx, then folds the outcome into the
+// reachability state: an answer from the node — even a rejection — proves
+// the wire fine and passes through unchanged (a permanent media error, a
+// fenced write, a caller bug); a wire fault that outlived the policy, or a
+// breaker refusal, means the node is down. An attempt reports whether its
+// failure is retryable, and a retryable failure is a wire fault.
+//
+// Once ctx is done no attempt starts, and the op fails with an error that
+// wraps ctx's. The attempt it cut counts against the breaker, so a node
+// every caller gives up on is still marked down: by the op whose cut opens
+// the breaker.
+func (c *NodeClient) run(ctx context.Context, attempt func(context.Context) (retryAfter time.Duration, retryable bool, err error)) error {
 	if c.closed.Load() {
 		return store.ErrClosed
 	}
 	if c.lost.Load() {
 		return ErrNodeLost
 	}
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("netdev: %s: %w", c.base, err)
+	}
 	var wireFault bool
-	attempts, err := c.retry.Do(context.Background(), c.pol, c.breaker, func(ctx context.Context) (retryAfter time.Duration, _ bool, err error) {
+	attempts, err := c.retry.Do(ctx, c.pol, c.breaker, func(ctx context.Context) (retryAfter time.Duration, _ bool, err error) {
 		if c.closed.Load() {
 			return 0, false, store.ErrClosed
 		}
@@ -293,6 +303,12 @@ func (c *NodeClient) run(attempt func(context.Context) (retryAfter time.Duration
 	switch {
 	case err != nil && c.closed.Load():
 		return store.ErrClosed
+	case err != nil && ctx.Err() != nil:
+		cut := fmt.Errorf("netdev: %s: %w", c.base, ctx.Err())
+		if c.breaker.Open() {
+			return fmt.Errorf("%w: %w", c.classifyDown(err), cut)
+		}
+		return cut
 	case errors.Is(err, retry.ErrCircuitOpen):
 		c.stats.breakerFastFails.Add(1)
 		return c.classifyDown(err)
@@ -444,11 +460,11 @@ func (c *NodeClient) checkIdentity(who string) error {
 }
 
 // pingOnce performs a single identity-checked ping without retry
-// machinery (the prober is its own retry loop).
+// machinery (the prober is its own retry loop). Close cancels it.
 func (c *NodeClient) pingOnce() error {
 	var who string
 	rq, decode := c.ping(&who)
-	if _, _, err := c.roundTrip(context.Background(), &rq, decode); err != nil {
+	if _, _, err := c.roundTrip(c.done, &rq, decode); err != nil {
 		return err
 	}
 	return c.checkIdentity(who)

@@ -62,7 +62,8 @@ func (d *NetDevice) check(idx int64, p []byte) error {
 	return nil
 }
 
-// ReadStrip implements store.Device: a read message of one item. A torn or
+// ReadStrip implements store.Device: a read message of one item, bounded by
+// the client's own context alone (ReadStrips takes a caller's). A torn or
 // corrupted answer fails the codec's checksums and is retried as a wire
 // fault.
 func (d *NetDevice) ReadStrip(idx int64, p []byte) error { return d.single(idx, p, false) }
@@ -75,7 +76,7 @@ func (d *NetDevice) WriteStrip(idx int64, p []byte) error { return d.single(idx,
 
 func (d *NetDevice) single(idx int64, p []byte, write bool) error {
 	ops := [1]store.StripOp{{Dev: d, Idx: idx, Buf: p}}
-	d.c.stripBatch(ops[:], write)
+	d.c.stripBatch(d.c.done, ops[:], write)
 	return ops[0].Err
 }
 

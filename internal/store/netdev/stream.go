@@ -32,8 +32,9 @@ import (
 // Each message is one attempt of NodeClient.send, which keeps deadlines,
 // retry, the breaker and the grace classification where every other call has
 // them. A stream that fails an attempt is torn down, not repaired: after a
-// deadline, an EOF or an answer that does not decode, where the next message
-// would start on the wire is unknown.
+// deadline — the attempt's, or the caller's cutting the exchange — an EOF or
+// an answer that does not decode, where the next message would start on the
+// wire is unknown.
 const stripsPath = "/node/v1/strips"
 
 var stripsProto = "oiraid-strips/" + strconv.Itoa(batchVersion)
@@ -72,19 +73,29 @@ type stream struct {
 
 // end closes the stream's connection, so that every read or write on it
 // returns. It is safe from any goroutine, any number of times; the deadline
-// timer calls it.
+// timer calls it, and so does a caller's context that ends mid-exchange.
 func (s *stream) end() { s.once.Do(func() { s.body.Close() }) }
 
-// exchange writes msg and reads its answer, within timeout.
-func (s *stream) exchange(msg []byte, timeout time.Duration) ([]byte, error) {
-	s.timer.Reset(timeout)
+// exchange writes msg on s and reads its answer, within the attempt deadline
+// and while ctx lasts (see cuts): the end of either ends the stream under the
+// exchange.
+func (c *NodeClient) exchange(ctx context.Context, s *stream, msg []byte) ([]byte, error) {
+	s.timer.Reset(c.opts.Timeout)
+	var stop func() bool
+	if c.cuts(ctx) {
+		stop = context.AfterFunc(ctx, s.end)
+	}
 	_, err := s.w.Write(msg)
 	var answer []byte
 	if err == nil {
 		answer, err = readMessage(s.r, &s.head, batchMaxBytes)
 	}
-	if !s.timer.Stop() {
-		return nil, fmt.Errorf("netdev: stream: no answer within %v: %w", timeout, context.DeadlineExceeded)
+	switch {
+	case stop != nil && !stop():
+		s.timer.Stop()
+		return nil, fmt.Errorf("netdev: stream: cut by its caller: %w", ctx.Err())
+	case !s.timer.Stop():
+		return nil, fmt.Errorf("netdev: stream: no answer within %v: %w", c.opts.Timeout, context.DeadlineExceeded)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("netdev: stream: %w", err)
@@ -112,21 +123,21 @@ type streamPool struct {
 // stack over client and node together, an idle keep-alive connection 42.
 const maxIdleStreams = 8
 
-// send is one message through the retry loop. Each attempt takes a
-// stream, writes msg and hands the answer to apply. A stream that fails an
+// send is one message through the retry loop under ctx. Each attempt takes
+// a stream, writes msg and hands the answer to apply. A stream that fails an
 // attempt is dropped along with the idle ones (all lead to the same node,
 // which may have restarted under them) and the next attempt dials afresh; an
 // error of apply's that is not ErrBadFrame — a retryable item verdict —
 // leaves the stream in the pool.
-func (c *NodeClient) send(msg []byte, apply func(answer []byte) error) error {
+func (c *NodeClient) send(ctx context.Context, msg []byte, apply func(answer []byte) error) error {
 	sent := &c.stats.msgs[msg[5]/2]
-	return c.run(func(context.Context) (time.Duration, bool, error) {
-		s, retryAfter, retryable, err := c.take()
+	return c.run(ctx, func(ctx context.Context) (time.Duration, bool, error) {
+		s, retryAfter, retryable, err := c.take(ctx)
 		if err != nil {
 			return retryAfter, retryable, err
 		}
 		sent.Add(1)
-		answer, err := s.exchange(msg, c.opts.Timeout)
+		answer, err := c.exchange(ctx, s, msg)
 		if err == nil {
 			if err = apply(answer); !errors.Is(err, ErrBadFrame) {
 				c.put(s)
@@ -138,8 +149,14 @@ func (c *NodeClient) send(msg []byte, apply func(answer []byte) error) error {
 	})
 }
 
-// take returns the most recently used idle stream, or dials one.
-func (c *NodeClient) take() (s *stream, retryAfter time.Duration, retryable bool, err error) {
+// cuts reports whether an exchange or a dial under ctx must watch it. The
+// client's own context needs no watch — Close ends every stream and dial
+// itself — and neither does one that is never done, so a write, and every
+// read no caller bounds, registers nothing.
+func (c *NodeClient) cuts(ctx context.Context) bool { return ctx != c.done && ctx.Done() != nil }
+
+// take returns the most recently used idle stream, or dials one (see dial).
+func (c *NodeClient) take(ctx context.Context) (s *stream, retryAfter time.Duration, retryable bool, err error) {
 	p := &c.streams
 	p.mu.Lock()
 	c.retireLocked()
@@ -151,7 +168,7 @@ func (c *NodeClient) take() (s *stream, retryAfter time.Duration, retryable bool
 		return s, 0, false, nil
 	}
 	p.mu.Unlock()
-	return c.dial()
+	return c.dial(ctx)
 }
 
 // put keeps a stream whose last exchange went well, unless the idle set is
@@ -219,12 +236,16 @@ func (c *NodeClient) endStreams() {
 
 // dial opens a stream: one Upgrade of the stream route, through the client's
 // transport, whose 101 answer hands the connection over. The open is bounded
-// by the attempt deadline like any request, and Close cancels it; a refusal
-// is classified by the catalogue, a node that answers anything but 101 is
-// ErrNoUpgrade, and a transport failure is a wire fault.
-func (c *NodeClient) dial() (*stream, time.Duration, bool, error) {
+// by the attempt deadline like any request, and Close cancels it, as does
+// the end of the caller's context (see cuts); a refusal is classified by the
+// catalogue, a node that answers anything but 101 is ErrNoUpgrade, and a
+// transport failure is a wire fault.
+func (c *NodeClient) dial(caller context.Context) (*stream, time.Duration, bool, error) {
 	ctx, cancel := context.WithTimeout(c.done, c.opts.Timeout)
 	defer cancel()
+	if c.cuts(caller) {
+		defer context.AfterFunc(caller, cancel)()
+	}
 	// The connection the upgrade went out on writes the stream when an
 	// interposer wrapped the 101 body as a plain ReadCloser (the bench's
 	// tracer does), hiding its Write.

@@ -188,7 +188,7 @@ func (a *Array) rebuildCycle(cycle int64, plan *core.Plan) error {
 			}
 			bufs = bufs[len(stripe.Strips):]
 		}
-		if err := a.readStrips(sc, ops, 0); err != nil {
+		if err := a.readStrips(unbounded, sc, ops, 0); err != nil {
 			return err
 		}
 
@@ -286,7 +286,7 @@ func (a *Array) walkStripes(cycle int64, heal, fix bool, rep *FsckReport) error 
 			for mi, st := range stripe.Strips {
 				ops = append(ops, batchOp{dev: a.device(st.Disk), disk: st.Disk, idx: base + int64(st.Slot), buf: shards[mi]})
 			}
-			a.exec(sc, ops, false, nil)
+			a.exec(unbounded, sc, ops, false, nil)
 			for mi := range ops {
 				op, st := &ops[mi], stripe.Strips[mi]
 				a.countRead(op.disk)
@@ -300,7 +300,7 @@ func (a *Array) walkStripes(cycle int64, heal, fix bool, rep *FsckReport) error 
 				a.stats.corruptStrips.Add(1)
 				is := FsckIssue{Kind: "checksum", Cycle: cycle, Disk: st.Disk, Slot: st.Slot}
 				if heal {
-					herr := a.healStrip(op.dev, op.disk, op.idx, op.buf, 0, op.err)
+					herr := a.healStrip(unbounded, op.dev, op.disk, op.idx, op.buf, 0, op.err)
 					if herr != nil && !errors.Is(herr, ErrCorrupt) {
 						return herr // the write-back failed
 					}

@@ -12,16 +12,17 @@ test:
 # protocol, the fault-injection, QoS, crash, tail, object, cluster,
 # fail-over, membership and degradation sweeps all run here — no -run
 # filter, so a test cannot fall out of coverage by being renamed or moved.
-# The stream lifecycle, blob, batch and deadline tests then run five times
-# more: a race there would hide in the hand-over of an upgraded connection
-# among the client's dial, its deadline timer, a caller's context cutting
-# the exchange and Close, among blob ops sharing a node's streams, in a
-# node's strip reads landing in place in the answer it checksums, or in a
-# hedged read's cancelled loser and the reaper that waits for it, which one
-# pass may not interleave.
+# The stream lifecycle, blob, batch, deadline, lease and prober tests then
+# run five times more: a race there would hide in the hand-over of an
+# upgraded connection among the client's dial, its deadline timer, a
+# caller's context cutting the exchange and Close, among blob ops and lease
+# renewals sharing a node's streams, in the prober's ping taking a stream
+# beside them, in a node's strip reads landing in place in the answer it
+# checksums, or in a hedged read's cancelled loser and the reaper that waits
+# for it, which one pass may not interleave.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=5 -run 'Stream|Blob|Batch|CloseInBenchOrder|NodeRestart|Deadline|Cancel|CloseDoesNotWait' ./internal/store/netdev ./internal/cluster
+	$(GO) test -race -count=5 -run 'Stream|Blob|Batch|CloseInBenchOrder|NodeRestart|Deadline|Cancel|CloseDoesNotWait|Lease|Meta|Prober|WrongNode|Grace' ./internal/store/netdev ./internal/cluster
 	$(GO) test -race -count=5 -run 'Deadline|Cancel' ./internal/engine ./internal/server
 
 # Short coverage-guided smoke over every fuzz target of the module: the

@@ -37,7 +37,8 @@ func closureNodes(c *Cluster, s int64) map[string][]int {
 // read is one message, and a rebuilt cycle goes out as gather windows of at
 // most three read messages and one write message each. No write or read
 // takes any other round trip, and the writes and the read ride streams
-// opened at most once per node.
+// opened at most once per node. From the format through the rebuild, the
+// coordinator's only HTTP requests are its streams' Upgrades.
 func TestClusterBatchRPCCounts(t *testing.T) {
 	c, ct := countedCluster(t, 4096, nil)
 	p := make([]byte, 4096)
@@ -83,6 +84,7 @@ func TestClusterBatchRPCCounts(t *testing.T) {
 			t.Fatalf("strip %d after the rebuild: %v", s, err)
 		}
 	}
+	ct.upgradesOnly(t, "a format, a cycle of writes and a rebuild")
 }
 
 // TestHAWriteRPCCounts pins what a strip write costs an HA coordinator, by
@@ -92,8 +94,10 @@ func TestClusterBatchRPCCounts(t *testing.T) {
 // at every one of the three voters, and the redo record's sync at each. Over a
 // cycle's 144 writes that is 720 strip messages, 864 blob writes and 432
 // syncs and no other blob message: 14 messages a write, where one append per
-// record took 26. Every message rides a stream opened at most once per node,
-// and no device or blob op is an HTTP request of its own.
+// record took 26. Every message rides a stream opened at most once per node.
+// Through its open, the writes and a second of lease renewals, the leader's
+// only HTTP requests are its streams' Upgrades, and a standby's poll of the
+// lease signature is one inventory read per node and no request.
 func TestHAWriteRPCCounts(t *testing.T) {
 	c, ct := countedClusterHA(t, 512, nil, "coord-a")
 	p := make([]byte, 512)
@@ -123,9 +127,33 @@ func TestHAWriteRPCCounts(t *testing.T) {
 	if got := ct.opens() - opens; got > 3 {
 		t.Errorf("%d writes opened %d streams, want at most one per node", strips, got)
 	}
-	if got := ct.legacy.Load(); got != 0 {
-		t.Errorf("%d HTTP requests to device or blob routes, want 0", got)
+
+	idleRenewals(t, c)
+	ct.upgradesOnly(t, "an HA leader's open, writes and a second of renewals")
+
+	// A standby polls with clients of its own, of one attempt each.
+	sct := &countingTransport{inner: ct.inner}
+	var clients []*netdev.NodeClient
+	for _, n := range c.ManifestSnapshot().Nodes {
+		cl := netdev.NewNodeClient(n.URL, netdev.Options{MaxAttempts: 1, ExpectID: n.ID, Transport: sct})
+		defer cl.Close()
+		clients = append(clients, cl)
 	}
+	if sig, responsive := leaseSignature(clients); responsive != 3 || sig == "" {
+		t.Fatalf("a standby's poll: %d of 3 nodes answered, signature %q", responsive, sig)
+	}
+	var stats int64
+	for _, cl := range clients {
+		st := cl.Stats()
+		stats += st.NodeMessages
+		if st.NodeMessages != st.Attempts {
+			t.Errorf("a standby's poll sent %+v, want inventory reads only", st)
+		}
+	}
+	if stats != 3 {
+		t.Errorf("a standby's poll: %d inventory reads, want one per node", stats)
+	}
+	sct.upgradesOnly(t, "a standby's poll")
 }
 
 // TestClusterSmallStripRebuildIsOneWindow: at 512-byte strips the whole cycle

@@ -6,7 +6,6 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"sort"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -115,26 +114,29 @@ func BenchmarkMigrateDisk(b *testing.B) {
 }
 
 // countingTransport counts the round trips of every node client it is
-// handed to, and reads the messages those clients count themselves: a
-// message rides a stream, whose open is not counted.
+// handed to, and reads the messages those clients count themselves. Every
+// call a client makes to a node is a message on a stream, so every round trip
+// should be a stream's Upgrade: requests counts any other.
 type countingTransport struct {
-	inner http.RoundTripper
-	n     atomic.Int64 // every round trip but stream opens
-	// Requests to the device and blob routes a node no longer serves: every
-	// device and blob op is a stream message.
-	legacy atomic.Int64
-	c      *Cluster // whose clients count the messages; set once open
+	inner    http.RoundTripper
+	requests atomic.Int64
+	c        *Cluster // whose clients count the messages; set once open
 }
 
 func (ct *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
-	switch path := r.URL.Path; {
-	case path == "/node/v1/strips":
-		return ct.inner.RoundTrip(r)
-	case strings.HasPrefix(path, "/node/v1/blobs/"), strings.HasPrefix(path, "/node/v1/devices/"):
-		ct.legacy.Add(1)
+	if r.URL.Path != "/node/v1/strips" || r.Header.Get("Upgrade") == "" {
+		ct.requests.Add(1)
 	}
-	ct.n.Add(1)
 	return ct.inner.RoundTrip(r)
+}
+
+// upgradesOnly fails tb unless every round trip through ct was a stream's
+// Upgrade.
+func (ct *countingTransport) upgradesOnly(tb testing.TB, what string) {
+	tb.Helper()
+	if n := ct.requests.Load(); n != 0 {
+		tb.Errorf("%s: %d HTTP requests besides the stream Upgrades, want none", what, n)
+	}
 }
 
 // sumStats adds up one counter of c's node clients.
@@ -169,10 +171,28 @@ func (ct *countingTransport) blobs() int64 {
 	return sumStats(ct.c, func(st netdev.ClientStats) int64 { return st.BlobMessages })
 }
 
+// nodeMessages sums the pings, inventory reads and leases c's node clients
+// have sent.
+func nodeMessages(c *Cluster) int64 {
+	return sumStats(c, func(st netdev.ClientStats) int64 { return st.NodeMessages })
+}
+
 // rpcs is what the node plane has carried: every message and every other
 // round trip.
 func (ct *countingTransport) rpcs() int64 {
-	return ct.strips() + ct.blobs() + sumStats(ct.c, func(st netdev.ClientStats) int64 { return st.DeviceMessages }) + ct.n.Load()
+	return ct.strips() + ct.blobs() + sumStats(ct.c, func(st netdev.ClientStats) int64 { return st.DeviceMessages }) + nodeMessages(ct.c) + ct.requests.Load()
+}
+
+// idleRenewals lets an HA leader idle for a second, renewing its lease with
+// every node each LeaseRenew, and fails tb unless its clients sent lease
+// messages meanwhile.
+func idleRenewals(tb testing.TB, c *Cluster) {
+	tb.Helper()
+	n := nodeMessages(c)
+	time.Sleep(time.Second + 100*time.Millisecond)
+	if got := nodeMessages(c) - n; got < 3*3 {
+		tb.Errorf("a second idle: %d lease messages, want a renewal to each node every %v", got, c.leaseEvery)
+	}
 }
 
 // stripRPCs is what the strip plane and the journal's blobs took: every
@@ -260,8 +280,8 @@ func BenchmarkClusterFormat(b *testing.B) {
 			b.Fatalf("open cluster: %v", err)
 		}
 		ct.c = c
-		requests += ct.n.Load() + ct.opens()
-		msgs += ct.rpcs() - ct.n.Load()
+		requests += ct.requests.Load() + ct.opens()
+		msgs += ct.rpcs() - ct.requests.Load()
 		c.Close()
 		for _, close := range closers {
 			close()

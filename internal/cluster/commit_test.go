@@ -504,33 +504,22 @@ func TestClassicDirUpgradesToHA(t *testing.T) {
 	ha(t.TempDir(), "coord-b").Close()
 }
 
-// legacyRPCs counts the HTTP requests to the device and blob routes a node
-// no longer serves that pass it: every device and blob op is a stream
-// message.
-type legacyRPCs struct {
-	inner http.RoundTripper
-	n     *atomic.Int64
-}
-
-func (b legacyRPCs) RoundTrip(r *http.Request) (*http.Response, error) {
-	if strings.HasPrefix(r.URL.Path, "/node/v1/blobs/") || strings.HasPrefix(r.URL.Path, "/node/v1/devices/") {
-		b.n.Add(1)
-	}
-	return b.inner.RoundTrip(r)
-}
-
 // TestClusterHAMembershipBlobRPCs pins what an HA coordinator's
 // membership commits cost on the blob plane, in blob messages: a heal
 // replacement is its superblock blob's create and truncate plus one journal
 // append (a write and a sync to each of three nodes); a one-cycle migration
 // adds the destination's superblock create and clone, four journal appends
-// (record, cursor, flip, delete) and the source's superblock delete. None is
-// an HTTP request of its own.
+// (record, cursor, flip, delete) and the source's superblock delete. Through
+// all of it and a second of lease renewals after, the coordinator's only
+// HTTP requests are its streams' Upgrades.
 func TestClusterHAMembershipBlobRPCs(t *testing.T) {
 	h := newFailoverHarness(t)
 	opts, faults := h.coordOptions(t, "coord-a", 87)
-	var legacy atomic.Int64
-	opts.Transport = func(s NodeSpec) http.RoundTripper { return legacyRPCs{faults[s.ID], &legacy} }
+	counted := map[string]*countingTransport{}
+	for id, ft := range faults {
+		counted[id] = &countingTransport{inner: ft}
+	}
+	opts.Transport = func(s NodeSpec) http.RoundTripper { return counted[s.ID] }
 	opts.Format = &FormatSpec{Disks: 9, Cycles: 1, StripBytes: 512}
 	c, err := Open(opts)
 	if err != nil {
@@ -563,8 +552,9 @@ func TestClusterHAMembershipBlobRPCs(t *testing.T) {
 	if got := blobs() - n; got != 29 {
 		t.Errorf("a one-cycle migration sent %d blob messages, want 29", got)
 	}
-	if got := legacy.Load(); got != 0 {
-		t.Errorf("%d HTTP requests to device or blob routes, want 0", got)
+	idleRenewals(t, c)
+	for id, ct := range counted {
+		ct.upgradesOnly(t, "an HA leader's open, heal, migration and a second of renewals, to "+id)
 	}
 }
 

@@ -3,7 +3,9 @@
 // and implements store.Device / store.Blob clients that a coordinator mounts
 // an array across. The package is built robustness-first:
 //
-//   - Every device and blob op crosses the wire as a message of one codec
+//   - Every call a coordinator makes to a node — a device or blob op, the
+//     identity ping, the inventory read, the lease — crosses the wire as a
+//     message of one codec
 //     (this file), whose trailer is a CRC-32C over every byte before it, so
 //     a torn or bit-flipped answer is detected at the codec and retried
 //     instead of being written into the array as data, and a damaged
@@ -32,17 +34,17 @@ import (
 	"github.com/oiraid/oiraid/internal/store"
 )
 
-// Every op addressed to a device or a blob on a node crosses the wire as one
-// message of this codec, on a stream (stream.go, DESIGN.md §13): the client
-// writes a request, the node answers it with a message of the request's kind
-// plus one. A node's share of a parity closure or of a rebuild window is one
-// message each way, a strip that travels alone is a message of one item, and
-// so is each device or blob op.
+// Every call a coordinator makes to a node crosses the wire as one message of
+// this codec, on a stream (stream.go, DESIGN.md §13): the client writes a
+// request, the node answers it with a message of the request's kind plus one.
+// A node's share of a parity closure or of a rebuild window is one message
+// each way, a strip that travels alone is a message of one item, and so is
+// each device or blob op, each ping, inventory read and lease.
 //
 // Message layout (big endian), the same for requests and answers:
 //
 //	0  4  magic "oSTB"
-//	4  1  version (4)
+//	4  1  version (5)
 //	5  1  kind
 //	6  1  flags (bit 0: the message carries a fencing epoch)
 //	7  1  reserved (zero)
@@ -54,12 +56,12 @@ import (
 //
 // and each item:
 //
-//	1  name length, then the name of the device or blob
+//	1  name length, then the name of the device or blob, or a lease's holder
 //	8  strip: a strip index, a blob offset, the first strip of a sums op,
-//	   the strip count of a device create
+//	   the strip count of a device create, a lease's epoch
 //	8  size: the bytes of a blob read, the size of a truncate, the strips
-//	   of a sums op, the strip bytes of a device create; in a stat answer,
-//	   the blob's size
+//	   of a sums op, the strip bytes of a device create, 1 for a lease
+//	   renewal (0: an acquire); in a blob stat answer, the blob's size
 //	8  generation: a blob op's stamp (0: none); in a read or stat answer,
 //	   the blob's
 //	1  flags (bit 0, in a blob read's answer: the read ran off the end)
@@ -67,14 +69,14 @@ import (
 //	2  error text length, then the text
 //	4  payload length, then the payload (0 = none)
 //
-// Only strip-write and blob-write requests, and strip-read, sums and
-// blob-read answers, carry payloads (hasPayload). The one checksum covers the
+// Only strip-write and blob-write requests, and strip-read, sums, blob-read,
+// ping and stat answers, carry payloads (hasPayload). The one checksum covers the
 // header, the items and their payloads, and is checked before any item is
 // parsed, so nothing a damaged message names is touched. The length in the
 // header is what lets a reader cut messages off a stream; the fence is in the
 // header because a stream outlives the epochs its messages are sent under.
 const (
-	batchVersion   = 4
+	batchVersion   = 5
 	batchLenEnd    = 12 // the header up to the length: what a stream reader needs first
 	batchHeaderLen = 24
 	batchItemMin   = 1 + 8 + 8 + 8 + 1 + 1 + 2 + 4
@@ -95,7 +97,10 @@ const (
 	kindBlobSync     = 0x13
 	kindBlobTruncate = 0x15
 	kindBlobStat     = 0x17
-	kindEnd          = 0x19 // past the last kind
+	kindPing         = 0x19 // answered with the node's id
+	kindStat         = 0x1B // answered with the node's inventory, NodeStat's JSON
+	kindLease        = 0x1D // acquires or renews the lease (meta.go)
+	kindEnd          = 0x1F // past the last kind
 
 	flagFenced = 0x01 // message
 	flagEOF    = 0x01 // item
@@ -116,11 +121,12 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // never reach media.
 var ErrBadFrame = errors.New("netdev: bad message on the node wire")
 
-// mutates reports whether a request of kind changes the node, and so carries
-// the client's fence.
+// mutates reports whether a request of kind changes the node behind the
+// fence, and so carries the client's. A lease moves the fence itself, by
+// rules of its own (meta.go).
 func mutates(kind byte) bool {
 	switch kind {
-	case kindReadReq, kindDevSums, kindBlobRead, kindBlobStat:
+	case kindReadReq, kindDevSums, kindBlobRead, kindBlobStat, kindPing, kindStat, kindLease:
 		return false
 	}
 	return true
@@ -129,7 +135,7 @@ func mutates(kind byte) bool {
 // hasPayload reports whether the items of a message of kind carry payloads.
 func hasPayload(kind byte) bool {
 	switch kind {
-	case kindReadResp, kindWriteReq, kindDevSums + 1, kindBlobRead + 1, kindBlobWrite:
+	case kindReadResp, kindWriteReq, kindDevSums + 1, kindBlobRead + 1, kindBlobWrite, kindPing + 1, kindStat + 1:
 		return true
 	}
 	return false
@@ -446,7 +452,7 @@ func (c *NodeClient) sendBatch(ctx context.Context, ops []store.StripOp, sent []
 	if write {
 		kind = kindWriteReq
 	}
-	err := c.message(ctx, kind, items, func(k int, it *batchItem, verdict error) error {
+	err := c.message(ctx, false, kind, items, func(k int, it *batchItem, verdict error) error {
 		op := &ops[sent[k]]
 		switch {
 		case verdict != nil:
@@ -465,21 +471,23 @@ func (c *NodeClient) sendBatch(ctx context.Context, ops []store.StripOp, sent []
 	}
 }
 
-// message sends items as one message of kind through send under ctx, stamped with the
-// client's fence as it is now when the kind mutates, and hands each answered
+// message sends items as one message of kind under ctx — through the retry
+// loop, or as one attempt outside it and the breaker when once is set (the
+// prober's ping) — stamped with the client's fence as it is now when the kind
+// mutates, and hands each answered
 // item to each with the node's verdict on it (nil: done). A verdict the
 // catalogue calls retryable fails the whole message, which is retried as a
 // single op would be. each returns ErrBadFrame for an answer that does not
 // fit its item, and must not keep the item's payload, which aliases the
 // answer.
-func (c *NodeClient) message(ctx context.Context, kind byte, items []batchItem, each func(k int, it *batchItem, verdict error) error) error {
+func (c *NodeClient) message(ctx context.Context, once bool, kind byte, items []batchItem, each func(k int, it *batchItem, verdict error) error) error {
 	var f fence
 	if t := c.fence.Load(); t != nil && mutates(kind) {
 		f = fence{epoch: t.Epoch(), on: true}
 	}
 	msg := encodeBatch(kind, f, items, nil)
 	defer putMsg(msg)
-	return c.send(ctx, msg, func(answer []byte) error {
+	apply := func(answer []byte) error {
 		defer putMsg(answer)
 		got, _, err := decodeBatch(answer, kind+1)
 		if err != nil {
@@ -505,15 +513,20 @@ func (c *NodeClient) message(ctx context.Context, kind byte, items []batchItem, 
 			}
 		}
 		return nil
-	})
+	}
+	if once {
+		_, _, err := c.attempt(ctx, msg, apply)
+		return err
+	}
+	return c.send(ctx, msg, apply)
 }
 
-// do is one device or blob op: it as a message of its own, under the
+// do is one device, blob or node op: it as a message of its own, under the
 // client's own context. got, when not nil, reads the answered item of an op
 // the node did (see message).
 func (c *NodeClient) do(kind byte, it batchItem, got func(*batchItem) error) error {
 	var verdict error
-	err := c.message(c.done, kind, []batchItem{it}, func(_ int, a *batchItem, err error) error {
+	err := c.message(c.done, false, kind, []batchItem{it}, func(_ int, a *batchItem, err error) error {
 		if verdict = err; err != nil || got == nil {
 			return nil
 		}

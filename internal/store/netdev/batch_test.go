@@ -514,9 +514,9 @@ func TestBatchCodec(t *testing.T) {
 
 // TestBatchEveryBitFlipRefused: the trailer covers every byte of a message —
 // header, items and payloads — so one flipped bit anywhere in a two-item
-// strip-write request, or in a read answer with one strip and one verdict,
-// is refused as ErrBadFrame: by readMessage when it breaks what a stream
-// reader checks, by decodeBatch otherwise.
+// strip-write request, in a read answer with one strip and one verdict, or in
+// a lease renewal, is refused as ErrBadFrame: by readMessage when it breaks
+// what a stream reader checks, by decodeBatch otherwise.
 func TestBatchEveryBitFlipRefused(t *testing.T) {
 	answer := []batchItem{{Name: "d0", Strip: 1, Payload: stripOf(0x61, 1, 512)}, {Name: "d1", Strip: 2}}
 	answer[1].verdict(fmt.Errorf("%w: device d1", ErrNodeNotFound))
@@ -531,6 +531,7 @@ func TestBatchEveryBitFlipRefused(t *testing.T) {
 			{Name: "d1", Strip: 2, Payload: stripOf(0x60, 2, 1024)},
 		}},
 		{"a read answer", kindReadResp, fence{}, answer},
+		{"a lease renewal", kindLease, fence{}, []batchItem{{Name: "coord-a", Strip: 3, Size: 1}}},
 	} {
 		msg := bytes.Clone(encodeBatch(m.kind, m.f, m.items, nil))
 		if _, _, err := decodeBatch(msg, m.kind); err != nil {

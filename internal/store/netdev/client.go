@@ -1,12 +1,10 @@
 package netdev
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -31,8 +29,8 @@ var ErrWrongNode = fmt.Errorf("netdev: node identity mismatch: %w", store.ErrPer
 
 // Options tunes a NodeClient. The zero value gets usable defaults.
 type Options struct {
-	// Timeout bounds each attempt (connect + request + response),
-	// default 2s.
+	// Timeout bounds each attempt (a stream's dial, or a message and its
+	// answer), default 2s.
 	Timeout time.Duration
 	// MaxAttempts bounds attempts per operation (default 3).
 	MaxAttempts int
@@ -56,8 +54,8 @@ type Options struct {
 	// down (default 250ms). The prober drives the down→up transition
 	// even when no foreground operations are flowing.
 	ProbeInterval time.Duration
-	// ExpectID, when set, makes the client verify the node's /ping
-	// identity and fail permanently on mismatch.
+	// ExpectID, when set, makes the client verify the identity the node
+	// answers a ping message with, and fail permanently on mismatch.
 	ExpectID string
 	// Seed fixes the backoff jitter stream for deterministic tests.
 	Seed int64
@@ -131,9 +129,9 @@ type NodeClient struct {
 	// cbWg tracks OnDown/OnUp callback goroutines and probeWg the
 	// background prober; Close drains both so an engine shutdown leaves
 	// no transport goroutine behind. done is the context of every op no
-	// caller bounds — writes, device and blob ops, pings, inventory and
-	// lease requests, the prober's pings — and ends at Close, which so
-	// cancels their retries, dials and requests in flight.
+	// caller bounds — writes, device and blob ops, pings, inventory reads
+	// and leases, the prober's pings — and ends at Close, which so cancels
+	// their retries and dials in flight.
 	cbWg    sync.WaitGroup
 	probeWg sync.WaitGroup
 	done    context.Context
@@ -204,72 +202,8 @@ func (c *NodeClient) Close() error {
 	return nil
 }
 
-// call is one HTTP request to the node — a ping, the inventory or the
-// lease; every device and blob op is a stream message (batch.go).
-type call struct {
-	method string
-	url    string // absolute
-	body   []byte // nil: no body
-}
-
-// decoder reads a 2xx response to its end (an unread remainder costs the
-// connection its reuse). Any error it returns means the bytes were torn
-// or corrupted in flight, and the attempt is retried as a wire fault.
-type decoder func(*http.Response) error
-
-// discard is the decoder of calls that expect no payload. A declared-empty
-// body (every 204) has nothing to consume.
-func discard(resp *http.Response) error {
-	if resp.ContentLength != 0 {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-	}
-	return nil
-}
-
-// roundTrip performs one attempt of rq under the per-attempt deadline and
-// classifies the outcome for the retry loop: a transport failure or a
-// damaged response is a retryable wire fault, an error response is
-// whatever the catalogue says its code is. A nil decode means discard.
-func (c *NodeClient) roundTrip(ctx context.Context, rq *call, decode decoder) (retryAfter time.Duration, retryable bool, err error) {
-	ctx, cancel := context.WithTimeout(ctx, c.opts.Timeout)
-	defer cancel()
-	var body io.Reader
-	if rq.body != nil {
-		body = bytes.NewReader(rq.body)
-	}
-	req, err := http.NewRequestWithContext(ctx, rq.method, rq.url, body)
-	if err != nil {
-		return 0, false, err
-	}
-	if rq.body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return 0, true, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 300 {
-		return Catalogue.Decode(resp)
-	}
-	if decode == nil {
-		decode = discard
-	}
-	if err := decode(resp); err != nil {
-		return 0, true, err
-	}
-	return 0, false, nil
-}
-
-// request is one HTTP request through run, under the client's own context.
-func (c *NodeClient) request(rq call, decode decoder) error {
-	return c.run(c.done, func(ctx context.Context) (time.Duration, bool, error) {
-		return c.roundTrip(ctx, &rq, decode)
-	})
-}
-
-// run runs attempt — one request, or one stream message — through the shared
-// retry loop and breaker under ctx, then folds the outcome into the
+// run runs attempt — one stream message — through the shared retry loop and
+// breaker under ctx, then folds the outcome into the
 // reachability state: an answer from the node — even a rejection — proves
 // the wire fine and passes through unchanged (a permanent media error, a
 // fenced write, a caller bug); a wire fault that outlived the policy, or a
@@ -436,19 +370,6 @@ func (c *NodeClient) probeDelay() time.Duration {
 	return iv/2 + c.retry.Backoff(retry.Policy{BaseDelay: iv, MaxDelay: iv}, 0, 0)
 }
 
-// ping builds the identity ping; the decoder stores the node's answer in
-// who.
-func (c *NodeClient) ping(who *string) (call, decoder) {
-	return call{method: http.MethodGet, url: c.base + "/node/v1/ping"}, func(resp *http.Response) error {
-		var body struct {
-			Node string `json:"node"`
-		}
-		err := decodeJSON(&body)(resp)
-		*who = body.Node
-		return err
-	}
-}
-
 // checkIdentity declares the node lost when it is not the one the
 // manifest expects at this address.
 func (c *NodeClient) checkIdentity(who string) error {
@@ -459,12 +380,16 @@ func (c *NodeClient) checkIdentity(who string) error {
 	return nil
 }
 
-// pingOnce performs a single identity-checked ping without retry
-// machinery (the prober is its own retry loop). Close cancels it.
+// pingOnce performs a single identity-checked ping outside the retry loop
+// and the breaker (the prober is its own loop): one attempt, on a stream
+// taken or dialled, under the client's context, which Close cuts.
 func (c *NodeClient) pingOnce() error {
 	var who string
-	rq, decode := c.ping(&who)
-	if _, _, err := c.roundTrip(c.done, &rq, decode); err != nil {
+	err := c.message(c.done, true, kindPing, []batchItem{{}}, func(_ int, it *batchItem, verdict error) error {
+		who = string(it.Payload)
+		return verdict
+	})
+	if err != nil {
 		return err
 	}
 	return c.checkIdentity(who)
@@ -474,7 +399,10 @@ func (c *NodeClient) pingOnce() error {
 // the right node), through the full retry/breaker machinery.
 func (c *NodeClient) Ping() error {
 	var who string
-	if err := c.request(c.ping(&who)); err != nil {
+	if err := c.do(kindPing, batchItem{}, func(it *batchItem) error {
+		who = string(it.Payload)
+		return nil
+	}); err != nil {
 		return err
 	}
 	return c.checkIdentity(who)
@@ -483,39 +411,23 @@ func (c *NodeClient) Ping() error {
 // Stat fetches the node's inventory.
 func (c *NodeClient) Stat() (NodeStat, error) {
 	var st NodeStat
-	err := c.getJSON("/node/v1/stat", &st)
+	err := c.do(kindStat, batchItem{}, func(it *batchItem) error {
+		st = NodeStat{}
+		if err := json.Unmarshal(it.Payload, &st); err != nil {
+			return fmt.Errorf("%w: inventory: %v", ErrBadFrame, err)
+		}
+		return nil
+	})
 	return st, err
-}
-
-// decodeJSON returns a call decoder filling v from a JSON response.
-func decodeJSON(v any) decoder {
-	return func(resp *http.Response) error {
-		body := io.LimitReader(resp.Body, 1<<20)
-		err := json.NewDecoder(body).Decode(v)
-		io.Copy(io.Discard, body)
-		return err
-	}
-}
-
-// getJSON GETs path and decodes the JSON response.
-func (c *NodeClient) getJSON(path string, v any) error {
-	return c.request(call{method: http.MethodGet, url: c.base + path}, decodeJSON(v))
-}
-
-// postJSON POSTs v as a JSON body to path; the answer is read and dropped.
-func (c *NodeClient) postJSON(path string, v any) error {
-	body, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	return c.request(call{method: http.MethodPost, url: c.base + path, body: body}, nil)
 }
 
 // ClientStats is a snapshot of the client's wire counters. The messages are
 // counted one per attempt, whatever their items: ReadMessages and
 // WriteMessages the strip messages, DeviceMessages the device creates,
 // deletes and sums, BlobMessages every blob op, of which BlobWrites are
-// writes and BlobSyncs syncs. StreamOpens counts the streams they rode.
+// writes and BlobSyncs syncs, and NodeMessages the pings, inventory reads
+// and leases. Together they are every message the client sends.
+// StreamOpens counts the streams they rode.
 type ClientStats struct {
 	Attempts         int64 `json:"attempts"`
 	Retries          int64 `json:"retries"`
@@ -528,6 +440,7 @@ type ClientStats struct {
 	BlobMessages     int64 `json:"blob_messages"`
 	BlobWrites       int64 `json:"blob_writes"`
 	BlobSyncs        int64 `json:"blob_syncs"`
+	NodeMessages     int64 `json:"node_messages"`
 	StreamOpens      int64 `json:"stream_opens"`
 }
 
@@ -551,6 +464,7 @@ func (c *NodeClient) Stats() ClientStats {
 		BlobMessages:     sent(kindBlobCreate, kindBlobStat),
 		BlobWrites:       sent(kindBlobWrite, kindBlobWrite),
 		BlobSyncs:        sent(kindBlobSync, kindBlobSync),
+		NodeMessages:     sent(kindPing, kindLease),
 		StreamOpens:      c.stats.streamOpens.Load(),
 	}
 }

@@ -17,11 +17,11 @@ type PartitionMode int32
 const (
 	// PartNone passes traffic through.
 	PartNone PartitionMode = iota
-	// PartDrop is a full partition: requests and stream messages never
-	// reach the node.
+	// PartDrop is a full partition: messages never reach the node, and no
+	// stream opens.
 	PartDrop
-	// PartAsym is an asymmetric partition: the request or message reaches
-	// the node and executes, but its answer is dropped on the way back —
+	// PartAsym is an asymmetric partition: the message reaches the node
+	// and executes, but its answer is dropped on the way back —
 	// the client sees a failure for work that actually happened. This is
 	// the case that distinguishes "acked" from "attempted": only
 	// idempotent, retry-until-acked writes stay exact under it.
@@ -34,11 +34,10 @@ var errPartition = errors.New("netdev: injected partition")
 
 // FaultTransport is an http.RoundTripper that injects network faults
 // between a NodeClient and its node: full and asymmetric partitions, link
-// delay, and torn (truncated) answers. On a stream every fault is
-// drawn per message, as it is per request elsewhere, so a fault means the
-// same to an op whichever way it travels. All modes are runtime-switchable
-// and safe for concurrent use; the torn-answer draw is seeded so sweeps
-// are reproducible.
+// delay, and torn (truncated) answers. Every call a client makes is a message
+// on a stream, and every fault is drawn per message. All modes are
+// runtime-switchable and safe for concurrent use; the torn-answer draw is
+// seeded so sweeps are reproducible.
 type FaultTransport struct {
 	inner http.RoundTripper
 
@@ -67,17 +66,15 @@ func (t *FaultTransport) SetPartition(mode PartitionMode) {
 	t.mu.Unlock()
 }
 
-// SetDelay adds a fixed delay to every request and every stream message (a
-// slow link).
+// SetDelay adds a fixed delay to every message (a slow link).
 func (t *FaultTransport) SetDelay(d time.Duration) {
 	t.mu.Lock()
 	t.delay = d
 	t.mu.Unlock()
 }
 
-// SetTorn makes every nth answer — to a request or to a stream message —
-// arrive truncated (0 disables). The truncation point is drawn from the
-// seeded stream.
+// SetTorn makes every nth answer arrive truncated (0 disables). The
+// truncation point is drawn from the seeded stream.
 func (t *FaultTransport) SetTorn(n int64) {
 	t.mu.Lock()
 	t.tornEvery = n
@@ -86,8 +83,8 @@ func (t *FaultTransport) SetTorn(n int64) {
 
 // SetHook makes fn see every strip message that crosses the link, after its
 // delay and before its partition, with the host it is bound for and whether
-// it writes; fn may block it (nil removes the hook). A device or blob message
-// meets the link's faults but not the hook. Tests count and order strip
+// it writes; fn may block it (nil removes the hook). Any other message meets
+// the link's faults but not the hook. Tests count and order strip
 // messages with it, and hold them back.
 func (t *FaultTransport) SetHook(fn func(host string, write bool)) {
 	t.mu.Lock()
@@ -103,7 +100,7 @@ func (t *FaultTransport) CloseIdleConnections() {
 	}
 }
 
-// fate is what the transport decided for one request or message.
+// fate is what the transport decided for one message.
 type fate struct {
 	mode  PartitionMode
 	delay time.Duration
@@ -144,63 +141,11 @@ func (f fate) cut(n int64) int64 {
 	return min(max(int64(f.frac*float64(n)), 0), n-1)
 }
 
-// RoundTrip implements http.RoundTripper.
+// RoundTrip implements http.RoundTripper: it opens a stream, with every
+// message of it under the fault layer. Opening one is refused under a full
+// partition; an asymmetric one lets it open, so that its messages can execute
+// unanswered.
 func (t *FaultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	if req.URL.Path == stripsPath {
-		return t.openStream(req)
-	}
-	f := t.draw()
-	if err := wait(req.Context(), f.delay); err != nil {
-		return nil, err
-	}
-
-	if f.mode == PartDrop {
-		// The request never reaches the node. Consume the body as a real
-		// failed connection would, so retries can re-send it.
-		if req.Body != nil {
-			io.Copy(io.Discard, req.Body)
-			req.Body.Close()
-		}
-		return nil, fmt.Errorf("%w: request dropped", errPartition)
-	}
-
-	resp, err := t.inner.RoundTrip(req)
-	if err != nil {
-		return nil, err
-	}
-
-	if f.mode == PartAsym {
-		// The node executed the request; the client never learns. Drain
-		// the body so the connection is reusable, then report failure.
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-		resp.Body.Close()
-		return nil, fmt.Errorf("%w: response dropped", errPartition)
-	}
-
-	if f.torn && resp.Body != nil && resp.ContentLength > 0 {
-		// Truncate the body partway while the headers still declare the
-		// full length: exactly what a connection cut mid-response looks
-		// like above the transport. The codec's checksums must catch it.
-		inner := resp.Body
-		resp.Body = &tornBody{r: io.LimitReader(inner, f.cut(resp.ContentLength)), c: inner}
-	}
-	return resp, nil
-}
-
-// tornBody serves a truncated prefix of the real body, closing the
-// underlying connection body when done.
-type tornBody struct {
-	r io.Reader
-	c io.Closer
-}
-
-func (b *tornBody) Read(p []byte) (int, error) { return b.r.Read(p) }
-func (b *tornBody) Close() error               { return b.c.Close() }
-
-// openStream passes a stream through with every message of it under
-// the fault layer. Opening one is refused under a full partition; an
-// asymmetric one lets it open, so that its messages can execute unanswered.
-func (t *FaultTransport) openStream(req *http.Request) (*http.Response, error) {
 	t.mu.Lock()
 	mode := t.mode
 	t.mu.Unlock()

@@ -51,6 +51,12 @@ func FuzzBatchDecode(f *testing.F) {
 	f.Add(encodeBatch(kindBlobWrite, fence{epoch: 3, on: true}, []batchItem{{Name: "m0", Strip: 64, Gen: 1}}, nil), byte(kindBlobWrite))
 	f.Add(encodeBatch(kindReadResp, fence{}, []batchItem{{Name: "disk00", Strip: 1, Code: "io", Msg: "read strip 1: input/output error"}}, nil), byte(kindReadResp))
 	f.Add(encodeBatch(kindBlobStat, fence{}, []batchItem{{Name: "m0", Payload: []byte("x")}}, nil), byte(kindBlobStat))
+	// The node kinds: a ping and its answer, an inventory read's answer, and a
+	// lease renewal.
+	f.Add(encodeBatch(kindPing, fence{}, []batchItem{{}}, nil), byte(kindPing))
+	f.Add(encodeBatch(kindPing+1, fence{}, []batchItem{{Payload: []byte("alpha")}}, nil), byte(kindPing+1))
+	f.Add(encodeBatch(kindStat+1, fence{}, []batchItem{{Payload: []byte(`{"node":"alpha","devices":{},"blobs":{},"epoch":3,"holder":"coord-a","renew_seq":9}`)}}, nil), byte(kindStat+1))
+	f.Add(encodeBatch(kindLease, fence{}, []batchItem{{Name: "coord-a", Strip: 3, Size: 1}}, nil), byte(kindLease))
 
 	f.Fuzz(func(t *testing.T, data []byte, kind byte) {
 		got, fc, err := decodeBatch(data, kind)

@@ -1,10 +1,7 @@
 package netdev
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
 
 	"github.com/oiraid/oiraid/internal/store"
 )
@@ -47,47 +44,29 @@ func (n *Node) admit(f fence) error {
 	return n.adopt(f)
 }
 
-// leaseReq is the body of POST /node/v1/meta/lease.
-type leaseReq struct {
-	Epoch  uint64 `json:"epoch"`
-	Holder string `json:"holder"`
-	Renew  bool   `json:"renew"`
-}
-
-func (n *Node) handleMetaLease(w http.ResponseWriter, r *http.Request) {
-	var req leaseReq
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil {
-		// Answered with the bad-geometry row, in the decoder's own words.
-		Catalogue.Encode(store.ErrBadGeometry).Write(w, err)
-		return
-	}
+// lease does a lease message's item: the holder asks the node to promise it
+// epoch, or to count a renewal of the promise it holds. An acquire is granted
+// iff epoch is above the node's promise, and granted again to the holder of
+// the promise (its answer was lost). A renewal never moves the fence; it only
+// proves the holder alive. Anything else is ErrStaleEpoch. checkItem has
+// refused an empty holder and epoch 0.
+func (n *Node) lease(holder string, epoch uint64, renew bool) error {
 	n.metaMu.Lock()
 	defer n.metaMu.Unlock()
-	if req.Renew {
-		// Renewal never moves the fence; it only proves the holder alive.
-		if req.Epoch != n.epoch || req.Holder != n.holder {
-			fail(w, fmt.Errorf("%w: renew epoch %d holder %q, node promised %d to %q",
-				store.ErrStaleEpoch, req.Epoch, req.Holder, n.epoch, n.holder))
-			return
-		}
-		n.renewSeq++
-		writeJSON(w, map[string]uint64{"epoch": n.epoch, "renew_seq": n.renewSeq})
-		return
-	}
 	switch {
-	case req.Epoch > n.epoch:
-		n.epoch, n.holder = req.Epoch, req.Holder
+	case renew && epoch == n.epoch && holder == n.holder:
 		n.renewSeq++
-		if err := n.saveState(); err != nil {
-			fail(w, err)
-			return
-		}
-	case req.Epoch == n.epoch && req.Holder == n.holder && n.holder != "":
-		// Idempotent re-acquire: the grant response was lost.
-	default:
-		fail(w, fmt.Errorf("%w: acquire epoch %d, node promised %d to %q",
-			store.ErrStaleEpoch, req.Epoch, n.epoch, n.holder))
-		return
+		return nil
+	case renew:
+		return fmt.Errorf("%w: renew epoch %d holder %q, node promised %d to %q",
+			store.ErrStaleEpoch, epoch, holder, n.epoch, n.holder)
+	case epoch > n.epoch:
+		n.epoch, n.holder = epoch, holder
+		n.renewSeq++
+		return n.saveState()
+	case epoch == n.epoch && holder == n.holder:
+		return nil
 	}
-	writeJSON(w, map[string]any{"epoch": n.epoch, "holder": n.holder})
+	return fmt.Errorf("%w: acquire epoch %d, node promised %d to %q",
+		store.ErrStaleEpoch, epoch, n.epoch, n.holder)
 }

@@ -46,12 +46,12 @@ func (c *NodeClient) SetFence(t *FenceToken) { c.fence.Store(t) }
 // (idempotent for the same epoch+holder, so a lost grant is safely
 // re-asked); otherwise the call fails with store.ErrStaleEpoch.
 func (c *NodeClient) AcquireLease(epoch uint64, holder string) error {
-	return c.postJSON("/node/v1/meta/lease", leaseReq{Epoch: epoch, Holder: holder})
+	return c.do(kindLease, batchItem{Name: holder, Strip: int64(epoch)}, nil)
 }
 
 // RenewLease bumps the node's renewal counter, proving the holder of
 // epoch is still alive. Fails with store.ErrStaleEpoch once the node
 // has promised a newer epoch — which is how a deposed leader finds out.
 func (c *NodeClient) RenewLease(epoch uint64, holder string) error {
-	return c.postJSON("/node/v1/meta/lease", leaseReq{Epoch: epoch, Holder: holder, Renew: true})
+	return c.do(kindLease, batchItem{Name: holder, Strip: int64(epoch), Size: 1}, nil)
 }

@@ -283,9 +283,8 @@ func TestTornResponsesAreRetried(t *testing.T) {
 	}
 
 	// Every second answer arrives truncated — to a strip message, a blob
-	// read's message or a request for the node's inventory; the codec's
-	// checksums or the JSON decoder must catch each one and the retry loop
-	// absorb it.
+	// read's message or an inventory read's message; the codec's checksum
+	// must catch each one and the retry loop absorb it.
 	ft.SetTorn(2)
 	r := make([]byte, 1024)
 	for i := 0; i < 10; i++ {

@@ -64,9 +64,9 @@ type BlobStat struct {
 	Gen  uint64 `json:"gen"`
 }
 
-// NodeStat is the storage node's inventory, served by GET /node/v1/stat:
-// its devices, its blobs, and its fence — the epoch it has promised, to
-// whom, and the lease-renewal counter a standby watches.
+// NodeStat is the storage node's inventory, the answer to a stat message and
+// to GET /node/v1/stat: its devices, its blobs, and its fence — the epoch it
+// has promised, to whom, and the lease-renewal counter a standby watches.
 type NodeStat struct {
 	Node     string                `json:"node"`
 	Devices  map[string]DeviceStat `json:"devices"`
@@ -321,14 +321,12 @@ func (n *Node) unlockAll() {
 	n.mu.Unlock()
 }
 
-// Handler returns the node's HTTP surface, mounted under /node/v1/: its
-// identity, its inventory and the lease are requests of their own, and every
-// op on a device or a blob is a message on an upgraded stream (stream.go).
+// Handler returns the node's HTTP surface, mounted under /node/v1/: every
+// call a coordinator makes is a message on an upgraded stream (stream.go),
+// and the inventory is also a request of its own, for operators.
 func (n *Node) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /node/v1/ping", n.handlePing)
 	mux.HandleFunc("GET /node/v1/stat", n.handleStat)
-	mux.HandleFunc("POST /node/v1/meta/lease", n.handleMetaLease)
 	mux.HandleFunc("POST "+stripsPath, n.handleStrips)
 	return mux
 }
@@ -338,12 +336,17 @@ func fail(w http.ResponseWriter, err error) {
 	Catalogue.Encode(err).Write(w, err)
 }
 
-func (n *Node) handlePing(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, map[string]string{"node": n.id})
+// handleStat serves the inventory as the stat message carries it: NodeStat's
+// JSON.
+func (n *Node) handleStat(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "application/json")
+	json.NewEncoder(w).Encode(n.stat())
 }
 
-func (n *Node) handleStat(w http.ResponseWriter, r *http.Request) {
+// stat is the node's inventory.
+func (n *Node) stat() NodeStat {
 	n.metaMu.Lock()
+	defer n.metaMu.Unlock()
 	st := NodeStat{
 		Node:     n.id,
 		Devices:  make(map[string]DeviceStat, len(n.geo)),
@@ -358,8 +361,7 @@ func (n *Node) handleStat(w http.ResponseWriter, r *http.Request) {
 	for name, b := range n.blobs {
 		st.Blobs[name] = b.stat()
 	}
-	n.metaMu.Unlock()
-	writeJSON(w, st)
+	return st
 }
 
 func (b *nodeBlob) stat() BlobStat {
@@ -427,7 +429,7 @@ func (n *Node) readStrips(items []batchItem) []byte {
 		size += it.wireSize()
 	}
 	if size > batchMaxBytes {
-		refuse(items, int64(size))
+		refuse(items, overCap(int64(size)))
 		return encodeBatch(kindReadResp, fence{}, items, nil)
 	}
 	// Lay the answer out as if every read will succeed and read each strip
@@ -462,13 +464,17 @@ func (n *Node) readStrips(items []batchItem) []byte {
 	return body
 }
 
-// refuse fails every item of a request whose answer of size bytes would
-// exceed the message cap.
-func refuse(items []batchItem, size int64) {
-	err := fmt.Errorf("%w: an answer of %d bytes exceeds the %d-byte message cap", store.ErrBadGeometry, size, batchMaxBytes)
+// refuse fails every item of a request with err.
+func refuse(items []batchItem, err error) {
 	for i := range items {
 		items[i].verdict(err)
 	}
+}
+
+// overCap is the refusal of a request whose answer of size bytes would exceed
+// the message cap.
+func overCap(size int64) error {
+	return fmt.Errorf("%w: an answer of %d bytes exceeds the %d-byte message cap", store.ErrBadGeometry, size, batchMaxBytes)
 }
 
 // writeStrips answers a write message, whose checksum has verified before
@@ -501,13 +507,19 @@ func (n *Node) writeStrips(f fence, items []batchItem) []byte {
 	return encodeBatch(kindWriteResp, fence{}, items, nil)
 }
 
-// serveItems answers a message of device or blob ops. Each item is checked
-// whole before it acts (checkItem) — an item that does not check changes
-// nothing, the fence included — then done behind the message's fence, and
-// answered in place: with what it read, or with the catalogue code of its
+// serveItems answers a message of device, blob or node ops. Each item is
+// checked whole before it acts (checkItem) — an item that does not check
+// changes nothing, the fence included — then done behind the message's fence,
+// and answered in place: with what it read, or with the catalogue code of its
 // failure. One item's failure does not stop the items after it. A message
-// whose answer would exceed the cap is refused item by item.
+// whose answer would exceed the cap is refused item by item, and so is a
+// ping or an inventory read of more than one item: each item's answer would
+// carry the same bytes again.
 func (n *Node) serveItems(kind byte, f fence, items []batchItem) []byte {
+	if (kind == kindPing || kind == kindStat) && len(items) > 1 {
+		refuse(items, fmt.Errorf("%w: a ping or an inventory read of %d items", store.ErrBadGeometry, len(items)))
+		return encodeBatch(kind+1, fence{}, items, nil)
+	}
 	size := int64(batchHeaderLen + batchTrailer)
 	for i := range items {
 		it := &items[i]
@@ -521,7 +533,7 @@ func (n *Node) serveItems(kind byte, f fence, items []batchItem) []byte {
 		}
 	}
 	if size > batchMaxBytes {
-		refuse(items, size)
+		refuse(items, overCap(size))
 		return encodeBatch(kind+1, fence{}, items, nil)
 	}
 	for i := range items {
@@ -543,7 +555,8 @@ func (n *Node) serveItems(kind byte, f fence, items []batchItem) []byte {
 // checkItem refuses an op no node could do: a generation without the epoch
 // every metadata write carries (DESIGN.md §14), a name that is not one path
 // segment where the op may create, a device geometry the node cannot serve,
-// a negative blob offset or size, a checksum op past its cap. A read past
+// a negative blob offset or size, a checksum op past its cap, a lease without
+// a holder or an epoch, or with a renewal flag other than 0 or 1. A read past
 // the message cap is refused with its whole message (serveItems).
 func checkItem(kind byte, f fence, it *batchItem) error {
 	creates := kind == kindDevCreate || kind == kindBlobCreate || kind == kindBlobWrite || kind == kindBlobTruncate
@@ -564,16 +577,33 @@ func checkItem(kind byte, f fence, it *batchItem) error {
 		if it.Strip < 0 || it.Size < 0 {
 			return fmt.Errorf("%w: offset %d, size %d", store.ErrNegativeOffset, it.Strip, it.Size)
 		}
+	case kindLease:
+		if it.Name == "" || it.Strip == 0 || uint64(it.Size) > 1 {
+			return fmt.Errorf("%w: lease of epoch %d to %q, renewal flag %d", store.ErrBadGeometry, uint64(it.Strip), it.Name, it.Size)
+		}
 	}
 	return nil
 }
 
-// do does one checked device or blob op. A blob's bytes are read and changed
-// under n.metaMu, from the fence check and the generation rule (blobFor) to
-// the end of the op; a create or a delete changes the tables under both
-// locks, behind the fence (change).
+// do does one checked device, blob or node op. A blob's bytes are read and
+// changed under n.metaMu, from the fence check and the generation rule
+// (blobFor) to the end of the op; a create or a delete changes the tables
+// under both locks, behind the fence (change). A ping takes no lock, so the
+// prober's never waits behind a blob's fsync.
 func (n *Node) do(kind byte, f fence, it *batchItem) error {
 	switch kind {
+	case kindPing:
+		it.Payload = []byte(n.id)
+		return nil
+	case kindStat:
+		st, err := json.Marshal(n.stat())
+		if err == nil && len(st) > batchStripMax(it.Name) {
+			err = fmt.Errorf("%w: an inventory of %d bytes does not fit a message", store.ErrBadGeometry, len(st))
+		}
+		it.Payload = st
+		return err
+	case kindLease:
+		return n.lease(it.Name, uint64(it.Strip), it.Size == 1)
 	case kindDevCreate:
 		return n.change(f, func() error { return n.createDevice(it.Name, DeviceStat{Strips: it.Strip, StripBytes: int(it.Size)}) })
 	case kindDevDelete:
@@ -796,11 +826,6 @@ func (n *Node) blobOp(name string, f fence, gen uint64, create bool, op func(sto
 		return err
 	}
 	return op(b)
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
 }
 
 // validName bounds exported names to one path segment of portable

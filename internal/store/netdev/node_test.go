@@ -3,13 +3,14 @@ package netdev
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
-
-	"github.com/oiraid/oiraid/internal/retry"
 )
 
 // op sends it as a message of kind of its own on the stream and returns the
@@ -28,12 +29,13 @@ func (s *rawStream) op(kind byte, f fence, it batchItem) batchItem {
 }
 
 // TestNodeRejectsMalformedRequests sends a memory node and a directory node,
-// on a raw stream, device and blob ops whose names, numbers or geometries the
-// node must refuse, and the lease route a body that does not parse. Each op
-// must be refused alone with its code — bad-geometry, or negative-offset for
-// a negative offset or size — and none may create a device or a blob, stamp
-// a generation, or move the fence, though most carry an epoch above it: an
-// op is checked in full before it acts.
+// on a raw stream, device, blob and lease ops whose names, numbers or
+// geometries the node must refuse. Each op must be refused alone with its
+// code — bad-geometry, or negative-offset for a negative offset or size — and
+// none may create a device or a blob, stamp a generation, or move the fence
+// or the renewal counter, though most carry an epoch above it: an op is
+// checked in full before it acts. A ping, an inventory read or a lease that
+// carries a payload does not decode, and ends its stream (bad-frame).
 func TestNodeRejectsMalformedRequests(t *testing.T) {
 	newDir := func() *Node {
 		n, err := NewDirNode("alpha", t.TempDir())
@@ -47,7 +49,7 @@ func TestNodeRejectsMalformedRequests(t *testing.T) {
 			defer n.Close()
 			srv := httptest.NewServer(n.Handler())
 			defer srv.Close()
-			rejectsMalformedRequests(t, n, openRawStream(t, srv.URL))
+			rejectsMalformedRequests(t, n, srv.URL)
 		})
 	}
 }
@@ -58,9 +60,11 @@ type rawOp struct {
 	it   batchItem
 }
 
-func rejectsMalformedRequests(t *testing.T, n *Node, s *rawStream) {
+func rejectsMalformedRequests(t *testing.T, n *Node, base string) {
+	s := openRawStream(t, base)
 	two, five := fence{epoch: 2, on: true}, fence{epoch: 5, on: true}
 	for _, op := range []rawOp{
+		{kindLease, fence{}, batchItem{Name: "coord-a", Strip: 2}},
 		{kindDevCreate, two, batchItem{Name: "d0", Strip: 4, Size: 512}},
 		{kindBlobCreate, two, batchItem{Name: "b0"}},
 		{kindBlobWrite, two, batchItem{Name: "m0", Gen: 1, Payload: []byte("x")}},
@@ -69,17 +73,7 @@ func rejectsMalformedRequests(t *testing.T, n *Node, s *rawStream) {
 			t.Fatalf("kind %d %s: %s %s", op.kind, op.it.Name, got.Code, got.Msg)
 		}
 	}
-	h := n.Handler()
-	stat := func() NodeStat {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest("GET", "/node/v1/stat", nil))
-		var st NodeStat
-		if err := json.NewDecoder(rec.Body).Decode(&st); err != nil {
-			t.Fatal(err)
-		}
-		return st
-	}
-	stat0 := stat()
+	stat0 := n.stat()
 
 	x := []byte("x")
 	for code, ops := range map[string][]rawOp{
@@ -108,6 +102,14 @@ func rejectsMalformedRequests(t *testing.T, n *Node, s *rawStream) {
 			// Reads past their caps.
 			{kindBlobRead, fence{}, batchItem{Name: "b0", Size: batchMaxBytes}},
 			{kindDevSums, fence{}, batchItem{Name: "d0", Size: sumsMaxStrips + 1}},
+			// Leases without a holder or an epoch, acquired above the
+			// promise or renewed at it, and a renewal flag that is
+			// neither 0 nor 1.
+			{kindLease, fence{}, batchItem{Name: "", Strip: 9}},
+			{kindLease, fence{}, batchItem{Name: "", Strip: 2, Size: 1}},
+			{kindLease, fence{}, batchItem{Name: "coord-b", Strip: 0}},
+			{kindLease, fence{}, batchItem{Name: "coord-b", Strip: 0, Size: 1}},
+			{kindLease, fence{}, batchItem{Name: "coord-a", Strip: 2, Size: 2}},
 		},
 		"negative-offset": {
 			{kindBlobWrite, five, batchItem{Name: "m0", Strip: -1, Gen: 3, Payload: x}},
@@ -125,13 +127,32 @@ func rejectsMalformedRequests(t *testing.T, n *Node, s *rawStream) {
 			}
 		}
 	}
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("POST", "/node/v1/meta/lease", strings.NewReader("not json")))
-	if rec.Code != http.StatusBadRequest || rec.Header().Get(retry.Header) != "bad-geometry" {
-		t.Errorf("a lease that does not parse: %d %q, want 400 bad-geometry", rec.Code, rec.Header().Get(retry.Header))
+	// A ping or an inventory read of two items is refused item by item.
+	for _, kind := range []byte{kindPing, kindStat} {
+		body, err := s.exchange(encodeBatch(kind, fence{}, []batchItem{{}, {}}, nil))
+		if err != nil {
+			t.Fatalf("kind %d of two items: the node ended the stream: %v", kind, err)
+		}
+		got, _, err := decodeBatch(body, kind+1)
+		if err != nil || len(got) != 2 || got[0].Code != "bad-geometry" || got[1].Code != "bad-geometry" || got[0].Payload != nil {
+			t.Errorf("kind %d of two items: %+v, %v; want both bad-geometry, no payload", kind, got, err)
+		}
+	}
+	for _, op := range []rawOp{
+		{kindPing, fence{}, batchItem{Payload: x}},
+		{kindStat, fence{}, batchItem{Payload: x}},
+		{kindLease, fence{}, batchItem{Name: "coord-b", Strip: 9, Payload: x}},
+	} {
+		msg := encodeBatch(op.kind, op.f, []batchItem{op.it}, nil)
+		if _, _, err := decodeBatch(msg, op.kind); !errors.Is(err, ErrBadFrame) || Catalogue.Encode(err).Code != "bad-frame" {
+			t.Errorf("kind %d with a payload decoded: %v, want ErrBadFrame", op.kind, err)
+		}
+		if answer, err := openRawStream(t, base).exchange(msg); err == nil {
+			t.Errorf("kind %d with a payload: answered %d bytes, want the stream ended", op.kind, len(answer))
+		}
 	}
 
-	if st := stat(); !reflect.DeepEqual(st, stat0) {
+	if st := n.stat(); !reflect.DeepEqual(st, stat0) {
 		t.Fatalf("malformed requests changed the node:\n%+v\n-> %+v", stat0, st)
 	}
 }
@@ -188,5 +209,77 @@ func TestNodeDeviceDeleteAndRecreate(t *testing.T) {
 	}
 	if !bytes.Equal(answer[0].Payload, make([]byte, stripBytes)) {
 		t.Fatal("a recreated device serves the deleted device's bytes")
+	}
+}
+
+// TestNodeServesTwoRoutes: a node's HTTP surface is its inventory and the
+// stream's Upgrade. GET /node/v1/stat answers the JSON the stat message
+// carries, with the fields it has always had; the ping and lease routes,
+// and the device and blob routes before them, are gone.
+func TestNodeServesTwoRoutes(t *testing.T) {
+	_, srv := startNode(t, "alpha")
+	c := NewNodeClient(srv.URL, fastOpts())
+	defer c.Close()
+	if _, err := c.CreateDevice("d0", 4, 512); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.CreateBlob("b0"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AcquireLease(3, "coord-a"); err != nil {
+		t.Fatal(err)
+	}
+	msg, err := c.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err := http.Get(srv.URL + "/node/v1/stat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /node/v1/stat: %d, %v", resp.StatusCode, err)
+	}
+	var fields map[string]json.RawMessage
+	var st NodeStat
+	if err := json.Unmarshal(body, &fields); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for k := range fields {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	if want := []string{"blobs", "devices", "epoch", "holder", "node", "renew_seq"}; !reflect.DeepEqual(keys, want) {
+		t.Errorf("GET /node/v1/stat fields %v, want %v", keys, want)
+	}
+	if !reflect.DeepEqual(st, msg) {
+		t.Errorf("GET /node/v1/stat %+v, the stat message %+v", st, msg)
+	}
+
+	for _, rq := range []struct{ method, path string }{
+		{"GET", "/node/v1/ping"},
+		{"POST", "/node/v1/meta/lease"},
+		{"GET", "/node/v1/devices/d0/strips/0"},
+		{"GET", "/node/v1/blobs/b0"},
+	} {
+		req, _ := http.NewRequest(rq.method, srv.URL+rq.path, strings.NewReader(`{"epoch":9,"holder":"coord-b"}`))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound && resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Errorf("%s %s: %d, want 404 or 405", rq.method, rq.path, resp.StatusCode)
+		}
+	}
+	if after, err := c.Stat(); err != nil || after.Epoch != 3 || after.Holder != "coord-a" {
+		t.Errorf("after the old lease route: %+v, %v; want epoch 3 held by coord-a", after, err)
 	}
 }

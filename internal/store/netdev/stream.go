@@ -18,23 +18,24 @@ import (
 	"github.com/oiraid/oiraid/internal/store"
 )
 
-// A coordinator's device and blob traffic to a node — strips, creates,
-// deletes, checksums, superblock and journal reads and writes — rides a few
-// long-lived streams instead of one HTTP request per op (DESIGN.md §13). A
-// stream is one HTTP Upgrade of the node's stream route to oiraid-strips/4:
-// the node answers 101 and takes the connection over, which then carries
-// request messages of the batch codec (batch.go) one way and their answers
-// the other, in order, one in flight at a time. What a request costs —
-// headers, routing, a pooled connection — is paid once per stream; a message
-// is one write and one read. The version in the token is the codec's, so a
-// node and a client of different versions refuse each other (ErrNoUpgrade).
+// Everything a coordinator sends a node — strips, creates, deletes,
+// checksums, superblock and journal reads and writes, pings, inventory reads,
+// leases — rides a few long-lived streams instead of one HTTP request per op
+// (DESIGN.md §13). A stream is one HTTP Upgrade of the node's stream route to
+// oiraid-strips/5: the node answers 101 and takes the connection over, which
+// then carries request messages of the batch codec (batch.go) one way and
+// their answers the other, in order, one in flight at a time. What a request
+// costs — headers, routing, a pooled connection — is paid once per stream; a
+// message is one write and one read. The version in the token is the codec's,
+// so a node and a client of different versions refuse each other
+// (ErrNoUpgrade).
 //
 // Each message is one attempt of NodeClient.send, which keeps deadlines,
-// retry, the breaker and the grace classification where every other call has
-// them. A stream that fails an attempt is torn down, not repaired: after a
-// deadline — the attempt's, or the caller's cutting the exchange — an EOF or
-// an answer that does not decode, where the next message would start on the
-// wire is unknown.
+// retry, the breaker and the grace classification in one place — the
+// prober's ping alone is one attempt outside it. A stream that fails an
+// attempt is torn down, not repaired: after a deadline — the attempt's, or
+// the caller's cutting the exchange — an EOF or an answer that does not
+// decode, where the next message would start on the wire is unknown.
 const stripsPath = "/node/v1/strips"
 
 var stripsProto = "oiraid-strips/" + strconv.Itoa(batchVersion)
@@ -123,30 +124,31 @@ type streamPool struct {
 // stack over client and node together, an idle keep-alive connection 42.
 const maxIdleStreams = 8
 
-// send is one message through the retry loop under ctx. Each attempt takes
-// a stream, writes msg and hands the answer to apply. A stream that fails an
-// attempt is dropped along with the idle ones (all lead to the same node,
-// which may have restarted under them) and the next attempt dials afresh; an
-// error of apply's that is not ErrBadFrame — a retryable item verdict —
-// leaves the stream in the pool.
+// send is one message through the retry loop under ctx, each try an attempt.
 func (c *NodeClient) send(ctx context.Context, msg []byte, apply func(answer []byte) error) error {
-	sent := &c.stats.msgs[msg[5]/2]
-	return c.run(ctx, func(ctx context.Context) (time.Duration, bool, error) {
-		s, retryAfter, retryable, err := c.take(ctx)
-		if err != nil {
-			return retryAfter, retryable, err
+	return c.run(ctx, func(ctx context.Context) (time.Duration, bool, error) { return c.attempt(ctx, msg, apply) })
+}
+
+// attempt takes a stream, writes msg and hands the answer to apply. A stream
+// that fails it is dropped along with the idle ones (all lead to the same
+// node, which may have restarted under them) and the next attempt dials
+// afresh; an error of apply's that is not ErrBadFrame — a retryable item
+// verdict — leaves the stream in the pool.
+func (c *NodeClient) attempt(ctx context.Context, msg []byte, apply func(answer []byte) error) (retryAfter time.Duration, retryable bool, err error) {
+	s, retryAfter, retryable, err := c.take(ctx)
+	if err != nil {
+		return retryAfter, retryable, err
+	}
+	c.stats.msgs[msg[5]/2].Add(1)
+	answer, err := c.exchange(ctx, s, msg)
+	if err == nil {
+		if err = apply(answer); !errors.Is(err, ErrBadFrame) {
+			c.put(s)
+			return 0, err != nil, err
 		}
-		sent.Add(1)
-		answer, err := c.exchange(ctx, s, msg)
-		if err == nil {
-			if err = apply(answer); !errors.Is(err, ErrBadFrame) {
-				c.put(s)
-				return 0, err != nil, err
-			}
-		}
-		c.drop(s)
-		return 0, true, err
-	})
+	}
+	c.drop(s)
+	return 0, true, err
 }
 
 // cuts reports whether an exchange or a dial under ctx must watch it. The
@@ -236,10 +238,10 @@ func (c *NodeClient) endStreams() {
 
 // dial opens a stream: one Upgrade of the stream route, through the client's
 // transport, whose 101 answer hands the connection over. The open is bounded
-// by the attempt deadline like any request, and Close cancels it, as does
-// the end of the caller's context (see cuts); a refusal is classified by the
-// catalogue, a node that answers anything but 101 is ErrNoUpgrade, and a
-// transport failure is a wire fault.
+// by the attempt deadline, and Close cancels it, as does the end of the
+// caller's context (see cuts); a refusal is classified by the catalogue, a
+// node that answers anything but 101 is ErrNoUpgrade, and a transport failure
+// is a wire fault.
 func (c *NodeClient) dial(caller context.Context) (*stream, time.Duration, bool, error) {
 	ctx, cancel := context.WithTimeout(c.done, c.opts.Timeout)
 	defer cancel()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -385,12 +386,15 @@ func TestStreamShutdown(t *testing.T) {
 }
 
 // TestStripRouteWantsUpgrade: a request to the strip route that does not ask
-// for the upgrade, or asks for the codec's previous version, is answered 426,
-// with the Upgrade it takes and the catalogue's code, which the client
-// decodes into ErrNoUpgrade.
+// for the upgrade, or asks for one of the codec's previous versions, is
+// answered 426, with the Upgrade it takes and the catalogue's code, which the
+// client decodes into ErrNoUpgrade.
 func TestStripRouteWantsUpgrade(t *testing.T) {
 	_, srv := startNode(t, "n0")
-	for _, upgrade := range []string{"", "oiraid-strips/3"} {
+	if stripsProto != "oiraid-strips/5" {
+		t.Fatalf("the stream's Upgrade token is %q, want oiraid-strips/5", stripsProto)
+	}
+	for _, upgrade := range []string{"", "oiraid-strips/3", "oiraid-strips/4"} {
 		req, err := http.NewRequest("POST", srv.URL+stripsPath, bytes.NewReader(encodeBatch(kindReadReq, fence{}, nil, nil)))
 		if err != nil {
 			t.Fatal(err)
@@ -416,29 +420,41 @@ func TestStripRouteWantsUpgrade(t *testing.T) {
 
 // TestDialNodeWithoutUpgrade: a node that answers the upgrade with anything
 // but 101 — one older than the upgraded streams answers 200 and holds its
-// response open — fails the op with ErrNoUpgrade well within the attempt
-// deadline, without a retry and without marking the node down.
+// response open, one of codec v4 answers a v5 token 426 — fails the op, a
+// strip read or a ping, with ErrNoUpgrade well within the attempt deadline,
+// without a retry and without marking the node down.
 func TestDialNodeWithoutUpgrade(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != stripsPath {
-			NewMemNode("n0").Handler().ServeHTTP(w, r)
-			return
-		}
-		w.WriteHeader(http.StatusOK)
-		w.(http.Flusher).Flush()
-		<-r.Context().Done()
-	}))
-	defer srv.Close()
-	opts := fastOpts()
-	opts.Timeout = 2 * time.Second
-	c := NewNodeClient(srv.URL, opts)
-	defer c.Close()
-	t0 := time.Now()
-	err := c.Device("d0", 4, 512).ReadStrip(0, make([]byte, 512))
-	if took := time.Since(t0); !errors.Is(err, ErrNoUpgrade) || took > opts.Timeout/2 {
-		t.Fatalf("read from a node that does not upgrade: %v after %v, want ErrNoUpgrade well within %v", err, took, opts.Timeout)
+	nodes := map[string]http.HandlerFunc{
+		"no streams": func(w http.ResponseWriter, r *http.Request) {
+			w.WriteHeader(http.StatusOK)
+			w.(http.Flusher).Flush()
+			<-r.Context().Done()
+		},
+		"codec v4": func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Upgrade", "oiraid-strips/4")
+			fail(w, fmt.Errorf("%w: %s takes Upgrade: oiraid-strips/4", ErrNoUpgrade, stripsPath))
+		},
 	}
-	if st := c.Stats(); st.Attempts != 1 || st.StreamOpens != 0 || c.Down() {
-		t.Errorf("%+v (down %v): want one attempt, no stream, the node up", st, c.Down())
+	for name, node := range nodes {
+		srv := httptest.NewServer(node)
+		defer srv.Close()
+		opts := fastOpts()
+		opts.Timeout = 2 * time.Second
+		c := NewNodeClient(srv.URL, opts)
+		defer c.Close()
+		for op, call := range map[string]func() error{
+			"read": func() error { return c.Device("d0", 4, 512).ReadStrip(0, make([]byte, 512)) },
+			"ping": c.Ping,
+		} {
+			attempts := c.Stats().Attempts
+			t0 := time.Now()
+			err := call()
+			if took := time.Since(t0); !errors.Is(err, ErrNoUpgrade) || took > opts.Timeout/2 {
+				t.Fatalf("%s, %s: %v after %v, want ErrNoUpgrade well within %v", name, op, err, took, opts.Timeout)
+			}
+			if st := c.Stats(); st.Attempts != attempts+1 || st.StreamOpens != 0 || c.Down() {
+				t.Errorf("%s, %s: %+v (down %v): want one attempt, no stream, the node up", name, op, st, c.Down())
+			}
+		}
 	}
 }

@@ -48,7 +48,7 @@ var rootContexts = map[string]string{
 	"internal/store/batch.go var unbounded":         "the array's writes and its own reads, which no caller bounds",
 	"internal/store/retry.go do":                    "RetryDevice wraps local devices only and keeps its policy's budget",
 	"internal/store/netdev/client.go NewNodeClient": "the client's done root, which Close ends",
-	"internal/store/netdev/fault.go openStream":     "a fault stream's own context, which its Close ends",
+	"internal/store/netdev/fault.go RoundTrip":      "a fault stream's own context, which its Close ends",
 }
 
 // TestNoStrayRootContexts fails on a context.Background or context.TODO in

@@ -18,11 +18,13 @@ test:
 # caller's context cutting the exchange and Close, among blob ops and lease
 # renewals sharing a node's streams, in the prober's ping taking a stream
 # beside them, in a node's strip reads landing in place in the answer it
-# checksums, or in a hedged read's cancelled loser and the reaper that waits
-# for it, which one pass may not interleave.
+# checksums, in a node's device error landing on its op while a remote disk
+# is evicted and healed beside its local twin, or in a hedged read's
+# cancelled loser and the reaper that waits for it, which one pass may not
+# interleave.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=5 -run 'Stream|Blob|Batch|CloseInBenchOrder|NodeRestart|Deadline|Cancel|CloseDoesNotWait|Lease|Meta|Prober|WrongNode|Grace' ./internal/store/netdev ./internal/cluster
+	$(GO) test -race -count=5 -run 'Stream|Blob|Batch|CloseInBenchOrder|NodeRestart|Deadline|Cancel|CloseDoesNotWait|Lease|Meta|Prober|WrongNode|Grace|DeviceError|SickDisk' ./internal/store/netdev ./internal/cluster
 	$(GO) test -race -count=5 -run 'Deadline|Cancel' ./internal/engine ./internal/server
 
 # Short coverage-guided smoke over every fuzz target of the module: the

@@ -695,8 +695,8 @@ func remoteHealth(ctx context.Context, c *server.Client, w io.Writer) error {
 	fmt.Fprintf(w, "quarantines: %d entered, %d released, %d escalated to eviction\n",
 		h.Quarantines, h.QuarantineReleases, h.QuarantineEscalations)
 	for _, d := range h.Disks {
-		fmt.Fprintf(w, "disk %2d  %-11s ops %-8d errors %-4d transient %-4d absorbed %-4d corrupt %-4d slow %-4d quar %-3d mean %.1fµs p99 %.1fµs\n",
-			d.Disk, d.State, d.Ops, d.Errors, d.TransientErrors, d.RetriesAbsorbed,
+		fmt.Fprintf(w, "disk %2d  %-11s ops %-8d errors %-4d transient %-4d corrupt %-4d slow %-4d quar %-3d mean %.1fµs p99 %.1fµs\n",
+			d.Disk, d.State, d.Ops, d.Errors, d.TransientErrors,
 			d.CorruptReads, d.SlowOps, d.Quarantines, d.MeanLatencyUs, d.P99LatencyUs)
 	}
 	return nil

@@ -159,10 +159,11 @@ func buildClusterServer(cfg config, ccfg clusterConfig) (*server.Server, *cluste
 	return srv, c, nil
 }
 
-// engineOpts derives engine options from the shared flag set. It leaves
-// Retry unset: the single-process path adds a device retry layer on top,
-// while the coordinator relies on the NetDevice's own wire retries
-// (netdev.Options.MaxAttempts) — stacking both would multiply attempts.
+// engineOpts derives engine options from the shared flag set, the same for
+// a single-process daemon and a coordinator. Neither retries a device op:
+// a device's error is its disk's, counted by the health policy, and only a
+// coordinator's wire faults are retried, by the node client
+// (netdev.Options.MaxAttempts, -retry).
 func engineOpts(cfg config) engine.Options {
 	opts := engine.Options{Workers: cfg.workers}
 	if cfg.evictAfter > 0 || cfg.hedgeMult > 0 || cfg.quarSlowFrac > 0 {

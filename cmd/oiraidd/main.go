@@ -43,7 +43,7 @@ type config struct {
 	degraded string // beyond-tolerance policy: "", "refuse", "read-only", "partial"
 
 	// Self-healing knobs.
-	retries    int           // per-device retry attempts for transient errors (0: no retry layer)
+	retries    int           // coordinator: attempts per node message on a wire fault (0: netdev default)
 	evictAfter int64         // hard errors before auto-eviction (0: no auto-heal)
 	spares     int           // hot spares registered at boot
 	slowOp     time.Duration // latency above which an op counts as slow (0: off)
@@ -79,11 +79,8 @@ func buildServer(cfg config) (*server.Server, error) {
 	}
 	var arr *oiraid.Array
 	// engineOpts (shared with the cluster coordinator) covers health and
-	// QoS; the local-device path adds the retry layer on top.
+	// QoS.
 	opts := engineOpts(cfg)
-	if cfg.retries > 0 {
-		opts.Retry = &store.RetryPolicy{MaxAttempts: cfg.retries}
-	}
 	if cfg.dir != "" {
 		mnt, err := openDurableArray(g, cfg)
 		if err != nil {
@@ -180,7 +177,7 @@ func main() {
 	flag.Int64Var(&cfg.batch, "rebuild-batch", 1, "layout cycles per rebuild grant, each rebuilt under its own cycle lock")
 	flag.DurationVar(&cfg.timeout, "timeout", 30*time.Second, "per-request timeout")
 	flag.StringVar(&cfg.degraded, "degraded-policy", "", "beyond-tolerance serving policy: refuse, read-only, or partial (empty: refuse / superblock's word)")
-	flag.IntVar(&cfg.retries, "retry", 4, "device retry attempts for transient errors (0: disable)")
+	flag.IntVar(&cfg.retries, "retry", 4, "attempts per node message on a wire fault, coordinator only: a single-process daemon retries no device op (0: netdev default)")
 	flag.Int64Var(&cfg.evictAfter, "evict-after", 3, "hard device errors before auto-eviction (0: disable auto-heal)")
 	flag.IntVar(&cfg.spares, "spares", 0, "hot spares to register at boot")
 	flag.DurationVar(&cfg.slowOp, "slow-op", 0, "latency above which a device op counts as slow (0: off)")

@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -303,6 +305,137 @@ func TestClusterNodeLostHealsOntoSurvivors(t *testing.T) {
 	// adopt() resets counters when replacements take over).
 	if !sawUnreachable {
 		t.Fatalf("no unreachable errors recorded during partition")
+	}
+}
+
+// sickDisk fails every read of its device strip 0 with the raw error a
+// directory node's pread returns for a bad sector.
+type sickDisk struct{ store.Device }
+
+func (d sickDisk) ReadStrip(idx int64, p []byte) error {
+	if idx == 0 {
+		return fmt.Errorf("pread: %w", syscall.EIO)
+	}
+	return d.Device.ReadStrip(idx, p)
+}
+
+// TestClusterSickDiskLikeLocal: a disk whose device fails reads of one strip
+// is the same disk behind a storage node as in a local array. The same
+// writes fail on both, the health monitor evicts that disk once and heals
+// it, the reads that follow are bit-identical, and the node serving the
+// disk — reachable throughout — is never marked down.
+func TestClusterSickDiskLikeLocal(t *testing.T) {
+	const writes = 288
+	an, err := analyzerFor(9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	strips := 2 * int64(an.SlotsPerDisk())
+	sick := func() store.Device {
+		mem, err := store.NewMemDevice(strips, 512)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sickDisk{mem}
+	}
+	pattern := func(i int) []byte {
+		p := make([]byte, 512)
+		for j := range p {
+			p[j] = byte(i*7 + j*13)
+		}
+		return p
+	}
+	// drive writes each strip once, waits for the heal, and reads every
+	// strip back: a strip whose write succeeded must read what was written.
+	drive := func(name string, eng *engine.Engine) (failed []int, reads [][]byte) {
+		if eng.Strips() != writes {
+			t.Fatalf("%s: %d strips, want %d", name, eng.Strips(), writes)
+		}
+		var first error
+		for i := 0; i < writes; i++ {
+			if err := eng.WriteStrip(int64(i), pattern(i)); err != nil {
+				if first == nil {
+					first = err
+				}
+				failed = append(failed, i)
+				// The monitor queues an eviction and the healer takes the
+				// disk out later. Wait for it, or how many more writes reach
+				// the sick disk first is a matter of timing.
+				deadline := time.Now().Add(5 * time.Second)
+				for st := eng.Stats(); st.Evictions > 0 && st.AutoRebuilds == 0 && !slices.Contains(eng.Status().Failed, 0); st = eng.Stats() {
+					if time.Now().After(deadline) {
+						t.Fatalf("%s: eviction never acted on: %+v", name, st)
+					}
+					time.Sleep(time.Millisecond)
+				}
+			}
+		}
+		deadline := time.Now().Add(15 * time.Second)
+		for st := eng.Status(); st.Evictions < 1 || len(st.Failed) > 0 || st.Rebuilding; st = eng.Status() {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: self-heal incomplete after %d of %d writes failed (first: %v): %+v", name, len(failed), writes, first, st)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		for i := 0; i < writes; i++ {
+			got, err := eng.ReadStrip(int64(i))
+			if err != nil {
+				t.Fatalf("%s: read strip %d: %v", name, i, err)
+			}
+			if !slices.Contains(failed, i) && !bytes.Equal(got, pattern(i)) {
+				t.Fatalf("%s: strip %d differs from what was written", name, i)
+			}
+			reads = append(reads, got)
+		}
+		if st := eng.Status(); st.Evictions != 1 || len(st.Down) != 0 {
+			t.Errorf("%s: %d evictions, down %v; want 1 eviction, none down", name, st.Evictions, st.Down)
+		}
+		return failed, reads
+	}
+
+	tc := newTestCluster(t, 7)
+	// Format creates disk00 on alpha idempotently, so the sick device
+	// registered first is the one it adopts.
+	tc.nodes[0].AddDevice("disk00", sick())
+	c, err := Open(tc.options(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	remoteFailed, remoteReads := drive("cluster", c.Eng)
+	if st := c.Client("alpha").Stats(); st.Downs != 0 {
+		t.Errorf("alpha marked down %d time(s) for its disk's error", st.Downs)
+	}
+
+	devs := make([]store.Device, an.Disks())
+	sbs := make([]store.Blob, an.Disks())
+	for d := range devs {
+		if d == 0 {
+			devs[d] = sick()
+		} else if devs[d], err = store.NewMemDevice(strips, 512); err != nil {
+			t.Fatal(err)
+		}
+		sbs[d] = store.NewMemBlob()
+	}
+	mnt, err := store.FormatArray(an, devs, sbs, store.NewMemBlob(), store.NewMemBlob())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := engine.New(mnt.Array, tc.options(7).Engine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	localFailed, localReads := drive("local", eng)
+
+	t.Logf("failed writes: cluster %v, local %v", remoteFailed, localFailed)
+	if len(localFailed) == 0 || !slices.Equal(remoteFailed, localFailed) {
+		t.Errorf("failed writes: cluster %v, local %v; want the same, not none", remoteFailed, localFailed)
+	}
+	for i := range localReads {
+		if !bytes.Equal(remoteReads[i], localReads[i]) {
+			t.Errorf("strip %d reads differently from the cluster and the local array", i)
+		}
 	}
 }
 

@@ -134,7 +134,8 @@ func runDegradationSweep(t *testing.T, seed int64) {
 	}
 
 	// Phase 0 — torn responses on alpha plus a slow burst on beta: the
-	// retry layer must absorb both without any durability consequence.
+	// node clients' wire retry must absorb both without any durability
+	// consequence.
 	tc.faults["alpha"].SetTorn(7)
 	tc.faults["beta"].SetDelay(2 * time.Millisecond)
 	time.Sleep(200 * time.Millisecond)

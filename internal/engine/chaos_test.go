@@ -67,54 +67,6 @@ func chaosPattern(stripBytes int, addr int64, seq int) []byte {
 	return p
 }
 
-// TestChaosTransientAbsorbed: a workload over disks injecting transient
-// faults at a steady rate completes without surfaced errors or evictions —
-// the retry layer absorbs everything — and the final contents are
-// bit-identical to the fault-free oracle.
-func TestChaosTransientAbsorbed(t *testing.T) {
-	e, faults := newChaosEngine(t, 9, 2, Options{
-		Workers: 4,
-		Retry:   &store.RetryPolicy{MaxAttempts: 6, BaseDelay: 20 * time.Microsecond, Seed: 5},
-		Health:  &HealthPolicy{EvictAfter: 3},
-	})
-	for _, f := range faults {
-		f.SetTransientRate(0.05)
-	}
-	oracle := make(map[int64][]byte)
-	for seq := 0; seq < 4; seq++ {
-		for addr := int64(0); addr < e.Strips(); addr++ {
-			p := chaosPattern(e.StripBytes(), addr, seq)
-			if err := e.WriteStrip(addr, p); err != nil {
-				t.Fatalf("write strip %d seq %d: %v", addr, seq, err)
-			}
-			oracle[addr] = p
-		}
-	}
-	for addr, want := range oracle {
-		got, err := e.ReadStrip(addr)
-		if err != nil {
-			t.Fatalf("read strip %d: %v", addr, err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("strip %d differs from oracle", addr)
-		}
-	}
-	st := e.Stats()
-	if st.Evictions != 0 {
-		t.Fatalf("transient-only faults must not evict: %+v", st)
-	}
-	if st.RetriesAbsorbed == 0 {
-		t.Fatalf("retry layer absorbed nothing (rate too low for workload?): %+v", st)
-	}
-	var injected int64
-	for _, f := range faults {
-		injected += f.Stats().Transient
-	}
-	if injected == 0 {
-		t.Fatal("no transient faults were injected")
-	}
-}
-
 // TestChaosPermanentEvictsAndHeals is the headline chaos scenario: under a
 // concurrent -race workload one disk turns permanently failed mid-stream.
 // The health monitor must evict it without operator action, adopt a device
@@ -124,7 +76,6 @@ func TestChaosPermanentEvictsAndHeals(t *testing.T) {
 	const victim = 3
 	e, faults := newChaosEngine(t, 9, 2, Options{
 		Workers: 4,
-		Retry:   &store.RetryPolicy{MaxAttempts: 3, BaseDelay: 20 * time.Microsecond, Seed: 11},
 		Health:  &HealthPolicy{EvictAfter: 2},
 	})
 	spare, err := store.NewMemDevice(e.arr.Cycles()*int64(e.an.SlotsPerDisk()), testStrip)

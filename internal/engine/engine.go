@@ -53,9 +53,6 @@ type Options struct {
 	// rebuild starts, after the hot-spare pool (AddSpare) is exhausted.
 	// Default: a fresh in-memory device of array geometry.
 	Replace func(disk int) (store.Device, error)
-	// Retry, when set, wraps every device with a bounded retry/backoff
-	// policy so transient faults are absorbed below the array.
-	Retry *store.RetryPolicy
 	// Health, when set, activates auto-eviction: a disk accumulating hard
 	// errors past the policy threshold is failed, a spare (or Replace
 	// device) is adopted, and a background rebuild runs — no operator
@@ -119,12 +116,9 @@ type Engine struct {
 
 	// Self-healing state: the monitor observes every device op as the
 	// array's observer; the healer goroutine consumes its evictions.
-	mon       *monitor
-	retryPol  *store.RetryPolicy
-	retryMu   sync.Mutex
-	retryDevs []*store.RetryDevice
-	spareMu   sync.Mutex
-	spares    []SpareProvider
+	mon     *monitor
+	spareMu sync.Mutex
+	spares  []SpareProvider
 
 	// hedgeWg tracks the cleanup goroutines that reap losing hedge
 	// branches so Close can drain them.
@@ -204,12 +198,8 @@ func New(arr *store.Array, opts Options) (*Engine, error) {
 	e.recomputeModeLocked()
 	e.mode.Unlock()
 	e.goLoop(e.scrubLoop)
-	e.retryPol = opts.Retry
-	e.retryDevs = make([]*store.RetryDevice, an.Disks())
-	// The monitor sees the array's view of each disk from the first op, and
-	// every device access goes through the retry policy.
+	// The monitor sees the array's view of each disk from the first op.
 	arr.SetObserver(e.mon.observe)
-	arr.InstrumentDevices(e.wrapDevice)
 	if opts.Health != nil {
 		e.goLoop(e.healLoop)
 		e.goLoop(e.tailLoop)
@@ -700,7 +690,7 @@ func (e *Engine) attachReplacements() error {
 			}
 		}
 		e.mon.adopt(d)
-		if err := e.arr.ReplaceDisk(d, e.wrapDevice(d, dev)); err != nil {
+		if err := e.arr.ReplaceDisk(d, dev); err != nil {
 			return err
 		}
 		// The slot now holds a fresh device: a stale down-mark from the old

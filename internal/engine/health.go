@@ -21,9 +21,9 @@ import (
 // HealthPolicy tunes auto-eviction, auto-rebuild, and the tail-tolerance
 // layer (hedged reads and slow-disk quarantine).
 type HealthPolicy struct {
-	// EvictAfter is the count of hard device errors (permanent errors, or
-	// transient errors that survived the retry policy) at which the disk
-	// is auto-evicted (default 3).
+	// EvictAfter is the count of hard device errors (DiskHealth.Errors) at
+	// which the disk is auto-evicted (default 3), the same for a local
+	// device and one behind a storage node.
 	EvictAfter int64 `json:"evict_after"`
 	// SlowOp, when positive, counts operations at least this slow toward
 	// the per-disk slow-op counter. It is also the slowness criterion the
@@ -100,8 +100,9 @@ type DiskHealth struct {
 	State string `json:"state"`
 	// Ops counts device operations (reads + writes) admitted to the disk.
 	Ops int64 `json:"ops"`
-	// Errors counts hard errors: permanent errors plus transient errors
-	// that exhausted the retry policy.
+	// Errors counts hard errors: every device error that is not a fault
+	// of its path, a checksum failure or a refusal of the op itself
+	// (range, buffer, closed, fenced, cancelled), local or remote alike.
 	Errors int64 `json:"errors"`
 	// TransientErrors counts the subset of Errors that were transient.
 	TransientErrors int64 `json:"transient_errors"`
@@ -109,9 +110,6 @@ type DiskHealth struct {
 	// the device (a storage node, a network link) was down. They do not
 	// count toward Errors or eviction — the device is presumed healthy.
 	UnreachableErrors int64 `json:"unreachable_errors"`
-	// RetriesAbsorbed counts transient faults the retry policy hid from
-	// the array (zero when no retry policy is configured).
-	RetriesAbsorbed int64 `json:"retries_absorbed"`
 	// CorruptReads counts checksum failures (healed by read repair).
 	CorruptReads int64 `json:"corrupt_reads"`
 	// SlowOps counts operations slower than the policy's SlowOp bound.
@@ -382,22 +380,6 @@ func (e *Engine) takeSpare() (SpareProvider, bool) {
 	return p, true
 }
 
-// wrapDevice layers the configured retry policy, if any, around a backing
-// device for disk d. Every device the engine attaches — the originals, pool
-// spares, auto-provisioned replacements, migration destinations — goes
-// through it; the monitor needs no wrapper, it observes every disk's ops
-// through the array.
-func (e *Engine) wrapDevice(d int, dev store.Device) store.Device {
-	if e.retryPol == nil {
-		return dev
-	}
-	rd := store.NewRetryDevice(dev, *e.retryPol)
-	e.retryMu.Lock()
-	e.retryDevs[d] = rd
-	e.retryMu.Unlock()
-	return rd
-}
-
 // Health returns the engine's health snapshot.
 func (e *Engine) Health() HealthReport {
 	failed := e.arr.FailedDisks()
@@ -417,7 +399,6 @@ func (e *Engine) Health() HealthReport {
 		pol := e.mon.pol
 		rep.Policy = &pol
 	}
-	retries, _ := e.retriesAbsorbed()
 	for d := range rep.Disks {
 		c := &e.mon.disks[d]
 		h := DiskHealth{
@@ -427,7 +408,6 @@ func (e *Engine) Health() HealthReport {
 			Errors:            c.errors.Load(),
 			TransientErrors:   c.transient.Load(),
 			UnreachableErrors: c.unreachable.Load(),
-			RetriesAbsorbed:   retries[d],
 			CorruptReads:      c.corrupt.Load(),
 			SlowOps:           c.slow.Load(),
 			Quarantines:       c.quarantines.Load(),
@@ -450,21 +430,6 @@ func (e *Engine) Health() HealthReport {
 		rep.Disks[d] = h
 	}
 	return rep
-}
-
-// retriesAbsorbed returns, per disk and in total, the transient faults
-// the retry policy hid from the array (all zero without a policy).
-func (e *Engine) retriesAbsorbed() (perDisk []int64, total int64) {
-	e.retryMu.Lock()
-	defer e.retryMu.Unlock()
-	perDisk = make([]int64, len(e.retryDevs))
-	for d, rd := range e.retryDevs {
-		if rd != nil {
-			perDisk[d] = rd.Stats().Absorbed
-			total += perDisk[d]
-		}
-	}
-	return perDisk, total
 }
 
 // healLoop is the self-healing goroutine: it consumes eviction requests

@@ -58,8 +58,7 @@ func (e *Engine) AbortMigration(d int) error {
 // foreground operation drained, none can start, so the mirror's dirty set
 // is final) it re-copies the dirty strips, runs finish — the caller's
 // last-mile work: cloning the superblock to the destination, committing
-// the new placement — and then swaps disk d's device to dev, wrapped with
-// the engine's retry policy like any attached device. If the
+// the new placement — and then swaps disk d's device to dev. If the
 // drain or finish fails the mirror stays installed and the source remains
 // authoritative.
 func (e *Engine) CompleteMigration(d int, dev store.Device, finish func() error) error {
@@ -73,7 +72,7 @@ func (e *Engine) CompleteMigration(d int, dev store.Device, finish func() error)
 			return err
 		}
 	}
-	if err := e.arr.SwapDisk(d, e.wrapDevice(d, dev)); err != nil {
+	if err := e.arr.SwapDisk(d, dev); err != nil {
 		return err
 	}
 	e.qos.hold(passCopy, -1)

@@ -76,9 +76,6 @@ type Stats struct {
 	// engine locks (cycle and striped locks plus deep-degraded escalation),
 	// each wait counted from its operation's start.
 	LockWaitNs int64
-	// RetriesAbsorbed counts transient device faults hidden by the retry
-	// policy across all disks.
-	RetriesAbsorbed int64
 	// Evictions counts disks auto-evicted by the health policy.
 	Evictions int64
 	// AutoRebuilds counts rebuilds launched by the self-healing loop.
@@ -135,7 +132,6 @@ type Stats struct {
 // Stats returns a snapshot of the engine and array counters.
 func (e *Engine) Stats() Stats {
 	io := e.arr.Stats()
-	_, absorbed := e.retriesAbsorbed()
 	q := e.qos.snapshot()
 	return Stats{
 		Reads:           e.stats.reads.Load(),
@@ -148,7 +144,6 @@ func (e *Engine) Stats() Stats {
 		DeviceWrites:    io.WriteOps,
 		RebuildBatches:  q.Grants.Rebuild,
 		LockWaitNs:      e.stats.lockWaitNs.Load(),
-		RetriesAbsorbed: absorbed,
 		Evictions:       e.mon.evictions.Load(),
 		AutoRebuilds:    e.mon.autoRebuilds.Load(),
 		SparesAvailable: int64(e.SpareCount()),

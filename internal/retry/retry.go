@@ -1,9 +1,10 @@
 // Package retry is the one wire edge every remote caller in the tree
 // shares: a retry policy, one backoff law (full jitter, honouring a
 // server-supplied retry-after), one circuit breaker, one retry loop, and
-// the error catalogue whose Retryable column feeds that loop. Its callers
-// are store.RetryDevice, server.Client and netdev.NodeClient; it imports
-// nothing from the rest of the tree.
+// the error catalogue whose Retryable column feeds that loop. Its two
+// callers, server.Client and netdev.NodeClient, are both wire edges: only a
+// fault of the wire is retried, and nothing below the array retries a
+// device's own error. It imports nothing from the rest of the tree.
 package retry
 
 import (

@@ -56,7 +56,6 @@ func newFaultyServer(t testing.TB) (*Client, []*store.FaultDevice) {
 	arr.SetJournal(journal)
 	eng, err := engine.New(arr, engine.Options{
 		Workers: 4,
-		Retry:   &store.RetryPolicy{MaxAttempts: 3, BaseDelay: 20 * time.Microsecond},
 		Health:  &engine.HealthPolicy{EvictAfter: 2},
 	})
 	if err != nil {

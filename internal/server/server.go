@@ -419,7 +419,6 @@ func (s *Server) metrics(w http.ResponseWriter, r *http.Request) {
 		{"oiraid_engine_device_writes_total", st.DeviceWrites},
 		{"oiraid_engine_rebuild_batches_total", st.RebuildBatches},
 		{"oiraid_engine_lock_wait_ns_total", st.LockWaitNs},
-		{"oiraid_engine_retries_absorbed_total", st.RetriesAbsorbed},
 		{"oiraid_engine_evictions_total", st.Evictions},
 		{"oiraid_engine_auto_rebuilds_total", st.AutoRebuilds},
 		{"oiraid_engine_spares_available", st.SparesAvailable},

@@ -90,8 +90,8 @@ type Array struct {
 	an  *core.Analyzer
 	sch layout.Scheme
 
-	// A disk is one device — a leaf, or an opaque wrapper such as the
-	// engine's retry layer — plus the per-disk state the array keeps beside
+	// A disk is one device — a leaf, or an opaque wrapper such as a fault
+	// injector — plus the per-disk state the array keeps beside
 	// it and the steps it runs after every op (batch.go).
 	devs       []Device
 	replaced   []Device  // replacement device for rebuilt disks, nil otherwise
@@ -349,9 +349,9 @@ func (a *Array) failedListLocked() []int {
 }
 
 // InstrumentDevices replaces every attached device (including any
-// replacement already attached) with wrap(disk, device) — the hook the
-// engine interposes its retry layer through. The wrapper is opaque to the
-// array: the per-disk steps (checksums, the observer) run around whatever it
+// replacement already attached) with wrap(disk, device) — the hook a
+// benchmark's tracer or a test's interposer goes through. The wrapper is
+// opaque to the array: the per-disk steps (checksums, the observer) run around whatever it
 // returns. Call it before serving I/O; wrap must return a device that
 // delegates to its argument.
 func (a *Array) InstrumentDevices(wrap func(disk int, dev Device) Device) {

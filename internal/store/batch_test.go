@@ -342,8 +342,8 @@ func TestBatchStepSemantics(t *testing.T) {
 	}
 }
 
-// orderDev is an opaque wrapper — it states no batch interface, as the
-// engine's retry layer does not — that records its calls in order.
+// orderDev is an opaque wrapper — it states no batch interface, as a fault
+// injector or the bench's tracer does not — that records its calls in order.
 type orderDev struct {
 	Device
 	mu    sync.Mutex
@@ -375,7 +375,7 @@ func (o *orderDev) WriteStrip(idx int64, p []byte) error {
 }
 
 // TestBatchLeavesOpaqueDevicesAlone: a disk whose device is not a batcher —
-// an opaque wrapper around one, as the engine's retry layer is — is handed
+// an opaque wrapper around one, as a fault injector is — is handed
 // single calls in op order, each observed once, while the other disks keep
 // batching.
 func TestBatchLeavesOpaqueDevicesAlone(t *testing.T) {

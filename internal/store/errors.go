@@ -38,8 +38,10 @@ var (
 	ErrClosed = errors.New("store: device closed")
 	// ErrTransient reports a device error that may succeed if retried:
 	// a recoverable media hiccup, a timeout, a torn write that can be
-	// reissued. RetryDevice absorbs these; the HTTP layer maps survivors
-	// onto 503 + Retry-After.
+	// reissued. Nothing below the array retries them: the health monitor
+	// counts one against its disk like any device error, and the HTTP
+	// layer maps one onto 503 + Retry-After. Only a wire client retries,
+	// and only a fault of the wire (see ErrUnreachable).
 	ErrTransient = errors.New("store: transient device error")
 	// ErrPermanent reports a device that has failed for good: every
 	// subsequent operation will error until the disk is evicted and its
@@ -54,8 +56,8 @@ var (
 
 // ErrUnreachable reports a device whose backing transport — a storage
 // node, a network path — cannot currently be reached. It wraps
-// ErrTransient, so retry and backoff layers treat it like any other
-// transient fault, but the health monitor does not count it toward disk
+// ErrTransient, so the HTTP layer answers it 503 + Retry-After like any
+// other transient fault, but the health monitor does not count it toward disk
 // eviction: the disk is not sick, the path to it is. The network device
 // layer decides when unreachability becomes permanent (its grace window
 // elapses and it starts returning ErrPermanent instead), and only then
@@ -110,7 +112,9 @@ var ErrIntentReplay = errors.New("store: pending closure replay failed")
 // erased and reconstructs them from parity (read repair).
 var ErrCorrupt = errors.New("store: strip checksum mismatch")
 
-// IsTransient reports whether err is worth retrying at the same device —
-// the branch the retry policy and the health monitor take between backoff
-// (transient) and eviction (permanent).
+// IsTransient reports whether err may pass if the op is issued again: a
+// fault of the path to a device, a device's own transient error, or a
+// conflict that clears. The array keeps such an op's strip in its accounts
+// (it is not gone), and the health monitor counts a device's transient
+// error apart, though toward eviction like any other.
 func IsTransient(err error) bool { return errors.Is(err, ErrTransient) }

@@ -70,8 +70,8 @@ type FaultStats struct {
 // FaultDevice wraps a Device with deterministic, seedable fault injection:
 // transient errors, torn writes, silent bit-flips, added latency, and a
 // transition to permanent failure — the failure taxonomy the self-healing
-// stack (RetryDevice, the engine's health monitor, auto-rebuild) is built
-// against. Faults are drawn per operation from the configured rates;
+// stack (the engine's health monitor, auto-rebuild) is built against, and
+// which a storage node passes through to its client unchanged. Faults are drawn per operation from the configured rates;
 // one-shot faults can additionally be planted per strip with Inject.
 type FaultDevice struct {
 	inner Device

@@ -115,74 +115,6 @@ func TestFaultCorruptDetectedByChecksum(t *testing.T) {
 	}
 }
 
-// TestRetryAbsorbsTransients: bounded retries hide transient faults from
-// the caller and the stats record the absorption.
-func TestRetryAbsorbsTransients(t *testing.T) {
-	f := newFaultMem(t, FaultConfig{})
-	r := NewRetryDevice(f, RetryPolicy{MaxAttempts: 4, BaseDelay: 50 * time.Microsecond, Seed: 9})
-	f.Inject(1, FaultTransient)
-	f.Inject(1, FaultTransient)
-	p := bytes.Repeat([]byte{3}, 64)
-	if err := r.WriteStrip(1, p); err != nil {
-		t.Fatalf("retry should absorb two transients: %v", err)
-	}
-	st := r.Stats()
-	if st.Absorbed != 1 || st.Retries < 2 || st.Exhausted != 0 {
-		t.Fatalf("stats %+v", st)
-	}
-}
-
-// TestRetryExhaustsAndSurfacesTransient: a fault that never clears
-// surfaces as ErrTransient after MaxAttempts tries.
-func TestRetryExhaustsAndSurfacesTransient(t *testing.T) {
-	f := newFaultMem(t, FaultConfig{TransientRate: 1})
-	r := NewRetryDevice(f, RetryPolicy{MaxAttempts: 3, BaseDelay: 20 * time.Microsecond})
-	p := make([]byte, 64)
-	if err := r.ReadStrip(0, p); !IsTransient(err) {
-		t.Fatalf("want surfaced ErrTransient, got %v", err)
-	}
-	if st := r.Stats(); st.Exhausted != 1 {
-		t.Fatalf("stats %+v", st)
-	}
-	if got := f.Stats().Ops; got != 3 {
-		t.Fatalf("inner saw %d attempts, want 3", got)
-	}
-}
-
-// TestRetryPermanentNotRetried: permanent errors surface on the first
-// attempt.
-func TestRetryPermanentNotRetried(t *testing.T) {
-	f := newFaultMem(t, FaultConfig{})
-	f.FailNow()
-	r := NewRetryDevice(f, RetryPolicy{MaxAttempts: 5, BaseDelay: 20 * time.Microsecond})
-	p := make([]byte, 64)
-	if err := r.ReadStrip(0, p); !errors.Is(err, ErrPermanent) {
-		t.Fatalf("want ErrPermanent, got %v", err)
-	}
-	if got := f.Stats().Ops; got != 1 {
-		t.Fatalf("inner saw %d attempts, want 1 (no retry of permanent)", got)
-	}
-}
-
-// TestRetryDeadline: the per-op deadline stops the retry loop early.
-func TestRetryDeadline(t *testing.T) {
-	f := newFaultMem(t, FaultConfig{TransientRate: 1})
-	r := NewRetryDevice(f, RetryPolicy{
-		MaxAttempts: 1000,
-		BaseDelay:   10 * time.Millisecond,
-		MaxDelay:    10 * time.Millisecond,
-		OpDeadline:  25 * time.Millisecond,
-	})
-	p := make([]byte, 64)
-	start := time.Now()
-	if err := r.ReadStrip(0, p); !IsTransient(err) {
-		t.Fatalf("want ErrTransient, got %v", err)
-	}
-	if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
-		t.Fatalf("deadline not honoured: %v", elapsed)
-	}
-}
-
 // TestFaultSlowBurstSchedule: the burst schedule is keyed to the op
 // counter — exactly the first SlowBurstLen ops of every SlowBurstPeriod
 // window are slow, replaying identically run after run.

@@ -445,8 +445,8 @@ func (c *NodeClient) stripBatch(ctx context.Context, ops []store.StripOp, write 
 
 // sendBatch is one message: items[k] is ops[sent[k]]. A transport failure
 // or a torn answer lands on every op of it, and the node's verdict on a single
-// item on that op alone (see message). A deposed writer's message is refused
-// item by item with ErrStaleEpoch.
+// item — a device's own error among them — on that op alone (see message). A
+// deposed writer's message is refused item by item with ErrStaleEpoch.
 func (c *NodeClient) sendBatch(ctx context.Context, ops []store.StripOp, sent []int, items []batchItem, write bool) {
 	kind := byte(kindReadReq)
 	if write {
@@ -475,9 +475,11 @@ func (c *NodeClient) sendBatch(ctx context.Context, ops []store.StripOp, sent []
 // loop, or as one attempt outside it and the breaker when once is set (the
 // prober's ping) — stamped with the client's fence as it is now when the kind
 // mutates, and hands each answered
-// item to each with the node's verdict on it (nil: done). A verdict the
-// catalogue calls retryable fails the whole message, which is retried as a
-// single op would be. each returns ErrBadFrame for an answer that does not
+// item to each with the node's verdict on it (nil: done). Only a verdict the
+// catalogue calls retryable — the node closing its device ("closed") — fails
+// the whole message, which is retried as a wire fault would be; a device's
+// error, transient or not, is the verdict on its item and retries nothing.
+// each returns ErrBadFrame for an answer that does not
 // fit its item, and must not keep the item's payload, which aliases the
 // answer.
 func (c *NodeClient) message(ctx context.Context, once bool, kind byte, items []batchItem, each func(k int, it *batchItem, verdict error) error) error {

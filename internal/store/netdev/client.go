@@ -205,7 +205,7 @@ func (c *NodeClient) Close() error {
 // run runs attempt — one stream message — through the shared retry loop and
 // breaker under ctx, then folds the outcome into the
 // reachability state: an answer from the node — even a rejection — proves
-// the wire fine and passes through unchanged (a permanent media error, a
+// the wire fine and passes through unchanged (a device's own error, a
 // fenced write, a caller bug); a wire fault that outlived the policy, or a
 // breaker refusal, means the node is down. An attempt reports whether its
 // failure is retryable, and a retryable failure is a wire fault.

@@ -2,7 +2,9 @@ package netdev
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"net"
@@ -12,6 +14,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -332,7 +335,7 @@ func TestPartitionUnreachableThenRecovery(t *testing.T) {
 	if !errors.Is(err, store.ErrUnreachable) {
 		t.Fatalf("partitioned read: %v, want ErrUnreachable", err)
 	}
-	// ErrUnreachable is transient (retry layers back off) but the
+	// ErrUnreachable is transient (the wire client backs off) but the
 	// classification matters: it must NOT be permanent.
 	if !store.IsTransient(err) || errors.Is(err, store.ErrPermanent) {
 		t.Fatalf("unreachable classified wrong: %v", err)
@@ -516,6 +519,77 @@ func TestPermanentMediaErrorPassesThrough(t *testing.T) {
 	}
 	if errors.Is(err, store.ErrUnreachable) || c.Down() {
 		t.Fatalf("media failure misclassified as network failure (down=%v)", c.Down())
+	}
+}
+
+// eioDevice fails every read of one strip with the raw error a directory
+// node's pread returns for a bad sector; the rest of the device is healthy.
+type eioDevice struct {
+	store.Device
+	bad int64
+}
+
+func (d eioDevice) ReadStrip(idx int64, p []byte) error {
+	if idx == d.bad {
+		return fmt.Errorf("pread: %w", syscall.EIO)
+	}
+	return d.Device.ReadStrip(idx, p)
+}
+
+// TestDeviceErrorLandsOnItsOp: a node's device that answers an op with an
+// error of its own — a raw I/O error, or store.ErrTransient — fails that op
+// alone, as the same device would in a local array. The message's other ops
+// succeed, the message is not sent again, and the node is not marked down:
+// the wire is fine, so the error must count against the disk, not the node.
+func TestDeviceErrorLandsOnItsOp(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		sick func(store.Device) store.Device
+		want func(error) bool
+	}{
+		{"raw", func(d store.Device) store.Device { return eioDevice{Device: d, bad: 0} },
+			func(err error) bool {
+				return strings.Contains(err.Error(), "input/output error") && !store.IsTransient(err)
+			}},
+		{"transient", func(d store.Device) store.Device {
+			f := store.NewFaultDevice(d, store.FaultConfig{Seed: 1})
+			f.Inject(0, store.FaultTransient)
+			return f
+		}, store.IsTransient},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n, srv := startNode(t, "n0")
+			sick, _ := store.NewMemDevice(8, 256)
+			well, _ := store.NewMemDevice(8, 256)
+			for i := int64(0); i < 8; i++ {
+				sick.WriteStrip(i, stripOf(0x51, i, 256))
+				well.WriteStrip(i, stripOf(0x77, i, 256))
+			}
+			n.AddDevice("sick", tc.sick(sick))
+			n.AddDevice("well", well)
+
+			c := NewNodeClient(srv.URL, fastOpts())
+			defer c.Close()
+			sd, wd := c.Device("sick", 8, 256), c.Device("well", 8, 256)
+			ops := []store.StripOp{{Dev: sd, Idx: 0}, {Dev: sd, Idx: 1}, {Dev: wd, Idx: 0}, {Dev: wd, Idx: 5}}
+			for i := range ops {
+				ops[i].Buf = make([]byte, 256)
+			}
+			sd.ReadStrips(context.Background(), ops)
+
+			if err := ops[0].Err; err == nil || errors.Is(err, store.ErrUnreachable) || !tc.want(err) {
+				t.Errorf("sick op: %v, want the device's own error, not ErrUnreachable", err)
+			}
+			for i, want := range [][]byte{nil, stripOf(0x51, 1, 256), stripOf(0x77, 0, 256), stripOf(0x77, 5, 256)} {
+				if i > 0 && (ops[i].Err != nil || !bytes.Equal(ops[i].Buf, want)) {
+					t.Errorf("healthy op %d: %v (content equal %v)", i, ops[i].Err, bytes.Equal(ops[i].Buf, want))
+				}
+			}
+			if st := c.Stats(); st.Attempts != 1 || st.Downs != 0 || st.ReadMessages != 1 || c.Down() {
+				t.Errorf("a device error cost %d attempt(s) in %d message(s), %d down(s), down now %v; want 1, 1, 0, false",
+					st.Attempts, st.ReadMessages, st.Downs, c.Down())
+			}
+		})
 	}
 }
 

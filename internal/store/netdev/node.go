@@ -41,12 +41,14 @@ var Catalogue = retry.Catalogue{
 	// The message did not survive the wire. The node refuses it — damaged
 	// bytes must not reach media — and the client re-sends.
 	{Err: ErrBadFrame, Code: "bad-frame", Status: http.StatusBadRequest, Retryable: true},
-	// The node's local media is dying. This must NOT look like a network
-	// fault: it passes through as a permanent device error so the
-	// coordinator's monitor evicts exactly that disk.
+	// The node's device answered with an error of its own. None of these
+	// looks like a network fault: each lands on its op alone, as the same
+	// device's error would in a local array, so the coordinator's monitor
+	// counts it against exactly that disk and evicts it as it would a
+	// local one. Only "closed" and "bad-frame" above retry a message.
 	{Err: store.ErrPermanent, Code: "permanent", Status: http.StatusInternalServerError},
-	{Err: store.ErrTransient, Code: "transient", Status: http.StatusServiceUnavailable, Retryable: true},
-	{Code: "io", Status: http.StatusInternalServerError, Retryable: true},
+	{Err: store.ErrTransient, Code: "transient", Status: http.StatusServiceUnavailable},
+	{Code: "io", Status: http.StatusInternalServerError},
 }
 
 // ErrNodeNotFound reports a device or blob name the node does not serve.

@@ -132,8 +132,9 @@ func (c *NodeClient) send(ctx context.Context, msg []byte, apply func(answer []b
 // attempt takes a stream, writes msg and hands the answer to apply. A stream
 // that fails it is dropped along with the idle ones (all lead to the same
 // node, which may have restarted under them) and the next attempt dials
-// afresh; an error of apply's that is not ErrBadFrame — a retryable item
-// verdict — leaves the stream in the pool.
+// afresh; an error of apply's that is not ErrBadFrame — a node closing its
+// device, the one other item verdict that fails a message — leaves the
+// stream in the pool.
 func (c *NodeClient) attempt(ctx context.Context, msg []byte, apply func(answer []byte) error) (retryAfter time.Duration, retryable bool, err error) {
 	s, retryAfter, retryable, err := c.take(ctx)
 	if err != nil {

@@ -46,7 +46,6 @@ var rootContexts = map[string]string{
 	"internal/server/client_object.go PutObject":    "the benchmark module's clientTarget",
 	"internal/server/client_object.go GetObject":    "the benchmark module's clientTarget",
 	"internal/store/batch.go var unbounded":         "the array's writes and its own reads, which no caller bounds",
-	"internal/store/retry.go do":                    "RetryDevice wraps local devices only and keeps its policy's budget",
 	"internal/store/netdev/client.go NewNodeClient": "the client's done root, which Close ends",
 	"internal/store/netdev/fault.go RoundTrip":      "a fault stream's own context, which its Close ends",
 }
